@@ -3,6 +3,7 @@ package blas
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"time"
@@ -184,9 +185,17 @@ type TuneResult struct {
 func Autotune(opts TuneOptions) (TuneResult, error) {
 	o := opts.withDefaults()
 	rng := rand.New(rand.NewSource(o.Seed))
+	// Entries are uniform in ±T^-¼, so a T-term dot product has the spread
+	// of a noise correlation (sd 1/3). The kernels' time does not depend on
+	// the values, but the VoxBlock proxy feeds gemm's output to the Fisher
+	// kernel, whose does: it takes its log branch above |r| = 0.625 and its
+	// clamp above 1, and a proxy that sent most of a block there would
+	// misweigh normalization against gemm.
+	//lint:allow f32purity one-off operand scale, not kernel arithmetic
+	amp := float32(1 / math.Sqrt(math.Sqrt(float64(o.TimePoints))))
 	fill := func(m *tensor.Matrix) {
 		for i := range m.Data {
-			m.Data[i] = rng.Float32()*2 - 1
+			m.Data[i] = (rng.Float32()*2 - 1) * amp
 		}
 	}
 

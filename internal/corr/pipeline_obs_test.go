@@ -23,10 +23,10 @@ func degenerateDataset(t testing.TB) (*fmri.Dataset, []int) {
 	return d, flat
 }
 
-// TestMergedEqualsSeparatedZeroVariance pins the satellite-3 equivalence:
-// norm.FisherThenZScore (merged path) and normBlockStrided (separated
-// path) must agree on zero-variance columns — both leave them exactly 0
-// rather than dividing by a zero standard deviation.
+// TestMergedEqualsSeparatedZeroVariance pins that the merged and the
+// separated path (one norm sweep, compact and strided blocks) agree on
+// zero-variance columns — both leave them exactly 0 rather than dividing
+// by a zero standard deviation.
 func TestMergedEqualsSeparatedZeroVariance(t *testing.T) {
 	d, flat := degenerateDataset(t)
 	st, err := BuildEpochStack(d, 0)

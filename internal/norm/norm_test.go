@@ -7,6 +7,94 @@ import (
 	"testing/quick"
 )
 
+// atanhOracle is what FisherZ replaced: the float64 atanh rounded once.
+func atanhOracle(r float32) float32 { return float32(math.Atanh(float64(r))) }
+
+// ulpsApart is the distance between two finite floats of one sign, in
+// float32 steps.
+func ulpsApart(a, b float32) int {
+	d := int(math.Float32bits(a)) - int(math.Float32bits(b))
+	if d < 0 {
+		return -d
+	}
+	return d
+}
+
+// maxFisherUlps is the kernel's contract; it measures 1 over every float32
+// in [0, 1].
+const maxFisherUlps = 4
+
+// checkFisherRun walks the float32 bit patterns lo, lo+step, … up to hi
+// (all non-negative floats) and checks, at each, the error against the
+// oracle below the clamp and the pinned constant from it on, bit-exact
+// oddness, and that the outputs never decrease along the walk.
+func checkFisherRun(t *testing.T, lo, hi, step uint32) {
+	t.Helper()
+	clampBits := math.Float32bits(clampA)
+	prev := float32(math.Inf(-1))
+	for b := lo; b <= hi; b += step {
+		r := math.Float32frombits(b)
+		z := FisherZ(r)
+		if b >= clampBits {
+			if z != clampZ {
+				t.Fatalf("FisherZ(%v) = %v, want the clamp constant %v", r, z, clampZ)
+			}
+		} else if d := ulpsApart(z, atanhOracle(r)); d > maxFisherUlps {
+			t.Fatalf("FisherZ(%v) = %v is %d ulp from math.Atanh's %v", r, z, d, atanhOracle(r))
+		}
+		if neg := FisherZ(-r); math.Float32bits(neg) != math.Float32bits(z)|signBit {
+			t.Fatalf("FisherZ(%v) = %v but FisherZ(%v) = %v: not odd", r, z, -r, neg)
+		}
+		if z < prev {
+			t.Fatalf("FisherZ decreases at %v (bits %#x): %v after %v", r, b, z, prev)
+		}
+		prev = z
+	}
+}
+
+// Every 257th float32 of [0, 1]: about four million oracle calls.
+func TestFisherZUlpSweep(t *testing.T) {
+	checkFisherRun(t, 0, math.Float32bits(1), 257)
+}
+
+// Every float32 within 256 steps of each place the kernel changes regime:
+// zero, the polynomial/log split, each exponent boundary of the log's
+// argument x = (1+a)/(1−a) = 2^k·√2, the clamp and one.
+func TestFisherZDenseAroundSeams(t *testing.T) {
+	seams := []float32{0, 0.625, clampA, 1}
+	for x := 4 * math.Sqrt2; x < 2/(1-ClampR); x *= 2 {
+		seams = append(seams, float32((x-1)/(x+1)))
+	}
+	for _, c := range seams {
+		bits := math.Float32bits(c)
+		checkFisherRun(t, max(bits, 256)-256, bits+256, 1)
+	}
+}
+
+func TestFisherZPinnedValues(t *testing.T) {
+	if want := float32(math.Atanh(ClampR)); clampZ != want {
+		t.Fatalf("clampZ = %v, want float32(math.Atanh(ClampR)) = %v", clampZ, want)
+	}
+	inf := float32(math.Inf(1))
+	for _, c := range []struct {
+		r    float32
+		bits uint32
+	}{
+		// The values the float64 kernel gave, bit for bit: every voxel's
+		// self-correlation takes the ±1 rows.
+		{1, 0x40e82376}, {-1, 0xc0e82376}, {1.5, 0x40e82376}, {-1.5, 0xc0e82376},
+		{inf, 0x40e82376}, {-inf, 0xc0e82376},
+		{0, 0}, {float32(math.Copysign(0, -1)), signBit},
+	} {
+		if got := math.Float32bits(FisherZ(c.r)); got != c.bits {
+			t.Errorf("FisherZ(%v) = %#x, want %#x", c.r, got, c.bits)
+		}
+	}
+	if z := FisherZ(float32(math.NaN())); z == z {
+		t.Errorf("FisherZ(NaN) = %v, want NaN", z)
+	}
+}
+
 func TestFisherZKnownValues(t *testing.T) {
 	cases := []struct {
 		r, z float64
@@ -18,7 +106,7 @@ func TestFisherZKnownValues(t *testing.T) {
 	}
 	for _, c := range cases {
 		got := float64(FisherZ(float32(c.r)))
-		if math.Abs(got-c.z) > 1e-5 {
+		if math.Abs(got-c.z) > 1e-6 {
 			t.Errorf("FisherZ(%v) = %v, want %v", c.r, got, c.z)
 		}
 	}
@@ -37,11 +125,8 @@ func TestFisherZClampsAtOne(t *testing.T) {
 }
 
 func TestFisherZOddFunction(t *testing.T) {
-	f := func(r float64) bool {
-		r = math.Mod(r, 1) // keep in (-1, 1)
-		a := FisherZ(float32(r))
-		b := FisherZ(float32(-r))
-		return math.Abs(float64(a+b)) < 1e-6
+	f := func(r float32) bool {
+		return math.Float32bits(FisherZ(-r)) == math.Float32bits(FisherZ(r))^signBit
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -151,8 +236,9 @@ func TestFisherThenZScoreEquivalence(t *testing.T) {
 		FisherZSlice(b)
 		ZScoreColumns(b, rows, cols)
 
+		// One sweep serves both, so the results are the same bits.
 		for i := range a {
-			if math.Abs(float64(a[i]-b[i])) > 1e-5 {
+			if a[i] != b[i] {
 				return false
 			}
 		}

@@ -1,6 +1,7 @@
 package norm
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -21,7 +22,7 @@ func TestScratchMatchesPackageFunc(t *testing.T) {
 		b := append([]float32(nil), a...)
 		FisherThenZScore(a, rows, cols)
 		var s Scratch
-		s.FisherThenZScore(b, rows, cols)
+		s.FisherThenZScoreStrided(b, rows, cols, cols)
 		for i := range a {
 			if a[i] != b[i] {
 				t.Fatalf("trial %d: scratch result diverges at %d: %v vs %v", trial, i, a[i], b[i])
@@ -55,13 +56,13 @@ func TestScratchStridedMatchesCompact(t *testing.T) {
 func TestScratchReuseResetsZeroVarianceColumns(t *testing.T) {
 	var s Scratch
 	rng := rand.New(rand.NewSource(5))
-	s.FisherThenZScore(randomBlock(rng, 4*8), 4, 8)
+	s.FisherThenZScoreStrided(randomBlock(rng, 4*8), 4, 8, 8)
 	// Constant columns: zero variance after Fisher, so output must be 0.
 	flat := make([]float32, 4*8)
 	for i := range flat {
 		flat[i] = 0.5
 	}
-	s.FisherThenZScore(flat, 4, 8)
+	s.FisherThenZScoreStrided(flat, 4, 8, 8)
 	for i, v := range flat {
 		if v != 0 {
 			t.Fatalf("zero-variance column leaked stale scaling at %d: %v", i, v)
@@ -73,7 +74,7 @@ func TestScratchAllocsPerRunZero(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	data := randomBlock(rng, 12*256)
 	var s Scratch
-	s.FisherThenZScore(data, 12, 256) // warm
+	s.FisherThenZScoreStrided(data, 12, 256, 256) // warm
 	if n := testing.AllocsPerRun(20, func() { s.FisherThenZScoreStrided(data, 12, 256, 256) }); n != 0 {
 		t.Fatalf("warm scratch allocates %v per run, want 0", n)
 	}
@@ -96,5 +97,30 @@ func TestScratchStrideValidation(t *testing.T) {
 			}()
 			tc.fn()
 		}()
+	}
+}
+
+// The sweep's branch-free row pass and the scalar kernel are one function:
+// same bits on every regime, the awkward inputs included.
+func TestFisherRowMatchesFisherZ(t *testing.T) {
+	nan := float32(math.NaN())
+	inf := float32(math.Inf(1))
+	row := []float32{0, float32(math.Copysign(0, -1)), 1e-30, -0.3, 0.6249999, 0.625, -0.625, 0.9,
+		math.Nextafter32(clampA, 0), clampA, 1, -1, 1.5, inf, -inf, nan}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 200; i++ {
+		row = append(row, rng.Float32()*2-1)
+	}
+	want := make([]float32, len(row))
+	for i, r := range row {
+		want[i] = FisherZ(r)
+	}
+	var s Scratch
+	s.grow(len(row))
+	s.fisherRow(row)
+	for i := range row {
+		if math.Float32bits(row[i]) != math.Float32bits(want[i]) && !(row[i] != row[i] && want[i] != want[i]) {
+			t.Fatalf("element %d: fisherRow gives %v, FisherZ gives %v", i, row[i], want[i])
+		}
 	}
 }

@@ -168,6 +168,16 @@ func cancelled(ctx context.Context) error {
 	}
 }
 
+// startLane opens a pool goroutine's span, named "<stage>/lane" and never
+// the stage's own name: a span name means one thing, so counting a
+// stage's spans counts its items whatever the number of goroutines.
+func startLane(ctx context.Context, stage string) (context.Context, *trace.Active) {
+	if trace.FromContext(ctx) == nil {
+		return ctx, nil // tracing off: do not build the name
+	}
+	return trace.StartWorkerSpan(ctx, stage+"/lane")
+}
+
 // ParallelDynamic runs fn(ctx, i) for i in [0, n) across at most
 // `workers` goroutines with dynamic (work-stealing) assignment — for
 // workloads with data-dependent per-item cost such as per-voxel SMO
@@ -175,7 +185,7 @@ func cancelled(ctx context.Context) error {
 //
 // The ctx handed to each item is the spawning goroutine's tracing
 // context: when the caller's ctx carries a tracer, every pool goroutine
-// opens a span of the stage's name on its own timeline lane (one tid per
+// opens a "<stage>/lane" span on its own timeline lane (one tid per
 // worker goroutine) and items started from it nest there, so the merged
 // trace shows per-goroutine occupancy. With tracing disabled the drivers
 // add one context poll per goroutine and nothing else.
@@ -230,7 +240,7 @@ func ParallelDynamic(ctx context.Context, span Span, n, workers int, fn func(ctx
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			gctx, gsp := trace.StartWorkerSpan(ctx, span.Stage)
+			gctx, gsp := startLane(ctx, span.Stage)
 			defer gsp.End()
 			for {
 				if cancelled(ctx) != nil || fe.get() != nil {
@@ -286,7 +296,7 @@ func ParallelChunks(ctx context.Context, span Span, n, workers int, fn func(ctx 
 		wg.Add(1)
 		go func(s, e int) {
 			defer wg.Done()
-			gctx, gsp := trace.StartWorkerSpan(ctx, span.Stage)
+			gctx, gsp := startLane(ctx, span.Stage)
 			defer gsp.End()
 			for i := s; i < e; i++ {
 				if cancelled(ctx) != nil || fe.get() != nil {
@@ -339,7 +349,7 @@ func ParallelRanges(ctx context.Context, span Span, n, workers int, fn func(ctx 
 			if cancelled(ctx) != nil {
 				return
 			}
-			gctx, gsp := trace.StartWorkerSpan(ctx, span.Stage)
+			gctx, gsp := startLane(ctx, span.Stage)
 			defer gsp.End()
 			defer func() {
 				if pe := Recovered(span.Stage, span.Base+s, e-s, recover()); pe != nil {

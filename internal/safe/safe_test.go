@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"fcma/internal/obs/trace"
 )
 
 func TestParallelDynamicContainsPanic(t *testing.T) {
@@ -114,5 +116,62 @@ func TestGoReportsPanicOnce(t *testing.T) {
 	var pe *PipelineError
 	if !errors.As(err, &pe) || pe.Stage != "svc" {
 		t.Fatalf("got %v", err)
+	}
+}
+
+// A span name means one thing: a stage's items carry the stage's name and
+// the pool goroutines carry "<stage>/lane", so a consumer counting a
+// stage's spans gets the item count at any worker count. (The root
+// package's one-svm/cv-span-per-voxel check failed on every multi-core
+// machine while lanes shared the stage's name.)
+func TestLaneSpansAreNamedApartFromItems(t *testing.T) {
+	const stage, n = "test/stage", 40
+	item := func(ctx context.Context, _ int) error {
+		_, sp := trace.StartSpan(ctx, stage)
+		sp.End()
+		return nil
+	}
+	drivers := map[string]func(ctx context.Context, w int) error{
+		"dynamic": func(ctx context.Context, w int) error {
+			return ParallelDynamic(ctx, Span{Stage: stage}, n, w, item)
+		},
+		"chunks": func(ctx context.Context, w int) error {
+			return ParallelChunks(ctx, Span{Stage: stage}, n, w, item)
+		},
+		"ranges": func(ctx context.Context, w int) error {
+			return ParallelRanges(ctx, Span{Stage: stage}, n, w, func(ctx context.Context, s, e int) error {
+				for i := s; i < e; i++ {
+					item(ctx, i)
+				}
+				return nil
+			})
+		},
+	}
+	for name, run := range drivers {
+		for _, workers := range []int{1, 2, 4} {
+			tr := trace.New(0)
+			if err := run(trace.NewContext(context.Background(), tr), workers); err != nil {
+				t.Fatal(err)
+			}
+			items, lanes := 0, make(map[int]bool)
+			for _, s := range tr.Drain() {
+				switch s.Name {
+				case stage:
+					items++
+				case stage + "/lane":
+					lanes[s.TID] = true
+				default:
+					t.Fatalf("%s: unexpected span %q", name, s.Name)
+				}
+			}
+			// The serial path spawns no goroutine and so opens no lane.
+			wantLanes := workers
+			if workers == 1 {
+				wantLanes = 0
+			}
+			if items != n || len(lanes) != wantLanes {
+				t.Fatalf("%s at %d workers: %d item spans on %d lanes, want %d on %d", name, workers, items, len(lanes), n, wantLanes)
+			}
+		}
 	}
 }
