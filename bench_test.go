@@ -9,6 +9,7 @@ package fcma
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -150,7 +151,9 @@ func benchPipeline(b *testing.B, merged bool) {
 	p := &corr.Pipeline{Merged: merged}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Run(st, 0, benchAssigned)
+		if _, err := p.RunContext(context.Background(), st, 0, benchAssigned); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -165,7 +168,10 @@ func benchSVMProblem(b *testing.B) (*tensor.Matrix, []int, []svm.Fold) {
 	b.Helper()
 	st := benchStack(b)
 	p := &corr.Pipeline{Merged: true}
-	buf := p.Run(st, 0, 1)
+	buf, err := p.RunContext(context.Background(), st, 0, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
 	K := svm.PrecomputeKernel(buf.View(0, 0, st.M(), st.N), nil)
 	labels := make([]int, st.M())
 	subjects := make([]int, st.M())

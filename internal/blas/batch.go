@@ -6,10 +6,11 @@ import (
 	"sync"
 
 	"fcma/internal/obs/trace"
+	"fcma/internal/safe"
 	"fcma/internal/tensor"
 )
 
-// BatchSyrk computes Cs[i] = As[i]·As[i]ᵀ for a batch of independent
+// BatchSyrkContext computes Cs[i] = As[i]·As[i]ᵀ for a batch of independent
 // tall-skinny products — the exact workflow of the paper's Fig. 7. One
 // voxel's product alone cannot saturate the machine ("the number of
 // independent, concurrently executed matrix multiplications is limited...
@@ -18,13 +19,11 @@ import (
 // (matrix, long-dimension block) pairs shared across one worker pool, and
 // each worker merges its thread-local partial result into the owning C
 // under that matrix's lock.
-func BatchSyrk(Cs, As []*tensor.Matrix, block, workers int) error {
-	return BatchSyrkContext(context.Background(), Cs, As, block, workers)
-}
-
-// BatchSyrkContext is BatchSyrk with cooperative cancellation: a cancelled
-// ctx stops the worker pool at the next (matrix, block) work item and
-// returns ctx.Err(). One work item is the checkpoint interval.
+//
+// A cancelled ctx stops the worker pool at the next (matrix, block) work
+// item — the checkpoint interval — and returns ctx.Err(); a contained
+// panic returns as a *safe.PipelineError. Each item records its span on
+// its pool goroutine's timeline lane.
 func BatchSyrkContext(ctx context.Context, Cs, As []*tensor.Matrix, block, workers int) error {
 	if len(Cs) != len(As) {
 		return fmt.Errorf("blas: batch of %d C matrices for %d A matrices", len(Cs), len(As))
@@ -51,7 +50,7 @@ func BatchSyrkContext(ctx context.Context, Cs, As []*tensor.Matrix, block, worke
 		}
 	}
 	locks := make([]sync.Mutex, len(Cs))
-	err := parallelForDynamicContext(ctx, len(items), workers, func(ictx context.Context, n int) {
+	err := safe.ParallelDynamic(ctx, safe.Span{Stage: "blas/kernel"}, len(items), workers, func(ictx context.Context, n int) error {
 		obsBatchSyrkItems.Inc()
 		it := items[n]
 		_, bsp := trace.StartSpan(ictx, "blas/syrk_block")
@@ -76,6 +75,7 @@ func BatchSyrkContext(ctx context.Context, Cs, As []*tensor.Matrix, block, worke
 		}
 		locks[it.mat].Unlock()
 		syrkPool.Put(sc)
+		return nil
 	})
 	if err != nil {
 		return err

@@ -1,8 +1,8 @@
 package blas
 
 import (
+	"context"
 	"math/rand"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -269,26 +269,6 @@ func TestParallelForEmpty(t *testing.T) {
 	}
 }
 
-func TestParallelForDynamicCoversRange(t *testing.T) {
-	for _, workers := range []int{0, 1, 5} {
-		var mu sync.Mutex
-		seen := make(map[int]int)
-		parallelForDynamic(31, workers, func(i int) {
-			mu.Lock()
-			seen[i]++
-			mu.Unlock()
-		})
-		if len(seen) != 31 {
-			t.Fatalf("workers=%d: visited %d of 31", workers, len(seen))
-		}
-		for i, c := range seen {
-			if c != 1 {
-				t.Fatalf("workers=%d: index %d visited %d times", workers, i, c)
-			}
-		}
-	}
-}
-
 func TestBatchSyrkMatchesIndividual(t *testing.T) {
 	rng := rand.New(rand.NewSource(50))
 	sizes := [][2]int{{8, 300}, {12, 97}, {5, 512}, {20, 200}}
@@ -302,7 +282,7 @@ func TestBatchSyrkMatchesIndividual(t *testing.T) {
 		want[i] = tensor.NewMatrix(s[0], s[0])
 		Naive{}.Syrk(want[i], As[i])
 	}
-	if err := BatchSyrk(Cs, As, 96, 3); err != nil {
+	if err := BatchSyrkContext(context.Background(), Cs, As, 96, 3); err != nil {
 		t.Fatal(err)
 	}
 	for i := range Cs {
@@ -323,13 +303,13 @@ func TestBatchSyrkValidation(t *testing.T) {
 	A := tensor.NewMatrix(3, 10)
 	good := tensor.NewMatrix(3, 3)
 	bad := tensor.NewMatrix(2, 3)
-	if err := BatchSyrk([]*tensor.Matrix{good}, nil, 96, 1); err == nil {
+	if err := BatchSyrkContext(context.Background(), []*tensor.Matrix{good}, nil, 96, 1); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
-	if err := BatchSyrk([]*tensor.Matrix{bad}, []*tensor.Matrix{A}, 96, 1); err == nil {
+	if err := BatchSyrkContext(context.Background(), []*tensor.Matrix{bad}, []*tensor.Matrix{A}, 96, 1); err == nil {
 		t.Fatal("shape mismatch accepted")
 	}
-	if err := BatchSyrk(nil, nil, 96, 1); err != nil {
+	if err := BatchSyrkContext(context.Background(), nil, nil, 96, 1); err != nil {
 		t.Fatalf("empty batch should be a no-op: %v", err)
 	}
 }
@@ -342,7 +322,7 @@ func TestBatchSyrkSmallBlocks(t *testing.T) {
 	Naive{}.Syrk(want, A)
 	// Block smaller than the column count exercises the merge path under
 	// contention.
-	if err := BatchSyrk([]*tensor.Matrix{C}, []*tensor.Matrix{A}, 5, 8); err != nil {
+	if err := BatchSyrkContext(context.Background(), []*tensor.Matrix{C}, []*tensor.Matrix{A}, 5, 8); err != nil {
 		t.Fatal(err)
 	}
 	if !C.EqualApprox(want, 1e-3) {

@@ -2,47 +2,39 @@ package blas
 
 import (
 	"context"
+	"runtime"
 
 	"fcma/internal/safe"
 )
 
 // parallelFor runs fn(start, end) over [0, n) split into contiguous chunks
-// across at most workers goroutines. workers <= 0 means GOMAXPROCS. The
-// chunking is static: chunk i covers the i-th of `workers` equal ranges,
-// which matches the static partitioning the paper's kernels use within a
-// coprocessor.
+// of ceil(n/workers) indices — the static partitioning the paper's kernels
+// use within a coprocessor — one chunk per work item of the shared driver.
+// workers <= 0 means GOMAXPROCS. The chunk bounds depend only on n and
+// workers, so a kernel that accumulates per chunk (Syrk) sums the same
+// partial products whichever goroutine runs them.
 //
-// Worker goroutines run with panic containment: a panic inside fn is
-// recovered, joined with the rest of the pool, and re-thrown on the
-// calling goroutine as a *safe.PipelineError — so a faulting kernel chunk
+// Chunks run with panic containment: a panic inside fn is recovered,
+// joined with the rest of the pool, and re-thrown on the calling goroutine
+// as a *safe.PipelineError naming the chunk — so a faulting kernel chunk
 // can never kill the process from an anonymous goroutine, and the layers
 // above (which do have error returns) convert it to an ordinary error.
 func parallelFor(n, workers int, fn func(start, end int)) {
-	err := safe.ParallelRanges(context.Background(), safe.Span{Stage: "blas/kernel"}, n, workers,
-		func(_ context.Context, s, e int) error { fn(s, e); return nil })
+	if n <= 0 {
+		return
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, n)
+	chunk := (n + workers - 1) / workers
+	chunks := (n + chunk - 1) / chunk
+	err := safe.ParallelDynamic(context.Background(), safe.Span{Stage: "blas/kernel"}, chunks, workers,
+		func(_ context.Context, c int) error {
+			fn(c*chunk, min((c+1)*chunk, n))
+			return nil
+		})
 	if err != nil {
 		panic(err)
 	}
-}
-
-// parallelForDynamic runs fn(i) for each i in [0, n) using a shared work
-// queue, the dynamic analogue of parallelFor for workloads with uneven
-// per-item cost (e.g. per-voxel SVM cross-validation). Panic containment
-// matches parallelFor.
-func parallelForDynamic(n, workers int, fn func(i int)) {
-	err := parallelForDynamicContext(context.Background(), n, workers,
-		func(_ context.Context, i int) { fn(i) })
-	if err != nil {
-		panic(err)
-	}
-}
-
-// parallelForDynamicContext is parallelForDynamic with cooperative
-// cancellation: a cancelled ctx stops the pool at the next work item and
-// returns ctx.Err(); a contained panic returns as a *safe.PipelineError.
-// Each item receives its pool goroutine's tracing context so callers can
-// record per-block spans on the right timeline lane.
-func parallelForDynamicContext(ctx context.Context, n, workers int, fn func(ctx context.Context, i int)) error {
-	return safe.ParallelDynamic(ctx, safe.Span{Stage: "blas/kernel"}, n, workers,
-		func(ictx context.Context, i int) error { fn(ictx, i); return nil })
 }

@@ -134,6 +134,9 @@ type Worker struct {
 	cfg   Config
 	stack *corr.EpochStack
 	folds []svm.Fold
+	// pipe runs stages 1+2; one per worker so its instrument cache is warm
+	// after the first task.
+	pipe *corr.Pipeline
 }
 
 // NewWorker prepares a worker over a prebuilt epoch stack. folds defines
@@ -153,7 +156,15 @@ func NewWorker(cfg Config, stack *corr.EpochStack, folds []svm.Fold) (*Worker, e
 		}
 		folds = svm.LeaveOneSubjectOutFolds(subjects)
 	}
-	return &Worker{cfg: cfg, stack: stack, folds: folds}, nil
+	pipe := &corr.Pipeline{
+		Gemm:     cfg.Gemm,
+		Workers:  cfg.Workers,
+		Merged:   cfg.Merged,
+		ColBlock: cfg.Tuning.ColBlock,
+		VoxBlock: cfg.Tuning.VoxBlock,
+		Obs:      cfg.Obs,
+	}
+	return &Worker{cfg: cfg, stack: stack, folds: folds, pipe: pipe}, nil
 }
 
 // Process runs the full three-stage pipeline for the task and returns one
@@ -182,15 +193,7 @@ func (w *Worker) ProcessContext(ctx context.Context, t Task) ([]VoxelScore, erro
 	taskSpan.SetInt("voxels", t.V)
 	defer taskSpan.End()
 	// Stages 1+2.
-	p := &corr.Pipeline{
-		Gemm:     w.cfg.Gemm,
-		Workers:  w.cfg.Workers,
-		Merged:   w.cfg.Merged,
-		ColBlock: w.cfg.Tuning.ColBlock,
-		VoxBlock: w.cfg.Tuning.VoxBlock,
-		Obs:      w.cfg.Obs,
-	}
-	buf, err := p.RunContext(ctx, w.stack, t.V0, t.V)
+	buf, err := w.pipe.RunContext(ctx, w.stack, t.V0, t.V)
 	if err != nil {
 		return nil, err
 	}

@@ -13,6 +13,7 @@ import (
 	"math"
 
 	"fcma/internal/fmri"
+	"fcma/internal/safe"
 	"fcma/internal/tensor"
 )
 
@@ -138,7 +139,7 @@ func BuildEpochStackContext(ctx context.Context, d *fmri.Dataset, workers int) (
 		E:        e0,
 		Norm:     make([]*tensor.Matrix, len(d.Epochs)),
 	}
-	err = parallelEpochs(ctx, "corr/stack", len(d.Epochs), workers, func(_ context.Context, e int) {
+	err = safe.ParallelDynamic(ctx, safe.Span{Stage: "corr/stack"}, len(d.Epochs), workers, func(_ context.Context, e int) error {
 		ep := d.Epochs[e]
 		src := d.EpochData(ep) // N×T view
 		out := tensor.NewMatrix(st.T, st.N)
@@ -150,6 +151,7 @@ func BuildEpochStackContext(ctx context.Context, d *fmri.Dataset, workers int) (
 			}
 		}
 		st.Norm[e] = out
+		return nil
 	})
 	if err != nil {
 		return nil, err

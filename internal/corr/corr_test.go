@@ -32,6 +32,26 @@ func testDataset(t testing.TB) *fmri.Dataset {
 	return d
 }
 
+// run is RunContext for tests that have nothing to cancel.
+func run(t testing.TB, p *Pipeline, st *EpochStack, v0, V int) *tensor.Matrix {
+	t.Helper()
+	buf, err := p.RunContext(context.Background(), st, v0, V)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf
+}
+
+// rawCorrelations is stage 1 alone: correlations before any normalization.
+func rawCorrelations(t testing.TB, p *Pipeline, st *EpochStack, v0, V int) *tensor.Matrix {
+	t.Helper()
+	buf := tensor.NewMatrix(V*st.M(), st.N)
+	if err := p.computeCorrelations(context.Background(), st, v0, V, buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf
+}
+
 func TestPearsonReference(t *testing.T) {
 	x := []float32{1, 2, 3, 4}
 	if r := Pearson(x, x); math.Abs(r-1) > 1e-6 {
@@ -207,7 +227,7 @@ func TestComputeCorrelationsMatchesOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := &Pipeline{Gemm: blas.TallSkinny{ColBlock: 16, Workers: 1}, Workers: 2}
-	got := p.ComputeCorrelations(st, 5, 4)
+	got := rawCorrelations(t, p, st, 5, 4)
 	want := rawCorrelationOracle(d, 5, 4)
 	if !got.EqualApprox(want, 1e-4) {
 		t.Fatalf("correlation buffer mismatch, max diff %g", got.MaxAbsDiff(want))
@@ -218,7 +238,7 @@ func TestSelfCorrelationIsOne(t *testing.T) {
 	d := testDataset(t)
 	st, _ := BuildEpochStack(d, 0)
 	p := &Pipeline{}
-	buf := p.ComputeCorrelations(st, 3, 2)
+	buf := rawCorrelations(t, p, st, 3, 2)
 	M := st.M()
 	for v := 0; v < 2; v++ {
 		for e := 0; e < M; e++ {
@@ -239,8 +259,8 @@ func TestMergedEqualsSeparated(t *testing.T) {
 	for _, colBlock := range []int{0, 7, 16, 1024} {
 		sep := &Pipeline{Workers: 2, Merged: false}
 		mer := &Pipeline{Workers: 2, Merged: true, ColBlock: colBlock}
-		a := sep.Run(st, 4, 6)
-		b := mer.Run(st, 4, 6)
+		a := run(t, sep, st, 4, 6)
+		b := run(t, mer, st, 4, 6)
 		if !a.EqualApprox(b, 1e-4) {
 			t.Fatalf("colBlock=%d: merged and separated disagree, max diff %g",
 				colBlock, a.MaxAbsDiff(b))
@@ -256,7 +276,7 @@ func TestRunNormalizationMoments(t *testing.T) {
 	st, _ := BuildEpochStack(d, 0)
 	p := &Pipeline{Workers: 1}
 	V := 3
-	buf := p.Run(st, 0, V)
+	buf := run(t, p, st, 0, V)
 	M, E, N := st.M(), st.E, st.N
 	for v := 0; v < V; v++ {
 		for s := 0; s < st.Subjects; s++ {
@@ -284,7 +304,7 @@ func TestRunMatchesFullyNaiveReference(t *testing.T) {
 	st, _ := BuildEpochStack(d, 0)
 	V, v0 := 2, 9
 	p := &Pipeline{Workers: 1}
-	got := p.Run(st, v0, V)
+	got := run(t, p, st, v0, V)
 
 	raw := rawCorrelationOracle(d, v0, V)
 	M, E, N := st.M(), st.E, st.N
@@ -315,7 +335,7 @@ func TestPipelineGemmImplsAgree(t *testing.T) {
 	var ref *tensor.Matrix
 	for i, g := range impls {
 		p := &Pipeline{Gemm: g, Workers: 2}
-		out := p.Run(st, 0, 5)
+		out := run(t, p, st, 0, 5)
 		if i == 0 {
 			ref = out
 			continue

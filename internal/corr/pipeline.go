@@ -2,7 +2,6 @@ package corr
 
 import (
 	"context"
-	"runtime"
 	"sync"
 
 	"fcma/internal/blas"
@@ -26,8 +25,7 @@ type Pipeline struct {
 	// the paper's tall-skinny kernel.
 	Gemm blas.Sgemm
 	// Workers bounds goroutine parallelism; 0 means GOMAXPROCS. Workers=1
-	// takes a serial fast path with no goroutines and no per-item heap
-	// traffic (see RunInto).
+	// runs every stage on the caller's goroutine.
 	Workers int
 	// Merged selects the fused stage-1+2 variant (paper §4.3): each
 	// correlation block is normalized while cache resident instead of in
@@ -56,7 +54,10 @@ type Pipeline struct {
 // DefaultVoxBlock is the merged variant's default voxel-block height.
 const DefaultVoxBlock = 8
 
-// pipelineInst is the pipeline's resolved instrument set.
+// pipelineInst is the pipeline's resolved instrument set. Only the
+// configured mode's stage timers are resolved (correlate and normalize
+// when separated, merged when merged), so a run exports no series it
+// never observes.
 type pipelineInst struct {
 	gemmCalls  *obs.Counter
 	normBlocks *obs.Counter
@@ -80,9 +81,12 @@ func (p *Pipeline) instruments() *pipelineInst {
 		p.inst = pipelineInst{
 			gemmCalls:  reg.Counter("corr_gemm_calls_total"),
 			normBlocks: reg.Counter("corr_norm_blocks_total"),
-			correlate:  reg.Stage("corr/correlate"),
-			normalize:  reg.Stage("corr/normalize"),
-			merged:     reg.Stage("corr/merged"),
+		}
+		if p.Merged {
+			p.inst.merged = reg.Stage("corr/merged")
+		} else {
+			p.inst.correlate = reg.Stage("corr/correlate")
+			p.inst.normalize = reg.Stage("corr/normalize")
 		}
 	})
 	return &p.inst
@@ -101,15 +105,8 @@ func (p *Pipeline) gemm() blas.Sgemm {
 	return p.Gemm
 }
 
-func (p *Pipeline) workers() int {
-	if p.Workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return p.Workers
-}
-
 // corrScratch is the pooled per-work-item state shared by every pipeline
-// path: the gather block, the merged local block, manual view headers
+// stage: the gather block, the merged local block, manual view headers
 // (a .View() call would allocate), and the normalization buffers. Pooled
 // as a pointer so Get/Put never box.
 type corrScratch struct {
@@ -122,23 +119,12 @@ type corrScratch struct {
 
 var corrPool = sync.Pool{New: func() any { return new(corrScratch) }}
 
-// Run computes the normalized correlation buffer for assigned voxels
-// [v0, v0+V): a (V·M)×N matrix in voxel-grouped interleaved layout.
-// A contained worker panic is re-thrown on the caller's goroutine as a
-// *safe.PipelineError; RunContext returns it as an error instead.
-func (p *Pipeline) Run(st *EpochStack, v0, V int) *tensor.Matrix {
-	buf, err := p.RunContext(context.Background(), st, v0, V)
-	if err != nil {
-		panic(err)
-	}
-	return buf
-}
-
-// RunContext is Run with cooperative cancellation and panic containment:
-// a cancelled ctx stops all worker goroutines at the next work item (one
-// epoch, or one voxel-block × column-block item in the merged variant)
-// and returns ctx.Err(); a panic in any worker comes back as a
-// *safe.PipelineError.
+// RunContext computes the normalized correlation buffer for assigned
+// voxels [v0, v0+V): a (V·M)×N matrix in voxel-grouped interleaved layout.
+// A cancelled ctx stops all worker goroutines at the next work item (one
+// epoch, one voxel, or one voxel-block × column-block item in the merged
+// variant) and returns ctx.Err(); a panic in any work item comes back as
+// a *safe.PipelineError.
 func (p *Pipeline) RunContext(ctx context.Context, st *EpochStack, v0, V int) (*tensor.Matrix, error) {
 	buf := tensor.NewMatrix(V*st.M(), st.N)
 	if err := p.RunInto(ctx, st, v0, V, buf); err != nil {
@@ -147,11 +133,11 @@ func (p *Pipeline) RunContext(ctx context.Context, st *EpochStack, v0, V int) (*
 	return buf, nil
 }
 
-// RunInto is RunContext writing into a caller-provided buffer — the
-// steady-state entry point: a caller that recycles buf across tasks pays
-// zero allocations per merged run when Workers is 1 (every scratch block
-// comes from a pool, and the serial path spawns no goroutines and builds
-// no closures; pinned by alloc_test.go).
+// RunInto is RunContext writing into a caller-provided buffer. No work
+// item allocates: every scratch block comes from a pool and the item
+// bodies are //lint:hotpath, so a warm run costs one heap object per stage
+// pass (the item closure handed to the driver) whatever V is; pinned by
+// alloc_test.go.
 //
 // buf must be a compact (V·M())×N matrix; contents are overwritten.
 func (p *Pipeline) RunInto(ctx context.Context, st *EpochStack, v0, V int, buf *tensor.Matrix) error {
@@ -167,37 +153,27 @@ func (p *Pipeline) RunInto(ctx context.Context, st *EpochStack, v0, V int, buf *
 	return p.normalizeSeparated(ctx, st, buf, V)
 }
 
-// computeCorrelations is the pure stage-1 computation (exported for tests
-// and instrumentation via ComputeCorrelations).
-//
-// Each stage below branches between a parallel driver and an inline serial
-// loop; the serial branches call item methods directly so no closure is
-// ever constructed on the single-worker path (closures handed to
-// parallelEpochs escape to the heap, and the steady-state alloc pin in
-// alloc_test.go requires zero).
+// computeCorrelations is stage 1 alone: raw Pearson correlations in
+// interleaved layout, one work item per epoch.
 func (p *Pipeline) computeCorrelations(ctx context.Context, st *EpochStack, v0, V int, buf *tensor.Matrix) error {
-	M := st.M()
 	g := p.gemm()
 	inst := p.instruments()
 	timer := inst.correlate.Start()
+	defer timer.Stop()
 	sctx, span := trace.StartSpan(ctx, "corr/correlate")
 	span.SetInt("v0", v0)
 	span.SetInt("voxels", V)
-	span.SetInt("epochs", M)
-	var err error
-	if p.workers() > 1 && M > 1 {
-		err = parallelEpochs(sctx, "corr/correlate", M, p.workers(), func(_ context.Context, e int) {
-			p.correlateEpoch(st, buf, g, inst, v0, V, e)
-		})
-	} else {
-		err = p.serialCorrelate(sctx, st, buf, g, inst, v0, V)
-	}
-	span.End()
-	timer.Stop()
-	return err
+	span.SetInt("epochs", st.M())
+	defer span.End()
+	return safe.ParallelDynamic(sctx, safe.Span{Stage: "corr/correlate"}, st.M(), p.Workers, func(_ context.Context, e int) error {
+		p.correlateEpoch(st, buf, g, inst, v0, V, e)
+		return nil
+	})
 }
 
 // correlateEpoch computes epoch e's V×N correlation strip into buf.
+//
+//lint:hotpath stage-1 work item, once per epoch
 func (p *Pipeline) correlateEpoch(st *EpochStack, buf *tensor.Matrix, g blas.Sgemm, inst *pipelineInst, v0, V, e int) {
 	sc := corrPool.Get().(*corrScratch)
 	sc.A.Reuse(V, st.T)
@@ -210,31 +186,6 @@ func (p *Pipeline) correlateEpoch(st *EpochStack, buf *tensor.Matrix, g blas.Sge
 	corrPool.Put(sc)
 }
 
-func (p *Pipeline) serialCorrelate(ctx context.Context, st *EpochStack, buf *tensor.Matrix, g blas.Sgemm, inst *pipelineInst, v0, V int) (err error) {
-	defer func() {
-		if pe := safe.Recovered("corr/correlate", v0, V, recover()); pe != nil {
-			err = pe
-		}
-	}()
-	for e := 0; e < st.M(); e++ {
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		p.correlateEpoch(st, buf, g, inst, v0, V, e)
-	}
-	return nil
-}
-
-// ComputeCorrelations exposes stage 1 alone: raw Pearson correlations in
-// interleaved layout, before any normalization.
-func (p *Pipeline) ComputeCorrelations(st *EpochStack, v0, V int) *tensor.Matrix {
-	buf := tensor.NewMatrix(V*st.M(), st.N)
-	if err := p.computeCorrelations(context.Background(), st, v0, V, buf); err != nil {
-		panic(err)
-	}
-	return buf
-}
-
 // normalizeSeparated is the unfused stage 2: a second full pass over the
 // correlation buffer applying Fisher + within-subject z-scoring.
 func (p *Pipeline) normalizeSeparated(ctx context.Context, st *EpochStack, buf *tensor.Matrix, V int) error {
@@ -244,16 +195,16 @@ func (p *Pipeline) normalizeSeparated(ctx context.Context, st *EpochStack, buf *
 	sctx, span := trace.StartSpan(ctx, "corr/normalize")
 	span.SetInt("voxels", V)
 	defer span.End()
-	if p.workers() > 1 && V > 1 {
-		return parallelEpochs(sctx, "corr/normalize", V, p.workers(), func(_ context.Context, v int) {
-			p.normalizeVoxel(st, buf, inst, v)
-		})
-	}
-	return p.serialNormalize(sctx, st, buf, inst, V)
+	return safe.ParallelDynamic(sctx, safe.Span{Stage: "corr/normalize"}, V, p.Workers, func(_ context.Context, v int) error {
+		p.normalizeVoxel(st, buf, inst, v)
+		return nil
+	})
 }
 
 // normalizeVoxel applies Fisher + within-subject z-scoring to voxel v's
 // M rows of the separated buffer.
+//
+//lint:hotpath separated stage-2 work item, once per voxel
 func (p *Pipeline) normalizeVoxel(st *EpochStack, buf *tensor.Matrix, inst *pipelineInst, v int) {
 	M, N, E := st.M(), st.N, st.E
 	sc := corrPool.Get().(*corrScratch)
@@ -263,21 +214,6 @@ func (p *Pipeline) normalizeVoxel(st *EpochStack, buf *tensor.Matrix, inst *pipe
 		inst.normBlocks.Inc()
 	}
 	corrPool.Put(sc)
-}
-
-func (p *Pipeline) serialNormalize(ctx context.Context, st *EpochStack, buf *tensor.Matrix, inst *pipelineInst, V int) (err error) {
-	defer func() {
-		if pe := safe.Recovered("corr/normalize", 0, V, recover()); pe != nil {
-			err = pe
-		}
-	}()
-	for v := 0; v < V; v++ {
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		p.normalizeVoxel(st, buf, inst, v)
-	}
-	return nil
 }
 
 // runMerged fuses stages 1 and 2: correlations for a block of voxels are
@@ -312,38 +248,19 @@ func (p *Pipeline) runMerged(ctx context.Context, st *EpochStack, v0, V int, buf
 	// Work items are (voxel block, column block) pairs; each normalization
 	// population (one subject's E epochs of one voxel) lives entirely
 	// inside one item, so items are independent.
-	n := vBlocks * nBlocks
-	if p.workers() > 1 && n > 1 {
-		return parallelEpochs(sctx, "corr/merged", n, p.workers(), func(_ context.Context, item int) {
-			sc := corrPool.Get().(*corrScratch)
-			p.mergedItem(st, buf, g, inst, sc, v0, V, vb, cb, nBlocks, item)
-			corrPool.Put(sc)
-		})
-	}
-	return p.serialMerged(sctx, st, buf, g, inst, v0, V, vb, cb, nBlocks, n)
-}
-
-func (p *Pipeline) serialMerged(ctx context.Context, st *EpochStack, buf *tensor.Matrix, g blas.Sgemm, inst *pipelineInst, v0, V, vb, cb, nBlocks, n int) (err error) {
-	defer func() {
-		if pe := safe.Recovered("corr/merged", v0, V, recover()); pe != nil {
-			err = pe
-		}
-	}()
-	sc := corrPool.Get().(*corrScratch)
-	defer corrPool.Put(sc)
-	for item := 0; item < n; item++ {
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		p.mergedItem(st, buf, g, inst, sc, v0, V, vb, cb, nBlocks, item)
-	}
-	return nil
+	return safe.ParallelDynamic(sctx, safe.Span{Stage: "corr/merged"}, vBlocks*nBlocks, p.Workers, func(_ context.Context, item int) error {
+		p.mergedItem(st, buf, g, inst, v0, V, vb, cb, nBlocks, item)
+		return nil
+	})
 }
 
 // mergedItem computes one (voxel block × column block) unit of the merged
-// pipeline into buf using the pooled scratch sc.
-func (p *Pipeline) mergedItem(st *EpochStack, buf *tensor.Matrix, g blas.Sgemm, inst *pipelineInst, sc *corrScratch, v0, V, vb, cb, nBlocks, item int) {
+// pipeline into buf.
+//
+//lint:hotpath merged stage-1+2 work item, once per (voxel block, column block)
+func (p *Pipeline) mergedItem(st *EpochStack, buf *tensor.Matrix, g blas.Sgemm, inst *pipelineInst, v0, V, vb, cb, nBlocks, item int) {
 	M, N, E, T := st.M(), st.N, st.E, st.T
+	sc := corrPool.Get().(*corrScratch)
 	vblk := item / nBlocks
 	b := item % nBlocks
 	vs := vblk * vb
@@ -376,13 +293,5 @@ func (p *Pipeline) mergedItem(st *EpochStack, buf *tensor.Matrix, g blas.Sgemm, 
 			}
 		}
 	}
-}
-
-// parallelEpochs runs fn(i) for i in [0, n) across at most workers
-// goroutines with static chunking. Worker panics are contained and
-// returned as *safe.PipelineError under the given stage label; a
-// cancelled ctx stops the pool at the next item and returns ctx.Err().
-func parallelEpochs(ctx context.Context, stage string, n, workers int, fn func(ctx context.Context, i int)) error {
-	return safe.ParallelChunks(ctx, safe.Span{Stage: stage}, n, workers,
-		func(ictx context.Context, i int) error { fn(ictx, i); return nil })
+	corrPool.Put(sc)
 }

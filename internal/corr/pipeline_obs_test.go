@@ -36,8 +36,8 @@ func TestMergedEqualsSeparatedZeroVariance(t *testing.T) {
 	V := st.N
 	sep := &Pipeline{Workers: 2, Merged: false}
 	mer := &Pipeline{Workers: 2, Merged: true}
-	a := sep.Run(st, 0, V)
-	b := mer.Run(st, 0, V)
+	a := run(t, sep, st, 0, V)
+	b := run(t, mer, st, 0, V)
 	if !a.EqualApprox(b, 1e-4) {
 		t.Fatalf("merged and separated disagree on degenerate input, max diff %g", a.MaxAbsDiff(b))
 	}
@@ -74,8 +74,8 @@ func TestMergedEqualsSeparatedRaggedBlocks(t *testing.T) {
 	sep := &Pipeline{Workers: 2, Merged: false}
 	for _, vb := range []int{4, 5} {
 		mer := &Pipeline{Workers: 3, Merged: true, ColBlock: 7, VoxBlock: vb}
-		a := sep.Run(st, v0, V)
-		b := mer.Run(st, v0, V)
+		a := run(t, sep, st, v0, V)
+		b := run(t, mer, st, v0, V)
 		if !a.EqualApprox(b, 1e-4) {
 			t.Fatalf("VoxBlock=%d: ragged merged and separated disagree, max diff %g",
 				vb, a.MaxAbsDiff(b))
@@ -97,7 +97,7 @@ func TestGemmCallCounterMatchesPrediction(t *testing.T) {
 
 	sepReg := obs.NewRegistry()
 	sep := &Pipeline{Workers: 2, Obs: sepReg}
-	sep.Run(st, v0, V)
+	run(t, sep, st, v0, V)
 	if got, want := sepReg.Counter("corr_gemm_calls_total").Value(), uint64(st.M()); got != want {
 		t.Errorf("separated corr_gemm_calls_total = %d, want %d", got, want)
 	}
@@ -107,7 +107,7 @@ func TestGemmCallCounterMatchesPrediction(t *testing.T) {
 
 	merReg := obs.NewRegistry()
 	mer := &Pipeline{Workers: 2, Merged: true, ColBlock: cb, VoxBlock: vb, Obs: merReg}
-	mer.Run(st, v0, V)
+	run(t, mer, st, v0, V)
 	nBlocks := (st.N + cb - 1) / cb
 	vBlocks := (V + vb - 1) / vb
 	want := uint64(vBlocks * nBlocks * st.Subjects * st.E)
@@ -120,12 +120,28 @@ func TestGemmCallCounterMatchesPrediction(t *testing.T) {
 		t.Errorf("merged corr_norm_blocks_total = %d, want %d", got, wantNorm)
 	}
 
-	// Stage timers recorded under the right names.
-	for reg, stage := range map[*obs.Registry]string{sepReg: "stage_corr_correlate_seconds", merReg: "stage_corr_merged_seconds"} {
-		snap := reg.Snapshot()
-		h, ok := snap.Hists[stage]
-		if !ok || h.Count == 0 {
-			t.Errorf("missing %s observation in %+v", stage, snap.Hists)
+	// Stage timers are recorded under the configured mode's names, and
+	// the other mode's series are not exported at all (not even at count 0).
+	stages := map[*obs.Registry][]string{
+		sepReg: {"stage_corr_correlate_seconds", "stage_corr_normalize_seconds"},
+		merReg: {"stage_corr_merged_seconds"},
+	}
+	for reg, own := range stages {
+		hists := reg.Snapshot().Hists
+		for _, stage := range own {
+			if h, ok := hists[stage]; !ok || h.Count == 0 {
+				t.Errorf("missing %s observation in %+v", stage, hists)
+			}
+		}
+		for other, theirs := range stages {
+			if other == reg {
+				continue
+			}
+			for _, stage := range theirs {
+				if _, ok := hists[stage]; ok {
+					t.Errorf("run exports %s, a stage its mode never runs", stage)
+				}
+			}
 		}
 	}
 }

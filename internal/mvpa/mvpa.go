@@ -41,19 +41,15 @@ type Config struct {
 	Folds []svm.Fold
 }
 
-// SelectVoxels scores every voxel by how well its within-epoch activity
-// classifies the conditions: for voxel v, each epoch contributes one
-// sample whose features are the epoch's T activity values relative to the
-// voxel's session mean (so condition-dependent amplitude shifts survive
+// SelectVoxelsContext scores every voxel by how well its within-epoch
+// activity classifies the conditions: for voxel v, each epoch contributes
+// one sample whose features are the epoch's T activity values relative to
+// the voxel's session mean (so condition-dependent amplitude shifts survive
 // while scanner offset is removed). Scores are returned sorted descending.
-func SelectVoxels(d *fmri.Dataset, cfg Config) ([]VoxelScore, error) {
-	return SelectVoxelsContext(context.Background(), d, cfg)
-}
-
-// SelectVoxelsContext is SelectVoxels with cooperative cancellation
-// (checked between voxels — the checkpoint interval) and panic
-// containment: a panicking worker goroutine surfaces as a
-// *safe.PipelineError instead of crashing the process.
+//
+// Cancellation is checked between voxels — the checkpoint interval — and
+// a panicking work item surfaces as a *safe.PipelineError instead of
+// crashing the process.
 func SelectVoxelsContext(ctx context.Context, d *fmri.Dataset, cfg Config) ([]VoxelScore, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err

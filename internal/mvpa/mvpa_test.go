@@ -1,6 +1,7 @@
 package mvpa
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -72,7 +73,7 @@ func topSet(scores []VoxelScore, k int) map[int]bool {
 
 func TestActivityMVPAFindsActivityVoxels(t *testing.T) {
 	d, active := activityDataset(t)
-	scores, err := SelectVoxels(d, Config{})
+	scores, err := SelectVoxelsContext(context.Background(), d, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestActivityMVPABlindToConnectivity(t *testing.T) {
 	// activity statistics across conditions, so activity MVPA must score
 	// them near chance.
 	d := connectivityDataset(t)
-	scores, err := SelectVoxels(d, Config{})
+	scores, err := SelectVoxelsContext(context.Background(), d, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestActivityMVPABlindToConnectivity(t *testing.T) {
 
 func TestScoresSortedAndComplete(t *testing.T) {
 	d := connectivityDataset(t)
-	scores, err := SelectVoxels(d, Config{Workers: 3})
+	scores, err := SelectVoxelsContext(context.Background(), d, Config{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func TestScoresSortedAndComplete(t *testing.T) {
 func TestSelectVoxelsRejectsInvalid(t *testing.T) {
 	d := connectivityDataset(t)
 	d.Epochs[0].Label = 9
-	if _, err := SelectVoxels(d, Config{}); err == nil {
+	if _, err := SelectVoxelsContext(context.Background(), d, Config{}); err == nil {
 		t.Fatal("invalid dataset accepted")
 	}
 }

@@ -41,7 +41,7 @@ func TestStreamContextCancellation(t *testing.T) {
 func TestRunFeedbackContainsClassifierPanic(t *testing.T) {
 	d := testDataset(t)
 	frames := NewScanner(d, 0).Stream(nil)
-	preds, errc := RunFeedback(frames, d.Epochs, d.Voxels(), panicClassifier{})
+	preds, errc := RunFeedbackContext(context.Background(), frames, d.Epochs, d.Voxels(), panicClassifier{})
 	for range preds {
 	}
 	select {

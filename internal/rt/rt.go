@@ -218,20 +218,14 @@ type Classifier interface {
 	ClassifyWindow(w *tensor.Matrix) (int, float64)
 }
 
-// RunFeedback wires frames through the assembler into the classifier and
-// returns the prediction stream. The returned channel closes when the
-// frame stream ends; an assembly error terminates the loop and is
-// returned via the error channel (buffered, at most one).
-func RunFeedback(frames <-chan Frame, epochs []fmri.Epoch, voxels int, clf Classifier) (<-chan Prediction, <-chan error) {
-	return RunFeedbackContext(context.Background(), frames, epochs, voxels, clf)
-}
-
-// RunFeedbackContext is RunFeedback with cooperative cancellation and
-// panic containment: a cancelled ctx ends the loop (delivering ctx.Err()
-// on the error channel) even when the consumer has stopped draining
-// predictions, and a panicking classifier surfaces as a
-// *safe.PipelineError on the error channel instead of killing the
-// process.
+// RunFeedbackContext wires frames through the assembler into the
+// classifier and returns the prediction stream. The returned channel
+// closes when the frame stream ends; an assembly error terminates the loop
+// and is returned via the error channel (buffered, at most one). A
+// cancelled ctx ends the loop (delivering ctx.Err() on the error channel)
+// even when the consumer has stopped draining predictions, and a panicking
+// classifier surfaces as a *safe.PipelineError on the error channel
+// instead of killing the process.
 func RunFeedbackContext(ctx context.Context, frames <-chan Frame, epochs []fmri.Epoch, voxels int, clf Classifier) (<-chan Prediction, <-chan error) {
 	out := make(chan Prediction)
 	errc := make(chan error, 1)

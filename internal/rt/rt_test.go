@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -180,7 +181,7 @@ func (constClassifier) ClassifyWindow(w *tensor.Matrix) (int, float64) {
 func TestRunFeedbackEndToEnd(t *testing.T) {
 	d := testDataset(t)
 	frames := NewScanner(d, 0).Stream(nil)
-	preds, errc := RunFeedback(frames, d.Epochs, d.Voxels(), constClassifier{})
+	preds, errc := RunFeedbackContext(context.Background(), frames, d.Epochs, d.Voxels(), constClassifier{})
 	count := 0
 	for p := range preds {
 		if p.EpochIndex != count {
@@ -206,7 +207,7 @@ func TestRunFeedbackSurfacesErrors(t *testing.T) {
 	frames <- Frame{Index: 0, Data: make([]float32, 2)}
 	frames <- Frame{Index: 5, Data: make([]float32, 2)} // gap
 	close(frames)
-	preds, errc := RunFeedback(frames, []fmri.Epoch{{Start: 0, Len: 3}}, 2, constClassifier{})
+	preds, errc := RunFeedbackContext(context.Background(), frames, []fmri.Epoch{{Start: 0, Len: 3}}, 2, constClassifier{})
 	for range preds {
 	}
 	select {

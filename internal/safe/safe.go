@@ -1,10 +1,10 @@
 // Package safe is the robustness substrate of the single-node pipeline:
-// a structured error type for contained failures and context-aware
-// parallel drivers that recover panics in spawned goroutines instead of
+// a structured error type for contained failures and one context-aware
+// parallel driver that recovers panics in spawned goroutines instead of
 // letting them kill the process.
 //
 // Every compute package (core, corr, blas, mvpa) runs its goroutines
-// through these drivers, so the whole pipeline shares one containment and
+// through that driver, so the whole pipeline shares one containment and
 // cancellation discipline: a panic anywhere inside a work item surfaces
 // as a *PipelineError carrying the stage name, the item range, and the
 // panic's stack; a cancelled context stops all goroutines at the next
@@ -18,16 +18,16 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 
 	"fcma/internal/obs"
 	"fcma/internal/obs/trace"
 )
 
-// Driver-level health counters in the process-wide registry: every
-// parallel driver shares one containment discipline, so one set of
-// counters describes the whole pipeline's work-item churn. Increments are
-// one atomic add per work item (an epoch, a kernel block, a voxel's CV) —
-// far below the instrumentation budget.
+// Driver-level health counters in the process-wide registry: one driver,
+// so one set of counters describes the whole pipeline's work-item churn.
+// Increments are one atomic add per work item (an epoch, a kernel chunk, a
+// voxel's CV) — far below the instrumentation budget.
 var (
 	obsItemsDone = obs.Default().Counter("safe_items_completed_total")
 	obsItemFails = obs.Default().Counter("safe_item_failures_total")
@@ -103,7 +103,7 @@ func Do(stage string, v0, v int, fn func() error) (err error) {
 	return fn()
 }
 
-// Span labels the work a parallel driver is running for error reporting:
+// Span labels the work the parallel driver is running for error reporting:
 // item i of the driver maps to voxel Base+i of stage Stage.
 type Span struct {
 	// Stage names the pipeline stage for PipelineError.
@@ -179,16 +179,21 @@ func startLane(ctx context.Context, stage string) (context.Context, *trace.Activ
 }
 
 // ParallelDynamic runs fn(ctx, i) for i in [0, n) across at most
-// `workers` goroutines with dynamic (work-stealing) assignment — for
-// workloads with data-dependent per-item cost such as per-voxel SMO
-// cross-validation.
+// `workers` goroutines (0 means GOMAXPROCS), each taking the next
+// unstarted item when it finishes one. It is the only parallel driver:
+// every stage of the pipeline is "for each independent item, run it on
+// some thread", and per-item cost is either data dependent (per-voxel SMO
+// cross-validation) or uniform, where taking items in turn costs nothing
+// over a static split.
 //
-// The ctx handed to each item is the spawning goroutine's tracing
-// context: when the caller's ctx carries a tracer, every pool goroutine
-// opens a "<stage>/lane" span on its own timeline lane (one tid per
-// worker goroutine) and items started from it nest there, so the merged
-// trace shows per-goroutine occupancy. With tracing disabled the drivers
-// add one context poll per goroutine and nothing else.
+// With one worker (or one item) the items run in order on the caller's
+// goroutine: no goroutine, no lock, no lane span. Otherwise every pool
+// goroutine opens a "<stage>/lane" span on its own timeline lane (one tid
+// per goroutine) when the caller's ctx carries a tracer; the ctx handed
+// to each item is that goroutine's tracing context, so items nest under
+// their lane and the merged trace shows per-goroutine occupancy. With
+// tracing disabled the driver adds one context poll per item and nothing
+// else.
 //
 // Every item runs with panic containment; the first failure (by item
 // index) is returned as a *PipelineError after all goroutines have
@@ -197,16 +202,11 @@ func startLane(ctx context.Context, stage string) (context.Context, *trace.Activ
 // ctx.Err(). Remaining items are skipped once any item has failed.
 func ParallelDynamic(ctx context.Context, span Span, n, workers int, fn func(ctx context.Context, i int) error) error {
 	workers = clampWorkers(n, workers)
-	var fe firstErr
-	var next int64
-	var mu sync.Mutex
-	take := func() int {
-		mu.Lock()
-		defer mu.Unlock()
-		v := int(next)
-		next++
-		return v
+	if workers <= 1 {
+		return runInline(ctx, span, n, fn)
 	}
+	var fe firstErr
+	var next atomic.Int64
 	runItem := func(ictx context.Context, i int) {
 		defer func() {
 			if pe := Recovered(span.Stage, span.Base+i, 1, recover()); pe != nil {
@@ -220,21 +220,6 @@ func ParallelDynamic(ctx context.Context, span Span, n, workers int, fn func(ctx
 		}
 		obsItemsDone.Inc()
 	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := cancelled(ctx); err != nil {
-				return err
-			}
-			if fe.get() != nil {
-				break
-			}
-			runItem(ctx, i)
-		}
-		if err := fe.get(); err != nil {
-			return err
-		}
-		return cancelled(ctx)
-	}
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
@@ -246,7 +231,7 @@ func ParallelDynamic(ctx context.Context, span Span, n, workers int, fn func(ctx
 				if cancelled(ctx) != nil || fe.get() != nil {
 					return
 				}
-				i := take()
+				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
@@ -261,112 +246,25 @@ func ParallelDynamic(ctx context.Context, span Span, n, workers int, fn func(ctx
 	return cancelled(ctx)
 }
 
-// ParallelChunks runs fn(ctx, i) for i in [0, n) with static chunking:
-// chunk k covers the k-th of `workers` equal ranges, matching the static
-// partitioning the paper's kernels use within a coprocessor. Containment,
-// cancellation, and the per-goroutine tracing context behave as in
-// ParallelDynamic; cancellation is checked between items inside each
-// chunk.
-func ParallelChunks(ctx context.Context, span Span, n, workers int, fn func(ctx context.Context, i int) error) error {
-	workers = clampWorkers(n, workers)
-	if workers <= 1 {
-		return ParallelDynamic(ctx, span, n, 1, fn)
-	}
-	var fe firstErr
-	runItem := func(ictx context.Context, i int) {
-		defer func() {
-			if pe := Recovered(span.Stage, span.Base+i, 1, recover()); pe != nil {
-				fe.set(i, pe)
-			}
-		}()
-		if err := fn(ictx, i); err != nil {
-			obsItemFails.Inc()
-			fe.set(i, span.err(i, err))
-			return
+// runInline is ParallelDynamic at one worker. The single recover sits
+// around the whole loop (the first failure ends the run anyway), and i
+// lives outside it so the recovered error names the item that panicked.
+func runInline(ctx context.Context, span Span, n int, fn func(ctx context.Context, i int) error) (err error) {
+	i := 0
+	defer func() {
+		if pe := Recovered(span.Stage, span.Base+i, 1, recover()); pe != nil {
+			err = pe
 		}
-		obsItemsDone.Inc()
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for start := 0; start < n; start += chunk {
-		end := start + chunk
-		if end > n {
-			end = n
-		}
-		wg.Add(1)
-		go func(s, e int) {
-			defer wg.Done()
-			gctx, gsp := startLane(ctx, span.Stage)
-			defer gsp.End()
-			for i := s; i < e; i++ {
-				if cancelled(ctx) != nil || fe.get() != nil {
-					return
-				}
-				runItem(gctx, i)
-			}
-		}(start, end)
-	}
-	wg.Wait()
-	if err := fe.get(); err != nil {
-		return err
-	}
-	return cancelled(ctx)
-}
-
-// ParallelRanges runs fn(ctx, start, end) over [0, n) split into
-// contiguous per-worker ranges — the driver for kernels that want the
-// whole chunk at once. The ctx each chunk receives is its goroutine's
-// tracing context, as in ParallelDynamic. Panics are contained;
-// cancellation is only checked between chunks (a kernel chunk is one
-// checkpoint interval).
-func ParallelRanges(ctx context.Context, span Span, n, workers int, fn func(ctx context.Context, start, end int) error) error {
-	workers = clampWorkers(n, workers)
-	if workers <= 1 {
-		if n <= 0 {
-			return cancelled(ctx)
-		}
+	}()
+	for ; i < n; i++ {
 		if err := cancelled(ctx); err != nil {
 			return err
 		}
-		if err := Do(span.Stage, span.Base, n, func() error { return fn(ctx, 0, n) }); err != nil {
+		if err := fn(ctx, i); err != nil {
 			obsItemFails.Inc()
-			return span.err(0, err)
+			return span.err(i, err)
 		}
-		obsItemsDone.Add(uint64(n))
-		return cancelled(ctx)
-	}
-	var fe firstErr
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for start := 0; start < n; start += chunk {
-		end := start + chunk
-		if end > n {
-			end = n
-		}
-		wg.Add(1)
-		go func(s, e int) {
-			defer wg.Done()
-			if cancelled(ctx) != nil {
-				return
-			}
-			gctx, gsp := startLane(ctx, span.Stage)
-			defer gsp.End()
-			defer func() {
-				if pe := Recovered(span.Stage, span.Base+s, e-s, recover()); pe != nil {
-					fe.set(s, pe)
-				}
-			}()
-			if err := fn(gctx, s, e); err != nil {
-				obsItemFails.Inc()
-				fe.set(s, span.err(s, err))
-				return
-			}
-			obsItemsDone.Add(uint64(e - s))
-		}(start, end)
-	}
-	wg.Wait()
-	if err := fe.get(); err != nil {
-		return err
+		obsItemsDone.Inc()
 	}
 	return cancelled(ctx)
 }

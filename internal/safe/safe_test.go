@@ -12,25 +12,29 @@ import (
 	"fcma/internal/obs/trace"
 )
 
+// Inline at one worker or pooled at four, the driver contains a panic and
+// reports the item that threw it.
 func TestParallelDynamicContainsPanic(t *testing.T) {
-	err := ParallelDynamic(context.Background(), Span{Stage: "test/stage", Base: 100}, 32, 4, func(_ context.Context, i int) error {
-		if i == 7 {
-			panic("boom")
+	for _, workers := range []int{1, 4} {
+		err := ParallelDynamic(context.Background(), Span{Stage: "test/stage", Base: 100}, 32, workers, func(_ context.Context, i int) error {
+			if i == 7 {
+				panic("boom")
+			}
+			return nil
+		})
+		var pe *PipelineError
+		if !errors.As(err, &pe) {
+			t.Fatalf("workers=%d: want *PipelineError, got %v", workers, err)
 		}
-		return nil
-	})
-	var pe *PipelineError
-	if !errors.As(err, &pe) {
-		t.Fatalf("want *PipelineError, got %v", err)
-	}
-	if pe.Stage != "test/stage" || pe.V0 != 107 || pe.V != 1 {
-		t.Fatalf("bad error annotation: %+v", pe)
-	}
-	if len(pe.Stack) == 0 {
-		t.Fatal("panic error carries no stack")
-	}
-	if !strings.Contains(pe.Error(), "boom") {
-		t.Fatalf("error %q does not name the panic", pe.Error())
+		if pe.Stage != "test/stage" || pe.V0 != 107 || pe.V != 1 {
+			t.Fatalf("workers=%d: bad error annotation: %+v", workers, pe)
+		}
+		if len(pe.Stack) == 0 {
+			t.Fatalf("workers=%d: panic error carries no stack", workers)
+		}
+		if !strings.Contains(pe.Error(), "boom") {
+			t.Fatalf("workers=%d: error %q does not name the panic", workers, pe.Error())
+		}
 	}
 }
 
@@ -47,19 +51,31 @@ func TestParallelDynamicReportsLowestFailure(t *testing.T) {
 	}
 }
 
+func TestParallelDynamicCoversRange(t *testing.T) {
+	for _, workers := range []int{0, 1, 5, 100} {
+		seen := make([]atomic.Int32, 31)
+		err := ParallelDynamic(context.Background(), Span{Stage: "s"}, len(seen), workers, func(_ context.Context, i int) error {
+			seen[i].Add(1)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range seen {
+			if c := seen[i].Load(); c != 1 {
+				t.Fatalf("workers=%d: index %d visited %d times", workers, i, c)
+			}
+		}
+	}
+}
+
 func TestParallelDriversCancellation(t *testing.T) {
-	for name, driver := range map[string]func(ctx context.Context, n, w int, fn func(context.Context, int) error) error{
-		"dynamic": func(ctx context.Context, n, w int, fn func(context.Context, int) error) error {
-			return ParallelDynamic(ctx, Span{Stage: "s"}, n, w, fn)
-		},
-		"chunks": func(ctx context.Context, n, w int, fn func(context.Context, int) error) error {
-			return ParallelChunks(ctx, Span{Stage: "s"}, n, w, fn)
-		},
-	} {
+	// One worker runs the items inline; four take them dynamically from a pool.
+	for name, workers := range map[string]int{"inline": 1, "dynamic": 4} {
 		t.Run(name, func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			var ran atomic.Int64
-			err := driver(ctx, 10_000, 4, func(_ context.Context, i int) error {
+			err := ParallelDynamic(ctx, Span{Stage: "s"}, 10_000, workers, func(_ context.Context, i int) error {
 				if ran.Add(1) == 8 {
 					cancel()
 				}
@@ -73,24 +89,6 @@ func TestParallelDriversCancellation(t *testing.T) {
 				t.Fatalf("ran %d items after cancellation", n)
 			}
 		})
-	}
-}
-
-func TestParallelRangesContainsPanicAndCancels(t *testing.T) {
-	err := ParallelRanges(context.Background(), Span{Stage: "kernel"}, 100, 4, func(_ context.Context, s, e int) error {
-		if s == 0 {
-			panic(errors.New("kernel fault"))
-		}
-		return nil
-	})
-	var pe *PipelineError
-	if !errors.As(err, &pe) || pe.Stage != "kernel" {
-		t.Fatalf("want contained kernel panic, got %v", err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if err := ParallelRanges(ctx, Span{}, 100, 4, func(_ context.Context, s, e int) error { return nil }); !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }
 
@@ -131,47 +129,29 @@ func TestLaneSpansAreNamedApartFromItems(t *testing.T) {
 		sp.End()
 		return nil
 	}
-	drivers := map[string]func(ctx context.Context, w int) error{
-		"dynamic": func(ctx context.Context, w int) error {
-			return ParallelDynamic(ctx, Span{Stage: stage}, n, w, item)
-		},
-		"chunks": func(ctx context.Context, w int) error {
-			return ParallelChunks(ctx, Span{Stage: stage}, n, w, item)
-		},
-		"ranges": func(ctx context.Context, w int) error {
-			return ParallelRanges(ctx, Span{Stage: stage}, n, w, func(ctx context.Context, s, e int) error {
-				for i := s; i < e; i++ {
-					item(ctx, i)
-				}
-				return nil
-			})
-		},
-	}
-	for name, run := range drivers {
-		for _, workers := range []int{1, 2, 4} {
-			tr := trace.New(0)
-			if err := run(trace.NewContext(context.Background(), tr), workers); err != nil {
-				t.Fatal(err)
+	for _, workers := range []int{1, 2, 4} {
+		tr := trace.New(0)
+		if err := ParallelDynamic(trace.NewContext(context.Background(), tr), Span{Stage: stage}, n, workers, item); err != nil {
+			t.Fatal(err)
+		}
+		items, lanes := 0, make(map[int]bool)
+		for _, s := range tr.Drain() {
+			switch s.Name {
+			case stage:
+				items++
+			case stage + "/lane":
+				lanes[s.TID] = true
+			default:
+				t.Fatalf("unexpected span %q", s.Name)
 			}
-			items, lanes := 0, make(map[int]bool)
-			for _, s := range tr.Drain() {
-				switch s.Name {
-				case stage:
-					items++
-				case stage + "/lane":
-					lanes[s.TID] = true
-				default:
-					t.Fatalf("%s: unexpected span %q", name, s.Name)
-				}
-			}
-			// The serial path spawns no goroutine and so opens no lane.
-			wantLanes := workers
-			if workers == 1 {
-				wantLanes = 0
-			}
-			if items != n || len(lanes) != wantLanes {
-				t.Fatalf("%s at %d workers: %d item spans on %d lanes, want %d on %d", name, workers, items, len(lanes), n, wantLanes)
-			}
+		}
+		// One worker runs inline: no goroutine, so no lane span.
+		wantLanes := workers
+		if workers == 1 {
+			wantLanes = 0
+		}
+		if items != n || len(lanes) != wantLanes {
+			t.Fatalf("%d workers: %d item spans on %d lanes, want %d on %d", workers, items, len(lanes), n, wantLanes)
 		}
 	}
 }
