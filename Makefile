@@ -10,8 +10,10 @@ GO ?= go
 
 check: lint build test
 
-# lint is a hard gate: unformatted files, vet findings, fcmavet contract
-# violations, or hot-path heap escapes (allocgate) all fail the build.
+# lint is a hard gate: unformatted files, vet findings (asmdecl included:
+# every assembly TEXT symbol's frame and argument offsets against its Go
+# declaration), fcmavet contract violations, or hot-path heap escapes
+# (allocgate) all fail the build.
 lint:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt: the following files need formatting:" >&2; \
@@ -104,9 +106,15 @@ serve-smoke:
 	SERVE_SMOKE_OUT=$(SERVEDIR) ./scripts/serve-smoke.sh
 
 # Short native-fuzz pass over the untrusted-input parsers (NIfTI headers
-# and epoch files). FUZZTIME bounds each target's run.
+# and epoch files) and over the AVX2 kernels' bit-for-bit pin to the Go
+# kernels (skipped on a host without AVX2). FUZZTIME bounds each target's
+# run. The kernel targets turn input minimization off: shrinking every
+# coverage-increasing matrix (up to 60 s each by default) would eat the
+# whole budget, and a smaller matrix is no better a witness of equal bits.
 FUZZTIME ?= 10s
 
 fuzz:
 	$(GO) test ./internal/nifti/ -fuzz FuzzNIfTIRead -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fmri/ -fuzz FuzzEpochParse -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/blas/ -run '^$$' -fuzz FuzzSyrkTileMatchesGo -fuzztime $(FUZZTIME) -fuzzminimizetime 0
+	$(GO) test ./internal/blas/ -run '^$$' -fuzz FuzzGemmStripMatchesGo -fuzztime $(FUZZTIME) -fuzzminimizetime 0

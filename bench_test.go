@@ -202,7 +202,7 @@ func BenchmarkSVMSolvers(b *testing.B) {
 func BenchmarkWSSHeuristics(b *testing.B) {
 	b.Run("first-order", func(b *testing.B) { benchSVM(b, svm.PhiSVM{Rule: svm.FirstOrder}) })
 	b.Run("second-order", func(b *testing.B) { benchSVM(b, svm.PhiSVM{Rule: svm.SecondOrder}) })
-	b.Run("adaptive", func(b *testing.B) { benchSVM(b, svm.PhiSVM{}) })
+	b.Run("adaptive", func(b *testing.B) { benchSVM(b, svm.PhiSVM{Rule: svm.Adaptive}) })
 }
 
 // Ablation: float64 node-based vs float32 dense representation.

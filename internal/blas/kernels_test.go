@@ -1,0 +1,341 @@
+package blas
+
+import (
+	"context"
+	"encoding/binary"
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"fcma/internal/tensor"
+)
+
+// The AVX2 kernels are pinned to the Go kernels bit for bit: every test
+// here computes a product twice, once per setting of the dispatch
+// variable, and demands math.Float32bits equality (NaN against NaN, the
+// payload aside). That pin is what lets every equality check above this
+// package — cluster == local, served == direct, repeat identity — vouch
+// for the assembly.
+
+// withKernelPath runs f with the dispatch variable forced.
+func withKernelPath(avx2 bool, f func()) {
+	old := useAVX2
+	useAVX2 = avx2
+	defer func() { useAVX2 = old }()
+	f()
+}
+
+// eachKernelPath runs f as a subtest on the Go kernels and on the AVX2
+// kernels; the AVX2 half skips where the probe says the host has none.
+func eachKernelPath(t *testing.T, f func(t *testing.T)) {
+	t.Run("go", func(t *testing.T) { withKernelPath(false, func() { f(t) }) })
+	t.Run("avx2", func(t *testing.T) {
+		if !cpuHasAVX2() {
+			t.Skip("host has no AVX2")
+		}
+		withKernelPath(true, func() { f(t) })
+	})
+}
+
+func needAVX2(t testing.TB) {
+	if !cpuHasAVX2() {
+		t.Skip("host has no AVX2: the Go kernels are the only path")
+	}
+}
+
+// specials are the values where a reordered or fused kernel shows first.
+var specials = []float32{
+	0, float32(math.Copysign(0, -1)),
+	math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, 1e-40, -3e-39,
+	float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()),
+	math.MaxFloat32, -math.MaxFloat32, 1e-20, 1e20,
+}
+
+// sprinkle overwrites roughly one element in eight with a special value.
+func sprinkle(rng *rand.Rand, m *tensor.Matrix) {
+	for i := 0; i < m.Rows; i++ {
+		row := m.Row(i)
+		for j := range row {
+			if rng.Intn(8) == 0 {
+				row[j] = specials[rng.Intn(len(specials))]
+			}
+		}
+	}
+}
+
+const padSentinel = 12345.5
+
+// viewMatrix returns an r×c matrix laid out with Stride = c+pad inside a
+// larger buffer filled with padSentinel, filled from rng.
+func viewMatrix(rng *rand.Rand, r, c, pad int) *tensor.Matrix {
+	buf := make([]float32, r*(c+pad)+pad)
+	for i := range buf {
+		buf[i] = padSentinel
+	}
+	m := &tensor.Matrix{Rows: r, Cols: c, Stride: c + pad, Data: buf[pad:]}
+	for i := 0; i < r; i++ {
+		row := m.Row(i)
+		for j := range row {
+			row[j] = rng.Float32()*2 - 1
+		}
+	}
+	return m
+}
+
+// requirePadIntact fails if a kernel wrote outside the view's columns.
+func requirePadIntact(t *testing.T, what string, m *tensor.Matrix) {
+	t.Helper()
+	if m.Stride == m.Cols {
+		return
+	}
+	for i := 0; i < m.Rows; i++ {
+		end := min((i+1)*m.Stride, len(m.Data))
+		for _, v := range m.Data[i*m.Stride+m.Cols : end] {
+			if v != padSentinel {
+				t.Fatalf("%s: kernel wrote past the view in row %d", what, i)
+			}
+		}
+	}
+}
+
+func sameFloat(a, b float32) bool {
+	return math.Float32bits(a) == math.Float32bits(b) || (a != a && b != b)
+}
+
+func requireBitIdentical(t *testing.T, what string, got, want *tensor.Matrix) {
+	t.Helper()
+	for i := 0; i < want.Rows; i++ {
+		g, w := got.Row(i), want.Row(i)
+		for j := range w {
+			if !sameFloat(g[j], w[j]) {
+				t.Fatalf("%s: (%d,%d) avx2 %g (%#08x), go %g (%#08x)", what, i, j,
+					g[j], math.Float32bits(g[j]), w[j], math.Float32bits(w[j]))
+			}
+		}
+	}
+}
+
+// blankLike returns a matrix shaped and strided like m, its view filled
+// with a stale value the kernel must overwrite.
+func blankLike(m *tensor.Matrix) *tensor.Matrix {
+	c := &tensor.Matrix{Rows: m.Rows, Cols: m.Cols, Stride: m.Stride, Data: make([]float32, len(m.Data))}
+	for i := range c.Data {
+		c.Data[i] = padSentinel
+	}
+	c.Fill(9)
+	return c
+}
+
+// onBothPaths runs compute into a fresh copy of proto per path and
+// demands identical bits.
+func onBothPaths(t *testing.T, what string, proto *tensor.Matrix, compute func(C *tensor.Matrix)) {
+	t.Helper()
+	want, got := blankLike(proto), blankLike(proto)
+	withKernelPath(false, func() { compute(want) })
+	withKernelPath(true, func() { compute(got) })
+	requireBitIdentical(t, what, got, want)
+	requirePadIntact(t, what, got)
+}
+
+var pinSyrkRows = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 30, 48, 96, 216, 540}
+
+// The parallel syrk paths add per-worker partial products into C in lock
+// order, which the scheduler picks: with three or more partials per
+// matrix the low bits depend on it, on either kernel path. The parallel
+// cases below therefore keep every matrix to at most two partials, whose
+// sum commutes, so any difference is the kernels'.
+func TestSyrkAVX2BitIdenticalToGo(t *testing.T) {
+	needAVX2(t)
+	rng := rand.New(rand.NewSource(14))
+	for _, m := range pinSyrkRows {
+		for _, block := range []int{1, 95, 96, 97} {
+			for _, pad := range []int{0, 3} {
+				n := 200
+				if m > 100 {
+					n = 97 // keeps the scalar reference quick at the tall shapes
+				}
+				A := viewMatrix(rng, m, n, pad)
+				if pad != 0 {
+					sprinkle(rng, A)
+				}
+				proto := viewMatrix(rng, m, m, pad)
+				what := fmt.Sprintf("m=%d n=%d block=%d pad=%d", m, n, block, pad)
+				for _, workers := range []int{1, 2} { // 2: one partial per worker
+					onBothPaths(t, fmt.Sprintf("syrk %s workers=%d", what, workers), proto, func(C *tensor.Matrix) {
+						TallSkinny{Workers: workers, SyrkBlock: block}.Syrk(C, A)
+					})
+				}
+				onBothPaths(t, "batch "+what+" workers=1", proto, func(C *tensor.Matrix) {
+					err := BatchSyrkContext(context.Background(), []*tensor.Matrix{C}, []*tensor.Matrix{A}, block, 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+		}
+	}
+}
+
+// A batch mixes matrices of different heights in one worker pool, so one
+// pooled scratch serves tiles of several shapes back to back. 150 columns
+// in blocks of 96 are two partials per matrix.
+func TestBatchSyrkAVX2BitIdenticalMixedBatch(t *testing.T) {
+	needAVX2(t)
+	rng := rand.New(rand.NewSource(15))
+	var As []*tensor.Matrix
+	for _, m := range []int{12, 7, 48, 9, 30, 8, 216, 13} {
+		A := viewMatrix(rng, m, 150, m%4)
+		sprinkle(rng, A)
+		As = append(As, A)
+	}
+	run := func(avx2 bool, workers int) []*tensor.Matrix {
+		Cs := make([]*tensor.Matrix, len(As))
+		for i, A := range As {
+			Cs[i] = tensor.NewMatrix(A.Rows, A.Rows)
+		}
+		withKernelPath(avx2, func() {
+			if err := BatchSyrkContext(context.Background(), Cs, As, 96, workers); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return Cs
+	}
+	for _, workers := range []int{1, 3} {
+		want, got := run(false, workers), run(true, workers)
+		for i := range want {
+			requireBitIdentical(t, fmt.Sprintf("batch item %d workers=%d", i, workers), got[i], want[i])
+		}
+	}
+}
+
+func TestGemmAVX2BitIdenticalToGo(t *testing.T) {
+	needAVX2(t)
+	rng := rand.New(rand.NewSource(16))
+	for _, m := range []int{1, 2, 3, 5, 8, 12} {
+		for _, k := range []int{0, 1, 2, 3, 12, 13} {
+			for _, n := range []int{1, 7, 8, 9, 15, 16, 17, 4099} {
+				for _, pad := range []int{0, 5} {
+					A, B := viewMatrix(rng, m, k, pad), viewMatrix(rng, k, n, pad)
+					if pad != 0 {
+						sprinkle(rng, A)
+						sprinkle(rng, B)
+					}
+					proto := viewMatrix(rng, m, n, pad)
+					// ColBlock 0 cuts n=4099 into a 4096 strip and a 3 strip;
+					// 17 makes every strip a vector pair plus a scalar tail.
+					for _, cb := range []int{0, 17} {
+						for _, workers := range []int{1, 3} {
+							what := fmt.Sprintf("gemm %dx%dx%d pad=%d colblock=%d workers=%d", m, k, n, pad, cb, workers)
+							onBothPaths(t, what, proto, func(C *tensor.Matrix) {
+								TallSkinny{Workers: workers, ColBlock: cb}.Gemm(C, A, B)
+							})
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// The tile driver must cover each lower-triangle element exactly once
+// whatever m is: integer-valued inputs make every sum exact, so any
+// skipped or doubled block shows as a wrong integer, on both paths.
+func TestSyrkBlockKernelCoversLowerTriangleOnce(t *testing.T) {
+	eachKernelPath(t, func(t *testing.T) {
+		for m := 1; m <= 41; m++ {
+			const w = 3
+			tbuf := make([]float32, w*m)
+			for i := range tbuf {
+				tbuf[i] = float32(i%7 - 3)
+			}
+			local := tensor.NewMatrix(m, m)
+			syrkBlockKernel(local, tbuf, m, w)
+			for i := 0; i < m; i++ {
+				for j := 0; j <= i; j++ {
+					var want float32
+					for p := 0; p < w; p++ {
+						want += tbuf[p*m+i] * tbuf[p*m+j]
+					}
+					if got := local.At(i, j); got != want {
+						t.Fatalf("m=%d (%d,%d) = %g, want %g", m, i, j, got, want)
+					}
+				}
+			}
+		}
+	})
+}
+
+// fuzzFloats reinterprets fuzz bytes as float32 bit patterns, so the
+// fuzzer reaches NaNs, infinities and denormals directly.
+func fuzzFloats(data []byte) []float32 {
+	out := make([]float32, len(data)/4)
+	for i := range out {
+		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:]))
+	}
+	return out
+}
+
+func seedBytes(rng *rand.Rand, floats int) []byte {
+	b := make([]byte, 4*floats)
+	for i := 0; i < floats; i++ {
+		v := rng.Float32()*2 - 1
+		if rng.Intn(8) == 0 {
+			v = specials[rng.Intn(len(specials))]
+		}
+		binary.LittleEndian.PutUint32(b[4*i:], math.Float32bits(v))
+	}
+	return b
+}
+
+func FuzzSyrkTileMatchesGo(f *testing.F) {
+	rng := rand.New(rand.NewSource(17))
+	for _, s := range [][3]int{{1, 5, 1}, {8, 40, 96}, {12, 97, 96}, {13, 30, 7}, {48, 20, 95}} {
+		f.Add(uint8(s[0]), uint8(s[2]), seedBytes(rng, s[0]*s[1]))
+	}
+	f.Fuzz(func(t *testing.T, rows, block uint8, data []byte) {
+		needAVX2(t)
+		m := int(rows)%64 + 1
+		vals := fuzzFloats(data)
+		n := len(vals) / m
+		if n == 0 {
+			t.Skip("not enough data for one column")
+		}
+		A := tensor.FromSlice(m, n, vals[:m*n])
+		for _, workers := range []int{1, 2} { // at most two partials: see TestSyrkAVX2BitIdenticalToGo
+			onBothPaths(t, fmt.Sprintf("syrk m=%d n=%d block=%d workers=%d", m, n, block, workers),
+				tensor.NewMatrix(m, m), func(C *tensor.Matrix) {
+					TallSkinny{Workers: workers, SyrkBlock: int(block)}.Syrk(C, A)
+				})
+		}
+	})
+}
+
+func FuzzGemmStripMatchesGo(f *testing.F) {
+	rng := rand.New(rand.NewSource(18))
+	for _, s := range [][4]int{{1, 1, 8, 0}, {2, 12, 17, 0}, {5, 13, 40, 9}, {3, 2, 33, 16}, {4, 0, 9, 0}} {
+		f.Add(uint8(s[0]), uint8(s[1]), uint8(s[3]), seedBytes(rng, s[0]*s[1]+s[1]*s[2]))
+	}
+	f.Fuzz(func(t *testing.T, rows, inner, colBlock uint8, data []byte) {
+		needAVX2(t)
+		m, k := int(rows)%16+1, int(inner)%16
+		vals := fuzzFloats(data)
+		if len(vals) < m*k {
+			t.Skip("not enough data for A")
+		}
+		A := tensor.FromSlice(m, k, vals[:m*k])
+		vals = vals[m*k:]
+		n := 11 // k == 0 consumes no data: any width shows the zero fill
+		if k > 0 {
+			n = len(vals) / k
+		}
+		if n == 0 {
+			t.Skip("not enough data for one column of B")
+		}
+		B := tensor.FromSlice(k, n, vals[:k*n])
+		onBothPaths(t, fmt.Sprintf("gemm %dx%dx%d colblock=%d", m, k, n, colBlock),
+			tensor.NewMatrix(m, n), func(C *tensor.Matrix) {
+				TallSkinny{Workers: 1, ColBlock: int(colBlock)}.Gemm(C, A, B)
+			})
+	})
+}

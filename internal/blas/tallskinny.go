@@ -95,13 +95,50 @@ func gemmBlocks(C, A, B *tensor.Matrix, b0, b1, nb int) {
 		for ; i+2 <= m; i += 2 {
 			c0 := C.Data[i*C.Stride+j0 : i*C.Stride+j0+w]
 			c1 := C.Data[(i+1)*C.Stride+j0 : (i+1)*C.Stride+j0+w]
-			gemmRowStrip2(c0, c1, A.Row(i), A.Row(i+1), B, j0, w, k)
+			gemmStrip2(c0, c1, A.Row(i), A.Row(i+1), B, j0, w, k)
 		}
 		if i < m {
 			ci := C.Data[i*C.Stride+j0 : i*C.Stride+j0+w]
-			gemmRowStrip(ci, A.Row(i), B, j0, w, k)
+			gemmStrip(ci, A.Row(i), B, j0, w, k)
 		}
 	}
+}
+
+// gemmStrip2 computes two output strips: with AVX2 the leading columns, 8
+// at a time, in gemmStrip2AVX2 and the last w%8 in gemmRowStrip2;
+// otherwise all of them in gemmRowStrip2. Every element gets the same
+// operations in the same order either way, so where the split falls does
+// not show in the result. The reslices bounds-check everything the
+// assembly touches.
+//
+//lint:hotpath gemm two-row strip dispatch, once per row pair per column block
+func gemmStrip2(c0, c1, a0, a1 []float32, B *tensor.Matrix, j0, w, k int) {
+	if w8 := w &^ 7; useAVX2 && k > 0 && w8 > 0 {
+		c0v, c1v, a0v, a1v := c0[:w8], c1[:w8], a0[:k], a1[:k]
+		bv := B.Data[j0 : (k-1)*B.Stride+j0+w8]
+		gemmStrip2AVX2(&c0v[0], &c1v[0], &a0v[0], &a1v[0], &bv[0], B.Stride, k, w8)
+		if w8 == w {
+			return
+		}
+		c0, c1, j0, w = c0[w8:], c1[w8:], j0+w8, w-w8
+	}
+	gemmRowStrip2(c0, c1, a0, a1, B, j0, w, k)
+}
+
+// gemmStrip is gemmStrip2 for the odd last row of a block.
+//
+//lint:hotpath gemm remainder-row strip dispatch
+func gemmStrip(ci, a []float32, B *tensor.Matrix, j0, w, k int) {
+	if w8 := w &^ 7; useAVX2 && k > 0 && w8 > 0 {
+		cv, av := ci[:w8], a[:k]
+		bv := B.Data[j0 : (k-1)*B.Stride+j0+w8]
+		gemmStripAVX2(&cv[0], &av[0], &bv[0], B.Stride, k, w8)
+		if w8 == w {
+			return
+		}
+		ci, j0, w = ci[w8:], j0+w8, w-w8
+	}
+	gemmRowStrip(ci, a, B, j0, w, k)
 }
 
 // gemmRowStrip2 computes two output strips at once with the k accumulation
@@ -278,15 +315,37 @@ func mirrorLower(C *tensor.Matrix) {
 // triangle, so they take the unguarded fully-unrolled kernel; only the one
 // diagonal block per block-row pays the triangle logic.
 //
+// With AVX2, full 4-row bands are covered left to right by 4×8 assembly
+// tiles for as long as a tile starts at or left of the diagonal block and
+// fits in the row (j0+8 <= m); the 4×4 Go blocks take what is left: the
+// m%4 remainder band, and the last columns up to the diagonal when m is
+// not a multiple of 8. A tile that reaches the diagonal also adds the
+// (correct, symmetric) sums into lanes above it. Nothing reads those:
+// the parallel merges copy j <= i only and mirrorLower overwrites the
+// upper triangle last.
+//
 //lint:hotpath syrk register-block driver, called once per panel per worker
 func syrkBlockKernel(local *tensor.Matrix, tbuf []float32, m, w int) {
 	const rb = 4
+	if useAVX2 && m >= 8 {
+		// Bounds-check once what the tiles address through raw pointers.
+		tbuf = tbuf[:w*m]
+		_ = local.Data[(m-1)*local.Stride+m-1]
+	}
 	for i0 := 0; i0 < m; i0 += rb {
 		ih := min(rb, m-i0)
-		for j0 := 0; j0 < i0; j0 += rb {
+		j0 := 0
+		if useAVX2 && ih == rb {
+			for ; j0 <= i0 && j0+8 <= m; j0 += 8 {
+				syrkTile4x8AVX2(&local.Data[i0*local.Stride+j0], local.Stride, &tbuf[i0], &tbuf[j0], m, w)
+			}
+		}
+		for ; j0 < i0; j0 += rb {
 			syrkBlockOffDiag(local, tbuf, m, w, i0, ih, j0)
 		}
-		syrkBlockDiag(local, tbuf, m, w, i0, ih)
+		if j0 == i0 {
+			syrkBlockDiag(local, tbuf, m, w, i0, ih)
+		}
 	}
 }
 

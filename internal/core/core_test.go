@@ -56,6 +56,10 @@ func TestWorkerProcessScoresAllVoxels(t *testing.T) {
 }
 
 func TestFCMAFindsPlantedSignalVoxels(t *testing.T) {
+	eachKernelPath(t, testFCMAFindsPlantedSignalVoxels)
+}
+
+func testFCMAFindsPlantedSignalVoxels(t *testing.T) {
 	// The headline scientific behaviour: FCMA's accuracy ranking must
 	// surface the voxels with planted condition-dependent connectivity.
 	d, st := testStack(t, 48, 6, 12)
@@ -85,6 +89,10 @@ func TestFCMAFindsPlantedSignalVoxels(t *testing.T) {
 }
 
 func TestBaselineAndOptimizedAgreeOnRanking(t *testing.T) {
+	eachKernelPath(t, testBaselineAndOptimizedAgreeOnRanking)
+}
+
+func testBaselineAndOptimizedAgreeOnRanking(t *testing.T) {
 	d, st := testStack(t, 32, 4, 10)
 	tasks := Task{V0: 0, V: 32}
 	wb, err := NewWorker(Baseline(), st, nil)
@@ -127,7 +135,9 @@ func TestBaselineAndOptimizedAgreeOnRanking(t *testing.T) {
 	}
 }
 
-func TestWorkerSubrangeTask(t *testing.T) {
+func TestWorkerSubrangeTask(t *testing.T) { eachKernelPath(t, testWorkerSubrangeTask) }
+
+func testWorkerSubrangeTask(t *testing.T) {
 	_, st := testStack(t, 40, 4, 8)
 	w, _ := NewWorker(Optimized(), st, nil)
 	scores, err := w.Process(Task{V0: 10, V: 5})
@@ -210,6 +220,10 @@ func TestConfigPresets(t *testing.T) {
 // A tuned worker must re-block the kernels and pipeline without changing
 // any score: tuning moves cache blocking, never math.
 func TestWithTuningAppliesBlocksAndPreservesScores(t *testing.T) {
+	eachKernelPath(t, testWithTuningAppliesBlocksAndPreservesScores)
+}
+
+func testWithTuningAppliesBlocksAndPreservesScores(t *testing.T) {
 	_, st := testStack(t, 24, 3, 6)
 	tuning := blas.Tuning{Version: blas.TuningVersion, ColBlock: 512, SyrkBlock: 32, VoxBlock: 4}
 	cfg := Optimized().WithTuning(tuning)

@@ -1,0 +1,63 @@
+package core
+
+import (
+	"testing"
+	_ "unsafe" // go:linkname
+)
+
+// blasUseAVX2 is internal/blas's unexported kernel dispatch variable,
+// reached by linkname so the task-level equivalence tests can run on both
+// kernel paths without blas exporting a switch nobody else should touch.
+//
+//go:linkname blasUseAVX2 fcma/internal/blas.useAVX2
+var blasUseAVX2 bool
+
+// hostAVX2 is the probe's verdict, read before any test rewrites it.
+var hostAVX2 = blasUseAVX2
+
+// eachKernelPath runs f as a subtest on the Go kernels and on the AVX2
+// kernels; the AVX2 half skips on a host without them.
+func eachKernelPath(t *testing.T, f func(t *testing.T)) {
+	defer func() { blasUseAVX2 = hostAVX2 }()
+	t.Run("go", func(t *testing.T) {
+		blasUseAVX2 = false
+		f(t)
+	})
+	t.Run("avx2", func(t *testing.T) {
+		if !hostAVX2 {
+			t.Skip("host has no AVX2")
+		}
+		blasUseAVX2 = true
+		f(t)
+	})
+}
+
+// A whole task — merged correlate+normalize, batched syrk, SVM
+// cross-validation — scores every voxel the same on either kernel path.
+// Workers is 1 so the batched syrk merges its partial products in one
+// order; the kernels are then the only thing that differs.
+func TestScoresIdenticalAcrossKernelPaths(t *testing.T) {
+	if !hostAVX2 {
+		t.Skip("host has no AVX2: the Go kernels are the only path")
+	}
+	defer func() { blasUseAVX2 = hostAVX2 }()
+	_, st := testStack(t, 40, 3, 6)
+	cfg := Optimized()
+	cfg.Workers = 1
+	var scores [2][]VoxelScore
+	for i, avx2 := range []bool{false, true} {
+		blasUseAVX2 = avx2
+		w, err := NewWorker(cfg, st, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if scores[i], err = w.Process(Task{V0: 0, V: 40}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range scores[0] {
+		if scores[0][i] != scores[1][i] {
+			t.Fatalf("voxel %d: AVX2 kernels score %+v, Go kernels %+v", i, scores[1][i], scores[0][i])
+		}
+	}
+}

@@ -31,24 +31,26 @@ func TestRunIntoAllocsPerStagePass(t *testing.T) {
 		{"separated", &Pipeline{Workers: 1}, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			allocs := func(V int) float64 {
-				buf := tensor.NewMatrix(V*st.M(), st.N)
-				if err := tc.p.RunInto(ctx, st, 0, V, buf); err != nil { // warm pools + instruments
-					t.Fatal(err)
-				}
-				return testing.AllocsPerRun(10, func() {
-					if err := tc.p.RunInto(ctx, st, 0, V, buf); err != nil {
+			eachKernelPath(t, func(t *testing.T) {
+				allocs := func(V int) float64 {
+					buf := tensor.NewMatrix(V*st.M(), st.N)
+					if err := tc.p.RunInto(ctx, st, 0, V, buf); err != nil { // warm pools + instruments
 						t.Fatal(err)
 					}
-				})
-			}
-			at8, at32 := allocs(8), allocs(32)
-			if at8 > tc.passes {
-				t.Fatalf("warm RunInto allocates %v per run, want at most %v (one per stage pass)", at8, tc.passes)
-			}
-			if at32 != at8 {
-				t.Fatalf("warm RunInto allocates %v per run at V=8 but %v at V=32: some work item allocates", at8, at32)
-			}
+					return testing.AllocsPerRun(10, func() {
+						if err := tc.p.RunInto(ctx, st, 0, V, buf); err != nil {
+							t.Fatal(err)
+						}
+					})
+				}
+				at8, at32 := allocs(8), allocs(32)
+				if at8 > tc.passes {
+					t.Fatalf("warm RunInto allocates %v per run, want at most %v (one per stage pass)", at8, tc.passes)
+				}
+				if at32 != at8 {
+					t.Fatalf("warm RunInto allocates %v per run at V=8 but %v at V=32: some work item allocates", at8, at32)
+				}
+			})
 		})
 	}
 }
@@ -57,6 +59,10 @@ func TestRunIntoAllocsPerStagePass(t *testing.T) {
 // which goroutine ran which item. RunInto is bit-identical across worker
 // counts, for both modes, with ragged final voxel and column blocks.
 func TestRunIntoBitIdenticalAcrossWorkers(t *testing.T) {
+	eachKernelPath(t, testRunIntoBitIdenticalAcrossWorkers)
+}
+
+func testRunIntoBitIdenticalAcrossWorkers(t *testing.T) {
 	d := testDataset(t)
 	st, err := BuildEpochStack(d, 1)
 	if err != nil {
@@ -81,7 +87,9 @@ func TestRunIntoBitIdenticalAcrossWorkers(t *testing.T) {
 }
 
 // RunInto must be exactly RunContext minus the buffer allocation.
-func TestRunIntoMatchesRunContext(t *testing.T) {
+func TestRunIntoMatchesRunContext(t *testing.T) { eachKernelPath(t, testRunIntoMatchesRunContext) }
+
+func testRunIntoMatchesRunContext(t *testing.T) {
 	d := testDataset(t)
 	st, err := BuildEpochStack(d, 1)
 	if err != nil {

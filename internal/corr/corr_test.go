@@ -250,7 +250,9 @@ func TestSelfCorrelationIsOne(t *testing.T) {
 	}
 }
 
-func TestMergedEqualsSeparated(t *testing.T) {
+func TestMergedEqualsSeparated(t *testing.T) { eachKernelPath(t, testMergedEqualsSeparated) }
+
+func testMergedEqualsSeparated(t *testing.T) {
 	d := testDataset(t)
 	st, err := BuildEpochStack(d, 0)
 	if err != nil {
@@ -299,6 +301,10 @@ func TestRunNormalizationMoments(t *testing.T) {
 }
 
 func TestRunMatchesFullyNaiveReference(t *testing.T) {
+	eachKernelPath(t, testRunMatchesFullyNaiveReference)
+}
+
+func testRunMatchesFullyNaiveReference(t *testing.T) {
 	// End-to-end stage 1+2 against a from-scratch reference.
 	d := testDataset(t)
 	st, _ := BuildEpochStack(d, 0)
@@ -328,7 +334,9 @@ func TestRunMatchesFullyNaiveReference(t *testing.T) {
 	}
 }
 
-func TestPipelineGemmImplsAgree(t *testing.T) {
+func TestPipelineGemmImplsAgree(t *testing.T) { eachKernelPath(t, testPipelineGemmImplsAgree) }
+
+func testPipelineGemmImplsAgree(t *testing.T) {
 	d := testDataset(t)
 	st, _ := BuildEpochStack(d, 0)
 	impls := []blas.Sgemm{blas.Naive{}, blas.Baseline{}, blas.TallSkinny{}}
@@ -438,6 +446,10 @@ func float64Stage12(d *fmri.Dataset, st *EpochStack, v int) []float64 {
 // of the float64 reference. The repo benchmark's own gate on the same
 // quantity (corr.max_abs_err) is 1e-3; the float64 kernel measured 1.2e-6.
 func TestRunIntoMatchesFloat64Reference(t *testing.T) {
+	eachKernelPath(t, testRunIntoMatchesFloat64Reference)
+}
+
+func testRunIntoMatchesFloat64Reference(t *testing.T) {
 	const v0, V = 5, 12
 	for _, spec := range []fmri.Spec{fmri.FaceSceneSpec(0.02), fmri.AttentionSpec(0.005)} {
 		d, err := fmri.Generate(spec)

@@ -28,6 +28,10 @@ func degenerateDataset(t testing.TB) (*fmri.Dataset, []int) {
 // zero-variance columns — both leave them exactly 0 rather than dividing
 // by a zero standard deviation.
 func TestMergedEqualsSeparatedZeroVariance(t *testing.T) {
+	eachKernelPath(t, testMergedEqualsSeparatedZeroVariance)
+}
+
+func testMergedEqualsSeparatedZeroVariance(t *testing.T) {
 	d, flat := degenerateDataset(t)
 	st, err := BuildEpochStack(d, 0)
 	if err != nil {
@@ -62,6 +66,10 @@ func TestMergedEqualsSeparatedZeroVariance(t *testing.T) {
 // final voxel block and the final column block are both partial: V=13 with
 // VoxBlock=4 (blocks 4,4,4,1) and N=48 with ColBlock=7 (last block 6).
 func TestMergedEqualsSeparatedRaggedBlocks(t *testing.T) {
+	eachKernelPath(t, testMergedEqualsSeparatedRaggedBlocks)
+}
+
+func testMergedEqualsSeparatedRaggedBlocks(t *testing.T) {
 	d := testDataset(t)
 	st, err := BuildEpochStack(d, 0)
 	if err != nil {

@@ -219,7 +219,7 @@ func TestHotpaths(t *testing.T) {
 		}
 		names = append(names, h.Name)
 	}
-	want := []string{"kernel.Dot", "kernel.SumGrow", "kernel.Boxed", "kernel.Describe", "kernel.Rekey", "kernel.Traced"}
+	want := []string{"kernel.Dot", "kernel.SumGrow", "kernel.Boxed", "kernel.Describe", "kernel.Rekey", "kernel.Traced", "kernel.tile", "kernel.Band"}
 	if fmt.Sprint(names) != fmt.Sprint(want) {
 		t.Errorf("Hotpaths = %v, want %v", names, want)
 	}

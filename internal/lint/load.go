@@ -177,6 +177,14 @@ func (l *loader) discover() error {
 			if e.IsDir() || !strings.HasSuffix(fname, ".go") || strings.HasSuffix(fname, "_test.go") {
 				continue
 			}
+			// Honor //go:build lines and GOOS/GOARCH suffixes as the go
+			// tool does, so a package's per-architecture files (assembly
+			// declarations and their portable stubs) do not collide.
+			if ok, err := build.Default.MatchFile(path, fname); err != nil {
+				return err
+			} else if !ok {
+				continue
+			}
 			f, err := parser.ParseFile(l.fset, filepath.Join(path, fname), nil, parser.ParseComments|parser.SkipObjectResolution)
 			if err != nil {
 				return err

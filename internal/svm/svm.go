@@ -13,9 +13,11 @@
 //   - Optimized: the same SMO algorithm over a dense float32 kernel with
 //     unit-stride row access — the paper's "optimized LibSVM".
 //   - PhiSVM: the Catanzaro-style solver the paper ports from CUDA —
-//     float32, dense precomputed kernel, and an adaptive choice between
-//     first-order (Keerthi et al. 2001) and second-order working set
-//     selection driven by the observed convergence rate.
+//     float32, dense precomputed kernel, first-order working set
+//     selection (Keerthi et al. 2001) by default. The adaptive choice
+//     between first- and second-order selection driven by the observed
+//     convergence rate is PhiSVM{Rule: Adaptive}; it measured slower on
+//     this repo's shapes, so no caller outside the ablations asks for it.
 //
 // All trainers solve the same dual problem and agree on the resulting
 // classifier; they differ in representation and heuristics, which is what

@@ -52,7 +52,8 @@ func trainers() map[string]KernelTrainer {
 		"libsvm":            LibSVM{},
 		"libsvm-smallcache": LibSVM{CacheRows: 2},
 		"optimized":         Optimized{},
-		"phisvm-adaptive":   PhiSVM{},
+		"phisvm":            PhiSVM{},
+		"phisvm-adaptive":   PhiSVM{Rule: Adaptive},
 		"phisvm-first":      PhiSVM{Rule: FirstOrder},
 		"phisvm-second":     PhiSVM{Rule: SecondOrder},
 	}
@@ -224,6 +225,62 @@ func TestAdaptiveUsesBothRules(t *testing.T) {
 	}
 	if s.selected[FirstOrder] == 0 || s.selected[SecondOrder] == 0 {
 		t.Fatalf("adaptive never probed both rules: %v", s.selected)
+	}
+}
+
+// sameModel reports whether two trainings took the same path to the same
+// classifier: iteration count, every coefficient and the threshold.
+func sameModel(a, b *Model) bool {
+	if a.Iters != b.Iters || a.Rho != b.Rho || len(a.Coef) != len(b.Coef) {
+		return false
+	}
+	for i := range a.Coef {
+		if a.Coef[i] != b.Coef[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// PhiSVM's zero value runs the first-order rule — Heuristic's zero value
+// — not the adaptive one; Adaptive runs only when Rule names it. Every
+// production caller passes the zero value, so this pins what they get.
+func TestPhiSVMZeroValueIsFirstOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	n := 200
+	K, labels := noisyProblem(rng, n, 0.4)
+	params := Params{C: 10, Eps: 1e-6}
+	train := func(p PhiSVM) *Model {
+		m, err := p.TrainKernel(K, labels, allIdx(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	zero, first := train(PhiSVM{Params: params}), train(PhiSVM{Params: params, Rule: FirstOrder})
+	if !sameModel(zero, first) {
+		t.Fatalf("PhiSVM{} took %d iterations, PhiSVM{Rule: FirstOrder} %d: the zero value is not first-order",
+			zero.Iters, first.Iters)
+	}
+	// The adaptive solver, driven directly, uses both rules on this
+	// problem; PhiSVM{Rule: Adaptive} must be that solver.
+	s, err := newSMO32(K, labels, allIdx(n), params, Adaptive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	iters, err := s.solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.selected[FirstOrder] == 0 || s.selected[SecondOrder] == 0 {
+		t.Fatalf("adaptive never probed both rules: %v", s.selected)
+	}
+	adaptive := train(PhiSVM{Params: params, Rule: Adaptive})
+	if !sameModel(adaptive, s.model(iters)) {
+		t.Fatal("PhiSVM{Rule: Adaptive} does not run the adaptive solver")
+	}
+	if sameModel(adaptive, zero) {
+		t.Fatal("PhiSVM{Rule: Adaptive} took the zero value's first-order path")
 	}
 }
 
