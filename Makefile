@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: check lint lint-report fcmavet allocgate vet build test test-race test-short bench bench-smoke tune fuzz chaos-soak serve-smoke
+.PHONY: check lint lint-report fcmavet allocgate vet build test test-race test-short bench bench-smoke size fuzz chaos-soak serve-smoke
 
 check: lint build test
 
@@ -76,12 +76,21 @@ bench-smoke:
 		-bench-out $(BENCHDIR) -trace-out $(BENCHDIR)/trace.json
 	$(GO) run ./scripts/allocgate -out $(BENCHDIR)/allocgate.txt
 
-# Measure the kernel block-size candidates on this machine and write the
-# winner to TUNEOUT; pass it to fcma-run/fcma-serve via -tuning. The
-# result is machine-specific — don't commit it.
-TUNEOUT ?= FCMA_TUNING.json
-tune:
-	$(GO) run ./cmd/fcma-bench -tune -tune-out $(TUNEOUT)
+# What a reduction PR reports before and after (ROADMAP item 4): non-test
+# Go lines under internal/ and cmd/ (lint fixtures included, as ROADMAP
+# counts them), in the root package, and in the module without benchmark/
+# and testdata/; then the top-level exported declarations of that last set
+# (a grouped const/var block counts each exported name).
+NONTEST = -name '*.go' ! -name '*_test.go'
+MODULE = . $(NONTEST) ! -path './benchmark/*' ! -path '*/testdata/*'
+size:
+	@printf 'internal  %6d lines\n' $$(find internal $(NONTEST) | xargs cat | wc -l)
+	@printf 'cmd       %6d lines\n' $$(find cmd $(NONTEST) | xargs cat | wc -l)
+	@printf 'root      %6d lines\n' $$(find . -maxdepth 1 $(NONTEST) | xargs cat | wc -l)
+	@printf 'module    %6d lines\n' $$(find $(MODULE) | xargs cat | wc -l)
+	@printf 'exported  %6d top-level declarations\n' $$(find $(MODULE) | xargs cat | \
+		awk '/^(const|var) \($$/ {g=1; next} /^\)/ {g=0} \
+			/^(func|type|const|var) [A-Z]/ || (g && /^\t[A-Z]/) {n++} END {print n}')
 
 # Long-form crash-recovery soaks behind the chaossoak build tag, both
 # under the race detector. First a TCP cluster whose master is

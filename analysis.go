@@ -241,13 +241,7 @@ func trainClassifier(d *Data, voxels []int, trainIdx []int, cfg Config) (*Classi
 	for i := range all {
 		all[i] = i
 	}
-	var trainer svm.KernelTrainer
-	if cfg.Engine == Baseline {
-		trainer = svm.LibSVM{Params: svm.Params{C: cfg.SVMCost}}
-	} else {
-		trainer = svm.PhiSVM{Params: svm.Params{C: cfg.SVMCost}}
-	}
-	model, err := trainer.TrainKernel(K, labels, all)
+	model, err := cfg.trainer().TrainKernel(K, labels, all)
 	if err != nil {
 		return nil, err
 	}
@@ -321,13 +315,7 @@ func SelectVoxelsByActivity(d *Data, cfg Config) ([]ActivityScore, error) {
 // SelectVoxelsByActivityContext is SelectVoxelsByActivity with
 // cooperative cancellation (checked between voxels).
 func SelectVoxelsByActivityContext(ctx context.Context, d *Data, cfg Config) ([]ActivityScore, error) {
-	var trainer svm.KernelTrainer
-	if cfg.Engine == Baseline {
-		trainer = svm.LibSVM{Params: svm.Params{C: cfg.SVMCost}}
-	} else {
-		trainer = svm.PhiSVM{Params: svm.Params{C: cfg.SVMCost}}
-	}
-	return mvpa.SelectVoxelsContext(cfg.traceCtx(ctx), d.ds, mvpa.Config{Trainer: trainer, Workers: cfg.Workers})
+	return mvpa.SelectVoxelsContext(cfg.traceCtx(ctx), d.ds, mvpa.Config{Trainer: cfg.trainer(), Workers: cfg.Workers})
 }
 
 // ROI is a spatially contiguous region of selected voxels.
@@ -466,10 +454,6 @@ func SelectVoxelsDistributedContext(ctx context.Context, d *Data, cfg Config, wo
 	if err != nil {
 		return nil, err
 	}
-	var folds []svm.Fold
-	if sd.ds.Subjects == 1 {
-		folds = svm.KFolds(stack.M(), min(6, stack.M()/2))
-	}
 	comm, err := mpi.NewLocalComm(workers+1, 64)
 	if err != nil {
 		return nil, err
@@ -497,7 +481,7 @@ func SelectVoxelsDistributedContext(ctx context.Context, d *Data, cfg Config, wo
 		r := r
 		safe.Go("fcma/dist-worker", func() error {
 			return safe.Do("fcma/dist-worker", 0, stack.N, func() error {
-				w, err := core.NewWorker(cfg.coreConfig(), stack, folds)
+				w, err := core.NewWorker(cfg.coreConfig(), stack, nil)
 				if err != nil {
 					comm.Rank(r).Close()
 					return err

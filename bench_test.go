@@ -10,6 +10,7 @@ package fcma
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -131,24 +132,53 @@ func BenchmarkSyrk(b *testing.B) {
 	b.Run("tallskinny", func(b *testing.B) { benchSyrk(b, blas.TallSkinny{}, 48, 16384) })
 }
 
-// Ablation: tall-skinny syrk long-dimension block size (DESIGN.md §5).
+// Block-size sweeps behind DESIGN.md §15's table: the constants
+// blas.DefaultColBlock, blas.DefaultSyrkBlock and corr.DefaultVoxBlock
+// against their neighbours, at the two paper shapes — a task's gemm is 64
+// assigned voxels × 12 time points × brain, a voxel's kernel-matrix syrk
+// epochs × long dimension. `go test -run '^$' -bench BlockSizes .`
+var blockShapes = []struct {
+	name                    string
+	brain, epochs, syrkCols int
+}{
+	{"facescene", 34470, 216, 8192},
+	{"attention", 25260, 540, 4096},
+}
+
 func BenchmarkGemmBlockSizes(b *testing.B) {
-	for _, blk := range []int{16, 32, 96, 256} {
-		b.Run(sizeName(blk), func(b *testing.B) {
-			benchSyrk(b, blas.TallSkinny{SyrkBlock: blk}, 48, 16384)
+	for _, sh := range blockShapes {
+		for _, blk := range []int{512, blas.DefaultColBlock, 20480, 40960} {
+			b.Run(fmt.Sprintf("%s/col%d", sh.name, blk), func(b *testing.B) {
+				benchGemm(b, blas.TallSkinny{Workers: 1, ColBlock: blk}, 64, 12, sh.brain)
+			})
+		}
+	}
+}
+
+func BenchmarkSyrkBlockSizes(b *testing.B) {
+	for _, sh := range blockShapes {
+		for _, blk := range []int{8, 64, blas.DefaultSyrkBlock, 672, 1296} {
+			b.Run(fmt.Sprintf("%s/block%d", sh.name, blk), func(b *testing.B) {
+				benchSyrk(b, blas.TallSkinny{SyrkBlock: blk}, sh.epochs, sh.syrkCols)
+			})
+		}
+	}
+}
+
+// The merged stage's voxel-block height, on the scaled bench stack (the
+// paper-size stacks take minutes to build).
+func BenchmarkVoxBlockSizes(b *testing.B) {
+	for _, blk := range []int{4, corr.DefaultVoxBlock, 16, benchAssigned} {
+		b.Run(fmt.Sprintf("vox%d", blk), func(b *testing.B) {
+			benchPipeline(b, &corr.Pipeline{Merged: true, Workers: 1, VoxBlock: blk})
 		})
 	}
 }
 
-func sizeName(n int) string {
-	return "block" + string(rune('0'+n/100%10)) + string(rune('0'+n/10%10)) + string(rune('0'+n%10))
-}
-
 // --- Table 7: merged vs separated stage 1+2 ------------------------------
 
-func benchPipeline(b *testing.B, merged bool) {
+func benchPipeline(b *testing.B, p *corr.Pipeline) {
 	st := benchStack(b)
-	p := &corr.Pipeline{Merged: merged}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := p.RunContext(context.Background(), st, 0, benchAssigned); err != nil {
@@ -158,8 +188,8 @@ func benchPipeline(b *testing.B, merged bool) {
 }
 
 func BenchmarkMergedVsSeparated(b *testing.B) {
-	b.Run("merged", func(b *testing.B) { benchPipeline(b, true) })
-	b.Run("separated", func(b *testing.B) { benchPipeline(b, false) })
+	b.Run("merged", func(b *testing.B) { benchPipeline(b, &corr.Pipeline{Merged: true}) })
+	b.Run("separated", func(b *testing.B) { benchPipeline(b, &corr.Pipeline{}) })
 }
 
 // --- Table 8: SVM solvers -------------------------------------------------

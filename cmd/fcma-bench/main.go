@@ -20,7 +20,6 @@ import (
 	"strings"
 	"time"
 
-	"fcma/internal/blas"
 	"fcma/internal/obs"
 	"fcma/internal/perf"
 	"fcma/internal/report"
@@ -33,8 +32,6 @@ func main() {
 	jsonOut := flag.String("json", "", "directory to write an end-of-run BENCH_<name>.json summary into")
 	logFormat := flag.String("log-format", "text", `status log format: "text" or "json"`)
 	flightOut := flag.String("flight-out", "", "write flight-recorder crash dumps to this file instead of stderr (created only if a dump fires)")
-	tune := flag.Bool("tune", false, "run the kernel autotuner instead of experiments and persist the result")
-	tuneOut := flag.String("tune-out", "FCMA_TUNING.json", "file the autotuner writes its tuning to (with -tune)")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: fcma-bench [flags] [experiment ...]\n\nexperiments: %s\n\nflags:\n",
 			strings.Join(experimentNames(), " "))
@@ -49,11 +46,6 @@ func main() {
 	checkScaleFlag("native-scale", *nativeScale)
 
 	obs.BootstrapCLI("fcma-bench", *logFormat, *flightOut)
-
-	if *tune {
-		runTune(*tuneOut)
-		return
-	}
 
 	runner := report.New(report.Options{Scale: *scale, SVMCalibration: *svmCalib})
 	experiments := modelExperiments(runner)
@@ -132,29 +124,6 @@ func checkScaleFlag(name string, v float64) {
 	if v <= 0 || v > 1 {
 		fmt.Fprintf(os.Stderr, "fcma-bench: -%s %g out of range (0, 1]\n", name, v)
 		os.Exit(2)
-	}
-}
-
-// runTune measures the kernel block-size candidates on this machine and
-// persists the winner for fcma-run/fcma-serve to load via -tuning.
-func runTune(out string) {
-	res, err := blas.Autotune(blas.TuneOptions{})
-	fail(err)
-	printCandidates("gemm col_block", res.Gemm, res.Tuning.ColBlock)
-	printCandidates("syrk syrk_block", res.Syrk, res.Tuning.SyrkBlock)
-	printCandidates("merged vox_block", res.Vox, res.Tuning.VoxBlock)
-	fail(res.Tuning.WriteFile(out))
-	fmt.Fprintf(os.Stderr, "fcma-bench: wrote %s\n", out)
-}
-
-func printCandidates(dim string, cands []blas.TuneCandidate, winner int) {
-	fmt.Printf("%s:\n", dim)
-	for _, c := range cands {
-		mark := " "
-		if c.Value == winner {
-			mark = "*"
-		}
-		fmt.Printf("  %s %6d  %12s\n", mark, c.Value, c.Best)
 	}
 }
 

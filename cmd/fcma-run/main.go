@@ -40,7 +40,6 @@ func main() {
 	subjects := flag.Int("subjects", 1, "subjects concatenated in the -nii time series")
 	synthetic := flag.String("synthetic", "", `generate instead of loading: "face-scene" or "attention"`)
 	scale := flag.Float64("scale", 0.02, "synthetic dataset scale (0 < scale <= 1)")
-	tuningPath := flag.String("tuning", "", "kernel tuning file from `fcma-bench -tune` (default: compiled block sizes)")
 	engine := flag.String("engine", "optimized", `kernel engine: "optimized" or "baseline"`)
 	topK := flag.Int("topk", 0, "voxels to select (0 = default)")
 	subject := flag.Int("subject", 0, "subject for online mode")
@@ -76,13 +75,6 @@ func main() {
 
 	d := loadData(*dataPath, *epochPath, *niiPath, *maskPath, *subjects, *synthetic, *scale)
 	cfg := fcma.Config{Workers: *workers, TopK: *topK}
-	if *tuningPath != "" {
-		tuning, err := fcma.LoadTuning(*tuningPath)
-		fail(err)
-		cfg.Tuning = &tuning
-		logger.Info("loaded kernel tuning", "path", *tuningPath,
-			"col_block", tuning.ColBlock, "syrk_block", tuning.SyrkBlock, "vox_block", tuning.VoxBlock)
-	}
 	if *traceOut != "" {
 		cfg.Trace = fcma.NewTracer()
 		defer writeTrace(logger, cfg.Trace, *traceOut)

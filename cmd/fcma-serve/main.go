@@ -30,7 +30,6 @@ import (
 	"syscall"
 	"time"
 
-	"fcma/internal/blas"
 	"fcma/internal/chaos"
 	"fcma/internal/obs"
 	"fcma/internal/obs/trace"
@@ -49,7 +48,6 @@ func main() {
 	executors := flag.Int("executors", 2, "concurrent job executors")
 	chunk := flag.Int("chunk", 64, "voxels per journaled checkpoint chunk")
 	workers := flag.Int("workers", 0, "per-job pipeline goroutines (0 = GOMAXPROCS)")
-	tuningPath := flag.String("tuning", "", "kernel tuning file from `fcma-bench -tune` (default: compiled block sizes)")
 	jobTimeout := flag.Duration("job-timeout", 10*time.Minute, "per-attempt job execution timeout")
 	jobRetries := flag.Int("job-retries", 2, "default extra attempts for a transiently failing job")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long SIGTERM waits for executors to checkpoint")
@@ -88,15 +86,6 @@ func main() {
 		logger.Warn("fault injection armed", "seed", *chaosSeed, "kill_chunks", *chaosKillChunks)
 	}
 
-	var tuning blas.Tuning
-	if *tuningPath != "" {
-		var err error
-		tuning, err = blas.LoadTuning(*tuningPath)
-		fail(err)
-		logger.Info("loaded kernel tuning", "path", *tuningPath,
-			"col_block", tuning.ColBlock, "syrk_block", tuning.SyrkBlock, "vox_block", tuning.VoxBlock)
-	}
-
 	reg := obs.NewRegistry()
 	var tracer *trace.Tracer
 	if *traceOut != "" {
@@ -111,7 +100,6 @@ func main() {
 		Executors:   *executors,
 		ChunkVoxels: *chunk,
 		Workers:     *workers,
-		Tuning:      tuning,
 		JobTimeout:  *jobTimeout,
 		JobRetries:  *jobRetries,
 		Obs:         reg,

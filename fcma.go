@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"io"
 
-	"fcma/internal/blas"
 	"fcma/internal/core"
 	"fcma/internal/corr"
 	"fcma/internal/fmri"
@@ -214,22 +213,6 @@ type Config struct {
 	// tasks); drain it with Drain and render with WriteTrace. Nil disables
 	// tracing at zero allocation cost.
 	Trace *Tracer
-	// Tuning, when non-nil, applies machine-measured kernel block sizes
-	// from an autotune run (fcma-bench -tune, loaded with LoadTuning).
-	// Nil or zero-valued tuning keeps the compiled defaults.
-	Tuning *Tuning
-}
-
-// Tuning is a persisted autotune result: the kernel block sizes measured
-// fastest on a particular machine. Produce one with `fcma-bench -tune`,
-// load it with LoadTuning, and set Config.Tuning to apply it.
-type Tuning = blas.Tuning
-
-// LoadTuning reads and validates a tuning file written by
-// `fcma-bench -tune` (rejecting unknown schema versions and out-of-range
-// block sizes).
-func LoadTuning(path string) (Tuning, error) {
-	return blas.LoadTuning(path)
 }
 
 // traceCtx installs cfg.Trace into ctx so the internal layers pick it up;
@@ -260,12 +243,21 @@ func (c Config) coreConfig() core.Config {
 		cc = core.Optimized()
 	}
 	cc.Workers = c.Workers
-	cc.SVMParams = svm.Params{C: c.SVMCost}
+	cc.Trainer = c.trainer()
 	cc.Obs = c.Metrics
-	if c.Tuning != nil {
-		cc = cc.WithTuning(*c.Tuning)
-	}
 	return cc
+}
+
+// trainer returns the engine's SVM solver with the configured box
+// constraint — the one place Engine and SVMCost turn into a trainer, so
+// voxel selection, the final classifier, the activity comparator and the
+// permutation test cannot disagree on either.
+func (c Config) trainer() svm.KernelTrainer {
+	p := svm.Params{C: c.SVMCost}
+	if c.Engine == Baseline {
+		return svm.LibSVM{Params: p}
+	}
+	return svm.PhiSVM{Params: p}
 }
 
 // VoxelScore is a voxel and its cross-validated classification accuracy.
@@ -280,8 +272,8 @@ func SelectVoxels(d *Data, cfg Config) ([]VoxelScore, error) {
 
 // SelectVoxelsContext is SelectVoxels with cooperative cancellation: a
 // cancelled ctx stops every pipeline goroutine at its next checkpoint
-// (one epoch in the correlation stage, one kernel block in the batched
-// precompute, one voxel in cross-validation), joins them all, and
+// (one epoch in the correlation stage, one voxel's kernel matrix in the
+// batched precompute, one voxel in cross-validation), joins them all, and
 // returns ctx.Err(). A panic anywhere in the pipeline surfaces as a
 // *PipelineError instead of crashing the process.
 func SelectVoxelsContext(ctx context.Context, d *Data, cfg Config) ([]VoxelScore, error) {
@@ -350,13 +342,7 @@ func buildWorker(ctx context.Context, d *Data, cfg Config) (*corr.EpochStack, *c
 	if err != nil {
 		return nil, nil, err
 	}
-	var folds []svm.Fold
-	if d.ds.Subjects == 1 {
-		// Online analysis: leave-one-subject-out degenerates; use k-fold
-		// over epochs instead.
-		folds = svm.KFolds(stack.M(), min(6, stack.M()/2))
-	}
-	worker, err := core.NewWorker(cfg.coreConfig(), stack, folds)
+	worker, err := core.NewWorker(cfg.coreConfig(), stack, nil)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -262,6 +262,31 @@ func TestBaselineEngineAgrees(t *testing.T) {
 	}
 }
 
+// SVMCost reaches the stage-3 solver of voxel selection: the default
+// spelled out (C = 1) changes nothing, a far-from-default box constraint
+// changes the cross-validated accuracies.
+func TestSVMCostReachesVoxelSelection(t *testing.T) {
+	d := mustGenerate(t, testSpec())
+	sel := func(cost float64) []VoxelScore {
+		scores, err := SelectVoxels(d, Config{SVMCost: cost})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return scores
+	}
+	def, one, tiny := sel(0), sel(1), sel(1e-4)
+	differs := false
+	for i := range def {
+		if one[i] != def[i] {
+			t.Fatalf("rank %d: SVMCost 1 scores %+v, default %+v", i, one[i], def[i])
+		}
+		differs = differs || tiny[i] != def[i]
+	}
+	if !differs {
+		t.Fatal("SVMCost 1e-4 scored every voxel exactly as the default: the cost never reached stage 3")
+	}
+}
+
 func TestEngineString(t *testing.T) {
 	if Optimized.String() != "optimized" || Baseline.String() != "baseline" {
 		t.Fatal("Engine.String broken")

@@ -3,7 +3,6 @@ package blas
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"fcma/internal/obs/trace"
 	"fcma/internal/safe"
@@ -11,19 +10,21 @@ import (
 )
 
 // BatchSyrkContext computes Cs[i] = As[i]·As[i]ᵀ for a batch of independent
-// tall-skinny products — the exact workflow of the paper's Fig. 7. One
-// voxel's product alone cannot saturate the machine ("the number of
-// independent, concurrently executed matrix multiplications is limited...
-// which compels us to split the problems across multiple threads and use
-// OpenMP locks to control access to the C matrices"), so work items are
-// (matrix, long-dimension block) pairs shared across one worker pool, and
-// each worker merges its thread-local partial result into the owning C
-// under that matrix's lock.
+// tall-skinny products — the paper's Fig. 7 workload. A work item is one
+// whole matrix: its block-wide slices of the long dimension are staged
+// and accumulated in ascending order straight into Cs[i], exactly as
+// TallSkinny.Syrk does, so no two goroutines ever share an output, nothing
+// is locked or merged, and every Cs[i] is bit-identical to
+// TallSkinny{Workers: 1, SyrkBlock: block}.Syrk at any worker count. (The
+// paper splits one matrix across threads and merges under OpenMP locks
+// because 240 threads outnumber a task's matrices; a batch here has far
+// more matrices than workers, and a merge in lock order would make the
+// last bits depend on scheduling.)
 //
-// A cancelled ctx stops the worker pool at the next (matrix, block) work
-// item — the checkpoint interval — and returns ctx.Err(); a contained
-// panic returns as a *safe.PipelineError. Each item records its span on
-// its pool goroutine's timeline lane.
+// Shapes are validated before any work starts. A cancelled ctx stops the
+// worker pool at the next matrix — the checkpoint interval — and returns
+// ctx.Err(); a contained panic returns as a *safe.PipelineError. Each
+// block records its span on its pool goroutine's timeline lane.
 func BatchSyrkContext(ctx context.Context, Cs, As []*tensor.Matrix, block, workers int) error {
 	if len(Cs) != len(As) {
 		return fmt.Errorf("blas: batch of %d C matrices for %d A matrices", len(Cs), len(As))
@@ -31,58 +32,28 @@ func BatchSyrkContext(ctx context.Context, Cs, As []*tensor.Matrix, block, worke
 	if block <= 0 {
 		block = DefaultSyrkBlock
 	}
-	type item struct {
-		mat, j0, w int
-	}
-	var items []item
 	for i, A := range As {
 		if Cs[i].Rows != A.Rows || Cs[i].Cols != A.Rows {
 			return fmt.Errorf("blas: batch item %d shape mismatch C[%dx%d] = A[%dx%d]·Aᵀ",
 				i, Cs[i].Rows, Cs[i].Cols, A.Rows, A.Cols)
 		}
-		Cs[i].Zero()
-		for j0 := 0; j0 < A.Cols; j0 += block {
-			w := A.Cols - j0
-			if w > block {
-				w = block
-			}
-			items = append(items, item{mat: i, j0: j0, w: w})
-		}
 	}
-	locks := make([]sync.Mutex, len(Cs))
-	err := safe.ParallelDynamic(ctx, safe.Span{Stage: "blas/kernel"}, len(items), workers, func(ictx context.Context, n int) error {
-		obsBatchSyrkItems.Inc()
-		it := items[n]
-		_, bsp := trace.StartSpan(ictx, "blas/syrk_block")
-		bsp.SetInt("mat", it.mat)
-		bsp.SetInt("j0", it.j0)
-		bsp.SetInt("w", it.w)
-		defer bsp.End()
-		A := As[it.mat]
-		m := A.Rows
+	return safe.ParallelDynamic(ctx, safe.Span{Stage: "blas/kernel"}, len(As), workers, func(ictx context.Context, mat int) error {
+		C, A := Cs[mat], As[mat]
+		C.Zero()
 		sc := syrkPool.Get().(*syrkScratch)
-		sc.local.Reuse(m, m)
-		sc.local.Zero()
-		sc.tbuf = tensor.PackTransposed(sc.tbuf, A, 0, it.j0, m, it.w)
-		syrkBlockKernel(&sc.local, sc.tbuf, m, it.w)
-		locks[it.mat].Lock()
-		C := Cs[it.mat]
-		for i := 0; i < m; i++ {
-			dst, src := C.Row(i), sc.local.Row(i)
-			for j := 0; j <= i; j++ {
-				dst[j] += src[j]
-			}
+		for j0 := 0; j0 < A.Cols; j0 += block {
+			w := min(block, A.Cols-j0)
+			obsBatchSyrkItems.Inc()
+			_, bsp := trace.StartSpan(ictx, "blas/syrk_block")
+			bsp.SetInt("mat", mat)
+			bsp.SetInt("j0", j0)
+			bsp.SetInt("w", w)
+			sc.addBlock(C, A, j0, w)
+			bsp.End()
 		}
-		locks[it.mat].Unlock()
 		syrkPool.Put(sc)
+		mirrorLower(C)
 		return nil
 	})
-	if err != nil {
-		return err
-	}
-	// Mirror the lower triangles.
-	for _, C := range Cs {
-		mirrorLower(C)
-	}
-	return nil
 }

@@ -320,12 +320,39 @@ func TestBatchSyrkSmallBlocks(t *testing.T) {
 	C := tensor.NewMatrix(7, 7)
 	want := tensor.NewMatrix(7, 7)
 	Naive{}.Syrk(want, A)
-	// Block smaller than the column count exercises the merge path under
-	// contention.
+	// Seven blocks, the last ragged, accumulated in order into one C.
 	if err := BatchSyrkContext(context.Background(), []*tensor.Matrix{C}, []*tensor.Matrix{A}, 5, 8); err != nil {
 		t.Fatal(err)
 	}
 	if !C.EqualApprox(want, 1e-3) {
 		t.Fatalf("max diff %g", C.MaxAbsDiff(want))
+	}
+}
+
+// Block sizes move cache blocking, never math: gemm is bit-identical
+// across ColBlock (the per-element k-accumulation order does not depend on
+// where the strips are cut), syrk agrees within float32 regrouping
+// tolerance across SyrkBlock (which changes how the long-dimension sum is
+// staged).
+func TestTallSkinnyBlockSizesPreserveResults(t *testing.T) {
+	def, blocked := TallSkinny{Workers: 1}, TallSkinny{Workers: 1, ColBlock: 512, SyrkBlock: 32}
+	rng := rand.New(rand.NewSource(11))
+	A := randomMatrix(rng, 30, 12)
+	B := randomMatrix(rng, 12, 3000)
+	Cdef := tensor.NewMatrix(30, 3000)
+	Cblk := tensor.NewMatrix(30, 3000)
+	def.Gemm(Cdef, A, B)
+	blocked.Gemm(Cblk, A, B)
+	if !Cblk.Equal(Cdef) {
+		t.Fatal("gemm at ColBlock 512 must be bit-identical to the default")
+	}
+
+	SA := randomMatrix(rng, 24, 700)
+	Sdef := tensor.NewMatrix(24, 24)
+	Sblk := tensor.NewMatrix(24, 24)
+	def.Syrk(Sdef, SA)
+	blocked.Syrk(Sblk, SA)
+	if !Sblk.EqualApprox(Sdef, 1e-4) {
+		t.Fatalf("syrk at SyrkBlock 32 diverges: max diff %g", Sblk.MaxAbsDiff(Sdef))
 	}
 }

@@ -109,7 +109,7 @@ func requireBitIdentical(t *testing.T, what string, got, want *tensor.Matrix) {
 		g, w := got.Row(i), want.Row(i)
 		for j := range w {
 			if !sameFloat(g[j], w[j]) {
-				t.Fatalf("%s: (%d,%d) avx2 %g (%#08x), go %g (%#08x)", what, i, j,
+				t.Fatalf("%s: (%d,%d) got %g (%#08x), want %g (%#08x)", what, i, j,
 					g[j], math.Float32bits(g[j]), w[j], math.Float32bits(w[j]))
 			}
 		}
@@ -140,11 +140,6 @@ func onBothPaths(t *testing.T, what string, proto *tensor.Matrix, compute func(C
 
 var pinSyrkRows = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 30, 48, 96, 216, 540}
 
-// The parallel syrk paths add per-worker partial products into C in lock
-// order, which the scheduler picks: with three or more partials per
-// matrix the low bits depend on it, on either kernel path. The parallel
-// cases below therefore keep every matrix to at most two partials, whose
-// sum commutes, so any difference is the kernels'.
 func TestSyrkAVX2BitIdenticalToGo(t *testing.T) {
 	needAVX2(t)
 	rng := rand.New(rand.NewSource(14))
@@ -161,11 +156,9 @@ func TestSyrkAVX2BitIdenticalToGo(t *testing.T) {
 				}
 				proto := viewMatrix(rng, m, m, pad)
 				what := fmt.Sprintf("m=%d n=%d block=%d pad=%d", m, n, block, pad)
-				for _, workers := range []int{1, 2} { // 2: one partial per worker
-					onBothPaths(t, fmt.Sprintf("syrk %s workers=%d", what, workers), proto, func(C *tensor.Matrix) {
-						TallSkinny{Workers: workers, SyrkBlock: block}.Syrk(C, A)
-					})
-				}
+				onBothPaths(t, "syrk "+what, proto, func(C *tensor.Matrix) {
+					TallSkinny{SyrkBlock: block}.Syrk(C, A)
+				})
 				onBothPaths(t, "batch "+what+" workers=1", proto, func(C *tensor.Matrix) {
 					err := BatchSyrkContext(context.Background(), []*tensor.Matrix{C}, []*tensor.Matrix{A}, block, 1)
 					if err != nil {
@@ -177,34 +170,48 @@ func TestSyrkAVX2BitIdenticalToGo(t *testing.T) {
 	}
 }
 
-// A batch mixes matrices of different heights in one worker pool, so one
-// pooled scratch serves tiles of several shapes back to back. 150 columns
-// in blocks of 96 are two partials per matrix.
+// A batch mixes matrices of different heights and lengths in one worker
+// pool, so one pooled scratch serves tiles of several shapes back to back;
+// 60, 150, 250 and 800 columns in blocks of 96 are 1, 2, 3 and 9 blocks.
+// A matrix belongs to one worker and its blocks run in order, so at any
+// worker count the batch is the serial Syrk bit for bit, on each kernel
+// path, and the two paths agree with each other.
 func TestBatchSyrkAVX2BitIdenticalMixedBatch(t *testing.T) {
-	needAVX2(t)
 	rng := rand.New(rand.NewSource(15))
+	cols := []int{60, 150, 250, 800}
 	var As []*tensor.Matrix
-	for _, m := range []int{12, 7, 48, 9, 30, 8, 216, 13} {
-		A := viewMatrix(rng, m, 150, m%4)
+	for i, m := range []int{12, 7, 48, 9, 30, 8, 216, 13} {
+		A := viewMatrix(rng, m, cols[i%len(cols)], m%4)
 		sprinkle(rng, A)
 		As = append(As, A)
 	}
-	run := func(avx2 bool, workers int) []*tensor.Matrix {
+	blank := func() []*tensor.Matrix {
 		Cs := make([]*tensor.Matrix, len(As))
 		for i, A := range As {
 			Cs[i] = tensor.NewMatrix(A.Rows, A.Rows)
 		}
-		withKernelPath(avx2, func() {
-			if err := BatchSyrkContext(context.Background(), Cs, As, 96, workers); err != nil {
-				t.Fatal(err)
-			}
-		})
 		return Cs
 	}
-	for _, workers := range []int{1, 3} {
-		want, got := run(false, workers), run(true, workers)
-		for i := range want {
-			requireBitIdentical(t, fmt.Sprintf("batch item %d workers=%d", i, workers), got[i], want[i])
+	var perPath [][]*tensor.Matrix
+	eachKernelPath(t, func(t *testing.T) {
+		want := blank()
+		for i, A := range As {
+			TallSkinny{Workers: 1}.Syrk(want[i], A)
+		}
+		for _, workers := range []int{1, 2, 3, 8} {
+			got := blank()
+			if err := BatchSyrkContext(context.Background(), got, As, 96, workers); err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				requireBitIdentical(t, fmt.Sprintf("batch item %d workers=%d vs serial Syrk", i, workers), got[i], want[i])
+			}
+		}
+		perPath = append(perPath, want)
+	})
+	if len(perPath) == 2 {
+		for i := range As {
+			requireBitIdentical(t, fmt.Sprintf("batch item %d avx2 vs go", i), perPath[1][i], perPath[0][i])
 		}
 	}
 }
@@ -302,12 +309,10 @@ func FuzzSyrkTileMatchesGo(f *testing.F) {
 			t.Skip("not enough data for one column")
 		}
 		A := tensor.FromSlice(m, n, vals[:m*n])
-		for _, workers := range []int{1, 2} { // at most two partials: see TestSyrkAVX2BitIdenticalToGo
-			onBothPaths(t, fmt.Sprintf("syrk m=%d n=%d block=%d workers=%d", m, n, block, workers),
-				tensor.NewMatrix(m, m), func(C *tensor.Matrix) {
-					TallSkinny{Workers: workers, SyrkBlock: int(block)}.Syrk(C, A)
-				})
-		}
+		onBothPaths(t, fmt.Sprintf("syrk m=%d n=%d block=%d", m, n, block),
+			tensor.NewMatrix(m, m), func(C *tensor.Matrix) {
+				TallSkinny{SyrkBlock: int(block)}.Syrk(C, A)
+			})
 	})
 }
 

@@ -10,9 +10,9 @@ import (
 // parallelFor runs fn(start, end) over [0, n) split into contiguous chunks
 // of ceil(n/workers) indices — the static partitioning the paper's kernels
 // use within a coprocessor — one chunk per work item of the shared driver.
-// workers <= 0 means GOMAXPROCS. The chunk bounds depend only on n and
-// workers, so a kernel that accumulates per chunk (Syrk) sums the same
-// partial products whichever goroutine runs them.
+// workers <= 0 means GOMAXPROCS. Every caller's chunks write disjoint
+// outputs (gemm column blocks, row panels), so no result depends on the
+// worker count or on which goroutine runs a chunk.
 //
 // Chunks run with panic containment: a panic inside fn is recovered,
 // joined with the rest of the pool, and re-thrown on the calling goroutine

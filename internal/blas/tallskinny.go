@@ -26,16 +26,18 @@ const DefaultSyrkBlock = 96
 // element is loaded once per two assigned rows and no packing buffers are
 // written.
 //
-// Syrk targets C[m×m] = A[m×n]·Aᵀ with huge n (Fig. 7): workers march down
-// the long dimension in SyrkBlock-sized column blocks, stage each block in a
-// transposed thread-local buffer (A_localᵀ) so the rank-1 updates are
-// unit-stride, and accumulate through hand-unrolled 4×4 register blocks.
+// Syrk targets C[m×m] = A[m×n]·Aᵀ with huge n (Fig. 7): it marches down
+// the long dimension in SyrkBlock-sized column blocks, stages each block in
+// a transposed buffer (A_localᵀ) so the rank-1 updates are unit-stride, and
+// accumulates through hand-unrolled 4×4 register blocks.
 //
-// Both kernels take a serial fast path — no goroutines, no closures, no
-// heap traffic — when Workers == 1 or the problem has a single block, so a
-// warm steady-state call allocates nothing (pinned by alloc_test.go).
+// Syrk always, and Gemm when Workers == 1 or the problem has a single
+// block, run on the calling goroutine — no goroutines, no closures, no
+// heap traffic — so a warm steady-state call allocates nothing (pinned by
+// alloc_test.go).
 type TallSkinny struct {
-	// Workers bounds the number of goroutines; 0 means GOMAXPROCS.
+	// Workers bounds the number of goroutines Gemm spreads its column
+	// blocks over; 0 means GOMAXPROCS.
 	Workers int
 	// ColBlock is the column-block width for Gemm; 0 means DefaultColBlock.
 	ColBlock int
@@ -235,17 +237,29 @@ func gemmRowStrip(ci, a []float32, B *tensor.Matrix, j0, w, k int) {
 	}
 }
 
-// syrkScratch is the pooled per-worker state for Syrk: the thread-local
-// partial product and the transposed staging panel. Pooled as a pointer so
-// Get/Put never box, keeping the warm path allocation-free.
+// syrkScratch is the pooled transposed staging panel of one syrk block.
+// Pooled as a pointer so Get/Put never box, keeping the warm path
+// allocation-free.
 type syrkScratch struct {
-	local tensor.Matrix
-	tbuf  []float32
+	tbuf []float32
 }
 
 var syrkPool = sync.Pool{New: func() any { return new(syrkScratch) }}
 
-// Syrk computes C = A·Aᵀ via the Fig. 7 workflow.
+// addBlock stages columns [j0, j0+w) of A transposed (tbuf[p*m+i] =
+// A[i, j0+p]) and adds their products to C's lower triangle. Syrk and
+// BatchSyrkContext both build a C by calling it over ascending j0, which
+// is what makes their results bit-identical.
+func (sc *syrkScratch) addBlock(C, A *tensor.Matrix, j0, w int) {
+	sc.tbuf = tensor.PackTransposed(sc.tbuf, A, 0, j0, A.Rows, w)
+	syrkBlockKernel(C, sc.tbuf, A.Rows, w)
+}
+
+// Syrk computes C = A·Aᵀ via the Fig. 7 workflow, on the calling
+// goroutine whatever Workers says: splitting one C across goroutines needs
+// a merge whose summation order depends on the worker count, and the
+// callers with many products to run use BatchSyrkContext, which hands each
+// worker whole matrices.
 func (t TallSkinny) Syrk(C, A *tensor.Matrix) {
 	checkSyrkShapes(C, A)
 	m, n := A.Rows, A.Cols
@@ -254,48 +268,12 @@ func (t TallSkinny) Syrk(C, A *tensor.Matrix) {
 		return
 	}
 	bn := t.syrkBlock()
-	nBlocks := (n + bn - 1) / bn
-	if t.Workers == 1 || nBlocks == 1 {
-		// Serial fast path: accumulate straight into C — no thread-local
-		// partial, no merge lock, no goroutines. The staging panel comes
-		// from the pool so a warm call allocates nothing.
-		obsSyrkBlocks.Add(uint64(nBlocks))
-		sc := syrkPool.Get().(*syrkScratch)
-		for b := 0; b < nBlocks; b++ {
-			j0 := b * bn
-			w := min(bn, n-j0)
-			sc.tbuf = tensor.PackTransposed(sc.tbuf, A, 0, j0, m, w)
-			syrkBlockKernel(C, sc.tbuf, m, w)
-		}
-		syrkPool.Put(sc)
-		mirrorLower(C)
-		return
+	obsSyrkBlocks.Add(uint64((n + bn - 1) / bn))
+	sc := syrkPool.Get().(*syrkScratch)
+	for j0 := 0; j0 < n; j0 += bn {
+		sc.addBlock(C, A, j0, min(bn, n-j0))
 	}
-	var mu sync.Mutex
-	parallelFor(nBlocks, t.Workers, func(b0, b1 int) {
-		obsSyrkBlocks.Add(uint64(b1 - b0))
-		sc := syrkPool.Get().(*syrkScratch)
-		sc.local.Reuse(m, m)
-		sc.local.Zero()
-		for b := b0; b < b1; b++ {
-			j0 := b * bn
-			w := min(bn, n-j0)
-			// Stage the block transposed: tbuf[p*m+i] = A[i, j0+p].
-			sc.tbuf = tensor.PackTransposed(sc.tbuf, A, 0, j0, m, w)
-			syrkBlockKernel(&sc.local, sc.tbuf, m, w)
-		}
-		// Merge the thread-local partial product into C under a lock,
-		// mirroring the paper's OpenMP-lock merge of C_local into C.
-		mu.Lock()
-		for i := 0; i < m; i++ {
-			dst, src := C.Row(i), sc.local.Row(i)
-			for j := 0; j <= i; j++ {
-				dst[j] += src[j]
-			}
-		}
-		mu.Unlock()
-		syrkPool.Put(sc)
-	})
+	syrkPool.Put(sc)
 	mirrorLower(C)
 }
 
@@ -321,8 +299,7 @@ func mirrorLower(C *tensor.Matrix) {
 // m%4 remainder band, and the last columns up to the diagonal when m is
 // not a multiple of 8. A tile that reaches the diagonal also adds the
 // (correct, symmetric) sums into lanes above it. Nothing reads those:
-// the parallel merges copy j <= i only and mirrorLower overwrites the
-// upper triangle last.
+// mirrorLower overwrites the upper triangle last.
 //
 //lint:hotpath syrk register-block driver, called once per panel per worker
 func syrkBlockKernel(local *tensor.Matrix, tbuf []float32, m, w int) {

@@ -39,12 +39,6 @@ type Config struct {
 	// matrices before cross-validation so the solver stage never starves)
 	// instead of per voxel inside the CV loop.
 	BatchKernels bool
-	// SVMParams configures the stage-3 solver.
-	SVMParams svm.Params
-	// Tuning carries machine-measured block sizes (see blas.Autotune).
-	// The zero value means compiled defaults. Set it through WithTuning
-	// so kernel fields pick the blocks up too.
-	Tuning blas.Tuning
 	// Name labels the configuration in reports.
 	Name string
 	// Obs receives stage timings and task/voxel counters (see DESIGN.md
@@ -87,24 +81,6 @@ func Optimized() Config {
 	}
 }
 
-// WithTuning returns a copy of the config with autotuned block sizes
-// applied: the correlation pipeline's ColBlock/VoxBlock, the batched
-// kernel precompute's SyrkBlock, and — when the configured kernels are
-// tall-skinny — their internal blocking. A zero tuning is a no-op, so
-// callers can thread an optional tuning through unconditionally.
-func (c Config) WithTuning(t blas.Tuning) Config {
-	c.Tuning = t
-	if g, ok := c.Gemm.(blas.TallSkinny); ok {
-		g.ColBlock, g.SyrkBlock = t.ColBlock, t.SyrkBlock
-		c.Gemm = g
-	}
-	if s, ok := c.Syrk.(blas.TallSkinny); ok {
-		s.ColBlock, s.SyrkBlock = t.ColBlock, t.SyrkBlock
-		c.Syrk = s
-	}
-	return c
-}
-
 func (c Config) validate() error {
 	if c.Gemm == nil || c.Syrk == nil || c.Trainer == nil {
 		return fmt.Errorf("core: config %q missing kernels (gemm=%v syrk=%v trainer=%v)",
@@ -141,7 +117,9 @@ type Worker struct {
 
 // NewWorker prepares a worker over a prebuilt epoch stack. folds defines
 // the stage-3 cross-validation split; nil selects leave-one-subject-out
-// over the stack's epochs.
+// over the stack's epochs, or — for a single subject's data (online
+// analysis), where that split degenerates — min(6, M/2)-fold over its M
+// epochs.
 func NewWorker(cfg Config, stack *corr.EpochStack, folds []svm.Fold) (*Worker, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -149,7 +127,11 @@ func NewWorker(cfg Config, stack *corr.EpochStack, folds []svm.Fold) (*Worker, e
 	if stack == nil || stack.M() == 0 {
 		return nil, fmt.Errorf("core: empty epoch stack")
 	}
-	if folds == nil {
+	switch {
+	case folds != nil:
+	case stack.Subjects == 1:
+		folds = svm.KFolds(stack.M(), min(6, stack.M()/2))
+	default:
 		subjects := make([]int, stack.M())
 		for i, e := range stack.Epochs {
 			subjects[i] = e.Subject
@@ -157,12 +139,10 @@ func NewWorker(cfg Config, stack *corr.EpochStack, folds []svm.Fold) (*Worker, e
 		folds = svm.LeaveOneSubjectOutFolds(subjects)
 	}
 	pipe := &corr.Pipeline{
-		Gemm:     cfg.Gemm,
-		Workers:  cfg.Workers,
-		Merged:   cfg.Merged,
-		ColBlock: cfg.Tuning.ColBlock,
-		VoxBlock: cfg.Tuning.VoxBlock,
-		Obs:      cfg.Obs,
+		Gemm:    cfg.Gemm,
+		Workers: cfg.Workers,
+		Merged:  cfg.Merged,
+		Obs:     cfg.Obs,
 	}
 	return &Worker{cfg: cfg, stack: stack, folds: folds, pipe: pipe}, nil
 }
@@ -175,9 +155,9 @@ func (w *Worker) Process(t Task) ([]VoxelScore, error) {
 
 // ProcessContext is Process with cooperative cancellation and panic
 // containment. A cancelled ctx stops every pipeline goroutine at its next
-// work-item checkpoint (one epoch in stage 1, one kernel block in the
-// batched SYRK, one voxel in stage 3) and returns ctx.Err() after all of
-// them have joined. A panic in any stage surfaces as a
+// work-item checkpoint (one epoch in stage 1, one voxel's kernel matrix
+// in the batched SYRK, one voxel in stage 3) and returns ctx.Err() after
+// all of them have joined. A panic in any stage surfaces as a
 // *safe.PipelineError naming the stage and voxel range instead of killing
 // the process.
 func (w *Worker) ProcessContext(ctx context.Context, t Task) ([]VoxelScore, error) {
@@ -222,11 +202,7 @@ func (w *Worker) ProcessContext(ctx context.Context, t Task) ([]VoxelScore, erro
 		syrkTimer := reg.Stage("core/syrk").Start()
 		sctx, syrkSpan := trace.StartSpan(ctx, "core/syrk")
 		syrkSpan.SetInt("kernels", t.V)
-		syrkBlock := w.cfg.Tuning.SyrkBlock
-		if syrkBlock <= 0 {
-			syrkBlock = blas.DefaultSyrkBlock
-		}
-		err := blas.BatchSyrkContext(sctx, kernels, As, syrkBlock, w.cfg.Workers)
+		err := blas.BatchSyrkContext(sctx, kernels, As, blas.DefaultSyrkBlock, w.cfg.Workers)
 		syrkSpan.End()
 		syrkTimer.Stop()
 		if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"fcma/internal/blas"
@@ -217,53 +218,59 @@ func TestConfigPresets(t *testing.T) {
 	}
 }
 
-// A tuned worker must re-block the kernels and pipeline without changing
-// any score: tuning moves cache blocking, never math.
-func TestWithTuningAppliesBlocksAndPreservesScores(t *testing.T) {
-	eachKernelPath(t, testWithTuningAppliesBlocksAndPreservesScores)
-}
-
-func testWithTuningAppliesBlocksAndPreservesScores(t *testing.T) {
-	_, st := testStack(t, 24, 3, 6)
-	tuning := blas.Tuning{Version: blas.TuningVersion, ColBlock: 512, SyrkBlock: 32, VoxBlock: 4}
-	cfg := Optimized().WithTuning(tuning)
-	if g, ok := cfg.Gemm.(blas.TallSkinny); !ok || g.ColBlock != 512 || g.SyrkBlock != 32 {
-		t.Fatalf("tuning not applied to gemm kernel: %+v", cfg.Gemm)
+// A single subject's data has no subject to leave out: nil folds there
+// mean min(6, M/2)-fold over its epochs — the policy every entry point
+// (library, cluster, serve, online selector) gets by passing nil.
+func TestNilFoldsSingleSubjectIsKFold(t *testing.T) {
+	_, st := testStack(t, 24, 1, 12)
+	score := func(folds []svm.Fold) []VoxelScore {
+		w, err := NewWorker(Optimized(), st, folds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scores, err := w.Process(Task{V0: 0, V: 24})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return scores
 	}
-	if s, ok := cfg.Syrk.(blas.TallSkinny); !ok || s.SyrkBlock != 32 {
-		t.Fatalf("tuning not applied to syrk kernel: %+v", cfg.Syrk)
-	}
-	if cfg.Tuning != tuning {
-		t.Fatalf("tuning not recorded: %+v", cfg.Tuning)
-	}
-
-	wDef, err := NewWorker(Optimized(), st, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wTun, err := NewWorker(cfg, st, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	def, err := wDef.Process(Task{V0: 0, V: 24})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tun, err := wTun.Process(Task{V0: 0, V: 24})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range def {
-		if def[i] != tun[i] {
-			t.Fatalf("voxel %d: tuned score %+v != default %+v", i, tun[i], def[i])
+	got, want := score(nil), score(svm.KFolds(12, 6))
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("voxel %d: nil folds score %+v, explicit 6-fold %+v", i, got[i], want[i])
 		}
 	}
 }
 
-func TestWithTuningZeroValueIsNoOp(t *testing.T) {
-	cfg := Optimized().WithTuning(blas.Tuning{})
-	g := cfg.Gemm.(blas.TallSkinny)
-	if g.ColBlock != 0 || g.SyrkBlock != 0 {
-		t.Fatalf("zero tuning must leave kernel blocks zero: %+v", g)
-	}
+// Every parallel stage hands a worker whole outputs — voxel blocks, kernel
+// matrices, voxels — so the worker count changes who computes a score,
+// never its bits. 320 brain voxels are four 96-column syrk blocks per
+// kernel matrix.
+func TestScoresIdenticalAcrossWorkers(t *testing.T) {
+	eachKernelPath(t, func(t *testing.T) {
+		_, st := testStack(t, 320, 3, 6)
+		for _, merged := range []bool{true, false} {
+			var want []VoxelScore
+			for _, workers := range []int{1, 2, 3, 8} {
+				cfg := Optimized()
+				cfg.Merged, cfg.Workers = merged, workers
+				w, err := NewWorker(cfg, st, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := w.ProcessContext(context.Background(), Task{V0: 0, V: 48})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want == nil {
+					want = got
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("merged=%v voxel %d: Workers=%d scores %+v, Workers=1 %+v", merged, i, workers, got[i], want[i])
+					}
+				}
+			}
+		}
+	})
 }

@@ -34,8 +34,6 @@ func eachKernelPath(t *testing.T, f func(t *testing.T)) {
 
 // A whole task — merged correlate+normalize, batched syrk, SVM
 // cross-validation — scores every voxel the same on either kernel path.
-// Workers is 1 so the batched syrk merges its partial products in one
-// order; the kernels are then the only thing that differs.
 func TestScoresIdenticalAcrossKernelPaths(t *testing.T) {
 	if !hostAVX2 {
 		t.Skip("host has no AVX2: the Go kernels are the only path")

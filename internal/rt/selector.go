@@ -6,7 +6,6 @@ import (
 
 	"fcma/internal/core"
 	"fcma/internal/corr"
-	"fcma/internal/svm"
 	"fcma/internal/tensor"
 )
 
@@ -65,8 +64,7 @@ func (o *OnlineSelector) SelectContext(ctx context.Context) ([]core.VoxelScore, 
 	if !o.Ready() {
 		return nil, fmt.Errorf("rt: need at least %d epochs per condition, have %d total", o.MinPerClass, o.stack.M())
 	}
-	folds := svm.KFolds(o.stack.M(), min(6, o.stack.M()/2))
-	worker, err := core.NewWorker(o.cfg, o.stack, folds)
+	worker, err := core.NewWorker(o.cfg, o.stack, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -55,7 +55,7 @@ func ledgerShape(stack *corr.EpochStack) (trace.Shape, bool) {
 		TrainSamples: stack.M() - stack.E, Folds: stack.Subjects,
 	}
 	if stack.Subjects <= 1 {
-		// Mirrors the executor's single-subject fallback to k-fold CV.
+		// Mirrors core.NewWorker's single-subject fallback to k-fold CV.
 		folds := min(6, stack.M()/2)
 		if folds <= 0 {
 			return sh, false
@@ -75,7 +75,7 @@ func ledgerShape(stack *corr.EpochStack) (trace.Shape, bool) {
 // baseline's separated correlate and normalize passes (its per-voxel
 // kernel products hide inside the SVM stage and have no isolated
 // measurement to compare).
-func ledgerRows(engine string, colBlock, syrkBlock int) []ledgerRow {
+func ledgerRows(engine string) []ledgerRow {
 	if engine == "baseline" {
 		return []ledgerRow{
 			{
@@ -98,7 +98,7 @@ func ledgerRows(engine string, colBlock, syrkBlock int) []ledgerRow {
 			predict: func(cfg mic.Config, sh trace.Shape) *mic.Machine {
 				return trace.RunScaled(cfg, sh, ledgerScale(sh),
 					func(s trace.Shape) float64 { return s.GemmWork() + s.NormWork() },
-					func(m *mic.Machine, s trace.Shape) { trace.StagesMerged(m, s, colBlock) })
+					func(m *mic.Machine, s trace.Shape) { trace.StagesMerged(m, s, blas.DefaultColBlock) })
 			},
 		},
 		{
@@ -114,7 +114,7 @@ func ledgerRows(engine string, colBlock, syrkBlock int) []ledgerRow {
 				}
 				return trace.RunScaled(cfg, sh, ledgerScale(sh), work,
 					func(m *mic.Machine, s trace.Shape) {
-						trace.SyrkTallSkinny(m, s.M, s.N, syrkBlock)
+						trace.SyrkTallSkinny(m, s.M, s.N, blas.DefaultSyrkBlock)
 						m.Counters.Scale(float64(s.V))
 					})
 			},
@@ -136,17 +136,9 @@ func (s *Service) recordLedger(jobID string, spec JobSpec, stack *corr.EpochStac
 	if engine == "" {
 		engine = "optimized"
 	}
-	colBlock := s.opts.Tuning.ColBlock
-	if colBlock <= 0 {
-		colBlock = blas.DefaultColBlock
-	}
-	syrkBlock := s.opts.Tuning.SyrkBlock
-	if syrkBlock <= 0 {
-		syrkBlock = blas.DefaultSyrkBlock
-	}
 	snap := jobReg.Snapshot()
 	cfg := mic.XeonE5_2670()
-	for _, row := range ledgerRows(engine, colBlock, syrkBlock) {
+	for _, row := range ledgerRows(engine) {
 		h, okh := snap.Hists[row.hist]
 		if !okh || h.Count == 0 {
 			continue

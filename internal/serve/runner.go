@@ -13,7 +13,6 @@ import (
 	"fcma/internal/obs"
 	"fcma/internal/obs/trace"
 	"fcma/internal/retry"
-	"fcma/internal/svm"
 )
 
 // executorLoop pulls accepted jobs off the run queue until the service
@@ -143,22 +142,15 @@ func (s *Service) attempt(ctx context.Context, job *Job, spec JobSpec) error {
 	if err != nil {
 		return err
 	}
-	var folds []svm.Fold
-	if ds.Subjects == 1 {
-		// Single subject: leave-one-subject-out degenerates; k-fold over
-		// epochs instead (mirrors the library's online-analysis path).
-		folds = svm.KFolds(stack.M(), min(6, stack.M()/2))
-	}
 	jobReg := obs.NewRegistry()
 	defer s.absorbJobMetrics(jobReg)
 	cfg := core.Optimized()
 	if spec.Engine == "baseline" {
 		cfg = core.Baseline()
 	}
-	cfg = cfg.WithTuning(s.opts.Tuning)
 	cfg.Workers = s.opts.Workers
 	cfg.Obs = jobReg
-	worker, err := core.NewWorker(cfg, stack, folds)
+	worker, err := core.NewWorker(cfg, stack, nil)
 	if err != nil {
 		return err
 	}

@@ -35,7 +35,6 @@ import (
 	"sync"
 	"time"
 
-	"fcma/internal/blas"
 	"fcma/internal/chaos"
 	"fcma/internal/obs"
 	"fcma/internal/obs/trace"
@@ -67,9 +66,6 @@ type Options struct {
 	ChunkVoxels int
 	// Workers bounds per-job pipeline parallelism; 0 means GOMAXPROCS.
 	Workers int
-	// Tuning applies machine-measured kernel block sizes to every job's
-	// worker (see blas.Autotune); the zero value keeps compiled defaults.
-	Tuning blas.Tuning
 	// JobTimeout bounds one execution attempt. Defaults to 10 minutes.
 	JobTimeout time.Duration
 	// JobRetries is the default extra attempts for a failing job (specs

@@ -48,7 +48,7 @@ func PermutationTest(d *Data, voxels []int, cfg Config, n int, seed int64) (*Per
 	}
 	K := svm.PrecomputeKernel(feats, nil)
 	folds := svm.LeaveOneSubjectOutFolds(subjects)
-	trainer := svm.PhiSVM{Params: svm.Params{C: cfg.SVMCost}}
+	trainer := cfg.trainer()
 
 	observed, err := svm.CrossValidate(trainer, K, labels, folds)
 	if err != nil {
