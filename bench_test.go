@@ -222,13 +222,20 @@ func benchSVM(b *testing.B, tr svm.KernelTrainer) {
 	}
 }
 
+// BenchmarkSVMSolvers is Table 8's native column: the three trainers on one
+// face-scene-shaped voxel. For the production solver at the repo
+// benchmark's fold shapes, per sweep path, see BenchmarkCrossValidateShapes
+// in internal/svm.
 func BenchmarkSVMSolvers(b *testing.B) {
 	b.Run("libsvm", func(b *testing.B) { benchSVM(b, svm.LibSVM{}) })
 	b.Run("optimized", func(b *testing.B) { benchSVM(b, svm.Optimized{}) })
 	b.Run("phisvm", func(b *testing.B) { benchSVM(b, svm.PhiSVM{}) })
 }
 
-// Ablation: working-set-selection heuristics (DESIGN.md §5).
+// Ablation: working-set-selection heuristics (DESIGN.md §5). First-order
+// runs the fused sweep, the other two the unfused select + update on the
+// same dense rows; BenchmarkCrossValidateShapes in internal/svm times the
+// first-order rule per sweep path.
 func BenchmarkWSSHeuristics(b *testing.B) {
 	b.Run("first-order", func(b *testing.B) { benchSVM(b, svm.PhiSVM{Rule: svm.FirstOrder}) })
 	b.Run("second-order", func(b *testing.B) { benchSVM(b, svm.PhiSVM{Rule: svm.SecondOrder}) })

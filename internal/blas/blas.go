@@ -39,6 +39,12 @@ type Ssyrk interface {
 	Syrk(C, A *tensor.Matrix)
 }
 
+// HasAVX2 reports whether the host can run AVX2 kernels: the verdict of
+// the one CPUID/XGETBV probe in the tree, always false off amd64. It is
+// read-only — a package with assembly of its own (internal/svm) reads it
+// once into a dispatch variable of its own.
+func HasAVX2() bool { return cpuHasAVX2() }
+
 func checkGemmShapes(C, A, B *tensor.Matrix) {
 	if A.Cols != B.Rows || C.Rows != A.Rows || C.Cols != B.Cols {
 		panic(fmt.Sprintf("blas: gemm shape mismatch C[%dx%d] = A[%dx%d]·B[%dx%d]",

@@ -5,46 +5,58 @@ import (
 	_ "unsafe" // go:linkname
 )
 
-// blasUseAVX2 is internal/blas's unexported kernel dispatch variable,
-// reached by linkname so the task-level equivalence tests can run on both
-// kernel paths without blas exporting a switch nobody else should touch.
+// blasUseAVX2 and svmUseAVX2 are the unexported kernel dispatch variables
+// of internal/blas (gemm strips, syrk tile) and internal/svm (the fused
+// SMO sweep), reached by linkname so the task-level equivalence tests can
+// run on both kernel paths without either package exporting a switch
+// nobody else should touch.
 //
 //go:linkname blasUseAVX2 fcma/internal/blas.useAVX2
 var blasUseAVX2 bool
 
+//go:linkname svmUseAVX2 fcma/internal/svm.useAVX2
+var svmUseAVX2 bool
+
 // hostAVX2 is the probe's verdict, read before any test rewrites it.
 var hostAVX2 = blasUseAVX2
+
+// setKernelPath routes every stage's kernels — stages 1 and 2 in blas,
+// stage 3 in svm — to the AVX2 assembly or to the Go reference.
+func setKernelPath(avx2 bool) {
+	blasUseAVX2, svmUseAVX2 = avx2, avx2
+}
 
 // eachKernelPath runs f as a subtest on the Go kernels and on the AVX2
 // kernels; the AVX2 half skips on a host without them.
 func eachKernelPath(t *testing.T, f func(t *testing.T)) {
-	defer func() { blasUseAVX2 = hostAVX2 }()
+	defer setKernelPath(hostAVX2)
 	t.Run("go", func(t *testing.T) {
-		blasUseAVX2 = false
+		setKernelPath(false)
 		f(t)
 	})
 	t.Run("avx2", func(t *testing.T) {
 		if !hostAVX2 {
 			t.Skip("host has no AVX2")
 		}
-		blasUseAVX2 = true
+		setKernelPath(true)
 		f(t)
 	})
 }
 
 // A whole task — merged correlate+normalize, batched syrk, SVM
-// cross-validation — scores every voxel the same on either kernel path.
+// cross-validation — scores every voxel the same on either kernel path:
+// the gemm strips, the syrk tile and the SMO sweep all switch together.
 func TestScoresIdenticalAcrossKernelPaths(t *testing.T) {
 	if !hostAVX2 {
 		t.Skip("host has no AVX2: the Go kernels are the only path")
 	}
-	defer func() { blasUseAVX2 = hostAVX2 }()
+	defer setKernelPath(hostAVX2)
 	_, st := testStack(t, 40, 3, 6)
 	cfg := Optimized()
 	cfg.Workers = 1
 	var scores [2][]VoxelScore
 	for i, avx2 := range []bool{false, true} {
-		blasUseAVX2 = avx2
+		setKernelPath(avx2)
 		w, err := NewWorker(cfg, st, nil)
 		if err != nil {
 			t.Fatal(err)

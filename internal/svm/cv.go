@@ -2,6 +2,7 @@ package svm
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"fcma/internal/obs"
@@ -9,9 +10,11 @@ import (
 	"fcma/internal/tensor"
 )
 
-// CV health counters in the process-wide registry. One CrossValidate call
-// is one voxel's stage-3 work, so these count voxels, folds trained, and
-// folds skipped as degenerate (single-class training set) across the run.
+// CV health counters in the process-wide registry, counted in the one fold
+// loop (runFolds). One cross-validation call is one voxel's stage-3 work,
+// so these count voxels, folds with test samples, and the folds among
+// them scored at chance as degenerate (single-class training set, or a
+// solver out of iterations) across the run.
 var (
 	obsCVRuns       = obs.Default().Counter("svm_cv_runs_total")
 	obsCVFolds      = obs.Default().Counter("svm_cv_folds_total")
@@ -76,8 +79,7 @@ func KFolds(n, k int) []Fold {
 
 // CrossValidate trains on each fold and returns the overall accuracy: the
 // fraction of test samples across all folds whose predicted label matches.
-// Folds whose training set lacks a class are skipped (counted as chance,
-// 50% of their test samples correct), mirroring degenerate-design handling.
+// See CrossValidateContext for what scores chance and what is an error.
 func CrossValidate(tr KernelTrainer, K *tensor.Matrix, labels []int, folds []Fold) (float64, error) {
 	return CrossValidateContext(context.Background(), tr, K, labels, folds)
 }
@@ -87,45 +89,131 @@ func CrossValidate(tr KernelTrainer, K *tensor.Matrix, labels []int, folds []Fol
 // the stage-3 per-voxel unit of the merged timeline. The solver itself is
 // not cancellable; ctx is tracing context only.
 //
-//lint:allow f32purity accuracy scoring is final reporting, not kernel math
+// A degenerate fold — a training set with one class only, or a solver
+// that ran out of MaxIter — scores chance: half its test samples count
+// as correct. Invalid input is an error, not a degenerate fold: a kernel
+// that is not len(labels) square, no folds or no test samples, a Train or
+// Test index outside the kernel, a label on a listed sample that is not 0
+// or 1, and any other error a trainer returns.
+//
+// PhiSVM and Optimized folds run on one pooled solver that predicts from
+// its own state, so a warm call allocates nothing; any other trainer goes
+// through TrainKernel and Model.Decide.
 func CrossValidateContext(ctx context.Context, tr KernelTrainer, K *tensor.Matrix, labels []int, folds []Fold) (float64, error) {
+	_, span := trace.StartSpan(ctx, "svm/cv")
+	defer span.End()
+	t, err := runFolds(tr, K, labels, folds, nil)
+	if err != nil {
+		return 0, err
+	}
+	span.SetInt("folds", len(folds))
+	span.SetInt("degenerate", t.degenerate)
+	return t.accuracy(), nil
+}
+
+// cvTally is a cross-validation run's score so far, in half test samples
+// so that a degenerate fold of odd size scores exactly half.
+type cvTally struct {
+	halves, total, degenerate int
+}
+
+func (t *cvTally) add(f FoldStats) {
+	t.total += f.Total
+	if f.Degenerate {
+		t.halves += f.Total
+		t.degenerate++
+	} else {
+		t.halves += 2 * f.Correct
+	}
+}
+
+//lint:allow f32purity accuracy scoring is final reporting, not kernel math
+func (t cvTally) accuracy() float64 {
+	if t.total == 0 {
+		return 0
+	}
+	return float64(t.halves) / float64(2*t.total)
+}
+
+// runFolds is the one cross-validation loop, behind CrossValidateContext
+// and CrossValidateDetailed: validate once, then train and score fold by
+// fold. detail, when not nil, receives each fold's statistics.
+func runFolds(tr KernelTrainer, K *tensor.Matrix, labels []int, folds []Fold, detail *[]FoldStats) (cvTally, error) {
+	var tally cvTally
 	if K.Rows != K.Cols || K.Rows != len(labels) {
-		return 0, fmt.Errorf("svm: kernel %dx%d vs %d labels", K.Rows, K.Cols, len(labels))
+		return tally, fmt.Errorf("svm: kernel %dx%d vs %d labels", K.Rows, K.Cols, len(labels))
 	}
 	if len(folds) == 0 {
-		return 0, fmt.Errorf("svm: no folds")
+		return tally, fmt.Errorf("svm: no folds")
+	}
+	for fi, f := range folds {
+		if err := checkSamples(labels, f.Train); err != nil {
+			return tally, fmt.Errorf("svm: fold %d training set: %w", fi, err)
+		}
+		if err := checkSamples(labels, f.Test); err != nil {
+			return tally, fmt.Errorf("svm: fold %d test set: %w", fi, err)
+		}
 	}
 	obsCVRuns.Inc()
-	_, span := trace.StartSpan(ctx, "svm/cv")
-	degenerate := 0
-	defer func() {
-		span.SetInt("folds", len(folds))
-		span.SetInt("degenerate", degenerate)
-		span.End()
-	}()
-	var correct, total float64
-	for _, f := range folds {
+	// s is the pooled solver when tr is one of its trainers, and nil when
+	// folds go through tr.TrainKernel.
+	var s *smo32
+	var params Params
+	var rule Heuristic
+	if d, ok := tr.(denseTrainer); ok {
+		params, rule = d.dense()
+		s = getSolver()
+		defer putSolver(s)
+	}
+	for fi, f := range folds {
 		if len(f.Test) == 0 {
 			continue
 		}
-		total += float64(len(f.Test))
 		obsCVFolds.Inc()
-		model, err := tr.TrainKernel(K, labels, f.Train)
-		if err != nil {
-			// Degenerate fold (single-class training set): chance level.
-			obsCVDegenerate.Inc()
-			degenerate++
-			correct += float64(len(f.Test)) / 2
-			continue
-		}
-		for _, t := range f.Test {
-			if model.Predict(K, t) == labels[t] {
-				correct++
+		fs := FoldStats{Total: len(f.Test)}
+		var model *Model
+		var err error
+		if pos := countPositive(labels, f.Train); pos == 0 || pos == len(f.Train) {
+			err = errOneClass
+		} else if s != nil {
+			s.reset(K, labels, f.Train, params, rule)
+			if fs.Iters, err = s.solve(); err == nil {
+				s.finish()
 			}
+		} else if model, err = tr.TrainKernel(K, labels, f.Train); err == nil {
+			fs.Iters = model.Iters
+		}
+		switch {
+		case err == nil:
+			for _, t := range f.Test {
+				var d float64
+				if s != nil {
+					d = s.decide(K, t)
+				} else {
+					d = model.Decide(K, t)
+				}
+				pred := 0
+				if d > 0 {
+					pred = 1
+				}
+				fs.Confusion[labels[t]][pred]++
+				if pred == labels[t] {
+					fs.Correct++
+				}
+			}
+		case errors.Is(err, errOneClass) || errors.Is(err, errNoConverge):
+			obsCVDegenerate.Inc()
+			fs = FoldStats{Total: fs.Total, Correct: fs.Total / 2, Degenerate: true}
+		default:
+			return tally, fmt.Errorf("svm: fold %d: %w", fi, err)
+		}
+		tally.add(fs)
+		if detail != nil {
+			*detail = append(*detail, fs)
 		}
 	}
-	if total == 0 {
-		return 0, fmt.Errorf("svm: folds contain no test samples")
+	if tally.total == 0 {
+		return tally, fmt.Errorf("svm: folds contain no test samples")
 	}
-	return correct / total, nil
+	return tally, nil
 }

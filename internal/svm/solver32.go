@@ -9,8 +9,10 @@ package svm
 //lint:file-allow f32purity deliberate float64 alpha/gradient accumulation per LIBSVM practice; kernel data stays float32
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"fcma/internal/tensor"
 )
@@ -50,67 +52,192 @@ func (h Heuristic) String() string {
 // adaptPhase is the number of SMO iterations per adaptive probe phase.
 const adaptPhase = 64
 
-// smo32 is the dense solver: kernel values stay in the float32 matrix and
-// are read with unit stride (no node indirection); solver state uses
-// float64 accumulation for stability. The working-set rule is pluggable.
+// smo32 is the dense solver, in three layers. reset compacts one fold's
+// training sub-kernel into kd, a dense n×n float32 scratch, so no loop
+// below it indexes a kernel row through idx: every row is read with unit
+// stride (the paper's idea iii — no node indirection). step is the
+// analytic two-variable update. sweep is the fused first-order iteration:
+// one pass that maintains the gradient and carries the next
+// maximal-violating pair. Solver state is float64 for stability. The
+// working-set rule is pluggable; SecondOrder and Adaptive run the unfused
+// select + update pair on the same dense rows, and that pair is the
+// oracle sweep is pinned to, bit for bit.
+//
+// A solver is reused, not rebuilt: solverPool hands one to each
+// cross-validation call, reset re-aims it at each fold, and its scratch
+// only ever grows.
 type smo32 struct {
-	k       *tensor.Matrix // full kernel matrix
-	idx     []int          // trainIdx: solver position -> kernel index
-	y       []int8
-	yf      []float32
-	alpha   []float64
-	g       []float64
-	qd      []float64
+	// idx is the caller's training list (solver position → kernel index),
+	// which decide and model read after solve. It is the solver's only
+	// reference to caller memory, and putSolver drops it.
+	idx []int
+
+	n     int
+	kd    []float32 // n×n: kd[i*n+t] = K[idx[i]][idx[t]]
+	runs  []idxRun  // idx as maximal runs of consecutive kernel indices
+	y     []float64 // ±1
+	alpha []float64
+	g     []float64
+	qd    []float64
+	// coef = α·y and rho, set by finish: the classifier decide evaluates.
+	coef []float64
+	rho  float64
+	// lanes is where the AVX2 sweep leaves its per-lane running state.
+	lanes sweepLanes
+
 	c       float64
 	eps     float64
 	maxIter int
 	rule    Heuristic
-	// adaptive state
+	adaptState
+}
+
+// adaptState is what the Adaptive rule's probe/commit state machine
+// carries from iteration to iteration.
+type adaptState struct {
 	rate     [2]float64 // EWMA of objective decrease per phase, per rule
 	probed   [2]bool
 	current  Heuristic
 	phaseObj float64
 	phaseIt  int
 	sincePro int
-	// SelectedRules counts iterations spent under each rule (diagnostics).
+	// selected counts iterations spent under each rule (diagnostics).
 	selected [2]int
 }
 
-func newSMO32(K *tensor.Matrix, labels []int, trainIdx []int, p Params, rule Heuristic) (*smo32, error) {
-	y, err := labelsToY(labels, trainIdx)
-	if err != nil {
-		return nil, err
-	}
+// idxRun is a maximal run of consecutive kernel indices in a training
+// list: solver positions [pos, pos+n) hold kernel indices [src, src+n).
+type idxRun struct{ pos, src, n int }
+
+// solverPool holds one solver per concurrently running cross-validation —
+// in effect one per stage-3 lane, as syrkPool does for the batched syrk. A
+// pooled solver keeps its grown scratch and nothing else (putSolver). The
+// scratch is 4n² + 64n bytes at the largest training set a solver has
+// seen (25 KB at n = 80, 1.1 MB at the paper's attention n = 522); there
+// is no size cap because sync.Pool already releases idle entries to the
+// garbage collector.
+var solverPool = sync.Pool{New: func() any { return new(smo32) }}
+
+func getSolver() *smo32 { return solverPool.Get().(*smo32) }
+
+// putSolver returns s to the pool without its reference to the caller's
+// training list, so a lane that stays busy does not keep a finished
+// task's memory alive. (The kernel matrix and the labels are never
+// retained: reset copies what it needs out of them.)
+func putSolver(s *smo32) {
+	s.idx = nil
+	solverPool.Put(s)
+}
+
+// grow sizes the scratch for a training set of n. It is the one place a
+// solver allocates, and a warm solver does not reach it — kept out of
+// line so that reset, the hot caller, stays allocation-free to allocgate.
+//
+//go:noinline
+func (s *smo32) grow(n int) {
+	s.kd = make([]float32, n*n)
+	s.runs = make([]idxRun, n)
+	s.y = make([]float64, n)
+	s.alpha = make([]float64, n)
+	s.g = make([]float64, n)
+	s.qd = make([]float64, n)
+	s.coef = make([]float64, n)
+}
+
+// reset aims the solver at one training problem: samples trainIdx of the
+// kernel matrix K, labels already validated (checkSamples) and holding
+// both classes. It compacts the training sub-kernel into kd one maximal
+// run of consecutive indices at a time — corr.BuildEpochStack requires
+// epochs grouped by subject, so a leave-one-subject-out or k-fold training
+// set is at most two runs and a row is two copy calls; any other list
+// (reversed, strided, shuffled, repeated) degrades to runs of one, a
+// gather done once per fold instead of twice per element per iteration.
+//
+//lint:hotpath once per fold per voxel
+func (s *smo32) reset(K *tensor.Matrix, labels []int, trainIdx []int, p Params, rule Heuristic) {
 	n := len(trainIdx)
-	s := &smo32{
-		k:       K,
-		idx:     trainIdx,
-		y:       y,
-		yf:      make([]float32, n),
-		alpha:   make([]float64, n),
-		g:       make([]float64, n),
-		qd:      make([]float64, n),
-		c:       p.c(),
-		eps:     p.eps(),
-		maxIter: p.maxIter(n),
-		rule:    rule,
-		current: SecondOrder,
+	if n > cap(s.y) {
+		s.grow(n)
 	}
-	for i, yi := range y {
-		s.yf[i] = float32(yi)
-		s.qd[i] = float64(K.At(trainIdx[i], trainIdx[i]))
+	s.idx, s.n = trainIdx, n
+	s.c, s.eps, s.maxIter, s.rule = p.c(), p.eps(), p.maxIter(n), rule
+	s.adaptState = adaptState{current: SecondOrder}
+
+	runs := s.runs[:n]
+	nr := 0
+	for i := 0; i < n; nr++ {
+		j := i + 1
+		for j < n && trainIdx[j] == trainIdx[j-1]+1 {
+			j++
+		}
+		runs[nr] = idxRun{pos: i, src: trainIdx[i], n: j - i}
+		i = j
+	}
+	runs = runs[:nr]
+	s.runs = runs
+
+	s.kd, s.y, s.alpha, s.g = s.kd[:n*n], s.y[:n], s.alpha[:n], s.g[:n]
+	s.qd, s.coef = s.qd[:n], s.coef[:n]
+	for i, idx := range trainIdx {
+		src := K.Row(idx)
+		dst := s.kd[i*n : i*n+n]
+		for _, r := range runs {
+			copy(dst[r.pos:r.pos+r.n], src[r.src:r.src+r.n])
+		}
+		s.y[i] = float64(2*labels[idx] - 1)
+		s.alpha[i] = 0
 		s.g[i] = -1
+		s.qd[i] = float64(dst[i])
 	}
-	return s, nil
 }
 
-// kval returns K(solver-position i, solver-position t).
-func (s *smo32) kval(i, t int) float64 {
-	return float64(s.k.Data[s.idx[i]*s.k.Stride+s.idx[t]])
+// row returns dense kernel row i: K(position i, position t) at [t].
+func (s *smo32) row(i int) []float32 {
+	return s.kd[i*s.n : i*s.n+s.n]
 }
 
+// errNoConverge is what a solver that runs out of iterations wraps.
+// Cross-validation scores such a fold at chance; every other training
+// error it returns to its caller.
+var errNoConverge = errors.New("svm: SMO failed to converge")
+
+// solve runs SMO to convergence and returns the iteration count. The
+// first-order rule runs fused; iterates and iteration counts are those of
+// the unfused loop, which the other two rules run.
 func (s *smo32) solve() (int, error) {
-	s.phaseObj = 0
+	iters, converged := 0, false
+	if s.rule == FirstOrder {
+		iters, converged = s.solveFused()
+	} else {
+		iters, converged = s.solveUnfused()
+	}
+	if !converged {
+		return iters, fmt.Errorf("%w in %d iterations", errNoConverge, iters)
+	}
+	return iters, nil
+}
+
+// solveFused is the first-order loop: one plain selection before the
+// first step, then each step's sweep hands over the next pair, and a step
+// that moved nothing leaves the state, and with it the pair, as they were.
+func (s *smo32) solveFused() (iters int, converged bool) {
+	i, j, ok := s.selectFirstOrder()
+	for iter := 0; iter < s.maxIter; iter++ {
+		if !ok {
+			return iter, true
+		}
+		s.selected[FirstOrder]++
+		if cyi, cyj, moved := s.step(i, j); moved {
+			i, j, ok = s.sweep(i, j, cyi, cyj)
+		}
+	}
+	return s.maxIter, false
+}
+
+// solveUnfused is a selection and an update per iteration, under whatever
+// rule is active. Run under FirstOrder it is the oracle solveFused is
+// pinned to.
+func (s *smo32) solveUnfused() (iters int, converged bool) {
 	for iter := 0; iter < s.maxIter; iter++ {
 		rule := s.activeRule(iter)
 		var i, j int
@@ -121,12 +248,12 @@ func (s *smo32) solve() (int, error) {
 			i, j, ok = s.selectSecondOrder()
 		}
 		if !ok {
-			return iter, nil
+			return iter, true
 		}
 		s.selected[rule]++
 		s.update(i, j)
 	}
-	return s.maxIter, fmt.Errorf("svm: SMO failed to converge in %d iterations", s.maxIter)
+	return s.maxIter, false
 }
 
 // activeRule returns the working-set rule for this iteration, running the
@@ -230,12 +357,12 @@ func (s *smo32) selectSecondOrder() (int, int, bool) {
 	if imax == -1 {
 		return -1, -1, false
 	}
-	ki := s.k.Row(s.idx[imax])
+	ki := s.row(imax)
 	jmin := -1
 	objMin := math.Inf(1)
 	for t, yt := range s.y {
 		// a_it = K_ii + K_tt − 2K_it = ‖φ(xᵢ)−φ(xₜ)‖², label-independent.
-		kit := float64(ki[s.idx[t]])
+		kit := float64(ki[t])
 		if yt == 1 {
 			if s.alpha[t] > 0 {
 				gradDiff := gmax + s.g[t]
@@ -278,10 +405,15 @@ func (s *smo32) selectSecondOrder() (int, int, bool) {
 	return imax, jmin, true
 }
 
-func (s *smo32) update(i, j int) {
+// step is the analytic two-variable update of α at the working pair
+// (i, j). It reports whether either moved and, if so, the two gradient
+// coefficients Δαᵢ·yᵢ and Δαⱼ·yⱼ the caller owes every g[t].
+//
+//lint:hotpath once per SMO iteration
+func (s *smo32) step(i, j int) (cyi, cyj float64, moved bool) {
 	c := s.c
 	yi, yj := s.y[i], s.y[j]
-	kii, kjj, kij := s.qd[i], s.qd[j], s.kval(i, j)
+	kii, kjj, kij := s.qd[i], s.qd[j], float64(s.kd[i*s.n+j])
 	oldAi, oldAj := s.alpha[i], s.alpha[j]
 	if yi != yj {
 		// Q_ii + Q_jj + 2Q_ij = K_ii + K_jj − 2K_ij for opposite labels.
@@ -342,29 +474,36 @@ func (s *smo32) update(i, j int) {
 	dai := s.alpha[i] - oldAi
 	daj := s.alpha[j] - oldAj
 	if dai == 0 && daj == 0 {
-		return
+		return 0, 0, false
 	}
-	// Gradient maintenance: G_t += Q_ti·Δαi + Q_tj·Δαj. The kernel rows
-	// are read densely with unit stride — the paper's optimization idea #3
-	// (the hot loop PhiSVM vectorizes).
-	ki := s.k.Row(s.idx[i])
-	kj := s.k.Row(s.idx[j])
-	cyi := dai * float64(yi)
-	cyj := daj * float64(yj)
-	for t, yt := range s.yf {
-		kti := float64(ki[s.idx[t]])
-		ktj := float64(kj[s.idx[t]])
-		s.g[t] += float64(yt) * (cyi*kti + cyj*ktj)
+	return dai * yi, daj * yj, true
+}
+
+// update is one unfused iteration's second half: step, then gradient
+// maintenance. SecondOrder and Adaptive run it; sweep is pinned to it
+// followed by selectFirstOrder.
+func (s *smo32) update(i, j int) {
+	if cyi, cyj, moved := s.step(i, j); moved {
+		s.addGradient(i, j, cyi, cyj)
 	}
 }
 
-func (s *smo32) rho() float64 {
+// addGradient is G_t += Q_ti·Δαi + Q_tj·Δαj over the two dense kernel
+// rows, read with unit stride.
+func (s *smo32) addGradient(i, j int, cyi, cyj float64) {
+	ki, kj := s.row(i), s.row(j)
+	for t, yt := range s.y {
+		s.g[t] += yt * (cyi*float64(ki[t]) + cyj*float64(kj[t]))
+	}
+}
+
+func (s *smo32) threshold() float64 {
 	ub := math.Inf(1)
 	lb := math.Inf(-1)
 	var sumFree float64
 	nFree := 0
 	for t, yt := range s.y {
-		yg := float64(yt) * s.g[t]
+		yg := yt * s.g[t]
 		switch {
 		case s.alpha[t] >= s.c:
 			if yt == -1 {
@@ -397,18 +536,61 @@ func (s *smo32) objective() float64 {
 	return obj / 2
 }
 
-func (s *smo32) model(iters int) *Model {
-	coef := make([]float64, len(s.idx))
+// finish turns the converged state into the classifier decide evaluates.
+func (s *smo32) finish() {
 	for i, a := range s.alpha {
-		coef[i] = a * float64(s.y[i])
+		s.coef[i] = a * s.y[i]
 	}
+	s.rho = s.threshold()
+}
+
+// decide is Model.Decide on the solver's own state — the same terms in
+// the same order, read from the full kernel row of sample t — so
+// cross-validation scores a fold without building a Model.
+func (s *smo32) decide(K *tensor.Matrix, t int) float64 {
+	var sum float64
+	row := K.Row(t)
+	for i, idx := range s.idx {
+		if c := s.coef[i]; c != 0 {
+			sum += c * float64(row[idx])
+		}
+	}
+	return sum - s.rho
+}
+
+// model copies the finished classifier out of the solver's scratch.
+func (s *smo32) model(iters int) *Model {
 	return &Model{
 		TrainIdx:  append([]int(nil), s.idx...),
-		Coef:      coef,
-		Rho:       s.rho(),
+		Coef:      append([]float64(nil), s.coef...),
+		Rho:       s.rho,
 		Iters:     iters,
 		Objective: s.objective(),
 	}
+}
+
+// trainDense is TrainKernel for the trainers that run smo32: a pooled
+// solver, then one Model built from it.
+func trainDense(K *tensor.Matrix, labels []int, trainIdx []int, p Params, rule Heuristic) (*Model, error) {
+	if err := checkTrainingSet(labels, trainIdx); err != nil {
+		return nil, err
+	}
+	s := getSolver()
+	defer putSolver(s)
+	s.reset(K, labels, trainIdx, p, rule)
+	iters, err := s.solve()
+	if err != nil {
+		return nil, err
+	}
+	s.finish()
+	return s.model(iters), nil
+}
+
+// denseTrainer is implemented by the trainers that run smo32, so
+// cross-validation can drive the pooled solver directly instead of going
+// through TrainKernel and a Model per fold.
+type denseTrainer interface {
+	dense() (Params, Heuristic)
 }
 
 // Optimized is the paper's "optimized LibSVM": the identical SMO algorithm
@@ -420,16 +602,10 @@ type Optimized struct {
 
 // TrainKernel implements KernelTrainer.
 func (o Optimized) TrainKernel(K *tensor.Matrix, labels []int, trainIdx []int) (*Model, error) {
-	s, err := newSMO32(K, labels, trainIdx, o.Params, SecondOrder)
-	if err != nil {
-		return nil, err
-	}
-	iters, err := s.solve()
-	if err != nil {
-		return nil, err
-	}
-	return s.model(iters), nil
+	return trainDense(K, labels, trainIdx, o.Params, SecondOrder)
 }
+
+func (o Optimized) dense() (Params, Heuristic) { return o.Params, SecondOrder }
 
 // PhiSVM is the paper's optimized solver (§4.4): the dense float32 kernel
 // with the cheap first-order working-set rule by default, and the
@@ -446,22 +622,20 @@ type PhiSVM struct {
 
 // TrainKernel implements KernelTrainer.
 func (p PhiSVM) TrainKernel(K *tensor.Matrix, labels []int, trainIdx []int) (*Model, error) {
-	rule := p.Rule
-	if rule != FirstOrder && rule != SecondOrder {
-		rule = Adaptive // including values that name no rule
+	params, rule := p.dense()
+	return trainDense(K, labels, trainIdx, params, rule)
+}
+
+func (p PhiSVM) dense() (Params, Heuristic) {
+	if p.Rule != FirstOrder && p.Rule != SecondOrder {
+		return p.Params, Adaptive // including values that name no rule
 	}
-	s, err := newSMO32(K, labels, trainIdx, p.Params, rule)
-	if err != nil {
-		return nil, err
-	}
-	iters, err := s.solve()
-	if err != nil {
-		return nil, err
-	}
-	return s.model(iters), nil
+	return p.Params, p.Rule
 }
 
 var (
 	_ KernelTrainer = Optimized{}
 	_ KernelTrainer = PhiSVM{}
+	_ denseTrainer  = Optimized{}
+	_ denseTrainer  = PhiSVM{}
 )

@@ -108,7 +108,7 @@ func (s *smo64) solve() (int, error) {
 		}
 		s.update(i, j)
 	}
-	return s.maxIter, fmt.Errorf("svm: SMO failed to converge in %d iterations", s.maxIter)
+	return s.maxIter, fmt.Errorf("%w in %d iterations", errNoConverge, s.maxIter)
 }
 
 // selectWorkingSet implements WSS2 (Fan, Chen, Lin 2005), LibSVM's default.
@@ -363,6 +363,19 @@ func (l LibSVM) TrainKernel(K *tensor.Matrix, labels []int, trainIdx []int) (*Mo
 		return nil, err
 	}
 	return finishModel(s, trainIdx, iters), nil
+}
+
+// labelsToY converts the training set's {0,1} labels into ±1, validating
+// them and that both classes are present.
+func labelsToY(labels []int, trainIdx []int) ([]int8, error) {
+	if err := checkTrainingSet(labels, trainIdx); err != nil {
+		return nil, err
+	}
+	y := make([]int8, len(trainIdx))
+	for i, idx := range trainIdx {
+		y[i] = int8(2*labels[idx] - 1)
+	}
+	return y, nil
 }
 
 // lookupNode finds the value at the given index via the scan-from-position

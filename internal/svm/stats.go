@@ -1,10 +1,6 @@
 package svm
 
-import (
-	"fmt"
-
-	"fcma/internal/tensor"
-)
+import "fcma/internal/tensor"
 
 // FoldStats is the outcome of one cross-validation fold.
 type FoldStats struct {
@@ -12,20 +8,19 @@ type FoldStats struct {
 	Correct, Total int
 	// Confusion[i][j] counts test samples of true label i predicted j.
 	Confusion [2][2]int
-	// Iters is the solver's SMO iteration count; Degenerate marks folds
-	// whose training set lacked a class (scored at chance).
+	// Iters is the solver's SMO iteration count; Degenerate marks a fold
+	// that was not trained (single-class training set, or the solver ran
+	// out of iterations). Such a fold scores chance, exactly half its
+	// Total; its Correct is that rounded down and its Iters 0.
 	Iters      int
 	Degenerate bool
 }
 
 // Accuracy returns the fold's test accuracy.
-//
-//lint:allow f32purity final accuracy reporting, not kernel math
 func (f FoldStats) Accuracy() float64 {
-	if f.Total == 0 {
-		return 0
-	}
-	return float64(f.Correct) / float64(f.Total)
+	var t cvTally
+	t.add(f)
+	return t.accuracy()
 }
 
 // CVStats aggregates a detailed cross-validation run.
@@ -35,18 +30,12 @@ type CVStats struct {
 
 // Accuracy returns the pooled accuracy across folds (the quantity FCMA
 // assigns to a voxel).
-//
-//lint:allow f32purity final accuracy reporting, not kernel math
 func (s CVStats) Accuracy() float64 {
-	var correct, total int
+	var t cvTally
 	for _, f := range s.Folds {
-		correct += f.Correct
-		total += f.Total
+		t.add(f)
 	}
-	if total == 0 {
-		return 0
-	}
-	return float64(correct) / float64(total)
+	return t.accuracy()
 }
 
 // Confusion returns the pooled confusion matrix.
@@ -73,45 +62,13 @@ func (s CVStats) TotalIters() int {
 }
 
 // CrossValidateDetailed is CrossValidate with per-fold statistics:
-// confusion matrices, iteration counts, and degenerate-fold marking.
+// confusion matrices, iteration counts, and degenerate-fold marking. It
+// runs the same loop on the same solver, so its Accuracy is CrossValidate's
+// to the last bit and its iteration counts are production's.
 func CrossValidateDetailed(tr KernelTrainer, K *tensor.Matrix, labels []int, folds []Fold) (CVStats, error) {
-	if K.Rows != K.Cols || K.Rows != len(labels) {
-		return CVStats{}, fmt.Errorf("svm: kernel %dx%d vs %d labels", K.Rows, K.Cols, len(labels))
-	}
-	if len(folds) == 0 {
-		return CVStats{}, fmt.Errorf("svm: no folds")
-	}
 	stats := CVStats{Folds: make([]FoldStats, 0, len(folds))}
-	anyTest := false
-	for _, f := range folds {
-		if len(f.Test) == 0 {
-			continue
-		}
-		anyTest = true
-		fs := FoldStats{Total: len(f.Test)}
-		model, err := tr.TrainKernel(K, labels, f.Train)
-		if err != nil {
-			// Degenerate fold: chance level, as in CrossValidate.
-			fs.Degenerate = true
-			fs.Correct = len(f.Test) / 2
-			stats.Folds = append(stats.Folds, fs)
-			continue
-		}
-		fs.Iters = model.Iters
-		for _, t := range f.Test {
-			pred := model.Predict(K, t)
-			truth := labels[t]
-			if truth == 0 || truth == 1 {
-				fs.Confusion[truth][pred]++
-			}
-			if pred == truth {
-				fs.Correct++
-			}
-		}
-		stats.Folds = append(stats.Folds, fs)
-	}
-	if !anyTest {
-		return CVStats{}, fmt.Errorf("svm: folds contain no test samples")
+	if _, err := runFolds(tr, K, labels, folds, &stats.Folds); err != nil {
+		return CVStats{}, err
 	}
 	return stats, nil
 }

@@ -22,9 +22,22 @@
 // All trainers solve the same dual problem and agree on the resulting
 // classifier; they differ in representation and heuristics, which is what
 // the paper's performance study measures.
+//
+// Optimized and PhiSVM are one solver, smo32, reused through a pool: per
+// fold it compacts the training sub-kernel into a dense float32 scratch,
+// and its first-order iteration is one fused pass that updates the
+// gradient and selects the next working pair — in Go, and in AVX2
+// assembly pinned to the Go loop bit for bit (DESIGN.md §19).
+//
+// CrossValidate and CrossValidateDetailed share one fold loop. Invalid
+// input — an index outside the kernel, a label that is not 0 or 1, a
+// trainer's own error — is returned as an error; only a single-class
+// training set or a solver that runs out of iterations makes a
+// degenerate fold, which scores chance.
 package svm
 
 import (
+	"errors"
 	"fmt"
 
 	"fcma/internal/blas"
@@ -146,28 +159,41 @@ func PrecomputeKernel(X *tensor.Matrix, sy blas.Ssyrk) *tensor.Matrix {
 	return K
 }
 
-// labelsToY converts {0,1} labels into ±1, validating that both classes
-// are present in the training subset.
-func labelsToY(labels []int, trainIdx []int) ([]int8, error) {
-	y := make([]int8, len(trainIdx))
-	var pos, neg int
-	for i, idx := range trainIdx {
-		if idx < 0 || idx >= len(labels) {
-			return nil, fmt.Errorf("svm: train index %d out of range %d", idx, len(labels))
+// errOneClass is what a TrainKernel handed a single-class training set
+// wraps. Cross-validation scores such a fold at chance.
+var errOneClass = errors.New("svm: training set needs both classes")
+
+// checkSamples rejects a sample list that names an index outside the
+// kernel or a sample whose label is not 0 or 1.
+func checkSamples(labels []int, idx []int) error {
+	for _, i := range idx {
+		if i < 0 || i >= len(labels) {
+			return fmt.Errorf("sample index %d out of range %d", i, len(labels))
 		}
-		switch labels[idx] {
-		case 1:
-			y[i] = 1
-			pos++
-		case 0:
-			y[i] = -1
-			neg++
-		default:
-			return nil, fmt.Errorf("svm: label %d is not binary", labels[idx])
+		if l := labels[i]; l != 0 && l != 1 {
+			return fmt.Errorf("label %d is not binary", l)
 		}
 	}
-	if pos == 0 || neg == 0 {
-		return nil, fmt.Errorf("svm: training set needs both classes (got %d positive, %d negative)", pos, neg)
+	return nil
+}
+
+// countPositive returns how many of the (checked) samples have label 1.
+func countPositive(labels []int, idx []int) int {
+	pos := 0
+	for _, i := range idx {
+		pos += labels[i]
 	}
-	return y, nil
+	return pos
+}
+
+// checkTrainingSet is what every TrainKernel demands of its input: valid
+// samples and both classes among them.
+func checkTrainingSet(labels []int, trainIdx []int) error {
+	if err := checkSamples(labels, trainIdx); err != nil {
+		return fmt.Errorf("svm: training set: %w", err)
+	}
+	if pos := countPositive(labels, trainIdx); pos == 0 || pos == len(trainIdx) {
+		return fmt.Errorf("%w (got %d positive, %d negative)", errOneClass, pos, len(trainIdx)-pos)
+	}
+	return nil
 }

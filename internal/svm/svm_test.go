@@ -1,6 +1,7 @@
 package svm
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -216,10 +217,8 @@ func TestAdaptiveUsesBothRules(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	n := 200
 	K, labels := noisyProblem(rng, n, 0.4)
-	s, err := newSMO32(K, labels, allIdx(n), Params{C: 10, Eps: 1e-6}, Adaptive)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := new(smo32)
+	s.reset(K, labels, allIdx(n), Params{C: 10, Eps: 1e-6}, Adaptive)
 	if _, err := s.solve(); err != nil {
 		t.Fatal(err)
 	}
@@ -264,10 +263,8 @@ func TestPhiSVMZeroValueIsFirstOrder(t *testing.T) {
 	}
 	// The adaptive solver, driven directly, uses both rules on this
 	// problem; PhiSVM{Rule: Adaptive} must be that solver.
-	s, err := newSMO32(K, labels, allIdx(n), params, Adaptive)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := new(smo32)
+	s.reset(K, labels, allIdx(n), params, Adaptive)
 	iters, err := s.solve()
 	if err != nil {
 		t.Fatal(err)
@@ -275,6 +272,7 @@ func TestPhiSVMZeroValueIsFirstOrder(t *testing.T) {
 	if s.selected[FirstOrder] == 0 || s.selected[SecondOrder] == 0 {
 		t.Fatalf("adaptive never probed both rules: %v", s.selected)
 	}
+	s.finish()
 	adaptive := train(PhiSVM{Params: params, Rule: Adaptive})
 	if !sameModel(adaptive, s.model(iters)) {
 		t.Fatal("PhiSVM{Rule: Adaptive} does not run the adaptive solver")
@@ -501,7 +499,7 @@ func TestCrossValidateDetailedMatchesPlain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(plain-detailed.Accuracy()) > 1e-9 {
+	if plain != detailed.Accuracy() {
 		t.Fatalf("accuracies differ: %v vs %v", plain, detailed.Accuracy())
 	}
 	if len(detailed.Folds) != len(folds) {
@@ -535,6 +533,105 @@ func TestCrossValidateDetailedDegenerate(t *testing.T) {
 	}
 	if !stats.Folds[0].Degenerate {
 		t.Fatal("degenerate fold not marked")
+	}
+	if acc := stats.Accuracy(); acc != 0.5 || stats.Folds[0].Accuracy() != 0.5 {
+		t.Fatalf("one-sample degenerate fold scores %v pooled, %v alone; want chance", acc, stats.Folds[0].Accuracy())
+	}
+}
+
+// Plain and detailed cross-validation are one loop: on a fold set with an
+// odd-sized degenerate fold, a fold the solver gives up on and trained
+// folds, they agree to the last bit for every kind of trainer.
+func TestCrossValidatePlainEqualsDetailedExactly(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	K, labels := noisyProblem(rng, 31, 0.2)
+	for i := 0; i < 7; i++ {
+		labels[i] = 1 // so that training on [0,7) alone is single-class
+	}
+	folds := KFolds(31, 4)
+	folds = append(folds, Fold{Train: allIdx(7), Test: []int{8, 9, 10, 11, 12}})
+	for name, tr := range trainers() {
+		plain, err := CrossValidate(tr, K, labels, folds)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		detailed, err := CrossValidateDetailed(tr, K, labels, folds)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if plain != detailed.Accuracy() {
+			t.Fatalf("%s: plain accuracy %v, detailed %v", name, plain, detailed.Accuracy())
+		}
+		last := detailed.Folds[len(detailed.Folds)-1]
+		if !last.Degenerate || last.Total != 5 || last.Accuracy() != 0.5 {
+			t.Fatalf("%s: five-sample single-class fold came back %+v", name, last)
+		}
+		// Chance on the odd fold is 2.5 of 5: the pooled score is not a
+		// whole number of samples.
+		if halves := plain * 2 * 36; math.Abs(halves-math.Round(halves)) > 1e-9 || int(math.Round(halves))%2 == 0 {
+			t.Fatalf("%s: accuracy %v is not an odd number of half samples out of 36", name, plain)
+		}
+	}
+	// A fold that hits MaxIter scores chance too, as it always has.
+	capped := PhiSVM{Params: Params{MaxIter: 1, Eps: 1e-12}}
+	plain, err := CrossValidate(capped, K, labels, folds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	detailed, err := CrossValidateDetailed(capped, K, labels, folds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain != 0.5 || detailed.Accuracy() != 0.5 || detailed.TotalIters() != 0 {
+		t.Fatalf("every fold out of iterations: plain %v, detailed %v with %d iterations; want chance and none",
+			plain, detailed.Accuracy(), detailed.TotalIters())
+	}
+}
+
+// Invalid input is an error from both entry points, not a degenerate fold
+// silently scored at chance.
+func TestCrossValidateRejectsInvalidInput(t *testing.T) {
+	K := tensor.NewMatrix(4, 4)
+	for i := 0; i < 4; i++ {
+		K.Set(i, i, 1)
+	}
+	good := []int{0, 1, 0, 1}
+	for name, tc := range map[string]struct {
+		labels []int
+		folds  []Fold
+	}{
+		"label outside {0,1}":      {[]int{0, 1, 2, 1}, []Fold{{Train: []int{0, 1, 2}, Test: []int{3}}}},
+		"label outside, test side": {[]int{0, 1, 0, -1}, []Fold{{Train: []int{0, 1, 2}, Test: []int{3}}}},
+		"train index past M":       {good, []Fold{{Train: []int{0, 9}, Test: []int{3}}}},
+		"train index negative":     {good, []Fold{{Train: []int{-1, 1}, Test: []int{3}}}},
+		"test index past M":        {good, []Fold{{Train: []int{0, 1}, Test: []int{4}}}},
+		"bad fold after a good one": {good, []Fold{
+			{Train: []int{0, 1}, Test: []int{2}}, {Train: []int{0, 9}, Test: []int{3}}}},
+	} {
+		for trName, tr := range map[string]KernelTrainer{"phisvm": PhiSVM{}, "libsvm": LibSVM{}} {
+			if acc, err := CrossValidate(tr, K, tc.labels, tc.folds); err == nil {
+				t.Errorf("%s, %s: CrossValidate returned %v and no error", name, trName, acc)
+			}
+			if _, err := CrossValidateDetailed(tr, K, tc.labels, tc.folds); err == nil {
+				t.Errorf("%s, %s: CrossValidateDetailed returned no error", name, trName)
+			}
+		}
+	}
+}
+
+// failingTrainer fails every fold with an error that is neither of the
+// two a degenerate fold produces.
+type failingTrainer struct{}
+
+func (failingTrainer) TrainKernel(*tensor.Matrix, []int, []int) (*Model, error) {
+	return nil, errors.New("disk on fire")
+}
+
+func TestCrossValidateReturnsTrainerErrors(t *testing.T) {
+	K := tensor.NewMatrix(4, 4)
+	folds := []Fold{{Train: []int{0, 1, 2}, Test: []int{3}}}
+	if acc, err := CrossValidate(failingTrainer{}, K, []int{0, 1, 0, 1}, folds); err == nil {
+		t.Fatalf("a trainer's own error scored %v instead of failing the run", acc)
 	}
 }
 
