@@ -12,8 +12,11 @@ check: lint build test
 
 # lint is a hard gate: unformatted files, vet findings (asmdecl included:
 # every assembly TEXT symbol's frame and argument offsets against its Go
-# declaration), fcmavet contract violations, or hot-path heap escapes
-# (allocgate) all fail the build.
+# declaration), fcmavet contract violations, hot-path heap escapes
+# (allocgate), or an entry point that serves, runs or distributes an
+# analysis importing the machine model (internal/mic/..., internal/report:
+# a leaf only cmd/fcma-bench reaches) all fail the build.
+MODEL_FREE = . ./cmd/fcma-run ./cmd/fcma-cluster ./cmd/fcma-serve ./cmd/fcma-gen
 lint:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt: the following files need formatting:" >&2; \
@@ -23,6 +26,13 @@ lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/fcmavet ./...
 	$(GO) run ./scripts/allocgate
+	@for root in $(MODEL_FREE); do \
+		model=$$($(GO) list -deps $$root | grep -E '^fcma/internal/(mic(/.*)?|report)$$' | tr '\n' ' '); \
+		if [ -n "$$model" ]; then \
+			echo "boundary: $$root imports the machine model: $$model" >&2; \
+			exit 1; \
+		fi; \
+	done
 
 # fcmavet alone, for iterating on contract fixes.
 fcmavet:

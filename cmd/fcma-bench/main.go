@@ -7,9 +7,10 @@
 //	fcma-bench [-scale f] [-svm-calib f] [experiment ...]
 //
 // Experiments: table1 table2 table3 table4 table5 table6 table7 table8
-// fig8 fig9 fig10 fig11 native-fig8 native-fig9, or "all" (default: all
-// model-based experiments; the native cross-checks run real kernels on the
-// host CPU and are included only when named).
+// fig8 fig9 fig10 fig11 knl ablation memory native-fig8 native-fig9
+// native-ledger, or "all" (default: all model-based experiments; the native
+// cross-checks run real kernels on the host CPU and are included only when
+// named).
 package main
 
 import (
@@ -21,7 +22,6 @@ import (
 	"time"
 
 	"fcma/internal/obs"
-	"fcma/internal/perf"
 	"fcma/internal/report"
 )
 
@@ -56,24 +56,19 @@ func main() {
 	}
 	start := time.Now()
 	for _, name := range names {
-		switch name {
-		case "native-fig9":
-			tb, err := report.NativeSpeedup(report.NativeOptions{Scale: *nativeScale})
+		if native, ok := nativeExperiments[name]; ok {
+			tb, err := native(report.NativeOptions{Scale: *nativeScale})
 			fail(err)
 			fmt.Println(tb.Render())
-		case "native-fig8":
-			tb, err := report.NativeScaling(report.NativeOptions{Scale: *nativeScale})
-			fail(err)
-			fmt.Println(tb.Render())
-		default:
-			fn, ok := experiments[name]
-			if !ok {
-				fmt.Fprintf(os.Stderr, "fcma-bench: unknown experiment %q (want one of %s)\n",
-					name, strings.Join(experimentNames(), " "))
-				os.Exit(2)
-			}
-			fmt.Println(fn().Render())
+			continue
 		}
+		fn, ok := experiments[name]
+		if !ok {
+			fmt.Fprintf(os.Stderr, "fcma-bench: unknown experiment %q (want one of %s)\n",
+				name, strings.Join(experimentNames(), " "))
+			os.Exit(2)
+		}
+		fmt.Println(fn().Render())
 	}
 	if *jsonOut != "" {
 		sum := obs.NewBenchSummary("fcma-bench", time.Since(start), obs.Default().Snapshot())
@@ -87,8 +82,8 @@ func main() {
 	}
 }
 
-func modelExperiments(r *report.Runner) map[string]func() *perf.Table {
-	return map[string]func() *perf.Table{
+func modelExperiments(r *report.Runner) map[string]func() *report.Table {
+	return map[string]func() *report.Table{
 		"table1": r.Table1, "table2": r.Table2, "table3": r.Table3,
 		"table4": r.Table4, "table5": r.Table5, "table6": r.Table6,
 		"table7": r.Table7, "table8": r.Table8,
@@ -97,11 +92,19 @@ func modelExperiments(r *report.Runner) map[string]func() *perf.Table {
 	}
 }
 
+// nativeExperiments are the opt-in cross-checks that run the real pipeline
+// on the host CPU.
+var nativeExperiments = map[string]func(report.NativeOptions) (*report.Table, error){
+	"native-fig8":   report.NativeScaling,
+	"native-fig9":   report.NativeSpeedup,
+	"native-ledger": report.NativeLedger,
+}
+
 func experimentNames() []string {
 	return []string{
 		"table1", "table2", "table3", "table4", "table5", "table6",
 		"table7", "table8", "fig8", "fig9", "fig10", "fig11", "knl", "ablation", "memory",
-		"native-fig8", "native-fig9",
+		"native-fig8", "native-fig9", "native-ledger",
 	}
 }
 

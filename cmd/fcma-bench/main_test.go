@@ -23,10 +23,33 @@ func TestDefaultExperimentsMatchModelSet(t *testing.T) {
 		seen[n] = true
 	}
 	for _, n := range def {
-		switch n {
-		case "native-fig8", "native-fig9":
+		if _, ok := nativeExperiments[n]; ok {
 			t.Fatalf("native cross-check %q must stay opt-in", n)
 		}
+	}
+}
+
+// Every name is either a model experiment or a native cross-check, and the
+// model-vs-measured ledger is one of the natives: listed, runnable by name,
+// and not part of "all".
+func TestExperimentNamesListNatives(t *testing.T) {
+	model := modelExperiments(nil)
+	listed := map[string]bool{}
+	for _, n := range experimentNames() {
+		listed[n] = true
+		_, isModel := model[n]
+		_, isNative := nativeExperiments[n]
+		if isModel == isNative {
+			t.Fatalf("experiment %q: model=%v native=%v, want exactly one", n, isModel, isNative)
+		}
+	}
+	for n := range nativeExperiments {
+		if !listed[n] {
+			t.Fatalf("native %q registered but missing from experimentNames()", n)
+		}
+	}
+	if _, ok := nativeExperiments["native-ledger"]; !ok {
+		t.Fatal("native-ledger is not a registered native cross-check")
 	}
 }
 

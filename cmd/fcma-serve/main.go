@@ -86,11 +86,12 @@ func main() {
 		logger.Warn("fault injection armed", "seed", *chaosSeed, "kill_chunks", *chaosKillChunks)
 	}
 
-	reg := obs.NewRegistry()
 	var tracer *trace.Tracer
 	if *traceOut != "" {
 		tracer = trace.New(0)
 	}
+	// The service records on the process registry, where the svm, blas and
+	// safe packages keep their health counters, so /metrics shows them too.
 	svc, err := serve.New(serve.Options{
 		Dir:         *dir,
 		QueueCap:    *queueCap,
@@ -102,7 +103,7 @@ func main() {
 		Workers:     *workers,
 		JobTimeout:  *jobTimeout,
 		JobRetries:  *jobRetries,
-		Obs:         reg,
+		Obs:         obs.Default(),
 		Trace:       tracer,
 		Chaos:       plan,
 		FS:          fsys,
@@ -112,8 +113,8 @@ func main() {
 
 	// One server carries both planes: the job API and the observability
 	// endpoints (readiness comes from the service, so /readyz flips the
-	// moment a drain starts). /metrics serves the service's merged view —
-	// registry plus queue gauges plus absorbed per-job pipeline metrics.
+	// moment a drain starts). /metrics serves the service's snapshot: the
+	// registry with the queue gauges refreshed per scrape.
 	mux := obs.NewMux(svc.MetricsSnapshot, svc.Readiness())
 	mux.Handle("/api/v1/", svc.Handler())
 	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}

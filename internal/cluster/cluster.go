@@ -787,9 +787,6 @@ type WorkerOptions struct {
 	// is right when the worker owns the process (cmd/fcma-cluster); give
 	// in-process workers distinct registries so their metrics stay apart.
 	Obs *obs.Registry
-	// DisableMetrics stops the worker from shipping TagMetrics snapshots
-	// (for masters that predate the tag).
-	DisableMetrics bool
 	// Trace, when non-nil, records this worker's side of the distributed
 	// timeline: a "worker/task" span per assignment, parented under the
 	// master's task span shipped inside the message, with every pipeline
@@ -852,9 +849,6 @@ func RunWorkerCtx(ctx context.Context, tr mpi.Transport, proc TaskProcessor, opt
 	// shipMetrics sends the registry's current snapshot to the master,
 	// best-effort: metrics must never take a healthy worker down.
 	shipMetrics := func() {
-		if opts.DisableMetrics {
-			return
-		}
 		snap := reg.Snapshot()
 		if body, err := encode(snap); err == nil {
 			_ = tr.Send(0, mpi.TagMetrics, body)

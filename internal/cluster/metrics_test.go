@@ -88,34 +88,3 @@ func TestClusterMetricsAggregation(t *testing.T) {
 		t.Errorf("cluster_voxels_scored_total = %d, want %d", got, st.N)
 	}
 }
-
-// TestWorkerMetricsDisabled checks DisableMetrics keeps the wire clean of
-// TagMetrics for masters that predate the tag.
-func TestWorkerMetricsDisabled(t *testing.T) {
-	st := testStack(t)
-	comm, err := mpi.NewLocalComm(2, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		w, err := core.NewWorker(core.Optimized(), st, nil)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if err := RunWorkerOpts(comm.Rank(1), w, WorkerOptions{Obs: obs.NewRegistry(), DisableMetrics: true}); err != nil {
-			t.Error(err)
-		}
-	}()
-	cm := &ClusterMetrics{}
-	if _, err := RunMasterOpts(comm.Rank(0), st.N, 8, MasterOptions{Obs: obs.NewRegistry(), Metrics: cm}); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	if got := cm.Workers(); len(got) != 0 {
-		t.Fatalf("expected no snapshots with DisableMetrics, got %d", len(got))
-	}
-}

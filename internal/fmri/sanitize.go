@@ -3,7 +3,6 @@ package fmri
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"fcma/internal/tensor"
 )
@@ -73,15 +72,6 @@ type SanitizeReport struct {
 // Clean reports whether the scan found no defects.
 func (r *SanitizeReport) Clean() bool {
 	return len(r.NonFinite) == 0 && len(r.ZeroVariance) == 0
-}
-
-// Defects returns every defective voxel (non-finite or zero-variance),
-// ascending, without duplicates.
-func (r *SanitizeReport) Defects() []int {
-	out := append([]int(nil), r.NonFinite...)
-	out = append(out, r.ZeroVariance...)
-	sort.Ints(out)
-	return out
 }
 
 func (r *SanitizeReport) summary() string {

@@ -12,12 +12,13 @@ var seededRandCtors = map[string]bool{
 	"New": true, "NewSource": true, "NewPCG": true, "NewZipf": true, "NewChaCha8": true,
 }
 
-// NoClock guards the simulator's trace determinism: internal/mic models
-// Xeon Phi timing from counted work, so the same inputs must produce the
-// same report bit-for-bit. Wall-clock reads (time.Now/Since/...) and the
-// globally seeded math/rand source would make simulated results vary
-// run-to-run; randomness must come from an explicitly seeded rand.Rand
-// and time must be simulated.
+// NoClock guards the simulator's trace determinism: internal/mic and the
+// access drivers under it (internal/mic/access) model Xeon Phi timing from
+// counted work, so the same inputs must produce the same report
+// bit-for-bit. Wall-clock reads (time.Now/Since/...) and the globally
+// seeded math/rand source would make simulated results vary run-to-run;
+// randomness must come from an explicitly seeded rand.Rand and time must
+// be simulated.
 var NoClock = &Analyzer{
 	Name: "noclock",
 	Doc:  "internal/mic must not read the wall clock or unseeded math/rand",

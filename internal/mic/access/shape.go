@@ -1,4 +1,4 @@
-// Package trace replays the memory-access and vector-instruction patterns
+// Package access replays the memory-access and vector-instruction patterns
 // of FCMA's kernel variants into a mic.Machine, regenerating the paper's
 // vTune-style instrumentation (Tables 1, 5–8) without the original
 // hardware. Drivers trace the stream one worker thread sees — FCMA's
@@ -7,10 +7,10 @@
 //
 // Tracing at the paper's full problem size would take tens of billions of
 // events, so drivers typically run on a scaled Shape and the harness
-// extrapolates counters by the work ratio (Extrapolate); miss *rates* are
+// extrapolates counters by the work ratio (RunScaled); miss *rates* are
 // preserved because the blocking sizes stay absolute while only the long
 // dimensions shrink.
-package trace
+package access
 
 import "fmt"
 
@@ -38,13 +38,13 @@ type Shape struct {
 func (s Shape) Validate() error {
 	switch {
 	case s.V <= 0 || s.T <= 0 || s.M <= 0 || s.N <= 0:
-		return fmt.Errorf("trace: non-positive dimensions in %+v", s)
+		return fmt.Errorf("access: non-positive dimensions in %+v", s)
 	case s.E <= 0 || s.M%s.E != 0:
-		return fmt.Errorf("trace: M=%d not divisible into E=%d epochs/subject", s.M, s.E)
+		return fmt.Errorf("access: M=%d not divisible into E=%d epochs/subject", s.M, s.E)
 	case s.TrainSamples <= 0 || s.TrainSamples > s.M:
-		return fmt.Errorf("trace: train samples %d of %d", s.TrainSamples, s.M)
+		return fmt.Errorf("access: train samples %d of %d", s.TrainSamples, s.M)
 	case s.Folds <= 0:
-		return fmt.Errorf("trace: folds %d", s.Folds)
+		return fmt.Errorf("access: folds %d", s.Folds)
 	}
 	return nil
 }
@@ -97,20 +97,9 @@ func (s Shape) NormWork() float64 {
 	return float64(s.V) * float64(s.M) * float64(s.N)
 }
 
-// SVMWork returns a work proxy for stage 3's SMO solve: folds × iterations
-// × gradient-update length, with iterations proportional to the training
-// set size.
-func (s Shape) SVMWork() float64 {
-	n := float64(s.TrainSamples)
-	return float64(s.V) * float64(s.Folds) * n * n
-}
-
 func maxInt(a, b int) int {
 	if a > b {
 		return a
 	}
 	return b
 }
-
-// ScaledSelf is Scaled as a method, for call sites holding a Shape value.
-func (s Shape) ScaledSelf(f float64) Shape { return Scaled(s, f) }

@@ -1,4 +1,4 @@
-package trace
+package access
 
 import "fcma/internal/mic"
 

@@ -6,9 +6,10 @@
 // GFLOPS estimates from an analytic in-order-core cost model.
 //
 // Kernels are not executed on the model; instead, trace drivers (package
-// trace) replay each kernel's memory access and vector instruction pattern
-// into a Machine, typically at a scaled-down problem size. The counters
-// then carry the same relative structure as the paper's Tables 1 and 5–8.
+// mic/access) replay each kernel's memory access and vector instruction
+// pattern into a Machine, typically at a scaled-down problem size. The
+// counters then carry the same relative structure as the paper's Tables 1
+// and 5–8.
 package mic
 
 // Config describes a machine's geometry and cost parameters.

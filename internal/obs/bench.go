@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 	"time"
@@ -87,24 +86,6 @@ func (s BenchSummary) WriteFile(dir string) (string, error) {
 		return "", err
 	}
 	return path, nil
-}
-
-// ReadBenchFile loads a BENCH_*.json summary previously written by
-// WriteFile/WritePath — the committed perf baseline the bench-smoke
-// regression gate compares fresh runs against.
-func ReadBenchFile(path string) (BenchSummary, error) {
-	var s BenchSummary
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return s, fmt.Errorf("obs: reading bench summary: %w", err)
-	}
-	if err := json.Unmarshal(b, &s); err != nil {
-		return s, fmt.Errorf("obs: decoding bench summary %s: %w", path, err)
-	}
-	if s.Name == "" {
-		return s, fmt.Errorf("obs: bench summary %s has no name", path)
-	}
-	return s, nil
 }
 
 // WritePath writes the summary as indented JSON to the given path. The

@@ -1,7 +1,5 @@
 package obs
 
-import "sort"
-
 // HistogramSnapshot is one histogram's state at snapshot time. Counts has
 // one entry per bound plus the overflow bucket; entries are per-bucket
 // (not cumulative).
@@ -111,15 +109,4 @@ func equalBounds(a, b []float64) bool {
 		}
 	}
 	return true
-}
-
-// CounterNames returns the snapshot's counter names, sorted (for
-// deterministic reports).
-func (s Snapshot) CounterNames() []string {
-	names := make([]string, 0, len(s.Counters))
-	for name := range s.Counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }

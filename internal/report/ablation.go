@@ -4,27 +4,26 @@ import (
 	"fmt"
 
 	"fcma/internal/mic"
-	"fcma/internal/perf"
-	"fcma/internal/trace"
+	"fcma/internal/mic/access"
 )
 
 // TableAblation sweeps the two blocking parameters DESIGN.md §5 calls out
 // over the machine model, locating the design points the paper chose:
 // the merged pipeline's column block (L2 capacity bound above, loop
 // overhead bound below) and the syrk staging block (the paper's 96).
-func (o *Runner) TableAblation() *perf.Table {
+func (o *Runner) TableAblation() *Table {
 	cfg := mic.XeonPhi5110P()
-	s := trace.FaceSceneTask()
-	t := &perf.Table{
+	s := access.FaceSceneTask()
+	t := &Table{
 		Title:   "Ablation (model): blocking parameter sweeps on the coprocessor",
 		Headers: []string{"parameter", "value", "time", "L2 miss", "note"},
 	}
 
-	work := func(sh trace.Shape) float64 { return sh.GemmWork() + sh.NormWork() }
+	work := func(sh access.Shape) float64 { return sh.GemmWork() + sh.NormWork() }
 	for _, cb := range []int{512, 1024, 4096, 16384, 65536} {
 		cb := cb
 		m := o.stage(cfg, fmt.Sprintf("ablate-merged-%d", cb), s, work,
-			func(mm *mic.Machine, sh trace.Shape) { trace.StagesMerged(mm, sh, cb) })
+			func(mm *mic.Machine, sh access.Shape) { access.StagesMerged(mm, sh, cb) })
 		note := ""
 		if cb == 4096 {
 			note = "<- paper design point (fits 512KB L2)"
@@ -33,14 +32,14 @@ func (o *Runner) TableAblation() *perf.Table {
 			note = "block exceeds L2"
 		}
 		t.AddRow("merged column block", fmt.Sprintf("%d", cb),
-			perf.Ms(m.EstimateTime()), perf.Millions(m.L2Misses), note)
+			Ms(m.EstimateTime()), Millions(m.L2Misses), note)
 	}
 
 	for _, bn := range []int{16, 48, 96, 384, 1536} {
 		bn := bn
-		m := o.stage(cfg, fmt.Sprintf("ablate-syrk-%d", bn), s, trace.Shape.SyrkWork,
-			func(mm *mic.Machine, sh trace.Shape) {
-				trace.SyrkTallSkinny(mm, sh.TrainSamples, sh.N, bn)
+		m := o.stage(cfg, fmt.Sprintf("ablate-syrk-%d", bn), s, access.Shape.SyrkWork,
+			func(mm *mic.Machine, sh access.Shape) {
+				access.SyrkTallSkinny(mm, sh.TrainSamples, sh.N, bn)
 				mm.Counters.Scale(float64(sh.V))
 			})
 		note := ""
@@ -48,7 +47,7 @@ func (o *Runner) TableAblation() *perf.Table {
 			note = "<- paper design point (6x the 16-lane VPU)"
 		}
 		t.AddRow("syrk staging block", fmt.Sprintf("%d", bn),
-			perf.Ms(m.EstimateTime()), perf.Millions(m.L2Misses), note)
+			Ms(m.EstimateTime()), Millions(m.L2Misses), note)
 	}
 	return t
 }

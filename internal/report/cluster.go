@@ -4,8 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"fcma/internal/perf"
-	"fcma/internal/trace"
+	"fcma/internal/mic/access"
 )
 
 // paperNodes are the node counts of Tables 3–4 and Fig. 8.
@@ -25,24 +24,24 @@ var paperTable4 = map[string][]float64{
 // of the offline analysis.
 func datasetShapes() []struct {
 	name  string
-	shape trace.Shape
+	shape access.Shape
 	folds int
 } {
 	return []struct {
 		name  string
-		shape trace.Shape
+		shape access.Shape
 		folds int
 	}{
-		{"face-scene", trace.FaceSceneTask(), 18},
-		{"attention", trace.AttentionTask(), 30},
+		{"face-scene", access.FaceSceneTask(), 18},
+		{"attention", access.AttentionTask(), 30},
 	}
 }
 
 // Table3 regenerates the offline analysis elapsed times as a function of
 // node count, using the per-task cost from the machine model and the
 // discrete-event scheduler.
-func (o *Runner) Table3() *perf.Table {
-	t := &perf.Table{
+func (o *Runner) Table3() *Table {
+	t := &Table{
 		Title:   "Table 3: offline analysis elapsed time (s) vs coprocessor count (model)",
 		Headers: append([]string{"dataset"}, nodeHeaders()...),
 	}
@@ -64,7 +63,7 @@ func (o *Runner) Table3() *perf.Table {
 
 // onlineShape shrinks a dataset task shape to the single-subject online
 // case: one subject's epochs, k-fold cross-validation.
-func onlineShape(s trace.Shape) trace.Shape {
+func onlineShape(s access.Shape) access.Shape {
 	s.M = s.E
 	s.TrainSamples = s.E - 2
 	s.Folds = min(6, s.E/2)
@@ -72,8 +71,8 @@ func onlineShape(s trace.Shape) trace.Shape {
 }
 
 // Table4 regenerates the online voxel-selection times vs node count.
-func (o *Runner) Table4() *perf.Table {
-	t := &perf.Table{
+func (o *Runner) Table4() *Table {
+	t := &Table{
 		Title:   "Table 4: online voxel selection elapsed time (s) vs coprocessor count (model)",
 		Headers: append([]string{"dataset"}, nodeHeaders()...),
 	}
@@ -97,9 +96,9 @@ func (o *Runner) Table4() *perf.Table {
 }
 
 // Fig8 regenerates the cluster speedup curves.
-func (o *Runner) Fig8() *perf.Table {
+func (o *Runner) Fig8() *Table {
 	paper := map[string]float64{"face-scene": 59.8, "attention": 73.5}
-	t := &perf.Table{
+	t := &Table{
 		Title:   "Figure 8: speedup vs coprocessor count (model)",
 		Headers: append([]string{"dataset"}, nodeHeaders()...),
 	}

@@ -5,8 +5,7 @@ import (
 	"time"
 
 	"fcma/internal/mic"
-	"fcma/internal/perf"
-	"fcma/internal/trace"
+	"fcma/internal/mic/access"
 )
 
 // fig9Shapes returns the per-dataset task shapes with the baseline's
@@ -15,19 +14,19 @@ import (
 // takes 240 by reducing to kernel matrices).
 func fig9Shapes() []struct {
 	name           string
-	baseShape      trace.Shape
-	optShape       trace.Shape
+	baseShape      access.Shape
+	optShape       access.Shape
 	paperSpeedup   float64
 	paperXeonSpeed float64
 } {
-	fs := trace.FaceSceneTask()
-	at := trace.AttentionTask()
+	fs := access.FaceSceneTask()
+	at := access.AttentionTask()
 	atBase := at
 	atBase.V = 60
 	return []struct {
 		name           string
-		baseShape      trace.Shape
-		optShape       trace.Shape
+		baseShape      access.Shape
+		optShape       access.Shape
 		paperSpeedup   float64
 		paperXeonSpeed float64
 	}{
@@ -44,7 +43,7 @@ func perVoxel(t time.Duration, voxels int) float64 {
 
 // speedupOn computes the optimized-over-baseline per-voxel speedup for one
 // dataset on one machine.
-func (o *Runner) speedupOn(cfg mic.Config, baseShape, optShape trace.Shape) (base, opt float64) {
+func (o *Runner) speedupOn(cfg mic.Config, baseShape, optShape access.Shape) (base, opt float64) {
 	pb := o.baselinePhases(cfg, baseShape)
 	po := o.optimizedPhases(cfg, optShape)
 	return perVoxel(pb.total(), baseShape.V), perVoxel(po.total(), optShape.V)
@@ -52,9 +51,9 @@ func (o *Runner) speedupOn(cfg mic.Config, baseShape, optShape trace.Shape) (bas
 
 // Fig9 regenerates the single-coprocessor improvement of the optimized
 // implementation over the baseline, per-voxel normalized.
-func (o *Runner) Fig9() *perf.Table {
+func (o *Runner) Fig9() *Table {
 	cfg := mic.XeonPhi5110P()
-	t := &perf.Table{
+	t := &Table{
 		Title:   "Figure 9: optimized vs baseline on one coprocessor (per-voxel normalized)",
 		Headers: []string{"dataset", "baseline", "optimized", "speedup", "paper"},
 	}
@@ -63,17 +62,17 @@ func (o *Runner) Fig9() *perf.Table {
 		t.AddRow(d.name,
 			fmt.Sprintf("%.1f ms/voxel", base*1e3),
 			fmt.Sprintf("%.1f ms/voxel", opt*1e3),
-			perf.Speedup(base/opt),
-			perf.Speedup(d.paperSpeedup))
+			Speedup(base/opt),
+			Speedup(d.paperSpeedup))
 	}
 	return t
 }
 
 // Fig10 regenerates the same comparison on the Xeon E5-2670 processor,
 // where the larger cache per thread and narrower vectors shrink the gap.
-func (o *Runner) Fig10() *perf.Table {
+func (o *Runner) Fig10() *Table {
 	cfg := mic.XeonE5_2670()
-	t := &perf.Table{
+	t := &Table{
 		Title:   "Figure 10: optimized vs baseline on the Xeon E5-2670 (per-voxel normalized)",
 		Headers: []string{"dataset", "baseline", "optimized", "speedup", "paper"},
 	}
@@ -82,25 +81,25 @@ func (o *Runner) Fig10() *perf.Table {
 		t.AddRow(d.name,
 			fmt.Sprintf("%.1f ms/voxel", base*1e3),
 			fmt.Sprintf("%.1f ms/voxel", opt*1e3),
-			perf.Speedup(base/opt),
-			perf.Speedup(d.paperXeonSpeed))
+			Speedup(base/opt),
+			Speedup(d.paperXeonSpeed))
 	}
 	return t
 }
 
 // Fig11 regenerates the processor-vs-coprocessor comparison: baseline and
 // optimized on both machines, normalized to the processor baseline.
-func (o *Runner) Fig11() *perf.Table {
+func (o *Runner) Fig11() *Table {
 	phi := mic.XeonPhi5110P()
 	xeon := mic.XeonE5_2670()
-	t := &perf.Table{
+	t := &Table{
 		Title:   "Figure 11: E5-2670 vs Phi 5110P, baseline and optimized (relative to E5 baseline)",
 		Headers: []string{"dataset", "E5 baseline", "E5 optimized", "Phi baseline", "Phi optimized"},
 	}
 	for _, d := range fig9Shapes() {
 		xb, xo := o.speedupOn(xeon, d.baseShape, d.optShape)
 		pb, po := o.speedupOn(phi, d.baseShape, d.optShape)
-		norm := func(v float64) string { return perf.Speedup(xb / v) }
+		norm := func(v float64) string { return Speedup(xb / v) }
 		t.AddRow(d.name, norm(xb), norm(xo), norm(pb), norm(po))
 	}
 	return t

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"fcma/internal/mic"
-	"fcma/internal/perf"
 )
 
 // TableKNL is an extension experiment beyond the paper: §7 expects the
@@ -12,9 +11,9 @@ import (
 // Landing) "with moderate effort". This table projects the optimized and
 // baseline single-task times onto the KNL machine model next to the 5110P
 // (KNC) and the E5-2670, per dataset.
-func (o *Runner) TableKNL() *perf.Table {
+func (o *Runner) TableKNL() *Table {
 	machines := []mic.Config{mic.XeonE5_2670(), mic.XeonPhi5110P(), mic.XeonPhiKNL()}
-	t := &perf.Table{
+	t := &Table{
 		Title:   "Extension: projected per-voxel task times on the next-generation Xeon Phi (KNL, paper §7)",
 		Headers: []string{"dataset", "machine", "baseline", "optimized", "speedup"},
 	}
@@ -24,7 +23,7 @@ func (o *Runner) TableKNL() *perf.Table {
 			t.AddRow(d.name, cfg.Name,
 				fmt.Sprintf("%.1f ms/voxel", base*1e3),
 				fmt.Sprintf("%.1f ms/voxel", opt*1e3),
-				perf.Speedup(base/opt))
+				Speedup(base/opt))
 		}
 	}
 	return t

@@ -3,8 +3,7 @@ package report
 import (
 	"fmt"
 
-	"fcma/internal/perf"
-	"fcma/internal/trace"
+	"fcma/internal/mic/access"
 )
 
 // coprocessorAppBytes is the 5110P memory available to applications
@@ -17,18 +16,18 @@ const coprocessorAppBytes = 6 << 30
 // coprocessor — starving the 240-thread SVM stage — while the optimized
 // implementation reduces each voxel to an M×M kernel matrix and fits
 // hundreds.
-func (o *Runner) TableMemory() *perf.Table {
-	t := &perf.Table{
+func (o *Runner) TableMemory() *Table {
+	t := &Table{
 		Title:   "Memory capacity on the 6GB coprocessor (the §3.3.3 constraint)",
 		Headers: []string{"dataset", "per-voxel corr data", "baseline voxels", "per-voxel kernel", "optimized voxels", "paper"},
 	}
 	rows := []struct {
 		name  string
-		shape trace.Shape
+		shape access.Shape
 		paper string
 	}{
-		{"face-scene", trace.FaceSceneTask(), "120 baseline / 240+ optimized"},
-		{"attention", trace.AttentionTask(), "60 baseline / 240+ optimized"},
+		{"face-scene", access.FaceSceneTask(), "120 baseline / 240+ optimized"},
+		{"attention", access.AttentionTask(), "60 baseline / 240+ optimized"},
 	}
 	for _, r := range rows {
 		corrBytes := int64(r.shape.M) * int64(r.shape.N) * 4
@@ -42,9 +41,9 @@ func (o *Runner) TableMemory() *perf.Table {
 		brainBytes := int64(r.shape.N) * int64(r.shape.M) * int64(r.shape.T) / int64(r.shape.M) * 4 // N×T per epoch set, negligible
 		optimizedVoxels := (coprocessorAppBytes - brainBytes) / (kernelBytes + corrBytes/int64(r.shape.M))
 		t.AddRow(r.name,
-			perf.Bytes(corrBytes),
+			Bytes(corrBytes),
 			fmt.Sprintf("%d", baselineVoxels),
-			perf.Bytes(kernelBytes),
+			Bytes(kernelBytes),
 			fmt.Sprintf("%d+", min(int(optimizedVoxels), 100000)),
 			r.paper)
 	}

@@ -10,7 +10,6 @@ import (
 	"fcma/internal/corr"
 	"fcma/internal/fmri"
 	"fcma/internal/mpi"
-	"fcma/internal/perf"
 	"fcma/internal/safe"
 )
 
@@ -47,63 +46,66 @@ func (n NativeOptions) taskSize() int {
 	return n.TaskSize
 }
 
+// nativeStack generates a scaled dataset and builds its epoch stack.
+func nativeStack(spec fmri.Spec) (*corr.EpochStack, error) {
+	d, err := fmri.Generate(spec)
+	if err != nil {
+		return nil, err
+	}
+	return corr.BuildEpochStack(d, 0)
+}
+
+// runTask runs one task on a fresh worker and returns its wall time.
+func runTask(cfg core.Config, stack *corr.EpochStack, task core.Task) (time.Duration, error) {
+	w, err := core.NewWorker(cfg, stack, nil)
+	if err != nil {
+		return 0, err
+	}
+	start := time.Now()
+	if _, err := w.Process(task); err != nil {
+		return 0, err
+	}
+	return time.Since(start), nil
+}
+
 // NativeSpeedup measures the real optimized-vs-baseline pipeline speedup
 // on scaled face-scene and attention shaped datasets — the native
 // counterpart of Fig. 9, run on the host CPU.
-func NativeSpeedup(opt NativeOptions) (*perf.Table, error) {
-	t := &perf.Table{
+func NativeSpeedup(opt NativeOptions) (*Table, error) {
+	t := &Table{
 		Title:   fmt.Sprintf("Native Fig. 9 cross-check (host CPU, scale=%.3f)", opt.scale()),
 		Headers: []string{"dataset", "baseline", "optimized", "speedup", "paper (coprocessor)"},
 	}
 	paper := map[string]float64{"face-scene": 5.24, "attention": 16.39}
 	for _, spec := range []fmri.Spec{fmri.FaceSceneSpec(opt.scale()), fmri.AttentionSpec(opt.scale())} {
-		d, err := fmri.Generate(spec)
+		stack, err := nativeStack(spec)
 		if err != nil {
 			return nil, err
 		}
-		stack, err := corr.BuildEpochStack(d, 0)
+		task := core.Task{V0: 0, V: min(120, stack.N)}
+		tb, err := runTask(core.Baseline(), stack, task)
 		if err != nil {
 			return nil, err
 		}
-		task := core.Task{V0: 0, V: min(120, d.Voxels())}
-		timeOf := func(cfg core.Config) (time.Duration, error) {
-			w, err := core.NewWorker(cfg, stack, nil)
-			if err != nil {
-				return 0, err
-			}
-			start := time.Now()
-			if _, err := w.Process(task); err != nil {
-				return 0, err
-			}
-			return time.Since(start), nil
-		}
-		tb, err := timeOf(core.Baseline())
+		to, err := runTask(core.Optimized(), stack, task)
 		if err != nil {
 			return nil, err
 		}
-		to, err := timeOf(core.Optimized())
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(spec.Name, perf.Ms(tb), perf.Ms(to),
-			perf.Speedup(float64(tb)/float64(to)),
-			perf.Speedup(paper[spec.Name]))
+		t.AddRow(spec.Name, Ms(tb), Ms(to),
+			Speedup(float64(tb)/float64(to)),
+			Speedup(paper[spec.Name]))
 	}
 	return t, nil
 }
 
 // NativeScaling measures real master–worker scaling with in-process
 // workers — the native counterpart of Fig. 8 at host scale.
-func NativeScaling(opt NativeOptions) (*perf.Table, error) {
-	d, err := fmri.Generate(fmri.FaceSceneSpec(opt.scale()))
+func NativeScaling(opt NativeOptions) (*Table, error) {
+	stack, err := nativeStack(fmri.FaceSceneSpec(opt.scale()))
 	if err != nil {
 		return nil, err
 	}
-	stack, err := corr.BuildEpochStack(d, 0)
-	if err != nil {
-		return nil, err
-	}
-	t := &perf.Table{
+	t := &Table{
 		Title:   fmt.Sprintf("Native Fig. 8 cross-check: in-process cluster scaling (face-scene shaped, scale=%.3f)", opt.scale()),
 		Headers: []string{"workers", "elapsed", "speedup"},
 	}
@@ -116,7 +118,7 @@ func NativeScaling(opt NativeOptions) (*perf.Table, error) {
 		if t1 == 0 {
 			t1 = elapsed
 		}
-		t.AddRow(fmt.Sprintf("%d", n), perf.Ms(elapsed), perf.Speedup(float64(t1)/float64(elapsed)))
+		t.AddRow(fmt.Sprintf("%d", n), Ms(elapsed), Speedup(float64(t1)/float64(elapsed)))
 	}
 	return t, nil
 }

@@ -14,8 +14,8 @@ import (
 
 	"fcma/internal/cluster"
 	"fcma/internal/mic"
+	"fcma/internal/mic/access"
 	"fcma/internal/obs"
-	"fcma/internal/trace"
 )
 
 // Options configures the reproduction runs.
@@ -79,10 +79,10 @@ func (o *Runner) cached(key string, fn func() *mic.Machine) *mic.Machine {
 
 // stage runs one trace driver at the configured scale and extrapolates to
 // the full shape, memoized by (machine, stage name, shape).
-func (o *Runner) stage(cfg mic.Config, name string, full trace.Shape, work func(trace.Shape) float64, driver func(*mic.Machine, trace.Shape)) *mic.Machine {
+func (o *Runner) stage(cfg mic.Config, name string, full access.Shape, work func(access.Shape) float64, driver func(*mic.Machine, access.Shape)) *mic.Machine {
 	key := fmt.Sprintf("%s|%s|%+v", cfg.Name, name, full)
 	return o.cached(key, func() *mic.Machine {
-		m := trace.RunScaled(cfg, full, o.opt.scale(), work, driver)
+		m := access.RunScaled(cfg, full, o.opt.scale(), work, driver)
 		m.ExportObs(obs.Default(), cfg.Name+"_"+name)
 		return m
 	})
@@ -94,16 +94,16 @@ const tracedFolds = 3
 
 // svmStage runs one SMO trace with reduced voxels/folds and extrapolates,
 // memoized.
-func (o *Runner) svmStage(cfg mic.Config, name string, full trace.Shape, activeVoxels int, driver func(*mic.Machine, trace.Shape, trace.SVMOptions)) *mic.Machine {
+func (o *Runner) svmStage(cfg mic.Config, name string, full access.Shape, activeVoxels int, driver func(*mic.Machine, access.Shape, access.SVMOptions)) *mic.Machine {
 	key := fmt.Sprintf("%s|svm-%s|%+v|%d", cfg.Name, name, full, activeVoxels)
 	return o.cached(key, func() *mic.Machine {
-		traced := trace.Scaled(full, o.opt.scale())
+		traced := access.Scaled(full, o.opt.scale())
 		folds := traced.Folds
 		if folds > tracedFolds {
 			folds = tracedFolds
 		}
 		traced.Folds = folds
-		opts := trace.SVMOptions{
+		opts := access.SVMOptions{
 			IterFactor:   o.opt.IterFactor,
 			Voxels:       1,
 			ActiveVoxels: activeVoxels,
@@ -132,46 +132,46 @@ func (p phases) total() time.Duration {
 // cfg. V voxels are processed per task (memory limits: 120 on face-scene,
 // 60 on attention, §5.4.1), with one starved thread per voxel in the SVM
 // stage.
-func (o *Runner) baselinePhases(cfg mic.Config, s trace.Shape) phases {
+func (o *Runner) baselinePhases(cfg mic.Config, s access.Shape) phases {
 	return phases{
-		gemm: o.stage(cfg, "gemm-baseline", s, trace.Shape.GemmWork, trace.GemmBaseline),
-		syrk: o.stage(cfg, "syrk-baseline", s, trace.Shape.SyrkWork, func(m *mic.Machine, sh trace.Shape) {
-			trace.SyrkBaseline(m, sh.TrainSamples, sh.N)
+		gemm: o.stage(cfg, "gemm-baseline", s, access.Shape.GemmWork, access.GemmBaseline),
+		syrk: o.stage(cfg, "syrk-baseline", s, access.Shape.SyrkWork, func(m *mic.Machine, sh access.Shape) {
+			access.SyrkBaseline(m, sh.TrainSamples, sh.N)
 			m.Counters.Scale(float64(sh.V))
 		}),
-		norm: o.stage(cfg, "norm-baseline", s, trace.Shape.NormWork, trace.NormalizeBaseline),
-		svm:  o.svmStage(cfg, "libsvm", s, s.V, trace.SVMLibSVM),
+		norm: o.stage(cfg, "norm-baseline", s, access.Shape.NormWork, access.NormalizeBaseline),
+		svm:  o.svmStage(cfg, "libsvm", s, s.V, access.SVMLibSVM),
 	}
 }
 
 // optimizedPhases traces the optimized implementation: merged stage 1+2,
 // tall-skinny syrk, PhiSVM with ≥240 accumulated voxels.
-func (o *Runner) optimizedPhases(cfg mic.Config, s trace.Shape) phases {
+func (o *Runner) optimizedPhases(cfg mic.Config, s access.Shape) phases {
 	return phases{
-		gemm: o.stage(cfg, "stages-merged", s, func(sh trace.Shape) float64 {
+		gemm: o.stage(cfg, "stages-merged", s, func(sh access.Shape) float64 {
 			return sh.GemmWork() + sh.NormWork()
-		}, func(m *mic.Machine, sh trace.Shape) {
-			trace.StagesMerged(m, sh, 4096)
+		}, func(m *mic.Machine, sh access.Shape) {
+			access.StagesMerged(m, sh, 4096)
 		}),
-		syrk: o.stage(cfg, "syrk-tallskinny", s, trace.Shape.SyrkWork, func(m *mic.Machine, sh trace.Shape) {
-			trace.SyrkTallSkinny(m, sh.TrainSamples, sh.N, 96)
+		syrk: o.stage(cfg, "syrk-tallskinny", s, access.Shape.SyrkWork, func(m *mic.Machine, sh access.Shape) {
+			access.SyrkTallSkinny(m, sh.TrainSamples, sh.N, 96)
 			m.Counters.Scale(float64(sh.V))
 		}),
 		norm: mic.NewMachine(cfg), // fused into gemm
-		svm:  o.svmStage(cfg, "phisvm", s, maxInt(240, s.V), trace.SVMPhi),
+		svm:  o.svmStage(cfg, "phisvm", s, maxInt(240, s.V), access.SVMPhi),
 	}
 }
 
 // taskCost estimates the optimized per-task wall time on the coprocessor
 // for the given task shape — the unit cost fed to the cluster scheduler
 // model.
-func (o *Runner) taskCost(s trace.Shape) time.Duration {
+func (o *Runner) taskCost(s access.Shape) time.Duration {
 	return o.optimizedPhases(mic.XeonPhi5110P(), s).total()
 }
 
 // scheduleFor builds the discrete-event model for an offline analysis over
 // the dataset shape: tasks per fold × folds, with the paper's setup costs.
-func (o *Runner) scheduleFor(s trace.Shape, folds int) cluster.ScheduleModel {
+func (o *Runner) scheduleFor(s access.Shape, folds int) cluster.ScheduleModel {
 	tasksPerFold := (s.N + s.V - 1) / s.V
 	cost := o.taskCost(s)
 	return cluster.ScheduleModel{

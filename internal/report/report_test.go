@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"fcma/internal/mic"
-	"fcma/internal/trace"
+	"fcma/internal/mic/access"
 )
 
 // runner is shared across tests: the memo cache makes the suite cheap.
@@ -234,7 +234,7 @@ func TestFig11OptimizedPhiWins(t *testing.T) {
 }
 
 func TestOnlineShape(t *testing.T) {
-	s := onlineShape(trace.FaceSceneTask())
+	s := onlineShape(access.FaceSceneTask())
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestOnlineShape(t *testing.T) {
 }
 
 func TestTaskCostPositive(t *testing.T) {
-	c := runner.taskCost(trace.FaceSceneTask())
+	c := runner.taskCost(access.FaceSceneTask())
 	if c <= 0 || c > time.Minute {
 		t.Fatalf("task cost %v implausible", c)
 	}
@@ -301,6 +301,45 @@ func TestNativeScaling(t *testing.T) {
 		// Single-core host: demand only that the protocol adds no gross
 		// overhead.
 		t.Fatalf("4-worker run regressed to %vx on a single-core host", last)
+	}
+}
+
+// The model-vs-measured ledger (run inside fcma-serve after every job until
+// PR 19): per dataset shape, the optimized engine's merged and syrk stages
+// and the baseline's correlate and normalize stages, each with a model
+// prediction, a host measurement and their ratio.
+func TestNativeLedger(t *testing.T) {
+	if testing.Short() {
+		t.Skip("native run is slow")
+	}
+	tb, err := NativeLedger(NativeOptions{Scale: 0.01})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want [][]string
+	for _, dataset := range []string{"face-scene", "attention"} {
+		want = append(want,
+			[]string{dataset, "optimized", "merged"}, []string{dataset, "optimized", "syrk"},
+			[]string{dataset, "baseline", "correlate"}, []string{dataset, "baseline", "normalize"})
+	}
+	if len(tb.Rows) != len(want) {
+		t.Fatalf("rows = %d, want %d:\n%s", len(tb.Rows), len(want), tb.Render())
+	}
+	for i, row := range tb.Rows {
+		if got := strings.Join(row[:3], "/"); got != strings.Join(want[i], "/") {
+			t.Errorf("row %d is %s, want %s", i, got, strings.Join(want[i], "/"))
+		}
+		predicted, err := time.ParseDuration(row[3])
+		if err != nil || predicted <= 0 {
+			t.Errorf("%v: predicted %q (%v), want a positive duration", row[:3], row[3], err)
+		}
+		measured, err := time.ParseDuration(row[4])
+		if err != nil || measured <= 0 {
+			t.Errorf("%v: measured %q (%v), want a positive duration", row[:3], row[4], err)
+		}
+		if drift := Speedup(float64(measured) / float64(predicted)); row[5] != drift {
+			t.Errorf("%v: drift %s, want measured/predicted = %s", row[:3], row[5], drift)
+		}
 	}
 }
 
@@ -373,7 +412,7 @@ func TestMemoryTable(t *testing.T) {
 func TestMemoryTableMatchesPaperScale(t *testing.T) {
 	// Paper §3.3.3: 240 face-scene voxels' correlation vectors ≈ 8.3GB →
 	// ~34.6MB per voxel (with overhead); the raw M×N×4 is 29.8MB.
-	s := trace.FaceSceneTask()
+	s := access.FaceSceneTask()
 	perVoxel := int64(s.M) * int64(s.N) * 4
 	if perVoxel < 29_000_000 || perVoxel > 31_000_000 {
 		t.Fatalf("per-voxel correlation data = %d", perVoxel)

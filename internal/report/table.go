@@ -1,6 +1,4 @@
-// Package perf formats the reproduction harness's tables and series in the
-// layout the paper reports them.
-package perf
+package report
 
 import (
 	"fmt"
@@ -84,19 +82,6 @@ func Millions(v uint64) string {
 // Ms formats a duration in integer milliseconds.
 func Ms(d time.Duration) string {
 	return fmt.Sprintf("%d ms", d.Milliseconds())
-}
-
-// Seconds formats a duration in seconds with sensible precision.
-func Seconds(d time.Duration) string {
-	s := d.Seconds()
-	switch {
-	case s >= 100:
-		return fmt.Sprintf("%.0f s", s)
-	case s >= 1:
-		return fmt.Sprintf("%.1f s", s)
-	default:
-		return fmt.Sprintf("%.2f s", s)
-	}
 }
 
 // Speedup formats a ratio as "N.NNx".

@@ -1,4 +1,4 @@
-package perf
+package report
 
 import (
 	"strings"
@@ -79,13 +79,10 @@ func TestTableRenderRaggedRow(t *testing.T) {
 
 func TestFormatters(t *testing.T) {
 	cases := map[string]string{
-		Billions(34900000000):           "34.90 billion",
-		Millions(708900000):             "708.9 million",
-		Ms(1830 * time.Millisecond):     "1830 ms",
-		Seconds(85 * time.Second):       "85.0 s",
-		Seconds(741 * time.Second):      "741 s",
-		Seconds(300 * time.Millisecond): "0.30 s",
-		Speedup(5.24):                   "5.24x",
+		Billions(34900000000):       "34.90 billion",
+		Millions(708900000):         "708.9 million",
+		Ms(1830 * time.Millisecond): "1830 ms",
+		Speedup(5.24):               "5.24x",
 	}
 	for got, want := range cases {
 		if got != want {

@@ -5,17 +5,16 @@ import (
 
 	"fcma/internal/fmri"
 	"fcma/internal/mic"
-	"fcma/internal/perf"
-	"fcma/internal/trace"
+	"fcma/internal/mic/access"
 )
 
 // Table1 regenerates the baseline instrumentation (paper Table 1): time,
 // memory references, L2 misses and vector intensity of the baseline's
 // matrix multiplication (MKL gemm+syrk), normalization and LibSVM stages
 // on the coprocessor, for the 120-voxel face-scene task.
-func (o *Runner) Table1() *perf.Table {
+func (o *Runner) Table1() *Table {
 	cfg := mic.XeonPhi5110P()
-	s := trace.FaceSceneTask()
+	s := access.FaceSceneTask()
 	p := o.baselinePhases(cfg, s)
 
 	matmul := p.gemm.Counters
@@ -23,25 +22,25 @@ func (o *Runner) Table1() *perf.Table {
 	matmulTime := p.gemm.EstimateTime() + p.syrk.EstimateTime()
 	matmulVI := matmul.VectorIntensity()
 
-	t := &perf.Table{
+	t := &Table{
 		Title:   "Table 1: instrumentation of the baseline implementation (face-scene, 120-voxel task)",
 		Headers: []string{"stage", "time", "#mem refs", "L2 miss", "vec intensity", "paper (time/refs/L2/VI)"},
 	}
-	t.AddRow("matrix multiplication", perf.Ms(matmulTime), perf.Billions(matmul.MemRefs),
-		perf.Millions(matmul.L2Misses), fmt.Sprintf("%.1f", matmulVI),
+	t.AddRow("matrix multiplication", Ms(matmulTime), Billions(matmul.MemRefs),
+		Millions(matmul.L2Misses), fmt.Sprintf("%.1f", matmulVI),
 		"1830 ms / 34.9e9 / 709e6 / 3.6")
-	t.AddRow("normalization", perf.Ms(p.norm.EstimateTime()), perf.Billions(p.norm.MemRefs),
-		perf.Millions(p.norm.L2Misses), fmt.Sprintf("%.1f", p.norm.VectorIntensity()),
+	t.AddRow("normalization", Ms(p.norm.EstimateTime()), Billions(p.norm.MemRefs),
+		Millions(p.norm.L2Misses), fmt.Sprintf("%.1f", p.norm.VectorIntensity()),
 		"766 ms / 6.2e9 / 179e6 / 8.5")
-	t.AddRow("LibSVM", perf.Ms(p.svm.EstimateTime()), perf.Billions(p.svm.MemRefs),
-		perf.Millions(p.svm.L2Misses), fmt.Sprintf("%.1f", p.svm.VectorIntensity()),
+	t.AddRow("LibSVM", Ms(p.svm.EstimateTime()), Billions(p.svm.MemRefs),
+		Millions(p.svm.L2Misses), fmt.Sprintf("%.1f", p.svm.VectorIntensity()),
 		"3600 ms / 23.0e9 / 7e6 / 1.9")
 	return t
 }
 
 // Table2 reproduces the dataset specification table.
-func (o *Runner) Table2() *perf.Table {
-	t := &perf.Table{
+func (o *Runner) Table2() *Table {
+	t := &Table{
 		Title:   "Table 2: datasets (synthetic, paper-shaped; see DESIGN.md §2)",
 		Headers: []string{"dataset", "voxels", "subjects", "epochs", "epoch length"},
 	}
@@ -57,108 +56,108 @@ func (o *Runner) Table2() *perf.Table {
 
 // Table5 regenerates the matrix-multiplication GFLOPS comparison: our
 // blocking vs the MKL stand-in, in the correlation and SVM-kernel stages.
-func (o *Runner) Table5() *perf.Table {
+func (o *Runner) Table5() *Table {
 	cfg := mic.XeonPhi5110P()
-	s := trace.FaceSceneTask()
+	s := access.FaceSceneTask()
 
-	corrOpt := o.stage(cfg, "gemm-tallskinny", s, trace.Shape.GemmWork, func(m *mic.Machine, sh trace.Shape) {
-		trace.GemmTallSkinny(m, sh, 4096)
+	corrOpt := o.stage(cfg, "gemm-tallskinny", s, access.Shape.GemmWork, func(m *mic.Machine, sh access.Shape) {
+		access.GemmTallSkinny(m, sh, 4096)
 	})
-	corrMKL := o.stage(cfg, "gemm-baseline", s, trace.Shape.GemmWork, trace.GemmBaseline)
-	syrkOpt := o.stage(cfg, "syrk-tallskinny", s, trace.Shape.SyrkWork, func(m *mic.Machine, sh trace.Shape) {
-		trace.SyrkTallSkinny(m, sh.TrainSamples, sh.N, 96)
+	corrMKL := o.stage(cfg, "gemm-baseline", s, access.Shape.GemmWork, access.GemmBaseline)
+	syrkOpt := o.stage(cfg, "syrk-tallskinny", s, access.Shape.SyrkWork, func(m *mic.Machine, sh access.Shape) {
+		access.SyrkTallSkinny(m, sh.TrainSamples, sh.N, 96)
 		m.Counters.Scale(float64(sh.V))
 	})
-	syrkMKL := o.stage(cfg, "syrk-baseline", s, trace.Shape.SyrkWork, func(m *mic.Machine, sh trace.Shape) {
-		trace.SyrkBaseline(m, sh.TrainSamples, sh.N)
+	syrkMKL := o.stage(cfg, "syrk-baseline", s, access.Shape.SyrkWork, func(m *mic.Machine, sh access.Shape) {
+		access.SyrkBaseline(m, sh.TrainSamples, sh.N)
 		m.Counters.Scale(float64(sh.V))
 	})
 
-	t := &perf.Table{
+	t := &Table{
 		Title:   "Table 5: matrix multiplication performance (face-scene task)",
 		Headers: []string{"impl", "function", "time", "GFLOPS", "paper (time/GFLOPS)"},
 	}
-	t.AddRow("our blocking", "correlation computation", perf.Ms(corrOpt.EstimateTime()),
+	t.AddRow("our blocking", "correlation computation", Ms(corrOpt.EstimateTime()),
 		fmt.Sprintf("%.0f", corrOpt.GFLOPS()), "170 ms / 126")
-	t.AddRow("our blocking", "SVM kernel computation", perf.Ms(syrkOpt.EstimateTime()),
+	t.AddRow("our blocking", "SVM kernel computation", Ms(syrkOpt.EstimateTime()),
 		fmt.Sprintf("%.0f", syrkOpt.GFLOPS()), "400 ms / 430")
-	t.AddRow("MKL baseline", "correlation computation", perf.Ms(corrMKL.EstimateTime()),
+	t.AddRow("MKL baseline", "correlation computation", Ms(corrMKL.EstimateTime()),
 		fmt.Sprintf("%.0f", corrMKL.GFLOPS()), "230 ms / 93")
-	t.AddRow("MKL baseline", "SVM kernel computation", perf.Ms(syrkMKL.EstimateTime()),
+	t.AddRow("MKL baseline", "SVM kernel computation", Ms(syrkMKL.EstimateTime()),
 		fmt.Sprintf("%.0f", syrkMKL.GFLOPS()), "1600 ms / 108")
 	return t
 }
 
 // Table6 regenerates the memory/vectorization comparison of the matrix
 // multiplication routines (both stages combined).
-func (o *Runner) Table6() *perf.Table {
+func (o *Runner) Table6() *Table {
 	cfg := mic.XeonPhi5110P()
-	s := trace.FaceSceneTask()
+	s := access.FaceSceneTask()
 
-	collect := func(name string, gemm func(*mic.Machine, trace.Shape), syrk func(*mic.Machine, trace.Shape)) mic.Counters {
-		g := o.stage(cfg, "gemm-"+name, s, trace.Shape.GemmWork, gemm)
-		sy := o.stage(cfg, "syrk-"+name, s, trace.Shape.SyrkWork, syrk)
+	collect := func(name string, gemm func(*mic.Machine, access.Shape), syrk func(*mic.Machine, access.Shape)) mic.Counters {
+		g := o.stage(cfg, "gemm-"+name, s, access.Shape.GemmWork, gemm)
+		sy := o.stage(cfg, "syrk-"+name, s, access.Shape.SyrkWork, syrk)
 		c := g.Counters
 		c.Add(sy.Counters)
 		return c
 	}
 	opt := collect("tallskinny",
-		func(m *mic.Machine, sh trace.Shape) { trace.GemmTallSkinny(m, sh, 4096) },
-		func(m *mic.Machine, sh trace.Shape) {
-			trace.SyrkTallSkinny(m, sh.TrainSamples, sh.N, 96)
+		func(m *mic.Machine, sh access.Shape) { access.GemmTallSkinny(m, sh, 4096) },
+		func(m *mic.Machine, sh access.Shape) {
+			access.SyrkTallSkinny(m, sh.TrainSamples, sh.N, 96)
 			m.Counters.Scale(float64(sh.V))
 		})
 	mkl := collect("baseline",
-		trace.GemmBaseline,
-		func(m *mic.Machine, sh trace.Shape) {
-			trace.SyrkBaseline(m, sh.TrainSamples, sh.N)
+		access.GemmBaseline,
+		func(m *mic.Machine, sh access.Shape) {
+			access.SyrkBaseline(m, sh.TrainSamples, sh.N)
 			m.Counters.Scale(float64(sh.V))
 		})
 
-	t := &perf.Table{
+	t := &Table{
 		Title:   "Table 6: memory references, L2 misses, vector intensity of the matmul routines",
 		Headers: []string{"impl", "#mem refs", "L2 miss", "vec intensity", "paper (refs/L2/VI)"},
 	}
-	t.AddRow("our blocking", perf.Billions(opt.MemRefs), perf.Millions(opt.L2Misses),
+	t.AddRow("our blocking", Billions(opt.MemRefs), Millions(opt.L2Misses),
 		fmt.Sprintf("%.1f", opt.VectorIntensity()), "9.97e9 / 121.8e6 / 16")
-	t.AddRow("MKL baseline", perf.Billions(mkl.MemRefs), perf.Millions(mkl.L2Misses),
+	t.AddRow("MKL baseline", Billions(mkl.MemRefs), Millions(mkl.L2Misses),
 		fmt.Sprintf("%.1f", mkl.VectorIntensity()), "34.86e9 / 708.9e6 / 3.6")
 	return t
 }
 
 // Table7 regenerates the merged-vs-separated pipeline-stage comparison.
-func (o *Runner) Table7() *perf.Table {
+func (o *Runner) Table7() *Table {
 	cfg := mic.XeonPhi5110P()
-	s := trace.FaceSceneTask()
-	work := func(sh trace.Shape) float64 { return sh.GemmWork() + sh.NormWork() }
-	sep := o.stage(cfg, "stages-separated", s, work, func(m *mic.Machine, sh trace.Shape) { trace.StagesSeparated(m, sh, 4096) })
-	mer := o.stage(cfg, "stages-merged-t7", s, work, func(m *mic.Machine, sh trace.Shape) { trace.StagesMerged(m, sh, 4096) })
+	s := access.FaceSceneTask()
+	work := func(sh access.Shape) float64 { return sh.GemmWork() + sh.NormWork() }
+	sep := o.stage(cfg, "stages-separated", s, work, func(m *mic.Machine, sh access.Shape) { access.StagesSeparated(m, sh, 4096) })
+	mer := o.stage(cfg, "stages-merged-t7", s, work, func(m *mic.Machine, sh access.Shape) { access.StagesMerged(m, sh, 4096) })
 
-	t := &perf.Table{
+	t := &Table{
 		Title:   "Table 7: retaining L2 cache contents across stages 1+2 (merged vs separated)",
 		Headers: []string{"method", "time", "#mem refs", "L2 miss", "paper (time/refs/L2)"},
 	}
-	t.AddRow("merged", perf.Ms(mer.EstimateTime()), perf.Billions(mer.MemRefs),
-		perf.Millions(mer.L2Misses), "320 ms / 1.93e9 / 67.5e6")
-	t.AddRow("separated", perf.Ms(sep.EstimateTime()), perf.Billions(sep.MemRefs),
-		perf.Millions(sep.L2Misses), "420 ms / 4.35e9 / 188.1e6")
+	t.AddRow("merged", Ms(mer.EstimateTime()), Billions(mer.MemRefs),
+		Millions(mer.L2Misses), "320 ms / 1.93e9 / 67.5e6")
+	t.AddRow("separated", Ms(sep.EstimateTime()), Billions(sep.MemRefs),
+		Millions(sep.L2Misses), "420 ms / 4.35e9 / 188.1e6")
 	return t
 }
 
 // Table8 regenerates the SVM cross-validation comparison.
-func (o *Runner) Table8() *perf.Table {
+func (o *Runner) Table8() *Table {
 	cfg := mic.XeonPhi5110P()
-	s := trace.FaceSceneTask()
-	lib := o.svmStage(cfg, "libsvm-t8", s, s.V, trace.SVMLibSVM)
-	olib := o.svmStage(cfg, "optlibsvm-t8", s, s.V, trace.SVMOptimized)
-	phi := o.svmStage(cfg, "phisvm-t8", s, s.V, trace.SVMPhi)
+	s := access.FaceSceneTask()
+	lib := o.svmStage(cfg, "libsvm-t8", s, s.V, access.SVMLibSVM)
+	olib := o.svmStage(cfg, "optlibsvm-t8", s, s.V, access.SVMOptimized)
+	phi := o.svmStage(cfg, "phisvm-t8", s, s.V, access.SVMPhi)
 
-	t := &perf.Table{
+	t := &Table{
 		Title:   "Table 8: SVM cross-validation performance (face-scene task)",
 		Headers: []string{"solver", "time", "vec intensity", "paper (time/VI)"},
 	}
-	t.AddRow("LibSVM", perf.Ms(lib.EstimateTime()), fmt.Sprintf("%.1f", lib.VectorIntensity()), "3600 ms / 1.9")
-	t.AddRow("Optimized LibSVM", perf.Ms(olib.EstimateTime()), fmt.Sprintf("%.1f", olib.VectorIntensity()), "1150 ms / 12.4")
-	t.AddRow("PhiSVM", perf.Ms(phi.EstimateTime()), fmt.Sprintf("%.1f", phi.VectorIntensity()), "390 ms / 9.8")
+	t.AddRow("LibSVM", Ms(lib.EstimateTime()), fmt.Sprintf("%.1f", lib.VectorIntensity()), "3600 ms / 1.9")
+	t.AddRow("Optimized LibSVM", Ms(olib.EstimateTime()), fmt.Sprintf("%.1f", olib.VectorIntensity()), "1150 ms / 12.4")
+	t.AddRow("PhiSVM", Ms(phi.EstimateTime()), fmt.Sprintf("%.1f", phi.VectorIntensity()), "390 ms / 9.8")
 	return t
 }

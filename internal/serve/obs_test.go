@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,7 +15,7 @@ import (
 // TestObservabilityEndToEnd runs one traced job over HTTP and checks every
 // observability surface the service exposes: trace ids on the wire,
 // one connected span timeline from HTTP to kernels, per-tenant stats,
-// and the merged /metrics snapshot including the model ledger.
+// and the /metrics snapshot.
 func TestObservabilityEndToEnd(t *testing.T) {
 	tr := trace.New(0)
 	s := newTestService(t, Options{ChunkVoxels: 8, Executors: 1, RetrySeed: 1, Trace: tr})
@@ -88,9 +89,9 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		t.Fatalf("alice compute_seconds = %v, want > 0", row["compute_seconds"])
 	}
 
-	// The merged metrics snapshot carries every family the scrape relies
-	// on: RED series from the middleware, per-tenant labels, WAL latency,
-	// absorbed pipeline stage times, and the model ledger.
+	// The metrics snapshot carries every family the scrape relies on: RED
+	// series from the middleware, per-tenant labels, WAL latency, and
+	// pipeline stage times.
 	snap := s.MetricsSnapshot()
 	alice := obs.L("tenant", "alice")
 	for _, name := range []string{
@@ -116,13 +117,49 @@ func TestObservabilityEndToEnd(t *testing.T) {
 			t.Errorf("histogram %s missing or empty", name)
 		}
 	}
-	drift := obs.SeriesName("serve_model_drift_ratio",
-		obs.L("stage", "merged"), obs.L("engine", "optimized"))
-	if v, ok := snap.Gauges[drift]; !ok || v <= 0 {
-		t.Errorf("gauge %s missing or non-positive (%v); gauges: %v", drift, v, snap.Gauges)
-	}
 	if _, ok := snap.Gauges["serve_queue_depth"]; !ok {
 		t.Errorf("gauge serve_queue_depth missing")
+	}
+}
+
+// TestPipelineRecordsOnServiceRegistry pins the one-registry design: a job's
+// worker records straight into the service registry — no per-attempt
+// registry merged in afterwards — and no machine-model series is emitted.
+func TestPipelineRecordsOnServiceRegistry(t *testing.T) {
+	s := newTestService(t, Options{ChunkVoxels: 8, Executors: 1, RetrySeed: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	hash, err := s.store.Put(tinyBlob(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := s.Submit(t.Context(), JobSpec{Dataset: hash})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, ts.URL, id, StateDone, 30*time.Second)
+
+	live := s.Metrics().Snapshot()
+	if got, want := live.Counters["core_tasks_total"], uint64(24/8); got != want {
+		t.Errorf("live registry core_tasks_total = %d, want the job's %d chunks", got, want)
+	}
+	if h := live.Hists["stage_corr_merged_seconds"]; h.Count == 0 {
+		t.Errorf("live registry has no stage_corr_merged_seconds observations")
+	}
+	snap := s.MetricsSnapshot()
+	noModel := func(name string) {
+		if strings.HasPrefix(name, "serve_model_") {
+			t.Errorf("model series %s is still emitted", name)
+		}
+	}
+	for name := range snap.Counters {
+		noModel(name)
+	}
+	for name := range snap.Gauges {
+		noModel(name)
+	}
+	for name := range snap.Hists {
+		noModel(name)
 	}
 }
 

@@ -130,9 +130,7 @@ func (s *Service) retrySeed(id string) int64 {
 
 // attempt runs one execution pass over the job's voxel chunks, skipping
 // every chunk the journal already holds — the incremental core of both
-// crash resume and retry. Pipeline metrics land on a per-attempt registry
-// so the model ledger can read this job's stage times in isolation; the
-// registry is folded into MetricsSnapshot's accumulated view either way.
+// crash resume and retry.
 func (s *Service) attempt(ctx context.Context, job *Job, spec JobSpec) error {
 	ds, err := s.store.Get(spec)
 	if err != nil {
@@ -142,14 +140,12 @@ func (s *Service) attempt(ctx context.Context, job *Job, spec JobSpec) error {
 	if err != nil {
 		return err
 	}
-	jobReg := obs.NewRegistry()
-	defer s.absorbJobMetrics(jobReg)
 	cfg := core.Optimized()
 	if spec.Engine == "baseline" {
 		cfg = core.Baseline()
 	}
 	cfg.Workers = s.opts.Workers
-	cfg.Obs = jobReg
+	cfg.Obs = s.reg
 	worker, err := core.NewWorker(cfg, stack, nil)
 	if err != nil {
 		return err
@@ -196,7 +192,6 @@ func (s *Service) attempt(ctx context.Context, job *Job, spec JobSpec) error {
 			return chaos.ErrKilled
 		}
 	}
-	s.recordLedger(job.ID, spec, stack, jobReg)
 	return nil
 }
 

@@ -140,13 +140,6 @@ type Service struct {
 	draining bool
 	killed   bool
 
-	// pipeMu guards pipeSnap, the accumulated pipeline metrics of every
-	// finished attempt (each attempt runs on its own registry so the
-	// model ledger can read one job's stage times in isolation; see
-	// MetricsSnapshot).
-	pipeMu   sync.Mutex
-	pipeSnap obs.Snapshot
-
 	runq       chan string
 	execWG     sync.WaitGroup
 	execCtx    context.Context
@@ -228,15 +221,13 @@ func New(opts Options) (*Service, error) {
 // Readiness exposes the service's readiness flag for /readyz.
 func (s *Service) Readiness() *obs.Readiness { return &s.ready }
 
-// Metrics exposes the service's registry.
+// Metrics exposes the service's registry: request, journal and tenant
+// series, and the pipeline series every job's worker records into it.
 func (s *Service) Metrics() *obs.Registry { return s.reg }
 
-// MetricsSnapshot is the service's full metrics view: the live registry
-// (request, journal, tenant, and model-ledger series) merged with the
-// pipeline metrics accumulated from every finished job attempt, with the
-// queue gauges refreshed per call — wire this (not reg.Snapshot) into
-// obs.NewMux so /metrics shows kernel stage histograms even though each
-// attempt runs on its own registry.
+// MetricsSnapshot is the registry's snapshot with the two queue gauges
+// refreshed first — wire this (not reg.Snapshot) into obs.NewMux so
+// /metrics shows the queue as of the scrape.
 func (s *Service) MetricsSnapshot() obs.Snapshot {
 	s.mu.Lock()
 	depth := 0
@@ -260,20 +251,7 @@ func (s *Service) MetricsSnapshot() obs.Snapshot {
 	}
 	s.reg.Gauge("serve_queue_age_seconds").Set(age)
 
-	snap := s.reg.Snapshot()
-	s.pipeMu.Lock()
-	snap.Merge(s.pipeSnap)
-	s.pipeMu.Unlock()
-	return snap
-}
-
-// absorbJobMetrics folds one attempt's pipeline registry into the
-// accumulated snapshot served by MetricsSnapshot.
-func (s *Service) absorbJobMetrics(reg *obs.Registry) {
-	snap := reg.Snapshot()
-	s.pipeMu.Lock()
-	s.pipeSnap.Merge(snap)
-	s.pipeMu.Unlock()
+	return s.reg.Snapshot()
 }
 
 // Submit validates, admits, journals, and queues a job, returning its ID.

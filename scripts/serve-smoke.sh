@@ -101,7 +101,8 @@ result=$(curl -fsS "$base/api/v1/jobs/$id/result") || fail "result fetch failed"
 echo "$result" | grep -q '"voxel"' || fail "result has no scores: $result"
 
 # Metrics reflect the run: job counters, per-route RED series,
-# per-tenant labels, WAL latency, and the model-vs-measured ledger.
+# per-tenant labels, WAL latency, the pipeline's stage series, and the
+# process-wide health counters the svm and safe packages keep.
 metrics="$workdir/metrics"
 curl -fsS "$base/metrics" >"$metrics" || fail "metrics scrape failed"
 assert_metric() {
@@ -115,7 +116,9 @@ assert_metric '^serve_tenant_jobs_completed_total{tenant="smoke"} 1'
 assert_metric '^serve_tenant_job_seconds_count{tenant="smoke"} 1'
 assert_metric '^wal_fsync_seconds_count{log="serve"}'
 assert_metric '^wal_records_total{log="serve"}'
-assert_metric '^serve_model_drift_ratio{engine="optimized",stage="merged"}'
+assert_metric '^stage_corr_merged_seconds_count'
+assert_metric '^svm_cv_runs_total'
+assert_metric '^safe_items_completed_total'
 assert_metric '^serve_queue_depth '
 assert_metric '^go_goroutines '
 
