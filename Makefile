@@ -126,11 +126,11 @@ serve-smoke:
 
 # Short native-fuzz pass over the untrusted-input parsers (NIfTI headers
 # and epoch files) and over the AVX2 kernels' bit-for-bit pin to the Go
-# kernels: the blas tile and strips, the svm sweep (skipped on a host
-# without AVX2). FUZZTIME bounds each target's run. The kernel targets turn
-# input minimization off: shrinking every coverage-increasing input (up to
-# 60 s each by default) would eat the whole budget, and a smaller input is
-# no better a witness of equal bits.
+# kernels: the blas tile and strips, the norm sweep, the svm sweep (skipped
+# on a host without AVX2). FUZZTIME bounds each target's run. The kernel
+# targets turn input minimization off: shrinking every coverage-increasing
+# input (up to 60 s each by default) would eat the whole budget, and a
+# smaller input is no better a witness of equal bits.
 FUZZTIME ?= 10s
 
 fuzz:
@@ -138,4 +138,5 @@ fuzz:
 	$(GO) test ./internal/fmri/ -fuzz FuzzEpochParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/blas/ -run '^$$' -fuzz FuzzSyrkTileMatchesGo -fuzztime $(FUZZTIME) -fuzzminimizetime 0
 	$(GO) test ./internal/blas/ -run '^$$' -fuzz FuzzGemmStripMatchesGo -fuzztime $(FUZZTIME) -fuzzminimizetime 0
+	$(GO) test ./internal/norm/ -run '^$$' -fuzz FuzzFisherSweepMatchesGo -fuzztime $(FUZZTIME) -fuzzminimizetime 0
 	$(GO) test ./internal/svm/ -run '^$$' -fuzz FuzzSMOSweepMatchesGo -fuzztime $(FUZZTIME) -fuzzminimizetime 0

@@ -187,9 +187,49 @@ func benchPipeline(b *testing.B, p *corr.Pipeline) {
 	}
 }
 
+// BenchmarkMergedVsSeparated runs both stage-1+2 variants over one task of
+// each repo-benchmark shape (benchmark/workloads.go): the whole 640-voxel
+// face-scene brain, a 32-voxel task of the attention brain, and one wide
+// task whose column block is DefaultColBlock, where the rows of the merged
+// variant's scratch block lie 16 KiB apart.
 func BenchmarkMergedVsSeparated(b *testing.B) {
-	b.Run("merged", func(b *testing.B) { benchPipeline(b, &corr.Pipeline{Merged: true}) })
-	b.Run("separated", func(b *testing.B) { benchPipeline(b, &corr.Pipeline{}) })
+	for _, sh := range []struct {
+		name                               string
+		voxels, assigned, subjects, epochs int
+	}{
+		{"facescene_local", 640, 640, 4, 12},
+		{"attention_cluster", 256, 32, 6, 16},
+		{"wide", 4096, 64, 4, 12},
+	} {
+		// Nested so that a shape the -bench filter leaves out builds no
+		// stack and no output buffer (78 MB for the face-scene task).
+		b.Run(sh.name, func(b *testing.B) {
+			d, err := fmri.Generate(fmri.Spec{
+				Name: sh.name, Voxels: sh.voxels, Subjects: sh.subjects, EpochsPerSubject: sh.epochs,
+				EpochLen: benchEpochLen, RestLen: 6, SignalVoxels: sh.voxels / 16, Coupling: 0.4, Seed: 1,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			st, err := corr.BuildEpochStack(d, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			buf := tensor.NewMatrix(sh.assigned*st.M(), st.N)
+			for _, workers := range []int{1, 2} {
+				for _, variant := range []string{"merged", "separated"} {
+					b.Run(fmt.Sprintf("workers%d/%s", workers, variant), func(b *testing.B) {
+						p := &corr.Pipeline{Merged: variant == "merged", Workers: workers}
+						for i := 0; i < b.N; i++ {
+							if err := p.RunInto(context.Background(), st, 0, sh.assigned, buf); err != nil {
+								b.Fatal(err)
+							}
+						}
+					})
+				}
+			}
+		})
+	}
 }
 
 // --- Table 8: SVM solvers -------------------------------------------------

@@ -41,8 +41,8 @@ type Ssyrk interface {
 
 // HasAVX2 reports whether the host can run AVX2 kernels: the verdict of
 // the one CPUID/XGETBV probe in the tree, always false off amd64. It is
-// read-only — a package with assembly of its own (internal/svm) reads it
-// once into a dispatch variable of its own.
+// read-only — a package with assembly of its own (internal/norm,
+// internal/svm) reads it once into a dispatch variable of its own.
 func HasAVX2() bool { return cpuHasAVX2() }
 
 func checkGemmShapes(C, A, B *tensor.Matrix) {

@@ -282,15 +282,12 @@ func (p *Pipeline) mergedItem(st *EpochStack, buf *tensor.Matrix, g blas.Sgemm, 
 			g.Gemm(&sc.cview, &sc.A, &sc.bview)
 			inst.gemmCalls.Inc()
 		}
-		// Normalize each voxel's E×w sub-block in cache, then write it
-		// out once.
+		// Normalize each voxel's E×w sub-block in cache, straight into
+		// its E rows of the output.
 		for v := 0; v < vh; v++ {
-			sc.norm.FisherThenZScoreStrided(sc.local.Data[v*E*sc.local.Stride:], E, w, sc.local.Stride)
+			dst := buf.Data[((vs+v)*M+s*E)*buf.Stride+j0:]
+			sc.norm.FisherThenZScoreInto(dst, buf.Stride, sc.local.Data[v*E*sc.local.Stride:], E, w, sc.local.Stride)
 			inst.normBlocks.Inc()
-			for ei := 0; ei < E; ei++ {
-				dst := buf.Data[((vs+v)*M+s*E+ei)*buf.Stride+j0:]
-				copy(dst[:w], sc.local.Row(v*E+ei))
-			}
 		}
 	}
 	corrPool.Put(sc)

@@ -8,9 +8,13 @@
 // population puts different subjects' coefficients on the same scale before
 // cross-subject classification.
 //
-// All of the stage's arithmetic lives in two places: the float32 atanh
+// The stage's arithmetic has one definition, in Go: the float32 atanh
 // kernel in this file and the one sweep in scratch.go that applies it,
-// accumulates the column moments and scales.
+// accumulates the column moments and scales. On amd64 with AVX2 the sweep's
+// leading columns run the same operations in the same order, eight lanes at
+// a time, in sweep_amd64.s; the Go code is the reference those kernels are
+// pinned to bit for bit, their remainder handler, and the only path
+// elsewhere.
 package norm
 
 import "math"
@@ -121,12 +125,12 @@ func FisherZSlice(xs []float32) {
 // become all zeros. A convenience over a throwaway Scratch; hot callers
 // keep a Scratch.
 func ZScoreColumns(data []float32, rows, cols int) {
-	new(Scratch).sweep(data, rows, cols, cols, false)
+	new(Scratch).sweep(data, cols, data, rows, cols, cols, false)
 }
 
 // FisherThenZScore fuses the Fisher transform with column z-scoring over a
 // compact rows×cols block. A convenience over a throwaway Scratch; hot
 // callers keep a Scratch.
 func FisherThenZScore(data []float32, rows, cols int) {
-	new(Scratch).sweep(data, rows, cols, cols, true)
+	new(Scratch).sweep(data, cols, data, rows, cols, cols, true)
 }

@@ -1,7 +1,6 @@
 package norm
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -73,11 +72,17 @@ func TestScratchReuseResetsZeroVarianceColumns(t *testing.T) {
 func TestScratchAllocsPerRunZero(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	data := randomBlock(rng, 12*256)
-	var s Scratch
-	s.FisherThenZScoreStrided(data, 12, 256, 256) // warm
-	if n := testing.AllocsPerRun(20, func() { s.FisherThenZScoreStrided(data, 12, 256, 256) }); n != 0 {
-		t.Fatalf("warm scratch allocates %v per run, want 0", n)
-	}
+	out := make([]float32, len(data))
+	eachSweepPath(t, func(t *testing.T) {
+		var s Scratch
+		s.FisherThenZScoreStrided(data, 12, 256, 256) // warm
+		if n := testing.AllocsPerRun(20, func() {
+			s.FisherThenZScoreStrided(data, 12, 256, 256)
+			s.FisherThenZScoreInto(out, 256, data, 12, 256, 256)
+		}); n != 0 {
+			t.Fatalf("warm scratch allocates %v per run, want 0", n)
+		}
+	})
 }
 
 func TestScratchStrideValidation(t *testing.T) {
@@ -88,6 +93,8 @@ func TestScratchStrideValidation(t *testing.T) {
 	}{
 		{"stride<cols", func() { s.FisherThenZScoreStrided(make([]float32, 64), 2, 8, 4) }},
 		{"short data", func() { s.FisherThenZScoreStrided(make([]float32, 10), 2, 8, 8) }},
+		{"dstStride<cols", func() { s.FisherThenZScoreInto(make([]float32, 64), 4, make([]float32, 16), 2, 8, 8) }},
+		{"short dst", func() { s.FisherThenZScoreInto(make([]float32, 10), 8, make([]float32, 16), 2, 8, 8) }},
 	} {
 		func() {
 			defer func() {
@@ -100,27 +107,34 @@ func TestScratchStrideValidation(t *testing.T) {
 	}
 }
 
-// The sweep's branch-free row pass and the scalar kernel are one function:
-// same bits on every regime, the awkward inputs included.
+// The sweep's branch-free row pass, on either path, and the scalar kernel
+// are one function: same bits on every regime, the awkward inputs included.
 func TestFisherRowMatchesFisherZ(t *testing.T) {
-	nan := float32(math.NaN())
-	inf := float32(math.Inf(1))
-	row := []float32{0, float32(math.Copysign(0, -1)), 1e-30, -0.3, 0.6249999, 0.625, -0.625, 0.9,
-		math.Nextafter32(clampA, 0), clampA, 1, -1, 1.5, inf, -inf, nan}
+	row := fisherSeams()
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 200; i++ {
 		row = append(row, rng.Float32()*2-1)
+	}
+	if len(row)%8 != 0 {
+		t.Fatalf("%d coefficients: the AVX2 row pass takes whole vectors of 8", len(row))
 	}
 	want := make([]float32, len(row))
 	for i, r := range row {
 		want[i] = FisherZ(r)
 	}
-	var s Scratch
-	s.grow(len(row))
-	s.fisherRow(row)
-	for i := range row {
-		if math.Float32bits(row[i]) != math.Float32bits(want[i]) && !(row[i] != row[i] && want[i] != want[i]) {
-			t.Fatalf("element %d: fisherRow gives %v, FisherZ gives %v", i, row[i], want[i])
+	eachSweepPath(t, func(t *testing.T) {
+		got := append([]float32(nil), row...)
+		var s Scratch
+		s.grow(len(got), 0)
+		if useAVX2 {
+			fisherRowAVX2(&got[0], len(got), &s.tailR[0], &s.tailJ[0])
+		} else {
+			s.fisherRow(got)
 		}
-	}
+		for i := range got {
+			if !sameFloat(got[i], want[i]) {
+				t.Fatalf("element %d: the row pass gives %v, FisherZ gives %v", i, got[i], want[i])
+			}
+		}
+	})
 }

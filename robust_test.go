@@ -38,9 +38,12 @@ func TestSelectVoxelsContextPreCancelled(t *testing.T) {
 }
 
 func TestSelectVoxelsContextDeadline(t *testing.T) {
-	// A 300-voxel selection takes far longer than 1ms; the deadline must
-	// stop it at a checkpoint and surface as DeadlineExceeded.
-	d := robustData(t, 300)
+	// A 1500-voxel selection takes far longer than the 1ms deadline plus
+	// the 10ms a single busy P can go before sysmon preempts it and its
+	// timers run (300 voxels finish inside that since stage 2 was
+	// vectorised); the deadline must stop it at a checkpoint and surface as
+	// DeadlineExceeded.
+	d := robustData(t, 1500)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
 	start := time.Now()
