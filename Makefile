@@ -14,8 +14,10 @@ check: lint build test
 # every assembly TEXT symbol's frame and argument offsets against its Go
 # declaration), fcmavet contract violations, hot-path heap escapes
 # (allocgate), or an entry point that serves, runs or distributes an
-# analysis importing the machine model (internal/mic/..., internal/report:
-# a leaf only cmd/fcma-bench reaches) all fail the build.
+# analysis importing one of the experiment-only leaves — the machine model
+# (internal/mic/..., internal/report: only cmd/fcma-bench reaches them) or
+# the paper's comparators (internal/baseline: only fcma-bench, examples and
+# tests do) — all fail the build.
 MODEL_FREE = . ./cmd/fcma-run ./cmd/fcma-cluster ./cmd/fcma-serve ./cmd/fcma-gen
 lint:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
@@ -27,9 +29,9 @@ lint:
 	$(GO) run ./cmd/fcmavet ./...
 	$(GO) run ./scripts/allocgate
 	@for root in $(MODEL_FREE); do \
-		model=$$($(GO) list -deps $$root | grep -E '^fcma/internal/(mic(/.*)?|report)$$' | tr '\n' ' '); \
-		if [ -n "$$model" ]; then \
-			echo "boundary: $$root imports the machine model: $$model" >&2; \
+		leaf=$$($(GO) list -deps $$root | grep -E '^fcma/internal/(mic(/.*)?|report|baseline)$$' | tr '\n' ' '); \
+		if [ -n "$$leaf" ]; then \
+			echo "boundary: $$root imports an experiment-only leaf (machine model or comparators): $$leaf" >&2; \
 			exit 1; \
 		fi; \
 	done

@@ -236,7 +236,7 @@ func trainClassifier(d *Data, voxels []int, trainIdx []int, cfg Config) (*Classi
 		copy(feats.Row(i), pairFeatures(d.ds, voxels, d.ds.Epochs[idx]))
 		labels[i] = d.ds.Epochs[idx].Label
 	}
-	K := svm.PrecomputeKernel(feats, nil)
+	K := svm.PrecomputeKernel(feats)
 	all := make([]int, len(trainIdx))
 	for i := range all {
 		all[i] = i

@@ -15,6 +15,7 @@ import (
 	"sync"
 	"testing"
 
+	"fcma/internal/baseline"
 	"fcma/internal/blas"
 	"fcma/internal/cluster"
 	"fcma/internal/core"
@@ -73,28 +74,37 @@ func randMat(rng *rand.Rand, r, c int) *tensor.Matrix {
 
 // --- Table 1 / Fig. 9: full three-stage task, baseline vs optimized -----
 
-func benchWorkerTask(b *testing.B, cfg core.Config) {
-	st := benchStack(b)
-	w, err := core.NewWorker(cfg, st, nil)
+// taskWorker is what the paper's two configurations have in common.
+type taskWorker interface {
+	ProcessContext(ctx context.Context, t core.Task) ([]core.VoxelScore, error)
+}
+
+func benchWorkerTask(b *testing.B, newWorker func(*corr.EpochStack) (taskWorker, error)) {
+	w, err := newWorker(benchStack(b))
 	if err != nil {
 		b.Fatal(err)
 	}
 	task := core.Task{V0: 0, V: benchAssigned}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := w.Process(task); err != nil {
+		if _, err := w.ProcessContext(context.Background(), task); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkBaselineStages(b *testing.B)  { benchWorkerTask(b, core.Baseline()) }
-func BenchmarkOptimizedStages(b *testing.B) { benchWorkerTask(b, core.Optimized()) }
+func baselineWorker(st *corr.EpochStack) (taskWorker, error) { return baseline.NewWorker(st, nil) }
+func optimizedWorker(st *corr.EpochStack) (taskWorker, error) {
+	return core.NewWorker(core.Optimized(), st, nil)
+}
+
+func BenchmarkBaselineStages(b *testing.B)  { benchWorkerTask(b, baselineWorker) }
+func BenchmarkOptimizedStages(b *testing.B) { benchWorkerTask(b, optimizedWorker) }
 
 // BenchmarkPipelineOptimizedVsBaseline is the Fig. 9 pair under one name.
 func BenchmarkPipelineOptimizedVsBaseline(b *testing.B) {
-	b.Run("baseline", func(b *testing.B) { benchWorkerTask(b, core.Baseline()) })
-	b.Run("optimized", func(b *testing.B) { benchWorkerTask(b, core.Optimized()) })
+	b.Run("baseline", func(b *testing.B) { benchWorkerTask(b, baselineWorker) })
+	b.Run("optimized", func(b *testing.B) { benchWorkerTask(b, optimizedWorker) })
 }
 
 // --- Table 5 / Table 6: tall-skinny GEMM and SYRK vs general blocking ---
@@ -111,12 +121,12 @@ func benchGemm(b *testing.B, impl blas.Sgemm, m, k, n int) {
 }
 
 func BenchmarkGemmTallSkinny(b *testing.B) {
-	b.Run("baseline", func(b *testing.B) { benchGemm(b, blas.Baseline{}, 120, 12, 16384) })
+	b.Run("baseline", func(b *testing.B) { benchGemm(b, baseline.BLAS{}, 120, 12, 16384) })
 	b.Run("tallskinny", func(b *testing.B) { benchGemm(b, blas.TallSkinny{}, 120, 12, 16384) })
 	b.Run("naive", func(b *testing.B) { benchGemm(b, blas.Naive{}, 120, 12, 16384) })
 }
 
-func benchSyrk(b *testing.B, impl blas.Ssyrk, m, n int) {
+func benchSyrk(b *testing.B, impl interface{ Syrk(C, A *tensor.Matrix) }, m, n int) {
 	rng := rand.New(rand.NewSource(3))
 	A := randMat(rng, m, n)
 	C := tensor.NewMatrix(m, m)
@@ -128,11 +138,11 @@ func benchSyrk(b *testing.B, impl blas.Ssyrk, m, n int) {
 }
 
 func BenchmarkSyrk(b *testing.B) {
-	b.Run("baseline", func(b *testing.B) { benchSyrk(b, blas.Baseline{}, 48, 16384) })
+	b.Run("baseline", func(b *testing.B) { benchSyrk(b, baseline.BLAS{}, 48, 16384) })
 	b.Run("tallskinny", func(b *testing.B) { benchSyrk(b, blas.TallSkinny{}, 48, 16384) })
 }
 
-// Block-size sweeps behind DESIGN.md §15's table: the constants
+// Block-size sweeps: the constants
 // blas.DefaultColBlock, blas.DefaultSyrkBlock and corr.DefaultVoxBlock
 // against their neighbours, at the two paper shapes — a task's gemm is 64
 // assigned voxels × 12 time points × brain, a voxel's kernel-matrix syrk
@@ -242,7 +252,7 @@ func benchSVMProblem(b *testing.B) (*tensor.Matrix, []int, []svm.Fold) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	K := svm.PrecomputeKernel(buf.View(0, 0, st.M(), st.N), nil)
+	K := svm.PrecomputeKernel(buf.View(0, 0, st.M(), st.N))
 	labels := make([]int, st.M())
 	subjects := make([]int, st.M())
 	for i, e := range st.Epochs {
@@ -267,7 +277,7 @@ func benchSVM(b *testing.B, tr svm.KernelTrainer) {
 // benchmark's fold shapes, per sweep path, see BenchmarkCrossValidateShapes
 // in internal/svm.
 func BenchmarkSVMSolvers(b *testing.B) {
-	b.Run("libsvm", func(b *testing.B) { benchSVM(b, svm.LibSVM{}) })
+	b.Run("libsvm", func(b *testing.B) { benchSVM(b, baseline.LibSVM{}) })
 	b.Run("optimized", func(b *testing.B) { benchSVM(b, svm.Optimized{}) })
 	b.Run("phisvm", func(b *testing.B) { benchSVM(b, svm.PhiSVM{}) })
 }
@@ -284,15 +294,15 @@ func BenchmarkWSSHeuristics(b *testing.B) {
 
 // Ablation: float64 node-based vs float32 dense representation.
 func BenchmarkSVMPrecision(b *testing.B) {
-	b.Run("float64-nodes", func(b *testing.B) { benchSVM(b, svm.LibSVM{}) })
+	b.Run("float64-nodes", func(b *testing.B) { benchSVM(b, baseline.LibSVM{}) })
 	b.Run("float32-dense", func(b *testing.B) { benchSVM(b, svm.Optimized{}) })
 }
 
 // Ablation: precomputed kernel vs LibSVM with a tiny row cache, which
 // forces Q-row rebuilds (the cost precomputation avoids).
 func BenchmarkKernelPrecompute(b *testing.B) {
-	b.Run("full-cache", func(b *testing.B) { benchSVM(b, svm.LibSVM{}) })
-	b.Run("small-cache", func(b *testing.B) { benchSVM(b, svm.LibSVM{CacheRows: 4}) })
+	b.Run("full-cache", func(b *testing.B) { benchSVM(b, baseline.LibSVM{}) })
+	b.Run("small-cache", func(b *testing.B) { benchSVM(b, baseline.LibSVM{CacheRows: 4}) })
 }
 
 // --- Tables 3/4, Fig. 8: cluster scaling ---------------------------------
@@ -364,7 +374,8 @@ func BenchmarkOnlineAnalysis(b *testing.B) {
 	}
 }
 
-// --- Figures 10/11 native counterpart: engine comparison via public API --
+// --- Figures 10/11 native counterpart: whole-brain selection via the public
+// API (the baseline side of the comparison is the task-level pair above) ---
 
 func BenchmarkSelectVoxels(b *testing.B) {
 	d, err := Generate(Spec{
@@ -374,23 +385,20 @@ func BenchmarkSelectVoxels(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, eng := range []Engine{Baseline, Optimized} {
-		b.Run(eng.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := SelectVoxels(d, Config{Engine: eng}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := SelectVoxels(d, Config{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 // --- Extension benchmarks -------------------------------------------------
 
-// Ablation: LibSVM active-set shrinking (see internal/svm/shrink.go).
+// Ablation: LibSVM active-set shrinking (see internal/baseline/shrink.go).
 func BenchmarkShrinking(b *testing.B) {
-	b.Run("plain", func(b *testing.B) { benchSVM(b, svm.LibSVM{}) })
-	b.Run("shrinking", func(b *testing.B) { benchSVM(b, svm.LibSVM{Shrinking: true}) })
+	b.Run("plain", func(b *testing.B) { benchSVM(b, baseline.LibSVM{}) })
+	b.Run("shrinking", func(b *testing.B) { benchSVM(b, baseline.LibSVM{Shrinking: true}) })
 }
 
 // Activity-based MVPA vs FCMA on the same dataset (examples/unbiased).
@@ -451,7 +459,7 @@ func BenchmarkFullCorrelationMatrix(b *testing.B) {
 	st := benchStack(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := corr.FullMatrix(st, 0, nil); err != nil {
+		if _, err := corr.FullMatrix(st, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -30,8 +30,7 @@ func main() {
 	svmCalib := flag.Float64("svm-calib", 0, "SVM iteration-hardness calibration (0 = default, see EXPERIMENTS.md)")
 	nativeScale := flag.Float64("native-scale", 0.02, "dataset scale for the native cross-checks (0 < scale <= 1)")
 	jsonOut := flag.String("json", "", "directory to write an end-of-run BENCH_<name>.json summary into")
-	logFormat := flag.String("log-format", "text", `status log format: "text" or "json"`)
-	flightOut := flag.String("flight-out", "", "write flight-recorder crash dumps to this file instead of stderr (created only if a dump fires)")
+	bootstrap := obs.BootstrapCLI(flag.CommandLine)
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: fcma-bench [flags] [experiment ...]\n\nexperiments: %s\n\nflags:\n",
 			strings.Join(experimentNames(), " "))
@@ -45,7 +44,7 @@ func main() {
 	checkScaleFlag("scale", *scale)
 	checkScaleFlag("native-scale", *nativeScale)
 
-	obs.BootstrapCLI("fcma-bench", *logFormat, *flightOut)
+	bootstrap("fcma-bench")
 
 	runner := report.New(report.Options{Scale: *scale, SVMCalibration: *svmCalib})
 	experiments := modelExperiments(runner)

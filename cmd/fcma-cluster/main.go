@@ -61,7 +61,6 @@ func main() {
 	chaosFSSlowSync := flag.Float64("chaos-fs-slow-sync", 0, "probability an fsync is delayed")
 	chaosFSRenameFail := flag.Float64("chaos-fs-rename-fail", 0, "probability a rename fails with EIO")
 	chaosSchedDelay := flag.Float64("chaos-sched-delay", 0, "probability a cluster scheduling point is delayed")
-	engine := flag.String("engine", "optimized", `worker kernels: "optimized" or "baseline"`)
 	topK := flag.Int("topk", 20, "master: voxels to report")
 	retry := flag.Int("retry", 5, "worker: dial attempts with exponential backoff; also rejoin attempts after a lost connection")
 	deadline := flag.Duration("deadline", 0, "master: per-task deadline before a slow worker's task is speculatively re-issued (0 disables)")
@@ -73,11 +72,10 @@ func main() {
 	benchOut := flag.String("bench-out", "", "master: directory to write an end-of-run BENCH_<name>.json summary into")
 	traceOut := flag.String("trace-out", "", "master: write the merged cluster timeline (master task spans + every worker's shipped stage spans) as Chrome trace-event JSON to this file")
 	traceWorker := flag.Bool("trace", true, "worker: record spans and ship them to the master (only reaches a file when the master runs with -trace-out)")
-	logFormat := flag.String("log-format", "text", `status log format: "text" or "json"`)
-	flightOut := flag.String("flight-out", "", "write flight-recorder crash dumps to this file instead of stderr (created only if a dump fires)")
+	bootstrap := obs.BootstrapCLI(flag.CommandLine)
 	flag.Parse()
 
-	logger := obs.BootstrapCLI("fcma-cluster", *logFormat, *flightOut, slog.String("role", *role))
+	logger := bootstrap("fcma-cluster", slog.String("role", *role))
 
 	// SIGINT/SIGTERM cancel the run cooperatively: the master broadcasts
 	// TagStop and flushes its checkpoint before exiting, a worker aborts
@@ -232,11 +230,7 @@ func main() {
 		}
 		stack, err := corr.BuildEpochStack(d, 0)
 		fail(err)
-		cfg := core.Optimized()
-		if *engine == "baseline" {
-			cfg = core.Baseline()
-		}
-		w, err := core.NewWorker(cfg, stack, nil)
+		w, err := core.NewWorker(core.Optimized(), stack, nil)
 		fail(err)
 		// Serve until the master says stop; a lost connection is rejoined
 		// (with a fresh rank) as long as the retry budget lasts.

@@ -1,0 +1,118 @@
+package main
+
+import (
+	"errors"
+	"flag"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"fcma/internal/fmri"
+)
+
+// TestMain lets the test binary stand in for the command: re-executed with
+// FCMA_TEST_MAIN=1 it runs main() on a fresh flag set, so the tests below
+// observe real exit codes and real flag-package output.
+func TestMain(m *testing.M) {
+	if os.Getenv("FCMA_TEST_MAIN") == "1" {
+		flag.CommandLine = flag.NewFlagSet("fcma-cluster", flag.ExitOnError)
+		main()
+		return
+	}
+	os.Exit(m.Run())
+}
+
+// run executes the command with args and returns its exit code and its
+// combined stdout and stderr.
+func run(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(exe, args...)
+	cmd.Env = append(os.Environ(), "FCMA_TEST_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	var ee *exec.ExitError
+	if errors.As(err, &ee) {
+		return ee.ExitCode(), string(out)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return 0, string(out)
+}
+
+// writeDataset writes a small dataset the way fcma-gen does and returns
+// the -data and -epochs paths.
+func writeDataset(t *testing.T) (string, string) {
+	t.Helper()
+	d, err := fmri.Generate(fmri.Spec{
+		Name: "flags", Voxels: 16, Subjects: 2, EpochsPerSubject: 4,
+		EpochLen: 12, RestLen: 2, SignalVoxels: 4, Coupling: 0.8, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := filepath.Join(t.TempDir(), "ds")
+	df, err := os.Create(base + ".fcma")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer df.Close()
+	if err := fmri.WriteData(df, d); err != nil {
+		t.Fatal(err)
+	}
+	ef, err := os.Create(base + ".epochs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ef.Close()
+	if err := fmri.WriteEpochs(ef, d.Epochs); err != nil {
+		t.Fatal(err)
+	}
+	return base + ".fcma", base + ".epochs"
+}
+
+func TestFlagsAndExitCodes(t *testing.T) {
+	data, epochs := writeDataset(t)
+	for _, tc := range []struct {
+		name string
+		args []string
+		code int
+		want string // substring of the output
+	}{
+		{"retired engine flag", []string{"-role", "worker", "-engine", "baseline"}, 2, "flag provided but not defined: -engine"},
+		{"no dataset", []string{"-role", "worker"}, 1, "need -data and -epochs"},
+		{"worker without -addr", []string{"-role", "worker", "-data", data, "-epochs", epochs}, 1, "worker needs -addr"},
+		{"no role", []string{"-data", data, "-epochs", epochs}, 1, "need -role master or -role worker"},
+		{"bad chaos list", []string{"-role", "master", "-data", data, "-epochs", epochs, "-chaos-seed", "1", "-chaos-kill-tasks", "x"}, 1, "bad -chaos-kill-tasks entry"},
+	} {
+		code, out := run(t, tc.args...)
+		if code != tc.code || !strings.Contains(out, tc.want) {
+			t.Errorf("%s: exit %d, want %d with %q in the output:\n%s", tc.name, code, tc.code, tc.want, out)
+		}
+	}
+}
+
+func TestHelpListsSharedFlagsAndNoEngine(t *testing.T) {
+	code, out := run(t, "-h")
+	if code != 0 {
+		t.Fatalf("-h exit %d:\n%s", code, out)
+	}
+	for _, want := range []string{
+		"  -role string",
+		"  -task-size int",
+		"  -log-format string\n    \tstatus log format: \"text\" or \"json\" (default \"text\")",
+		"  -flight-out string\n    \twrite flight-recorder crash dumps to this file instead of stderr (created only if a dump fires)",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("-h output lacks %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(strings.ToLower(out), "engine") {
+		t.Errorf("-h still mentions an engine:\n%s", out)
+	}
+}

@@ -32,11 +32,10 @@ func main() {
 	epochLen := flag.Int("epoch-len", 12, "custom: time points per epoch")
 	signal := flag.Int("signal", 64, "custom: planted signal voxels")
 	coupling := flag.Float64("coupling", 0.8, "custom: planted coupling strength [0,1)")
-	logFormat := flag.String("log-format", "text", `status log format: "text" or "json"`)
-	flightOut := flag.String("flight-out", "", "write flight-recorder crash dumps to this file instead of stderr (created only if a dump fires)")
+	bootstrap := obs.BootstrapCLI(flag.CommandLine)
 	flag.Parse()
 
-	obs.BootstrapCLI("fcma-gen", *logFormat, *flightOut)
+	bootstrap("fcma-gen")
 
 	var spec fmri.Spec
 	switch *dataset {

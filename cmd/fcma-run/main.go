@@ -40,7 +40,6 @@ func main() {
 	subjects := flag.Int("subjects", 1, "subjects concatenated in the -nii time series")
 	synthetic := flag.String("synthetic", "", `generate instead of loading: "face-scene" or "attention"`)
 	scale := flag.Float64("scale", 0.02, "synthetic dataset scale (0 < scale <= 1)")
-	engine := flag.String("engine", "optimized", `kernel engine: "optimized" or "baseline"`)
 	topK := flag.Int("topk", 0, "voxels to select (0 = default)")
 	subject := flag.Int("subject", 0, "subject for online mode")
 	workers := flag.Int("workers", 0, "goroutine bound (0 = GOMAXPROCS)")
@@ -53,8 +52,7 @@ func main() {
 	progress := flag.Duration("progress", 0, "print progress lines (voxels/sec, ETA) at this interval, e.g. 10s; 0 disables")
 	benchOut := flag.String("bench-out", "", "directory to write an end-of-run BENCH_<name>.json summary into")
 	traceOut := flag.String("trace-out", "", "write the run's span timeline as Chrome trace-event JSON (open in Perfetto) to this file")
-	logFormat := flag.String("log-format", "text", `status log format: "text" or "json"`)
-	flightOut := flag.String("flight-out", "", "write flight-recorder crash dumps to this file instead of stderr (created only if a dump fires)")
+	bootstrap := obs.BootstrapCLI(flag.CommandLine)
 	flag.Parse()
 
 	// Reject out-of-range scales at the boundary: report.Options used to
@@ -65,7 +63,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	logger := obs.BootstrapCLI("fcma-run", *logFormat, *flightOut)
+	logger := bootstrap("fcma-run")
 
 	// SIGINT/SIGTERM cancel the analysis cooperatively: every pipeline
 	// goroutine stops at its next checkpoint and the run exits cleanly. A
@@ -78,14 +76,6 @@ func main() {
 	if *traceOut != "" {
 		cfg.Trace = fcma.NewTracer()
 		defer writeTrace(logger, cfg.Trace, *traceOut)
-	}
-	switch *engine {
-	case "optimized":
-		cfg.Engine = fcma.Optimized
-	case "baseline":
-		cfg.Engine = fcma.Baseline
-	default:
-		fail(fmt.Errorf("unknown engine %q", *engine))
 	}
 
 	if *listen != "" {
@@ -123,7 +113,6 @@ func main() {
 			}
 			sum.Params = map[string]string{
 				"mode":    *mode,
-				"engine":  *engine,
 				"dataset": d.Name(),
 				"voxels":  strconv.Itoa(d.Voxels()),
 				"workers": strconv.Itoa(*workers),
@@ -139,13 +128,13 @@ func main() {
 	case "select":
 		scores, err := fcma.SelectVoxelsContext(ctx, d, cfg)
 		fail(err)
-		reportSelection(d, cfg, scores, *topK, *roiMinSize)
+		reportSelection(d, scores, *topK, *roiMinSize)
 		writeOutputs(d, scores, *outScores, *outMap)
 	case "mvpa":
 		scores, err := fcma.SelectVoxelsByActivityContext(ctx, d, cfg)
 		fail(err)
 		k := clampK(*topK, len(scores))
-		fmt.Printf("top %d of %d voxels by ACTIVITY-MVPA accuracy (%s engine):\n", k, len(scores), cfg.Engine)
+		fmt.Printf("top %d of %d voxels by ACTIVITY-MVPA accuracy:\n", k, len(scores))
 		for _, s := range scores[:k] {
 			fmt.Printf("  voxel %6d  accuracy %.3f\n", s.Voxel, s.Accuracy)
 		}
@@ -172,8 +161,7 @@ func main() {
 	case "offline":
 		res, err := fcma.OfflineAnalysisContext(ctx, d, cfg)
 		fail(err)
-		fmt.Printf("offline nested leave-one-subject-out on %s (%d subjects, %s engine)\n",
-			d.Name(), d.Subjects(), cfg.Engine)
+		fmt.Printf("offline nested leave-one-subject-out on %s (%d subjects)\n", d.Name(), d.Subjects())
 		for _, f := range res.Folds {
 			fmt.Printf("  fold %2d: held-out accuracy %.3f  (%.2fs)\n",
 				f.LeftOutSubject, f.TestAccuracy, f.Elapsed.Seconds())
@@ -192,8 +180,8 @@ func main() {
 		fail(err)
 		res, err := fcma.OnlineAnalysisContext(ctx, one, cfg)
 		fail(err)
-		fmt.Printf("online voxel selection on %s subject %d (%s engine): %d voxels in %.2fs\n",
-			d.Name(), *subject, cfg.Engine, len(res.Selected), res.Elapsed.Seconds())
+		fmt.Printf("online voxel selection on %s subject %d: %d voxels in %.2fs\n",
+			d.Name(), *subject, len(res.Selected), res.Elapsed.Seconds())
 		for _, s := range res.Selected {
 			fmt.Printf("  voxel %6d  accuracy %.3f\n", s.Voxel, s.Accuracy)
 		}
@@ -212,9 +200,9 @@ func writeTrace(logger *slog.Logger, tr *fcma.Tracer, path string) {
 	logger.Info("wrote trace", "path", path, "spans", len(spans))
 }
 
-func reportSelection(d *fcma.Data, cfg fcma.Config, scores []fcma.VoxelScore, topK, roiMin int) {
+func reportSelection(d *fcma.Data, scores []fcma.VoxelScore, topK, roiMin int) {
 	k := clampK(topK, len(scores))
-	fmt.Printf("top %d of %d voxels by cross-validated accuracy (%s engine):\n", k, len(scores), cfg.Engine)
+	fmt.Printf("top %d of %d voxels by cross-validated accuracy:\n", k, len(scores))
 	for _, s := range scores[:k] {
 		fmt.Printf("  voxel %6d  accuracy %.3f\n", s.Voxel, s.Accuracy)
 	}

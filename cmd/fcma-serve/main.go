@@ -58,12 +58,11 @@ func main() {
 	chaosFSSlowSync := flag.Float64("chaos-fs-slow-sync", 0, "probability an fsync is delayed")
 	chaosFSRenameFail := flag.Float64("chaos-fs-rename-fail", 0, "probability a rename fails with EIO")
 	chaosSchedDelay := flag.Float64("chaos-sched-delay", 0, "probability a chunk boundary is delayed")
-	logFormat := flag.String("log-format", "text", `status log format: "text" or "json"`)
-	flightOut := flag.String("flight-out", "", "write flight-recorder crash dumps to this file instead of stderr (created only if a dump fires)")
+	bootstrap := obs.BootstrapCLI(flag.CommandLine)
 	traceOut := flag.String("trace-out", "", "write a Chrome-trace JSON timeline of every request and job (HTTP, WAL, kernel spans) here on drain")
 	flag.Parse()
 
-	logger := obs.BootstrapCLI("fcma-serve", *logFormat, *flightOut)
+	logger := bootstrap("fcma-serve")
 
 	var plan *chaos.Plan
 	var fsys chaos.FS

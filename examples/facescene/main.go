@@ -17,7 +17,6 @@ import (
 func main() {
 	scale := flag.Float64("scale", 0.02, "dataset scale relative to the paper's face-scene dataset")
 	topK := flag.Int("topk", 12, "voxels selected per fold")
-	baseline := flag.Bool("baseline", false, "use the baseline engine instead of the optimized one")
 	flag.Parse()
 
 	data, err := fcma.FaceSceneShaped(*scale)
@@ -27,16 +26,12 @@ func main() {
 	fmt.Printf("dataset %q: %d voxels, %d subjects, %d epochs (scale %.3f)\n",
 		data.Name(), data.Voxels(), data.Subjects(), data.Epochs(), *scale)
 
-	cfg := fcma.Config{TopK: *topK}
-	if *baseline {
-		cfg.Engine = fcma.Baseline
-	}
-	res, err := fcma.OfflineAnalysis(data, cfg)
+	res, err := fcma.OfflineAnalysis(data, fcma.Config{TopK: *topK})
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("\nnested leave-one-subject-out over %d folds (%s engine):\n", len(res.Folds), cfg.Engine)
+	fmt.Printf("\nnested leave-one-subject-out over %d folds:\n", len(res.Folds))
 	for _, f := range res.Folds {
 		fmt.Printf("  fold %2d: held-out accuracy %.3f  best voxel %d (%.3f)  %.2fs\n",
 			f.LeftOutSubject, f.TestAccuracy, f.Selected[0].Voxel, f.Selected[0].Accuracy,

@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"time"
 
+	"fcma/internal/baseline"
 	"fcma/internal/blas"
 	"fcma/internal/tensor"
 )
@@ -30,7 +31,7 @@ func main() {
 	fmt.Printf("GEMM C[%d×%d] = A[%d×%d]·B[%d×%d] (tall-skinny: k=%d)\n", *m, *n, *m, *k, *k, *n, *k)
 	cBase := tensor.NewMatrix(*m, *n)
 	cOpt := tensor.NewMatrix(*m, *n)
-	tBase := timeIt(*reps, func() { blas.Baseline{}.Gemm(cBase, A, B) })
+	tBase := timeIt(*reps, func() { baseline.BLAS{}.Gemm(cBase, A, B) })
 	tOpt := timeIt(*reps, func() { blas.TallSkinny{}.Gemm(cOpt, A, B) })
 	if !cBase.EqualApprox(cOpt, 1e-3) {
 		log.Fatalf("kernels disagree: max diff %g", cBase.MaxAbsDiff(cOpt))
@@ -41,7 +42,7 @@ func main() {
 	X := randomMatrix(rng, *m, *n)
 	kBase := tensor.NewMatrix(*m, *m)
 	kOpt := tensor.NewMatrix(*m, *m)
-	tBase = timeIt(*reps, func() { blas.Baseline{}.Syrk(kBase, X) })
+	tBase = timeIt(*reps, func() { baseline.BLAS{}.Syrk(kBase, X) })
 	tOpt = timeIt(*reps, func() { blas.TallSkinny{}.Syrk(kOpt, X) })
 	if !kBase.EqualApprox(kOpt, 5e-2) {
 		log.Fatalf("syrk kernels disagree: max diff %g", kBase.MaxAbsDiff(kOpt))

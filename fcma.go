@@ -17,9 +17,9 @@
 //   - OnlineAnalysis: single-subject voxel selection and classifier
 //     training, the building block of closed-loop real-time fMRI.
 //
-// Both run on either the Baseline engine (general-purpose blocked kernels
-// and a LibSVM-style solver, the paper's comparison point) or the
-// Optimized engine (tall-skinny blocking, fused pipeline stages, PhiSVM).
+// Both run on the paper's optimized engine (tall-skinny blocking, fused
+// pipeline stages, PhiSVM); the baseline it is measured against is run by
+// `fcma-bench native-fig9` and the package benchmarks, not by an analysis.
 //
 // Around the two analyses sit the rest of a working FCMA toolkit:
 // SelectVoxels / SelectVoxelsDistributed (whole-brain ranking, locally or
@@ -168,30 +168,8 @@ func (d *Data) withoutSubject(s int) *Data {
 	return &Data{ds: d.ds.SelectSubjects(keep)}
 }
 
-// Engine selects the kernel implementations the pipeline runs on.
-type Engine int
-
-const (
-	// Optimized is the paper's contribution: tall-skinny blocked kernels,
-	// fused stage 1+2, PhiSVM.
-	Optimized Engine = iota
-	// Baseline is the paper's comparison point: general-purpose blocked
-	// BLAS and a LibSVM-style solver.
-	Baseline
-)
-
-// String implements fmt.Stringer.
-func (e Engine) String() string {
-	if e == Baseline {
-		return "baseline"
-	}
-	return "optimized"
-}
-
 // Config controls an analysis run.
 type Config struct {
-	// Engine selects Optimized (default) or Baseline kernels.
-	Engine Engine
 	// Workers bounds goroutine parallelism; 0 means GOMAXPROCS.
 	Workers int
 	// TopK is the number of voxels selected for the final classifier;
@@ -236,28 +214,19 @@ func (c Config) topK(voxels int) int {
 }
 
 func (c Config) coreConfig() core.Config {
-	var cc core.Config
-	if c.Engine == Baseline {
-		cc = core.Baseline()
-	} else {
-		cc = core.Optimized()
-	}
+	cc := core.Optimized()
 	cc.Workers = c.Workers
 	cc.Trainer = c.trainer()
 	cc.Obs = c.Metrics
 	return cc
 }
 
-// trainer returns the engine's SVM solver with the configured box
-// constraint — the one place Engine and SVMCost turn into a trainer, so
-// voxel selection, the final classifier, the activity comparator and the
-// permutation test cannot disagree on either.
+// trainer returns the SVM solver with the configured box constraint — the
+// one place SVMCost turns into a trainer, so voxel selection, the final
+// classifier, the activity comparator and the permutation test cannot
+// disagree on it.
 func (c Config) trainer() svm.KernelTrainer {
-	p := svm.Params{C: c.SVMCost}
-	if c.Engine == Baseline {
-		return svm.LibSVM{Params: p}
-	}
-	return svm.PhiSVM{Params: p}
+	return svm.PhiSVM{Params: svm.Params{C: c.SVMCost}}
 }
 
 // VoxelScore is a voxel and its cross-validated classification accuracy.

@@ -237,31 +237,6 @@ func TestSubjectExtraction(t *testing.T) {
 	}
 }
 
-func TestBaselineEngineAgrees(t *testing.T) {
-	d := mustGenerate(t, testSpec())
-	opt, err := SelectVoxels(d, Config{Engine: Optimized})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := SelectVoxels(d, Config{Engine: Baseline})
-	if err != nil {
-		t.Fatal(err)
-	}
-	topOpt := map[int]bool{}
-	for _, s := range opt[:10] {
-		topOpt[s.Voxel] = true
-	}
-	agree := 0
-	for _, s := range base[:10] {
-		if topOpt[s.Voxel] {
-			agree++
-		}
-	}
-	if agree < 7 {
-		t.Fatalf("engines agree on only %d of top 10", agree)
-	}
-}
-
 // SVMCost reaches the stage-3 solver of voxel selection: the default
 // spelled out (C = 1) changes nothing, a far-from-default box constraint
 // changes the cross-validated accuracies.
@@ -284,12 +259,6 @@ func TestSVMCostReachesVoxelSelection(t *testing.T) {
 	}
 	if !differs {
 		t.Fatal("SVMCost 1e-4 scored every voxel exactly as the default: the cost never reached stage 3")
-	}
-}
-
-func TestEngineString(t *testing.T) {
-	if Optimized.String() != "optimized" || Baseline.String() != "baseline" {
-		t.Fatal("Engine.String broken")
 	}
 }
 

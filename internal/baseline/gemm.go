@@ -1,8 +1,16 @@
-package blas
+package baseline
 
-import "fcma/internal/tensor"
+import (
+	"context"
+	"fmt"
+	"runtime"
 
-// Baseline is a general-purpose blocked GEMM/SYRK in the style of a vendor
+	"fcma/internal/blas"
+	"fcma/internal/safe"
+	"fcma/internal/tensor"
+)
+
+// BLAS is a general-purpose blocked GEMM/SYRK in the style of a vendor
 // BLAS (the paper's Intel MKL baseline). It implements the Goto algorithm:
 // the k and n dimensions are partitioned into KC×NC panels of B that are
 // packed into contiguous buffers, MC×KC panels of A are packed likewise,
@@ -13,7 +21,7 @@ import "fcma/internal/tensor"
 // packing traffic is of the same order as the arithmetic, which is exactly
 // the behaviour the paper measures for MKL (34.9 billion memory references
 // where the arithmetic needs fewer than 10 billion; see Table 1).
-type Baseline struct {
+type BLAS struct {
 	// Workers bounds the number of goroutines; 0 means GOMAXPROCS.
 	Workers int
 	// MC, KC, NC are the cache-blocking panel sizes. Zero values select
@@ -21,7 +29,7 @@ type Baseline struct {
 	MC, KC, NC int
 }
 
-func (b Baseline) params() (mc, kc, nc int) {
+func (b BLAS) params() (mc, kc, nc int) {
 	mc, kc, nc = b.MC, b.KC, b.NC
 	if mc <= 0 {
 		mc = 128
@@ -35,14 +43,18 @@ func (b Baseline) params() (mc, kc, nc int) {
 	return mc, kc, nc
 }
 
+// The micro-kernel's register tile.
 const (
-	baselineMR = 4
-	baselineNR = 8
+	mr = 4
+	nr = 8
 )
 
 // Gemm computes C = A·B with panel packing and an MR×NR micro-kernel.
-func (b Baseline) Gemm(C, A, B *tensor.Matrix) {
-	checkGemmShapes(C, A, B)
+func (b BLAS) Gemm(C, A, B *tensor.Matrix) {
+	if A.Cols != B.Rows || C.Rows != A.Rows || C.Cols != B.Cols {
+		panic(fmt.Sprintf("baseline: gemm shape mismatch C[%dx%d] = A[%dx%d]·B[%dx%d]",
+			C.Rows, C.Cols, A.Rows, A.Cols, B.Rows, B.Cols))
+	}
 	m, k, n := A.Rows, A.Cols, B.Cols
 	if m == 0 || n == 0 {
 		return
@@ -62,7 +74,6 @@ func (b Baseline) Gemm(C, A, B *tensor.Matrix) {
 	// written by exactly one goroutine.
 	nPanels := (n + nc - 1) / nc
 	parallelFor(nPanels, b.Workers, func(p0, p1 int) {
-		obsGemmBlocks.Add(uint64(p1 - p0))
 		packedB := make([]float32, kc*nc)
 		packedA := make([]float32, mc*kc)
 		for p := p0; p < p1; p++ {
@@ -74,7 +85,7 @@ func (b Baseline) Gemm(C, A, B *tensor.Matrix) {
 				for ic := 0; ic < m; ic += mc {
 					mb := min(mc, m-ic)
 					packPanelA(packedA, A, ic, pc, mb, kb)
-					baselineMacroKernel(C, packedA, packedB, ic, jc, mb, nb, kb)
+					macroKernel(C, packedA, packedB, ic, jc, mb, nb, kb)
 				}
 			}
 		}
@@ -85,15 +96,15 @@ func (b Baseline) Gemm(C, A, B *tensor.Matrix) {
 // width NR: strip j holds rows 0..kb of columns [j*NR, j*NR+NR).
 func packPanelB(dst []float32, B *tensor.Matrix, pc, jc, kb, nb int) {
 	idx := 0
-	for j := 0; j < nb; j += baselineNR {
-		w := min(baselineNR, nb-j)
+	for j := 0; j < nb; j += nr {
+		w := min(nr, nb-j)
 		for p := 0; p < kb; p++ {
 			row := B.Data[(pc+p)*B.Stride+jc+j:]
 			for x := 0; x < w; x++ {
 				dst[idx] = row[x]
 				idx++
 			}
-			for x := w; x < baselineNR; x++ {
+			for x := w; x < nr; x++ {
 				dst[idx] = 0
 				idx++
 			}
@@ -105,14 +116,14 @@ func packPanelB(dst []float32, B *tensor.Matrix, pc, jc, kb, nb int) {
 // height MR: strip i holds columns 0..kb of rows [i*MR, i*MR+MR).
 func packPanelA(dst []float32, A *tensor.Matrix, ic, pc, mb, kb int) {
 	idx := 0
-	for i := 0; i < mb; i += baselineMR {
-		h := min(baselineMR, mb-i)
+	for i := 0; i < mb; i += mr {
+		h := min(mr, mb-i)
 		for p := 0; p < kb; p++ {
 			for x := 0; x < h; x++ {
 				dst[idx] = A.Data[(ic+i+x)*A.Stride+pc+p]
 				idx++
 			}
-			for x := h; x < baselineMR; x++ {
+			for x := h; x < mr; x++ {
 				dst[idx] = 0
 				idx++
 			}
@@ -120,27 +131,27 @@ func packPanelA(dst []float32, A *tensor.Matrix, ic, pc, mb, kb int) {
 	}
 }
 
-func baselineMacroKernel(C *tensor.Matrix, packedA, packedB []float32, ic, jc, mb, nb, kb int) {
-	for i := 0; i < mb; i += baselineMR {
-		h := min(baselineMR, mb-i)
-		aStrip := packedA[(i/baselineMR)*kb*baselineMR:]
-		for j := 0; j < nb; j += baselineNR {
-			w := min(baselineNR, nb-j)
-			bStrip := packedB[(j/baselineNR)*kb*baselineNR:]
-			baselineMicroKernel(C, aStrip, bStrip, ic+i, jc+j, h, w, kb)
+func macroKernel(C *tensor.Matrix, packedA, packedB []float32, ic, jc, mb, nb, kb int) {
+	for i := 0; i < mb; i += mr {
+		h := min(mr, mb-i)
+		aStrip := packedA[(i/mr)*kb*mr:]
+		for j := 0; j < nb; j += nr {
+			w := min(nr, nb-j)
+			bStrip := packedB[(j/nr)*kb*nr:]
+			microKernel(C, aStrip, bStrip, ic+i, jc+j, h, w, kb)
 		}
 	}
 }
 
-// baselineMicroKernel accumulates an MR×NR block of C from packed strips.
-func baselineMicroKernel(C *tensor.Matrix, a, b []float32, ci, cj, h, w, kb int) {
-	var acc [baselineMR][baselineNR]float32
+// microKernel accumulates an MR×NR block of C from packed strips.
+func microKernel(C *tensor.Matrix, a, b []float32, ci, cj, h, w, kb int) {
+	var acc [mr][nr]float32
 	for p := 0; p < kb; p++ {
-		ap := a[p*baselineMR : p*baselineMR+baselineMR]
-		bp := b[p*baselineNR : p*baselineNR+baselineNR]
-		for x := 0; x < baselineMR; x++ {
+		ap := a[p*mr : p*mr+mr]
+		bp := b[p*nr : p*nr+nr]
+		for x := 0; x < mr; x++ {
 			av := ap[x]
-			for y := 0; y < baselineNR; y++ {
+			for y := 0; y < nr; y++ {
 				acc[x][y] += av * bp[y]
 			}
 		}
@@ -158,10 +169,9 @@ func baselineMicroKernel(C *tensor.Matrix, a, b []float32, ci, cj, h, w, kb int)
 // A vendor BLAS avoids half the arithmetic via symmetry but still pays the
 // packing traffic on M×N · N×M with tiny M, which is what Table 5 measures
 // (108 GFLOPS for MKL vs 430 for the paper's kernel).
-func (b Baseline) Syrk(C, A *tensor.Matrix) {
-	checkSyrkShapes(C, A)
+func (b BLAS) Syrk(C, A *tensor.Matrix) {
 	at := transposeParallel(A, b.Workers)
-	b.Gemm(C, A, at)
+	b.Gemm(C, A, at) // its shape check is this product's: C must be A.Rows square
 	// Symmetrize to wash out non-associative float differences between the
 	// (i,j) and (j,i) accumulation orders.
 	for i := 0; i < C.Rows; i++ {
@@ -185,5 +195,26 @@ func transposeParallel(A *tensor.Matrix, workers int) *tensor.Matrix {
 	return out
 }
 
-var _ Sgemm = Baseline{}
-var _ Ssyrk = Baseline{}
+// parallelFor runs fn(start, end) over [0, n) in contiguous chunks of
+// ceil(n/workers) indices (workers <= 0: GOMAXPROCS), one per item of the
+// shared driver; a chunk's panic is re-thrown on the caller.
+func parallelFor(n, workers int, fn func(start, end int)) {
+	if n <= 0 {
+		return
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, n)
+	chunk := (n + workers - 1) / workers
+	err := safe.ParallelDynamic(context.Background(), safe.Span{Stage: "baseline/kernel"}, (n+chunk-1)/chunk, workers,
+		func(_ context.Context, c int) error {
+			fn(c*chunk, min((c+1)*chunk, n))
+			return nil
+		})
+	if err != nil {
+		panic(err)
+	}
+}
+
+var _ blas.Sgemm = BLAS{}

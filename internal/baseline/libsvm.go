@@ -1,7 +1,8 @@
-package svm
+package baseline
 
-// This file is the float64 reference solver — the correctness oracle the
-// float32 path is validated against — so it is float64 by definition.
+// This file is the float64 reference solver — the paper's LibSVM
+// comparison point, which the float32 production solvers are validated
+// against — so it is float64 by definition.
 //
 //lint:file-allow f32purity float64 reference solver by definition; the float32 path is checked against it
 
@@ -9,8 +10,12 @@ import (
 	"fmt"
 	"math"
 
+	"fcma/internal/svm"
 	"fcma/internal/tensor"
 )
+
+// tau is the curvature floor for non-positive-definite pairs, as in LibSVM.
+const tau = 1e-12
 
 // node mirrors LibSVM's svm_node: an index/value pair. In precomputed-
 // kernel mode each training sample's "feature vector" is its kernel row,
@@ -108,7 +113,7 @@ func (s *smo64) solve() (int, error) {
 		}
 		s.update(i, j)
 	}
-	return s.maxIter, fmt.Errorf("%w in %d iterations", errNoConverge, s.maxIter)
+	return s.maxIter, fmt.Errorf("%w in %d iterations", svm.ErrNoConverge, s.maxIter)
 }
 
 // selectWorkingSet implements WSS2 (Fan, Chen, Lin 2005), LibSVM's default.
@@ -306,7 +311,7 @@ func (s *smo64) objective() float64 {
 // node arrays up front (the "unnecessary data type conversions" of §3.3.3)
 // and every Q-row construction walks the index/value pairs.
 type LibSVM struct {
-	Params
+	svm.Params
 	// CacheRows bounds the Q-row cache (LibSVM's kernel cache); 0 caches
 	// every row.
 	CacheRows int
@@ -319,7 +324,7 @@ type LibSVM struct {
 }
 
 // TrainKernel implements KernelTrainer.
-func (l LibSVM) TrainKernel(K *tensor.Matrix, labels []int, trainIdx []int) (*Model, error) {
+func (l LibSVM) TrainKernel(K *tensor.Matrix, labels []int, trainIdx []int) (*svm.Model, error) {
 	y, err := labelsToY(labels, trainIdx)
 	if err != nil {
 		return nil, err
@@ -341,14 +346,15 @@ func (l LibSVM) TrainKernel(K *tensor.Matrix, labels []int, trainIdx []int) (*Mo
 	for i := range qd {
 		qd[i] = lookupNode(nodes[i], int32(trainIdx[i]))
 	}
+	p := l.Params.Resolved(n)
 	s := &smo64{
 		y:         y,
 		alpha:     make([]float64, n),
 		g:         make([]float64, n),
 		qd:        qd,
-		c:         l.c(),
-		eps:       l.eps(),
-		maxIter:   l.Params.maxIter(n),
+		c:         p.C,
+		eps:       p.Eps,
+		maxIter:   p.MaxIter,
 		shrinking: l.Shrinking,
 	}
 	s.q = newQCache64(n, l.CacheRows, func(i int, dst []float64) {
@@ -366,14 +372,24 @@ func (l LibSVM) TrainKernel(K *tensor.Matrix, labels []int, trainIdx []int) (*Mo
 }
 
 // labelsToY converts the training set's {0,1} labels into ±1, validating
-// them and that both classes are present.
+// them and that both classes are present (svm.ErrOneClass otherwise, which
+// cross-validation scores at chance).
 func labelsToY(labels []int, trainIdx []int) ([]int8, error) {
-	if err := checkTrainingSet(labels, trainIdx); err != nil {
-		return nil, err
-	}
 	y := make([]int8, len(trainIdx))
+	pos := 0
 	for i, idx := range trainIdx {
-		y[i] = int8(2*labels[idx] - 1)
+		if idx < 0 || idx >= len(labels) {
+			return nil, fmt.Errorf("baseline: training set: sample index %d out of range %d", idx, len(labels))
+		}
+		l := labels[idx]
+		if l != 0 && l != 1 {
+			return nil, fmt.Errorf("baseline: training set: label %d is not binary", l)
+		}
+		y[i] = int8(2*l - 1)
+		pos += l
+	}
+	if pos == 0 || pos == len(trainIdx) {
+		return nil, fmt.Errorf("%w (got %d positive, %d negative)", svm.ErrOneClass, pos, len(trainIdx)-pos)
 	}
 	return y, nil
 }
@@ -395,12 +411,12 @@ func lookupNode(row []node, index int32) float64 {
 	return 0
 }
 
-func finishModel(s *smo64, trainIdx []int, iters int) *Model {
+func finishModel(s *smo64, trainIdx []int, iters int) *svm.Model {
 	coef := make([]float64, len(trainIdx))
 	for i, a := range s.alpha {
 		coef[i] = a * float64(s.y[i])
 	}
-	return &Model{
+	return &svm.Model{
 		TrainIdx:  append([]int(nil), trainIdx...),
 		Coef:      coef,
 		Rho:       s.rho(),
@@ -409,4 +425,4 @@ func finishModel(s *smo64, trainIdx []int, iters int) *Model {
 	}
 }
 
-var _ KernelTrainer = LibSVM{}
+var _ svm.KernelTrainer = LibSVM{}

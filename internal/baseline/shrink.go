@@ -1,4 +1,4 @@
-package svm
+package baseline
 
 import "math"
 

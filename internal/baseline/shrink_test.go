@@ -1,10 +1,12 @@
-package svm
+package baseline
 
 import (
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"fcma/internal/svm"
 )
 
 func TestShrinkingMatchesUnshrunkSolution(t *testing.T) {
@@ -46,7 +48,7 @@ func TestShrinkingStaysFeasible(t *testing.T) {
 		for i, kidx := range model.TrainIdx {
 			y := float64(2*labels[kidx] - 1)
 			alpha := model.Coef[i] * y
-			if alpha < -1e-9 || alpha > DefaultC+1e-9 {
+			if alpha < -1e-9 || alpha > svm.DefaultC+1e-9 {
 				return false
 			}
 			sum += model.Coef[i]
@@ -105,7 +107,7 @@ func TestShrinkingActuallyShrinks(t *testing.T) {
 	for i, a := range s.alpha {
 		coef[i] = a * float64(s.y[i])
 	}
-	model := &Model{TrainIdx: idx, Coef: coef, Rho: s.rho()}
+	model := &svm.Model{TrainIdx: idx, Coef: coef, Rho: s.rho()}
 	for i := range labels {
 		if model.Predict(K, i) != labels[i] {
 			t.Fatalf("sample %d misclassified after shrinking run", i)

@@ -2,21 +2,18 @@
 // on: general matrix multiplication (sgemm) and symmetric rank-k update
 // (ssyrk, C = A·Aᵀ).
 //
-// Three gemm families are provided:
+// Two gemm families are provided (the general-purpose packing BLAS the
+// paper measures them against is a comparator, in internal/baseline):
 //
 //   - Naive: textbook triple loop, the correctness reference.
-//   - Baseline: a square-blocked, panel-packing implementation in the style
-//     of a general-purpose BLAS (the paper's MKL baseline). It is cache
-//     conscious for large, nearly-square operands but pays heavy packing
-//     and loop-overhead costs on FCMA's tall-skinny shapes (k of ~12).
 //   - TallSkinny: the paper's optimization idea #1/#3 — block the long
 //     dimension to fit L2, keep the inner loop unit-stride over the wide
 //     operand, and accumulate across the tiny k dimension in registers.
 //
-// Ssyrk likewise comes as a baseline and as the paper's Fig. 7 workflow:
-// threads march down the long dimension in 96-row blocks, stage each block
-// in a local buffer, transpose micro-panels for unit-stride products and
-// merge per-thread partial results under a lock.
+// The syrk is the paper's Fig. 7 workflow: march down the long dimension
+// in 96-column blocks, stage each block in a local buffer, transpose
+// micro-panels for unit-stride products and add each block's partial
+// product into the output in ascending order.
 package blas
 
 import (
@@ -30,13 +27,6 @@ type Sgemm interface {
 	// Gemm computes C = A·B, overwriting C. Shapes must satisfy
 	// A: m×k, B: k×n, C: m×n (C.Stride may exceed n to interleave output).
 	Gemm(C, A, B *tensor.Matrix)
-}
-
-// Ssyrk computes the symmetric product C = A·Aᵀ.
-type Ssyrk interface {
-	// Syrk computes C = A·Aᵀ, overwriting C. Shapes: A m×n, C m×m.
-	// Implementations compute only one triangle and mirror it.
-	Syrk(C, A *tensor.Matrix)
 }
 
 // HasAVX2 reports whether the host can run AVX2 kernels: the verdict of

@@ -461,4 +461,3 @@ func syrkBlockDiag(local *tensor.Matrix, tbuf []float32, m, w, i0, ih int) {
 }
 
 var _ Sgemm = TallSkinny{}
-var _ Ssyrk = TallSkinny{}

@@ -21,26 +21,17 @@ import (
 )
 
 // Config selects the kernel implementations and pipeline structure for a
-// worker. The zero value is NOT valid; use Baseline or Optimized (or build
-// a custom one) so every field is set deliberately.
+// worker. The zero value is NOT valid; start from Optimized so every field
+// is set deliberately.
 type Config struct {
 	// Gemm performs the stage-1 correlation products.
 	Gemm blas.Sgemm
-	// Syrk precomputes the stage-3 SVM kernel matrices.
-	Syrk blas.Ssyrk
 	// Trainer runs stage-3 SVM training during cross-validation.
 	Trainer svm.KernelTrainer
 	// Merged fuses stages 1 and 2 (the paper's cache-retaining variant).
 	Merged bool
 	// Workers bounds goroutine parallelism; 0 means GOMAXPROCS.
 	Workers int
-	// BatchKernels precomputes every assigned voxel's kernel matrix in
-	// one batched pass (the paper's §4.4 redesign: accumulate all kernel
-	// matrices before cross-validation so the solver stage never starves)
-	// instead of per voxel inside the CV loop.
-	BatchKernels bool
-	// Name labels the configuration in reports.
-	Name string
 	// Obs receives stage timings and task/voxel counters (see DESIGN.md
 	// §10); nil records to the process-wide obs.Default() registry. The
 	// same registry is threaded into the corr.Pipeline the worker builds.
@@ -55,36 +46,21 @@ func (c Config) obsReg() *obs.Registry {
 	return c.Obs
 }
 
-// Baseline returns the paper's baseline configuration: general-purpose
-// blocked BLAS (the MKL stand-in), separated pipeline stages, and the
-// LibSVM-style double-precision solver.
-func Baseline() Config {
-	return Config{
-		Name:    "baseline",
-		Gemm:    blas.Baseline{Workers: 1},
-		Syrk:    blas.Baseline{Workers: 1},
-		Trainer: svm.LibSVM{},
-		Merged:  false,
-	}
-}
-
-// Optimized returns the paper's optimized configuration: tall-skinny
-// blocked kernels, merged stage 1+2, and PhiSVM.
+// Optimized returns the paper's optimized configuration — tall-skinny
+// blocked kernels, merged stage 1+2, and PhiSVM — which is the one engine
+// every entry point runs. (The configuration the paper measures it against
+// is internal/baseline's task, reached only by fcma-bench and tests.)
 func Optimized() Config {
 	return Config{
-		Name:         "optimized",
-		Gemm:         blas.TallSkinny{Workers: 1},
-		Syrk:         blas.TallSkinny{Workers: 1},
-		Trainer:      svm.PhiSVM{},
-		Merged:       true,
-		BatchKernels: true,
+		Gemm:    blas.TallSkinny{Workers: 1},
+		Trainer: svm.PhiSVM{},
+		Merged:  true,
 	}
 }
 
 func (c Config) validate() error {
-	if c.Gemm == nil || c.Syrk == nil || c.Trainer == nil {
-		return fmt.Errorf("core: config %q missing kernels (gemm=%v syrk=%v trainer=%v)",
-			c.Name, c.Gemm != nil, c.Syrk != nil, c.Trainer != nil)
+	if c.Gemm == nil || c.Trainer == nil {
+		return fmt.Errorf("core: config missing kernels (gemm=%v trainer=%v)", c.Gemm != nil, c.Trainer != nil)
 	}
 	return nil
 }
@@ -187,30 +163,27 @@ func (w *Worker) ProcessContext(ctx context.Context, t Task) ([]VoxelScore, erro
 		labels[i] = e.Label
 	}
 	scores := make([]VoxelScore, t.V)
-	var kernels []*tensor.Matrix
-	if w.cfg.BatchKernels {
-		// Precompute every voxel's kernel matrix in one batched pass
-		// before any cross-validation starts (§4.4's redesign): the
-		// reduction to M×M kernels frees the memory the correlation data
-		// held and keeps every thread busy during the solver stage.
-		As := make([]*tensor.Matrix, t.V)
-		kernels = make([]*tensor.Matrix, t.V)
-		for v := 0; v < t.V; v++ {
-			As[v] = buf.View(v*M, 0, M, w.stack.N)
-			kernels[v] = tensor.NewMatrix(M, M)
+	// Precompute every voxel's kernel matrix in one batched pass before
+	// any cross-validation starts (§4.4's redesign): the reduction to M×M
+	// kernels frees the memory the correlation data held and keeps every
+	// thread busy during the solver stage.
+	As := make([]*tensor.Matrix, t.V)
+	kernels := make([]*tensor.Matrix, t.V)
+	for v := 0; v < t.V; v++ {
+		As[v] = buf.View(v*M, 0, M, w.stack.N)
+		kernels[v] = tensor.NewMatrix(M, M)
+	}
+	syrkTimer := reg.Stage("core/syrk").Start()
+	sctx, syrkSpan := trace.StartSpan(ctx, "core/syrk")
+	syrkSpan.SetInt("kernels", t.V)
+	err = blas.BatchSyrkContext(sctx, kernels, As, blas.DefaultSyrkBlock, w.cfg.Workers)
+	syrkSpan.End()
+	syrkTimer.Stop()
+	if err != nil {
+		if ctx.Err() != nil && err == ctx.Err() {
+			return nil, err
 		}
-		syrkTimer := reg.Stage("core/syrk").Start()
-		sctx, syrkSpan := trace.StartSpan(ctx, "core/syrk")
-		syrkSpan.SetInt("kernels", t.V)
-		err := blas.BatchSyrkContext(sctx, kernels, As, blas.DefaultSyrkBlock, w.cfg.Workers)
-		syrkSpan.End()
-		syrkTimer.Stop()
-		if err != nil {
-			if ctx.Err() != nil && err == ctx.Err() {
-				return nil, err
-			}
-			return nil, fmt.Errorf("core: batched kernel precompute: %w", err)
-		}
+		return nil, fmt.Errorf("core: batched kernel precompute: %w", err)
 	}
 	voxelsScored := reg.Counter("core_voxels_scored_total")
 	cvSeconds := reg.Histogram("svm_cv_seconds", obs.DefaultLatencyBuckets)
@@ -218,15 +191,8 @@ func (w *Worker) ProcessContext(ctx context.Context, t Task) ([]VoxelScore, erro
 	svmCtx, svmSpan := trace.StartSpan(ctx, "core/svm")
 	defer svmSpan.End()
 	err = safe.ParallelDynamic(svmCtx, safe.Span{Stage: "svm/cv", Base: t.V0}, t.V, w.cfg.Workers, func(ictx context.Context, v int) error {
-		var K *tensor.Matrix
-		if kernels != nil {
-			K = kernels[v]
-		} else {
-			data := buf.View(v*M, 0, M, w.stack.N)
-			K = svm.PrecomputeKernel(data, w.cfg.Syrk)
-		}
 		vt := cvSeconds.Start()
-		acc, err := svm.CrossValidateContext(ictx, w.cfg.Trainer, K, labels, w.folds)
+		acc, err := svm.CrossValidateContext(ictx, w.cfg.Trainer, kernels[v], labels, w.folds)
 		vt.Stop()
 		if err != nil {
 			return fmt.Errorf("core: voxel %d: %w", t.V0+v, err)

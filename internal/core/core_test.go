@@ -89,53 +89,6 @@ func testFCMAFindsPlantedSignalVoxels(t *testing.T) {
 	}
 }
 
-func TestBaselineAndOptimizedAgreeOnRanking(t *testing.T) {
-	eachKernelPath(t, testBaselineAndOptimizedAgreeOnRanking)
-}
-
-func testBaselineAndOptimizedAgreeOnRanking(t *testing.T) {
-	d, st := testStack(t, 32, 4, 10)
-	tasks := Task{V0: 0, V: 32}
-	wb, err := NewWorker(Baseline(), st, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wo, err := NewWorker(Optimized(), st, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb, err := wb.Process(tasks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	so, err := wo.Process(tasks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The two configurations compute the same mathematics via different
-	// kernels; accuracies should match closely per voxel.
-	k := len(d.SignalVoxels)
-	topB := map[int]bool{}
-	for _, s := range TopVoxels(sb, k) {
-		topB[s.Voxel] = true
-	}
-	agree := 0
-	for _, s := range TopVoxels(so, k) {
-		if topB[s.Voxel] {
-			agree++
-		}
-	}
-	if agree*3 < k*2 {
-		t.Fatalf("baseline and optimized top-%d overlap only %d", k, agree)
-	}
-	for i := range sb {
-		diff := sb[i].Accuracy - so[i].Accuracy
-		if diff < -0.25 || diff > 0.25 {
-			t.Fatalf("voxel %d accuracy: baseline %v vs optimized %v", i, sb[i].Accuracy, so[i].Accuracy)
-		}
-	}
-}
-
 func TestWorkerSubrangeTask(t *testing.T) { eachKernelPath(t, testWorkerSubrangeTask) }
 
 func testWorkerSubrangeTask(t *testing.T) {
@@ -200,18 +153,12 @@ func TestTopVoxels(t *testing.T) {
 }
 
 func TestConfigPresets(t *testing.T) {
-	b, o := Baseline(), Optimized()
-	if b.Merged || !o.Merged {
-		t.Fatal("merge flags wrong")
-	}
-	if _, ok := b.Gemm.(blas.Baseline); !ok {
-		t.Fatal("baseline gemm wrong type")
+	o := Optimized()
+	if !o.Merged {
+		t.Fatal("merge flag wrong")
 	}
 	if _, ok := o.Gemm.(blas.TallSkinny); !ok {
 		t.Fatal("optimized gemm wrong type")
-	}
-	if _, ok := b.Trainer.(svm.LibSVM); !ok {
-		t.Fatal("baseline trainer wrong type")
 	}
 	if _, ok := o.Trainer.(svm.PhiSVM); !ok {
 		t.Fatal("optimized trainer wrong type")

@@ -339,7 +339,7 @@ func TestPipelineGemmImplsAgree(t *testing.T) { eachKernelPath(t, testPipelineGe
 func testPipelineGemmImplsAgree(t *testing.T) {
 	d := testDataset(t)
 	st, _ := BuildEpochStack(d, 0)
-	impls := []blas.Sgemm{blas.Naive{}, blas.Baseline{}, blas.TallSkinny{}}
+	impls := []blas.Sgemm{blas.Naive{}, blas.TallSkinny{}}
 	var ref *tensor.Matrix
 	for i, g := range impls {
 		p := &Pipeline{Gemm: g, Workers: 2}
@@ -360,7 +360,7 @@ func TestFullMatrixMatchesPearson(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	C, err := FullMatrix(st, 2, nil)
+	C, err := FullMatrix(st, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,10 +391,10 @@ func TestFullMatrixMatchesPearson(t *testing.T) {
 func TestFullMatrixEpochRange(t *testing.T) {
 	d := testDataset(t)
 	st, _ := BuildEpochStack(d, 0)
-	if _, err := FullMatrix(st, -1, nil); err == nil {
+	if _, err := FullMatrix(st, -1); err == nil {
 		t.Fatal("negative epoch accepted")
 	}
-	if _, err := FullMatrix(st, st.M(), nil); err == nil {
+	if _, err := FullMatrix(st, st.M()); err == nil {
 		t.Fatal("out-of-range epoch accepted")
 	}
 }

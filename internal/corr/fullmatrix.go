@@ -12,16 +12,11 @@ import (
 // for one epoch, C = X'·X'ᵀ over the eq.2-normalized epoch data. For the
 // paper's brains this matrix is huge (34,470² ≈ 1.2 billion entries, the
 // "terabytes of correlation matrices" of §3.1 across epochs) — FCMA's
-// pipeline never materializes it, but smaller studies and tests do.
-//
-// sy selects the symmetric-multiply kernel; nil uses the tall-skinny
-// blocked syrk.
-func FullMatrix(st *EpochStack, epoch int, sy blas.Ssyrk) (*tensor.Matrix, error) {
+// pipeline never materializes it, but smaller studies and tests do. The
+// product is the tall-skinny blocked syrk.
+func FullMatrix(st *EpochStack, epoch int) (*tensor.Matrix, error) {
 	if epoch < 0 || epoch >= st.M() {
 		return nil, fmt.Errorf("corr: epoch %d of %d", epoch, st.M())
-	}
-	if sy == nil {
-		sy = blas.TallSkinny{}
 	}
 	// The stack stores epochs transposed (T×N); the syrk wants N×T rows.
 	nm := st.Norm[epoch]
@@ -33,7 +28,7 @@ func FullMatrix(st *EpochStack, epoch int, sy blas.Ssyrk) (*tensor.Matrix, error
 		}
 	}
 	C := tensor.NewMatrix(st.N, st.N)
-	sy.Syrk(C, X)
+	blas.TallSkinny{}.Syrk(C, X)
 	return C, nil
 }
 

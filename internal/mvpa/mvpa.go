@@ -80,7 +80,7 @@ func SelectVoxelsContext(ctx context.Context, d *fmri.Dataset, cfg Config) ([]Vo
 				dst[t] = val - sessionMean
 			}
 		}
-		K := svm.PrecomputeKernel(X, nil)
+		K := svm.PrecomputeKernel(X)
 		acc, err := svm.CrossValidateContext(ictx, trainer, K, labels, folds)
 		if err != nil {
 			return fmt.Errorf("mvpa: voxel %d: %w", v, err)

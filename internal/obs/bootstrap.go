@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"flag"
 	"log/slog"
 	"os"
 	"os/signal"
@@ -9,33 +10,39 @@ import (
 	"fcma/internal/obs/trace"
 )
 
-// BootstrapCLI wires the observability glue every command shares:
+// BootstrapCLI registers the two observability flags every command shares,
+// -log-format and -flight-out, on fs, and returns the function the command
+// calls once fs is parsed. That call wires the shared glue:
 //
 //   - a flight-teed structured logger (see NewLogger) writing to stderr
 //     in the chosen format, installed as the process default so library
 //     layers logging via slog.Default() follow the same -log-format;
-//   - crash dumps armed at stderr — or at flightOut when non-empty, in
-//     which case the file is only created if a dump actually fires — so a
-//     contained panic or a fatal cluster abort leaves a black-box readout;
+//   - crash dumps armed at stderr — or at the -flight-out file, which is
+//     only created if a dump actually fires — so a contained panic or a
+//     fatal cluster abort leaves a black-box readout;
 //   - a SIGQUIT handler that dumps the flight recorder on demand without
 //     killing the process (the classic "what is it doing right now" probe).
 //
 // component is attached to every log record; extra attrs (rank, role)
-// ride along. Returns the logger for the command's own use.
-func BootstrapCLI(component, format, flightOut string, attrs ...slog.Attr) *slog.Logger {
-	attrs = append([]slog.Attr{slog.String("component", component)}, attrs...)
-	logger := SetDefaultLogger(os.Stderr, format, attrs...)
-	if flightOut != "" {
-		trace.ArmCrashDumpFile(flightOut)
-	} else {
-		trace.ArmCrashDump(os.Stderr)
-	}
-	ch := make(chan os.Signal, 1)
-	signal.Notify(ch, syscall.SIGQUIT)
-	spawn("obs/sigquit", func() {
-		for range ch {
-			trace.DumpNow("SIGQUIT")
+// ride along. It returns the logger for the command's own use.
+func BootstrapCLI(fs *flag.FlagSet) func(component string, attrs ...slog.Attr) *slog.Logger {
+	format := fs.String("log-format", "text", `status log format: "text" or "json"`)
+	flightOut := fs.String("flight-out", "", "write flight-recorder crash dumps to this file instead of stderr (created only if a dump fires)")
+	return func(component string, attrs ...slog.Attr) *slog.Logger {
+		attrs = append([]slog.Attr{slog.String("component", component)}, attrs...)
+		logger := SetDefaultLogger(os.Stderr, *format, attrs...)
+		if *flightOut != "" {
+			trace.ArmCrashDumpFile(*flightOut)
+		} else {
+			trace.ArmCrashDump(os.Stderr)
 		}
-	})
-	return logger
+		ch := make(chan os.Signal, 1)
+		signal.Notify(ch, syscall.SIGQUIT)
+		spawn("obs/sigquit", func() {
+			for range ch {
+				trace.DumpNow("SIGQUIT")
+			}
+		})
+		return logger
+	}
 }

@@ -25,11 +25,11 @@ type ledgerRow struct {
 // under a dedicated histogram (the baseline's per-voxel kernel products hide
 // inside its SVM stage and have no isolated measurement to compare).
 var ledgerEngines = []struct {
-	name string
-	cfg  func() core.Config
-	rows []ledgerRow
+	name   string
+	worker workerFunc
+	rows   []ledgerRow
 }{
-	{"optimized", core.Optimized, []ledgerRow{
+	{"optimized", optimizedWorker, []ledgerRow{
 		{"merged", "stage_corr_merged_seconds",
 			func(s access.Shape) float64 { return s.GemmWork() + s.NormWork() },
 			func(m *mic.Machine, s access.Shape) { access.StagesMerged(m, s, blas.DefaultColBlock) }},
@@ -43,7 +43,7 @@ var ledgerEngines = []struct {
 				m.Counters.Scale(float64(s.V))
 			}},
 	}},
-	{"baseline", core.Baseline, []ledgerRow{
+	{"baseline", baselineWorker, []ledgerRow{
 		{"correlate", "stage_corr_correlate_seconds", access.Shape.GemmWork, access.GemmBaseline},
 		{"normalize", "stage_corr_normalize_seconds", access.Shape.NormWork, access.NormalizeBaseline},
 	}},
@@ -78,12 +78,11 @@ func NativeLedger(opt NativeOptions) (*Table, error) {
 		}
 		scale := math.Sqrt(min(1, ledgerTraceFlops/sh.GemmWork()))
 		for _, eng := range ledgerEngines {
-			cfg := eng.cfg()
-			cfg.Obs = obs.NewRegistry()
-			if _, err := runTask(cfg, stack, task); err != nil {
+			reg := obs.NewRegistry()
+			if _, err := runTask(eng.worker, stack, task, reg); err != nil {
 				return nil, err
 			}
-			hists := cfg.Obs.Snapshot().Hists
+			hists := reg.Snapshot().Hists
 			for _, row := range eng.rows {
 				predicted := access.RunScaled(model, sh, scale, row.work, row.driver).EstimateTime().Round(time.Microsecond)
 				measured := time.Duration(hists[row.hist].Sum * float64(time.Second)).Round(time.Microsecond)

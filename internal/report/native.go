@@ -1,15 +1,18 @@
 package report
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"time"
 
+	"fcma/internal/baseline"
 	"fcma/internal/cluster"
 	"fcma/internal/core"
 	"fcma/internal/corr"
 	"fcma/internal/fmri"
 	"fcma/internal/mpi"
+	"fcma/internal/obs"
 	"fcma/internal/safe"
 )
 
@@ -55,14 +58,33 @@ func nativeStack(spec fmri.Spec) (*corr.EpochStack, error) {
 	return corr.BuildEpochStack(d, 0)
 }
 
+// processor is what the paper's two configurations have in common.
+type processor interface {
+	ProcessContext(ctx context.Context, t core.Task) ([]core.VoxelScore, error)
+}
+
+// workerFunc builds a fresh worker over stack that records into reg (nil:
+// the process registry).
+type workerFunc func(stack *corr.EpochStack, reg *obs.Registry) (processor, error)
+
+func optimizedWorker(stack *corr.EpochStack, reg *obs.Registry) (processor, error) {
+	cfg := core.Optimized()
+	cfg.Obs = reg
+	return core.NewWorker(cfg, stack, nil)
+}
+
+func baselineWorker(stack *corr.EpochStack, reg *obs.Registry) (processor, error) {
+	return baseline.NewWorker(stack, reg)
+}
+
 // runTask runs one task on a fresh worker and returns its wall time.
-func runTask(cfg core.Config, stack *corr.EpochStack, task core.Task) (time.Duration, error) {
-	w, err := core.NewWorker(cfg, stack, nil)
+func runTask(newWorker workerFunc, stack *corr.EpochStack, task core.Task, reg *obs.Registry) (time.Duration, error) {
+	w, err := newWorker(stack, reg)
 	if err != nil {
 		return 0, err
 	}
 	start := time.Now()
-	if _, err := w.Process(task); err != nil {
+	if _, err := w.ProcessContext(context.Background(), task); err != nil {
 		return 0, err
 	}
 	return time.Since(start), nil
@@ -83,11 +105,11 @@ func NativeSpeedup(opt NativeOptions) (*Table, error) {
 			return nil, err
 		}
 		task := core.Task{V0: 0, V: min(120, stack.N)}
-		tb, err := runTask(core.Baseline(), stack, task)
+		tb, err := runTask(baselineWorker, stack, task, nil)
 		if err != nil {
 			return nil, err
 		}
-		to, err := runTask(core.Optimized(), stack, task)
+		to, err := runTask(optimizedWorker, stack, task, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -100,8 +100,14 @@ func writeError(w http.ResponseWriter, code int, msg string) {
 }
 
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	// A field the spec does not have is a 400 naming it, not a job that
+	// silently ignores what its submitter asked for (a misspelt "top_k"
+	// would return every voxel). Journal replay stays lenient, so accept
+	// records written before a field was retired still replay.
 	var spec JobSpec
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&spec); err != nil {
+	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
 		writeError(w, http.StatusBadRequest, "malformed job spec: "+err.Error())
 		return
 	}

@@ -85,8 +85,6 @@ type JobSpec struct {
 	// Dataset is the content hash of a dataset previously uploaded via
 	// POST /api/v1/datasets.
 	Dataset string `json:"dataset,omitempty"`
-	// Engine selects "optimized" (default) or "baseline" kernels.
-	Engine string `json:"engine,omitempty"`
 	// TopK limits the result to the K best voxels; 0 returns every voxel.
 	TopK int `json:"top_k,omitempty"`
 	// TimeoutMS bounds the job's wall-clock execution per attempt; 0 uses
@@ -113,11 +111,6 @@ func (s JobSpec) validate() error {
 	}
 	if s.Scale < 0 || s.Scale > 1 {
 		return fmt.Errorf("scale %g out of range (0, 1]", s.Scale)
-	}
-	switch s.Engine {
-	case "", "optimized", "baseline":
-	default:
-		return fmt.Errorf("unknown engine %q (want optimized or baseline)", s.Engine)
 	}
 	if s.TopK < 0 {
 		return fmt.Errorf("top_k %d negative", s.TopK)

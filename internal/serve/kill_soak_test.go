@@ -18,14 +18,14 @@ import (
 	"fcma/internal/core"
 )
 
-// soakSpecs is the job mix for the kill soak: both synthetic shapes, both
-// engines, with and without TopK — 34 voxel chunks in total at
+// soakSpecs is the job mix for the kill soak: both synthetic shapes, with
+// and without TopK — 34 voxel chunks in total at
 // ChunkVoxels 8, so the kill schedule below fires across the whole run.
 var soakSpecs = []JobSpec{
 	{Synthetic: "face-scene", Scale: 0.001, Name: "fs-a"},
 	{Synthetic: "attention", Scale: 0.001, Name: "at-a"},
 	{Synthetic: "face-scene", Scale: 0.001, Name: "fs-top", TopK: 5},
-	{Synthetic: "attention", Scale: 0.001, Name: "at-base", Engine: "baseline", TopK: 3},
+	{Synthetic: "attention", Scale: 0.001, Name: "at-base", TopK: 3},
 	{Synthetic: "face-scene", Scale: 0.002, Name: "fs-b"},
 	{Synthetic: "attention", Scale: 0.002, Name: "at-b"},
 }

@@ -141,9 +141,6 @@ func (s *Service) attempt(ctx context.Context, job *Job, spec JobSpec) error {
 		return err
 	}
 	cfg := core.Optimized()
-	if spec.Engine == "baseline" {
-		cfg = core.Baseline()
-	}
 	cfg.Workers = s.opts.Workers
 	cfg.Obs = s.reg
 	worker, err := core.NewWorker(cfg, stack, nil)

@@ -204,7 +204,6 @@ func TestBadSpecRejected(t *testing.T) {
 		`{}`, // neither synthetic nor dataset
 		`{"synthetic":"face-scene","dataset":"abc"}`, // both
 		`{"synthetic":"nope"}`,
-		`{"synthetic":"face-scene","engine":"gpu"}`,
 		`not json`,
 	} {
 		code, _, doc := doJSON(t, "POST", ts.URL+"/api/v1/jobs", []byte(body))
@@ -214,6 +213,30 @@ func TestBadSpecRejected(t *testing.T) {
 	}
 	if got := s.Metrics().Counter("serve_jobs_accepted_total").Value(); got != 0 {
 		t.Fatalf("bad specs accepted %d jobs", got)
+	}
+}
+
+// TestUnknownSpecFieldRejected proves a spec cannot be half-understood: a
+// field the server does not know — the retired "engine" switch, or a
+// misspelling of "top_k" that would otherwise silently return every voxel
+// — is a 400 that names the field, and nothing is journaled.
+func TestUnknownSpecFieldRejected(t *testing.T) {
+	s := newTestService(t, Options{Executors: -1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for field, body := range map[string]string{
+		"engine": `{"synthetic":"face-scene","engine":"baseline"}`,
+		"topk":   `{"synthetic":"face-scene","scale":0.001,"topk":3}`,
+	} {
+		code, _, doc := doJSON(t, "POST", ts.URL+"/api/v1/jobs", []byte(body))
+		msg, _ := doc["error"].(string)
+		if code != http.StatusBadRequest || !strings.Contains(msg, `"`+field+`"`) {
+			t.Fatalf("submit %s = %d %v, want a 400 naming %q", body, code, doc, field)
+		}
+	}
+	if got := s.Metrics().Counter("serve_jobs_accepted_total").Value(); got != 0 {
+		t.Fatalf("specs with unknown fields accepted %d jobs", got)
 	}
 }
 
@@ -294,6 +317,32 @@ func TestRestartResumesJobs(t *testing.T) {
 		if id3 == id {
 			t.Fatalf("resumed server reissued job id %s", id3)
 		}
+	}
+}
+
+// TestRestartReplaysParentFormatSpec replays an accept record as the
+// previous release journaled it — the spec still carrying the retired
+// "engine" key — through a restarted service: submission is strict about
+// unknown fields, replay is not, and the job finishes on the one engine
+// with the spec's TopK honoured.
+func TestRestartReplaysParentFormatSpec(t *testing.T) {
+	dir := t.TempDir()
+	j := mustOpen(t, filepath.Join(dir, "jobs.jnl"), nil)
+	rec := `{"id":"job-00000007","spec":{"synthetic":"attention","scale":0.001,"name":"at-base","engine":"baseline","top_k":3}}`
+	if err := j.append(append([]byte{srAccept}, rec...), true); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s := newTestService(t, Options{Dir: dir, ChunkVoxels: 8, Executors: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	waitState(t, ts.URL, "job-00000007", StateDone, 30*time.Second)
+	code, _, doc := doJSON(t, "GET", ts.URL+"/api/v1/jobs/job-00000007/result", nil)
+	if code != http.StatusOK || len(doc["scores"].([]any)) != 3 {
+		t.Fatalf("replayed result = %d %v, want the top 3", code, doc)
 	}
 }
 

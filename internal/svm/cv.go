@@ -174,7 +174,7 @@ func runFolds(tr KernelTrainer, K *tensor.Matrix, labels []int, folds []Fold, de
 		var model *Model
 		var err error
 		if pos := countPositive(labels, f.Train); pos == 0 || pos == len(f.Train) {
-			err = errOneClass
+			err = ErrOneClass
 		} else if s != nil {
 			s.reset(K, labels, f.Train, params, rule)
 			if fs.Iters, err = s.solve(); err == nil {
@@ -201,7 +201,7 @@ func runFolds(tr KernelTrainer, K *tensor.Matrix, labels []int, folds []Fold, de
 					fs.Correct++
 				}
 			}
-		case errors.Is(err, errOneClass) || errors.Is(err, errNoConverge):
+		case errors.Is(err, ErrOneClass) || errors.Is(err, ErrNoConverge):
 			obsCVDegenerate.Inc()
 			fs = FoldStats{Total: fs.Total, Correct: fs.Total / 2, Degenerate: true}
 		default:

@@ -160,7 +160,8 @@ func (s *smo32) reset(K *tensor.Matrix, labels []int, trainIdx []int, p Params, 
 		s.grow(n)
 	}
 	s.idx, s.n = trainIdx, n
-	s.c, s.eps, s.maxIter, s.rule = p.c(), p.eps(), p.maxIter(n), rule
+	p = p.Resolved(n)
+	s.c, s.eps, s.maxIter, s.rule = p.C, p.Eps, p.MaxIter, rule
 	s.adaptState = adaptState{current: SecondOrder}
 
 	runs := s.runs[:n]
@@ -196,10 +197,10 @@ func (s *smo32) row(i int) []float32 {
 	return s.kd[i*s.n : i*s.n+s.n]
 }
 
-// errNoConverge is what a solver that runs out of iterations wraps.
+// ErrNoConverge is what a solver that runs out of iterations wraps.
 // Cross-validation scores such a fold at chance; every other training
 // error it returns to its caller.
-var errNoConverge = errors.New("svm: SMO failed to converge")
+var ErrNoConverge = errors.New("svm: SMO failed to converge")
 
 // solve runs SMO to convergence and returns the iteration count. The
 // first-order rule runs fused; iterates and iteration counts are those of
@@ -212,7 +213,7 @@ func (s *smo32) solve() (int, error) {
 		iters, converged = s.solveUnfused()
 	}
 	if !converged {
-		return iters, fmt.Errorf("%w in %d iterations", errNoConverge, iters)
+		return iters, fmt.Errorf("%w in %d iterations", ErrNoConverge, iters)
 	}
 	return iters, nil
 }

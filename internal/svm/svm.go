@@ -2,15 +2,13 @@
 // vector machine training and cross-validation over precomputed kernel
 // matrices, one small SVM problem per voxel.
 //
-// Three trainers mirror the paper's Table 8 comparison:
+// Two trainers are the optimized rows of the paper's Table 8 comparison
+// (its first row, the double-precision node-array LibSVM re-implementation
+// they are measured against, lives with the other comparators in
+// internal/baseline):
 //
-//   - LibSVM: a faithful re-implementation of the LibSVM 3.x C-SVC solver
-//     in its precomputed-kernel mode — double precision throughout, kernel
-//     rows stored as sparse index/value node arrays, second-order working
-//     set selection (Fan, Chen, Lin 2005). This is the paper's baseline,
-//     including the inefficiencies it measures (data type conversions,
-//     index indirection).
-//   - Optimized: the same SMO algorithm over a dense float32 kernel with
+//   - Optimized: LibSVM's SMO algorithm (second-order working set
+//     selection, Fan, Chen, Lin 2005) over a dense float32 kernel with
 //     unit-stride row access — the paper's "optimized LibSVM".
 //   - PhiSVM: the Catanzaro-style solver the paper ports from CUDA —
 //     float32, dense precomputed kernel, first-order working set
@@ -65,29 +63,19 @@ const DefaultEps = 1e-3
 // tau is the curvature floor for non-positive-definite pairs, as in LibSVM.
 const tau = 1e-12
 
-func (p Params) c() float64 {
+// Resolved returns p with every unset field replaced by its default for a
+// training set of n samples — what a solver actually runs with.
+func (p Params) Resolved(n int) Params {
 	if p.C <= 0 {
-		return DefaultC
+		p.C = DefaultC
 	}
-	return p.C
-}
-
-func (p Params) eps() float64 {
 	if p.Eps <= 0 {
-		return DefaultEps
+		p.Eps = DefaultEps
 	}
-	return p.Eps
-}
-
-func (p Params) maxIter(n int) int {
-	if p.MaxIter > 0 {
-		return p.MaxIter
+	if p.MaxIter <= 0 {
+		p.MaxIter = max(10000000, 100*n)
 	}
-	it := 100 * n
-	if it < 10000000 {
-		it = 10000000
-	}
-	return it
+	return p
 }
 
 // KernelTrainer trains a binary classifier from a precomputed kernel
@@ -148,20 +136,16 @@ func (m *Model) NumSV() int {
 }
 
 // PrecomputeKernel computes the linear kernel matrix K = X·Xᵀ of the M×N
-// sample matrix X using the given syrk kernel (nil selects the paper's
-// tall-skinny blocked syrk).
-func PrecomputeKernel(X *tensor.Matrix, sy blas.Ssyrk) *tensor.Matrix {
-	if sy == nil {
-		sy = blas.TallSkinny{}
-	}
+// sample matrix X with the paper's tall-skinny blocked syrk.
+func PrecomputeKernel(X *tensor.Matrix) *tensor.Matrix {
 	K := tensor.NewMatrix(X.Rows, X.Rows)
-	sy.Syrk(K, X)
+	blas.TallSkinny{}.Syrk(K, X)
 	return K
 }
 
-// errOneClass is what a TrainKernel handed a single-class training set
+// ErrOneClass is what a TrainKernel handed a single-class training set
 // wraps. Cross-validation scores such a fold at chance.
-var errOneClass = errors.New("svm: training set needs both classes")
+var ErrOneClass = errors.New("svm: training set needs both classes")
 
 // checkSamples rejects a sample list that names an index outside the
 // kernel or a sample whose label is not 0 or 1.
@@ -193,7 +177,7 @@ func checkTrainingSet(labels []int, trainIdx []int) error {
 		return fmt.Errorf("svm: training set: %w", err)
 	}
 	if pos := countPositive(labels, trainIdx); pos == 0 || pos == len(trainIdx) {
-		return fmt.Errorf("%w (got %d positive, %d negative)", errOneClass, pos, len(trainIdx)-pos)
+		return fmt.Errorf("%w (got %d positive, %d negative)", ErrOneClass, pos, len(trainIdx)-pos)
 	}
 	return nil
 }

@@ -26,7 +26,7 @@ func separableProblem(rng *rand.Rand, n int) (*tensor.Matrix, []int) {
 		X.Set(i, 1, off+rng.Float32()*0.4-0.2)
 		labels[i] = label
 	}
-	return PrecomputeKernel(X, nil), labels
+	return PrecomputeKernel(X), labels
 }
 
 // noisyProblem builds a partially separable problem with flipped labels.
@@ -48,15 +48,19 @@ func allIdx(n int) []int {
 	return idx
 }
 
+// trainers lists every trainer of the package. (The double-precision
+// comparator's rows of this table are internal/baseline's tests.) The last
+// row hides PhiSVM's pooled-solver fast path behind the bare interface, so
+// cross-validation trains it through TrainKernel and Model.Decide — the
+// path any trainer from outside the package takes.
 func trainers() map[string]KernelTrainer {
 	return map[string]KernelTrainer{
-		"libsvm":            LibSVM{},
-		"libsvm-smallcache": LibSVM{CacheRows: 2},
-		"optimized":         Optimized{},
-		"phisvm":            PhiSVM{},
-		"phisvm-adaptive":   PhiSVM{Rule: Adaptive},
-		"phisvm-first":      PhiSVM{Rule: FirstOrder},
-		"phisvm-second":     PhiSVM{Rule: SecondOrder},
+		"optimized":       Optimized{},
+		"phisvm":          PhiSVM{},
+		"phisvm-adaptive": PhiSVM{Rule: Adaptive},
+		"phisvm-first":    PhiSVM{Rule: FirstOrder},
+		"phisvm-second":   PhiSVM{Rule: SecondOrder},
+		"phisvm-generic":  struct{ KernelTrainer }{PhiSVM{}},
 	}
 }
 
@@ -106,7 +110,7 @@ func TestTrainersAgreeOnPredictions(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	K, labels := noisyProblem(rng, 50, 0.05)
 	train := allIdx(40) // hold out 10
-	ref, err := LibSVM{}.TrainKernel(K, labels, train)
+	ref, err := Optimized{}.TrainKernel(K, labels, train)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +137,7 @@ func TestKKTConditions(t *testing.T) {
 	K, labels := noisyProblem(rng, 50, 0.15)
 	idx := allIdx(50)
 	params := Params{C: 1, Eps: 1e-4}
-	for _, tr := range []KernelTrainer{LibSVM{Params: params}, Optimized{Params: params}, PhiSVM{Params: params}} {
+	for _, tr := range []KernelTrainer{Optimized{Params: params}, PhiSVM{Params: params}} {
 		model, err := tr.TrainKernel(K, labels, idx)
 		if err != nil {
 			t.Fatal(err)
@@ -190,8 +194,8 @@ func TestDualFeasibility(t *testing.T) {
 func TestTrainKernelErrors(t *testing.T) {
 	K := tensor.NewMatrix(4, 4)
 	oneClass := []int{1, 1, 1, 1}
-	if _, err := (LibSVM{}).TrainKernel(K, oneClass, allIdx(4)); err == nil {
-		t.Fatal("expected single-class error")
+	if _, err := (PhiSVM{}).TrainKernel(K, oneClass, allIdx(4)); !errors.Is(err, ErrOneClass) {
+		t.Fatalf("single-class training set: %v, want ErrOneClass", err)
 	}
 	badLabels := []int{0, 1, 2, 1}
 	if _, err := (Optimized{}).TrainKernel(K, badLabels, allIdx(4)); err == nil {
@@ -319,8 +323,9 @@ func TestPrecomputeKernelMatchesDots(t *testing.T) {
 	for i := range X.Data {
 		X.Data[i] = rng.Float32()
 	}
-	K := PrecomputeKernel(X, nil)
-	K2 := PrecomputeKernel(X, blas.Naive{})
+	K := PrecomputeKernel(X)
+	K2 := tensor.NewMatrix(7, 7)
+	blas.Naive{}.Syrk(K2, X)
 	for i := 0; i < 7; i++ {
 		for j := 0; j < 7; j++ {
 			want := tensor.Dot(X.Row(i), X.Row(j))
@@ -331,37 +336,6 @@ func TestPrecomputeKernelMatchesDots(t *testing.T) {
 				t.Fatalf("syrk impls disagree at (%d,%d)", i, j)
 			}
 		}
-	}
-}
-
-func TestQCacheEviction(t *testing.T) {
-	builds := 0
-	c := newQCache64(4, 2, func(i int, dst []float64) { builds++ })
-	c.row(0)
-	c.row(1)
-	c.row(0) // hit
-	if builds != 2 {
-		t.Fatalf("builds = %d, want 2", builds)
-	}
-	c.row(2) // evicts 0
-	c.row(0) // rebuild
-	if builds != 4 {
-		t.Fatalf("builds = %d, want 4", builds)
-	}
-}
-
-func TestLookupNode(t *testing.T) {
-	row := []node{{0, 1.5}, {1, 2.5}, {2, 3.5}}
-	if lookupNode(row, 1) != 2.5 {
-		t.Fatal("dense lookup failed")
-	}
-	// Sparse-style row where position != index.
-	sparse := []node{{3, 7.0}, {9, 8.0}}
-	if lookupNode(sparse, 9) != 8.0 {
-		t.Fatal("scan lookup failed")
-	}
-	if lookupNode(sparse, 4) != 0 {
-		t.Fatal("missing index should yield 0")
 	}
 }
 
@@ -437,7 +411,7 @@ func TestCrossValidateChanceOnNoise(t *testing.T) {
 	for i := range X.Data {
 		X.Data[i] = rng.Float32()*2 - 1
 	}
-	K := PrecomputeKernel(X, nil)
+	K := PrecomputeKernel(X)
 	labels := make([]int, n)
 	subjects := make([]int, n)
 	for i := range labels {
@@ -608,7 +582,7 @@ func TestCrossValidateRejectsInvalidInput(t *testing.T) {
 		"bad fold after a good one": {good, []Fold{
 			{Train: []int{0, 1}, Test: []int{2}}, {Train: []int{0, 9}, Test: []int{3}}}},
 	} {
-		for trName, tr := range map[string]KernelTrainer{"phisvm": PhiSVM{}, "libsvm": LibSVM{}} {
+		for trName, tr := range map[string]KernelTrainer{"phisvm": PhiSVM{}, "generic": struct{ KernelTrainer }{PhiSVM{}}} {
 			if acc, err := CrossValidate(tr, K, tc.labels, tc.folds); err == nil {
 				t.Errorf("%s, %s: CrossValidate returned %v and no error", name, trName, acc)
 			}
@@ -646,18 +620,14 @@ func TestCrossValidateDetailedErrors(t *testing.T) {
 }
 
 func TestParamsDefaults(t *testing.T) {
-	var p Params
-	if p.c() != DefaultC || p.eps() != DefaultEps {
-		t.Fatalf("defaults: C=%v eps=%v", p.c(), p.eps())
+	if p := (Params{}).Resolved(10); p != (Params{C: DefaultC, Eps: DefaultEps, MaxIter: 10000000}) {
+		t.Fatalf("small-n defaults: %+v", p)
 	}
-	if p.maxIter(10) != 10000000 {
-		t.Fatalf("small-n maxIter = %d", p.maxIter(10))
+	if p := (Params{}).Resolved(200000); p.MaxIter != 20000000 {
+		t.Fatalf("large-n maxIter = %d", p.MaxIter)
 	}
-	if p.maxIter(200000) != 20000000 {
-		t.Fatalf("large-n maxIter = %d", p.maxIter(200000))
-	}
-	p = Params{C: 5, Eps: 1e-5, MaxIter: 7}
-	if p.c() != 5 || p.eps() != 1e-5 || p.maxIter(10) != 7 {
+	p := Params{C: 5, Eps: 1e-5, MaxIter: 7}
+	if p.Resolved(10) != p {
 		t.Fatal("explicit params ignored")
 	}
 }

@@ -138,7 +138,7 @@ func sweepProblem(rng *rand.Rand, n int, pos float64) (*tensor.Matrix, []int) {
 		}
 		row[0] += float32(labels[i]) - 0.5
 	}
-	return PrecomputeKernel(X, nil), labels
+	return PrecomputeKernel(X), labels
 }
 
 // (b) Fused vs unfused: solve() reaches the state of solveUnfused — a plain
@@ -365,7 +365,7 @@ func shapeProblem(tb testing.TB, voxels, subjects, epochsPerSubject int) (*tenso
 	if err != nil {
 		tb.Fatal(err)
 	}
-	K := PrecomputeKernel(buf.View(0, 0, st.M(), st.N), nil)
+	K := PrecomputeKernel(buf.View(0, 0, st.M(), st.N))
 	if subjects == 1 {
 		return K, d.Labels(), KFolds(st.M(), min(6, st.M()/2))
 	}

@@ -86,31 +86,3 @@ func TestDotLengthMismatchPanics(t *testing.T) {
 	}()
 	Dot([]float32{1}, []float32{1, 2})
 }
-
-func TestWidenNarrowRoundTrip(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m := randomMatrix(rng, 1+rng.Intn(6), 1+rng.Intn(6))
-		return Narrow(Widen(m)).Equal(m)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMatrix64Basics(t *testing.T) {
-	m := NewMatrix64(2, 3)
-	m.Set(1, 2, 7.5)
-	if m.At(1, 2) != 7.5 {
-		t.Fatal("Matrix64 At/Set")
-	}
-	if r := m.Row(1); r[2] != 7.5 {
-		t.Fatal("Matrix64 Row")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	m.At(2, 0)
-}

@@ -1,10 +1,7 @@
-// Package tensor provides dense row-major matrices in single and double
-// precision, together with the packing, transposition and view utilities
-// the FCMA kernels are built on.
-//
-// All FCMA hot paths use float32 (the paper stores every floating point
-// value in single precision); float64 appears only where the LibSVM-style
-// baseline solver requires it.
+// Package tensor provides dense row-major single-precision matrices,
+// together with the packing, transposition and view utilities the FCMA
+// kernels are built on. (The paper stores every floating point value in
+// single precision; only solver state and statistics are float64.)
 package tensor
 
 import (

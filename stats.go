@@ -46,7 +46,7 @@ func PermutationTest(d *Data, voxels []int, cfg Config, n int, seed int64) (*Per
 		labels[i] = e.Label
 		subjects[i] = e.Subject
 	}
-	K := svm.PrecomputeKernel(feats, nil)
+	K := svm.PrecomputeKernel(feats)
 	folds := svm.LeaveOneSubjectOutFolds(subjects)
 	trainer := cfg.trainer()
 
