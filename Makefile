@@ -127,12 +127,13 @@ serve-smoke:
 	SERVE_SMOKE_OUT=$(SERVEDIR) ./scripts/serve-smoke.sh
 
 # Short native-fuzz pass over the untrusted-input parsers (NIfTI headers
-# and epoch files) and over the AVX2 kernels' bit-for-bit pin to the Go
+# and epoch files), over the AVX2 kernels' bit-for-bit pin to the Go
 # kernels: the blas tile and strips, the norm sweep, the svm sweep (skipped
-# on a host without AVX2). FUZZTIME bounds each target's run. The kernel
-# targets turn input minimization off: shrinking every coverage-increasing
-# input (up to 60 s each by default) would eat the whole budget, and a
-# smaller input is no better a witness of equal bits.
+# on a host without AVX2), and over the fused stage's pin to the buffer +
+# batched syrk it replaced. FUZZTIME bounds each target's run. The kernel
+# and stage targets turn input minimization off: shrinking every
+# coverage-increasing input (up to 60 s each by default) would eat the
+# whole budget, and a smaller input is no better a witness of equal bits.
 FUZZTIME ?= 10s
 
 fuzz:
@@ -142,3 +143,4 @@ fuzz:
 	$(GO) test ./internal/blas/ -run '^$$' -fuzz FuzzGemmStripMatchesGo -fuzztime $(FUZZTIME) -fuzzminimizetime 0
 	$(GO) test ./internal/norm/ -run '^$$' -fuzz FuzzFisherSweepMatchesGo -fuzztime $(FUZZTIME) -fuzzminimizetime 0
 	$(GO) test ./internal/svm/ -run '^$$' -fuzz FuzzSMOSweepMatchesGo -fuzztime $(FUZZTIME) -fuzzminimizetime 0
+	$(GO) test ./internal/corr/ -run '^$$' -fuzz FuzzFusedMatchesUnfused -fuzztime $(FUZZTIME) -fuzzminimizetime 0

@@ -203,18 +203,23 @@ type Classifier struct {
 
 // pairFeatures computes the Fisher-transformed pairwise correlations among
 // the selected voxels for one epoch window — the "correlation pattern of
-// the selected voxels" the paper's final classifier uses.
-func pairFeatures(ds *fmri.Dataset, voxels []int, e fmri.Epoch) []float32 {
+// the selected voxels" the paper's final classifier uses — into dst[:0]
+// (a feature-matrix row, so training builds each row once, in place), or
+// into a new slice when dst is nil.
+func pairFeatures(dst []float32, ds *fmri.Dataset, voxels []int, e fmri.Epoch) []float32 {
 	rows := make([][]float32, len(voxels))
 	for i, v := range voxels {
 		rows[i] = ds.Data.Row(v)[e.Start : e.Start+e.Len]
 	}
-	return pairFeaturesFromRows(rows)
+	return pairFeaturesFromRows(dst, rows)
 }
 
-func pairFeaturesFromRows(rows [][]float32) []float32 {
+func pairFeaturesFromRows(dst []float32, rows [][]float32) []float32 {
 	k := len(rows)
-	out := make([]float32, 0, k*(k-1)/2)
+	out := dst[:0]
+	if dst == nil {
+		out = make([]float32, 0, k*(k-1)/2)
+	}
 	for i := 0; i < k; i++ {
 		for j := i + 1; j < k; j++ {
 			out = append(out, norm.FisherZ(float32(corr.Pearson(rows[i], rows[j]))))
@@ -233,7 +238,7 @@ func trainClassifier(d *Data, voxels []int, trainIdx []int, cfg Config) (*Classi
 	feats := tensor.NewMatrix(len(trainIdx), p)
 	labels := make([]int, len(trainIdx))
 	for i, idx := range trainIdx {
-		copy(feats.Row(i), pairFeatures(d.ds, voxels, d.ds.Epochs[idx]))
+		pairFeatures(feats.Row(i), d.ds, voxels, d.ds.Epochs[idx])
 		labels[i] = d.ds.Epochs[idx].Label
 	}
 	K := svm.PrecomputeKernel(feats)
@@ -272,7 +277,7 @@ func (c *Classifier) Decide(d *Data, e int) float64 {
 	if e < 0 || e >= len(d.ds.Epochs) {
 		panic(fmt.Sprintf("fcma: epoch %d of %d", e, len(d.ds.Epochs)))
 	}
-	x := pairFeatures(d.ds, c.Voxels, d.ds.Epochs[e])
+	x := pairFeatures(nil, d.ds, c.Voxels, d.ds.Epochs[e])
 	var f float64
 	for i, co := range c.coef {
 		f += co * tensor.Dot(c.feats.Row(i), x)
@@ -384,7 +389,7 @@ func (c *Classifier) ClassifyWindow(w *tensor.Matrix) (int, float64) {
 	for i, v := range c.Voxels {
 		rows[i] = w.Row(v)
 	}
-	x := pairFeaturesFromRows(rows)
+	x := pairFeaturesFromRows(nil, rows)
 	var f float64
 	for i, co := range c.coef {
 		f += co * tensor.Dot(c.feats.Row(i), x)

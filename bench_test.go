@@ -175,44 +175,28 @@ func BenchmarkSyrkBlockSizes(b *testing.B) {
 	}
 }
 
-// The merged stage's voxel-block height, on the scaled bench stack (the
-// paper-size stacks take minutes to build).
-func BenchmarkVoxBlockSizes(b *testing.B) {
-	for _, blk := range []int{4, corr.DefaultVoxBlock, 16, benchAssigned} {
-		b.Run(fmt.Sprintf("vox%d", blk), func(b *testing.B) {
-			benchPipeline(b, &corr.Pipeline{Merged: true, Workers: 1, VoxBlock: blk})
-		})
-	}
+// kernelShapes are one task of each repo-benchmark shape
+// (benchmark/workloads.go) — the whole 640-voxel face-scene brain, a
+// 32-voxel task of the attention brain, the whole single-subject brain of
+// the online case — one wide task whose merged scratch rows lie 16 KiB
+// apart at DefaultColBlock, and one 64-voxel task with the paper's 216
+// face-scene epochs, where the fused stage's local block is what bounds its
+// column block.
+var kernelShapes = []struct {
+	name                               string
+	voxels, assigned, subjects, epochs int
+}{
+	{"facescene_local", 640, 640, 4, 12},
+	{"attention_cluster", 256, 32, 6, 16},
+	{"online_subject", 1024, 1024, 1, 12},
+	{"wide", 4096, 64, 4, 12},
+	{"paper_epochs", 4096, 64, 18, 12},
 }
 
-// --- Table 7: merged vs separated stage 1+2 ------------------------------
-
-func benchPipeline(b *testing.B, p *corr.Pipeline) {
-	st := benchStack(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.RunContext(context.Background(), st, 0, benchAssigned); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMergedVsSeparated runs both stage-1+2 variants over one task of
-// each repo-benchmark shape (benchmark/workloads.go): the whole 640-voxel
-// face-scene brain, a 32-voxel task of the attention brain, and one wide
-// task whose column block is DefaultColBlock, where the rows of the merged
-// variant's scratch block lie 16 KiB apart.
-func BenchmarkMergedVsSeparated(b *testing.B) {
-	for _, sh := range []struct {
-		name                               string
-		voxels, assigned, subjects, epochs int
-	}{
-		{"facescene_local", 640, 640, 4, 12},
-		{"attention_cluster", 256, 32, 6, 16},
-		{"wide", 4096, 64, 4, 12},
-	} {
-		// Nested so that a shape the -bench filter leaves out builds no
-		// stack and no output buffer (78 MB for the face-scene task).
+// benchKernelShapes runs f as a sub-benchmark per shape, building a
+// shape's stack only if the -bench filter selects it.
+func benchKernelShapes(b *testing.B, f func(b *testing.B, st *corr.EpochStack, assigned int)) {
+	for _, sh := range kernelShapes {
 		b.Run(sh.name, func(b *testing.B) {
 			d, err := fmri.Generate(fmri.Spec{
 				Name: sh.name, Voxels: sh.voxels, Subjects: sh.subjects, EpochsPerSubject: sh.epochs,
@@ -225,21 +209,75 @@ func BenchmarkMergedVsSeparated(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			buf := tensor.NewMatrix(sh.assigned*st.M(), st.N)
-			for _, workers := range []int{1, 2} {
-				for _, variant := range []string{"merged", "separated"} {
-					b.Run(fmt.Sprintf("workers%d/%s", workers, variant), func(b *testing.B) {
-						p := &corr.Pipeline{Merged: variant == "merged", Workers: workers}
-						for i := 0; i < b.N; i++ {
-							if err := p.RunInto(context.Background(), st, 0, sh.assigned, buf); err != nil {
-								b.Fatal(err)
-							}
-						}
-					})
-				}
-			}
+			f(b, st, sh.assigned)
 		})
 	}
+}
+
+func benchRunKernels(b *testing.B, p *corr.Pipeline, st *corr.EpochStack, assigned int) {
+	for i := 0; i < b.N; i++ {
+		if _, err := p.RunKernels(context.Background(), st, 0, assigned); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// The fused stage's two block sizes against their neighbours: column
+// blocks (multiples of blas.DefaultSyrkBlock; 0 is the width RunKernels
+// derives) and voxel-block heights.
+func BenchmarkFusedBlockSizes(b *testing.B) {
+	benchKernelShapes(b, func(b *testing.B, st *corr.EpochStack, assigned int) {
+		for _, cb := range []int{0, 96, 192, 384, 960, 4032} {
+			b.Run(fmt.Sprintf("col%d", cb), func(b *testing.B) {
+				benchRunKernels(b, &corr.Pipeline{Workers: 2, ColBlock: cb}, st, assigned)
+			})
+		}
+		for _, vb := range []int{4, corr.DefaultVoxBlock, 16} {
+			b.Run(fmt.Sprintf("vox%d", vb), func(b *testing.B) {
+				benchRunKernels(b, &corr.Pipeline{Workers: 2, VoxBlock: vb}, st, assigned)
+			})
+		}
+	})
+}
+
+// --- Table 7: merged vs separated stage 1+2 ------------------------------
+
+// BenchmarkMergedVsSeparated times the same work three ways — stages 1 and
+// 2 and every assigned voxel's kernel matrix: merged or separated into the
+// (V·M)×N buffer and then one batched syrk over it (Table 7's pair), or
+// fused, the way a task runs it.
+func BenchmarkMergedVsSeparated(b *testing.B) {
+	benchKernelShapes(b, func(b *testing.B, st *corr.EpochStack, assigned int) {
+		M := st.M()
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("workers%d/fused", workers), func(b *testing.B) {
+				benchRunKernels(b, &corr.Pipeline{Workers: workers}, st, assigned)
+			})
+			for _, variant := range []string{"merged", "separated"} {
+				b.Run(fmt.Sprintf("workers%d/%s", workers, variant), func(b *testing.B) {
+					// Built per variant so that a filtered-out one holds no
+					// buffer (78 MB for the face-scene task).
+					buf := tensor.NewMatrix(assigned*M, st.N)
+					As := make([]*tensor.Matrix, assigned)
+					Ks := make([]*tensor.Matrix, assigned)
+					for v := range As {
+						As[v] = buf.View(v*M, 0, M, st.N)
+						Ks[v] = tensor.NewMatrix(M, M)
+					}
+					p := &corr.Pipeline{Merged: variant == "merged", Workers: workers}
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if err := p.RunInto(context.Background(), st, 0, assigned, buf); err != nil {
+							b.Fatal(err)
+						}
+						if err := blas.BatchSyrkContext(context.Background(), Ks, As, blas.DefaultSyrkBlock, workers); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		}
+	})
 }
 
 // --- Table 8: SVM solvers -------------------------------------------------

@@ -13,7 +13,9 @@
 // The syrk is the paper's Fig. 7 workflow: march down the long dimension
 // in 96-column blocks, stage each block in a local buffer, transpose
 // micro-panels for unit-stride products and add each block's partial
-// product into the output in ascending order.
+// product into the output in ascending order. SyrkAcc is that accumulation
+// — TallSkinny.Syrk and BatchSyrkContext over a whole matrix, the fused
+// correlation stage over one column block at a time.
 package blas
 
 import (

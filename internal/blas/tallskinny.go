@@ -237,22 +237,56 @@ func gemmRowStrip(ci, a []float32, B *tensor.Matrix, j0, w, k int) {
 	}
 }
 
-// syrkScratch is the pooled transposed staging panel of one syrk block.
-// Pooled as a pointer so Get/Put never box, keeping the warm path
-// allocation-free.
-type syrkScratch struct {
+// SyrkAcc builds C = A·Aᵀ a column range at a time — the one way a lower
+// triangle is accumulated in this tree: Syrk and BatchSyrkContext hand it a
+// whole matrix, the fused correlation stage (corr.Pipeline.RunKernels) one
+// cache-resident column block after another. Start from a zeroed C, Add the
+// column ranges of A in ascending order, Finish once. It owns the
+// transposed staging panel of one block (Fig. 7's A_localᵀ), so a goroutine
+// keeps one and reuses it; the zero value is ready and a warm Add allocates
+// nothing.
+type SyrkAcc struct {
 	tbuf []float32
 }
 
-var syrkPool = sync.Pool{New: func() any { return new(syrkScratch) }}
+var syrkPool = sync.Pool{New: func() any { return new(SyrkAcc) }}
 
-// addBlock stages columns [j0, j0+w) of A transposed (tbuf[p*m+i] =
-// A[i, j0+p]) and adds their products to C's lower triangle. Syrk and
-// BatchSyrkContext both build a C by calling it over ascending j0, which
-// is what makes their results bit-identical.
-func (sc *syrkScratch) addBlock(C, A *tensor.Matrix, j0, w int) {
-	sc.tbuf = tensor.PackTransposed(sc.tbuf, A, 0, j0, A.Rows, w)
-	syrkBlockKernel(C, sc.tbuf, A.Rows, w)
+// Add adds the product of A's columns [j0, j0+n) with their transpose to
+// C's lower triangle, in block-wide slices (block <= 0 means
+// DefaultSyrkBlock) taken in ascending order from j0. Each slice is staged
+// transposed (tbuf[p*m+i] = A[i, j+p]) and summed into C after the ones
+// before it, so C's bits depend only on where the slice boundaries fall:
+// ranges that each start on a multiple of block, added in ascending order,
+// give exactly the C one Add over all of A gives.
+func (s *SyrkAcc) Add(C, A *tensor.Matrix, j0, n, block int) {
+	if block <= 0 {
+		block = DefaultSyrkBlock
+	}
+	checkSyrkShapes(C, A)
+	obsBatchSyrkItems.Add(uint64((n + block - 1) / block))
+	s.add(C, A, j0, n, block)
+}
+
+// add is Add without the shape check and the slice counter (Syrk has its
+// own of both).
+//
+//lint:hotpath syrk slice driver, once per column range per matrix
+func (s *SyrkAcc) add(C, A *tensor.Matrix, j0, n, block int) {
+	for end := j0 + n; j0 < end; j0 += block {
+		w := min(block, end-j0)
+		s.tbuf = tensor.PackTransposed(s.tbuf, A, 0, j0, A.Rows, w)
+		syrkBlockKernel(C, s.tbuf, A.Rows, w)
+	}
+}
+
+// Finish copies C's accumulated lower triangle into its upper triangle.
+func (*SyrkAcc) Finish(C *tensor.Matrix) {
+	for i := 0; i < C.Rows; i++ {
+		ri := C.Row(i)
+		for j := 0; j < i; j++ {
+			C.Data[j*C.Stride+i] = ri[j]
+		}
+	}
 }
 
 // Syrk computes C = A·Aᵀ via the Fig. 7 workflow, on the calling
@@ -269,22 +303,10 @@ func (t TallSkinny) Syrk(C, A *tensor.Matrix) {
 	}
 	bn := t.syrkBlock()
 	obsSyrkBlocks.Add(uint64((n + bn - 1) / bn))
-	sc := syrkPool.Get().(*syrkScratch)
-	for j0 := 0; j0 < n; j0 += bn {
-		sc.addBlock(C, A, j0, min(bn, n-j0))
-	}
-	syrkPool.Put(sc)
-	mirrorLower(C)
-}
-
-// mirrorLower copies C's computed lower triangle into its upper triangle.
-func mirrorLower(C *tensor.Matrix) {
-	for i := 0; i < C.Rows; i++ {
-		ri := C.Row(i)
-		for j := 0; j < i; j++ {
-			C.Data[j*C.Stride+i] = ri[j]
-		}
-	}
+	acc := syrkPool.Get().(*SyrkAcc)
+	acc.add(C, A, 0, n, bn)
+	acc.Finish(C)
+	syrkPool.Put(acc)
 }
 
 // syrkBlockKernel accumulates local[i][j] += Σ_p tbuf[p*m+i]·tbuf[p*m+j]
@@ -299,7 +321,7 @@ func mirrorLower(C *tensor.Matrix) {
 // m%4 remainder band, and the last columns up to the diagonal when m is
 // not a multiple of 8. A tile that reaches the diagonal also adds the
 // (correct, symmetric) sums into lanes above it. Nothing reads those:
-// mirrorLower overwrites the upper triangle last.
+// SyrkAcc.Finish overwrites the upper triangle last.
 //
 //lint:hotpath syrk register-block driver, called once per panel per worker
 func syrkBlockKernel(local *tensor.Matrix, tbuf []float32, m, w int) {

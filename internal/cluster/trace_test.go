@@ -12,6 +12,29 @@ import (
 	"fcma/internal/obs/trace"
 )
 
+// rendezvous wraps a rank's worker so that its first task does not start
+// until every rank holds one: however late the scheduler starts a rank's
+// goroutine, and however short a task is, each rank then processes at
+// least one task — as long as the run has a task per rank, and no master
+// deadline to trip.
+type rendezvous struct {
+	inner   *core.Worker
+	first   sync.Once
+	arrived *sync.WaitGroup
+}
+
+func (r *rendezvous) Process(t core.Task) ([]core.VoxelScore, error) {
+	return r.ProcessContext(context.Background(), t)
+}
+
+func (r *rendezvous) ProcessContext(ctx context.Context, t core.Task) ([]core.VoxelScore, error) {
+	r.first.Do(func() {
+		r.arrived.Done()
+		r.arrived.Wait()
+	})
+	return r.inner.ProcessContext(ctx, t)
+}
+
 // TestClusterTraceMergesAcrossRanks is the acceptance test for the
 // distributed timeline: a 2-worker in-process run with tracing on must
 // yield one merged span set where every worker task span carries the
@@ -25,27 +48,24 @@ func TestClusterTraceMergesAcrossRanks(t *testing.T) {
 	}
 	var spans ClusterTrace
 	masterTr := trace.New(0)
-	var wg sync.WaitGroup
+	var wg, arrived sync.WaitGroup
+	arrived.Add(2)
 	for r := 1; r <= 2; r++ {
+		w, err := core.NewWorker(core.Optimized(), st, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			w, err := core.NewWorker(core.Optimized(), st, nil)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			err = RunWorkerCtx(context.Background(), comm.Rank(r), w,
+			err := RunWorkerCtx(context.Background(), comm.Rank(r), &rendezvous{inner: w, arrived: &arrived},
 				WorkerOptions{Trace: trace.New(r)})
 			if err != nil {
 				t.Error(err)
 			}
 		}(r)
 	}
-	// One-voxel tasks, 32 of them: with seven, a worker scheduled a
-	// millisecond late could find none left, and the two-ranks check below
-	// failed once in a few hundred runs.
-	scores, err := RunMasterOpts(comm.Rank(0), st.N, 1,
+	scores, err := RunMasterOpts(comm.Rank(0), st.N, 8,
 		MasterOptions{Trace: masterTr, Spans: &spans})
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +122,7 @@ func TestClusterTraceMergesAcrossRanks(t *testing.T) {
 	}
 	// Pipeline stage spans arrived from the workers and nest (transitively)
 	// under worker/task spans on the same rank.
-	for _, stage := range []string{"core/task", "corr/merged", "core/svm", "svm/cv"} {
+	for _, stage := range []string{"core/task", "corr/fused", "corr/fused_block", "core/svm", "svm/cv"} {
 		if len(byName[stage]) == 0 {
 			t.Fatalf("no %s spans in merged timeline (names: %v)", stage, names(byName))
 		}

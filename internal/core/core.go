@@ -3,7 +3,10 @@
 // their whole-brain correlation vectors for every epoch (stage 1),
 // Fisher-transform and z-score within subject (stage 2), then run
 // per-voxel linear SVM cross-validation over precomputed kernel matrices
-// (stage 3) and return an accuracy score per voxel.
+// (stage 3) and return an accuracy score per voxel. Stages 1 and 2 and the
+// kernel precompute run as one fused stage (corr.Pipeline.RunKernels), so
+// a task holds its voxels' M×M kernel matrices and never the correlation
+// vectors they are made from.
 package core
 
 import (
@@ -17,7 +20,6 @@ import (
 	"fcma/internal/obs/trace"
 	"fcma/internal/safe"
 	"fcma/internal/svm"
-	"fcma/internal/tensor"
 )
 
 // Config selects the kernel implementations and pipeline structure for a
@@ -28,7 +30,10 @@ type Config struct {
 	Gemm blas.Sgemm
 	// Trainer runs stage-3 SVM training during cross-validation.
 	Trainer svm.KernelTrainer
-	// Merged fuses stages 1 and 2 (the paper's cache-retaining variant).
+	// Merged selected between the merged and the separated stage 1+2. The
+	// worker no longer reads it — every task runs the fused stage — and it
+	// stays, set by Optimized, only because the repo benchmark's mirror task
+	// copies it into its own corr.Pipeline (it leaves with that PR).
 	Merged bool
 	// Workers bounds goroutine parallelism; 0 means GOMAXPROCS.
 	Workers int
@@ -47,7 +52,7 @@ func (c Config) obsReg() *obs.Registry {
 }
 
 // Optimized returns the paper's optimized configuration — tall-skinny
-// blocked kernels, merged stage 1+2, and PhiSVM — which is the one engine
+// blocked kernels, the fused stage, and PhiSVM — which is the one engine
 // every entry point runs. (The configuration the paper measures it against
 // is internal/baseline's task, reached only by fcma-bench and tests.)
 func Optimized() Config {
@@ -86,8 +91,8 @@ type Worker struct {
 	cfg   Config
 	stack *corr.EpochStack
 	folds []svm.Fold
-	// pipe runs stages 1+2; one per worker so its instrument cache is warm
-	// after the first task.
+	// pipe runs the fused stage; one per worker so its instrument cache is
+	// warm after the first task.
 	pipe *corr.Pipeline
 }
 
@@ -117,7 +122,6 @@ func NewWorker(cfg Config, stack *corr.EpochStack, folds []svm.Fold) (*Worker, e
 	pipe := &corr.Pipeline{
 		Gemm:    cfg.Gemm,
 		Workers: cfg.Workers,
-		Merged:  cfg.Merged,
 		Obs:     cfg.Obs,
 	}
 	return &Worker{cfg: cfg, stack: stack, folds: folds, pipe: pipe}, nil
@@ -131,11 +135,10 @@ func (w *Worker) Process(t Task) ([]VoxelScore, error) {
 
 // ProcessContext is Process with cooperative cancellation and panic
 // containment. A cancelled ctx stops every pipeline goroutine at its next
-// work-item checkpoint (one epoch in stage 1, one voxel's kernel matrix
-// in the batched SYRK, one voxel in stage 3) and returns ctx.Err() after
-// all of them have joined. A panic in any stage surfaces as a
-// *safe.PipelineError naming the stage and voxel range instead of killing
-// the process.
+// work-item checkpoint (one voxel block in the fused stage, one voxel in
+// stage 3) and returns ctx.Err() after all of them have joined. A panic in
+// any stage surfaces as a *safe.PipelineError naming the stage and voxel
+// range instead of killing the process.
 func (w *Worker) ProcessContext(ctx context.Context, t Task) ([]VoxelScore, error) {
 	if t.V <= 0 || t.V0 < 0 || t.V0+t.V > w.stack.N {
 		return nil, fmt.Errorf("core: task voxels [%d,%d) outside brain of %d", t.V0, t.V0+t.V, w.stack.N)
@@ -148,43 +151,23 @@ func (w *Worker) ProcessContext(ctx context.Context, t Task) ([]VoxelScore, erro
 	taskSpan.SetInt("v0", t.V0)
 	taskSpan.SetInt("voxels", t.V)
 	defer taskSpan.End()
-	// Stages 1+2.
-	buf, err := w.pipe.RunContext(ctx, w.stack, t.V0, t.V)
+	// Stages 1+2 and every voxel's kernel matrix, before any
+	// cross-validation starts (§4.4's redesign keeps every thread busy
+	// during the solver stage; fused, the correlation data the paper frees
+	// at this point is never held).
+	kernels, err := w.pipe.RunKernels(ctx, w.stack, t.V0, t.V)
 	if err != nil {
 		return nil, err
 	}
 
-	// Stage 3: per-voxel kernel precompute + cross-validation. The paper
-	// dedicates one thread to one voxel's cross-validation; dynamic
-	// assignment handles uneven SMO convergence times.
-	M := w.stack.M()
-	labels := make([]int, M)
+	// Stage 3: per-voxel cross-validation. The paper dedicates one thread
+	// to one voxel's cross-validation; dynamic assignment handles uneven
+	// SMO convergence times.
+	labels := make([]int, w.stack.M())
 	for i, e := range w.stack.Epochs {
 		labels[i] = e.Label
 	}
 	scores := make([]VoxelScore, t.V)
-	// Precompute every voxel's kernel matrix in one batched pass before
-	// any cross-validation starts (§4.4's redesign): the reduction to M×M
-	// kernels frees the memory the correlation data held and keeps every
-	// thread busy during the solver stage.
-	As := make([]*tensor.Matrix, t.V)
-	kernels := make([]*tensor.Matrix, t.V)
-	for v := 0; v < t.V; v++ {
-		As[v] = buf.View(v*M, 0, M, w.stack.N)
-		kernels[v] = tensor.NewMatrix(M, M)
-	}
-	syrkTimer := reg.Stage("core/syrk").Start()
-	sctx, syrkSpan := trace.StartSpan(ctx, "core/syrk")
-	syrkSpan.SetInt("kernels", t.V)
-	err = blas.BatchSyrkContext(sctx, kernels, As, blas.DefaultSyrkBlock, w.cfg.Workers)
-	syrkSpan.End()
-	syrkTimer.Stop()
-	if err != nil {
-		if ctx.Err() != nil && err == ctx.Err() {
-			return nil, err
-		}
-		return nil, fmt.Errorf("core: batched kernel precompute: %w", err)
-	}
 	voxelsScored := reg.Counter("core_voxels_scored_total")
 	cvSeconds := reg.Histogram("svm_cv_seconds", obs.DefaultLatencyBuckets)
 	svmTimer := reg.Stage("core/svm").Start()
@@ -192,7 +175,7 @@ func (w *Worker) ProcessContext(ctx context.Context, t Task) ([]VoxelScore, erro
 	defer svmSpan.End()
 	err = safe.ParallelDynamic(svmCtx, safe.Span{Stage: "svm/cv", Base: t.V0}, t.V, w.cfg.Workers, func(ictx context.Context, v int) error {
 		vt := cvSeconds.Start()
-		acc, err := svm.CrossValidateContext(ictx, w.cfg.Trainer, kernels[v], labels, w.folds)
+		acc, err := svm.CrossValidateContext(ictx, w.cfg.Trainer, &kernels[v], labels, w.folds)
 		vt.Stop()
 		if err != nil {
 			return fmt.Errorf("core: voxel %d: %w", t.V0+v, err)

@@ -2,11 +2,13 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"fcma/internal/blas"
 	"fcma/internal/corr"
 	"fcma/internal/fmri"
+	"fcma/internal/obs"
 	"fcma/internal/svm"
 )
 
@@ -189,35 +191,113 @@ func TestNilFoldsSingleSubjectIsKFold(t *testing.T) {
 	}
 }
 
-// Every parallel stage hands a worker whole outputs — voxel blocks, kernel
-// matrices, voxels — so the worker count changes who computes a score,
-// never its bits. 320 brain voxels are four 96-column syrk blocks per
-// kernel matrix.
+// Every parallel stage hands a worker whole outputs — voxel blocks with
+// their kernel matrices, voxels — so the worker count changes who computes
+// a score, never its bits. 320 brain voxels are four 96-column syrk slices
+// per kernel matrix.
 func TestScoresIdenticalAcrossWorkers(t *testing.T) {
 	eachKernelPath(t, func(t *testing.T) {
 		_, st := testStack(t, 320, 3, 6)
-		for _, merged := range []bool{true, false} {
-			var want []VoxelScore
-			for _, workers := range []int{1, 2, 3, 8} {
-				cfg := Optimized()
-				cfg.Merged, cfg.Workers = merged, workers
-				w, err := NewWorker(cfg, st, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := w.ProcessContext(context.Background(), Task{V0: 0, V: 48})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want == nil {
-					want = got
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("merged=%v voxel %d: Workers=%d scores %+v, Workers=1 %+v", merged, i, workers, got[i], want[i])
-					}
+		var want []VoxelScore
+		for _, workers := range []int{1, 2, 3, 8} {
+			cfg := Optimized()
+			cfg.Workers = workers
+			w, err := NewWorker(cfg, st, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := w.ProcessContext(context.Background(), Task{V0: 0, V: 48})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = got
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("voxel %d: Workers=%d scores %+v, Workers=1 %+v", i, workers, got[i], want[i])
 				}
 			}
 		}
 	})
+}
+
+// A voxel's score does not depend on the task it arrives in: the fused
+// stage's block height follows the task size (and the worker count), the
+// kernel matrices — and so the scores — do not. This is what lets a
+// cluster, a chunked serve job and a local run agree bit for bit.
+func TestScoresIdenticalAcrossTaskSizes(t *testing.T) {
+	eachKernelPath(t, func(t *testing.T) {
+		_, st := testStack(t, 120, 3, 4)
+		cfg := Optimized()
+		cfg.Workers = 2
+		w, err := NewWorker(cfg, st, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []VoxelScore
+		for _, size := range []int{st.N, 1, 3, 8, 9, 32} {
+			var got []VoxelScore
+			for v0 := 0; v0 < st.N; v0 += size {
+				part, err := w.ProcessContext(context.Background(), Task{V0: v0, V: min(size, st.N-v0)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, part...)
+			}
+			if want == nil {
+				want = got
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("voxel %d: task size %d scores %+v, one whole-brain task %+v", i, size, got[i], want[i])
+				}
+			}
+		}
+	})
+}
+
+// What a warm task allocates is its kernel matrices (one slab), its label
+// and score slices and a fixed number of small objects (closures, timers):
+// nothing per voxel, and above all nothing that grows with the brain —
+// the (V·M)×N correlation buffer is never built.
+func TestTaskAllocsIndependentOfBrainAndTaskSize(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	measure := func(N, V int) (objects float64, bytes uint64) {
+		_, st := testStack(t, N, 2, 4)
+		cfg := Optimized()
+		cfg.Workers = 1
+		cfg.Obs = obs.NewRegistry()
+		w, err := NewWorker(cfg, st, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func() {
+			if _, err := w.ProcessContext(context.Background(), Task{V0: 0, V: V}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm the pools and the instrument caches
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		objects = testing.AllocsPerRun(10, run)
+		runtime.ReadMemStats(&after)
+		return objects, (after.TotalAlloc - before.TotalAlloc) / 11
+	}
+	base, baseBytes := measure(100, 8)
+	if base > 16 {
+		t.Fatalf("a warm 8-voxel task allocates %v objects, want a handful", base)
+	}
+	for _, sh := range [][2]int{{100, 32}, {800, 8}} {
+		if got, _ := measure(sh[0], sh[1]); got != base {
+			t.Fatalf("a warm task allocates %v objects at N=%d V=%d but %v at N=100 V=8", got, sh[0], sh[1], base)
+		}
+	}
+	// Eight times the brain, same task: the bytes must not follow (the
+	// buffer alone would be 8·8·800·4 = 200 KB more).
+	if _, wide := measure(800, 8); wide > baseBytes+4096 {
+		t.Fatalf("a warm 8-voxel task allocates %d bytes at N=800 against %d at N=100: something grows with the brain", wide, baseBytes)
+	}
 }

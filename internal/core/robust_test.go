@@ -5,7 +5,9 @@ import (
 	"errors"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"fcma/internal/obs"
 	"fcma/internal/safe"
 	"fcma/internal/svm"
 	"fcma/internal/tensor"
@@ -56,6 +58,56 @@ func TestProcessContainsStagePanic(t *testing.T) {
 	}
 	if pe.V0 < 0 || pe.V0 >= stack.N {
 		t.Fatalf("panic voxel %d outside brain of %d", pe.V0, stack.N)
+	}
+}
+
+// panicGemm panics on every correlation product — a stand-in for a bug in a
+// stage-1 kernel.
+type panicGemm struct{}
+
+func (panicGemm) Gemm(C, A, B *tensor.Matrix) { panic("injected stage-1 failure") }
+
+// A panic inside a voxel block of the fused stage names that stage and the
+// block's voxels as the brain numbers them, not as the task does.
+func TestProcessContainsFusedBlockPanic(t *testing.T) {
+	_, stack := testStack(t, 40, 3, 4)
+	cfg := Optimized()
+	cfg.Workers = 1
+	cfg.Gemm = panicGemm{}
+	w, err := NewWorker(cfg, stack, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = w.Process(Task{V0: 21, V: 13})
+	var pe *safe.PipelineError
+	if !errors.As(err, &pe) {
+		t.Fatalf("err = %v (%T), want *safe.PipelineError", err, err)
+	}
+	// Workers = 1 runs the blocks in order, so the first one fails:
+	// min(corr.DefaultVoxBlock, 13) voxels from the task's first.
+	if pe.Stage != "corr/fused" || pe.V0 != 21 || pe.V != 8 {
+		t.Fatalf("error names stage %q voxels [%d,%d), want corr/fused [21,29)", pe.Stage, pe.V0, pe.V0+pe.V)
+	}
+}
+
+// A task handed an already-expired deadline computes nothing: no voxel
+// block runs (no correlation product is counted) and the deadline's own
+// error comes back.
+func TestProcessContextExpiredDeadlineRunsNoBlock(t *testing.T) {
+	_, stack := testStack(t, 24, 3, 4)
+	cfg := Optimized()
+	cfg.Obs = obs.NewRegistry()
+	w, err := NewWorker(cfg, stack, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithDeadline(context.Background(), time.Unix(0, 0))
+	defer cancel()
+	if _, err := w.ProcessContext(ctx, Task{V0: 0, V: stack.N}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	if n := cfg.Obs.Counter("corr_gemm_calls_total").Value(); n != 0 {
+		t.Fatalf("expired task made %d correlation products, want none", n)
 	}
 }
 

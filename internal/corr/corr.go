@@ -1,9 +1,12 @@
 // Package corr implements FCMA's first pipeline stage: reducing Pearson
 // correlation over labeled epochs to tall-skinny matrix multiplication
-// (paper §3.1, eqs. 1–3) and producing the voxel-grouped interleaved layout
-// of Fig. 4. It also hosts the fused stage-1+2 pipeline (paper §4.3): the
-// merged variant normalizes each correlation block while it is still cache
-// resident, the separated variant writes all correlations first and
+// (paper §3.1, eqs. 1–3). It hosts the stage a task runs
+// (Pipeline.RunKernels, fused.go): correlation, normalization and the
+// kernel-matrix products over one cache-resident block at a time, so that
+// the voxel-grouped interleaved buffer of Fig. 4 is never built. The two
+// variants that do build it (Pipeline.RunInto, paper §4.3 and Table 7) stay
+// for the comparison: merged normalizes each correlation block while it is
+// still cache resident, separated writes all correlations first and
 // normalizes in a second pass.
 package corr
 

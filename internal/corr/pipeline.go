@@ -14,9 +14,13 @@ import (
 
 // Pipeline runs stages 1 and 2 of FCMA for a worker task: correlate the
 // assigned voxels against the whole brain over every epoch, Fisher-
-// transform and z-score within subject, and emit the voxel-grouped
-// interleaved buffer of Fig. 4 (voxel v's M correlation vectors are rows
-// [v·M, (v+1)·M) of the output).
+// transform and z-score within subject. RunKernels (fused.go), the entry a
+// task runs, reduces each cache-resident block of the result straight to
+// the voxels' kernel matrices; RunInto and RunContext emit the whole
+// voxel-grouped interleaved buffer of Fig. 4 (voxel v's M correlation
+// vectors are rows [v·M, (v+1)·M) of the output), merged or separated —
+// the paper's Table 7 pair, and what the repo benchmark's mirror task and
+// internal/baseline call.
 //
 // Pipelines are used by pointer and must not be copied after first use
 // (they cache their observability instruments behind a sync.Once).
@@ -27,15 +31,18 @@ type Pipeline struct {
 	// Workers bounds goroutine parallelism; 0 means GOMAXPROCS. Workers=1
 	// runs every stage on the caller's goroutine.
 	Workers int
-	// Merged selects the fused stage-1+2 variant (paper §4.3): each
+	// Merged selects RunInto's stage-1+2 variant (paper §4.3): each
 	// correlation block is normalized while cache resident instead of in
-	// a second pass over the full buffer.
+	// a second pass over the full buffer. RunKernels does not read it.
 	Merged bool
-	// ColBlock is the column-block width of the merged variant; 0 means
-	// blas.DefaultColBlock.
+	// ColBlock is the column-block width of the merged variant (0 means
+	// blas.DefaultColBlock) and of RunKernels, where 0 means the width
+	// derived from the task's shape and any other value must be a multiple
+	// of blas.DefaultSyrkBlock. Only tests and block-size benchmarks set it.
 	ColBlock int
 	// VoxBlock is the number of assigned voxels processed together per
-	// merged block (the B voxels of Fig. 5); 0 means DefaultVoxBlock.
+	// block (the B voxels of Fig. 5); 0 means DefaultVoxBlock, which
+	// RunKernels lowers for a task too small to give every worker a block.
 	// Larger blocks amortize the stream over the wide operand; smaller
 	// blocks keep the working set cache resident.
 	VoxBlock int
@@ -44,26 +51,29 @@ type Pipeline struct {
 	// corr_norm_blocks_total. Nil records to obs.Default().
 	Obs *obs.Registry
 
-	// instOnce/inst cache the resolved instruments: registry lookups
-	// build "stage_<name>_seconds" strings, which would otherwise put an
-	// allocation in every hot-path call.
-	instOnce sync.Once
-	inst     pipelineInst
+	// inst caches the resolved instruments of RunInto ([0]) and of
+	// RunKernels ([1]): registry lookups build "stage_<name>_seconds"
+	// strings, which would otherwise put an allocation in every run.
+	inst [2]struct {
+		once sync.Once
+		pipelineInst
+	}
 }
 
-// DefaultVoxBlock is the merged variant's default voxel-block height.
+// DefaultVoxBlock is the default voxel-block height.
 const DefaultVoxBlock = 8
 
-// pipelineInst is the pipeline's resolved instrument set. Only the
-// configured mode's stage timers are resolved (correlate and normalize
-// when separated, merged when merged), so a run exports no series it
-// never observes.
+// pipelineInst is one entry point's resolved instrument set. Only the
+// stage timers that entry observes are resolved (fused for RunKernels;
+// for RunInto correlate and normalize when separated, merged when
+// merged), so a run exports no series it never observes.
 type pipelineInst struct {
 	gemmCalls  *obs.Counter
 	normBlocks *obs.Counter
 	correlate  *obs.Histogram
 	normalize  *obs.Histogram
 	merged     *obs.Histogram
+	fused      *obs.Histogram
 }
 
 // obsReg resolves the metrics registry (nil field → process default).
@@ -74,22 +84,30 @@ func (p *Pipeline) obsReg() *obs.Registry {
 	return p.Obs
 }
 
-// instruments resolves and caches the pipeline's instruments.
-func (p *Pipeline) instruments() *pipelineInst {
-	p.instOnce.Do(func() {
+// instruments resolves and caches the instruments of RunKernels (fused)
+// or of RunInto.
+func (p *Pipeline) instruments(fused bool) *pipelineInst {
+	c := &p.inst[0]
+	if fused {
+		c = &p.inst[1]
+	}
+	c.once.Do(func() {
 		reg := p.obsReg()
-		p.inst = pipelineInst{
+		c.pipelineInst = pipelineInst{
 			gemmCalls:  reg.Counter("corr_gemm_calls_total"),
 			normBlocks: reg.Counter("corr_norm_blocks_total"),
 		}
-		if p.Merged {
-			p.inst.merged = reg.Stage("corr/merged")
-		} else {
-			p.inst.correlate = reg.Stage("corr/correlate")
-			p.inst.normalize = reg.Stage("corr/normalize")
+		switch {
+		case fused:
+			c.fused = reg.Stage("corr/fused")
+		case p.Merged:
+			c.merged = reg.Stage("corr/merged")
+		default:
+			c.correlate = reg.Stage("corr/correlate")
+			c.normalize = reg.Stage("corr/normalize")
 		}
 	})
-	return &p.inst
+	return &c.pipelineInst
 }
 
 // defaultGemm is the boxed default kernel, built once so resolving it per
@@ -106,15 +124,17 @@ func (p *Pipeline) gemm() blas.Sgemm {
 }
 
 // corrScratch is the pooled per-work-item state shared by every pipeline
-// stage: the gather block, the merged local block, manual view headers
-// (a .View() call would allocate), and the normalization buffers. Pooled
-// as a pointer so Get/Put never box.
+// stage: the gather block, the merged and fused local block, manual view
+// headers (a .View() call would allocate), the normalization buffers and
+// the fused stage's syrk staging panel. Pooled as a pointer so Get/Put
+// never box.
 type corrScratch struct {
 	A     tensor.Matrix
 	local tensor.Matrix
 	bview tensor.Matrix
 	cview tensor.Matrix
 	norm  norm.Scratch
+	syrk  blas.SyrkAcc
 }
 
 var corrPool = sync.Pool{New: func() any { return new(corrScratch) }}
@@ -157,7 +177,7 @@ func (p *Pipeline) RunInto(ctx context.Context, st *EpochStack, v0, V int, buf *
 // interleaved layout, one work item per epoch.
 func (p *Pipeline) computeCorrelations(ctx context.Context, st *EpochStack, v0, V int, buf *tensor.Matrix) error {
 	g := p.gemm()
-	inst := p.instruments()
+	inst := p.instruments(false)
 	timer := inst.correlate.Start()
 	defer timer.Stop()
 	sctx, span := trace.StartSpan(ctx, "corr/correlate")
@@ -189,7 +209,7 @@ func (p *Pipeline) correlateEpoch(st *EpochStack, buf *tensor.Matrix, g blas.Sge
 // normalizeSeparated is the unfused stage 2: a second full pass over the
 // correlation buffer applying Fisher + within-subject z-scoring.
 func (p *Pipeline) normalizeSeparated(ctx context.Context, st *EpochStack, buf *tensor.Matrix, V int) error {
-	inst := p.instruments()
+	inst := p.instruments(false)
 	timer := inst.normalize.Start()
 	defer timer.Stop()
 	sctx, span := trace.StartSpan(ctx, "corr/normalize")
@@ -236,7 +256,7 @@ func (p *Pipeline) runMerged(ctx context.Context, st *EpochStack, v0, V int, buf
 		vb = V
 	}
 	g := p.gemm()
-	inst := p.instruments()
+	inst := p.instruments(false)
 	timer := inst.merged.Start()
 	defer timer.Stop()
 	sctx, span := trace.StartSpan(ctx, "corr/merged")

@@ -305,9 +305,9 @@ func TestNativeScaling(t *testing.T) {
 }
 
 // The model-vs-measured ledger (run inside fcma-serve after every job until
-// PR 19): per dataset shape, the optimized engine's merged and syrk stages
-// and the baseline's correlate and normalize stages, each with a model
-// prediction, a host measurement and their ratio.
+// PR 19): per dataset shape, the optimized engine's fused stage and the
+// baseline's correlate and normalize stages, each with a model prediction,
+// a host measurement and their ratio.
 func TestNativeLedger(t *testing.T) {
 	if testing.Short() {
 		t.Skip("native run is slow")
@@ -319,7 +319,7 @@ func TestNativeLedger(t *testing.T) {
 	var want [][]string
 	for _, dataset := range []string{"face-scene", "attention"} {
 		want = append(want,
-			[]string{dataset, "optimized", "merged"}, []string{dataset, "optimized", "syrk"},
+			[]string{dataset, "optimized", "fused"},
 			[]string{dataset, "baseline", "correlate"}, []string{dataset, "baseline", "normalize"})
 	}
 	if len(tb.Rows) != len(want) {

@@ -143,8 +143,8 @@ func TestPipelineRecordsOnServiceRegistry(t *testing.T) {
 	if got, want := live.Counters["core_tasks_total"], uint64(24/8); got != want {
 		t.Errorf("live registry core_tasks_total = %d, want the job's %d chunks", got, want)
 	}
-	if h := live.Hists["stage_corr_merged_seconds"]; h.Count == 0 {
-		t.Errorf("live registry has no stage_corr_merged_seconds observations")
+	if h := live.Hists["stage_corr_fused_seconds"]; h.Count == 0 {
+		t.Errorf("live registry has no stage_corr_fused_seconds observations")
 	}
 	snap := s.MetricsSnapshot()
 	noModel := func(name string) {

@@ -116,7 +116,7 @@ assert_metric '^serve_tenant_jobs_completed_total{tenant="smoke"} 1'
 assert_metric '^serve_tenant_job_seconds_count{tenant="smoke"} 1'
 assert_metric '^wal_fsync_seconds_count{log="serve"}'
 assert_metric '^wal_records_total{log="serve"}'
-assert_metric '^stage_corr_merged_seconds_count'
+assert_metric '^stage_corr_fused_seconds_count'
 assert_metric '^svm_cv_runs_total'
 assert_metric '^safe_items_completed_total'
 assert_metric '^serve_queue_depth '

@@ -42,7 +42,7 @@ func PermutationTest(d *Data, voxels []int, cfg Config, n int, seed int64) (*Per
 	labels := make([]int, M)
 	subjects := make([]int, M)
 	for i, e := range d.ds.Epochs {
-		copy(feats.Row(i), pairFeatures(d.ds, voxels, e))
+		pairFeatures(feats.Row(i), d.ds, voxels, e)
 		labels[i] = e.Label
 		subjects[i] = e.Subject
 	}
