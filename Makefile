@@ -129,9 +129,11 @@ serve-smoke:
 # Short native-fuzz pass over the untrusted-input parsers (NIfTI headers
 # and epoch files), over the AVX2 kernels' bit-for-bit pin to the Go
 # kernels: the blas tile and strips, the norm sweep, the svm sweep (skipped
-# on a host without AVX2), and over the fused stage's pin to the buffer +
-# batched syrk it replaced. FUZZTIME bounds each target's run. The kernel
-# and stage targets turn input minimization off: shrinking every
+# on a host without AVX2), over the fused stage's pin to the buffer +
+# batched syrk it replaced, and over the bytes a restarted master or server
+# replays: the journals' shared score-block codec and each journal's record
+# fold. FUZZTIME bounds each target's run. The kernel and stage targets
+# turn input minimization off: shrinking every
 # coverage-increasing input (up to 60 s each by default) would eat the
 # whole budget, and a smaller input is no better a witness of equal bits.
 FUZZTIME ?= 10s
@@ -144,3 +146,6 @@ fuzz:
 	$(GO) test ./internal/norm/ -run '^$$' -fuzz FuzzFisherSweepMatchesGo -fuzztime $(FUZZTIME) -fuzzminimizetime 0
 	$(GO) test ./internal/svm/ -run '^$$' -fuzz FuzzSMOSweepMatchesGo -fuzztime $(FUZZTIME) -fuzzminimizetime 0
 	$(GO) test ./internal/corr/ -run '^$$' -fuzz FuzzFusedMatchesUnfused -fuzztime $(FUZZTIME) -fuzzminimizetime 0
+	$(GO) test ./internal/wal/ -run '^$$' -fuzz FuzzScoreBlockDecode -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/cluster/ -run '^$$' -fuzz FuzzJournalApply -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzJournalApply -fuzztime $(FUZZTIME)

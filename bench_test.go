@@ -365,12 +365,12 @@ func benchCluster(b *testing.B, workers, taskSize int) {
 					b.Error(err)
 					return
 				}
-				if err := cluster.RunWorker(comm.Rank(r), w); err != nil {
+				if err := cluster.RunWorkerCtx(context.Background(), comm.Rank(r), w, cluster.WorkerOptions{}); err != nil {
 					b.Error(err)
 				}
 			}(r)
 		}
-		if _, err := cluster.RunMaster(comm.Rank(0), benchVoxels/4, taskSize); err != nil {
+		if _, err := cluster.RunMasterCtx(context.Background(), comm.Rank(0), benchVoxels/4, taskSize, cluster.MasterOptions{}); err != nil {
 			b.Fatal(err)
 		}
 		wg.Wait()

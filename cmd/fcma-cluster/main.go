@@ -33,6 +33,7 @@ import (
 	"syscall"
 	"time"
 
+	"fcma"
 	"fcma/internal/chaos"
 	"fcma/internal/cluster"
 	"fcma/internal/core"
@@ -51,13 +52,13 @@ func main() {
 	dataPath := flag.String("data", "", "dataset file")
 	epochPath := flag.String("epochs", "", "epoch label file")
 	taskSize := flag.Int("task-size", 120, "voxels per task (the paper assigns 120)")
-	checkpoint := flag.String("checkpoint", "", "master: checkpoint file for resumable analyses")
+	outScores := flag.String("out-scores", "", "master: write the full voxel ranking as CSV")
 	journal := flag.String("journal", "", "master: write-ahead journal for crash recovery; a restarted master replays it and never recomputes completed ranges")
 	resume := flag.Bool("resume", false, "master: expect the journal to hold a prior run's state (use with -journal after a master crash)")
 	chaosSeed := flag.Int64("chaos-seed", 0, "fault-injection seed; 0 disables the chaos plan entirely")
 	chaosKillTasks := flag.String("chaos-kill-tasks", "", `master: comma-separated cumulative completed-task counts at which the master simulates a crash (e.g. "3,7,11")`)
-	chaosFSTorn := flag.Float64("chaos-fs-torn", 0, "probability a journal/checkpoint write is torn (partial write + EIO)")
-	chaosFSENOSPC := flag.Float64("chaos-fs-enospc", 0, "probability a journal/checkpoint write fails with ENOSPC")
+	chaosFSTorn := flag.Float64("chaos-fs-torn", 0, "probability a journal write is torn (partial write + EIO)")
+	chaosFSENOSPC := flag.Float64("chaos-fs-enospc", 0, "probability a journal write fails with ENOSPC")
 	chaosFSSlowSync := flag.Float64("chaos-fs-slow-sync", 0, "probability an fsync is delayed")
 	chaosFSRenameFail := flag.Float64("chaos-fs-rename-fail", 0, "probability a rename fails with EIO")
 	chaosSchedDelay := flag.Float64("chaos-sched-delay", 0, "probability a cluster scheduling point is delayed")
@@ -78,8 +79,8 @@ func main() {
 	logger := bootstrap("fcma-cluster", slog.String("role", *role))
 
 	// SIGINT/SIGTERM cancel the run cooperatively: the master broadcasts
-	// TagStop and flushes its checkpoint before exiting, a worker aborts
-	// its in-flight task. A second signal kills the process the usual way.
+	// TagStop and flushes its journal before exiting, a worker aborts its
+	// in-flight task. A second signal kills the process the usual way.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
@@ -108,6 +109,9 @@ func main() {
 
 	switch *role {
 	case "master":
+		if *resume && *journal == "" {
+			fail(fmt.Errorf("-resume needs -journal"))
+		}
 		master, err := mpi.ListenMaster(*listen, *workers+1)
 		fail(err)
 		defer master.Close()
@@ -141,21 +145,9 @@ func main() {
 			logger.Info("serving metrics", "url", "http://"+srv.Addr())
 		}
 		startTime := time.Now()
-		var cp *cluster.Checkpoint
-		if *checkpoint != "" {
-			cp, err = cluster.OpenCheckpoint(*checkpoint)
-			fail(err)
-			if cp.Done() > 0 {
-				fmt.Printf("fcma-cluster: resuming from %s (%d voxels done)\n", *checkpoint, cp.Done())
-			}
-			opts.Checkpoint = cp
-		}
 		var jn *cluster.Journal
-		if *resume && *journal == "" {
-			fail(fmt.Errorf("-resume needs -journal"))
-		}
 		if *journal != "" {
-			jn, err = cluster.OpenJournalObservedFS(plan.FS(chaos.OS()), *journal, obs.Default())
+			jn, err = cluster.OpenJournal(plan.FS(chaos.OS()), *journal, obs.Default())
 			fail(err)
 			switch {
 			case jn.Done() > 0:
@@ -183,13 +175,6 @@ func main() {
 		if errors.Is(err, context.Canceled) {
 			// os.Exit skips defers, so flush the durable state here — the
 			// partial run must be resumable before we report cancellation.
-			if cp != nil {
-				if cerr := cp.Close(); cerr != nil {
-					logger.Error("checkpoint flush failed", "err", cerr)
-					os.Exit(1)
-				}
-				fmt.Printf("fcma-cluster: checkpoint flushed to %s (%d voxels done)\n", *checkpoint, cp.Done())
-			}
 			if jn != nil {
 				if jerr := jn.Close(); jerr != nil {
 					logger.Error("journal flush failed", "err", jerr)
@@ -201,9 +186,6 @@ func main() {
 			os.Exit(130)
 		}
 		fail(err)
-		if cp != nil {
-			fail(cp.Close())
-		}
 		if jn != nil {
 			// The run completed; a kept journal would make a rerun resume
 			// into an instantly finished state, so retire it.
@@ -216,6 +198,13 @@ func main() {
 		fmt.Printf("analysis complete: %d voxels scored; top %d:\n", len(scores), len(top))
 		for _, s := range top {
 			fmt.Printf("  voxel %6d  accuracy %.3f\n", s.Voxel, s.Accuracy)
+		}
+		if *outScores != "" {
+			f, err := os.Create(*outScores)
+			fail(err)
+			fail(fcma.WriteScores(f, core.TopVoxels(scores, 0)))
+			fail(f.Close())
+			fmt.Printf("wrote %s\n", *outScores)
 		}
 		reportClusterMetrics(cm, time.Since(startTime), *benchOut, d.Voxels())
 	case "worker":

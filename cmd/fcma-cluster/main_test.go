@@ -1,14 +1,18 @@
 package main
 
 import (
+	"bufio"
 	"errors"
 	"flag"
+	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"fcma"
 	"fcma/internal/fmri"
 )
 
@@ -24,9 +28,8 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// run executes the command with args and returns its exit code and its
-// combined stdout and stderr.
-func run(t *testing.T, args ...string) (int, string) {
+// command prepares the test binary to run as the command with args.
+func command(t *testing.T, args ...string) *exec.Cmd {
 	t.Helper()
 	exe, err := os.Executable()
 	if err != nil {
@@ -34,15 +37,28 @@ func run(t *testing.T, args ...string) (int, string) {
 	}
 	cmd := exec.Command(exe, args...)
 	cmd.Env = append(os.Environ(), "FCMA_TEST_MAIN=1")
-	out, err := cmd.CombinedOutput()
+	return cmd
+}
+
+// exitCode maps a finished command's error to its exit code.
+func exitCode(t *testing.T, err error) int {
+	t.Helper()
 	var ee *exec.ExitError
 	if errors.As(err, &ee) {
-		return ee.ExitCode(), string(out)
+		return ee.ExitCode()
 	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	return 0, string(out)
+	return 0
+}
+
+// run executes the command with args and returns its exit code and its
+// combined stdout and stderr.
+func run(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	out, err := command(t, args...).CombinedOutput()
+	return exitCode(t, err), string(out)
 }
 
 // writeDataset writes a small dataset the way fcma-gen does and returns
@@ -85,6 +101,8 @@ func TestFlagsAndExitCodes(t *testing.T) {
 		want string // substring of the output
 	}{
 		{"retired engine flag", []string{"-role", "worker", "-engine", "baseline"}, 2, "flag provided but not defined: -engine"},
+		{"retired checkpoint flag", []string{"-role", "master", "-checkpoint", "x"}, 2, "flag provided but not defined: -checkpoint\nUsage of fcma-cluster:"},
+		{"resume without journal", []string{"-role", "master", "-resume", "-data", data, "-epochs", epochs}, 1, "-resume needs -journal"},
 		{"no dataset", []string{"-role", "worker"}, 1, "need -data and -epochs"},
 		{"worker without -addr", []string{"-role", "worker", "-data", data, "-epochs", epochs}, 1, "worker needs -addr"},
 		{"no role", []string{"-data", data, "-epochs", epochs}, 1, "need -role master or -role worker"},
@@ -114,5 +132,64 @@ func TestHelpListsSharedFlagsAndNoEngine(t *testing.T) {
 	}
 	if strings.Contains(strings.ToLower(out), "engine") {
 		t.Errorf("-h still mentions an engine:\n%s", out)
+	}
+}
+
+// TestLoopbackRunWritesScores runs a real master and a real worker over
+// loopback TCP and checks the -out-scores CSV: the complete ranking, one
+// row per voxel, best first, readable by fcma.ReadScores.
+func TestLoopbackRunWritesScores(t *testing.T) {
+	data, epochs := writeDataset(t)
+	out := filepath.Join(t.TempDir(), "scores.csv")
+	master := command(t, "-role", "master", "-listen", "127.0.0.1:0", "-workers", "1",
+		"-data", data, "-epochs", epochs, "-task-size", "4", "-out-scores", out)
+	master.Stderr = os.Stderr
+	stdout, err := master.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := master.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer master.Process.Kill()
+	// The master prints the address it bound before it waits for workers.
+	lines := bufio.NewReader(stdout)
+	first, err := lines.ReadString('\n')
+	if err != nil {
+		t.Fatalf("master printed %q, then: %v", first, err)
+	}
+	var addr string
+	var workers int
+	if _, err := fmt.Sscanf(first, "fcma-cluster: master on %s waiting for %d workers", &addr, &workers); err != nil {
+		t.Fatalf("no listen address in %q: %v", first, err)
+	}
+	if code, wout := run(t, "-role", "worker", "-addr", addr, "-data", data, "-epochs", epochs); code != 0 {
+		t.Fatalf("worker exit %d:\n%s", code, wout)
+	}
+	rest, _ := io.ReadAll(lines)
+	if code := exitCode(t, master.Wait()); code != 0 || !strings.Contains(string(rest), "wrote "+out) {
+		t.Fatalf("master exit %d:\n%s", code, rest)
+	}
+	f, err := os.Open(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	scores, err := fcma.ReadScores(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(scores) != 16 {
+		t.Fatalf("-out-scores holds %d rows, want one per voxel (16)", len(scores))
+	}
+	seen := make(map[int]bool)
+	for i, s := range scores {
+		if s.Voxel < 0 || s.Voxel >= 16 || seen[s.Voxel] {
+			t.Fatalf("row %d: voxel %d out of range or repeated", i, s.Voxel)
+		}
+		seen[s.Voxel] = true
+		if i > 0 && s.Accuracy > scores[i-1].Accuracy {
+			t.Fatalf("row %d (%.6f) ranks above row %d (%.6f)", i, s.Accuracy, i-1, scores[i-1].Accuracy)
+		}
 	}
 }

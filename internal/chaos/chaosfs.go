@@ -27,7 +27,7 @@ func (p *Plan) FS(inner FS) FS {
 // chaosFS injects write/sync/rename faults per its plan. Opens and reads
 // stay clean: the faults model the ways durable *writes* break (power
 // loss mid-write, full disk, slow storage, failed rename), which is what
-// the journal and checkpoint recovery paths must survive.
+// the journals' recovery paths must survive.
 type chaosFS struct {
 	inner FS
 	plan  *Plan

@@ -7,8 +7,8 @@
 // seed, so a failure found in a soak replays exactly.
 //
 // The package also owns the durable-write vocabulary the rest of the repo
-// uses: the FS/File seam that durable code (checkpoints, the master
-// journal, bench summaries) writes through, and WriteFileAtomic, the
+// uses: the FS/File seam that durable code (the master and service
+// journals, bench summaries) writes through, and WriteFileAtomic, the
 // temp+fsync+rename+dir-fsync pattern a crash cannot tear.
 package chaos
 

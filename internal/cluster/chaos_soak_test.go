@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"path/filepath"
@@ -9,22 +10,25 @@ import (
 	"testing"
 	"time"
 
+	"fcma/internal/chaos"
 	"fcma/internal/core"
 	"fcma/internal/corr"
 	"fcma/internal/fmri"
 	"fcma/internal/mpi"
 )
 
-// TestChaosSoakCompletesCheckpointedAnalysis is the end-to-end proof of the
+// TestChaosSoakCompletesJournaledAnalysis is the end-to-end proof of the
 // fault-tolerance layer: a TCP cluster of one stable worker plus a churning
 // pool of chaos-wrapped workers (seeded injection of drops, delays,
 // duplicates, transport errors, disconnects, and hangs — and worker-side
-// task failures on top) must still complete a full checkpointed analysis
-// with exactly one correct score per voxel.
+// task failures on top) must still complete a full journaled analysis with
+// exactly one correct score per voxel. The journal writes through the chaos
+// filesystem seam (slow fsyncs only: a failed journal write kills the
+// master, which is the kill soaks' subject, not this one's).
 //
 // Skipped under -short so the fast tier stays fast; `make check` runs it
 // with the race detector.
-func TestChaosSoakCompletesCheckpointedAnalysis(t *testing.T) {
+func TestChaosSoakCompletesJournaledAnalysis(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak skipped in -short mode")
 	}
@@ -56,11 +60,15 @@ func TestChaosSoakCompletesCheckpointedAnalysis(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer master.Close()
-	cp, err := OpenCheckpoint(filepath.Join(t.TempDir(), "soak.csv"))
+	plan, err := chaos.NewPlan(chaos.Config{Seed: 17, FS: chaos.FSConfig{SlowSync: 0.2, MaxDelay: time.Millisecond}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cp.Close()
+	jn, err := OpenJournal(plan.FS(chaos.OS()), filepath.Join(t.TempDir(), "soak.jnl"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jn.Close()
 
 	var (
 		done     atomic.Bool
@@ -88,7 +96,7 @@ func TestChaosSoakCompletesCheckpointedAnalysis(t *testing.T) {
 				return
 			}
 			track(tr)
-			err = RunWorkerOpts(tr, w, WorkerOptions{HeartbeatInterval: 20 * time.Millisecond})
+			err = RunWorkerCtx(context.Background(), tr, w, WorkerOptions{HeartbeatInterval: 20 * time.Millisecond})
 			tr.Close()
 			if err == nil {
 				return // clean TagStop
@@ -132,7 +140,7 @@ func TestChaosSoakCompletesCheckpointedAnalysis(t *testing.T) {
 				return
 			}
 			track(ct)
-			_ = RunWorkerOpts(ct, flaky, WorkerOptions{HeartbeatInterval: 20 * time.Millisecond})
+			_ = RunWorkerCtx(context.Background(), ct, flaky, WorkerOptions{HeartbeatInterval: 20 * time.Millisecond})
 			ct.Close()
 		}()
 	}
@@ -152,8 +160,8 @@ func TestChaosSoakCompletesCheckpointedAnalysis(t *testing.T) {
 	if err := master.Accept(); err != nil {
 		t.Fatal(err)
 	}
-	scores, err := RunMasterOpts(master, st.N, 3, MasterOptions{
-		Checkpoint:       cp,
+	scores, err := RunMasterCtx(context.Background(), master, st.N, 3, MasterOptions{
+		Journal:          jn,
 		TaskDeadline:     150 * time.Millisecond,
 		HeartbeatTimeout: 300 * time.Millisecond,
 		TaskRetries:      100,
@@ -177,8 +185,8 @@ func TestChaosSoakCompletesCheckpointedAnalysis(t *testing.T) {
 			t.Fatalf("voxel %d: %+v, want %+v (chaos must not corrupt results)", i, s, ref[i])
 		}
 	}
-	if cp.Done() != st.N {
-		t.Fatalf("checkpoint holds %d of %d voxels", cp.Done(), st.N)
+	if jn.Done() != st.N {
+		t.Fatalf("journal holds %d of %d voxels", jn.Done(), st.N)
 	}
 }
 

@@ -16,13 +16,12 @@
 //   - elastic membership: ranks may join late or rejoin after a crash
 //     (the TCP transport admits connections for the lifetime of the run);
 //     the master tracks whoever speaks, not a fixed census.
+//   - an expendable master: with a Journal every completion is durable
+//     before it is acted on, and a restarted master recomputes nothing the
+//     journal holds.
 //
 // The run aborts only on deterministic failure: a task exhausting its
 // retry budget, or no live workers remaining.
-//
-// It also provides a deterministic discrete-event scheduler model used to
-// extrapolate measured per-task costs to node counts beyond the host
-// machine (Tables 3–4, Fig. 8).
 package cluster
 
 import (
@@ -31,7 +30,6 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"fcma/internal/chaos"
@@ -78,16 +76,10 @@ func decode(b []byte, v any) error {
 	return gob.NewDecoder(bytes.NewReader(b)).Decode(v)
 }
 
-// TaskProcessor computes voxel scores for one task. *core.Worker is the
-// production implementation; tests substitute fault-injecting ones.
+// TaskProcessor computes voxel scores for one task, stopping early when
+// ctx is cancelled. *core.Worker is the production implementation; tests
+// substitute fault-injecting ones.
 type TaskProcessor interface {
-	Process(core.Task) ([]core.VoxelScore, error)
-}
-
-// ContextProcessor is implemented by processors that support cooperative
-// cancellation (as *core.Worker does); RunWorkerCtx prefers it so a
-// cancelled worker aborts its in-flight task instead of finishing it.
-type ContextProcessor interface {
 	ProcessContext(context.Context, core.Task) ([]core.VoxelScore, error)
 }
 
@@ -95,16 +87,13 @@ type ContextProcessor interface {
 // the liveness machinery off (no heartbeat tracking, no task deadlines)
 // and uses default retry budgets.
 type MasterOptions struct {
-	// Checkpoint, when non-nil, provides durable progress: completed tasks
-	// are recorded before the next assignment and covered tasks are
-	// skipped on resume.
-	Checkpoint *Checkpoint
-	// Journal, when non-nil, is the master's write-ahead log: assignments
-	// and completions (with their merged result blocks) are recorded as
-	// they happen, completions durably before the master acts on them. A
-	// master restarted on a journal re-issues only in-flight tasks and
-	// never recomputes a journaled-complete voxel range; the resumed
-	// scores are bit-exact with an uninterrupted run.
+	// Journal, when non-nil, is the master's write-ahead log and its only
+	// durable progress: assignments and completions (with their merged
+	// result blocks) are recorded as they happen, completions durably
+	// before the master acts on them. A master restarted on a journal
+	// re-issues only in-flight tasks and never recomputes a
+	// journaled-complete voxel range; the resumed scores are bit-exact with
+	// an uninterrupted run.
 	Journal *Journal
 	// Chaos, when non-nil, injects the plan's scheduling-point delays into
 	// the master loop and kills the master (RunMasterCtx returns
@@ -112,9 +101,9 @@ type MasterOptions struct {
 	// fires. Production runs leave it nil; soaks use it to prove the
 	// journal recovery path.
 	Chaos *chaos.Plan
-	// TaskDeadline is how long a task may stay outstanding on one worker
-	// before a speculative copy is issued to an idle worker. Zero disables
-	// speculation.
+	// TaskDeadline is how long a task may stay outstanding before a
+	// speculative copy is issued to an idle worker (or, with none idle,
+	// re-sent to the rank that holds it). Zero disables speculation.
 	TaskDeadline time.Duration
 	// HeartbeatTimeout is how long a worker may stay silent before it is
 	// presumed dead and its task requeued. Zero disables liveness
@@ -149,55 +138,79 @@ type MasterOptions struct {
 	Spans *ClusterTrace
 }
 
-// RunMaster drives the task queue over the transport: voxels [0, totalVoxels)
-// are split into tasks of taskSize voxels, distributed dynamically, and the
-// merged scores (sorted by voxel) are returned once every voxel is scored.
-// Workers receive TagStop when the analysis completes or aborts.
-func RunMaster(tr mpi.Transport, totalVoxels, taskSize int) ([]core.VoxelScore, error) {
-	return RunMasterOpts(tr, totalVoxels, taskSize, MasterOptions{})
+// task is everything the master knows about one voxel range. The table of
+// them (master.tasks, indexed by v0/taskSize) is the scheduler's only
+// state: what is done, what may be issued and which rank is busy are all
+// read from it, so a message can only ever change the row it is about.
+type task struct {
+	v0, v   int
+	missing int          // voxels of the range not yet scored; 0 means done
+	fails   int          // worker-reported failures so far
+	avoid   map[int]bool // ranks that failed it
+	holders []holder     // ranks that were sent a copy and have not answered or died
 }
 
-// worker lifecycle states as the master tracks them.
+// holder is one outstanding copy of a task.
+type holder struct {
+	rank  int
+	since time.Time     // when the copy was sent
+	span  *trace.Active // the copy's master-side span
+}
+
+// end closes the copy's span with its outcome.
+func (h holder) end(outcome string) {
+	h.span.SetAttr("outcome", outcome)
+	h.span.End()
+}
+
+// release retires rank's copy of t, if it holds one.
+func (t *task) release(rank int, outcome string) bool {
+	for i, h := range t.holders {
+		if h.rank == rank {
+			h.end(outcome)
+			t.holders = append(t.holders[:i], t.holders[i+1:]...)
+			return true
+		}
+	}
+	return false
+}
+
+// worker lifecycle states as the master tracks them. Whether a live rank
+// is busy is not a state: it is busy while some task lists it as a holder.
 const (
-	wsIdle        = iota // announced itself, no task in hand
-	wsWorking            // has an outstanding task
+	wsLive        = iota // has spoken and may be given work
 	wsDead               // disconnected or heartbeat-silent; resurrects if it speaks again
 	wsQuarantined        // failed too many tasks; stopped and excluded
 )
 
 type workerInfo struct {
 	state     int
-	task      taskMsg       // outstanding task when wsWorking
-	span      *trace.Active // the task's master-side span when wsWorking
-	since     time.Time     // when task was assigned or last speculated
-	lastHeard time.Time     // last message of any kind
-	errors    int           // task failures reported by this worker
+	lastHeard time.Time // last message of any kind
+	errors    int       // task failures reported by this worker
 }
 
 type master struct {
-	tr          mpi.Transport
-	totalVoxels int
-	opts        MasterOptions
-	reg         *obs.Registry
-	runSpan     *trace.Active // run-level span every task span nests under
+	tr       mpi.Transport
+	taskSize int
+	opts     MasterOptions
+	reg      *obs.Registry
+	runSpan  *trace.Active // run-level span every task span nests under
 
-	queue     []taskMsg
-	workers   map[int]*workerInfo
-	scores    []core.VoxelScore
-	seen      map[int]bool
-	taskFails map[int]int          // task V0 -> failures so far
-	taskAvoid map[int]map[int]bool // task V0 -> ranks that failed it
+	tasks    []task            // indexed by v0/taskSize
+	scores   []core.VoxelScore // indexed by voxel; valid where have is set
+	have     []bool
+	unscored int
+	workers  map[int]*workerInfo
 }
 
-// RunMasterOpts is RunMaster with explicit fault-tolerance options.
-func RunMasterOpts(tr mpi.Transport, totalVoxels, taskSize int, opts MasterOptions) ([]core.VoxelScore, error) {
-	return RunMasterCtx(context.Background(), tr, totalVoxels, taskSize, opts)
-}
-
-// RunMasterCtx is RunMasterOpts with cooperative cancellation: when ctx is
-// cancelled the master broadcasts TagStop to every known rank (so workers
-// shut down instead of blocking on their next task), records any
-// checkpoint state already flushed, and returns ctx.Err().
+// RunMasterCtx drives the task table over the transport: voxels
+// [0, totalVoxels) are split into tasks of taskSize voxels, distributed
+// dynamically, and the merged scores (sorted by voxel) are returned once
+// every voxel is scored. Workers receive TagStop when the analysis
+// completes or aborts. When ctx is cancelled the master broadcasts TagStop
+// to every known rank (so workers shut down instead of blocking on their
+// next task) and returns ctx.Err(); whatever the journal already holds
+// stays resumable.
 func RunMasterCtx(ctx context.Context, tr mpi.Transport, totalVoxels, taskSize int, opts MasterOptions) ([]core.VoxelScore, error) {
 	if totalVoxels <= 0 || taskSize <= 0 {
 		return nil, fmt.Errorf("cluster: invalid partition %d voxels / %d per task", totalVoxels, taskSize)
@@ -216,52 +229,43 @@ func RunMasterCtx(ctx context.Context, tr mpi.Transport, totalVoxels, taskSize i
 		reg = obs.Default()
 	}
 	m := &master{
-		tr:          tr,
-		totalVoxels: totalVoxels,
-		opts:        opts,
-		reg:         reg,
-		workers:     make(map[int]*workerInfo),
-		scores:      make([]core.VoxelScore, 0, totalVoxels),
-		seen:        make(map[int]bool, totalVoxels),
-		taskFails:   make(map[int]int),
-		taskAvoid:   make(map[int]map[int]bool),
-	}
-	cp := opts.Checkpoint
-	jn := opts.Journal
-	if jn != nil {
-		jn.attach(reg)
+		tr:       tr,
+		taskSize: taskSize,
+		opts:     opts,
+		reg:      reg,
+		scores:   make([]core.VoxelScore, totalVoxels),
+		have:     make([]bool, totalVoxels),
+		unscored: totalVoxels,
+		workers:  make(map[int]*workerInfo),
 	}
 	for v0 := 0; v0 < totalVoxels; v0 += taskSize {
-		v := taskSize
-		if v0+v > totalVoxels {
-			v = totalVoxels - v0
-		}
-		if cp != nil && taskCovered(cp, v0, v) {
-			continue
-		}
-		if jn != nil && taskJournaled(jn, v0, v) {
-			// Journaled-complete ranges are never re-issued: the counter is
-			// what the recovery tests assert zero recomputation against.
-			reg.Counter("cluster_tasks_skipped_journaled_total").Inc()
-			continue
-		}
-		m.queue = append(m.queue, taskMsg{V0: v0, V: v})
+		v := min(taskSize, totalVoxels-v0)
+		m.tasks = append(m.tasks, task{v0: v0, v: v, missing: v})
 	}
-	if cp != nil {
-		m.addScores(cp.scores())
-	}
-	if jn != nil {
-		m.addScores(jn.Scores())
+	if jn := opts.Journal; jn != nil {
+		jn.attach(reg)
+		m.addScores(jn.Scores(), 0, totalVoxels)
+		for i := range m.tasks {
+			if m.tasks[i].missing == 0 {
+				// Journaled-complete ranges are never re-issued: the counter is
+				// what the recovery tests assert zero recomputation against.
+				reg.Counter("cluster_tasks_skipped_journaled_total").Inc()
+			}
+		}
 	}
 	return m.run(ctx)
 }
 
 func (m *master) run(ctx context.Context) ([]core.VoxelScore, error) {
 	m.runSpan = m.opts.Trace.StartRoot("cluster/run")
-	m.runSpan.SetInt("voxels", m.totalVoxels)
-	m.runSpan.SetInt("tasks", len(m.queue))
+	m.runSpan.SetInt("voxels", len(m.scores))
+	m.runSpan.SetInt("tasks", m.open())
 	defer func() {
-		m.endTaskSpans("run-ended")
+		for i := range m.tasks {
+			for _, h := range m.tasks[i].holders {
+				h.end("run-ended")
+			}
+		}
 		m.runSpan.End()
 	}()
 	// A dedicated receive pump lets the master loop also react to time
@@ -304,7 +308,7 @@ func (m *master) run(ctx context.Context) ([]core.VoxelScore, error) {
 		tick = t.C
 	}
 
-	for !m.complete() {
+	for m.unscored > 0 {
 		var err error
 		select {
 		case <-ctx.Done():
@@ -313,9 +317,13 @@ func (m *master) run(ctx context.Context) ([]core.VoxelScore, error) {
 		case rerr := <-recvErr:
 			return nil, fmt.Errorf("cluster: master recv: %w", rerr)
 		case now := <-tick:
-			err = m.onTick(now)
+			m.opts.Chaos.Point("master/tick")
+			m.reapSilent(now)
 		case msg := <-msgs:
 			err = m.handle(msg)
+		}
+		if err == nil {
+			err = m.dispatch(time.Now())
 		}
 		if errors.Is(err, chaos.ErrKilled) {
 			// A chaos kill is a simulated crash: no stop broadcast, no
@@ -329,10 +337,6 @@ func (m *master) run(ctx context.Context) ([]core.VoxelScore, error) {
 		}
 	}
 	m.broadcastStop()
-	sort.Slice(m.scores, func(i, j int) bool { return m.scores[i].Voxel < m.scores[j].Voxel })
-	if len(m.scores) != m.totalVoxels {
-		return nil, fmt.Errorf("cluster: collected %d of %d voxel scores", len(m.scores), m.totalVoxels)
-	}
 	return m.scores, nil
 }
 
@@ -356,54 +360,64 @@ func (m *master) tickGranularity() time.Duration {
 	return g
 }
 
-func (m *master) complete() bool { return len(m.seen) >= m.totalVoxels }
-
-func (m *master) addScores(fresh []core.VoxelScore) {
-	var added, dropped uint64
-	for _, s := range fresh {
-		if s.Voxel >= 0 && s.Voxel < m.totalVoxels && !m.seen[s.Voxel] {
-			m.seen[s.Voxel] = true
-			m.scores = append(m.scores, s)
-			added++
-		} else {
-			dropped++
-		}
-	}
-	m.reg.Counter("cluster_voxels_scored_total").Add(added)
-	// Dropped voxels are duplicates from speculation/retry (or out of
-	// range); counting them makes dedup activity visible.
-	m.reg.Counter("cluster_dedup_dropped_voxels_total").Add(dropped)
-}
-
-// covered reports whether every voxel of the task has already been scored.
-func (m *master) covered(t taskMsg) bool {
-	for v := t.V0; v < t.V0+t.V; v++ {
-		if !m.seen[v] {
-			return false
-		}
-	}
-	return true
-}
-
-func (m *master) live() int {
+// open counts the tasks still to be finished.
+func (m *master) open() int {
 	n := 0
-	for _, w := range m.workers {
-		if w.state == wsIdle || w.state == wsWorking {
+	for i := range m.tasks {
+		if m.tasks[i].missing > 0 {
 			n++
 		}
 	}
 	return n
 }
 
-// checkLive aborts the run once every worker of the expected census has
-// been heard from and all of them are dead or quarantined while work
-// remains: nobody else is guaranteed to show up. While fewer ranks have
-// spoken than the communicator expects, the master keeps waiting for the
-// stragglers to join.
-func (m *master) checkLive() error {
-	if len(m.workers) >= m.tr.Size()-1 && m.live() == 0 && !m.complete() {
-		return fmt.Errorf("cluster: no live workers remain with %d of %d voxels unscored",
-			m.totalVoxels-len(m.seen), m.totalVoxels)
+// addScores merges the scores that fall inside [lo, hi) and are not held
+// yet, and returns them. Everything else — duplicates from speculation and
+// retry, voxels outside the range the sender was asked for — is dropped and
+// counted, which makes dedup activity visible.
+//
+//lint:sanitizes taintflow a score indexes the tables only after its voxel is checked against [lo, hi), which the callers take from the table itself
+func (m *master) addScores(scores []core.VoxelScore, lo, hi int) []core.VoxelScore {
+	fresh := make([]core.VoxelScore, 0, len(scores))
+	for _, s := range scores {
+		if s.Voxel < lo || s.Voxel >= hi || m.have[s.Voxel] {
+			continue
+		}
+		m.have[s.Voxel] = true
+		m.scores[s.Voxel] = s
+		m.tasks[s.Voxel/m.taskSize].missing--
+		m.unscored--
+		fresh = append(fresh, s)
+	}
+	m.reg.Counter("cluster_voxels_scored_total").Add(uint64(len(fresh)))
+	m.reg.Counter("cluster_dedup_dropped_voxels_total").Add(uint64(len(scores) - len(fresh)))
+	return fresh
+}
+
+// taskAt returns the table row a wire message names, or nil when the
+// message's range is not a task of this partition.
+//
+//lint:sanitizes taintflow the wire range is checked against the partition before it indexes the table
+func (m *master) taskAt(tm taskMsg) *task {
+	if tm.V0 < 0 || tm.V0%m.taskSize != 0 || tm.V0/m.taskSize >= len(m.tasks) {
+		return nil
+	}
+	if t := &m.tasks[tm.V0/m.taskSize]; t.v == tm.V {
+		return t
+	}
+	return nil
+}
+
+// heldBy returns the task rank holds a copy of, or nil when it is idle. A
+// rank is only ever sent a task while it holds none (or its own again), so
+// there is at most one.
+func (m *master) heldBy(rank int) *task {
+	for i := range m.tasks {
+		for _, h := range m.tasks[i].holders {
+			if h.rank == rank {
+				return &m.tasks[i]
+			}
+		}
 	}
 	return nil
 }
@@ -413,292 +427,272 @@ func (m *master) checkLive() error {
 func (m *master) touch(rank int, now time.Time) *workerInfo {
 	w := m.workers[rank]
 	if w == nil {
-		w = &workerInfo{state: wsIdle}
+		w = &workerInfo{state: wsLive}
 		m.workers[rank] = w
 	}
 	if w.state == wsDead {
-		w.state = wsIdle
-		w.task = taskMsg{}
+		w.state = wsLive
 	}
 	w.lastHeard = now
 	return w
 }
 
 func (m *master) handle(msg mpi.Message) error {
-	now := time.Now()
 	if msg.Tag == mpi.TagDisconnect {
 		// No touch: a disconnect must not resurrect the rank.
 		m.markDead(msg.From)
-		return m.checkLive()
+		return nil
 	}
-	w := m.touch(msg.From, now)
+	w := m.touch(msg.From, time.Now())
 	switch msg.Tag {
 	case mpi.TagHeartbeat:
-		return nil
 	case mpi.TagReady:
-		switch w.state {
-		case wsQuarantined:
+		if w.state == wsQuarantined {
 			_ = m.tr.Send(msg.From, mpi.TagStop, nil) // stay stopped
-		case wsIdle:
-			m.assign(msg.From, now)
 		}
-		return nil
 	case mpi.TagMetrics:
 		var snap obs.Snapshot
 		if err := decode(msg.Body, &snap); err == nil {
 			m.opts.Metrics.record(msg.From, snap)
 		}
-		return nil
 	case mpi.TagSpans:
 		var spans []trace.Span
 		if err := decode(msg.Body, &spans); err == nil {
 			m.opts.Spans.record(spans)
 		}
-		return nil
 	case mpi.TagResult:
 		var res resultMsg
 		if err := decode(msg.Body, &res); err != nil {
 			// A corrupt result is contained like any worker failure.
-			return m.recordWorkerError(msg.From, w.task, fmt.Sprintf("undecodable result: %v", err), now)
+			return m.taskFailed(msg.From, m.heldBy(msg.From), fmt.Sprintf("undecodable result: %v", err))
+		}
+		t := m.taskAt(res.Task)
+		if t == nil {
+			return m.taskFailed(msg.From, m.heldBy(msg.From),
+				fmt.Sprintf("result for voxels [%d,%d), which is not a task of this run", res.Task.V0, res.Task.V0+res.Task.V))
 		}
 		m.reg.Counter("cluster_tasks_completed_total").Inc()
 		m.opts.Chaos.Point("master/result")
 		// Durability before action: the completion must be on disk before
-		// the master acknowledges it by assigning this worker new work —
-		// a crash after this line never recomputes the range.
-		if jn := m.opts.Journal; jn != nil {
-			if err := jn.RecordComplete(res.Task.V0, res.Task.V, res.Scores); err != nil {
+		// the master acknowledges it by giving this worker new work — a
+		// crash after this line never recomputes the range.
+		fresh := m.addScores(res.Scores, t.v0, t.v0+t.v)
+		if jn := m.opts.Journal; jn != nil && len(fresh) > 0 {
+			if err := jn.RecordComplete(t.v0, t.v, fresh); err != nil {
 				return fmt.Errorf("cluster: journaling completion: %w", err)
 			}
 		}
-		if cp := m.opts.Checkpoint; cp != nil {
-			if err := cp.record(res.Scores); err != nil {
-				return fmt.Errorf("cluster: recording checkpoint: %w", err)
-			}
-		}
-		m.addScores(res.Scores)
 		if m.opts.Chaos.TaskDone() {
 			return chaos.ErrKilled
 		}
-		if w.state == wsWorking {
-			m.endTaskSpan(w, "ok")
-			w.state = wsIdle
-			w.task = taskMsg{}
+		if t.missing > 0 {
+			return m.taskFailed(msg.From, t, fmt.Sprintf("result left %d of %d voxels unscored", t.missing, t.v))
 		}
-		if w.state == wsIdle {
-			m.assign(msg.From, now)
-		}
-		return nil
+		// The result retires the sender's copy of the task it is about —
+		// never whatever else the rank has been given since (a duplicated
+		// or late result must not unbook a newer assignment).
+		t.release(msg.From, "ok")
 	case mpi.TagError:
 		var em errorMsg
 		if err := decode(msg.Body, &em); err != nil {
-			return m.recordWorkerError(msg.From, w.task, fmt.Sprintf("undecodable error report: %v", err), now)
+			return m.taskFailed(msg.From, m.heldBy(msg.From), fmt.Sprintf("undecodable error report: %v", err))
 		}
-		return m.recordWorkerError(msg.From, em.Task, em.Err, now)
+		t := m.taskAt(em.Task)
+		if t == nil {
+			// The worker could not even read its assignment.
+			t = m.heldBy(msg.From)
+		}
+		return m.taskFailed(msg.From, t, em.Err)
 	default:
 		return fmt.Errorf("cluster: master got unexpected %v from rank %d", msg.Tag, msg.From)
 	}
+	return nil
 }
 
-// onTick runs the time-based recovery paths: heartbeat liveness, task
-// deadlines, and draining the queue to any idle workers.
-func (m *master) onTick(now time.Time) error {
-	m.opts.Chaos.Point("master/tick")
-	if hb := m.opts.HeartbeatTimeout; hb > 0 {
-		for rank, w := range m.workers {
-			if (w.state == wsIdle || w.state == wsWorking) && now.Sub(w.lastHeard) > hb {
-				m.markDead(rank)
-			}
-		}
-	}
-	if dl := m.opts.TaskDeadline; dl > 0 {
-		for rank, w := range m.workers {
-			if w.state == wsWorking && now.Sub(w.since) > dl {
-				m.speculate(rank, w, now)
-			}
-		}
-	}
-	m.assignIdle(now)
-	return m.checkLive()
-}
-
-// speculate re-issues a slow rank's task to an idle worker; the existing
-// voxel-level dedup makes the duplicate result harmless, and whichever copy
-// finishes first wins.
-func (m *master) speculate(slow int, w *workerInfo, now time.Time) {
-	if m.covered(w.task) {
+// reapSilent presumes dead every live rank not heard from within the
+// heartbeat timeout.
+func (m *master) reapSilent(now time.Time) {
+	hb := m.opts.HeartbeatTimeout
+	if hb <= 0 {
 		return
 	}
-	for rank, cand := range m.workers {
-		if rank == slow || cand.state != wsIdle || m.taskAvoid[w.task.V0][rank] {
+	for rank, w := range m.workers {
+		if w.state == wsLive && now.Sub(w.lastHeard) > hb {
+			m.markDead(rank)
+		}
+	}
+}
+
+// dispatch runs after every message and every tick, and is the one place
+// work is handed out. It holds the scheduling invariant: every unfinished
+// task is either held by a live rank inside its deadline, or is sent — as a
+// first issue, a retry, or a speculative copy whose duplicate result
+// dedups — to an idle rank that may take it. Because "idle" and "issuable"
+// are both read from the task table, a task cannot be in neither place.
+//
+// The run aborts here once every worker of the expected census has been
+// heard from and all of them are dead or quarantined while work remains:
+// nobody else is guaranteed to show up. While fewer ranks have spoken than
+// the communicator expects, the master keeps waiting for the stragglers.
+func (m *master) dispatch(now time.Time) error {
+	busy := make(map[int]bool)
+	for i := range m.tasks {
+		for _, h := range m.tasks[i].holders {
+			busy[h.rank] = true
+		}
+	}
+	var idle []int
+	live := 0
+	for rank, w := range m.workers {
+		if w.state != wsLive {
 			continue
 		}
-		if m.sendTask(rank, cand, w.task, now) {
-			m.reg.Counter("cluster_tasks_speculated_total").Inc()
-			w.since = now // back off before speculating the same task again
-			return
+		live++
+		if !busy[rank] {
+			idle = append(idle, rank)
 		}
 	}
-	// No idle candidate. A lost result wedges its rank — the master sees
-	// wsWorking forever while the worker waits for a task that will never
-	// come — and enough lost results wedge the whole pool with no idle
-	// worker left to speculate onto. Re-issue the task to its own rank: for
-	// a merely slow worker it is a harmless duplicate whose result dedups,
-	// for a wedged one it is the renewal that unsticks the run.
-	if m.taskAvoid[w.task.V0][slow] {
-		return
-	}
-	old := w.span
-	if m.sendTask(slow, w, w.task, now) {
-		if old != nil {
-			old.SetAttr("outcome", "renewed")
-			old.End()
+	for i := range m.tasks {
+		t := &m.tasks[i]
+		if t.missing == 0 || !m.overdue(t, now) {
+			continue
 		}
-		m.reg.Counter("cluster_tasks_renewed_total").Inc()
+		if at := m.pick(idle, t); at >= 0 {
+			// A failed send means the worker vanished between messages; its
+			// disconnect notice retires the rank, and the task goes out on
+			// the next dispatch.
+			speculative := len(t.holders) > 0
+			if m.sendTask(idle[at], t, now) && speculative {
+				m.reg.Counter("cluster_tasks_speculated_total").Inc()
+			}
+			idle = append(idle[:at], idle[at+1:]...)
+			continue
+		}
+		// No idle rank for an overdue copy. A lost result wedges its rank —
+		// the master sees it busy while the worker waits for a task that
+		// will never come — and enough of them leave nobody to speculate
+		// onto. Re-send the task to the ranks that hold it: for a merely
+		// slow worker that is a harmless duplicate whose result dedups, for
+		// a wedged one it is the renewal that unsticks the run.
+		for _, h := range append([]holder(nil), t.holders...) {
+			if !t.avoid[h.rank] && m.sendTask(h.rank, t, now) {
+				m.reg.Counter("cluster_tasks_renewed_total").Inc()
+			}
+		}
 	}
+	if live == 0 && len(m.workers) >= m.tr.Size()-1 && m.unscored > 0 {
+		return fmt.Errorf("cluster: no live workers remain with %d of %d voxels unscored", m.unscored, len(m.scores))
+	}
+	return nil
 }
 
-// markDead requeues the rank's outstanding task and excludes it from
-// assignment until it speaks again (TCP rejoin arrives as a fresh rank).
+// overdue reports whether no copy of t is inside its deadline: it has no
+// holder at all, or task deadlines are on and every copy has been out
+// longer than one.
+func (m *master) overdue(t *task, now time.Time) bool {
+	for _, h := range t.holders {
+		if dl := m.opts.TaskDeadline; dl <= 0 || now.Sub(h.since) <= dl {
+			return false
+		}
+	}
+	return true
+}
+
+// pick chooses which of the idle ranks gets t and returns its index, or -1
+// for none. A rank that has failed t is only given it back when no other
+// live worker could take it instead (the retry budget still bounds how
+// often that can happen), and never as a speculative copy.
+func (m *master) pick(idle []int, t *task) int {
+	for i, rank := range idle {
+		if !t.avoid[rank] {
+			return i
+		}
+	}
+	if len(idle) == 0 || len(t.holders) > 0 {
+		return -1
+	}
+	for rank, w := range m.workers {
+		if w.state == wsLive && !t.avoid[rank] {
+			return -1 // busy now, but eligible: wait for it
+		}
+	}
+	return 0
+}
+
+// markDead drops the rank's copies (their tasks become issuable again) and
+// excludes it from assignment until it speaks again (TCP rejoin arrives as
+// a fresh rank).
 func (m *master) markDead(rank int) {
 	w := m.workers[rank]
 	if w == nil {
-		w = &workerInfo{}
-		m.workers[rank] = w
-	}
-	if w.state == wsDead || w.state == wsQuarantined {
-		w.state = wsDead
+		m.workers[rank] = &workerInfo{state: wsDead}
+		m.reg.Counter("cluster_workers_dead_total").Inc()
 		return
 	}
-	if w.state == wsWorking {
-		m.endTaskSpan(w, "worker-dead")
-		m.requeue(w.task)
+	if w.state != wsLive {
+		return
 	}
 	w.state = wsDead
-	w.task = taskMsg{}
+	m.releaseAll(rank, "worker-dead")
 	m.reg.Counter("cluster_workers_dead_total").Inc()
-	m.assignIdle(time.Now())
 }
 
-// requeue puts a task back at the head of the queue unless it is already
-// queued or its voxels have since been scored.
-func (m *master) requeue(t taskMsg) {
-	if t.V <= 0 || m.covered(t) {
-		return
+// releaseAll retires every copy rank holds.
+func (m *master) releaseAll(rank int, outcome string) {
+	for i := range m.tasks {
+		m.tasks[i].release(rank, outcome)
 	}
-	for _, q := range m.queue {
-		if q.V0 == t.V0 {
-			return
-		}
-	}
-	m.queue = append([]taskMsg{t}, m.queue...)
 }
 
-// recordWorkerError books a task failure: the task is retried elsewhere
-// within its budget, and the worker is quarantined after repeated failures.
-// Only an exhausted task budget aborts the run.
-func (m *master) recordWorkerError(rank int, task taskMsg, detail string, now time.Time) error {
+// taskFailed books a failure reported by rank: t (when the rank held it and
+// it is still unfinished) is retried elsewhere within its budget, and the
+// worker is quarantined after repeated failures. Only an exhausted task
+// budget aborts the run.
+func (m *master) taskFailed(rank int, t *task, detail string) error {
 	w := m.workers[rank]
 	w.errors++
-	if w.state == wsWorking {
-		m.endTaskSpan(w, "error")
-		w.state = wsIdle
-		w.task = taskMsg{}
-	}
-	if task.V > 0 && !m.covered(task) {
-		m.taskFails[task.V0]++
-		if m.taskAvoid[task.V0] == nil {
-			m.taskAvoid[task.V0] = make(map[int]bool)
+	if t != nil && t.release(rank, "error") && t.missing > 0 {
+		t.fails++
+		if t.avoid == nil {
+			t.avoid = make(map[int]bool)
 		}
-		m.taskAvoid[task.V0][rank] = true
-		if m.taskFails[task.V0] > m.opts.TaskRetries {
+		t.avoid[rank] = true
+		if t.fails > m.opts.TaskRetries {
 			// A task failing everywhere is the run's deterministic abort
 			// path: preserve the lead-up in the black box before unwinding.
 			trace.DefaultFlight().Note("abort", fmt.Sprintf(
 				"task voxels [%d,%d) exhausted retry budget %d, last on rank %d: %s",
-				task.V0, task.V0+task.V, m.opts.TaskRetries, rank, detail))
-			trace.DumpNow(fmt.Sprintf("task [%d,%d) exhausted retry budget", task.V0, task.V0+task.V))
+				t.v0, t.v0+t.v, m.opts.TaskRetries, rank, detail))
+			trace.DumpNow(fmt.Sprintf("task [%d,%d) exhausted retry budget", t.v0, t.v0+t.v))
 			return fmt.Errorf("cluster: task voxels [%d,%d) failed %d times (budget %d), last on rank %d: %s",
-				task.V0, task.V0+task.V, m.taskFails[task.V0], m.opts.TaskRetries, rank, detail)
+				t.v0, t.v0+t.v, t.fails, m.opts.TaskRetries, rank, detail)
 		}
 		m.reg.Counter("cluster_tasks_retried_total").Inc()
-		m.requeue(task)
 	}
-	if w.errors >= m.opts.WorkerErrorLimit {
-		m.quarantine(rank)
-	} else if w.state == wsIdle {
-		m.assign(rank, now)
+	if w.errors >= m.opts.WorkerErrorLimit && w.state != wsQuarantined {
+		// Stop a repeatedly failing worker and exclude it for the rest of
+		// the run.
+		w.state = wsQuarantined
+		m.releaseAll(rank, "quarantined")
+		m.reg.Counter("cluster_workers_quarantined_total").Inc()
+		_ = m.tr.Send(rank, mpi.TagStop, nil)
 	}
-	m.assignIdle(now)
-	return m.checkLive()
+	return nil
 }
 
-// quarantine stops a repeatedly failing worker and excludes it for the
-// rest of the run.
-func (m *master) quarantine(rank int) {
-	w := m.workers[rank]
-	if w.state == wsWorking {
-		m.endTaskSpan(w, "quarantined")
-		m.requeue(w.task)
-	}
-	w.state = wsQuarantined
-	w.task = taskMsg{}
-	m.reg.Counter("cluster_workers_quarantined_total").Inc()
-	_ = m.tr.Send(rank, mpi.TagStop, nil)
-}
-
-// otherEligible reports whether some live worker other than rank has not
-// yet failed the task at v0.
-func (m *master) otherEligible(v0, rank int) bool {
-	for r, w := range m.workers {
-		if r != rank && (w.state == wsIdle || w.state == wsWorking) && !m.taskAvoid[v0][r] {
-			return true
-		}
-	}
-	return false
-}
-
-// assign hands rank the first queued task it is eligible for. Tasks whose
-// voxels are already scored are discarded; a task a worker has failed is
-// only given back to it when no other live worker could take it instead
-// (the retry budget still bounds how often that can happen).
-func (m *master) assign(rank int, now time.Time) {
-	w := m.workers[rank]
-	for i := 0; i < len(m.queue); i++ {
-		t := m.queue[i]
-		if m.covered(t) {
-			m.queue = append(m.queue[:i], m.queue[i+1:]...)
-			i--
-			continue
-		}
-		if m.taskAvoid[t.V0][rank] && m.otherEligible(t.V0, rank) {
-			continue
-		}
-		m.queue = append(m.queue[:i], m.queue[i+1:]...)
-		if !m.sendTask(rank, w, t, now) {
-			// The worker vanished between messages; keep the task and let
-			// the disconnect notice retire the rank.
-			m.requeue(t)
-		}
-		return
-	}
-	// Nothing eligible: stay idle. Idle workers are the targets for
-	// speculative re-issues and retries, so they are not stopped until the
-	// run completes.
-}
-
-// sendTask ships t to rank and books it as outstanding there. Each
-// assignment (first issue, retry, speculative copy) gets its own span, so
-// the merged timeline shows exactly which rank held the task when.
-func (m *master) sendTask(rank int, w *workerInfo, t taskMsg, now time.Time) bool {
+// sendTask ships t to rank and books the copy in t's holders. Each
+// assignment (first issue, retry, speculative copy, renewal) gets its own
+// span, so the merged timeline shows exactly which rank held the task when.
+func (m *master) sendTask(rank int, t *task, now time.Time) bool {
 	span := m.opts.Trace.StartChild("cluster/task", m.runSpan.Context())
 	span.SetInt("rank", rank)
-	span.SetInt("v0", t.V0)
-	span.SetInt("voxels", t.V)
+	span.SetInt("v0", t.v0)
+	span.SetInt("voxels", t.v)
+	tm := taskMsg{V0: t.v0, V: t.v}
 	if sc := span.Context(); sc.Valid() {
-		t.Trace, t.Span = uint64(sc.Trace), uint64(sc.Span)
+		tm.Trace, tm.Span = uint64(sc.Trace), uint64(sc.Span)
 	}
-	body, err := encode(t)
+	body, err := encode(tm)
 	if err != nil {
 		// Encoding a trivial struct cannot fail at runtime; treat it as a
 		// dead send for uniformity.
@@ -713,63 +707,27 @@ func (m *master) sendTask(rank int, w *workerInfo, t taskMsg, now time.Time) boo
 	if jn := m.opts.Journal; jn != nil {
 		// Assignments are advisory (a lost one is just re-issued on
 		// resume), so an append failure is survivable and unsynced.
-		if err := jn.RecordAssign(t.V0, t.V, rank); err != nil {
+		if err := jn.RecordAssign(t.v0, t.v, rank); err != nil {
 			m.reg.Counter("cluster_journal_errors_total").Inc()
 		}
 	}
 	m.reg.Counter("cluster_tasks_issued_total").Inc()
-	w.state = wsWorking
-	w.task = t
-	w.span = span
-	w.since = now
+	t.release(rank, "renewed")
+	t.holders = append(t.holders, holder{rank: rank, since: now, span: span})
 	return true
-}
-
-// endTaskSpan retires the master-side span of w's outstanding task.
-func (m *master) endTaskSpan(w *workerInfo, outcome string) {
-	if w.span == nil {
-		return
-	}
-	w.span.SetAttr("outcome", outcome)
-	w.span.End()
-	w.span = nil
-}
-
-// endTaskSpans retires every outstanding task span (run teardown).
-func (m *master) endTaskSpans(outcome string) {
-	for _, w := range m.workers {
-		if w.state == wsWorking {
-			m.endTaskSpan(w, outcome)
-		}
-	}
-}
-
-// assignIdle drains the queue to every idle worker (used after requeues and
-// on ticks, so a dropped Ready cannot strand queued work).
-func (m *master) assignIdle(now time.Time) {
-	for rank, w := range m.workers {
-		if len(m.queue) == 0 {
-			return
-		}
-		if w.state == wsIdle {
-			m.assign(rank, now)
-		}
-	}
 }
 
 // broadcastStop tells every rank the master knows about to shut down,
 // best-effort.
 func (m *master) broadcastStop() {
-	stopped := make(map[int]bool)
 	for rank, w := range m.workers {
 		if w.state != wsDead {
 			_ = m.tr.Send(rank, mpi.TagStop, nil)
 		}
-		stopped[rank] = true
 	}
 	// Also cover ranks admitted by the transport that never spoke.
 	for rank := 1; rank < m.tr.Size(); rank++ {
-		if !stopped[rank] {
+		if m.workers[rank] == nil {
 			_ = m.tr.Send(rank, mpi.TagStop, nil)
 		}
 	}
@@ -795,27 +753,16 @@ type WorkerOptions struct {
 	Trace *trace.Tracer
 }
 
-// RunWorker serves tasks until TagStop: announce readiness, process each
-// assignment, return results, and heartbeat in the background. A
+// RunWorkerCtx serves tasks until TagStop: announce readiness, process
+// each assignment, return results, and heartbeat in the background. A
 // task-processing error is reported to the master and the worker stays in
 // service — the master decides whether to retry elsewhere or quarantine
-// this worker (which arrives as TagStop).
-func RunWorker(tr mpi.Transport, proc TaskProcessor) error {
-	return RunWorkerOpts(tr, proc, WorkerOptions{})
-}
-
-// RunWorkerOpts is RunWorker with explicit options.
-func RunWorkerOpts(tr mpi.Transport, proc TaskProcessor, opts WorkerOptions) error {
-	return RunWorkerCtx(context.Background(), tr, proc, opts)
-}
-
-// RunWorkerCtx is RunWorkerOpts with cooperative cancellation and panic
-// containment. A cancelled ctx aborts the in-flight task (when the
-// processor supports contexts) and returns ctx.Err() instead of waiting
-// for TagStop; a panicking processor is reported to the master as a
-// TagError (a *safe.PipelineError message) and the worker stays in
-// service, so one poisoned task cannot crash the rank — the master's
-// retry/quarantine machinery decides its fate.
+// this worker (which arrives as TagStop). A cancelled ctx aborts the
+// in-flight task and returns ctx.Err() instead of waiting for TagStop; a
+// panicking processor is reported to the master as a TagError (a
+// *safe.PipelineError message) and the worker stays in service, so one
+// poisoned task cannot crash the rank — the master's retry/quarantine
+// machinery decides its fate.
 //
 // When ctx is cancellable the receive loop runs through a pump goroutine;
 // after cancellation that goroutine may stay blocked in Recv until the
@@ -944,11 +891,7 @@ func RunWorkerCtx(ctx context.Context, tr mpi.Transport, proc TaskProcessor, opt
 			tspan.SetInt("voxels", tm.V)
 			perr := safe.Do("cluster/worker", tm.V0, tm.V, func() error {
 				var err error
-				if cp, ok := proc.(ContextProcessor); ok {
-					scores, err = cp.ProcessContext(tctx, core.Task{V0: tm.V0, V: tm.V})
-				} else {
-					scores, err = proc.Process(core.Task{V0: tm.V0, V: tm.V})
-				}
+				scores, err = proc.ProcessContext(tctx, core.Task{V0: tm.V0, V: tm.V})
 				return err
 			})
 			if perr != nil {
@@ -991,26 +934,4 @@ func RunWorkerCtx(ctx context.Context, tr mpi.Transport, proc TaskProcessor, opt
 			return fmt.Errorf("cluster: worker got unexpected %v", msg.Tag)
 		}
 	}
-}
-
-// taskCovered reports whether every voxel of the task is already in the
-// checkpoint.
-func taskCovered(cp *Checkpoint, v0, v int) bool {
-	for i := v0; i < v0+v; i++ {
-		if !cp.Has(i) {
-			return false
-		}
-	}
-	return true
-}
-
-// taskJournaled reports whether every voxel of the task is recorded
-// complete in the journal.
-func taskJournaled(jn *Journal, v0, v int) bool {
-	for i := v0; i < v0+v; i++ {
-		if !jn.Has(i) {
-			return false
-		}
-	}
-	return true
 }

@@ -1,9 +1,9 @@
 package cluster
 
 import (
+	"context"
 	"sync"
 	"testing"
-	"time"
 
 	"fcma/internal/core"
 	"fcma/internal/corr"
@@ -51,12 +51,12 @@ func runCluster(t *testing.T, st *corr.EpochStack, nWorkers, taskSize int) []cor
 				t.Error(err)
 				return
 			}
-			if err := RunWorker(comm.Rank(r), w); err != nil {
+			if err := RunWorkerCtx(context.Background(), comm.Rank(r), w, WorkerOptions{}); err != nil {
 				t.Error(err)
 			}
 		}(r)
 	}
-	scores, err := RunMaster(comm.Rank(0), st.N, taskSize)
+	scores, err := RunMasterCtx(context.Background(), comm.Rank(0), st.N, taskSize, MasterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,14 +102,14 @@ func TestClusterUnevenTaskSizes(t *testing.T) {
 
 func TestRunMasterValidation(t *testing.T) {
 	comm, _ := mpi.NewLocalComm(2, 4)
-	if _, err := RunMaster(comm.Rank(0), 0, 5); err == nil {
+	if _, err := RunMasterCtx(context.Background(), comm.Rank(0), 0, 5, MasterOptions{}); err == nil {
 		t.Fatal("0 voxels accepted")
 	}
-	if _, err := RunMaster(comm.Rank(0), 10, 0); err == nil {
+	if _, err := RunMasterCtx(context.Background(), comm.Rank(0), 10, 0, MasterOptions{}); err == nil {
 		t.Fatal("task size 0 accepted")
 	}
 	solo, _ := mpi.NewLocalComm(1, 4)
-	if _, err := RunMaster(solo.Rank(0), 10, 5); err == nil {
+	if _, err := RunMasterCtx(context.Background(), solo.Rank(0), 10, 5, MasterOptions{}); err == nil {
 		t.Fatal("no-worker communicator accepted")
 	}
 }
@@ -127,106 +127,14 @@ func TestWorkerErrorPropagates(t *testing.T) {
 			return
 		}
 		// Worker will fail: master asks for more voxels than the stack has.
-		_ = RunWorker(comm.Rank(1), w)
+		_ = RunWorkerCtx(context.Background(), comm.Rank(1), w, WorkerOptions{})
 	}()
 	// Claim a larger brain than the worker's stack: the task [32, 64) is
 	// out of range on the worker side.
-	_, err := RunMaster(comm.Rank(0), 64, 40)
+	_, err := RunMasterCtx(context.Background(), comm.Rank(0), 64, 40, MasterOptions{})
 	wg.Wait()
 	if err == nil {
 		t.Fatal("master must surface worker errors")
-	}
-}
-
-func TestMakespanSingleWorkerIsSum(t *testing.T) {
-	m := ScheduleModel{TaskCosts: UniformTasks(10, time.Second)}
-	got, err := m.Makespan(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 10*time.Second {
-		t.Fatalf("makespan = %v", got)
-	}
-}
-
-func TestMakespanPerfectScaling(t *testing.T) {
-	m := ScheduleModel{TaskCosts: UniformTasks(96, time.Second)}
-	t96, _ := m.Makespan(96)
-	if t96 != time.Second {
-		t.Fatalf("96 workers on 96 tasks = %v, want 1s", t96)
-	}
-}
-
-func TestMakespanDispatchLimitsScaling(t *testing.T) {
-	m := ScheduleModel{
-		TaskCosts: UniformTasks(1000, 10*time.Millisecond),
-		Dispatch:  time.Millisecond,
-	}
-	sp, err := m.Speedups([]int{1, 8, 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sp[0] != 1 {
-		t.Fatalf("speedup[0] = %v", sp[0])
-	}
-	if sp[1] < 4 || sp[1] > 8 {
-		t.Fatalf("8-node speedup %v implausible", sp[1])
-	}
-	// With 1ms serialized dispatch per 10ms task, speedup saturates near 10.
-	if sp[2] > 12 {
-		t.Fatalf("64-node speedup %v exceeds dispatch bound", sp[2])
-	}
-	if sp[2] < sp[1] {
-		t.Fatalf("speedup not monotone: %v", sp)
-	}
-}
-
-func TestMakespanLoadImbalanceTail(t *testing.T) {
-	// 9 tasks on 8 workers: someone runs two tasks.
-	m := ScheduleModel{TaskCosts: UniformTasks(9, time.Second)}
-	got, _ := m.Makespan(8)
-	if got != 2*time.Second {
-		t.Fatalf("makespan = %v, want 2s", got)
-	}
-}
-
-func TestMakespanStartupSerial(t *testing.T) {
-	m := ScheduleModel{
-		TaskCosts: UniformTasks(4, time.Second),
-		Startup:   3 * time.Second,
-	}
-	got, _ := m.Makespan(4)
-	if got != 4*time.Second {
-		t.Fatalf("makespan = %v, want 4s (3 startup + 1 compute)", got)
-	}
-}
-
-func TestMakespanErrors(t *testing.T) {
-	m := ScheduleModel{TaskCosts: UniformTasks(4, time.Second)}
-	if _, err := m.Makespan(0); err == nil {
-		t.Fatal("0 workers accepted")
-	}
-	if _, err := (ScheduleModel{}).Makespan(2); err == nil {
-		t.Fatal("no tasks accepted")
-	}
-	if _, err := m.Speedups(nil); err == nil {
-		t.Fatal("no node list accepted")
-	}
-}
-
-func TestSpeedupsNearLinearWithoutOverheads(t *testing.T) {
-	// Fig. 8's shape: plentiful equal tasks and no dispatch cost scale
-	// nearly linearly.
-	m := ScheduleModel{TaskCosts: UniformTasks(96*12, 100*time.Millisecond)}
-	nodes := []int{1, 8, 16, 32, 64, 96}
-	sp, err := m.Speedups(nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, n := range nodes {
-		if sp[i] < 0.95*float64(n) || sp[i] > float64(n)*1.001 {
-			t.Fatalf("speedup at %d nodes = %v, want ≈%d", n, sp[i], n)
-		}
 	}
 }
 
@@ -275,11 +183,11 @@ func TestMasterReassignsAfterWorkerDeath(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if err := RunWorker(comm.Rank(2), w); err != nil {
+		if err := RunWorkerCtx(context.Background(), comm.Rank(2), w, WorkerOptions{}); err != nil {
 			t.Error(err)
 		}
 	}()
-	scores, err := RunMaster(comm.Rank(0), st.N, 8)
+	scores, err := RunMasterCtx(context.Background(), comm.Rank(0), st.N, 8, MasterOptions{})
 	wg.Wait()
 	if err != nil {
 		t.Fatal(err)
@@ -306,7 +214,7 @@ func TestMasterFailsWhenAllWorkersDie(t *testing.T) {
 		defer wg.Done()
 		flakyWorker(t, comm.Rank(1), make(chan struct{}))
 	}()
-	_, err = RunMaster(comm.Rank(0), st.N, 8)
+	_, err = RunMasterCtx(context.Background(), comm.Rank(0), st.N, 8, MasterOptions{})
 	wg.Wait()
 	if err == nil {
 		t.Fatal("master must fail when every worker is lost mid-analysis")
@@ -359,12 +267,12 @@ func TestTCPClusterSurvivesWorkerCrash(t *testing.T) {
 			return
 		}
 		<-gotTask
-		results <- RunWorker(w, worker)
+		results <- RunWorkerCtx(context.Background(), w, worker, WorkerOptions{})
 	}()
 	if err := master.Accept(); err != nil {
 		t.Fatal(err)
 	}
-	scores, err := RunMaster(master, st.N, 8)
+	scores, err := RunMasterCtx(context.Background(), master, st.N, 8, MasterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -14,7 +15,9 @@ import (
 // funcProcessor adapts a function to TaskProcessor for fault scripting.
 type funcProcessor func(core.Task) ([]core.VoxelScore, error)
 
-func (f funcProcessor) Process(t core.Task) ([]core.VoxelScore, error) { return f(t) }
+func (f funcProcessor) ProcessContext(_ context.Context, t core.Task) ([]core.VoxelScore, error) {
+	return f(t)
+}
 
 // TestSingleErrorDoesNotAbortRun is the error-containment acceptance case:
 // one worker fails every task it touches, yet the run completes because
@@ -40,8 +43,8 @@ func TestSingleErrorDoesNotAbortRun(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		// The broken worker must end via the master's quarantine TagStop,
-		// i.e. RunWorker returns nil, not with an error of its own.
-		if err := RunWorker(comm.Rank(1), broken); err != nil {
+		// i.e. RunWorkerCtx returns nil, not with an error of its own.
+		if err := RunWorkerCtx(context.Background(), comm.Rank(1), broken, WorkerOptions{}); err != nil {
 			t.Errorf("broken worker exit: %v", err)
 		}
 	}()
@@ -56,11 +59,11 @@ func TestSingleErrorDoesNotAbortRun(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if err := RunWorker(comm.Rank(2), w); err != nil {
+		if err := RunWorkerCtx(context.Background(), comm.Rank(2), w, WorkerOptions{}); err != nil {
 			t.Error(err)
 		}
 	}()
-	scores, err := RunMasterOpts(comm.Rank(0), st.N, 8, MasterOptions{WorkerErrorLimit: 3, TaskRetries: 5})
+	scores, err := RunMasterCtx(context.Background(), comm.Rank(0), st.N, 8, MasterOptions{WorkerErrorLimit: 3, TaskRetries: 5})
 	wg.Wait()
 	if err != nil {
 		t.Fatalf("a single worker's errors aborted the run: %v", err)
@@ -94,10 +97,10 @@ func TestTaskRetryBudgetExhaustionAborts(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			_ = RunWorker(comm.Rank(r), broken)
+			_ = RunWorkerCtx(context.Background(), comm.Rank(r), broken, WorkerOptions{})
 		}(r)
 	}
-	_, err = RunMasterOpts(comm.Rank(0), 16, 16, MasterOptions{TaskRetries: 2, WorkerErrorLimit: 100})
+	_, err = RunMasterCtx(context.Background(), comm.Rank(0), 16, 16, MasterOptions{TaskRetries: 2, WorkerErrorLimit: 100})
 	wg.Wait()
 	if err == nil {
 		t.Fatal("deterministically failing task did not abort the run")
@@ -150,11 +153,11 @@ func TestHungWorkerTaskReissuedAfterDeadline(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if err := RunWorkerOpts(comm.Rank(2), w, WorkerOptions{HeartbeatInterval: 10 * time.Millisecond}); err != nil {
+		if err := RunWorkerCtx(context.Background(), comm.Rank(2), w, WorkerOptions{HeartbeatInterval: 10 * time.Millisecond}); err != nil {
 			t.Error(err)
 		}
 	}()
-	scores, err := RunMasterOpts(comm.Rank(0), st.N, 8, MasterOptions{TaskDeadline: 60 * time.Millisecond})
+	scores, err := RunMasterCtx(context.Background(), comm.Rank(0), st.N, 8, MasterOptions{TaskDeadline: 60 * time.Millisecond})
 	close(release)
 	wg.Wait()
 	if err != nil {
@@ -195,11 +198,11 @@ func TestHeartbeatTimeoutMarksWorkerDead(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if err := RunWorkerOpts(comm.Rank(2), w, WorkerOptions{HeartbeatInterval: 10 * time.Millisecond}); err != nil {
+		if err := RunWorkerCtx(context.Background(), comm.Rank(2), w, WorkerOptions{HeartbeatInterval: 10 * time.Millisecond}); err != nil {
 			t.Error(err)
 		}
 	}()
-	scores, err := RunMasterOpts(comm.Rank(0), st.N, 8, MasterOptions{HeartbeatTimeout: 80 * time.Millisecond})
+	scores, err := RunMasterCtx(context.Background(), comm.Rank(0), st.N, 8, MasterOptions{HeartbeatTimeout: 80 * time.Millisecond})
 	close(release)
 	wg.Wait()
 	if err != nil {
@@ -276,7 +279,7 @@ func TestDuplicateAndStaleResultsDeduplicated(t *testing.T) {
 			stale = body
 		}
 	}()
-	scores, err := RunMaster(comm.Rank(0), st.N, 8)
+	scores, err := RunMasterCtx(context.Background(), comm.Rank(0), st.N, 8, MasterOptions{})
 	wg.Wait()
 	if err != nil {
 		t.Fatal(err)
@@ -289,4 +292,142 @@ func TestDuplicateAndStaleResultsDeduplicated(t *testing.T) {
 			t.Fatalf("voxel %d missing or duplicated", i)
 		}
 	}
+}
+
+// wireMsg is one message a scripted rank sends the master.
+type wireMsg struct {
+	tag  mpi.Tag
+	body []byte
+}
+
+// resultOf and errorOf build the worker's two answers to a task by hand.
+func resultOf(t *testing.T, tm taskMsg, scores []core.VoxelScore) wireMsg {
+	t.Helper()
+	body, err := encode(resultMsg{Task: tm, Scores: scores})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wireMsg{mpi.TagResult, body}
+}
+
+func errorOf(t *testing.T, tm taskMsg, detail string) wireMsg {
+	t.Helper()
+	body, err := encode(errorMsg{Task: tm, Err: detail})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wireMsg{mpi.TagError, body}
+}
+
+// scriptedRank speaks the worker protocol on tr by hand: it announces
+// itself, and for the n-th task message it receives (counting from 1) sends
+// whatever script returns, in order. A false second return closes the
+// transport instead — a crash. It returns on TagStop.
+func scriptedRank(t *testing.T, tr mpi.Transport, script func(n int, tm taskMsg) ([]wireMsg, bool)) {
+	t.Helper()
+	if err := tr.Send(0, mpi.TagReady, nil); err != nil {
+		t.Error(err)
+		return
+	}
+	for n := 1; ; n++ {
+		msg, err := tr.Recv()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if msg.Tag == mpi.TagStop {
+			return
+		}
+		var tm taskMsg
+		if err := decode(msg.Body, &tm); err != nil {
+			t.Error(err)
+			return
+		}
+		out, ok := script(n, tm)
+		if !ok {
+			tr.Close()
+			return
+		}
+		for _, m := range out {
+			if err := tr.Send(0, m.tag, m.body); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}
+}
+
+// runLostTaskScript runs a one-rank cluster against script under a 5 s
+// budget and requires every voxel scored: no luck and no chaos, so a task
+// the master forgets shows up as "context deadline exceeded".
+func runLostTaskScript(t *testing.T, script func(n int, tm taskMsg) ([]wireMsg, bool)) {
+	t.Helper()
+	st := testStack(t)
+	comm, err := mpi.NewLocalComm(2, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		scriptedRank(t, comm.Rank(1), script)
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	scores, err := RunMasterCtx(ctx, comm.Rank(0), st.N, 8, MasterOptions{TaskDeadline: 50 * time.Millisecond})
+	wg.Wait()
+	if err != nil {
+		t.Fatalf("the master lost a task: %v", err)
+	}
+	if len(scores) != st.N {
+		t.Fatalf("scores = %d of %d", len(scores), st.N)
+	}
+}
+
+// TestDuplicateResultDoesNotUnbookNextTask is the lost-task hang, scripted:
+// the rank answers its first task twice and never answers the first copy
+// of its second. The duplicate arrives while the rank holds the second
+// task; a master that lets it clear "whatever the rank holds" forgets that
+// task — it is in no queue and on no rank — and waits forever. The result
+// must retire only the copy of the task it is about, so the deadline finds
+// the unanswered task and renews it.
+func TestDuplicateResultDoesNotUnbookNextTask(t *testing.T) {
+	runLostTaskScript(t, func(n int, tm taskMsg) ([]wireMsg, bool) {
+		res := resultOf(t, tm, okScores(tm))
+		switch n {
+		case 1:
+			return []wireMsg{res, res}, true
+		case 2:
+			return nil, true
+		}
+		return []wireMsg{res}, true
+	})
+}
+
+// TestStaleErrorDoesNotUnbookNextTask is the same hang through TagError:
+// the rank fails its first task, completes the retry, and then — holding
+// the second task, whose first copy it never answers — its error report
+// for the first task arrives again.
+func TestStaleErrorDoesNotUnbookNextTask(t *testing.T) {
+	var first taskMsg
+	runLostTaskScript(t, func(n int, tm taskMsg) ([]wireMsg, bool) {
+		switch n {
+		case 1:
+			first = tm
+			return []wireMsg{errorOf(t, tm, "injected failure")}, true
+		case 3:
+			if tm.V0 == first.V0 {
+				t.Errorf("third assignment is voxels [%d,%d) again; the script needs a second task here", tm.V0, tm.V0+tm.V)
+			}
+			return []wireMsg{errorOf(t, first, "injected failure, delivered again")}, true
+		}
+		return []wireMsg{resultOf(t, tm, okScores(tm))}, true
+	})
+}
+
+// okScores is okProcessor's answer to the task.
+func okScores(tm taskMsg) []core.VoxelScore {
+	scores, _ := okProcessor{}.ProcessContext(context.Background(), core.Task{V0: tm.V0, V: tm.V})
+	return scores
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 
 	"fcma/internal/chaos"
 	"fcma/internal/core"
@@ -19,11 +18,8 @@ import (
 // journal, skips every voxel range already recorded complete, and
 // re-issues only in-flight work, so the resumed run's scores are
 // bit-exact with an uninterrupted one (completion records carry the raw
-// float64 bits, unlike the human-readable checkpoint CSV, which rounds).
-//
-// Layering: the Journal complements the existing Checkpoint rather than
-// replacing it. The checkpoint is the inspectable, portable artifact; the
-// journal is the recovery log. A master may run with either or both.
+// float64 bits). It is the master's only progress store; the inspectable
+// CSV is an output (`fcma-cluster -out-scores`), not a recovery format.
 //
 // The framing, atomic creation, and truncate-at-first-bad-frame recovery
 // live in internal/wal (extracted from this file so the job service's
@@ -49,24 +45,14 @@ const (
 	jrComplete = 2
 )
 
-// OpenJournal opens (or atomically creates) the journal at path on the
-// real filesystem and replays any records a previous master wrote.
-func OpenJournal(path string) (*Journal, error) {
-	return OpenJournalFS(chaos.OS(), path)
-}
-
-// OpenJournalFS is OpenJournal through an explicit filesystem seam, so
-// chaos tests can inject torn writes, ENOSPC, and slow fsync into every
-// durability decision the journal makes.
-func OpenJournalFS(fsys chaos.FS, path string) (*Journal, error) {
-	return OpenJournalObservedFS(fsys, path, nil)
-}
-
-// OpenJournalObservedFS is OpenJournalFS with WAL-level instrumentation:
-// append/fsync latency histograms, byte/record counters, and replay
-// duration + records-replayed recorded into reg under the log="cluster"
-// label. A nil reg records nothing.
-func OpenJournalObservedFS(fsys chaos.FS, path string, reg *obs.Registry) (*Journal, error) {
+// OpenJournal opens (or atomically creates) the journal at path and
+// replays any records a previous master wrote. fsys is the filesystem seam
+// through which chaos tests inject torn writes, ENOSPC and slow fsync into
+// every durability decision the journal makes; nil is the real filesystem.
+// reg, when non-nil, receives the WAL-level instruments (append/fsync
+// latency, byte/record counters, replay duration and records replayed)
+// under the log="cluster" label.
+func OpenJournal(fsys chaos.FS, path string, reg *obs.Registry) (*Journal, error) {
 	j := &Journal{completed: make(map[int]float64)}
 	log, err := wal.OpenObserved(fsys, path, journalMagic, journalMaxRecord, j.apply, reg, "cluster")
 	if err != nil {
@@ -88,18 +74,12 @@ func (j *Journal) apply(payload []byte) error {
 		}
 		j.assigns++
 	case jrComplete:
-		if len(payload) < 13 {
-			return fmt.Errorf("completion record of %d bytes", len(payload))
+		_, _, scores, err := wal.DecodeScoreBlock(payload[1:])
+		if err != nil {
+			return fmt.Errorf("completion record: %w", err)
 		}
-		count := binary.LittleEndian.Uint32(payload[9:])
-		if len(payload) != 13+int(count)*12 {
-			return fmt.Errorf("completion record of %d bytes for %d scores", len(payload), count)
-		}
-		for i := 0; i < int(count); i++ {
-			p := payload[13+i*12:]
-			v := int(binary.LittleEndian.Uint32(p))
-			acc := bitsToFloat(binary.LittleEndian.Uint64(p[4:]))
-			j.completed[v] = acc
+		for _, s := range scores {
+			j.completed[s.Voxel] = s.Accuracy
 		}
 		j.replayed++
 	default:
@@ -146,19 +126,9 @@ func (j *Journal) RecordAssign(v0, v, rank int) error {
 // (the raw float64 score bits) and fsyncs before returning: once the
 // master acts on a completion — acknowledging it, assigning the worker
 // new work — a crash must not forget it, or a resumed run would
-// recompute (and a checkpoint-round-tripped score could differ in the
-// low bits).
+// recompute.
 func (j *Journal) RecordComplete(v0, v int, scores []core.VoxelScore) error {
-	payload := make([]byte, 13+len(scores)*12)
-	payload[0] = jrComplete
-	binary.LittleEndian.PutUint32(payload[1:], uint32(v0))
-	binary.LittleEndian.PutUint32(payload[5:], uint32(v))
-	binary.LittleEndian.PutUint32(payload[9:], uint32(len(scores)))
-	for i, s := range scores {
-		p := payload[13+i*12:]
-		binary.LittleEndian.PutUint32(p, uint32(s.Voxel))
-		binary.LittleEndian.PutUint64(p[4:], floatToBits(s.Accuracy))
-	}
+	payload := wal.AppendScoreBlock([]byte{jrComplete}, v0, v, scores)
 	if err := j.append(payload, true); err != nil {
 		return err
 	}
@@ -201,9 +171,6 @@ func (j *Journal) Scores() []core.VoxelScore {
 	return out
 }
 
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.log.Path() }
-
 // attach points the journal's instruments at the master's registry and
 // publishes the replay outcome.
 func (j *Journal) attach(reg *obs.Registry) {
@@ -221,12 +188,3 @@ func (j *Journal) Close() error { return j.log.Close() }
 // Remove deletes the journal file; call it after a run completes so a
 // later run does not resume from finished state.
 func (j *Journal) Remove() error { return j.log.Remove() }
-
-// SyncDir fsyncs the journal's directory, making its creation durable on
-// filesystems where the rename alone is not.
-func (j *Journal) SyncDir() error { return j.log.SyncDir() }
-
-// floatToBits and bitsToFloat isolate the raw-bit round trip the
-// journal's bit-exactness guarantee rests on.
-func floatToBits(f float64) uint64 { return math.Float64bits(f) }
-func bitsToFloat(b uint64) float64 { return math.Float64frombits(b) }

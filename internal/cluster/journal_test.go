@@ -1,7 +1,10 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"syscall"
@@ -9,15 +12,16 @@ import (
 
 	"fcma/internal/chaos"
 	"fcma/internal/core"
+	"fcma/internal/wal"
 )
 
 // TestJournalRoundTripBitExact proves completion records rehydrate with
 // the raw float64 bits intact — the property the resumed master's
-// bit-exactness guarantee rests on (and the one the %.6f checkpoint CSV
-// cannot give).
+// bit-exactness guarantee rests on (and the one a %.6f score CSV cannot
+// give).
 func TestJournalRoundTripBitExact(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.jnl")
-	j, err := OpenJournal(path)
+	j, err := OpenJournal(nil, path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +43,7 @@ func TestJournalRoundTripBitExact(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := OpenJournal(path)
+	r, err := OpenJournal(nil, path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +70,7 @@ func TestJournalRoundTripBitExact(t *testing.T) {
 // every intact record, and accepts new appends at the cut.
 func TestJournalTornTailRecovery(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.jnl")
-	j, err := OpenJournal(path)
+	j, err := OpenJournal(nil, path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +90,7 @@ func TestJournalTornTailRecovery(t *testing.T) {
 	}
 	f.Close()
 
-	r, err := OpenJournal(path)
+	r, err := OpenJournal(nil, path, nil)
 	if err != nil {
 		t.Fatalf("torn journal must recover, got %v", err)
 	}
@@ -103,7 +107,7 @@ func TestJournalTornTailRecovery(t *testing.T) {
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r2, err := OpenJournal(path)
+	r2, err := OpenJournal(nil, path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +122,7 @@ func TestJournalTornTailRecovery(t *testing.T) {
 // trusted.
 func TestJournalCorruptCRCRecovery(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.jnl")
-	j, err := OpenJournal(path)
+	j, err := OpenJournal(nil, path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +146,7 @@ func TestJournalCorruptCRCRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := OpenJournal(path)
+	r, err := OpenJournal(nil, path, nil)
 	if err != nil {
 		t.Fatalf("corrupt-CRC journal must recover, got %v", err)
 	}
@@ -163,7 +167,7 @@ func TestJournalBadMagicRefuses(t *testing.T) {
 	if err := os.WriteFile(path, []byte("voxel,accuracy\n1,0.5\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenJournal(path); err == nil {
+	if _, err := OpenJournal(nil, path, nil); err == nil {
 		t.Fatal("journal opened a file with the wrong magic")
 	}
 }
@@ -174,7 +178,7 @@ func TestJournalBadMagicRefuses(t *testing.T) {
 // recovers exactly the records that were durably synced before the tear.
 func TestJournalTornWriteThroughChaosFS(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.jnl")
-	j, err := OpenJournal(path)
+	j, err := OpenJournal(nil, path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +193,7 @@ func TestJournalTornWriteThroughChaosFS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jc, err := OpenJournalFS(plan.FS(chaos.OS()), path)
+	jc, err := OpenJournal(plan.FS(chaos.OS()), path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +206,7 @@ func TestJournalTornWriteThroughChaosFS(t *testing.T) {
 	}
 	jc.log.Abort() // simulate the crash: no clean Close/Sync
 
-	r, err := OpenJournal(path)
+	r, err := OpenJournal(nil, path, nil)
 	if err != nil {
 		t.Fatalf("journal with a chaos-torn tail must recover, got %v", err)
 	}
@@ -221,62 +225,138 @@ func TestJournalCreateSurvivesRenameFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenJournalFS(plan.FS(chaos.OS()), path); err == nil {
+	if _, err := OpenJournal(plan.FS(chaos.OS()), path, nil); err == nil {
 		t.Fatal("journal creation succeeded through a failed rename")
 	}
 	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("failed creation left a journal behind: %v", err)
 	}
-	j, err := OpenJournal(path)
+	j, err := OpenJournal(nil, path, nil)
 	if err != nil {
 		t.Fatalf("retry on a healthy filesystem: %v", err)
 	}
 	j.Close()
 }
 
-// TestCheckpointTornWriteThroughChaosFS is the satellite audit test: a
-// checkpoint append torn mid-record by chaosfs must error without
-// desynchronizing the in-memory index, and reopening must truncate the
-// torn line and resume from the last complete record.
-func TestCheckpointTornWriteThroughChaosFS(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cp.csv")
-	cp, err := OpenCheckpoint(path)
+// copyTestdata copies a checked-in journal into a temp dir (opening one
+// may truncate it) and returns the copy's path.
+func copyTestdata(t testing.TB, name string) string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", name))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cp.record([]core.VoxelScore{{Voxel: 0, Accuracy: 0.5}}); err != nil {
+	path := filepath.Join(t.TempDir(), name)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := cp.Close(); err != nil {
-		t.Fatal(err)
-	}
+	return path
+}
 
-	plan, err := chaos.NewPlan(chaos.Config{Seed: 9, FS: chaos.FSConfig{TornWrite: 1}})
+// TestJournalReplaysParentEncoding pins the on-disk format across the move
+// of the score-block codec into internal/wal: testdata/pr22.jnl was written
+// by the PR 22 encoder (three assignments, two completions of three voxels)
+// and must replay to the same state, and re-encoding that state must
+// reproduce the file's completion records byte for byte.
+func TestJournalReplaysParentEncoding(t *testing.T) {
+	path := copyTestdata(t, "pr22.jnl")
+	want := []core.VoxelScore{
+		{Voxel: 0, Accuracy: 1.0 / 3.0}, {Voxel: 1, Accuracy: 0.1 + 0.2}, {Voxel: 2, Accuracy: 5.0 / 6.0},
+		{Voxel: 3, Accuracy: 0.7499999999999991}, {Voxel: 4, Accuracy: 1}, {Voxel: 5, Accuracy: 0},
+	}
+	j, err := OpenJournal(nil, path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc, err := OpenCheckpointFS(plan.FS(chaos.OS()), path)
-	if err != nil {
-		t.Fatal(err)
+	if j.Truncated() || j.Done() != 6 || j.ReplayedAssigns() != 3 || j.ReplayedCompletions() != 2 {
+		t.Fatalf("replay: truncated=%v done=%d assigns=%d completions=%d",
+			j.Truncated(), j.Done(), j.ReplayedAssigns(), j.ReplayedCompletions())
 	}
-	if err := cc.record([]core.VoxelScore{{Voxel: 1, Accuracy: 0.75}}); err == nil {
-		t.Fatal("torn checkpoint append reported success")
+	got := map[int]float64{}
+	for _, s := range j.Scores() {
+		got[s.Voxel] = s.Accuracy
 	}
-	if cc.Has(1) {
-		t.Fatal("failed append still updated the in-memory index")
+	for _, s := range want {
+		if acc, ok := got[s.Voxel]; !ok || math.Float64bits(acc) != math.Float64bits(s.Accuracy) {
+			t.Fatalf("voxel %d replayed as %x (present=%v), want %x", s.Voxel, math.Float64bits(acc), ok, math.Float64bits(s.Accuracy))
+		}
 	}
-	cc.f.Close() // crash, no clean shutdown
+	j.Close()
 
-	r, err := OpenCheckpoint(path)
+	// The same records through today's encoder give the same bytes.
+	fresh := filepath.Join(t.TempDir(), "fresh.jnl")
+	f, err := OpenJournal(nil, fresh, nil)
 	if err != nil {
-		t.Fatalf("checkpoint with a torn tail must recover, got %v", err)
-	}
-	defer r.Close()
-	if r.Done() != 1 || !r.Has(0) || r.Has(1) {
-		t.Fatalf("recovered done=%d; only the pre-tear voxel may survive", r.Done())
-	}
-	// And it must be appendable after recovery.
-	if err := r.record([]core.VoxelScore{{Voxel: 1, Accuracy: 0.75}}); err != nil {
 		t.Fatal(err)
 	}
+	for _, step := range []error{
+		f.RecordAssign(0, 3, 1), f.RecordAssign(3, 3, 2), f.RecordComplete(0, 3, want[:3]),
+		f.RecordAssign(6, 2, 1), f.RecordComplete(3, 3, want[3:]), f.Close(),
+	} {
+		if step != nil {
+			t.Fatal(step)
+		}
+	}
+	old, _ := os.ReadFile(path)
+	now, _ := os.ReadFile(fresh)
+	if !bytes.Equal(old, now) {
+		t.Fatalf("re-encoded journal differs from the PR 22 file:\n old %x\n new %x", old, now)
+	}
+}
+
+// FuzzJournalApply feeds arbitrary record payloads to the replay fold: it
+// must reject or accept without panicking, and what it accepts must leave a
+// state the master can seed from — every replayed voxel is one some
+// completion record claimed to cover.
+func FuzzJournalApply(f *testing.F) {
+	f.Add([]byte{jrAssign, 0, 0, 0, 0, 3, 0, 0, 0, 1, 0, 0, 0})
+	f.Add(wal.AppendScoreBlock([]byte{jrComplete}, 3, 3, []core.VoxelScore{{Voxel: 3, Accuracy: 0.75}, {Voxel: 5, Accuracy: 1}}))
+	f.Add(wal.AppendScoreBlock([]byte{jrComplete}, 0, 1, []core.VoxelScore{{Voxel: 7, Accuracy: 0.5}}))
+	f.Add([]byte{jrComplete, 0, 0, 0, 0, 1, 0, 0, 0, 0xff, 0xff, 0xff, 0xff})
+	f.Add([]byte{9})
+	f.Add([]byte{})
+	for _, payload := range testdataRecords(f) {
+		f.Add(payload)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		j := &Journal{completed: make(map[int]float64)}
+		if err := j.apply(payload); err != nil {
+			if len(j.completed) != 0 || j.assigns != 0 || j.replayed != 0 {
+				t.Fatalf("rejected payload %x still changed the replay state", payload)
+			}
+			return
+		}
+		if j.assigns+j.replayed != 1 {
+			t.Fatalf("accepted payload %x booked %d assigns and %d completions", payload, j.assigns, j.replayed)
+		}
+		if len(j.completed) == 0 {
+			return
+		}
+		v0, v, _, err := wal.DecodeScoreBlock(payload[1:])
+		if err != nil {
+			t.Fatalf("apply accepted a block the codec rejects: %v", err)
+		}
+		for voxel := range j.completed {
+			if voxel < v0 || voxel >= v0+v {
+				t.Fatalf("replayed voxel %d outside the record's range [%d,%d)", voxel, v0, v0+v)
+			}
+		}
+	})
+}
+
+// testdataRecords returns the record payloads of testdata/pr22.jnl, the
+// fuzzer's corpus of records a real run wrote.
+func testdataRecords(t testing.TB) [][]byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "pr22.jnl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out [][]byte
+	for off := len(journalMagic); off+8 <= len(data); {
+		n := int(binary.LittleEndian.Uint32(data[off:]))
+		out = append(out, data[off+8:off+8+n])
+		off += 8 + n
+	}
+	return out
 }

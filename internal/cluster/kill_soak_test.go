@@ -3,6 +3,7 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"io"
 	"os"
@@ -99,7 +100,7 @@ func TestChaosSoakMasterKills(t *testing.T) {
 			}
 		}
 		first = nil
-		jn, err := OpenJournalFS(plan.FS(chaos.OS()), jpath)
+		jn, err := OpenJournal(plan.FS(chaos.OS()), jpath, nil)
 		if err != nil {
 			master.Close()
 			crashes++
@@ -113,7 +114,7 @@ func TestChaosSoakMasterKills(t *testing.T) {
 		reg := obs.NewRegistry()
 		tracer := trace.New(0)
 		spanSink := &ClusterTrace{}
-		scores, err = RunMasterOpts(master, st.N, taskSize, MasterOptions{
+		scores, err = RunMasterCtx(context.Background(), master, st.N, taskSize, MasterOptions{
 			Journal:          jn,
 			Chaos:            plan,
 			Trace:            tracer,

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -66,14 +67,14 @@ func TestMetricsWireSurvivesDupAndDelay(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if err := RunWorkerOpts(tr, w, WorkerOptions{Obs: reg}); err != nil {
+			if err := RunWorkerCtx(context.Background(), tr, w, WorkerOptions{Obs: reg}); err != nil {
 				t.Error(err)
 			}
 		}(r, tr)
 	}
 	cm := &ClusterMetrics{}
 	masterReg := obs.NewRegistry()
-	scores, err := RunMasterOpts(comm.Rank(0), st.N, 5, MasterOptions{
+	scores, err := RunMasterCtx(context.Background(), comm.Rank(0), st.N, 5, MasterOptions{
 		Obs:     masterReg,
 		Metrics: cm,
 	})
@@ -158,7 +159,7 @@ func TestMetricsWireSurvivesDrops(t *testing.T) {
 			// A dropped TagStop leaves the worker waiting; the test closes
 			// the transport after the master finishes, so errors here are
 			// expected shutdown noise, not failures.
-			_ = RunWorkerOpts(ct, w, WorkerOptions{
+			_ = RunWorkerCtx(context.Background(), ct, w, WorkerOptions{
 				Obs:               reg,
 				Trace:             trace.New(0),
 				HeartbeatInterval: 10 * time.Millisecond,
@@ -168,7 +169,7 @@ func TestMetricsWireSurvivesDrops(t *testing.T) {
 	cm := &ClusterMetrics{}
 	spans := &ClusterTrace{}
 	masterReg := obs.NewRegistry()
-	scores, err := RunMasterOpts(comm.Rank(0), st.N, 5, MasterOptions{
+	scores, err := RunMasterCtx(context.Background(), comm.Rank(0), st.N, 5, MasterOptions{
 		Obs:     masterReg,
 		Metrics: cm,
 		Spans:   spans,

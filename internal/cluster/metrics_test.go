@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -33,14 +34,14 @@ func TestClusterMetricsAggregation(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if err := RunWorkerOpts(comm.Rank(r), w, WorkerOptions{Obs: reg}); err != nil {
+			if err := RunWorkerCtx(context.Background(), comm.Rank(r), w, WorkerOptions{Obs: reg}); err != nil {
 				t.Error(err)
 			}
 		}(r)
 	}
 	cm := &ClusterMetrics{}
 	masterReg := obs.NewRegistry()
-	scores, err := RunMasterOpts(comm.Rank(0), st.N, 5, MasterOptions{Obs: masterReg, Metrics: cm})
+	scores, err := RunMasterCtx(context.Background(), comm.Rank(0), st.N, 5, MasterOptions{Obs: masterReg, Metrics: cm})
 	if err != nil {
 		t.Fatal(err)
 	}

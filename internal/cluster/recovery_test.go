@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"context"
 	"errors"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -109,7 +111,7 @@ func (h *recoveryHarness) startWorker(addr string, chaosSeed int64) {
 				}
 				wtr = ct
 			}
-			err = RunWorkerOpts(wtr, proc, WorkerOptions{
+			err = RunWorkerCtx(context.Background(), wtr, proc, WorkerOptions{
 				HeartbeatInterval: 20 * time.Millisecond,
 				Obs:               obs.NewRegistry(),
 			})
@@ -205,7 +207,7 @@ func TestMasterKillResumeBitExact(t *testing.T) {
 			}
 		}
 		first = nil
-		jn, err := OpenJournalFS(plan.FS(chaos.OS()), jpath)
+		jn, err := OpenJournal(plan.FS(chaos.OS()), jpath, nil)
 		if err != nil {
 			// Chaos can tear journal creation; that too is a crash to ride out.
 			master.Close()
@@ -218,7 +220,7 @@ func TestMasterKillResumeBitExact(t *testing.T) {
 			t.Fatal(err)
 		}
 		reg := obs.NewRegistry()
-		scores, err = RunMasterOpts(master, st.N, taskSize, MasterOptions{
+		scores, err = RunMasterCtx(context.Background(), master, st.N, taskSize, MasterOptions{
 			Journal:          jn,
 			Chaos:            plan,
 			HeartbeatTimeout: 500 * time.Millisecond,
@@ -272,6 +274,119 @@ func TestMasterKillResumeBitExact(t *testing.T) {
 	}
 }
 
+// TestJournaledResume aborts an analysis partway — its only worker dies
+// after two tasks — then resumes from the journal with a healthy worker.
+// The resumed run must process exactly the other two tasks, and its scores
+// and its top-K must equal an uninterrupted run's. The accuracies here are
+// multiples of 1/18, so the restored ones include fractions a "%.6f" CSV
+// cannot carry: a restored 0.833333 no longer ties a fresh
+// 0.8333333333333334, and core.TopVoxels would rank it below every fresh
+// voxel of the same accuracy.
+func TestJournaledResume(t *testing.T) {
+	st := testStack(t)
+	ref, err := mustWorker(t, st).Process(core.Task{V0: 0, V: st.N})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := t.TempDir() + "/run.jnl"
+
+	// Phase 1: a worker that completes two tasks of 8, then crashes.
+	jn, err := OpenJournal(nil, path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comm, err := mpi.NewLocalComm(2, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		w := mustWorker(t, st)
+		scriptedRank(t, comm.Rank(1), func(n int, tm taskMsg) ([]wireMsg, bool) {
+			if n > 2 {
+				return nil, false
+			}
+			scores, err := w.Process(core.Task{V0: tm.V0, V: tm.V})
+			if err != nil {
+				t.Error(err)
+			}
+			return []wireMsg{resultOf(t, tm, scores)}, true
+		})
+	}()
+	_, err = RunMasterCtx(context.Background(), comm.Rank(0), st.N, 8, MasterOptions{Journal: jn})
+	wg.Wait()
+	if err == nil {
+		t.Fatal("phase 1 should abort when its only worker dies")
+	}
+	if jn.Done() != 16 {
+		t.Fatalf("journal holds %d voxels after 2 tasks of 8", jn.Done())
+	}
+	jn.Close()
+
+	// Phase 2: resume with a healthy worker.
+	jn2, err := OpenJournal(nil, path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jn2.Close()
+	if jn2.Done() != 16 {
+		t.Fatalf("reopened journal holds %d voxels", jn2.Done())
+	}
+	inexact := 0
+	for _, s := range jn2.Scores() {
+		if back, _ := strconv.ParseFloat(strconv.FormatFloat(s.Accuracy, 'f', 6, 64), 64); back != s.Accuracy {
+			inexact++
+		}
+	}
+	if inexact == 0 {
+		t.Fatal("every restored accuracy survives six decimals; the dataset no longer exercises the bit-exact restore")
+	}
+	comm2, err := mpi.NewLocalComm(2, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var processed atomic.Int64
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		w := mustWorker(t, st)
+		counting := funcProcessor(func(task core.Task) ([]core.VoxelScore, error) {
+			processed.Add(1)
+			return w.Process(task)
+		})
+		if err := RunWorkerCtx(context.Background(), comm2.Rank(1), counting, WorkerOptions{}); err != nil {
+			t.Error(err)
+		}
+	}()
+	scores, err := RunMasterCtx(context.Background(), comm2.Rank(0), st.N, 8, MasterOptions{Journal: jn2})
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 32 voxels / 8 per task = 4 tasks; 2 were journaled.
+	if got := processed.Load(); got != 2 {
+		t.Fatalf("resume processed %d tasks, want 2 (skip completed)", got)
+	}
+	if len(scores) != len(ref) {
+		t.Fatalf("final scores = %d of %d", len(scores), len(ref))
+	}
+	for i, s := range scores {
+		if s != ref[i] {
+			t.Fatalf("voxel %d: %+v, want bit-exact %+v", i, s, ref[i])
+		}
+	}
+	for _, k := range []int{4, 8, 16} {
+		got, want := core.TopVoxels(scores, k), core.TopVoxels(ref, k)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("top-%d rank %d: resumed run has %+v, uninterrupted run %+v", k, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 // listenRetry rebinds the master's fixed address, tolerating the brief
 // window where the previous incarnation's socket is still closing.
 func listenRetry(addr string, size int) (*mpi.TCPMaster, error) {
@@ -285,4 +400,15 @@ func listenRetry(addr string, size int) (*mpi.TCPMaster, error) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	return nil, lastErr
+}
+
+// taskJournaled reports whether every voxel of the task is recorded
+// complete in the journal.
+func taskJournaled(jn *Journal, v0, v int) bool {
+	for i := v0; i < v0+v; i++ {
+		if !jn.Has(i) {
+			return false
+		}
+	}
+	return true
 }

@@ -16,14 +16,14 @@ import (
 // poisoned for all inputs.
 type panicEveryTask struct{}
 
-func (panicEveryTask) Process(t core.Task) ([]core.VoxelScore, error) {
+func (panicEveryTask) ProcessContext(_ context.Context, t core.Task) ([]core.VoxelScore, error) {
 	panic("injected worker panic")
 }
 
 // okProcessor returns a fixed accuracy for every assigned voxel.
 type okProcessor struct{ delay time.Duration }
 
-func (p okProcessor) Process(t core.Task) ([]core.VoxelScore, error) {
+func (p okProcessor) ProcessContext(_ context.Context, t core.Task) ([]core.VoxelScore, error) {
 	if p.delay > 0 {
 		time.Sleep(p.delay)
 	}
@@ -46,17 +46,17 @@ func TestWorkerPanicIsContained(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		if err := RunWorker(comm.Rank(1), panicEveryTask{}); err != nil {
+		if err := RunWorkerCtx(context.Background(), comm.Rank(1), panicEveryTask{}, WorkerOptions{}); err != nil {
 			t.Error(err)
 		}
 	}()
 	go func() {
 		defer wg.Done()
-		if err := RunWorker(comm.Rank(2), okProcessor{}); err != nil {
+		if err := RunWorkerCtx(context.Background(), comm.Rank(2), okProcessor{}, WorkerOptions{}); err != nil {
 			t.Error(err)
 		}
 	}()
-	scores, err := RunMasterOpts(comm.Rank(0), 20, 5, MasterOptions{TaskRetries: 10})
+	scores, err := RunMasterCtx(context.Background(), comm.Rank(0), 20, 5, MasterOptions{TaskRetries: 10})
 	wg.Wait()
 	if err != nil {
 		t.Fatalf("master failed despite a healthy worker: %v", err)
@@ -78,9 +78,9 @@ func TestWorkerPanicSurfacesAsPipelineError(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_ = RunWorker(comm.Rank(1), panicEveryTask{})
+		_ = RunWorkerCtx(context.Background(), comm.Rank(1), panicEveryTask{}, WorkerOptions{})
 	}()
-	_, err = RunMasterOpts(comm.Rank(0), 20, 5, MasterOptions{TaskRetries: 2})
+	_, err = RunMasterCtx(context.Background(), comm.Rank(0), 20, 5, MasterOptions{TaskRetries: 2})
 	wg.Wait()
 	if err == nil {
 		t.Fatal("all-panicking cluster reported success")
@@ -104,7 +104,7 @@ func TestRunMasterCtxCancellation(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		// Each task takes 20ms; the whole brain would take ~400ms.
-		if err := RunWorker(comm.Rank(1), okProcessor{delay: 20 * time.Millisecond}); err != nil {
+		if err := RunWorkerCtx(context.Background(), comm.Rank(1), okProcessor{delay: 20 * time.Millisecond}, WorkerOptions{}); err != nil {
 			t.Error(err)
 		}
 	}()

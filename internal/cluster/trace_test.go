@@ -65,7 +65,7 @@ func TestClusterTraceMergesAcrossRanks(t *testing.T) {
 			}
 		}(r)
 	}
-	scores, err := RunMasterOpts(comm.Rank(0), st.N, 8,
+	scores, err := RunMasterCtx(context.Background(), comm.Rank(0), st.N, 8,
 		MasterOptions{Trace: masterTr, Spans: &spans})
 	if err != nil {
 		t.Fatal(err)
@@ -172,11 +172,11 @@ func TestClusterTraceDisabledShipsNothing(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if err := RunWorker(comm.Rank(1), w); err != nil {
+		if err := RunWorkerCtx(context.Background(), comm.Rank(1), w, WorkerOptions{}); err != nil {
 			t.Error(err)
 		}
 	}()
-	if _, err := RunMasterOpts(comm.Rank(0), st.N, 8, MasterOptions{Spans: &spans}); err != nil {
+	if _, err := RunMasterCtx(context.Background(), comm.Rank(0), st.N, 8, MasterOptions{Spans: &spans}); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()

@@ -74,7 +74,7 @@ func NewLogger(w io.Writer, format string, attrs ...slog.Attr) *slog.Logger {
 }
 
 // SetDefaultLogger installs a flight-teed logger as the process default,
-// so library layers logging via slog.Default() (the cluster's checkpoint
+// so library layers logging via slog.Default() (the journals' torn-tail
 // recovery, connection lifecycle) follow the command's -log-format choice.
 // It returns the logger for the caller's own use.
 func SetDefaultLogger(w io.Writer, format string, attrs ...slog.Attr) *slog.Logger {

@@ -2,7 +2,6 @@ package report
 
 import (
 	"fmt"
-	"time"
 
 	"fcma/internal/mic/access"
 )
@@ -80,7 +79,7 @@ func (o *Runner) Table4() *Table {
 		os := onlineShape(d.shape)
 		cost := o.taskCost(os)
 		tasks := (os.N + os.V - 1) / os.V
-		model := clusterModel(tasks, cost)
+		model := scheduleModelFor(tasks, cost)
 		row := []string{d.name}
 		for i, n := range paperNodes {
 			ms, err := model.Makespan(n)
@@ -127,21 +126,4 @@ func nodeHeaders() []string {
 		out[i] = fmt.Sprintf("%d node(s)", n)
 	}
 	return out
-}
-
-func clusterModel(tasks int, cost time.Duration) clusterScheduleModel {
-	return clusterScheduleModel{tasks: tasks, cost: cost}
-}
-
-// clusterScheduleModel is a thin adapter so Table4 can use a lighter
-// startup than the offline broadcast (the online case streams one
-// subject).
-type clusterScheduleModel struct {
-	tasks int
-	cost  time.Duration
-}
-
-func (c clusterScheduleModel) Makespan(n int) (time.Duration, error) {
-	m := scheduleModelFor(c.tasks, c.cost)
-	return m.Makespan(n)
 }

@@ -164,14 +164,14 @@ func runLocalCluster(stack *corr.EpochStack, workers, taskSize int) (time.Durati
 				if err != nil {
 					return err
 				}
-				return cluster.RunWorker(comm.Rank(r), w)
+				return cluster.RunWorkerCtx(context.TODO(), comm.Rank(r), w, cluster.WorkerOptions{})
 			})
 		}, func(err error) {
 			errs[r-1] = err
 			wg.Done()
 		})
 	}
-	_, err = cluster.RunMaster(comm.Rank(0), stack.N, taskSize)
+	_, err = cluster.RunMasterCtx(context.TODO(), comm.Rank(0), stack.N, taskSize, cluster.MasterOptions{})
 	wg.Wait()
 	if err != nil {
 		return 0, err

@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"fcma/internal/cluster"
 	"fcma/internal/mic"
 	"fcma/internal/mic/access"
 	"fcma/internal/obs"
@@ -171,11 +170,11 @@ func (o *Runner) taskCost(s access.Shape) time.Duration {
 
 // scheduleFor builds the discrete-event model for an offline analysis over
 // the dataset shape: tasks per fold × folds, with the paper's setup costs.
-func (o *Runner) scheduleFor(s access.Shape, folds int) cluster.ScheduleModel {
+func (o *Runner) scheduleFor(s access.Shape, folds int) ScheduleModel {
 	tasksPerFold := (s.N + s.V - 1) / s.V
 	cost := o.taskCost(s)
-	return cluster.ScheduleModel{
-		TaskCosts: cluster.UniformTasks(tasksPerFold*folds, cost),
+	return ScheduleModel{
+		TaskCosts: uniformTasks(tasksPerFold*folds, cost),
 		Dispatch:  2 * time.Millisecond,
 		Startup:   10 * time.Second,
 		PerNode:   30 * time.Millisecond,
@@ -184,9 +183,9 @@ func (o *Runner) scheduleFor(s access.Shape, folds int) cluster.ScheduleModel {
 
 // scheduleModelFor builds the light-startup model for online analyses
 // (only one subject's data is distributed).
-func scheduleModelFor(tasks int, cost time.Duration) cluster.ScheduleModel {
-	return cluster.ScheduleModel{
-		TaskCosts: cluster.UniformTasks(tasks, cost),
+func scheduleModelFor(tasks int, cost time.Duration) ScheduleModel {
+	return ScheduleModel{
+		TaskCosts: uniformTasks(tasks, cost),
 		Dispatch:  time.Millisecond,
 		Startup:   40 * time.Millisecond,
 		PerNode:   5 * time.Millisecond,

@@ -1,4 +1,4 @@
-package cluster
+package report
 
 import (
 	"container/heap"
@@ -41,10 +41,10 @@ func (h *workerHeap) Pop() any          { old := *h; n := len(old); x := old[n-1
 // through the master.
 func (m ScheduleModel) Makespan(n int) (time.Duration, error) {
 	if n <= 0 {
-		return 0, fmt.Errorf("cluster: simulate with %d workers", n)
+		return 0, fmt.Errorf("report: simulate with %d workers", n)
 	}
 	if len(m.TaskCosts) == 0 {
-		return 0, fmt.Errorf("cluster: no tasks to simulate")
+		return 0, fmt.Errorf("report: no tasks to simulate")
 	}
 	startup := m.Startup + time.Duration(n)*m.PerNode
 	free := make(workerHeap, n)
@@ -73,7 +73,7 @@ func (m ScheduleModel) Makespan(n int) (time.Duration, error) {
 // first entry, producing the series of Fig. 8.
 func (m ScheduleModel) Speedups(nodes []int) ([]float64, error) {
 	if len(nodes) == 0 {
-		return nil, fmt.Errorf("cluster: no node counts")
+		return nil, fmt.Errorf("report: no node counts")
 	}
 	base, err := m.Makespan(nodes[0])
 	if err != nil {
@@ -97,9 +97,9 @@ func maxDur(a, b time.Duration) time.Duration {
 	return b
 }
 
-// UniformTasks builds n equal task costs, the common case of FCMA's
+// uniformTasks builds n equal task costs, the common case of FCMA's
 // fixed-size voxel partitioning.
-func UniformTasks(n int, cost time.Duration) []time.Duration {
+func uniformTasks(n int, cost time.Duration) []time.Duration {
 	out := make([]time.Duration, n)
 	for i := range out {
 		out[i] = cost

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -188,24 +187,12 @@ func (j *journal) recordState(id string, to State, errMsg string) error {
 	return j.append(append([]byte{srState}, body...), to.Terminal())
 }
 
-// recordProgress journals one computed chunk's scores (raw float64 bits,
-// the bit-exactness contract), fsynced before the executor moves on.
+// recordProgress journals one computed chunk's scores (a wal score block:
+// raw float64 bits, the bit-exactness contract) behind the job id, fsynced
+// before the executor moves on.
 func (j *journal) recordProgress(id string, v0, v int, scores []core.VoxelScore) error {
-	payload := make([]byte, 1+4+len(id)+12, 1+4+len(id)+12+len(scores)*12)
-	payload[0] = srProgress
-	binary.LittleEndian.PutUint32(payload[1:], uint32(len(id)))
-	copy(payload[5:], id)
-	off := 5 + len(id)
-	binary.LittleEndian.PutUint32(payload[off:], uint32(v0))
-	binary.LittleEndian.PutUint32(payload[off+4:], uint32(v))
-	binary.LittleEndian.PutUint32(payload[off+8:], uint32(len(scores)))
-	var buf [12]byte
-	for _, s := range scores {
-		binary.LittleEndian.PutUint32(buf[:], uint32(s.Voxel))
-		binary.LittleEndian.PutUint64(buf[4:], math.Float64bits(s.Accuracy))
-		payload = append(payload, buf[:]...)
-	}
-	return j.append(payload, true)
+	payload := append(binary.LittleEndian.AppendUint32([]byte{srProgress}, uint32(len(id))), id...)
+	return j.append(wal.AppendScoreBlock(payload, v0, v, scores), true)
 }
 
 // decodeProgress parses an srProgress payload.
@@ -214,26 +201,14 @@ func decodeProgress(payload []byte) (id string, v0, v int, scores []core.VoxelSc
 		return "", 0, 0, nil, errors.New("short progress record")
 	}
 	idLen := int(binary.LittleEndian.Uint32(payload[1:]))
-	if len(payload) < 5+idLen+12 {
+	if idLen < 0 || idLen > len(payload)-5 {
 		return "", 0, 0, nil, errors.New("short progress record")
 	}
-	id = string(payload[5 : 5+idLen])
-	off := 5 + idLen
-	v0 = int(binary.LittleEndian.Uint32(payload[off:]))
-	v = int(binary.LittleEndian.Uint32(payload[off+4:]))
-	count := int(binary.LittleEndian.Uint32(payload[off+8:]))
-	if len(payload) != off+12+count*12 {
-		return "", 0, 0, nil, fmt.Errorf("progress record of %d bytes for %d scores", len(payload), count)
+	v0, v, scores, err = wal.DecodeScoreBlock(payload[5+idLen:])
+	if err != nil {
+		return "", 0, 0, nil, fmt.Errorf("progress record: %w", err)
 	}
-	scores = make([]core.VoxelScore, count)
-	for i := range scores {
-		p := payload[off+12+i*12:]
-		scores[i] = core.VoxelScore{
-			Voxel:    int(binary.LittleEndian.Uint32(p)),
-			Accuracy: math.Float64frombits(binary.LittleEndian.Uint64(p[4:])),
-		}
-	}
-	return id, v0, v, scores, nil
+	return string(payload[5 : 5+idLen]), v0, v, scores, nil
 }
 
 // close fsyncs and releases the journal.

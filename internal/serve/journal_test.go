@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"os"
@@ -246,4 +248,109 @@ func TestJournalTornTailRecovers(t *testing.T) {
 	if n := reg.Counter("serve_journal_torn_recoveries_total").Value(); n != 1 {
 		t.Fatalf("torn recoveries = %d, want 1", n)
 	}
+}
+
+// TestJournalReplaysParentEncoding pins the on-disk format across the move
+// of the score-block codec into internal/wal: testdata/pr22.jnl was written
+// by the PR 22 encoder (two jobs; a three-score chunk for the first, an
+// empty chunk at voxel 16 for the second) and must replay to the same
+// state, and today's encoder must write a progress record with the same
+// bytes.
+func TestJournalReplaysParentEncoding(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "pr22.jnl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := jnlPath(t)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r := mustOpen(t, path, nil)
+	defer r.close()
+	if r.log.Truncated() || len(r.jobs) != 2 || r.maxSeq != 43 {
+		t.Fatalf("replay: truncated=%v jobs=%d maxSeq=%d", r.log.Truncated(), len(r.jobs), r.maxSeq)
+	}
+	done := r.jobs["job-00000042"]
+	if done == nil || done.State != StateDone || done.Spec.Tenant != "alice" || len(done.scores) != 3 || !done.chunks[0] {
+		t.Fatalf("job-00000042 replayed as %+v", done)
+	}
+	for _, s := range awkwardScores {
+		if got := done.scores[s.Voxel]; math.Float64bits(got) != math.Float64bits(s.Accuracy) {
+			t.Fatalf("voxel %d replayed %x, want %x", s.Voxel, math.Float64bits(got), math.Float64bits(s.Accuracy))
+		}
+	}
+	// Caught running by the "crash", so handed back to the queue.
+	open := r.jobs["job-00000043"]
+	if open == nil || open.State != StateAccepted || !open.chunks[16] || open.totalVoxels != 18 || len(open.scores) != 0 {
+		t.Fatalf("job-00000043 replayed as %+v", open)
+	}
+
+	fresh := jnlPath(t)
+	j := mustOpen(t, fresh, nil)
+	if err := j.recordProgress("job-00000042", 0, 3, awkwardScores); err != nil {
+		t.Fatal(err)
+	}
+	j.abort()
+	now, err := os.ReadFile(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if frame := now[len(serveMagic):]; !bytes.Contains(data, frame) {
+		t.Fatalf("today's progress frame %x is not in the PR 22 file", frame)
+	}
+}
+
+// FuzzJournalApply feeds arbitrary record payloads to the replay fold of a
+// journal that already knows one job: it must reject or accept without
+// panicking, and what it accepts must leave job state a resumed server can
+// run from — every score inside the voxel range its job claims.
+func FuzzJournalApply(f *testing.F) {
+	const id = "job-00000001"
+	progress := func(v0, v int, scores []core.VoxelScore) []byte {
+		p := append(binary.LittleEndian.AppendUint32([]byte{srProgress}, uint32(len(id))), id...)
+		return wal.AppendScoreBlock(p, v0, v, scores)
+	}
+	f.Add(progress(0, 3, awkwardScores))
+	f.Add(progress(16, 2, nil))
+	f.Add(progress(0, 1, []core.VoxelScore{{Voxel: 9, Accuracy: 0.5}}))
+	f.Add([]byte(string(rune(srState)) + `{"id":"job-00000001","state":"running"}`))
+	f.Add([]byte(string(rune(srAccept)) + `{"id":"job-00000002","spec":{"synthetic":"attention"}}`))
+	f.Add([]byte{srProgress, 0xff, 0xff, 0xff, 0xff})
+	f.Add([]byte{})
+	for _, payload := range testdataRecords(f) {
+		f.Add(payload)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		j := &journal{jobs: map[string]*Job{id: {ID: id, State: StateAccepted}}}
+		if err := j.apply(payload); err != nil {
+			return
+		}
+		for _, job := range j.jobs {
+			if !job.State.valid() {
+				t.Fatalf("payload %x left %s in state %q", payload, job.ID, job.State)
+			}
+			for v := range job.scores {
+				if v < 0 || v >= job.totalVoxels {
+					t.Fatalf("payload %x scored voxel %d of %s, whose chunks end at %d", payload, v, job.ID, job.totalVoxels)
+				}
+			}
+		}
+	})
+}
+
+// testdataRecords returns the record payloads of testdata/pr22.jnl, the
+// fuzzer's corpus of records a real run wrote.
+func testdataRecords(t testing.TB) [][]byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "pr22.jnl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out [][]byte
+	for off := len(serveMagic); off+8 <= len(data); {
+		n := int(binary.LittleEndian.Uint32(data[off:]))
+		out = append(out, data[off+8:off+8+n])
+		off += 8 + n
+	}
+	return out
 }

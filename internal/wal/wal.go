@@ -32,7 +32,6 @@ import (
 	"io"
 	"log/slog"
 	"os"
-	"path/filepath"
 	"time"
 
 	"fcma/internal/chaos"
@@ -246,9 +245,6 @@ func (l *Log) Sync() error {
 // corrupt tail.
 func (l *Log) Truncated() bool { return l.truncated }
 
-// Path returns the log's file path.
-func (l *Log) Path() string { return l.path }
-
 // Close fsyncs and releases the log file.
 func (l *Log) Close() error {
 	if err := l.Sync(); err != nil {
@@ -269,10 +265,4 @@ func (l *Log) Abort() {
 // a later run does not resume from finished state.
 func (l *Log) Remove() error {
 	return l.fsys.Remove(l.path)
-}
-
-// SyncDir fsyncs the log's directory, making its creation durable on
-// filesystems where the rename alone is not.
-func (l *Log) SyncDir() error {
-	return l.fsys.SyncDir(filepath.Dir(l.path))
 }
