@@ -6,35 +6,43 @@
 
 GO ?= go
 
-.PHONY: check lint lint-report fcmavet allocgate vet build test test-race test-short bench bench-smoke size fuzz chaos-soak serve-smoke
+.PHONY: check lint fcmavet allocgate vet build test test-race test-short bench bench-smoke size fuzz chaos-soak serve-smoke
 
 check: lint build test
 
 # lint is a hard gate: unformatted files, vet findings (asmdecl included:
 # every assembly TEXT symbol's frame and argument offsets against its Go
-# declaration), fcmavet contract violations, hot-path heap escapes
-# (allocgate), or an entry point that serves, runs or distributes an
-# analysis importing one of the experiment-only leaves — the machine model
-# (internal/mic/..., internal/report: only cmd/fcma-bench reaches them) or
-# the paper's comparators (internal/baseline: only fcma-bench, examples and
-# tests do) — all fail the build.
+# declaration; copylocks: no value copy of a lock-bearing type), fcmavet
+# contract violations, hot-path heap escapes (allocgate), or an entry point
+# that serves, runs or distributes an analysis importing one of the
+# experiment-only leaves — the machine model (internal/mic/...,
+# internal/report: only cmd/fcma-bench reaches them) or the paper's
+# comparators (internal/baseline: only fcma-bench, examples and tests do) —
+# all fail the build. Every gate runs even after an earlier one failed, so
+# one run names everything wrong and always leaves the fcmavet findings and
+# the allocgate escape report in LINTDIR, which CI uploads.
 MODEL_FREE = . ./cmd/fcma-run ./cmd/fcma-cluster ./cmd/fcma-serve ./cmd/fcma-gen
+LINTDIR ?= lint-out
 lint:
-	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+	@mkdir -p $(LINTDIR)
+	@status=0; \
+	unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt: the following files need formatting:" >&2; \
 		echo "$$unformatted" >&2; \
-		exit 1; \
-	fi
-	$(GO) vet ./...
-	$(GO) run ./cmd/fcmavet ./...
-	$(GO) run ./scripts/allocgate
-	@for root in $(MODEL_FREE); do \
+		status=1; \
+	fi; \
+	$(GO) vet ./... || status=1; \
+	$(GO) run ./cmd/fcmavet ./... > $(LINTDIR)/fcmavet.txt || status=1; \
+	cat $(LINTDIR)/fcmavet.txt; \
+	$(GO) run ./scripts/allocgate -out $(LINTDIR)/allocgate.txt || status=1; \
+	for root in $(MODEL_FREE); do \
 		leaf=$$($(GO) list -deps $$root | grep -E '^fcma/internal/(mic(/.*)?|report|baseline)$$' | tr '\n' ' '); \
 		if [ -n "$$leaf" ]; then \
 			echo "boundary: $$root imports an experiment-only leaf (machine model or comparators): $$leaf" >&2; \
-			exit 1; \
+			status=1; \
 		fi; \
-	done
+	done; \
+	exit $$status
 
 # fcmavet alone, for iterating on contract fixes.
 fcmavet:
@@ -44,16 +52,6 @@ fcmavet:
 # escape analysis.
 allocgate:
 	$(GO) run ./scripts/allocgate
-
-# Machine-readable lint artifacts for CI upload: the full fcmavet
-# finding list (with taintflow source→sink paths) as JSON, and the
-# allocgate escape report. Written even on a clean tree so the artifact
-# always exists; the lint gate above is what fails the build.
-LINTDIR ?= lint-out
-lint-report:
-	@mkdir -p $(LINTDIR)
-	-$(GO) run ./cmd/fcmavet -json ./... > $(LINTDIR)/fcmavet.json
-	-$(GO) run ./scripts/allocgate -out $(LINTDIR)/allocgate.txt > /dev/null
 
 vet:
 	$(GO) vet ./...
@@ -86,7 +84,6 @@ bench-smoke:
 	$(GO) run ./cmd/fcma-bench -scale 0.01 -json $(BENCHDIR) table1 table5 table7
 	$(GO) run ./cmd/fcma-run -mode select -synthetic face-scene -scale 0.01 \
 		-bench-out $(BENCHDIR) -trace-out $(BENCHDIR)/trace.json
-	$(GO) run ./scripts/allocgate -out $(BENCHDIR)/allocgate.txt
 
 # What a reduction PR reports before and after (ROADMAP item 4): non-test
 # Go lines under internal/ and cmd/ (lint fixtures included, as ROADMAP
@@ -126,16 +123,17 @@ chaos-soak:
 serve-smoke:
 	SERVE_SMOKE_OUT=$(SERVEDIR) ./scripts/serve-smoke.sh
 
-# Short native-fuzz pass over the untrusted-input parsers (NIfTI headers
-# and epoch files), over the AVX2 kernels' bit-for-bit pin to the Go
-# kernels: the blas tile and strips, the norm sweep, the svm sweep (skipped
-# on a host without AVX2), over the fused stage's pin to the buffer +
-# batched syrk it replaced, and over the bytes a restarted master or server
-# replays: the journals' shared score-block codec and each journal's record
-# fold. FUZZTIME bounds each target's run. The kernel and stage targets
-# turn input minimization off: shrinking every
-# coverage-increasing input (up to 60 s each by default) would eat the
-# whole budget, and a smaller input is no better a witness of equal bits.
+# Short native-fuzz pass over the untrusted-input parsers (NIfTI headers,
+# epoch files, MPI wire frames, a write-ahead log's bytes on reopen), over
+# the AVX2 kernels' bit-for-bit pin to the Go kernels: the blas tile and
+# strips, the norm sweep, the svm sweep (skipped on a host without AVX2),
+# over the fused stage's pin to the buffer + batched syrk it replaced, and
+# over the bytes a restarted master or server replays: the journals' shared
+# score-block codec and each journal's record fold. FUZZTIME bounds each
+# target's run. The kernel, stage and log-replay targets turn input
+# minimization off: shrinking every coverage-increasing input (up to 60 s
+# each by default) would eat the whole budget, and a smaller input is no
+# better a witness of equal bits (or, for the log, of equal records).
 FUZZTIME ?= 10s
 
 fuzz:
@@ -149,3 +147,5 @@ fuzz:
 	$(GO) test ./internal/wal/ -run '^$$' -fuzz FuzzScoreBlockDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster/ -run '^$$' -fuzz FuzzJournalApply -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzJournalApply -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/mpi/ -run '^$$' -fuzz FuzzReadFrame -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/wal/ -run '^$$' -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) -fuzzminimizetime 0

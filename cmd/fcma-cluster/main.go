@@ -29,7 +29,6 @@ import (
 	"os/signal"
 	"sort"
 	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -55,13 +54,9 @@ func main() {
 	outScores := flag.String("out-scores", "", "master: write the full voxel ranking as CSV")
 	journal := flag.String("journal", "", "master: write-ahead journal for crash recovery; a restarted master replays it and never recomputes completed ranges")
 	resume := flag.Bool("resume", false, "master: expect the journal to hold a prior run's state (use with -journal after a master crash)")
-	chaosSeed := flag.Int64("chaos-seed", 0, "fault-injection seed; 0 disables the chaos plan entirely")
-	chaosKillTasks := flag.String("chaos-kill-tasks", "", `master: comma-separated cumulative completed-task counts at which the master simulates a crash (e.g. "3,7,11")`)
-	chaosFSTorn := flag.Float64("chaos-fs-torn", 0, "probability a journal write is torn (partial write + EIO)")
-	chaosFSENOSPC := flag.Float64("chaos-fs-enospc", 0, "probability a journal write fails with ENOSPC")
-	chaosFSSlowSync := flag.Float64("chaos-fs-slow-sync", 0, "probability an fsync is delayed")
-	chaosFSRenameFail := flag.Float64("chaos-fs-rename-fail", 0, "probability a rename fails with EIO")
-	chaosSchedDelay := flag.Float64("chaos-sched-delay", 0, "probability a cluster scheduling point is delayed")
+	armChaos := chaos.BindFlags(flag.CommandLine, "chaos-kill-tasks",
+		`master: comma-separated cumulative completed-task counts at which the master simulates a crash (e.g. "3,7,11")`,
+		"probability a cluster scheduling point is delayed")
 	topK := flag.Int("topk", 20, "master: voxels to report")
 	retry := flag.Int("retry", 5, "worker: dial attempts with exponential backoff; also rejoin attempts after a lost connection")
 	deadline := flag.Duration("deadline", 0, "master: per-task deadline before a slow worker's task is speculatively re-issued (0 disables)")
@@ -88,24 +83,8 @@ func main() {
 
 	// The chaos plan is shared by the journal's filesystem seam and the
 	// master's scheduling points; seed 0 leaves every probe inert.
-	var plan *chaos.Plan
-	if *chaosSeed != 0 {
-		killTasks, err := parseKillTasks(*chaosKillTasks)
-		fail(err)
-		plan, err = chaos.NewPlan(chaos.Config{
-			Seed: *chaosSeed,
-			FS: chaos.FSConfig{
-				TornWrite:  *chaosFSTorn,
-				ENOSPC:     *chaosFSENOSPC,
-				SlowSync:   *chaosFSSlowSync,
-				RenameFail: *chaosFSRenameFail,
-			},
-			Sched:     chaos.SchedConfig{Delay: *chaosSchedDelay},
-			KillTasks: killTasks,
-		})
-		fail(err)
-		logger.Warn("fault injection armed", "seed", *chaosSeed, "kill_tasks", *chaosKillTasks)
-	}
+	plan, err := armChaos(logger)
+	fail(err)
 
 	switch *role {
 	case "master":
@@ -255,24 +234,6 @@ func main() {
 	default:
 		fail(fmt.Errorf("need -role master or -role worker"))
 	}
-}
-
-// parseKillTasks parses the -chaos-kill-tasks list ("3,7,11") into the
-// strictly increasing cumulative completed-task counts chaos.Config wants.
-func parseKillTasks(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	parts := strings.Split(s, ",")
-	out := make([]int, 0, len(parts))
-	for _, p := range parts {
-		n, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return nil, fmt.Errorf("bad -chaos-kill-tasks entry %q: %w", p, err)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }
 
 // writeTrace renders the merged span set as Chrome-trace JSON.

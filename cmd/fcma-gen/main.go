@@ -35,6 +35,13 @@ func main() {
 	bootstrap := obs.BootstrapCLI(flag.CommandLine)
 	flag.Parse()
 
+	// fmri's specs map an out-of-range scale to 1: without this check a
+	// typo writes the paper-size dataset and exits 0.
+	if *scale <= 0 || *scale > 1 {
+		fmt.Fprintf(os.Stderr, "fcma-gen: -scale %g out of range (0, 1]\n", *scale)
+		os.Exit(2)
+	}
+
 	bootstrap("fcma-gen")
 
 	var spec fmri.Spec
@@ -69,12 +76,12 @@ func main() {
 	epochPath := *out + ".epochs"
 	df, err := os.Create(dataPath)
 	fail(err)
-	defer df.Close()
 	fail(fmri.WriteData(df, d))
+	fail(df.Close())
 	ef, err := os.Create(epochPath)
 	fail(err)
-	defer ef.Close()
 	fail(fmri.WriteEpochs(ef, d.Epochs))
+	fail(ef.Close())
 
 	if *asNIfTI {
 		vol, err := nifti.FromDataset(d)

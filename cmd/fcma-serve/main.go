@@ -25,8 +25,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -51,39 +49,17 @@ func main() {
 	jobTimeout := flag.Duration("job-timeout", 10*time.Minute, "per-attempt job execution timeout")
 	jobRetries := flag.Int("job-retries", 2, "default extra attempts for a transiently failing job")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long SIGTERM waits for executors to checkpoint")
-	chaosSeed := flag.Int64("chaos-seed", 0, "fault-injection seed; 0 disables the chaos plan entirely")
-	chaosKillChunks := flag.String("chaos-kill-chunks", "", `comma-separated cumulative completed-chunk counts at which the server simulates a crash (e.g. "3,7")`)
-	chaosFSTorn := flag.Float64("chaos-fs-torn", 0, "probability a journal write is torn (partial write + EIO)")
-	chaosFSENOSPC := flag.Float64("chaos-fs-enospc", 0, "probability a journal write fails with ENOSPC")
-	chaosFSSlowSync := flag.Float64("chaos-fs-slow-sync", 0, "probability an fsync is delayed")
-	chaosFSRenameFail := flag.Float64("chaos-fs-rename-fail", 0, "probability a rename fails with EIO")
-	chaosSchedDelay := flag.Float64("chaos-sched-delay", 0, "probability a chunk boundary is delayed")
+	armChaos := chaos.BindFlags(flag.CommandLine, "chaos-kill-chunks",
+		`comma-separated cumulative completed-chunk counts at which the server simulates a crash (e.g. "3,7")`,
+		"probability a chunk boundary is delayed")
 	bootstrap := obs.BootstrapCLI(flag.CommandLine)
 	traceOut := flag.String("trace-out", "", "write a Chrome-trace JSON timeline of every request and job (HTTP, WAL, kernel spans) here on drain")
 	flag.Parse()
 
 	logger := bootstrap("fcma-serve")
 
-	var plan *chaos.Plan
-	var fsys chaos.FS
-	if *chaosSeed != 0 {
-		killChunks, err := parseKillChunks(*chaosKillChunks)
-		fail(err)
-		plan, err = chaos.NewPlan(chaos.Config{
-			Seed: *chaosSeed,
-			FS: chaos.FSConfig{
-				TornWrite:  *chaosFSTorn,
-				ENOSPC:     *chaosFSENOSPC,
-				SlowSync:   *chaosFSSlowSync,
-				RenameFail: *chaosFSRenameFail,
-			},
-			Sched:     chaos.SchedConfig{Delay: *chaosSchedDelay},
-			KillTasks: killChunks,
-		})
-		fail(err)
-		fsys = plan.FS(chaos.OS())
-		logger.Warn("fault injection armed", "seed", *chaosSeed, "kill_chunks", *chaosKillChunks)
-	}
+	plan, err := armChaos(logger)
+	fail(err)
 
 	var tracer *trace.Tracer
 	if *traceOut != "" {
@@ -105,7 +81,7 @@ func main() {
 		Obs:         obs.Default(),
 		Trace:       tracer,
 		Chaos:       plan,
-		FS:          fsys,
+		FS:          plan.FS(nil),
 		Log:         logger,
 	})
 	fail(err)
@@ -176,24 +152,6 @@ func writeTrace(logger *slog.Logger, path string, spans []trace.Span) {
 	fail(trace.WriteChrome(f, spans))
 	fail(f.Close())
 	logger.Info("wrote trace", "path", path, "spans", len(spans))
-}
-
-// parseKillChunks parses the comma-separated cumulative chunk counts of
-// -chaos-kill-chunks.
-func parseKillChunks(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	parts := strings.Split(s, ",")
-	out := make([]int, 0, len(parts))
-	for _, p := range parts {
-		n, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return nil, fmt.Errorf("bad -chaos-kill-chunks entry %q: %w", p, err)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }
 
 func fail(err error) {

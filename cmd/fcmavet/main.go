@@ -1,14 +1,15 @@
 // Command fcmavet runs the repo's custom static-analysis suite: the
 // AST+type-based analyzers (internal/lint) that mechanically enforce the
-// contracts earlier PRs established by convention — panic containment via
+// contracts nothing else in `make check` fails on — panic containment via
 // internal/safe, context threading, float32 kernel determinism,
 // nil-is-off observability, MPI wire-protocol completeness, simulator
-// clock discipline, obs-routed logging, lock hygiene, untrusted-input
-// taint flow, and hot-path allocation discipline.
+// clock discipline, fsync-before-rename publication, bounded HTTP
+// servers, metric naming, untrusted-input taint flow, and hot-path
+// allocation discipline (DESIGN.md §12 has the table).
 //
 // Usage:
 //
-//	fcmavet [-json] [-C dir] [-analyzers a,b] [./...]
+//	fcmavet [-C dir] [-analyzers a,b] [./...]
 //	fcmavet -list
 //
 // The package pattern is informational: fcmavet always analyzes every
@@ -16,15 +17,13 @@
 // several analyzers need the whole program). -analyzers restricts the
 // run to a comma-separated subset of the registry — handy when iterating
 // on one contract; naming an unknown analyzer is an error (exit 2), not
-// a silent no-op. Exit status is 0 on a clean tree, 1 when any
-// diagnostic is reported, 2 on load/internal errors. With -json,
-// diagnostics are emitted as a JSON array for CI annotation; dataflow
-// findings (taintflow) carry their full source→sink path as a "path"
-// array of {file, line, desc} steps.
+// a silent no-op. Findings print one per line as
+// `file:line:col: message [analyzer]`; a taintflow message ends with its
+// source→sink path. Exit status is 0 on a clean tree, 1 when any
+// diagnostic is reported, 2 on usage, load or internal errors.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -36,10 +35,9 @@ import (
 
 func main() {
 	var (
-		jsonOut = flag.Bool("json", false, "emit diagnostics as a JSON array instead of file:line text")
-		list    = flag.Bool("list", false, "print the analyzer registry with one-line docs and exit")
-		dir     = flag.String("C", ".", "analyze the module containing this directory")
-		subset  = flag.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
+		list   = flag.Bool("list", false, "print the analyzer registry with one-line docs and exit")
+		dir    = flag.String("C", ".", "analyze the module containing this directory")
+		subset = flag.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
 	)
 	flag.Parse()
 
@@ -87,43 +85,8 @@ func main() {
 	diags = append(diags, lint.CheckDirectives(prog, lint.All())...)
 	lint.SortDiagnostics(diags)
 
-	if *jsonOut {
-		type jsonStep struct {
-			File string `json:"file"`
-			Line int    `json:"line"`
-			Desc string `json:"desc"`
-		}
-		type jsonDiag struct {
-			File     string     `json:"file"`
-			Line     int        `json:"line"`
-			Col      int        `json:"col"`
-			Analyzer string     `json:"analyzer"`
-			Message  string     `json:"message"`
-			Path     []jsonStep `json:"path,omitempty"`
-		}
-		out := make([]jsonDiag, 0, len(diags))
-		for _, d := range diags {
-			jd := jsonDiag{
-				File: relPath(prog.Dir, d.Pos.Filename), Line: d.Pos.Line, Col: d.Pos.Column,
-				Analyzer: d.Analyzer, Message: d.Message,
-			}
-			for _, s := range d.Path {
-				jd.Path = append(jd.Path, jsonStep{
-					File: relPath(prog.Dir, s.Pos.Filename), Line: s.Pos.Line, Desc: s.Desc,
-				})
-			}
-			out = append(out, jd)
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintf(os.Stderr, "fcmavet: %v\n", err)
-			os.Exit(2)
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Printf("%s:%d:%d: %s [%s]\n", relPath(prog.Dir, d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Message, d.Analyzer)
-		}
+	for _, d := range diags {
+		fmt.Printf("%s:%d:%d: %s [%s]\n", relPath(prog.Dir, d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Message, d.Analyzer)
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "fcmavet: %d finding(s)\n", len(diags))

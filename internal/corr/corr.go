@@ -55,22 +55,12 @@ func Pearson(x, y []float32) float64 {
 
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
-// NormalizeEpochRows applies eq. 2 to every row of the voxels×T epoch
-// window src, writing into dst (same shape): each row is mean-centered and
-// divided by the root sum of squares of the centered vector, so that the
-// inner product of two normalized rows is their Pearson correlation.
-// Zero-variance rows normalize to all zeros (correlation 0 by convention).
-func NormalizeEpochRows(dst, src *tensor.Matrix) {
-	if dst.Rows != src.Rows || dst.Cols != src.Cols {
-		panic(fmt.Sprintf("corr: normalize %dx%d into %dx%d", src.Rows, src.Cols, dst.Rows, dst.Cols))
-	}
-	for i := 0; i < src.Rows; i++ {
-		normalizeVector(dst.Row(i), src.Row(i))
-	}
-}
-
-// normalizeVector mean-centers src into dst and scales by the inverse
-// root sum of squares; the rss accumulation runs in float64 for headroom.
+// normalizeVector applies eq. 2 to one voxel's epoch window: src is
+// mean-centered into dst and divided by the root sum of squares of the
+// centered vector, so that the inner product of two normalized rows is
+// their Pearson correlation. A zero-variance row normalizes to all zeros
+// (correlation 0 by convention). The rss accumulation runs in float64 for
+// headroom.
 //
 //lint:allow f32purity float64 rss accumulation for numerical stability; outputs stay float32
 //lint:hotpath called once per voxel row of every epoch

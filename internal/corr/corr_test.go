@@ -95,6 +95,14 @@ func TestPearsonDegenerateInputsAreZero(t *testing.T) {
 	}
 }
 
+// normalizeRows runs normalizeVector, the stack builder's eq. 2, over every
+// row of src.
+func normalizeRows(dst, src *tensor.Matrix) {
+	for i := 0; i < src.Rows; i++ {
+		normalizeVector(dst.Row(i), src.Row(i))
+	}
+}
+
 func TestNormalizedDotEqualsPearson(t *testing.T) {
 	// The core reduction (eqs. 2–3): dot of eq.2-normalized vectors equals
 	// Pearson correlation.
@@ -106,7 +114,7 @@ func TestNormalizedDotEqualsPearson(t *testing.T) {
 			src.Data[i] = rng.Float32()*10 - 5
 		}
 		dst := tensor.NewMatrix(2, n)
-		NormalizeEpochRows(dst, src)
+		normalizeRows(dst, src)
 		dot := tensor.Dot(dst.Row(0), dst.Row(1))
 		ref := Pearson(src.Row(0), src.Row(1))
 		return math.Abs(dot-ref) < 1e-4
@@ -121,7 +129,7 @@ func TestNormalizeEpochRowsZeroVariance(t *testing.T) {
 	src.Fill(3)
 	dst := tensor.NewMatrix(1, 5)
 	dst.Fill(99)
-	NormalizeEpochRows(dst, src)
+	normalizeRows(dst, src)
 	for _, v := range dst.Data {
 		if v != 0 {
 			t.Fatal("constant row must normalize to zeros")
@@ -136,7 +144,7 @@ func TestNormalizeEpochRowsUnitNorm(t *testing.T) {
 		src.Data[i] = rng.Float32()
 	}
 	dst := tensor.NewMatrix(4, 10)
-	NormalizeEpochRows(dst, src)
+	normalizeRows(dst, src)
 	for i := 0; i < 4; i++ {
 		if n := tensor.Dot(dst.Row(i), dst.Row(i)); math.Abs(n-1) > 1e-5 {
 			t.Fatalf("row %d norm² = %v, want 1", i, n)
@@ -396,15 +404,6 @@ func TestFullMatrixEpochRange(t *testing.T) {
 	}
 	if _, err := FullMatrix(st, st.M()); err == nil {
 		t.Fatal("out-of-range epoch accepted")
-	}
-}
-
-func TestMatrixBytesPaperScale(t *testing.T) {
-	// §3.1: one 34,470² single-precision matrix is ~4.75GB; hundreds of
-	// epochs → terabytes.
-	b := MatrixBytes(34470)
-	if b < 4_700_000_000 || b > 4_800_000_000 {
-		t.Fatalf("MatrixBytes(34470) = %d", b)
 	}
 }
 

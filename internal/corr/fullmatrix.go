@@ -31,10 +31,3 @@ func FullMatrix(st *EpochStack, epoch int) (*tensor.Matrix, error) {
 	blas.TallSkinny{}.Syrk(C, X)
 	return C, nil
 }
-
-// MatrixBytes returns the memory footprint of one full correlation matrix
-// for a brain of n voxels in single precision — the quantity that makes
-// the naive approach intractable at paper scale.
-func MatrixBytes(n int) int64 {
-	return 4 * int64(n) * int64(n)
-}

@@ -1,6 +1,6 @@
 // Dataflow substrate: a module-wide, summary-based value-flow analysis
 // over the type-checked Program. The taintflow analyzer is built on it;
-// DESIGN.md §17 documents the model and its deliberate soundness limits.
+// DESIGN.md §12 documents the model and its deliberate soundness limits.
 //
 // The analysis runs in two levels. Intra-procedurally, a walker visits a
 // function body in source order, tracking per-object taint (a bitset of
@@ -58,12 +58,6 @@ type taintSource struct {
 	pos  token.Pos
 }
 
-// flowStep is one hop of a value's source→sink trail.
-type flowStep struct {
-	pos  token.Pos
-	desc string
-}
-
 // taintVal is the abstract value attached to an object or expression:
 // which parameters of the enclosing function it derives from, which
 // concrete sources reached it, and a representative path. nil means
@@ -71,7 +65,7 @@ type flowStep struct {
 type taintVal struct {
 	params uint64
 	srcs   []taintSource
-	steps  []flowStep
+	steps  []token.Pos
 }
 
 // tainted reports whether the value carries any taint at all.
@@ -119,14 +113,14 @@ func mergeTaint(a, b *taintVal) *taintVal {
 
 // withStep extends a tainted value's trail by one hop (no-op on clean
 // values; drops hops beyond maxSteps, keeping the source end).
-func (tv *taintVal) withStep(pos token.Pos, desc string) *taintVal {
+func (tv *taintVal) withStep(pos token.Pos) *taintVal {
 	if !tv.tainted() {
 		return tv
 	}
 	out := &taintVal{params: tv.params, srcs: tv.srcs}
 	out.steps = append(out.steps[:0:0], tv.steps...)
 	if len(out.steps) < maxSteps {
-		out.steps = append(out.steps, flowStep{pos: pos, desc: desc})
+		out.steps = append(out.steps, pos)
 	}
 	return out
 }
@@ -149,7 +143,7 @@ func taintGrew(old, nw *taintVal) bool {
 type sinkRec struct {
 	kind  string
 	pos   token.Pos
-	steps []flowStep
+	steps []token.Pos
 }
 
 // funcSummary is the interprocedural distillation of one function.
@@ -179,7 +173,7 @@ func newSummary() *funcSummary {
 }
 
 // addSink records one parameter-reachable sink, deduplicated and capped.
-func (s *funcSummary) addSink(param int, kind string, pos token.Pos, steps []flowStep) {
+func (s *funcSummary) addSink(param int, kind string, pos token.Pos, steps []token.Pos) {
 	recs := s.paramSinks[param]
 	for _, r := range recs {
 		if r.pos == pos && r.kind == kind {
@@ -216,10 +210,8 @@ func (s *funcSummary) fingerprint() string {
 
 // taintFinding is one source→sink flow the reporting sweep confirmed.
 type taintFinding struct {
-	pos   token.Pos
-	kind  string
-	msg   string
-	steps []flowStep
+	pos token.Pos
+	msg string
 }
 
 // dfFunc is one module function under analysis.
@@ -387,7 +379,7 @@ func (w *walker) bindParams() {
 					tv := &taintVal{params: 1 << idx}
 					if typeIs(obj.Type(), "net/http", "Request") {
 						tv.srcs = []taintSource{{desc: "http request data", pos: n.Pos()}}
-						tv.steps = []flowStep{{pos: n.Pos(), desc: "untrusted *http.Request parameter " + n.Name}}
+						tv.steps = []token.Pos{n.Pos()}
 					}
 					w.taint[obj] = tv
 				}
@@ -503,7 +495,7 @@ func rootObj(info *types.Info, e ast.Expr) types.Object {
 func (w *walker) newSource(pos token.Pos, desc string) *taintVal {
 	return &taintVal{
 		srcs:  []taintSource{{desc: desc, pos: pos}},
-		steps: []flowStep{{pos: pos, desc: "source: " + desc}},
+		steps: []token.Pos{pos},
 	}
 }
 
@@ -514,7 +506,7 @@ func (w *walker) sink(kind string, pos token.Pos, tv *taintVal) {
 	if !tv.tainted() {
 		return
 	}
-	steps := tv.withStep(pos, "sink: "+kind).steps
+	steps := tv.withStep(pos).steps
 	if tv.sourced() && w.emit {
 		w.emitFinding(kind, pos, tv.srcs, steps)
 	}
@@ -526,7 +518,7 @@ func (w *walker) sink(kind string, pos token.Pos, tv *taintVal) {
 }
 
 // emitFinding records one deduplicated finding against the walking pass.
-func (w *walker) emitFinding(kind string, pos token.Pos, srcs []taintSource, steps []flowStep) {
+func (w *walker) emitFinding(kind string, pos token.Pos, srcs []taintSource, steps []token.Pos) {
 	key := fmt.Sprintf("%d|%s", pos, kind)
 	if w.df.seen[key] {
 		return
@@ -535,11 +527,11 @@ func (w *walker) emitFinding(kind string, pos token.Pos, srcs []taintSource, ste
 	msg := fmt.Sprintf("untrusted %s reaches %s (%s)",
 		srcs[0].desc, kind, renderFlow(w.pass.Prog.Fset, steps))
 	w.df.findings[w.pass.Path] = append(w.df.findings[w.pass.Path],
-		taintFinding{pos: pos, kind: kind, msg: msg, steps: steps})
+		taintFinding{pos: pos, msg: msg})
 }
 
 // renderFlow renders a step trail as base-name:line hops.
-func renderFlow(fset *token.FileSet, steps []flowStep) string {
+func renderFlow(fset *token.FileSet, steps []token.Pos) string {
 	if len(steps) == 0 {
 		return "path unknown"
 	}
@@ -549,7 +541,7 @@ func renderFlow(fset *token.FileSet, steps []flowStep) string {
 		if i > 0 {
 			b.WriteString(" -> ")
 		}
-		p := fset.Position(s.pos)
+		p := fset.Position(s)
 		name := p.Filename
 		if j := strings.LastIndexByte(name, '/'); j >= 0 {
 			name = name[j+1:]
@@ -557,15 +549,6 @@ func renderFlow(fset *token.FileSet, steps []flowStep) string {
 		fmt.Fprintf(&b, "%s:%d", name, p.Line)
 	}
 	return b.String()
-}
-
-// pathSteps converts a trail to the exported diagnostic form.
-func pathSteps(fset *token.FileSet, steps []flowStep) []PathStep {
-	out := make([]PathStep, len(steps))
-	for i, s := range steps {
-		out[i] = PathStep{Pos: fset.Position(s.pos), Desc: s.desc}
-	}
-	return out
 }
 
 // ---- statement walk ----
@@ -705,7 +688,7 @@ func (w *walker) assignLhs(lhs ast.Expr, tv *taintVal, at token.Pos) {
 	if obj == nil || !tv.tainted() {
 		return
 	}
-	w.mergeInto(obj, tv.withStep(at, "assigned to "+obj.Name()))
+	w.mergeInto(obj, tv.withStep(at))
 }
 
 func (w *walker) returnStmt(st *ast.ReturnStmt) {
@@ -826,7 +809,7 @@ func terminates(b *ast.BlockStmt) bool {
 func (w *walker) rangeStmt(st *ast.RangeStmt) {
 	xv := w.eval(st.X)
 	if xv.tainted() {
-		elem := xv.withStep(st.Pos(), "range element")
+		elem := xv.withStep(st.Pos())
 		if st.Value != nil {
 			if o := rootObj(w.pass.Info, st.Value); o != nil {
 				w.mergeInto(o, elem)
@@ -1056,7 +1039,7 @@ func (w *walker) evalCall(call *ast.CallExpr) *taintVal {
 				for _, a := range call.Args {
 					w.eval(a)
 				}
-				return rt.withStep(call.Pos(), "result of "+id.Name+"()")
+				return rt.withStep(call.Pos())
 			}
 		}
 	}
@@ -1083,7 +1066,7 @@ func (w *walker) evalCall(call *ast.CallExpr) *taintVal {
 	fn := calleeFunc(w.pass, call)
 	if fn == nil {
 		// Indirect call through a function value: default rule.
-		return w.defaultCall(call, args, recv, "indirect call")
+		return w.defaultCall(call, args, recv)
 	}
 
 	// Annotated sanitizers neutralize their arguments and return trusted
@@ -1122,35 +1105,35 @@ func (w *walker) evalCall(call *ast.CallExpr) *taintVal {
 	// sources inside the parsing packages.
 	switch {
 	case pkg == "encoding/json" && fn.Name() == "Unmarshal" && len(call.Args) == 2:
-		w.assignThrough(call.Args[1], args[0], call.Pos(), "json.Unmarshal")
+		w.assignThrough(call.Args[1], args[0], call.Pos())
 	case (pkg == "encoding/json" || pkg == "encoding/gob") && fn.Name() == "Decode" &&
 		recvExpr != nil && len(call.Args) == 1:
-		w.assignThrough(call.Args[0], recv, call.Pos(), "decoded from "+fn.Name())
+		w.assignThrough(call.Args[0], recv, call.Pos())
 	case pkg == "encoding/binary" && fn.Name() == "Read" && len(call.Args) == 3:
 		src := args[0]
 		if w.fn.rawInput {
 			src = mergeTaint(src, w.newSource(call.Pos(), "raw input bytes"))
 		}
-		w.assignThrough(call.Args[2], src, call.Pos(), "binary.Read")
+		w.assignThrough(call.Args[2], src, call.Pos())
 	case pkg == "io" && fn.Name() == "ReadFull" && len(call.Args) == 2:
 		src := args[0]
 		if w.fn.rawInput {
 			src = mergeTaint(src, w.newSource(call.Pos(), "raw input bytes"))
 		}
-		w.assignThrough(call.Args[1], src, call.Pos(), "io.ReadFull")
+		w.assignThrough(call.Args[1], src, call.Pos())
 	case pkg == "io" && fn.Name() == "ReadAll" && len(args) == 1:
 		res := args[0]
 		if w.fn.rawInput {
 			res = mergeTaint(res, w.newSource(call.Pos(), "raw input bytes"))
 		}
-		return res.withStep(call.Pos(), "io.ReadAll")
+		return res.withStep(call.Pos())
 	case pkg == "bufio" && w.fn.rawInput:
 		switch fn.Name() {
 		case "Text", "Bytes", "ReadByte", "ReadBytes", "ReadString", "ReadRune", "Peek":
 			return w.newSource(call.Pos(), "raw input bytes")
 		case "Read":
 			if len(call.Args) == 1 {
-				w.assignThrough(call.Args[0], w.newSource(call.Pos(), "raw input bytes"), call.Pos(), "bufio read")
+				w.assignThrough(call.Args[0], w.newSource(call.Pos(), "raw input bytes"), call.Pos())
 			}
 			return nil
 		}
@@ -1163,29 +1146,29 @@ func (w *walker) evalCall(call *ast.CallExpr) *taintVal {
 		}
 	}
 
-	return w.defaultCall(call, args, recv, "call to "+fn.Name())
+	return w.defaultCall(call, args, recv)
 }
 
 // defaultCall is the conservative model for unknown callees: the result
 // is tainted iff any argument or the receiver is.
-func (w *walker) defaultCall(call *ast.CallExpr, args []*taintVal, recv *taintVal, desc string) *taintVal {
+func (w *walker) defaultCall(call *ast.CallExpr, args []*taintVal, recv *taintVal) *taintVal {
 	res := recv
 	for _, a := range args {
 		res = mergeTaint(res, a)
 	}
 	if res.tainted() {
-		res = res.withStep(call.Pos(), "through "+desc)
+		res = res.withStep(call.Pos())
 	}
 	return res
 }
 
 // assignThrough writes tv into the root object of an out-argument.
-func (w *walker) assignThrough(target ast.Expr, tv *taintVal, at token.Pos, desc string) {
+func (w *walker) assignThrough(target ast.Expr, tv *taintVal, at token.Pos) {
 	if !tv.tainted() {
 		return
 	}
 	if obj := rootObj(w.pass.Info, target); obj != nil {
-		w.mergeInto(obj, tv.withStep(at, desc))
+		w.mergeInto(obj, tv.withStep(at))
 	}
 }
 
@@ -1208,7 +1191,7 @@ func (w *walker) sanitizeCall(call *ast.CallExpr, recvExpr ast.Expr) {
 func (w *walker) applySummary(call *ast.CallExpr, target *dfFunc, sum *funcSummary, args []*taintVal, recv *taintVal, recvExpr ast.Expr) *taintVal {
 	sig, ok := target.obj.Type().(*types.Signature)
 	if !ok {
-		return w.defaultCall(call, args, recv, "call to "+target.obj.Name())
+		return w.defaultCall(call, args, recv)
 	}
 	vals := make(map[int]*taintVal)
 	exprs := make(map[int]ast.Expr)
@@ -1241,7 +1224,7 @@ func (w *walker) applySummary(call *ast.CallExpr, target *dfFunc, sum *funcSumma
 			continue
 		}
 		for _, rec := range recs {
-			steps := v.withStep(call.Pos(), "argument to "+target.obj.Name()).steps
+			steps := v.withStep(call.Pos()).steps
 			steps = append(steps[:len(steps):len(steps)], rec.steps...)
 			if len(steps) > maxSteps {
 				steps = steps[:maxSteps]
@@ -1265,13 +1248,13 @@ func (w *walker) applySummary(call *ast.CallExpr, target *dfFunc, sum *funcSumma
 		}
 		for to := 0; to < maxParamBits; to++ {
 			if bits&(1<<to) != 0 && exprs[to] != nil {
-				w.assignThrough(exprs[to], fv, call.Pos(), "written through "+target.obj.Name())
+				w.assignThrough(exprs[to], fv, call.Pos())
 			}
 		}
 	}
 	for to, sv := range sum.paramSrcOut {
 		if exprs[to] != nil {
-			w.assignThrough(exprs[to], sv, call.Pos(), "decoded by "+target.obj.Name())
+			w.assignThrough(exprs[to], sv, call.Pos())
 		}
 	}
 
@@ -1284,7 +1267,7 @@ func (w *walker) applySummary(call *ast.CallExpr, target *dfFunc, sum *funcSumma
 	}
 	res = mergeTaint(res, sum.retTaint)
 	if res.tainted() {
-		res = res.withStep(call.Pos(), "result of "+target.obj.Name())
+		res = res.withStep(call.Pos())
 	}
 	return res
 }
@@ -1315,7 +1298,7 @@ func (w *walker) evalBuiltin(call *ast.CallExpr, name string) *taintVal {
 		if len(call.Args) == 2 {
 			src := w.eval(call.Args[1])
 			w.eval(call.Args[0])
-			w.assignThrough(call.Args[0], src, call.Pos(), "copy")
+			w.assignThrough(call.Args[0], src, call.Pos())
 		}
 		return nil
 	default:

@@ -3,7 +3,8 @@
 // mechanically enforces the repo's load-bearing contracts — panic
 // containment, context flow, float32 kernel determinism, nil-is-off
 // observability, the MPI wire protocol, simulator clock discipline,
-// logging routes, and lock hygiene. Each invariant is one Analyzer; the
+// crash-safe publication, bounded HTTP servers, metric naming, untrusted
+// input flow, and hot-path allocation. Each invariant is one Analyzer; the
 // cmd/fcmavet driver loads every package in the module and runs the whole
 // suite, so a contract introduced in one PR cannot silently rot in the
 // next.
@@ -80,12 +81,6 @@ func (p *Pass) Fset() *token.FileSet { return p.Prog.Fset }
 // Reportf records a diagnostic at pos unless an allow directive covers
 // it.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.ReportPath(pos, nil, format, args...)
-}
-
-// ReportPath records a diagnostic carrying a value-flow path (taintflow's
-// source→sink steps), honoring allow directives like Reportf.
-func (p *Pass) ReportPath(pos token.Pos, path []PathStep, format string, args ...any) {
 	position := p.Prog.Fset.Position(pos)
 	if p.Prog.suppressed(p.analyzer.Name, position) {
 		return
@@ -94,16 +89,7 @@ func (p *Pass) ReportPath(pos token.Pos, path []PathStep, format string, args ..
 		Pos:      position,
 		Analyzer: p.analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
-		Path:     path,
 	})
-}
-
-// PathStep is one hop of a dataflow diagnostic's source→sink path.
-type PathStep struct {
-	// Pos locates the hop.
-	Pos token.Position
-	// Desc says what happened there (source read, assignment, call, sink).
-	Desc string
 }
 
 // Diagnostic is one reported finding.
@@ -112,12 +98,9 @@ type Diagnostic struct {
 	Pos token.Position
 	// Analyzer names the reporting analyzer.
 	Analyzer string
-	// Message describes the contract violation.
+	// Message describes the contract violation; a dataflow finding's
+	// message ends with its source→sink path.
 	Message string
-	// Path, when non-nil, is the value-flow trail behind a dataflow
-	// finding, source first, sink last (rendered into -json output so CI
-	// artifacts carry the whole story).
-	Path []PathStep
 }
 
 // String renders the finding in the conventional file:line:col form.
@@ -372,7 +355,7 @@ func firstWord(s string) string {
 }
 
 // TestFile reports whether the file is a _test.go file — several
-// contracts (goroutine routing, console output) deliberately do not bind
+// contracts (goroutine routing, context flow) deliberately do not bind
 // tests.
 func (p *Pass) TestFile(f *ast.File) bool {
 	name := p.Prog.Fset.Position(f.Pos()).Filename

@@ -27,7 +27,7 @@ func TestGolden(t *testing.T) {
 // TestGoldenIsolation proves no analyzer fires outside its own contract:
 // running the full suite over each fixture must produce exactly the
 // fixture's wants (which name only the fixture's own analyzer), so a
-// fixture clean for its analyzer is clean for all nine.
+// fixture clean for its analyzer is clean for every other one.
 func TestGoldenIsolation(t *testing.T) {
 	for _, a := range All() {
 		a := a
@@ -261,34 +261,6 @@ func TestTaintflowAllowInteraction(t *testing.T) {
 	for _, d := range prog.Run([]*Analyzer{Taintflow}) {
 		if d.Pos.Filename == file && d.Pos.Line == allowLine+1 {
 			t.Errorf("allowed sink was still reported: %s", d)
-		}
-	}
-}
-
-// TestTaintflowPathSteps asserts the structured source→sink path rides
-// the Diagnostic for machine consumers (fcmavet -json): every taintflow
-// finding must carry at least a source step and a sink step.
-func TestTaintflowPathSteps(t *testing.T) {
-	prog, err := Load(fixture("taintflow"))
-	if err != nil {
-		t.Fatalf("load: %v", err)
-	}
-	diags := prog.Run([]*Analyzer{Taintflow})
-	if len(diags) == 0 {
-		t.Fatal("taintflow fixture produced no findings")
-	}
-	for _, d := range diags {
-		if len(d.Path) < 2 {
-			t.Errorf("finding %s has %d path steps, want at least source and sink", d, len(d.Path))
-			continue
-		}
-		for _, s := range d.Path {
-			if s.Pos.Filename == "" || s.Pos.Line <= 0 || s.Desc == "" {
-				t.Errorf("finding %s has a malformed path step %+v", d, s)
-			}
-		}
-		if last := d.Path[len(d.Path)-1]; !strings.HasPrefix(last.Desc, "sink: ") {
-			t.Errorf("finding %s does not end at a sink step: %q", d, last.Desc)
 		}
 	}
 }

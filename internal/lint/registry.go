@@ -1,8 +1,9 @@
 package lint
 
 // All returns the full fcmavet analyzer suite in stable order. Each
-// analyzer enforces one contract a prior PR established by convention;
-// see DESIGN.md §12 for the invariant-to-PR map.
+// analyzer is the only gate on its contract; DESIGN.md §12 has the table
+// (contract, the behavioural failure it prevents) and the rule an
+// analyzer must meet to be here.
 func All() []*Analyzer {
 	return []*Analyzer{
 		RawGoroutine,
@@ -11,9 +12,6 @@ func All() []*Analyzer {
 		NilSafeObs,
 		MPITags,
 		NoClock,
-		PrintBan,
-		LockCopy,
-		DeferUnlock,
 		FsyncRename,
 		HTTPTimeouts,
 		ObsNames,

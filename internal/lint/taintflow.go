@@ -9,7 +9,7 @@ package lint
 // sizes (make), slice/array/string indexing and slice bounds, and
 // strings/bytes.Repeat counts. Flows are cut by validation guards and by
 // functions annotated //lint:sanitizes taintflow; see dataflow.go for
-// the exact rules and DESIGN.md §17 for what is deliberately not
+// the exact rules and DESIGN.md §12 for what is deliberately not
 // tracked.
 var Taintflow = &Analyzer{
 	Name: "taintflow",
@@ -20,6 +20,6 @@ var Taintflow = &Analyzer{
 func runTaintflow(pass *Pass) {
 	df := pass.Prog.dataflow()
 	for _, f := range df.findings[pass.Path] {
-		pass.ReportPath(f.pos, pathSteps(pass.Prog.Fset, f.steps), "%s", f.msg)
+		pass.Reportf(f.pos, "%s", f.msg)
 	}
 }

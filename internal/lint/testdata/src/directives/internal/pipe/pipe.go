@@ -5,13 +5,13 @@ package pipe
 
 // Work is a stand-in so the directives have something to annotate.
 func Work() int {
-	//lint:suppress printban wrong verb
+	//lint:suppress noclock wrong verb
 	x := 1
-	//lint:allow printban
+	//lint:allow noclock
 	x++
 	//lint:allow nosuchanalyzer the registry has never heard of it
 	x++
-	//lint:allow printban a well-formed directive is not reported
+	//lint:allow noclock a well-formed directive is not reported
 	x++
 	return x
 }
@@ -35,7 +35,7 @@ func Mystery(s string) bool { return s != "" }
 
 // Valid is a well-formed sanitizer annotation: not reported.
 //
-//lint:sanitizes printban rejects every input, which is certainly safe
+//lint:sanitizes noclock rejects every input, which is certainly safe
 func Valid(s string) bool { return false }
 
 // Hot is a well-formed hotpath annotation: not reported.

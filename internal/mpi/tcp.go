@@ -56,8 +56,8 @@ func readFrame(r io.Reader) (Message, error) {
 	if n > maxBody {
 		return Message{}, fmt.Errorf("mpi: frame body of %d bytes exceeds %d byte limit", n, maxBody)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
+	body, err := readBody(r, int(n))
+	if err != nil {
 		return Message{}, err
 	}
 	return Message{
@@ -65,6 +65,29 @@ func readFrame(r io.Reader) (Message, error) {
 		Tag:  tag,
 		Body: body,
 	}, nil
+}
+
+// firstBodyAlloc is the most readBody allocates before a byte of body has
+// arrived: the protocol's frames (task assignments, per-task score
+// batches) fit in it, so they still cost one allocation.
+const firstBodyAlloc = 64 << 10
+
+// readBody reads exactly n body bytes into a buffer that doubles as the
+// bytes arrive, so a header claiming maxBody costs its sender the bytes
+// rather than every connection 64 MiB up front.
+func readBody(r io.Reader, n int) ([]byte, error) {
+	body := make([]byte, 0, min(n, firstBodyAlloc))
+	for len(body) < n {
+		got := len(body)
+		body = append(body, make([]byte, min(n-got, max(got, firstBodyAlloc)))...)
+		if _, err := io.ReadFull(r, body[got:]); err != nil {
+			if err == io.EOF && got > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+	}
+	return body, nil
 }
 
 // tcpPeer is one worker connection as the master sees it.

@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 )
 
@@ -191,6 +193,77 @@ func TestFrameBodyCapWellBelowGiB(t *testing.T) {
 	if maxBody >= 1<<29 {
 		t.Fatalf("maxBody %d leaves the master open to allocation abuse", maxBody)
 	}
+}
+
+// A header is twelve bytes; the body it promises must be paid for in bytes
+// received before it is paid for in memory.
+func TestFrameHeaderAloneDoesNotAllocateItsClaim(t *testing.T) {
+	var hdr [12]byte
+	binary.LittleEndian.PutUint32(hdr[4:], uint32(TagResult))
+	binary.LittleEndian.PutUint32(hdr[8:], maxBody)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := readFrame(bytes.NewReader(hdr[:]))
+	runtime.ReadMemStats(&after)
+	if err != io.EOF {
+		t.Fatalf("header then EOF: err = %v, want io.EOF", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("a %d-byte claim with no body allocated %d bytes, want under 1 MiB", maxBody, got)
+	}
+}
+
+func TestFrameBodyLargerThanFirstAllocRoundTrips(t *testing.T) {
+	body := make([]byte, 5*firstBodyAlloc+17)
+	for i := range body {
+		body[i] = byte(i * 7)
+	}
+	var buf bytes.Buffer
+	if err := writeFrame(&buf, 2, TagSpans, body); err != nil {
+		t.Fatal(err)
+	}
+	// One byte at a time: every growth step sees a short read.
+	msg, err := readFrame(iotest.OneByteReader(&buf))
+	if err != nil || !bytes.Equal(msg.Body, body) {
+		t.Fatalf("read %d of %d bytes, err %v", len(msg.Body), len(body), err)
+	}
+	if err := writeFrame(&buf, 2, TagSpans, body); err != nil {
+		t.Fatal(err)
+	}
+	buf.Truncate(buf.Len() - 1)
+	if _, err := readFrame(&buf); err != io.ErrUnexpectedEOF {
+		t.Fatalf("body one byte short: err = %v, want io.ErrUnexpectedEOF", err)
+	}
+}
+
+// FuzzReadFrame: arbitrary bytes either fail to decode or decode to a
+// message with a protocol tag whose body is exactly as long as its header
+// said and is the bytes that followed the header.
+func FuzzReadFrame(f *testing.F) {
+	var good bytes.Buffer
+	if err := writeFrame(&good, 3, TagResult, []byte("payload")); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good.Bytes())
+	f.Add(good.Bytes()[:15])
+	f.Add([]byte{1, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 4})
+	f.Add([]byte{0, 0, 0, 0, 99, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, p []byte) {
+		msg, err := readFrame(bytes.NewReader(p))
+		if err != nil {
+			return
+		}
+		if !ValidTag(msg.Tag) {
+			t.Fatalf("accepted tag %d", uint32(msg.Tag))
+		}
+		if want := binary.LittleEndian.Uint32(p[8:]); uint32(len(msg.Body)) != want {
+			t.Fatalf("body of %d bytes for a header claiming %d", len(msg.Body), want)
+		}
+		if !bytes.Equal(msg.Body, p[12:12+len(msg.Body)]) {
+			t.Fatalf("body %x is not the bytes after the header", msg.Body)
+		}
+	})
 }
 
 func TestDialWorkerRetryEventuallyConnects(t *testing.T) {

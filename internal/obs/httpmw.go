@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"fmt"
 	"log/slog"
 	"math/rand/v2"
@@ -24,22 +23,6 @@ const HeaderRequestID = "X-Request-ID"
 // HeaderTraceID carries the per-request trace id on responses, so a
 // client can find its request's timeline in a -trace-out dump.
 const HeaderTraceID = "X-Trace-ID"
-
-type ctxKeyRequestID struct{}
-
-// WithRequestID returns ctx carrying the request id.
-func WithRequestID(ctx context.Context, id string) context.Context {
-	return context.WithValue(ctx, ctxKeyRequestID{}, id)
-}
-
-// RequestIDFrom returns the request id carried by ctx ("" when absent).
-func RequestIDFrom(ctx context.Context) string {
-	if ctx == nil {
-		return ""
-	}
-	id, _ := ctx.Value(ctxKeyRequestID{}).(string)
-	return id
-}
 
 // HTTPMiddleware instruments handlers with RED metrics, request ids,
 // per-request traces, and structured access logs. Zero-value fields
@@ -92,8 +75,7 @@ func (r *statusRecorder) Flush() {
 //   - http_inflight_requests gauge
 //
 // assigns a request id (accepting a well-formed client X-Request-ID,
-// generating one otherwise) echoed on the response and carried in ctx;
-// opens a per-request trace root (fresh trace id) under which handler
+// generating one otherwise) echoed on the response; opens a per-request trace root (fresh trace id) under which handler
 // spans nest via trace.StartSpan, echoing the id as X-Trace-ID; and
 // emits one access-log record through Log (and thus the flight
 // recorder).
@@ -106,7 +88,7 @@ func (m HTTPMiddleware) Wrap(route string, next http.Handler) http.Handler {
 			rid = fmt.Sprintf("%016x", rand.Uint64())
 		}
 		w.Header().Set(HeaderRequestID, rid)
-		ctx := WithRequestID(r.Context(), rid)
+		ctx := r.Context()
 
 		var span *trace.Active
 		if m.Tracer != nil {

@@ -147,7 +147,6 @@ func DumpNow(reason string) {
 			// The crash path has nowhere else to report: the process is
 			// usually dying and the structured logger may be the thing
 			// that failed, so stderr is the last resort by design.
-			//lint:allow printban crash-dump fallback; stderr is the only sink left on this path
 			fmt.Fprintf(os.Stderr, "trace: flight dump to %s: %v\n", path, err)
 			return
 		}

@@ -2,25 +2,6 @@ package tensor
 
 import "fmt"
 
-// PackRows copies rows [r0, r0+n) of src into dst, a compact n×Cols buffer.
-// dst is grown if needed and returned. This models the A_local staging copy
-// in the paper's SYRK workflow (Fig. 7): each thread copies a block of 96
-// rows into a thread-local buffer before computing with it.
-func PackRows(dst []float32, src *Matrix, r0, n int) []float32 {
-	if r0 < 0 || n < 0 || r0+n > src.Rows {
-		panic(fmt.Sprintf("tensor: pack rows [%d,%d) out of range %d", r0, r0+n, src.Rows))
-	}
-	need := n * src.Cols
-	if cap(dst) < need {
-		dst = make([]float32, need)
-	}
-	dst = dst[:need]
-	for i := 0; i < n; i++ {
-		copy(dst[i*src.Cols:(i+1)*src.Cols], src.Row(r0+i))
-	}
-	return dst
-}
-
 // PackTransposed copies the r×c block of src at (i0, j0) into dst in
 // transposed (column-major-of-block) order, so dst[j*r+i] = src[i0+i, j0+j].
 // This models the A^T_local micro-panel transpose from the paper (§4.4):
@@ -40,27 +21,6 @@ func PackTransposed(dst []float32, src *Matrix, i0, j0, r, c int) []float32 {
 		for j := 0; j < c; j++ {
 			dst[j*r+i] = row[j]
 		}
-	}
-	return dst
-}
-
-// PadRows returns src's rows [r0, r0+n) packed into a compact buffer of
-// exactly padTo rows, zero-filling rows beyond n. The paper pads A_local
-// with zeros when the matrix height is not a multiple of the 96-row block.
-func PadRows(dst []float32, src *Matrix, r0, n, padTo int) []float32 {
-	if padTo < n {
-		panic(fmt.Sprintf("tensor: pad %d rows into %d", n, padTo))
-	}
-	dst = PackRows(dst, src, r0, n)
-	need := padTo * src.Cols
-	if cap(dst) < need {
-		grown := make([]float32, need)
-		copy(grown, dst)
-		return grown
-	}
-	dst = dst[:need]
-	for i := n * src.Cols; i < need; i++ {
-		dst[i] = 0
 	}
 	return dst
 }

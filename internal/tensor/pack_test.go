@@ -14,43 +14,6 @@ func randomMatrix(rng *rand.Rand, r, c int) *Matrix {
 	return m
 }
 
-func TestPackRows(t *testing.T) {
-	m := NewMatrix(5, 3)
-	for i := range m.Data {
-		m.Data[i] = float32(i)
-	}
-	buf := PackRows(nil, m, 1, 2)
-	if len(buf) != 6 {
-		t.Fatalf("packed len %d", len(buf))
-	}
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 3; j++ {
-			if buf[i*3+j] != m.At(1+i, j) {
-				t.Fatalf("pack mismatch at (%d,%d)", i, j)
-			}
-		}
-	}
-}
-
-func TestPackRowsReusesBuffer(t *testing.T) {
-	m := NewMatrix(4, 4)
-	buf := make([]float32, 0, 64)
-	out := PackRows(buf, m, 0, 4)
-	if &out[0] != &buf[:1][0] {
-		t.Fatal("PackRows should reuse a large-enough buffer")
-	}
-}
-
-func TestPackRowsOutOfRangePanics(t *testing.T) {
-	m := NewMatrix(3, 3)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	PackRows(nil, m, 2, 2)
-}
-
 func TestPackTransposed(t *testing.T) {
 	m := NewMatrix(4, 5)
 	for i := range m.Data {
@@ -85,49 +48,4 @@ func TestPackTransposedRoundTrip(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestPadRows(t *testing.T) {
-	m := NewMatrix(3, 2)
-	m.Fill(1)
-	buf := PadRows(nil, m, 1, 2, 4)
-	if len(buf) != 8 {
-		t.Fatalf("padded len %d, want 8", len(buf))
-	}
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 2; j++ {
-			want := float32(0)
-			if i < 2 {
-				want = 1
-			}
-			if buf[i*2+j] != want {
-				t.Fatalf("pad mismatch at row %d", i)
-			}
-		}
-	}
-}
-
-func TestPadRowsDirtyBufferZeroed(t *testing.T) {
-	m := NewMatrix(2, 2)
-	m.Fill(3)
-	dirty := make([]float32, 8)
-	for i := range dirty {
-		dirty[i] = 99
-	}
-	buf := PadRows(dirty, m, 0, 2, 4)
-	for i := 4; i < 8; i++ {
-		if buf[i] != 0 {
-			t.Fatalf("pad rows must zero the tail, got %v at %d", buf[i], i)
-		}
-	}
-}
-
-func TestPadRowsTooSmallPanics(t *testing.T) {
-	m := NewMatrix(3, 2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	PadRows(nil, m, 0, 3, 2)
 }

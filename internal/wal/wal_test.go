@@ -1,7 +1,12 @@
 package wal
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"io"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"syscall"
@@ -353,4 +358,76 @@ func TestAppendRewindsAfterTornWrite(t *testing.T) {
 	if len(got) != 2 || string(got[0]) != "before" || string(got[1]) != "after" {
 		t.Fatalf("replayed %q, want [before after]", got)
 	}
+}
+
+// intactPrefix walks frames the slow way, sharing no code with replay: the
+// payloads of every leading frame whose length is plausible, whose body is
+// all there and whose CRC matches, and how many bytes they span.
+func intactPrefix(data []byte, maxRecord uint32) (payloads [][]byte, span int) {
+	for len(data)-span >= 8 {
+		n := binary.LittleEndian.Uint32(data[span:])
+		if n > maxRecord || uint64(span)+8+uint64(n) > uint64(len(data)) {
+			break
+		}
+		payload := data[span+8 : span+8+int(n)]
+		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[span+4:]) {
+			break
+		}
+		payloads = append(payloads, payload)
+		span += 8 + int(n)
+	}
+	return payloads, span
+}
+
+// FuzzWALReplay: whatever bytes follow a valid magic, Open applies exactly
+// the intact leading frames, in order, reports a cut iff bytes were left
+// over, and leaves behind a file that a second Open replays to the same
+// records without cutting anything.
+func FuzzWALReplay(f *testing.F) {
+	frame := func(payload string) []byte {
+		b := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+		b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE([]byte(payload)))
+		return append(b, payload...)
+	}
+	two := append(frame("first"), frame("")...)
+	f.Add(two)
+	f.Add(two[:len(two)-3])
+	f.Add(append(append([]byte(nil), two...), 0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0))
+	f.Add(append(frame("ok"), 2, 0, 0, 0, 0, 0, 0, 0, 'n', 'o'))
+	f.Add([]byte{})
+	prev := slog.Default()
+	slog.SetDefault(slog.New(slog.NewTextHandler(io.Discard, nil))) // replay warns once per cut tail
+	f.Cleanup(func() { slog.SetDefault(prev) })
+	const maxRecord = 1 << 10
+	path := filepath.Join(f.TempDir(), "f.wal") // one file per fuzz worker, rewritten per input
+	f.Fuzz(func(t *testing.T, tail []byte) {
+		if err := os.WriteFile(path, append([]byte(testMagic), tail...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want, span := intactPrefix(tail, maxRecord)
+		for pass, wantCut := range []bool{span < len(tail), false} {
+			var got [][]byte
+			l, err := Open(nil, path, testMagic, maxRecord, func(p []byte) error {
+				got = append(got, append([]byte(nil), p...))
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("open %d: %v", pass, err)
+			}
+			if l.Truncated() != wantCut {
+				t.Fatalf("open %d: Truncated() = %v with %d of %d bytes intact", pass, l.Truncated(), span, len(tail))
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("open %d applied %d records, want %d", pass, len(got), len(want))
+			}
+			for i := range want {
+				if !bytes.Equal(got[i], want[i]) {
+					t.Fatalf("open %d record %d = %x, want %x", pass, i, got[i], want[i])
+				}
+			}
+		}
+	})
 }
