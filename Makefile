@@ -124,13 +124,14 @@ serve-smoke:
 	SERVE_SMOKE_OUT=$(SERVEDIR) ./scripts/serve-smoke.sh
 
 # Short native-fuzz pass over the untrusted-input parsers (NIfTI headers,
-# epoch files, MPI wire frames, a write-ahead log's bytes on reopen), over
+# epoch files, MPI wire frames, a write-ahead log's bytes on reopen, the
+# service's JSON job specs and dataset upload blobs), over
 # the AVX2 kernels' bit-for-bit pin to the Go kernels: the blas tile and
 # strips, the norm sweep, the svm sweep (skipped on a host without AVX2),
 # over the fused stage's pin to the buffer + batched syrk it replaced, and
 # over the bytes a restarted master or server replays: the journals' shared
 # score-block codec and each journal's record fold. FUZZTIME bounds each
-# target's run. The kernel, stage and log-replay targets turn input
+# target's run. The kernel, stage, log-replay and upload targets turn input
 # minimization off: shrinking every coverage-increasing input (up to 60 s
 # each by default) would eat the whole budget, and a smaller input is no
 # better a witness of equal bits (or, for the log, of equal records).
@@ -149,3 +150,5 @@ fuzz:
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzJournalApply -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mpi/ -run '^$$' -fuzz FuzzReadFrame -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wal/ -run '^$$' -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) -fuzzminimizetime 0
+	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzJobSpecDecode -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzDatasetBlob -fuzztime $(FUZZTIME) -fuzzminimizetime 0

@@ -2,22 +2,19 @@ package fcma
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sync"
+	"sort"
 	"time"
 
 	"fcma/internal/cluster"
 	"fcma/internal/core"
 	"fcma/internal/corr"
 	"fcma/internal/fmri"
-	"fcma/internal/mpi"
 	"fcma/internal/mvpa"
 	"fcma/internal/norm"
 	"fcma/internal/obs/trace"
 	"fcma/internal/roi"
 	"fcma/internal/rt"
-	"fcma/internal/safe"
 	"fcma/internal/svm"
 	"fcma/internal/tensor"
 )
@@ -113,7 +110,7 @@ func OfflineAnalysisContext(ctx context.Context, d *Data, cfg Config) (*OfflineR
 			res.ReliableVoxels = append(res.ReliableVoxels, v)
 		}
 	}
-	sortInts(res.ReliableVoxels)
+	sort.Ints(res.ReliableVoxels)
 	res.Elapsed = time.Since(start)
 	return res, nil
 }
@@ -277,7 +274,11 @@ func (c *Classifier) Decide(d *Data, e int) float64 {
 	if e < 0 || e >= len(d.ds.Epochs) {
 		panic(fmt.Sprintf("fcma: epoch %d of %d", e, len(d.ds.Epochs)))
 	}
-	x := pairFeatures(nil, d.ds, c.Voxels, d.ds.Epochs[e])
+	return c.decide(pairFeatures(nil, d.ds, c.Voxels, d.ds.Epochs[e]))
+}
+
+// decide is the decision function over one epoch's pair features.
+func (c *Classifier) decide(x []float32) float64 {
 	var f float64
 	for i, co := range c.coef {
 		f += co * tensor.Dot(c.feats.Row(i), x)
@@ -285,22 +286,18 @@ func (c *Classifier) Decide(d *Data, e int) float64 {
 	return f - c.rho
 }
 
-// Predict returns the predicted label (0 or 1) and the decision value for
-// epoch index e of d.
-func (c *Classifier) Predict(d *Data, e int) (int, float64) {
-	f := c.Decide(d, e)
+// label turns a decision value into the predicted label (0 or 1) beside it.
+func label(f float64) (int, float64) {
 	if f > 0 {
 		return 1, f
 	}
 	return 0, f
 }
 
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
+// Predict returns the predicted label (0 or 1) and the decision value for
+// epoch index e of d.
+func (c *Classifier) Predict(d *Data, e int) (int, float64) {
+	return label(c.Decide(d, e))
 }
 
 // ActivityScore is a voxel and its activity-MVPA accuracy; see
@@ -389,16 +386,7 @@ func (c *Classifier) ClassifyWindow(w *tensor.Matrix) (int, float64) {
 	for i, v := range c.Voxels {
 		rows[i] = w.Row(v)
 	}
-	x := pairFeaturesFromRows(nil, rows)
-	var f float64
-	for i, co := range c.coef {
-		f += co * tensor.Dot(c.feats.Row(i), x)
-	}
-	f -= c.rho
-	if f > 0 {
-		return 1, f
-	}
-	return 0, f
+	return label(c.decide(pairFeaturesFromRows(nil, rows)))
 }
 
 // Feedback is one real-time prediction from the closed loop; see
@@ -448,28 +436,10 @@ func SelectVoxelsDistributedContext(ctx context.Context, d *Data, cfg Config, wo
 	if taskSize <= 0 {
 		taskSize = 120
 	}
-	sd, report, err := sanitizeFor(d, cfg)
+	stack, report, err := prepare(ctx, d, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := sd.ds.Validate(); err != nil {
-		return nil, fmt.Errorf("fcma: invalid dataset: %w", err)
-	}
-	stack, err := corr.BuildEpochStackContext(ctx, sd.ds, cfg.Workers)
-	if err != nil {
-		return nil, err
-	}
-	comm, err := mpi.NewLocalComm(workers+1, 64)
-	if err != nil {
-		return nil, err
-	}
-	// Closing every rank after the run unblocks any receive pump still
-	// parked in Recv (the cancellable workers read through one).
-	defer func() {
-		for r := 0; r <= workers; r++ {
-			comm.Rank(r).Close()
-		}
-	}()
 	// With tracing on, the master records into cfg.Trace and each
 	// in-process worker rank gets its own tracer; shipped worker buffers
 	// are absorbed back into cfg.Trace so one Drain covers the whole run.
@@ -479,49 +449,21 @@ func SelectVoxelsDistributedContext(ctx context.Context, d *Data, cfg Config, wo
 		mopts.Trace = cfg.Trace
 		mopts.Spans = &shipped
 	}
-	var wg sync.WaitGroup
-	errs := make([]error, workers)
-	for r := 1; r <= workers; r++ {
-		wg.Add(1)
-		r := r
-		safe.Go("fcma/dist-worker", func() error {
-			return safe.Do("fcma/dist-worker", 0, stack.N, func() error {
-				w, err := core.NewWorker(cfg.coreConfig(), stack, nil)
-				if err != nil {
-					comm.Rank(r).Close()
-					return err
-				}
-				var wopts cluster.WorkerOptions
-				if cfg.Trace != nil {
-					wopts.Trace = trace.New(r)
-				}
-				return cluster.RunWorkerCtx(ctx, comm.Rank(r), w, wopts)
-			})
-		}, func(err error) {
-			errs[r-1] = err
-			wg.Done()
+	scores, err := cluster.RunLocal(ctx, workers, stack.N, taskSize, mopts,
+		func(r int) (cluster.TaskProcessor, cluster.WorkerOptions, error) {
+			var wopts cluster.WorkerOptions
+			if cfg.Trace != nil {
+				wopts.Trace = trace.New(r)
+			}
+			w, err := core.NewWorker(cfg.coreConfig(), stack, nil)
+			return w, wopts, err
 		})
-	}
-	scores, err := cluster.RunMasterCtx(ctx, comm.Rank(0), stack.N, taskSize, mopts)
-	wg.Wait()
 	cfg.Trace.Absorb(shipped.Spans())
 	if err != nil {
 		return nil, err
 	}
-	for _, e := range errs {
-		if e != nil && !errorsIsCtx(e, ctx) {
-			return nil, e
-		}
-	}
 	scores = remapScores(scores, report)
 	return core.TopVoxels(scores, 0), nil
-}
-
-// errorsIsCtx reports whether e is the context's own cancellation error
-// (workers returning ctx.Err() after a cancelled run are not failures).
-func errorsIsCtx(e error, ctx context.Context) bool {
-	ce := ctx.Err()
-	return ce != nil && errors.Is(e, ce)
 }
 
 // StreamingSelector accumulates one subject's epochs as they arrive and
@@ -556,7 +498,7 @@ func (s *StreamingSelector) Epochs() int { return s.sel.Epochs() }
 
 // Select ranks every voxel over the data received so far, best first.
 func (s *StreamingSelector) Select() ([]VoxelScore, error) {
-	return s.sel.Select()
+	return s.sel.SelectContext(context.Background())
 }
 
 // SelectContext is Select with cooperative cancellation — a selection

@@ -12,7 +12,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"fcma/internal/baseline"
@@ -21,7 +20,6 @@ import (
 	"fcma/internal/core"
 	"fcma/internal/corr"
 	"fcma/internal/fmri"
-	"fcma/internal/mpi"
 	"fcma/internal/svm"
 	"fcma/internal/tensor"
 )
@@ -57,7 +55,7 @@ func benchDataset(b *testing.B, name string) *fmri.Dataset {
 
 func benchStack(b *testing.B) *corr.EpochStack {
 	b.Helper()
-	st, err := corr.BuildEpochStack(benchDataset(b, "bench"), 0)
+	st, err := corr.BuildEpochStackContext(context.Background(), benchDataset(b, "bench"), 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -74,12 +72,7 @@ func randMat(rng *rand.Rand, r, c int) *tensor.Matrix {
 
 // --- Table 1 / Fig. 9: full three-stage task, baseline vs optimized -----
 
-// taskWorker is what the paper's two configurations have in common.
-type taskWorker interface {
-	ProcessContext(ctx context.Context, t core.Task) ([]core.VoxelScore, error)
-}
-
-func benchWorkerTask(b *testing.B, newWorker func(*corr.EpochStack) (taskWorker, error)) {
+func benchWorkerTask(b *testing.B, newWorker func(*corr.EpochStack) (cluster.TaskProcessor, error)) {
 	w, err := newWorker(benchStack(b))
 	if err != nil {
 		b.Fatal(err)
@@ -93,8 +86,10 @@ func benchWorkerTask(b *testing.B, newWorker func(*corr.EpochStack) (taskWorker,
 	}
 }
 
-func baselineWorker(st *corr.EpochStack) (taskWorker, error) { return baseline.NewWorker(st, nil) }
-func optimizedWorker(st *corr.EpochStack) (taskWorker, error) {
+func baselineWorker(st *corr.EpochStack) (cluster.TaskProcessor, error) {
+	return baseline.NewWorker(st, nil)
+}
+func optimizedWorker(st *corr.EpochStack) (cluster.TaskProcessor, error) {
 	return core.NewWorker(core.Optimized(), st, nil)
 }
 
@@ -205,7 +200,7 @@ func benchKernelShapes(b *testing.B, f func(b *testing.B, st *corr.EpochStack, a
 			if err != nil {
 				b.Fatal(err)
 			}
-			st, err := corr.BuildEpochStack(d, 0)
+			st, err := corr.BuildEpochStackContext(context.Background(), d, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -304,7 +299,7 @@ func benchSVM(b *testing.B, tr svm.KernelTrainer) {
 	K, labels, folds := benchSVMProblem(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := svm.CrossValidate(tr, K, labels, folds); err != nil {
+		if _, err := svm.CrossValidateContext(context.Background(), tr, K, labels, folds); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -316,7 +311,7 @@ func benchSVM(b *testing.B, tr svm.KernelTrainer) {
 // in internal/svm.
 func BenchmarkSVMSolvers(b *testing.B) {
 	b.Run("libsvm", func(b *testing.B) { benchSVM(b, baseline.LibSVM{}) })
-	b.Run("optimized", func(b *testing.B) { benchSVM(b, svm.Optimized{}) })
+	b.Run("optimized", func(b *testing.B) { benchSVM(b, svm.PhiSVM{Rule: svm.SecondOrder}) })
 	b.Run("phisvm", func(b *testing.B) { benchSVM(b, svm.PhiSVM{}) })
 }
 
@@ -333,7 +328,7 @@ func BenchmarkWSSHeuristics(b *testing.B) {
 // Ablation: float64 node-based vs float32 dense representation.
 func BenchmarkSVMPrecision(b *testing.B) {
 	b.Run("float64-nodes", func(b *testing.B) { benchSVM(b, baseline.LibSVM{}) })
-	b.Run("float32-dense", func(b *testing.B) { benchSVM(b, svm.Optimized{}) })
+	b.Run("float32-dense", func(b *testing.B) { benchSVM(b, svm.PhiSVM{Rule: svm.SecondOrder}) })
 }
 
 // Ablation: precomputed kernel vs LibSVM with a tiny row cache, which
@@ -349,31 +344,16 @@ func benchCluster(b *testing.B, workers, taskSize int) {
 	st := benchStack(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		comm, err := mpi.NewLocalComm(workers+1, 64)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var wg sync.WaitGroup
-		for r := 1; r <= workers; r++ {
-			wg.Add(1)
-			go func(r int) {
-				defer wg.Done()
+		_, err := cluster.RunLocal(context.Background(), workers, benchVoxels/4, taskSize, cluster.MasterOptions{},
+			func(int) (cluster.TaskProcessor, cluster.WorkerOptions, error) {
 				cfg := core.Optimized()
 				cfg.Workers = 1
 				w, err := core.NewWorker(cfg, st, nil)
-				if err != nil {
-					b.Error(err)
-					return
-				}
-				if err := cluster.RunWorkerCtx(context.Background(), comm.Rank(r), w, cluster.WorkerOptions{}); err != nil {
-					b.Error(err)
-				}
-			}(r)
-		}
-		if _, err := cluster.RunMasterCtx(context.Background(), comm.Rank(0), benchVoxels/4, taskSize, cluster.MasterOptions{}); err != nil {
+				return w, cluster.WorkerOptions{}, err
+			})
+		if err != nil {
 			b.Fatal(err)
 		}
-		wg.Wait()
 	}
 }
 

@@ -41,6 +41,7 @@ import (
 	"fcma/internal/mpi"
 	"fcma/internal/obs"
 	"fcma/internal/obs/trace"
+	"fcma/internal/retry"
 )
 
 func main() {
@@ -58,7 +59,7 @@ func main() {
 		`master: comma-separated cumulative completed-task counts at which the master simulates a crash (e.g. "3,7,11")`,
 		"probability a cluster scheduling point is delayed")
 	topK := flag.Int("topk", 20, "master: voxels to report")
-	retry := flag.Int("retry", 5, "worker: dial attempts with exponential backoff; also rejoin attempts after a lost connection")
+	retries := flag.Int("retry", 5, "worker: dial attempts with exponential backoff; also rejoin attempts after a lost connection")
 	deadline := flag.Duration("deadline", 0, "master: per-task deadline before a slow worker's task is speculatively re-issued (0 disables)")
 	acceptTimeout := flag.Duration("accept-timeout", 0, "master: how long to wait for the initial worker quorum (0 waits forever)")
 	heartbeat := flag.Duration("heartbeat", 2*time.Second, "worker: heartbeat interval (negative disables)")
@@ -151,18 +152,14 @@ func main() {
 			logger.Error("master killed by chaos plan", "kills", plan.Kills(), "journal", *journal)
 			os.Exit(137)
 		}
-		if errors.Is(err, context.Canceled) {
+		if errors.Is(err, context.Canceled) && jn != nil {
 			// os.Exit skips defers, so flush the durable state here — the
-			// partial run must be resumable before we report cancellation.
-			if jn != nil {
-				if jerr := jn.Close(); jerr != nil {
-					logger.Error("journal flush failed", "err", jerr)
-					os.Exit(1)
-				}
-				fmt.Printf("fcma-cluster: journal flushed to %s (%d voxels complete)\n", *journal, jn.Done())
+			// partial run must be resumable before fail reports cancellation.
+			if jerr := jn.Close(); jerr != nil {
+				logger.Error("journal flush failed", "err", jerr)
+				os.Exit(1)
 			}
-			logger.Warn("run cancelled")
-			os.Exit(130)
+			fmt.Printf("fcma-cluster: journal flushed to %s (%d voxels complete)\n", *journal, jn.Done())
 		}
 		fail(err)
 		if jn != nil {
@@ -196,18 +193,14 @@ func main() {
 			defer srv.Close()
 			logger.Info("serving metrics", "url", "http://"+srv.Addr())
 		}
-		stack, err := corr.BuildEpochStack(d, 0)
+		stack, err := corr.BuildEpochStackContext(ctx, d, 0)
 		fail(err)
 		w, err := core.NewWorker(core.Optimized(), stack, nil)
 		fail(err)
 		// Serve until the master says stop; a lost connection is rejoined
 		// (with a fresh rank) as long as the retry budget lasts.
 		for attempt := 0; ; attempt++ {
-			tr, err := mpi.DialWorkerRetryCtx(ctx, *addr, mpi.DialOptions{Attempts: *retry})
-			if errors.Is(err, context.Canceled) {
-				logger.Warn("run cancelled")
-				os.Exit(130)
-			}
+			tr, err := mpi.DialWorkerRetryCtx(ctx, *addr, retry.Policy{Attempts: *retries})
 			fail(err)
 			logger.Info("worker connected", "rank", tr.Rank(), "size", tr.Size(), "addr", *addr)
 			wopts := cluster.WorkerOptions{HeartbeatInterval: *heartbeat}
@@ -222,10 +215,9 @@ func main() {
 				break
 			}
 			if errors.Is(err, context.Canceled) {
-				logger.Warn("run cancelled")
-				os.Exit(130)
+				fail(err)
 			}
-			if attempt+1 >= *retry {
+			if attempt+1 >= *retries {
 				fail(fmt.Errorf("giving up after %d connections: %w", attempt+1, err))
 			}
 			logger.Warn("connection lost; rejoining", "err", err)
@@ -296,21 +288,25 @@ func loadDataset(dataPath, epochPath string) *fmri.Dataset {
 	df, err := os.Open(dataPath)
 	fail(err)
 	defer df.Close()
-	d, err := fmri.ReadData(df)
-	fail(err)
 	ef, err := os.Open(epochPath)
 	fail(err)
 	defer ef.Close()
-	eps, err := fmri.ReadEpochs(ef)
+	d, err := fmri.Read(df, ef)
 	fail(err)
-	d.Epochs = eps
-	fail(d.Validate())
 	return d
 }
 
+// fail exits on err: 130 after a cancellation (SIGINT/SIGTERM reached the
+// run through ctx, wherever it was — accepting, building the epoch stack,
+// dialing, in a task), 1 on anything else.
 func fail(err error) {
-	if err != nil {
-		slog.Error("fatal", "err", err)
-		os.Exit(1)
+	if err == nil {
+		return
 	}
+	if errors.Is(err, context.Canceled) {
+		slog.Warn("run cancelled")
+		os.Exit(130)
+	}
+	slog.Error("fatal", "err", err)
+	os.Exit(1)
 }

@@ -2,10 +2,12 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -111,6 +113,51 @@ func TestFlagsAndExitCodes(t *testing.T) {
 		code, out := run(t, tc.args...)
 		if code != tc.code || !strings.Contains(out, tc.want) {
 			t.Errorf("%s: exit %d, want %d with %q in the output:\n%s", tc.name, code, tc.code, tc.want, out)
+		}
+	}
+}
+
+// TestInterruptExits130: SIGINT reaches a run through its context wherever
+// it is, and every path out agrees on "run cancelled", exit 130 — a master
+// still waiting for its quorum and a worker (its epoch stack built) whose
+// dial waits on a handshake that never comes. Both are interrupted only
+// once an event shows the signal handler is installed.
+func TestInterruptExits130(t *testing.T) {
+	data, epochs := writeDataset(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	for _, tc := range []struct {
+		name  string
+		args  []string
+		ready func(stdout *bufio.Reader) error // returns once the process is past signal.NotifyContext
+	}{
+		{"master accepting", []string{"-role", "master", "-listen", "127.0.0.1:0", "-workers", "1", "-data", data, "-epochs", epochs},
+			func(stdout *bufio.Reader) error { _, err := stdout.ReadString('\n'); return err }},
+		{"worker dialing", []string{"-role", "worker", "-addr", ln.Addr().String(), "-data", data, "-epochs", epochs},
+			func(*bufio.Reader) error { _, err := ln.Accept(); return err }},
+	} {
+		cmd := command(t, tc.args...)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		stdout, err := cmd.StdoutPipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		defer cmd.Process.Kill()
+		if err := tc.ready(bufio.NewReader(stdout)); err != nil {
+			t.Fatalf("%s: never became ready: %v\n%s", tc.name, err, stderr.String())
+		}
+		if err := cmd.Process.Signal(os.Interrupt); err != nil {
+			t.Fatal(err)
+		}
+		if code := exitCode(t, cmd.Wait()); code != 130 || !strings.Contains(stderr.String(), "run cancelled") {
+			t.Errorf("%s: exit %d, want 130 with \"run cancelled\" on stderr:\n%s", tc.name, code, stderr.String())
 		}
 	}
 }

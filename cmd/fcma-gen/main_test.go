@@ -57,19 +57,16 @@ func TestCustomSpecRoundTrips(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer df.Close()
-	d, err := fmri.ReadData(df)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ef, err := os.Open(prefix + ".epochs")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ef.Close()
-	epochs, err := fmri.ReadEpochs(ef)
+	d, err := fmri.Read(df, ef)
 	if err != nil {
 		t.Fatal(err)
 	}
+	epochs := d.Epochs
 	if d.Voxels() != 40 || d.Subjects != 3 || len(epochs) != 3*4 {
 		t.Errorf("read back %d voxels, %d subjects, %d epochs; want 40, 3, 12", d.Voxels(), d.Subjects, len(epochs))
 	}

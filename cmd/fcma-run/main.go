@@ -20,6 +20,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"os/signal"
@@ -267,18 +268,14 @@ func loadData(dataPath, epochPath, niiPath, maskPath string, subjects int, synth
 		ef, err := os.Open(epochPath)
 		fail(err)
 		defer ef.Close()
-		var mask *os.File
+		var mask io.Reader // stays a nil interface without -mask
 		if maskPath != "" {
-			mask, err = os.Open(maskPath)
+			mf, err := os.Open(maskPath)
 			fail(err)
-			defer mask.Close()
+			defer mf.Close()
+			mask = mf
 		}
-		var d *fcma.Data
-		if mask != nil {
-			d, err = fcma.LoadNIfTI(nf, mask, ef, niiPath, subjects)
-		} else {
-			d, err = fcma.LoadNIfTI(nf, nil, ef, niiPath, subjects)
-		}
+		d, err := fcma.LoadNIfTI(nf, mask, ef, niiPath, subjects)
 		fail(err)
 		return d
 	case dataPath == "" || epochPath == "":

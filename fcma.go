@@ -67,31 +67,12 @@ func (d *Data) SignalVoxels() []int {
 }
 
 // Spec describes a synthetic dataset; see Generate.
-type Spec struct {
-	// Name labels the dataset.
-	Name string
-	// Voxels is the brain size; Subjects the subject count.
-	Voxels, Subjects int
-	// EpochsPerSubject (even) and EpochLen define the task design.
-	EpochsPerSubject, EpochLen int
-	// RestLen is the gap between epochs in time points.
-	RestLen int
-	// SignalVoxels is the number of voxels given condition-dependent
-	// connectivity; Coupling in [0,1) its strength.
-	SignalVoxels int
-	// SignalBlobs, when positive, places the signal voxels as that many
-	// spatially contiguous regions on the acquisition grid (recoverable
-	// by FindROIs) instead of spreading them evenly.
-	SignalBlobs int
-	Coupling    float64
-	// Seed makes generation deterministic.
-	Seed int64
-}
+type Spec = fmri.Spec
 
 // Generate builds a synthetic dataset with planted condition-dependent
 // connectivity structure (the ground truth FCMA should recover).
 func Generate(s Spec) (*Data, error) {
-	ds, err := fmri.Generate(fmri.Spec(s))
+	ds, err := fmri.Generate(s)
 	if err != nil {
 		return nil, err
 	}
@@ -102,21 +83,13 @@ func Generate(s Spec) (*Data, error) {
 // face-scene dataset (Table 2), scaled by the given factor (1 = paper
 // size, smaller for quick runs).
 func FaceSceneShaped(scale float64) (*Data, error) {
-	ds, err := fmri.Generate(fmri.FaceSceneSpec(scale))
-	if err != nil {
-		return nil, err
-	}
-	return &Data{ds: ds}, nil
+	return Generate(fmri.FaceSceneSpec(scale))
 }
 
 // AttentionShaped returns a dataset with the shape of the paper's
 // attention dataset (Table 2), scaled.
 func AttentionShaped(scale float64) (*Data, error) {
-	ds, err := fmri.Generate(fmri.AttentionSpec(scale))
-	if err != nil {
-		return nil, err
-	}
-	return &Data{ds: ds}, nil
+	return Generate(fmri.AttentionSpec(scale))
 }
 
 // Save writes the dataset (activity data and epoch labels) to the two
@@ -133,17 +106,9 @@ func (d *Data) Save(data, epochs io.Writer) error {
 
 // Load reads a dataset saved with Save.
 func Load(data, epochs io.Reader) (*Data, error) {
-	ds, err := fmri.ReadData(data)
+	ds, err := fmri.Read(data, epochs)
 	if err != nil {
-		return nil, fmt.Errorf("fcma: loading data: %w", err)
-	}
-	eps, err := fmri.ReadEpochs(epochs)
-	if err != nil {
-		return nil, fmt.Errorf("fcma: loading epochs: %w", err)
-	}
-	ds.Epochs = eps
-	if err := ds.Validate(); err != nil {
-		return nil, fmt.Errorf("fcma: loaded dataset invalid: %w", err)
+		return nil, fmt.Errorf("fcma: loading dataset: %w", err)
 	}
 	return &Data{ds: ds}, nil
 }
@@ -203,14 +168,7 @@ func (c Config) topK(voxels int) int {
 	if c.TopK > 0 {
 		return c.TopK
 	}
-	k := voxels / 10
-	if k > 100 {
-		k = 100
-	}
-	if k < 1 {
-		k = 1
-	}
-	return k
+	return max(1, min(voxels/10, 100))
 }
 
 func (c Config) coreConfig() core.Config {
@@ -247,11 +205,11 @@ func SelectVoxels(d *Data, cfg Config) ([]VoxelScore, error) {
 // *PipelineError instead of crashing the process.
 func SelectVoxelsContext(ctx context.Context, d *Data, cfg Config) ([]VoxelScore, error) {
 	ctx = cfg.traceCtx(ctx)
-	sd, report, err := sanitizeFor(d, cfg)
+	stack, report, err := prepare(ctx, d, cfg)
 	if err != nil {
 		return nil, err
 	}
-	stack, worker, err := buildWorker(ctx, sd, cfg)
+	worker, err := core.NewWorker(cfg.coreConfig(), stack, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -263,21 +221,27 @@ func SelectVoxelsContext(ctx context.Context, d *Data, cfg Config) ([]VoxelScore
 	return core.TopVoxels(scores, 0), nil
 }
 
-// sanitizeFor applies cfg.Sanitize and returns the dataset to analyze
-// plus the report whose Kept mapping (if any) translates result voxel
-// indices back to d's numbering.
-func sanitizeFor(d *Data, cfg Config) (*Data, *fmri.SanitizeReport, error) {
-	if cfg.Sanitize == SanitizeOff {
-		return d, nil, nil
+// prepare is the front half of every whole-brain selection, local or
+// distributed: apply cfg.Sanitize, validate, build the epoch stack. The
+// report's Kept mapping (if any) is what remapScores translates result
+// voxel indices back to d's numbering with.
+func prepare(ctx context.Context, d *Data, cfg Config) (*corr.EpochStack, *fmri.SanitizeReport, error) {
+	ds := d.ds
+	var report *fmri.SanitizeReport
+	if cfg.Sanitize != SanitizeOff {
+		var err error
+		if ds, report, err = fmri.SanitizeDataset(ds, cfg.Sanitize); err != nil {
+			return nil, nil, fmt.Errorf("fcma: %w", err)
+		}
 	}
-	ds, report, err := fmri.SanitizeDataset(d.ds, cfg.Sanitize)
-	if err != nil {
-		return nil, nil, fmt.Errorf("fcma: %w", err)
+	// Validate up front so the shape invariants the internal kernels
+	// assume (and would otherwise panic on) are checked with real error
+	// messages before any goroutine spawns.
+	if err := ds.Validate(); err != nil {
+		return nil, nil, fmt.Errorf("fcma: invalid dataset: %w", err)
 	}
-	if ds == d.ds {
-		return d, report, nil
-	}
-	return &Data{ds: ds}, report, nil
+	stack, err := corr.BuildEpochStackContext(ctx, ds, cfg.Workers)
+	return stack, report, err
 }
 
 // remapScores rewrites voxel indices of a DropVoxel run back to the
@@ -298,24 +262,6 @@ func remapScores(scores []VoxelScore, report *fmri.SanitizeReport) []VoxelScore 
 		out = append(out, s)
 	}
 	return out
-}
-
-func buildWorker(ctx context.Context, d *Data, cfg Config) (*corr.EpochStack, *core.Worker, error) {
-	// Validate up front so the shape invariants the internal kernels
-	// assume (and would otherwise panic on) are checked with real error
-	// messages before any goroutine spawns.
-	if err := d.ds.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("fcma: invalid dataset: %w", err)
-	}
-	stack, err := corr.BuildEpochStackContext(ctx, d.ds, cfg.Workers)
-	if err != nil {
-		return nil, nil, err
-	}
-	worker, err := core.NewWorker(cfg.coreConfig(), stack, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	return stack, worker, nil
 }
 
 // LoadNIfTI reads a 4D NIfTI-1 time series, extracts brain voxels (an
@@ -349,13 +295,8 @@ func LoadNIfTI(volume io.Reader, maskVol io.Reader, epochs io.Reader, name strin
 	if err != nil {
 		return nil, err
 	}
-	eps, err := fmri.ReadEpochs(epochs)
-	if err != nil {
-		return nil, fmt.Errorf("fcma: loading epochs: %w", err)
-	}
-	ds.Epochs = eps
-	if err := ds.Validate(); err != nil {
-		return nil, fmt.Errorf("fcma: NIfTI dataset invalid: %w", err)
+	if ds, err = fmri.WithEpochs(ds, epochs); err != nil {
+		return nil, fmt.Errorf("fcma: NIfTI dataset: %w", err)
 	}
 	return &Data{ds: ds}, nil
 }

@@ -127,7 +127,7 @@ func testStack(t testing.TB, voxels, subjects, epochsPerSubject int) *corr.Epoch
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := corr.BuildEpochStack(d, 0)
+	st, err := corr.BuildEpochStackContext(context.Background(), d, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

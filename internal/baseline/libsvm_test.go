@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -58,7 +59,6 @@ func comparators() map[string]svm.KernelTrainer {
 
 func production() map[string]svm.KernelTrainer {
 	return map[string]svm.KernelTrainer{
-		"optimized":       svm.Optimized{},
 		"phisvm":          svm.PhiSVM{},
 		"phisvm-adaptive": svm.PhiSVM{Rule: svm.Adaptive},
 		"phisvm-second":   svm.PhiSVM{Rule: svm.SecondOrder},
@@ -198,7 +198,7 @@ func TestLibSVMCrossValidation(t *testing.T) {
 	folds := svm.KFolds(31, 4)
 	folds = append(folds, svm.Fold{Train: allIdx(7), Test: []int{8, 9, 10, 11, 12}})
 	for name, tr := range comparators() {
-		plain, err := svm.CrossValidate(tr, K, labels, folds)
+		plain, err := svm.CrossValidateContext(context.Background(), tr, K, labels, folds)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -215,7 +215,7 @@ func TestLibSVMCrossValidation(t *testing.T) {
 		}
 	}
 	capped := LibSVM{Params: svm.Params{MaxIter: 1, Eps: 1e-12}}
-	if acc, err := svm.CrossValidate(capped, K, labels, folds); err != nil || acc != 0.5 {
+	if acc, err := svm.CrossValidateContext(context.Background(), capped, K, labels, folds); err != nil || acc != 0.5 {
 		t.Fatalf("every fold out of iterations: accuracy %v, error %v; want chance", acc, err)
 	}
 
@@ -232,7 +232,7 @@ func TestLibSVMCrossValidation(t *testing.T) {
 		"train index past M":  {good, []svm.Fold{{Train: []int{0, 9}, Test: []int{3}}}},
 		"test index past M":   {good, []svm.Fold{{Train: []int{0, 1}, Test: []int{4}}}},
 	} {
-		if acc, err := svm.CrossValidate(LibSVM{}, I, tc.labels, tc.folds); err == nil {
+		if acc, err := svm.CrossValidateContext(context.Background(), LibSVM{}, I, tc.labels, tc.folds); err == nil {
 			t.Errorf("%s: CrossValidate returned %v and no error", name, acc)
 		}
 		if _, err := svm.CrossValidateDetailed(LibSVM{}, I, tc.labels, tc.folds); err == nil {

@@ -15,6 +15,7 @@ import (
 	"fcma/internal/corr"
 	"fcma/internal/fmri"
 	"fcma/internal/mpi"
+	"fcma/internal/retry"
 )
 
 // TestChaosSoakCompletesJournaledAnalysis is the end-to-end proof of the
@@ -46,11 +47,11 @@ func TestChaosSoakCompletesJournaledAnalysis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := corr.BuildEpochStack(d, 0)
+	st, err := corr.BuildEpochStackContext(context.Background(), d, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := mustWorker(t, st).Process(core.Task{V0: 0, V: st.N})
+	ref, err := mustWorker(t, st).ProcessContext(context.Background(), core.Task{V0: 0, V: st.N})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestChaosSoakCompletesJournaledAnalysis(t *testing.T) {
 		defer wg.Done()
 		w := mustWorker(t, st)
 		for !done.Load() {
-			tr, err := mpi.DialWorkerRetry(master.Addr(), mpi.DialOptions{Attempts: 10, BaseDelay: 10 * time.Millisecond, Seed: 1})
+			tr, err := mpi.DialWorkerRetryCtx(context.Background(), master.Addr(), retry.Policy{Attempts: 10, BaseDelay: 10 * time.Millisecond, Seed: 1})
 			if err != nil {
 				return
 			}
@@ -114,13 +115,13 @@ func TestChaosSoakCompletesJournaledAnalysis(t *testing.T) {
 		if procCall.Add(1)%5 == 0 {
 			return nil, fmt.Errorf("injected task failure on voxels [%d,%d)", task.V0, task.V0+task.V)
 		}
-		return mustWorker(t, st).Process(task)
+		return mustWorker(t, st).ProcessContext(context.Background(), task)
 	})
 	spawnChaotic := func() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tr, err := mpi.DialWorkerRetry(master.Addr(), mpi.DialOptions{Attempts: 5, BaseDelay: 10 * time.Millisecond, Seed: 2})
+			tr, err := mpi.DialWorkerRetryCtx(context.Background(), master.Addr(), retry.Policy{Attempts: 5, BaseDelay: 10 * time.Millisecond, Seed: 2})
 			if err != nil {
 				return
 			}
@@ -157,7 +158,7 @@ func TestChaosSoakCompletesJournaledAnalysis(t *testing.T) {
 		}
 	}()
 
-	if err := master.Accept(); err != nil {
+	if err := master.AcceptCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	scores, err := RunMasterCtx(context.Background(), master, st.N, 3, MasterOptions{

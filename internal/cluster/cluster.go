@@ -351,13 +351,7 @@ func (m *master) tickGranularity() time.Duration {
 	if g == 0 {
 		return 0
 	}
-	if g /= 4; g < 5*time.Millisecond {
-		g = 5 * time.Millisecond
-	}
-	if g > time.Second {
-		g = time.Second
-	}
-	return g
+	return min(max(g/4, 5*time.Millisecond), time.Second)
 }
 
 // open counts the tasks still to be finished.
@@ -764,10 +758,9 @@ type WorkerOptions struct {
 // poisoned task cannot crash the rank — the master's retry/quarantine
 // machinery decides its fate.
 //
-// When ctx is cancellable the receive loop runs through a pump goroutine;
-// after cancellation that goroutine may stay blocked in Recv until the
-// caller closes the transport, which cmd/fcma-cluster and the in-process
-// harness both do on shutdown.
+// The receive loop runs through a pump goroutine; after RunWorkerCtx
+// returns that goroutine may stay blocked in one last Recv until the caller
+// closes the transport, which cmd/fcma-cluster and RunLocal both do.
 func RunWorkerCtx(ctx context.Context, tr mpi.Transport, proc TaskProcessor, opts WorkerOptions) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -804,19 +797,19 @@ func RunWorkerCtx(ctx context.Context, tr mpi.Transport, proc TaskProcessor, opt
 	if err := tr.Send(0, mpi.TagReady, nil); err != nil {
 		return fmt.Errorf("cluster: worker ready: %w", err)
 	}
+	done := make(chan struct{})
+	defer close(done)
 	hb := opts.HeartbeatInterval
 	if hb == 0 {
 		hb = time.Second
 	}
 	if hb > 0 {
-		stop := make(chan struct{})
-		defer close(stop)
 		safe.Go("cluster/heartbeat", func() error {
 			t := time.NewTicker(hb)
 			defer t.Stop()
 			for {
 				select {
-				case <-stop:
+				case <-done:
 					return nil
 				case <-t.C:
 					if err := tr.Send(0, mpi.TagHeartbeat, nil); err != nil {
@@ -826,42 +819,36 @@ func RunWorkerCtx(ctx context.Context, tr mpi.Transport, proc TaskProcessor, opt
 			}
 		}, nil)
 	}
-	recv := func() (mpi.Message, error) { return tr.Recv() }
-	if ctx.Done() != nil {
-		type recvResult struct {
-			msg mpi.Message
-			err error
-		}
-		pump := make(chan recvResult)
-		safe.Go("cluster/worker-recv", func() error {
-			for {
-				msg, err := tr.Recv()
-				select {
-				case pump <- recvResult{msg, err}:
-				case <-ctx.Done():
-					return nil
-				}
-				if err != nil {
-					return nil
-				}
-			}
-		}, nil)
-		recv = func() (mpi.Message, error) {
-			select {
-			case r := <-pump:
-				return r.msg, r.err
-			case <-ctx.Done():
-				return mpi.Message{}, ctx.Err()
-			}
-		}
+	// Messages arrive through a pump goroutine, so a cancelled ctx
+	// interrupts the wait for the next one.
+	type recvResult struct {
+		msg mpi.Message
+		err error
 	}
-	for {
-		msg, err := recv()
-		if err != nil {
-			if err == ctx.Err() && ctx.Err() != nil {
-				return err
+	pump := make(chan recvResult)
+	safe.Go("cluster/worker-recv", func() error {
+		for {
+			msg, err := tr.Recv()
+			select {
+			case pump <- recvResult{msg, err}:
+			case <-done:
+				return nil
 			}
-			return fmt.Errorf("cluster: worker recv: %w", err)
+			if err != nil {
+				return nil
+			}
+		}
+	}, nil)
+	for {
+		var msg mpi.Message
+		select {
+		case r := <-pump:
+			if r.err != nil {
+				return fmt.Errorf("cluster: worker recv: %w", r.err)
+			}
+			msg = r.msg
+		case <-ctx.Done():
+			return ctx.Err()
 		}
 		switch msg.Tag {
 		case mpi.TagStop:
@@ -902,32 +889,25 @@ func RunWorkerCtx(ctx context.Context, tr mpi.Transport, proc TaskProcessor, opt
 			if perr != nil && ctx.Err() != nil && errors.Is(perr, ctx.Err()) {
 				return ctx.Err() // cancelled mid-task: shut down, don't report
 			}
+			// A failure is reported and the worker stays in service: the
+			// master owns retry policy.
+			tag, report := mpi.TagResult, any(resultMsg{Task: tm, Scores: scores})
 			if perr != nil {
 				taskFails.Inc()
-				body, err := encode(errorMsg{Task: tm, Err: perr.Error()})
-				if err != nil {
-					return err
-				}
-				// Ship the snapshot before the error so the master's view
-				// already covers this task when it books the failure (both
-				// transports deliver per-sender in order).
-				shipSpans()
-				shipMetrics()
-				if err := tr.Send(0, mpi.TagError, body); err != nil {
-					return err
-				}
-				continue // stay in service; the master owns retry policy
+				tag, report = mpi.TagError, errorMsg{Task: tm, Err: perr.Error()}
 			}
-			body, err := encode(resultMsg{Task: tm, Scores: scores})
+			body, err := encode(report)
 			if err != nil {
 				return err
 			}
-			// Snapshot-then-result ordering: when the final result completes
-			// the run, every rank's last snapshot (and span buffer) has
-			// already been handled.
+			// Snapshot (and span buffer) before the report, so the master's
+			// view already covers this task when it books the outcome — and,
+			// when the final result completes the run, every rank's last
+			// snapshot has been handled (both transports deliver per-sender
+			// in order).
 			shipSpans()
 			shipMetrics()
-			if err := tr.Send(0, mpi.TagResult, body); err != nil {
+			if err := tr.Send(0, tag, body); err != nil {
 				return err
 			}
 		default:

@@ -27,7 +27,7 @@ func testStack(t testing.TB) *corr.EpochStack {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := corr.BuildEpochStack(d, 0)
+	st, err := corr.BuildEpochStackContext(context.Background(), d, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,30 +37,14 @@ func testStack(t testing.TB) *corr.EpochStack {
 // runCluster spins up an in-process master with n workers over the stack.
 func runCluster(t *testing.T, st *corr.EpochStack, nWorkers, taskSize int) []core.VoxelScore {
 	t.Helper()
-	comm, err := mpi.NewLocalComm(nWorkers+1, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for r := 1; r <= nWorkers; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
+	scores, err := RunLocal(context.Background(), nWorkers, st.N, taskSize, MasterOptions{},
+		func(int) (TaskProcessor, WorkerOptions, error) {
 			w, err := core.NewWorker(core.Optimized(), st, nil)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if err := RunWorkerCtx(context.Background(), comm.Rank(r), w, WorkerOptions{}); err != nil {
-				t.Error(err)
-			}
-		}(r)
-	}
-	scores, err := RunMasterCtx(context.Background(), comm.Rank(0), st.N, taskSize, MasterOptions{})
+			return w, WorkerOptions{}, err
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wg.Wait()
 	return scores
 }
 
@@ -231,7 +215,7 @@ func TestTCPClusterSurvivesWorkerCrash(t *testing.T) {
 	results := make(chan error, 2)
 	gotTask := make(chan struct{})
 	go func() {
-		w, err := mpi.DialWorker(master.Addr())
+		w, err := mpi.DialWorkerCtx(context.Background(), master.Addr())
 		if err != nil {
 			close(gotTask)
 			results <- err
@@ -255,7 +239,7 @@ func TestTCPClusterSurvivesWorkerCrash(t *testing.T) {
 	go func() {
 		// Dial immediately (Accept needs both connections) but hold the
 		// Ready message until the flaky worker owns a task.
-		w, err := mpi.DialWorker(master.Addr())
+		w, err := mpi.DialWorkerCtx(context.Background(), master.Addr())
 		if err != nil {
 			results <- err
 			return
@@ -269,7 +253,7 @@ func TestTCPClusterSurvivesWorkerCrash(t *testing.T) {
 		<-gotTask
 		results <- RunWorkerCtx(context.Background(), w, worker, WorkerOptions{})
 	}()
-	if err := master.Accept(); err != nil {
+	if err := master.AcceptCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	scores, err := RunMasterCtx(context.Background(), master, st.N, 8, MasterOptions{})

@@ -251,7 +251,7 @@ func TestDuplicateAndStaleResultsDeduplicated(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			scores, err := w.Process(core.Task{V0: tm.V0, V: tm.V})
+			scores, err := w.ProcessContext(context.Background(), core.Task{V0: tm.V0, V: tm.V})
 			if err != nil {
 				t.Error(err)
 				return

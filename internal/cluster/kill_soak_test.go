@@ -47,11 +47,11 @@ func TestChaosSoakMasterKills(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := corr.BuildEpochStack(d, 0)
+	st, err := corr.BuildEpochStackContext(context.Background(), d, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := mustWorker(t, st).Process(core.Task{V0: 0, V: st.N})
+	ref, err := mustWorker(t, st).ProcessContext(context.Background(), core.Task{V0: 0, V: st.N})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestChaosSoakMasterKills(t *testing.T) {
 			continue
 		}
 		frozen := h.freeze(jn, st.N, taskSize)
-		if err := master.Accept(); err != nil {
+		if err := master.AcceptCtx(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		reg := obs.NewRegistry()

@@ -2,11 +2,9 @@ package cluster
 
 import (
 	"context"
-	"sync"
 	"testing"
 
 	"fcma/internal/core"
-	"fcma/internal/mpi"
 	"fcma/internal/obs"
 )
 
@@ -17,35 +15,19 @@ import (
 func TestClusterMetricsAggregation(t *testing.T) {
 	st := testStack(t)
 	const nWorkers = 3
-	comm, err := mpi.NewLocalComm(nWorkers+1, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for r := 1; r <= nWorkers; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
+	cm := &ClusterMetrics{}
+	masterReg := obs.NewRegistry()
+	scores, err := RunLocal(context.Background(), nWorkers, st.N, 5, MasterOptions{Obs: masterReg, Metrics: cm},
+		func(int) (TaskProcessor, WorkerOptions, error) {
 			reg := obs.NewRegistry()
 			cfg := core.Optimized()
 			cfg.Obs = reg
 			w, err := core.NewWorker(cfg, st, nil)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if err := RunWorkerCtx(context.Background(), comm.Rank(r), w, WorkerOptions{Obs: reg}); err != nil {
-				t.Error(err)
-			}
-		}(r)
-	}
-	cm := &ClusterMetrics{}
-	masterReg := obs.NewRegistry()
-	scores, err := RunMasterCtx(context.Background(), comm.Rank(0), st.N, 5, MasterOptions{Obs: masterReg, Metrics: cm})
+			return w, WorkerOptions{Obs: reg}, err
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wg.Wait()
 	if len(scores) != st.N {
 		t.Fatalf("scores = %d, want %d", len(scores), st.N)
 	}

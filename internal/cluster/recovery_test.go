@@ -16,6 +16,7 @@ import (
 	"fcma/internal/fmri"
 	"fcma/internal/mpi"
 	"fcma/internal/obs"
+	"fcma/internal/retry"
 )
 
 // recoveryHarness is the shared machinery of the master-kill tests: a
@@ -71,7 +72,7 @@ func (h *recoveryHarness) processor() TaskProcessor {
 		h.mu.Lock()
 		h.procs[task.V0]++
 		h.mu.Unlock()
-		return mustWorker(h.t, h.st).Process(task)
+		return mustWorker(h.t, h.st).ProcessContext(context.Background(), task)
 	})
 }
 
@@ -87,7 +88,7 @@ func (h *recoveryHarness) startWorker(addr string, chaosSeed int64) {
 		proc := h.processor()
 		seq := int64(0)
 		for !h.done.Load() {
-			tr, err := mpi.DialWorkerRetry(addr, mpi.DialOptions{
+			tr, err := mpi.DialWorkerRetryCtx(context.Background(), addr, retry.Policy{
 				Attempts: 20, BaseDelay: 5 * time.Millisecond, MaxDelay: 100 * time.Millisecond, Seed: chaosSeed + 1,
 			})
 			if err != nil {
@@ -153,11 +154,11 @@ func TestMasterKillResumeBitExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := corr.BuildEpochStack(d, 0)
+	st, err := corr.BuildEpochStackContext(context.Background(), d, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := mustWorker(t, st).Process(core.Task{V0: 0, V: st.N})
+	ref, err := mustWorker(t, st).ProcessContext(context.Background(), core.Task{V0: 0, V: st.N})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +217,7 @@ func TestMasterKillResumeBitExact(t *testing.T) {
 			continue
 		}
 		frozen := h.freeze(jn, st.N, taskSize)
-		if err := master.Accept(); err != nil {
+		if err := master.AcceptCtx(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		reg := obs.NewRegistry()
@@ -284,7 +285,7 @@ func TestMasterKillResumeBitExact(t *testing.T) {
 // voxel of the same accuracy.
 func TestJournaledResume(t *testing.T) {
 	st := testStack(t)
-	ref, err := mustWorker(t, st).Process(core.Task{V0: 0, V: st.N})
+	ref, err := mustWorker(t, st).ProcessContext(context.Background(), core.Task{V0: 0, V: st.N})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +309,7 @@ func TestJournaledResume(t *testing.T) {
 			if n > 2 {
 				return nil, false
 			}
-			scores, err := w.Process(core.Task{V0: tm.V0, V: tm.V})
+			scores, err := w.ProcessContext(context.Background(), core.Task{V0: tm.V0, V: tm.V})
 			if err != nil {
 				t.Error(err)
 			}
@@ -354,7 +355,7 @@ func TestJournaledResume(t *testing.T) {
 		w := mustWorker(t, st)
 		counting := funcProcessor(func(task core.Task) ([]core.VoxelScore, error) {
 			processed.Add(1)
-			return w.Process(task)
+			return w.ProcessContext(context.Background(), task)
 		})
 		if err := RunWorkerCtx(context.Background(), comm2.Rank(1), counting, WorkerOptions{}); err != nil {
 			t.Error(err)

@@ -29,7 +29,7 @@ func TestBaselineAndOptimizedAgreeOnRanking(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		so, err := wo.Process(task)
+		so, err := wo.ProcessContext(context.Background(), task)
 		if err != nil {
 			t.Fatal(err)
 		}

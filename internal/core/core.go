@@ -127,18 +127,13 @@ func NewWorker(cfg Config, stack *corr.EpochStack, folds []svm.Fold) (*Worker, e
 	return &Worker{cfg: cfg, stack: stack, folds: folds, pipe: pipe}, nil
 }
 
-// Process runs the full three-stage pipeline for the task and returns one
-// score per assigned voxel.
-func (w *Worker) Process(t Task) ([]VoxelScore, error) {
-	return w.ProcessContext(context.Background(), t)
-}
-
-// ProcessContext is Process with cooperative cancellation and panic
-// containment. A cancelled ctx stops every pipeline goroutine at its next
-// work-item checkpoint (one voxel block in the fused stage, one voxel in
-// stage 3) and returns ctx.Err() after all of them have joined. A panic in
-// any stage surfaces as a *safe.PipelineError naming the stage and voxel
-// range instead of killing the process.
+// ProcessContext runs the full three-stage pipeline for the task and
+// returns one score per assigned voxel, with cooperative cancellation and
+// panic containment. A cancelled ctx stops every pipeline goroutine at its
+// next work-item checkpoint (one voxel block in the fused stage, one voxel
+// in stage 3) and returns ctx.Err() after all of them have joined. A panic
+// in any stage surfaces as a *safe.PipelineError naming the stage and
+// voxel range instead of killing the process.
 func (w *Worker) ProcessContext(ctx context.Context, t Task) ([]VoxelScore, error) {
 	if t.V <= 0 || t.V0 < 0 || t.V0+t.V > w.stack.N {
 		return nil, fmt.Errorf("core: task voxels [%d,%d) outside brain of %d", t.V0, t.V0+t.V, w.stack.N)

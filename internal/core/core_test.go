@@ -29,7 +29,7 @@ func testStack(t testing.TB, voxels, subjects, epochsPerSubject int) (*fmri.Data
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := corr.BuildEpochStack(d, 0)
+	st, err := corr.BuildEpochStackContext(context.Background(), d, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestWorkerProcessScoresAllVoxels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scores, err := w.Process(Task{V0: 0, V: 40})
+	scores, err := w.ProcessContext(context.Background(), Task{V0: 0, V: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func testFCMAFindsPlantedSignalVoxels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scores, err := w.Process(Task{V0: 0, V: 48})
+	scores, err := w.ProcessContext(context.Background(), Task{V0: 0, V: 48})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestWorkerSubrangeTask(t *testing.T) { eachKernelPath(t, testWorkerSubrange
 func testWorkerSubrangeTask(t *testing.T) {
 	_, st := testStack(t, 40, 4, 8)
 	w, _ := NewWorker(Optimized(), st, nil)
-	scores, err := w.Process(Task{V0: 10, V: 5})
+	scores, err := w.ProcessContext(context.Background(), Task{V0: 10, V: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestWorkerTaskValidation(t *testing.T) {
 	_, st := testStack(t, 20, 2, 4)
 	w, _ := NewWorker(Optimized(), st, nil)
 	for _, task := range []Task{{V0: -1, V: 2}, {V0: 0, V: 0}, {V0: 18, V: 5}} {
-		if _, err := w.Process(task); err == nil {
+		if _, err := w.ProcessContext(context.Background(), task); err == nil {
 			t.Errorf("task %+v accepted", task)
 		}
 	}
@@ -134,7 +134,7 @@ func TestWorkerCustomFolds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Process(Task{V0: 0, V: 4}); err != nil {
+	if _, err := w.ProcessContext(context.Background(), Task{V0: 0, V: 4}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -178,7 +178,7 @@ func TestNilFoldsSingleSubjectIsKFold(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		scores, err := w.Process(Task{V0: 0, V: 24})
+		scores, err := w.ProcessContext(context.Background(), Task{V0: 0, V: 24})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	_ "unsafe" // go:linkname
 )
@@ -67,7 +68,7 @@ func TestScoresIdenticalAcrossKernelPaths(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if scores[i], err = w.Process(Task{V0: 0, V: 40}); err != nil {
+		if scores[i], err = w.ProcessContext(context.Background(), Task{V0: 0, V: 40}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -45,7 +45,7 @@ func TestProcessContainsStagePanic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = w.Process(Task{V0: 0, V: stack.N})
+	_, err = w.ProcessContext(context.Background(), Task{V0: 0, V: stack.N})
 	if err == nil {
 		t.Fatal("panicking trainer produced no error")
 	}
@@ -78,7 +78,7 @@ func TestProcessContainsFusedBlockPanic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = w.Process(Task{V0: 21, V: 13})
+	_, err = w.ProcessContext(context.Background(), Task{V0: 21, V: 13})
 	var pe *safe.PipelineError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v (%T), want *safe.PipelineError", err, err)

@@ -17,7 +17,7 @@ func TestRunIntoAllocsPerStagePass(t *testing.T) {
 		t.Skip("race detector instrumentation allocates")
 	}
 	d := testDataset(t)
-	st, err := BuildEpochStack(d, 1)
+	st, err := BuildEpochStackContext(context.Background(), d, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestRunIntoBitIdenticalAcrossWorkers(t *testing.T) {
 
 func testRunIntoBitIdenticalAcrossWorkers(t *testing.T) {
 	d := testDataset(t)
-	st, err := BuildEpochStack(d, 1)
+	st, err := BuildEpochStackContext(context.Background(), d, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestRunIntoMatchesRunContext(t *testing.T) { eachKernelPath(t, testRunIntoM
 
 func testRunIntoMatchesRunContext(t *testing.T) {
 	d := testDataset(t)
-	st, err := BuildEpochStack(d, 1)
+	st, err := BuildEpochStackContext(context.Background(), d, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func testRunIntoMatchesRunContext(t *testing.T) {
 
 func TestRunIntoRejectsWrongShape(t *testing.T) {
 	d := testDataset(t)
-	st, err := BuildEpochStack(d, 1)
+	st, err := BuildEpochStackContext(context.Background(), d, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

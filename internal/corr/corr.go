@@ -101,15 +101,10 @@ type EpochStack struct {
 // M returns the total number of epochs.
 func (st *EpochStack) M() int { return len(st.Epochs) }
 
-// BuildEpochStack normalizes every epoch of d per eq. 2 into transposed
-// layout, parallelized over epochs.
-func BuildEpochStack(d *fmri.Dataset, workers int) (*EpochStack, error) {
-	return BuildEpochStackContext(context.Background(), d, workers)
-}
-
-// BuildEpochStackContext is BuildEpochStack with cooperative cancellation
-// (checked between epochs) and panic containment in the normalization
-// workers.
+// BuildEpochStackContext normalizes every epoch of d per eq. 2 into
+// transposed layout, parallelized over epochs, with cooperative
+// cancellation (checked between epochs) and panic containment in the
+// normalization workers.
 func BuildEpochStackContext(ctx context.Context, d *fmri.Dataset, workers int) (*EpochStack, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err

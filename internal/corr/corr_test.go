@@ -154,7 +154,7 @@ func TestNormalizeEpochRowsUnitNorm(t *testing.T) {
 
 func TestBuildEpochStack(t *testing.T) {
 	d := testDataset(t)
-	st, err := BuildEpochStack(d, 2)
+	st, err := BuildEpochStackContext(context.Background(), d, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestBuildEpochStack(t *testing.T) {
 func TestBuildEpochStackRejectsInvalid(t *testing.T) {
 	d := testDataset(t)
 	d.Epochs[0].Label = 5
-	if _, err := BuildEpochStack(d, 1); err == nil {
+	if _, err := BuildEpochStackContext(context.Background(), d, 1); err == nil {
 		t.Fatal("expected validation error")
 	}
 }
@@ -188,14 +188,14 @@ func TestBuildEpochStackRejectsUnorderedSubjects(t *testing.T) {
 	// Swap epochs of subject 0 and subject 2.
 	last := len(d.Epochs) - 1
 	d.Epochs[0], d.Epochs[last] = d.Epochs[last], d.Epochs[0]
-	if _, err := BuildEpochStack(d, 1); err == nil {
+	if _, err := BuildEpochStackContext(context.Background(), d, 1); err == nil {
 		t.Fatal("expected subject-order error")
 	}
 }
 
 func TestGatherAssigned(t *testing.T) {
 	d := testDataset(t)
-	st, err := BuildEpochStack(d, 1)
+	st, err := BuildEpochStackContext(context.Background(), d, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func rawCorrelationOracle(d *fmri.Dataset, v0, V int) *tensor.Matrix {
 
 func TestComputeCorrelationsMatchesOracle(t *testing.T) {
 	d := testDataset(t)
-	st, err := BuildEpochStack(d, 0)
+	st, err := BuildEpochStackContext(context.Background(), d, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestComputeCorrelationsMatchesOracle(t *testing.T) {
 
 func TestSelfCorrelationIsOne(t *testing.T) {
 	d := testDataset(t)
-	st, _ := BuildEpochStack(d, 0)
+	st, _ := BuildEpochStackContext(context.Background(), d, 0)
 	p := &Pipeline{}
 	buf := rawCorrelations(t, p, st, 3, 2)
 	M := st.M()
@@ -262,7 +262,7 @@ func TestMergedEqualsSeparated(t *testing.T) { eachKernelPath(t, testMergedEqual
 
 func testMergedEqualsSeparated(t *testing.T) {
 	d := testDataset(t)
-	st, err := BuildEpochStack(d, 0)
+	st, err := BuildEpochStackContext(context.Background(), d, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestRunNormalizationMoments(t *testing.T) {
 	// values must have mean ~0 and std ~1 (or be all zero for degenerate
 	// populations).
 	d := testDataset(t)
-	st, _ := BuildEpochStack(d, 0)
+	st, _ := BuildEpochStackContext(context.Background(), d, 0)
 	p := &Pipeline{Workers: 1}
 	V := 3
 	buf := run(t, p, st, 0, V)
@@ -315,7 +315,7 @@ func TestRunMatchesFullyNaiveReference(t *testing.T) {
 func testRunMatchesFullyNaiveReference(t *testing.T) {
 	// End-to-end stage 1+2 against a from-scratch reference.
 	d := testDataset(t)
-	st, _ := BuildEpochStack(d, 0)
+	st, _ := BuildEpochStackContext(context.Background(), d, 0)
 	V, v0 := 2, 9
 	p := &Pipeline{Workers: 1}
 	got := run(t, p, st, v0, V)
@@ -328,8 +328,7 @@ func testRunMatchesFullyNaiveReference(t *testing.T) {
 			for ei := 0; ei < E; ei++ {
 				copy(block[ei*N:(ei+1)*N], raw.Row(v*M+s*E+ei))
 			}
-			norm.FisherZSlice(block)
-			norm.ZScoreColumns(block, E, N)
+			new(norm.Scratch).FisherThenZScoreStrided(block, E, N, N)
 			for ei := 0; ei < E; ei++ {
 				for j := 0; j < N; j++ {
 					diff := math.Abs(float64(got.At(v*M+s*E+ei, j) - block[ei*N+j]))
@@ -346,7 +345,7 @@ func TestPipelineGemmImplsAgree(t *testing.T) { eachKernelPath(t, testPipelineGe
 
 func testPipelineGemmImplsAgree(t *testing.T) {
 	d := testDataset(t)
-	st, _ := BuildEpochStack(d, 0)
+	st, _ := BuildEpochStackContext(context.Background(), d, 0)
 	impls := []blas.Sgemm{blas.Naive{}, blas.TallSkinny{}}
 	var ref *tensor.Matrix
 	for i, g := range impls {
@@ -364,7 +363,7 @@ func testPipelineGemmImplsAgree(t *testing.T) {
 
 func TestFullMatrixMatchesPearson(t *testing.T) {
 	d := testDataset(t)
-	st, err := BuildEpochStack(d, 0)
+	st, err := BuildEpochStackContext(context.Background(), d, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +397,7 @@ func TestFullMatrixMatchesPearson(t *testing.T) {
 
 func TestFullMatrixEpochRange(t *testing.T) {
 	d := testDataset(t)
-	st, _ := BuildEpochStack(d, 0)
+	st, _ := BuildEpochStackContext(context.Background(), d, 0)
 	if _, err := FullMatrix(st, -1); err == nil {
 		t.Fatal("negative epoch accepted")
 	}
@@ -455,7 +454,7 @@ func testRunIntoMatchesFloat64Reference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := BuildEpochStack(d, 0)
+		st, err := BuildEpochStackContext(context.Background(), d, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

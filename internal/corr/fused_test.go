@@ -23,7 +23,7 @@ func fusedStack(t testing.TB, N, subjects, epochsPerSubject int) *EpochStack {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := BuildEpochStack(d, 1)
+	st, err := BuildEpochStackContext(context.Background(), d, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

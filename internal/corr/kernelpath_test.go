@@ -58,7 +58,7 @@ func TestRunIntoBitIdenticalAcrossKernelPaths(t *testing.T) {
 	}
 	defer setKernelPath(hostAVX2)
 	d := testDataset(t)
-	st, err := BuildEpochStack(d, 1)
+	st, err := BuildEpochStackContext(context.Background(), d, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package corr
 
 import (
+	"context"
 	"testing"
 
 	"fcma/internal/fmri"
@@ -33,7 +34,7 @@ func TestMergedEqualsSeparatedZeroVariance(t *testing.T) {
 
 func testMergedEqualsSeparatedZeroVariance(t *testing.T) {
 	d, flat := degenerateDataset(t)
-	st, err := BuildEpochStack(d, 0)
+	st, err := BuildEpochStackContext(context.Background(), d, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestMergedEqualsSeparatedRaggedBlocks(t *testing.T) {
 
 func testMergedEqualsSeparatedRaggedBlocks(t *testing.T) {
 	d := testDataset(t)
-	st, err := BuildEpochStack(d, 0)
+	st, err := BuildEpochStackContext(context.Background(), d, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func testMergedEqualsSeparatedRaggedBlocks(t *testing.T) {
 // epoch), vBlocks·nBlocks·Subjects·E for the merged path.
 func TestGemmCallCounterMatchesPrediction(t *testing.T) {
 	d := testDataset(t)
-	st, err := BuildEpochStack(d, 0)
+	st, err := BuildEpochStackContext(context.Background(), d, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

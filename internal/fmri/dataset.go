@@ -85,6 +85,12 @@ func (d *Dataset) EpochsOf(s int) []Epoch {
 // an error if subjects have differing epoch counts — FCMA's within-subject
 // normalization and leave-one-subject-out folds assume a uniform design.
 func (d *Dataset) EpochsPerSubject() (int, error) {
+	// More subjects than epochs leaves some subject without one, which is
+	// already a mismatch — said before the counts are sized by a number an
+	// untrusted header may have supplied.
+	if d.Subjects > len(d.Epochs) {
+		return 0, fmt.Errorf("fmri: %d subjects but only %d epochs", d.Subjects, len(d.Epochs))
+	}
 	counts := make([]int, d.Subjects)
 	for _, e := range d.Epochs {
 		if e.Subject < 0 || e.Subject >= d.Subjects {

@@ -238,20 +238,26 @@ func TestEpochDataView(t *testing.T) {
 }
 
 func TestDataRoundTrip(t *testing.T) {
-	d := MustGenerate(smallSpec())
-	var buf bytes.Buffer
-	if err := WriteData(&buf, d); err != nil {
-		t.Fatal(err)
+	// One row past ReadData's first allocation: in through the growth path.
+	wide := &Dataset{Name: "wide", Data: tensor.NewMatrix(firstAlloc/1024+1, 1024), Subjects: 1}
+	for i := range wide.Data.Data {
+		wide.Data.Data[i] = float32(i % 8191)
 	}
-	got, err := ReadData(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name != d.Name || got.Subjects != d.Subjects {
-		t.Fatalf("metadata mismatch: %q %d", got.Name, got.Subjects)
-	}
-	if !got.Data.Equal(d.Data) {
-		t.Fatal("data round trip mismatch")
+	for _, d := range []*Dataset{MustGenerate(smallSpec()), wide} {
+		var buf bytes.Buffer
+		if err := WriteData(&buf, d); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadData(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Name != d.Name || got.Subjects != d.Subjects {
+			t.Fatalf("metadata mismatch: %q %d", got.Name, got.Subjects)
+		}
+		if !got.Data.Equal(d.Data) {
+			t.Fatalf("%s: data round trip mismatch", d.Name)
+		}
 	}
 }
 
@@ -306,7 +312,7 @@ func TestEpochsRoundTrip(t *testing.T) {
 	if err := WriteEpochs(&buf, d.Epochs); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadEpochs(&buf)
+	got, err := readEpochs(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +328,7 @@ func TestEpochsRoundTrip(t *testing.T) {
 
 func TestReadEpochsParsing(t *testing.T) {
 	in := "# comment\n\n0 1 10 12\n1 0 40 12\n"
-	eps, err := ReadEpochs(strings.NewReader(in))
+	eps, err := readEpochs(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +336,7 @@ func TestReadEpochsParsing(t *testing.T) {
 		t.Fatalf("parsed %+v", eps)
 	}
 	for _, bad := range []string{"", "1 2 3", "a b c d", "# only comments\n"} {
-		if _, err := ReadEpochs(strings.NewReader(bad)); err == nil {
+		if _, err := readEpochs(strings.NewReader(bad)); err == nil {
 			t.Errorf("input %q: expected error", bad)
 		}
 	}

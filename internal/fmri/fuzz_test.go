@@ -6,7 +6,7 @@ import (
 )
 
 // FuzzEpochParse drives the epoch-file parser with arbitrary text.
-// ReadEpochs must never panic, and every design it accepts must satisfy
+// readEpochs must never panic, and every design it accepts must satisfy
 // the per-epoch field invariants it promises.
 func FuzzEpochParse(f *testing.F) {
 	f.Add([]byte("# subject label start len\n0 0 0 4\n0 1 4 4\n1 0 8 4\n"))
@@ -20,7 +20,7 @@ func FuzzEpochParse(f *testing.F) {
 	f.Add([]byte("9999999999999999999 0 0 4\n")) // integer overflow
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		eps, err := ReadEpochs(bytes.NewReader(data))
+		eps, err := readEpochs(bytes.NewReader(data))
 		if err != nil {
 			return
 		}

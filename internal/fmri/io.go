@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -39,6 +40,8 @@ const formatVersion = 2
 const (
 	maxElements = 1 << 28 // activity matrix allocation budget (1 GiB of float32)
 	maxEpochs   = 1 << 20 // epoch file line budget
+	readChunk   = 1 << 14 // float32s ReadData takes per read (64 KiB)
+	firstAlloc  = 1 << 22 // most a header alone can make ReadData allocate (16 MiB of float32)
 )
 
 // WriteData serializes the activity matrix portion of d to w.
@@ -60,7 +63,7 @@ func WriteData(w io.Writer, d *Dataset) error {
 	buf := make([]byte, 4)
 	for i := 0; i < d.Voxels(); i++ {
 		for _, v := range d.Data.Row(i) {
-			binary.LittleEndian.PutUint32(buf, mathFloat32bits(v))
+			binary.LittleEndian.PutUint32(buf, math.Float32bits(v))
 			if _, err := bw.Write(buf); err != nil {
 				return err
 			}
@@ -69,8 +72,34 @@ func WriteData(w io.Writer, d *Dataset) error {
 	return bw.Flush()
 }
 
+// Read is the one dataset reader: the activity matrix from data (the
+// WriteData format), the epoch labels from epochs (the WriteEpochs text),
+// and the whole validated before anything is built on it.
+func Read(data, epochs io.Reader) (*Dataset, error) {
+	d, err := ReadData(data)
+	if err != nil {
+		return nil, err
+	}
+	return WithEpochs(d, epochs)
+}
+
+// WithEpochs is Read's second half, for activity that arrived in another
+// container (a NIfTI volume): it parses the epoch label text into d.Epochs
+// and returns d once it validates.
+func WithEpochs(d *Dataset, epochs io.Reader) (*Dataset, error) {
+	eps, err := readEpochs(epochs)
+	if err != nil {
+		return nil, err
+	}
+	d.Epochs = eps
+	if err := d.Validate(); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
 // ReadData deserializes an activity matrix written by WriteData. The
-// returned dataset has no epochs; attach them with ReadEpochs.
+// returned dataset has no epochs; Read attaches them.
 func ReadData(r io.Reader) (*Dataset, error) {
 	br := bufio.NewReader(r)
 	var m [4]byte
@@ -113,8 +142,9 @@ func ReadData(r io.Reader) (*Dataset, error) {
 		return nil, fmt.Errorf("fmri: invalid dimensions %dx%d, %d subjects", voxels, timePoints, subjects)
 	}
 	// Allocation budget: the header is untrusted, so bound the matrix it
-	// asks for before sizing anything from it (2^28 float32s = 1 GiB).
-	if int64(voxels)*int64(timePoints) > maxElements {
+	// asks for before sizing anything from it (2^28 float32s = 1 GiB) —
+	// each dimension first, so the product cannot wrap past the check.
+	if voxels > maxElements || timePoints > maxElements || int64(voxels)*int64(timePoints) > maxElements {
 		return nil, fmt.Errorf("fmri: header declares %dx%d = %d elements, budget is %d",
 			voxels, timePoints, int64(voxels)*int64(timePoints), int64(maxElements))
 	}
@@ -125,23 +155,32 @@ func ReadData(r io.Reader) (*Dataset, error) {
 	if _, err := io.ReadFull(br, name); err != nil {
 		return nil, fmt.Errorf("fmri: reading name: %w", err)
 	}
-	d := &Dataset{
+	// A matrix of up to firstAlloc values is one allocation; a larger one
+	// doubles as its values arrive, so a header claiming the whole budget
+	// costs its sender the bytes rather than the reader a gigabyte up front.
+	total := voxels * timePoints
+	vals := make([]float32, 0, min(total, firstAlloc))
+	raw := make([]byte, 4*min(total, readChunk))
+	for len(vals) < total {
+		n := min(total-len(vals), readChunk)
+		if _, err := io.ReadFull(br, raw[:4*n]); err != nil {
+			return nil, fmt.Errorf("fmri: reading voxel %d: %w", len(vals)/timePoints, err)
+		}
+		if cap(vals)-len(vals) < n {
+			vals = slices.Grow(vals, min(total-len(vals), max(len(vals), n)))
+		}
+		chunk := vals[len(vals) : len(vals)+n]
+		for j := range chunk {
+			chunk[j] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*j:]))
+		}
+		vals = vals[:len(vals)+n]
+	}
+	return &Dataset{
 		Name:     string(name),
-		Data:     tensor.NewMatrix(voxels, timePoints),
+		Data:     tensor.FromSlice(voxels, timePoints, vals),
 		Subjects: subjects,
 		Dims:     dims,
-	}
-	raw := make([]byte, 4*timePoints)
-	for i := 0; i < voxels; i++ {
-		if _, err := io.ReadFull(br, raw); err != nil {
-			return nil, fmt.Errorf("fmri: reading voxel %d: %w", i, err)
-		}
-		row := d.Data.Row(i)
-		for j := range row {
-			row[j] = mathFloat32frombits(binary.LittleEndian.Uint32(raw[4*j:]))
-		}
-	}
-	return d, nil
+	}, nil
 }
 
 // WriteEpochs writes the epoch label text file for d to w.
@@ -156,8 +195,8 @@ func WriteEpochs(w io.Writer, epochs []Epoch) error {
 	return bw.Flush()
 }
 
-// ReadEpochs parses an epoch label text file.
-func ReadEpochs(r io.Reader) ([]Epoch, error) {
+// readEpochs parses an epoch label text file.
+func readEpochs(r io.Reader) ([]Epoch, error) {
 	var out []Epoch
 	sc := bufio.NewScanner(r)
 	lineNo := 0
@@ -200,6 +239,3 @@ func ReadEpochs(r io.Reader) ([]Epoch, error) {
 	}
 	return out, nil
 }
-
-func mathFloat32bits(f float32) uint32     { return math.Float32bits(f) }
-func mathFloat32frombits(b uint32) float32 { return math.Float32frombits(b) }

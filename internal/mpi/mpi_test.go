@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"sync"
@@ -63,12 +64,16 @@ func TestLocalCommInvalid(t *testing.T) {
 func TestLocalCommCloseUnblocksRecv(t *testing.T) {
 	c, _ := NewLocalComm(2, 1)
 	ep := c.Rank(0)
+	started := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
+		close(started)
 		_, err := ep.Recv()
 		done <- err
 	}()
-	time.Sleep(10 * time.Millisecond)
+	// The receiver is running; whether Close finds it parked in Recv or
+	// beats it there, Recv must return ErrClosed.
+	<-started
 	ep.Close()
 	select {
 	case err := <-done:
@@ -141,7 +146,7 @@ func TestTCPRoundTrip(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			w, err := DialWorker(master.Addr())
+			w, err := DialWorkerCtx(context.Background(), master.Addr())
 			if err != nil {
 				t.Error(err)
 				return
@@ -151,7 +156,7 @@ func TestTCPRoundTrip(t *testing.T) {
 			mu.Unlock()
 		}()
 	}
-	if err := master.Accept(); err != nil {
+	if err := master.AcceptCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
@@ -216,10 +221,10 @@ func TestTCPWorkerCannotSendToWorker(t *testing.T) {
 	defer master.Close()
 	done := make(chan *TCPWorker, 1)
 	go func() {
-		w, _ := DialWorker(master.Addr())
+		w, _ := DialWorkerCtx(context.Background(), master.Addr())
 		done <- w
 	}()
-	if err := master.Accept(); err != nil {
+	if err := master.AcceptCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	w := <-done
@@ -256,10 +261,10 @@ func TestTCPRecvAfterClose(t *testing.T) {
 	}
 	done := make(chan *TCPWorker, 1)
 	go func() {
-		w, _ := DialWorker(master.Addr())
+		w, _ := DialWorkerCtx(context.Background(), master.Addr())
 		done <- w
 	}()
-	if err := master.Accept(); err != nil {
+	if err := master.AcceptCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	w := <-done
@@ -274,7 +279,7 @@ func TestTCPRecvAfterClose(t *testing.T) {
 }
 
 func TestDialWorkerNoServer(t *testing.T) {
-	if _, err := DialWorker("127.0.0.1:1"); err == nil {
+	if _, err := DialWorkerCtx(context.Background(), "127.0.0.1:1"); err == nil {
 		t.Fatal("dial to closed port succeeded")
 	}
 }
@@ -289,10 +294,10 @@ func TestTCPWorkerSeesDisconnectAsTag(t *testing.T) {
 	defer master.Close()
 	done := make(chan *TCPWorker, 1)
 	go func() {
-		w, _ := DialWorker(master.Addr())
+		w, _ := DialWorkerCtx(context.Background(), master.Addr())
 		done <- w
 	}()
-	if err := master.Accept(); err != nil {
+	if err := master.AcceptCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	w := <-done

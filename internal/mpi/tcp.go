@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -105,7 +104,7 @@ type tcpPeer struct {
 // communicator grows.
 type TCPMaster struct {
 	ln            net.Listener
-	expect        int // initial communicator size Accept waits for
+	expect        int // initial communicator size AcceptCtx waits for
 	acceptTimeout time.Duration
 
 	mu       sync.Mutex
@@ -118,8 +117,8 @@ type TCPMaster struct {
 }
 
 // ListenMaster starts a master on addr expecting size-1 workers to join
-// initially. It returns once the listener is live; call Accept to wait for
-// the initial quorum.
+// initially. It returns once the listener is live; call AcceptCtx to wait
+// for the initial quorum.
 func ListenMaster(addr string, size int) (*TCPMaster, error) {
 	if size < 2 {
 		return nil, fmt.Errorf("mpi: TCP communicator needs size >= 2, got %d", size)
@@ -141,29 +140,25 @@ func ListenMaster(addr string, size int) (*TCPMaster, error) {
 // Addr returns the listen address (useful with ":0").
 func (m *TCPMaster) Addr() string { return m.ln.Addr().String() }
 
-// SetAcceptTimeout bounds how long Accept waits for the initial quorum.
-// Zero (the default) waits forever. Must be called before Accept.
+// SetAcceptTimeout bounds how long AcceptCtx waits for the initial quorum.
+// Zero (the default) waits forever. Must be called before AcceptCtx.
 func (m *TCPMaster) SetAcceptTimeout(d time.Duration) { m.acceptTimeout = d }
 
-// Accept blocks until the initial size-1 workers have joined, then keeps
+// AcceptCtx blocks until the initial size-1 workers have joined, then keeps
 // accepting in the background so late joiners and crashed workers can
 // (re)join for the lifetime of the run. If an accept timeout is set and the
-// quorum does not form in time, Accept reports how many ranks joined.
-func (m *TCPMaster) Accept() error {
-	return m.AcceptCtx(context.Background())
-}
-
-// AcceptCtx is Accept honoring ctx: cancellation interrupts the wait for
-// the initial quorum promptly (the blocked Accept is kicked via a listener
-// deadline) and returns ctx's error, so SIGINT during cluster bring-up does
-// not hang on workers that will never dial.
+// quorum does not form in time, it reports how many ranks joined.
+// Cancelling ctx interrupts the wait for the initial quorum promptly (the
+// blocked Accept is kicked via a listener deadline) and returns ctx's
+// error, so SIGINT during cluster bring-up does not hang on workers that
+// will never dial.
 func (m *TCPMaster) AcceptCtx(ctx context.Context) error {
 	var deadline time.Time
 	if m.acceptTimeout > 0 {
 		deadline = time.Now().Add(m.acceptTimeout)
 	}
 	tl, _ := m.ln.(*net.TCPListener)
-	if tl != nil && ctx.Done() != nil {
+	if tl != nil {
 		// On cancellation, force the pending Accept to fail with a timeout
 		// by moving the deadline into the past.
 		stop := context.AfterFunc(ctx, func() {
@@ -351,27 +346,19 @@ type TCPWorker struct {
 	once   sync.Once
 }
 
-// DialWorker connects to the master at addr and completes the rank
-// handshake.
-func DialWorker(addr string) (*TCPWorker, error) {
-	return DialWorkerCtx(context.Background(), addr)
-}
-
-// DialWorkerCtx is DialWorker honoring ctx for both the connect and the
-// rank handshake (a master that accepts but never handshakes must not
-// strand a cancelled worker).
+// DialWorkerCtx connects to the master at addr and completes the rank
+// handshake, honoring ctx for both (a master that accepts but never
+// handshakes must not strand a cancelled worker).
 func DialWorkerCtx(ctx context.Context, addr string) (*TCPWorker, error) {
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	if ctx.Done() != nil {
-		stop := context.AfterFunc(ctx, func() {
-			conn.SetReadDeadline(time.Unix(1, 0))
-		})
-		defer stop()
-	}
+	stop := context.AfterFunc(ctx, func() {
+		conn.SetReadDeadline(time.Unix(1, 0))
+	})
+	defer stop()
 	var hs [8]byte
 	if _, err := io.ReadFull(conn, hs[:]); err != nil {
 		conn.Close()
@@ -393,66 +380,26 @@ func DialWorkerCtx(ctx context.Context, addr string) (*TCPWorker, error) {
 	}, nil
 }
 
-// DialOptions shapes DialWorkerRetry's exponential backoff. It mirrors
-// retry.Policy field for field; the dialer is one consumer of the shared
-// internal/retry implementation.
-type DialOptions struct {
-	// Attempts is the total number of dials before giving up (min 1).
-	Attempts int
-	// BaseDelay is the wait after the first failure; it doubles per
-	// attempt. Defaults to 100ms.
-	BaseDelay time.Duration
-	// MaxDelay caps the backoff. Defaults to 5s.
-	MaxDelay time.Duration
-	// Jitter in [0,1] randomizes each wait by ±Jitter fraction so a fleet
-	// of rejoining workers does not reconnect in lockstep. Defaults to 0.5
-	// when negative; 0 means none.
-	Jitter float64
-	// Seed makes the jitter deterministic when nonzero (tests).
-	Seed int64
-}
-
-// policy converts the dial options into the shared retry policy.
-func (o DialOptions) policy() retry.Policy {
-	return retry.Policy{
-		Attempts:  o.Attempts,
-		BaseDelay: o.BaseDelay,
-		MaxDelay:  o.MaxDelay,
-		Jitter:    o.Jitter,
-		Seed:      o.Seed,
-	}
-}
-
-// DialWorkerRetry is DialWorker with exponential backoff and jitter: it
-// keeps redialing through transient refusals (master not yet up, network
-// blip, master restarting) until the attempt budget is spent.
-func DialWorkerRetry(addr string, o DialOptions) (*TCPWorker, error) {
-	return DialWorkerRetryCtx(context.Background(), addr, o)
-}
-
-// DialWorkerRetryCtx is DialWorkerRetry honoring ctx: cancellation
-// interrupts both the dial in flight and the backoff sleep between
-// attempts, so SIGINT during a reconnect storm exits promptly instead of
-// sleeping out the remaining budget.
-func DialWorkerRetryCtx(ctx context.Context, addr string, o DialOptions) (*TCPWorker, error) {
+// DialWorkerRetryCtx is DialWorkerCtx under the shared retry policy's
+// exponential backoff and jitter: it keeps redialing through transient
+// refusals (master not yet up, network blip, master restarting) until the
+// attempt budget is spent. Cancelling ctx interrupts both the dial in
+// flight and the backoff sleep between attempts, so SIGINT during a
+// reconnect storm exits promptly instead of sleeping out the remaining
+// budget.
+func DialWorkerRetryCtx(ctx context.Context, addr string, p retry.Policy) (*TCPWorker, error) {
 	var w *TCPWorker
-	err := retry.Do(ctx, o.policy(), func(ctx context.Context, _ int) error {
+	err := retry.Do(ctx, p, func(ctx context.Context, _ int) error {
 		var derr error
 		w, derr = DialWorkerCtx(ctx, addr)
 		return derr
 	})
-	if err == nil {
-		return w, nil
+	if err != nil {
+		// retry's errors read "failed after N attempts: ..." and "canceled
+		// after N attempts: ...", and unwrap to the last dial or ctx error.
+		return nil, fmt.Errorf("mpi: dialing %s %w", addr, err)
 	}
-	var canceled *retry.Canceled
-	if errors.As(err, &canceled) {
-		return nil, fmt.Errorf("mpi: dialing %s canceled after %d attempts: %w", addr, canceled.Attempts, canceled.Err)
-	}
-	var exhausted *retry.Exhausted
-	if errors.As(err, &exhausted) {
-		return nil, fmt.Errorf("mpi: dialing %s failed after %d attempts: %w", addr, exhausted.Attempts, exhausted.Err)
-	}
-	return nil, fmt.Errorf("mpi: dialing %s: %w", addr, err)
+	return w, nil
 }
 
 // Rank implements Transport.

@@ -6,25 +6,44 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"fcma/internal/retry"
 )
 
-// TestDialWorkerRetryCtxCancelDuringBackoff proves the satellite fix:
-// cancellation mid-backoff returns promptly instead of sleeping out the
-// remaining attempt budget (the pre-fix behavior, where time.Sleep could
-// outlive the context by the whole MaxDelay ladder).
+// TestDialWorkerRetryCtxCancelDuringBackoff: cancellation mid-backoff
+// returns promptly instead of sleeping out the remaining attempt budget.
 func TestDialWorkerRetryCtxCancelDuringBackoff(t *testing.T) {
+	// Every attempt reaches a listener that hangs up before the handshake,
+	// so the dialer spends its life failing and backing off.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	turnedAway := make(chan struct{}, 1)
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			conn.Close()
+			select {
+			case turnedAway <- struct{}{}:
+			default:
+			}
+		}
+	}()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	start := time.Now()
 	go func() {
-		// Nothing listens on this port; every attempt fails and the dialer
-		// spends its life in backoff sleeps.
-		_, err := DialWorkerRetryCtx(ctx, "127.0.0.1:1", DialOptions{
+		_, err := DialWorkerRetryCtx(ctx, ln.Addr().String(), retry.Policy{
 			Attempts: 1000, BaseDelay: time.Second, MaxDelay: time.Second, Seed: 7,
 		})
 		done <- err
 	}()
-	time.Sleep(20 * time.Millisecond) // let it reach the first backoff
+	<-turnedAway // the first attempt is lost; a second of backoff is what is left to interrupt
 	cancel()
 	select {
 	case err := <-done:
@@ -44,7 +63,7 @@ func TestDialWorkerRetryCtxCancelDuringBackoff(t *testing.T) {
 func TestDialWorkerRetryCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := DialWorkerRetryCtx(ctx, "127.0.0.1:1", DialOptions{Attempts: 5, BaseDelay: time.Second, Seed: 7})
+	_, err := DialWorkerRetryCtx(ctx, "127.0.0.1:1", retry.Policy{Attempts: 5, BaseDelay: time.Second, Seed: 7})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled retry dial returned %v, want context.Canceled", err)
 	}
@@ -62,7 +81,13 @@ func TestAcceptCtxCancelUnblocksQuorumWait(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() { done <- m.AcceptCtx(ctx) }()
-	time.Sleep(20 * time.Millisecond) // let it block in Accept
+	// One of the two expected workers joins: once its handshake is through,
+	// the master is waiting in Accept for a second that never dials.
+	w, err := DialWorkerCtx(context.Background(), m.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
 	cancel()
 	select {
 	case err := <-done:
@@ -101,7 +126,7 @@ func TestAcceptCtxStillAcceptsQuorum(t *testing.T) {
 	defer m.Close()
 	done := make(chan error, 1)
 	go func() { done <- m.AcceptCtx(context.Background()) }()
-	w, err := DialWorker(m.Addr())
+	w, err := DialWorkerCtx(context.Background(), m.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +135,7 @@ func TestAcceptCtxStillAcceptsQuorum(t *testing.T) {
 		t.Fatalf("AcceptCtx with live ctx: %v", err)
 	}
 	// The background loop must still admit late joiners.
-	late, err := DialWorker(m.Addr())
+	late, err := DialWorkerCtx(context.Background(), m.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,8 +148,8 @@ func TestAcceptCtxStillAcceptsQuorum(t *testing.T) {
 // TestDialWorkerCtxCancelInterruptsDial proves the dial itself (not just
 // the backoff) is cancellable.
 func TestDialWorkerCtxCancelInterruptsDial(t *testing.T) {
-	// A listener with a full backlog and no Accept: dials hang in SYN or
-	// handshake-read, which is where cancellation must reach.
+	// A listener that accepts and then says nothing: the dial hangs in the
+	// handshake read, which is where cancellation must reach.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +164,13 @@ func TestDialWorkerCtxCancelInterruptsDial(t *testing.T) {
 		}
 		done <- err
 	}()
-	time.Sleep(20 * time.Millisecond)
+	// Once the listener hands over the connection the dialer is connected
+	// and reading a handshake that never comes.
+	conn, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
 	cancel()
 	select {
 	case err := <-done:

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"io"
 	"net"
@@ -10,6 +11,8 @@ import (
 	"testing"
 	"testing/iotest"
 	"time"
+
+	"fcma/internal/retry"
 )
 
 func TestAcceptTimeoutReportsJoinCount(t *testing.T) {
@@ -19,15 +22,18 @@ func TestAcceptTimeoutReportsJoinCount(t *testing.T) {
 	}
 	defer master.Close()
 	master.SetAcceptTimeout(150 * time.Millisecond)
-	// Only one of the two expected workers dials.
+	// Only one of the two expected workers dials, and it stays connected
+	// until the accept has given up.
+	gaveUp := make(chan struct{})
 	go func() {
-		w, err := DialWorker(master.Addr())
+		w, err := DialWorkerCtx(context.Background(), master.Addr())
 		if err == nil {
 			defer w.Close()
-			time.Sleep(time.Second)
+			<-gaveUp
 		}
 	}()
-	err = master.Accept()
+	err = master.AcceptCtx(context.Background())
+	close(gaveUp)
 	if err == nil {
 		t.Fatal("Accept returned without the quorum")
 	}
@@ -46,7 +52,7 @@ func TestMidFrameDisconnectSurfacesAsDisconnect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := master.Accept(); err != nil {
+	if err := master.AcceptCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	var hs [8]byte
@@ -86,7 +92,7 @@ func TestCorruptTagSurfacesAsDisconnect(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := master.Accept(); err != nil {
+	if err := master.AcceptCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	var hs [8]byte
@@ -115,10 +121,10 @@ func TestLateJoinAndRejoinGetFreshRanks(t *testing.T) {
 	defer master.Close()
 	first := make(chan *TCPWorker, 1)
 	go func() {
-		w, _ := DialWorker(master.Addr())
+		w, _ := DialWorkerCtx(context.Background(), master.Addr())
 		first <- w
 	}()
-	if err := master.Accept(); err != nil {
+	if err := master.AcceptCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	w1 := <-first
@@ -128,7 +134,7 @@ func TestLateJoinAndRejoinGetFreshRanks(t *testing.T) {
 
 	// A late joiner after the initial quorum gets the next rank and the
 	// communicator grows.
-	w2, err := DialWorker(master.Addr())
+	w2, err := DialWorkerCtx(context.Background(), master.Addr())
 	if err != nil {
 		t.Fatalf("late join rejected: %v", err)
 	}
@@ -154,7 +160,7 @@ func TestLateJoinAndRejoinGetFreshRanks(t *testing.T) {
 	if err != nil || msg.Tag != TagDisconnect || msg.From != 1 {
 		t.Fatalf("crash notice %+v err %v", msg, err)
 	}
-	w3, err := DialWorker(master.Addr())
+	w3, err := DialWorkerCtx(context.Background(), master.Addr())
 	if err != nil {
 		t.Fatalf("rejoin rejected: %v", err)
 	}
@@ -277,6 +283,9 @@ func TestDialWorkerRetryEventuallyConnects(t *testing.T) {
 	ln.Close()
 	masterUp := make(chan *TCPMaster, 1)
 	go func() {
+		// Simulated latency, not a wait for an event: the master comes up
+		// 100 ms after the worker starts dialing. A scheduler that starts
+		// it sooner only spends fewer of the 30 attempts.
 		time.Sleep(100 * time.Millisecond)
 		m, err := ListenMaster(addr, 2)
 		if err != nil {
@@ -284,9 +293,9 @@ func TestDialWorkerRetryEventuallyConnects(t *testing.T) {
 			return
 		}
 		masterUp <- m
-		m.Accept()
+		m.AcceptCtx(context.Background())
 	}()
-	w, err := DialWorkerRetry(addr, DialOptions{Attempts: 30, BaseDelay: 20 * time.Millisecond, Seed: 7})
+	w, err := DialWorkerRetryCtx(context.Background(), addr, retry.Policy{Attempts: 30, BaseDelay: 20 * time.Millisecond, Seed: 7})
 	m := <-masterUp
 	if m != nil {
 		defer m.Close()
@@ -302,7 +311,7 @@ func TestDialWorkerRetryEventuallyConnects(t *testing.T) {
 
 func TestDialWorkerRetryExhaustsBudget(t *testing.T) {
 	start := time.Now()
-	_, err := DialWorkerRetry("127.0.0.1:1", DialOptions{Attempts: 3, BaseDelay: time.Millisecond, Seed: 7})
+	_, err := DialWorkerRetryCtx(context.Background(), "127.0.0.1:1", retry.Policy{Attempts: 3, BaseDelay: time.Millisecond, Seed: 7})
 	if err == nil {
 		t.Fatal("dial to closed port succeeded")
 	}

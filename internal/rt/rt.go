@@ -55,26 +55,12 @@ func NewScanner(d *fmri.Dataset, tr time.Duration) *Scanner {
 	return &Scanner{data: d, tr: tr}
 }
 
-// Stream starts the replay and returns the frame channel. The channel is
-// closed after the final frame. stop can be closed to end the stream
-// early; pass nil to always run to completion.
-func (s *Scanner) Stream(stop <-chan struct{}) <-chan Frame {
-	return s.stream(nil, stop)
-}
-
-// StreamContext is Stream with context cancellation: the stream ends (and
-// the channel closes) as soon as ctx is cancelled, whether the streamer
-// is waiting out a TR interval or blocked on a slow consumer.
+// StreamContext starts the replay and returns the frame channel. The
+// channel is closed after the final frame, or as soon as ctx is cancelled,
+// whether the streamer is waiting out a TR interval or blocked on a slow
+// consumer.
 func (s *Scanner) StreamContext(ctx context.Context) <-chan Frame {
-	return s.stream(ctx, nil)
-}
-
-func (s *Scanner) stream(ctx context.Context, stop <-chan struct{}) <-chan Frame {
 	out := make(chan Frame)
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
 	safe.Go("rt/scanner", func() error {
 		defer close(out)
 		nt := s.data.TimePoints()
@@ -87,17 +73,13 @@ func (s *Scanner) stream(ctx context.Context, stop <-chan struct{}) <-chan Frame
 			if s.tr > 0 {
 				select {
 				case <-time.After(s.tr):
-				case <-stop:
-					return nil
-				case <-done:
+				case <-ctx.Done():
 					return nil
 				}
 			}
 			select {
 			case out <- Frame{Index: t, Data: buf}:
-			case <-stop:
-				return nil
-			case <-done:
+			case <-ctx.Done():
 				return nil
 			}
 		}

@@ -23,7 +23,7 @@ func testDataset(t testing.TB) *fmri.Dataset {
 
 func TestScannerStreamsAllFrames(t *testing.T) {
 	d := testDataset(t)
-	frames := NewScanner(d, 0).Stream(nil)
+	frames := NewScanner(d, 0).StreamContext(context.Background())
 	count := 0
 	for f := range frames {
 		if f.Index != count {
@@ -43,31 +43,11 @@ func TestScannerStreamsAllFrames(t *testing.T) {
 	}
 }
 
-func TestScannerStop(t *testing.T) {
-	d := testDataset(t)
-	stop := make(chan struct{})
-	frames := NewScanner(d, time.Millisecond).Stream(stop)
-	<-frames
-	close(stop)
-	// Channel must close promptly after stop.
-	deadline := time.After(time.Second)
-	for {
-		select {
-		case _, ok := <-frames:
-			if !ok {
-				return
-			}
-		case <-deadline:
-			t.Fatal("stream did not stop")
-		}
-	}
-}
-
 func TestScannerPacing(t *testing.T) {
 	d := testDataset(t)
 	tr := 2 * time.Millisecond
 	start := time.Now()
-	frames := NewScanner(d, tr).Stream(nil)
+	frames := NewScanner(d, tr).StreamContext(context.Background())
 	n := 0
 	for range frames {
 		n++
@@ -87,7 +67,7 @@ func TestAssemblerEmitsExactWindows(t *testing.T) {
 		t.Fatal(err)
 	}
 	var windows []Window
-	for f := range NewScanner(d, 0).Stream(nil) {
+	for f := range NewScanner(d, 0).StreamContext(context.Background()) {
 		ws, err := asm.Feed(f)
 		if err != nil {
 			t.Fatal(err)
@@ -180,7 +160,7 @@ func (constClassifier) ClassifyWindow(w *tensor.Matrix) (int, float64) {
 
 func TestRunFeedbackEndToEnd(t *testing.T) {
 	d := testDataset(t)
-	frames := NewScanner(d, 0).Stream(nil)
+	frames := NewScanner(d, 0).StreamContext(context.Background())
 	preds, errc := RunFeedbackContext(context.Background(), frames, d.Epochs, d.Voxels(), constClassifier{})
 	count := 0
 	for p := range preds {

@@ -43,23 +43,14 @@ func (o *OnlineSelector) Epochs() int { return o.stack.M() }
 
 // Ready reports whether enough balanced data has arrived to select.
 func (o *OnlineSelector) Ready() bool {
-	min := o.MinPerClass
-	if min < 2 {
-		min = 2
-	}
-	return o.stack.Balanced(min)
+	return o.stack.Balanced(max(o.MinPerClass, 2))
 }
 
-// Select runs whole-brain FCMA voxel selection over the epochs received so
-// far, with k-fold cross-validation over epochs (the online regime), and
-// returns all voxels ranked best-first.
-func (o *OnlineSelector) Select() ([]core.VoxelScore, error) {
-	return o.SelectContext(context.Background())
-}
-
-// SelectContext is Select with cooperative cancellation — essential for
-// the closed loop, where a selection that outlives its TR budget must be
-// abandoned before the next volume arrives.
+// SelectContext runs whole-brain FCMA voxel selection over the epochs
+// received so far, with k-fold cross-validation over epochs (the online
+// regime), and returns all voxels ranked best-first. Cancellation is
+// cooperative — essential for the closed loop, where a selection that
+// outlives its TR budget must be abandoned before the next volume arrives.
 func (o *OnlineSelector) SelectContext(ctx context.Context) ([]core.VoxelScore, error) {
 	if !o.Ready() {
 		return nil, fmt.Errorf("rt: need at least %d epochs per condition, have %d total", o.MinPerClass, o.stack.M())

@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"context"
 	"testing"
 
 	"fcma/internal/core"
@@ -28,7 +29,7 @@ func feedAll(t testing.TB, d *fmri.Dataset, sel *OnlineSelector, upTo int) int {
 		t.Fatal(err)
 	}
 	fed := 0
-	for f := range NewScanner(d, 0).Stream(nil) {
+	for f := range NewScanner(d, 0).StreamContext(context.Background()) {
 		wins, err := asm.Feed(f)
 		if err != nil {
 			t.Fatal(err)
@@ -56,13 +57,13 @@ func TestOnlineSelectorMatchesBatch(t *testing.T) {
 	if sel.Epochs() != len(d.Epochs) {
 		t.Fatalf("accumulated %d of %d epochs", sel.Epochs(), len(d.Epochs))
 	}
-	streamScores, err := sel.Select()
+	streamScores, err := sel.SelectContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Batch reference over the same data.
-	stack, err := corr.BuildEpochStack(d, 0)
+	stack, err := corr.BuildEpochStackContext(context.Background(), d, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestOnlineSelectorImprovesWithData(t *testing.T) {
 			t.Fatal(err)
 		}
 		feedAll(t, d, sel, upTo)
-		scores, err := sel.Select()
+		scores, err := sel.SelectContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +127,7 @@ func TestOnlineSelectorGating(t *testing.T) {
 	if sel.Ready() {
 		t.Fatal("empty selector ready")
 	}
-	if _, err := sel.Select(); err == nil {
+	if _, err := sel.SelectContext(context.Background()); err == nil {
 		t.Fatal("empty selection succeeded")
 	}
 	feedAll(t, d, sel, 3) // 2 of one label, 1 of the other

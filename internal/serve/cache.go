@@ -225,8 +225,8 @@ func datasetBytes(voxels, timePoints int) int64 {
 // encodeDataset builds an upload blob: an 8-byte little-endian length of
 // the WriteData section, the section itself, then the WriteEpochs text.
 // The explicit length keeps the two sections separable no matter how the
-// data reader buffers (fmri.ReadData reads through a bufio.Reader, which
-// would otherwise swallow the epoch bytes).
+// data reader buffers (fmri.Read takes the matrix through a bufio.Reader,
+// which would otherwise swallow the epoch bytes).
 func encodeDataset(ds *fmri.Dataset) ([]byte, error) {
 	var data, eps bytes.Buffer
 	if err := fmri.WriteData(&data, ds); err != nil {
@@ -242,7 +242,8 @@ func encodeDataset(ds *fmri.Dataset) ([]byte, error) {
 }
 
 // decodeDataset parses an upload blob produced by encodeDataset (or any
-// client following the same framing).
+// client following the same framing): it splits the two sections and hands
+// them to the one dataset reader, which validates what it returns.
 func decodeDataset(blob []byte) (*fmri.Dataset, error) {
 	if len(blob) < 8 {
 		return nil, fmt.Errorf("blob too short for header")
@@ -251,17 +252,5 @@ func decodeDataset(blob []byte) (*fmri.Dataset, error) {
 	if dataLen > uint64(len(blob)-8) {
 		return nil, fmt.Errorf("blob data section of %d bytes exceeds the %d available", dataLen, len(blob)-8)
 	}
-	ds, err := fmri.ReadData(bytes.NewReader(blob[8 : 8+dataLen]))
-	if err != nil {
-		return nil, err
-	}
-	eps, err := fmri.ReadEpochs(bytes.NewReader(blob[8+dataLen:]))
-	if err != nil {
-		return nil, err
-	}
-	ds.Epochs = eps
-	if err := ds.Validate(); err != nil {
-		return nil, err
-	}
-	return ds, nil
+	return fmri.Read(bytes.NewReader(blob[8:8+dataLen]), bytes.NewReader(blob[8+dataLen:]))
 }

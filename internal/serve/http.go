@@ -99,15 +99,22 @@ func writeError(w http.ResponseWriter, code int, msg string) {
 	writeJSON(w, code, map[string]string{"error": msg})
 }
 
-func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	// A field the spec does not have is a 400 naming it, not a job that
-	// silently ignores what its submitter asked for (a misspelt "top_k"
-	// would return every voxel). Journal replay stays lenient, so accept
-	// records written before a field was retired still replay.
+// decodeSpec reads a submitted job spec. A field the spec does not have
+// is an error naming it, not a job that silently ignores what its
+// submitter asked for (a misspelt "top_k" would return every voxel).
+// Journal replay stays lenient, so accept records written before a field
+// was retired still replay.
+func decodeSpec(body io.Reader) (JobSpec, error) {
 	var spec JobSpec
-	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
+	dec := json.NewDecoder(io.LimitReader(body, 1<<20))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	err := dec.Decode(&spec)
+	return spec, err
+}
+
+func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	spec, err := decodeSpec(r.Body)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "malformed job spec: "+err.Error())
 		return
 	}

@@ -77,17 +77,12 @@ func KFolds(n, k int) []Fold {
 	return folds
 }
 
-// CrossValidate trains on each fold and returns the overall accuracy: the
-// fraction of test samples across all folds whose predicted label matches.
-// See CrossValidateContext for what scores chance and what is an error.
-func CrossValidate(tr KernelTrainer, K *tensor.Matrix, labels []int, folds []Fold) (float64, error) {
-	return CrossValidateContext(context.Background(), tr, K, labels, folds)
-}
-
-// CrossValidateContext is CrossValidate recording an "svm/cv" span (fold
-// and degenerate-fold counts as attributes) when ctx carries a tracer —
-// the stage-3 per-voxel unit of the merged timeline. The solver itself is
-// not cancellable; ctx is tracing context only.
+// CrossValidateContext trains on each fold and returns the overall
+// accuracy: the fraction of test samples across all folds whose predicted
+// label matches. It records an "svm/cv" span (fold and degenerate-fold
+// counts as attributes) when ctx carries a tracer — the stage-3 per-voxel
+// unit of the merged timeline. The solver itself is not cancellable; ctx is
+// tracing context only.
 //
 // A degenerate fold — a training set with one class only, or a solver
 // that ran out of MaxIter — scores chance: half its test samples count
@@ -96,9 +91,9 @@ func CrossValidate(tr KernelTrainer, K *tensor.Matrix, labels []int, folds []Fol
 // Test index outside the kernel, a label on a listed sample that is not 0
 // or 1, and any other error a trainer returns.
 //
-// PhiSVM and Optimized folds run on one pooled solver that predicts from
-// its own state, so a warm call allocates nothing; any other trainer goes
-// through TrainKernel and Model.Decide.
+// PhiSVM folds run on one pooled solver that predicts from its own state,
+// so a warm call allocates nothing; any other trainer goes through
+// TrainKernel and Model.Decide.
 func CrossValidateContext(ctx context.Context, tr KernelTrainer, K *tensor.Matrix, labels []int, folds []Fold) (float64, error) {
 	_, span := trace.StartSpan(ctx, "svm/cv")
 	defer span.End()
@@ -155,13 +150,14 @@ func runFolds(tr KernelTrainer, K *tensor.Matrix, labels []int, folds []Fold, de
 		}
 	}
 	obsCVRuns.Inc()
-	// s is the pooled solver when tr is one of its trainers, and nil when
+	// s is the pooled solver when tr is its trainer — driven directly
+	// instead of through TrainKernel and a Model per fold — and nil when
 	// folds go through tr.TrainKernel.
 	var s *smo32
 	var params Params
 	var rule Heuristic
-	if d, ok := tr.(denseTrainer); ok {
-		params, rule = d.dense()
+	if p, ok := tr.(PhiSVM); ok {
+		params, rule = p.dense()
 		s = getSolver()
 		defer putSolver(s)
 	}

@@ -570,44 +570,6 @@ func (s *smo32) model(iters int) *Model {
 	}
 }
 
-// trainDense is TrainKernel for the trainers that run smo32: a pooled
-// solver, then one Model built from it.
-func trainDense(K *tensor.Matrix, labels []int, trainIdx []int, p Params, rule Heuristic) (*Model, error) {
-	if err := checkTrainingSet(labels, trainIdx); err != nil {
-		return nil, err
-	}
-	s := getSolver()
-	defer putSolver(s)
-	s.reset(K, labels, trainIdx, p, rule)
-	iters, err := s.solve()
-	if err != nil {
-		return nil, err
-	}
-	s.finish()
-	return s.model(iters), nil
-}
-
-// denseTrainer is implemented by the trainers that run smo32, so
-// cross-validation can drive the pooled solver directly instead of going
-// through TrainKernel and a Model per fold.
-type denseTrainer interface {
-	dense() (Params, Heuristic)
-}
-
-// Optimized is the paper's "optimized LibSVM": the identical SMO algorithm
-// and second-order rule, but the kernel stays in the dense float32 matrix
-// and is read with unit stride instead of through node arrays.
-type Optimized struct {
-	Params
-}
-
-// TrainKernel implements KernelTrainer.
-func (o Optimized) TrainKernel(K *tensor.Matrix, labels []int, trainIdx []int) (*Model, error) {
-	return trainDense(K, labels, trainIdx, o.Params, SecondOrder)
-}
-
-func (o Optimized) dense() (Params, Heuristic) { return o.Params, SecondOrder }
-
 // PhiSVM is the paper's optimized solver (§4.4): the dense float32 kernel
 // with the cheap first-order working-set rule by default, and the
 // Catanzaro-style adaptive first/second-order rule on request.
@@ -617,14 +579,28 @@ type PhiSVM struct {
 	// is what every production caller runs: on both benchmark shapes it
 	// is the fastest of the three rules at the same accuracy
 	// (EXPERIMENTS.md, Table 8). SecondOrder and Adaptive are there for
-	// the ablation benchmarks.
+	// the ablation benchmarks; SecondOrder is the paper's "optimized
+	// LibSVM" row — LibSVM's algorithm and rule with the kernel kept in
+	// the dense float32 matrix instead of node arrays.
 	Rule Heuristic
 }
 
-// TrainKernel implements KernelTrainer.
+// TrainKernel implements KernelTrainer: a pooled solver, then one Model
+// built from it.
 func (p PhiSVM) TrainKernel(K *tensor.Matrix, labels []int, trainIdx []int) (*Model, error) {
+	if err := checkTrainingSet(labels, trainIdx); err != nil {
+		return nil, err
+	}
 	params, rule := p.dense()
-	return trainDense(K, labels, trainIdx, params, rule)
+	s := getSolver()
+	defer putSolver(s)
+	s.reset(K, labels, trainIdx, params, rule)
+	iters, err := s.solve()
+	if err != nil {
+		return nil, err
+	}
+	s.finish()
+	return s.model(iters), nil
 }
 
 func (p PhiSVM) dense() (Params, Heuristic) {
@@ -634,9 +610,4 @@ func (p PhiSVM) dense() (Params, Heuristic) {
 	return p.Params, p.Rule
 }
 
-var (
-	_ KernelTrainer = Optimized{}
-	_ KernelTrainer = PhiSVM{}
-	_ denseTrainer  = Optimized{}
-	_ denseTrainer  = PhiSVM{}
-)
+var _ KernelTrainer = PhiSVM{}

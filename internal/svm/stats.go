@@ -61,10 +61,11 @@ func (s CVStats) TotalIters() int {
 	return n
 }
 
-// CrossValidateDetailed is CrossValidate with per-fold statistics:
-// confusion matrices, iteration counts, and degenerate-fold marking. It
-// runs the same loop on the same solver, so its Accuracy is CrossValidate's
-// to the last bit and its iteration counts are production's.
+// CrossValidateDetailed is CrossValidateContext with per-fold statistics
+// instead of a span: confusion matrices, iteration counts, and
+// degenerate-fold marking. It runs the same loop on the same solver, so its
+// Accuracy is CrossValidateContext's to the last bit and its iteration
+// counts are production's.
 func CrossValidateDetailed(tr KernelTrainer, K *tensor.Matrix, labels []int, folds []Fold) (CVStats, error) {
 	stats := CVStats{Folds: make([]FoldStats, 0, len(folds))}
 	if _, err := runFolds(tr, K, labels, folds, &stats.Folds); err != nil {

@@ -2,34 +2,34 @@
 // vector machine training and cross-validation over precomputed kernel
 // matrices, one small SVM problem per voxel.
 //
-// Two trainers are the optimized rows of the paper's Table 8 comparison
-// (its first row, the double-precision node-array LibSVM re-implementation
-// they are measured against, lives with the other comparators in
-// internal/baseline):
+// One trainer, PhiSVM, is both optimized rows of the paper's Table 8
+// comparison (its first row, the double-precision node-array LibSVM
+// re-implementation they are measured against, lives with the other
+// comparators in internal/baseline): the Catanzaro-style solver the paper
+// ports from CUDA — float32, dense precomputed kernel with unit-stride row
+// access — under one of three working-set rules.
 //
-//   - Optimized: LibSVM's SMO algorithm (second-order working set
-//     selection, Fan, Chen, Lin 2005) over a dense float32 kernel with
-//     unit-stride row access — the paper's "optimized LibSVM".
-//   - PhiSVM: the Catanzaro-style solver the paper ports from CUDA —
-//     float32, dense precomputed kernel, first-order working set
-//     selection (Keerthi et al. 2001) by default. The adaptive choice
-//     between first- and second-order selection driven by the observed
-//     convergence rate is PhiSVM{Rule: Adaptive}; it measured slower on
-//     this repo's shapes, so no caller outside the ablations asks for it.
+//   - FirstOrder (Keerthi et al. 2001), the default and what every
+//     analysis runs.
+//   - SecondOrder (Fan, Chen, Lin 2005): LibSVM's own rule over the dense
+//     kernel — the paper's "optimized LibSVM".
+//   - Adaptive: the choice between the two driven by the observed
+//     convergence rate; it measured slower on this repo's shapes, so no
+//     caller outside the ablations asks for it.
 //
-// All trainers solve the same dual problem and agree on the resulting
-// classifier; they differ in representation and heuristics, which is what
-// the paper's performance study measures.
+// All rules solve the same dual problem and agree on the resulting
+// classifier; they differ in heuristics, which is what the paper's
+// performance study measures.
 //
-// Optimized and PhiSVM are one solver, smo32, reused through a pool: per
-// fold it compacts the training sub-kernel into a dense float32 scratch,
-// and its first-order iteration is one fused pass that updates the
-// gradient and selects the next working pair — in Go, and in AVX2
-// assembly pinned to the Go loop bit for bit (DESIGN.md §19).
+// The solver, smo32, is reused through a pool: per fold it compacts the
+// training sub-kernel into a dense float32 scratch, and its first-order
+// iteration is one fused pass that updates the gradient and selects the
+// next working pair — in Go, and in AVX2 assembly pinned to the Go loop
+// bit for bit (DESIGN.md §17).
 //
-// CrossValidate and CrossValidateDetailed share one fold loop. Invalid
-// input — an index outside the kernel, a label that is not 0 or 1, a
-// trainer's own error — is returned as an error; only a single-class
+// CrossValidateContext and CrossValidateDetailed share one fold loop.
+// Invalid input — an index outside the kernel, a label that is not 0 or 1,
+// a trainer's own error — is returned as an error; only a single-class
 // training set or a solver that runs out of iterations makes a
 // degenerate fold, which scores chance.
 package svm

@@ -1,6 +1,7 @@
 package svm
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -55,7 +56,6 @@ func allIdx(n int) []int {
 // path any trainer from outside the package takes.
 func trainers() map[string]KernelTrainer {
 	return map[string]KernelTrainer{
-		"optimized":       Optimized{},
 		"phisvm":          PhiSVM{},
 		"phisvm-adaptive": PhiSVM{Rule: Adaptive},
 		"phisvm-first":    PhiSVM{Rule: FirstOrder},
@@ -110,7 +110,7 @@ func TestTrainersAgreeOnPredictions(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	K, labels := noisyProblem(rng, 50, 0.05)
 	train := allIdx(40) // hold out 10
-	ref, err := Optimized{}.TrainKernel(K, labels, train)
+	ref, err := PhiSVM{Rule: SecondOrder}.TrainKernel(K, labels, train)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestKKTConditions(t *testing.T) {
 	K, labels := noisyProblem(rng, 50, 0.15)
 	idx := allIdx(50)
 	params := Params{C: 1, Eps: 1e-4}
-	for _, tr := range []KernelTrainer{Optimized{Params: params}, PhiSVM{Params: params}} {
+	for _, tr := range []KernelTrainer{PhiSVM{Params: params, Rule: SecondOrder}, PhiSVM{Params: params}} {
 		model, err := tr.TrainKernel(K, labels, idx)
 		if err != nil {
 			t.Fatal(err)
@@ -198,7 +198,7 @@ func TestTrainKernelErrors(t *testing.T) {
 		t.Fatalf("single-class training set: %v, want ErrOneClass", err)
 	}
 	badLabels := []int{0, 1, 2, 1}
-	if _, err := (Optimized{}).TrainKernel(K, badLabels, allIdx(4)); err == nil {
+	if _, err := (PhiSVM{Rule: SecondOrder}).TrainKernel(K, badLabels, allIdx(4)); err == nil {
 		t.Fatal("expected non-binary label error")
 	}
 	if _, err := (PhiSVM{}).TrainKernel(K, []int{0, 1}, []int{0, 5}); err == nil {
@@ -209,7 +209,7 @@ func TestTrainKernelErrors(t *testing.T) {
 func TestMaxIterEnforced(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	K, labels := noisyProblem(rng, 40, 0.3)
-	tr := Optimized{Params: Params{MaxIter: 1, Eps: 1e-12}}
+	tr := PhiSVM{Params: Params{MaxIter: 1, Eps: 1e-12}, Rule: SecondOrder}
 	if _, err := tr.TrainKernel(K, labels, allIdx(40)); err == nil {
 		t.Fatal("expected non-convergence error with MaxIter=1")
 	}
@@ -393,7 +393,7 @@ func TestCrossValidateSeparable(t *testing.T) {
 	}
 	folds := LeaveOneSubjectOutFolds(subjects)
 	for name, tr := range trainers() {
-		acc, err := CrossValidate(tr, K, labels, folds)
+		acc, err := CrossValidateContext(context.Background(), tr, K, labels, folds)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -418,7 +418,7 @@ func TestCrossValidateChanceOnNoise(t *testing.T) {
 		labels[i] = i % 2
 		subjects[i] = i / 16
 	}
-	acc, err := CrossValidate(PhiSVM{}, K, labels, LeaveOneSubjectOutFolds(subjects))
+	acc, err := CrossValidateContext(context.Background(), PhiSVM{}, K, labels, LeaveOneSubjectOutFolds(subjects))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,13 +429,13 @@ func TestCrossValidateChanceOnNoise(t *testing.T) {
 
 func TestCrossValidateErrors(t *testing.T) {
 	K := tensor.NewMatrix(4, 4)
-	if _, err := CrossValidate(PhiSVM{}, K, []int{0, 1}, nil); err == nil {
+	if _, err := CrossValidateContext(context.Background(), PhiSVM{}, K, []int{0, 1}, nil); err == nil {
 		t.Fatal("expected label-length error")
 	}
-	if _, err := CrossValidate(PhiSVM{}, K, []int{0, 1, 0, 1}, nil); err == nil {
+	if _, err := CrossValidateContext(context.Background(), PhiSVM{}, K, []int{0, 1, 0, 1}, nil); err == nil {
 		t.Fatal("expected no-folds error")
 	}
-	if _, err := CrossValidate(PhiSVM{}, K, []int{0, 1, 0, 1}, []Fold{{}}); err == nil {
+	if _, err := CrossValidateContext(context.Background(), PhiSVM{}, K, []int{0, 1, 0, 1}, []Fold{{}}); err == nil {
 		t.Fatal("expected empty-test-fold error")
 	}
 }
@@ -448,7 +448,7 @@ func TestCrossValidateDegenerateFoldScoresChance(t *testing.T) {
 	}
 	labels := []int{1, 1, 1, 0}
 	folds := []Fold{{Train: []int{0, 1, 2}, Test: []int{3}}}
-	acc, err := CrossValidate(PhiSVM{}, K, labels, folds)
+	acc, err := CrossValidateContext(context.Background(), PhiSVM{}, K, labels, folds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,7 +465,7 @@ func TestCrossValidateDetailedMatchesPlain(t *testing.T) {
 		subjects[i] = i / 8
 	}
 	folds := LeaveOneSubjectOutFolds(subjects)
-	plain, err := CrossValidate(PhiSVM{}, K, labels, folds)
+	plain, err := CrossValidateContext(context.Background(), PhiSVM{}, K, labels, folds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -525,7 +525,7 @@ func TestCrossValidatePlainEqualsDetailedExactly(t *testing.T) {
 	folds := KFolds(31, 4)
 	folds = append(folds, Fold{Train: allIdx(7), Test: []int{8, 9, 10, 11, 12}})
 	for name, tr := range trainers() {
-		plain, err := CrossValidate(tr, K, labels, folds)
+		plain, err := CrossValidateContext(context.Background(), tr, K, labels, folds)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -548,7 +548,7 @@ func TestCrossValidatePlainEqualsDetailedExactly(t *testing.T) {
 	}
 	// A fold that hits MaxIter scores chance too, as it always has.
 	capped := PhiSVM{Params: Params{MaxIter: 1, Eps: 1e-12}}
-	plain, err := CrossValidate(capped, K, labels, folds)
+	plain, err := CrossValidateContext(context.Background(), capped, K, labels, folds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -583,7 +583,7 @@ func TestCrossValidateRejectsInvalidInput(t *testing.T) {
 			{Train: []int{0, 1}, Test: []int{2}}, {Train: []int{0, 9}, Test: []int{3}}}},
 	} {
 		for trName, tr := range map[string]KernelTrainer{"phisvm": PhiSVM{}, "generic": struct{ KernelTrainer }{PhiSVM{}}} {
-			if acc, err := CrossValidate(tr, K, tc.labels, tc.folds); err == nil {
+			if acc, err := CrossValidateContext(context.Background(), tr, K, tc.labels, tc.folds); err == nil {
 				t.Errorf("%s, %s: CrossValidate returned %v and no error", name, trName, acc)
 			}
 			if _, err := CrossValidateDetailed(tr, K, tc.labels, tc.folds); err == nil {
@@ -604,7 +604,7 @@ func (failingTrainer) TrainKernel(*tensor.Matrix, []int, []int) (*Model, error) 
 func TestCrossValidateReturnsTrainerErrors(t *testing.T) {
 	K := tensor.NewMatrix(4, 4)
 	folds := []Fold{{Train: []int{0, 1, 2}, Test: []int{3}}}
-	if acc, err := CrossValidate(failingTrainer{}, K, []int{0, 1, 0, 1}, folds); err == nil {
+	if acc, err := CrossValidateContext(context.Background(), failingTrainer{}, K, []int{0, 1, 0, 1}, folds); err == nil {
 		t.Fatalf("a trainer's own error scored %v instead of failing the run", acc)
 	}
 }

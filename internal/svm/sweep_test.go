@@ -357,7 +357,7 @@ func shapeProblem(tb testing.TB, voxels, subjects, epochsPerSubject int) (*tenso
 	if err != nil {
 		tb.Fatal(err)
 	}
-	st, err := corr.BuildEpochStack(d, 1)
+	st, err := corr.BuildEpochStackContext(context.Background(), d, 1)
 	if err != nil {
 		tb.Fatal(err)
 	}

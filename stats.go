@@ -1,6 +1,7 @@
 package fcma
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -49,8 +50,9 @@ func PermutationTest(d *Data, voxels []int, cfg Config, n int, seed int64) (*Per
 	K := svm.PrecomputeKernel(feats)
 	folds := svm.LeaveOneSubjectOutFolds(subjects)
 	trainer := cfg.trainer()
+	ctx := context.Background() // the public signature has none
 
-	observed, err := svm.CrossValidate(trainer, K, labels, folds)
+	observed, err := svm.CrossValidateContext(ctx, trainer, K, labels, folds)
 	if err != nil {
 		return nil, err
 	}
@@ -62,7 +64,7 @@ func PermutationTest(d *Data, voxels []int, cfg Config, n int, seed int64) (*Per
 	for trial := 0; trial < n; trial++ {
 		copy(perm, labels)
 		shuffleWithinSubjects(rng, perm, subjects)
-		acc, err := svm.CrossValidate(trainer, K, perm, folds)
+		acc, err := svm.CrossValidateContext(ctx, trainer, K, perm, folds)
 		if err != nil {
 			return nil, fmt.Errorf("fcma: permutation %d: %w", trial, err)
 		}
