@@ -127,7 +127,8 @@ serve-smoke:
 # epoch files, MPI wire frames, a write-ahead log's bytes on reopen, the
 # service's JSON job specs and dataset upload blobs), over
 # the AVX2 kernels' bit-for-bit pin to the Go kernels: the blas tile and
-# strips, the norm sweep, the svm sweep (skipped on a host without AVX2),
+# strips, the norm sweep, the svm sweep and the svm assembly loop over a
+# whole fold (skipped on a host without AVX2),
 # over the fused stage's pin to the buffer + batched syrk it replaced, and
 # over the bytes a restarted master or server replays: the journals' shared
 # score-block codec and each journal's record fold. FUZZTIME bounds each
@@ -144,6 +145,7 @@ fuzz:
 	$(GO) test ./internal/blas/ -run '^$$' -fuzz FuzzGemmStripMatchesGo -fuzztime $(FUZZTIME) -fuzzminimizetime 0
 	$(GO) test ./internal/norm/ -run '^$$' -fuzz FuzzFisherSweepMatchesGo -fuzztime $(FUZZTIME) -fuzzminimizetime 0
 	$(GO) test ./internal/svm/ -run '^$$' -fuzz FuzzSMOSweepMatchesGo -fuzztime $(FUZZTIME) -fuzzminimizetime 0
+	$(GO) test ./internal/svm/ -run '^$$' -fuzz FuzzSolveLoopMatchesGo -fuzztime $(FUZZTIME) -fuzzminimizetime 0
 	$(GO) test ./internal/corr/ -run '^$$' -fuzz FuzzFusedMatchesUnfused -fuzztime $(FUZZTIME) -fuzzminimizetime 0
 	$(GO) test ./internal/wal/ -run '^$$' -fuzz FuzzScoreBlockDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster/ -run '^$$' -fuzz FuzzJournalApply -fuzztime $(FUZZTIME)

@@ -63,6 +63,12 @@ const adaptPhase = 64
 // select + update pair on the same dense rows, and that pair is the
 // oracle sweep is pinned to, bit for bit.
 //
+// The state is the one the sweep reads. v[t] = −y[t]·G[t] is the quantity
+// every selection rule compares (G the dual gradient), so no loop
+// multiplies by the label; outUp and outLow are the complements of the two
+// membership sets as all-ones / zero masks, which only step rewrites, at
+// the two positions whose α it moved.
+//
 // A solver is reused, not rebuilt: solverPool hands one to each
 // cross-validation call, reset re-aims it at each fold, and its scratch
 // only ever grows.
@@ -77,13 +83,17 @@ type smo32 struct {
 	runs  []idxRun  // idx as maximal runs of consecutive kernel indices
 	y     []float64 // ±1
 	alpha []float64
-	g     []float64
+	v     []float64 // −y·G: starts at y, since G starts at −1
 	qd    []float64
+	// outUp[t] is zero while t ∈ I_up = {y = +1, α < C} ∪ {y = −1, α > 0}
+	// and all ones otherwise; outLow is the same for I_low, I_up with the
+	// labels exchanged. That polarity is the assembly's: ORed into v[t] it
+	// turns a sample outside the set into a NaN, which no ordered
+	// comparison selects.
+	outUp, outLow []uint64
 	// coef = α·y and rho, set by finish: the classifier decide evaluates.
 	coef []float64
 	rho  float64
-	// lanes is where the AVX2 sweep leaves its per-lane running state.
-	lanes sweepLanes
 
 	c       float64
 	eps     float64
@@ -112,8 +122,8 @@ type idxRun struct{ pos, src, n int }
 // solverPool holds one solver per concurrently running cross-validation —
 // in effect one per stage-3 lane, as syrkPool does for the batched syrk. A
 // pooled solver keeps its grown scratch and nothing else (putSolver). The
-// scratch is 4n² + 64n bytes at the largest training set a solver has
-// seen (25 KB at n = 80, 1.1 MB at the paper's attention n = 522); there
+// scratch is 4n² + 80n bytes at the largest training set a solver has
+// seen (31 KB at n = 80, 1.1 MB at the paper's attention n = 522); there
 // is no size cap because sync.Pool already releases idle entries to the
 // garbage collector.
 var solverPool = sync.Pool{New: func() any { return new(smo32) }}
@@ -139,8 +149,10 @@ func (s *smo32) grow(n int) {
 	s.runs = make([]idxRun, n)
 	s.y = make([]float64, n)
 	s.alpha = make([]float64, n)
-	s.g = make([]float64, n)
+	s.v = make([]float64, n)
 	s.qd = make([]float64, n)
+	s.outUp = make([]uint64, n)
+	s.outLow = make([]uint64, n)
 	s.coef = make([]float64, n)
 }
 
@@ -177,17 +189,21 @@ func (s *smo32) reset(K *tensor.Matrix, labels []int, trainIdx []int, p Params, 
 	runs = runs[:nr]
 	s.runs = runs
 
-	s.kd, s.y, s.alpha, s.g = s.kd[:n*n], s.y[:n], s.alpha[:n], s.g[:n]
-	s.qd, s.coef = s.qd[:n], s.coef[:n]
+	s.kd, s.y, s.alpha, s.v = s.kd[:n*n], s.y[:n], s.alpha[:n], s.v[:n]
+	s.qd, s.coef, s.outUp, s.outLow = s.qd[:n], s.coef[:n], s.outUp[:n], s.outLow[:n]
 	for i, idx := range trainIdx {
 		src := K.Row(idx)
 		dst := s.kd[i*n : i*n+n]
 		for _, r := range runs {
 			copy(dst[r.pos:r.pos+r.n], src[r.src:r.src+r.n])
 		}
-		s.y[i] = float64(2*labels[idx] - 1)
+		// α = 0 < C is in I_up under label 1 and in I_low under label 0,
+		// and G = −1 makes v the label's sign.
+		l := labels[idx]
+		s.y[i] = float64(2*l - 1)
 		s.alpha[i] = 0
-		s.g[i] = -1
+		s.v[i] = s.y[i]
+		s.outUp[i], s.outLow[i] = uint64(l)-1, -uint64(l)
 		s.qd[i] = float64(dst[i])
 	}
 }
@@ -218,21 +234,32 @@ func (s *smo32) solve() (int, error) {
 	return iters, nil
 }
 
+// solveChunk bounds the iterations of one solveAVX2 call. Assembly has no
+// preemption points, so a fold that runs to the default MaxIter of 10⁷
+// would otherwise hold off a garbage collection for seconds; 8192
+// iterations are under 5 ms at the paper's n = 522, and every fold of the
+// benchmark shapes converges inside one call.
+const solveChunk = 1 << 13
+
 // solveFused is the first-order loop: one plain selection before the
 // first step, then each step's sweep hands over the next pair, and a step
 // that moved nothing leaves the state, and with it the pair, as they were.
+// With AVX2 the loop itself runs in assembly, a chunk of iterations a call.
+//
+//lint:hotpath once per fold per voxel
 func (s *smo32) solveFused() (iters int, converged bool) {
 	i, j, ok := s.selectFirstOrder()
-	for iter := 0; iter < s.maxIter; iter++ {
-		if !ok {
-			return iter, true
-		}
-		s.selected[FirstOrder]++
-		if cyi, cyj, moved := s.step(i, j); moved {
+	for ok && iters < s.maxIter {
+		done := 1
+		if useAVX2 {
+			done, i, j, ok = solveAVX2(s, i, j, min(s.maxIter-iters, solveChunk))
+		} else if cyi, cyj, moved := s.step(i, j); moved {
 			i, j, ok = s.sweep(i, j, cyi, cyj)
 		}
+		iters += done
 	}
-	return s.maxIter, false
+	s.selected[FirstOrder] = iters
+	return iters, iters < s.maxIter
 }
 
 // solveUnfused is a selection and an update per iteration, under whatever
@@ -310,25 +337,12 @@ func (s *smo32) selectFirstOrder() (int, int, bool) {
 	gmax := math.Inf(-1)
 	gmin := math.Inf(1)
 	imax, jmin := -1, -1
-	for t, yt := range s.y {
-		if yt == 1 {
-			if s.alpha[t] < s.c && -s.g[t] >= gmax {
-				gmax = -s.g[t]
-				imax = t
-			}
-			if s.alpha[t] > 0 && -s.g[t] <= gmin {
-				gmin = -s.g[t]
-				jmin = t
-			}
-		} else {
-			if s.alpha[t] > 0 && s.g[t] >= gmax {
-				gmax = s.g[t]
-				imax = t
-			}
-			if s.alpha[t] < s.c && s.g[t] <= gmin {
-				gmin = s.g[t]
-				jmin = t
-			}
+	for t, vt := range s.v {
+		if vt >= gmax && s.outUp[t] == 0 {
+			gmax, imax = vt, t
+		}
+		if vt <= gmin && s.outLow[t] == 0 {
+			gmin, jmin = vt, t
 		}
 	}
 	if imax == -1 || jmin == -1 || gmax-gmin < s.eps {
@@ -342,17 +356,9 @@ func (s *smo32) selectSecondOrder() (int, int, bool) {
 	gmax := math.Inf(-1)
 	gmax2 := math.Inf(-1)
 	imax := -1
-	for t, yt := range s.y {
-		if yt == 1 {
-			if s.alpha[t] < s.c && -s.g[t] >= gmax {
-				gmax = -s.g[t]
-				imax = t
-			}
-		} else {
-			if s.alpha[t] > 0 && s.g[t] >= gmax {
-				gmax = s.g[t]
-				imax = t
-			}
+	for t, vt := range s.v {
+		if vt >= gmax && s.outUp[t] == 0 {
+			gmax, imax = vt, t
 		}
 	}
 	if imax == -1 {
@@ -361,42 +367,23 @@ func (s *smo32) selectSecondOrder() (int, int, bool) {
 	ki := s.row(imax)
 	jmin := -1
 	objMin := math.Inf(1)
-	for t, yt := range s.y {
-		// a_it = K_ii + K_tt − 2K_it = ‖φ(xᵢ)−φ(xₜ)‖², label-independent.
-		kit := float64(ki[t])
-		if yt == 1 {
-			if s.alpha[t] > 0 {
-				gradDiff := gmax + s.g[t]
-				if s.g[t] >= gmax2 {
-					gmax2 = s.g[t]
-				}
-				if gradDiff > 0 {
-					quad := s.qd[imax] + s.qd[t] - 2*kit
-					if quad <= 0 {
-						quad = tau
-					}
-					if od := -(gradDiff * gradDiff) / quad; od <= objMin {
-						jmin = t
-						objMin = od
-					}
-				}
+	for t, vt := range s.v {
+		if s.outLow[t] != 0 {
+			continue
+		}
+		gradDiff := gmax - vt
+		if -vt >= gmax2 {
+			gmax2 = -vt
+		}
+		if gradDiff > 0 {
+			// a_it = K_ii + K_tt − 2K_it = ‖φ(xᵢ)−φ(xₜ)‖², label-independent.
+			quad := s.qd[imax] + s.qd[t] - 2*float64(ki[t])
+			if quad <= 0 {
+				quad = tau
 			}
-		} else {
-			if s.alpha[t] < s.c {
-				gradDiff := gmax - s.g[t]
-				if -s.g[t] >= gmax2 {
-					gmax2 = -s.g[t]
-				}
-				if gradDiff > 0 {
-					quad := s.qd[imax] + s.qd[t] - 2*kit
-					if quad <= 0 {
-						quad = tau
-					}
-					if od := -(gradDiff * gradDiff) / quad; od <= objMin {
-						jmin = t
-						objMin = od
-					}
-				}
+			if od := -(gradDiff * gradDiff) / quad; od <= objMin {
+				jmin = t
+				objMin = od
 			}
 		}
 	}
@@ -406,74 +393,91 @@ func (s *smo32) selectSecondOrder() (int, int, bool) {
 	return imax, jmin, true
 }
 
+// outside reports whether a sample with label y and multiplier alpha is
+// outside I_up and outside I_low, as the masks outUp and outLow store it.
+func outside(y, alpha, c float64) (outUp, outLow uint64) {
+	if !inUp(y, alpha, c) {
+		outUp = ^uint64(0)
+	}
+	if !inUp(-y, alpha, c) {
+		outLow = ^uint64(0)
+	}
+	return outUp, outLow
+}
+
+// inUp reports membership of I_up = {y = +1, α < C} ∪ {y = −1, α > 0};
+// I_low is I_up with the labels exchanged.
+func inUp(y, alpha, c float64) bool {
+	if y > 0 {
+		return alpha < c
+	}
+	return alpha > 0
+}
+
 // step is the analytic two-variable update of α at the working pair
-// (i, j). It reports whether either moved and, if so, the two gradient
-// coefficients Δαᵢ·yᵢ and Δαⱼ·yⱼ the caller owes every g[t].
+// (i, j): both move along d = (v[i] − v[j]) / (K_ii + K_jj − 2K_ij), αᵢ by
+// +yᵢ·d and αⱼ by −yⱼ·d, and are then clipped to the box in LibSVM's
+// order. It rewrites the membership masks at i and j, and reports whether
+// either α moved and, if so, the two coefficients Δαᵢ·yᵢ and Δαⱼ·yⱼ the
+// caller owes every v[t].
 //
 //lint:hotpath once per SMO iteration
 func (s *smo32) step(i, j int) (cyi, cyj float64, moved bool) {
 	c := s.c
 	yi, yj := s.y[i], s.y[j]
-	kii, kjj, kij := s.qd[i], s.qd[j], float64(s.kd[i*s.n+j])
+	quad := s.qd[i] + s.qd[j] - 2*float64(s.kd[i*s.n+j])
+	if quad <= 0 {
+		quad = tau
+	}
+	d := (s.v[i] - s.v[j]) / quad
 	oldAi, oldAj := s.alpha[i], s.alpha[j]
+	ai, aj := oldAi+yi*d, oldAj-yj*d
 	if yi != yj {
-		// Q_ii + Q_jj + 2Q_ij = K_ii + K_jj − 2K_ij for opposite labels.
-		quad := kii + kjj - 2*kij
-		if quad <= 0 {
-			quad = tau
-		}
-		delta := (-s.g[i] - s.g[j]) / quad
-		diff := s.alpha[i] - s.alpha[j]
-		s.alpha[i] += delta
-		s.alpha[j] += delta
+		diff := oldAi - oldAj
 		if diff > 0 {
-			if s.alpha[j] < 0 {
-				s.alpha[j] = 0
-				s.alpha[i] = diff
+			if aj < 0 {
+				aj = 0
+				ai = diff
 			}
-		} else if s.alpha[i] < 0 {
-			s.alpha[i] = 0
-			s.alpha[j] = -diff
+		} else if ai < 0 {
+			ai = 0
+			aj = -diff
 		}
 		if diff > 0 {
-			if s.alpha[i] > c {
-				s.alpha[i] = c
-				s.alpha[j] = c - diff
+			if ai > c {
+				ai = c
+				aj = c - diff
 			}
-		} else if s.alpha[j] > c {
-			s.alpha[j] = c
-			s.alpha[i] = c + diff
+		} else if aj > c {
+			aj = c
+			ai = c + diff
 		}
 	} else {
-		quad := kii + kjj - 2*kij
-		if quad <= 0 {
-			quad = tau
-		}
-		delta := (s.g[i] - s.g[j]) / quad
-		sum := s.alpha[i] + s.alpha[j]
-		s.alpha[i] -= delta
-		s.alpha[j] += delta
+		sum := oldAi + oldAj
 		if sum > c {
-			if s.alpha[i] > c {
-				s.alpha[i] = c
-				s.alpha[j] = sum - c
+			if ai > c {
+				ai = c
+				aj = sum - c
 			}
-		} else if s.alpha[j] < 0 {
-			s.alpha[j] = 0
-			s.alpha[i] = sum
+		} else if aj < 0 {
+			aj = 0
+			ai = sum
 		}
 		if sum > c {
-			if s.alpha[j] > c {
-				s.alpha[j] = c
-				s.alpha[i] = sum - c
+			if aj > c {
+				aj = c
+				ai = sum - c
 			}
-		} else if s.alpha[i] < 0 {
-			s.alpha[i] = 0
-			s.alpha[j] = sum
+		} else if ai < 0 {
+			ai = 0
+			aj = sum
 		}
 	}
-	dai := s.alpha[i] - oldAi
-	daj := s.alpha[j] - oldAj
+	s.alpha[i], s.alpha[j] = ai, aj
+	s.outUp[i], s.outLow[i] = outside(yi, ai, c)
+	s.outUp[j], s.outLow[j] = outside(yj, aj, c)
+	dai := ai - oldAi
+	daj := aj - oldAj
 	if dai == 0 && daj == 0 {
 		return 0, 0, false
 	}
@@ -490,34 +494,28 @@ func (s *smo32) update(i, j int) {
 }
 
 // addGradient is G_t += Q_ti·Δαi + Q_tj·Δαj over the two dense kernel
-// rows, read with unit stride.
+// rows, read with unit stride — in v, where Q's labels cancel.
 func (s *smo32) addGradient(i, j int, cyi, cyj float64) {
 	ki, kj := s.row(i), s.row(j)
-	for t, yt := range s.y {
-		s.g[t] += yt * (cyi*float64(ki[t]) + cyj*float64(kj[t]))
+	for t := range s.v {
+		s.v[t] -= cyi*float64(ki[t]) + cyj*float64(kj[t])
 	}
 }
 
+// threshold is LibSVM's ρ: the mean of y·G = −v over the free α, or the
+// midpoint of the bounds the α at 0 and at C put on it. A bounded sample
+// is in exactly one of the two sets.
 func (s *smo32) threshold() float64 {
 	ub := math.Inf(1)
 	lb := math.Inf(-1)
 	var sumFree float64
 	nFree := 0
-	for t, yt := range s.y {
-		yg := yt * s.g[t]
-		switch {
-		case s.alpha[t] >= s.c:
-			if yt == -1 {
-				ub = math.Min(ub, yg)
-			} else {
-				lb = math.Max(lb, yg)
-			}
-		case s.alpha[t] <= 0:
-			if yt == 1 {
-				ub = math.Min(ub, yg)
-			} else {
-				lb = math.Max(lb, yg)
-			}
+	for t, vt := range s.v {
+		switch yg := -vt; {
+		case s.outLow[t] != 0:
+			ub = math.Min(ub, yg)
+		case s.outUp[t] != 0:
+			lb = math.Max(lb, yg)
 		default:
 			nFree++
 			sumFree += yg
@@ -532,7 +530,7 @@ func (s *smo32) threshold() float64 {
 func (s *smo32) objective() float64 {
 	var obj float64
 	for i, a := range s.alpha {
-		obj += a * (s.g[i] - 1)
+		obj += a * (-s.y[i]*s.v[i] - 1)
 	}
 	return obj / 2
 }

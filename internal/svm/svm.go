@@ -24,8 +24,9 @@
 // The solver, smo32, is reused through a pool: per fold it compacts the
 // training sub-kernel into a dense float32 scratch, and its first-order
 // iteration is one fused pass that updates the gradient and selects the
-// next working pair — in Go, and in AVX2 assembly pinned to the Go loop
-// bit for bit (DESIGN.md §17).
+// next working pair, over state kept in the form that pass reads — in Go,
+// and as one AVX2 assembly loop per fold pinned to the Go loop bit for bit
+// (DESIGN.md §17).
 //
 // CrossValidateContext and CrossValidateDetailed share one fold loop.
 // Invalid input — an index outside the kernel, a label that is not 0 or 1,

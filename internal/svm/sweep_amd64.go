@@ -2,21 +2,31 @@ package svm
 
 import "fcma/internal/blas"
 
-// useAVX2 routes the vector body of the fused first-order sweep through
-// the assembly in sweep_amd64.s. It is set once, at init, from the one
-// CPUID probe in the tree (internal/blas); only tests write it
-// afterwards, to hold the two paths against each other.
+// useAVX2 routes the fused first-order loop through the assembly in
+// sweep_amd64.s. It is set once, at init, from the one CPUID probe in the
+// tree (internal/blas); only tests write it afterwards, to hold the two
+// paths against each other.
 //
-// The assembly multiplies and adds separately (no FMA), in the order of
-// the Go expressions in sweep, and resolves ties as the scalar scan does,
-// so both paths leave the same bits in every g[t] and select the same
-// pair. That pin is stated for the default GOAMD64=v1: at v3 the Go
-// compiler may itself fuse x*y+z in the reference loop.
+// The assembly multiplies, adds and divides separately (no FMA), in the
+// order of the Go expressions in step and sweep, clips in step's order and
+// resolves ties as the scalar scan does, so both paths leave the same bits
+// in every α and v[t] and select the same pairs. That pin is stated for
+// the default GOAMD64=v1: at v3 the Go compiler may itself fuse x*y+z in
+// the reference loop.
 var useAVX2 = blas.HasAVX2()
 
-// sweepAVX2 runs sweep's loop body over elements [0, n) — n a positive
-// multiple of 4 — four float64 lanes at a time, and leaves each lane's
-// running scan state in lanes.
+// solveAVX2 runs solveFused's loop body — step(i, j), then sweep if α
+// moved — from the selected pair (i, j) until the sweep finds no violating
+// pair or budget ≥ 1 iterations are done, and returns how many it ran and
+// the selection it stopped at. It reads the solver's fields at the offsets
+// the compiler writes to go_asm.h.
 //
 //go:noescape
-func sweepAVX2(lanes *sweepLanes, grad, alpha, y *float64, ki, kj *float32, n int, cyi, cyj, c float64)
+func solveAVX2(s *smo32, i, j, budget int) (done, ni, nj int, ok bool)
+
+// sweepOnceAVX2 is sweep on the assembly path: one pass of the routine
+// solveAVX2 calls every iteration, the entry the tie-break tests and the
+// fuzz target hold against the Go loop.
+//
+//go:noescape
+func sweepOnceAVX2(s *smo32, i, j int, cyi, cyj float64) (ni, nj int, ok bool)

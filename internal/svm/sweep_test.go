@@ -15,14 +15,14 @@ import (
 )
 
 // The fused first-order iteration is pinned to the unfused one bit for
-// bit, and the AVX2 sweep to the Go sweep: every test here runs the same
+// bit, and the assembly loop to the Go loop: every test here runs the same
 // state down two paths and demands math.Float64bits equality (NaN against
 // NaN, the payload aside) and the same selected pair. That pin is what
 // lets every equality check above this package — cluster == local,
 // served == direct, repeat identity — vouch for stage 3's assembly too.
 
-// eachSweepPath runs f as a subtest on the Go sweep and on the AVX2
-// sweep; the AVX2 half skips where the probe says the host has none.
+// eachSweepPath runs f as a subtest on the Go loop and on the assembly
+// loop; the AVX2 half skips where the probe says the host has none.
 func eachSweepPath(t *testing.T, f func(t *testing.T)) {
 	old := useAVX2
 	defer func() { useAVX2 = old }()
@@ -101,7 +101,7 @@ func TestResetCompactsSubKernel(t *testing.T) {
 	for name, idx := range lists {
 		s.reset(K, labels, idx, Params{}, FirstOrder)
 		n := len(idx)
-		if s.n != n || len(s.kd) != n*n || len(s.y) != n || len(s.alpha) != n || len(s.g) != n || len(s.qd) != n {
+		if s.n != n || len(s.kd) != n*n || len(s.y) != n || len(s.alpha) != n || len(s.v) != n || len(s.qd) != n || len(s.outUp) != n || len(s.outLow) != n {
 			t.Fatalf("%s: scratch not sized to n = %d", name, n)
 		}
 		if atMostTwoRuns[name] && len(s.runs) > 2 {
@@ -113,8 +113,13 @@ func TestResetCompactsSubKernel(t *testing.T) {
 					t.Fatalf("%s: kd[%d][%d] = %g, want K[%d][%d] = %g", name, i, k, got, idx[i], idx[k], want)
 				}
 			}
-			if s.qd[i] != float64(K.At(idx[i], idx[i])) || s.y[i] != float64(2*labels[idx[i]]-1) || s.alpha[i] != 0 || s.g[i] != -1 {
-				t.Fatalf("%s: position %d starts at qd %g y %g α %g g %g", name, i, s.qd[i], s.y[i], s.alpha[i], s.g[i])
+			// G starts at −1, so v = −y·G at y; α = 0 is in I_up for a
+			// positive sample and in I_low for a negative one.
+			if s.qd[i] != float64(K.At(idx[i], idx[i])) || s.y[i] != float64(2*labels[idx[i]]-1) || s.alpha[i] != 0 || s.v[i] != s.y[i] {
+				t.Fatalf("%s: position %d starts at qd %g y %g α %g v %g", name, i, s.qd[i], s.y[i], s.alpha[i], s.v[i])
+			}
+			if outUp, outLow := outside(s.y[i], 0, s.c); s.outUp[i] != outUp || s.outLow[i] != outLow {
+				t.Fatalf("%s: position %d (y %g) starts with masks outUp %#x outLow %#x", name, i, s.y[i], s.outUp[i], s.outLow[i])
 			}
 		}
 	}
@@ -145,21 +150,26 @@ func sweepProblem(rng *rand.Rand, n int, pos float64) (*tensor.Matrix, []int) {
 // selectFirstOrder and an update per iteration, the first-order solver as
 // it was before the sweep — in the same iteration count, on both paths.
 func TestFusedSolveMatchesUnfused(t *testing.T) {
-	sizes := []int{36, 80, 204}
+	sizes := []int{16, 17, 23, 36, 80, 204}
 	for n := 1; n <= 13; n++ {
 		sizes = append(sizes, n)
 	}
+	// The cap bites on the hardest problems, which pins the
+	// out-of-iterations exit too — reached over three assembly calls.
+	params := Params{MaxIter: 20000}
+	capped := 0
 	for _, n := range sizes {
 		for _, pos := range []float64{0.5, 0.2} {
 			for _, C := range []float64{1e-4, 1, 10} {
 				rng := rand.New(rand.NewSource(int64(n)))
 				K, labels := sweepProblem(rng, n, pos)
-				// The cap bites on the hardest problems, which pins the
-				// out-of-iterations exit too.
-				params := Params{C: C, MaxIter: 20000}
+				params.C = C
 				want := new(smo32)
 				want.reset(K, labels, allIdx(n), params, FirstOrder)
 				wantIters, _ := want.solveUnfused()
+				if wantIters == params.MaxIter {
+					capped++
+				}
 				t.Run(fmt.Sprintf("n%d/pos%g/C%g", n, pos, C), func(t *testing.T) {
 					eachSweepPath(t, func(t *testing.T) {
 						got := new(smo32)
@@ -172,7 +182,8 @@ func TestFusedSolveMatchesUnfused(t *testing.T) {
 							t.Fatalf("fused solve took %d iterations, unfused %d", iters, wantIters)
 						}
 						requireSameFloats(t, "alpha", got.alpha, want.alpha)
-						requireSameFloats(t, "g", got.g, want.g)
+						requireSameFloats(t, "v", got.v, want.v)
+						requireSameMasks(t, got, want)
 						if !sameFloat(got.threshold(), want.threshold()) {
 							t.Fatalf("rho = %g, want %g", got.threshold(), want.threshold())
 						}
@@ -181,56 +192,81 @@ func TestFusedSolveMatchesUnfused(t *testing.T) {
 			}
 		}
 	}
+	if capped == 0 || params.MaxIter < 2*solveChunk {
+		t.Fatal("no solve of the grid reaches MaxIter over several assembly calls: the chunked loop is not pinned across calls")
+	}
 }
 
-// sweepState builds a solver mid-solve from explicit state: row i of its
-// dense kernel is ki, row j is kj (i = 0, j = 1, or both 0 when n = 1).
-func sweepState(y, alpha, g []float64, ki, kj []float32, c float64) (s *smo32, i, j int) {
-	n := len(g)
-	s = &smo32{n: n, c: c, eps: DefaultEps,
-		kd: make([]float32, n*n), y: y, alpha: alpha, g: append([]float64(nil), g...)}
+func requireSameMasks(t *testing.T, got, want *smo32) {
+	t.Helper()
+	for k := range want.outUp {
+		if got.outUp[k] != want.outUp[k] || got.outLow[k] != want.outLow[k] {
+			t.Fatalf("masks[%d] = outUp %#x outLow %#x, want outUp %#x outLow %#x",
+				k, got.outUp[k], got.outLow[k], want.outUp[k], want.outLow[k])
+		}
+	}
+}
+
+// sweepState builds a solver mid-solve from the state a sweep reads: row i
+// of its dense kernel is ki, row j is kj (i = 0, j = 1, or both 0 when
+// n = 1).
+func sweepState(v []float64, outUp, outLow []uint64, ki, kj []float32) (s *smo32, i, j int) {
+	n := len(v)
+	s = &smo32{n: n, eps: DefaultEps, kd: make([]float32, n*n), v: append([]float64(nil), v...), outUp: outUp, outLow: outLow}
 	j = min(1, n-1)
 	copy(s.row(j), kj)
 	copy(s.row(i), ki)
 	return s, i, j
 }
 
+// sweepOnPath is one sweep on the path useAVX2 names.
+func sweepOnPath(s *smo32, i, j int, cyi, cyj float64) (int, int, bool) {
+	if useAVX2 {
+		return sweepOnceAVX2(s, i, j, cyi, cyj)
+	}
+	return s.sweep(i, j, cyi, cyj)
+}
+
 // requireSweepMatchesOracle runs one sweep from the given state on the
 // current path and holds it to addGradient + selectFirstOrder.
-func requireSweepMatchesOracle(t *testing.T, y, alpha, g []float64, ki, kj []float32, cyi, cyj, c float64) {
+func requireSweepMatchesOracle(t *testing.T, v []float64, outUp, outLow []uint64, ki, kj []float32, cyi, cyj float64) {
 	t.Helper()
-	want, i, j := sweepState(y, alpha, g, ki, kj, c)
+	want, i, j := sweepState(v, outUp, outLow, ki, kj)
 	want.addGradient(i, j, cyi, cyj)
 	wi, wj, wok := want.selectFirstOrder()
-	got, _, _ := sweepState(y, alpha, g, ki, kj, c)
-	gi, gj, gok := got.sweep(i, j, cyi, cyj)
+	got, _, _ := sweepState(v, outUp, outLow, ki, kj)
+	gi, gj, gok := sweepOnPath(got, i, j, cyi, cyj)
 	if gi != wi || gj != wj || gok != wok {
-		t.Fatalf("sweep selected (%d, %d, %v), selectFirstOrder (%d, %d, %v)\ny = %v\nα = %v\ng = %v",
-			gi, gj, gok, wi, wj, wok, y, alpha, want.g)
+		t.Fatalf("sweep selected (%d, %d, %v), selectFirstOrder (%d, %d, %v)\noutUp = %x\noutLow = %x\nv = %v",
+			gi, gj, gok, wi, wj, wok, outUp, outLow, want.v)
 	}
-	requireSameFloats(t, "g", got.g, want.g)
+	requireSameFloats(t, "v", got.v, want.v)
 }
 
 // (b, continued) Constructed ties and special values, one sweep each: the
-// last index must win among equals in every lane arrangement, including
-// when the only candidate sits in the scalar tail.
+// last index must win among equals in every arrangement of the assembly's
+// eight lanes — two four-lane scans, a four-wide tail step, a scalar tail
+// of up to three — including when the only candidate sits in a tail.
 func TestSweepTieBreaks(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	inf := math.Inf(1)
 	const C = 1.0
+	// A case gives sample t of n its label, multiplier and gradient; the
+	// sweep sees v = −y·g and the membership (y, α, C) implies.
 	type state struct{ y, alpha, g float64 }
+	free := func(g float64) state { return state{1, 0.5, g} } // in both sets, v = −g
 	cases := map[string]func(t, n int) state{
 		"all g equal": func(t, n int) state {
 			return state{float64(2*(t%2) - 1), 0.5, 0.25}
 		},
-		"all g equal, one class": func(t, n int) state { return state{1, 0.5, -3} },
+		"all g equal, one class": func(t, n int) state { return free(-3) },
 		"signed zeros": func(t, n int) state {
 			return state{float64(2*(t%2) - 1), 0.5, []float64{0, negZero, negZero, 0, 0}[t%5]}
 		},
 		"infinities": func(t, n int) state {
 			return state{float64(2*(t/2%2) - 1), 0.5, []float64{inf, -inf, 1, -inf, inf, -1, inf}[t%7]}
 		},
-		"all minus infinity": func(t, n int) state { return state{1, 0.5, inf} },
+		"all minus infinity": func(t, n int) state { return free(inf) },
 		"NaN entries": func(t, n int) state {
 			return state{float64(2*(t%2) - 1), 0.5, []float64{math.NaN(), 1, 1, math.NaN(), -2}[t%5]}
 		},
@@ -240,6 +276,17 @@ func TestSweepTieBreaks(t *testing.T) {
 		},
 		"α past the bounds and NaN": func(t, n int) state {
 			return state{float64(2*(t%2) - 1), []float64{-1, 2, math.NaN(), 0.5}[t%4], 0.5}
+		},
+		// Elements t and t+4 of an eight-wide step share a lane of the two
+		// scans; the extremes repeat every eight, so the last block wins.
+		"equal extremes in both scans": func(t, n int) state {
+			return free([]float64{0, -2, 3, 0, 0, -2, 3, 0}[t%8])
+		},
+		"equal extremes in two lanes of one scan": func(t, n int) state {
+			return free([]float64{-2, 0, -2, 0, 0, 3, 0, 3}[t%8])
+		},
+		"equal extremes across scans and lanes": func(t, n int) state {
+			return free([]float64{0, 3, -2, 0, -2, 0, 0, 3}[t%8])
 		},
 		"lone I_up member is last": func(t, n int) state {
 			if t == n-1 {
@@ -259,33 +306,59 @@ func TestSweepTieBreaks(t *testing.T) {
 			}
 			return state{1, C, 7}
 		},
+		"I_low is empty": func(t, n int) state { return state{1, 0, float64(t % 3)} },
+		"I_up is empty":  func(t, n int) state { return state{1, C, float64(t % 3)} },
+	}
+	sizes := []int{33, 40, 67}
+	for n := 1; n <= 26; n++ { // n mod 8 = 0…7, with zero to three eight-wide steps
+		sizes = append(sizes, n)
+	}
+	sweepBothRows := func(t *testing.T, n int, at func(t, n int) state) {
+		t.Helper()
+		v, outUp, outLow := make([]float64, n), make([]uint64, n), make([]uint64, n)
+		for k := 0; k < n; k++ {
+			st := at(k, n)
+			v[k] = -st.y * st.g
+			outUp[k], outLow[k] = outside(st.y, st.alpha, C)
+		}
+		// Zero rows leave v where the case put it; equal rows move every
+		// v by the same amount.
+		rows := make([]float32, n)
+		requireSweepMatchesOracle(t, v, outUp, outLow, rows, rows, 0.5, -0.25)
+		for k := range rows {
+			rows[k] = 1
+		}
+		requireSweepMatchesOracle(t, v, outUp, outLow, rows, rows, 0.5, -0.25)
 	}
 	eachSweepPath(t, func(t *testing.T) {
 		for name, at := range cases {
-			for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 9, 11, 12, 16, 19} {
-				y, alpha, g := make([]float64, n), make([]float64, n), make([]float64, n)
-				for k := 0; k < n; k++ {
-					st := at(k, n)
-					y[k], alpha[k], g[k] = st.y, st.alpha, st.g
-				}
-				zero := make([]float32, n)
-				t.Run(fmt.Sprintf("%s/n%d", name, n), func(t *testing.T) {
-					// Zero rows leave g where the case put it (−0 aside);
-					// equal rows move every g by the same amount.
-					requireSweepMatchesOracle(t, y, alpha, g, zero, zero, 0.5, -0.25, C)
-					ones := make([]float32, n)
-					for k := range ones {
-						ones[k] = 1
+			for _, n := range sizes {
+				t.Run(fmt.Sprintf("%s/n%d", name, n), func(t *testing.T) { sweepBothRows(t, n, at) })
+			}
+		}
+		// A lone member of I_up, then of I_low, at every position p of
+		// every size — so in each lane of either scan, in the four-wide
+		// tail and in the scalar tail — among ties, and at the value an
+		// empty lane holds.
+		for _, n := range sizes {
+			for p := 0; p < n; p++ {
+				for _, g := range []float64{7, inf, -inf} {
+					for _, alone := range []float64{0, C} { // y = +1: α = 0 is in I_up only, α = C in I_low only
+						sweepBothRows(t, n, func(t, _ int) state {
+							if t == p {
+								return state{1, alone, g}
+							}
+							return state{1, C - alone, 7}
+						})
 					}
-					requireSweepMatchesOracle(t, y, alpha, g, ones, ones, 0.5, -0.25, C)
-				})
+				}
 			}
 		}
 	})
 }
 
 // (c) One sweep from raw bit patterns: NaNs, infinities and denormals in
-// the gradient, the multipliers, the kernel rows and the coefficients.
+// v, the kernel rows and the coefficients, and any pair of masks.
 func FuzzSMOSweepMatchesGo(f *testing.F) {
 	rng := rand.New(rand.NewSource(19))
 	for _, n := range []int{1, 4, 7, 8, 13, 40} {
@@ -293,10 +366,9 @@ func FuzzSMOSweepMatchesGo(f *testing.F) {
 		for i := 0; i < n; i++ {
 			e := b[i*sweepFuzzStride:]
 			binary.LittleEndian.PutUint64(e, math.Float64bits(rng.NormFloat64()))
-			binary.LittleEndian.PutUint64(e[8:], math.Float64bits([]float64{0, 1, rng.Float64()}[rng.Intn(3)]))
-			binary.LittleEndian.PutUint32(e[16:], math.Float32bits(float32(rng.NormFloat64())))
-			binary.LittleEndian.PutUint32(e[20:], math.Float32bits(float32(rng.NormFloat64())))
-			e[24] = byte(rng.Intn(2))
+			binary.LittleEndian.PutUint32(e[8:], math.Float32bits(float32(rng.NormFloat64())))
+			binary.LittleEndian.PutUint32(e[12:], math.Float32bits(float32(rng.NormFloat64())))
+			e[16] = byte(rng.Intn(4))
 		}
 		f.Add(math.Float64bits(rng.NormFloat64()), math.Float64bits(rng.NormFloat64()), b)
 	}
@@ -308,40 +380,253 @@ func FuzzSMOSweepMatchesGo(f *testing.F) {
 		if n == 0 {
 			t.Skip("not enough data for one element")
 		}
-		y, alpha, g := make([]float64, n), make([]float64, n), make([]float64, n)
+		v, outUp, outLow := make([]float64, n), make([]uint64, n), make([]uint64, n)
 		ki, kj := make([]float32, n), make([]float32, n)
 		for i := 0; i < n; i++ {
 			e := data[i*sweepFuzzStride:]
-			g[i] = math.Float64frombits(binary.LittleEndian.Uint64(e))
-			alpha[i] = math.Float64frombits(binary.LittleEndian.Uint64(e[8:]))
-			ki[i] = math.Float32frombits(binary.LittleEndian.Uint32(e[16:]))
-			kj[i] = math.Float32frombits(binary.LittleEndian.Uint32(e[20:]))
-			y[i] = float64(2*int(e[24]&1) - 1)
+			v[i] = math.Float64frombits(binary.LittleEndian.Uint64(e))
+			ki[i] = math.Float32frombits(binary.LittleEndian.Uint32(e[8:]))
+			kj[i] = math.Float32frombits(binary.LittleEndian.Uint32(e[12:]))
+			outUp[i], outLow[i] = -uint64(e[16]&1), -uint64(e[16]>>1&1)
 		}
 		cyi, cyj := math.Float64frombits(cyiBits), math.Float64frombits(cyjBits)
-		old := useAVX2
-		defer func() { useAVX2 = old }()
-		var sel [2][3]int
-		var grad [2][]float64
-		for p, avx2 := range []bool{false, true} {
-			useAVX2 = avx2
-			s, i, j := sweepState(y, alpha, g, ki, kj, 1)
-			si, sj, ok := s.sweep(i, j, cyi, cyj)
-			sel[p], grad[p] = [3]int{si, sj, 0}, s.g
-			if ok {
-				sel[p][2] = 1
-			}
+		want, i, j := sweepState(v, outUp, outLow, ki, kj)
+		wi, wj, wok := want.sweep(i, j, cyi, cyj)
+		got, _, _ := sweepState(v, outUp, outLow, ki, kj)
+		gi, gj, gok := sweepOnceAVX2(got, i, j, cyi, cyj)
+		if gi != wi || gj != wj || gok != wok {
+			t.Fatalf("AVX2 sweep selected (%d, %d, %v), Go sweep (%d, %d, %v)", gi, gj, gok, wi, wj, wok)
 		}
-		if sel[0] != sel[1] {
-			t.Fatalf("AVX2 sweep selected %v, Go sweep %v", sel[1], sel[0])
-		}
-		requireSameFloats(t, "g", grad[1], grad[0])
+		requireSameFloats(t, "v", got.v, want.v)
 	})
 }
 
-// sweepFuzzStride is one fuzzed element: g and α as float64 bits, ki and
-// kj as float32 bits, one byte whose low bit is the label.
-const sweepFuzzStride = 8 + 8 + 4 + 4 + 1
+// sweepFuzzStride is one fuzzed element: v as float64 bits, ki and kj as
+// float32 bits, one byte whose two low bits are the masks.
+const sweepFuzzStride = 8 + 4 + 4 + 1
+
+// iterateOnPath is one iteration of solveFused's loop on the path useAVX2
+// names: step(i, j), then the sweep if α moved.
+func iterateOnPath(s *smo32, i, j int) (int, int, bool) {
+	if useAVX2 {
+		_, i, j, ok := solveAVX2(s, i, j, 1)
+		return i, j, ok
+	}
+	if cyi, cyj, moved := s.step(i, j); moved {
+		return s.sweep(i, j, cyi, cyj)
+	}
+	return i, j, true
+}
+
+// (c, continued) A whole fold from raw kernel bit patterns: the assembly
+// loop — step, sweep and convergence test — against the Go loop, on
+// kernels no dataset produces (NaN and infinite entries, negative
+// curvature, denormals).
+func FuzzSolveLoopMatchesGo(f *testing.F) {
+	rng := rand.New(rand.NewSource(23))
+	for _, n := range []int{2, 5, 8, 12} {
+		K, labels := sweepProblem(rng, n, 0.5)
+		b := make([]byte, 4*n*n)
+		var y uint16
+		for i, k := range K.Data {
+			binary.LittleEndian.PutUint32(b[4*i:], math.Float32bits(k))
+		}
+		for i, l := range labels {
+			y |= uint16(l) << i
+		}
+		f.Add(y, uint8(n%3), b)
+		rng.Read(b)
+		f.Add(y, uint8(n%3), b)
+	}
+	f.Fuzz(func(t *testing.T, y uint16, cSel uint8, data []byte) {
+		if !blas.HasAVX2() {
+			t.Skip("host has no AVX2: the Go loop is the only path")
+		}
+		n := 0
+		for n < 12 && 4*(n+1)*(n+1) <= len(data) {
+			n++
+		}
+		if n == 0 {
+			t.Skip("not enough data for one sample")
+		}
+		K := tensor.NewMatrix(n, n)
+		for i := range K.Data {
+			K.Data[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:]))
+		}
+		labels := make([]int, n)
+		for i := range labels {
+			labels[i] = int(y >> i & 1)
+		}
+		params := Params{C: []float64{1e-4, 1, 10}[cSel%3], MaxIter: 100}
+		old := useAVX2
+		defer func() { useAVX2 = old }()
+		var s [2]smo32
+		var iters [2]int
+		var converged [2]bool
+		for p := range s {
+			useAVX2 = p == 1
+			s[p].reset(K, labels, allIdx(n), params, FirstOrder)
+			iters[p], converged[p] = s[p].solveFused()
+		}
+		if iters[0] != iters[1] || converged[0] != converged[1] {
+			t.Fatalf("assembly loop: %d iterations, converged %v; Go loop: %d, %v", iters[1], converged[1], iters[0], converged[0])
+		}
+		requireSameFloats(t, "alpha", s[1].alpha, s[0].alpha)
+		requireSameFloats(t, "v", s[1].v, s[0].v)
+		requireSameMasks(t, &s[1], &s[0])
+	})
+}
+
+// (c, continued) The masks are state the sweep trusts and only step
+// maintains: after every iteration of a solve, on both paths, they are
+// the membership (y, α, C) implies — with the box far inside the
+// unconstrained solution, around it, and outside it.
+func TestMasksTrackMembership(t *testing.T) {
+	for _, n := range []int{7, 36, 80} {
+		for _, C := range []float64{1e-4, 1, 10} {
+			K, labels := sweepProblem(rand.New(rand.NewSource(int64(n))), n, 0.4)
+			t.Run(fmt.Sprintf("n%d/C%g", n, C), func(t *testing.T) {
+				eachSweepPath(t, func(t *testing.T) {
+					s := new(smo32)
+					s.reset(K, labels, allIdx(n), Params{C: C}, FirstOrder)
+					i, j, ok := s.selectFirstOrder()
+					for iter := 0; ok && iter < 5000; iter++ {
+						i, j, ok = iterateOnPath(s, i, j)
+						for k := range s.outUp {
+							if outUp, outLow := outside(s.y[k], s.alpha[k], s.c); s.outUp[k] != outUp || s.outLow[k] != outLow {
+								t.Fatalf("iteration %d: masks[%d] = outUp %#x outLow %#x with y %g α %g, want outUp %#x outLow %#x",
+									iter, k, s.outUp[k], s.outLow[k], s.y[k], s.alpha[k], outUp, outLow)
+							}
+						}
+					}
+				})
+			})
+		}
+	}
+}
+
+// gSolver is the first-order solver as it was before the state became v:
+// it keeps the dual gradient g, multiplies by the label wherever a rule
+// needs −y·g, and tests α against the box in every scan. It shares the
+// compacted kernel of the solver it was made from.
+type gSolver struct {
+	*smo32
+	alpha, g []float64
+}
+
+func newGSolver(s *smo32) *gSolver {
+	r := &gSolver{smo32: s, alpha: make([]float64, s.n), g: make([]float64, s.n)}
+	for i := range r.g {
+		r.g[i] = -1
+	}
+	return r
+}
+
+func (r *gSolver) solve() (iters int) {
+	for ; iters < r.maxIter; iters++ {
+		gmax, gmin, i, j := math.Inf(-1), math.Inf(1), -1, -1
+		for t, yt := range r.y {
+			v := -yt * r.g[t]
+			if inUp(yt, r.alpha[t], r.c) && v >= gmax {
+				gmax, i = v, t
+			}
+			if inUp(-yt, r.alpha[t], r.c) && v <= gmin {
+				gmin, j = v, t
+			}
+		}
+		if i == -1 || j == -1 || gmax-gmin < r.eps {
+			return iters
+		}
+		r.step(i, j)
+	}
+	return iters
+}
+
+// step is LibSVM's two-variable update and gradient maintenance in g.
+func (r *gSolver) step(i, j int) {
+	c, alpha, g := r.c, r.alpha, r.g
+	yi, yj := r.y[i], r.y[j]
+	oldAi, oldAj := alpha[i], alpha[j]
+	quad := r.qd[i] + r.qd[j] - 2*float64(r.kd[i*r.n+j])
+	if quad <= 0 {
+		quad = tau
+	}
+	if yi != yj {
+		delta := (-g[i] - g[j]) / quad
+		diff := alpha[i] - alpha[j]
+		alpha[i] += delta
+		alpha[j] += delta
+		if diff > 0 {
+			if alpha[j] < 0 {
+				alpha[j], alpha[i] = 0, diff
+			}
+		} else if alpha[i] < 0 {
+			alpha[i], alpha[j] = 0, -diff
+		}
+		if diff > 0 {
+			if alpha[i] > c {
+				alpha[i], alpha[j] = c, c-diff
+			}
+		} else if alpha[j] > c {
+			alpha[j], alpha[i] = c, c+diff
+		}
+	} else {
+		delta := (g[i] - g[j]) / quad
+		sum := alpha[i] + alpha[j]
+		alpha[i] -= delta
+		alpha[j] += delta
+		if sum > c {
+			if alpha[i] > c {
+				alpha[i], alpha[j] = c, sum-c
+			}
+		} else if alpha[j] < 0 {
+			alpha[j], alpha[i] = 0, sum
+		}
+		if sum > c {
+			if alpha[j] > c {
+				alpha[j], alpha[i] = c, sum-c
+			}
+		} else if alpha[i] < 0 {
+			alpha[i], alpha[j] = 0, sum
+		}
+	}
+	cyi, cyj := (alpha[i]-oldAi)*yi, (alpha[j]-oldAj)*yj
+	ki, kj := r.row(i), r.row(j)
+	for t, yt := range r.y {
+		g[t] += yt * (cyi*float64(ki[t]) + cyj*float64(kj[t]))
+	}
+}
+
+// (c, continued) The change of state changed no iterate: on every fold of
+// the benchmark's shapes the solver's α is the g-state solver's and its v
+// read back as −y·v is that solver's g, bit for bit — exact zeros aside,
+// whose sign v does not keep and nothing reads.
+func TestVStateMatchesGradientState(t *testing.T) {
+	for _, sh := range cvShapes[:3] {
+		K, labels, folds := shapeProblem(t, sh.voxels, sh.subjects, sh.epochsPerSubject)
+		t.Run(sh.name, func(t *testing.T) {
+			eachSweepPath(t, func(t *testing.T) {
+				s := new(smo32)
+				for fi, f := range folds {
+					s.reset(K, labels, f.Train, Params{}, FirstOrder)
+					want := newGSolver(s)
+					wantIters := want.solve()
+					iters, err := s.solve()
+					if err != nil || iters != wantIters {
+						t.Fatalf("fold %d: %d iterations (%v), the g-state solver took %d", fi, iters, err, wantIters)
+					}
+					requireSameFloats(t, "alpha", s.alpha, want.alpha)
+					for k, g := range want.g {
+						if got := -s.y[k] * s.v[k]; !sameFloat(got, g) && !(got == 0 && g == 0) {
+							t.Fatalf("fold %d: −y·v[%d] = %g (%#016x), want g = %g (%#016x)", fi, k,
+								got, math.Float64bits(got), g, math.Float64bits(g))
+						}
+					}
+				}
+			})
+		})
+	}
+}
 
 // shapeProblem builds one voxel's cross-validation problem as production
 // does: a synthetic dataset through the merged correlate+normalize stage
@@ -373,8 +658,9 @@ func shapeProblem(tb testing.TB, voxels, subjects, epochsPerSubject int) (*tenso
 }
 
 // cvShapes are the fold shapes of the repo benchmark's three library
-// workloads, then the paper's face-scene shape: n is the training-set size
-// of one fold.
+// workloads, then the paper's two: n is the training-set size of one fold.
+// At n = 522 the compacted kernel (1.1 MB) no longer fits L1 and lives in
+// L2.
 var cvShapes = []struct {
 	name                               string
 	voxels, subjects, epochsPerSubject int
@@ -383,6 +669,40 @@ var cvShapes = []struct {
 	{"attention_n80", 256, 6, 16},
 	{"online_n10", 1024, 1, 12},
 	{"paper_facescene_n204", 256, 18, 12},
+	{"paper_attention_n522", 1024, 30, 18},
+}
+
+// ROADMAP item 5's first hypothesis, counted: with C = 1 on these kernels
+// (K_ii ≈ N) no α of any fold reaches the box, so every fold is a
+// hard-margin problem, and most samples are support vectors.
+func TestBoxInactiveAtBenchmarkShapes(t *testing.T) {
+	for _, sh := range cvShapes {
+		if testing.Short() && sh.subjects > 6 {
+			continue
+		}
+		K, labels, folds := shapeProblem(t, sh.voxels, sh.subjects, sh.epochsPerSubject)
+		s := new(smo32)
+		var atC, sv, total int
+		for fi, f := range folds {
+			s.reset(K, labels, f.Train, Params{}, FirstOrder)
+			if _, err := s.solve(); err != nil {
+				t.Fatalf("%s fold %d: %v", sh.name, fi, err)
+			}
+			for _, a := range s.alpha {
+				total++
+				if a >= s.c {
+					atC++
+				}
+				if a > 0 {
+					sv++
+				}
+			}
+		}
+		t.Logf("%s: %d of %d α at C, %d support vectors (%.1f %%)", sh.name, atC, total, sv, 100*float64(sv)/float64(total))
+		if atC != 0 {
+			t.Errorf("%s: %d of %d α reached C = %g", sh.name, atC, total, s.c)
+		}
+	}
 }
 
 // (d) A warm cross-validation call on the pooled solver allocates
@@ -425,14 +745,17 @@ func TestPutSolverDropsCallerReferences(t *testing.T) {
 	if s.idx != nil {
 		t.Fatal("a pooled solver still holds its caller's training list")
 	}
-	if cap(s.kd) < 20*20 || cap(s.g) < 20 {
+	if cap(s.kd) < 20*20 || cap(s.v) < 20 {
 		t.Fatal("a pooled solver lost its scratch")
 	}
 }
 
 // BenchmarkCrossValidateShapes times one voxel's cross-validation at each
-// benchmark fold shape and the paper's n = 204, per sweep path. It is the
-// stage-3 table of EXPERIMENTS.md:
+// benchmark fold shape and the paper's two, per path. iters/op is the SMO
+// iteration count of the call — the same on both paths — and ns/iter the
+// time per iteration with the per-fold work (reset, finish, prediction)
+// spread over it, so fixed and per-element cost read off the rows. It is
+// the stage-3 table of EXPERIMENTS.md:
 //
 //	go test -run '^$' -bench CrossValidateShapes ./internal/svm
 func BenchmarkCrossValidateShapes(b *testing.B) {
@@ -442,6 +765,10 @@ func BenchmarkCrossValidateShapes(b *testing.B) {
 	defer func() { useAVX2 = old }()
 	for _, sh := range cvShapes {
 		K, labels, folds := shapeProblem(b, sh.voxels, sh.subjects, sh.epochsPerSubject)
+		st, err := CrossValidateDetailed(tr, K, labels, folds)
+		if err != nil {
+			b.Fatal(err)
+		}
 		for _, path := range []struct {
 			name string
 			avx2 bool
@@ -457,6 +784,9 @@ func BenchmarkCrossValidateShapes(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
+				iters := float64(st.TotalIters())
+				b.ReportMetric(iters, "iters/op")
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/iters, "ns/iter")
 			})
 		}
 	}
