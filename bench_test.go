@@ -305,30 +305,15 @@ func benchSVM(b *testing.B, tr svm.KernelTrainer) {
 	}
 }
 
-// BenchmarkSVMSolvers is Table 8's native column: the three trainers on one
-// face-scene-shaped voxel. For the production solver at the repo
-// benchmark's fold shapes, per sweep path, see BenchmarkCrossValidateShapes
-// in internal/svm.
+// BenchmarkSVMSolvers is Table 8's native column, its two ends: the
+// node-array LibSVM clone and the dense float32 solver every analysis runs,
+// on one face-scene-shaped voxel. (The dense second-order and adaptive rows
+// were measured and removed; EXPERIMENTS.md "At PR 28" has their last
+// numbers.) For the production solver at the repo benchmark's fold shapes,
+// per sweep path, see BenchmarkCrossValidateShapes in internal/svm.
 func BenchmarkSVMSolvers(b *testing.B) {
 	b.Run("libsvm", func(b *testing.B) { benchSVM(b, baseline.LibSVM{}) })
-	b.Run("optimized", func(b *testing.B) { benchSVM(b, svm.PhiSVM{Rule: svm.SecondOrder}) })
 	b.Run("phisvm", func(b *testing.B) { benchSVM(b, svm.PhiSVM{}) })
-}
-
-// Ablation: working-set-selection heuristics (DESIGN.md §5). First-order
-// runs the fused sweep, the other two the unfused select + update on the
-// same dense rows; BenchmarkCrossValidateShapes in internal/svm times the
-// first-order rule per sweep path.
-func BenchmarkWSSHeuristics(b *testing.B) {
-	b.Run("first-order", func(b *testing.B) { benchSVM(b, svm.PhiSVM{Rule: svm.FirstOrder}) })
-	b.Run("second-order", func(b *testing.B) { benchSVM(b, svm.PhiSVM{Rule: svm.SecondOrder}) })
-	b.Run("adaptive", func(b *testing.B) { benchSVM(b, svm.PhiSVM{Rule: svm.Adaptive}) })
-}
-
-// Ablation: float64 node-based vs float32 dense representation.
-func BenchmarkSVMPrecision(b *testing.B) {
-	b.Run("float64-nodes", func(b *testing.B) { benchSVM(b, baseline.LibSVM{}) })
-	b.Run("float32-dense", func(b *testing.B) { benchSVM(b, svm.PhiSVM{Rule: svm.SecondOrder}) })
 }
 
 // Ablation: precomputed kernel vs LibSVM with a tiny row cache, which

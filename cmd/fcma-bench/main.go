@@ -17,9 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
-	"time"
 
 	"fcma/internal/obs"
 	"fcma/internal/report"
@@ -29,7 +27,6 @@ func main() {
 	scale := flag.Float64("scale", 0.02, "trace scale relative to paper-size problems (0 < scale <= 1)")
 	svmCalib := flag.Float64("svm-calib", 0, "SVM iteration-hardness calibration (0 = default, see EXPERIMENTS.md)")
 	nativeScale := flag.Float64("native-scale", 0.02, "dataset scale for the native cross-checks (0 < scale <= 1)")
-	jsonOut := flag.String("json", "", "directory to write an end-of-run BENCH_<name>.json summary into")
 	bootstrap := obs.BootstrapCLI(flag.CommandLine)
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: fcma-bench [flags] [experiment ...]\n\nexperiments: %s\n\nflags:\n",
@@ -53,7 +50,6 @@ func main() {
 	if len(names) == 0 || (len(names) == 1 && names[0] == "all") {
 		names = defaultExperiments() // model-based set; natives opt-in
 	}
-	start := time.Now()
 	for _, name := range names {
 		if native, ok := nativeExperiments[name]; ok {
 			tb, err := native(report.NativeOptions{Scale: *nativeScale})
@@ -68,16 +64,6 @@ func main() {
 			os.Exit(2)
 		}
 		fmt.Println(fn().Render())
-	}
-	if *jsonOut != "" {
-		sum := obs.NewBenchSummary("fcma-bench", time.Since(start), obs.Default().Snapshot())
-		sum.Params = map[string]string{
-			"scale":       strconv.FormatFloat(*scale, 'g', -1, 64),
-			"experiments": strings.Join(names, " "),
-		}
-		path, err := sum.WriteFile(*jsonOut)
-		fail(err)
-		fmt.Fprintf(os.Stderr, "fcma-bench: wrote %s\n", path)
 	}
 }
 

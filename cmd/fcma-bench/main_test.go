@@ -1,6 +1,57 @@
 package main
 
-import "testing"
+import (
+	"errors"
+	"flag"
+	"os"
+	"os/exec"
+	"strings"
+	"testing"
+)
+
+// TestMain lets the test binary stand in for the command: re-executed with
+// FCMA_TEST_MAIN=1 it runs main() on a fresh flag set, so the tests below
+// observe real exit codes and real flag-package output.
+func TestMain(m *testing.M) {
+	if os.Getenv("FCMA_TEST_MAIN") == "1" {
+		flag.CommandLine = flag.NewFlagSet("fcma-bench", flag.ExitOnError)
+		main()
+		return
+	}
+	os.Exit(m.Run())
+}
+
+func TestFlagsAndExitCodes(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		args []string
+		code int
+		want string // substring of the output
+	}{
+		{"retired json flag", []string{"-json", ".", "table2"}, 2, "flag provided but not defined: -json"},
+		{"scale out of range", []string{"-scale", "7", "table2"}, 2, "-scale 7 out of range (0, 1]"},
+		{"unknown experiment", []string{"table99"}, 2, `unknown experiment "table99"`},
+		{"one model table", []string{"-scale", "0.01", "table2"}, 0, "Table 2"},
+	} {
+		cmd := exec.Command(exe, tc.args...)
+		cmd.Env = append(os.Environ(), "FCMA_TEST_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		code := 0
+		var ee *exec.ExitError
+		if errors.As(err, &ee) {
+			code = ee.ExitCode()
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		if code != tc.code || !strings.Contains(string(out), tc.want) {
+			t.Errorf("%s: exit %d, want %d with %q in the output:\n%s", tc.name, code, tc.code, tc.want, out)
+		}
+	}
+}
 
 // The "all" default must cover exactly the model-based experiment set —
 // derived from the registration map, so adding an experiment to

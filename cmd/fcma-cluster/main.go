@@ -28,7 +28,6 @@ import (
 	"os"
 	"os/signal"
 	"sort"
-	"strconv"
 	"syscall"
 	"time"
 
@@ -66,7 +65,6 @@ func main() {
 	heartbeatTimeout := flag.Duration("heartbeat-timeout", 10*time.Second, "master: silence before a worker is presumed dead (0 disables)")
 	taskRetries := flag.Int("task-retries", 3, "master: failures one task tolerates before the run aborts")
 	metricsListen := flag.String("metrics-listen", "", `serve /metrics and /debug/pprof/ on this address, e.g. ":9090" (the master's /metrics merges all workers' shipped snapshots)`)
-	benchOut := flag.String("bench-out", "", "master: directory to write an end-of-run BENCH_<name>.json summary into")
 	traceOut := flag.String("trace-out", "", "master: write the merged cluster timeline (master task spans + every worker's shipped stage spans) as Chrome trace-event JSON to this file")
 	traceWorker := flag.Bool("trace", true, "worker: record spans and ship them to the master (only reaches a file when the master runs with -trace-out)")
 	bootstrap := obs.BootstrapCLI(flag.CommandLine)
@@ -182,7 +180,7 @@ func main() {
 			fail(f.Close())
 			fmt.Printf("wrote %s\n", *outScores)
 		}
-		reportClusterMetrics(cm, time.Since(startTime), *benchOut, d.Voxels())
+		reportClusterMetrics(cm, time.Since(startTime))
 	case "worker":
 		if *addr == "" {
 			fail(fmt.Errorf("worker needs -addr"))
@@ -238,8 +236,8 @@ func writeTrace(logger *slog.Logger, path string, spans []trace.Span) {
 }
 
 // reportClusterMetrics prints the per-worker task counters and the merged
-// cluster-wide view, and optionally writes a BENCH_*.json summary.
-func reportClusterMetrics(cm *cluster.ClusterMetrics, elapsed time.Duration, benchOut string, voxels int) {
+// cluster-wide view.
+func reportClusterMetrics(cm *cluster.ClusterMetrics, elapsed time.Duration) {
 	perRank := cm.Workers()
 	if len(perRank) > 0 {
 		ranks := make([]int, 0, len(perRank))
@@ -265,20 +263,6 @@ func reportClusterMetrics(cm *cluster.ClusterMetrics, elapsed time.Duration, ben
 		merged.Counters["cluster_tasks_issued_total"], merged.Counters["cluster_tasks_completed_total"],
 		merged.Counters["cluster_tasks_retried_total"], merged.Counters["cluster_tasks_speculated_total"],
 		merged.Counters["cluster_voxels_scored_total"], merged.Counters["cluster_dedup_dropped_voxels_total"])
-	if benchOut != "" {
-		sum := obs.NewBenchSummary("fcma-cluster", elapsed, merged)
-		if elapsed > 0 {
-			sum.Throughput = float64(voxels) / elapsed.Seconds()
-			sum.ThroughputUnit = "voxels"
-		}
-		sum.Params = map[string]string{
-			"voxels":  strconv.Itoa(voxels),
-			"workers": strconv.Itoa(len(perRank)),
-		}
-		path, err := sum.WriteFile(benchOut)
-		fail(err)
-		slog.Info("wrote bench summary", "path", path)
-	}
 }
 
 func loadDataset(dataPath, epochPath string) *fmri.Dataset {

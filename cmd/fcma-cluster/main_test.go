@@ -104,6 +104,7 @@ func TestFlagsAndExitCodes(t *testing.T) {
 	}{
 		{"retired engine flag", []string{"-role", "worker", "-engine", "baseline"}, 2, "flag provided but not defined: -engine"},
 		{"retired checkpoint flag", []string{"-role", "master", "-checkpoint", "x"}, 2, "flag provided but not defined: -checkpoint\nUsage of fcma-cluster:"},
+		{"retired bench-out flag", []string{"-role", "master", "-bench-out", "."}, 2, "flag provided but not defined: -bench-out"},
 		{"resume without journal", []string{"-role", "master", "-resume", "-data", data, "-epochs", epochs}, 1, "-resume needs -journal"},
 		{"no dataset", []string{"-role", "worker"}, 1, "need -data and -epochs"},
 		{"worker without -addr", []string{"-role", "worker", "-data", data, "-epochs", epochs}, 1, "worker needs -addr"},

@@ -24,9 +24,7 @@ import (
 	"log/slog"
 	"os"
 	"os/signal"
-	"strconv"
 	"syscall"
-	"time"
 
 	"fcma"
 	"fcma/internal/obs"
@@ -51,7 +49,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "permtest: permutation seed")
 	listen := flag.String("listen", "", `serve /metrics (Prometheus text) and /debug/pprof/ on this address, e.g. ":9090" or ":0"`)
 	progress := flag.Duration("progress", 0, "print progress lines (voxels/sec, ETA) at this interval, e.g. 10s; 0 disables")
-	benchOut := flag.String("bench-out", "", "directory to write an end-of-run BENCH_<name>.json summary into")
 	traceOut := flag.String("trace-out", "", "write the run's span timeline as Chrome trace-event JSON (open in Perfetto) to this file")
 	bootstrap := obs.BootstrapCLI(flag.CommandLine)
 	flag.Parse()
@@ -76,7 +73,15 @@ func main() {
 	cfg := fcma.Config{Workers: *workers, TopK: *topK}
 	if *traceOut != "" {
 		cfg.Trace = fcma.NewTracer()
-		defer writeTrace(logger, cfg.Trace, *traceOut)
+	}
+	// failRun is fail for the analysis below: it writes the trace first,
+	// because fail leaves through os.Exit, which skips defers, and an
+	// interrupted or failed run is the one whose timeline is wanted.
+	failRun := func(err error) {
+		if err != nil && cfg.Trace != nil {
+			writeTrace(logger, cfg.Trace, *traceOut)
+		}
+		fail(err)
 	}
 
 	if *listen != "" {
@@ -102,38 +107,15 @@ func main() {
 		})
 		defer stopProgress()
 	}
-	start := time.Now()
-	if *benchOut != "" {
-		defer func() {
-			snap := obs.Default().Snapshot()
-			elapsed := time.Since(start)
-			sum := obs.NewBenchSummary("fcma-run-"+*mode, elapsed, snap)
-			if v := snap.Counters["core_voxels_scored_total"]; v > 0 && elapsed > 0 {
-				sum.Throughput = float64(v) / elapsed.Seconds()
-				sum.ThroughputUnit = "voxels"
-			}
-			sum.Params = map[string]string{
-				"mode":    *mode,
-				"dataset": d.Name(),
-				"voxels":  strconv.Itoa(d.Voxels()),
-				"workers": strconv.Itoa(*workers),
-				"scale":   strconv.FormatFloat(*scale, 'g', -1, 64),
-			}
-			path, err := sum.WriteFile(*benchOut)
-			fail(err)
-			logger.Info("wrote bench summary", "path", path)
-		}()
-	}
-
 	switch *mode {
 	case "select":
 		scores, err := fcma.SelectVoxelsContext(ctx, d, cfg)
-		fail(err)
+		failRun(err)
 		reportSelection(d, scores, *topK, *roiMinSize)
-		writeOutputs(d, scores, *outScores, *outMap)
+		writeOutputs(failRun, d, scores, *outScores, *outMap)
 	case "mvpa":
 		scores, err := fcma.SelectVoxelsByActivityContext(ctx, d, cfg)
-		fail(err)
+		failRun(err)
 		k := clampK(*topK, len(scores))
 		fmt.Printf("top %d of %d voxels by ACTIVITY-MVPA accuracy:\n", k, len(scores))
 		for _, s := range scores[:k] {
@@ -141,14 +123,14 @@ func main() {
 		}
 	case "permtest":
 		scores, err := fcma.SelectVoxelsContext(ctx, d, cfg)
-		fail(err)
+		failRun(err)
 		k := clampK(*topK, len(scores))
 		top := make([]int, k)
 		for i, s := range scores[:k] {
 			top[i] = s.Voxel
 		}
 		res, err := fcma.PermutationTest(d, top, cfg, *permutations, *seed)
-		fail(err)
+		failRun(err)
 		fmt.Printf("permutation test over the top %d voxels (%d permutations):\n", k, *permutations)
 		fmt.Printf("  observed accuracy %.3f\n", res.Observed)
 		var nullMax float64
@@ -161,7 +143,7 @@ func main() {
 		fmt.Printf("  p-value           %.4f\n", res.P)
 	case "offline":
 		res, err := fcma.OfflineAnalysisContext(ctx, d, cfg)
-		fail(err)
+		failRun(err)
 		fmt.Printf("offline nested leave-one-subject-out on %s (%d subjects)\n", d.Name(), d.Subjects())
 		for _, f := range res.Folds {
 			fmt.Printf("  fold %2d: held-out accuracy %.3f  (%.2fs)\n",
@@ -178,16 +160,19 @@ func main() {
 		}
 	case "online":
 		one, err := d.Subject(*subject)
-		fail(err)
+		failRun(err)
 		res, err := fcma.OnlineAnalysisContext(ctx, one, cfg)
-		fail(err)
+		failRun(err)
 		fmt.Printf("online voxel selection on %s subject %d: %d voxels in %.2fs\n",
 			d.Name(), *subject, len(res.Selected), res.Elapsed.Seconds())
 		for _, s := range res.Selected {
 			fmt.Printf("  voxel %6d  accuracy %.3f\n", s.Voxel, s.Accuracy)
 		}
 	default:
-		fail(fmt.Errorf("unknown mode %q", *mode))
+		failRun(fmt.Errorf("unknown mode %q", *mode))
+	}
+	if cfg.Trace != nil {
+		writeTrace(logger, cfg.Trace, *traceOut)
 	}
 }
 
@@ -222,7 +207,8 @@ func reportSelection(d *fcma.Data, scores []fcma.VoxelScore, topK, roiMin int) {
 	}
 }
 
-func writeOutputs(d *fcma.Data, scores []fcma.VoxelScore, outScores, outMap string) {
+// writeOutputs leaves through its caller's fail, main's failRun.
+func writeOutputs(fail func(error), d *fcma.Data, scores []fcma.VoxelScore, outScores, outMap string) {
 	if outScores != "" {
 		f, err := os.Create(outScores)
 		fail(err)

@@ -49,7 +49,7 @@ func allIdx(n int) []int {
 }
 
 // comparators are the LibSVM rows of the trainer table; production lists
-// the float32 solvers of internal/svm they must agree with.
+// the float32 solver of internal/svm they must agree with.
 func comparators() map[string]svm.KernelTrainer {
 	return map[string]svm.KernelTrainer{
 		"libsvm":            LibSVM{},
@@ -59,9 +59,7 @@ func comparators() map[string]svm.KernelTrainer {
 
 func production() map[string]svm.KernelTrainer {
 	return map[string]svm.KernelTrainer{
-		"phisvm":          svm.PhiSVM{},
-		"phisvm-adaptive": svm.PhiSVM{Rule: svm.Adaptive},
-		"phisvm-second":   svm.PhiSVM{Rule: svm.SecondOrder},
+		"phisvm": svm.PhiSVM{},
 	}
 }
 

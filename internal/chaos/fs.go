@@ -8,7 +8,7 @@
 //
 // The package also owns the durable-write vocabulary the rest of the repo
 // uses: the FS/File seam that durable code (the master and service
-// journals, bench summaries) writes through, and WriteFileAtomic, the
+// journals, the dataset cache) writes through, and WriteFileAtomic, the
 // temp+fsync+rename+dir-fsync pattern a crash cannot tear.
 package chaos
 

@@ -88,22 +88,11 @@ func (j *Journal) apply(payload []byte) error {
 	return nil
 }
 
-// append frames payload through the WAL and books the journal's metrics.
-// sync controls whether the record is fsynced before returning.
+// append frames payload through the WAL, which books its own latency,
+// record and byte series under log="cluster". sync controls whether the
+// record is fsynced before returning.
 func (j *Journal) append(payload []byte, sync bool) error {
-	var st obs.StageTimer
-	if sync {
-		st = j.reg.Stage("journal_sync").Start()
-	}
-	n, err := j.log.Append(payload, sync)
-	if sync {
-		st.Stop()
-	}
-	if n > 0 {
-		j.reg.Counter("cluster_journal_records_total").Inc()
-		j.reg.Counter("cluster_journal_bytes_total").Add(uint64(n))
-	}
-	if err != nil {
+	if _, err := j.log.Append(payload, sync); err != nil {
 		return fmt.Errorf("cluster: journal append: %w", err)
 	}
 	return nil

@@ -21,17 +21,29 @@ func (panicEveryTask) ProcessContext(_ context.Context, t core.Task) ([]core.Vox
 }
 
 // okProcessor returns a fixed accuracy for every assigned voxel.
-type okProcessor struct{ delay time.Duration }
+type okProcessor struct{}
 
-func (p okProcessor) ProcessContext(_ context.Context, t core.Task) ([]core.VoxelScore, error) {
-	if p.delay > 0 {
-		time.Sleep(p.delay)
-	}
+func (okProcessor) ProcessContext(_ context.Context, t core.Task) ([]core.VoxelScore, error) {
 	out := make([]core.VoxelScore, t.V)
 	for i := range out {
 		out[i] = core.VoxelScore{Voxel: t.V0 + i, Accuracy: 0.5}
 	}
 	return out, nil
+}
+
+// gatedProcessor closes first when its first task is done and starts no
+// later task until release is closed. One rank drives it, one task at a
+// time.
+type gatedProcessor struct{ first, release chan struct{} }
+
+func (p gatedProcessor) ProcessContext(ctx context.Context, t core.Task) ([]core.VoxelScore, error) {
+	select {
+	case <-p.first:
+		<-p.release
+	default:
+		defer close(p.first)
+	}
+	return okProcessor{}.ProcessContext(ctx, t)
 }
 
 // TestWorkerPanicIsContained: a panicking processor must not crash the
@@ -99,18 +111,22 @@ func TestRunMasterCtxCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
+	// The worker finishes one of the run's 20 tasks and holds the second
+	// until the master has been cancelled, so the run can neither end
+	// before the cancellation nor outlast it.
+	p := gatedProcessor{first: make(chan struct{}), release: make(chan struct{})}
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		// Each task takes 20ms; the whole brain would take ~400ms.
-		if err := RunWorkerCtx(context.Background(), comm.Rank(1), okProcessor{delay: 20 * time.Millisecond}, WorkerOptions{}); err != nil {
+		if err := RunWorkerCtx(context.Background(), comm.Rank(1), p, WorkerOptions{}); err != nil {
 			t.Error(err)
 		}
 	}()
 	go func() {
-		time.Sleep(50 * time.Millisecond)
+		<-p.first
 		cancel()
+		close(p.release)
 	}()
 	_, err = RunMasterCtx(ctx, comm.Rank(0), 1000, 50, MasterOptions{})
 	if !errors.Is(err, context.Canceled) {

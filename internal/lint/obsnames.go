@@ -18,7 +18,7 @@ import (
 // is written down. Stage arguments are exempt from the character rule's
 // "/" ban: Stage itself rewrites "/" to "_" before the name reaches the
 // registry. Only compile-time-constant names are checkable; dynamically
-// built names (mic's SanitizeMetricName, per-state counters) pass
+// built names (per-state counters) pass
 // through. Test files are exempt — throwaway fixture names are not a
 // metrics contract.
 var ObsNames = &Analyzer{

@@ -4,8 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-
-	"fcma/internal/obs"
 )
 
 func TestCacheGeometryPanics(t *testing.T) {
@@ -286,39 +284,5 @@ func TestRemoteL2CheaperThanDRAM(t *testing.T) {
 	remote.RemoteL2Hits = 1e6
 	if remote.EstimateTime() >= dram.EstimateTime() {
 		t.Fatal("remote-L2 misses must be cheaper than DRAM misses")
-	}
-}
-
-func TestExportObs(t *testing.T) {
-	m := NewMachine(XeonPhi5110P())
-	base := m.Alloc(64 * 4)
-	m.Load(base, 64)
-	m.VectorOp(16, 32)
-	r := obs.NewRegistry()
-	m.ExportObs(r, "Xeon Phi 5110P|gemm-test")
-	snap := r.Snapshot()
-	for _, name := range []string{
-		"mic_xeon_phi_5110p_gemm_test_mem_refs",
-		"mic_xeon_phi_5110p_gemm_test_vector_intensity",
-		"mic_xeon_phi_5110p_gemm_test_gflops",
-	} {
-		if _, ok := snap.Gauges[name]; !ok {
-			t.Fatalf("gauge %s not exported (have %v)", name, snap.Gauges)
-		}
-	}
-	if snap.Gauges["mic_xeon_phi_5110p_gemm_test_vector_intensity"] != 16 {
-		t.Fatalf("vector_intensity = %g, want 16", snap.Gauges["mic_xeon_phi_5110p_gemm_test_vector_intensity"])
-	}
-}
-
-func TestSanitizeMetricName(t *testing.T) {
-	for in, want := range map[string]string{
-		"Xeon Phi 5110P|syrk-tallskinny": "xeon_phi_5110p_syrk_tallskinny",
-		"--weird--":                      "weird",
-		"simple":                         "simple",
-	} {
-		if got := SanitizeMetricName(in); got != want {
-			t.Fatalf("SanitizeMetricName(%q) = %q, want %q", in, got, want)
-		}
 	}
 }

@@ -36,9 +36,6 @@ type Config struct {
 	Trainer svm.KernelTrainer
 	// Workers bounds goroutine parallelism; 0 means GOMAXPROCS.
 	Workers int
-	// Folds overrides the cross-validation split; nil selects
-	// leave-one-subject-out.
-	Folds []svm.Fold
 }
 
 // SelectVoxelsContext scores every voxel by how well its within-epoch
@@ -58,10 +55,7 @@ func SelectVoxelsContext(ctx context.Context, d *fmri.Dataset, cfg Config) ([]Vo
 	if trainer == nil {
 		trainer = svm.PhiSVM{}
 	}
-	folds := cfg.Folds
-	if folds == nil {
-		folds = svm.LeaveOneSubjectOutFolds(d.SubjectOfEpoch())
-	}
+	folds := svm.LeaveOneSubjectOutFolds(d.SubjectOfEpoch())
 	labels := d.Labels()
 	M := len(d.Epochs)
 	T := d.Epochs[0].Len

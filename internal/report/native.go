@@ -21,9 +21,10 @@ type NativeOptions struct {
 	Scale float64
 	// Workers lists the in-process worker counts for the scaling run.
 	Workers []int
-	// TaskSize is the voxels-per-task partition (default 32).
-	TaskSize int
 }
+
+// nativeTaskSize is the voxels-per-task partition of the scaling run.
+const nativeTaskSize = 32
 
 func (n NativeOptions) scale() float64 {
 	if n.Scale <= 0 || n.Scale > 1 {
@@ -37,13 +38,6 @@ func (n NativeOptions) workers() []int {
 		return []int{1, 2, 4, 8}
 	}
 	return n.Workers
-}
-
-func (n NativeOptions) taskSize() int {
-	if n.TaskSize <= 0 {
-		return 32
-	}
-	return n.TaskSize
 }
 
 // nativeStack generates a scaled dataset and builds its epoch stack.
@@ -125,7 +119,7 @@ func NativeScaling(opt NativeOptions) (*Table, error) {
 	}
 	var t1 time.Duration
 	for _, n := range opt.workers() {
-		elapsed, err := runLocalCluster(stack, n, opt.taskSize())
+		elapsed, err := runLocalCluster(stack, n, nativeTaskSize)
 		if err != nil {
 			return nil, err
 		}

@@ -14,7 +14,6 @@ import (
 
 	"fcma/internal/mic"
 	"fcma/internal/mic/access"
-	"fcma/internal/obs"
 )
 
 // Options configures the reproduction runs.
@@ -22,9 +21,6 @@ type Options struct {
 	// Scale shrinks the traced problem sizes (1.0 traces the paper's full
 	// shapes; the default 0.02 keeps every table affordable).
 	Scale float64
-	// IterFactor forwards to the SMO traces (default 4 iterations per
-	// training sample).
-	IterFactor float64
 	// SVMCalibration multiplies the SVM-stage counters to account for the
 	// gap between the idealized SMO iteration count the traces assume and
 	// the iteration counts LibSVM-family solvers exhibit on real fMRI
@@ -81,9 +77,7 @@ func (o *Runner) cached(key string, fn func() *mic.Machine) *mic.Machine {
 func (o *Runner) stage(cfg mic.Config, name string, full access.Shape, work func(access.Shape) float64, driver func(*mic.Machine, access.Shape)) *mic.Machine {
 	key := fmt.Sprintf("%s|%s|%+v", cfg.Name, name, full)
 	return o.cached(key, func() *mic.Machine {
-		m := access.RunScaled(cfg, full, o.opt.scale(), work, driver)
-		m.ExportObs(obs.Default(), cfg.Name+"_"+name)
-		return m
+		return access.RunScaled(cfg, full, o.opt.scale(), work, driver)
 	})
 }
 
@@ -103,7 +97,6 @@ func (o *Runner) svmStage(cfg mic.Config, name string, full access.Shape, active
 		}
 		traced.Folds = folds
 		opts := access.SVMOptions{
-			IterFactor:   o.opt.IterFactor,
 			Voxels:       1,
 			ActiveVoxels: activeVoxels,
 		}
@@ -113,7 +106,6 @@ func (o *Runner) svmStage(cfg mic.Config, name string, full access.Shape, active
 		scale := float64(full.V) / float64(opts.Voxels) * float64(full.Folds) / float64(folds)
 		m.Counters.Scale(scale * o.opt.svmCalibration())
 		m.ActiveThreads = active
-		m.ExportObs(obs.Default(), cfg.Name+"_svm_"+name)
 		return m
 	})
 }

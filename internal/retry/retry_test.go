@@ -58,12 +58,18 @@ func TestDoExhaustsBudget(t *testing.T) {
 func TestDoCancelDuringBackoff(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
+	firstCall := make(chan struct{}) // closed by the op's first attempt
 	start := time.Now()
 	go func() {
 		done <- Do(ctx, Policy{Attempts: 1000, BaseDelay: time.Second, MaxDelay: time.Second, Seed: 7},
-			func(context.Context, int) error { return errors.New("always fails") })
+			func(_ context.Context, attempt int) error {
+				if attempt == 1 {
+					close(firstCall)
+				}
+				return errors.New("always fails")
+			})
 	}()
-	time.Sleep(20 * time.Millisecond) // let it reach the first backoff
+	<-firstCall // the first backoff is all that is left before attempt 2
 	cancel()
 	select {
 	case err := <-done:

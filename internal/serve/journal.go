@@ -33,7 +33,6 @@ import (
 type journal struct {
 	mu  sync.Mutex
 	log *wal.Log
-	reg *obs.Registry
 
 	// replay state
 	jobs   map[string]*Job
@@ -65,7 +64,7 @@ type stateRecord struct {
 // openJournal opens (or creates) the job journal at path and replays it
 // into a fresh job map.
 func openJournal(fsys chaos.FS, path string, reg *obs.Registry) (*journal, error) {
-	j := &journal{jobs: make(map[string]*Job), reg: reg}
+	j := &journal{jobs: make(map[string]*Job)}
 	log, err := wal.OpenObserved(fsys, path, serveMagic, serveMaxRecord, j.apply, reg, "serve")
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
@@ -143,24 +142,12 @@ func (j *journal) apply(payload []byte) error {
 	return nil
 }
 
-// append frames payload through the WAL under the journal lock and books
-// metrics.
+// append frames payload through the WAL under the journal lock. The WAL
+// books its own latency, record and byte series under log="serve".
 func (j *journal) append(payload []byte, sync bool) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	var st obs.StageTimer
-	if sync {
-		st = j.reg.Stage("serve_journal_sync").Start()
-	}
-	n, err := j.log.Append(payload, sync)
-	if sync {
-		st.Stop()
-	}
-	if n > 0 {
-		j.reg.Counter("serve_journal_records_total").Inc()
-		j.reg.Counter("serve_journal_bytes_total").Add(uint64(n))
-	}
-	if err != nil {
+	if _, err := j.log.Append(payload, sync); err != nil {
 		return fmt.Errorf("serve: journal append: %w", err)
 	}
 	return nil

@@ -155,9 +155,8 @@ func runFolds(tr KernelTrainer, K *tensor.Matrix, labels []int, folds []Fold, de
 	// folds go through tr.TrainKernel.
 	var s *smo32
 	var params Params
-	var rule Heuristic
 	if p, ok := tr.(PhiSVM); ok {
-		params, rule = p.dense()
+		params = p.Params
 		s = getSolver()
 		defer putSolver(s)
 	}
@@ -172,7 +171,7 @@ func runFolds(tr KernelTrainer, K *tensor.Matrix, labels []int, folds []Fold, de
 		if pos := countPositive(labels, f.Train); pos == 0 || pos == len(f.Train) {
 			err = ErrOneClass
 		} else if s != nil {
-			s.reset(K, labels, f.Train, params, rule)
+			s.reset(K, labels, f.Train, params)
 			if fs.Iters, err = s.solve(); err == nil {
 				s.finish()
 			}

@@ -17,54 +17,17 @@ import (
 	"fcma/internal/tensor"
 )
 
-// Heuristic selects a working-set-selection rule for the dense solver.
-type Heuristic int
-
-const (
-	// FirstOrder is the maximal-violating-pair rule (Keerthi et al. 2001):
-	// cheap per iteration, often more iterations. It is the zero value
-	// and so what PhiSVM{} runs.
-	FirstOrder Heuristic = iota
-	// SecondOrder is the Fan/Chen/Lin 2005 rule LibSVM defaults to:
-	// costlier per iteration, usually fewer iterations.
-	SecondOrder
-	// Adaptive alternates probe phases and settles on whichever rule is
-	// reducing the dual objective faster, re-probing periodically — the
-	// strategy of the GPU solver of Catanzaro et al. that the paper's
-	// PhiSVM ports. It runs only where PhiSVM.Rule asks for it.
-	Adaptive
-)
-
-// String implements fmt.Stringer.
-func (h Heuristic) String() string {
-	switch h {
-	case FirstOrder:
-		return "first-order"
-	case SecondOrder:
-		return "second-order"
-	case Adaptive:
-		return "adaptive"
-	default:
-		return fmt.Sprintf("Heuristic(%d)", int(h))
-	}
-}
-
-// adaptPhase is the number of SMO iterations per adaptive probe phase.
-const adaptPhase = 64
-
 // smo32 is the dense solver, in three layers. reset compacts one fold's
 // training sub-kernel into kd, a dense n×n float32 scratch, so no loop
 // below it indexes a kernel row through idx: every row is read with unit
 // stride (the paper's idea iii — no node indirection). step is the
 // analytic two-variable update. sweep is the fused first-order iteration:
 // one pass that maintains the gradient and carries the next
-// maximal-violating pair. Solver state is float64 for stability. The
-// working-set rule is pluggable; SecondOrder and Adaptive run the unfused
-// select + update pair on the same dense rows, and that pair is the
-// oracle sweep is pinned to, bit for bit.
+// maximal-violating pair (Keerthi et al. 2001), the one working-set rule
+// the solver runs. Solver state is float64 for stability.
 //
 // The state is the one the sweep reads. v[t] = −y[t]·G[t] is the quantity
-// every selection rule compares (G the dual gradient), so no loop
+// the selection compares (G the dual gradient), so no loop
 // multiplies by the label; outUp and outLow are the complements of the two
 // membership sets as all-ones / zero masks, which only step rewrites, at
 // the two positions whose α it moved.
@@ -98,21 +61,6 @@ type smo32 struct {
 	c       float64
 	eps     float64
 	maxIter int
-	rule    Heuristic
-	adaptState
-}
-
-// adaptState is what the Adaptive rule's probe/commit state machine
-// carries from iteration to iteration.
-type adaptState struct {
-	rate     [2]float64 // EWMA of objective decrease per phase, per rule
-	probed   [2]bool
-	current  Heuristic
-	phaseObj float64
-	phaseIt  int
-	sincePro int
-	// selected counts iterations spent under each rule (diagnostics).
-	selected [2]int
 }
 
 // idxRun is a maximal run of consecutive kernel indices in a training
@@ -166,15 +114,14 @@ func (s *smo32) grow(n int) {
 // gather done once per fold instead of twice per element per iteration.
 //
 //lint:hotpath once per fold per voxel
-func (s *smo32) reset(K *tensor.Matrix, labels []int, trainIdx []int, p Params, rule Heuristic) {
+func (s *smo32) reset(K *tensor.Matrix, labels []int, trainIdx []int, p Params) {
 	n := len(trainIdx)
 	if n > cap(s.y) {
 		s.grow(n)
 	}
 	s.idx, s.n = trainIdx, n
 	p = p.Resolved(n)
-	s.c, s.eps, s.maxIter, s.rule = p.C, p.Eps, p.MaxIter, rule
-	s.adaptState = adaptState{current: SecondOrder}
+	s.c, s.eps, s.maxIter = p.C, p.Eps, p.MaxIter
 
 	runs := s.runs[:n]
 	nr := 0
@@ -218,16 +165,9 @@ func (s *smo32) row(i int) []float32 {
 // error it returns to its caller.
 var ErrNoConverge = errors.New("svm: SMO failed to converge")
 
-// solve runs SMO to convergence and returns the iteration count. The
-// first-order rule runs fused; iterates and iteration counts are those of
-// the unfused loop, which the other two rules run.
+// solve runs SMO to convergence and returns the iteration count.
 func (s *smo32) solve() (int, error) {
-	iters, converged := 0, false
-	if s.rule == FirstOrder {
-		iters, converged = s.solveFused()
-	} else {
-		iters, converged = s.solveUnfused()
-	}
+	iters, converged := s.solveFused()
 	if !converged {
 		return iters, fmt.Errorf("%w in %d iterations", ErrNoConverge, iters)
 	}
@@ -258,78 +198,7 @@ func (s *smo32) solveFused() (iters int, converged bool) {
 		}
 		iters += done
 	}
-	s.selected[FirstOrder] = iters
 	return iters, iters < s.maxIter
-}
-
-// solveUnfused is a selection and an update per iteration, under whatever
-// rule is active. Run under FirstOrder it is the oracle solveFused is
-// pinned to.
-func (s *smo32) solveUnfused() (iters int, converged bool) {
-	for iter := 0; iter < s.maxIter; iter++ {
-		rule := s.activeRule(iter)
-		var i, j int
-		var ok bool
-		if rule == FirstOrder {
-			i, j, ok = s.selectFirstOrder()
-		} else {
-			i, j, ok = s.selectSecondOrder()
-		}
-		if !ok {
-			return iter, true
-		}
-		s.selected[rule]++
-		s.update(i, j)
-	}
-	return s.maxIter, false
-}
-
-// activeRule returns the working-set rule for this iteration, running the
-// adaptive probe/commit state machine when the solver is in Adaptive mode.
-func (s *smo32) activeRule(iter int) Heuristic {
-	if s.rule != Adaptive {
-		return s.rule
-	}
-	if s.phaseIt == 0 {
-		s.phaseObj = s.objective()
-	}
-	s.phaseIt++
-	if s.phaseIt < adaptPhase {
-		return s.current
-	}
-	// Phase boundary: record this rule's objective-decrease rate.
-	obj := s.objective()
-	decrease := s.phaseObj - obj
-	r := int(s.current)
-	if s.probed[r] {
-		s.rate[r] = 0.5*s.rate[r] + 0.5*decrease
-	} else {
-		s.rate[r] = decrease
-		s.probed[r] = true
-	}
-	s.phaseIt = 0
-	s.sincePro++
-	switch {
-	case !s.probed[FirstOrder]:
-		s.current = FirstOrder
-	case !s.probed[SecondOrder]:
-		s.current = SecondOrder
-	case s.sincePro >= 8:
-		// Periodic re-probe of the rule not currently in use.
-		s.sincePro = 0
-		if s.current == FirstOrder {
-			s.current = SecondOrder
-		} else {
-			s.current = FirstOrder
-		}
-	default:
-		if s.rate[FirstOrder] > s.rate[SecondOrder] {
-			s.current = FirstOrder
-		} else {
-			s.current = SecondOrder
-		}
-	}
-	return s.current
 }
 
 // selectFirstOrder implements the maximal-violating-pair rule.
@@ -346,48 +215,6 @@ func (s *smo32) selectFirstOrder() (int, int, bool) {
 		}
 	}
 	if imax == -1 || jmin == -1 || gmax-gmin < s.eps {
-		return -1, -1, false
-	}
-	return imax, jmin, true
-}
-
-// selectSecondOrder implements WSS2 over the dense kernel.
-func (s *smo32) selectSecondOrder() (int, int, bool) {
-	gmax := math.Inf(-1)
-	gmax2 := math.Inf(-1)
-	imax := -1
-	for t, vt := range s.v {
-		if vt >= gmax && s.outUp[t] == 0 {
-			gmax, imax = vt, t
-		}
-	}
-	if imax == -1 {
-		return -1, -1, false
-	}
-	ki := s.row(imax)
-	jmin := -1
-	objMin := math.Inf(1)
-	for t, vt := range s.v {
-		if s.outLow[t] != 0 {
-			continue
-		}
-		gradDiff := gmax - vt
-		if -vt >= gmax2 {
-			gmax2 = -vt
-		}
-		if gradDiff > 0 {
-			// a_it = K_ii + K_tt − 2K_it = ‖φ(xᵢ)−φ(xₜ)‖², label-independent.
-			quad := s.qd[imax] + s.qd[t] - 2*float64(ki[t])
-			if quad <= 0 {
-				quad = tau
-			}
-			if od := -(gradDiff * gradDiff) / quad; od <= objMin {
-				jmin = t
-				objMin = od
-			}
-		}
-	}
-	if gmax+gmax2 < s.eps || jmin == -1 {
 		return -1, -1, false
 	}
 	return imax, jmin, true
@@ -484,24 +311,6 @@ func (s *smo32) step(i, j int) (cyi, cyj float64, moved bool) {
 	return dai * yi, daj * yj, true
 }
 
-// update is one unfused iteration's second half: step, then gradient
-// maintenance. SecondOrder and Adaptive run it; sweep is pinned to it
-// followed by selectFirstOrder.
-func (s *smo32) update(i, j int) {
-	if cyi, cyj, moved := s.step(i, j); moved {
-		s.addGradient(i, j, cyi, cyj)
-	}
-}
-
-// addGradient is G_t += Q_ti·Δαi + Q_tj·Δαj over the two dense kernel
-// rows, read with unit stride — in v, where Q's labels cancel.
-func (s *smo32) addGradient(i, j int, cyi, cyj float64) {
-	ki, kj := s.row(i), s.row(j)
-	for t := range s.v {
-		s.v[t] -= cyi*float64(ki[t]) + cyj*float64(kj[t])
-	}
-}
-
 // threshold is LibSVM's ρ: the mean of y·G = −v over the free α, or the
 // midpoint of the bounds the α at 0 and at C put on it. A bounded sample
 // is in exactly one of the two sets.
@@ -569,18 +378,9 @@ func (s *smo32) model(iters int) *Model {
 }
 
 // PhiSVM is the paper's optimized solver (§4.4): the dense float32 kernel
-// with the cheap first-order working-set rule by default, and the
-// Catanzaro-style adaptive first/second-order rule on request.
+// under the first-order working-set rule.
 type PhiSVM struct {
 	Params
-	// Rule is the working-set rule. The zero value is FirstOrder, which
-	// is what every production caller runs: on both benchmark shapes it
-	// is the fastest of the three rules at the same accuracy
-	// (EXPERIMENTS.md, Table 8). SecondOrder and Adaptive are there for
-	// the ablation benchmarks; SecondOrder is the paper's "optimized
-	// LibSVM" row — LibSVM's algorithm and rule with the kernel kept in
-	// the dense float32 matrix instead of node arrays.
-	Rule Heuristic
 }
 
 // TrainKernel implements KernelTrainer: a pooled solver, then one Model
@@ -589,23 +389,15 @@ func (p PhiSVM) TrainKernel(K *tensor.Matrix, labels []int, trainIdx []int) (*Mo
 	if err := checkTrainingSet(labels, trainIdx); err != nil {
 		return nil, err
 	}
-	params, rule := p.dense()
 	s := getSolver()
 	defer putSolver(s)
-	s.reset(K, labels, trainIdx, params, rule)
+	s.reset(K, labels, trainIdx, p.Params)
 	iters, err := s.solve()
 	if err != nil {
 		return nil, err
 	}
 	s.finish()
 	return s.model(iters), nil
-}
-
-func (p PhiSVM) dense() (Params, Heuristic) {
-	if p.Rule != FirstOrder && p.Rule != SecondOrder {
-		return p.Params, Adaptive // including values that name no rule
-	}
-	return p.Params, p.Rule
 }
 
 var _ KernelTrainer = PhiSVM{}

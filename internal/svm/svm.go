@@ -2,31 +2,23 @@
 // vector machine training and cross-validation over precomputed kernel
 // matrices, one small SVM problem per voxel.
 //
-// One trainer, PhiSVM, is both optimized rows of the paper's Table 8
-// comparison (its first row, the double-precision node-array LibSVM
-// re-implementation they are measured against, lives with the other
-// comparators in internal/baseline): the Catanzaro-style solver the paper
-// ports from CUDA — float32, dense precomputed kernel with unit-stride row
-// access — under one of three working-set rules.
-//
-//   - FirstOrder (Keerthi et al. 2001), the default and what every
-//     analysis runs.
-//   - SecondOrder (Fan, Chen, Lin 2005): LibSVM's own rule over the dense
-//     kernel — the paper's "optimized LibSVM".
-//   - Adaptive: the choice between the two driven by the observed
-//     convergence rate; it measured slower on this repo's shapes, so no
-//     caller outside the ablations asks for it.
-//
-// All rules solve the same dual problem and agree on the resulting
-// classifier; they differ in heuristics, which is what the paper's
-// performance study measures.
+// One trainer, PhiSVM, is the Catanzaro-style solver the paper ports from
+// CUDA (§4.4): float32, dense precomputed kernel with unit-stride row
+// access, under one working-set rule — the first-order maximal-violating
+// pair of Keerthi et al. (2001). The double-precision node-array LibSVM
+// re-implementation Table 8 measures it against lives with the other
+// comparators in internal/baseline. There is no rule option: a dense
+// second-order rule (Fan, Chen, Lin 2005) and an adaptive choice between
+// the two measured 5–6× slower per voxel at equal accuracy and about the
+// same iteration counts (EXPERIMENTS.md "At PR 28").
 //
 // The solver, smo32, is reused through a pool: per fold it compacts the
-// training sub-kernel into a dense float32 scratch, and its first-order
-// iteration is one fused pass that updates the gradient and selects the
-// next working pair, over state kept in the form that pass reads — in Go,
-// and as one AVX2 assembly loop per fold pinned to the Go loop bit for bit
-// (DESIGN.md §17).
+// training sub-kernel into a dense float32 scratch, and its iteration is
+// one fused pass that updates the gradient and selects the next working
+// pair, over state kept in the form that pass reads — in Go, and as one
+// AVX2 assembly loop per fold pinned to the Go loop bit for bit (DESIGN.md
+// §17). The unfused select-then-update loop both are pinned to is the
+// tests' oracle.
 //
 // CrossValidateContext and CrossValidateDetailed share one fold loop.
 // Invalid input — an index outside the kernel, a label that is not 0 or 1,

@@ -56,11 +56,8 @@ func allIdx(n int) []int {
 // path any trainer from outside the package takes.
 func trainers() map[string]KernelTrainer {
 	return map[string]KernelTrainer{
-		"phisvm":          PhiSVM{},
-		"phisvm-adaptive": PhiSVM{Rule: Adaptive},
-		"phisvm-first":    PhiSVM{Rule: FirstOrder},
-		"phisvm-second":   PhiSVM{Rule: SecondOrder},
-		"phisvm-generic":  struct{ KernelTrainer }{PhiSVM{}},
+		"phisvm":         PhiSVM{},
+		"phisvm-generic": struct{ KernelTrainer }{PhiSVM{}},
 	}
 }
 
@@ -110,10 +107,7 @@ func TestTrainersAgreeOnPredictions(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	K, labels := noisyProblem(rng, 50, 0.05)
 	train := allIdx(40) // hold out 10
-	ref, err := PhiSVM{Rule: SecondOrder}.TrainKernel(K, labels, train)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := unfusedModel(t, K, labels, train, Params{})
 	for name, tr := range trainers() {
 		model, err := tr.TrainKernel(K, labels, train)
 		if err != nil {
@@ -137,29 +131,27 @@ func TestKKTConditions(t *testing.T) {
 	K, labels := noisyProblem(rng, 50, 0.15)
 	idx := allIdx(50)
 	params := Params{C: 1, Eps: 1e-4}
-	for _, tr := range []KernelTrainer{PhiSVM{Params: params, Rule: SecondOrder}, PhiSVM{Params: params}} {
-		model, err := tr.TrainKernel(K, labels, idx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		const slack = 0.02
-		for i, kidx := range model.TrainIdx {
-			y := float64(2*labels[kidx] - 1)
-			yf := y * model.Decide(K, kidx)
-			alpha := model.Coef[i] * y // α = coef·y since coef = α·y
-			switch {
-			case alpha <= 1e-9:
-				if yf < 1-slack-params.Eps*10 {
-					t.Fatalf("KKT violated for α=0 sample %d: y·f=%v", i, yf)
-				}
-			case alpha >= params.C-1e-9:
-				if yf > 1+slack+params.Eps*10 {
-					t.Fatalf("KKT violated for α=C sample %d: y·f=%v", i, yf)
-				}
-			default:
-				if math.Abs(yf-1) > slack {
-					t.Fatalf("KKT violated for free sample %d: y·f=%v", i, yf)
-				}
+	model, err := PhiSVM{Params: params}.TrainKernel(K, labels, idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const slack = 0.02
+	for i, kidx := range model.TrainIdx {
+		y := float64(2*labels[kidx] - 1)
+		yf := y * model.Decide(K, kidx)
+		alpha := model.Coef[i] * y // α = coef·y since coef = α·y
+		switch {
+		case alpha <= 1e-9:
+			if yf < 1-slack-params.Eps*10 {
+				t.Fatalf("KKT violated for α=0 sample %d: y·f=%v", i, yf)
+			}
+		case alpha >= params.C-1e-9:
+			if yf > 1+slack+params.Eps*10 {
+				t.Fatalf("KKT violated for α=C sample %d: y·f=%v", i, yf)
+			}
+		default:
+			if math.Abs(yf-1) > slack {
+				t.Fatalf("KKT violated for free sample %d: y·f=%v", i, yf)
 			}
 		}
 	}
@@ -198,7 +190,7 @@ func TestTrainKernelErrors(t *testing.T) {
 		t.Fatalf("single-class training set: %v, want ErrOneClass", err)
 	}
 	badLabels := []int{0, 1, 2, 1}
-	if _, err := (PhiSVM{Rule: SecondOrder}).TrainKernel(K, badLabels, allIdx(4)); err == nil {
+	if _, err := (PhiSVM{}).TrainKernel(K, badLabels, allIdx(4)); err == nil {
 		t.Fatal("expected non-binary label error")
 	}
 	if _, err := (PhiSVM{}).TrainKernel(K, []int{0, 1}, []int{0, 5}); err == nil {
@@ -209,25 +201,9 @@ func TestTrainKernelErrors(t *testing.T) {
 func TestMaxIterEnforced(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	K, labels := noisyProblem(rng, 40, 0.3)
-	tr := PhiSVM{Params: Params{MaxIter: 1, Eps: 1e-12}, Rule: SecondOrder}
+	tr := PhiSVM{Params: Params{MaxIter: 1, Eps: 1e-12}}
 	if _, err := tr.TrainKernel(K, labels, allIdx(40)); err == nil {
 		t.Fatal("expected non-convergence error with MaxIter=1")
-	}
-}
-
-func TestAdaptiveUsesBothRules(t *testing.T) {
-	// A problem hard enough to run several adaptive phases should probe
-	// both heuristics.
-	rng := rand.New(rand.NewSource(6))
-	n := 200
-	K, labels := noisyProblem(rng, n, 0.4)
-	s := new(smo32)
-	s.reset(K, labels, allIdx(n), Params{C: 10, Eps: 1e-6}, Adaptive)
-	if _, err := s.solve(); err != nil {
-		t.Fatal(err)
-	}
-	if s.selected[FirstOrder] == 0 || s.selected[SecondOrder] == 0 {
-		t.Fatalf("adaptive never probed both rules: %v", s.selected)
 	}
 }
 
@@ -245,75 +221,34 @@ func sameModel(a, b *Model) bool {
 	return true
 }
 
-// PhiSVM's zero value runs the first-order rule — Heuristic's zero value
-// — not the adaptive one; Adaptive runs only when Rule names it. Every
-// production caller passes the zero value, so this pins what they get.
+// unfusedModel trains with the unfused first-order oracle (sweep_test.go)
+// and returns the classifier it reaches.
+func unfusedModel(t *testing.T, K *tensor.Matrix, labels, train []int, p Params) *Model {
+	t.Helper()
+	s := new(smo32)
+	s.reset(K, labels, train, p)
+	iters, converged := s.solveUnfused()
+	if !converged {
+		t.Fatalf("oracle out of iterations after %d", iters)
+	}
+	s.finish()
+	return s.model(iters)
+}
+
+// PhiSVM's zero value — what every production caller passes — is the
+// first-order solver: TrainKernel takes the unfused oracle's path to the
+// oracle's classifier.
 func TestPhiSVMZeroValueIsFirstOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	n := 200
 	K, labels := noisyProblem(rng, n, 0.4)
 	params := Params{C: 10, Eps: 1e-6}
-	train := func(p PhiSVM) *Model {
-		m, err := p.TrainKernel(K, labels, allIdx(n))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	zero, first := train(PhiSVM{Params: params}), train(PhiSVM{Params: params, Rule: FirstOrder})
-	if !sameModel(zero, first) {
-		t.Fatalf("PhiSVM{} took %d iterations, PhiSVM{Rule: FirstOrder} %d: the zero value is not first-order",
-			zero.Iters, first.Iters)
-	}
-	// The adaptive solver, driven directly, uses both rules on this
-	// problem; PhiSVM{Rule: Adaptive} must be that solver.
-	s := new(smo32)
-	s.reset(K, labels, allIdx(n), params, Adaptive)
-	iters, err := s.solve()
+	zero, err := PhiSVM{Params: params}.TrainKernel(K, labels, allIdx(n))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.selected[FirstOrder] == 0 || s.selected[SecondOrder] == 0 {
-		t.Fatalf("adaptive never probed both rules: %v", s.selected)
-	}
-	s.finish()
-	adaptive := train(PhiSVM{Params: params, Rule: Adaptive})
-	if !sameModel(adaptive, s.model(iters)) {
-		t.Fatal("PhiSVM{Rule: Adaptive} does not run the adaptive solver")
-	}
-	if sameModel(adaptive, zero) {
-		t.Fatal("PhiSVM{Rule: Adaptive} took the zero value's first-order path")
-	}
-}
-
-func TestSecondOrderConvergesInFewerIterations(t *testing.T) {
-	// The second-order rule should need no more iterations than first-order
-	// on average — the premise behind LibSVM's default and the adaptive
-	// choice.
-	rng := rand.New(rand.NewSource(7))
-	var it1, it2 int
-	for trial := 0; trial < 5; trial++ {
-		K, labels := noisyProblem(rng, 80, 0.2)
-		m1, err := PhiSVM{Rule: FirstOrder}.TrainKernel(K, labels, allIdx(80))
-		if err != nil {
-			t.Fatal(err)
-		}
-		m2, err := PhiSVM{Rule: SecondOrder}.TrainKernel(K, labels, allIdx(80))
-		if err != nil {
-			t.Fatal(err)
-		}
-		it1 += m1.Iters
-		it2 += m2.Iters
-	}
-	if it2 > it1*2 {
-		t.Fatalf("second-order used far more iterations (%d) than first-order (%d)", it2, it1)
-	}
-}
-
-func TestHeuristicString(t *testing.T) {
-	if FirstOrder.String() != "first-order" || SecondOrder.String() != "second-order" ||
-		Adaptive.String() != "adaptive" || Heuristic(9).String() == "" {
-		t.Fatal("Heuristic.String broken")
+	if first := unfusedModel(t, K, labels, allIdx(n), params); !sameModel(zero, first) {
+		t.Fatalf("PhiSVM took %d iterations, the first-order oracle %d", zero.Iters, first.Iters)
 	}
 }
 
@@ -649,24 +584,6 @@ func TestModelNumSVAndDecide(t *testing.T) {
 		if (f > 0) != (p == 1) {
 			t.Fatalf("Decide/Predict disagree at %d", i)
 		}
-	}
-}
-
-func TestHeuristicsAgreeOnSolution(t *testing.T) {
-	// First-order and second-order must converge to the same dual optimum.
-	rng := rand.New(rand.NewSource(61))
-	K, labels := noisyProblem(rng, 70, 0.15)
-	idx := allIdx(70)
-	m1, err := PhiSVM{Rule: FirstOrder}.TrainKernel(K, labels, idx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := PhiSVM{Rule: SecondOrder}.TrainKernel(K, labels, idx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(m1.Objective-m2.Objective) > 0.05*math.Abs(m1.Objective)+0.05 {
-		t.Fatalf("objectives %v vs %v", m1.Objective, m2.Objective)
 	}
 }
 

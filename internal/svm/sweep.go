@@ -12,7 +12,8 @@ import "math"
 // sweep finishes the iteration step(i, j) began and selects the next one:
 // every v[t] takes its gradient update −(cyi·K[i][t] + cyj·K[j][t]), and
 // the same pass carries the maximal-violating pair of the updated state.
-// It is update's gradient loop followed by selectFirstOrder — the same
+// It is the unfused oracle's gradient loop (addGradient, kept with the
+// tests that pin this pass to it) followed by selectFirstOrder — the same
 // operations on each element in the same order, `>=`/`<=` so the last
 // index wins a tie — and returns what selectFirstOrder would.
 //

@@ -99,7 +99,7 @@ func TestResetCompactsSubKernel(t *testing.T) {
 	// the one before it left in the scratch.
 	s := new(smo32)
 	for name, idx := range lists {
-		s.reset(K, labels, idx, Params{}, FirstOrder)
+		s.reset(K, labels, idx, Params{})
 		n := len(idx)
 		if s.n != n || len(s.kd) != n*n || len(s.y) != n || len(s.alpha) != n || len(s.v) != n || len(s.qd) != n || len(s.outUp) != n || len(s.outLow) != n {
 			t.Fatalf("%s: scratch not sized to n = %d", name, n)
@@ -146,6 +146,37 @@ func sweepProblem(rng *rand.Rand, n int, pos float64) (*tensor.Matrix, []int) {
 	return PrecomputeKernel(X), labels
 }
 
+// solveUnfused is the first-order solver as it was before the sweep: a
+// plain selectFirstOrder and an update per iteration. It is the oracle the
+// fused Go loop and solveAVX2 are pinned to.
+func (s *smo32) solveUnfused() (iters int, converged bool) {
+	for iter := 0; iter < s.maxIter; iter++ {
+		i, j, ok := s.selectFirstOrder()
+		if !ok {
+			return iter, true
+		}
+		s.update(i, j)
+	}
+	return s.maxIter, false
+}
+
+// update is one unfused iteration's second half: step, then gradient
+// maintenance.
+func (s *smo32) update(i, j int) {
+	if cyi, cyj, moved := s.step(i, j); moved {
+		s.addGradient(i, j, cyi, cyj)
+	}
+}
+
+// addGradient is G_t += Q_ti·Δαi + Q_tj·Δαj over the two dense kernel
+// rows, read with unit stride — in v, where Q's labels cancel.
+func (s *smo32) addGradient(i, j int, cyi, cyj float64) {
+	ki, kj := s.row(i), s.row(j)
+	for t := range s.v {
+		s.v[t] -= cyi*float64(ki[t]) + cyj*float64(kj[t])
+	}
+}
+
 // (b) Fused vs unfused: solve() reaches the state of solveUnfused — a plain
 // selectFirstOrder and an update per iteration, the first-order solver as
 // it was before the sweep — in the same iteration count, on both paths.
@@ -165,7 +196,7 @@ func TestFusedSolveMatchesUnfused(t *testing.T) {
 				K, labels := sweepProblem(rng, n, pos)
 				params.C = C
 				want := new(smo32)
-				want.reset(K, labels, allIdx(n), params, FirstOrder)
+				want.reset(K, labels, allIdx(n), params)
 				wantIters, _ := want.solveUnfused()
 				if wantIters == params.MaxIter {
 					capped++
@@ -173,7 +204,7 @@ func TestFusedSolveMatchesUnfused(t *testing.T) {
 				t.Run(fmt.Sprintf("n%d/pos%g/C%g", n, pos, C), func(t *testing.T) {
 					eachSweepPath(t, func(t *testing.T) {
 						got := new(smo32)
-						got.reset(K, labels, allIdx(n), params, FirstOrder)
+						got.reset(K, labels, allIdx(n), params)
 						iters, err := got.solve()
 						if (err != nil) != (wantIters == params.MaxIter) {
 							t.Fatalf("solve error %v after %d iterations; oracle took %d", err, iters, wantIters)
@@ -465,7 +496,7 @@ func FuzzSolveLoopMatchesGo(f *testing.F) {
 		var converged [2]bool
 		for p := range s {
 			useAVX2 = p == 1
-			s[p].reset(K, labels, allIdx(n), params, FirstOrder)
+			s[p].reset(K, labels, allIdx(n), params)
 			iters[p], converged[p] = s[p].solveFused()
 		}
 		if iters[0] != iters[1] || converged[0] != converged[1] {
@@ -488,7 +519,7 @@ func TestMasksTrackMembership(t *testing.T) {
 			t.Run(fmt.Sprintf("n%d/C%g", n, C), func(t *testing.T) {
 				eachSweepPath(t, func(t *testing.T) {
 					s := new(smo32)
-					s.reset(K, labels, allIdx(n), Params{C: C}, FirstOrder)
+					s.reset(K, labels, allIdx(n), Params{C: C})
 					i, j, ok := s.selectFirstOrder()
 					for iter := 0; ok && iter < 5000; iter++ {
 						i, j, ok = iterateOnPath(s, i, j)
@@ -608,7 +639,7 @@ func TestVStateMatchesGradientState(t *testing.T) {
 			eachSweepPath(t, func(t *testing.T) {
 				s := new(smo32)
 				for fi, f := range folds {
-					s.reset(K, labels, f.Train, Params{}, FirstOrder)
+					s.reset(K, labels, f.Train, Params{})
 					want := newGSolver(s)
 					wantIters := want.solve()
 					iters, err := s.solve()
@@ -684,7 +715,7 @@ func TestBoxInactiveAtBenchmarkShapes(t *testing.T) {
 		s := new(smo32)
 		var atC, sv, total int
 		for fi, f := range folds {
-			s.reset(K, labels, f.Train, Params{}, FirstOrder)
+			s.reset(K, labels, f.Train, Params{})
 			if _, err := s.solve(); err != nil {
 				t.Fatalf("%s fold %d: %v", sh.name, fi, err)
 			}
@@ -737,7 +768,7 @@ func TestPutSolverDropsCallerReferences(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	K, labels := sweepProblem(rng, 20, 0.5)
 	s := getSolver()
-	s.reset(K, labels, allIdx(20), Params{}, FirstOrder)
+	s.reset(K, labels, allIdx(20), Params{})
 	if _, err := s.solve(); err != nil {
 		t.Fatal(err)
 	}
