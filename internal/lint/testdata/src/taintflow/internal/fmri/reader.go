@@ -41,3 +41,65 @@ func Window(r io.Reader, data []float32) ([]float32, error) {
 	end := int(binary.LittleEndian.Uint32(buf[:]))
 	return data[:end], nil // want "untrusted raw input bytes reaches slice bounds"
 }
+
+// maxName bounds a header-declared name length.
+const maxName = 1 << 16
+
+// ReadName reads the header through a local closure, as the dataset reader
+// does, and sizes the name buffer with the word it returns, unchecked.
+func ReadName(r io.Reader) ([]byte, error) {
+	readWord := func() (uint32, error) {
+		var v uint32
+		err := binary.Read(r, binary.LittleEndian, &v)
+		return v, err
+	}
+	n, err := readWord()
+	if err != nil {
+		return nil, err
+	}
+	return make([]byte, n), nil // want "untrusted raw input bytes reaches allocation size"
+}
+
+// ReadNameChecked bounds the word before sizing anything with it: clean.
+func ReadNameChecked(r io.Reader) ([]byte, error) {
+	readWord := func() (uint32, error) {
+		var v uint32
+		err := binary.Read(r, binary.LittleEndian, &v)
+		return v, err
+	}
+	n, err := readWord()
+	if err != nil {
+		return nil, err
+	}
+	if n > maxName {
+		return nil, io.ErrUnexpectedEOF
+	}
+	return make([]byte, n), nil
+}
+
+// fill reads raw words into dst: the read happens here, and the caller
+// sees its bytes through the slice it passed in.
+func fill(r io.Reader, dst []uint32) error {
+	return binary.Read(r, binary.LittleEndian, dst)
+}
+
+// Offset indexes the table with a word fill wrote into hdr, unchecked.
+func Offset(r io.Reader, table []float32) (float32, error) {
+	hdr := make([]uint32, 2)
+	if err := fill(r, hdr); err != nil {
+		return 0, err
+	}
+	return table[hdr[0]], nil // want "untrusted raw input bytes reaches slice index"
+}
+
+// OffsetChecked rejects a word outside the table first: clean.
+func OffsetChecked(r io.Reader, table []float32) (float32, error) {
+	hdr := make([]uint32, 2)
+	if err := fill(r, hdr); err != nil {
+		return 0, err
+	}
+	if hdr[0] >= uint32(len(table)) {
+		return 0, io.ErrUnexpectedEOF
+	}
+	return table[hdr[0]], nil
+}
