@@ -22,9 +22,6 @@ var Allocfree = &Analyzer{
 
 func runAllocfree(pass *Pass) {
 	for _, f := range pass.Files {
-		if pass.TestFile(f) {
-			continue
-		}
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Doc == nil || fd.Body == nil {

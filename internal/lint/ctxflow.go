@@ -14,9 +14,6 @@ var CtxFlow = &Analyzer{
 	Doc:  "functions that accept a context must forward it, not mint Background/TODO",
 	Run: func(p *Pass) {
 		for _, f := range p.Files {
-			if p.TestFile(f) {
-				continue
-			}
 			// First collect the source ranges of every function (decl or
 			// literal) that declares a ctx parameter; a Background/TODO call
 			// lexically inside any of them is severing an available context

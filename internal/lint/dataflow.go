@@ -1,29 +1,34 @@
 // Dataflow substrate: a module-wide, summary-based value-flow analysis
 // over the type-checked Program. The taintflow analyzer is built on it;
-// DESIGN.md §12 documents the model and its deliberate soundness limits.
+// DESIGN.md §12 documents the model, the true positives it is held to
+// (the envelope) and its deliberate soundness limits.
 //
 // The analysis runs in two levels. Intra-procedurally, a walker visits a
 // function body in source order, tracking per-object taint (a bitset of
-// the parameters the value derives from, plus up to maxSrcs concrete
-// untrusted sources and a capped representative source→sink step trail)
-// to a monotone fixpoint. Interprocedurally, each function's walk distills
-// a funcSummary — which parameters reach the return values, which reach
+// the parameters the value derives from, plus the concrete untrusted
+// source it carries and a capped representative source→sink step trail)
+// to a monotone fixpoint. Interprocedurally, each function's walk grows a
+// funcSummary — which parameters reach the return values, which reach
 // sinks inside the callee, which flow into pointer-like out-parameters,
 // and what source taint the function originates (e.g. fmri.ReadData
 // returning a dataset built from raw file bytes) — and a global fixpoint
 // over every module function applies callee summaries at call sites until
-// the summaries stop changing. Findings are collected in one final
-// reporting sweep so they reflect the converged state.
+// no summary grows. Findings are collected in one final reporting sweep
+// so they reflect the converged state.
 //
-// Taint is cut three ways. (A) A call to a function whose doc comment
+// A call with no summary (the standard library, a function value, an
+// interface method) follows one rule: its result and every pointer-like
+// argument take the merged taint of the receiver and the arguments, so
+// io.ReadFull fills its buffer and Decoder.Decode its target; inside the
+// parsing packages a call handed a reader also yields raw input.
+//
+// Taint is cut two ways. (A) A call to a function whose doc comment
 // carries //lint:sanitizes taintflow treats the call's argument (and
 // receiver) roots as clean from the call to the end of the enclosing
 // function, and its results as trusted. (B) A comparison guard over a
 // tainted value whose if-body terminates (return/panic/break/continue)
 // cleans the compared roots for the rest of the function — the
-// `if n > maxBody { return err }` idiom. (C) A comparison guard whose
-// body does not terminate cleans the roots inside the body only — the
-// `if 0 <= i && i < n { use(i) }` idiom.
+// `if n > maxBody { return err }` idiom.
 package lint
 
 import (
@@ -35,50 +40,45 @@ import (
 )
 
 const (
-	// maxSrcs caps the concrete sources one value remembers.
-	maxSrcs = 3
 	// maxSteps caps a value's step trail; long flows keep their head (the
 	// source) and drop middle hops.
 	maxSteps = 8
 	// maxIntraIters bounds the per-function fixpoint.
 	maxIntraIters = 8
 	// maxGlobalRounds bounds the cross-function summary fixpoint; call
-	// chains deeper than this fall back to the conservative default rule.
-	maxGlobalRounds = 8
+	// chains deeper than this see only part of their callees' summaries.
+	maxGlobalRounds = 16
 	// maxParamBits is the widest parameter list the bitset tracks.
 	maxParamBits = 64
-	// maxSinksPerParam caps how many distinct sinks one parameter's
-	// summary records.
-	maxSinksPerParam = 8
 )
 
-// taintSource is one concrete untrusted origin.
-type taintSource struct {
-	desc string
-	pos  token.Pos
-}
-
 // taintVal is the abstract value attached to an object or expression:
-// which parameters of the enclosing function it derives from, which
-// concrete sources reached it, and a representative path. nil means
-// clean.
+// which parameters of the enclosing function it derives from, the
+// concrete source that reached it (empty when none), and a representative
+// path. nil means clean.
 type taintVal struct {
 	params uint64
-	srcs   []taintSource
+	src    string
 	steps  []token.Pos
 }
 
 // tainted reports whether the value carries any taint at all.
 func (tv *taintVal) tainted() bool {
-	return tv != nil && (tv.params != 0 || len(tv.srcs) > 0)
+	return tv != nil && (tv.params != 0 || tv.src != "")
 }
 
 // sourced reports whether the value derives from a concrete untrusted
 // source (not merely from a parameter).
-func (tv *taintVal) sourced() bool { return tv != nil && len(tv.srcs) > 0 }
+func (tv *taintVal) sourced() bool { return tv != nil && tv.src != "" }
 
-// mergeTaint unions two abstract values. The representative step trail
-// prefers the operand that carries concrete sources.
+// source creates a fresh source-tainted value.
+func source(pos token.Pos, desc string) *taintVal {
+	return &taintVal{src: desc, steps: []token.Pos{pos}}
+}
+
+// mergeTaint unions two abstract values. The source and the
+// representative step trail come from the first operand that carries a
+// source.
 func mergeTaint(a, b *taintVal) *taintVal {
 	if !b.tainted() {
 		return a
@@ -86,27 +86,9 @@ func mergeTaint(a, b *taintVal) *taintVal {
 	if !a.tainted() {
 		return b
 	}
-	out := &taintVal{params: a.params | b.params}
-	out.srcs = append(out.srcs, a.srcs...)
-	for _, s := range b.srcs {
-		if len(out.srcs) >= maxSrcs {
-			break
-		}
-		dup := false
-		for _, t := range out.srcs {
-			if t.pos == s.pos {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out.srcs = append(out.srcs, s)
-		}
-	}
-	if len(a.srcs) > 0 {
-		out.steps = a.steps
-	} else {
-		out.steps = b.steps
+	out := &taintVal{params: a.params | b.params, src: a.src, steps: a.steps}
+	if !a.sourced() {
+		out.src, out.steps = b.src, b.steps
 	}
 	return out
 }
@@ -117,7 +99,7 @@ func (tv *taintVal) withStep(pos token.Pos) *taintVal {
 	if !tv.tainted() {
 		return tv
 	}
-	out := &taintVal{params: tv.params, srcs: tv.srcs}
+	out := &taintVal{params: tv.params, src: tv.src}
 	out.steps = append(out.steps[:0:0], tv.steps...)
 	if len(out.steps) < maxSteps {
 		out.steps = append(out.steps, pos)
@@ -125,17 +107,15 @@ func (tv *taintVal) withStep(pos token.Pos) *taintVal {
 	return out
 }
 
-// taintGrew reports whether nw carries strictly more taint than old — the
-// monotone measure driving both fixpoints (step trails are cosmetic and
-// do not count).
-func taintGrew(old, nw *taintVal) bool {
+// grow merges tv into old and reports whether the result carries strictly
+// more taint — the monotone measure driving both fixpoints (step trails
+// are cosmetic and do not count).
+func grow(old, tv *taintVal) (*taintVal, bool) {
+	nw := mergeTaint(old, tv)
 	if !nw.tainted() {
-		return false
+		return nw, false
 	}
-	if !old.tainted() {
-		return true
-	}
-	return nw.params&^old.params != 0 || len(nw.srcs) > len(old.srcs)
+	return nw, !old.tainted() || nw.params&^old.params != 0 || nw.sourced() && !old.sourced()
 }
 
 // sinkRec is one sink a parameter reaches inside a function, kept in its
@@ -146,7 +126,9 @@ type sinkRec struct {
 	steps []token.Pos
 }
 
-// funcSummary is the interprocedural distillation of one function.
+// funcSummary is the interprocedural distillation of one function. Every
+// field only grows, so the global fixpoint stops on the first round in
+// which no summary did.
 type funcSummary struct {
 	// paramsToRet is the bitset of parameters (receiver = bit 0 when
 	// present) that flow into some return value.
@@ -164,50 +146,6 @@ type funcSummary struct {
 	paramSrcOut map[int]*taintVal
 }
 
-func newSummary() *funcSummary {
-	return &funcSummary{
-		paramSinks:  make(map[int][]sinkRec),
-		paramOut:    make(map[int]uint64),
-		paramSrcOut: make(map[int]*taintVal),
-	}
-}
-
-// addSink records one parameter-reachable sink, deduplicated and capped.
-func (s *funcSummary) addSink(param int, kind string, pos token.Pos, steps []token.Pos) {
-	recs := s.paramSinks[param]
-	for _, r := range recs {
-		if r.pos == pos && r.kind == kind {
-			return
-		}
-	}
-	if len(recs) >= maxSinksPerParam {
-		return
-	}
-	s.paramSinks[param] = append(recs, sinkRec{kind: kind, pos: pos, steps: steps})
-}
-
-// fingerprint renders the summary's monotone content for change
-// detection across global rounds.
-func (s *funcSummary) fingerprint() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "r%x|", s.paramsToRet)
-	if s.retTaint != nil {
-		fmt.Fprintf(&b, "t%d.%x|", len(s.retTaint.srcs), s.retTaint.params)
-	}
-	for p := 0; p < maxParamBits; p++ {
-		if recs := s.paramSinks[p]; len(recs) > 0 {
-			fmt.Fprintf(&b, "s%d:%d|", p, len(recs))
-		}
-		if bits := s.paramOut[p]; bits != 0 {
-			fmt.Fprintf(&b, "o%d:%x|", p, bits)
-		}
-		if sv := s.paramSrcOut[p]; sv != nil {
-			fmt.Fprintf(&b, "w%d:%d.%x|", p, len(sv.srcs), sv.params)
-		}
-	}
-	return b.String()
-}
-
 // taintFinding is one source→sink flow the reporting sweep confirmed.
 type taintFinding struct {
 	pos token.Pos
@@ -218,7 +156,7 @@ type taintFinding struct {
 type dfFunc struct {
 	pass *Pass
 	decl *ast.FuncDecl
-	obj  *types.Func
+	sum  *funcSummary
 	// rawInput marks functions in packages that parse untrusted raw bytes
 	// (internal/mpi, internal/fmri, internal/nifti): reads there are
 	// themselves sources.
@@ -229,8 +167,9 @@ type dfFunc struct {
 type dataflow struct {
 	funcs      []*dfFunc
 	byObj      map[*types.Func]*dfFunc
-	summaries  map[*types.Func]*funcSummary
 	sanitizers map[*types.Func]bool
+	// grew is set whenever a walk adds to some function's summary.
+	grew bool
 	// findings is keyed by the import path of the pass whose function the
 	// reporting sweep was walking, so Run attributes each finding once.
 	findings map[string][]taintFinding
@@ -255,7 +194,6 @@ func rawInputPkg(path string) bool {
 func buildDataflow(prog *Program) *dataflow {
 	df := &dataflow{
 		byObj:      make(map[*types.Func]*dfFunc),
-		summaries:  make(map[*types.Func]*funcSummary),
 		sanitizers: make(map[*types.Func]bool),
 		findings:   make(map[string][]taintFinding),
 		seen:       make(map[string]bool),
@@ -272,7 +210,11 @@ func buildDataflow(prog *Program) *dataflow {
 				if !ok {
 					continue
 				}
-				fn := &dfFunc{pass: pass, decl: fd, obj: obj, rawInput: raw}
+				fn := &dfFunc{pass: pass, decl: fd, rawInput: raw, sum: &funcSummary{
+					paramSinks:  make(map[int][]sinkRec),
+					paramOut:    make(map[int]uint64),
+					paramSrcOut: make(map[int]*taintVal),
+				}}
 				df.funcs = append(df.funcs, fn)
 				df.byObj[obj] = fn
 				if fd.Doc != nil {
@@ -285,19 +227,12 @@ func buildDataflow(prog *Program) *dataflow {
 			}
 		}
 	}
-	prints := make(map[*types.Func]string, len(df.funcs))
 	for round := 0; round < maxGlobalRounds; round++ {
-		changed := false
+		df.grew = false
 		for _, fn := range df.funcs {
-			sum := df.walk(fn, false)
-			fp := sum.fingerprint()
-			if prints[fn.obj] != fp {
-				prints[fn.obj] = fp
-				changed = true
-			}
-			df.summaries[fn.obj] = sum
+			df.walk(fn, false)
 		}
-		if !changed {
+		if !df.grew {
 			break
 		}
 	}
@@ -307,42 +242,39 @@ func buildDataflow(prog *Program) *dataflow {
 	return df
 }
 
-// sanSpan is one [from, to] region where an object is considered clean.
-type sanSpan struct{ from, to token.Pos }
-
 // walker runs the intra-procedural fixpoint for one function.
 type walker struct {
 	df   *dataflow
 	fn   *dfFunc
 	pass *Pass
 
-	taint    map[types.Object]*taintVal
-	spans    map[types.Object][]sanSpan
+	taint map[types.Object]*taintVal
+	// clean maps a sanitized object to the position from which it is
+	// trusted (to the end of the function).
+	clean    map[types.Object]token.Pos
 	litRets  map[types.Object]*taintVal
 	paramIdx map[types.Object]int
 	sum      *funcSummary
 
-	funcEnd token.Pos
 	changed bool
-	// emit turns sink hits into findings (the last sweep of the reporting
-	// round only); summaries are built on every sweep.
+	// emit turns sink hits into findings (the reporting sweep only);
+	// summaries grow on every sweep.
 	emit bool
 	// litRet, when non-nil, captures return-statement taint of the
 	// function literal currently being walked instead of the summary.
 	litRet **taintVal
 }
 
-// walk runs the walker to fixpoint and returns the function's summary.
-// With report set, one extra emitting sweep records findings.
-func (df *dataflow) walk(fn *dfFunc, report bool) *funcSummary {
+// walk runs the walker to fixpoint, growing the function's summary. With
+// report set, one extra emitting sweep records findings.
+func (df *dataflow) walk(fn *dfFunc, report bool) {
 	w := &walker{
 		df: df, fn: fn, pass: fn.pass,
 		taint:    make(map[types.Object]*taintVal),
-		spans:    make(map[types.Object][]sanSpan),
+		clean:    make(map[types.Object]token.Pos),
 		litRets:  make(map[types.Object]*taintVal),
 		paramIdx: make(map[types.Object]int),
-		sum:      newSummary(),
-		funcEnd:  fn.decl.End(),
+		sum:      fn.sum,
 	}
 	w.bindParams()
 	for it := 0; it < maxIntraIters; it++ {
@@ -356,7 +288,6 @@ func (df *dataflow) walk(fn *dfFunc, report bool) *funcSummary {
 		w.emit = true
 		w.stmts(fn.decl.Body.List)
 	}
-	return w.sum
 }
 
 // bindParams indexes the receiver (bit 0 when present) and parameters,
@@ -378,8 +309,7 @@ func (w *walker) bindParams() {
 					w.paramIdx[obj] = idx
 					tv := &taintVal{params: 1 << idx}
 					if typeIs(obj.Type(), "net/http", "Request") {
-						tv.srcs = []taintSource{{desc: "http request data", pos: n.Pos()}}
-						tv.steps = []token.Pos{n.Pos()}
+						tv.src, tv.steps = "http request data", []token.Pos{n.Pos()}
 					}
 					w.taint[obj] = tv
 				}
@@ -391,29 +321,16 @@ func (w *walker) bindParams() {
 	bind(w.fn.decl.Type.Params)
 }
 
-// sanitize records that obj is clean in [from, to].
-func (w *walker) sanitize(obj types.Object, from, to token.Pos) {
-	for _, s := range w.spans[obj] {
-		if s.from == from && s.to == to {
-			return
-		}
+// sanitize records that obj is clean from pos to the end of the function.
+func (w *walker) sanitize(obj types.Object, from token.Pos) {
+	if at, ok := w.clean[obj]; !ok || from < at {
+		w.clean[obj] = from
 	}
-	w.spans[obj] = append(w.spans[obj], sanSpan{from: from, to: to})
-}
-
-// sanitizedAt reports whether a sanitize span covers obj at pos.
-func (w *walker) sanitizedAt(obj types.Object, pos token.Pos) bool {
-	for _, s := range w.spans[obj] {
-		if pos >= s.from && pos <= s.to {
-			return true
-		}
-	}
-	return false
 }
 
 // lookup returns obj's current taint as seen at pos (nil once sanitized).
 func (w *walker) lookup(obj types.Object, pos token.Pos) *taintVal {
-	if obj == nil || w.sanitizedAt(obj, pos) {
+	if at, ok := w.clean[obj]; ok && pos >= at {
 		return nil
 	}
 	return w.taint[obj]
@@ -427,21 +344,19 @@ func (w *walker) mergeInto(obj types.Object, tv *taintVal) {
 	}
 	if pi, ok := w.paramIdx[obj]; ok && pointerLike(obj.Type()) {
 		for from := 0; from < maxParamBits; from++ {
-			if tv.params&(1<<from) != 0 && from != pi {
+			if tv.params&(1<<from) != 0 && from != pi && w.sum.paramOut[from]&(1<<pi) == 0 {
 				w.sum.paramOut[from] |= 1 << pi
+				w.df.grew = true
 			}
 		}
 		if tv.sourced() {
-			old := w.sum.paramSrcOut[pi]
-			nw := mergeTaint(old, &taintVal{srcs: tv.srcs, steps: tv.steps})
-			if taintGrew(old, nw) {
+			if nw, ok := grow(w.sum.paramSrcOut[pi], &taintVal{src: tv.src, steps: tv.steps}); ok {
 				w.sum.paramSrcOut[pi] = nw
+				w.df.grew = true
 			}
 		}
 	}
-	old := w.taint[obj]
-	nw := mergeTaint(old, tv)
-	if taintGrew(old, nw) {
+	if nw, ok := grow(w.taint[obj], tv); ok {
 		w.taint[obj] = nw
 		w.changed = true
 	}
@@ -450,6 +365,9 @@ func (w *walker) mergeInto(obj types.Object, tv *taintVal) {
 // pointerLike reports whether writes through a value of type t are
 // visible to the caller.
 func pointerLike(t types.Type) bool {
+	if t == nil {
+		return false
+	}
 	switch t.Underlying().(type) {
 	case *types.Pointer, *types.Interface, *types.Slice, *types.Map, *types.Chan:
 		return true
@@ -491,14 +409,6 @@ func rootObj(info *types.Info, e ast.Expr) types.Object {
 	}
 }
 
-// newSource creates a fresh source-tainted value.
-func (w *walker) newSource(pos token.Pos, desc string) *taintVal {
-	return &taintVal{
-		srcs:  []taintSource{{desc: desc, pos: pos}},
-		steps: []token.Pos{pos},
-	}
-}
-
 // sink handles a tainted value reaching a sink: source-tainted values
 // become findings (emitting sweep only); parameter-tainted values are
 // folded into the summary for the callers to report.
@@ -508,33 +418,43 @@ func (w *walker) sink(kind string, pos token.Pos, tv *taintVal) {
 	}
 	steps := tv.withStep(pos).steps
 	if tv.sourced() && w.emit {
-		w.emitFinding(kind, pos, tv.srcs, steps)
+		w.emitFinding(kind, pos, tv.src, steps)
 	}
+	w.addSinks(tv.params, kind, pos, steps)
+}
+
+// addSinks records a sink as reachable from every parameter in params.
+func (w *walker) addSinks(params uint64, kind string, pos token.Pos, steps []token.Pos) {
 	for p := 0; p < maxParamBits; p++ {
-		if tv.params&(1<<p) != 0 {
-			w.sum.addSink(p, kind, pos, steps)
+		if params&(1<<p) == 0 {
+			continue
+		}
+		dup := false
+		for _, r := range w.sum.paramSinks[p] {
+			dup = dup || r.pos == pos && r.kind == kind
+		}
+		if !dup {
+			w.sum.paramSinks[p] = append(w.sum.paramSinks[p], sinkRec{kind: kind, pos: pos, steps: steps})
+			w.df.grew = true
 		}
 	}
 }
 
 // emitFinding records one deduplicated finding against the walking pass.
-func (w *walker) emitFinding(kind string, pos token.Pos, srcs []taintSource, steps []token.Pos) {
+func (w *walker) emitFinding(kind string, pos token.Pos, src string, steps []token.Pos) {
 	key := fmt.Sprintf("%d|%s", pos, kind)
 	if w.df.seen[key] {
 		return
 	}
 	w.df.seen[key] = true
 	msg := fmt.Sprintf("untrusted %s reaches %s (%s)",
-		srcs[0].desc, kind, renderFlow(w.pass.Prog.Fset, steps))
+		src, kind, renderFlow(w.pass.Prog.Fset, steps))
 	w.df.findings[w.pass.Path] = append(w.df.findings[w.pass.Path],
 		taintFinding{pos: pos, msg: msg})
 }
 
 // renderFlow renders a step trail as base-name:line hops.
 func renderFlow(fset *token.FileSet, steps []token.Pos) string {
-	if len(steps) == 0 {
-		return "path unknown"
-	}
 	var b strings.Builder
 	b.WriteString("path: ")
 	for i, s := range steps {
@@ -597,29 +517,29 @@ func (w *walker) stmt(s ast.Stmt) {
 		w.ifStmt(st)
 	case *ast.ForStmt:
 		w.stmtOpt(st.Init)
-		if st.Cond != nil {
-			w.eval(st.Cond)
-		}
+		w.eval(st.Cond)
 		w.stmtOpt(st.Post)
 		w.stmts(st.Body.List)
 	case *ast.RangeStmt:
-		w.rangeStmt(st)
+		// The value carries the ranged-over data; the key is an index or
+		// a map key, which no sink is fed from, and stays clean.
+		xv := w.eval(st.X)
+		if st.Value != nil {
+			w.assignThrough(st.Value, xv, st.Pos())
+		}
+		w.stmts(st.Body.List)
 	case *ast.BlockStmt:
 		w.stmts(st.List)
 	case *ast.SwitchStmt:
 		w.stmtOpt(st.Init)
-		if st.Tag != nil {
-			w.eval(st.Tag)
-		}
-		for _, c := range st.Body.List {
-			cc := c.(*ast.CaseClause)
-			for _, e := range cc.List {
-				w.eval(e)
-			}
-			w.stmts(cc.Body)
-		}
+		w.eval(st.Tag)
+		w.clauses(st.Body)
 	case *ast.TypeSwitchStmt:
-		w.typeSwitch(st)
+		// The per-clause bindings stay clean: no sink on the tree is fed
+		// from one.
+		w.stmtOpt(st.Init)
+		w.stmt(st.Assign)
+		w.clauses(st.Body)
 	case *ast.SelectStmt:
 		for _, c := range st.Body.List {
 			cc := c.(*ast.CommClause)
@@ -637,6 +557,17 @@ func (w *walker) stmt(s ast.Stmt) {
 		w.eval(st.X)
 	case *ast.LabeledStmt:
 		w.stmt(st.Stmt)
+	}
+}
+
+// clauses walks a switch's case expressions and bodies.
+func (w *walker) clauses(body *ast.BlockStmt) {
+	for _, c := range body.List {
+		cc := c.(*ast.CaseClause)
+		for _, e := range cc.List {
+			w.eval(e)
+		}
+		w.stmts(cc.Body)
 	}
 }
 
@@ -665,13 +596,9 @@ func (w *walker) assignOne(lhs, rhs ast.Expr, at token.Pos) {
 			if obj == nil {
 				obj = w.pass.Info.Uses[id]
 			}
-			if obj != nil {
-				old := w.litRets[obj]
-				nw := mergeTaint(old, ret)
-				if taintGrew(old, nw) {
-					w.litRets[obj] = nw
-					w.changed = true
-				}
+			if nw, ok := grow(w.litRets[obj], ret); ok && obj != nil {
+				w.litRets[obj] = nw
+				w.changed = true
 			}
 		}
 		return
@@ -684,11 +611,7 @@ func (w *walker) assignLhs(lhs ast.Expr, tv *taintVal, at token.Pos) {
 	if _, ok := lhs.(*ast.Ident); !ok {
 		w.eval(lhs)
 	}
-	obj := rootObj(w.pass.Info, lhs)
-	if obj == nil || !tv.tainted() {
-		return
-	}
-	w.mergeInto(obj, tv.withStep(at))
+	w.assignThrough(lhs, tv, at)
 }
 
 func (w *walker) returnStmt(st *ast.ReturnStmt) {
@@ -712,42 +635,31 @@ func (w *walker) returnStmt(st *ast.ReturnStmt) {
 
 func (w *walker) foldReturn(tv *taintVal) {
 	if w.litRet != nil {
-		old := *w.litRet
-		nw := mergeTaint(old, tv)
-		if taintGrew(old, nw) {
-			*w.litRet = nw
-		}
+		*w.litRet, _ = grow(*w.litRet, tv)
 		return
 	}
 	if !tv.tainted() {
 		return
 	}
-	w.sum.paramsToRet |= tv.params
+	if tv.params&^w.sum.paramsToRet != 0 {
+		w.sum.paramsToRet |= tv.params
+		w.df.grew = true
+	}
 	if tv.sourced() {
-		old := w.sum.retTaint
-		nw := mergeTaint(old, &taintVal{srcs: tv.srcs, steps: tv.steps})
-		if taintGrew(old, nw) {
+		if nw, ok := grow(w.sum.retTaint, &taintVal{src: tv.src, steps: tv.steps}); ok {
 			w.sum.retTaint = nw
+			w.df.grew = true
 		}
 	}
 }
 
 func (w *walker) ifStmt(st *ast.IfStmt) {
 	w.stmtOpt(st.Init)
-	roots := w.taintedCompareRoots(st.Cond)
-	if len(roots) > 0 {
-		if terminates(st.Body) {
-			// Rule B: the guard rejects bad values and bails; the compared
-			// roots are trusted for the rest of the function.
-			for _, o := range roots {
-				w.sanitize(o, st.End(), w.funcEnd)
-			}
-		} else {
-			// Rule C: the guard brackets a use; the roots are trusted
-			// inside the body only.
-			for _, o := range roots {
-				w.sanitize(o, st.Body.Pos(), st.Body.End())
-			}
+	if terminates(st.Body) {
+		// Rule B: the guard rejects bad values and bails; the compared
+		// roots are trusted for the rest of the function.
+		for _, o := range w.taintedCompareRoots(st.Cond) {
+			w.sanitize(o, st.End())
 		}
 	}
 	w.eval(st.Cond)
@@ -806,51 +718,6 @@ func terminates(b *ast.BlockStmt) bool {
 	return false
 }
 
-func (w *walker) rangeStmt(st *ast.RangeStmt) {
-	xv := w.eval(st.X)
-	if xv.tainted() {
-		elem := xv.withStep(st.Pos())
-		if st.Value != nil {
-			if o := rootObj(w.pass.Info, st.Value); o != nil {
-				w.mergeInto(o, elem)
-			}
-		}
-		if st.Key != nil {
-			// Map keys carry ranged-over data; slice/array/string keys are
-			// plain indices and stay clean.
-			if t := w.typeOf(st.X); t != nil {
-				switch t.Underlying().(type) {
-				case *types.Map, *types.Chan:
-					if o := rootObj(w.pass.Info, st.Key); o != nil {
-						w.mergeInto(o, elem)
-					}
-				}
-			}
-		}
-	}
-	w.stmts(st.Body.List)
-}
-
-func (w *walker) typeSwitch(st *ast.TypeSwitchStmt) {
-	w.stmtOpt(st.Init)
-	var tv *taintVal
-	switch a := st.Assign.(type) {
-	case *ast.AssignStmt:
-		if len(a.Rhs) == 1 {
-			tv = w.eval(a.Rhs[0])
-		}
-	case *ast.ExprStmt:
-		tv = w.eval(a.X)
-	}
-	for _, c := range st.Body.List {
-		cc := c.(*ast.CaseClause)
-		if obj, ok := w.pass.Info.Implicits[cc]; ok && tv.tainted() {
-			w.mergeInto(obj, tv)
-		}
-		w.stmts(cc.Body)
-	}
-}
-
 // ---- expression evaluation ----
 
 func (w *walker) typeOf(e ast.Expr) types.Type {
@@ -866,9 +733,6 @@ func (w *walker) typeOf(e ast.Expr) types.Type {
 }
 
 func (w *walker) eval(e ast.Expr) *taintVal {
-	if e == nil {
-		return nil
-	}
 	switch x := e.(type) {
 	case *ast.Ident:
 		obj := w.pass.Info.Uses[x]
@@ -912,22 +776,17 @@ func (w *walker) eval(e ast.Expr) *taintVal {
 		var out *taintVal
 		for _, el := range x.Elts {
 			if kv, ok := el.(*ast.KeyValueExpr); ok {
-				out = mergeTaint(out, w.eval(kv.Value))
-				continue
+				el = kv.Value
 			}
 			out = mergeTaint(out, w.eval(el))
 		}
 		return out
 	case *ast.TypeAssertExpr:
-		if x.Type == nil {
-			return w.eval(x.X) // x.(type) inside type switch
-		}
 		return w.eval(x.X)
 	case *ast.CallExpr:
 		return w.contextFiltered(e, w.evalCall(x))
 	case *ast.FuncLit:
 		w.evalFuncLit(x) // walk the body for sinks; the value is clean
-		return nil
 	}
 	return nil
 }
@@ -962,7 +821,7 @@ func (w *walker) evalSelector(x *ast.SelectorExpr) *taintVal {
 		// arrived from a remote peer.
 		if n := namedType(w.typeOf(x.X)); n != nil && n.Obj().Name() == "Message" &&
 			n.Obj().Pkg() != nil && pathWithin(n.Obj().Pkg().Path(), "internal/mpi") {
-			return mergeTaint(base, w.newSource(x.Pos(), "wire frame bytes"))
+			return mergeTaint(base, source(x.Pos(), "wire frame bytes"))
 		}
 	}
 	return base
@@ -1034,13 +893,11 @@ func (w *walker) evalCall(call *ast.CallExpr) *taintVal {
 			return w.evalBuiltin(call, b.Name())
 		}
 		// A local closure variable: its remembered return taint.
-		if o := w.pass.Info.Uses[id]; o != nil {
-			if rt, ok := w.litRets[o]; ok {
-				for _, a := range call.Args {
-					w.eval(a)
-				}
-				return rt.withStep(call.Pos())
+		if rt, ok := w.litRets[w.pass.Info.Uses[id]]; ok {
+			for _, a := range call.Args {
+				w.eval(a)
 			}
+			return rt.withStep(call.Pos())
 		}
 	}
 	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
@@ -1064,29 +921,25 @@ func (w *walker) evalCall(call *ast.CallExpr) *taintVal {
 	}
 
 	fn := calleeFunc(w.pass, call)
-	if fn == nil {
-		// Indirect call through a function value: default rule.
-		return w.defaultCall(call, args, recv)
-	}
-
 	// Annotated sanitizers neutralize their arguments and return trusted
 	// results (rule A).
 	if w.df.sanitizers[fn] {
 		w.sanitizeCall(call, recvExpr)
 		return nil
 	}
-
-	pkg := ""
-	if fn.Pkg() != nil {
-		pkg = fn.Pkg().Path()
+	if target, ok := w.df.byObj[fn]; ok {
+		return w.applySummary(call, fn, target.sum, args, recv, recvExpr)
 	}
 
+	pkg := ""
+	if fn != nil && fn.Pkg() != nil {
+		pkg = fn.Pkg().Path()
+	}
 	// Digests of attacker bytes are trusted (the content-address idiom).
 	if pkg == "crypto" || strings.HasPrefix(pkg, "crypto/") ||
 		pkg == "hash" || strings.HasPrefix(pkg, "hash/") {
 		return nil
 	}
-
 	// Filesystem path sinks.
 	if (pkg == "path/filepath" && fn.Name() == "Join") ||
 		(pkg == "os" && osPathFuncs[fn.Name()]) {
@@ -1096,103 +949,57 @@ func (w *walker) evalCall(call *ast.CallExpr) *taintVal {
 			}
 		}
 	}
-	if (pkg == "strings" || pkg == "bytes") && fn.Name() == "Repeat" &&
-		len(args) == 2 && args[1].tainted() {
-		w.sink("repeat count", call.Args[1].Pos(), args[1])
-	}
 
-	// Out-parameter models for the stdlib decode family, plus raw-input
-	// sources inside the parsing packages.
-	switch {
-	case pkg == "encoding/json" && fn.Name() == "Unmarshal" && len(call.Args) == 2:
-		w.assignThrough(call.Args[1], args[0], call.Pos())
-	case (pkg == "encoding/json" || pkg == "encoding/gob") && fn.Name() == "Decode" &&
-		recvExpr != nil && len(call.Args) == 1:
-		w.assignThrough(call.Args[0], recv, call.Pos())
-	case pkg == "encoding/binary" && fn.Name() == "Read" && len(call.Args) == 3:
-		src := args[0]
-		if w.fn.rawInput {
-			src = mergeTaint(src, w.newSource(call.Pos(), "raw input bytes"))
-		}
-		w.assignThrough(call.Args[2], src, call.Pos())
-	case pkg == "io" && fn.Name() == "ReadFull" && len(call.Args) == 2:
-		src := args[0]
-		if w.fn.rawInput {
-			src = mergeTaint(src, w.newSource(call.Pos(), "raw input bytes"))
-		}
-		w.assignThrough(call.Args[1], src, call.Pos())
-	case pkg == "io" && fn.Name() == "ReadAll" && len(args) == 1:
-		res := args[0]
-		if w.fn.rawInput {
-			res = mergeTaint(res, w.newSource(call.Pos(), "raw input bytes"))
-		}
-		return res.withStep(call.Pos())
-	case pkg == "bufio" && w.fn.rawInput:
-		switch fn.Name() {
-		case "Text", "Bytes", "ReadByte", "ReadBytes", "ReadString", "ReadRune", "Peek":
-			return w.newSource(call.Pos(), "raw input bytes")
-		case "Read":
-			if len(call.Args) == 1 {
-				w.assignThrough(call.Args[0], w.newSource(call.Pos(), "raw input bytes"), call.Pos())
-			}
-			return nil
-		}
-	}
-
-	// Module-local callee with a summary from the global fixpoint.
-	if target, ok := w.df.byObj[fn]; ok {
-		if sum := w.df.summaries[fn]; sum != nil {
-			return w.applySummary(call, target, sum, args, recv, recvExpr)
-		}
-	}
-
-	return w.defaultCall(call, args, recv)
-}
-
-// defaultCall is the conservative model for unknown callees: the result
-// is tainted iff any argument or the receiver is.
-func (w *walker) defaultCall(call *ast.CallExpr, args []*taintVal, recv *taintVal) *taintVal {
+	// Any other callee: the one rule in the file comment.
 	res := recv
 	for _, a := range args {
 		res = mergeTaint(res, a)
 	}
-	if res.tainted() {
-		res = res.withStep(call.Pos())
+	if w.fn.rawInput && fn != nil && takesReader(fn) {
+		res = mergeTaint(res, source(call.Pos(), "raw input bytes"))
 	}
-	return res
+	for _, a := range call.Args {
+		if pointerLike(w.typeOf(a)) {
+			w.assignThrough(a, res, call.Pos())
+		}
+	}
+	return res.withStep(call.Pos())
 }
 
-// assignThrough writes tv into the root object of an out-argument.
+// takesReader reports whether fn has an io.Reader parameter.
+func takesReader(fn *types.Func) bool {
+	params := fn.Type().(*types.Signature).Params()
+	for i := 0; i < params.Len(); i++ {
+		if typeIs(params.At(i).Type(), "io", "Reader") {
+			return true
+		}
+	}
+	return false
+}
+
+// assignThrough writes tv into the root object of an assignment target
+// or out-argument.
 func (w *walker) assignThrough(target ast.Expr, tv *taintVal, at token.Pos) {
 	if !tv.tainted() {
 		return
 	}
-	if obj := rootObj(w.pass.Info, target); obj != nil {
-		w.mergeInto(obj, tv.withStep(at))
-	}
+	w.mergeInto(rootObj(w.pass.Info, target), tv.withStep(at))
 }
 
 // sanitizeCall applies rule A: the argument and receiver roots of a
 // //lint:sanitizes taintflow call are clean from the call onward.
 func (w *walker) sanitizeCall(call *ast.CallExpr, recvExpr ast.Expr) {
-	targets := make([]ast.Expr, 0, len(call.Args)+1)
-	targets = append(targets, call.Args...)
-	if recvExpr != nil {
-		targets = append(targets, recvExpr)
-	}
+	targets := append([]ast.Expr{recvExpr}, call.Args...)
 	for _, t := range targets {
 		if obj := rootObj(w.pass.Info, t); obj != nil {
-			w.sanitize(obj, call.End(), w.funcEnd)
+			w.sanitize(obj, call.End())
 		}
 	}
 }
 
 // applySummary instantiates a callee summary at one call site.
-func (w *walker) applySummary(call *ast.CallExpr, target *dfFunc, sum *funcSummary, args []*taintVal, recv *taintVal, recvExpr ast.Expr) *taintVal {
-	sig, ok := target.obj.Type().(*types.Signature)
-	if !ok {
-		return w.defaultCall(call, args, recv)
-	}
+func (w *walker) applySummary(call *ast.CallExpr, fn *types.Func, sum *funcSummary, args []*taintVal, recv *taintVal, recvExpr ast.Expr) *taintVal {
+	sig := fn.Type().(*types.Signature)
 	vals := make(map[int]*taintVal)
 	exprs := make(map[int]ast.Expr)
 	off := 0
@@ -1230,25 +1037,17 @@ func (w *walker) applySummary(call *ast.CallExpr, target *dfFunc, sum *funcSumma
 				steps = steps[:maxSteps]
 			}
 			if v.sourced() && w.emit {
-				w.emitFinding(rec.kind, rec.pos, v.srcs, steps)
+				w.emitFinding(rec.kind, rec.pos, v.src, steps)
 			}
-			for p := 0; p < maxParamBits; p++ {
-				if v.params&(1<<p) != 0 {
-					w.sum.addSink(p, rec.kind, rec.pos, steps)
-				}
-			}
+			w.addSinks(v.params, rec.kind, rec.pos, steps)
 		}
 	}
 
 	// Taint written through pointer-like out-arguments.
 	for from, bits := range sum.paramOut {
-		fv := vals[from]
-		if !fv.tainted() {
-			continue
-		}
 		for to := 0; to < maxParamBits; to++ {
 			if bits&(1<<to) != 0 && exprs[to] != nil {
-				w.assignThrough(exprs[to], fv, call.Pos())
+				w.assignThrough(exprs[to], vals[from], call.Pos())
 			}
 		}
 	}
@@ -1265,11 +1064,7 @@ func (w *walker) applySummary(call *ast.CallExpr, target *dfFunc, sum *funcSumma
 			res = mergeTaint(res, vals[pi])
 		}
 	}
-	res = mergeTaint(res, sum.retTaint)
-	if res.tainted() {
-		res = res.withStep(call.Pos())
-	}
-	return res
+	return mergeTaint(res, sum.retTaint).withStep(call.Pos())
 }
 
 func (w *walker) evalBuiltin(call *ast.CallExpr, name string) *taintVal {
@@ -1281,30 +1076,18 @@ func (w *walker) evalBuiltin(call *ast.CallExpr, name string) *taintVal {
 			}
 		}
 		return nil
-	case "len", "cap":
-		// The length of a tainted buffer is safe: the bytes already fit in
-		// memory. Still walk the operand for nested sinks.
-		for _, a := range call.Args {
-			w.eval(a)
-		}
-		return nil
 	case "append", "min", "max":
 		var out *taintVal
 		for _, a := range call.Args {
 			out = mergeTaint(out, w.eval(a))
 		}
 		return out
-	case "copy":
-		if len(call.Args) == 2 {
-			src := w.eval(call.Args[1])
-			w.eval(call.Args[0])
-			w.assignThrough(call.Args[0], src, call.Pos())
-		}
-		return nil
-	default:
-		for _, a := range call.Args {
-			w.eval(a)
-		}
-		return nil
 	}
+	// The length of a tainted buffer is safe: the bytes already fit in
+	// memory; no other builtin yields data. Still walk the operands for
+	// nested sinks.
+	for _, a := range call.Args {
+		w.eval(a)
+	}
+	return nil
 }

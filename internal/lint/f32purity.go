@@ -47,9 +47,6 @@ var F32Purity = &Analyzer{
 			return false
 		}
 		for _, f := range p.Files {
-			if p.TestFile(f) {
-				continue
-			}
 			// Pre-order walk; once a node is reported its subtree is skipped
 			// so one expression yields one diagnostic.
 			ast.Inspect(f, func(n ast.Node) bool {

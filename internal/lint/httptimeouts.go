@@ -18,9 +18,6 @@ var HTTPTimeouts = &Analyzer{
 	Doc:  "http.Server literals must set ReadHeaderTimeout (slowloris guard)",
 	Run: func(p *Pass) {
 		for _, f := range p.Files {
-			if p.TestFile(f) {
-				continue
-			}
 			ast.Inspect(f, func(n ast.Node) bool {
 				cl, ok := n.(*ast.CompositeLit)
 				if !ok {

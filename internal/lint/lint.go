@@ -17,11 +17,12 @@
 //	                                       the whole declaration
 //	//lint:file-allow <analyzer> <reason>  the whole file
 //
-// Two further directives feed the dataflow analyzers instead of
-// suppressing them; both live in a function declaration's doc comment:
+// Two further directives feed analyzers instead of suppressing them; both
+// live in a function declaration's doc comment:
 //
 //	//lint:sanitizes <analyzer> <what>  the function neutralizes tainted
-//	                                    arguments (taintflow treats its
+//	                                    arguments (taintflow, the only
+//	                                    analyzer that reads it, treats its
 //	                                    arguments as clean afterwards and
 //	                                    its results as trusted)
 //	//lint:hotpath <why>                the function is a zero-allocation
@@ -30,9 +31,9 @@
 //	                                    it to the compiler's escape
 //	                                    analysis
 //
-// A directive that does not parse, or that names an unknown analyzer, is
-// itself a diagnostic (CheckDirectives), so the escape hatch cannot decay
-// into noise.
+// A directive that does not parse, that names an unknown analyzer, or that
+// names one it cannot affect is itself a diagnostic (CheckDirectives), so
+// the escape hatch cannot decay into noise.
 package lint
 
 import (
@@ -74,9 +75,6 @@ type Pass struct {
 	analyzer *Analyzer
 	sink     *[]Diagnostic
 }
-
-// Fset returns the program-wide file set.
-func (p *Pass) Fset() *token.FileSet { return p.Prog.Fset }
 
 // Reportf records a diagnostic at pos unless an allow directive covers
 // it.
@@ -278,8 +276,9 @@ func funcDocs(f *ast.File) map[*ast.CommentGroup]*ast.FuncDecl {
 // an analyzer not in the registry are reported, attributed to the
 // "fcmavet" pseudo-analyzer; //lint:sanitizes and //lint:hotpath must
 // additionally sit in a function declaration's doc comment, since they
-// describe that function. The escape hatch stays load-bearing only if it
-// cannot silently misfire.
+// describe that function, and //lint:sanitizes must name taintflow, the
+// only analyzer that reads it. The escape hatch stays load-bearing only if
+// it cannot silently misfire.
 func CheckDirectives(prog *Program, analyzers []*Analyzer) []Diagnostic {
 	known := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
@@ -314,6 +313,10 @@ func CheckDirectives(prog *Program, analyzers []*Analyzer) []Diagnostic {
 						}
 						if !isFuncDoc {
 							report(pos, "//lint:sanitizes must be in a function declaration's doc comment")
+							continue
+						}
+						if known[analyzer] && analyzer != "taintflow" {
+							report(pos, "//lint:sanitizes %s has no effect: only taintflow reads sanitizer annotations", analyzer)
 							continue
 						}
 					case hotpathDirective(c.Text):
@@ -352,12 +355,4 @@ func firstWord(s string) string {
 		return f[0]
 	}
 	return s
-}
-
-// TestFile reports whether the file is a _test.go file — several
-// contracts (goroutine routing, context flow) deliberately do not bind
-// tests.
-func (p *Pass) TestFile(f *ast.File) bool {
-	name := p.Prog.Fset.Position(f.Pos()).Filename
-	return strings.HasSuffix(name, "_test.go")
 }

@@ -117,8 +117,9 @@ func TestHarnessDetectsBrokenExpectations(t *testing.T) {
 }
 
 // TestCheckDirectives exercises the directive validator: wrong verbs,
-// missing reasons, and unknown analyzer names are diagnostics; a
-// well-formed directive is not.
+// missing reasons, unknown analyzer names, and a sanitizer annotation for
+// an analyzer that never reads one are diagnostics; a well-formed
+// directive is not.
 func TestCheckDirectives(t *testing.T) {
 	prog, err := Load(fixture("directives"))
 	if err != nil {
@@ -133,6 +134,7 @@ func TestCheckDirectives(t *testing.T) {
 		"//lint:sanitizes must be in a function declaration's doc comment",
 		"//lint:hotpath must be in a function declaration's doc comment",
 		"unknown analyzer",
+		"//lint:sanitizes ctxflow has no effect",
 	}
 	if len(diags) != len(wantSubstrings) {
 		t.Fatalf("got %d directive diagnostics, want %d: %v", len(diags), len(wantSubstrings), diags)

@@ -218,13 +218,12 @@ func (l *loader) Import(path string) (*types.Package, error) {
 	if path == "unsafe" {
 		return types.Unsafe, nil
 	}
-	if u, ok := l.units[path]; ok {
-		cu, err := l.check(path)
+	if _, ok := l.units[path]; ok {
+		u, err := l.check(path)
 		if err != nil {
 			return nil, err
 		}
-		_ = u
-		return cu.pkg, nil
+		return u.pkg, nil
 	}
 	return l.std.ImportFrom(path, l.root, 0)
 }

@@ -31,9 +31,6 @@ var NilSafeObs = &Analyzer{
 		}
 		byType := make(map[*types.TypeName][]method)
 		for _, f := range p.Files {
-			if p.TestFile(f) {
-				continue
-			}
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
 				if !ok || fd.Recv == nil || len(fd.Recv.List) == 0 || fd.Body == nil {

@@ -27,9 +27,6 @@ var NoClock = &Analyzer{
 			return
 		}
 		for _, f := range p.Files {
-			if p.TestFile(f) {
-				continue
-			}
 			ast.Inspect(f, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {

@@ -26,9 +26,6 @@ var ObsNames = &Analyzer{
 	Doc:  "obs metric names must be snake_case with a subsystem prefix and type-conventional suffix",
 	Run: func(p *Pass) {
 		for _, f := range p.Files {
-			if p.TestFile(f) {
-				continue
-			}
 			ast.Inspect(f, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok || len(call.Args) == 0 {

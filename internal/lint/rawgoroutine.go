@@ -16,9 +16,6 @@ var RawGoroutine = &Analyzer{
 			return
 		}
 		for _, f := range p.Files {
-			if p.TestFile(f) {
-				continue
-			}
 			ast.Inspect(f, func(n ast.Node) bool {
 				if g, ok := n.(*ast.GoStmt); ok {
 					p.Reportf(g.Pos(), "raw go statement outside internal/safe; spawn through safe.Go or a safe.Parallel* driver so panics stay contained")

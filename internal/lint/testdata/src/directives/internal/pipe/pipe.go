@@ -35,8 +35,14 @@ func Mystery(s string) bool { return s != "" }
 
 // Valid is a well-formed sanitizer annotation: not reported.
 //
-//lint:sanitizes noclock rejects every input, which is certainly safe
+//lint:sanitizes taintflow rejects every input, which is certainly safe
 func Valid(s string) bool { return false }
+
+// Misdirected names a registered analyzer that never reads sanitizer
+// annotations, so the directive would do nothing.
+//
+//lint:sanitizes ctxflow checks a context nobody asked about
+func Misdirected(s string) bool { return false }
 
 // Hot is a well-formed hotpath annotation: not reported.
 //
