@@ -3,12 +3,12 @@ package fcma
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
 	"fcma/internal/cluster"
 	"fcma/internal/core"
-	"fcma/internal/corr"
 	"fcma/internal/fmri"
 	"fcma/internal/mvpa"
 	"fcma/internal/norm"
@@ -211,19 +211,61 @@ func pairFeatures(dst []float32, ds *fmri.Dataset, voxels []int, e fmri.Epoch) [
 	return pairFeaturesFromRows(dst, rows)
 }
 
+// pairFeaturesFromRows is pairFeatures over rows of one length. Feature
+// (i, j) is norm.FisherZ(float32(corr.Pearson(rows[i], rows[j]))) to the
+// bit, without Pearson's per-call moments: each row's tensor.MeanStd and
+// centred float64 copy are taken once, and each pair then runs Pearson's
+// remaining terms in its order — the same degenerate-row test, Σ cᵢcⱼ,
+// ÷ n, ÷ (sᵢ·sⱼ), the finite check.
 func pairFeaturesFromRows(dst []float32, rows [][]float32) []float32 {
 	k := len(rows)
 	out := dst[:0]
 	if dst == nil {
 		out = make([]float32, 0, k*(k-1)/2)
 	}
+	n := 0
+	if k > 0 {
+		n = len(rows[0])
+	}
+	centred := make([]float64, k*n)
+	// std is 0 for every row Pearson answers 0 for: constant, empty, or
+	// holding a non-finite sample.
+	std := make([]float64, k)
+	for i, r := range rows {
+		if len(r) != n {
+			panic("fcma: pair features over unequal-length rows")
+		}
+		mean, s := tensor.MeanStd(r)
+		if finite(mean) && finite(s) {
+			std[i] = s
+		}
+		c := centred[i*n : (i+1)*n]
+		for t, v := range r {
+			c[t] = float64(v) - mean
+		}
+	}
 	for i := 0; i < k; i++ {
+		ci := centred[i*n : (i+1)*n]
 		for j := i + 1; j < k; j++ {
-			out = append(out, norm.FisherZ(float32(corr.Pearson(rows[i], rows[j]))))
+			var r float64
+			if std[i] != 0 && std[j] != 0 {
+				cj := centred[j*n : (j+1)*n]
+				var cov float64
+				for t, v := range ci {
+					cov += v * cj[t]
+				}
+				cov /= float64(n)
+				if r = cov / (std[i] * std[j]); !finite(r) {
+					r = 0
+				}
+			}
+			out = append(out, norm.FisherZ(float32(r)))
 		}
 	}
 	return out
 }
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // trainClassifier fits a linear SVM on the pair features of the given
 // training epochs.

@@ -132,9 +132,15 @@ func benchSyrk(b *testing.B, impl interface{ Syrk(C, A *tensor.Matrix) }, m, n i
 	}
 }
 
+// BenchmarkSyrk's MB/s column reads as MFLOP/s. The rows after the pair
+// are one kernel matrix at each repo-benchmark height: online_subject's
+// 12, serve_smalljobs' 36 and 54, attention_cluster's 96.
 func BenchmarkSyrk(b *testing.B) {
 	b.Run("baseline", func(b *testing.B) { benchSyrk(b, baseline.BLAS{}, 48, 16384) })
 	b.Run("tallskinny", func(b *testing.B) { benchSyrk(b, blas.TallSkinny{}, 48, 16384) })
+	for _, m := range []int{12, 36, 54, 96} {
+		b.Run(fmt.Sprintf("tallskinny/m%d_n4096", m), func(b *testing.B) { benchSyrk(b, blas.TallSkinny{}, m, 4096) })
+	}
 }
 
 // Block-size sweeps: the constants
@@ -356,24 +362,32 @@ func BenchmarkClusterScheduling(b *testing.B) {
 }
 
 // BenchmarkOnlineAnalysis measures the single-subject selection loop of
-// Table 4.
+// Table 4: selection plus classifier training, one call per op. The
+// online_subject row is one op of that repo-benchmark workload (1024
+// voxels, 12 epochs, TopK 100, Workers 2); its CPU profile is the online
+// op's.
 func BenchmarkOnlineAnalysis(b *testing.B) {
-	d, err := Generate(Spec{
-		Name: "bench-online", Voxels: 512, Subjects: 1, EpochsPerSubject: 16,
-		EpochLen: benchEpochLen, RestLen: 4, SignalVoxels: 32, Coupling: 0.8, Seed: 2,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	one, err := d.Subject(0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := OnlineAnalysis(one, Config{TopK: 8}); err != nil {
-			b.Fatal(err)
-		}
+	for _, sh := range []struct {
+		name string
+		spec Spec
+		cfg  Config
+	}{
+		{"voxels512", Spec{Voxels: 512, EpochsPerSubject: 16, RestLen: 4, SignalVoxels: 32, Coupling: 0.8, Seed: 2}, Config{TopK: 8}},
+		{"online_subject", Spec{Voxels: 1024, EpochsPerSubject: 12, RestLen: 6, SignalVoxels: 96, Coupling: 0.7, Seed: 1}, Config{TopK: 100, Workers: 2}},
+	} {
+		b.Run(sh.name, func(b *testing.B) {
+			sh.spec.Name, sh.spec.Subjects, sh.spec.EpochLen = "bench-online", 1, benchEpochLen
+			d, err := Generate(sh.spec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := OnlineAnalysis(d, sh.cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -2,9 +2,13 @@ package fcma
 
 import (
 	"bytes"
+	"math"
+	"math/rand"
 	"testing"
 
+	"fcma/internal/corr"
 	"fcma/internal/fmri"
+	"fcma/internal/norm"
 )
 
 func testSpec() Spec {
@@ -220,6 +224,73 @@ func TestOnlineClassifierGeneralizes(t *testing.T) {
 	}
 	if correct*3 < testSubj.Epochs()*2 {
 		t.Fatalf("cross-subject accuracy %d/%d too low", correct, testSubj.Epochs())
+	}
+}
+
+// The classifier's features are pinned to their oracle bit for bit:
+// feature (i, j) of a window is norm.FisherZ of corr.Pearson over rows i
+// and j, including the rows Pearson answers 0 for. The classifier's two
+// entry points, an epoch of a dataset and a raw window, agree exactly.
+func TestPairFeaturesMatchPearson(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	inf := float32(math.Inf(1))
+	for _, n := range []int{12, 18, 1} {
+		for trial := 0; trial < 20; trial++ {
+			k := 7 + rng.Intn(6)
+			rows := make([][]float32, k)
+			for i := range rows {
+				rows[i] = make([]float32, n)
+				for t := range rows[i] {
+					rows[i][t] = rng.Float32()*2 - 1
+				}
+			}
+			// Degenerate rows, each planted in a random slot: constant, a
+			// NaN, +Inf, -Inf, all zero.
+			for _, fill := range []func(r []float32){
+				func(r []float32) {
+					for t := range r {
+						r[t] = 0.25
+					}
+				},
+				func(r []float32) { r[rng.Intn(n)] = float32(math.NaN()) },
+				func(r []float32) { r[rng.Intn(n)] = inf },
+				func(r []float32) { r[rng.Intn(n)] = -inf },
+				func(r []float32) { clear(r) },
+			} {
+				fill(rows[rng.Intn(k)])
+			}
+			got := pairFeaturesFromRows(nil, rows)
+			reused := pairFeaturesFromRows(make([]float32, 3, len(got)), rows)
+			f := 0
+			for i := 0; i < k; i++ {
+				for j := i + 1; j < k; j++ {
+					want := norm.FisherZ(float32(corr.Pearson(rows[i], rows[j])))
+					if math.Float32bits(got[f]) != math.Float32bits(want) || math.Float32bits(reused[f]) != math.Float32bits(want) {
+						t.Fatalf("n=%d rows %d,%d: feature %g / %g, want %g", n, i, j, got[f], reused[f], want)
+					}
+					f++
+				}
+			}
+			if f != len(got) || f != len(reused) {
+				t.Fatalf("n=%d k=%d: %d and %d features, want %d", n, k, len(got), len(reused), f)
+			}
+		}
+	}
+
+	s := testSpec()
+	s.Subjects = 1
+	s.EpochsPerSubject = 16
+	d := mustGenerate(t, s)
+	res, err := OnlineAnalysis(d, Config{TopK: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e, ep := range d.ds.Epochs {
+		wantLabel, want := res.Classifier.Predict(d, e)
+		label, got := res.Classifier.ClassifyWindow(d.ds.Data.View(0, ep.Start, d.Voxels(), ep.Len))
+		if label != wantLabel || math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("epoch %d: ClassifyWindow (%d, %g), Decide (%d, %g)", e, label, got, wantLabel, want)
+		}
 	}
 }
 

@@ -2,10 +2,11 @@
 
 #include "textflag.h"
 
-// AVX2 micro-kernels behind the TallSkinny seam. Every routine uses
-// separate VMULPS and VADDPS — never FMA — and accumulates each output
+// AVX2 micro-kernels behind the TallSkinny seam. Every arithmetic routine
+// uses separate VMULPS and VADDPS — never FMA — and accumulates each output
 // element in exactly the order of the Go kernel it stands in for, so the
-// results are bit-identical to tallskinny.go's (see kernels_amd64.go).
+// results are bit-identical to tallskinny.go's (see kernels_amd64.go); the
+// panel pack only moves values.
 // Every routine ends VZEROUPPER; RET so the SSE code the Go compiler
 // emits never pays the dirty-upper-half transition penalty.
 
@@ -94,6 +95,170 @@ tilesum:
 	ADDQ    SI, DI
 	VADDPS  (DI), Y3, Y3
 	VMOVUPS Y3, (DI)
+	VZEROUPPER
+	RET
+
+// func syrkTile4x4AVX2(c *float32, ldc int, ti, tj *float32, m, w int)
+//
+// syrkTile4x8AVX2 on four columns: the same broadcast, VMULPS then VADDPS
+// per staged row and one add into c at the end, on XMM registers. It takes
+// the blocks of a full 4-row band the 4×8 tile cannot reach.
+TEXT ·syrkTile4x4AVX2(SB), NOSPLIT, $0-48
+	MOVQ   c+0(FP), DI
+	MOVQ   ldc+8(FP), SI
+	MOVQ   ti+16(FP), R8
+	MOVQ   tj+24(FP), R9
+	MOVQ   m+32(FP), R10
+	MOVQ   w+40(FP), CX
+	SHLQ   $2, SI
+	SHLQ   $2, R10
+	VXORPS X0, X0, X0
+	VXORPS X1, X1, X1
+	VXORPS X2, X2, X2
+	VXORPS X3, X3, X3
+	TESTQ  CX, CX
+	JZ     tile4sum
+
+tile4step:
+	VMOVUPS      (R9), X4
+	VBROADCASTSS (R8), X5
+	VBROADCASTSS 4(R8), X6
+	VBROADCASTSS 8(R8), X7
+	VBROADCASTSS 12(R8), X8
+	VMULPS       X4, X5, X5
+	VMULPS       X4, X6, X6
+	VMULPS       X4, X7, X7
+	VMULPS       X4, X8, X8
+	VADDPS       X5, X0, X0
+	VADDPS       X6, X1, X1
+	VADDPS       X7, X2, X2
+	VADDPS       X8, X3, X3
+	ADDQ         R10, R8
+	ADDQ         R10, R9
+	DECQ         CX
+	JNZ          tile4step
+
+tile4sum:
+	VADDPS  (DI), X0, X0
+	VMOVUPS X0, (DI)
+	ADDQ    SI, DI
+	VADDPS  (DI), X1, X1
+	VMOVUPS X1, (DI)
+	ADDQ    SI, DI
+	VADDPS  (DI), X2, X2
+	VMOVUPS X2, (DI)
+	ADDQ    SI, DI
+	VADDPS  (DI), X3, X3
+	VMOVUPS X3, (DI)
+	VZEROUPPER
+	RET
+
+// func packPanelAVX2(dst, src *float32, lds, ldd, m, w int)
+//
+// dst[p*ldd+i] = src[i*lds+p] for i < m, p < w, m a positive multiple of
+// 4 and w a positive multiple of 8: the syrk panel's transposing copy.
+// Per 8-column group it walks the rows down, eight at a time through an
+// 8×8 register transpose (VUNPCKLPS/VUNPCKHPS pair rows, VSHUFPS gathers
+// each column's four rows per 128-bit lane, VPERM2F128 joins the lanes)
+// and a last four through the same steps without the join, storing each
+// lane's column with VMOVUPS or VEXTRACTF128. Loads and stores only.
+TEXT ·packPanelAVX2(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), R8
+	MOVQ src+8(FP), AX
+	MOVQ lds+16(FP), R9
+	MOVQ ldd+24(FP), R11
+	MOVQ w+40(FP), CX
+	SHLQ $2, R9
+	SHLQ $2, R11
+	LEAQ (R9)(R9*2), R10  // 3 source rows
+	LEAQ (R11)(R11*2), R12 // 3 destination columns
+	SHRQ $3, CX
+
+packcol:
+	MOVQ R8, DI
+	MOVQ AX, SI
+	MOVQ m+32(FP), R13
+
+packrow8:
+	CMPQ       R13, $8
+	JLT        packrow4
+	LEAQ       (SI)(R9*4), BX
+	VMOVUPS    (SI), Y0
+	VMOVUPS    (SI)(R9*1), Y1
+	VMOVUPS    (SI)(R9*2), Y2
+	VMOVUPS    (SI)(R10*1), Y3
+	VMOVUPS    (BX), Y4
+	VMOVUPS    (BX)(R9*1), Y5
+	VMOVUPS    (BX)(R9*2), Y6
+	VMOVUPS    (BX)(R10*1), Y7
+	VUNPCKLPS  Y1, Y0, Y8
+	VUNPCKHPS  Y1, Y0, Y9
+	VUNPCKLPS  Y3, Y2, Y10
+	VUNPCKHPS  Y3, Y2, Y11
+	VUNPCKLPS  Y5, Y4, Y12
+	VUNPCKHPS  Y5, Y4, Y13
+	VUNPCKLPS  Y7, Y6, Y14
+	VUNPCKHPS  Y7, Y6, Y15
+	VSHUFPS    $0x44, Y10, Y8, Y0  // rows 0-3 of columns 0 | 4
+	VSHUFPS    $0xEE, Y10, Y8, Y1  // 1 | 5
+	VSHUFPS    $0x44, Y11, Y9, Y2  // 2 | 6
+	VSHUFPS    $0xEE, Y11, Y9, Y3  // 3 | 7
+	VSHUFPS    $0x44, Y14, Y12, Y4 // rows 4-7 of columns 0 | 4
+	VSHUFPS    $0xEE, Y14, Y12, Y5
+	VSHUFPS    $0x44, Y15, Y13, Y6
+	VSHUFPS    $0xEE, Y15, Y13, Y7
+	VPERM2F128 $0x20, Y4, Y0, Y8
+	VPERM2F128 $0x20, Y5, Y1, Y9
+	VPERM2F128 $0x20, Y6, Y2, Y10
+	VPERM2F128 $0x20, Y7, Y3, Y11
+	VPERM2F128 $0x31, Y4, Y0, Y12
+	VPERM2F128 $0x31, Y5, Y1, Y13
+	VPERM2F128 $0x31, Y6, Y2, Y14
+	VPERM2F128 $0x31, Y7, Y3, Y15
+	LEAQ       (DI)(R11*4), DX
+	VMOVUPS    Y8, (DI)
+	VMOVUPS    Y9, (DI)(R11*1)
+	VMOVUPS    Y10, (DI)(R11*2)
+	VMOVUPS    Y11, (DI)(R12*1)
+	VMOVUPS    Y12, (DX)
+	VMOVUPS    Y13, (DX)(R11*1)
+	VMOVUPS    Y14, (DX)(R11*2)
+	VMOVUPS    Y15, (DX)(R12*1)
+	LEAQ       (SI)(R9*8), SI
+	ADDQ       $32, DI
+	SUBQ       $8, R13
+	JMP        packrow8
+
+packrow4:
+	TESTQ        R13, R13
+	JZ           packnext
+	VMOVUPS      (SI), Y0
+	VMOVUPS      (SI)(R9*1), Y1
+	VMOVUPS      (SI)(R9*2), Y2
+	VMOVUPS      (SI)(R10*1), Y3
+	VUNPCKLPS    Y1, Y0, Y8
+	VUNPCKHPS    Y1, Y0, Y9
+	VUNPCKLPS    Y3, Y2, Y10
+	VUNPCKHPS    Y3, Y2, Y11
+	VSHUFPS      $0x44, Y10, Y8, Y0
+	VSHUFPS      $0xEE, Y10, Y8, Y1
+	VSHUFPS      $0x44, Y11, Y9, Y2
+	VSHUFPS      $0xEE, Y11, Y9, Y3
+	LEAQ         (DI)(R11*4), DX
+	VMOVUPS      X0, (DI)
+	VMOVUPS      X1, (DI)(R11*1)
+	VMOVUPS      X2, (DI)(R11*2)
+	VMOVUPS      X3, (DI)(R12*1)
+	VEXTRACTF128 $1, Y0, (DX)
+	VEXTRACTF128 $1, Y1, (DX)(R11*1)
+	VEXTRACTF128 $1, Y2, (DX)(R11*2)
+	VEXTRACTF128 $1, Y3, (DX)(R12*1)
+
+packnext:
+	ADDQ $32, AX
+	LEAQ (R8)(R11*8), R8
+	DECQ CX
+	JNZ  packcol
 	VZEROUPPER
 	RET
 

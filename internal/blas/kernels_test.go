@@ -138,7 +138,7 @@ func onBothPaths(t *testing.T, what string, proto *tensor.Matrix, compute func(C
 	requirePadIntact(t, what, got)
 }
 
-var pinSyrkRows = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 30, 48, 96, 216, 540}
+var pinSyrkRows = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 30, 36, 48, 54, 96, 216, 540}
 
 func TestSyrkAVX2BitIdenticalToGo(t *testing.T) {
 	needAVX2(t)
@@ -180,7 +180,7 @@ func TestBatchSyrkAVX2BitIdenticalMixedBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	cols := []int{60, 150, 250, 800}
 	var As []*tensor.Matrix
-	for i, m := range []int{12, 7, 48, 9, 30, 8, 216, 13} {
+	for i, m := range []int{12, 7, 48, 9, 30, 8, 216, 13, 36, 54} {
 		A := viewMatrix(rng, m, cols[i%len(cols)], m%4)
 		sprinkle(rng, A)
 		As = append(As, A)

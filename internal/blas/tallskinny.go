@@ -1,6 +1,7 @@
 package blas
 
 import (
+	"fmt"
 	"sync"
 
 	"fcma/internal/tensor"
@@ -263,19 +264,64 @@ func (s *SyrkAcc) Add(C, A *tensor.Matrix, j0, n, block int) {
 		block = DefaultSyrkBlock
 	}
 	checkSyrkShapes(C, A)
+	if j0 < 0 || n < 0 || j0+n > A.Cols {
+		panic(fmt.Sprintf("blas: syrk columns [%d, %d) out of range of %d", j0, j0+n, A.Cols))
+	}
 	obsBatchSyrkItems.Add(uint64((n + block - 1) / block))
 	s.add(C, A, j0, n, block)
 }
 
-// add is Add without the shape check and the slice counter (Syrk has its
-// own of both).
+// add is Add without the checks and the slice counter (Syrk has its own
+// of both).
 //
 //lint:hotpath syrk slice driver, once per column range per matrix
 func (s *SyrkAcc) add(C, A *tensor.Matrix, j0, n, block int) {
+	m := A.Rows
 	for end := j0 + n; j0 < end; j0 += block {
 		w := min(block, end-j0)
-		s.tbuf = tensor.PackTransposed(s.tbuf, A, 0, j0, A.Rows, w)
-		syrkBlockKernel(C, s.tbuf, A.Rows, w)
+		if cap(s.tbuf) < m*w {
+			//lint:allow allocfree grows only for a panel larger than any before it
+			s.tbuf = make([]float32, m*w)
+		}
+		s.tbuf = s.tbuf[:m*w]
+		stagePanel(s.tbuf, A, j0, w)
+		syrkBlockKernel(C, s.tbuf, m, w)
+	}
+}
+
+// stagePanel stages the A.Rows×w panel of A at column j0 transposed into
+// dst (dst[p*m+i] = A[i, j0+p]), Fig. 7's A_localᵀ, so that the tiles'
+// rank-1 updates are unit-stride. With AVX2, packPanelAVX2 moves the full
+// 4-row groups' full 8-column groups and packTransposed the last m%4 rows
+// and w%8 columns; otherwise packTransposed moves all of it. It is a copy,
+// so the split cannot show in any bit.
+//
+//lint:hotpath syrk panel pack, once per slice
+func stagePanel(dst []float32, A *tensor.Matrix, j0, w int) {
+	m, i := A.Rows, 0
+	if m4, w8 := m&^3, w&^7; useAVX2 && m4 > 0 && w8 > 0 {
+		// Bounds-check once what the assembly addresses through raw pointers.
+		src := A.Data[j0 : (m4-1)*A.Stride+j0+w8]
+		out := dst[:(w8-1)*m+m4]
+		packPanelAVX2(&out[0], &src[0], A.Stride, m, m4, w8)
+		if w8 < w {
+			packTransposed(dst[w8*m:], m, A, 0, j0+w8, m4, w-w8)
+		}
+		i = m4
+	}
+	packTransposed(dst[i:], m, A, i, j0, m-i, w)
+}
+
+// packTransposed copies the r×c block of src at (i0, j0) into dst
+// transposed, with leading dimension ld: dst[j*ld+i] = src[i0+i, j0+j].
+//
+//lint:hotpath syrk panel pack, the Go path and the AVX2 path's edges
+func packTransposed(dst []float32, ld int, src *tensor.Matrix, i0, j0, r, c int) {
+	for i := 0; i < r; i++ {
+		row := src.Data[(i0+i)*src.Stride+j0 : (i0+i)*src.Stride+j0+c]
+		for j, v := range row {
+			dst[j*ld+i] = v
+		}
 	}
 }
 
@@ -317,16 +363,17 @@ func (t TallSkinny) Syrk(C, A *tensor.Matrix) {
 //
 // With AVX2, full 4-row bands are covered left to right by 4×8 assembly
 // tiles for as long as a tile starts at or left of the diagonal block and
-// fits in the row (j0+8 <= m); the 4×4 Go blocks take what is left: the
-// m%4 remainder band, and the last columns up to the diagonal when m is
-// not a multiple of 8. A tile that reaches the diagonal also adds the
-// (correct, symmetric) sums into lanes above it. Nothing reads those:
-// SyrkAcc.Finish overwrites the upper triangle last.
+// fits in the row (j0+8 <= m), then by 4×4 assembly tiles up to and
+// including the diagonal block (its last columns when m is not a multiple
+// of 8: the diagonal block of rows 8–11 at m = 12). Only the m%4
+// remainder band takes the Go blocks. A tile that reaches the diagonal
+// also adds the (correct, symmetric) sums into lanes above it. Nothing
+// reads those: SyrkAcc.Finish overwrites the upper triangle last.
 //
 //lint:hotpath syrk register-block driver, called once per panel per worker
 func syrkBlockKernel(local *tensor.Matrix, tbuf []float32, m, w int) {
 	const rb = 4
-	if useAVX2 && m >= 8 {
+	if useAVX2 && m >= rb {
 		// Bounds-check once what the tiles address through raw pointers.
 		tbuf = tbuf[:w*m]
 		_ = local.Data[(m-1)*local.Stride+m-1]
@@ -337,6 +384,9 @@ func syrkBlockKernel(local *tensor.Matrix, tbuf []float32, m, w int) {
 		if useAVX2 && ih == rb {
 			for ; j0 <= i0 && j0+8 <= m; j0 += 8 {
 				syrkTile4x8AVX2(&local.Data[i0*local.Stride+j0], local.Stride, &tbuf[i0], &tbuf[j0], m, w)
+			}
+			for ; j0 <= i0; j0 += rb {
+				syrkTile4x4AVX2(&local.Data[i0*local.Stride+j0], local.Stride, &tbuf[i0], &tbuf[j0], m, w)
 			}
 		}
 		for ; j0 < i0; j0 += rb {
