@@ -106,8 +106,8 @@ size:
 # the values the last reduction PR left. A PR that needs more raises them
 # in its own diff, where a reviewer sees the growth; one that shrinks the
 # module lowers them.
-MAX_MODULE_LINES = 21832
-MAX_EXPORTED = 355
+MAX_MODULE_LINES = 21831
+MAX_EXPORTED = 354
 size-check:
 	@lines=$$($(MODULE_LINES)); exported=$$($(EXPORTED)); status=0; \
 	if [ $$lines -gt $(MAX_MODULE_LINES) ]; then \

@@ -122,7 +122,7 @@ func (d *Dataset) Validate() error {
 	if len(d.Epochs) == 0 {
 		return errors.New("fmri: dataset has no epochs")
 	}
-	if err := CheckEpochs(d.Epochs, d.TimePoints()); err != nil {
+	if err := checkEpochs(d.Epochs, d.TimePoints()); err != nil {
 		return err
 	}
 	epochLen := d.Epochs[0].Len
@@ -162,16 +162,13 @@ func (d *Dataset) Validate() error {
 	return nil
 }
 
-// CheckEpochs validates an epoch design against a session of timePoints
+// checkEpochs validates an epoch design against a session of timePoints
 // columns: every window must be non-empty and inside the session, and no
 // two epochs of the same subject may overlap (an overlapping analysis
 // design double-counts time points in within-subject normalization; the
 // real-time assembler, which legitimately supports overlapping designs,
-// does not go through this check). timePoints <= 0 skips the range check,
-// for callers validating a design before any data exists.
-//
-//lint:sanitizes taintflow every epoch window is bounds-checked against the session
-func CheckEpochs(epochs []Epoch, timePoints int) error {
+// does not go through this check).
+func checkEpochs(epochs []Epoch, timePoints int) error {
 	for i, e := range epochs {
 		if e.Len <= 0 {
 			return fmt.Errorf("fmri: epoch %d (subject %d) is empty: length %d", i, e.Subject, e.Len)
@@ -179,7 +176,7 @@ func CheckEpochs(epochs []Epoch, timePoints int) error {
 		if e.Start < 0 {
 			return fmt.Errorf("fmri: epoch %d (subject %d) starts at negative time point %d", i, e.Subject, e.Start)
 		}
-		if timePoints > 0 && e.Start+e.Len > timePoints {
+		if e.Start+e.Len > timePoints {
 			return fmt.Errorf("fmri: epoch %d (subject %d) window [%d,%d) outside %d time points",
 				i, e.Subject, e.Start, e.Start+e.Len, timePoints)
 		}

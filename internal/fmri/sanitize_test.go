@@ -149,7 +149,7 @@ func TestCheckEpochsDefects(t *testing.T) {
 		{"overlap unordered input", []Epoch{{0, 1, 2, 4}, {0, 0, 0, 4}}, 8, "overlap"},
 	}
 	for _, tc := range cases {
-		err := CheckEpochs(tc.epochs, tc.tp)
+		err := checkEpochs(tc.epochs, tc.tp)
 		if tc.want == "" {
 			if err != nil {
 				t.Errorf("%s: unexpected error %v", tc.name, err)

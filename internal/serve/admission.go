@@ -28,7 +28,8 @@ func (e *admitError) Error() string { return e.Reason }
 //  3. memory budget: the sum of admitted jobs' estimated working sets
 //     must fit MemBudget, refusing work that would thrash the box
 //     rather than OOMing mid-run.
-func (s *Service) admit(spec JobSpec) *admitError {
+func (s *Service) admit(job *Job) *admitError {
+	tenant := job.Spec.tenant()
 	active, tenantActive := 0, 0
 	var estimated int64
 	for _, j := range s.jobs {
@@ -36,10 +37,10 @@ func (s *Service) admit(spec JobSpec) *admitError {
 			continue
 		}
 		active++
-		if j.Spec.tenant() == spec.tenant() {
+		if j.Spec.tenant() == tenant {
 			tenantActive++
 		}
-		estimated += s.estimateBytes(j.Spec)
+		estimated += j.estBytes
 	}
 	if active >= s.opts.QueueCap {
 		return &admitError{
@@ -50,10 +51,10 @@ func (s *Service) admit(spec JobSpec) *admitError {
 	if tenantActive >= s.opts.TenantCap {
 		return &admitError{
 			Status: 429, RetryAfter: s.retryAfter(tenantActive),
-			Reason: fmt.Sprintf("tenant %q quota exhausted (%d jobs active, cap %d)", spec.tenant(), tenantActive, s.opts.TenantCap),
+			Reason: fmt.Sprintf("tenant %q quota exhausted (%d jobs active, cap %d)", tenant, tenantActive, s.opts.TenantCap),
 		}
 	}
-	if need := s.estimateBytes(spec); s.opts.MemBudget > 0 && estimated+need > s.opts.MemBudget {
+	if need := job.estBytes; s.opts.MemBudget > 0 && estimated+need > s.opts.MemBudget {
 		return &admitError{
 			Status: 429, RetryAfter: s.retryAfter(active),
 			Reason: fmt.Sprintf("memory budget exhausted (%d MiB estimated + %d MiB requested > %d MiB budget)",
@@ -67,13 +68,13 @@ func (s *Service) admit(spec JobSpec) *admitError {
 // dimensions: the float32 activity, the normalized epoch stack (float64,
 // the dominant term), and correlation scratch. A deliberate overestimate;
 // admission errs toward refusing, never toward OOM.
-func (s *Service) estimateBytes(spec JobSpec) int64 {
+func (s *datasetStore) estimateBytes(spec JobSpec, id datasetID) int64 {
 	var voxels, timePoints int64
 	if spec.Synthetic != "" {
 		fs := syntheticSpec(spec)
 		voxels = int64(fs.Voxels)
 		timePoints = int64(fs.Subjects) * int64(fs.EpochsPerSubject) * int64(fs.EpochLen+fs.RestLen)
-	} else if meta, err := s.store.Meta(spec.Dataset); err == nil {
+	} else if meta, err := s.Meta(id); err == nil {
 		voxels = int64(meta.Voxels)
 		timePoints = int64(meta.TimePoints)
 	} else {

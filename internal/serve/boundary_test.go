@@ -28,9 +28,13 @@ func FuzzJobSpecDecode(f *testing.F) {
 	f.Add([]byte(`{"synthetic":"attention","scale":1e999}`))
 	f.Add([]byte(`{"synthetic":"attention"} trailing`))
 	f.Add([]byte{})
+	st := testStore(f)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		spec, err := decodeSpec(bytes.NewReader(body))
-		if err != nil || spec.validate() != nil {
+		if err != nil {
+			return
+		}
+		if _, err := spec.validate(st); err != nil {
 			return
 		}
 		again, err := json.Marshal(spec)
@@ -38,9 +42,10 @@ func FuzzJobSpecDecode(f *testing.F) {
 			t.Fatalf("accepted spec %+v does not marshal: %v", spec, err)
 		}
 		back, err := decodeSpec(bytes.NewReader(again))
-		if err != nil || back != spec || back.validate() != nil {
+		_, verr := back.validate(st)
+		if err != nil || back != spec || verr != nil {
 			t.Fatalf("accepted spec %+v re-marshals to %s, which decodes to %+v (err %v, validate %v)",
-				spec, again, back, err, back.validate())
+				spec, again, back, err, verr)
 		}
 	})
 }

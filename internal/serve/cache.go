@@ -63,11 +63,9 @@ func newDatasetStore(dir string, fsys chaos.FS, budget int64, reg *obs.Registry)
 	}, nil
 }
 
-// blobPath returns the on-disk path for a content hash. Callers must
-// have checked isContentHash first: the hash is joined into a path, so a
-// traversal fragment here would escape the store.
-func (s *datasetStore) blobPath(hash string) string {
-	return filepath.Join(s.dir, "datasets", hash)
+// blobPath returns the on-disk path of a stored blob.
+func (s *datasetStore) blobPath(id datasetID) string {
+	return filepath.Join(s.dir, "datasets", string(id))
 }
 
 // Put stores an uploaded dataset blob (encodeDataset framing: u64 data
@@ -75,13 +73,13 @@ func (s *datasetStore) blobPath(hash string) string {
 // returns its content hash.
 // The blob and its metadata sidecar are written atomically, so admission
 // never sees a hash whose bytes might be torn.
-func (s *datasetStore) Put(blob []byte) (string, error) {
+func (s *datasetStore) Put(blob []byte) (datasetID, error) {
 	ds, err := decodeDataset(blob)
 	if err != nil {
 		return "", fmt.Errorf("serve: uploaded dataset invalid: %w", err)
 	}
 	sum := sha256.Sum256(blob)
-	hash := hex.EncodeToString(sum[:])
+	hash := datasetID(hex.EncodeToString(sum[:]))
 	path := s.blobPath(hash)
 	blobExists := false
 	if _, err := os.Stat(path); err == nil {
@@ -109,25 +107,27 @@ func (s *datasetStore) Put(blob []byte) (string, error) {
 }
 
 // Meta loads the dimension sidecar for a stored dataset.
-func (s *datasetStore) Meta(hash string) (datasetMeta, error) {
-	if !isContentHash(hash) {
-		return datasetMeta{}, fmt.Errorf("serve: unknown dataset %s", hash)
-	}
-	data, err := os.ReadFile(s.blobPath(hash) + ".json")
+func (s *datasetStore) Meta(id datasetID) (datasetMeta, error) {
+	data, err := os.ReadFile(s.blobPath(id) + ".json")
 	if err != nil {
-		return datasetMeta{}, fmt.Errorf("serve: unknown dataset %s", hash)
+		return datasetMeta{}, fmt.Errorf("serve: unknown dataset %s", id)
 	}
 	var m datasetMeta
 	if err := json.Unmarshal(data, &m); err != nil {
-		return datasetMeta{}, fmt.Errorf("serve: dataset meta %s: %w", hash, err)
+		return datasetMeta{}, fmt.Errorf("serve: dataset meta %s: %w", id, err)
 	}
 	return m, nil
 }
 
-// Get returns the decoded dataset for a job spec, from cache when
-// resident, decoding/generating (and caching) otherwise.
-func (s *datasetStore) Get(spec JobSpec) (*fmri.Dataset, error) {
-	key := spec.cacheKey()
+// Get returns a job's dataset (the synthetic shape its spec names, else
+// blob id), from cache when resident, decoding/generating otherwise.
+func (s *datasetStore) Get(spec JobSpec, id datasetID) (*fmri.Dataset, error) {
+	// Synthetic generation is seeded, so equal name and scale mean
+	// bit-identical data; uploads are keyed by content hash.
+	key := "blob/" + string(id)
+	if spec.Synthetic != "" {
+		key = fmt.Sprintf("synthetic/%s@%g", spec.Synthetic, spec.scale())
+	}
 	if ds := s.lookup(key); ds != nil {
 		s.reg.Counter("serve_dataset_cache_hits_total").Inc()
 		return ds, nil
@@ -141,38 +141,24 @@ func (s *datasetStore) Get(spec JobSpec) (*fmri.Dataset, error) {
 			return nil, fmt.Errorf("serve: generating %s: %w", spec.Synthetic, err)
 		}
 	} else {
-		if !isContentHash(spec.Dataset) {
-			return nil, fmt.Errorf("serve: unknown dataset %s", spec.Dataset)
-		}
-		blob, rerr := os.ReadFile(s.blobPath(spec.Dataset))
+		blob, rerr := os.ReadFile(s.blobPath(id))
 		if rerr != nil {
-			return nil, fmt.Errorf("serve: unknown dataset %s", spec.Dataset)
+			return nil, fmt.Errorf("serve: unknown dataset %s", id)
 		}
 		if ds, err = decodeDataset(blob); err != nil {
-			return nil, fmt.Errorf("serve: dataset %s: %w", spec.Dataset, err)
+			return nil, fmt.Errorf("serve: dataset %s: %w", id, err)
 		}
 	}
 	s.insert(key, ds)
 	return ds, nil
 }
 
-// syntheticSpec maps a job spec to the deterministic generator spec, the
-// canonical form cacheKey is derived from.
+// syntheticSpec maps a job spec to the deterministic generator spec.
 func syntheticSpec(spec JobSpec) fmri.Spec {
 	if spec.Synthetic == "attention" {
 		return fmri.AttentionSpec(spec.scale())
 	}
 	return fmri.FaceSceneSpec(spec.scale())
-}
-
-// cacheKey canonicalizes which dataset a spec runs on: synthetic shapes
-// by name and scale (their generation is seeded and deterministic, so
-// equal keys mean bit-identical data), uploads by content hash.
-func (s JobSpec) cacheKey() string {
-	if s.Synthetic != "" {
-		return fmt.Sprintf("synthetic/%s@%g", s.Synthetic, s.scale())
-	}
-	return "blob/" + s.Dataset
 }
 
 // lookup returns a resident dataset and refreshes its recency.

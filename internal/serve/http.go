@@ -247,5 +247,5 @@ func (s *Service) handleUpload(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusCreated, map[string]string{"hash": hash})
+	writeJSON(w, http.StatusCreated, map[string]string{"hash": string(hash)})
 }

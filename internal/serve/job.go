@@ -95,49 +95,54 @@ type JobSpec struct {
 	Retries int `json:"retries,omitempty"`
 }
 
-// validate rejects malformed specs at admission, before anything is
-// journaled.
+// validate is the one check a spec passes, on submit and on journal
+// replay alike, and so the one way to build a Job: it range-checks every
+// field, parses Dataset into the datasetID the store takes, and takes the
+// job's working-set estimate from store once. The caller sets the ID.
 //
 //lint:sanitizes taintflow every spec field is range- or format-checked
-func (s JobSpec) validate() error {
+func (s JobSpec) validate(store *datasetStore) (*Job, error) {
+	id, ok := parseDatasetID(s.Dataset) // before any == guard on s (DESIGN.md §12)
 	if (s.Synthetic == "") == (s.Dataset == "") {
-		return fmt.Errorf("spec must set exactly one of synthetic or dataset")
+		return nil, fmt.Errorf("spec must set exactly one of synthetic or dataset")
 	}
 	if s.Synthetic != "" && s.Synthetic != "face-scene" && s.Synthetic != "attention" {
-		return fmt.Errorf("unknown synthetic shape %q (want face-scene or attention)", s.Synthetic)
+		return nil, fmt.Errorf("unknown synthetic shape %q (want face-scene or attention)", s.Synthetic)
 	}
-	if s.Dataset != "" && !isContentHash(s.Dataset) {
-		return fmt.Errorf("dataset %q is not a content hash (want the 64 hex digits returned by the upload endpoint)", s.Dataset)
+	if s.Dataset != "" && !ok {
+		return nil, fmt.Errorf("dataset %q is not a content hash (want the 64 hex digits returned by the upload endpoint)", s.Dataset)
 	}
-	if s.Scale < 0 || s.Scale > 1 {
-		return fmt.Errorf("scale %g out of range (0, 1]", s.Scale)
+	// Written so that NaN, which fails every comparison, fails this one.
+	if !(s.Scale >= 0 && s.Scale <= 1) {
+		return nil, fmt.Errorf("scale %g out of range (0, 1]", s.Scale)
 	}
 	if s.TopK < 0 {
-		return fmt.Errorf("top_k %d negative", s.TopK)
+		return nil, fmt.Errorf("top_k %d negative", s.TopK)
 	}
 	if s.TimeoutMS < 0 {
-		return fmt.Errorf("timeout_ms %d negative", s.TimeoutMS)
+		return nil, fmt.Errorf("timeout_ms %d negative", s.TimeoutMS)
 	}
-	return nil
+	return &Job{Spec: s, State: StateAccepted, dataset: id, estBytes: store.estimateBytes(s, id)}, nil
 }
 
-// isContentHash reports whether s is a lowercase sha256 hex digest — the
-// only dataset reference the upload endpoint ever issues. Anything else
-// (in particular path fragments like "../jobs.jnl") must never reach the
-// store's filepath.Join.
-//
-//lint:sanitizes taintflow accepts only 64 lowercase hex digits, which cannot traverse paths
-func isContentHash(s string) bool {
+// datasetID names an uploaded dataset blob: a lowercase sha256 hex digest,
+// the only reference the upload endpoint ever issues. It is joined into a
+// store path, so it is made only by parseDatasetID and by the store's Put.
+type datasetID string
+
+// parseDatasetID accepts exactly 64 lowercase hex digits; anything else
+// (in particular a path fragment like "../jobs.jnl") is not a datasetID.
+func parseDatasetID(s string) (datasetID, bool) {
 	if len(s) != 64 {
-		return false
+		return "", false
 	}
 	for i := 0; i < len(s); i++ {
 		c := s[i]
 		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
+			return "", false
 		}
 	}
-	return true
+	return datasetID(s), true
 }
 
 // scale returns the effective synthetic scale.
@@ -156,12 +161,15 @@ func (s JobSpec) tenant() string {
 	return s.Tenant
 }
 
-// Job is the server-side record of one submitted analysis. All fields are
-// guarded by the Service mutex.
+// Job is the server-side record of one submitted analysis, built by
+// JobSpec.validate. All fields are guarded by the Service mutex.
 type Job struct {
 	ID    string
 	Spec  JobSpec
 	State State
+	// Spec.Dataset parsed, and the working set admission charges.
+	dataset  datasetID
+	estBytes int64
 	// Err holds the failure message of a failed job.
 	Err string
 	// Attempts counts execution attempts (for status reporting).

@@ -34,9 +34,10 @@ type journal struct {
 	mu  sync.Mutex
 	log *wal.Log
 
-	// replay state
+	// replay state; store sizes each replayed job as validate builds it
 	jobs   map[string]*Job
 	maxSeq int
+	store  *datasetStore
 }
 
 const (
@@ -62,9 +63,10 @@ type stateRecord struct {
 }
 
 // openJournal opens (or creates) the job journal at path and replays it
-// into a fresh job map.
-func openJournal(fsys chaos.FS, path string, reg *obs.Registry) (*journal, error) {
-	j := &journal{jobs: make(map[string]*Job)}
+// into a fresh job map, each accepted spec through the same validate as
+// Submit: one that fails stops the replay and leaves the file as it was.
+func openJournal(fsys chaos.FS, path string, reg *obs.Registry, store *datasetStore) (*journal, error) {
+	j := &journal{jobs: make(map[string]*Job), store: store}
 	log, err := wal.OpenObserved(fsys, path, serveMagic, serveMaxRecord, j.apply, reg, "serve")
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
@@ -104,7 +106,12 @@ func (j *journal) apply(payload []byte) error {
 		if _, dup := j.jobs[rec.ID]; dup {
 			return fmt.Errorf("duplicate accept for %s", rec.ID)
 		}
-		j.jobs[rec.ID] = &Job{ID: rec.ID, Spec: rec.Spec, State: StateAccepted}
+		job, err := rec.Spec.validate(j.store)
+		if err != nil {
+			return fmt.Errorf("accept record for %s: %w", rec.ID, err)
+		}
+		job.ID = rec.ID
+		j.jobs[rec.ID] = job
 		if n, err := strconv.Atoi(strings.TrimPrefix(rec.ID, "job-")); err == nil && n > j.maxSeq {
 			j.maxSeq = n
 		}

@@ -21,13 +21,23 @@ func jnlPath(t *testing.T) string {
 	return filepath.Join(t.TempDir(), "jobs.jnl")
 }
 
+// testStore returns an empty dataset store in a fresh temp dir.
+func testStore(t testing.TB) *datasetStore {
+	t.Helper()
+	st, err := newDatasetStore(t.TempDir(), chaos.OS(), 0, obs.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 // mustOpen opens a serve journal or fails the test.
 func mustOpen(t *testing.T, path string, reg *obs.Registry) *journal {
 	t.Helper()
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	j, err := openJournal(chaos.OS(), path, reg)
+	j, err := openJournal(chaos.OS(), path, reg, testStore(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +204,7 @@ func TestJournalIllegalTransitionFailsOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := openJournal(chaos.OS(), path, obs.NewRegistry()); err == nil {
+	if _, err := openJournal(chaos.OS(), path, obs.NewRegistry(), testStore(t)); err == nil {
 		t.Fatal("openJournal accepted a journal with an illegal transition")
 	} else {
 		var aerr *wal.ApplyError
@@ -303,7 +313,8 @@ func TestJournalReplaysParentEncoding(t *testing.T) {
 // FuzzJournalApply feeds arbitrary record payloads to the replay fold of a
 // journal that already knows one job: it must reject or accept without
 // panicking, and what it accepts must leave job state a resumed server can
-// run from — every score inside the voxel range its job claims.
+// run from — every spec one validate accepts, every score inside the voxel
+// range its job claims.
 func FuzzJournalApply(f *testing.F) {
 	const id = "job-00000001"
 	progress := func(v0, v int, scores []core.VoxelScore) []byte {
@@ -320,14 +331,24 @@ func FuzzJournalApply(f *testing.F) {
 	for _, payload := range testdataRecords(f) {
 		f.Add(payload)
 	}
+	f.Add([]byte(string(rune(srAccept)) + `{"id":"job-00000002","spec":{"dataset":"../jobs.jnl"}}`))
+	st := testStore(f)
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		j := &journal{jobs: map[string]*Job{id: {ID: id, State: StateAccepted}}}
+		known, err := JobSpec{Synthetic: "face-scene"}.validate(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		known.ID = id
+		j := &journal{jobs: map[string]*Job{id: known}, store: st}
 		if err := j.apply(payload); err != nil {
 			return
 		}
 		for _, job := range j.jobs {
 			if !job.State.valid() {
 				t.Fatalf("payload %x left %s in state %q", payload, job.ID, job.State)
+			}
+			if _, err := job.Spec.validate(st); err != nil {
+				t.Fatalf("payload %x replayed %s with a spec validate refuses: %v", payload, job.ID, err)
 			}
 			for v := range job.scores {
 				if v < 0 || v >= job.totalVoxels {

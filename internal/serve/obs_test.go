@@ -133,7 +133,7 @@ func TestPipelineRecordsOnServiceRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := s.Submit(t.Context(), JobSpec{Dataset: hash})
+	id, err := s.Submit(t.Context(), JobSpec{Dataset: string(hash)})
 	if err != nil {
 		t.Fatal(err)
 	}

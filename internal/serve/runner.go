@@ -132,7 +132,7 @@ func (s *Service) retrySeed(id string) int64 {
 // every chunk the journal already holds — the incremental core of both
 // crash resume and retry.
 func (s *Service) attempt(ctx context.Context, job *Job, spec JobSpec) error {
-	ds, err := s.store.Get(spec)
+	ds, err := s.store.Get(spec, job.dataset)
 	if err != nil {
 		return err
 	}

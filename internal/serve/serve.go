@@ -162,11 +162,11 @@ func New(opts Options) (*Service, error) {
 		return nil, fmt.Errorf("serve: creating state dir: %w", err)
 	}
 	reg := opts.Obs
-	jnl, err := openJournal(opts.FS, filepath.Join(opts.Dir, "jobs.jnl"), reg)
+	store, err := newDatasetStore(opts.Dir, opts.FS, opts.CacheBudget, reg)
 	if err != nil {
 		return nil, err
 	}
-	store, err := newDatasetStore(opts.Dir, opts.FS, opts.CacheBudget, reg)
+	jnl, err := openJournal(opts.FS, filepath.Join(opts.Dir, "jobs.jnl"), reg, store)
 	if err != nil {
 		return nil, err
 	}
@@ -266,7 +266,8 @@ func (s *Service) MetricsSnapshot() obs.Snapshot {
 // the job gets a fresh trace of its own. The root stays open until the
 // job's terminal transition.
 func (s *Service) Submit(ctx context.Context, spec JobSpec) (string, error) {
-	if err := spec.validate(); err != nil {
+	job, err := spec.validate(s.store)
+	if err != nil {
 		return "", fmt.Errorf("serve: invalid spec: %w", err)
 	}
 	tenant := spec.tenant()
@@ -290,7 +291,7 @@ func (s *Service) Submit(ctx context.Context, spec JobSpec) (string, error) {
 		return reject(&admitError{Status: 503, RetryAfter: 10, Reason: "server is draining"})
 	}
 	_, admitSpan := trace.StartSpan(jctx, "serve/admit")
-	aerr := s.admit(spec)
+	aerr := s.admit(job)
 	admitSpan.End()
 	if aerr != nil {
 		return reject(aerr)
@@ -302,23 +303,22 @@ func (s *Service) Submit(ctx context.Context, spec JobSpec) (string, error) {
 	// injected fault) refuses the job with a retryable 503 instead of
 	// holding state the next incarnation won't know about.
 	_, walSpan := trace.StartSpan(jctx, "serve/wal_accept")
-	err := s.jnl.recordAccept(id, spec)
+	err = s.jnl.recordAccept(id, spec)
 	walSpan.End()
 	if err != nil {
 		s.seq--
 		return reject(&admitError{Status: 503, RetryAfter: 5, Reason: "cannot journal acceptance"})
 	}
-	job := &Job{ID: id, Spec: spec, State: StateAccepted, created: time.Now(), span: span, traceSC: span.Context()}
+	job.ID, job.created, job.span, job.traceSC = id, time.Now(), span, span.Context()
 	_, job.queueSpan = trace.StartSpan(jctx, "serve/queue_wait")
 	s.jobs[id] = job
-	estBytes := s.estimateBytes(spec)
 	ts := s.tenantLocked(tenant)
 	ts.Submitted++
-	ts.EstimatedBytes += estBytes
+	ts.EstimatedBytes += job.estBytes
 	s.reg.Counter("serve_jobs_accepted_total").Inc()
 	s.reg.CounterWith("serve_tenant_jobs_submitted_total", obs.L("tenant", tenant)).Inc()
-	if estBytes > 0 {
-		s.reg.CounterWith("serve_tenant_estimated_bytes_total", obs.L("tenant", tenant)).Add(uint64(estBytes))
+	if job.estBytes > 0 {
+		s.reg.CounterWith("serve_tenant_estimated_bytes_total", obs.L("tenant", tenant)).Add(uint64(job.estBytes))
 	}
 	select {
 	case s.runq <- id:

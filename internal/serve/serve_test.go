@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -14,6 +16,7 @@ import (
 	"time"
 
 	"fcma/internal/fmri"
+	"fcma/internal/wal"
 )
 
 // tinyBlob builds a small uploadable dataset (WriteData binary followed
@@ -211,6 +214,13 @@ func TestBadSpecRejected(t *testing.T) {
 			t.Fatalf("submit %q = %d %v, want 400", body, code, doc)
 		}
 	}
+	// JSON cannot carry a NaN scale, but a Go caller can: validation must
+	// refuse it, not let the journal's encoder fail it as a 503.
+	_, err := s.Submit(t.Context(), JobSpec{Synthetic: "face-scene", Scale: math.NaN()})
+	var aerr *admitError
+	if err == nil || errors.As(err, &aerr) {
+		t.Fatalf("submit with NaN scale = %v, want a validation error", err)
+	}
 	if got := s.Metrics().Counter("serve_jobs_accepted_total").Value(); got != 0 {
 		t.Fatalf("bad specs accepted %d jobs", got)
 	}
@@ -288,7 +298,7 @@ func TestRestartResumesJobs(t *testing.T) {
 	}
 	var ids []string
 	for i := 0; i < 2; i++ {
-		id, err := first.Submit(context.Background(), JobSpec{Dataset: hash, Name: fmt.Sprintf("resume-%d", i)})
+		id, err := first.Submit(context.Background(), JobSpec{Dataset: string(hash), Name: fmt.Sprintf("resume-%d", i)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -309,7 +319,7 @@ func TestRestartResumesJobs(t *testing.T) {
 		}
 	}
 	// New IDs must not collide with replayed ones.
-	id3, err := second.Submit(context.Background(), JobSpec{Dataset: hash})
+	id3, err := second.Submit(context.Background(), JobSpec{Dataset: string(hash)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +369,7 @@ func TestDrainRemovesSettledJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := s.Submit(context.Background(), JobSpec{Dataset: hash})
+	id, err := s.Submit(context.Background(), JobSpec{Dataset: string(hash)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +385,7 @@ func TestDrainRemovesSettledJournal(t *testing.T) {
 	if ok, reason := s.Readiness().Ready(); ok || reason != "draining" {
 		t.Fatalf("readiness after drain = (%v, %q)", ok, reason)
 	}
-	if _, err := s.Submit(context.Background(), JobSpec{Dataset: hash}); err == nil {
+	if _, err := s.Submit(context.Background(), JobSpec{Dataset: string(hash)}); err == nil {
 		t.Fatal("drained server accepted a job")
 	}
 	if _, err := os.Stat(filepath.Join(dir, "jobs.jnl")); !os.IsNotExist(err) {
@@ -421,11 +431,10 @@ func TestDatasetCacheHitsAndEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := JobSpec{Dataset: hash}
-	if _, err := s.store.Get(spec); err != nil {
+	if _, err := s.store.Get(JobSpec{}, hash); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.store.Get(spec); err != nil {
+	if _, err := s.store.Get(JobSpec{}, hash); err != nil {
 		t.Fatal(err)
 	}
 	if hits := s.Metrics().Counter("serve_dataset_cache_hits_total").Value(); hits != 1 {
@@ -448,10 +457,10 @@ func TestDatasetCacheHitsAndEviction(t *testing.T) {
 	if _, err := small.store.Put(tinyBlob(t)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := small.store.Get(JobSpec{Dataset: hash}); err != nil {
+	if _, err := small.store.Get(JobSpec{}, hash); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := small.store.Get(JobSpec{Synthetic: "face-scene", Scale: 0.001}); err != nil {
+	if _, err := small.store.Get(JobSpec{Synthetic: "face-scene", Scale: 0.001}, ""); err != nil {
 		t.Fatal(err)
 	}
 	if ev := small.Metrics().Counter("serve_dataset_cache_evictions_total").Value(); ev == 0 {
@@ -460,9 +469,9 @@ func TestDatasetCacheHitsAndEviction(t *testing.T) {
 }
 
 // TestTraversalDatasetRejected proves a job spec cannot smuggle a path
-// into the blob store: Dataset must be the sha256 hex the upload
-// endpoint returned, and the store itself refuses anything else even if
-// validation were bypassed.
+// into the blob store over HTTP: Dataset must be the sha256 hex the
+// upload endpoint returned. (The store takes only a datasetID, so there
+// is no unchecked way in left to test.)
 func TestTraversalDatasetRejected(t *testing.T) {
 	s := newTestService(t, Options{Executors: -1})
 	ts := httptest.NewServer(s.Handler())
@@ -479,16 +488,74 @@ func TestTraversalDatasetRejected(t *testing.T) {
 		if code != http.StatusBadRequest {
 			t.Fatalf("submit dataset %q = %d %v, want 400", dataset, code, doc)
 		}
-		// Defense in depth: the store refuses the reference directly too.
-		if _, err := s.store.Get(JobSpec{Dataset: dataset}); err == nil {
-			t.Fatalf("store.Get(%q) succeeded", dataset)
-		}
-		if _, err := s.store.Meta(dataset); err == nil {
-			t.Fatalf("store.Meta(%q) succeeded", dataset)
-		}
 	}
 	if got := s.Metrics().Counter("serve_jobs_accepted_total").Value(); got != 0 {
 		t.Fatalf("traversal specs accepted %d jobs", got)
+	}
+}
+
+// TestParseDatasetID pins what a dataset reference is: exactly 64
+// lowercase hex digits, and nothing a path could be built from.
+func TestParseDatasetID(t *testing.T) {
+	hash := strings.Repeat("0123456789abcdef", 4)
+	for in, want := range map[string]bool{
+		hash:                       true,
+		"../jobs.jnl":              false,
+		"../../../../etc/passwd":   false,
+		strings.ToUpper(hash):      false,
+		hash[:63]:                  false,
+		hash + "0":                 false,
+		hash[:63] + "g":            false,
+		hash[:61] + "/..":          false,
+		"":                         false,
+		strings.Repeat("ab", 32):   true,
+		strings.Repeat("\x00", 64): false,
+	} {
+		id, ok := parseDatasetID(in)
+		if ok != want || (ok && string(id) != in) || (!ok && id != "") {
+			t.Errorf("parseDatasetID(%q) = (%q, %v), want ok=%v", in, id, ok, want)
+		}
+	}
+}
+
+// TestReplayRejectsInvalidSpec proves journal replay runs the same
+// validate as submit: an accept record naming a path, or a scale that
+// would generate an unbounded dataset, makes New fail with the WAL's
+// apply error and leaves the journal byte-identical for inspection.
+func TestReplayRejectsInvalidSpec(t *testing.T) {
+	for _, spec := range []string{
+		`{"dataset":"../jobs.jnl"}`,
+		`{"synthetic":"face-scene","scale":50}`,
+	} {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "jobs.jnl")
+		j := mustOpen(t, path, nil)
+		rec := `{"id":"job-00000001","spec":` + spec + `}`
+		if err := j.append(append([]byte{srAccept}, rec...), true); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.close(); err != nil {
+			t.Fatal(err)
+		}
+		before, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := New(Options{Dir: dir, Executors: -1})
+		var aerr *wal.ApplyError
+		if err == nil {
+			s.Close()
+			t.Fatalf("spec %s: New replayed it", spec)
+		} else if !errors.As(err, &aerr) {
+			t.Fatalf("spec %s: New error = %v, want *wal.ApplyError", spec, err)
+		}
+		after, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(before, after) {
+			t.Fatalf("spec %s: rejected journal was modified: %d -> %d bytes", spec, len(before), len(after))
+		}
 	}
 }
 

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # taint-envelope.sh re-measures what taintflow must catch on the real tree
 # (DESIGN.md §12, "The envelope"). It copies the module into a scratch
-# directory once per probe, removes one validation there — a
-# //lint:sanitizes annotation, a guard `if`, or mpi.readBody's bounded
-# loop — and counts the [taintflow] findings fcmavet prints on the copy.
-# The unmodified tree must print none; every probe must print at least one.
+# directory once per probe, removes one validation there — one of the
+# tree's //lint:sanitizes annotations (each gets a probe, found by grep),
+# a guard `if`, or mpi.readBody's bounded loop — and counts the
+# [taintflow] findings fcmavet prints on the copy. The unmodified tree
+# must print none; every probe must print at least one.
 #
 # Usage: scripts/taint-envelope.sh [module-dir]   (default: the current one)
 #
@@ -54,15 +55,17 @@ probe() {
 	[ "$n" -gt 0 ] || status=1
 }
 
-# (a) the annotation on a sanitizer, named by the start of its func line
-unannotate() {
-	probe "sanitizes: $1" "$2" 's{^//lint:sanitizes taintflow[^\n]*\n(func \Q'"$3"'\E)}{$1}m'
-}
-unannotate "serve JobSpec.validate" internal/serve/job.go '(s JobSpec) validate('
-unannotate "fmri Dataset.Validate" internal/fmri/dataset.go '(d *Dataset) Validate('
-unannotate "nifti Read" internal/nifti/nifti.go 'Read(r io.Reader)'
-unannotate "cluster master.addScores" internal/cluster/cluster.go '(m *master) addScores('
-unannotate "cluster master.taskAt" internal/cluster/cluster.go '(m *master) taskAt('
+# (a) every //lint:sanitizes taintflow annotation in the tree (fixtures
+# under testdata aside), one probe each, named by its package and the
+# function it annotates. An annotation whose removal changes no finding
+# asserts nothing the analyzer needs, so it fails the envelope too.
+while IFS=: read -r file line _; do
+	fn=$(awk -v n="$line" 'NR > n && /^func / { print; exit }' "$src/$file" |
+		sed -E 's/^func (\([a-z]+ \*?([A-Za-z0-9_]+)\) )?([A-Za-z0-9_]+).*/\2.\3/; s/^\.//')
+	probe "sanitizes: $(basename "$(dirname "$file")") $fn" "$file" \
+		's{\A((?:[^\n]*\n){'$((line - 1))'})//lint:sanitizes taintflow[^\n]*\n}{$1}'
+done < <(cd "$src" && grep -rn --include='*.go' --exclude-dir=testdata '^//lint:sanitizes taintflow' . |
+	sed 's|^\./||' | sort)
 
 # (b) a guard that rejects a value read from outside
 probe "guard: mpi frame size" internal/mpi/tcp.go \
