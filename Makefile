@@ -106,8 +106,8 @@ size:
 # the values the last reduction PR left. A PR that needs more raises them
 # in its own diff, where a reviewer sees the growth; one that shrinks the
 # module lowers them.
-MAX_MODULE_LINES = 21831
-MAX_EXPORTED = 354
+MAX_MODULE_LINES = 21878
+MAX_EXPORTED = 356
 size-check:
 	@lines=$$($(MODULE_LINES)); exported=$$($(EXPORTED)); status=0; \
 	if [ $$lines -gt $(MAX_MODULE_LINES) ]; then \
@@ -143,9 +143,10 @@ serve-smoke:
 # Short native-fuzz pass over the untrusted-input parsers (NIfTI headers,
 # epoch files, MPI wire frames, a write-ahead log's bytes on reopen, the
 # service's JSON job specs and dataset upload blobs), over
-# the AVX2 kernels' bit-for-bit pin to the Go kernels: the blas tile and
-# strips, the norm sweep, the svm sweep and the svm assembly loop over a
-# whole fold (skipped on a host without AVX2),
+# the vector kernels' bit-for-bit pin to the Go kernels: the blas FMA tiles
+# and strips (on every width the host runs), the Go twins' fma32 against
+# VFMADD231PS, the norm sweep, the svm sweep and the svm assembly loop over
+# a whole fold (skipped on a host without AVX2),
 # over the fused stage's pin to the buffer + batched syrk it replaced, and
 # over the bytes a restarted master or server replays: the journals' shared
 # score-block codec and each journal's record fold. FUZZTIME bounds each
@@ -160,6 +161,7 @@ fuzz:
 	$(GO) test ./internal/fmri/ -fuzz FuzzEpochParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/blas/ -run '^$$' -fuzz FuzzSyrkTileMatchesGo -fuzztime $(FUZZTIME) -fuzzminimizetime 0
 	$(GO) test ./internal/blas/ -run '^$$' -fuzz FuzzGemmStripMatchesGo -fuzztime $(FUZZTIME) -fuzzminimizetime 0
+	$(GO) test ./internal/blas/ -run '^$$' -fuzz FuzzFMA32MatchesHardware -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/norm/ -run '^$$' -fuzz FuzzFisherSweepMatchesGo -fuzztime $(FUZZTIME) -fuzzminimizetime 0
 	$(GO) test ./internal/svm/ -run '^$$' -fuzz FuzzSMOSweepMatchesGo -fuzztime $(FUZZTIME) -fuzzminimizetime 0
 	$(GO) test ./internal/svm/ -run '^$$' -fuzz FuzzSolveLoopMatchesGo -fuzztime $(FUZZTIME) -fuzzminimizetime 0

@@ -119,6 +119,10 @@ func BenchmarkGemmTallSkinny(b *testing.B) {
 	b.Run("baseline", func(b *testing.B) { benchGemm(b, baseline.BLAS{}, 120, 12, 16384) })
 	b.Run("tallskinny", func(b *testing.B) { benchGemm(b, blas.TallSkinny{}, 120, 12, 16384) })
 	b.Run("naive", func(b *testing.B) { benchGemm(b, blas.Naive{}, 120, 12, 16384) })
+	// serve_smalljobs' two brains: strips with 14- and 12-column tails.
+	for _, n := range []int{126, 172} {
+		b.Run(fmt.Sprintf("tallskinny/w%d", n), func(b *testing.B) { benchGemm(b, blas.TallSkinny{}, 8, 12, n) })
+	}
 }
 
 func benchSyrk(b *testing.B, impl interface{ Syrk(C, A *tensor.Matrix) }, m, n int) {
@@ -133,12 +137,13 @@ func benchSyrk(b *testing.B, impl interface{ Syrk(C, A *tensor.Matrix) }, m, n i
 }
 
 // BenchmarkSyrk's MB/s column reads as MFLOP/s. The rows after the pair
-// are one kernel matrix at each repo-benchmark height: online_subject's
-// 12, serve_smalljobs' 36 and 54, attention_cluster's 96.
+// are one kernel matrix at every height M = 4 … 120, step 4, which covers
+// each repo-benchmark height: online_subject's 12, facescene_local's 48,
+// serve_smalljobs' 36 and 54, attention_cluster's 96.
 func BenchmarkSyrk(b *testing.B) {
 	b.Run("baseline", func(b *testing.B) { benchSyrk(b, baseline.BLAS{}, 48, 16384) })
 	b.Run("tallskinny", func(b *testing.B) { benchSyrk(b, blas.TallSkinny{}, 48, 16384) })
-	for _, m := range []int{12, 36, 54, 96} {
+	for m := 4; m <= 120; m += 4 {
 		b.Run(fmt.Sprintf("tallskinny/m%d_n4096", m), func(b *testing.B) { benchSyrk(b, blas.TallSkinny{}, m, 4096) })
 	}
 }

@@ -1,6 +1,7 @@
 package blas
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 // The serial kernel fast paths are the per-epoch hot loop of the merged
 // correlation pipeline: once the syrk scratch pool is warm, a steady-state
 // Gemm or Syrk call must not touch the heap at all, on the Go kernels or
-// the AVX2 ones.
+// the vector ones.
 
 func TestGemmSerialAllocsPerRunZero(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -63,5 +64,54 @@ func BenchmarkSyrkSerial(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ts.Syrk(C, A)
+	}
+}
+
+// BenchmarkSyrkHeights is DESIGN.md §14's GFLOP/s-vs-M table: one M×4096
+// kernel matrix at every height M = 4 … 120, step 4, on each kernel path
+// (the MB/s column reads as MFLOP/s). Run it with -cpu 1.
+func BenchmarkSyrkHeights(b *testing.B) {
+	rng := rand.New(rand.NewSource(8))
+	for _, p := range kernelPaths {
+		for m := 4; m <= 120; m += 4 {
+			b.Run(fmt.Sprintf("%s/m%d", p.name, m), func(b *testing.B) {
+				if p.lanes > hostLanes {
+					b.Skipf("host runs %d-lane kernels at most", hostLanes)
+				}
+				A, C := randomMatrix(rng, m, 4096), tensor.NewMatrix(m, m)
+				b.SetBytes(SyrkFlops(m, 4096))
+				withKernelPath(p.lanes, func() {
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						TallSkinny{}.Syrk(C, A)
+					}
+				})
+			})
+		}
+	}
+}
+
+// BenchmarkGemmStripWidths times the fused stage's gemm shape — eight
+// assigned voxels × 12 time points against the brain — at the two
+// serve_smalljobs brains, 126 and 172 voxels (masked tails of 14 and 12
+// columns past the 16-lane groups), and at 4096, on each kernel path.
+func BenchmarkGemmStripWidths(b *testing.B) {
+	rng := rand.New(rand.NewSource(9))
+	for _, p := range kernelPaths {
+		for _, n := range []int{126, 172, 4096} {
+			b.Run(fmt.Sprintf("%s/w%d", p.name, n), func(b *testing.B) {
+				if p.lanes > hostLanes {
+					b.Skipf("host runs %d-lane kernels at most", hostLanes)
+				}
+				A, B, C := randomMatrix(rng, 8, 12), randomMatrix(rng, 12, n), tensor.NewMatrix(8, n)
+				b.SetBytes(GemmFlops(8, 12, n))
+				withKernelPath(p.lanes, func() {
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						TallSkinny{Workers: 1}.Gemm(C, A, B)
+					}
+				})
+			})
+		}
 	}
 }

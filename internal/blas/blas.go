@@ -35,7 +35,7 @@ type Sgemm interface {
 // the one CPUID/XGETBV probe in the tree, always false off amd64. It is
 // read-only — a package with assembly of its own (internal/norm,
 // internal/svm) reads it once into a dispatch variable of its own.
-func HasAVX2() bool { return cpuHasAVX2() }
+func HasAVX2() bool { return hasAVX2 }
 
 func checkGemmShapes(C, A, B *tensor.Matrix) {
 	if A.Cols != B.Rows || C.Rows != A.Rows || C.Cols != B.Cols {

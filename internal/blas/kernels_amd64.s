@@ -2,154 +2,296 @@
 
 #include "textflag.h"
 
-// AVX2 micro-kernels behind the TallSkinny seam. Every arithmetic routine
-// uses separate VMULPS and VADDPS — never FMA — and accumulates each output
-// element in exactly the order of the Go kernel it stands in for, so the
-// results are bit-identical to tallskinny.go's (see kernels_amd64.go); the
-// panel pack only moves values.
-// Every routine ends VZEROUPPER; RET so the SSE code the Go compiler
-// emits never pays the dirty-upper-half transition penalty.
-
-// func cpuHasAVX2() bool
+// FMA micro-kernels behind the TallSkinny seam, in two widths: YMM (AVX2 +
+// FMA) and ZMM (AVX-512F). Every multiply-add is one VFMADD231PS, rounded
+// once, and every output element takes its terms in the one order that both
+// widths and the Go twins in tallskinny.go share:
 //
-// AVX2 is usable when CPUID.1:ECX reports OSXSAVE and AVX, XCR0 says the
-// OS saves both XMM and YMM state, and CPUID.7.0:EBX reports AVX2.
-TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
-	MOVB $0, ret+0(FP)
-	XORL AX, AX
-	XORL CX, CX
-	CPUID
-	CMPL AX, $7
-	JLT  done
-	MOVL $1, AX
-	XORL CX, CX
-	CPUID
-	ANDL $0x18000000, CX // OSXSAVE (bit 27) | AVX (bit 28)
-	CMPL CX, $0x18000000
-	JNE  done
-	XORL CX, CX
-	XGETBV
-	ANDL $6, AX // XCR0: SSE (bit 1) | AVX (bit 2) state enabled
-	CMPL AX, $6
-	JNE  done
-	MOVL $7, AX
-	XORL CX, CX
-	CPUID
-	BTL  $5, BX // AVX2
-	JCC  done
-	MOVB $1, ret+0(FP)
+//	syrk   c += E + O: E chains the products of the even staged rows
+//	       p = 0, 2, 4, … from zero, O those of the odd rows, each step
+//	       acc = fma(ti[p], tj[p], acc)
+//	gemm   c = a[0]·b[0] (one VMULPS), then c = fma(a[p], b[p], c) for
+//	       p = 1 … k−1
+//
+// A correctly rounded multiply-add has exactly one result, so that order is
+// the whole contract: a lane of any width, and fma32 in Go, give the same
+// bits. The even/odd split is what gives a four-row syrk tile eight
+// independent chains — enough to keep two FMA pipes busy past the
+// instruction's four-cycle latency — and the gemm strips get theirs from two
+// rows of four vectors each. The panel pack only moves values.
+// Every routine ends VZEROUPPER; RET so the SSE code the Go compiler emits
+// never pays the dirty-upper-half transition penalty; the ZMM routines use
+// Z0–Z15 only, which VZEROUPPER clears.
 
-done:
+// laneMasks8 is eight all-ones int32 lanes then eight zero lanes: the eight
+// lanes at byte offset 32 − 4c have the first c lanes set (VMASKMOVPS).
+DATA laneMasks8<>+0(SB)/8, $0xffffffffffffffff
+DATA laneMasks8<>+8(SB)/8, $0xffffffffffffffff
+DATA laneMasks8<>+16(SB)/8, $0xffffffffffffffff
+DATA laneMasks8<>+24(SB)/8, $0xffffffffffffffff
+DATA laneMasks8<>+32(SB)/8, $0
+DATA laneMasks8<>+40(SB)/8, $0
+DATA laneMasks8<>+48(SB)/8, $0
+DATA laneMasks8<>+56(SB)/8, $0
+GLOBL laneMasks8<>(SB), RODATA|NOPTR, $64
+
+// laneMasks16[c] = 2^c − 1, c = 0 … 16: the opmask of a ZMM vector's first
+// c lanes.
+DATA laneMasks16<>+0(SB)/2, $0x0000
+DATA laneMasks16<>+2(SB)/2, $0x0001
+DATA laneMasks16<>+4(SB)/2, $0x0003
+DATA laneMasks16<>+6(SB)/2, $0x0007
+DATA laneMasks16<>+8(SB)/2, $0x000f
+DATA laneMasks16<>+10(SB)/2, $0x001f
+DATA laneMasks16<>+12(SB)/2, $0x003f
+DATA laneMasks16<>+14(SB)/2, $0x007f
+DATA laneMasks16<>+16(SB)/2, $0x00ff
+DATA laneMasks16<>+18(SB)/2, $0x01ff
+DATA laneMasks16<>+20(SB)/2, $0x03ff
+DATA laneMasks16<>+22(SB)/2, $0x07ff
+DATA laneMasks16<>+24(SB)/2, $0x0fff
+DATA laneMasks16<>+26(SB)/2, $0x1fff
+DATA laneMasks16<>+28(SB)/2, $0x3fff
+DATA laneMasks16<>+30(SB)/2, $0x7fff
+DATA laneMasks16<>+32(SB)/2, $0xffff
+GLOBL laneMasks16<>(SB), RODATA|NOPTR, $34
+
+// SYRKARGS loads a tile's arguments: DI = c, SI = ldc and R10 = m in
+// bytes, R8 = ti, R9 = tj, CX = w.
+#define SYRKARGS \
+	MOVQ c+0(FP), DI; \
+	MOVQ ldc+8(FP), SI; \
+	MOVQ ti+16(FP), R8; \
+	MOVQ tj+24(FP), R9; \
+	MOVQ m+32(FP), R10; \
+	MOVQ w+40(FP), CX; \
+	SHLQ $2, SI; \
+	SHLQ $2, R10
+
+// SYRKSTEP adds one staged row's products into four accumulators: the
+// row's eight (or four) tj values from tj+off, its four ti coefficients
+// from ti+off broadcast. V is the tj register, B0–B3 the broadcasts.
+#define SYRKSTEP(off, V, B0, B1, B2, B3, A0, A1, A2, A3) \
+	VMOVUPS      (R9)(off*1), V; \
+	VBROADCASTSS (R8)(off*1), B0; \
+	VBROADCASTSS 4(R8)(off*1), B1; \
+	VBROADCASTSS 8(R8)(off*1), B2; \
+	VBROADCASTSS 12(R8)(off*1), B3; \
+	VFMADD231PS  V, B0, A0; \
+	VFMADD231PS  V, B1, A1; \
+	VFMADD231PS  V, B2, A2; \
+	VFMADD231PS  V, B3, A3
+
+// SYRKSUM adds O into E, then E into the four rows of c.
+#define SYRKSUM(E0, E1, E2, E3, O0, O1, O2, O3) \
+	VADDPS  O0, E0, E0; \
+	VADDPS  (DI), E0, E0; \
+	VMOVUPS E0, (DI); \
+	ADDQ    SI, DI; \
+	VADDPS  O1, E1, E1; \
+	VADDPS  (DI), E1, E1; \
+	VMOVUPS E1, (DI); \
+	ADDQ    SI, DI; \
+	VADDPS  O2, E2, E2; \
+	VADDPS  (DI), E2, E2; \
+	VMOVUPS E2, (DI); \
+	ADDQ    SI, DI; \
+	VADDPS  O3, E3, E3; \
+	VADDPS  (DI), E3, E3; \
+	VMOVUPS E3, (DI)
+
+// GEMMARGS loads a strip's arguments: DI = c0, SI = c1, R8 = a0, R9 = a1,
+// R10 = b, R11 = ldb in bytes, R12 = k, CX = n.
+#define GEMMARGS \
+	MOVQ c0+0(FP), DI; \
+	MOVQ c1+8(FP), SI; \
+	MOVQ a0+16(FP), R8; \
+	MOVQ a1+24(FP), R9; \
+	MOVQ b+32(FP), R10; \
+	MOVQ ldb+40(FP), R11; \
+	MOVQ k+48(FP), R12; \
+	MOVQ n+56(FP), CX; \
+	SHLQ $2, R11
+
+// ZMASK sets K to the lanes of the next vector that lie below n: with AX
+// columns left from that vector on, the first min(AX, 16) lanes; AX then
+// drops by 16, not below 0. R13 = 0, R14 = 16, R15 = laneMasks16.
+#define ZMASK(K) \
+	MOVQ    AX, BX; \
+	CMPQ    BX, R14; \
+	CMOVQGT R14, BX; \
+	KMOVW   (R15)(BX*2), K; \
+	SUBQ    R14, AX; \
+	CMOVQLT R13, AX
+
+// YMASK loads into Y the VMASKMOVPS mask of the next vector's lanes below
+// n: with AX columns left from that vector on, the first min(AX, 8); AX
+// then drops by 8, not below 0. R13 = 0, R14 = 8, R15 = laneMasks8+32.
+#define YMASK(Y) \
+	MOVQ    AX, BX; \
+	CMPQ    BX, R14; \
+	CMOVQGT R14, BX; \
+	NEGQ    BX; \
+	VMOVDQU (R15)(BX*4), Y; \
+	SUBQ    R14, AX; \
+	CMOVQLT R13, AX
+
+// func cpuid(leaf, sub uint32) (a, b, c, d uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL leaf+0(FP), AX
+	MOVL sub+4(FP), CX
+	CPUID
+	MOVL AX, a+8(FP)
+	MOVL BX, b+12(FP)
+	MOVL CX, c+16(FP)
+	MOVL DX, d+20(FP)
 	RET
 
-// func syrkTile4x8AVX2(c *float32, ldc int, ti, tj *float32, m, w int)
+// func xgetbv() uint32
 //
-// c[x*ldc+y] += Σ_{p<w} ti[p*m+x]·tj[p*m+y] for x < 4, y < 8: four YMM
-// accumulators start at zero, take one product per staged row p in
-// ascending p, and are added into c once at the end — syrkBlockOffDiag's
-// per-element sequence, eight columns at a time.
-TEXT ·syrkTile4x8AVX2(SB), NOSPLIT, $0-48
-	MOVQ   c+0(FP), DI
-	MOVQ   ldc+8(FP), SI
-	MOVQ   ti+16(FP), R8
-	MOVQ   tj+24(FP), R9
-	MOVQ   m+32(FP), R10
-	MOVQ   w+40(FP), CX
-	SHLQ   $2, SI
-	SHLQ   $2, R10
+// XCR0's low word; only called once CPUID has reported OSXSAVE.
+TEXT ·xgetbv(SB), NOSPLIT, $0-4
+	XORL   CX, CX
+	XGETBV
+	MOVL   AX, ret+0(FP)
+	RET
+
+// func syrkTile4x16ZMM(c *float32, ldc int, ti, tj *float32, m, w int)
+//
+// c[x*ldc+y] += E + O for x < 4, y < 16, where E and O chain
+// fma(ti[p*m+x], tj[p*m+y], ·) over the even and the odd staged rows p < w
+// from zero. Z0–Z3 hold E for the four rows, Z4–Z7 O; each row's four
+// coefficients are broadcast from memory into the FMA ({1to16}).
+TEXT ·syrkTile4x16ZMM(SB), NOSPLIT, $0-48
+	SYRKARGS
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
+	CMPQ   CX, $2
+	JLT    t16odd
+
+t16pair:
+	VMOVUPS          (R9), Z8
+	VMOVUPS          (R9)(R10*1), Z9
+	VFMADD231PS.BCST (R8), Z8, Z0
+	VFMADD231PS.BCST 4(R8), Z8, Z1
+	VFMADD231PS.BCST 8(R8), Z8, Z2
+	VFMADD231PS.BCST 12(R8), Z8, Z3
+	VFMADD231PS.BCST (R8)(R10*1), Z9, Z4
+	VFMADD231PS.BCST 4(R8)(R10*1), Z9, Z5
+	VFMADD231PS.BCST 8(R8)(R10*1), Z9, Z6
+	VFMADD231PS.BCST 12(R8)(R10*1), Z9, Z7
+	LEAQ             (R8)(R10*2), R8
+	LEAQ             (R9)(R10*2), R9
+	SUBQ             $2, CX
+	CMPQ             CX, $2
+	JGE              t16pair
+
+t16odd:
+	TESTQ            CX, CX
+	JZ               t16sum
+	VMOVUPS          (R9), Z8
+	VFMADD231PS.BCST (R8), Z8, Z0
+	VFMADD231PS.BCST 4(R8), Z8, Z1
+	VFMADD231PS.BCST 8(R8), Z8, Z2
+	VFMADD231PS.BCST 12(R8), Z8, Z3
+
+t16sum:
+	VADDPS  Z4, Z0, Z0
+	VADDPS  (DI), Z0, Z0
+	VMOVUPS Z0, (DI)
+	ADDQ    SI, DI
+	VADDPS  Z5, Z1, Z1
+	VADDPS  (DI), Z1, Z1
+	VMOVUPS Z1, (DI)
+	ADDQ    SI, DI
+	VADDPS  Z6, Z2, Z2
+	VADDPS  (DI), Z2, Z2
+	VMOVUPS Z2, (DI)
+	ADDQ    SI, DI
+	VADDPS  Z7, Z3, Z3
+	VADDPS  (DI), Z3, Z3
+	VMOVUPS Z3, (DI)
+	VZEROUPPER
+	RET
+
+// func syrkTile4x8FMA(c *float32, ldc int, ti, tj *float32, m, w int)
+//
+// syrkTile4x16ZMM on eight columns, in YMM registers: Y0–Y3 hold E, Y4–Y7
+// O, and the coefficients are broadcast by VBROADCASTSS (AVX2 has no
+// broadcasting FMA operand). R11 is 0, SYRKSTEP's offset for the even row.
+TEXT ·syrkTile4x8FMA(SB), NOSPLIT, $0-48
+	SYRKARGS
+	XORQ   R11, R11
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
 	VXORPS Y2, Y2, Y2
 	VXORPS Y3, Y3, Y3
-	TESTQ  CX, CX
-	JZ     tilesum
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	CMPQ   CX, $2
+	JLT    t8odd
 
-tilestep:
-	VMOVUPS      (R9), Y4
-	VBROADCASTSS (R8), Y5
-	VBROADCASTSS 4(R8), Y6
-	VBROADCASTSS 8(R8), Y7
-	VBROADCASTSS 12(R8), Y8
-	VMULPS       Y4, Y5, Y5
-	VMULPS       Y4, Y6, Y6
-	VMULPS       Y4, Y7, Y7
-	VMULPS       Y4, Y8, Y8
-	VADDPS       Y5, Y0, Y0
-	VADDPS       Y6, Y1, Y1
-	VADDPS       Y7, Y2, Y2
-	VADDPS       Y8, Y3, Y3
-	ADDQ         R10, R8
-	ADDQ         R10, R9
-	DECQ         CX
-	JNZ          tilestep
+t8pair:
+	SYRKSTEP(R11, Y8, Y10, Y11, Y12, Y13, Y0, Y1, Y2, Y3)
+	SYRKSTEP(R10, Y9, Y10, Y11, Y12, Y13, Y4, Y5, Y6, Y7)
+	LEAQ (R8)(R10*2), R8
+	LEAQ (R9)(R10*2), R9
+	SUBQ $2, CX
+	CMPQ CX, $2
+	JGE  t8pair
 
-tilesum:
-	VADDPS  (DI), Y0, Y0
-	VMOVUPS Y0, (DI)
-	ADDQ    SI, DI
-	VADDPS  (DI), Y1, Y1
-	VMOVUPS Y1, (DI)
-	ADDQ    SI, DI
-	VADDPS  (DI), Y2, Y2
-	VMOVUPS Y2, (DI)
-	ADDQ    SI, DI
-	VADDPS  (DI), Y3, Y3
-	VMOVUPS Y3, (DI)
+t8odd:
+	TESTQ CX, CX
+	JZ    t8sum
+	SYRKSTEP(R11, Y8, Y10, Y11, Y12, Y13, Y0, Y1, Y2, Y3)
+
+t8sum:
+	SYRKSUM(Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7)
 	VZEROUPPER
 	RET
 
-// func syrkTile4x4AVX2(c *float32, ldc int, ti, tj *float32, m, w int)
+// func syrkTile4x4FMA(c *float32, ldc int, ti, tj *float32, m, w int)
 //
-// syrkTile4x8AVX2 on four columns: the same broadcast, VMULPS then VADDPS
-// per staged row and one add into c at the end, on XMM registers. It takes
-// the blocks of a full 4-row band the 4×8 tile cannot reach.
-TEXT ·syrkTile4x4AVX2(SB), NOSPLIT, $0-48
-	MOVQ   c+0(FP), DI
-	MOVQ   ldc+8(FP), SI
-	MOVQ   ti+16(FP), R8
-	MOVQ   tj+24(FP), R9
-	MOVQ   m+32(FP), R10
-	MOVQ   w+40(FP), CX
-	SHLQ   $2, SI
-	SHLQ   $2, R10
+// syrkTile4x8FMA on four columns, in XMM registers. It takes the blocks of
+// a four-row band the wider tiles cannot reach.
+TEXT ·syrkTile4x4FMA(SB), NOSPLIT, $0-48
+	SYRKARGS
+	XORQ   R11, R11
 	VXORPS X0, X0, X0
 	VXORPS X1, X1, X1
 	VXORPS X2, X2, X2
 	VXORPS X3, X3, X3
-	TESTQ  CX, CX
-	JZ     tile4sum
+	VXORPS X4, X4, X4
+	VXORPS X5, X5, X5
+	VXORPS X6, X6, X6
+	VXORPS X7, X7, X7
+	CMPQ   CX, $2
+	JLT    t4odd
 
-tile4step:
-	VMOVUPS      (R9), X4
-	VBROADCASTSS (R8), X5
-	VBROADCASTSS 4(R8), X6
-	VBROADCASTSS 8(R8), X7
-	VBROADCASTSS 12(R8), X8
-	VMULPS       X4, X5, X5
-	VMULPS       X4, X6, X6
-	VMULPS       X4, X7, X7
-	VMULPS       X4, X8, X8
-	VADDPS       X5, X0, X0
-	VADDPS       X6, X1, X1
-	VADDPS       X7, X2, X2
-	VADDPS       X8, X3, X3
-	ADDQ         R10, R8
-	ADDQ         R10, R9
-	DECQ         CX
-	JNZ          tile4step
+t4pair:
+	SYRKSTEP(R11, X8, X10, X11, X12, X13, X0, X1, X2, X3)
+	SYRKSTEP(R10, X9, X10, X11, X12, X13, X4, X5, X6, X7)
+	LEAQ (R8)(R10*2), R8
+	LEAQ (R9)(R10*2), R9
+	SUBQ $2, CX
+	CMPQ CX, $2
+	JGE  t4pair
 
-tile4sum:
-	VADDPS  (DI), X0, X0
-	VMOVUPS X0, (DI)
-	ADDQ    SI, DI
-	VADDPS  (DI), X1, X1
-	VMOVUPS X1, (DI)
-	ADDQ    SI, DI
-	VADDPS  (DI), X2, X2
-	VMOVUPS X2, (DI)
-	ADDQ    SI, DI
-	VADDPS  (DI), X3, X3
-	VMOVUPS X3, (DI)
+t4odd:
+	TESTQ CX, CX
+	JZ    t4sum
+	SYRKSTEP(R11, X8, X10, X11, X12, X13, X0, X1, X2, X3)
+
+t4sum:
+	SYRKSUM(X0, X1, X2, X3, X4, X5, X6, X7)
 	VZEROUPPER
 	RET
 
@@ -262,133 +404,194 @@ packnext:
 	VZEROUPPER
 	RET
 
-// func gemmStrip2AVX2(c0, c1, a0, a1, b *float32, ldb, k, n int)
+// func gemmStrip2ZMM(c0, c1, a0, a1, b *float32, ldb, k, n int)
 //
-// gemmRowStrip2 over the first n columns of a strip, n a positive
-// multiple of 8 and k ≥ 1: per 8-column group the two rows' sums live in
-// Y0/Y1 across the whole k loop — first-row product, then one
-// (x0·bp + x1·bq) term per B-row pair, then the odd-k tail product — and
-// are stored once. The Go kernel sweeps the strip once per pair instead;
-// the per-element operation sequence is the same.
-TEXT ·gemmStrip2AVX2(SB), NOSPLIT, $0-64
-	MOVQ c0+0(FP), DI
-	MOVQ c1+8(FP), SI
-	MOVQ a0+16(FP), R8
-	MOVQ a1+24(FP), R9
-	MOVQ b+32(FP), R10
-	MOVQ ldb+40(FP), R11
-	MOVQ k+48(FP), R12
-	MOVQ n+56(FP), CX
-	SHLQ $2, R11
-	SHRQ $3, CX
+// Two output rows' strips over n ≥ 1 columns, k ≥ 1: c[j] = a[0]·b[j], then
+// c[j] = fma(a[p], b[p*ldb+j], c[j]) for p = 1 … k−1, 64 columns at a time
+// (Z0–Z3 row 0, Z4–Z7 row 1: eight chains down k). Every group runs
+// under the opmasks K1–K4 of its four vectors, so the last group's columns
+// past n are neither loaded nor stored. c1 may be c0 (with a1 = a0): both
+// rows then compute and store the same bits.
+TEXT ·gemmStrip2ZMM(SB), NOSPLIT, $0-64
+	GEMMARGS
+	LEAQ laneMasks16<>(SB), R15
+	XORQ R13, R13
+	MOVQ $16, R14
 
-strip2group:
+zgroup:
+	MOVQ         CX, AX
+	ZMASK(K1)
+	ZMASK(K2)
+	ZMASK(K3)
+	ZMASK(K4)
 	MOVQ         R10, BX
-	VMOVUPS      (BX), Y4
-	VBROADCASTSS (R8), Y2
-	VBROADCASTSS (R9), Y3
-	VMULPS       Y4, Y2, Y0
-	VMULPS       Y4, Y3, Y1
+	VMOVUPS.Z    (BX), K1, Z8
+	VMOVUPS.Z    64(BX), K2, Z9
+	VMOVUPS.Z    128(BX), K3, Z10
+	VMOVUPS.Z    192(BX), K4, Z11
+	VBROADCASTSS (R8), Z12
+	VBROADCASTSS (R9), Z13
+	VMULPS       Z8, Z12, Z0
+	VMULPS       Z9, Z12, Z1
+	VMULPS       Z10, Z12, Z2
+	VMULPS       Z11, Z12, Z3
+	VMULPS       Z8, Z13, Z4
+	VMULPS       Z9, Z13, Z5
+	VMULPS       Z10, Z13, Z6
+	VMULPS       Z11, Z13, Z7
 	MOVQ         $1, DX
 
-strip2pair:
-	LEAQ         1(DX), AX
-	CMPQ         AX, R12
-	JGE          strip2tail
-	ADDQ         R11, BX
-	VMOVUPS      (BX), Y4
-	ADDQ         R11, BX
-	VMOVUPS      (BX), Y5
-	VBROADCASTSS (R8)(DX*4), Y6
-	VBROADCASTSS 4(R8)(DX*4), Y7
-	VBROADCASTSS (R9)(DX*4), Y8
-	VBROADCASTSS 4(R9)(DX*4), Y9
-	VMULPS       Y4, Y6, Y6
-	VMULPS       Y5, Y7, Y7
-	VMULPS       Y4, Y8, Y8
-	VMULPS       Y5, Y9, Y9
-	VADDPS       Y7, Y6, Y6
-	VADDPS       Y9, Y8, Y8
-	VADDPS       Y6, Y0, Y0
-	VADDPS       Y8, Y1, Y1
-	ADDQ         $2, DX
-	JMP          strip2pair
-
-strip2tail:
+zstep:
 	CMPQ         DX, R12
-	JGE          strip2store
+	JGE          zstore
 	ADDQ         R11, BX
-	VMOVUPS      (BX), Y4
-	VBROADCASTSS (R8)(DX*4), Y6
-	VBROADCASTSS (R9)(DX*4), Y8
-	VMULPS       Y4, Y6, Y6
-	VMULPS       Y4, Y8, Y8
-	VADDPS       Y6, Y0, Y0
-	VADDPS       Y8, Y1, Y1
+	VMOVUPS.Z    (BX), K1, Z8
+	VMOVUPS.Z    64(BX), K2, Z9
+	VMOVUPS.Z    128(BX), K3, Z10
+	VMOVUPS.Z    192(BX), K4, Z11
+	VBROADCASTSS (R8)(DX*4), Z12
+	VBROADCASTSS (R9)(DX*4), Z13
+	VFMADD231PS  Z8, Z12, Z0
+	VFMADD231PS  Z9, Z12, Z1
+	VFMADD231PS  Z10, Z12, Z2
+	VFMADD231PS  Z11, Z12, Z3
+	VFMADD231PS  Z8, Z13, Z4
+	VFMADD231PS  Z9, Z13, Z5
+	VFMADD231PS  Z10, Z13, Z6
+	VFMADD231PS  Z11, Z13, Z7
+	INCQ         DX
+	JMP          zstep
 
-strip2store:
-	VMOVUPS Y0, (DI)
-	VMOVUPS Y1, (SI)
-	ADDQ    $32, DI
-	ADDQ    $32, SI
-	ADDQ    $32, R10
-	DECQ    CX
-	JNZ     strip2group
+zstore:
+	VMOVUPS Z0, K1, (DI)
+	VMOVUPS Z1, K2, 64(DI)
+	VMOVUPS Z2, K3, 128(DI)
+	VMOVUPS Z3, K4, 192(DI)
+	VMOVUPS Z4, K1, (SI)
+	VMOVUPS Z5, K2, 64(SI)
+	VMOVUPS Z6, K3, 128(SI)
+	VMOVUPS Z7, K4, 192(SI)
+	ADDQ    $256, DI
+	ADDQ    $256, SI
+	ADDQ    $256, R10
+	SUBQ    $64, CX
+	JG      zgroup
 	VZEROUPPER
 	RET
 
-// func gemmStripAVX2(c, a, b *float32, ldb, k, n int)
+// func gemmStrip2FMA(c0, c1, a0, a1, b *float32, ldb, k, n int)
 //
-// gemmRowStrip over the first n columns of a strip: gemmStrip2AVX2 for a
-// single output row.
-TEXT ·gemmStripAVX2(SB), NOSPLIT, $0-48
-	MOVQ c+0(FP), DI
-	MOVQ a+8(FP), R8
-	MOVQ b+16(FP), R10
-	MOVQ ldb+24(FP), R11
-	MOVQ k+32(FP), R12
-	MOVQ n+40(FP), CX
-	SHLQ $2, R11
-	SHRQ $3, CX
+// gemmStrip2ZMM in YMM registers: 32 columns at a time unmasked (Y0–Y3
+// row 0, Y4–Y7 row 1), then the last n%32 columns 16 at a time under the
+// VMASKMOVPS masks Y14/Y15 (Y0, Y1 and Y4, Y5), since AVX2 has no opmasks
+// and a masked load costs an ALU µop besides.
+TEXT ·gemmStrip2FMA(SB), NOSPLIT, $0-64
+	GEMMARGS
 
-stripgroup:
+ygroup:
+	CMPQ         CX, $32
+	JLT          ytail
 	MOVQ         R10, BX
-	VMOVUPS      (BX), Y4
-	VBROADCASTSS (R8), Y2
-	VMULPS       Y4, Y2, Y0
+	VMOVUPS      (BX), Y8
+	VMOVUPS      32(BX), Y9
+	VMOVUPS      64(BX), Y10
+	VMOVUPS      96(BX), Y11
+	VBROADCASTSS (R8), Y12
+	VBROADCASTSS (R9), Y13
+	VMULPS       Y8, Y12, Y0
+	VMULPS       Y9, Y12, Y1
+	VMULPS       Y10, Y12, Y2
+	VMULPS       Y11, Y12, Y3
+	VMULPS       Y8, Y13, Y4
+	VMULPS       Y9, Y13, Y5
+	VMULPS       Y10, Y13, Y6
+	VMULPS       Y11, Y13, Y7
 	MOVQ         $1, DX
 
-strippair:
-	LEAQ         1(DX), AX
-	CMPQ         AX, R12
-	JGE          striptail
-	ADDQ         R11, BX
-	VMOVUPS      (BX), Y4
-	ADDQ         R11, BX
-	VMOVUPS      (BX), Y5
-	VBROADCASTSS (R8)(DX*4), Y6
-	VBROADCASTSS 4(R8)(DX*4), Y7
-	VMULPS       Y4, Y6, Y6
-	VMULPS       Y5, Y7, Y7
-	VADDPS       Y7, Y6, Y6
-	VADDPS       Y6, Y0, Y0
-	ADDQ         $2, DX
-	JMP          strippair
-
-striptail:
+ystep:
 	CMPQ         DX, R12
-	JGE          stripstore
+	JGE          ystore
 	ADDQ         R11, BX
-	VMOVUPS      (BX), Y4
-	VBROADCASTSS (R8)(DX*4), Y6
-	VMULPS       Y4, Y6, Y6
-	VADDPS       Y6, Y0, Y0
+	VMOVUPS      (BX), Y8
+	VMOVUPS      32(BX), Y9
+	VMOVUPS      64(BX), Y10
+	VMOVUPS      96(BX), Y11
+	VBROADCASTSS (R8)(DX*4), Y12
+	VBROADCASTSS (R9)(DX*4), Y13
+	VFMADD231PS  Y8, Y12, Y0
+	VFMADD231PS  Y9, Y12, Y1
+	VFMADD231PS  Y10, Y12, Y2
+	VFMADD231PS  Y11, Y12, Y3
+	VFMADD231PS  Y8, Y13, Y4
+	VFMADD231PS  Y9, Y13, Y5
+	VFMADD231PS  Y10, Y13, Y6
+	VFMADD231PS  Y11, Y13, Y7
+	INCQ         DX
+	JMP          ystep
 
-stripstore:
+ystore:
 	VMOVUPS Y0, (DI)
-	ADDQ    $32, DI
-	ADDQ    $32, R10
-	DECQ    CX
-	JNZ     stripgroup
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	VMOVUPS Y4, (SI)
+	VMOVUPS Y5, 32(SI)
+	VMOVUPS Y6, 64(SI)
+	VMOVUPS Y7, 96(SI)
+	ADDQ    $128, DI
+	ADDQ    $128, SI
+	ADDQ    $128, R10
+	SUBQ    $32, CX
+	JMP     ygroup
+
+ytail:
+	LEAQ laneMasks8<>+32(SB), R15
+	XORQ R13, R13
+	MOVQ $8, R14
+
+ytailgroup:
+	TESTQ        CX, CX
+	JLE          ydone
+	MOVQ         CX, AX
+	YMASK(Y14)
+	YMASK(Y15)
+	MOVQ         R10, BX
+	VMASKMOVPS   (BX), Y14, Y8
+	VMASKMOVPS   32(BX), Y15, Y9
+	VBROADCASTSS (R8), Y12
+	VBROADCASTSS (R9), Y13
+	VMULPS       Y8, Y12, Y0
+	VMULPS       Y9, Y12, Y1
+	VMULPS       Y8, Y13, Y4
+	VMULPS       Y9, Y13, Y5
+	MOVQ         $1, DX
+
+ytailstep:
+	CMPQ         DX, R12
+	JGE          ytailstore
+	ADDQ         R11, BX
+	VMASKMOVPS   (BX), Y14, Y8
+	VMASKMOVPS   32(BX), Y15, Y9
+	VBROADCASTSS (R8)(DX*4), Y12
+	VBROADCASTSS (R9)(DX*4), Y13
+	VFMADD231PS  Y8, Y12, Y0
+	VFMADD231PS  Y9, Y12, Y1
+	VFMADD231PS  Y8, Y13, Y4
+	VFMADD231PS  Y9, Y13, Y5
+	INCQ         DX
+	JMP          ytailstep
+
+ytailstore:
+	VMASKMOVPS Y0, Y14, (DI)
+	VMASKMOVPS Y1, Y15, 32(DI)
+	VMASKMOVPS Y4, Y14, (SI)
+	VMASKMOVPS Y5, Y15, 32(SI)
+	ADDQ       $64, DI
+	ADDQ       $64, SI
+	ADDQ       $64, R10
+	SUBQ       $16, CX
+	JMP        ytailgroup
+
+ydone:
 	VZEROUPPER
 	RET

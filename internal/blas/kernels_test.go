@@ -11,36 +11,44 @@ import (
 	"fcma/internal/tensor"
 )
 
-// The AVX2 kernels are pinned to the Go kernels bit for bit: every test
-// here computes a product twice, once per setting of the dispatch
-// variable, and demands math.Float32bits equality (NaN against NaN, the
-// payload aside). That pin is what lets every equality check above this
-// package — cluster == local, served == direct, repeat identity — vouch
-// for the assembly.
+// The FMA kernels are pinned to the Go twins bit for bit: every test here
+// computes a product once per kernel path — Go, YMM ("avx2": AVX2 + FMA),
+// ZMM ("avx512": AVX-512F) — and demands math.Float32bits equality (NaN
+// against NaN, the payload aside). That pin is what lets every equality
+// check above this package — cluster == local, served == direct, repeat
+// identity — vouch for the assembly; internal/ref judges all of them
+// against float64 arithmetic.
+
+// kernelPaths names each dispatch setting a test runs: the value of lanes.
+var kernelPaths = []struct {
+	name  string
+	lanes int
+}{{"go", 0}, {"avx2", 8}, {"avx512", 16}}
 
 // withKernelPath runs f with the dispatch variable forced.
-func withKernelPath(avx2 bool, f func()) {
-	old := useAVX2
-	useAVX2 = avx2
-	defer func() { useAVX2 = old }()
+func withKernelPath(l int, f func()) {
+	old := lanes
+	lanes = l
+	defer func() { lanes = old }()
 	f()
 }
 
-// eachKernelPath runs f as a subtest on the Go kernels and on the AVX2
-// kernels; the AVX2 half skips where the probe says the host has none.
+// eachKernelPath runs f as a subtest on every kernel path; a vector path
+// skips where the probe says the host cannot run it.
 func eachKernelPath(t *testing.T, f func(t *testing.T)) {
-	t.Run("go", func(t *testing.T) { withKernelPath(false, func() { f(t) }) })
-	t.Run("avx2", func(t *testing.T) {
-		if !cpuHasAVX2() {
-			t.Skip("host has no AVX2")
-		}
-		withKernelPath(true, func() { f(t) })
-	})
+	for _, p := range kernelPaths {
+		t.Run(p.name, func(t *testing.T) {
+			if p.lanes > hostLanes {
+				t.Skipf("host runs %d-lane kernels at most", hostLanes)
+			}
+			withKernelPath(p.lanes, func() { f(t) })
+		})
+	}
 }
 
 func needAVX2(t testing.TB) {
-	if !cpuHasAVX2() {
-		t.Skip("host has no AVX2: the Go kernels are the only path")
+	if hostLanes == 0 {
+		t.Skip("host has no AVX2 + FMA: the Go kernels are the only path")
 	}
 }
 
@@ -127,15 +135,21 @@ func blankLike(m *tensor.Matrix) *tensor.Matrix {
 	return c
 }
 
-// onBothPaths runs compute into a fresh copy of proto per path and
-// demands identical bits.
-func onBothPaths(t *testing.T, what string, proto *tensor.Matrix, compute func(C *tensor.Matrix)) {
+// onEveryPath runs compute into a fresh copy of proto on the Go path and
+// on each vector path the host runs, and demands identical bits.
+func onEveryPath(t *testing.T, what string, proto *tensor.Matrix, compute func(C *tensor.Matrix)) {
 	t.Helper()
-	want, got := blankLike(proto), blankLike(proto)
-	withKernelPath(false, func() { compute(want) })
-	withKernelPath(true, func() { compute(got) })
-	requireBitIdentical(t, what, got, want)
-	requirePadIntact(t, what, got)
+	want := blankLike(proto)
+	withKernelPath(0, func() { compute(want) })
+	for _, p := range kernelPaths[1:] {
+		if p.lanes > hostLanes {
+			continue
+		}
+		got := blankLike(proto)
+		withKernelPath(p.lanes, func() { compute(got) })
+		requireBitIdentical(t, p.name+" "+what, got, want)
+		requirePadIntact(t, p.name+" "+what, got)
+	}
 }
 
 var pinSyrkRows = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 30, 36, 48, 54, 96, 216, 540}
@@ -156,10 +170,10 @@ func TestSyrkAVX2BitIdenticalToGo(t *testing.T) {
 				}
 				proto := viewMatrix(rng, m, m, pad)
 				what := fmt.Sprintf("m=%d n=%d block=%d pad=%d", m, n, block, pad)
-				onBothPaths(t, "syrk "+what, proto, func(C *tensor.Matrix) {
+				onEveryPath(t, "syrk "+what, proto, func(C *tensor.Matrix) {
 					TallSkinny{SyrkBlock: block}.Syrk(C, A)
 				})
-				onBothPaths(t, "batch "+what+" workers=1", proto, func(C *tensor.Matrix) {
+				onEveryPath(t, "batch "+what+" workers=1", proto, func(C *tensor.Matrix) {
 					err := BatchSyrkContext(context.Background(), []*tensor.Matrix{C}, []*tensor.Matrix{A}, block, 1)
 					if err != nil {
 						t.Fatal(err)
@@ -209,9 +223,9 @@ func TestBatchSyrkAVX2BitIdenticalMixedBatch(t *testing.T) {
 		}
 		perPath = append(perPath, want)
 	})
-	if len(perPath) == 2 {
+	for p := 1; p < len(perPath); p++ {
 		for i := range As {
-			requireBitIdentical(t, fmt.Sprintf("batch item %d avx2 vs go", i), perPath[1][i], perPath[0][i])
+			requireBitIdentical(t, fmt.Sprintf("batch item %d %s vs go", i, kernelPaths[p].name), perPath[p][i], perPath[0][i])
 		}
 	}
 }
@@ -221,7 +235,7 @@ func TestGemmAVX2BitIdenticalToGo(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	for _, m := range []int{1, 2, 3, 5, 8, 12} {
 		for _, k := range []int{0, 1, 2, 3, 12, 13} {
-			for _, n := range []int{1, 7, 8, 9, 15, 16, 17, 4099} {
+			for _, n := range []int{1, 7, 8, 9, 15, 16, 17, 126, 172, 4099} {
 				for _, pad := range []int{0, 5} {
 					A, B := viewMatrix(rng, m, k, pad), viewMatrix(rng, k, n, pad)
 					if pad != 0 {
@@ -234,7 +248,7 @@ func TestGemmAVX2BitIdenticalToGo(t *testing.T) {
 					for _, cb := range []int{0, 17} {
 						for _, workers := range []int{1, 3} {
 							what := fmt.Sprintf("gemm %dx%dx%d pad=%d colblock=%d workers=%d", m, k, n, pad, cb, workers)
-							onBothPaths(t, what, proto, func(C *tensor.Matrix) {
+							onEveryPath(t, what, proto, func(C *tensor.Matrix) {
 								TallSkinny{Workers: workers, ColBlock: cb}.Gemm(C, A, B)
 							})
 						}
@@ -252,17 +266,20 @@ func TestSyrkBlockKernelCoversLowerTriangleOnce(t *testing.T) {
 	eachKernelPath(t, func(t *testing.T) {
 		for m := 1; m <= 41; m++ {
 			const w = 3
-			tbuf := make([]float32, w*m)
-			for i := range tbuf {
-				tbuf[i] = float32(i%7 - 3)
+			mp := padRows(m)
+			tbuf := make([]float32, w*mp)
+			for p := 0; p < w; p++ {
+				for i := 0; i < m; i++ {
+					tbuf[p*mp+i] = float32((p*m+i)%7 - 3)
+				}
 			}
 			local := tensor.NewMatrix(m, m)
-			syrkBlockKernel(local, tbuf, m, w)
+			syrkBlockKernel(local, tbuf, make([]float32, 4*mp), m, w)
 			for i := 0; i < m; i++ {
 				for j := 0; j <= i; j++ {
 					var want float32
 					for p := 0; p < w; p++ {
-						want += tbuf[p*m+i] * tbuf[p*m+j]
+						want += tbuf[p*mp+i] * tbuf[p*mp+j]
 					}
 					if got := local.At(i, j); got != want {
 						t.Fatalf("m=%d (%d,%d) = %g, want %g", m, i, j, got, want)
@@ -309,7 +326,7 @@ func FuzzSyrkTileMatchesGo(f *testing.F) {
 			t.Skip("not enough data for one column")
 		}
 		A := tensor.FromSlice(m, n, vals[:m*n])
-		onBothPaths(t, fmt.Sprintf("syrk m=%d n=%d block=%d", m, n, block),
+		onEveryPath(t, fmt.Sprintf("syrk m=%d n=%d block=%d", m, n, block),
 			tensor.NewMatrix(m, m), func(C *tensor.Matrix) {
 				TallSkinny{SyrkBlock: int(block)}.Syrk(C, A)
 			})
@@ -338,9 +355,38 @@ func FuzzGemmStripMatchesGo(f *testing.F) {
 			t.Skip("not enough data for one column of B")
 		}
 		B := tensor.FromSlice(k, n, vals[:k*n])
-		onBothPaths(t, fmt.Sprintf("gemm %dx%dx%d colblock=%d", m, k, n, colBlock),
+		onEveryPath(t, fmt.Sprintf("gemm %dx%dx%d colblock=%d", m, k, n, colBlock),
 			tensor.NewMatrix(m, n), func(C *tensor.Matrix) {
 				TallSkinny{Workers: 1, ColBlock: int(colBlock)}.Gemm(C, A, B)
 			})
+	})
+}
+
+// fma32 is the Go twins' one rounding; VFMADD231PS is the assembly's. The
+// gemm strip on one column with k = 2 computes fma(a, b, c·1), and c·1 is
+// c, so comparing the Go path with each vector path compares the two. The
+// seeds are the double-rounding case float32(math.FMA(…)) gets wrong
+// (0x3f801000; the correctly rounded sum is 0x3f801001), signed zeros,
+// subnormals, infinities and NaN.
+func FuzzFMA32MatchesHardware(f *testing.F) {
+	f32 := math.Float32bits
+	one12 := f32(1 + 0x1p-12)
+	f.Add(one12, one12, f32(0x1p-80))
+	f.Add(one12, one12, f32(-0x1p-80))
+	f.Add(f32(float32(math.Copysign(0, -1))), f32(1), uint32(0))
+	f.Add(f32(math.SmallestNonzeroFloat32), f32(0.5), f32(math.SmallestNonzeroFloat32))
+	f.Add(f32(1e-20), f32(1e-20), f32(-3e-39))
+	f.Add(f32(float32(math.Inf(1))), f32(0), f32(1))
+	f.Add(f32(float32(math.Inf(-1))), f32(2), f32(float32(math.Inf(1))))
+	f.Add(f32(float32(math.NaN())), f32(1), f32(2))
+	f.Add(f32(math.MaxFloat32), f32(2), f32(-math.MaxFloat32))
+	f.Fuzz(func(t *testing.T, a, b, c uint32) {
+		needAVX2(t)
+		x, y, z := math.Float32frombits(a), math.Float32frombits(b), math.Float32frombits(c)
+		A := tensor.FromSlice(1, 2, []float32{z, x})
+		B := tensor.FromSlice(2, 1, []float32{1, y})
+		onEveryPath(t, fmt.Sprintf("fma(%#08x, %#08x, %#08x)", a, b, c), tensor.NewMatrix(1, 1), func(C *tensor.Matrix) {
+			TallSkinny{Workers: 1}.Gemm(C, A, B)
+		})
 	})
 }

@@ -60,24 +60,25 @@ func TestStagePanelMatchesGoLoop(t *testing.T) {
 			for _, j0 := range []int{0, 5} {
 				A := viewMatrix(rng, m, j0+w, 3)
 				sprinkle(rng, A)
-				want := make([]float32, m*w)
-				packTransposed(want, m, A, 0, j0, m, w)
-				for _, avx2 := range []bool{false, cpuHasAVX2()} {
-					what := fmt.Sprintf("m=%d w=%d j0=%d avx2=%v", m, w, j0, avx2)
+				mp := padRows(m)
+				want := make([]float32, mp*w)
+				packTransposed(want, mp, A, 0, j0, m, w)
+				for _, l := range []int{0, hostLanes} {
+					what := fmt.Sprintf("m=%d w=%d j0=%d lanes=%d", m, w, j0, l)
 					const tail = 9
-					got := make([]float32, m*w+tail)
+					got := make([]float32, mp*w+tail)
 					for i := range got {
 						got[i] = padSentinel
 					}
-					withKernelPath(avx2, func() { stagePanel(got[:m*w], A, j0, w) })
+					withKernelPath(l, func() { stagePanel(got[:mp*w], A, j0, w) })
 					for k, v := range want {
 						if !sameFloat(got[k], v) {
 							t.Fatalf("%s: dst[%d] = %g, want %g", what, k, got[k], v)
 						}
 					}
-					for k, v := range got[m*w:] {
+					for k, v := range got[mp*w:] {
 						if v != padSentinel {
-							t.Fatalf("%s: wrote past the panel at %d", what, m*w+k)
+							t.Fatalf("%s: wrote past the panel at %d", what, mp*w+k)
 						}
 					}
 					requirePadIntact(t, what, A)

@@ -9,7 +9,7 @@ import (
 
 	"fcma/internal/blas"
 	"fcma/internal/fmri"
-	"fcma/internal/norm"
+	"fcma/internal/ref"
 	"fcma/internal/tensor"
 )
 
@@ -210,23 +210,23 @@ func TestGatherAssigned(t *testing.T) {
 	}
 }
 
-// rawCorrelationOracle computes the interleaved correlation buffer directly
-// from Pearson on the raw data.
-func rawCorrelationOracle(d *fmri.Dataset, v0, V int) *tensor.Matrix {
+// refBuffer lays out one stage of internal/ref's float64 reference for
+// voxels [v0, v0+V) — the raw correlations R or the normalized Z — as the
+// pipeline's interleaved (V·M)×N buffer, in float32.
+func refBuffer(d *fmri.Dataset, v0, V int, stage func(ref.Stages) [][]float64) *tensor.Matrix {
 	M, N := len(d.Epochs), d.Voxels()
 	out := tensor.NewMatrix(V*M, N)
 	for v := 0; v < V; v++ {
-		for e, ep := range d.Epochs {
-			x := d.Data.Row(v0 + v)[ep.Start : ep.Start+ep.Len]
-			row := out.Row(v*M + e)
-			for j := 0; j < N; j++ {
-				y := d.Data.Row(j)[ep.Start : ep.Start+ep.Len]
-				row[j] = float32(Pearson(x, y))
+		for e, row := range stage(ref.Voxel(d, v0+v)) {
+			for j, x := range row {
+				out.Set(v*M+e, j, float32(x))
 			}
 		}
 	}
 	return out
 }
+
+func rawStage(s ref.Stages) [][]float64 { return s.R }
 
 func TestComputeCorrelationsMatchesOracle(t *testing.T) {
 	d := testDataset(t)
@@ -236,7 +236,7 @@ func TestComputeCorrelationsMatchesOracle(t *testing.T) {
 	}
 	p := &Pipeline{Gemm: blas.TallSkinny{ColBlock: 16, Workers: 1}, Workers: 2}
 	got := rawCorrelations(t, p, st, 5, 4)
-	want := rawCorrelationOracle(d, 5, 4)
+	want := refBuffer(d, 5, 4, rawStage)
 	if !got.EqualApprox(want, 1e-4) {
 		t.Fatalf("correlation buffer mismatch, max diff %g", got.MaxAbsDiff(want))
 	}
@@ -313,25 +313,19 @@ func TestRunMatchesFullyNaiveReference(t *testing.T) {
 }
 
 func testRunMatchesFullyNaiveReference(t *testing.T) {
-	// End-to-end stage 1+2 against a from-scratch reference.
+	// End-to-end stage 1+2 against internal/ref.
 	d := testDataset(t)
 	st, _ := BuildEpochStackContext(context.Background(), d, 0)
 	V, v0 := 2, 9
 	p := &Pipeline{Workers: 1}
 	got := run(t, p, st, v0, V)
-
-	raw := rawCorrelationOracle(d, v0, V)
+	want := refBuffer(d, v0, V, func(s ref.Stages) [][]float64 { return s.Z })
 	M, E, N := st.M(), st.E, st.N
 	for v := 0; v < V; v++ {
 		for s := 0; s < st.Subjects; s++ {
-			block := make([]float32, E*N)
-			for ei := 0; ei < E; ei++ {
-				copy(block[ei*N:(ei+1)*N], raw.Row(v*M+s*E+ei))
-			}
-			new(norm.Scratch).FisherThenZScoreStrided(block, E, N, N)
 			for ei := 0; ei < E; ei++ {
 				for j := 0; j < N; j++ {
-					diff := math.Abs(float64(got.At(v*M+s*E+ei, j) - block[ei*N+j]))
+					diff := math.Abs(float64(got.At(v*M+s*E+ei, j) - want.At(v*M+s*E+ei, j)))
 					if diff > 1e-3 {
 						t.Fatalf("reference mismatch at v=%d s=%d e=%d j=%d: diff %g", v, s, ei, j, diff)
 					}
@@ -406,42 +400,10 @@ func TestFullMatrixEpochRange(t *testing.T) {
 	}
 }
 
-// float64Stage12 is stages 1 and 2 for voxel v, written the slow way and
-// sharing no code with the pipeline: float64 Pearson over each epoch's raw
-// samples, math.Atanh with the clamp, z-score over each subject's E epochs.
-// out[e*N+j] is epoch e's value against brain voxel j.
-func float64Stage12(d *fmri.Dataset, st *EpochStack, v int) []float64 {
-	M, E, N := st.M(), st.E, st.N
-	out := make([]float64, M*N)
-	for j := 0; j < N; j++ {
-		for s := 0; s < st.Subjects; s++ {
-			var sum, sumSq float64
-			for e := s * E; e < (s+1)*E; e++ {
-				ep := st.Epochs[e]
-				r := Pearson(d.Data.Row(v)[ep.Start:ep.Start+ep.Len], d.Data.Row(j)[ep.Start:ep.Start+ep.Len])
-				z := math.Atanh(max(-norm.ClampR, min(norm.ClampR, r)))
-				out[e*N+j] = z
-				sum += z
-				sumSq += z * z
-			}
-			mean := sum / float64(E)
-			sd := math.Sqrt(max(sumSq/float64(E)-mean*mean, 0))
-			for e := s * E; e < (s+1)*E; e++ {
-				if sd > 0 {
-					out[e*N+j] = (out[e*N+j] - mean) / sd
-				} else {
-					out[e*N+j] = 0
-				}
-			}
-		}
-	}
-	return out
-}
-
 // The float32 Fisher kernel end to end: merged and separated RunInto on a
 // face-scene-shaped task (wide brain, 12 epochs a subject) and an
 // attention-shaped one (narrow brain, 18 epochs a subject) stay within 1e-5
-// of the float64 reference. The repo benchmark's own gate on the same
+// of internal/ref's float64 reference. The repo benchmark's own gate on the same
 // quantity (corr.max_abs_err) is 1e-3; the float64 kernel measured 1.2e-6.
 func TestRunIntoMatchesFloat64Reference(t *testing.T) {
 	eachKernelPath(t, testRunIntoMatchesFloat64Reference)
@@ -459,9 +421,9 @@ func testRunIntoMatchesFloat64Reference(t *testing.T) {
 			t.Fatal(err)
 		}
 		M, N := st.M(), st.N
-		want := make([][]float64, V)
+		want := make([][][]float64, V)
 		for v := range want {
-			want[v] = float64Stage12(d, st, v0+v)
+			want[v] = ref.Voxel(d, v0+v).Z
 		}
 		for _, merged := range []bool{true, false} {
 			buf := tensor.NewMatrix(V*M, N)
@@ -476,7 +438,7 @@ func testRunIntoMatchesFloat64Reference(t *testing.T) {
 						// A voxel against itself is the clamp constant in
 						// every epoch: its z-score is 0/0.
 						if j != v0+v {
-							worst = max(worst, math.Abs(float64(buf.At(v*M+e, j))-want[v][e*N+j]))
+							worst = max(worst, math.Abs(float64(buf.At(v*M+e, j))-want[v][e][j]))
 						}
 					}
 				}

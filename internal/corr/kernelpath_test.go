@@ -8,42 +8,50 @@ import (
 	"fcma/internal/tensor"
 )
 
-// blasUseAVX2 and normUseAVX2 are the unexported kernel dispatch variables
-// of internal/blas (stage 1's gemm strips) and internal/norm (stage 2's
-// sweep), reached by linkname so the pipeline's equivalence tests can run
-// on both kernel paths without either package exporting a switch nobody
-// else should touch.
+// blasLanes, normUseAVX2 and normUseZMM are the unexported kernel dispatch
+// variables of internal/blas (stage 1's gemm strips: 0 Go, 8 YMM, 16 ZMM)
+// and internal/norm (stage 2's sweep, and its 16-lane Fisher pass),
+// reached by linkname so the pipeline's equivalence tests can run on every
+// kernel path without either package exporting a switch nobody else
+// should touch.
 //
-//go:linkname blasUseAVX2 fcma/internal/blas.useAVX2
-var blasUseAVX2 bool
+//go:linkname blasLanes fcma/internal/blas.lanes
+var blasLanes int
 
 //go:linkname normUseAVX2 fcma/internal/norm.useAVX2
 var normUseAVX2 bool
 
-// hostAVX2 is the probe's verdict, read before any test rewrites it.
-var hostAVX2 = blasUseAVX2
+//go:linkname normUseZMM fcma/internal/norm.useZMM
+var normUseZMM bool
 
-// setKernelPath routes both stages' kernels to the AVX2 assembly or to the
-// Go reference.
-func setKernelPath(avx2 bool) {
-	blasUseAVX2, normUseAVX2 = avx2, avx2
+// hostLanes is the probe's verdict, read before any test rewrites it.
+var hostLanes = blasLanes
+
+// kernelPaths names each path by the blas lane count it runs.
+var kernelPaths = []struct {
+	name  string
+	lanes int
+}{{"go", 0}, {"avx2", 8}, {"avx512", 16}}
+
+// setKernelPath routes both stages' kernels to the Go twins (0) or to the
+// YMM (8) or ZMM (16) assembly.
+func setKernelPath(lanes int) {
+	blasLanes, normUseAVX2, normUseZMM = lanes, lanes > 0, lanes == 16
 }
 
-// eachKernelPath runs f as a subtest on the Go kernels and on the AVX2
-// kernels; the AVX2 half skips on a host without them.
+// eachKernelPath runs f as a subtest on every kernel path; a vector path
+// skips on a host that cannot run it.
 func eachKernelPath(t *testing.T, f func(t *testing.T)) {
-	defer setKernelPath(hostAVX2)
-	t.Run("go", func(t *testing.T) {
-		setKernelPath(false)
-		f(t)
-	})
-	t.Run("avx2", func(t *testing.T) {
-		if !hostAVX2 {
-			t.Skip("host has no AVX2")
-		}
-		setKernelPath(true)
-		f(t)
-	})
+	defer setKernelPath(hostLanes)
+	for _, p := range kernelPaths {
+		t.Run(p.name, func(t *testing.T) {
+			if p.lanes > hostLanes {
+				t.Skipf("host runs %d-lane kernels at most", hostLanes)
+			}
+			setKernelPath(p.lanes)
+			f(t)
+		})
+	}
 }
 
 // The pipeline's output must not depend on which kernels ran it, nor on
@@ -53,10 +61,10 @@ func eachKernelPath(t *testing.T, f func(t *testing.T)) {
 // that are all vector groups (16), all remainder (7) and a mix (0: the
 // whole 48-voxel row; 13).
 func TestRunIntoBitIdenticalAcrossKernelPaths(t *testing.T) {
-	if !hostAVX2 {
-		t.Skip("host has no AVX2: the Go kernels are the only path")
+	if hostLanes == 0 {
+		t.Skip("host has no AVX2 + FMA: the Go kernels are the only path")
 	}
-	defer setKernelPath(hostAVX2)
+	defer setKernelPath(hostLanes)
 	d := testDataset(t)
 	st, err := BuildEpochStackContext(context.Background(), d, 1)
 	if err != nil {
@@ -66,8 +74,11 @@ func TestRunIntoBitIdenticalAcrossKernelPaths(t *testing.T) {
 	for _, colBlock := range []int{0, 7, 13, 16} {
 		var want *tensor.Matrix
 		for _, merged := range []bool{true, false} {
-			for _, avx2 := range []bool{false, true} {
-				setKernelPath(avx2)
+			for _, path := range kernelPaths {
+				if path.lanes > hostLanes {
+					continue
+				}
+				setKernelPath(path.lanes)
 				p := &Pipeline{Workers: 2, Merged: merged, ColBlock: colBlock, VoxBlock: 4}
 				out := tensor.NewMatrix(V*st.M(), st.N)
 				if err := p.RunInto(context.Background(), st, v0, V, out); err != nil {
@@ -76,8 +87,8 @@ func TestRunIntoBitIdenticalAcrossKernelPaths(t *testing.T) {
 				if want == nil {
 					want = out
 				} else if !out.Equal(want) {
-					t.Fatalf("colBlock=%d: merged=%v avx2=%v differs from merged on the Go kernels (max diff %g)",
-						colBlock, merged, avx2, out.MaxAbsDiff(want))
+					t.Fatalf("colBlock=%d: merged=%v %s differs from merged on the Go kernels (max diff %g)",
+						colBlock, merged, path.name, out.MaxAbsDiff(want))
 				}
 			}
 		}

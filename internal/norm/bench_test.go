@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"testing"
 	"time"
-
-	"fcma/internal/blas"
 )
 
 // coefficients fills a rows×cols block with correlation-like inputs:
@@ -38,31 +36,27 @@ func sweepN(src, block []float32, rows, cols, n int) {
 }
 
 // BenchmarkFisherThenZScore reports the fused sweep's rate on the Go loops
-// and on the AVX2 kernels: with SetBytes at one "byte" per coefficient, the
+// and on each vector path: with SetBytes at one "byte" per coefficient, the
 // MB/s column is the Melem/s of the benchmark ledger's
 // norm.fisher_zscore_melem_per_s. 16×4096 puts the rows 16 KiB apart, the
 // stride at which the kernels' column panels alias in L1.
 func BenchmarkFisherThenZScore(b *testing.B) {
-	old := useAVX2
-	defer func() { useAVX2 = old }()
 	for _, shape := range [][2]int{{12, 640}, {16, 4096}} {
 		for _, kind := range []string{"gauss", "uniform"} {
-			for _, path := range []struct {
-				name string
-				avx2 bool
-			}{{"go", false}, {"avx2", true}} {
+			for _, path := range sweepPaths {
 				rows, cols := shape[0], shape[1]
 				b.Run(fmt.Sprintf("%dx%d/%s/%s", rows, cols, kind, path.name), func(b *testing.B) {
-					if path.avx2 && !blas.HasAVX2() {
-						b.Skip("host has no AVX2")
+					if !hostRuns(path.avx2, path.zmm) {
+						b.Skipf("host cannot run the %s sweep", path.name)
 					}
-					useAVX2 = path.avx2
-					src := coefficients(kind, rows, cols)
-					block := make([]float32, len(src))
-					sweepN(src, block, rows, cols, 1) // warm the caches
-					b.SetBytes(int64(len(src)))
-					b.ResetTimer()
-					sweepN(src, block, rows, cols, b.N)
+					withSweepPath(path.avx2, path.zmm, func() {
+						src := coefficients(kind, rows, cols)
+						block := make([]float32, len(src))
+						sweepN(src, block, rows, cols, 1) // warm the caches
+						b.SetBytes(int64(len(src)))
+						b.ResetTimer()
+						sweepN(src, block, rows, cols, b.N)
+					})
 				})
 			}
 		}

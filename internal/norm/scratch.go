@@ -77,7 +77,8 @@ func (s *Scratch) FisherThenZScoreInto(dst []float32, dstStride int, data []floa
 // float64 because that difference cancels.
 //
 // With useAVX2 set the kernels in sweep_amd64.s take the leading columns,
-// every multiple of eight, and the loops below the rest. Columns are
+// every multiple of eight (the Fisher pass sixteen lanes at a time with
+// useZMM), and the loops below the rest. Columns are
 // independent and the kernels add each column's rows in the same ascending
 // order, so where the split falls changes no bit. The loops read the block
 // once for transform+moments and once for the scaling, walking row-major
@@ -104,7 +105,11 @@ func (s *Scratch) sweep(dst []float32, dstStride int, data []float32, rows, cols
 	//lint:allow allocfree grow allocates only on a width increase (allocgate sees its makes whenever it inlines here)
 	s.grow(cols, cols-vec)
 	if vec > 0 {
-		if fisher {
+		if fisher && useZMM {
+			for i := 0; i < rows; i++ {
+				fisherRowZMM(&data[i*stride], vec, &s.tailR[0], &s.tailJ[0])
+			}
+		} else if fisher {
 			for i := 0; i < rows; i++ {
 				fisherRowAVX2(&data[i*stride], vec, &s.tailR[0], &s.tailJ[0])
 			}

@@ -109,7 +109,9 @@ func TestFisherRowMatchesFisherZ(t *testing.T) {
 		got := append([]float32(nil), row...)
 		var s Scratch
 		s.grow(len(got), 0)
-		if useAVX2 {
+		if useZMM {
+			fisherRowZMM(&got[0], len(got), &s.tailR[0], &s.tailJ[0])
+		} else if useAVX2 {
 			fisherRowAVX2(&got[0], len(got), &s.tailR[0], &s.tailJ[0])
 		} else {
 			s.fisherRow(got)

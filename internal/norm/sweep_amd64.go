@@ -2,6 +2,7 @@ package norm
 
 import (
 	"math"
+	_ "unsafe" // go:linkname
 
 	"fcma/internal/blas"
 )
@@ -16,9 +17,20 @@ import (
 // column's rows in the same ascending order, and compares with the
 // ordered, quiet predicates Go's comparisons are, so both paths leave the
 // same float32 bits everywhere (NaN stays NaN; its payload is not pinned).
-// That pin is stated for the default GOAMD64=v1: at v3 the Go compiler may
-// itself fuse x*y+z in the reference loops.
+// CI also holds that pin in a GOAMD64=v3 build, where the compiler could
+// fuse a multiply-add of the reference loops; it does not.
 var useAVX2 = blas.HasAVX2()
+
+// useZMM routes the sweep's Fisher pass, with useAVX2 set, through the
+// sixteen-lane fisherRowZMM instead of fisherRowAVX2: the same operations
+// in the same order, so the same bits. It is set from internal/blas's
+// probe, read by linkname (hostLanes is 16 where AVX-512F and its register
+// state are usable), so the tree keeps one CPUID probe and exports no
+// second verdict.
+var useZMM = useAVX2 && blasHostLanes == 16
+
+//go:linkname blasHostLanes fcma/internal/blas.hostLanes
+var blasHostLanes int
 
 // fisherVec holds the Fisher kernel's constants as bit patterns, each
 // eight times over — one YMM register's worth — in the order sweep_amd64.s
@@ -58,10 +70,13 @@ var packLanes = func() (t [256][16]uint8) {
 	return t
 }()
 
-// fisherRowAVX2 is fisherRow over row[0:n], n a positive multiple of 8,
-// with tailR and tailJ (n elements each) as its list of filed
-// coefficients.
+// fisherRowAVX2 and fisherRowZMM are fisherRow over row[0:n], n a
+// positive multiple of 8, with tailR and tailJ (n elements each) as its
+// list of filed coefficients.
 //
+//go:noescape
+func fisherRowZMM(row *float32, n int, tailR *float32, tailJ *int32)
+
 //go:noescape
 func fisherRowAVX2(row *float32, n int, tailR *float32, tailJ *int32)
 

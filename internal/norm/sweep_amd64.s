@@ -3,8 +3,8 @@
 #include "textflag.h"
 
 // (*Scratch).sweep in vector registers: fisherRow, eight coefficients per
-// step, and the moments, column statistics and scaling, eight columns per
-// panel. Each is pinned to the Go code in norm.go and scratch.go bit for
+// step (sixteen in fisherRowZMM), and the moments, column statistics and
+// scaling, eight columns per panel. Each is pinned to the Go code in norm.go and scratch.go bit for
 // bit: VMULPS/VADDPS/VSUBPS/VDIVPS and their PD forms stay separate — never
 // FMA — and follow the Go expressions' association; VDIVPS, VDIVPD and
 // VSQRTPD are correctly rounded, so they give the bits of the scalar
@@ -43,6 +43,20 @@
 #define cMANT ·fisherVec+768(SB)
 #define cSQRTHALF ·fisherVec+800(SB)
 #define cEIGHT ·fisherVec+832(SB)
+
+// laneIota is the sixteen lane indices of a ZMM vector, sixteen16 a
+// broadcastable 16: fisherRowZMM's column vector and its step.
+DATA laneIota<>+0(SB)/8, $0x0000000100000000
+DATA laneIota<>+8(SB)/8, $0x0000000300000002
+DATA laneIota<>+16(SB)/8, $0x0000000500000004
+DATA laneIota<>+24(SB)/8, $0x0000000700000006
+DATA laneIota<>+32(SB)/8, $0x0000000900000008
+DATA laneIota<>+40(SB)/8, $0x0000000b0000000a
+DATA laneIota<>+48(SB)/8, $0x0000000d0000000c
+DATA laneIota<>+56(SB)/8, $0x0000000f0000000e
+GLOBL laneIota<>(SB), RODATA|NOPTR, $64
+DATA sixteen16<>+0(SB)/4, $16
+GLOBL sixteen16<>(SB), RODATA|NOPTR, $4
 
 // func fisherRowAVX2(row *float32, n int, tailR *float32, tailJ *int32)
 //
@@ -172,6 +186,149 @@ putback:
 	JLT  putback
 
 rowdone:
+	VZEROUPPER
+	RET
+
+// func fisherRowZMM(row *float32, n int, tailR *float32, tailJ *int32)
+//
+// fisherRowAVX2 sixteen lanes at a time (AVX-512F), n a positive multiple
+// of 8: the same operations per lane, in the same order, so the same bits.
+// The last group, when n%16 = 8, runs under an opmask of its first eight
+// lanes (K1); loads zero the lanes outside it and stores skip them. The
+// first pass files the lanes at s >= fisherSplit2 with VCOMPRESSPS and
+// VPCOMPRESSD (no lookup table) and counts them with POPCNT of the compare
+// mask; the second runs fisherTail sixteen filed coefficients at a time
+// under the opmask of the ones left (K3), with the constants broadcast
+// from fisherVec's first lane ({1to16}) and the clamp merged in by a
+// masked broadcast. EVEX-encoded throughout, so the VEX-only rule above
+// holds.
+//
+// Z9..Z15 hold fa6..fa0, Z8 the columns of the group's lanes; R10 counts
+// the coefficients filed.
+TEXT ·fisherRowZMM(SB), NOSPLIT, $0-32
+	MOVQ         row+0(FP), DI
+	MOVQ         n+8(FP), CX
+	MOVQ         tailR+16(FP), R12
+	MOVQ         tailJ+24(FP), R13
+	VBROADCASTSS cFA6, Z9
+	VBROADCASTSS cFA5, Z10
+	VBROADCASTSS cFA4, Z11
+	VBROADCASTSS cFA3, Z12
+	VBROADCASTSS cFA2, Z13
+	VBROADCASTSS cFA1, Z14
+	VBROADCASTSS cFA0, Z15
+	VMOVDQU32    laneIota<>(SB), Z8
+	MOVL         $0xff, BX
+	XORQ         R10, R10
+	XORQ         R8, R8
+
+zsmallstep:
+	MOVL             $0xffff, AX
+	MOVQ             CX, DX
+	SUBQ             R8, DX
+	CMPQ             DX, $16
+	CMOVLLT          BX, AX
+	KMOVW            AX, K1
+	VMOVUPS.Z        (DI)(R8*4), K1, Z0     // r
+	VMULPS           Z0, Z0, Z1             // s = r·r
+	VMULPS           Z1, Z9, Z2             // fa6·s
+	VADDPS           Z10, Z2, Z2            // + fa5
+	VMULPS           Z1, Z2, Z2
+	VADDPS           Z11, Z2, Z2            // + fa4
+	VMULPS           Z1, Z2, Z2
+	VADDPS           Z12, Z2, Z2            // + fa3
+	VMULPS           Z1, Z2, Z2
+	VADDPS           Z13, Z2, Z2            // + fa2
+	VMULPS           Z1, Z2, Z2
+	VADDPS           Z14, Z2, Z2            // + fa1
+	VMULPS           Z1, Z2, Z2
+	VADDPS           Z15, Z2, Z2            // + fa0: P(s)
+	VMULPS           Z1, Z0, Z3             // r·s
+	VMULPS           Z2, Z3, Z3             // (r·s)·P(s)
+	VADDPS           Z3, Z0, Z2             // r + …
+	VMOVUPS          Z2, K1, (DI)(R8*4)
+	VCMPPS.BCST      $0x1d, cSPLIT2, Z1, K1, K2 // s >= fisherSplit2 (GE_OQ), in the group
+	VCOMPRESSPS      Z0, K2, Z5             // the lanes to file, first: their r
+	VMOVUPS          Z5, K1, (R12)(R10*4)
+	VPCOMPRESSD      Z8, K2, Z6             // their columns
+	VMOVDQU32        Z6, K1, (R13)(R10*4)
+	KMOVW            K2, AX
+	POPCNTL          AX, AX
+	ADDQ             AX, R10
+	VPADDD.BCST      sixteen16<>(SB), Z8, Z8
+	ADDQ             $16, R8
+	CMPQ             R8, CX
+	JLT              zsmallstep
+	TESTQ            R10, R10
+	JZ               zrowdone
+	XORQ             R8, R8
+
+	// fisherTail, as in fisherRowAVX2.
+ztailstep:
+	MOVQ             R10, CX
+	SUBQ             R8, CX
+	MOVL             $16, AX
+	CMPQ             CX, AX
+	CMOVQGT          AX, CX
+	MOVL             $1, AX
+	SHLL             CX, AX
+	DECL             AX
+	KMOVW            AX, K3
+	VMOVUPS.Z        (R12)(R8*4), K3, Z0
+	VPANDD.BCST      cSIGN, Z0, Z4          // sign
+	VPXORD           Z4, Z0, Z1             // a = |r|
+	VBROADCASTSS     cONE, Z5
+	VADDPS           Z1, Z5, Z6             // 1 + a
+	VSUBPS           Z1, Z5, Z5             // 1 − a
+	VDIVPS           Z5, Z6, Z6             // x = (1+a)/(1−a)
+	VCMPPS.BCST      $0x1d, cCLAMPA, Z1, K4 // a >= clampA (GE_OQ)
+	VPADDD.BCST      cEXPBIAS, Z6, Z6       // ix = bits(x) + (oneBits − sqrtHalfBits)
+	VPSRLD           $23, Z6, Z5            // ix >> 23, logical
+	VPSUBD.BCST      c127, Z5, Z5
+	VCVTDQ2PS        Z5, Z5                 // k
+	VPANDD.BCST      cMANT, Z6, Z6
+	VPADDD.BCST      cSQRTHALF, Z6, Z6
+	VSUBPS.BCST      cONE, Z6, Z6           // f = m − 1
+	VMULPS           Z6, Z6, Z7             // f2
+	VMULPS.BCST      cFL6, Z7, Z0           // f2·fl6
+	VMULPS.BCST      cFL5, Z6, Z8
+	VADDPS.BCST      cFL4, Z8, Z8           // fl4 + fl5·f
+	VADDPS           Z0, Z8, Z0
+	VMULPS           Z0, Z7, Z0             // f2·((fl4+fl5·f) + f2·fl6)
+	VMULPS.BCST      cFL3, Z6, Z8
+	VADDPS.BCST      cFL2, Z8, Z8           // fl2 + fl3·f
+	VADDPS           Z0, Z8, Z0
+	VMULPS           Z0, Z7, Z0             // f2·((fl2+fl3·f) + …)
+	VMULPS.BCST      cFL1, Z6, Z8
+	VADDPS.BCST      cFL0, Z8, Z8           // fl0 + fl1·f
+	VADDPS           Z0, Z8, Z0             // q
+	VMULPS           Z6, Z7, Z8             // f2·f
+	VMULPS           Z0, Z8, Z0             // (f2·f)·q
+	VMULPS.BCST      cHALF, Z7, Z7          // 0.5·f2
+	VMULPS.BCST      cLN2LO, Z5, Z8         // k·ln2Lo
+	VSUBPS           Z7, Z8, Z8             // k·ln2Lo − 0.5·f2
+	VADDPS           Z0, Z8, Z0             // … + (f2·f)·q
+	VADDPS           Z0, Z6, Z0             // f + …
+	VMULPS.BCST      cLN2HI, Z5, Z5         // k·ln2Hi
+	VADDPS           Z0, Z5, Z0             // lg
+	VMULPS.BCST      cHALF, Z0, Z0          // 0.5·lg
+	VBROADCASTSS     cCLAMPZ, K4, Z0        // a >= clampA: clampZ
+	VPORD            Z4, Z0, Z0             // copy the sign back
+	VMOVUPS          Z0, K3, (R12)(R8*4)
+	ADDQ             $16, R8
+	CMPQ             R8, R10
+	JLT              ztailstep
+	XORQ             R8, R8
+
+zputback:
+	MOVL (R13)(R8*4), AX
+	MOVL (R12)(R8*4), BX
+	MOVL BX, (DI)(AX*4)
+	INCQ R8
+	CMPQ R8, R10
+	JLT  zputback
+
+zrowdone:
 	VZEROUPPER
 	RET
 

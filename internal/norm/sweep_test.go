@@ -9,29 +9,48 @@ import (
 	"fcma/internal/blas"
 )
 
-// The AVX2 sweep is pinned to the Go sweep bit for bit: every test here
-// runs one block down both paths and demands math.Float32bits equality
-// (NaN against NaN, the payload aside) on every element, the padding
-// between strided rows included. That pin is what lets every equality
-// check above this package — merged == separated, cluster == local,
-// served == direct — vouch for stage 2's assembly too.
+// The vector sweeps are pinned to the Go sweep bit for bit: every test
+// here runs one block down each path — Go, AVX2, and AVX2 with the
+// sixteen-lane Fisher pass ("avx512") — and demands math.Float32bits
+// equality (NaN against NaN, the payload aside) on every element, the
+// padding between strided rows included. That pin is what lets every
+// equality check above this package — merged == separated, cluster ==
+// local, served == direct — vouch for stage 2's assembly too.
 
-// eachSweepPath runs f as a subtest on the Go sweep and on the AVX2
-// sweep; the AVX2 half skips where the probe says the host has none.
+// sweepPaths are the dispatch settings a test runs: useAVX2, useZMM.
+var sweepPaths = []struct {
+	name      string
+	avx2, zmm bool
+}{{"go", false, false}, {"avx2", true, false}, {"avx512", true, true}}
+
+// hostZMM is the probe's verdict on the sixteen-lane pass, read before any
+// test rewrites useZMM.
+var hostZMM = useZMM
+
+// hostRuns reports whether the host can run a sweep path.
+func hostRuns(avx2, zmm bool) bool {
+	return (!avx2 || blas.HasAVX2()) && (!zmm || hostZMM)
+}
+
+// withSweepPath runs f with the dispatch variables forced.
+func withSweepPath(avx2, zmm bool, f func()) {
+	oldAVX2, oldZMM := useAVX2, useZMM
+	defer func() { useAVX2, useZMM = oldAVX2, oldZMM }()
+	useAVX2, useZMM = avx2, zmm
+	f()
+}
+
+// eachSweepPath runs f as a subtest on every sweep path; a vector path
+// skips where the probe says the host cannot run it.
 func eachSweepPath(t *testing.T, f func(t *testing.T)) {
-	old := useAVX2
-	defer func() { useAVX2 = old }()
-	t.Run("go", func(t *testing.T) {
-		useAVX2 = false
-		f(t)
-	})
-	t.Run("avx2", func(t *testing.T) {
-		if !blas.HasAVX2() {
-			t.Skip("host has no AVX2")
-		}
-		useAVX2 = true
-		f(t)
-	})
+	for _, p := range sweepPaths {
+		t.Run(p.name, func(t *testing.T) {
+			if !hostRuns(p.avx2, p.zmm) {
+				t.Skipf("host cannot run the %s sweep", p.name)
+			}
+			withSweepPath(p.avx2, p.zmm, func() { f(t) })
+		})
+	}
 }
 
 func sameFloat(a, b float32) bool {
@@ -52,21 +71,30 @@ func fisherSeams() []float32 {
 // everywhere.
 func requireSweepPathsAgree(t *testing.T, block []float32, rows, cols, stride int, fisher bool) {
 	t.Helper()
-	old := useAVX2
-	defer func() { useAVX2 = old }()
+	for _, p := range sweepPaths[1:] {
+		if hostRuns(p.avx2, p.zmm) {
+			requireSweepPathAgrees(t, p.name, p.avx2, p.zmm, block, rows, cols, stride, fisher)
+		}
+	}
+}
+
+// requireSweepPathAgrees is requireSweepPathsAgree for one vector path.
+func requireSweepPathAgrees(t *testing.T, name string, avx2, zmm bool, block []float32, rows, cols, stride int, fisher bool) {
+	t.Helper()
 	dstStride := cols + 3
 	var inPlace, src, dst [2][]float32
-	for p, avx2 := range []bool{false, true} {
-		useAVX2 = avx2
-		var s Scratch
-		inPlace[p] = append([]float32(nil), block...)
-		s.sweep(inPlace[p], stride, inPlace[p], rows, cols, stride, fisher)
-		src[p] = append([]float32(nil), block...)
-		dst[p] = make([]float32, (rows-1)*dstStride+cols)
-		for i := range dst[p] {
-			dst[p][i] = -7 // the padding must come back untouched
-		}
-		s.sweep(dst[p], dstStride, src[p], rows, cols, stride, fisher)
+	for p := range inPlace {
+		withSweepPath(avx2 && p == 1, zmm && p == 1, func() {
+			var s Scratch
+			inPlace[p] = append([]float32(nil), block...)
+			s.sweep(inPlace[p], stride, inPlace[p], rows, cols, stride, fisher)
+			src[p] = append([]float32(nil), block...)
+			dst[p] = make([]float32, (rows-1)*dstStride+cols)
+			for i := range dst[p] {
+				dst[p][i] = -7 // the padding must come back untouched
+			}
+			s.sweep(dst[p], dstStride, src[p], rows, cols, stride, fisher)
+		})
 	}
 	for _, c := range []struct {
 		what      string
@@ -78,8 +106,8 @@ func requireSweepPathsAgree(t *testing.T, block []float32, rows, cols, stride in
 	} {
 		for i := range c.want {
 			if !sameFloat(c.got[i], c.want[i]) {
-				t.Fatalf("%dx%d stride %d fisher=%v, %s: element %d is %v (%#08x) on the AVX2 path, %v (%#08x) on the Go path",
-					rows, cols, stride, fisher, c.what, i, c.got[i], math.Float32bits(c.got[i]), c.want[i], math.Float32bits(c.want[i]))
+				t.Fatalf("%dx%d stride %d fisher=%v, %s: element %d is %v (%#08x) on the %s path, %v (%#08x) on the Go path",
+					rows, cols, stride, fisher, c.what, i, c.got[i], math.Float32bits(c.got[i]), name, c.want[i], math.Float32bits(c.want[i]))
 			}
 		}
 	}
