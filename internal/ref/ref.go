@@ -1,11 +1,13 @@
-// Package ref is a deliberately naive float64 FCMA through the kernel
-// matrix: the reference every kernel path, worker count and block size of
-// the engine is judged against, within a stated tolerance.
+// Package ref is a deliberately naive float64 FCMA: the reference every
+// kernel path, worker count, block size and solver start of the engine is
+// judged against, within a stated tolerance.
 //
 // For one seed voxel it computes the textbook Pearson correlation of every
 // epoch's samples against every voxel's, math.Atanh of it with |r| clamped
 // at norm.ClampR, a z-score over each subject's epochs, and the kernel
-// matrix K = Z·Zᵀ. There is no blocking, no pooling and no float32
+// matrix K = Z·Zᵀ (Voxel). CrossValidate then trains a plain SMO from
+// α = 0 to a tight KKT gap on each caller-given fold and returns decision
+// values and accuracy. There is no blocking, no pooling and no float32
 // arithmetic, and the package imports nothing under internal/ but fmri, so
 // it shares no code with the pipeline it checks.
 package ref

@@ -4,6 +4,7 @@ import (
 	"go/parser"
 	"go/token"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -106,5 +107,124 @@ func TestVoxelStages(t *testing.T) {
 				t.Fatalf("K is not symmetric at (%d, %d)", a, b)
 			}
 		}
+	}
+}
+
+// On a line, the hard-margin classifier of {2, 1} against {−1, −2} is
+// f(x) = x whatever α the singular kernel leaves free — with duplicated
+// samples too — so the test samples' decision values are their positions.
+func TestCrossValidateOnALine(t *testing.T) {
+	for name, train := range map[string][]float64{
+		"distinct":   {2, 1, -1, -2},
+		"duplicated": {2, 2, 1, -1, -1, -2},
+	} {
+		xs := append(append([]float64(nil), train...), 0.5, -3, 0.25)
+		labels := make([]int, len(xs))
+		K := grid(len(xs), len(xs))
+		for a, xa := range xs {
+			if xa > 0 {
+				labels[a] = 1
+			}
+			for b, xb := range xs {
+				K[a][b] = xa * xb
+			}
+		}
+		labels[len(xs)-1] = 0 // x = 0.25 is on the positive side, labelled negative
+		trainIdx := make([]int, len(train))
+		for i := range trainIdx {
+			trainIdx[i] = i
+		}
+		test := []int{len(train), len(train) + 1, len(train) + 2}
+		d, acc, err := CrossValidate(K, labels, [][]int{trainIdx}, [][]int{test})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for k, s := range test {
+			if math.Abs(d[0][k]-xs[s]) > 1e-5 {
+				t.Errorf("%s: decision at x = %g is %g", name, xs[s], d[0][k])
+			}
+		}
+		if acc != 2.0/3 {
+			t.Errorf("%s: accuracy %g, want 2/3", name, acc)
+		}
+	}
+}
+
+// A training set of one class is not trained: no decision values, and
+// its test samples score half, exactly — beside a trained fold.
+func TestCrossValidateOneClassFoldScoresChance(t *testing.T) {
+	K := [][]float64{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}}
+	labels := []int{1, 1, 0}
+	d, acc, err := CrossValidate(K, labels, [][]int{{0, 1}, {0, 2}}, [][]int{{2}, {1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d[0] != nil || len(d[1]) != 1 || acc != 0.25 {
+		t.Fatalf("decisions %v, accuracy %g; want none for the one-class fold and 0.25", d, acc)
+	}
+}
+
+// At the solution of a noisy, overlapping problem α is feasible and every
+// sample meets its KKT condition within the gap: y·f ≥ 1 at α = 0, ≤ 1 at
+// α = C, = 1 strictly inside the box.
+func TestSolveMeetsKKT(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	const n, dims = 40, 3
+	xs := grid(n, dims)
+	labels := make([]int, n)
+	for i := range xs {
+		labels[i] = i % 2
+		for k := range xs[i] {
+			xs[i][k] = rng.NormFloat64()
+		}
+		xs[i][0] += float64(2*labels[i]-1) * 0.8
+	}
+	K := grid(n, n)
+	for a := range K {
+		for b := range K {
+			for k := 0; k < dims; k++ {
+				K[a][b] += xs[a][k] * xs[b][k]
+			}
+		}
+	}
+	idx := rng.Perm(n)[:32]
+	alpha, rho, err := solve(K, labels, idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sumYA float64
+	bounded, free := 0, 0
+	for i, s := range idx {
+		y := float64(2*labels[s] - 1)
+		sumYA += y * alpha[i]
+		f := -rho
+		for j, r := range idx {
+			f += alpha[j] * float64(2*labels[r]-1) * K[s][r]
+		}
+		const tol = 1e-5
+		switch a := alpha[i]; {
+		case a < 0 || a > boxC:
+			t.Fatalf("α[%d] = %g outside [0, %g]", i, a, boxC)
+		case a == 0:
+			if y*f < 1-tol {
+				t.Errorf("α[%d] = 0 with y·f = %g", i, y*f)
+			}
+		case a == boxC:
+			bounded++
+			if y*f > 1+tol {
+				t.Errorf("α[%d] = C with y·f = %g", i, y*f)
+			}
+		default:
+			free++
+			if math.Abs(y*f-1) > tol {
+				t.Errorf("α[%d] = %g free with y·f = %g", i, a, y*f)
+			}
+		}
+	}
+	if math.Abs(sumYA) > 1e-12 {
+		t.Errorf("Σyα = %g", sumYA)
+	}
+	if bounded == 0 || free == 0 {
+		t.Errorf("%d α at C and %d free: the problem does not reach both cases", bounded, free)
 	}
 }

@@ -46,8 +46,11 @@ type smo32 struct {
 	runs  []idxRun  // idx as maximal runs of consecutive kernel indices
 	y     []float64 // ±1
 	alpha []float64
-	v     []float64 // −y·G: starts at y, since G starts at −1
+	v     []float64 // −y·G = y − K·(α∘y)
 	qd    []float64
+	// byClass lists the positions of the positive samples, then of the
+	// negative ones, each in ascending order: the rows classSums adds.
+	byClass []int
 	// outUp[t] is zero while t ∈ I_up = {y = +1, α < C} ∪ {y = −1, α > 0}
 	// and all ones otherwise; outLow is the same for I_low, I_up with the
 	// labels exchanged. That polarity is the assembly's: ORed into v[t] it
@@ -70,7 +73,7 @@ type idxRun struct{ pos, src, n int }
 // solverPool holds one solver per concurrently running cross-validation —
 // in effect one per stage-3 lane, as syrkPool does for the batched syrk. A
 // pooled solver keeps its grown scratch and nothing else (putSolver). The
-// scratch is 4n² + 80n bytes at the largest training set a solver has
+// scratch is 4n² + 88n bytes at the largest training set a solver has
 // seen (31 KB at n = 80, 1.1 MB at the paper's attention n = 522); there
 // is no size cap because sync.Pool already releases idle entries to the
 // garbage collector.
@@ -95,6 +98,7 @@ func putSolver(s *smo32) {
 func (s *smo32) grow(n int) {
 	s.kd = make([]float32, n*n)
 	s.runs = make([]idxRun, n)
+	s.byClass = make([]int, n)
 	s.y = make([]float64, n)
 	s.alpha = make([]float64, n)
 	s.v = make([]float64, n)
@@ -112,6 +116,7 @@ func (s *smo32) grow(n int) {
 // set is at most two runs and a row is two copy calls; any other list
 // (reversed, strided, shuffled, repeated) degrades to runs of one, a
 // gather done once per fold instead of twice per element per iteration.
+// Then seed sets the start point.
 //
 //lint:hotpath once per fold per voxel
 func (s *smo32) reset(K *tensor.Matrix, labels []int, trainIdx []int, p Params) {
@@ -138,20 +143,101 @@ func (s *smo32) reset(K *tensor.Matrix, labels []int, trainIdx []int, p Params) 
 
 	s.kd, s.y, s.alpha, s.v = s.kd[:n*n], s.y[:n], s.alpha[:n], s.v[:n]
 	s.qd, s.coef, s.outUp, s.outLow = s.qd[:n], s.coef[:n], s.outUp[:n], s.outLow[:n]
+	np := 0
+	for _, idx := range trainIdx {
+		np += labels[idx]
+	}
+	byClass := s.byClass[:n]
+	next := [2]int{np, 0} // the next slot of a negative, a positive sample
 	for i, idx := range trainIdx {
 		src := K.Row(idx)
 		dst := s.kd[i*n : i*n+n]
 		for _, r := range runs {
 			copy(dst[r.pos:r.pos+r.n], src[r.src:r.src+r.n])
 		}
-		// α = 0 < C is in I_up under label 1 and in I_low under label 0,
-		// and G = −1 makes v the label's sign.
 		l := labels[idx]
+		byClass[next[l]] = i
+		next[l]++
 		s.y[i] = float64(2*l - 1)
-		s.alpha[i] = 0
-		s.v[i] = s.y[i]
-		s.outUp[i], s.outLow[i] = uint64(l)-1, -uint64(l)
 		s.qd[i] = float64(dst[i])
+	}
+	s.seed(np)
+}
+
+// seed starts the solve at the minimum of the dual ½αᵀQα − 1ᵀα along the
+// class-balanced direction w: wᵢ = n₋ on a positive sample and n₊ on a
+// negative one (np = n₊), so Σyw = n₋n₊ − n₊n₋ = 0 in integers and every
+// point α = t·w of the ray is feasible. With c = y∘w and u = K·c, the
+// objective there is ½t²q − tΣw for q = cᵀu, least at t = Σw / q; t is
+// cut to C / max(n₊, n₋) where the box binds first. Then v = y − t·u.
+//
+// A benchmark fold is a hard-margin problem whose optimal α is
+// near-uniform within each class (most samples are support vectors, none
+// at C), so that point is most of the way to the solution, and a solve
+// from it takes a fraction of the iterations one from α = 0 does. When
+// q is not a positive finite number — a zero kernel, a single class, a
+// NaN or an infinite entry — the solve starts at α = 0 (v = y) instead.
+//
+// u is n₋·r₊ − n₊·r₋, where r± are the column sums of the dense rows of
+// each class (classSums). They accumulate in alpha and v, and u replaces
+// r₋ in v, so the seed needs no scratch of its own. Both passes over the
+// samples go class by class down byClass: within a class, w, α and the
+// masks are the same for every sample, and no branch asks for a label in
+// an order a predictor cannot learn.
+//
+//lint:hotpath once per fold per voxel
+func (s *smo32) seed(np int) {
+	n := s.n
+	alpha, v := s.alpha[:n], s.v[:n]
+	w := [2]float64{float64(np), float64(n - np)} // on a negative, a positive sample
+	rows := [2][]int{s.byClass[np:n], s.byClass[:np]}
+	if useAVX2 {
+		classSumsAVX2(s.kd[:n*n], s.byClass[:n], np, alpha, v)
+	} else {
+		classSums(s.kd[:n*n], s.byClass[:n], np, alpha, v)
+	}
+	var sum [2]float64 // Σu over each class
+	for c := range rows {
+		for _, k := range rows[c] {
+			u := float64(w[1]*alpha[k]) - float64(w[0]*v[k])
+			v[k] = u
+			sum[c] += u
+		}
+	}
+	q := float64(w[1]*sum[1]) - float64(w[0]*sum[0])
+	if !(q > 0) || math.IsInf(q, 1) {
+		for k, y := range s.y[:n] {
+			alpha[k], v[k] = 0, y
+			s.outUp[k], s.outLow[k] = outside(y, 0, s.c)
+		}
+		return
+	}
+	t := min(2*w[0]*w[1]/q, s.c/max(w[0], w[1]))
+	for c, y := range [2]float64{-1, 1} {
+		a := min(t*w[c], s.c)
+		up, low := outside(y, a, s.c)
+		for _, k := range rows[c] {
+			alpha[k] = a
+			v[k] = y - float64(t*v[k])
+			s.outUp[k], s.outLow[k] = up, low
+		}
+	}
+}
+
+// classSums sets rp and rm to the column sums of the dense kernel rows of
+// each class: the rows listed in rows[:np] and in rows[np:], each added
+// into a sum that starts at zero in the order listed. It is the reference
+// and the only path off amd64; classSumsAVX2 makes the same adds, a block
+// of columns at a time, bit for bit.
+func classSums(kd []float32, rows []int, np int, rp, rm []float64) {
+	n := len(rows)
+	for c, r := range [2][]float64{rp[:n], rm[:n]} {
+		clear(r)
+		for _, i := range [2][]int{rows[:np], rows[np:]}[c] {
+			for t, k := range kd[i*n : i*n+n] {
+				r[t] += float64(k)
+			}
+		}
 	}
 }
 

@@ -52,7 +52,7 @@ func (s CVStats) Confusion() [2][2]int {
 }
 
 // TotalIters returns the summed SMO iteration count, a proxy for solver
-// cost (the quantity the adaptive heuristic optimizes).
+// cost (svm.iters_per_voxel in the repo benchmark's traced run).
 func (s CVStats) TotalIters() int {
 	n := 0
 	for _, f := range s.Folds {

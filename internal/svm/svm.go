@@ -13,7 +13,8 @@
 // same iteration counts (EXPERIMENTS.md "At PR 28").
 //
 // The solver, smo32, is reused through a pool: per fold it compacts the
-// training sub-kernel into a dense float32 scratch, and its iteration is
+// training sub-kernel into a dense float32 scratch and starts at the
+// minimum of the dual along the class-balanced ray, and its iteration is
 // one fused pass that updates the gradient and selects the next working
 // pair, over state kept in the form that pass reads — in Go, and as one
 // AVX2 assembly loop per fold pinned to the Go loop bit for bit (DESIGN.md

@@ -31,7 +31,9 @@ func (s *smo32) sweep(i, j int, cyi, cyj float64) (int, int, bool) {
 	// I_low so far, and where.
 	gmax, gmin, imax, jmin := math.Inf(-1), math.Inf(1), -1, -1
 	for t := range v {
-		vt := v[t] - (cyi*float64(ki[t]) + cyj*float64(kj[t]))
+		// Each product is rounded by its conversion, so no build may fuse
+		// it into the add: the assembly's VMULPD, VADDPD, VSUBPD.
+		vt := v[t] - (float64(cyi*float64(ki[t])) + float64(cyj*float64(kj[t])))
 		v[t] = vt
 		// The value test comes first: it is the one that settles most
 		// elements once the scan has seen a few.

@@ -2,17 +2,17 @@ package svm
 
 import "fcma/internal/blas"
 
-// useAVX2 routes the fused first-order loop through the assembly in
-// sweep_amd64.s. It is set once, at init, from the one CPUID probe in the
-// tree (internal/blas); only tests write it afterwards, to hold the two
-// paths against each other.
+// useAVX2 routes the fused first-order loop and the seed's class sums
+// through the assembly in sweep_amd64.s. It is set once, at init, from the
+// one CPUID probe in the tree (internal/blas); only tests write it
+// afterwards, to hold the two paths against each other.
 //
 // The assembly multiplies, adds and divides separately (no FMA), in the
-// order of the Go expressions in step and sweep, clips in step's order and
-// resolves ties as the scalar scan does, so both paths leave the same bits
-// in every α and v[t] and select the same pairs. That pin is stated for
-// the default GOAMD64=v1: at v3 the Go compiler may itself fuse x*y+z in
-// the reference loop.
+// order of the Go expressions in step, sweep and classSums, clips in
+// step's order and resolves ties as the scalar scan does, so both paths
+// leave the same bits in every α and v[t] and select the same pairs. The
+// pin holds at any GOAMD64: the Go loops round each product by an explicit
+// float64 conversion, which the compiler may not fuse into an add.
 var useAVX2 = blas.HasAVX2()
 
 // solveAVX2 runs solveFused's loop body — step(i, j), then sweep if α
@@ -30,3 +30,10 @@ func solveAVX2(s *smo32, i, j, budget int) (done, ni, nj int, ok bool)
 //
 //go:noescape
 func sweepOnceAVX2(s *smo32, i, j int, cyi, cyj float64) (ni, nj int, ok bool)
+
+// classSumsAVX2 is classSums on the assembly path, which seed calls when
+// useAVX2 is set: the same adds in the same order, a block of columns at a
+// time.
+//
+//go:noescape
+func classSumsAVX2(kd []float32, rows []int, np int, rp, rm []float64)

@@ -12,7 +12,8 @@
 // so a later element replaces an equal earlier one as in the scalar scan,
 // and never select a NaN, like Go's comparisons. step is scalar VDIVSD,
 // VMULSD, VADDSD and VSUBSD with step's clamps behind VUCOMISD branches in
-// step's order.
+// step's order. The seed's class sums (classSumsAVX2, at the end) are
+// the one other routine here.
 //
 // VEX only: between the first YMM write and VZEROUPPER every instruction
 // must be VEX-encoded. A single legacy-SSE MOVQ CX, X11 in the prologue
@@ -363,4 +364,156 @@ exit:
 	MOVQ  R13, nj+48(FP)
 	TESTQ R12, R12
 	SETPL ok+56(FP)
+	RET
+
+// CLASSROW adds the columns at R10 of the row rows[BX] names into the sums:
+// four vectors of four into Y0–Y3 (CLASSROW16), one into Y0 (CLASSROW4),
+// or one column into X0 (CLASSROW1). R11 is the row stride in bytes.
+#define CLASSROW16 \
+	MOVQ      (BX), AX; \
+	IMULQ     R11, AX; \
+	VCVTPS2PD (R10)(AX*1), Y4; \
+	VCVTPS2PD 16(R10)(AX*1), Y5; \
+	VCVTPS2PD 32(R10)(AX*1), Y6; \
+	VCVTPS2PD 48(R10)(AX*1), Y7; \
+	VADDPD    Y4, Y0, Y0; \
+	VADDPD    Y5, Y1, Y1; \
+	VADDPD    Y6, Y2, Y2; \
+	VADDPD    Y7, Y3, Y3; \
+	ADDQ      $8, BX
+
+#define CLASSROW4 \
+	MOVQ      (BX), AX; \
+	IMULQ     R11, AX; \
+	VCVTPS2PD (R10)(AX*1), Y4; \
+	VADDPD    Y4, Y0, Y0; \
+	ADDQ      $8, BX
+
+#define CLASSROW1 \
+	MOVQ      (BX), AX; \
+	IMULQ     R11, AX; \
+	VCVTSS2SD (R10)(AX*1), X4, X4; \
+	VADDSD    X4, X0, X0; \
+	ADDQ      $8, BX
+
+// func classSumsAVX2(kd []float32, rows []int, np int, rp, rm []float64)
+//
+// classSums a block of columns at a time, the block's sum in registers:
+// 16 columns in Y0–Y3, then 4 in Y0, then one in X0. For each block the
+// rows of rows[:np] are widened by VCVTPS2PD (VCVTSS2SD for one column)
+// and added by VADDPD (VADDSD) in list order into a sum that starts at +0,
+// which is stored to rp; then the same for rows[np:] into rm.
+//
+// DX = the block's first column and R10 = its address in row 0; BX walks
+// the list, R12 = where the class's rows end in it, SI = its sums (rm
+// once the positive rows are done).
+TEXT ·classSumsAVX2(SB), NOSPLIT, $0-104
+	MOVQ kd_base+0(FP), R10
+	MOVQ rows_base+24(FP), DI
+	MOVQ rows_len+32(FP), CX
+	MOVQ np+48(FP), AX
+	MOVQ rp_base+56(FP), R8
+	MOVQ rm_base+80(FP), R9
+	LEAQ (DI)(AX*8), R13           // &rows[np]
+	LEAQ (DI)(CX*8), R14           // &rows[n]
+	LEAQ (CX*4), R11
+	XORQ DX, DX
+
+block16:
+	LEAQ 16(DX), AX
+	CMPQ AX, CX
+	JGT  block4
+	MOVQ DI, BX
+	MOVQ R13, R12
+	MOVQ R8, SI
+
+class16:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+
+rows16:
+	CMPQ BX, R12
+	JGE  sum16
+	CLASSROW16
+	JMP  rows16
+
+sum16:
+	VMOVUPD Y0, (SI)(DX*8)
+	VMOVUPD Y1, 32(SI)(DX*8)
+	VMOVUPD Y2, 64(SI)(DX*8)
+	VMOVUPD Y3, 96(SI)(DX*8)
+	CMPQ    SI, R9
+	JEQ     next16
+	MOVQ    R14, R12
+	MOVQ    R9, SI
+	JMP     class16
+
+next16:
+	ADDQ $16, DX
+	ADDQ $64, R10
+	JMP  block16
+
+block4:
+	LEAQ 4(DX), AX
+	CMPQ AX, CX
+	JGT  block1
+	MOVQ DI, BX
+	MOVQ R13, R12
+	MOVQ R8, SI
+
+class4:
+	VXORPD Y0, Y0, Y0
+
+rows4:
+	CMPQ BX, R12
+	JGE  sum4
+	CLASSROW4
+	JMP  rows4
+
+sum4:
+	VMOVUPD Y0, (SI)(DX*8)
+	CMPQ    SI, R9
+	JEQ     next4
+	MOVQ    R14, R12
+	MOVQ    R9, SI
+	JMP     class4
+
+next4:
+	ADDQ $4, DX
+	ADDQ $16, R10
+	JMP  block4
+
+block1:
+	CMPQ DX, CX
+	JGE  summed
+	MOVQ DI, BX
+	MOVQ R13, R12
+	MOVQ R8, SI
+
+class1:
+	VXORPD X0, X0, X0
+
+rows1:
+	CMPQ BX, R12
+	JGE  sum1
+	CLASSROW1
+	JMP  rows1
+
+sum1:
+	VMOVSD X0, (SI)(DX*8)
+	CMPQ   SI, R9
+	JEQ    next1
+	MOVQ   R14, R12
+	MOVQ   R9, SI
+	JMP    class1
+
+next1:
+	INCQ DX
+	ADDQ $4, R10
+	JMP  block1
+
+summed:
+	VZEROUPPER
 	RET

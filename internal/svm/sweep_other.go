@@ -14,3 +14,7 @@ func solveAVX2(s *smo32, i, j, budget int) (done, ni, nj int, ok bool) {
 func sweepOnceAVX2(s *smo32, i, j int, cyi, cyj float64) (ni, nj int, ok bool) {
 	panic("svm: AVX2 sweep on a non-amd64 build")
 }
+
+func classSumsAVX2(kd []float32, rows []int, np int, rp, rm []float64) {
+	panic("svm: AVX2 class sums on a non-amd64 build")
+}

@@ -107,19 +107,30 @@ func TestResetCompactsSubKernel(t *testing.T) {
 		if atMostTwoRuns[name] && len(s.runs) > 2 {
 			t.Fatalf("%s: compacted in %d runs, want at most 2", name, len(s.runs))
 		}
+		var byClass []int
+		for _, want := range []float64{1, -1} {
+			for i := range idx {
+				if s.y[i] == want {
+					byClass = append(byClass, i)
+				}
+			}
+		}
+		if fmt.Sprint(s.byClass[:n]) != fmt.Sprint(byClass) {
+			t.Fatalf("%s: byClass = %v, want the positive positions then the negative ones, %v", name, s.byClass[:n], byClass)
+		}
 		for i := range idx {
 			for k := range idx {
 				if got, want := s.kd[i*n+k], K.At(idx[i], idx[k]); math.Float32bits(got) != math.Float32bits(want) {
 					t.Fatalf("%s: kd[%d][%d] = %g, want K[%d][%d] = %g", name, i, k, got, idx[i], idx[k], want)
 				}
 			}
-			// G starts at −1, so v = −y·G at y; α = 0 is in I_up for a
-			// positive sample and in I_low for a negative one.
-			if s.qd[i] != float64(K.At(idx[i], idx[i])) || s.y[i] != float64(2*labels[idx[i]]-1) || s.alpha[i] != 0 || s.v[i] != s.y[i] {
-				t.Fatalf("%s: position %d starts at qd %g y %g α %g v %g", name, i, s.qd[i], s.y[i], s.alpha[i], s.v[i])
+			// The start point itself is TestSeedInvariants' subject; here
+			// the masks must be the membership the seeded α implies.
+			if s.qd[i] != float64(K.At(idx[i], idx[i])) || s.y[i] != float64(2*labels[idx[i]]-1) {
+				t.Fatalf("%s: position %d starts at qd %g y %g", name, i, s.qd[i], s.y[i])
 			}
-			if outUp, outLow := outside(s.y[i], 0, s.c); s.outUp[i] != outUp || s.outLow[i] != outLow {
-				t.Fatalf("%s: position %d (y %g) starts with masks outUp %#x outLow %#x", name, i, s.y[i], s.outUp[i], s.outLow[i])
+			if outUp, outLow := outside(s.y[i], s.alpha[i], s.c); s.outUp[i] != outUp || s.outLow[i] != outLow {
+				t.Fatalf("%s: position %d (y %g, α %g) starts with masks outUp %#x outLow %#x", name, i, s.y[i], s.alpha[i], s.outUp[i], s.outLow[i])
 			}
 		}
 	}
@@ -173,7 +184,7 @@ func (s *smo32) update(i, j int) {
 func (s *smo32) addGradient(i, j int, cyi, cyj float64) {
 	ki, kj := s.row(i), s.row(j)
 	for t := range s.v {
-		s.v[t] -= cyi*float64(ki[t]) + cyj*float64(kj[t])
+		s.v[t] -= float64(cyi*float64(ki[t])) + float64(cyj*float64(kj[t]))
 	}
 }
 
@@ -539,16 +550,17 @@ func TestMasksTrackMembership(t *testing.T) {
 // gSolver is the first-order solver as it was before the state became v:
 // it keeps the dual gradient g, multiplies by the label wherever a rule
 // needs −y·g, and tests α against the box in every scan. It shares the
-// compacted kernel of the solver it was made from.
+// compacted kernel of the solver it was made from, and starts where reset
+// left that solver: its α, and g = −y·v (exact, for y = ±1).
 type gSolver struct {
 	*smo32
 	alpha, g []float64
 }
 
 func newGSolver(s *smo32) *gSolver {
-	r := &gSolver{smo32: s, alpha: make([]float64, s.n), g: make([]float64, s.n)}
-	for i := range r.g {
-		r.g[i] = -1
+	r := &gSolver{smo32: s, alpha: append([]float64(nil), s.alpha...), g: make([]float64, s.n)}
+	for i, v := range s.v {
+		r.g[i] = -s.y[i] * v
 	}
 	return r
 }
@@ -624,7 +636,7 @@ func (r *gSolver) step(i, j int) {
 	cyi, cyj := (alpha[i]-oldAi)*yi, (alpha[j]-oldAj)*yj
 	ki, kj := r.row(i), r.row(j)
 	for t, yt := range r.y {
-		g[t] += yt * (cyi*float64(ki[t]) + cyj*float64(kj[t]))
+		g[t] += yt * (float64(cyi*float64(ki[t])) + float64(cyj*float64(kj[t])))
 	}
 }
 
@@ -703,9 +715,9 @@ var cvShapes = []struct {
 	{"paper_attention_n522", 1024, 30, 18},
 }
 
-// ROADMAP item 5's first hypothesis, counted: with C = 1 on these kernels
-// (K_ii ≈ N) no α of any fold reaches the box, so every fold is a
-// hard-margin problem, and most samples are support vectors.
+// What the seed relies on, counted: with C = 1 on these kernels (K_ii ≈ N)
+// no α of any fold reaches the box, so every fold is a hard-margin
+// problem, and most samples are support vectors.
 func TestBoxInactiveAtBenchmarkShapes(t *testing.T) {
 	for _, sh := range cvShapes {
 		if testing.Short() && sh.subjects > 6 {
