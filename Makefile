@@ -106,7 +106,7 @@ size:
 # the values the last reduction PR left. A PR that needs more raises them
 # in its own diff, where a reviewer sees the growth; one that shrinks the
 # module lowers them.
-MAX_MODULE_LINES = 22144
+MAX_MODULE_LINES = 22141
 MAX_EXPORTED = 357
 size-check:
 	@lines=$$($(MODULE_LINES)); exported=$$($(EXPORTED)); status=0; \

@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"context"
@@ -6,6 +6,8 @@ import (
 	"math"
 	"testing"
 
+	"fcma/internal/cluster"
+	"fcma/internal/core"
 	"fcma/internal/corr"
 	"fcma/internal/fmri"
 	"fcma/internal/ref"
@@ -36,14 +38,31 @@ const (
 	refMarginFrac = 2e-3
 )
 
+// refMaxDiffer is, per shape, how many test predictions may differ from
+// the reference's on any path and worker count: the counts the solver had
+// while its sweep state was float64, which the float32 state may not
+// exceed.
+var refMaxDiffer = map[string]int{"facescene_local": 1, "attention_cluster": 2, "online_subject": 0, "serve_smalljobs": 1}
+
+// refClusterShape is the shape whose voxels the reference test also scores
+// through cluster.RunLocal, the master and in-process ranks the
+// attention_cluster workload runs, at every refTaskSizes entry.
+const refClusterShape = "attention_cluster"
+
+// refTaskSizes are the master's task sizes the cluster leg runs: one
+// voxel, a few, and the whole brain in one task (0 stands for N).
+var refTaskSizes = []int{1, 8, 0}
+
 // The engine against internal/ref, the float64 FCMA, on every kernel path
 // (Go twins, YMM, ZMM; the SMO sweep's Go loop on the first, its assembly
 // on the others) × the four benchmark shapes × Workers 1 and 3: every
 // voxel's kernel matrix is within refKernelTol of the reference's, and
 // every test prediction is the one ref.CrossValidate makes on the
 // reference kernel — except where the reference decision value lies
-// within refMarginFrac of its fold's largest (counted and logged). The
-// task's CV accuracy is the one those predictions give.
+// within refMarginFrac of its fold's largest, and no more of those than
+// refMaxDiffer allows. The task's CV accuracy is the one those predictions
+// give, and on the attention shape so is every score cluster.RunLocal
+// returns, at each of refTaskSizes.
 func TestKernelPathsMatchReference(t *testing.T) {
 	for _, spec := range refShapes {
 		d, err := fmri.Generate(spec)
@@ -54,7 +73,7 @@ func TestKernelPathsMatchReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w0, err := NewWorker(Optimized(), st, nil)
+		w0, err := core.NewWorker(core.Optimized(), st, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +84,7 @@ func TestKernelPathsMatchReference(t *testing.T) {
 			}
 			labels[i] = e.Label
 		}
-		folds := w0.folds
+		folds := w0.Folds()
 		train, test := make([][]int, len(folds)), make([][]int, len(folds))
 		for f, fold := range folds {
 			train[f], test[f] = fold.Train, fold.Test
@@ -80,16 +99,17 @@ func TestKernelPathsMatchReference(t *testing.T) {
 			}
 		}
 		t.Run(spec.Name, func(t *testing.T) {
-			eachKernelPath(t, func(t *testing.T) {
+			core.EachKernelPath(t, func(t *testing.T) {
+				var accuracy []float64 // per voxel, from the engine's predictions
 				for _, workers := range []int{1, 3} {
-					cfg := Optimized()
+					cfg := core.Optimized()
 					cfg.Workers = workers
-					w, err := NewWorker(cfg, st, nil)
+					w, err := core.NewWorker(cfg, st, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
 					what := fmt.Sprintf("%s workers=%d", spec.Name, workers)
-					kernels, err := w.pipe.RunKernels(context.Background(), st, 0, N)
+					kernels, err := w.RunKernels(context.Background(), st, 0, N)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -100,10 +120,11 @@ func TestKernelPathsMatchReference(t *testing.T) {
 					if worst > refKernelTol {
 						t.Errorf("%s: kernel matrices %.2g from the reference, want <= %g", what, worst, refKernelTol)
 					}
-					scores, err := w.ProcessContext(context.Background(), Task{V0: 0, V: N})
+					scores, err := w.ProcessContext(context.Background(), core.Task{V0: 0, V: N})
 					if err != nil {
 						t.Fatal(err)
 					}
+					accuracy = make([]float64, N)
 					differ, total := 0, 0
 					for v := range kernels {
 						correct, tested := 0, 0
@@ -132,15 +153,54 @@ func TestKernelPathsMatchReference(t *testing.T) {
 							}
 						}
 						total += tested
-						if acc := float64(2*correct) / float64(2*tested); scores[v].Accuracy != acc {
-							t.Errorf("%s: voxel %d CV accuracy %g, its predictions score %g", what, v, scores[v].Accuracy, acc)
+						accuracy[v] = float64(2*correct) / float64(2*tested)
+						if scores[v].Accuracy != accuracy[v] {
+							t.Errorf("%s: voxel %d CV accuracy %g, its predictions score %g", what, v, scores[v].Accuracy, accuracy[v])
 						}
 					}
 					t.Logf("%s: kernel rel err %.2g; %d of %d test predictions differ from the reference, all within %g of their fold's largest |d_ref|",
 						what, worst, differ, total, refMarginFrac)
+					if differ > refMaxDiffer[spec.Name] {
+						t.Errorf("%s: %d test predictions differ from the reference, at most %d may", what, differ, refMaxDiffer[spec.Name])
+					}
+				}
+				if spec.Name == refClusterShape {
+					requireClusterScores(t, st, accuracy)
 				}
 			})
 		})
+	}
+}
+
+// requireClusterScores runs the whole brain through cluster.RunLocal — two
+// in-process ranks of one Workers = 1 core.Worker each, as the
+// attention_cluster workload runs them — at each of refTaskSizes, and
+// holds every voxel's score to the accuracy the engine's predictions give.
+func requireClusterScores(t *testing.T, st *corr.EpochStack, accuracy []float64) {
+	t.Helper()
+	cfg := core.Optimized()
+	cfg.Workers = 1
+	for _, size := range refTaskSizes {
+		if size == 0 {
+			size = st.N
+		}
+		scores, err := cluster.RunLocal(context.Background(), 2, st.N, size, cluster.MasterOptions{},
+			func(int) (cluster.TaskProcessor, cluster.WorkerOptions, error) {
+				w, err := core.NewWorker(cfg, st, nil)
+				return w, cluster.WorkerOptions{}, err
+			})
+		if err != nil {
+			t.Fatalf("cluster.RunLocal, task size %d: %v", size, err)
+		}
+		if len(scores) != st.N {
+			t.Fatalf("cluster.RunLocal, task size %d: %d scores for %d voxels", size, len(scores), st.N)
+		}
+		for v, sc := range scores {
+			if sc.Voxel != v || sc.Accuracy != accuracy[v] {
+				t.Errorf("cluster.RunLocal, task size %d: score %d is voxel %d at %g, want voxel %d at %g",
+					size, v, sc.Voxel, sc.Accuracy, v, accuracy[v])
+			}
+		}
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 // the seed is measured against, not a production path.
 func (s *smo32) coldStart() {
 	for k, y := range s.y {
-		s.alpha[k], s.v[k] = 0, y
+		s.alpha[k], s.v[k] = 0, float32(y)
 		s.outUp[k], s.outLow[k] = outside(y, 0, s.c)
 	}
 }
@@ -38,8 +38,9 @@ func dualAt(K *tensor.Matrix, y []float64, idx []int, alpha []float64) float64 {
 
 // requireSeedInvariants holds a freshly reset solver to what the seed
 // promises: α inside the box and on Σyα = 0; v = y − K·(α∘y), recomputed
-// here; and a dual objective no higher than at α = 0 or a step of 10⁻³
-// either way along the ray (only the shorter one when the box cut t).
+// here, rounded once to float32; and a dual objective no higher than at
+// α = 0 or a step of 10⁻³ either way along the ray (only the shorter one
+// when the box cut t).
 func requireSeedInvariants(t *testing.T, what string, s *smo32, K *tensor.Matrix, idx []int) {
 	t.Helper()
 	var sumYA, sumA float64
@@ -60,8 +61,10 @@ func requireSeedInvariants(t *testing.T, what string, s *smo32, K *tensor.Matrix
 			want -= term
 			scale += math.Abs(term)
 		}
-		if math.Abs(s.v[k]-want) > 1e-12*scale {
-			t.Fatalf("%s: v[%d] = %.17g, y − K·(α∘y) = %.17g", what, k, s.v[k], want)
+		// The float64 value is within 10⁻¹² of want; rounding it to v's
+		// float32 moves it by at most half an ulp, 2⁻²⁴ of its size.
+		if tol := 1e-12*scale + 0x1p-24*(math.Abs(want)+1e-12*scale); math.Abs(float64(s.v[k])-want) > tol {
+			t.Fatalf("%s: v[%d] = %.9g, y − K·(α∘y) = %.17g", what, k, s.v[k], want)
 		}
 		if outUp, outLow := outside(s.y[k], s.alpha[k], s.c); s.outUp[k] != outUp || s.outLow[k] != outLow {
 			t.Fatalf("%s: masks[%d] are not the membership of α = %g", what, k, s.alpha[k])
@@ -144,7 +147,7 @@ func TestSeedFallsBackToZero(t *testing.T) {
 			s := new(smo32)
 			s.reset(c.K, c.labels, allIdx(len(c.labels)), Params{})
 			for k, y := range s.y {
-				if s.alpha[k] != 0 || s.v[k] != y {
+				if s.alpha[k] != 0 || float64(s.v[k]) != y {
 					t.Fatalf("%s: position %d starts at α %g v %g, want α = 0, v = y = %g", name, k, s.alpha[k], s.v[k], y)
 				}
 				if outUp, outLow := outside(y, 0, s.c); s.outUp[k] != outUp || s.outLow[k] != outLow {

@@ -1,12 +1,11 @@
 package svm
 
-// The float32-kernel SMO solver deliberately keeps its alpha/gradient
-// state in float64, matching LIBSVM practice: the kernel matrix stays
-// float32 (the paper's determinism contract) while the iterative
-// optimizer accumulates in double so convergence is stable. The whole
-// file is annotated rather than each of the ~45 sites.
+// The solver splits its precision as the paper's PhiSVM does: v and the
+// masks, the n-long state the sweep streams, are 32-bit like the kernel;
+// α, step's two-variable update, the seed's sums and ρ are float64. The
+// whole file is annotated rather than each float64 site.
 //
-//lint:file-allow f32purity deliberate float64 alpha/gradient accumulation per LIBSVM practice; kernel data stays float32
+//lint:file-allow f32purity α, step's update, the seed's class sums and ρ are float64; the sweep's state v and the kernel stay float32, as in the paper's PhiSVM
 
 import (
 	"errors"
@@ -24,13 +23,13 @@ import (
 // analytic two-variable update. sweep is the fused first-order iteration:
 // one pass that maintains the gradient and carries the next
 // maximal-violating pair (Keerthi et al. 2001), the one working-set rule
-// the solver runs. Solver state is float64 for stability.
+// the solver runs.
 //
-// The state is the one the sweep reads. v[t] = −y[t]·G[t] is the quantity
-// the selection compares (G the dual gradient), so no loop
+// The state is the one the sweep reads. v[t] = −y[t]·G[t] (float32, G the
+// dual gradient) is the quantity the selection compares, so no loop
 // multiplies by the label; outUp and outLow are the complements of the two
-// membership sets as all-ones / zero masks, which only step rewrites, at
-// the two positions whose α it moved.
+// membership sets as 32-bit all-ones / zero masks, which only step
+// rewrites, at the two positions whose α it moved.
 //
 // A solver is reused, not rebuilt: solverPool hands one to each
 // cross-validation call, reset re-aims it at each fold, and its scratch
@@ -46,7 +45,7 @@ type smo32 struct {
 	runs  []idxRun  // idx as maximal runs of consecutive kernel indices
 	y     []float64 // ±1
 	alpha []float64
-	v     []float64 // −y·G = y − K·(α∘y)
+	v     []float32 // −y·G = y − K·(α∘y)
 	qd    []float64
 	// byClass lists the positions of the positive samples, then of the
 	// negative ones, each in ascending order: the rows classSums adds.
@@ -56,7 +55,7 @@ type smo32 struct {
 	// labels exchanged. That polarity is the assembly's: ORed into v[t] it
 	// turns a sample outside the set into a NaN, which no ordered
 	// comparison selects.
-	outUp, outLow []uint64
+	outUp, outLow []uint32
 	// coef = α·y and rho, set by finish: the classifier decide evaluates.
 	coef []float64
 	rho  float64
@@ -73,7 +72,7 @@ type idxRun struct{ pos, src, n int }
 // solverPool holds one solver per concurrently running cross-validation —
 // in effect one per stage-3 lane, as syrkPool does for the batched syrk. A
 // pooled solver keeps its grown scratch and nothing else (putSolver). The
-// scratch is 4n² + 88n bytes at the largest training set a solver has
+// scratch is 4n² + 76n bytes at the largest training set a solver has
 // seen (31 KB at n = 80, 1.1 MB at the paper's attention n = 522); there
 // is no size cap because sync.Pool already releases idle entries to the
 // garbage collector.
@@ -101,10 +100,10 @@ func (s *smo32) grow(n int) {
 	s.byClass = make([]int, n)
 	s.y = make([]float64, n)
 	s.alpha = make([]float64, n)
-	s.v = make([]float64, n)
+	s.v = make([]float32, n)
 	s.qd = make([]float64, n)
-	s.outUp = make([]uint64, n)
-	s.outLow = make([]uint64, n)
+	s.outUp = make([]uint32, n)
+	s.outLow = make([]uint32, n)
 	s.coef = make([]float64, n)
 }
 
@@ -169,7 +168,7 @@ func (s *smo32) reset(K *tensor.Matrix, labels []int, trainIdx []int, p Params) 
 // negative one (np = n₊), so Σyw = n₋n₊ − n₊n₋ = 0 in integers and every
 // point α = t·w of the ray is feasible. With c = y∘w and u = K·c, the
 // objective there is ½t²q − tΣw for q = cᵀu, least at t = Σw / q; t is
-// cut to C / max(n₊, n₋) where the box binds first. Then v = y − t·u.
+// cut to C / max(n₊, n₋) where the box binds first. Then v = float32(y − t·u).
 //
 // A benchmark fold is a hard-margin problem whose optimal α is
 // near-uniform within each class (most samples are support vectors, none
@@ -178,9 +177,9 @@ func (s *smo32) reset(K *tensor.Matrix, labels []int, trainIdx []int, p Params) 
 // q is not a positive finite number — a zero kernel, a single class, a
 // NaN or an infinite entry — the solve starts at α = 0 (v = y) instead.
 //
-// u is n₋·r₊ − n₊·r₋, where r± are the column sums of the dense rows of
-// each class (classSums). They accumulate in alpha and v, and u replaces
-// r₋ in v, so the seed needs no scratch of its own. Both passes over the
+// u is n₋·r₊ − n₊·r₋, where r± are the float64 column sums of the dense
+// rows of each class (classSums). They accumulate in alpha and in coef,
+// which finish overwrites, and u replaces r₋ there. Both passes over the
 // samples go class by class down byClass: within a class, w, α and the
 // masks are the same for every sample, and no branch asks for a label in
 // an order a predictor cannot learn.
@@ -188,26 +187,25 @@ func (s *smo32) reset(K *tensor.Matrix, labels []int, trainIdx []int, p Params) 
 //lint:hotpath once per fold per voxel
 func (s *smo32) seed(np int) {
 	n := s.n
-	alpha, v := s.alpha[:n], s.v[:n]
+	alpha, u, v := s.alpha[:n], s.coef[:n], s.v[:n]
 	w := [2]float64{float64(np), float64(n - np)} // on a negative, a positive sample
 	rows := [2][]int{s.byClass[np:n], s.byClass[:np]}
 	if useAVX2 {
-		classSumsAVX2(s.kd[:n*n], s.byClass[:n], np, alpha, v)
+		classSumsAVX2(s.kd[:n*n], s.byClass[:n], np, alpha, u)
 	} else {
-		classSums(s.kd[:n*n], s.byClass[:n], np, alpha, v)
+		classSums(s.kd[:n*n], s.byClass[:n], np, alpha, u)
 	}
 	var sum [2]float64 // Σu over each class
 	for c := range rows {
 		for _, k := range rows[c] {
-			u := float64(w[1]*alpha[k]) - float64(w[0]*v[k])
-			v[k] = u
-			sum[c] += u
+			u[k] = float64(w[1]*alpha[k]) - float64(w[0]*u[k])
+			sum[c] += u[k]
 		}
 	}
 	q := float64(w[1]*sum[1]) - float64(w[0]*sum[0])
 	if !(q > 0) || math.IsInf(q, 1) {
 		for k, y := range s.y[:n] {
-			alpha[k], v[k] = 0, y
+			alpha[k], v[k] = 0, float32(y)
 			s.outUp[k], s.outLow[k] = outside(y, 0, s.c)
 		}
 		return
@@ -218,7 +216,7 @@ func (s *smo32) seed(np int) {
 		up, low := outside(y, a, s.c)
 		for _, k := range rows[c] {
 			alpha[k] = a
-			v[k] = y - float64(t*v[k])
+			v[k] = float32(y - float64(t*u[k]))
 			s.outUp[k], s.outLow[k] = up, low
 		}
 	}
@@ -263,7 +261,7 @@ func (s *smo32) solve() (int, error) {
 // solveChunk bounds the iterations of one solveAVX2 call. Assembly has no
 // preemption points, so a fold that runs to the default MaxIter of 10⁷
 // would otherwise hold off a garbage collection for seconds; 8192
-// iterations are under 5 ms at the paper's n = 522, and every fold of the
+// iterations are under 3 ms at the paper's n = 522, and every fold of the
 // benchmark shapes converges inside one call.
 const solveChunk = 1 << 13
 
@@ -289,9 +287,7 @@ func (s *smo32) solveFused() (iters int, converged bool) {
 
 // selectFirstOrder implements the maximal-violating-pair rule.
 func (s *smo32) selectFirstOrder() (int, int, bool) {
-	gmax := math.Inf(-1)
-	gmin := math.Inf(1)
-	imax, jmin := -1, -1
+	gmax, gmin, imax, jmin := float32(math.Inf(-1)), float32(math.Inf(1)), -1, -1
 	for t, vt := range s.v {
 		if vt >= gmax && s.outUp[t] == 0 {
 			gmax, imax = vt, t
@@ -300,7 +296,7 @@ func (s *smo32) selectFirstOrder() (int, int, bool) {
 			gmin, jmin = vt, t
 		}
 	}
-	if imax == -1 || jmin == -1 || gmax-gmin < s.eps {
+	if imax == -1 || jmin == -1 || float64(gmax)-float64(gmin) < s.eps {
 		return -1, -1, false
 	}
 	return imax, jmin, true
@@ -308,12 +304,12 @@ func (s *smo32) selectFirstOrder() (int, int, bool) {
 
 // outside reports whether a sample with label y and multiplier alpha is
 // outside I_up and outside I_low, as the masks outUp and outLow store it.
-func outside(y, alpha, c float64) (outUp, outLow uint64) {
+func outside(y, alpha, c float64) (outUp, outLow uint32) {
 	if !inUp(y, alpha, c) {
-		outUp = ^uint64(0)
+		outUp = ^uint32(0)
 	}
 	if !inUp(-y, alpha, c) {
-		outLow = ^uint64(0)
+		outLow = ^uint32(0)
 	}
 	return outUp, outLow
 }
@@ -332,17 +328,17 @@ func inUp(y, alpha, c float64) bool {
 // +yᵢ·d and αⱼ by −yⱼ·d, and are then clipped to the box in LibSVM's
 // order. It rewrites the membership masks at i and j, and reports whether
 // either α moved and, if so, the two coefficients Δαᵢ·yᵢ and Δαⱼ·yⱼ the
-// caller owes every v[t].
+// caller owes every v[t], each rounded once to the sweep's float32.
 //
 //lint:hotpath once per SMO iteration
-func (s *smo32) step(i, j int) (cyi, cyj float64, moved bool) {
+func (s *smo32) step(i, j int) (cyi, cyj float32, moved bool) {
 	c := s.c
 	yi, yj := s.y[i], s.y[j]
 	quad := s.qd[i] + s.qd[j] - 2*float64(s.kd[i*s.n+j])
 	if quad <= 0 {
 		quad = tau
 	}
-	d := (s.v[i] - s.v[j]) / quad
+	d := (float64(s.v[i]) - float64(s.v[j])) / quad
 	oldAi, oldAj := s.alpha[i], s.alpha[j]
 	ai, aj := oldAi+yi*d, oldAj-yj*d
 	if yi != yj {
@@ -394,19 +390,18 @@ func (s *smo32) step(i, j int) (cyi, cyj float64, moved bool) {
 	if dai == 0 && daj == 0 {
 		return 0, 0, false
 	}
-	return dai * yi, daj * yj, true
+	return float32(dai * yi), float32(daj * yj), true
 }
 
 // threshold is LibSVM's ρ: the mean of y·G = −v over the free α, or the
 // midpoint of the bounds the α at 0 and at C put on it. A bounded sample
 // is in exactly one of the two sets.
 func (s *smo32) threshold() float64 {
-	ub := math.Inf(1)
-	lb := math.Inf(-1)
+	ub, lb := math.Inf(1), math.Inf(-1)
 	var sumFree float64
 	nFree := 0
 	for t, vt := range s.v {
-		switch yg := -vt; {
+		switch yg := -float64(vt); {
 		case s.outLow[t] != 0:
 			ub = math.Min(ub, yg)
 		case s.outUp[t] != 0:
@@ -425,7 +420,7 @@ func (s *smo32) threshold() float64 {
 func (s *smo32) objective() float64 {
 	var obj float64
 	for i, a := range s.alpha {
-		obj += a * (-s.y[i]*s.v[i] - 1)
+		obj += a * (-s.y[i]*float64(s.v[i]) - 1)
 	}
 	return obj / 2
 }

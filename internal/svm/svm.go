@@ -18,8 +18,10 @@
 // one fused pass that updates the gradient and selects the next working
 // pair, over state kept in the form that pass reads — in Go, and as one
 // AVX2 assembly loop per fold pinned to the Go loop bit for bit (DESIGN.md
-// §17). The unfused select-then-update loop both are pinned to is the
-// tests' oracle.
+// §17). The precision split is PhiSVM's: that state (v = −y·G and two
+// membership masks) is 32-bit like the kernel, eight lanes to a YMM
+// register, while α and the two-variable step are float64. The unfused
+// select-then-update loop both paths are pinned to is the tests' oracle.
 //
 // CrossValidateContext and CrossValidateDetailed share one fold loop.
 // Invalid input — an index outside the kernel, a label that is not 0 or 1,

@@ -2,10 +2,10 @@ package svm
 
 // The fused first-order iteration: gradient maintenance and the next
 // working-set selection in one unit-stride pass over two dense kernel
-// rows. Like the rest of the solver it keeps float64 state over float32
-// kernel data.
+// rows, all in float32 as in the paper's PhiSVM; only the convergence test
+// widens the two extremes to compare their gap with eps.
 //
-//lint:file-allow f32purity deliberate float64 alpha/gradient accumulation per LIBSVM practice; kernel data stays float32
+//lint:file-allow f32purity the convergence test takes the float32 extremes' gap in float64, as selectFirstOrder does
 
 import "math"
 
@@ -18,22 +18,22 @@ import "math"
 // index wins a tie — and returns what selectFirstOrder would.
 //
 // This loop is the reference and the only path off amd64. With AVX2 the
-// same pass runs in sweep_amd64.s, eight elements at a time, inside the
+// same pass runs in sweep_amd64.s, in two eight-lane scans, inside the
 // assembly loop that also holds step.
 //
 //lint:hotpath once per SMO iteration, the stage-3 inner loop
-func (s *smo32) sweep(i, j int, cyi, cyj float64) (int, int, bool) {
+func (s *smo32) sweep(i, j int, cyi, cyj float32) (int, int, bool) {
 	v := s.v
 	n := len(v)
 	ki, kj := s.row(i)[:n], s.row(j)[:n]
 	outUp, outLow := s.outUp[:n], s.outLow[:n]
 	// The scan's state: the largest v over I_up and the smallest over
 	// I_low so far, and where.
-	gmax, gmin, imax, jmin := math.Inf(-1), math.Inf(1), -1, -1
+	gmax, gmin, imax, jmin := float32(math.Inf(-1)), float32(math.Inf(1)), -1, -1
 	for t := range v {
 		// Each product is rounded by its conversion, so no build may fuse
-		// it into the add: the assembly's VMULPD, VADDPD, VSUBPD.
-		vt := v[t] - (float64(cyi*float64(ki[t])) + float64(cyj*float64(kj[t])))
+		// it into the add: the assembly's VMULPS, VADDPS, VSUBPS.
+		vt := v[t] - (float32(cyi*ki[t]) + float32(cyj*kj[t]))
 		v[t] = vt
 		// The value test comes first: it is the one that settles most
 		// elements once the scan has seen a few.
@@ -44,7 +44,7 @@ func (s *smo32) sweep(i, j int, cyi, cyj float64) (int, int, bool) {
 			gmin, jmin = vt, t
 		}
 	}
-	if imax == -1 || jmin == -1 || gmax-gmin < s.eps {
+	if imax == -1 || jmin == -1 || float64(gmax)-float64(gmin) < s.eps {
 		return -1, -1, false
 	}
 	return imax, jmin, true

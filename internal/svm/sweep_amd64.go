@@ -8,11 +8,11 @@ import "fcma/internal/blas"
 // afterwards, to hold the two paths against each other.
 //
 // The assembly multiplies, adds and divides separately (no FMA), in the
-// order of the Go expressions in step, sweep and classSums, clips in
-// step's order and resolves ties as the scalar scan does, so both paths
-// leave the same bits in every α and v[t] and select the same pairs. The
-// pin holds at any GOAMD64: the Go loops round each product by an explicit
-// float64 conversion, which the compiler may not fuse into an add.
+// order and width of the Go expressions in step, sweep and classSums,
+// clips in step's order and resolves ties as the scalar scan does, so both
+// paths leave the same bits in every α, v[t] and mask and select the same
+// pairs. The pin holds at any GOAMD64: the Go loops round each product by
+// an explicit conversion, which the compiler may not fuse into an add.
 var useAVX2 = blas.HasAVX2()
 
 // solveAVX2 runs solveFused's loop body — step(i, j), then sweep if α
@@ -29,7 +29,7 @@ func solveAVX2(s *smo32, i, j, budget int) (done, ni, nj int, ok bool)
 // fuzz target hold against the Go loop.
 //
 //go:noescape
-func sweepOnceAVX2(s *smo32, i, j int, cyi, cyj float64) (ni, nj int, ok bool)
+func sweepOnceAVX2(s *smo32, i, j int, cyi, cyj float32) (ni, nj int, ok bool)
 
 // classSumsAVX2 is classSums on the assembly path, which seed calls when
 // useAVX2 is set: the same adds in the same order, a block of columns at a

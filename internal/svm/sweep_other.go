@@ -11,7 +11,7 @@ func solveAVX2(s *smo32, i, j, budget int) (done, ni, nj int, ok bool) {
 	panic("svm: AVX2 solve loop on a non-amd64 build")
 }
 
-func sweepOnceAVX2(s *smo32, i, j int, cyi, cyj float64) (ni, nj int, ok bool) {
+func sweepOnceAVX2(s *smo32, i, j int, cyi, cyj float32) (ni, nj int, ok bool) {
 	panic("svm: AVX2 sweep on a non-amd64 build")
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"fcma/internal/blas"
@@ -16,10 +17,11 @@ import (
 
 // The fused first-order iteration is pinned to the unfused one bit for
 // bit, and the assembly loop to the Go loop: every test here runs the same
-// state down two paths and demands math.Float64bits equality (NaN against
-// NaN, the payload aside) and the same selected pair. That pin is what
-// lets every equality check above this package — cluster == local,
-// served == direct, repeat identity — vouch for stage 3's assembly too.
+// state down two paths and demands equal bits — float64 α, float32 v,
+// 32-bit masks; NaN against NaN, the payload aside — and the same selected
+// pair. That pin is what lets every equality check above this package —
+// cluster == local, served == direct, repeat identity — vouch for stage
+// 3's assembly too.
 
 // eachSweepPath runs f as a subtest on the Go loop and on the assembly
 // loop; the AVX2 half skips where the probe says the host has none.
@@ -39,19 +41,21 @@ func eachSweepPath(t *testing.T, f func(t *testing.T)) {
 	})
 }
 
-func sameFloat(a, b float64) bool {
-	return math.Float64bits(a) == math.Float64bits(b) || (a != a && b != b)
+// sameFloat is equality of bits at either width: equal values with the
+// same sign bit, or two NaNs.
+func sameFloat[F float32 | float64](a, b F) bool {
+	return (a == b && math.Signbit(float64(a)) == math.Signbit(float64(b))) || (a != a && b != b)
 }
 
-func requireSameFloats(t *testing.T, what string, got, want []float64) {
+func requireSameFloats[F float32 | float64](t *testing.T, what string, got, want []F) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d values, want %d", what, len(got), len(want))
 	}
 	for i := range want {
 		if !sameFloat(got[i], want[i]) {
-			t.Fatalf("%s[%d] = %g (%#016x), want %g (%#016x)", what, i,
-				got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+			t.Fatalf("%s[%d] = %g (%#016x), want %g (%#016x)", what, i, got[i],
+				math.Float64bits(float64(got[i])), want[i], math.Float64bits(float64(want[i])))
 		}
 	}
 }
@@ -180,17 +184,19 @@ func (s *smo32) update(i, j int) {
 }
 
 // addGradient is G_t += Q_ti·Δαi + Q_tj·Δαj over the two dense kernel
-// rows, read with unit stride — in v, where Q's labels cancel.
-func (s *smo32) addGradient(i, j int, cyi, cyj float64) {
+// rows, read with unit stride — in v, where Q's labels cancel, in float32
+// as the state is: each product rounded, then their sum, then v's.
+func (s *smo32) addGradient(i, j int, cyi, cyj float32) {
 	ki, kj := s.row(i), s.row(j)
 	for t := range s.v {
-		s.v[t] -= float64(cyi*float64(ki[t])) + float64(cyj*float64(kj[t]))
+		s.v[t] -= float32(cyi*ki[t]) + float32(cyj*kj[t])
 	}
 }
 
 // (b) Fused vs unfused: solve() reaches the state of solveUnfused — a plain
 // selectFirstOrder and an update per iteration, the first-order solver as
-// it was before the sweep — in the same iteration count, on both paths.
+// it was before the sweep, over the same float32 v — in the same iteration
+// count, on both paths.
 func TestFusedSolveMatchesUnfused(t *testing.T) {
 	sizes := []int{16, 17, 23, 36, 80, 204}
 	for n := 1; n <= 13; n++ {
@@ -252,9 +258,9 @@ func requireSameMasks(t *testing.T, got, want *smo32) {
 // sweepState builds a solver mid-solve from the state a sweep reads: row i
 // of its dense kernel is ki, row j is kj (i = 0, j = 1, or both 0 when
 // n = 1).
-func sweepState(v []float64, outUp, outLow []uint64, ki, kj []float32) (s *smo32, i, j int) {
+func sweepState(v []float32, outUp, outLow []uint32, ki, kj []float32) (s *smo32, i, j int) {
 	n := len(v)
-	s = &smo32{n: n, eps: DefaultEps, kd: make([]float32, n*n), v: append([]float64(nil), v...), outUp: outUp, outLow: outLow}
+	s = &smo32{n: n, eps: DefaultEps, kd: make([]float32, n*n), v: append([]float32(nil), v...), outUp: outUp, outLow: outLow}
 	j = min(1, n-1)
 	copy(s.row(j), kj)
 	copy(s.row(i), ki)
@@ -262,7 +268,7 @@ func sweepState(v []float64, outUp, outLow []uint64, ki, kj []float32) (s *smo32
 }
 
 // sweepOnPath is one sweep on the path useAVX2 names.
-func sweepOnPath(s *smo32, i, j int, cyi, cyj float64) (int, int, bool) {
+func sweepOnPath(s *smo32, i, j int, cyi, cyj float32) (int, int, bool) {
 	if useAVX2 {
 		return sweepOnceAVX2(s, i, j, cyi, cyj)
 	}
@@ -271,7 +277,7 @@ func sweepOnPath(s *smo32, i, j int, cyi, cyj float64) (int, int, bool) {
 
 // requireSweepMatchesOracle runs one sweep from the given state on the
 // current path and holds it to addGradient + selectFirstOrder.
-func requireSweepMatchesOracle(t *testing.T, v []float64, outUp, outLow []uint64, ki, kj []float32, cyi, cyj float64) {
+func requireSweepMatchesOracle(t *testing.T, v []float32, outUp, outLow []uint32, ki, kj []float32, cyi, cyj float32) {
 	t.Helper()
 	want, i, j := sweepState(v, outUp, outLow, ki, kj)
 	want.addGradient(i, j, cyi, cyj)
@@ -287,8 +293,9 @@ func requireSweepMatchesOracle(t *testing.T, v []float64, outUp, outLow []uint64
 
 // (b, continued) Constructed ties and special values, one sweep each: the
 // last index must win among equals in every arrangement of the assembly's
-// eight lanes — two four-lane scans, a four-wide tail step, a scalar tail
-// of up to three — including when the only candidate sits in a tail.
+// lanes — two eight-lane scans per sixteen elements, an eight-wide tail
+// step, a scalar tail of up to seven — including when the only candidate
+// sits in a tail. The sizes run through every n mod 16.
 func TestSweepTieBreaks(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	inf := math.Inf(1)
@@ -319,16 +326,17 @@ func TestSweepTieBreaks(t *testing.T) {
 		"α past the bounds and NaN": func(t, n int) state {
 			return state{float64(2*(t%2) - 1), []float64{-1, 2, math.NaN(), 0.5}[t%4], 0.5}
 		},
-		// Elements t and t+4 of an eight-wide step share a lane of the two
-		// scans; the extremes repeat every eight, so the last block wins.
+		// Elements t and t+8 of a sixteen-wide step share a lane of the
+		// two scans; the extremes repeat every eight, so the last block
+		// wins.
 		"equal extremes in both scans": func(t, n int) state {
-			return free([]float64{0, -2, 3, 0, 0, -2, 3, 0}[t%8])
+			return free([]float64{0, -2, 3, 0, 0, 0, 0, 0}[t%8])
 		},
 		"equal extremes in two lanes of one scan": func(t, n int) state {
-			return free([]float64{-2, 0, -2, 0, 0, 3, 0, 3}[t%8])
+			return free([]float64{-2, 0, -2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 3}[t%16])
 		},
 		"equal extremes across scans and lanes": func(t, n int) state {
-			return free([]float64{0, 3, -2, 0, -2, 0, 0, 3}[t%8])
+			return free([]float64{0, 3, -2, 0, 0, 0, 0, 0, -2, 0, 0, 0, 0, 0, 0, 3}[t%16])
 		},
 		"lone I_up member is last": func(t, n int) state {
 			if t == n-1 {
@@ -351,16 +359,16 @@ func TestSweepTieBreaks(t *testing.T) {
 		"I_low is empty": func(t, n int) state { return state{1, 0, float64(t % 3)} },
 		"I_up is empty":  func(t, n int) state { return state{1, C, float64(t % 3)} },
 	}
-	sizes := []int{33, 40, 67}
-	for n := 1; n <= 26; n++ { // n mod 8 = 0…7, with zero to three eight-wide steps
+	sizes := []int{40, 67, 80}
+	for n := 1; n <= 33; n++ { // n mod 16 = 0…15, with zero to two sixteen-wide steps
 		sizes = append(sizes, n)
 	}
 	sweepBothRows := func(t *testing.T, n int, at func(t, n int) state) {
 		t.Helper()
-		v, outUp, outLow := make([]float64, n), make([]uint64, n), make([]uint64, n)
+		v, outUp, outLow := make([]float32, n), make([]uint32, n), make([]uint32, n)
 		for k := 0; k < n; k++ {
 			st := at(k, n)
-			v[k] = -st.y * st.g
+			v[k] = float32(-st.y * st.g)
 			outUp[k], outLow[k] = outside(st.y, st.alpha, C)
 		}
 		// Zero rows leave v where the case put it; equal rows move every
@@ -379,9 +387,9 @@ func TestSweepTieBreaks(t *testing.T) {
 			}
 		}
 		// A lone member of I_up, then of I_low, at every position p of
-		// every size — so in each lane of either scan, in the four-wide
-		// tail and in the scalar tail — among ties, and at the value an
-		// empty lane holds.
+		// every size — so in each lane of either scan, in the eight-wide
+		// tail and in each slot of the scalar tail — among ties, and at the
+		// value an empty lane holds.
 		for _, n := range sizes {
 			for p := 0; p < n; p++ {
 				for _, g := range []float64{7, inf, -inf} {
@@ -403,35 +411,35 @@ func TestSweepTieBreaks(t *testing.T) {
 // v, the kernel rows and the coefficients, and any pair of masks.
 func FuzzSMOSweepMatchesGo(f *testing.F) {
 	rng := rand.New(rand.NewSource(19))
-	for _, n := range []int{1, 4, 7, 8, 13, 40} {
+	for _, n := range []int{1, 7, 9, 16, 25, 40} {
 		b := make([]byte, n*sweepFuzzStride)
 		for i := 0; i < n; i++ {
 			e := b[i*sweepFuzzStride:]
-			binary.LittleEndian.PutUint64(e, math.Float64bits(rng.NormFloat64()))
+			binary.LittleEndian.PutUint32(e, math.Float32bits(float32(rng.NormFloat64())))
+			binary.LittleEndian.PutUint32(e[4:], math.Float32bits(float32(rng.NormFloat64())))
 			binary.LittleEndian.PutUint32(e[8:], math.Float32bits(float32(rng.NormFloat64())))
-			binary.LittleEndian.PutUint32(e[12:], math.Float32bits(float32(rng.NormFloat64())))
-			e[16] = byte(rng.Intn(4))
+			e[12] = byte(rng.Intn(4))
 		}
-		f.Add(math.Float64bits(rng.NormFloat64()), math.Float64bits(rng.NormFloat64()), b)
+		f.Add(math.Float32bits(float32(rng.NormFloat64())), math.Float32bits(float32(rng.NormFloat64())), b)
 	}
-	f.Fuzz(func(t *testing.T, cyiBits, cyjBits uint64, data []byte) {
+	f.Fuzz(func(t *testing.T, cyiBits, cyjBits uint32, data []byte) {
 		if !blas.HasAVX2() {
 			t.Skip("host has no AVX2: the Go sweep is the only path")
 		}
-		n := min(len(data)/sweepFuzzStride, 67)
+		n := min(len(data)/sweepFuzzStride, 80)
 		if n == 0 {
 			t.Skip("not enough data for one element")
 		}
-		v, outUp, outLow := make([]float64, n), make([]uint64, n), make([]uint64, n)
+		v, outUp, outLow := make([]float32, n), make([]uint32, n), make([]uint32, n)
 		ki, kj := make([]float32, n), make([]float32, n)
 		for i := 0; i < n; i++ {
 			e := data[i*sweepFuzzStride:]
-			v[i] = math.Float64frombits(binary.LittleEndian.Uint64(e))
-			ki[i] = math.Float32frombits(binary.LittleEndian.Uint32(e[8:]))
-			kj[i] = math.Float32frombits(binary.LittleEndian.Uint32(e[12:]))
-			outUp[i], outLow[i] = -uint64(e[16]&1), -uint64(e[16]>>1&1)
+			v[i] = math.Float32frombits(binary.LittleEndian.Uint32(e))
+			ki[i] = math.Float32frombits(binary.LittleEndian.Uint32(e[4:]))
+			kj[i] = math.Float32frombits(binary.LittleEndian.Uint32(e[8:]))
+			outUp[i], outLow[i] = decodeMasks(e[12])
 		}
-		cyi, cyj := math.Float64frombits(cyiBits), math.Float64frombits(cyjBits)
+		cyi, cyj := math.Float32frombits(cyiBits), math.Float32frombits(cyjBits)
 		want, i, j := sweepState(v, outUp, outLow, ki, kj)
 		wi, wj, wok := want.sweep(i, j, cyi, cyj)
 		got, _, _ := sweepState(v, outUp, outLow, ki, kj)
@@ -443,9 +451,15 @@ func FuzzSMOSweepMatchesGo(f *testing.F) {
 	})
 }
 
-// sweepFuzzStride is one fuzzed element: v as float64 bits, ki and kj as
-// float32 bits, one byte whose two low bits are the masks.
-const sweepFuzzStride = 8 + 4 + 4 + 1
+// sweepFuzzStride is one fuzzed element: v, ki and kj as float32 bits, one
+// byte whose two low bits are the masks.
+const sweepFuzzStride = 4 + 4 + 4 + 1
+
+// decodeMasks reads the masks outUp and outLow of one sample from the two
+// low bits of b: each all ones or zero, the only values step writes.
+func decodeMasks(b byte) (outUp, outLow uint32) {
+	return -uint32(b & 1), -uint32(b >> 1 & 1)
+}
 
 // iterateOnPath is one iteration of solveFused's loop on the path useAVX2
 // names: step(i, j), then the sweep if α moved.
@@ -463,7 +477,9 @@ func iterateOnPath(s *smo32, i, j int) (int, int, bool) {
 // (c, continued) A whole fold from raw kernel bit patterns: the assembly
 // loop — step, sweep and convergence test — against the Go loop, on
 // kernels no dataset produces (NaN and infinite entries, negative
-// curvature, denormals).
+// curvature, denormals). Past the kernel's 4n² bytes, 5n more replace the
+// seeded state the solve starts from: v as raw float32 bits, then one
+// mask byte per sample.
 func FuzzSolveLoopMatchesGo(f *testing.F) {
 	rng := rand.New(rand.NewSource(23))
 	for _, n := range []int{2, 5, 8, 12} {
@@ -477,6 +493,7 @@ func FuzzSolveLoopMatchesGo(f *testing.F) {
 			y |= uint16(l) << i
 		}
 		f.Add(y, uint8(n%3), b)
+		b = make([]byte, 4*n*n+5*n)
 		rng.Read(b)
 		f.Add(y, uint8(n%3), b)
 	}
@@ -505,9 +522,16 @@ func FuzzSolveLoopMatchesGo(f *testing.F) {
 		var s [2]smo32
 		var iters [2]int
 		var converged [2]bool
+		state := data[4*n*n:]
 		for p := range s {
 			useAVX2 = p == 1
 			s[p].reset(K, labels, allIdx(n), params)
+			if len(state) >= 5*n {
+				for k := range n {
+					s[p].v[k] = math.Float32frombits(binary.LittleEndian.Uint32(state[4*k:]))
+					s[p].outUp[k], s[p].outLow[k] = decodeMasks(state[4*n+k])
+				}
+			}
 			iters[p], converged[p] = s[p].solveFused()
 		}
 		if iters[0] != iters[1] || converged[0] != converged[1] {
@@ -548,28 +572,30 @@ func TestMasksTrackMembership(t *testing.T) {
 }
 
 // gSolver is the first-order solver as it was before the state became v:
-// it keeps the dual gradient g, multiplies by the label wherever a rule
-// needs −y·g, and tests α against the box in every scan. It shares the
-// compacted kernel of the solver it was made from, and starts where reset
-// left that solver: its α, and g = −y·v (exact, for y = ±1).
+// it keeps the dual gradient g — in float32, as the solver keeps v —
+// multiplies by the label wherever a rule needs −y·g, and tests α against
+// the box in every scan. It shares the compacted kernel of the solver it
+// was made from, and starts where reset left that solver: its α, and
+// g = −y·v (exact, for y = ±1).
 type gSolver struct {
 	*smo32
-	alpha, g []float64
+	alpha []float64
+	g     []float32
 }
 
 func newGSolver(s *smo32) *gSolver {
-	r := &gSolver{smo32: s, alpha: append([]float64(nil), s.alpha...), g: make([]float64, s.n)}
+	r := &gSolver{smo32: s, alpha: append([]float64(nil), s.alpha...), g: make([]float32, s.n)}
 	for i, v := range s.v {
-		r.g[i] = -s.y[i] * v
+		r.g[i] = float32(-s.y[i]) * v
 	}
 	return r
 }
 
 func (r *gSolver) solve() (iters int) {
 	for ; iters < r.maxIter; iters++ {
-		gmax, gmin, i, j := math.Inf(-1), math.Inf(1), -1, -1
+		gmax, gmin, i, j := float32(math.Inf(-1)), float32(math.Inf(1)), -1, -1
 		for t, yt := range r.y {
-			v := -yt * r.g[t]
+			v := float32(-yt) * r.g[t]
 			if inUp(yt, r.alpha[t], r.c) && v >= gmax {
 				gmax, i = v, t
 			}
@@ -577,7 +603,7 @@ func (r *gSolver) solve() (iters int) {
 				gmin, j = v, t
 			}
 		}
-		if i == -1 || j == -1 || gmax-gmin < r.eps {
+		if i == -1 || j == -1 || float64(gmax)-float64(gmin) < r.eps {
 			return iters
 		}
 		r.step(i, j)
@@ -585,7 +611,8 @@ func (r *gSolver) solve() (iters int) {
 	return iters
 }
 
-// step is LibSVM's two-variable update and gradient maintenance in g.
+// step is LibSVM's two-variable update in float64 and gradient
+// maintenance in the float32 g.
 func (r *gSolver) step(i, j int) {
 	c, alpha, g := r.c, r.alpha, r.g
 	yi, yj := r.y[i], r.y[j]
@@ -595,7 +622,7 @@ func (r *gSolver) step(i, j int) {
 		quad = tau
 	}
 	if yi != yj {
-		delta := (-g[i] - g[j]) / quad
+		delta := (-float64(g[i]) - float64(g[j])) / quad
 		diff := alpha[i] - alpha[j]
 		alpha[i] += delta
 		alpha[j] += delta
@@ -614,7 +641,7 @@ func (r *gSolver) step(i, j int) {
 			alpha[j], alpha[i] = c, c+diff
 		}
 	} else {
-		delta := (g[i] - g[j]) / quad
+		delta := (float64(g[i]) - float64(g[j])) / quad
 		sum := alpha[i] + alpha[j]
 		alpha[i] -= delta
 		alpha[j] += delta
@@ -633,17 +660,17 @@ func (r *gSolver) step(i, j int) {
 			alpha[i], alpha[j] = 0, sum
 		}
 	}
-	cyi, cyj := (alpha[i]-oldAi)*yi, (alpha[j]-oldAj)*yj
+	cyi, cyj := float32((alpha[i]-oldAi)*yi), float32((alpha[j]-oldAj)*yj)
 	ki, kj := r.row(i), r.row(j)
 	for t, yt := range r.y {
-		g[t] += yt * (float64(cyi*float64(ki[t])) + float64(cyj*float64(kj[t])))
+		g[t] += float32(float32(yt) * (float32(cyi*ki[t]) + float32(cyj*kj[t])))
 	}
 }
 
 // (c, continued) The change of state changed no iterate: on every fold of
-// the benchmark's shapes the solver's α is the g-state solver's and its v
-// read back as −y·v is that solver's g, bit for bit — exact zeros aside,
-// whose sign v does not keep and nothing reads.
+// the benchmark's shapes the solver's α is the float32 g-state solver's
+// and its v read back as −y·v is that solver's g, bit for bit — exact
+// zeros aside, whose sign v does not keep and nothing reads.
 func TestVStateMatchesGradientState(t *testing.T) {
 	for _, sh := range cvShapes[:3] {
 		K, labels, folds := shapeProblem(t, sh.voxels, sh.subjects, sh.epochsPerSubject)
@@ -660,9 +687,9 @@ func TestVStateMatchesGradientState(t *testing.T) {
 					}
 					requireSameFloats(t, "alpha", s.alpha, want.alpha)
 					for k, g := range want.g {
-						if got := -s.y[k] * s.v[k]; !sameFloat(got, g) && !(got == 0 && g == 0) {
-							t.Fatalf("fold %d: −y·v[%d] = %g (%#016x), want g = %g (%#016x)", fi, k,
-								got, math.Float64bits(got), g, math.Float64bits(g))
+						if got := float32(-s.y[k]) * s.v[k]; !sameFloat(got, g) && !(got == 0 && g == 0) {
+							t.Fatalf("fold %d: −y·v[%d] = %g (%#08x), want g = %g (%#08x)", fi, k,
+								got, math.Float32bits(got), g, math.Float32bits(g))
 						}
 					}
 				}
@@ -790,6 +817,27 @@ func TestPutSolverDropsCallerReferences(t *testing.T) {
 	}
 	if cap(s.kd) < 20*20 || cap(s.v) < 20 {
 		t.Fatal("a pooled solver lost its scratch")
+	}
+}
+
+// The scratch a solver grows for n samples is 4n² + 76n bytes, the figure
+// solverPool's comment and DESIGN.md §17 state: every slice field grow
+// makes, counted at its capacity, so a field added to the solver moves the
+// sum.
+func TestSolverScratchBytes(t *testing.T) {
+	for _, n := range []int{1, 10, 80, 522} {
+		s := new(smo32)
+		s.grow(n)
+		got := 0
+		fields := reflect.ValueOf(s).Elem()
+		for k := range fields.NumField() {
+			if f := fields.Field(k); f.Kind() == reflect.Slice {
+				got += f.Cap() * int(f.Type().Elem().Size())
+			}
+		}
+		if want := 4*n*n + 76*n; got != want {
+			t.Errorf("n = %d: grow makes %d bytes of scratch, want 4n² + 76n = %d", n, got, want)
+		}
 	}
 }
 
