@@ -106,7 +106,7 @@ size:
 # the values the last reduction PR left. A PR that needs more raises them
 # in its own diff, where a reviewer sees the growth; one that shrinks the
 # module lowers them.
-MAX_MODULE_LINES = 22141
+MAX_MODULE_LINES = 22391
 MAX_EXPORTED = 357
 size-check:
 	@lines=$$($(MODULE_LINES)); exported=$$($(EXPORTED)); status=0; \
@@ -146,7 +146,8 @@ serve-smoke:
 # the vector kernels' bit-for-bit pin to the Go kernels: the blas FMA tiles
 # and strips (on every width the host runs), the Go twins' fma32 against
 # VFMADD231PS, the norm sweep, the svm sweep, the svm assembly loop over
-# a whole fold and the svm seed's class sums (skipped on a host without AVX2),
+# a whole fold, the svm seed's class sums and the svm conjugate-gradient
+# phase with its mat-vec (skipped on a host without AVX2),
 # over the fused stage's pin to the buffer + batched syrk it replaced, and
 # over the bytes a restarted master or server replays: the journals' shared
 # score-block codec and each journal's record fold. FUZZTIME bounds each
@@ -166,6 +167,7 @@ fuzz:
 	$(GO) test ./internal/svm/ -run '^$$' -fuzz FuzzSMOSweepMatchesGo -fuzztime $(FUZZTIME) -fuzzminimizetime 0
 	$(GO) test ./internal/svm/ -run '^$$' -fuzz FuzzSolveLoopMatchesGo -fuzztime $(FUZZTIME) -fuzzminimizetime 0
 	$(GO) test ./internal/svm/ -run '^$$' -fuzz FuzzSeedSumsMatchGo -fuzztime $(FUZZTIME) -fuzzminimizetime 0
+	$(GO) test ./internal/svm/ -run '^$$' -fuzz FuzzCGPhaseMatchesGo -fuzztime $(FUZZTIME) -fuzzminimizetime 0
 	$(GO) test ./internal/corr/ -run '^$$' -fuzz FuzzFusedMatchesUnfused -fuzztime $(FUZZTIME) -fuzzminimizetime 0
 	$(GO) test ./internal/wal/ -run '^$$' -fuzz FuzzScoreBlockDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster/ -run '^$$' -fuzz FuzzJournalApply -fuzztime $(FUZZTIME)

@@ -16,8 +16,8 @@ var lanes = hostLanes
 
 // hasAVX2 and hostLanes are the probe's verdict: AVX2 usable (HasAVX2, for
 // the packages with AVX2 assembly of their own), and the widest FMA kernel
-// the host runs. internal/norm reads hostLanes by linkname for its ZMM
-// sweep, so the tree keeps one probe.
+// the host runs. internal/norm and internal/svm read hostLanes by linkname
+// for their ZMM loops, so the tree keeps one probe.
 var hasAVX2, hostLanes = probe()
 
 // probe reads CPUID and XCR0: AVX2 needs OSXSAVE and AVX

@@ -6,10 +6,11 @@ import (
 	_ "unsafe" // go:linkname
 )
 
-// blasLanes, normUseAVX2, normUseZMM and svmUseAVX2 are the unexported
-// kernel dispatch variables of internal/blas (gemm strips, syrk tiles: 0
-// Go, 8 YMM, 16 ZMM), internal/norm (the Fisher + z-score sweep, and its
-// 16-lane Fisher pass) and internal/svm (the fused SMO sweep), reached by
+// blasLanes, normUseAVX2, normUseZMM, svmUseAVX2 and svmUseZMM are the
+// unexported kernel dispatch variables of internal/blas (gemm strips, syrk
+// tiles: 0 Go, 8 YMM, 16 ZMM), internal/norm (the Fisher + z-score sweep,
+// and its 16-lane Fisher pass) and internal/svm (the fused SMO sweep and
+// the conjugate-gradient passes, and the 16-lane mat-vec), reached by
 // linkname so the task-level equivalence tests can run on every kernel
 // path without any package exporting a switch nobody else should touch.
 //
@@ -25,6 +26,9 @@ var normUseZMM bool
 //go:linkname svmUseAVX2 fcma/internal/svm.useAVX2
 var svmUseAVX2 bool
 
+//go:linkname svmUseZMM fcma/internal/svm.useZMM
+var svmUseZMM bool
+
 // hostLanes is the probe's verdict, read before any test rewrites it.
 var hostLanes = blasLanes
 
@@ -36,10 +40,10 @@ var kernelPaths = []struct {
 
 // setKernelPath routes every stage's kernels — the products of stages 1
 // and 3 in blas, stage 2 in norm, the solver in svm — to the Go twins (0)
-// or to the YMM (8) or ZMM (16) assembly; svm has one vector form, which
-// both vector paths run.
+// or to the YMM (8) or ZMM (16) assembly; svm's SMO loop has one vector
+// form, which both vector paths run, and its mat-vec two.
 func setKernelPath(lanes int) {
-	blasLanes, normUseAVX2, normUseZMM, svmUseAVX2 = lanes, lanes > 0, lanes == 16, lanes > 0
+	blasLanes, normUseAVX2, normUseZMM, svmUseAVX2, svmUseZMM = lanes, lanes > 0, lanes == 16, lanes > 0, lanes == 16
 }
 
 // eachKernelPath runs f as a subtest on every kernel path; a vector path

@@ -79,10 +79,10 @@ func KFolds(n, k int) []Fold {
 
 // CrossValidateContext trains on each fold and returns the overall
 // accuracy: the fraction of test samples across all folds whose predicted
-// label matches. It records an "svm/cv" span (fold and degenerate-fold
-// counts as attributes) when ctx carries a tracer — the stage-3 per-voxel
-// unit of the merged timeline. The solver itself is not cancellable; ctx is
-// tracing context only.
+// label matches. It records an "svm/cv" span (fold, degenerate-fold and
+// conjugate-gradient mat-vec counts as attributes) when ctx carries a
+// tracer — the stage-3 per-voxel unit of the merged timeline. The solver
+// itself is not cancellable; ctx is tracing context only.
 //
 // A degenerate fold — a training set with one class only, or a solver
 // that ran out of MaxIter — scores chance: half its test samples count
@@ -103,17 +103,19 @@ func CrossValidateContext(ctx context.Context, tr KernelTrainer, K *tensor.Matri
 	}
 	span.SetInt("folds", len(folds))
 	span.SetInt("degenerate", t.degenerate)
+	span.SetInt("cg_steps", t.cgSteps)
 	return t.accuracy(), nil
 }
 
 // cvTally is a cross-validation run's score so far, in half test samples
 // so that a degenerate fold of odd size scores exactly half.
 type cvTally struct {
-	halves, total, degenerate int
+	halves, total, degenerate, cgSteps int
 }
 
 func (t *cvTally) add(f FoldStats) {
 	t.total += f.Total
+	t.cgSteps += f.CGSteps
 	if f.Degenerate {
 		t.halves += f.Total
 		t.degenerate++
@@ -172,7 +174,7 @@ func runFolds(tr KernelTrainer, K *tensor.Matrix, labels []int, folds []Fold, de
 			err = ErrOneClass
 		} else if s != nil {
 			s.reset(K, labels, f.Train, params)
-			if fs.Iters, err = s.solve(); err == nil {
+			if fs.Iters, fs.CGSteps, err = s.solve(); err == nil {
 				s.finish()
 			}
 		} else if model, err = tr.TrainKernel(K, labels, f.Train); err == nil {

@@ -59,6 +59,9 @@ type smo32 struct {
 	// coef = α·y and rho, set by finish: the classifier decide evaluates.
 	coef []float64
 	rho  float64
+	// dir, free and q: the conjugate-gradient phase's state (conjugate).
+	dir, free []float64
+	q         []float32
 
 	c       float64
 	eps     float64
@@ -72,8 +75,8 @@ type idxRun struct{ pos, src, n int }
 // solverPool holds one solver per concurrently running cross-validation —
 // in effect one per stage-3 lane, as syrkPool does for the batched syrk. A
 // pooled solver keeps its grown scratch and nothing else (putSolver). The
-// scratch is 4n² + 76n bytes at the largest training set a solver has
-// seen (31 KB at n = 80, 1.1 MB at the paper's attention n = 522); there
+// scratch is 4n² + 96n + 144 bytes at the largest training set a solver has
+// seen (33 KB at n = 80, 1.1 MB at the paper's attention n = 522); there
 // is no size cap because sync.Pool already releases idle entries to the
 // garbage collector.
 var solverPool = sync.Pool{New: func() any { return new(smo32) }}
@@ -98,13 +101,14 @@ func (s *smo32) grow(n int) {
 	s.kd = make([]float32, n*n)
 	s.runs = make([]idxRun, n)
 	s.byClass = make([]int, n)
-	s.y = make([]float64, n)
-	s.alpha = make([]float64, n)
-	s.v = make([]float32, n)
+	s.y = make([]float64, n+3)
+	s.alpha = make([]float64, n+3)
+	s.v = make([]float32, n+3)
 	s.qd = make([]float64, n)
 	s.outUp = make([]uint32, n)
 	s.outLow = make([]uint32, n)
-	s.coef = make([]float64, n)
+	s.coef = make([]float64, n+3)
+	s.dir, s.free, s.q = make([]float64, n+3), make([]float64, n+3), make([]float32, n+3)
 }
 
 // reset aims the solver at one training problem: samples trainIdx of the
@@ -120,7 +124,7 @@ func (s *smo32) grow(n int) {
 //lint:hotpath once per fold per voxel
 func (s *smo32) reset(K *tensor.Matrix, labels []int, trainIdx []int, p Params) {
 	n := len(trainIdx)
-	if n > cap(s.y) {
+	if n+3 > cap(s.y) {
 		s.grow(n)
 	}
 	s.idx, s.n = trainIdx, n
@@ -142,6 +146,7 @@ func (s *smo32) reset(K *tensor.Matrix, labels []int, trainIdx []int, p Params) 
 
 	s.kd, s.y, s.alpha, s.v = s.kd[:n*n], s.y[:n], s.alpha[:n], s.v[:n]
 	s.qd, s.coef, s.outUp, s.outLow = s.qd[:n], s.coef[:n], s.outUp[:n], s.outLow[:n]
+	s.dir, s.free, s.q = s.dir[:n], s.free[:n], s.q[:n]
 	np := 0
 	for _, idx := range trainIdx {
 		np += labels[idx]
@@ -249,13 +254,13 @@ func (s *smo32) row(i int) []float32 {
 // error it returns to its caller.
 var ErrNoConverge = errors.New("svm: SMO failed to converge")
 
-// solve runs SMO to convergence and returns the iteration count.
-func (s *smo32) solve() (int, error) {
-	iters, converged := s.solveFused()
+// solve runs the solver to convergence: SMO iterations and mat-vecs.
+func (s *smo32) solve() (iters, steps int, err error) {
+	iters, steps, converged := s.solveFused()
 	if !converged {
-		return iters, fmt.Errorf("%w in %d iterations", ErrNoConverge, iters)
+		return iters, steps, fmt.Errorf("%w in %d iterations", ErrNoConverge, iters)
 	}
-	return iters, nil
+	return iters, steps, nil
 }
 
 // solveChunk bounds the iterations of one solveAVX2 call. Assembly has no
@@ -269,20 +274,27 @@ const solveChunk = 1 << 13
 // first step, then each step's sweep hands over the next pair, and a step
 // that moved nothing leaves the state, and with it the pair, as they were.
 // With AVX2 the loop itself runs in assembly, a chunk of iterations a call.
+// A fold open after 2n iterations runs conjugate; the loop then resumes.
 //
 //lint:hotpath once per fold per voxel
-func (s *smo32) solveFused() (iters int, converged bool) {
+func (s *smo32) solveFused() (iters, steps int, converged bool) {
 	i, j, ok := s.selectFirstOrder()
-	for ok && iters < s.maxIter {
-		done := 1
-		if useAVX2 {
-			done, i, j, ok = solveAVX2(s, i, j, min(s.maxIter-iters, solveChunk))
-		} else if cyi, cyj, moved := s.step(i, j); moved {
-			i, j, ok = s.sweep(i, j, cyi, cyj)
+	for budget := min(2*s.n, s.maxIter); ; budget = s.maxIter {
+		for ok && iters < budget {
+			done := 1
+			if useAVX2 {
+				done, i, j, ok = solveAVX2(s, i, j, min(budget-iters, solveChunk))
+			} else if cyi, cyj, moved := s.step(i, j); moved {
+				i, j, ok = s.sweep(i, j, cyi, cyj)
+			}
+			iters += done
 		}
-		iters += done
+		if !ok || budget == s.maxIter {
+			return iters, steps, iters < s.maxIter
+		}
+		steps = s.conjugate()
+		i, j, ok = s.selectFirstOrder()
 	}
-	return iters, iters < s.maxIter
 }
 
 // selectFirstOrder implements the maximal-violating-pair rule.
@@ -473,7 +485,7 @@ func (p PhiSVM) TrainKernel(K *tensor.Matrix, labels []int, trainIdx []int) (*Mo
 	s := getSolver()
 	defer putSolver(s)
 	s.reset(K, labels, trainIdx, p.Params)
-	iters, err := s.solve()
+	iters, _, err := s.solve()
 	if err != nil {
 		return nil, err
 	}

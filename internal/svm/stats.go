@@ -8,12 +8,12 @@ type FoldStats struct {
 	Correct, Total int
 	// Confusion[i][j] counts test samples of true label i predicted j.
 	Confusion [2][2]int
-	// Iters is the solver's SMO iteration count; Degenerate marks a fold
-	// that was not trained (single-class training set, or the solver ran
-	// out of iterations). Such a fold scores chance, exactly half its
-	// Total; its Correct is that rounded down and its Iters 0.
-	Iters      int
-	Degenerate bool
+	// Iters and CGSteps count the solver's SMO iterations and mat-vecs;
+	// Degenerate marks a fold that was not trained (single-class training
+	// set, or the solver ran out of iterations). Such a fold scores chance,
+	// exactly half its Total; its Correct is that rounded down, its counts 0.
+	Iters, CGSteps int
+	Degenerate     bool
 }
 
 // Accuracy returns the fold's test accuracy.
@@ -51,12 +51,21 @@ func (s CVStats) Confusion() [2][2]int {
 	return out
 }
 
-// TotalIters returns the summed SMO iteration count, a proxy for solver
-// cost (svm.iters_per_voxel in the repo benchmark's traced run).
+// TotalIters returns the summed SMO iteration count (svm.iters_per_voxel
+// in the repo benchmark's traced run), a part of the cost: see TotalCGSteps.
 func (s CVStats) TotalIters() int {
 	n := 0
 	for _, f := range s.Folds {
 		n += f.Iters
+	}
+	return n
+}
+
+// TotalCGSteps returns the summed mat-vec count, each ≈ n/4 iterations.
+func (s CVStats) TotalCGSteps() int {
+	n := 0
+	for _, f := range s.Folds {
+		n += f.CGSteps
 	}
 	return n
 }

@@ -22,6 +22,8 @@
 // membership masks) is 32-bit like the kernel, eight lanes to a YMM
 // register, while α and the two-variable step are float64. The unfused
 // select-then-update loop both paths are pinned to is the tests' oracle.
+// Unlike the paper's SMO-only PhiSVM, a fold open after 2n iterations
+// finishes by conjugate gradient, and SMO resumes as the only judge.
 //
 // CrossValidateContext and CrossValidateDetailed share one fold loop.
 // Invalid input — an index outside the kernel, a label that is not 0 or 1,

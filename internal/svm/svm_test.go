@@ -227,7 +227,7 @@ func unfusedModel(t *testing.T, K *tensor.Matrix, labels, train []int, p Params)
 	t.Helper()
 	s := new(smo32)
 	s.reset(K, labels, train, p)
-	iters, converged := s.solveUnfused()
+	iters, _, converged := s.solveUnfused()
 	if !converged {
 		t.Fatalf("oracle out of iterations after %d", iters)
 	}

@@ -1,6 +1,10 @@
 package svm
 
-import "fcma/internal/blas"
+import (
+	_ "unsafe" // go:linkname
+
+	"fcma/internal/blas"
+)
 
 // useAVX2 routes the fused first-order loop and the seed's class sums
 // through the assembly in sweep_amd64.s. It is set once, at init, from the
@@ -14,6 +18,13 @@ import "fcma/internal/blas"
 // pairs. The pin holds at any GOAMD64: the Go loops round each product by
 // an explicit conversion, which the compiler may not fuse into an add.
 var useAVX2 = blas.HasAVX2()
+
+// useZMM runs matvecAVX2's loops on ZMM vectors, with the same bits; it
+// reads internal/blas's probe by linkname, as internal/norm does.
+var useZMM = useAVX2 && blasHostLanes == 16
+
+//go:linkname blasHostLanes fcma/internal/blas.hostLanes
+var blasHostLanes int
 
 // solveAVX2 runs solveFused's loop body — step(i, j), then sweep if α
 // moved — from the selected pair (i, j) until the sweep finds no violating
@@ -37,3 +48,19 @@ func sweepOnceAVX2(s *smo32, i, j int, cyi, cyj float32) (ni, nj int, ok bool)
 //
 //go:noescape
 func classSumsAVX2(kd []float32, rows []int, np int, rp, rm []float64)
+
+// matvecAVX2, directionAVX2, curvatureAVX2 and advanceAVX2 are the
+// conjugate-gradient phase's mat-vec and passes (matvecGo, directionGo,
+// curvatureGo, advanceGo) on the assembly path, bit for bit.
+//
+//go:noescape
+func matvecAVX2(kd []float32, rows []int, x, q []float32)
+
+//go:noescape
+func directionAVX2(s *smo32, mu, gamma float64) (rd, lmax float64)
+
+//go:noescape
+func curvatureAVX2(s *smo32) (dq, sq float64)
+
+//go:noescape
+func advanceAVX2(s *smo32, lam, mu float64) (rr, rmax float64)

@@ -13,11 +13,12 @@
 // NaN, like Go's comparisons. step is scalar float64 — VCVTSS2SD of v[i]
 // and v[j], VDIVSD, VMULSD, VADDSD and VSUBSD with step's clamps behind
 // VUCOMISD branches in step's order — and rounds the two coefficients it
-// hands the sweep to float32 with one VCVTPD2PS. The seed's class sums
-// (classSumsAVX2, at the end) are the one other routine here.
+// hands the sweep to float32 with one VCVTPD2PS. After it come the seed's
+// class sums (classSumsAVX2) and the conjugate-gradient phase's mat-vec
+// (matvecAVX2, whose ZMM loops are EVEX) and three float64 passes.
 //
 // VEX only: between the first YMM write and VZEROUPPER every instruction
-// must be VEX-encoded. A single legacy-SSE MOVQ CX, X11 in the prologue
+// must be VEX-encoded (or EVEX). A single legacy-SSE MOVQ CX, X11 in the prologue
 // costs ~145 ns per call on the development host (the dirty-upper-half
 // transition), more than a sweep. Hence constants come from memory by
 // VBROADCASTSS and VMOVDQU, never through a general register, and all
@@ -528,5 +529,436 @@ next1:
 	JMP  block1
 
 summed:
+	VZEROUPPER
+	RET
+
+// matvecMask is eight all-ones dwords then eight zero ones: the eight at
+// byte offset 32 − 4r have the first r lanes set, the VMASKMOVPS mask of
+// a row's last n mod 8 columns.
+DATA matvecMask<>+0(SB)/8, $0xffffffffffffffff
+DATA matvecMask<>+8(SB)/8, $0xffffffffffffffff
+DATA matvecMask<>+16(SB)/8, $0xffffffffffffffff
+DATA matvecMask<>+24(SB)/8, $0xffffffffffffffff
+DATA matvecMask<>+32(SB)/8, $0
+DATA matvecMask<>+40(SB)/8, $0
+DATA matvecMask<>+48(SB)/8, $0
+DATA matvecMask<>+56(SB)/8, $0
+GLOBL matvecMask<>(SB), RODATA|NOPTR, $64
+
+// func matvecAVX2(kd []float32, rows []int, x, q []float32)
+//
+// matvecGo, four listed rows at a time: q = 0, then each vector of eight
+// columns of q is loaded once per four rows, takes their four products
+// (VMULPS) by four VADDPS in row order, and is stored; the last n mod 8
+// columns go under a VMASKMOVPS mask (Y15), and the last rows mod 4 one
+// at a time. Each row is read once, with unit stride. With useZMM set the
+// same loops run sixteen columns a ZMM vector (zmm, below). R8 = kd, DI walks
+// rows up to R12, R10 = x, SI = q, CX = n, R11 = the row stride in bytes,
+// BX = the columns in whole vectors.
+TEXT ·matvecAVX2(SB), NOSPLIT, $0-96
+	MOVQ    kd_base+0(FP), R8
+	MOVQ    rows_base+24(FP), DI
+	MOVQ    rows_len+32(FP), R9
+	MOVQ    x_base+48(FP), R10
+	MOVQ    q_base+72(FP), SI
+	MOVQ    q_len+80(FP), CX
+	LEAQ    (CX*4), R11
+	LEAQ    (DI)(R9*8), R12
+	CMPB    ·useZMM(SB), $0
+	JNE     zmm
+	MOVQ    CX, BX
+	ANDQ    $-8, BX
+	MOVQ    CX, AX
+	ANDQ    $7, AX
+	NEGQ    AX
+	LEAQ    matvecMask<>+32(SB), R9
+	VMOVDQU (R9)(AX*4), Y15
+	VXORPS  Y0, Y0, Y0
+	XORQ    AX, AX
+
+zero:
+	CMPQ    AX, BX
+	JGE     zerotail
+	VMOVUPS Y0, (SI)(AX*4)
+	ADDQ    $8, AX
+	JMP     zero
+
+zerotail:
+	VMASKMOVPS Y0, Y15, (SI)(AX*4)
+
+quad:
+	LEAQ         32(DI), AX
+	CMPQ         AX, R12
+	JGT          single
+	MOVQ         (DI), AX
+	VBROADCASTSS (R10)(AX*4), Y1
+	IMULQ        R11, AX
+	LEAQ         (R8)(AX*1), DX
+	MOVQ         8(DI), AX
+	VBROADCASTSS (R10)(AX*4), Y4
+	IMULQ        R11, AX
+	LEAQ         (R8)(AX*1), R9
+	MOVQ         16(DI), AX
+	VBROADCASTSS (R10)(AX*4), Y5
+	IMULQ        R11, AX
+	LEAQ         (R8)(AX*1), R14
+	MOVQ         24(DI), AX
+	VBROADCASTSS (R10)(AX*4), Y6
+	IMULQ        R11, AX
+	LEAQ         (R8)(AX*1), R15
+	XORQ         AX, AX
+
+quadcols:
+	CMPQ    AX, BX
+	JGE     quadtail
+	VMULPS  (DX)(AX*4), Y1, Y2
+	VMULPS  (R9)(AX*4), Y4, Y3
+	VADDPS  (SI)(AX*4), Y2, Y2
+	VMULPS  (R14)(AX*4), Y5, Y7
+	VADDPS  Y3, Y2, Y2
+	VMULPS  (R15)(AX*4), Y6, Y8
+	VADDPS  Y7, Y2, Y2
+	VADDPS  Y8, Y2, Y2
+	VMOVUPS Y2, (SI)(AX*4)
+	ADDQ    $8, AX
+	JMP     quadcols
+
+quadtail:
+	TESTQ      $7, CX
+	JEQ        nextquad
+	VMASKMOVPS (DX)(AX*4), Y15, Y2
+	VMASKMOVPS (R9)(AX*4), Y15, Y3
+	VMASKMOVPS (R14)(AX*4), Y15, Y7
+	VMASKMOVPS (R15)(AX*4), Y15, Y8
+	VMASKMOVPS (SI)(AX*4), Y15, Y9
+	VMULPS     Y2, Y1, Y2
+	VMULPS     Y3, Y4, Y3
+	VMULPS     Y7, Y5, Y7
+	VMULPS     Y8, Y6, Y8
+	VADDPS     Y9, Y2, Y2
+	VADDPS     Y3, Y2, Y2
+	VADDPS     Y7, Y2, Y2
+	VADDPS     Y8, Y2, Y2
+	VMASKMOVPS Y2, Y15, (SI)(AX*4)
+
+nextquad:
+	ADDQ $32, DI
+	JMP  quad
+
+single:
+	CMPQ         DI, R12
+	JGE          done
+	MOVQ         (DI), AX
+	VBROADCASTSS (R10)(AX*4), Y1
+	IMULQ        R11, AX
+	LEAQ         (R8)(AX*1), DX
+	XORQ         AX, AX
+
+cols:
+	CMPQ    AX, BX
+	JGE     tail
+	VMULPS  (DX)(AX*4), Y1, Y2
+	VADDPS  (SI)(AX*4), Y2, Y2
+	VMOVUPS Y2, (SI)(AX*4)
+	ADDQ    $8, AX
+	JMP     cols
+
+tail:
+	TESTQ      $7, CX
+	JEQ        nextrow
+	VMASKMOVPS (DX)(AX*4), Y15, Y2
+	VMULPS     Y2, Y1, Y2
+	VMASKMOVPS (SI)(AX*4), Y15, Y3
+	VADDPS     Y3, Y2, Y2
+	VMASKMOVPS Y2, Y15, (SI)(AX*4)
+
+nextrow:
+	ADDQ $8, DI
+	JMP  single
+
+done:
+	VZEROUPPER
+	RET
+
+zmm:
+	// The same loops sixteen columns a vector, the last n mod 16 under
+	// the opmask K1 (zeroing loads; a masked-off lane is never read).
+	MOVQ      CX, BX
+	ANDQ      $-16, BX
+	MOVQ      CX, R13
+	ANDQ      $15, R13
+	XORL      AX, AX
+	BTSL      R13, AX
+	DECL      AX
+	KMOVW     AX, K1
+	VXORPS    Z0, Z0, Z0
+	XORQ      AX, AX
+
+zzero:
+	CMPQ    AX, BX
+	JGE     zzerotail
+	VMOVUPS Z0, (SI)(AX*4)
+	ADDQ    $16, AX
+	JMP     zzero
+
+zzerotail:
+	VMOVUPS Z0, K1, (SI)(AX*4)
+
+zquad:
+	LEAQ         32(DI), AX
+	CMPQ         AX, R12
+	JGT          zsingle
+	MOVQ         (DI), AX
+	VBROADCASTSS (R10)(AX*4), Z1
+	IMULQ        R11, AX
+	LEAQ         (R8)(AX*1), DX
+	MOVQ         8(DI), AX
+	VBROADCASTSS (R10)(AX*4), Z4
+	IMULQ        R11, AX
+	LEAQ         (R8)(AX*1), R9
+	MOVQ         16(DI), AX
+	VBROADCASTSS (R10)(AX*4), Z5
+	IMULQ        R11, AX
+	LEAQ         (R8)(AX*1), R14
+	MOVQ         24(DI), AX
+	VBROADCASTSS (R10)(AX*4), Z6
+	IMULQ        R11, AX
+	LEAQ         (R8)(AX*1), R15
+	XORQ         AX, AX
+
+zquadcols:
+	CMPQ    AX, BX
+	JGE     zquadtail
+	VMULPS  (DX)(AX*4), Z1, Z2
+	VMULPS  (R9)(AX*4), Z4, Z3
+	VADDPS  (SI)(AX*4), Z2, Z2
+	VMULPS  (R14)(AX*4), Z5, Z7
+	VADDPS  Z3, Z2, Z2
+	VMULPS  (R15)(AX*4), Z6, Z8
+	VADDPS  Z7, Z2, Z2
+	VADDPS  Z8, Z2, Z2
+	VMOVUPS Z2, (SI)(AX*4)
+	ADDQ    $16, AX
+	JMP     zquadcols
+
+zquadtail:
+	TESTQ     R13, R13
+	JEQ       znextquad
+	VMOVUPS.Z (DX)(AX*4), K1, Z2
+	VMOVUPS.Z (R9)(AX*4), K1, Z3
+	VMOVUPS.Z (R14)(AX*4), K1, Z7
+	VMOVUPS.Z (R15)(AX*4), K1, Z8
+	VMOVUPS.Z (SI)(AX*4), K1, Z9
+	VMULPS    Z2, Z1, Z2
+	VMULPS    Z3, Z4, Z3
+	VMULPS    Z7, Z5, Z7
+	VMULPS    Z8, Z6, Z8
+	VADDPS    Z9, Z2, Z2
+	VADDPS    Z3, Z2, Z2
+	VADDPS    Z7, Z2, Z2
+	VADDPS    Z8, Z2, Z2
+	VMOVUPS   Z2, K1, (SI)(AX*4)
+
+znextquad:
+	ADDQ $32, DI
+	JMP  zquad
+
+zsingle:
+	CMPQ         DI, R12
+	JGE          done
+	MOVQ         (DI), AX
+	VBROADCASTSS (R10)(AX*4), Z1
+	IMULQ        R11, AX
+	LEAQ         (R8)(AX*1), DX
+	XORQ         AX, AX
+
+zcols:
+	CMPQ    AX, BX
+	JGE     ztail
+	VMULPS  (DX)(AX*4), Z1, Z2
+	VADDPS  (SI)(AX*4), Z2, Z2
+	VMOVUPS Z2, (SI)(AX*4)
+	ADDQ    $16, AX
+	JMP     zcols
+
+ztail:
+	TESTQ     R13, R13
+	JEQ       znextrow
+	VMOVUPS.Z (DX)(AX*4), K1, Z2
+	VMOVUPS.Z (SI)(AX*4), K1, Z3
+	VMULPS    Z2, Z1, Z2
+	VADDPS    Z3, Z2, Z2
+	VMOVUPS   Z2, K1, (SI)(AX*4)
+
+znextrow:
+	ADDQ $8, DI
+	JMP  zsingle
+
+// The float64 sign-clearing mask and +Inf, for the phase's passes.
+DATA cgConst<>+0(SB)/8, $0x7fffffffffffffff
+DATA cgConst<>+8(SB)/8, $0x7ff0000000000000
+GLOBL cgConst<>(SB), RODATA|NOPTR, $16
+
+// LANESUM leaves in the low double of X the sum of the four lanes of its
+// YMM register as (l₀ + l₂) + (l₁ + l₃), the Go passes' order; T is
+// scratch.
+#define LANESUM(Y, X, T) \
+	VEXTRACTF128 $1, Y, T; \
+	VADDPD       T, X, X; \
+	VPERMILPD    $1, X, T; \
+	VADDSD       T, X, X
+
+// The conjugate-gradient phase's passes, over n rounded up to four (the
+// pads hold zeros), four elements a step; operation for operation the Go
+// expressions of cg.go, a sum's lane t mod 4 in lane t mod 4 of its
+// register. CX = the padded length.
+#define PADDED \
+	MOVQ smo32_n(DI), CX; \
+	ADDQ $3, CX; \
+	ANDQ $-4, CX
+
+// func directionAVX2(s *smo32, mu, gamma float64) (rd, lmax float64)
+//
+// R8 = h (coef), R9 = m (free), R10 = d (dir), R11 = α, R12 = y,
+// R13 = x (v); Y10 = μ, Y11 = γ, Y12 = C; Y8 = rᵀd's lanes, Y9 = λmax's.
+TEXT ·directionAVX2(SB), NOSPLIT, $0-40
+	MOVQ         s+0(FP), DI
+	PADDED
+	MOVQ         smo32_coef(DI), R8
+	MOVQ         smo32_free(DI), R9
+	MOVQ         smo32_dir(DI), R10
+	MOVQ         smo32_alpha(DI), R11
+	MOVQ         smo32_y(DI), R12
+	MOVQ         smo32_v(DI), R13
+	VBROADCASTSD mu+8(FP), Y10
+	VBROADCASTSD gamma+16(FP), Y11
+	VBROADCASTSD smo32_c(DI), Y12
+	VBROADCASTSD cgConst<>+0(SB), Y13
+	VBROADCASTSD cgConst<>+8(SB), Y9
+	VXORPD       Y15, Y15, Y15
+	VXORPD       Y8, Y8, Y8
+	XORQ         AX, AX
+
+direction:
+	CMPQ       AX, CX
+	JGE        directed
+	VMOVUPD    (R8)(AX*8), Y0
+	VSUBPD     Y0, Y10, Y0              // μ − h
+	VMULPD     (R9)(AX*8), Y0, Y0       // r = m·(μ − h)
+	VMULPD     (R10)(AX*8), Y11, Y1     // γ·d
+	VADDPD     Y1, Y0, Y1               // d = r + γ·d
+	VMOVUPD    Y1, (R10)(AX*8)
+	VCVTPD2PSY Y1, X2
+	VMOVUPS    X2, (R13)(AX*4)          // x = float32(d)
+	VMULPD     Y1, Y0, Y0
+	VADDPD     Y0, Y8, Y8               // rᵀd
+	VMULPD     (R12)(AX*8), Y1, Y3      // y·d
+	VCMPPD     $0x1e, Y15, Y3, Y3       // y·d > 0
+	VMOVUPD    (R11)(AX*8), Y4
+	VSUBPD     Y4, Y12, Y5              // C − α
+	VBLENDVPD  Y3, Y5, Y4, Y4           // room
+	VANDPD     Y13, Y1, Y1              // |d|
+	VDIVPD     Y1, Y4, Y4
+	VMINPD     Y9, Y4, Y9               // ratio < λmax ? ratio : λmax
+	ADDQ       $4, AX
+	JMP        direction
+
+directed:
+	LANESUM(Y8, X8, X0)
+	VMOVSD       X8, rd+24(FP)
+	VEXTRACTF128 $1, Y9, X0
+	VMINPD       X0, X9, X9
+	VPERMILPD    $1, X9, X0
+	VMINSD       X0, X9, X9
+	VMOVSD       X9, lmax+32(FP)
+	VZEROUPPER
+	RET
+
+// func curvatureAVX2(s *smo32) (dq, sq float64)
+//
+// R8 = d, R9 = m, R10 = q; Y8 = dᵀq's lanes, Y9 = mᵀq's.
+TEXT ·curvatureAVX2(SB), NOSPLIT, $0-24
+	MOVQ   s+0(FP), DI
+	PADDED
+	MOVQ   smo32_dir(DI), R8
+	MOVQ   smo32_free(DI), R9
+	MOVQ   smo32_q(DI), R10
+	VXORPD Y8, Y8, Y8
+	VXORPD Y9, Y9, Y9
+	XORQ   AX, AX
+
+curvature:
+	CMPQ      AX, CX
+	JGE       curved
+	VCVTPS2PD (R10)(AX*4), Y0
+	VMULPD    (R8)(AX*8), Y0, Y1
+	VADDPD    Y1, Y8, Y8
+	VMULPD    (R9)(AX*8), Y0, Y2
+	VADDPD    Y2, Y9, Y9
+	ADDQ      $4, AX
+	JMP       curvature
+
+curved:
+	LANESUM(Y8, X8, X0)
+	VMOVSD X8, dq+8(FP)
+	LANESUM(Y9, X9, X0)
+	VMOVSD X9, sq+16(FP)
+	VZEROUPPER
+	RET
+
+// func advanceAVX2(s *smo32, lam, mu float64) (rr, rmax float64)
+//
+// R8 = α, R9 = y, R10 = d, R11 = h, R12 = m, R13 = q; Y10 = λ, Y11 = μ,
+// Y12 = C, Y15 = 0; Y8 = rᵀr's lanes, Y9 = max|r|'s. The new α is kept in
+// [0, C] as advanceGo keeps it: VMAXPD returns its second source, 0, when
+// the first is not greater (NaN and −0 included), VMINPD C unless less.
+TEXT ·advanceAVX2(SB), NOSPLIT, $0-40
+	MOVQ         s+0(FP), DI
+	PADDED
+	MOVQ         smo32_alpha(DI), R8
+	MOVQ         smo32_y(DI), R9
+	MOVQ         smo32_dir(DI), R10
+	MOVQ         smo32_coef(DI), R11
+	MOVQ         smo32_free(DI), R12
+	MOVQ         smo32_q(DI), R13
+	VBROADCASTSD lam+8(FP), Y10
+	VBROADCASTSD mu+16(FP), Y11
+	VBROADCASTSD smo32_c(DI), Y12
+	VBROADCASTSD cgConst<>+0(SB), Y13
+	VXORPD       Y15, Y15, Y15
+	VXORPD       Y8, Y8, Y8
+	VXORPD       Y9, Y9, Y9
+	XORQ         AX, AX
+
+advance:
+	CMPQ      AX, CX
+	JGE       advanced
+	VMULPD    (R9)(AX*8), Y10, Y0       // λ·y
+	VMULPD    (R10)(AX*8), Y0, Y0       // ·d
+	VADDPD    (R8)(AX*8), Y0, Y0        // α +
+	VMAXPD    Y15, Y0, Y0               // a > 0 ? a : 0
+	VMINPD    Y12, Y0, Y0               // a < C ? a : C
+	VMOVUPD   Y0, (R8)(AX*8)
+	VCVTPS2PD (R13)(AX*4), Y1
+	VMULPD    Y1, Y10, Y1               // λ·q
+	VADDPD    (R11)(AX*8), Y1, Y1       // h +
+	VMOVUPD   Y1, (R11)(AX*8)
+	VSUBPD    Y1, Y11, Y1               // μ − h
+	VMULPD    (R12)(AX*8), Y1, Y1       // r
+	VMULPD    Y1, Y1, Y2
+	VADDPD    Y2, Y8, Y8                // rᵀr
+	VANDPD    Y13, Y1, Y1
+	VMAXPD    Y9, Y1, Y9                // |r| > max ? |r| : max
+	ADDQ      $4, AX
+	JMP       advance
+
+advanced:
+	LANESUM(Y8, X8, X0)
+	VMOVSD       X8, rr+24(FP)
+	VEXTRACTF128 $1, Y9, X0
+	VMAXPD       X0, X9, X9
+	VPERMILPD    $1, X9, X0
+	VMAXSD       X0, X9, X9
+	VMOVSD       X9, rmax+32(FP)
 	VZEROUPPER
 	RET

@@ -2,19 +2,14 @@
 
 package svm
 
-// useAVX2 is never set off amd64: the Go loop in solveFused is the only
-// path, and the routines below exist so the dispatch and the tests
-// compile.
-var useAVX2 = false
+// useAVX2 is never set off amd64: the Go loops are the only path, and the
+// routines below exist so the dispatch and the tests compile.
+var useAVX2, useZMM = false, false
 
-func solveAVX2(s *smo32, i, j, budget int) (done, ni, nj int, ok bool) {
-	panic("svm: AVX2 solve loop on a non-amd64 build")
-}
-
-func sweepOnceAVX2(s *smo32, i, j int, cyi, cyj float32) (ni, nj int, ok bool) {
-	panic("svm: AVX2 sweep on a non-amd64 build")
-}
-
-func classSumsAVX2(kd []float32, rows []int, np int, rp, rm []float64) {
-	panic("svm: AVX2 class sums on a non-amd64 build")
-}
+func solveAVX2(*smo32, int, int, int) (_, _, _ int, _ bool)               { panic("svm: no AVX2") }
+func sweepOnceAVX2(*smo32, int, int, float32, float32) (_, _ int, _ bool) { panic("svm: no AVX2") }
+func classSumsAVX2([]float32, []int, int, []float64, []float64)           { panic("svm: no AVX2") }
+func matvecAVX2([]float32, []int, []float32, []float32)                   { panic("svm: no AVX2") }
+func directionAVX2(*smo32, float64, float64) (_, _ float64)               { panic("svm: no AVX2") }
+func curvatureAVX2(*smo32) (_, _ float64)                                 { panic("svm: no AVX2") }
+func advanceAVX2(*smo32, float64, float64) (_, _ float64)                 { panic("svm: no AVX2") }

@@ -24,21 +24,36 @@ import (
 // 3's assembly too.
 
 // eachSweepPath runs f as a subtest on the Go loop and on the assembly
-// loop; the AVX2 half skips where the probe says the host has none.
+// loop; the AVX2 half skips where the probe says the host has none. The
+// assembly half runs the mat-vec on YMM vectors; setPath reaches ZMM.
 func eachSweepPath(t *testing.T, f func(t *testing.T)) {
-	old := useAVX2
-	defer func() { useAVX2 = old }()
+	oldAVX2, oldZMM := useAVX2, useZMM
+	defer func() { useAVX2, useZMM = oldAVX2, oldZMM }()
 	t.Run("go", func(t *testing.T) {
-		useAVX2 = false
+		useAVX2, useZMM = false, false
 		f(t)
 	})
 	t.Run("avx2", func(t *testing.T) {
 		if !blas.HasAVX2() {
 			t.Skip("host has no AVX2")
 		}
-		useAVX2 = true
+		useAVX2, useZMM = true, false
 		f(t)
 	})
+}
+
+// hostZMM is the probe's verdict on the mat-vec's ZMM loops, read before
+// any test rewrites useZMM.
+var hostZMM = useZMM
+
+// paths are the dispatch settings the phase's pins compare — Go, YMM,
+// ZMM — and setPath selects one, reporting false where the host cannot
+// run it.
+var paths = []string{"go", "avx2", "avx512"}
+
+func setPath(p string) bool {
+	useAVX2, useZMM = p != "go", p == "avx512"
+	return p == "go" || p == "avx2" && blas.HasAVX2() || hostZMM
 }
 
 // sameFloat is equality of bits at either width: equal values with the
@@ -161,18 +176,51 @@ func sweepProblem(rng *rand.Rand, n int, pos float64) (*tensor.Matrix, []int) {
 	return PrecomputeKernel(X), labels
 }
 
-// solveUnfused is the first-order solver as it was before the sweep: a
-// plain selectFirstOrder and an update per iteration. It is the oracle the
-// fused Go loop and solveAVX2 are pinned to.
-func (s *smo32) solveUnfused() (iters int, converged bool) {
-	for iter := 0; iter < s.maxIter; iter++ {
+// solveUnfused is solveFused with the first-order loop as it was before
+// the sweep: a plain selectFirstOrder and an update per iteration — for
+// 2n iterations, then the conjugate-gradient phase if the fold is still
+// open, then on to MaxIter. It is the oracle the fused Go loop and
+// solveAVX2 are pinned to.
+func (s *smo32) solveUnfused() (iters, steps int, converged bool) {
+	budget := min(2*s.n, s.maxIter)
+	for iters < s.maxIter {
 		i, j, ok := s.selectFirstOrder()
 		if !ok {
-			return iter, true
+			return iters, steps, true
+		}
+		if iters == budget {
+			steps, budget = s.conjugate(), s.maxIter
+			continue
 		}
 		s.update(i, j)
+		iters++
 	}
-	return s.maxIter, false
+	return iters, steps, false
+}
+
+// solveSMO is the first-order loop alone, to MaxIter: the solver without
+// its conjugate-gradient phase, for the tests of what SMO itself does.
+func (s *smo32) solveSMO() (iters int, converged bool) {
+	i, j, ok := s.selectFirstOrder()
+	iters, _ = s.iterate(i, j, ok, 0, s.maxIter)
+	return iters, iters < s.maxIter
+}
+
+// iterate is solveFused's first-order loop on the current path, from the
+// selection (i, j, ok) and iters done until the fold closes or budget
+// iterations are done; it returns the count and whether the fold is
+// still open.
+func (s *smo32) iterate(i, j int, ok bool, iters, budget int) (int, bool) {
+	for ok && iters < budget {
+		done := 1
+		if useAVX2 {
+			done, i, j, ok = solveAVX2(s, i, j, min(budget-iters, solveChunk))
+		} else if cyi, cyj, moved := s.step(i, j); moved {
+			i, j, ok = s.sweep(i, j, cyi, cyj)
+		}
+		iters += done
+	}
+	return iters, ok
 }
 
 // update is one unfused iteration's second half: step, then gradient
@@ -195,8 +243,9 @@ func (s *smo32) addGradient(i, j int, cyi, cyj float32) {
 
 // (b) Fused vs unfused: solve() reaches the state of solveUnfused — a plain
 // selectFirstOrder and an update per iteration, the first-order solver as
-// it was before the sweep, over the same float32 v — in the same iteration
-// count, on both paths.
+// it was before the sweep, over the same float32 v, with the same
+// conjugate-gradient phase after 2n iterations — in the same iteration
+// and mat-vec counts, on both paths.
 func TestFusedSolveMatchesUnfused(t *testing.T) {
 	sizes := []int{16, 17, 23, 36, 80, 204}
 	for n := 1; n <= 13; n++ {
@@ -214,7 +263,7 @@ func TestFusedSolveMatchesUnfused(t *testing.T) {
 				params.C = C
 				want := new(smo32)
 				want.reset(K, labels, allIdx(n), params)
-				wantIters, _ := want.solveUnfused()
+				wantIters, wantSteps, _ := want.solveUnfused()
 				if wantIters == params.MaxIter {
 					capped++
 				}
@@ -222,12 +271,12 @@ func TestFusedSolveMatchesUnfused(t *testing.T) {
 					eachSweepPath(t, func(t *testing.T) {
 						got := new(smo32)
 						got.reset(K, labels, allIdx(n), params)
-						iters, err := got.solve()
+						iters, steps, err := got.solve()
 						if (err != nil) != (wantIters == params.MaxIter) {
 							t.Fatalf("solve error %v after %d iterations; oracle took %d", err, iters, wantIters)
 						}
-						if iters != wantIters {
-							t.Fatalf("fused solve took %d iterations, unfused %d", iters, wantIters)
+						if iters != wantIters || steps != wantSteps {
+							t.Fatalf("fused solve took %d iterations and %d mat-vecs, unfused %d and %d", iters, steps, wantIters, wantSteps)
 						}
 						requireSameFloats(t, "alpha", got.alpha, want.alpha)
 						requireSameFloats(t, "v", got.v, want.v)
@@ -520,7 +569,7 @@ func FuzzSolveLoopMatchesGo(f *testing.F) {
 		old := useAVX2
 		defer func() { useAVX2 = old }()
 		var s [2]smo32
-		var iters [2]int
+		var iters, steps [2]int
 		var converged [2]bool
 		state := data[4*n*n:]
 		for p := range s {
@@ -532,10 +581,11 @@ func FuzzSolveLoopMatchesGo(f *testing.F) {
 					s[p].outUp[k], s[p].outLow[k] = decodeMasks(state[4*n+k])
 				}
 			}
-			iters[p], converged[p] = s[p].solveFused()
+			iters[p], steps[p], converged[p] = s[p].solveFused()
 		}
-		if iters[0] != iters[1] || converged[0] != converged[1] {
-			t.Fatalf("assembly loop: %d iterations, converged %v; Go loop: %d, %v", iters[1], converged[1], iters[0], converged[0])
+		if iters[0] != iters[1] || steps[0] != steps[1] || converged[0] != converged[1] {
+			t.Fatalf("assembly loop: %d iterations, %d mat-vecs, converged %v; Go loop: %d, %d, %v",
+				iters[1], steps[1], converged[1], iters[0], steps[0], converged[0])
 		}
 		requireSameFloats(t, "alpha", s[1].alpha, s[0].alpha)
 		requireSameFloats(t, "v", s[1].v, s[0].v)
@@ -668,9 +718,10 @@ func (r *gSolver) step(i, j int) {
 }
 
 // (c, continued) The change of state changed no iterate: on every fold of
-// the benchmark's shapes the solver's α is the float32 g-state solver's
-// and its v read back as −y·v is that solver's g, bit for bit — exact
-// zeros aside, whose sign v does not keep and nothing reads.
+// the benchmark's shapes the first-order loop's α is the float32 g-state
+// solver's and its v read back as −y·v is that solver's g, bit for bit —
+// exact zeros aside, whose sign v does not keep and nothing reads. Both
+// run SMO alone (solveSMO), which the g-state solver has no phase after.
 func TestVStateMatchesGradientState(t *testing.T) {
 	for _, sh := range cvShapes[:3] {
 		K, labels, folds := shapeProblem(t, sh.voxels, sh.subjects, sh.epochsPerSubject)
@@ -681,9 +732,9 @@ func TestVStateMatchesGradientState(t *testing.T) {
 					s.reset(K, labels, f.Train, Params{})
 					want := newGSolver(s)
 					wantIters := want.solve()
-					iters, err := s.solve()
-					if err != nil || iters != wantIters {
-						t.Fatalf("fold %d: %d iterations (%v), the g-state solver took %d", fi, iters, err, wantIters)
+					iters, converged := s.solveSMO()
+					if !converged || iters != wantIters {
+						t.Fatalf("fold %d: %d iterations (converged %v), the g-state solver took %d", fi, iters, converged, wantIters)
 					}
 					requireSameFloats(t, "alpha", s.alpha, want.alpha)
 					for k, g := range want.g {
@@ -755,7 +806,7 @@ func TestBoxInactiveAtBenchmarkShapes(t *testing.T) {
 		var atC, sv, total int
 		for fi, f := range folds {
 			s.reset(K, labels, f.Train, Params{})
-			if _, err := s.solve(); err != nil {
+			if _, _, err := s.solve(); err != nil {
 				t.Fatalf("%s fold %d: %v", sh.name, fi, err)
 			}
 			for _, a := range s.alpha {
@@ -808,7 +859,7 @@ func TestPutSolverDropsCallerReferences(t *testing.T) {
 	K, labels := sweepProblem(rng, 20, 0.5)
 	s := getSolver()
 	s.reset(K, labels, allIdx(20), Params{})
-	if _, err := s.solve(); err != nil {
+	if _, _, err := s.solve(); err != nil {
 		t.Fatal(err)
 	}
 	putSolver(s)
@@ -820,10 +871,11 @@ func TestPutSolverDropsCallerReferences(t *testing.T) {
 	}
 }
 
-// The scratch a solver grows for n samples is 4n² + 76n bytes, the figure
-// solverPool's comment and DESIGN.md §17 state: every slice field grow
-// makes, counted at its capacity, so a field added to the solver moves the
-// sum.
+// The scratch a solver grows for n samples is 4n² + 96n + 144 bytes, the
+// figure solverPool's comment and DESIGN.md §17 state: every slice field
+// grow makes, counted at its capacity, so a field added to the solver
+// moves the sum. (The 144 are three pad elements on each of the seven
+// vectors the conjugate-gradient passes read four at a time.)
 func TestSolverScratchBytes(t *testing.T) {
 	for _, n := range []int{1, 10, 80, 522} {
 		s := new(smo32)
@@ -835,18 +887,17 @@ func TestSolverScratchBytes(t *testing.T) {
 				got += f.Cap() * int(f.Type().Elem().Size())
 			}
 		}
-		if want := 4*n*n + 76*n; got != want {
-			t.Errorf("n = %d: grow makes %d bytes of scratch, want 4n² + 76n = %d", n, got, want)
+		if want := 4*n*n + 96*n + 144; got != want {
+			t.Errorf("n = %d: grow makes %d bytes of scratch, want 4n² + 96n + 144 = %d", n, got, want)
 		}
 	}
 }
 
 // BenchmarkCrossValidateShapes times one voxel's cross-validation at each
 // benchmark fold shape and the paper's two, per path. iters/op is the SMO
-// iteration count of the call — the same on both paths — and ns/iter the
-// time per iteration with the per-fold work (reset, finish, prediction)
-// spread over it, so fixed and per-element cost read off the rows. It is
-// the stage-3 table of EXPERIMENTS.md:
+// iteration count of the call and cg/op its conjugate-gradient mat-vecs —
+// the same on both paths — so ns/op, one voxel, is read beside the work
+// it did. It is the stage-3 table of DESIGN.md §17:
 //
 //	go test -run '^$' -bench CrossValidateShapes ./internal/svm
 func BenchmarkCrossValidateShapes(b *testing.B) {
@@ -875,9 +926,8 @@ func BenchmarkCrossValidateShapes(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				iters := float64(st.TotalIters())
-				b.ReportMetric(iters, "iters/op")
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/iters, "ns/iter")
+				b.ReportMetric(float64(st.TotalIters()), "iters/op")
+				b.ReportMetric(float64(st.TotalCGSteps()), "cg/op")
 			})
 		}
 	}
