@@ -106,7 +106,7 @@ size:
 # the values the last reduction PR left. A PR that needs more raises them
 # in its own diff, where a reviewer sees the growth; one that shrinks the
 # module lowers them.
-MAX_MODULE_LINES = 22391
+MAX_MODULE_LINES = 22461
 MAX_EXPORTED = 357
 size-check:
 	@lines=$$($(MODULE_LINES)); exported=$$($(EXPORTED)); status=0; \
@@ -168,6 +168,7 @@ fuzz:
 	$(GO) test ./internal/svm/ -run '^$$' -fuzz FuzzSolveLoopMatchesGo -fuzztime $(FUZZTIME) -fuzzminimizetime 0
 	$(GO) test ./internal/svm/ -run '^$$' -fuzz FuzzSeedSumsMatchGo -fuzztime $(FUZZTIME) -fuzzminimizetime 0
 	$(GO) test ./internal/svm/ -run '^$$' -fuzz FuzzCGPhaseMatchesGo -fuzztime $(FUZZTIME) -fuzzminimizetime 0
+	$(GO) test ./internal/svm/ -run '^$$' -fuzz FuzzDecideMatchesGo -fuzztime $(FUZZTIME) -fuzzminimizetime 0
 	$(GO) test ./internal/corr/ -run '^$$' -fuzz FuzzFusedMatchesUnfused -fuzztime $(FUZZTIME) -fuzzminimizetime 0
 	$(GO) test ./internal/wal/ -run '^$$' -fuzz FuzzScoreBlockDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster/ -run '^$$' -fuzz FuzzJournalApply -fuzztime $(FUZZTIME)

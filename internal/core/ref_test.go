@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"fcma"
 	"fcma/internal/cluster"
 	"fcma/internal/core"
 	"fcma/internal/corr"
@@ -57,17 +58,22 @@ var refTaskSizes = []int{1, 8, 0}
 
 // The engine against internal/ref, the float64 FCMA, on every kernel path
 // (Go twins, YMM, ZMM; the SMO sweep's Go loop on the first, its assembly
-// on the others) × the four benchmark shapes × Workers 1 and 3: every
+// on the others) × the five benchmark shapes × Workers 1, 2 and 3: every
 // voxel's kernel matrix is within refKernelTol of the reference's, and
 // every test prediction is the one ref.CrossValidate makes on the
 // reference kernel — except where the reference decision value lies
 // within refMarginFrac of its fold's largest, and no more of those than
 // refMaxDiffer allows. The task's CV accuracy is the one those predictions
-// give, and on the attention shape so is every score cluster.RunLocal
+// give, fcma.SelectVoxelsContext at the same Workers returns the worker's
+// scores, and on the attention shape so is every score cluster.RunLocal
 // returns, at each of refTaskSizes.
 func TestKernelPathsMatchReference(t *testing.T) {
 	for _, spec := range refShapes {
 		d, err := fmri.Generate(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fd, err := fcma.Generate(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +109,7 @@ func TestKernelPathsMatchReference(t *testing.T) {
 		t.Run(spec.Name, func(t *testing.T) {
 			core.EachKernelPath(t, func(t *testing.T) {
 				var accuracy []float64 // per voxel, from the engine's predictions
-				for _, workers := range []int{1, 3} {
+				for _, workers := range []int{1, 2, 3} {
 					cfg := core.Optimized()
 					cfg.Workers = workers
 					w, err := core.NewWorker(cfg, st, nil)
@@ -126,6 +132,7 @@ func TestKernelPathsMatchReference(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					requireSelectScores(t, what, fd, workers, scores)
 					accuracy = make([]float64, N)
 					differ, total := 0, 0
 					for v := range kernels {
@@ -202,6 +209,25 @@ func requireClusterScores(t *testing.T, st *corr.EpochStack, accuracy []float64)
 				t.Errorf("cluster.RunLocal, task size %d: score %d is voxel %d at %g, want voxel %d at %g",
 					size, v, sc.Voxel, sc.Accuracy, v, accuracy[v])
 			}
+		}
+	}
+}
+
+// requireSelectScores holds fcma.SelectVoxelsContext at the given Workers
+// — the library's entry point, which builds its own stack and worker — to
+// the scores the test's worker returned, voxel by voxel.
+func requireSelectScores(t *testing.T, what string, d *fcma.Data, workers int, want []core.VoxelScore) {
+	t.Helper()
+	got, err := fcma.SelectVoxelsContext(context.Background(), d, fcma.Config{Workers: workers})
+	if err != nil {
+		t.Fatalf("%s: SelectVoxelsContext: %v", what, err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: SelectVoxelsContext scored %d voxels, the worker %d", what, len(got), len(want))
+	}
+	for _, sc := range got {
+		if sc.Voxel < 0 || sc.Voxel >= len(want) || sc.Accuracy != want[sc.Voxel].Accuracy {
+			t.Fatalf("%s: SelectVoxelsContext scores voxel %d at %g, the worker %v", what, sc.Voxel, sc.Accuracy, want[min(max(sc.Voxel, 0), len(want)-1)])
 		}
 	}
 }

@@ -277,3 +277,69 @@ func FuzzCGPhaseMatchesGo(f *testing.F) {
 		}
 	})
 }
+
+// The mat-vec's pass against the Go one, on the contract conjugate reads:
+// dᵀq and Σ_W q bit for bit, and when λ = rd/dᵀq reaches the box's
+// longest step, that step and its first position; when it does not, a
+// step longer than λ. With K = I, q = float32(d); α sits at and between
+// the bounds, d is zero, subnormal or of any size, W any subset, and rd
+// puts λ on each ratio, about an ulp either side, and at 0⁺, huge and
+// +Inf values.
+func TestMatvecCutMatchesGo(t *testing.T) {
+	if !blas.HasAVX2() {
+		t.Skip("host has no AVX2")
+	}
+	old := useZMM
+	defer func() { useZMM = old }()
+	rng := rand.New(rand.NewSource(61))
+	for trial := 0; trial < 400; trial++ {
+		n := 1 + rng.Intn(40)
+		np := (n + 3) &^ 3
+		s := new(smo32)
+		s.grow(n)
+		s.n, s.c = n, []float64{1e-4, 1, 10}[trial%3]
+		s.alpha, s.y, s.dir, s.v, s.free, s.q = s.alpha[:np], s.y[:np], s.dir[:np], s.v[:np], s.free[:np], s.q[:np]
+		var ratios []float64
+		for k := range n {
+			s.kd[k*n+k] = 1
+			s.y[k], s.free[k] = float64(2*rng.Intn(2)-1), float64(rng.Intn(2))
+			s.alpha[k] = []float64{0, s.c, s.c * rng.Float64(), s.c * rng.Float64()}[rng.Intn(4)]
+			switch rng.Intn(6) {
+			case 0:
+				s.dir[k] = 0
+			case 1:
+				s.dir[k] = math.Ldexp(rng.NormFloat64(), -1060) // subnormal
+			default:
+				s.dir[k] = math.Ldexp(rng.NormFloat64(), rng.Intn(80)-40)
+			}
+			s.v[k] = float32(s.dir[k])
+			r := s.alpha[k] / math.Abs(s.dir[k])
+			if s.y[k]*s.dir[k] > 0 {
+				r = (s.c - s.alpha[k]) / math.Abs(s.dir[k])
+			}
+			ratios = append(ratios, r, math.Nextafter(r, 0), math.Nextafter(r, math.Inf(1)))
+		}
+		ratios = append(ratios, 1e-300, 1, 1e300, math.Inf(1))
+		rows := allIdx(n)
+		dq, sq, _, _ := matvecGoCut(s, rows, 0)
+		for _, target := range ratios {
+			rd := target * dq
+			lam := rd / dq
+			_, _, wantL, wantK := matvecGoCut(s, rows, rd)
+			for _, zmm := range []bool{false, hostZMM} {
+				useZMM = zmm
+				gdq, gsq, gotL, gotK := cgAVX2.matvec(s, rows, rd)
+				if !sameFloat(gdq, dq) || !sameFloat(gsq, sq) {
+					t.Fatalf("trial %d (ZMM %v): dᵀq %g, Σ_W q %g; Go %g, %g", trial, zmm, gdq, gsq, dq, sq)
+				}
+				if lam >= wantL {
+					if !sameFloat(gotL, wantL) || gotK != wantK {
+						t.Fatalf("trial %d (ZMM %v), λ = %g: cut (%g, %d), Go (%g, %d)", trial, zmm, lam, gotL, gotK, wantL, wantK)
+					}
+				} else if lam >= gotL {
+					t.Fatalf("trial %d (ZMM %v), λ = %g below the Go path's step %g: cut (%g, %d)", trial, zmm, lam, wantL, gotL, gotK)
+				}
+			}
+		}
+	}
+}

@@ -182,20 +182,24 @@ func runFolds(tr KernelTrainer, K *tensor.Matrix, labels []int, folds []Fold, de
 		}
 		switch {
 		case err == nil:
-			for _, t := range f.Test {
-				var d float64
+			var d [decideLanes]float64
+			for first := 0; first < len(f.Test); first += decideLanes {
+				test := f.Test[first:min(first+decideLanes, len(f.Test))]
 				if s != nil {
-					d = s.decide(K, t)
-				} else {
-					d = model.Decide(K, t)
+					s.decideAll(K, test, &d)
 				}
-				pred := 0
-				if d > 0 {
-					pred = 1
-				}
-				fs.Confusion[labels[t]][pred]++
-				if pred == labels[t] {
-					fs.Correct++
+				for l, t := range test {
+					if s == nil {
+						d[l] = model.Decide(K, t)
+					}
+					pred := 0
+					if d[l] > 0 {
+						pred = 1
+					}
+					fs.Confusion[labels[t]][pred]++
+					if pred == labels[t] {
+						fs.Correct++
+					}
 				}
 			}
 		case errors.Is(err, ErrOneClass) || errors.Is(err, ErrNoConverge):

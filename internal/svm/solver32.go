@@ -278,7 +278,7 @@ const solveChunk = 1 << 13
 //
 //lint:hotpath once per fold per voxel
 func (s *smo32) solveFused() (iters, steps int, converged bool) {
-	i, j, ok := s.selectFirstOrder()
+	i, j, ok := s.selectPair()
 	for budget := min(2*s.n, s.maxIter); ; budget = s.maxIter {
 		for ok && iters < budget {
 			done := 1
@@ -293,8 +293,15 @@ func (s *smo32) solveFused() (iters, steps int, converged bool) {
 			return iters, steps, iters < s.maxIter
 		}
 		steps = s.conjugate()
-		i, j, ok = s.selectFirstOrder()
+		i, j, ok = s.selectPair()
 	}
+}
+
+func (s *smo32) selectPair() (int, int, bool) {
+	if useAVX2 {
+		return selectAVX2(s)
+	}
+	return s.selectFirstOrder()
 }
 
 // selectFirstOrder implements the maximal-violating-pair rule.
@@ -445,18 +452,25 @@ func (s *smo32) finish() {
 	s.rho = s.threshold()
 }
 
-// decide is Model.Decide on the solver's own state — the same terms in
-// the same order, read from the full kernel row of sample t — so
-// cross-validation scores a fold without building a Model.
+// decide is Model.Decide on the solver's own state, so cross-validation
+// scores a fold without building a Model.
 func (s *smo32) decide(K *tensor.Matrix, t int) float64 {
-	var sum float64
-	row := K.Row(t)
-	for i, idx := range s.idx {
-		if c := s.coef[i]; c != 0 {
-			sum += c * float64(row[idx])
+	return decision(s.coef, s.idx, K.Row(t), s.rho)
+}
+
+const decideLanes = 16
+
+// decideAll sets d[l] = decide(K, test[l]) for up to decideLanes samples,
+// which runFolds has checked are in K; with AVX2 in one pass, a lane per
+// sample, reading K's rows (so K need not be symmetric).
+func (s *smo32) decideAll(K *tensor.Matrix, test []int, d *[decideLanes]float64) {
+	if !useAVX2 || K.Rows*K.Stride > math.MaxInt32 {
+		for l, t := range test {
+			d[l] = s.decide(K, t)
 		}
+		return
 	}
-	return sum - s.rho
+	decideAVX2(s.coef[:s.n], s.idx, K.Data, K.Stride, test, s.rho, d)
 }
 
 // model copies the finished classifier out of the solver's scratch.

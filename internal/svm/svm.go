@@ -100,18 +100,22 @@ type Model struct {
 }
 
 // Decide evaluates the decision value for kernel-matrix sample t.
+func (m *Model) Decide(K *tensor.Matrix, t int) float64 {
+	return decision(m.Coef, m.TrainIdx, K.Row(t), m.Rho)
+}
+
+// decision is Σ coef[i]·row[idx[i]] over coef ≠ 0 in order, minus rho,
+// each product rounded by its conversion so that no build fuses the add.
 //
 //lint:allow f32purity float64 decision-value accumulation for stability; only the sign classifies
-func (m *Model) Decide(K *tensor.Matrix, t int) float64 {
+func decision(coef []float64, idx []int, row []float32, rho float64) float64 {
 	var sum float64
-	row := K.Row(t)
-	for i, idx := range m.TrainIdx {
-		c := m.Coef[i]
-		if c != 0 {
-			sum += c * float64(row[idx])
+	for i, k := range idx {
+		if c := coef[i]; c != 0 {
+			sum += float64(c * float64(row[k]))
 		}
 	}
-	return sum - m.Rho
+	return sum - rho
 }
 
 // Predict returns the predicted label (0 or 1) for kernel-matrix sample t.

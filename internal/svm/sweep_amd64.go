@@ -19,8 +19,9 @@ import (
 // an explicit conversion, which the compiler may not fuse into an add.
 var useAVX2 = blas.HasAVX2()
 
-// useZMM runs matvecAVX2's loops on ZMM vectors, with the same bits; it
-// reads internal/blas's probe by linkname, as internal/norm does.
+// useZMM runs the mat-vec's bands and the row lists' compress on ZMM
+// vectors, with the same bits; it reads internal/blas's probe by linkname,
+// as internal/norm does.
 var useZMM = useAVX2 && blasHostLanes == 16
 
 //go:linkname blasHostLanes fcma/internal/blas.hostLanes
@@ -49,18 +50,42 @@ func sweepOnceAVX2(s *smo32, i, j int, cyi, cyj float32) (ni, nj int, ok bool)
 //go:noescape
 func classSumsAVX2(kd []float32, rows []int, np int, rp, rm []float64)
 
-// matvecAVX2, directionAVX2, curvatureAVX2 and advanceAVX2 are the
-// conjugate-gradient phase's mat-vec and passes (matvecGo, directionGo,
-// curvatureGo, advanceGo) on the assembly path, bit for bit.
+// selectAVX2 is selectFirstOrder: sweepBody's scan with no update.
 //
+//go:noescape
+func selectAVX2(s *smo32) (i, j int, ok bool)
+
+// cgAVX2 is the conjugate-gradient phase's passes (cgPath) in assembly,
+// bit for bit the Go ones: four float64 lanes a step, and the mat-vec with
+// its band of q in registers, sixteen columns a ZMM vector (useZMM) or
+// eight a YMM one. matvecAVX2 is matvecGo on that path.
+var cgAVX2 = cgPath{startAVX2, freeRowsAVX2, releaseAVX2, directionAVX2, matvecCutAVX2, advanceAVX2, rebuildAVX2}
+
 //go:noescape
 func matvecAVX2(kd []float32, rows []int, x, q []float32)
 
 //go:noescape
-func directionAVX2(s *smo32, mu, gamma float64) (rd, lmax float64)
+func startAVX2(s *smo32)
 
 //go:noescape
-func curvatureAVX2(s *smo32) (dq, sq float64)
+func freeRowsAVX2(s *smo32) (w int, sum float64)
 
 //go:noescape
-func advanceAVX2(s *smo32, lam, mu float64) (rr, rmax float64)
+func releaseAVX2(s *smo32, mu float64) bool
+
+//go:noescape
+func directionAVX2(s *smo32, mu, gamma float64) (rd float64)
+
+//go:noescape
+func matvecCutAVX2(s *smo32, rows []int, rd float64) (dq, sq, lmax float64, k int)
+
+//go:noescape
+func advanceAVX2(s *smo32, lam, mu float64, k int) (rr, rmax float64)
+
+//go:noescape
+func rebuildAVX2(s *smo32)
+
+// decideAVX2 is decideAll's pass: lane l scores row test[l] of k.
+//
+//go:noescape
+func decideAVX2(coef []float64, idx []int, k []float32, stride int, test []int, rho float64, d *[decideLanes]float64)

@@ -14,8 +14,9 @@
 // and v[j], VDIVSD, VMULSD, VADDSD and VSUBSD with step's clamps behind
 // VUCOMISD branches in step's order — and rounds the two coefficients it
 // hands the sweep to float32 with one VCVTPD2PS. After it come the seed's
-// class sums (classSumsAVX2) and the conjugate-gradient phase's mat-vec
-// (matvecAVX2, whose ZMM loops are EVEX) and three float64 passes.
+// class sums (classSumsAVX2), the conjugate-gradient phase's mat-vec
+// (matvecBody, whose ZMM loops are EVEX) and its float64 passes, and
+// decide's pass over a fold's test samples.
 //
 // VEX only: between the first YMM write and VZEROUPPER every instruction
 // must be VEX-encoded (or EVEX). A single legacy-SSE MOVQ CX, X11 in the prologue
@@ -49,7 +50,7 @@ GLOBL sweepConst<>(SB), RODATA|NOPTR, $64
 
 // SCAN is sweep's loop body on the eight elements at byte offset off into
 // the kernel rows, v, outUp and outLow, past element AX; idx holds their
-// indices:
+// indices. UPDATE is its first half, PICK its second:
 //
 //	v[t] −= cyi·ki[t] + cyj·kj[t]
 //	if v[t] >= maxv[lane] && outUp[t] == 0  { maxv[lane], maxi[lane] = v[t], t }
@@ -62,13 +63,16 @@ GLOBL sweepConst<>(SB), RODATA|NOPTR, $64
 // over that, and takes t, the larger, when the element was selected.
 // Between zeros of either sign VMAXPS keeps the running one where `>=`
 // takes the new one: the values are equal, and only comparisons read them.
-#define SCAN(off, maxv, maxi, minv, mini, idx) \
+// PICK alone, on v as it is, is selectFirstOrder's scan.
+#define UPDATE(off) \
 	VMULPS  off(R8)(AX*4), Y12, Y6; \
 	VMULPS  off(R9)(AX*4), Y13, Y7; \
 	VADDPS  Y7, Y6, Y6; \
 	VMOVUPS off(SI)(AX*4), Y7; \
 	VSUBPS  Y6, Y7, Y7; \
-	VMOVUPS Y7, off(SI)(AX*4); \
+	VMOVUPS Y7, off(SI)(AX*4)
+
+#define PICK(off, maxv, maxi, minv, mini, idx) \
 	VORPS   off(R10)(AX*4), Y7, Y6; \
 	VCMPPS  $0x19, maxv, Y6, Y8; \
 	VMAXPS  maxv, Y6, maxv; \
@@ -79,6 +83,14 @@ GLOBL sweepConst<>(SB), RODATA|NOPTR, $64
 	VMINPS  minv, Y6, minv; \
 	VPOR    idx, Y8, Y8; \
 	VPMAXSD Y8, mini, mini
+
+#define SCAN(off, maxv, maxi, minv, mini, idx) \
+	UPDATE(off); \
+	PICK(off, maxv, maxi, minv, mini, idx)
+
+#define SELECT(off, maxv, maxi, minv, mini, idx) \
+	VMOVUPS off(SI)(AX*4), Y7; \
+	PICK(off, maxv, maxi, minv, mini, idx)
 
 // MERGE folds scan state b into a, lane by lane: the better value (OP is
 // VMAXPS and worse LT_OQ for the max, VMINPS and GT_OQ for the min), and
@@ -98,7 +110,8 @@ GLOBL sweepConst<>(SB), RODATA|NOPTR, $64
 // Y12 = cyi and of Y13 = cyj. It leaves the next pair in R12 and R13,
 // both −1 when no pair violates by eps. It uses AX, BX, CX, SI, R8–R11
 // and Y0–Y11, Y14, Y15; the first scan is Y0–Y3 (maxv, maxi, minv, mini)
-// with its indices in Y4, the second Y9, Y10, Y11, Y14 with Y5.
+// with its indices in Y4, the second Y9, Y10, Y11, Y14 with Y5. With
+// R14 ≠ 0 it updates nothing and is selectFirstOrder (i and j unused).
 TEXT sweepBody<>(SB), NOSPLIT, $0-0
 	MOVQ         smo32_n(DI), CX
 	MOVQ         smo32_kd(DI), R9
@@ -125,8 +138,11 @@ TEXT sweepBody<>(SB), NOSPLIT, $0-0
 	XORQ         AX, AX
 	MOVQ         CX, BX
 	ANDQ         $-16, BX
-	JEQ          eight
 	VPBROADCASTD sweepConst<>+8(SB), Y15
+	TESTQ        R14, R14
+	JNE          selects
+	TESTQ        BX, BX
+	JEQ          eight
 
 sixteen:
 	SCAN(0, Y0, Y1, Y2, Y3, Y4)
@@ -141,6 +157,26 @@ eight:
 	TESTQ $8, CX
 	JEQ   reduce
 	SCAN(0, Y0, Y1, Y2, Y3, Y4)
+	ADDQ  $8, AX
+	JMP   reduce
+
+selects:
+	TESTQ BX, BX
+	JEQ   selecteight
+
+selectsixteen:
+	SELECT(0, Y0, Y1, Y2, Y3, Y4)
+	SELECT(32, Y9, Y10, Y11, Y14, Y5)
+	VPADDD Y15, Y4, Y4
+	VPADDD Y15, Y5, Y5
+	ADDQ   $16, AX
+	CMPQ   AX, BX
+	JLT    selectsixteen
+
+selecteight:
+	TESTQ $8, CX
+	JEQ   reduce
+	SELECT(0, Y0, Y1, Y2, Y3, Y4)
 	ADDQ  $8, AX
 
 reduce:
@@ -175,12 +211,16 @@ one:
 	// The n mod 8 elements left, in index order from the reduced state.
 	CMPQ     AX, CX
 	JGE      test
-	VMULSS   (R8)(AX*4), X12, X6
-	VMULSS   (R9)(AX*4), X13, X7
-	VADDSS   X7, X6, X6
 	VMOVSS   (SI)(AX*4), X7
+	TESTQ    R14, R14
+	JNE      picked
+	VMULSS   (R8)(AX*4), X12, X6
+	VMULSS   (R9)(AX*4), X13, X8
+	VADDSS   X8, X6, X6
 	VSUBSS   X6, X7, X7
 	VMOVSS   X7, (SI)(AX*4)
+
+picked:
 	VUCOMISS X0, X7                    // v ? gmax
 	JCS      notup
 	CMPL     (R10)(AX*4), $0
@@ -220,6 +260,7 @@ none:
 // func sweepOnceAVX2(s *smo32, i, j int, cyi, cyj float32) (ni, nj int, ok bool)
 TEXT ·sweepOnceAVX2(SB), NOSPLIT, $0-49
 	MOVQ         s+0(FP), DI
+	XORQ         R14, R14
 	MOVQ         i+8(FP), R12
 	MOVQ         j+16(FP), R13
 	VBROADCASTSS cyi+24(FP), Y12
@@ -232,6 +273,18 @@ TEXT ·sweepOnceAVX2(SB), NOSPLIT, $0-49
 	SETPL        ok+48(FP)
 	RET
 
+// func selectAVX2(s *smo32) (i, j int, ok bool)
+TEXT ·selectAVX2(SB), NOSPLIT, $0-25
+	MOVQ  s+0(FP), DI
+	MOVQ  $1, R14
+	CALL  sweepBody<>(SB)
+	VZEROUPPER
+	MOVQ  R12, i+8(FP)
+	MOVQ  R13, j+16(FP)
+	TESTQ R12, R12
+	SETPL ok+24(FP)
+	RET
+
 // func solveAVX2(s *smo32, i, j, budget int) (done, ni, nj int, ok bool)
 //
 // R12, R13 = the working pair, DX = iterations done. One iteration is
@@ -239,6 +292,7 @@ TEXT ·sweepOnceAVX2(SB), NOSPLIT, $0-49
 // X9 = C; X15 = 0 — and, if α moved, sweepBody.
 TEXT ·solveAVX2(SB), NOSPLIT, $0-57
 	MOVQ s+0(FP), DI
+	XORQ R14, R14
 	MOVQ i+8(FP), R12
 	MOVQ j+16(FP), R13
 	XORQ DX, DX
@@ -534,7 +588,7 @@ summed:
 
 // matvecMask is eight all-ones dwords then eight zero ones: the eight at
 // byte offset 32 − 4r have the first r lanes set, the VMASKMOVPS mask of
-// a row's last n mod 8 columns.
+// a vector's first r columns.
 DATA matvecMask<>+0(SB)/8, $0xffffffffffffffff
 DATA matvecMask<>+8(SB)/8, $0xffffffffffffffff
 DATA matvecMask<>+16(SB)/8, $0xffffffffffffffff
@@ -545,259 +599,263 @@ DATA matvecMask<>+48(SB)/8, $0
 DATA matvecMask<>+56(SB)/8, $0
 GLOBL matvecMask<>(SB), RODATA|NOPTR, $64
 
+// laneMasks<> is the opmask of a vector's first r lanes at word r, r ≤ 16.
+DATA laneMasks<>+0(SB)/8, $0x0007000300010000
+DATA laneMasks<>+8(SB)/8, $0x007f003f001f000f
+DATA laneMasks<>+16(SB)/8, $0x07ff03ff01ff00ff
+DATA laneMasks<>+24(SB)/8, $0x7fff3fff1fff0fff
+DATA laneMasks<>+32(SB)/2, $0xffff
+GLOBL laneMasks<>(SB), RODATA|NOPTR, $34
+
+// A band is six vectors of q's columns, which stay in registers while
+// every listed row streams past: 96 columns in Z0–Z5 under the opmasks
+// K1–K6, 48 in Y0–Y5 under the VMASKMOVPS masks Y6–Y11. BANDMASK sets a
+// vector's mask from AX, the columns left in the band (it consumes them),
+// with DX = the vector's width and R14 = 0.
+#define ZBANDMASK(K) \
+	MOVQ    AX, BX; \
+	CMPQ    BX, DX; \
+	CMOVQGT DX, BX; \
+	KMOVW   (R15)(BX*2), K; \
+	SUBQ    DX, AX; \
+	CMOVQLT R14, AX
+
+#define YBANDMASK(Y) \
+	MOVQ    AX, BX; \
+	CMPQ    BX, DX; \
+	CMOVQGT DX, BX; \
+	NEGQ    BX; \
+	VMOVDQU 32(R15)(BX*4), Y; \
+	SUBQ    DX, AX; \
+	CMOVQLT R14, AX
+
+// ZHEAD (YROW's first half) starts one row of the band: AX = the row's
+// index in the list; Z12 (Y12) = x[row], AX = the row's band. ZP adds one
+// vector's products into its accumulator; Z13 (Y13) is scratch. A
+// masked-off lane is never read.
+#define ZHEAD \
+	MOVQ         (BX), AX; \
+	VBROADCASTSS (R10)(AX*4), Z12; \
+	IMULQ        R11, AX; \
+	ADDQ         R14, AX
+
+#define ZP(off, K, acc) \
+	VMULPS.Z off(AX), Z12, K, Z13; \
+	VADDPS   Z13, acc, acc
+
+#define YPRODUCT(off, mask, acc) \
+	VMASKMOVPS off(AX), mask, Y13; \
+	VMULPS     Y13, Y12, Y13; \
+	VADDPS     Y13, acc, acc
+
+#define YROW \
+	VBROADCASTSS (R10)(AX*4), Y12; \
+	IMULQ        R11, AX; \
+	ADDQ         R14, AX; \
+	YPRODUCT(0, Y6, Y0); \
+	YPRODUCT(32, Y7, Y1); \
+	YPRODUCT(64, Y8, Y2); \
+	YPRODUCT(96, Y9, Y3); \
+	YPRODUCT(128, Y10, Y4); \
+	YPRODUCT(160, Y11, Y5)
+
+// matvecBody is matvecGo with q in registers: for each band of columns,
+// q = +0, then every listed row in list order adds its products x[row]·K
+// (VMULPS, then VADDPS: the Go loop's per-element order), and the band is
+// stored once. A ZMM band's rows run a loop over its live vectors only. R8 = kd, R9 = the list, R12 = its end, R10 = x, SI = q,
+// CX = n. It uses AX, BX, DX, R11, R13–R15, Y0–Y13 (Z0–Z13 and K1–K6 with
+// useZMM) and leaves DI alone.
+TEXT matvecBody<>(SB), NOSPLIT, $0-0
+	LEAQ (CX*4), R11
+	LEAQ laneMasks<>(SB), R15
+	XORQ R13, R13              // the band's first column
+	CMPB ·useZMM(SB), $0
+	JEQ  yband
+
+zband:
+	CMPQ      R13, CX
+	JGE       banded
+	MOVQ      CX, AX
+	SUBQ      R13, AX
+	MOVL      $16, DX
+	XORL      R14, R14
+	ZBANDMASK(K1)
+	ZBANDMASK(K2)
+	ZBANDMASK(K3)
+	ZBANDMASK(K4)
+	ZBANDMASK(K5)
+	ZBANDMASK(K6)
+	LEAQ      (R8)(R13*4), R14 // &kd[0][band]
+	VXORPS    Z0, Z0, Z0
+	VXORPS    Z1, Z1, Z1
+	VXORPS    Z2, Z2, Z2
+	VXORPS    Z3, Z3, Z3
+	VXORPS    Z4, Z4, Z4
+	VXORPS    Z5, Z5, Z5
+	MOVQ      R9, BX
+	MOVQ      CX, AX           // the row loop that runs no vector past n
+	SUBQ      R13, AX
+	CMPQ      AX, $80
+	JGT       zrows6
+	CMPQ      AX, $64
+	JGT       zrows5
+	CMPQ      AX, $48
+	JGT       zrows4
+	CMPQ      AX, $32
+	JGT       zrows3
+	CMPQ      AX, $16
+	JGT       zrows2
+
+zrows1:
+	CMPQ BX, R12
+	JGE  zstore
+	ZHEAD
+	ZP(0, K1, Z0)
+	ADDQ $8, BX
+	JMP  zrows1
+
+zrows2:
+	CMPQ BX, R12
+	JGE  zstore
+	ZHEAD
+	ZP(0, K1, Z0)
+	ZP(64, K2, Z1)
+	ADDQ $8, BX
+	JMP  zrows2
+
+zrows3:
+	CMPQ BX, R12
+	JGE  zstore
+	ZHEAD
+	ZP(0, K1, Z0)
+	ZP(64, K2, Z1)
+	ZP(128, K3, Z2)
+	ADDQ $8, BX
+	JMP  zrows3
+
+zrows4:
+	CMPQ BX, R12
+	JGE  zstore
+	ZHEAD
+	ZP(0, K1, Z0)
+	ZP(64, K2, Z1)
+	ZP(128, K3, Z2)
+	ZP(192, K4, Z3)
+	ADDQ $8, BX
+	JMP  zrows4
+
+zrows5:
+	CMPQ BX, R12
+	JGE  zstore
+	ZHEAD
+	ZP(0, K1, Z0)
+	ZP(64, K2, Z1)
+	ZP(128, K3, Z2)
+	ZP(192, K4, Z3)
+	ZP(256, K5, Z4)
+	ADDQ $8, BX
+	JMP  zrows5
+
+zrows6:
+	CMPQ BX, R12
+	JGE  zstore
+	ZHEAD
+	ZP(0, K1, Z0)
+	ZP(64, K2, Z1)
+	ZP(128, K3, Z2)
+	ZP(192, K4, Z3)
+	ZP(256, K5, Z4)
+	ZP(320, K6, Z5)
+	ADDQ $8, BX
+	JMP  zrows6
+
+zstore:
+	LEAQ    (SI)(R13*4), AX
+	VMOVUPS Z0, K1, (AX)
+	VMOVUPS Z1, K2, 64(AX)
+	VMOVUPS Z2, K3, 128(AX)
+	VMOVUPS Z3, K4, 192(AX)
+	VMOVUPS Z4, K5, 256(AX)
+	VMOVUPS Z5, K6, 320(AX)
+	ADDQ    $96, R13
+	JMP     zband
+
+yband:
+	LEAQ      matvecMask<>(SB), R15
+
+ybandnext:
+	CMPQ      R13, CX
+	JGE       banded
+	MOVQ      CX, AX
+	SUBQ      R13, AX
+	MOVL      $8, DX
+	XORL      R14, R14
+	YBANDMASK(Y6)
+	YBANDMASK(Y7)
+	YBANDMASK(Y8)
+	YBANDMASK(Y9)
+	YBANDMASK(Y10)
+	YBANDMASK(Y11)
+	LEAQ      (R8)(R13*4), R14
+	VXORPS    Y0, Y0, Y0
+	VXORPS    Y1, Y1, Y1
+	VXORPS    Y2, Y2, Y2
+	VXORPS    Y3, Y3, Y3
+	VXORPS    Y4, Y4, Y4
+	VXORPS    Y5, Y5, Y5
+	MOVQ      R9, BX
+
+yrow:
+	CMPQ BX, R12
+	JGE  ystore
+	MOVQ (BX), AX
+	YROW
+	ADDQ $8, BX
+	JMP  yrow
+
+ystore:
+	LEAQ       (SI)(R13*4), AX
+	VMASKMOVPS Y0, Y6, (AX)
+	VMASKMOVPS Y1, Y7, 32(AX)
+	VMASKMOVPS Y2, Y8, 64(AX)
+	VMASKMOVPS Y3, Y9, 96(AX)
+	VMASKMOVPS Y4, Y10, 128(AX)
+	VMASKMOVPS Y5, Y11, 160(AX)
+	ADDQ       $48, R13
+	JMP        ybandnext
+
+banded:
+	RET
+
 // func matvecAVX2(kd []float32, rows []int, x, q []float32)
-//
-// matvecGo, four listed rows at a time: q = 0, then each vector of eight
-// columns of q is loaded once per four rows, takes their four products
-// (VMULPS) by four VADDPS in row order, and is stored; the last n mod 8
-// columns go under a VMASKMOVPS mask (Y15), and the last rows mod 4 one
-// at a time. Each row is read once, with unit stride. With useZMM set the
-// same loops run sixteen columns a ZMM vector (zmm, below). R8 = kd, DI walks
-// rows up to R12, R10 = x, SI = q, CX = n, R11 = the row stride in bytes,
-// BX = the columns in whole vectors.
 TEXT ·matvecAVX2(SB), NOSPLIT, $0-96
-	MOVQ    kd_base+0(FP), R8
-	MOVQ    rows_base+24(FP), DI
-	MOVQ    rows_len+32(FP), R9
-	MOVQ    x_base+48(FP), R10
-	MOVQ    q_base+72(FP), SI
-	MOVQ    q_len+80(FP), CX
-	LEAQ    (CX*4), R11
-	LEAQ    (DI)(R9*8), R12
-	CMPB    ·useZMM(SB), $0
-	JNE     zmm
-	MOVQ    CX, BX
-	ANDQ    $-8, BX
-	MOVQ    CX, AX
-	ANDQ    $7, AX
-	NEGQ    AX
-	LEAQ    matvecMask<>+32(SB), R9
-	VMOVDQU (R9)(AX*4), Y15
-	VXORPS  Y0, Y0, Y0
-	XORQ    AX, AX
-
-zero:
-	CMPQ    AX, BX
-	JGE     zerotail
-	VMOVUPS Y0, (SI)(AX*4)
-	ADDQ    $8, AX
-	JMP     zero
-
-zerotail:
-	VMASKMOVPS Y0, Y15, (SI)(AX*4)
-
-quad:
-	LEAQ         32(DI), AX
-	CMPQ         AX, R12
-	JGT          single
-	MOVQ         (DI), AX
-	VBROADCASTSS (R10)(AX*4), Y1
-	IMULQ        R11, AX
-	LEAQ         (R8)(AX*1), DX
-	MOVQ         8(DI), AX
-	VBROADCASTSS (R10)(AX*4), Y4
-	IMULQ        R11, AX
-	LEAQ         (R8)(AX*1), R9
-	MOVQ         16(DI), AX
-	VBROADCASTSS (R10)(AX*4), Y5
-	IMULQ        R11, AX
-	LEAQ         (R8)(AX*1), R14
-	MOVQ         24(DI), AX
-	VBROADCASTSS (R10)(AX*4), Y6
-	IMULQ        R11, AX
-	LEAQ         (R8)(AX*1), R15
-	XORQ         AX, AX
-
-quadcols:
-	CMPQ    AX, BX
-	JGE     quadtail
-	VMULPS  (DX)(AX*4), Y1, Y2
-	VMULPS  (R9)(AX*4), Y4, Y3
-	VADDPS  (SI)(AX*4), Y2, Y2
-	VMULPS  (R14)(AX*4), Y5, Y7
-	VADDPS  Y3, Y2, Y2
-	VMULPS  (R15)(AX*4), Y6, Y8
-	VADDPS  Y7, Y2, Y2
-	VADDPS  Y8, Y2, Y2
-	VMOVUPS Y2, (SI)(AX*4)
-	ADDQ    $8, AX
-	JMP     quadcols
-
-quadtail:
-	TESTQ      $7, CX
-	JEQ        nextquad
-	VMASKMOVPS (DX)(AX*4), Y15, Y2
-	VMASKMOVPS (R9)(AX*4), Y15, Y3
-	VMASKMOVPS (R14)(AX*4), Y15, Y7
-	VMASKMOVPS (R15)(AX*4), Y15, Y8
-	VMASKMOVPS (SI)(AX*4), Y15, Y9
-	VMULPS     Y2, Y1, Y2
-	VMULPS     Y3, Y4, Y3
-	VMULPS     Y7, Y5, Y7
-	VMULPS     Y8, Y6, Y8
-	VADDPS     Y9, Y2, Y2
-	VADDPS     Y3, Y2, Y2
-	VADDPS     Y7, Y2, Y2
-	VADDPS     Y8, Y2, Y2
-	VMASKMOVPS Y2, Y15, (SI)(AX*4)
-
-nextquad:
-	ADDQ $32, DI
-	JMP  quad
-
-single:
-	CMPQ         DI, R12
-	JGE          done
-	MOVQ         (DI), AX
-	VBROADCASTSS (R10)(AX*4), Y1
-	IMULQ        R11, AX
-	LEAQ         (R8)(AX*1), DX
-	XORQ         AX, AX
-
-cols:
-	CMPQ    AX, BX
-	JGE     tail
-	VMULPS  (DX)(AX*4), Y1, Y2
-	VADDPS  (SI)(AX*4), Y2, Y2
-	VMOVUPS Y2, (SI)(AX*4)
-	ADDQ    $8, AX
-	JMP     cols
-
-tail:
-	TESTQ      $7, CX
-	JEQ        nextrow
-	VMASKMOVPS (DX)(AX*4), Y15, Y2
-	VMULPS     Y2, Y1, Y2
-	VMASKMOVPS (SI)(AX*4), Y15, Y3
-	VADDPS     Y3, Y2, Y2
-	VMASKMOVPS Y2, Y15, (SI)(AX*4)
-
-nextrow:
-	ADDQ $8, DI
-	JMP  single
-
-done:
+	MOVQ kd_base+0(FP), R8
+	MOVQ rows_base+24(FP), R9
+	MOVQ rows_len+32(FP), R12
+	LEAQ (R9)(R12*8), R12
+	MOVQ x_base+48(FP), R10
+	MOVQ q_base+72(FP), SI
+	MOVQ q_len+80(FP), CX
+	CALL matvecBody<>(SB)
 	VZEROUPPER
 	RET
 
-zmm:
-	// The same loops sixteen columns a vector, the last n mod 16 under
-	// the opmask K1 (zeroing loads; a masked-off lane is never read).
-	MOVQ      CX, BX
-	ANDQ      $-16, BX
-	MOVQ      CX, R13
-	ANDQ      $15, R13
-	XORL      AX, AX
-	BTSL      R13, AX
-	DECL      AX
-	KMOVW     AX, K1
-	VXORPS    Z0, Z0, Z0
-	XORQ      AX, AX
-
-zzero:
-	CMPQ    AX, BX
-	JGE     zzerotail
-	VMOVUPS Z0, (SI)(AX*4)
-	ADDQ    $16, AX
-	JMP     zzero
-
-zzerotail:
-	VMOVUPS Z0, K1, (SI)(AX*4)
-
-zquad:
-	LEAQ         32(DI), AX
-	CMPQ         AX, R12
-	JGT          zsingle
-	MOVQ         (DI), AX
-	VBROADCASTSS (R10)(AX*4), Z1
-	IMULQ        R11, AX
-	LEAQ         (R8)(AX*1), DX
-	MOVQ         8(DI), AX
-	VBROADCASTSS (R10)(AX*4), Z4
-	IMULQ        R11, AX
-	LEAQ         (R8)(AX*1), R9
-	MOVQ         16(DI), AX
-	VBROADCASTSS (R10)(AX*4), Z5
-	IMULQ        R11, AX
-	LEAQ         (R8)(AX*1), R14
-	MOVQ         24(DI), AX
-	VBROADCASTSS (R10)(AX*4), Z6
-	IMULQ        R11, AX
-	LEAQ         (R8)(AX*1), R15
-	XORQ         AX, AX
-
-zquadcols:
-	CMPQ    AX, BX
-	JGE     zquadtail
-	VMULPS  (DX)(AX*4), Z1, Z2
-	VMULPS  (R9)(AX*4), Z4, Z3
-	VADDPS  (SI)(AX*4), Z2, Z2
-	VMULPS  (R14)(AX*4), Z5, Z7
-	VADDPS  Z3, Z2, Z2
-	VMULPS  (R15)(AX*4), Z6, Z8
-	VADDPS  Z7, Z2, Z2
-	VADDPS  Z8, Z2, Z2
-	VMOVUPS Z2, (SI)(AX*4)
-	ADDQ    $16, AX
-	JMP     zquadcols
-
-zquadtail:
-	TESTQ     R13, R13
-	JEQ       znextquad
-	VMOVUPS.Z (DX)(AX*4), K1, Z2
-	VMOVUPS.Z (R9)(AX*4), K1, Z3
-	VMOVUPS.Z (R14)(AX*4), K1, Z7
-	VMOVUPS.Z (R15)(AX*4), K1, Z8
-	VMOVUPS.Z (SI)(AX*4), K1, Z9
-	VMULPS    Z2, Z1, Z2
-	VMULPS    Z3, Z4, Z3
-	VMULPS    Z7, Z5, Z7
-	VMULPS    Z8, Z6, Z8
-	VADDPS    Z9, Z2, Z2
-	VADDPS    Z3, Z2, Z2
-	VADDPS    Z7, Z2, Z2
-	VADDPS    Z8, Z2, Z2
-	VMOVUPS   Z2, K1, (SI)(AX*4)
-
-znextquad:
-	ADDQ $32, DI
-	JMP  zquad
-
-zsingle:
-	CMPQ         DI, R12
-	JGE          done
-	MOVQ         (DI), AX
-	VBROADCASTSS (R10)(AX*4), Z1
-	IMULQ        R11, AX
-	LEAQ         (R8)(AX*1), DX
-	XORQ         AX, AX
-
-zcols:
-	CMPQ    AX, BX
-	JGE     ztail
-	VMULPS  (DX)(AX*4), Z1, Z2
-	VADDPS  (SI)(AX*4), Z2, Z2
-	VMOVUPS Z2, (SI)(AX*4)
-	ADDQ    $16, AX
-	JMP     zcols
-
-ztail:
-	TESTQ     R13, R13
-	JEQ       znextrow
-	VMOVUPS.Z (DX)(AX*4), K1, Z2
-	VMOVUPS.Z (SI)(AX*4), K1, Z3
-	VMULPS    Z2, Z1, Z2
-	VADDPS    Z3, Z2, Z2
-	VMOVUPS   Z2, K1, (SI)(AX*4)
-
-znextrow:
-	ADDQ $8, DI
-	JMP  zsingle
-
-// The float64 sign-clearing mask and +Inf, for the phase's passes.
+// The float64 sign-clearing mask (also the largest int64, the cut's "no
+// position yet"), +Inf, 1.0, 4, and the lane positions 0–7 as qwords and 8.
 DATA cgConst<>+0(SB)/8, $0x7fffffffffffffff
 DATA cgConst<>+8(SB)/8, $0x7ff0000000000000
-GLOBL cgConst<>(SB), RODATA|NOPTR, $16
+DATA cgConst<>+16(SB)/8, $0x3ff0000000000000
+DATA cgConst<>+24(SB)/8, $4
+DATA cgConst<>+32(SB)/8, $0
+DATA cgConst<>+40(SB)/8, $1
+DATA cgConst<>+48(SB)/8, $2
+DATA cgConst<>+56(SB)/8, $3
+DATA cgConst<>+64(SB)/8, $4
+DATA cgConst<>+72(SB)/8, $5
+DATA cgConst<>+80(SB)/8, $6
+DATA cgConst<>+88(SB)/8, $7
+DATA cgConst<>+96(SB)/8, $8
+GLOBL cgConst<>(SB), RODATA|NOPTR, $104
 
 // LANESUM leaves in the low double of X the sum of the four lanes of its
 // YMM register as (l₀ + l₂) + (l₁ + l₃), the Go passes' order; T is
@@ -811,31 +869,216 @@ GLOBL cgConst<>(SB), RODATA|NOPTR, $16
 // The conjugate-gradient phase's passes, over n rounded up to four (the
 // pads hold zeros), four elements a step; operation for operation the Go
 // expressions of cg.go, a sum's lane t mod 4 in lane t mod 4 of its
-// register. CX = the padded length.
+// register. CX = the padded length. POSITIONS sets Y6 = the positions
+// t … t+3 of the first step, Y7 = 4 in each lane and Y5 = n.
 #define PADDED \
 	MOVQ smo32_n(DI), CX; \
 	ADDQ $3, CX; \
 	ANDQ $-4, CX
 
-// func directionAVX2(s *smo32, mu, gamma float64) (rd, lmax float64)
+#define POSITIONS \
+	VMOVDQU      cgConst<>+32(SB), Y6; \
+	VPBROADCASTQ cgConst<>+24(SB), Y7; \
+	VPBROADCASTQ smo32_n(DI), Y5
+
+// func startAVX2(s *smo32)
 //
-// R8 = h (coef), R9 = m (free), R10 = d (dir), R11 = α, R12 = y,
-// R13 = x (v); Y10 = μ, Y11 = γ, Y12 = C; Y8 = rᵀd's lanes, Y9 = λmax's.
-TEXT ·directionAVX2(SB), NOSPLIT, $0-40
+// R8 = α, R9 = y, R10 = v, R11 = h, R12 = d, R13 = m, R14 = q; Y10 = C,
+// Y11 = 1, Y12 = the sign bit, Y15 = 0; Y0 = the lanes below n.
+TEXT ·startAVX2(SB), NOSPLIT, $0-8
+	MOVQ         s+0(FP), DI
+	PADDED
+	POSITIONS
+	MOVQ         smo32_alpha(DI), R8
+	MOVQ         smo32_y(DI), R9
+	MOVQ         smo32_v(DI), R10
+	MOVQ         smo32_coef(DI), R11
+	MOVQ         smo32_dir(DI), R12
+	MOVQ         smo32_free(DI), R13
+	MOVQ         smo32_q(DI), R14
+	VBROADCASTSD smo32_c(DI), Y10
+	VBROADCASTSD cgConst<>+16(SB), Y11
+	VBROADCASTSD sweepConst<>+16(SB), Y12
+	VXORPD       Y15, Y15, Y15
+	XORQ         AX, AX
+
+start:
+	CMPQ      AX, CX
+	JGE       started
+	VPCMPGTQ  Y6, Y5, Y0               // t < n
+	VCVTPS2PD (R10)(AX*4), Y1
+	VXORPD    Y12, Y1, Y1              // −v
+	VANDPD    Y0, Y1, Y1               // pads: 0
+	VMOVUPD   Y1, (R11)(AX*8)
+	VMOVUPD   Y15, (R12)(AX*8)
+	VMOVUPS   X15, (R14)(AX*4)
+	VANDPD    (R8)(AX*8), Y0, Y2
+	VMOVUPD   Y2, (R8)(AX*8)
+	VANDPD    (R9)(AX*8), Y0, Y3
+	VMOVUPD   Y3, (R9)(AX*8)
+	VCMPPD    $0x1e, Y15, Y2, Y3       // α > 0
+	VCMPPD    $0x11, Y10, Y2, Y4       // α < C
+	VANDPD    Y4, Y3, Y3
+	VANDPD    Y11, Y3, Y3
+	VMOVUPD   Y3, (R13)(AX*8)
+	VPADDQ    Y7, Y6, Y6
+	ADDQ      $4, AX
+	JMP       start
+
+started:
+	VZEROUPPER
+	RET
+
+// listBody writes to R8 the positions t < CX at which the float64 vector
+// at SI is not zero (a NaN is not), in order, and returns their count in
+// AX. The ZMM loop files eight a step by VPCOMPRESSQ under the opmask of
+// the nonzero lanes; the other is branch-free, one position a step. It
+// uses BX, DX, R11, X0, X15 (Z0–Z3, K1–K3).
+TEXT listBody<>(SB), NOSPLIT, $0-0
+	XORQ AX, AX
+	XORQ BX, BX
+	CMPB ·useZMM(SB), $0
+	JNE  zlist
+	VXORPD X15, X15, X15
+
+list:
+	CMPQ     BX, CX
+	JGE      listed
+	MOVQ     BX, (R8)(AX*8)
+	XORL     DX, DX
+	XORL     R11, R11
+	VUCOMISD (SI)(BX*8), X15
+	SETNE    DL
+	SETPS    R11
+	ORL      R11, DX
+	ADDQ     DX, AX
+	INCQ     BX
+	JMP      list
+
+zlist:
+	VPXORQ       Z0, Z0, Z0
+	VMOVDQU64    cgConst<>+32(SB), Z1
+	VPBROADCASTQ cgConst<>+96(SB), Z2
+	LEAQ         laneMasks<>(SB), R11
+
+zlistgroup:
+	CMPQ        BX, CX
+	JGE         listed
+	MOVQ        CX, DX
+	SUBQ        BX, DX
+	CMPQ        DX, $8
+	JLE         zlistmask
+	MOVL        $8, DX
+
+zlistmask:
+	KMOVW       (R11)(DX*2), K2
+	VCMPPD      $0x04, (SI)(BX*8), Z0, K2, K1 // x ≠ 0 (NEQ_UQ), below n
+	VPCOMPRESSQ Z1, K1, Z3
+	KMOVW       K1, DX
+	POPCNTL     DX, DX
+	KMOVW       (R11)(DX*2), K3
+	VMOVDQU64   Z3, K3, (R8)(AX*8)
+	ADDQ        DX, AX
+	VPADDQ      Z2, Z1, Z1
+	ADDQ        $8, BX
+	JMP         zlistgroup
+
+listed:
+	RET
+
+// func freeRowsAVX2(s *smo32) (w int, sum float64)
+//
+// listBody over m, then Σ_W h one listed position after another, as the
+// Go loop adds it.
+TEXT ·freeRowsAVX2(SB), NOSPLIT, $0-24
+	MOVQ   s+0(FP), DI
+	MOVQ   smo32_free(DI), SI
+	MOVQ   smo32_byClass(DI), R8
+	MOVQ   smo32_n(DI), CX
+	CALL   listBody<>(SB)
+	MOVQ   smo32_coef(DI), R9
+	VXORPD X0, X0, X0
+	XORQ   BX, BX
+
+sumfree:
+	CMPQ   BX, AX
+	JGE    summedfree
+	MOVQ   (R8)(BX*8), DX
+	VADDSD (R9)(DX*8), X0, X0
+	INCQ   BX
+	JMP    sumfree
+
+summedfree:
+	MOVQ   AX, w+8(FP)
+	VMOVSD X0, sum+16(FP)
+	VZEROUPPER
+	RET
+
+// func releaseAVX2(s *smo32, mu float64) bool
+//
+// R8 = h, R9 = m, R10 = y, R11 = α; Y10 = μ, Y11 = eps, Y12 = −eps,
+// Y13 = 1, Y15 = 0; Y9 = the lanes released so far.
+TEXT ·releaseAVX2(SB), NOSPLIT, $0-17
+	MOVQ         s+0(FP), DI
+	PADDED
+	POSITIONS
+	MOVQ         smo32_coef(DI), R8
+	MOVQ         smo32_free(DI), R9
+	MOVQ         smo32_y(DI), R10
+	MOVQ         smo32_alpha(DI), R11
+	VBROADCASTSD mu+8(FP), Y10
+	VBROADCASTSD smo32_eps(DI), Y11
+	VBROADCASTSD sweepConst<>+16(SB), Y12
+	VXORPD       Y11, Y12, Y12
+	VBROADCASTSD cgConst<>+16(SB), Y13
+	VXORPD       Y15, Y15, Y15
+	VXORPD       Y9, Y9, Y9
+	XORQ         AX, AX
+
+release:
+	CMPQ      AX, CX
+	JGE       released
+	VMOVUPD   (R8)(AX*8), Y0
+	VSUBPD    Y10, Y0, Y0              // g = h − μ
+	VMOVUPD   (R10)(AX*8), Y1
+	VCMPPD    $0x1e, Y15, Y1, Y1       // y > 0
+	VCMPPD    $0x00, (R11)(AX*8), Y15, Y2 // α == 0
+	VXORPD    Y2, Y1, Y1               // not at β's lower bound
+	VCMPPD    $0x11, Y12, Y0, Y3       // g < −eps
+	VCMPPD    $0x1e, Y11, Y0, Y4       // g > eps
+	VBLENDVPD Y1, Y4, Y3, Y3
+	VMOVUPD   (R9)(AX*8), Y2
+	VCMPPD    $0x00, Y15, Y2, Y4       // m == 0
+	VANDPD    Y4, Y3, Y3
+	VPCMPGTQ  Y6, Y5, Y4               // t < n
+	VANDPD    Y4, Y3, Y3
+	VORPD     Y3, Y9, Y9
+	VBLENDVPD Y3, Y13, Y2, Y2
+	VMOVUPD   Y2, (R9)(AX*8)
+	VPADDQ    Y7, Y6, Y6
+	ADDQ      $4, AX
+	JMP       release
+
+released:
+	VMOVMSKPD Y9, AX
+	TESTQ     AX, AX
+	SETNE     ret+16(FP)
+	VZEROUPPER
+	RET
+
+// func directionAVX2(s *smo32, mu, gamma float64) (rd float64)
+//
+// R8 = h (coef), R9 = m (free), R10 = d (dir), R13 = x (v); Y10 = μ,
+// Y11 = γ; Y8 = rᵀd's lanes.
+TEXT ·directionAVX2(SB), NOSPLIT, $0-32
 	MOVQ         s+0(FP), DI
 	PADDED
 	MOVQ         smo32_coef(DI), R8
 	MOVQ         smo32_free(DI), R9
 	MOVQ         smo32_dir(DI), R10
-	MOVQ         smo32_alpha(DI), R11
-	MOVQ         smo32_y(DI), R12
 	MOVQ         smo32_v(DI), R13
 	VBROADCASTSD mu+8(FP), Y10
 	VBROADCASTSD gamma+16(FP), Y11
-	VBROADCASTSD smo32_c(DI), Y12
-	VBROADCASTSD cgConst<>+0(SB), Y13
-	VBROADCASTSD cgConst<>+8(SB), Y9
-	VXORPD       Y15, Y15, Y15
 	VXORPD       Y8, Y8, Y8
 	XORQ         AX, AX
 
@@ -852,67 +1095,179 @@ direction:
 	VMOVUPS    X2, (R13)(AX*4)          // x = float32(d)
 	VMULPD     Y1, Y0, Y0
 	VADDPD     Y0, Y8, Y8               // rᵀd
-	VMULPD     (R12)(AX*8), Y1, Y3      // y·d
-	VCMPPD     $0x1e, Y15, Y3, Y3       // y·d > 0
-	VMOVUPD    (R11)(AX*8), Y4
-	VSUBPD     Y4, Y12, Y5              // C − α
-	VBLENDVPD  Y3, Y5, Y4, Y4           // room
-	VANDPD     Y13, Y1, Y1              // |d|
-	VDIVPD     Y1, Y4, Y4
-	VMINPD     Y9, Y4, Y9               // ratio < λmax ? ratio : λmax
 	ADDQ       $4, AX
 	JMP        direction
 
 directed:
 	LANESUM(Y8, X8, X0)
-	VMOVSD       X8, rd+24(FP)
-	VEXTRACTF128 $1, Y9, X0
-	VMINPD       X0, X9, X9
-	VPERMILPD    $1, X9, X0
-	VMINSD       X0, X9, X9
-	VMOVSD       X9, lmax+32(FP)
+	VMOVSD X8, rd+24(FP)
 	VZEROUPPER
 	RET
 
-// func curvatureAVX2(s *smo32) (dq, sq float64)
+// RATIO leaves in Y4 the ratio of the room to a bound along y·d to |d| of
+// the four lanes at AX, d in Y1 (cutGo's room / |d|): R11 = α, R12 = y,
+// Y12 = C, Y13 = the sign-clearing mask, Y15 = 0. It uses Y3 and Y5.
+#define RATIO \
+	VMULPD    (R12)(AX*8), Y1, Y3; \
+	VCMPPD    $0x1e, Y15, Y3, Y3; \
+	VMOVUPD   (R11)(AX*8), Y4; \
+	VSUBPD    Y4, Y12, Y5; \
+	VBLENDVPD Y3, Y5, Y4, Y4; \
+	VANDPD    Y13, Y1, Y1; \
+	VDIVPD    Y1, Y4, Y4
+
+// MINAT merges the (ratio, position) pairs b into a lane by lane: b wins
+// with the smaller ratio, or the same ratio at a smaller position, so
+// what survives is the first position a scalar scan would have kept.
+#define MINAT(av, ai, bv, bi, t0, t1, t2) \
+	VCMPPD    $0x11, av, bv, t0; \
+	VCMPPD    $0x00, av, bv, t1; \
+	VPCMPGTQ  bi, ai, t2; \
+	VPAND     t2, t1, t1; \
+	VPOR      t1, t0, t0; \
+	VBLENDVPD t0, bv, av, av; \
+	VBLENDVPD t0, bi, ai, ai
+
+// func matvecCutAVX2(s *smo32, rows []int, rd float64) (dq, sq, lmax float64, k int)
 //
-// R8 = d, R9 = m, R10 = q; Y8 = dᵀq's lanes, Y9 = mᵀq's.
-TEXT ·curvatureAVX2(SB), NOSPLIT, $0-24
-	MOVQ   s+0(FP), DI
+// matvecBody over the listed rows with x in v, then one pass for dᵀq,
+// Σ_W q and the least ratio of a lane's room to a bound to its |d|:
+// R8 = d, R9 = m, R10 = q, R11 = α, R12 = y; Y8 = dᵀq's lanes, Y9 =
+// mᵀq's, Y10 = the least ratio so far by VMINPD, which keeps its second
+// source, the running value, against a NaN. Y12 = C, Y13 = the
+// sign-clearing mask, Y15 = 0. When λ = rd/dᵀq reaches that least ratio
+// — a box cut, a few steps in a hundred — a second pass is cutGo itself:
+// every ratio again, Y10 and Y14 each lane's least one and its first
+// position (the largest int64, Y13's bits, while it has none), Y6 = the
+// positions, Y7 = 4. Otherwise the least ratio, above λ, and no position.
+TEXT ·matvecCutAVX2(SB), NOSPLIT, $0-72
+	MOVQ         s+0(FP), DI
+	MOVQ         smo32_kd(DI), R8
+	MOVQ         rows_base+8(FP), R9
+	MOVQ         rows_len+16(FP), R12
+	LEAQ         (R9)(R12*8), R12
+	MOVQ         smo32_v(DI), R10
+	MOVQ         smo32_q(DI), SI
+	MOVQ         smo32_n(DI), CX
+	CALL         matvecBody<>(SB)
 	PADDED
-	MOVQ   smo32_dir(DI), R8
-	MOVQ   smo32_free(DI), R9
-	MOVQ   smo32_q(DI), R10
-	VXORPD Y8, Y8, Y8
-	VXORPD Y9, Y9, Y9
-	XORQ   AX, AX
+	MOVQ         smo32_dir(DI), R8
+	MOVQ         smo32_free(DI), R9
+	MOVQ         smo32_q(DI), R10
+	MOVQ         smo32_alpha(DI), R11
+	MOVQ         smo32_y(DI), R12
+	VBROADCASTSD smo32_c(DI), Y12
+	VBROADCASTSD cgConst<>+0(SB), Y13
+	VBROADCASTSD cgConst<>+8(SB), Y10
+	VXORPD       Y15, Y15, Y15
+	VXORPD       Y8, Y8, Y8
+	VXORPD       Y9, Y9, Y9
+	XORQ         AX, AX
 
 curvature:
 	CMPQ      AX, CX
 	JGE       curved
 	VCVTPS2PD (R10)(AX*4), Y0
-	VMULPD    (R8)(AX*8), Y0, Y1
-	VADDPD    Y1, Y8, Y8
+	VMOVUPD   (R8)(AX*8), Y1
+	VMULPD    Y1, Y0, Y2
+	VADDPD    Y2, Y8, Y8               // dᵀq
 	VMULPD    (R9)(AX*8), Y0, Y2
-	VADDPD    Y2, Y9, Y9
+	VADDPD    Y2, Y9, Y9               // Σ_W q
+	RATIO
+	VMINPD    Y10, Y4, Y10
 	ADDQ      $4, AX
 	JMP       curvature
 
 curved:
 	LANESUM(Y8, X8, X0)
-	VMOVSD X8, dq+8(FP)
+	VMOVSD       X8, dq+40(FP)
 	LANESUM(Y9, X9, X0)
-	VMOVSD X9, sq+16(FP)
+	VMOVSD       X9, sq+48(FP)
+	VEXTRACTF128 $1, Y10, X0
+	VMINPD       X0, X10, X10
+	VPERMILPD    $1, X10, X0
+	VMINSD       X0, X10, X10
+	VMOVSD       rd+32(FP), X0
+	VDIVSD       X8, X0, X0            // λ
+	VUCOMISD     X10, X0               // λ ? least
+	JCC          exact
+	VMOVSD       X10, lmax+56(FP)
+	MOVQ         $-1, k+64(FP)
 	VZEROUPPER
 	RET
 
-// func advanceAVX2(s *smo32, lam, mu float64) (rr, rmax float64)
+exact:
+	VBROADCASTSD cgConst<>+8(SB), Y10
+	VMOVDQA      Y13, Y14
+	VMOVDQU      cgConst<>+32(SB), Y6
+	VPBROADCASTQ cgConst<>+24(SB), Y7
+	XORQ         AX, AX
+
+ratios:
+	CMPQ      AX, CX
+	JGE       reduced
+	VMOVUPD   (R8)(AX*8), Y1
+	RATIO
+	VCMPPD    $0x11, Y10, Y4, Y0       // ratio < least
+	VCMPPD    $0x00, Y10, Y4, Y1       // ratio == least …
+	VPCMPEQQ  Y13, Y14, Y2             // … with no position yet (+Inf)
+	VPAND     Y2, Y1, Y1
+	VPOR      Y1, Y0, Y0
+	VBLENDVPD Y0, Y4, Y10, Y10
+	VBLENDVPD Y0, Y6, Y14, Y14
+	VPADDQ    Y7, Y6, Y6
+	ADDQ      $4, AX
+	JMP       ratios
+
+reduced:
+	VEXTRACTF128 $1, Y10, X0
+	VEXTRACTI128 $1, Y14, X1
+	MINAT(X10, X14, X0, X1, X2, X3, X4)
+	VPERMILPD    $1, X10, X0
+	VPSHUFD      $0x4e, X14, X1
+	MINAT(X10, X14, X0, X1, X2, X3, X4)
+	VMOVSD       X10, lmax+56(FP)
+	VMOVQ        X14, AX
+	MOVQ         $-1, BX
+	MOVQ         $0x7fffffffffffffff, DX
+	CMPQ         AX, DX
+	CMOVQEQ      BX, AX
+	MOVQ         AX, k+64(FP)
+	VZEROUPPER
+	RET
+
+// ADVANCE is advanceGo's step on the four lanes at AX: it leaves the new
+// α, kept in [0, C] as advanceGo keeps it, in Y0 and m in Y4. VMAXPD
+// returns its second source, 0, when the first is not greater (NaN and −0
+// included), VMINPD C unless less.
+#define ADVANCE \
+	VMULPD    (R9)(AX*8), Y10, Y0; \
+	VMULPD    (R10)(AX*8), Y0, Y0; \
+	VADDPD    (R8)(AX*8), Y0, Y0; \
+	VMAXPD    Y15, Y0, Y0; \
+	VMINPD    Y12, Y0, Y0; \
+	VCVTPS2PD (R13)(AX*4), Y1; \
+	VMULPD    Y1, Y10, Y1; \
+	VADDPD    (R11)(AX*8), Y1, Y1; \
+	VMOVUPD   Y1, (R11)(AX*8); \
+	VSUBPD    Y1, Y11, Y1; \
+	VMOVUPD   (R12)(AX*8), Y4; \
+	VMULPD    Y4, Y1, Y1; \
+	VMULPD    Y1, Y1, Y2; \
+	VADDPD    Y2, Y8, Y8; \
+	VANDPD    Y13, Y1, Y1; \
+	VMAXPD    Y9, Y1, Y9
+
+// func advanceAVX2(s *smo32, lam, mu float64, k int) (rr, rmax float64)
 //
 // R8 = α, R9 = y, R10 = d, R11 = h, R12 = m, R13 = q; Y10 = λ, Y11 = μ,
-// Y12 = C, Y15 = 0; Y8 = rᵀr's lanes, Y9 = max|r|'s. The new α is kept in
-// [0, C] as advanceGo keeps it: VMAXPD returns its second source, 0, when
-// the first is not greater (NaN and −0 included), VMINPD C unless less.
-TEXT ·advanceAVX2(SB), NOSPLIT, $0-40
+// Y12 = C, Y13 = the sign-clearing mask, Y15 = 0; Y8 = rᵀr's lanes,
+// Y9 = max|r|'s (α·λy·d, h + λq, r = m(μ − h): the order of advanceGo).
+// With k ≥ 0 a second loop also applies the cut's fix, lane by lane: a
+// lane of W that is k, or that the step carried onto the bound its y·d
+// points to, goes to that bound and leaves W; Y14 = k, Y6 = the
+// positions, Y5 = 4.
+TEXT ·advanceAVX2(SB), NOSPLIT, $0-48
 	MOVQ         s+0(FP), DI
 	PADDED
 	MOVQ         smo32_alpha(DI), R8
@@ -929,36 +1284,223 @@ TEXT ·advanceAVX2(SB), NOSPLIT, $0-40
 	VXORPD       Y8, Y8, Y8
 	VXORPD       Y9, Y9, Y9
 	XORQ         AX, AX
+	CMPQ         k+24(FP), $0
+	JGE          fixing
 
 advance:
+	CMPQ    AX, CX
+	JGE     advanced
+	ADVANCE
+	VMOVUPD Y0, (R8)(AX*8)
+	ADDQ    $4, AX
+	JMP     advance
+
+fixing:
+	VMOVDQU      cgConst<>+32(SB), Y6
+	VPBROADCASTQ cgConst<>+24(SB), Y5
+	VPBROADCASTQ k+24(FP), Y14
+
+fix:
 	CMPQ      AX, CX
 	JGE       advanced
-	VMULPD    (R9)(AX*8), Y10, Y0       // λ·y
-	VMULPD    (R10)(AX*8), Y0, Y0       // ·d
-	VADDPD    (R8)(AX*8), Y0, Y0        // α +
-	VMAXPD    Y15, Y0, Y0               // a > 0 ? a : 0
-	VMINPD    Y12, Y0, Y0               // a < C ? a : C
+	ADVANCE
+	VMOVUPD   (R9)(AX*8), Y1
+	VMULPD    (R10)(AX*8), Y1, Y1       // y·d
+	VCMPPD    $0x1e, Y15, Y1, Y2        // y·d > 0
+	VCMPPD    $0x12, Y15, Y0, Y3        // a <= 0
+	VCMPPD    $0x11, Y15, Y1, Y1        // y·d < 0
+	VANDPD    Y3, Y1, Y1
+	VCMPPD    $0x1d, Y12, Y0, Y3        // a >= C
+	VANDPD    Y2, Y3, Y3
+	VORPD     Y3, Y1, Y1
+	VPCMPEQQ  Y14, Y6, Y3               // t == k
+	VPOR      Y3, Y1, Y1
+	VCMPPD    $0x04, Y15, Y4, Y3        // m ≠ 0
+	VANDPD    Y3, Y1, Y1                // fix
+	VANDPD    Y12, Y2, Y3               // y·d > 0 ? C : 0
+	VBLENDVPD Y1, Y3, Y0, Y0
+	VANDNPD   Y4, Y1, Y4
+	VMOVUPD   Y4, (R12)(AX*8)
 	VMOVUPD   Y0, (R8)(AX*8)
-	VCVTPS2PD (R13)(AX*4), Y1
-	VMULPD    Y1, Y10, Y1               // λ·q
-	VADDPD    (R11)(AX*8), Y1, Y1       // h +
-	VMOVUPD   Y1, (R11)(AX*8)
-	VSUBPD    Y1, Y11, Y1               // μ − h
-	VMULPD    (R12)(AX*8), Y1, Y1       // r
-	VMULPD    Y1, Y1, Y2
-	VADDPD    Y2, Y8, Y8                // rᵀr
-	VANDPD    Y13, Y1, Y1
-	VMAXPD    Y9, Y1, Y9                // |r| > max ? |r| : max
+	VPADDQ    Y5, Y6, Y6
 	ADDQ      $4, AX
-	JMP       advance
+	JMP       fix
 
 advanced:
 	LANESUM(Y8, X8, X0)
-	VMOVSD       X8, rr+24(FP)
+	VMOVSD       X8, rr+32(FP)
 	VEXTRACTF128 $1, Y9, X0
 	VMAXPD       X0, X9, X9
 	VPERMILPD    $1, X9, X0
 	VMAXSD       X0, X9, X9
-	VMOVSD       X9, rmax+32(FP)
+	VMOVSD       X9, rmax+40(FP)
+	VZEROUPPER
+	RET
+
+// func rebuildAVX2(s *smo32)
+//
+// x = float32(α∘y) into v, listBody over α into byClass, matvecBody
+// over that list, then v = float32(y − q) and the masks from α: R8 = α,
+// R9 = y, R10 = v, R11 = q, R12 = outUp, R13 = outLow; Y12 = C, Y15 = 0;
+// X13 = the positions t … t+3 as dwords, X14 = n, X11 = 4.
+TEXT ·rebuildAVX2(SB), NOSPLIT, $0-8
+	MOVQ s+0(FP), DI
+	PADDED
+	MOVQ smo32_alpha(DI), R8
+	MOVQ smo32_y(DI), R9
+	MOVQ smo32_v(DI), R10
+	XORQ AX, AX
+
+beta:
+	CMPQ       AX, CX
+	JGE        listbeta
+	VMOVUPD    (R8)(AX*8), Y0
+	VMULPD     (R9)(AX*8), Y0, Y0
+	VCVTPD2PSY Y0, X0
+	VMOVUPS    X0, (R10)(AX*4)
+	ADDQ       $4, AX
+	JMP        beta
+
+listbeta:
+	MOVQ smo32_alpha(DI), SI
+	MOVQ smo32_byClass(DI), R8
+	MOVQ smo32_n(DI), CX
+	CALL listBody<>(SB)
+	MOVQ smo32_kd(DI), R8
+	MOVQ smo32_byClass(DI), R9
+	LEAQ (R9)(AX*8), R12
+	MOVQ smo32_v(DI), R10
+	MOVQ smo32_q(DI), SI
+	MOVQ smo32_n(DI), CX
+	CALL matvecBody<>(SB)
+	PADDED
+	MOVQ         smo32_alpha(DI), R8
+	MOVQ         smo32_y(DI), R9
+	MOVQ         smo32_v(DI), R10
+	MOVQ         smo32_q(DI), R11
+	MOVQ         smo32_outUp(DI), R12
+	MOVQ         smo32_outLow(DI), R13
+	VBROADCASTSD smo32_c(DI), Y12
+	VXORPD       Y15, Y15, Y15
+	VMOVDQU      sweepConst<>+32(SB), X13
+	VPBROADCASTD smo32_n(DI), X14
+	VPBROADCASTD cgConst<>+24(SB), X11
+	XORQ         AX, AX
+
+restore:
+	CMPQ         AX, CX
+	JGE          restored
+	VCVTPS2PD    (R11)(AX*4), Y0
+	VMOVUPD      (R9)(AX*8), Y1
+	VSUBPD       Y0, Y1, Y0            // y − q
+	VCVTPD2PSY   Y0, X0
+	VMOVUPS      X0, (R10)(AX*4)
+	VMOVUPD      (R8)(AX*8), Y2
+	VCMPPD       $0x15, Y12, Y2, Y3    // !(α < C)
+	VCMPPD       $0x1a, Y15, Y2, Y4    // !(α > 0)
+	VBLENDVPD    Y1, Y4, Y3, Y5        // outUp:  y < 0 ? !(α > 0) : !(α < C)
+	VBLENDVPD    Y1, Y3, Y4, Y4        // outLow: y < 0 ? !(α < C) : !(α > 0)
+	VEXTRACTF128 $1, Y5, X6
+	VSHUFPS      $0x88, X6, X5, X5     // the low dword of each lane
+	VEXTRACTF128 $1, Y4, X6
+	VSHUFPS      $0x88, X6, X4, X4
+	VPCMPGTD     X13, X14, X7          // t < n
+	VMASKMOVPS   X5, X7, (R12)(AX*4)
+	VMASKMOVPS   X4, X7, (R13)(AX*4)
+	VPADDD       X11, X13, X13
+	ADDQ         $4, AX
+	JMP          restore
+
+restored:
+	VZEROUPPER
+	RET
+
+// func decideAVX2(coef []float64, idx []int, k []float32, stride int, test []int, rho float64, d *[decideLanes]float64)
+//
+// decide for sixteen test samples at once, one float64 lane each: lane l
+// reads row test[l] of K (row 0 past len(test)) at every training column
+// idx[i] whose coefficient is not zero (a NaN is not), in idx order, by
+// VGATHERDPS, and adds float64(c·float64(K)) — VMULPD, then VADDPD — into
+// a sum from +0; then d[l] = sum − ρ. The sums of lanes 0–3, 4–7, 8–11
+// and 12–15 are Y0–Y3; Y12, Y13 = the rows' element offsets, lanes 0–7
+// and 8–15, built in the frame.
+TEXT ·decideAVX2(SB), NOSPLIT, $64-120
+	MOVQ test_base+80(FP), SI
+	MOVQ test_len+88(FP), DX
+	MOVQ stride+72(FP), R11
+	XORQ BX, BX
+
+offsets:
+	XORL  AX, AX
+	CMPQ  BX, DX
+	JGE   offset
+	MOVQ  (SI)(BX*8), AX
+	IMULQ R11, AX
+
+offset:
+	MOVL AX, (SP)(BX*4)
+	INCQ BX
+	CMPQ BX, $16
+	JLT  offsets
+
+	MOVQ    coef_base+0(FP), R8
+	MOVQ    coef_len+8(FP), CX
+	MOVQ    idx_base+24(FP), R9
+	MOVQ    k_base+48(FP), R10
+	VMOVDQU (SP), Y12
+	VMOVDQU 32(SP), Y13
+	VXORPD  Y0, Y0, Y0
+	VXORPD  Y1, Y1, Y1
+	VXORPD  Y2, Y2, Y2
+	VXORPD  Y3, Y3, Y3
+	VXORPD  Y15, Y15, Y15
+	XORQ    BX, BX
+
+term:
+	CMPQ     BX, CX
+	JGE      scored
+	VMOVSD   (R8)(BX*8), X14
+	VUCOMISD X15, X14                  // c ? 0
+	JNE      gather
+	JPS      gather
+	INCQ     BX
+	JMP      term
+
+gather:
+	VBROADCASTSD X14, Y14
+	MOVQ         (R9)(BX*8), AX
+	LEAQ         (R10)(AX*4), DX        // &K[0][idx[i]]
+	VPCMPEQD     Y8, Y8, Y8
+	VGATHERDPS   Y8, (DX)(Y12*4), Y9
+	VPCMPEQD     Y8, Y8, Y8
+	VGATHERDPS   Y8, (DX)(Y13*4), Y10
+	VCVTPS2PD    X9, Y4
+	VEXTRACTF128 $1, Y9, X9
+	VCVTPS2PD    X9, Y5
+	VCVTPS2PD    X10, Y6
+	VEXTRACTF128 $1, Y10, X10
+	VCVTPS2PD    X10, Y7
+	VMULPD       Y4, Y14, Y4
+	VMULPD       Y5, Y14, Y5
+	VMULPD       Y6, Y14, Y6
+	VMULPD       Y7, Y14, Y7
+	VADDPD       Y4, Y0, Y0
+	VADDPD       Y5, Y1, Y1
+	VADDPD       Y6, Y2, Y2
+	VADDPD       Y7, Y3, Y3
+	INCQ         BX
+	JMP          term
+
+scored:
+	VBROADCASTSD rho+104(FP), Y14
+	VSUBPD       Y14, Y0, Y0
+	VSUBPD       Y14, Y1, Y1
+	VSUBPD       Y14, Y2, Y2
+	VSUBPD       Y14, Y3, Y3
+	MOVQ         d+112(FP), AX
+	VMOVUPD      Y0, (AX)
+	VMOVUPD      Y1, 32(AX)
+	VMOVUPD      Y2, 64(AX)
+	VMOVUPD      Y3, 96(AX)
 	VZEROUPPER
 	RET

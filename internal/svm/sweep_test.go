@@ -756,6 +756,14 @@ func TestVStateMatchesGradientState(t *testing.T) {
 // a brain is.
 func shapeProblem(tb testing.TB, voxels, subjects, epochsPerSubject int) (*tensor.Matrix, []int, []Fold) {
 	tb.Helper()
+	Ks, labels, folds := shapeVoxels(tb, voxels, subjects, epochsPerSubject, []int{1})
+	return Ks[0], labels, folds
+}
+
+// shapeVoxels is shapeProblem for each of the listed voxels: one kernel
+// matrix per voxel, over the same labels and folds.
+func shapeVoxels(tb testing.TB, voxels, subjects, epochsPerSubject int, vs []int) ([]*tensor.Matrix, []int, []Fold) {
+	tb.Helper()
 	d, err := fmri.Generate(fmri.Spec{
 		Name: "shape", Voxels: voxels, Subjects: subjects, EpochsPerSubject: epochsPerSubject,
 		EpochLen: 12, RestLen: 6, SignalVoxels: voxels / 8, Coupling: 0.4, Seed: 1,
@@ -767,15 +775,29 @@ func shapeProblem(tb testing.TB, voxels, subjects, epochsPerSubject int) (*tenso
 	if err != nil {
 		tb.Fatal(err)
 	}
-	buf, err := (&corr.Pipeline{Merged: true, Workers: 1}).RunContext(context.Background(), st, 1, 1)
-	if err != nil {
-		tb.Fatal(err)
+	Ks := make([]*tensor.Matrix, len(vs))
+	for k, v := range vs {
+		buf, err := (&corr.Pipeline{Merged: true, Workers: 1}).RunContext(context.Background(), st, v, 1)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		Ks[k] = PrecomputeKernel(buf.View(0, 0, st.M(), st.N))
 	}
-	K := PrecomputeKernel(buf.View(0, 0, st.M(), st.N))
 	if subjects == 1 {
-		return K, d.Labels(), KFolds(st.M(), min(6, st.M()/2))
+		return Ks, d.Labels(), KFolds(st.M(), min(6, st.M()/2))
 	}
-	return K, d.Labels(), LeaveOneSubjectOutFolds(d.SubjectOfEpoch())
+	return Ks, d.Labels(), LeaveOneSubjectOutFolds(d.SubjectOfEpoch())
+}
+
+// shapeSet is the fixed set of voxels the stage-3 benchmark and its pin
+// run at a shape: 32 spread evenly over the brain, so planted and noise
+// voxels both take their share, as in a real selection.
+func shapeSet(voxels int) []int {
+	vs := make([]int, 32)
+	for k := range vs {
+		vs[k] = k * voxels / len(vs)
+	}
+	return vs
 }
 
 // cvShapes are the fold shapes of the repo benchmark's three library
@@ -893,24 +915,25 @@ func TestSolverScratchBytes(t *testing.T) {
 	}
 }
 
-// BenchmarkCrossValidateShapes times one voxel's cross-validation at each
-// benchmark fold shape and the paper's two, per path. iters/op is the SMO
-// iteration count of the call and cg/op its conjugate-gradient mat-vecs —
-// the same on both paths — so ns/op, one voxel, is read beside the work
-// it did. It is the stage-3 table of DESIGN.md §17:
+// BenchmarkCrossValidateShapes times cross-validation over each shape's
+// voxel set (shapeSet) per path, and reports it per voxel: ns/voxel,
+// iters/voxel (SMO iterations) and cg/voxel (conjugate-gradient
+// mat-vecs), the last two the same on every path. The Go path runs the
+// benchmark's three shapes only; at the paper's it takes minutes. It is
+// the stage-3 table of DESIGN.md §17:
 //
-//	go test -run '^$' -bench CrossValidateShapes ./internal/svm
+//	go test -run '^$' -bench CrossValidateShapes -benchtime 20x ./internal/svm
 func BenchmarkCrossValidateShapes(b *testing.B) {
 	ctx := context.Background()
 	var tr KernelTrainer = PhiSVM{}
 	old := useAVX2
 	defer func() { useAVX2 = old }()
-	for _, sh := range cvShapes {
-		K, labels, folds := shapeProblem(b, sh.voxels, sh.subjects, sh.epochsPerSubject)
-		st, err := CrossValidateDetailed(tr, K, labels, folds)
-		if err != nil {
-			b.Fatal(err)
-		}
+	for si, sh := range cvShapes {
+		// The voxel set is built on the first sub-benchmark that runs.
+		var Ks []*tensor.Matrix
+		var labels []int
+		var folds []Fold
+		var iters, steps int
 		for _, path := range []struct {
 			name string
 			avx2 bool
@@ -919,16 +942,65 @@ func BenchmarkCrossValidateShapes(b *testing.B) {
 				if path.avx2 && !blas.HasAVX2() {
 					b.Skip("host has no AVX2")
 				}
-				useAVX2 = path.avx2
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := CrossValidateContext(ctx, tr, K, labels, folds); err != nil {
-						b.Fatal(err)
+				if !path.avx2 && si >= 3 {
+					b.Skip("the Go path at the paper's shapes takes minutes")
+				}
+				if Ks == nil {
+					Ks, labels, folds = shapeVoxels(b, sh.voxels, sh.subjects, sh.epochsPerSubject, shapeSet(sh.voxels))
+					for _, K := range Ks {
+						st, err := CrossValidateDetailed(tr, K, labels, folds)
+						if err != nil {
+							b.Fatal(err)
+						}
+						iters, steps = iters+st.TotalIters(), steps+st.TotalCGSteps()
 					}
 				}
-				b.ReportMetric(float64(st.TotalIters()), "iters/op")
-				b.ReportMetric(float64(st.TotalCGSteps()), "cg/op")
+				useAVX2 = path.avx2
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for _, K := range Ks {
+						if _, err := CrossValidateContext(ctx, tr, K, labels, folds); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+				perVoxel := float64(b.N * len(Ks))
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/perVoxel, "ns/voxel")
+				b.ReportMetric(float64(iters)/float64(len(Ks)), "iters/voxel")
+				b.ReportMetric(float64(steps)/float64(len(Ks)), "cg/voxel")
 			})
+		}
+	}
+}
+
+// The stage-3 work at each shape's voxel set, pinned: SMO iterations and
+// conjugate-gradient mat-vecs summed over the set. A change that moves
+// stage 3's iterates changes these counts, and must change the pin with
+// them, in its own diff.
+func TestShapeSetWorkPinned(t *testing.T) {
+	want := map[string][2]int{
+		"facescene_n36":        {6510, 6},
+		"attention_n80":        {30721, 3948},
+		"online_n10":           {2674, 0},
+		"paper_facescene_n204": {235012, 15174},
+		"paper_attention_n522": {1002253, 14990},
+	}
+	for _, sh := range cvShapes {
+		if testing.Short() && sh.subjects > 6 {
+			continue
+		}
+		Ks, labels, folds := shapeVoxels(t, sh.voxels, sh.subjects, sh.epochsPerSubject, shapeSet(sh.voxels))
+		var got [2]int
+		for _, K := range Ks {
+			st, err := CrossValidateDetailed(PhiSVM{}, K, labels, folds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got[0], got[1] = got[0]+st.TotalIters(), got[1]+st.TotalCGSteps()
+		}
+		if got != want[sh.name] {
+			t.Errorf("%s: %d SMO iterations and %d mat-vecs over the voxel set, pinned %d and %d", sh.name, got[0], got[1], want[sh.name][0], want[sh.name][1])
 		}
 	}
 }
