@@ -31,11 +31,12 @@ type Sgemm interface {
 	Gemm(C, A, B *tensor.Matrix)
 }
 
-// HasAVX2 reports whether the host can run AVX2 kernels: the verdict of
-// the one CPUID/XGETBV probe in the tree, always false off amd64. It is
-// read-only — a package with assembly of its own (internal/norm,
-// internal/svm) reads it once into a dispatch variable of its own.
-func HasAVX2() bool { return hasAVX2 }
+// Lanes is the kernel path: 16 for the ZMM forms (AVX-512F), 8 for the
+// YMM forms (AVX2 + FMA), 0 for the Go twins, and always 0 off amd64. It
+// is the one switch of the tree, set from the one CPUID/XGETBV probe:
+// internal/norm and internal/svm read it wherever they dispatch to
+// assembly of their own, so every stage runs the same path.
+func Lanes() int { return lanes }
 
 func checkGemmShapes(C, A, B *tensor.Matrix) {
 	if A.Cols != B.Rows || C.Rows != A.Rows || C.Cols != B.Cols {

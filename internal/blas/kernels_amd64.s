@@ -82,7 +82,8 @@ GLOBL laneMasks16<>(SB), RODATA|NOPTR, $34
 	VFMADD231PS  V, B2, A2; \
 	VFMADD231PS  V, B3, A3
 
-// SYRKSUM adds O into E, then E into the four rows of c.
+// SYRKSUM adds O into E, then E into the four rows of c: the closing sum
+// of every tile width, on Z, Y or X registers.
 #define SYRKSUM(E0, E1, E2, E3, O0, O1, O2, O3) \
 	VADDPS  O0, E0, E0; \
 	VADDPS  (DI), E0, E0; \
@@ -202,21 +203,7 @@ t16odd:
 	VFMADD231PS.BCST 12(R8), Z8, Z3
 
 t16sum:
-	VADDPS  Z4, Z0, Z0
-	VADDPS  (DI), Z0, Z0
-	VMOVUPS Z0, (DI)
-	ADDQ    SI, DI
-	VADDPS  Z5, Z1, Z1
-	VADDPS  (DI), Z1, Z1
-	VMOVUPS Z1, (DI)
-	ADDQ    SI, DI
-	VADDPS  Z6, Z2, Z2
-	VADDPS  (DI), Z2, Z2
-	VMOVUPS Z2, (DI)
-	ADDQ    SI, DI
-	VADDPS  Z7, Z3, Z3
-	VADDPS  (DI), Z3, Z3
-	VMOVUPS Z3, (DI)
+	SYRKSUM(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7)
 	VZEROUPPER
 	RET
 

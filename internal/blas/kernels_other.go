@@ -4,9 +4,7 @@ package blas
 
 // lanes is always 0 off amd64: the Go twins in tallskinny.go are the only
 // path, and the routines below exist so the dispatch compiles.
-var lanes = hostLanes
-
-var hasAVX2, hostLanes = false, 0
+var lanes = 0
 
 func syrkTile4x16ZMM(c *float32, ldc int, ti, tj *float32, m, w int) {
 	panic("blas: ZMM syrk tile on a non-amd64 build")

@@ -19,13 +19,16 @@ import (
 // identity — vouch for the assembly; internal/ref judges all of them
 // against float64 arithmetic.
 
+// hostLanes is the probe's verdict, read before any test rewrites lanes.
+var hostLanes = lanes
+
 // kernelPaths names each dispatch setting a test runs: the value of lanes.
 var kernelPaths = []struct {
 	name  string
 	lanes int
 }{{"go", 0}, {"avx2", 8}, {"avx512", 16}}
 
-// withKernelPath runs f with the dispatch variable forced.
+// withKernelPath runs f with the kernel path forced.
 func withKernelPath(l int, f func()) {
 	old := lanes
 	lanes = l

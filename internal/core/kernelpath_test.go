@@ -6,28 +6,14 @@ import (
 	_ "unsafe" // go:linkname
 )
 
-// blasLanes, normUseAVX2, normUseZMM, svmUseAVX2 and svmUseZMM are the
-// unexported kernel dispatch variables of internal/blas (gemm strips, syrk
-// tiles: 0 Go, 8 YMM, 16 ZMM), internal/norm (the Fisher + z-score sweep,
-// and its 16-lane Fisher pass) and internal/svm (the fused SMO sweep and
-// the conjugate-gradient passes, and the 16-lane mat-vec), reached by
-// linkname so the task-level equivalence tests can run on every kernel
-// path without any package exporting a switch nobody else should touch.
+// blasLanes is internal/blas's kernel path (0 Go, 8 YMM, 16 ZMM), the one
+// switch that the gemm strips and syrk tiles in blas, the Fisher + z-score
+// sweep in norm and the solver in svm all dispatch on, reached by linkname
+// so the task-level equivalence tests can run on every kernel path
+// without blas exporting a setter nobody else should touch.
 //
 //go:linkname blasLanes fcma/internal/blas.lanes
 var blasLanes int
-
-//go:linkname normUseAVX2 fcma/internal/norm.useAVX2
-var normUseAVX2 bool
-
-//go:linkname normUseZMM fcma/internal/norm.useZMM
-var normUseZMM bool
-
-//go:linkname svmUseAVX2 fcma/internal/svm.useAVX2
-var svmUseAVX2 bool
-
-//go:linkname svmUseZMM fcma/internal/svm.useZMM
-var svmUseZMM bool
 
 // hostLanes is the probe's verdict, read before any test rewrites it.
 var hostLanes = blasLanes
@@ -42,9 +28,7 @@ var kernelPaths = []struct {
 // and 3 in blas, stage 2 in norm, the solver in svm — to the Go twins (0)
 // or to the YMM (8) or ZMM (16) assembly; svm's SMO loop has one vector
 // form, which both vector paths run, and its mat-vec two.
-func setKernelPath(lanes int) {
-	blasLanes, normUseAVX2, normUseZMM, svmUseAVX2, svmUseZMM = lanes, lanes > 0, lanes == 16, lanes > 0, lanes == 16
-}
+func setKernelPath(lanes int) { blasLanes = lanes }
 
 // eachKernelPath runs f as a subtest on every kernel path; a vector path
 // skips on a host that cannot run it.

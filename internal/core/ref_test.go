@@ -1,10 +1,18 @@
 package core_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
+	"io"
+	"log/slog"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"testing"
+	"time"
 
 	"fcma"
 	"fcma/internal/cluster"
@@ -12,6 +20,7 @@ import (
 	"fcma/internal/corr"
 	"fcma/internal/fmri"
 	"fcma/internal/ref"
+	"fcma/internal/serve"
 	"fcma/internal/svm"
 	"fcma/internal/tensor"
 )
@@ -49,7 +58,8 @@ var refMaxDiffer = map[string]int{"facescene_local": 0, "attention_cluster": 0, 
 
 // refClusterShape is the shape whose voxels the reference test also scores
 // through cluster.RunLocal, the master and in-process ranks the
-// attention_cluster workload runs, at every refTaskSizes entry.
+// attention_cluster workload runs, at every refTaskSizes entry, and
+// through one serve.Service job over its HTTP handler.
 const refClusterShape = "attention_cluster"
 
 // refTaskSizes are the master's task sizes the cluster leg runs: one
@@ -66,7 +76,8 @@ var refTaskSizes = []int{1, 8, 0}
 // refMaxDiffer allows. The task's CV accuracy is the one those predictions
 // give, fcma.SelectVoxelsContext at the same Workers returns the worker's
 // scores, and on the attention shape so is every score cluster.RunLocal
-// returns, at each of refTaskSizes.
+// returns, at each of refTaskSizes, and every score a serve.Service job
+// returns is the accuracy of the reference's own predictions.
 func TestKernelPathsMatchReference(t *testing.T) {
 	for _, spec := range refShapes {
 		d, err := fmri.Generate(spec)
@@ -100,11 +111,20 @@ func TestKernelPathsMatchReference(t *testing.T) {
 		N := st.N
 		want := make([][][]float64, N)
 		wantD := make([][][]float64, N)
+		refAccuracy := make([]float64, N) // per voxel, from the reference's predictions
 		for v := range want {
 			want[v] = ref.Voxel(d, v).K
 			if wantD[v], _, err = ref.CrossValidate(want[v], labels, train, test); err != nil {
 				t.Fatal(err)
 			}
+			correct, tested := 0, 0
+			for f, samples := range test {
+				for k, s := range samples {
+					correct += btoi(btoi(wantD[v][f][k] > 0) == labels[s])
+					tested++
+				}
+			}
+			refAccuracy[v] = float64(correct) / float64(tested)
 		}
 		t.Run(spec.Name, func(t *testing.T) {
 			core.EachKernelPath(t, func(t *testing.T) {
@@ -175,6 +195,7 @@ func TestKernelPathsMatchReference(t *testing.T) {
 				}
 				if spec.Name == refClusterShape {
 					requireClusterScores(t, st, accuracy)
+					requireServeScores(t, d, refAccuracy)
 				}
 			})
 		})
@@ -209,6 +230,86 @@ func requireClusterScores(t *testing.T, st *corr.EpochStack, accuracy []float64)
 				t.Errorf("cluster.RunLocal, task size %d: score %d is voxel %d at %g, want voxel %d at %g",
 					size, v, sc.Voxel, sc.Accuracy, v, accuracy[v])
 			}
+		}
+	}
+}
+
+// requireServeScores runs the dataset as one job through a serve.Service's
+// HTTP handler — upload, submit, poll, fetch, as a client does — and holds
+// every voxel's score to want, the accuracy of the reference's
+// predictions: no prediction of the served job may differ from
+// ref.CrossValidate's.
+func requireServeScores(t *testing.T, d *fmri.Dataset, want []float64) {
+	t.Helper()
+	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
+	svc, err := serve.New(serve.Options{Dir: t.TempDir(), Executors: 1, Workers: 2, RetrySeed: 1, Log: quiet})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+	do := func(method, path string, body []byte, out any) int {
+		t.Helper()
+		req, err := http.NewRequest(method, srv.URL+path, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			t.Fatalf("%s %s: %d, decoding: %v", method, path, resp.StatusCode, err)
+		}
+		return resp.StatusCode
+	}
+	// The upload framing: the data section's length, the section, the
+	// epoch text.
+	var data, epochs bytes.Buffer
+	if err := fmri.WriteData(&data, d); err != nil {
+		t.Fatal(err)
+	}
+	if err := fmri.WriteEpochs(&epochs, d.Epochs); err != nil {
+		t.Fatal(err)
+	}
+	blob := binary.LittleEndian.AppendUint64(nil, uint64(data.Len()))
+	blob = append(append(blob, data.Bytes()...), epochs.Bytes()...)
+	var uploaded struct{ Hash string }
+	if code := do(http.MethodPost, "/api/v1/datasets", blob, &uploaded); code != http.StatusCreated {
+		t.Fatalf("serve: upload answered %d", code)
+	}
+	spec, err := json.Marshal(serve.JobSpec{Dataset: uploaded.Hash})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var accepted struct{ ID string }
+	if code := do(http.MethodPost, "/api/v1/jobs", spec, &accepted); code != http.StatusAccepted {
+		t.Fatalf("serve: submit answered %d", code)
+	}
+	var result struct {
+		Scores []struct {
+			Voxel    int
+			Accuracy float64
+		}
+	}
+	for deadline := time.Now().Add(time.Minute); ; {
+		code := do(http.MethodGet, "/api/v1/jobs/"+accepted.ID+"/result", nil, &result)
+		if code == http.StatusOK {
+			break
+		}
+		if code != http.StatusConflict || time.Now().After(deadline) {
+			t.Fatalf("serve: result answered %d", code)
+		}
+		<-time.After(5 * time.Millisecond) // a client's poll interval
+	}
+	if len(result.Scores) != len(want) {
+		t.Fatalf("serve: %d scores for %d voxels", len(result.Scores), len(want))
+	}
+	for _, sc := range result.Scores {
+		if sc.Voxel < 0 || sc.Voxel >= len(want) || sc.Accuracy != want[sc.Voxel] {
+			t.Errorf("serve: voxel %d scored %g, the reference's predictions %g", sc.Voxel, sc.Accuracy, want[min(max(sc.Voxel, 0), len(want)-1)])
 		}
 	}
 }

@@ -8,21 +8,13 @@ import (
 	"fcma/internal/tensor"
 )
 
-// blasLanes, normUseAVX2 and normUseZMM are the unexported kernel dispatch
-// variables of internal/blas (stage 1's gemm strips: 0 Go, 8 YMM, 16 ZMM)
-// and internal/norm (stage 2's sweep, and its 16-lane Fisher pass),
+// blasLanes is internal/blas's kernel path (0 Go, 8 YMM, 16 ZMM), the one
+// switch that stage 1's gemm strips and stage 2's sweep both dispatch on,
 // reached by linkname so the pipeline's equivalence tests can run on every
-// kernel path without either package exporting a switch nobody else
-// should touch.
+// kernel path without blas exporting a setter nobody else should touch.
 //
 //go:linkname blasLanes fcma/internal/blas.lanes
 var blasLanes int
-
-//go:linkname normUseAVX2 fcma/internal/norm.useAVX2
-var normUseAVX2 bool
-
-//go:linkname normUseZMM fcma/internal/norm.useZMM
-var normUseZMM bool
 
 // hostLanes is the probe's verdict, read before any test rewrites it.
 var hostLanes = blasLanes
@@ -35,9 +27,7 @@ var kernelPaths = []struct {
 
 // setKernelPath routes both stages' kernels to the Go twins (0) or to the
 // YMM (8) or ZMM (16) assembly.
-func setKernelPath(lanes int) {
-	blasLanes, normUseAVX2, normUseZMM = lanes, lanes > 0, lanes == 16
-}
+func setKernelPath(lanes int) { blasLanes = lanes }
 
 // eachKernelPath runs f as a subtest on every kernel path; a vector path
 // skips on a host that cannot run it.

@@ -46,10 +46,10 @@ func BenchmarkFisherThenZScore(b *testing.B) {
 			for _, path := range sweepPaths {
 				rows, cols := shape[0], shape[1]
 				b.Run(fmt.Sprintf("%dx%d/%s/%s", rows, cols, kind, path.name), func(b *testing.B) {
-					if !hostRuns(path.avx2, path.zmm) {
-						b.Skipf("host cannot run the %s sweep", path.name)
+					if path.lanes > hostLanes {
+						b.Skipf("host runs %d-lane kernels at most", hostLanes)
 					}
-					withSweepPath(path.avx2, path.zmm, func() {
+					withSweepPath(path.lanes, func() {
 						src := coefficients(kind, rows, cols)
 						block := make([]float32, len(src))
 						sweepN(src, block, rows, cols, 1) // warm the caches

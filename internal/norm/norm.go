@@ -10,9 +10,10 @@
 //
 // The stage's arithmetic has one definition, in Go: the float32 atanh
 // kernel in this file and the one sweep in scratch.go that applies it,
-// accumulates the column moments and scales. On amd64 with AVX2 the sweep's
-// leading columns run the same operations in the same order, eight lanes at
-// a time (the Fisher pass sixteen with AVX-512F), in sweep_amd64.s; the Go code is the reference those kernels are
+// accumulates the column moments and scales. On a vector kernel path
+// (blas.Lanes) the sweep's leading columns run the same operations in the
+// same order, eight lanes at a time (the Fisher pass sixteen on the ZMM
+// path), in sweep_amd64.s; the Go code is the reference those kernels are
 // pinned to bit for bit, their remainder handler, and the only path
 // elsewhere.
 package norm

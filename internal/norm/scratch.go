@@ -1,15 +1,20 @@
 package norm
 
-import "math"
+import (
+	"math"
+
+	"fcma/internal/blas"
+)
 
 // Scratch carries the buffers the fused normalization needs — fisherRow's
 // list of filed coefficients and, for the columns the Go loops take, the
 // per-column moments and scaling — so a hot caller (the correlation
 // pipeline) can reuse them across blocks instead of allocating per call.
 // The zero value is ready to use; buffers grow to the widest block seen.
-// The arithmetic itself is sweep's, below, and on amd64 its AVX2 twin's in
-// sweep_amd64.s. The entry points are declared hot paths: once the scratch
-// is warm, only grow may allocate, and only on a width increase.
+// The arithmetic itself is sweep's, below, and on a vector kernel path its
+// twins' in sweep_amd64.s. The entry points are declared hot paths: once
+// the scratch is warm, only grow may allocate, and only on a width
+// increase.
 //
 //lint:allow f32purity float64 moment accumulation (E[X²]−E[X]²) needs the headroom; scale/shift re-enter float32
 type Scratch struct {
@@ -76,13 +81,13 @@ func (s *Scratch) FisherThenZScoreInto(dst []float32, dstStride int, data []floa
 // are the one-pass E[X²]−E[X]² accumulation of the paper's §4.3, kept in
 // float64 because that difference cancels.
 //
-// With useAVX2 set the kernels in sweep_amd64.s take the leading columns,
-// every multiple of eight (the Fisher pass sixteen lanes at a time with
-// useZMM), and the loops below the rest. Columns are
-// independent and the kernels add each column's rows in the same ascending
-// order, so where the split falls changes no bit. The loops read the block
-// once for transform+moments and once for the scaling, walking row-major
-// so the accesses stay unit-stride.
+// On a vector kernel path (blas.Lanes) the kernels in sweep_amd64.s take
+// the leading columns, every multiple of eight (the Fisher pass sixteen
+// lanes at a time on the 16-lane path), and the loops below the rest.
+// Columns are independent and the kernels add each column's rows in the
+// same ascending order, so where the split falls changes no bit. The loops
+// read the block once for transform+moments and once for the scaling,
+// walking row-major so the accesses stay unit-stride.
 //
 //lint:allow f32purity float64 moment accumulation per the paper's §4.3; scale/shift re-enter float32
 //lint:hotpath the one Fisher+moments+scale sweep, run over every correlation block
@@ -98,14 +103,14 @@ func (s *Scratch) sweep(dst []float32, dstStride int, data []float32, rows, cols
 		//lint:allow allocfree cold caller-bug panic; the message string boxes once
 		panic("norm: block shorter than rows*stride")
 	}
-	vec := 0
-	if useAVX2 {
+	vec, lanes := 0, blas.Lanes()
+	if lanes > 0 {
 		vec = cols &^ 7
 	}
 	//lint:allow allocfree grow allocates only on a width increase (allocgate sees its makes whenever it inlines here)
 	s.grow(cols, cols-vec)
 	if vec > 0 {
-		if fisher && useZMM {
+		if fisher && lanes == 16 {
 			for i := 0; i < rows; i++ {
 				fisherRowZMM(&data[i*stride], vec, &s.tailR[0], &s.tailJ[0])
 			}

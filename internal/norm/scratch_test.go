@@ -109,9 +109,9 @@ func TestFisherRowMatchesFisherZ(t *testing.T) {
 		got := append([]float32(nil), row...)
 		var s Scratch
 		s.grow(len(got), 0)
-		if useZMM {
+		if kernelLanes == 16 {
 			fisherRowZMM(&got[0], len(got), &s.tailR[0], &s.tailJ[0])
-		} else if useAVX2 {
+		} else if kernelLanes > 0 {
 			fisherRowAVX2(&got[0], len(got), &s.tailR[0], &s.tailJ[0])
 		} else {
 			s.fisherRow(got)

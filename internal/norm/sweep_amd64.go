@@ -1,36 +1,18 @@
 package norm
 
-import (
-	"math"
-	_ "unsafe" // go:linkname
+import "math"
 
-	"fcma/internal/blas"
-)
-
-// useAVX2 routes the sweep's leading columns — every multiple of eight
-// below cols — through the assembly in sweep_amd64.s. It is set once, at
-// init, from the one CPUID probe in the tree (internal/blas); only tests
-// write it afterwards, to hold the two paths against each other.
-//
-// The assembly multiplies, adds and divides separately (no FMA), in the
-// order of the Go expressions in norm.go and scratch.go, takes each
-// column's rows in the same ascending order, and compares with the
-// ordered, quiet predicates Go's comparisons are, so both paths leave the
-// same float32 bits everywhere (NaN stays NaN; its payload is not pinned).
-// CI also holds that pin in a GOAMD64=v3 build, where the compiler could
-// fuse a multiply-add of the reference loops; it does not.
-var useAVX2 = blas.HasAVX2()
-
-// useZMM routes the sweep's Fisher pass, with useAVX2 set, through the
-// sixteen-lane fisherRowZMM instead of fisherRowAVX2: the same operations
-// in the same order, so the same bits. It is set from internal/blas's
-// probe, read by linkname (hostLanes is 16 where AVX-512F and its register
-// state are usable), so the tree keeps one CPUID probe and exports no
-// second verdict.
-var useZMM = useAVX2 && blasHostLanes == 16
-
-//go:linkname blasHostLanes fcma/internal/blas.hostLanes
-var blasHostLanes int
+// The assembly in sweep_amd64.s takes the sweep's leading columns — every
+// multiple of eight below cols — where the kernel path (blas.Lanes) is a
+// vector one, and runs the Fisher pass sixteen lanes at a time
+// (fisherRowZMM) where it is 16. It multiplies, adds and divides
+// separately (no FMA), in the order of the Go expressions in norm.go and
+// scratch.go, takes each column's rows in the same ascending order, and
+// compares with the ordered, quiet predicates Go's comparisons are, so
+// every path leaves the same float32 bits everywhere (NaN stays NaN; its
+// payload is not pinned). CI also holds that pin in a GOAMD64=v3 build,
+// where the compiler could fuse a multiply-add of the reference loops; it
+// does not.
 
 // fisherVec holds the Fisher kernel's constants as bit patterns, each
 // eight times over — one YMM register's worth — in the order sweep_amd64.s

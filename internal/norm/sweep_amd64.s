@@ -58,6 +58,27 @@ GLOBL laneIota<>(SB), RODATA|NOPTR, $64
 DATA sixteen16<>+0(SB)/4, $16
 GLOBL sixteen16<>(SB), RODATA|NOPTR, $4
 
+// FISHERPOLY is the first pass's arithmetic on one vector of coefficients
+// r, at either width: S = s = r·r, P = r + (r·s)·P(s) with P(s) in Horner
+// form from fa6 … fa0 (A6 … A0), T scratch. r stays in R.
+#define FISHERPOLY(R, S, P, T, A6, A5, A4, A3, A2, A1, A0) \
+	VMULPS R, R, S; \
+	VMULPS S, A6, P; \
+	VADDPS A5, P, P; \
+	VMULPS S, P, P; \
+	VADDPS A4, P, P; \
+	VMULPS S, P, P; \
+	VADDPS A3, P, P; \
+	VMULPS S, P, P; \
+	VADDPS A2, P, P; \
+	VMULPS S, P, P; \
+	VADDPS A1, P, P; \
+	VMULPS S, P, P; \
+	VADDPS A0, P, P; \
+	VMULPS S, R, T; \
+	VMULPS P, T, T; \
+	VADDPS T, R, P
+
 // func fisherRowAVX2(row *float32, n int, tailR *float32, tailJ *int32)
 //
 // row[j] = FisherZ(row[j]) for j < n, n a positive multiple of 8, in
@@ -93,22 +114,7 @@ TEXT ·fisherRowAVX2(SB), NOSPLIT, $0-32
 
 smallstep:
 	VMOVUPS   (DI)(R8*4), Y0         // r
-	VMULPS    Y0, Y0, Y1             // s = r·r
-	VMULPS    Y1, Y9, Y2             // fa6·s
-	VADDPS    Y10, Y2, Y2            // + fa5
-	VMULPS    Y1, Y2, Y2
-	VADDPS    Y11, Y2, Y2            // + fa4
-	VMULPS    Y1, Y2, Y2
-	VADDPS    Y12, Y2, Y2            // + fa3
-	VMULPS    Y1, Y2, Y2
-	VADDPS    Y13, Y2, Y2            // + fa2
-	VMULPS    Y1, Y2, Y2
-	VADDPS    Y14, Y2, Y2            // + fa1
-	VMULPS    Y1, Y2, Y2
-	VADDPS    Y15, Y2, Y2            // + fa0: P(s)
-	VMULPS    Y1, Y0, Y3             // r·s
-	VMULPS    Y2, Y3, Y3             // (r·s)·P(s)
-	VADDPS    Y3, Y0, Y2             // r + …
+	FISHERPOLY(Y0, Y1, Y2, Y3, Y9, Y10, Y11, Y12, Y13, Y14, Y15)
 	VMOVUPS   Y2, (DI)(R8*4)
 	VCMPPS    $0x1d, cSPLIT2, Y1, Y3 // s >= fisherSplit2 (GE_OQ)
 	VMOVMSKPS Y3, AX
@@ -230,22 +236,7 @@ zsmallstep:
 	CMOVLLT          BX, AX
 	KMOVW            AX, K1
 	VMOVUPS.Z        (DI)(R8*4), K1, Z0     // r
-	VMULPS           Z0, Z0, Z1             // s = r·r
-	VMULPS           Z1, Z9, Z2             // fa6·s
-	VADDPS           Z10, Z2, Z2            // + fa5
-	VMULPS           Z1, Z2, Z2
-	VADDPS           Z11, Z2, Z2            // + fa4
-	VMULPS           Z1, Z2, Z2
-	VADDPS           Z12, Z2, Z2            // + fa3
-	VMULPS           Z1, Z2, Z2
-	VADDPS           Z13, Z2, Z2            // + fa2
-	VMULPS           Z1, Z2, Z2
-	VADDPS           Z14, Z2, Z2            // + fa1
-	VMULPS           Z1, Z2, Z2
-	VADDPS           Z15, Z2, Z2            // + fa0: P(s)
-	VMULPS           Z1, Z0, Z3             // r·s
-	VMULPS           Z2, Z3, Z3             // (r·s)·P(s)
-	VADDPS           Z3, Z0, Z2             // r + …
+	FISHERPOLY(Z0, Z1, Z2, Z3, Z9, Z10, Z11, Z12, Z13, Z14, Z15)
 	VMOVUPS          Z2, K1, (DI)(R8*4)
 	VCMPPS.BCST      $0x1d, cSPLIT2, Z1, K1, K2 // s >= fisherSplit2 (GE_OQ), in the group
 	VCOMPRESSPS      Z0, K2, Z5             // the lanes to file, first: their r

@@ -2,9 +2,8 @@
 
 package norm
 
-// useAVX2 is never set off amd64: the Go loops in sweep are the only path,
-// and the routines below exist so the dispatch compiles.
-var useAVX2, useZMM = false, false
+// blas.Lanes is always 0 off amd64: the Go loops in sweep are the only
+// path, and the routines below exist so the dispatch compiles.
 
 func fisherRowZMM(row *float32, n int, tailR *float32, tailJ *int32) {
 	panic("norm: AVX-512 sweep on a non-amd64 build")

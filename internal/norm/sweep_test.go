@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	_ "unsafe" // go:linkname
 
 	"fcma/internal/blas"
 )
@@ -17,26 +18,28 @@ import (
 // equality check above this package — merged == separated, cluster ==
 // local, served == direct — vouch for stage 2's assembly too.
 
-// sweepPaths are the dispatch settings a test runs: useAVX2, useZMM.
+// kernelLanes is internal/blas's kernel path, the one switch every
+// package's assembly dispatches on, reached by linkname so the pins can
+// run each path without blas exporting a setter.
+//
+//go:linkname kernelLanes fcma/internal/blas.lanes
+var kernelLanes int
+
+// hostLanes is the probe's verdict, read before any test rewrites it.
+var hostLanes = blas.Lanes()
+
+// sweepPaths are the kernel paths a test runs: Go, AVX2, and AVX2 with
+// the sixteen-lane Fisher pass.
 var sweepPaths = []struct {
-	name      string
-	avx2, zmm bool
-}{{"go", false, false}, {"avx2", true, false}, {"avx512", true, true}}
+	name  string
+	lanes int
+}{{"go", 0}, {"avx2", 8}, {"avx512", 16}}
 
-// hostZMM is the probe's verdict on the sixteen-lane pass, read before any
-// test rewrites useZMM.
-var hostZMM = useZMM
-
-// hostRuns reports whether the host can run a sweep path.
-func hostRuns(avx2, zmm bool) bool {
-	return (!avx2 || blas.HasAVX2()) && (!zmm || hostZMM)
-}
-
-// withSweepPath runs f with the dispatch variables forced.
-func withSweepPath(avx2, zmm bool, f func()) {
-	oldAVX2, oldZMM := useAVX2, useZMM
-	defer func() { useAVX2, useZMM = oldAVX2, oldZMM }()
-	useAVX2, useZMM = avx2, zmm
+// withSweepPath runs f with the kernel path forced.
+func withSweepPath(lanes int, f func()) {
+	old := kernelLanes
+	defer func() { kernelLanes = old }()
+	kernelLanes = lanes
 	f()
 }
 
@@ -45,10 +48,10 @@ func withSweepPath(avx2, zmm bool, f func()) {
 func eachSweepPath(t *testing.T, f func(t *testing.T)) {
 	for _, p := range sweepPaths {
 		t.Run(p.name, func(t *testing.T) {
-			if !hostRuns(p.avx2, p.zmm) {
-				t.Skipf("host cannot run the %s sweep", p.name)
+			if p.lanes > hostLanes {
+				t.Skipf("host runs %d-lane kernels at most", hostLanes)
 			}
-			withSweepPath(p.avx2, p.zmm, func() { f(t) })
+			withSweepPath(p.lanes, func() { f(t) })
 		})
 	}
 }
@@ -66,25 +69,25 @@ func fisherSeams() []float32 {
 }
 
 // requireSweepPathsAgree runs the sweep over a rows×cols block (rows
-// stride apart in block) on the Go path and on the AVX2 path, in place and
-// into a second buffer with a stride of its own, and demands the same bits
-// everywhere.
+// stride apart in block) on the Go path and on each vector path the host
+// runs, in place and into a second buffer with a stride of its own, and
+// demands the same bits everywhere.
 func requireSweepPathsAgree(t *testing.T, block []float32, rows, cols, stride int, fisher bool) {
 	t.Helper()
 	for _, p := range sweepPaths[1:] {
-		if hostRuns(p.avx2, p.zmm) {
-			requireSweepPathAgrees(t, p.name, p.avx2, p.zmm, block, rows, cols, stride, fisher)
+		if p.lanes <= hostLanes {
+			requireSweepPathAgrees(t, p.name, p.lanes, block, rows, cols, stride, fisher)
 		}
 	}
 }
 
 // requireSweepPathAgrees is requireSweepPathsAgree for one vector path.
-func requireSweepPathAgrees(t *testing.T, name string, avx2, zmm bool, block []float32, rows, cols, stride int, fisher bool) {
+func requireSweepPathAgrees(t *testing.T, name string, lanes int, block []float32, rows, cols, stride int, fisher bool) {
 	t.Helper()
 	dstStride := cols + 3
 	var inPlace, src, dst [2][]float32
 	for p := range inPlace {
-		withSweepPath(avx2 && p == 1, zmm && p == 1, func() {
+		withSweepPath(lanes*p, func() {
 			var s Scratch
 			inPlace[p] = append([]float32(nil), block...)
 			s.sweep(inPlace[p], stride, inPlace[p], rows, cols, stride, fisher)
@@ -148,8 +151,8 @@ func sweepInputs(rng *rand.Rand, kind, n int) []float32 {
 // then the benchmark's two shapes, the wide one five columns past a vector
 // group, where a row files hundreds of coefficients.
 func TestVectorSweepMatchesGo(t *testing.T) {
-	if !blas.HasAVX2() {
-		t.Skip("host has no AVX2: the Go sweep is the only path")
+	if hostLanes == 0 {
+		t.Skip("host has no AVX2 + FMA: the Go sweep is the only path")
 	}
 	rng := rand.New(rand.NewSource(11))
 	kind := 0
@@ -173,8 +176,8 @@ func TestVectorSweepMatchesGo(t *testing.T) {
 // vector groups, in the float64 statistics' four-lane groups and in the
 // remainder, next to columns that do vary.
 func TestVectorSweepZeroVarianceColumns(t *testing.T) {
-	if !blas.HasAVX2() {
-		t.Skip("host has no AVX2: the Go sweep is the only path")
+	if hostLanes == 0 {
+		t.Skip("host has no AVX2 + FMA: the Go sweep is the only path")
 	}
 	rng := rand.New(rand.NewSource(12))
 	const rows, cols = 6, 23
@@ -196,8 +199,8 @@ func TestVectorSweepZeroVarianceColumns(t *testing.T) {
 // Each seam value in each lane of a vector group, of the group after it,
 // and of the remainder, among ordinary coefficients.
 func TestVectorSweepSeamsInEveryLane(t *testing.T) {
-	if !blas.HasAVX2() {
-		t.Skip("host has no AVX2: the Go sweep is the only path")
+	if hostLanes == 0 {
+		t.Skip("host has no AVX2 + FMA: the Go sweep is the only path")
 	}
 	rng := rand.New(rand.NewSource(13))
 	const rows, cols = 3, 21
@@ -233,8 +236,8 @@ func FuzzFisherSweepMatchesGo(f *testing.F) {
 		f.Add(b)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if !blas.HasAVX2() {
-			t.Skip("host has no AVX2: the Go sweep is the only path")
+		if hostLanes == 0 {
+			t.Skip("host has no AVX2 + FMA: the Go sweep is the only path")
 		}
 		if len(data) < 8 {
 			t.Skip("not enough data for a shape and one coefficient")

@@ -10,17 +10,19 @@ import "math"
 // free), Fletcher–Reeves over r = m∘(μ − h), μ h's mean on W. A box cut
 // fixes its variable; at max|r| < eps/4 variables whose gradient points
 // in by more than eps are released. Bad curvature, rᵀd ≤ 0 or n mat-vecs
-// end it; v and the masks are rebuilt from α. It returns mat-vecs. Its
-// O(n) loops are the passes of a cgPath, in Go or assembly, bit for bit.
+// end it; v and the masks are rebuilt from α. It returns mat-vecs. The
+// O(n) loops a step runs are the passes of a cgPath, in Go or assembly,
+// bit for bit; the two that run once per phase or per restart, startGo
+// and releaseGo, are Go on every path.
 //
 //lint:hotpath once per fold that SMO has not closed in 2n iterations
 func (s *smo32) conjugate() (steps int) {
 	n := s.n
 	cg := &cgGo
-	if useAVX2 {
+	if s.lanes > 0 {
 		cg = &cgAVX2
 	}
-	cg.start(s)
+	startGo(s)
 	var mu, rd, rr, rrPrev, rmax float64
 	w, restart, moved := 0, true, false
 	for steps < n {
@@ -34,7 +36,7 @@ func (s *smo32) conjugate() (steps int) {
 			rrPrev = math.Inf(1)                // γ = 0
 		}
 		if rmax < s.eps/4 {
-			if restart = cg.release(s, mu); !restart {
+			if restart = releaseGo(s, mu); !restart {
 				break
 			}
 			continue
@@ -66,16 +68,14 @@ func (s *smo32) conjugate() (steps int) {
 // longer step); advance also fixes a cut k ≥ 0 and any of W carried onto
 // a bound. cgGo is the reference and the only path off amd64.
 type cgPath struct {
-	start     func(s *smo32)
 	freeRows  func(s *smo32) (w int, sum float64)
-	release   func(s *smo32, mu float64) bool
 	direction func(s *smo32, mu, gamma float64) (rd float64)
 	matvec    func(s *smo32, rows []int, rd float64) (dq, sq, lmax float64, k int)
 	advance   func(s *smo32, lam, mu float64, k int) (rr, rmax float64)
 	rebuild   func(s *smo32)
 }
 
-var cgGo = cgPath{startGo, freeRowsGo, releaseGo, directionGo, matvecGoCut, advanceGo, rebuildGo}
+var cgGo = cgPath{freeRowsGo, directionGo, matvecGoCut, advanceGo, rebuildGo}
 
 func startGo(s *smo32) {
 	n := s.n

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"fcma/internal/blas"
 	"fcma/internal/tensor"
 )
 
@@ -78,8 +77,7 @@ func cgProblems(t *testing.T) []cgProblem {
 // v, the masks, ρ and both counts. The phase must run on the shapes that
 // enter it and release variables held at C.
 func TestCGPhaseInvariants(t *testing.T) {
-	oldAVX2, oldZMM := useAVX2, useZMM
-	defer func() { useAVX2, useZMM = oldAVX2, oldZMM }()
+	defer setPath("host")
 	ran := map[string]int{}
 	releasedAtC := 0
 	for _, pr := range cgProblems(t) {
@@ -142,6 +140,60 @@ func TestCGPhaseInvariants(t *testing.T) {
 	}
 	if releasedAtC == 0 {
 		t.Error("no α held at C was released")
+	}
+}
+
+// startGo and releaseGo run on every path, so no pin between paths holds
+// them: each against its contract. From α at 0, at C and between them,
+// with garbage in the phase's vectors and pads, startGo leaves h = −v,
+// W = {0 < α < C}, d = q = 0 and zeros past n; then releaseGo, at μ = 0,
+// adds to W exactly the variables off it whose gradient h points into the
+// box by more than eps (down from C, or from 0 on the other side of β's
+// bound), and reports whether it added any.
+func TestStartAndReleaseContracts(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(21)
+		np := (n + 3) &^ 3
+		K, labels := sweepProblem(rng, n, 0.5)
+		var s smo32
+		s.reset(K, labels, allIdx(n), Params{})
+		s.alpha, s.y, s.coef, s.dir, s.free, s.q = s.alpha[:np], s.y[:np], s.coef[:np], s.dir[:np], s.free[:np], s.q[:np]
+		for k := range np {
+			s.coef[k], s.dir[k], s.free[k], s.q[k] = rng.NormFloat64(), rng.NormFloat64(), 7, 7
+			if k < n {
+				s.alpha[k] = []float64{0, s.c, s.c * rng.Float64()}[rng.Intn(3)]
+				s.v[k] = float32(rng.NormFloat64())
+			} else {
+				s.alpha[k], s.y[k] = 7, 7
+			}
+		}
+		alpha := append([]float64(nil), s.alpha...)
+		startGo(&s)
+		for k := range np {
+			h, m := 0.0, 0.0
+			if k < n {
+				h = -float64(s.v[k])
+				if alpha[k] > 0 && alpha[k] < s.c {
+					m = 1
+				}
+			}
+			if s.coef[k] != h || s.free[k] != m || s.dir[k] != 0 || s.q[k] != 0 || k >= n && (s.alpha[k] != 0 || s.y[k] != 0) {
+				t.Fatalf("trial %d, k = %d of %d: start left h %g, W %g, d %g, q %g, α %g, y %g; want h %g, W %g and zeros",
+					trial, k, n, s.coef[k], s.free[k], s.dir[k], s.q[k], s.alpha[k], s.y[k], h, m)
+			}
+		}
+		want, any := append([]float64(nil), s.free...), false
+		for k := range n {
+			lower := (s.y[k] > 0) == (s.alpha[k] == 0)
+			if g := s.coef[k]; want[k] == 0 && (lower && g < -s.eps || !lower && g > s.eps) {
+				want[k], any = 1, true
+			}
+		}
+		if got := releaseGo(&s, 0); got != any {
+			t.Fatalf("trial %d: release reported %v, want %v", trial, got, any)
+		}
+		requireSameFloats(t, fmt.Sprintf("trial %d: W after release", trial), s.free, want)
 	}
 }
 
@@ -215,8 +267,8 @@ func FuzzCGPhaseMatchesGo(f *testing.F) {
 		f.Add(y, uint8(n%3), b)
 	}
 	f.Fuzz(func(t *testing.T, y uint32, cSel uint8, data []byte) {
-		if !blas.HasAVX2() {
-			t.Skip("host has no AVX2: the Go path is the only one")
+		if hostLanes == 0 {
+			t.Skip("host has no AVX2 + FMA: the Go path is the only one")
 		}
 		n := 0
 		for n < 20 && 4*(n+1)*(n+1) <= len(data) {
@@ -237,8 +289,7 @@ func FuzzCGPhaseMatchesGo(f *testing.F) {
 			}
 		}
 		x := K.Data[n*n-n:]
-		old := [2]bool{useAVX2, useZMM}
-		defer func() { useAVX2, useZMM = old[0], old[1] }()
+		defer setPath("host")
 		var q [3][]float32
 		for p := range q {
 			q[p] = make([]float32, n)
@@ -250,7 +301,7 @@ func FuzzCGPhaseMatchesGo(f *testing.F) {
 			} else if p == 0 {
 				matvecGo(K.Data, rows, x, q[p])
 			} else {
-				matvecAVX2(K.Data, rows, x, q[p])
+				matvecAVX2(K.Data, rows, x, q[p], kernelLanes)
 			}
 			requireSameFloats(t, "mat-vec on "+paths[p], q[p], q[0])
 		}
@@ -286,11 +337,9 @@ func FuzzCGPhaseMatchesGo(f *testing.F) {
 // puts λ on each ratio, about an ulp either side, and at 0⁺, huge and
 // +Inf values.
 func TestMatvecCutMatchesGo(t *testing.T) {
-	if !blas.HasAVX2() {
-		t.Skip("host has no AVX2")
+	if hostLanes == 0 {
+		t.Skip("host has no AVX2 + FMA")
 	}
-	old := useZMM
-	defer func() { useZMM = old }()
 	rng := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 400; trial++ {
 		n := 1 + rng.Intn(40)
@@ -326,8 +375,9 @@ func TestMatvecCutMatchesGo(t *testing.T) {
 			rd := target * dq
 			lam := rd / dq
 			_, _, wantL, wantK := matvecGoCut(s, rows, rd)
-			for _, zmm := range []bool{false, hostZMM} {
-				useZMM = zmm
+			for _, lanes := range []int{8, hostLanes} {
+				s.lanes = lanes
+				zmm := lanes == 16
 				gdq, gsq, gotL, gotK := cgAVX2.matvec(s, rows, rd)
 				if !sameFloat(gdq, dq) || !sameFloat(gsq, sq) {
 					t.Fatalf("trial %d (ZMM %v): dᵀq %g, Σ_W q %g; Go %g, %g", trial, zmm, gdq, gsq, dq, sq)

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"fcma/internal/blas"
 	"fcma/internal/tensor"
 )
 
@@ -25,8 +24,8 @@ func FuzzDecideMatchesGo(f *testing.F) {
 		f.Add(rng.Int63(), b)
 	}
 	f.Fuzz(func(t *testing.T, seed int64, data []byte) {
-		if !blas.HasAVX2() {
-			t.Skip("host has no AVX2: the Go path is the only one")
+		if hostLanes == 0 {
+			t.Skip("host has no AVX2 + FMA: the Go path is the only one")
 		}
 		m := 0
 		for m < 24 && 4*(m+1)*(m+1) <= len(data) {
@@ -41,7 +40,7 @@ func FuzzDecideMatchesGo(f *testing.F) {
 		}
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(2*m)
-		s := &smo32{n: n, idx: make([]int, n), coef: make([]float64, n), rho: rng.NormFloat64()}
+		s := &smo32{n: n, idx: make([]int, n), coef: make([]float64, n), rho: rng.NormFloat64(), lanes: hostLanes}
 		for i := range n {
 			s.idx[i] = rng.Intn(m)
 			switch rng.Intn(6) {
@@ -59,9 +58,6 @@ func FuzzDecideMatchesGo(f *testing.F) {
 		for l := range test {
 			test[l] = rng.Intn(m)
 		}
-		old := useAVX2
-		defer func() { useAVX2 = old }()
-		useAVX2 = true
 		var got [decideLanes]float64
 		s.decideAll(K, test, &got)
 		for l, tt := range test {

@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"fcma/internal/blas"
 	"fcma/internal/tensor"
 )
 
@@ -218,8 +217,8 @@ func FuzzSeedSumsMatchGo(f *testing.F) {
 		f.Add(rng.Uint64(), b)
 	}
 	f.Fuzz(func(t *testing.T, labelBits uint64, data []byte) {
-		if !blas.HasAVX2() {
-			t.Skip("host has no AVX2: classSums is the only path")
+		if hostLanes == 0 {
+			t.Skip("host has no AVX2 + FMA: classSums is the only path")
 		}
 		n := 0
 		for n < 40 && 4*(n+1)*(n+1) <= len(data) {

@@ -13,6 +13,7 @@ import (
 	"math"
 	"sync"
 
+	"fcma/internal/blas"
 	"fcma/internal/tensor"
 )
 
@@ -66,6 +67,11 @@ type smo32 struct {
 	c       float64
 	eps     float64
 	maxIter int
+	// lanes is the kernel path the solver runs, blas.Lanes at reset: the
+	// Go loops at 0, the assembly loops at 8 and 16, the mat-vec's bands
+	// and the row lists' compress on ZMM vectors at 16. The assembly
+	// reads it here.
+	lanes int
 }
 
 // idxRun is a maximal run of consecutive kernel indices in a training
@@ -127,7 +133,7 @@ func (s *smo32) reset(K *tensor.Matrix, labels []int, trainIdx []int, p Params) 
 	if n+3 > cap(s.y) {
 		s.grow(n)
 	}
-	s.idx, s.n = trainIdx, n
+	s.idx, s.n, s.lanes = trainIdx, n, blas.Lanes()
 	p = p.Resolved(n)
 	s.c, s.eps, s.maxIter = p.C, p.Eps, p.MaxIter
 
@@ -195,7 +201,7 @@ func (s *smo32) seed(np int) {
 	alpha, u, v := s.alpha[:n], s.coef[:n], s.v[:n]
 	w := [2]float64{float64(np), float64(n - np)} // on a negative, a positive sample
 	rows := [2][]int{s.byClass[np:n], s.byClass[:np]}
-	if useAVX2 {
+	if s.lanes > 0 {
 		classSumsAVX2(s.kd[:n*n], s.byClass[:n], np, alpha, u)
 	} else {
 		classSums(s.kd[:n*n], s.byClass[:n], np, alpha, u)
@@ -273,7 +279,8 @@ const solveChunk = 1 << 13
 // solveFused is the first-order loop: one plain selection before the
 // first step, then each step's sweep hands over the next pair, and a step
 // that moved nothing leaves the state, and with it the pair, as they were.
-// With AVX2 the loop itself runs in assembly, a chunk of iterations a call.
+// On a vector kernel path the loop itself runs in assembly, a chunk of
+// iterations a call.
 // A fold open after 2n iterations runs conjugate; the loop then resumes.
 //
 //lint:hotpath once per fold per voxel
@@ -282,7 +289,7 @@ func (s *smo32) solveFused() (iters, steps int, converged bool) {
 	for budget := min(2*s.n, s.maxIter); ; budget = s.maxIter {
 		for ok && iters < budget {
 			done := 1
-			if useAVX2 {
+			if s.lanes > 0 {
 				done, i, j, ok = solveAVX2(s, i, j, min(budget-iters, solveChunk))
 			} else if cyi, cyj, moved := s.step(i, j); moved {
 				i, j, ok = s.sweep(i, j, cyi, cyj)
@@ -298,7 +305,7 @@ func (s *smo32) solveFused() (iters, steps int, converged bool) {
 }
 
 func (s *smo32) selectPair() (int, int, bool) {
-	if useAVX2 {
+	if s.lanes > 0 {
 		return selectAVX2(s)
 	}
 	return s.selectFirstOrder()
@@ -461,10 +468,10 @@ func (s *smo32) decide(K *tensor.Matrix, t int) float64 {
 const decideLanes = 16
 
 // decideAll sets d[l] = decide(K, test[l]) for up to decideLanes samples,
-// which runFolds has checked are in K; with AVX2 in one pass, a lane per
-// sample, reading K's rows (so K need not be symmetric).
+// which runFolds has checked are in K; on a vector kernel path in one
+// pass, a lane per sample, reading K's rows (so K need not be symmetric).
 func (s *smo32) decideAll(K *tensor.Matrix, test []int, d *[decideLanes]float64) {
-	if !useAVX2 || K.Rows*K.Stride > math.MaxInt32 {
+	if s.lanes == 0 || K.Rows*K.Stride > math.MaxInt32 {
 		for l, t := range test {
 			d[l] = s.decide(K, t)
 		}

@@ -17,8 +17,8 @@ import "math"
 // operations on each element in the same order, `>=`/`<=` so the last
 // index wins a tie — and returns what selectFirstOrder would.
 //
-// This loop is the reference and the only path off amd64. With AVX2 the
-// same pass runs in sweep_amd64.s, in two eight-lane scans, inside the
+// This loop is the reference and the only path off amd64. On a vector
+// kernel path (smo32.lanes) the same pass runs in sweep_amd64.s, in two eight-lane scans, inside the
 // assembly loop that also holds step.
 //
 //lint:hotpath once per SMO iteration, the stage-3 inner loop

@@ -1,31 +1,15 @@
 package svm
 
-import (
-	_ "unsafe" // go:linkname
-
-	"fcma/internal/blas"
-)
-
-// useAVX2 routes the fused first-order loop and the seed's class sums
-// through the assembly in sweep_amd64.s. It is set once, at init, from the
-// one CPUID probe in the tree (internal/blas); only tests write it
-// afterwards, to hold the two paths against each other.
-//
-// The assembly multiplies, adds and divides separately (no FMA), in the
-// order and width of the Go expressions in step, sweep and classSums,
-// clips in step's order and resolves ties as the scalar scan does, so both
-// paths leave the same bits in every α, v[t] and mask and select the same
-// pairs. The pin holds at any GOAMD64: the Go loops round each product by
-// an explicit conversion, which the compiler may not fuse into an add.
-var useAVX2 = blas.HasAVX2()
-
-// useZMM runs the mat-vec's bands and the row lists' compress on ZMM
-// vectors, with the same bits; it reads internal/blas's probe by linkname,
-// as internal/norm does.
-var useZMM = useAVX2 && blasHostLanes == 16
-
-//go:linkname blasHostLanes fcma/internal/blas.hostLanes
-var blasHostLanes int
+// The assembly in sweep_amd64.s runs where the solver's kernel path
+// (smo32.lanes, blas.Lanes at reset) is a vector one: the fused
+// first-order loop, the seed's class sums, selection, scoring and the
+// conjugate-gradient phase's passes. It multiplies, adds and divides
+// separately (no FMA), in the order and width of the Go expressions in
+// step, sweep, classSums and cg.go, clips in step's order and resolves
+// ties as the scalar scan does, so every path leaves the same bits in
+// every α, v[t] and mask and selects the same pairs. The pin holds at any
+// GOAMD64: the Go loops round each product by an explicit conversion,
+// which the compiler may not fuse into an add.
 
 // solveAVX2 runs solveFused's loop body — step(i, j), then sweep if α
 // moved — from the selected pair (i, j) until the sweep finds no violating
@@ -43,9 +27,9 @@ func solveAVX2(s *smo32, i, j, budget int) (done, ni, nj int, ok bool)
 //go:noescape
 func sweepOnceAVX2(s *smo32, i, j int, cyi, cyj float32) (ni, nj int, ok bool)
 
-// classSumsAVX2 is classSums on the assembly path, which seed calls when
-// useAVX2 is set: the same adds in the same order, a block of columns at a
-// time.
+// classSumsAVX2 is classSums on the assembly path, which seed calls on a
+// vector kernel path: the same adds in the same order, a block of columns
+// at a time.
 //
 //go:noescape
 func classSumsAVX2(kd []float32, rows []int, np int, rp, rm []float64)
@@ -57,21 +41,16 @@ func selectAVX2(s *smo32) (i, j int, ok bool)
 
 // cgAVX2 is the conjugate-gradient phase's passes (cgPath) in assembly,
 // bit for bit the Go ones: four float64 lanes a step, and the mat-vec with
-// its band of q in registers, sixteen columns a ZMM vector (useZMM) or
-// eight a YMM one. matvecAVX2 is matvecGo on that path.
-var cgAVX2 = cgPath{startAVX2, freeRowsAVX2, releaseAVX2, directionAVX2, matvecCutAVX2, advanceAVX2, rebuildAVX2}
+// its band of q in registers, sixteen columns a ZMM vector where s.lanes
+// is 16, else eight a YMM one. matvecAVX2 is matvecGo on that path, the
+// width its caller's lanes.
+var cgAVX2 = cgPath{freeRowsAVX2, directionAVX2, matvecCutAVX2, advanceAVX2, rebuildAVX2}
 
 //go:noescape
-func matvecAVX2(kd []float32, rows []int, x, q []float32)
-
-//go:noescape
-func startAVX2(s *smo32)
+func matvecAVX2(kd []float32, rows []int, x, q []float32, lanes int)
 
 //go:noescape
 func freeRowsAVX2(s *smo32) (w int, sum float64)
-
-//go:noescape
-func releaseAVX2(s *smo32, mu float64) bool
 
 //go:noescape
 func directionAVX2(s *smo32, mu, gamma float64) (rd float64)

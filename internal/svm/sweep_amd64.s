@@ -662,15 +662,16 @@ GLOBL laneMasks<>(SB), RODATA|NOPTR, $34
 // matvecBody is matvecGo with q in registers: for each band of columns,
 // q = +0, then every listed row in list order adds its products x[row]·K
 // (VMULPS, then VADDPS: the Go loop's per-element order), and the band is
-// stored once. A ZMM band's rows run a loop over its live vectors only. R8 = kd, R9 = the list, R12 = its end, R10 = x, SI = q,
-// CX = n. It uses AX, BX, DX, R11, R13–R15, Y0–Y13 (Z0–Z13 and K1–K6 with
-// useZMM) and leaves DI alone.
+// stored once. A ZMM band's rows run a loop over its live vectors only.
+// R8 = kd, R9 = the list, R12 = its end, R10 = x, SI = q, CX = n, DX = the
+// kernel path (ZMM bands at 16). It uses AX, BX, DX, R11, R13–R15,
+// Y0–Y13 (Z0–Z13 and K1–K6 on ZMM) and leaves DI alone.
 TEXT matvecBody<>(SB), NOSPLIT, $0-0
 	LEAQ (CX*4), R11
 	LEAQ laneMasks<>(SB), R15
 	XORQ R13, R13              // the band's first column
-	CMPB ·useZMM(SB), $0
-	JEQ  yband
+	CMPQ DX, $16
+	JNE  yband
 
 zband:
 	CMPQ      R13, CX
@@ -827,8 +828,8 @@ ystore:
 banded:
 	RET
 
-// func matvecAVX2(kd []float32, rows []int, x, q []float32)
-TEXT ·matvecAVX2(SB), NOSPLIT, $0-96
+// func matvecAVX2(kd []float32, rows []int, x, q []float32, lanes int)
+TEXT ·matvecAVX2(SB), NOSPLIT, $0-104
 	MOVQ kd_base+0(FP), R8
 	MOVQ rows_base+24(FP), R9
 	MOVQ rows_len+32(FP), R12
@@ -836,26 +837,26 @@ TEXT ·matvecAVX2(SB), NOSPLIT, $0-96
 	MOVQ x_base+48(FP), R10
 	MOVQ q_base+72(FP), SI
 	MOVQ q_len+80(FP), CX
+	MOVQ lanes+96(FP), DX
 	CALL matvecBody<>(SB)
 	VZEROUPPER
 	RET
 
 // The float64 sign-clearing mask (also the largest int64, the cut's "no
-// position yet"), +Inf, 1.0, 4, and the lane positions 0–7 as qwords and 8.
+// position yet"), +Inf, 4, and the lane positions 0–7 as qwords and 8.
 DATA cgConst<>+0(SB)/8, $0x7fffffffffffffff
 DATA cgConst<>+8(SB)/8, $0x7ff0000000000000
-DATA cgConst<>+16(SB)/8, $0x3ff0000000000000
-DATA cgConst<>+24(SB)/8, $4
-DATA cgConst<>+32(SB)/8, $0
-DATA cgConst<>+40(SB)/8, $1
-DATA cgConst<>+48(SB)/8, $2
-DATA cgConst<>+56(SB)/8, $3
-DATA cgConst<>+64(SB)/8, $4
-DATA cgConst<>+72(SB)/8, $5
-DATA cgConst<>+80(SB)/8, $6
-DATA cgConst<>+88(SB)/8, $7
-DATA cgConst<>+96(SB)/8, $8
-GLOBL cgConst<>(SB), RODATA|NOPTR, $104
+DATA cgConst<>+16(SB)/8, $4
+DATA cgConst<>+24(SB)/8, $0
+DATA cgConst<>+32(SB)/8, $1
+DATA cgConst<>+40(SB)/8, $2
+DATA cgConst<>+48(SB)/8, $3
+DATA cgConst<>+56(SB)/8, $4
+DATA cgConst<>+64(SB)/8, $5
+DATA cgConst<>+72(SB)/8, $6
+DATA cgConst<>+80(SB)/8, $7
+DATA cgConst<>+88(SB)/8, $8
+GLOBL cgConst<>(SB), RODATA|NOPTR, $96
 
 // LANESUM leaves in the low double of X the sum of the four lanes of its
 // YMM register as (l₀ + l₂) + (l₁ + l₃), the Go passes' order; T is
@@ -869,76 +870,23 @@ GLOBL cgConst<>(SB), RODATA|NOPTR, $104
 // The conjugate-gradient phase's passes, over n rounded up to four (the
 // pads hold zeros), four elements a step; operation for operation the Go
 // expressions of cg.go, a sum's lane t mod 4 in lane t mod 4 of its
-// register. CX = the padded length. POSITIONS sets Y6 = the positions
-// t … t+3 of the first step, Y7 = 4 in each lane and Y5 = n.
+// register. CX = the padded length.
 #define PADDED \
 	MOVQ smo32_n(DI), CX; \
 	ADDQ $3, CX; \
 	ANDQ $-4, CX
 
-#define POSITIONS \
-	VMOVDQU      cgConst<>+32(SB), Y6; \
-	VPBROADCASTQ cgConst<>+24(SB), Y7; \
-	VPBROADCASTQ smo32_n(DI), Y5
-
-// func startAVX2(s *smo32)
-//
-// R8 = α, R9 = y, R10 = v, R11 = h, R12 = d, R13 = m, R14 = q; Y10 = C,
-// Y11 = 1, Y12 = the sign bit, Y15 = 0; Y0 = the lanes below n.
-TEXT ·startAVX2(SB), NOSPLIT, $0-8
-	MOVQ         s+0(FP), DI
-	PADDED
-	POSITIONS
-	MOVQ         smo32_alpha(DI), R8
-	MOVQ         smo32_y(DI), R9
-	MOVQ         smo32_v(DI), R10
-	MOVQ         smo32_coef(DI), R11
-	MOVQ         smo32_dir(DI), R12
-	MOVQ         smo32_free(DI), R13
-	MOVQ         smo32_q(DI), R14
-	VBROADCASTSD smo32_c(DI), Y10
-	VBROADCASTSD cgConst<>+16(SB), Y11
-	VBROADCASTSD sweepConst<>+16(SB), Y12
-	VXORPD       Y15, Y15, Y15
-	XORQ         AX, AX
-
-start:
-	CMPQ      AX, CX
-	JGE       started
-	VPCMPGTQ  Y6, Y5, Y0               // t < n
-	VCVTPS2PD (R10)(AX*4), Y1
-	VXORPD    Y12, Y1, Y1              // −v
-	VANDPD    Y0, Y1, Y1               // pads: 0
-	VMOVUPD   Y1, (R11)(AX*8)
-	VMOVUPD   Y15, (R12)(AX*8)
-	VMOVUPS   X15, (R14)(AX*4)
-	VANDPD    (R8)(AX*8), Y0, Y2
-	VMOVUPD   Y2, (R8)(AX*8)
-	VANDPD    (R9)(AX*8), Y0, Y3
-	VMOVUPD   Y3, (R9)(AX*8)
-	VCMPPD    $0x1e, Y15, Y2, Y3       // α > 0
-	VCMPPD    $0x11, Y10, Y2, Y4       // α < C
-	VANDPD    Y4, Y3, Y3
-	VANDPD    Y11, Y3, Y3
-	VMOVUPD   Y3, (R13)(AX*8)
-	VPADDQ    Y7, Y6, Y6
-	ADDQ      $4, AX
-	JMP       start
-
-started:
-	VZEROUPPER
-	RET
-
 // listBody writes to R8 the positions t < CX at which the float64 vector
 // at SI is not zero (a NaN is not), in order, and returns their count in
 // AX. The ZMM loop files eight a step by VPCOMPRESSQ under the opmask of
-// the nonzero lanes; the other is branch-free, one position a step. It
-// uses BX, DX, R11, X0, X15 (Z0–Z3, K1–K3).
+// the nonzero lanes, where the solver at DI runs 16 lanes; the other is
+// branch-free, one position a step. It uses BX, DX, R11, X0, X15 (Z0–Z3,
+// K1–K3).
 TEXT listBody<>(SB), NOSPLIT, $0-0
 	XORQ AX, AX
 	XORQ BX, BX
-	CMPB ·useZMM(SB), $0
-	JNE  zlist
+	CMPQ smo32_lanes(DI), $16
+	JEQ  zlist
 	VXORPD X15, X15, X15
 
 list:
@@ -957,8 +905,8 @@ list:
 
 zlist:
 	VPXORQ       Z0, Z0, Z0
-	VMOVDQU64    cgConst<>+32(SB), Z1
-	VPBROADCASTQ cgConst<>+96(SB), Z2
+	VMOVDQU64    cgConst<>+24(SB), Z1
+	VPBROADCASTQ cgConst<>+88(SB), Z2
 	LEAQ         laneMasks<>(SB), R11
 
 zlistgroup:
@@ -1011,58 +959,6 @@ sumfree:
 summedfree:
 	MOVQ   AX, w+8(FP)
 	VMOVSD X0, sum+16(FP)
-	VZEROUPPER
-	RET
-
-// func releaseAVX2(s *smo32, mu float64) bool
-//
-// R8 = h, R9 = m, R10 = y, R11 = α; Y10 = μ, Y11 = eps, Y12 = −eps,
-// Y13 = 1, Y15 = 0; Y9 = the lanes released so far.
-TEXT ·releaseAVX2(SB), NOSPLIT, $0-17
-	MOVQ         s+0(FP), DI
-	PADDED
-	POSITIONS
-	MOVQ         smo32_coef(DI), R8
-	MOVQ         smo32_free(DI), R9
-	MOVQ         smo32_y(DI), R10
-	MOVQ         smo32_alpha(DI), R11
-	VBROADCASTSD mu+8(FP), Y10
-	VBROADCASTSD smo32_eps(DI), Y11
-	VBROADCASTSD sweepConst<>+16(SB), Y12
-	VXORPD       Y11, Y12, Y12
-	VBROADCASTSD cgConst<>+16(SB), Y13
-	VXORPD       Y15, Y15, Y15
-	VXORPD       Y9, Y9, Y9
-	XORQ         AX, AX
-
-release:
-	CMPQ      AX, CX
-	JGE       released
-	VMOVUPD   (R8)(AX*8), Y0
-	VSUBPD    Y10, Y0, Y0              // g = h − μ
-	VMOVUPD   (R10)(AX*8), Y1
-	VCMPPD    $0x1e, Y15, Y1, Y1       // y > 0
-	VCMPPD    $0x00, (R11)(AX*8), Y15, Y2 // α == 0
-	VXORPD    Y2, Y1, Y1               // not at β's lower bound
-	VCMPPD    $0x11, Y12, Y0, Y3       // g < −eps
-	VCMPPD    $0x1e, Y11, Y0, Y4       // g > eps
-	VBLENDVPD Y1, Y4, Y3, Y3
-	VMOVUPD   (R9)(AX*8), Y2
-	VCMPPD    $0x00, Y15, Y2, Y4       // m == 0
-	VANDPD    Y4, Y3, Y3
-	VPCMPGTQ  Y6, Y5, Y4               // t < n
-	VANDPD    Y4, Y3, Y3
-	VORPD     Y3, Y9, Y9
-	VBLENDVPD Y3, Y13, Y2, Y2
-	VMOVUPD   Y2, (R9)(AX*8)
-	VPADDQ    Y7, Y6, Y6
-	ADDQ      $4, AX
-	JMP       release
-
-released:
-	VMOVMSKPD Y9, AX
-	TESTQ     AX, AX
-	SETNE     ret+16(FP)
 	VZEROUPPER
 	RET
 
@@ -1149,6 +1045,7 @@ TEXT ·matvecCutAVX2(SB), NOSPLIT, $0-72
 	MOVQ         smo32_v(DI), R10
 	MOVQ         smo32_q(DI), SI
 	MOVQ         smo32_n(DI), CX
+	MOVQ         smo32_lanes(DI), DX
 	CALL         matvecBody<>(SB)
 	PADDED
 	MOVQ         smo32_dir(DI), R8
@@ -1199,8 +1096,8 @@ curved:
 exact:
 	VBROADCASTSD cgConst<>+8(SB), Y10
 	VMOVDQA      Y13, Y14
-	VMOVDQU      cgConst<>+32(SB), Y6
-	VPBROADCASTQ cgConst<>+24(SB), Y7
+	VMOVDQU      cgConst<>+24(SB), Y6
+	VPBROADCASTQ cgConst<>+16(SB), Y7
 	XORQ         AX, AX
 
 ratios:
@@ -1296,8 +1193,8 @@ advance:
 	JMP     advance
 
 fixing:
-	VMOVDQU      cgConst<>+32(SB), Y6
-	VPBROADCASTQ cgConst<>+24(SB), Y5
+	VMOVDQU      cgConst<>+24(SB), Y6
+	VPBROADCASTQ cgConst<>+16(SB), Y5
 	VPBROADCASTQ k+24(FP), Y14
 
 fix:
@@ -1372,6 +1269,7 @@ listbeta:
 	MOVQ smo32_v(DI), R10
 	MOVQ smo32_q(DI), SI
 	MOVQ smo32_n(DI), CX
+	MOVQ smo32_lanes(DI), DX
 	CALL matvecBody<>(SB)
 	PADDED
 	MOVQ         smo32_alpha(DI), R8
@@ -1384,7 +1282,7 @@ listbeta:
 	VXORPD       Y15, Y15, Y15
 	VMOVDQU      sweepConst<>+32(SB), X13
 	VPBROADCASTD smo32_n(DI), X14
-	VPBROADCASTD cgConst<>+24(SB), X11
+	VPBROADCASTD cgConst<>+16(SB), X11
 	XORQ         AX, AX
 
 restore:

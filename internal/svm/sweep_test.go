@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	_ "unsafe" // go:linkname
 
 	"fcma/internal/blas"
 	"fcma/internal/corr"
@@ -23,37 +24,47 @@ import (
 // cluster == local, served == direct, repeat identity — vouch for stage
 // 3's assembly too.
 
+// kernelLanes is internal/blas's kernel path, the one switch every
+// package's assembly dispatches on (a solver takes it at reset), reached
+// by linkname so the pins can run each path without blas exporting a
+// setter.
+//
+//go:linkname kernelLanes fcma/internal/blas.lanes
+var kernelLanes int
+
+// hostLanes is the probe's verdict, read before any test rewrites it.
+var hostLanes = blas.Lanes()
+
 // eachSweepPath runs f as a subtest on the Go loop and on the assembly
-// loop; the AVX2 half skips where the probe says the host has none. The
-// assembly half runs the mat-vec on YMM vectors; setPath reaches ZMM.
+// loop; the assembly half skips where the probe says the host cannot run
+// it. The assembly half runs the mat-vec on YMM vectors; setPath reaches
+// ZMM.
 func eachSweepPath(t *testing.T, f func(t *testing.T)) {
-	oldAVX2, oldZMM := useAVX2, useZMM
-	defer func() { useAVX2, useZMM = oldAVX2, oldZMM }()
+	defer setPath("host")
 	t.Run("go", func(t *testing.T) {
-		useAVX2, useZMM = false, false
+		setPath("go")
 		f(t)
 	})
 	t.Run("avx2", func(t *testing.T) {
-		if !blas.HasAVX2() {
-			t.Skip("host has no AVX2")
+		if !setPath("avx2") {
+			t.Skip("host has no AVX2 + FMA")
 		}
-		useAVX2, useZMM = true, false
 		f(t)
 	})
 }
 
-// hostZMM is the probe's verdict on the mat-vec's ZMM loops, read before
-// any test rewrites useZMM.
-var hostZMM = useZMM
-
-// paths are the dispatch settings the phase's pins compare — Go, YMM,
-// ZMM — and setPath selects one, reporting false where the host cannot
-// run it.
+// paths are the kernel paths the phase's pins compare — Go, YMM, ZMM —
+// and setPath selects one ("host" restores the probe's), reporting false
+// where the host cannot run it.
 var paths = []string{"go", "avx2", "avx512"}
 
 func setPath(p string) bool {
-	useAVX2, useZMM = p != "go", p == "avx512"
-	return p == "go" || p == "avx2" && blas.HasAVX2() || hostZMM
+	lanes := map[string]int{"go": 0, "avx2": 8, "avx512": 16, "host": hostLanes}[p]
+	if lanes > hostLanes {
+		return false
+	}
+	kernelLanes = lanes
+	return true
 }
 
 // sameFloat is equality of bits at either width: equal values with the
@@ -213,7 +224,7 @@ func (s *smo32) solveSMO() (iters int, converged bool) {
 func (s *smo32) iterate(i, j int, ok bool, iters, budget int) (int, bool) {
 	for ok && iters < budget {
 		done := 1
-		if useAVX2 {
+		if s.lanes > 0 {
 			done, i, j, ok = solveAVX2(s, i, j, min(budget-iters, solveChunk))
 		} else if cyi, cyj, moved := s.step(i, j); moved {
 			i, j, ok = s.sweep(i, j, cyi, cyj)
@@ -309,16 +320,16 @@ func requireSameMasks(t *testing.T, got, want *smo32) {
 // n = 1).
 func sweepState(v []float32, outUp, outLow []uint32, ki, kj []float32) (s *smo32, i, j int) {
 	n := len(v)
-	s = &smo32{n: n, eps: DefaultEps, kd: make([]float32, n*n), v: append([]float32(nil), v...), outUp: outUp, outLow: outLow}
+	s = &smo32{n: n, eps: DefaultEps, kd: make([]float32, n*n), v: append([]float32(nil), v...), outUp: outUp, outLow: outLow, lanes: blas.Lanes()}
 	j = min(1, n-1)
 	copy(s.row(j), kj)
 	copy(s.row(i), ki)
 	return s, i, j
 }
 
-// sweepOnPath is one sweep on the path useAVX2 names.
+// sweepOnPath is one sweep on the solver's path.
 func sweepOnPath(s *smo32, i, j int, cyi, cyj float32) (int, int, bool) {
-	if useAVX2 {
+	if s.lanes > 0 {
 		return sweepOnceAVX2(s, i, j, cyi, cyj)
 	}
 	return s.sweep(i, j, cyi, cyj)
@@ -472,8 +483,8 @@ func FuzzSMOSweepMatchesGo(f *testing.F) {
 		f.Add(math.Float32bits(float32(rng.NormFloat64())), math.Float32bits(float32(rng.NormFloat64())), b)
 	}
 	f.Fuzz(func(t *testing.T, cyiBits, cyjBits uint32, data []byte) {
-		if !blas.HasAVX2() {
-			t.Skip("host has no AVX2: the Go sweep is the only path")
+		if hostLanes == 0 {
+			t.Skip("host has no AVX2 + FMA: the Go sweep is the only path")
 		}
 		n := min(len(data)/sweepFuzzStride, 80)
 		if n == 0 {
@@ -510,10 +521,10 @@ func decodeMasks(b byte) (outUp, outLow uint32) {
 	return -uint32(b & 1), -uint32(b >> 1 & 1)
 }
 
-// iterateOnPath is one iteration of solveFused's loop on the path useAVX2
-// names: step(i, j), then the sweep if α moved.
+// iterateOnPath is one iteration of solveFused's loop on the solver's
+// path: step(i, j), then the sweep if α moved.
 func iterateOnPath(s *smo32, i, j int) (int, int, bool) {
-	if useAVX2 {
+	if s.lanes > 0 {
 		_, i, j, ok := solveAVX2(s, i, j, 1)
 		return i, j, ok
 	}
@@ -547,8 +558,8 @@ func FuzzSolveLoopMatchesGo(f *testing.F) {
 		f.Add(y, uint8(n%3), b)
 	}
 	f.Fuzz(func(t *testing.T, y uint16, cSel uint8, data []byte) {
-		if !blas.HasAVX2() {
-			t.Skip("host has no AVX2: the Go loop is the only path")
+		if hostLanes == 0 {
+			t.Skip("host has no AVX2 + FMA: the Go loop is the only path")
 		}
 		n := 0
 		for n < 12 && 4*(n+1)*(n+1) <= len(data) {
@@ -566,14 +577,13 @@ func FuzzSolveLoopMatchesGo(f *testing.F) {
 			labels[i] = int(y >> i & 1)
 		}
 		params := Params{C: []float64{1e-4, 1, 10}[cSel%3], MaxIter: 100}
-		old := useAVX2
-		defer func() { useAVX2 = old }()
+		defer setPath("host")
 		var s [2]smo32
 		var iters, steps [2]int
 		var converged [2]bool
 		state := data[4*n*n:]
 		for p := range s {
-			useAVX2 = p == 1
+			kernelLanes = hostLanes * p
 			s[p].reset(K, labels, allIdx(n), params)
 			if len(state) >= 5*n {
 				for k := range n {
@@ -926,8 +936,7 @@ func TestSolverScratchBytes(t *testing.T) {
 func BenchmarkCrossValidateShapes(b *testing.B) {
 	ctx := context.Background()
 	var tr KernelTrainer = PhiSVM{}
-	old := useAVX2
-	defer func() { useAVX2 = old }()
+	defer setPath("host")
 	for si, sh := range cvShapes {
 		// The voxel set is built on the first sub-benchmark that runs.
 		var Ks []*tensor.Matrix
@@ -935,14 +944,14 @@ func BenchmarkCrossValidateShapes(b *testing.B) {
 		var folds []Fold
 		var iters, steps int
 		for _, path := range []struct {
-			name string
-			avx2 bool
-		}{{"go", false}, {"avx2", true}} {
+			name  string
+			lanes int
+		}{{"go", 0}, {"avx2", hostLanes}} {
 			b.Run(sh.name+"/"+path.name, func(b *testing.B) {
-				if path.avx2 && !blas.HasAVX2() {
-					b.Skip("host has no AVX2")
+				if path.name != "go" && path.lanes == 0 {
+					b.Skip("host has no AVX2 + FMA")
 				}
-				if !path.avx2 && si >= 3 {
+				if path.lanes == 0 && si >= 3 {
 					b.Skip("the Go path at the paper's shapes takes minutes")
 				}
 				if Ks == nil {
@@ -955,7 +964,7 @@ func BenchmarkCrossValidateShapes(b *testing.B) {
 						iters, steps = iters+st.TotalIters(), steps+st.TotalCGSteps()
 					}
 				}
-				useAVX2 = path.avx2
+				kernelLanes = path.lanes
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
