@@ -113,8 +113,8 @@ size:
 # pass these ceilings, the values the last reduction PR left. A PR that needs more raises them
 # in its own diff, where a reviewer sees the growth; one that shrinks the
 # module lowers them.
-MAX_MODULE_LINES = 22427
-MAX_EXPORTED = 357
+MAX_MODULE_LINES = 21258
+MAX_EXPORTED = 356
 MAX_ASM_LINES = 2408
 size-check:
 	@lines=$$($(MODULE_LINES)); exported=$$($(EXPORTED)); asm=$$($(ASM_LINES)); status=0; \

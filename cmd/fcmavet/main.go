@@ -4,8 +4,8 @@
 // internal/safe, context threading, float32 kernel determinism,
 // nil-is-off observability, MPI wire-protocol completeness, simulator
 // clock discipline, fsync-before-rename publication, bounded HTTP
-// servers, metric naming, untrusted-input taint flow, and hot-path
-// allocation discipline (DESIGN.md §12 has the table).
+// servers, metric naming, and hot-path allocation discipline (DESIGN.md
+// §12 has the table).
 //
 // Usage:
 //
@@ -18,9 +18,8 @@
 // run to a comma-separated subset of the registry — handy when iterating
 // on one contract; naming an unknown analyzer is an error (exit 2), not
 // a silent no-op. Findings print one per line as
-// `file:line:col: message [analyzer]`; a taintflow message ends with its
-// source→sink path. Exit status is 0 on a clean tree, 1 when any
-// diagnostic is reported, 2 on usage, load or internal errors.
+// `file:line:col: message [analyzer]`. Exit status is 0 on a clean tree,
+// 1 when any diagnostic is reported, 2 on usage, load or internal errors.
 package main
 
 import (

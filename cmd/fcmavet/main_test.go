@@ -53,7 +53,7 @@ func TestListIsTheRegistryInOrder(t *testing.T) {
 	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
 		names = append(names, strings.Fields(line)[0])
 	}
-	want := "rawgoroutine ctxflow f32purity nilsafeobs mpitags noclock fsyncrename httptimeouts obsnames taintflow allocfree"
+	want := "rawgoroutine ctxflow f32purity nilsafeobs mpitags noclock fsyncrename httptimeouts obsnames allocfree"
 	if got := strings.Join(names, " "); got != want {
 		t.Errorf("-list names:\n got %s\nwant %s", got, want)
 	}

@@ -680,9 +680,9 @@ func TestStreamingSelectorThroughFacade(t *testing.T) {
 }
 
 // TestRemapScoresDropsCorruptIndices pins the fix for a crash found by
-// taintflow: voxel scores arrive from worker wire frames or a replayed
-// journal, so an index outside the sanitize report's kept set must be
-// dropped as corruption, not trusted into a panic against Kept.
+// static taint analysis: voxel scores arrive from worker wire frames or a
+// replayed journal, so an index outside the sanitize report's kept set
+// must be dropped as corruption, not trusted into a panic against Kept.
 func TestRemapScoresDropsCorruptIndices(t *testing.T) {
 	report := &fmri.SanitizeReport{Kept: []int{0, 2, 5}}
 	scores := []VoxelScore{

@@ -369,8 +369,6 @@ func (m *master) open() int {
 // yet, and returns them. Everything else — duplicates from speculation and
 // retry, voxels outside the range the sender was asked for — is dropped and
 // counted, which makes dedup activity visible.
-//
-//lint:sanitizes taintflow a score indexes the tables only after its voxel is checked against [lo, hi), which the callers take from the table itself
 func (m *master) addScores(scores []core.VoxelScore, lo, hi int) []core.VoxelScore {
 	fresh := make([]core.VoxelScore, 0, len(scores))
 	for _, s := range scores {
@@ -390,8 +388,6 @@ func (m *master) addScores(scores []core.VoxelScore, lo, hi int) []core.VoxelSco
 
 // taskAt returns the table row a wire message names, or nil when the
 // message's range is not a task of this partition.
-//
-//lint:sanitizes taintflow the wire range is checked against the partition before it indexes the table
 func (m *master) taskAt(tm taskMsg) *task {
 	if tm.V0 < 0 || tm.V0%m.taskSize != 0 || tm.V0/m.taskSize >= len(m.tasks) {
 		return nil

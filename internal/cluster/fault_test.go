@@ -10,6 +10,7 @@ import (
 
 	"fcma/internal/core"
 	"fcma/internal/mpi"
+	"fcma/internal/obs"
 )
 
 // funcProcessor adapts a function to TaskProcessor for fault scripting.
@@ -430,4 +431,90 @@ func TestStaleErrorDoesNotUnbookNextTask(t *testing.T) {
 func okScores(tm taskMsg) []core.VoxelScore {
 	scores, _ := okProcessor{}.ProcessContext(context.Background(), core.Task{V0: tm.V0, V: tm.V})
 	return scores
+}
+
+// TestMisnamedWireInputContained scripts a rank whose messages name voxels
+// and tasks that are not its own. Its first six answers each name a task at
+// V0 = -taskSize, at V0+1 or past the table: a result carrying the held
+// task's scores, then an error report, for each. Every one must fail the
+// held task through taskFailed, which retries it, and none may panic. Each
+// real result then carries three strays before the task's own scores:
+// voxel -1, voxel N and the first voxel past the task, with an accuracy no
+// classifier reports. The strays must be dropped and counted, and the final
+// scores must equal a clean run's.
+func TestMisnamedWireInputContained(t *testing.T) {
+	st := testStack(t)
+	const taskSize = 8
+	tasks := (st.N + taskSize - 1) / taskSize
+	w, err := core.NewWorker(core.Optimized(), st, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(rank func(mpi.Transport), reg *obs.Registry) []core.VoxelScore {
+		t.Helper()
+		comm, err := mpi.NewLocalComm(2, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rank(comm.Rank(1))
+		}()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		scores, err := RunMasterCtx(ctx, comm.Rank(0), st.N, taskSize,
+			MasterOptions{Obs: reg, TaskRetries: 10, WorkerErrorLimit: 100})
+		wg.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return scores
+	}
+	clean := run(func(tr mpi.Transport) {
+		if err := RunWorkerCtx(context.Background(), tr, w, WorkerOptions{}); err != nil {
+			t.Error(err)
+		}
+	}, obs.NewRegistry())
+
+	misnamed := []func(v0 int) int{
+		func(int) int { return -taskSize },
+		func(v0 int) int { return v0 + 1 },
+		func(int) int { return tasks * taskSize },
+	}
+	reg := obs.NewRegistry()
+	got := run(func(tr mpi.Transport) {
+		scriptedRank(t, tr, func(n int, tm taskMsg) ([]wireMsg, bool) {
+			scores, err := w.ProcessContext(context.Background(), core.Task{V0: tm.V0, V: tm.V})
+			if err != nil {
+				t.Error(err)
+			}
+			if n <= 2*len(misnamed) {
+				bad := tm
+				bad.V0 = misnamed[(n-1)/2](tm.V0)
+				if n%2 == 1 {
+					return []wireMsg{resultOf(t, bad, scores)}, true
+				}
+				return []wireMsg{errorOf(t, bad, "misnamed task")}, true
+			}
+			strays := []core.VoxelScore{{Voxel: -1, Accuracy: -1}, {Voxel: st.N, Accuracy: -1}, {Voxel: tm.V0 + tm.V, Accuracy: -1}}
+			return []wireMsg{resultOf(t, tm, append(strays, scores...))}, true
+		})
+	}, reg)
+
+	if len(got) != len(clean) {
+		t.Fatalf("scores = %d, want the clean run's %d", len(got), len(clean))
+	}
+	for i := range clean {
+		if got[i] != clean[i] {
+			t.Fatalf("score %d = %+v, clean run has %+v", i, got[i], clean[i])
+		}
+	}
+	if n := reg.Counter("cluster_tasks_retried_total").Value(); n != uint64(2*len(misnamed)) {
+		t.Errorf("cluster_tasks_retried_total = %d, want %d: one per misnamed message", n, 2*len(misnamed))
+	}
+	if n := reg.Counter("cluster_dedup_dropped_voxels_total").Value(); n != uint64(3*tasks) {
+		t.Errorf("cluster_dedup_dropped_voxels_total = %d, want %d: three strays per task", n, 3*tasks)
+	}
 }

@@ -113,8 +113,6 @@ func (d *Dataset) EpochsPerSubject() (int, error) {
 // Validate checks the structural invariants FCMA relies on: in-range epoch
 // windows, a uniform per-subject epoch count, binary labels and a uniform
 // epoch length.
-//
-//lint:sanitizes taintflow every shape, epoch window, label, and grid index is bounds-checked
 func (d *Dataset) Validate() error {
 	if d.Data == nil || d.Data.Rows == 0 || d.Data.Cols == 0 {
 		return errors.New("fmri: empty dataset")

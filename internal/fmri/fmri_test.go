@@ -2,6 +2,7 @@ package fmri
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"strings"
 	"testing"
@@ -303,6 +304,42 @@ func TestReadDataRejectsGarbage(t *testing.T) {
 	}
 	if _, err := ReadData(&buf); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Errorf("expected version error, got %v", err)
+	}
+}
+
+// headerThenZeros serves hdr, never past its end in one Read, and then
+// zero bytes for as long as it is read, counting every byte it hands out.
+type headerThenZeros struct {
+	hdr  []byte
+	read int
+}
+
+func (h *headerThenZeros) Read(p []byte) (int, error) {
+	n := len(p)
+	if h.read < len(h.hdr) {
+		n = copy(p, h.hdr[h.read:])
+	} else {
+		clear(p)
+	}
+	h.read += n
+	return n, nil
+}
+
+// A name longer than 1<<16 bytes is refused on the header's claim: the
+// reader takes the header and not one name byte, even from a source that
+// would supply the whole name.
+func TestReadDataRefusesLongNameUnread(t *testing.T) {
+	var hdr bytes.Buffer
+	hdr.Write(magic[:])
+	for _, v := range []uint32{formatVersion, 4, 4, 1, 0, 0, 0, 1<<16 + 1} {
+		binary.Write(&hdr, binary.LittleEndian, v)
+	}
+	src := &headerThenZeros{hdr: hdr.Bytes()}
+	if _, err := ReadData(src); err == nil {
+		t.Fatal("a 65537-byte name was accepted")
+	}
+	if src.read != hdr.Len() {
+		t.Fatalf("refusing the name read %d bytes, want the %d header bytes alone", src.read, hdr.Len())
 	}
 }
 

@@ -54,22 +54,6 @@ func isPkgFunc(p *Pass, call *ast.CallExpr, pkgPath string, names ...string) boo
 	return false
 }
 
-// pkgLevelVar reports whether expr is a reference to the named
-// package-level variable (e.g. os.Stderr).
-func pkgLevelVar(p *Pass, expr ast.Expr, pkgPath, name string) bool {
-	var id *ast.Ident
-	switch e := ast.Unparen(expr).(type) {
-	case *ast.SelectorExpr:
-		id = e.Sel
-	case *ast.Ident:
-		id = e
-	default:
-		return false
-	}
-	v, ok := p.Info.Uses[id].(*types.Var)
-	return ok && v.Pkg() != nil && v.Pkg().Path() == pkgPath && v.Name() == name
-}
-
 // namedType returns the named type of t after stripping one level of
 // pointer, or nil.
 func namedType(t types.Type) *types.Named {
@@ -88,6 +72,15 @@ func typeIs(t types.Type, pkgPath, name string) bool {
 	}
 	obj := n.Obj()
 	return obj.Pkg() != nil && obj.Pkg().Path() == pkgPath && obj.Name() == name
+}
+
+// isStringType reports whether t's underlying type is a string type.
+func isStringType(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && b.Info()&types.IsString != 0
 }
 
 // isContextType reports whether t is context.Context.

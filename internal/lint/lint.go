@@ -3,8 +3,8 @@
 // mechanically enforces the repo's load-bearing contracts — panic
 // containment, context flow, float32 kernel determinism, nil-is-off
 // observability, the MPI wire protocol, simulator clock discipline,
-// crash-safe publication, bounded HTTP servers, metric naming, untrusted
-// input flow, and hot-path allocation. Each invariant is one Analyzer; the
+// crash-safe publication, bounded HTTP servers, metric naming, and
+// hot-path allocation. Each invariant is one Analyzer; the
 // cmd/fcmavet driver loads every package in the module and runs the whole
 // suite, so a contract introduced in one PR cannot silently rot in the
 // next.
@@ -17,23 +17,16 @@
 //	                                       the whole declaration
 //	//lint:file-allow <analyzer> <reason>  the whole file
 //
-// Two further directives feed analyzers instead of suppressing them; both
-// live in a function declaration's doc comment:
+// One further directive feeds analyzers instead of suppressing them; it
+// lives in a function declaration's doc comment:
 //
-//	//lint:sanitizes <analyzer> <what>  the function neutralizes tainted
-//	                                    arguments (taintflow, the only
-//	                                    analyzer that reads it, treats its
-//	                                    arguments as clean afterwards and
-//	                                    its results as trusted)
-//	//lint:hotpath <why>                the function is a zero-allocation
-//	                                    hot path: allocfree checks its
-//	                                    body and scripts/allocgate holds
-//	                                    it to the compiler's escape
-//	                                    analysis
+//	//lint:hotpath <why>  the function is a zero-allocation hot path:
+//	                      allocfree checks its body and scripts/allocgate
+//	                      holds it to the compiler's escape analysis
 //
-// A directive that does not parse, that names an unknown analyzer, or that
-// names one it cannot affect is itself a diagnostic (CheckDirectives), so
-// the escape hatch cannot decay into noise.
+// A directive that does not parse or that names an unknown analyzer is
+// itself a diagnostic (CheckDirectives), so the escape hatch cannot decay
+// into noise.
 package lint
 
 import (
@@ -96,8 +89,7 @@ type Diagnostic struct {
 	Pos token.Position
 	// Analyzer names the reporting analyzer.
 	Analyzer string
-	// Message describes the contract violation; a dataflow finding's
-	// message ends with its source→sink path.
+	// Message describes the contract violation.
 	Message string
 }
 
@@ -157,7 +149,6 @@ type Directive struct {
 const (
 	allowPrefix     = "//lint:allow"
 	fileAllowPrefix = "//lint:file-allow"
-	sanitizesPrefix = "//lint:sanitizes"
 	hotpathPrefix   = "//lint:hotpath"
 	directivePrefix = "//lint:"
 )
@@ -259,8 +250,7 @@ func buildSuppression(fset *token.FileSet, passes []*Pass) *suppression {
 }
 
 // funcDocs indexes a file's comment groups that serve as a function
-// declaration's doc comment — the only place //lint:sanitizes and
-// //lint:hotpath may appear.
+// declaration's doc comment — the only place //lint:hotpath may appear.
 func funcDocs(f *ast.File) map[*ast.CommentGroup]*ast.FuncDecl {
 	docs := make(map[*ast.CommentGroup]*ast.FuncDecl)
 	for _, decl := range f.Decls {
@@ -274,11 +264,9 @@ func funcDocs(f *ast.File) map[*ast.CommentGroup]*ast.FuncDecl {
 // CheckDirectives validates every //lint: comment in the program:
 // malformed directives (missing analyzer or reason) and directives naming
 // an analyzer not in the registry are reported, attributed to the
-// "fcmavet" pseudo-analyzer; //lint:sanitizes and //lint:hotpath must
-// additionally sit in a function declaration's doc comment, since they
-// describe that function, and //lint:sanitizes must name taintflow, the
-// only analyzer that reads it. The escape hatch stays load-bearing only if
-// it cannot silently misfire.
+// "fcmavet" pseudo-analyzer; //lint:hotpath must additionally sit in a
+// function declaration's doc comment, since it describes that function.
+// The escape hatch stays load-bearing only if it cannot silently misfire.
 func CheckDirectives(prog *Program, analyzers []*Analyzer) []Diagnostic {
 	known := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
@@ -305,27 +293,13 @@ func CheckDirectives(prog *Program, analyzers []*Analyzer) []Diagnostic {
 						analyzer, _, ok = parseDirective(c.Text, fileAllowPrefix)
 					case strings.HasPrefix(c.Text, allowPrefix):
 						analyzer, _, ok = parseDirective(c.Text, allowPrefix)
-					case strings.HasPrefix(c.Text, sanitizesPrefix):
-						analyzer, _, ok = parseDirective(c.Text, sanitizesPrefix)
-						if !ok {
-							report(pos, "malformed lint directive %q: want //lint:sanitizes <analyzer> <what>", c.Text)
-							continue
-						}
-						if !isFuncDoc {
-							report(pos, "//lint:sanitizes must be in a function declaration's doc comment")
-							continue
-						}
-						if known[analyzer] && analyzer != "taintflow" {
-							report(pos, "//lint:sanitizes %s has no effect: only taintflow reads sanitizer annotations", analyzer)
-							continue
-						}
 					case hotpathDirective(c.Text):
 						if !isFuncDoc {
 							report(pos, "//lint:hotpath must be in a function declaration's doc comment")
 						}
 						continue
 					default:
-						report(pos, "unknown lint directive %q (want //lint:allow, //lint:file-allow, //lint:sanitizes, or //lint:hotpath)", firstWord(c.Text))
+						report(pos, "unknown lint directive %q (want //lint:allow, //lint:file-allow, or //lint:hotpath)", firstWord(c.Text))
 						continue
 					}
 					if !ok {

@@ -117,9 +117,8 @@ func TestHarnessDetectsBrokenExpectations(t *testing.T) {
 }
 
 // TestCheckDirectives exercises the directive validator: wrong verbs,
-// missing reasons, unknown analyzer names, and a sanitizer annotation for
-// an analyzer that never reads one are diagnostics; a well-formed
-// directive is not.
+// missing reasons, unknown analyzer names, and a hotpath annotation
+// outside a doc comment are diagnostics; a well-formed directive is not.
 func TestCheckDirectives(t *testing.T) {
 	prog, err := Load(fixture("directives"))
 	if err != nil {
@@ -130,11 +129,7 @@ func TestCheckDirectives(t *testing.T) {
 		"unknown lint directive",
 		"malformed lint directive",
 		"unknown analyzer",
-		"malformed lint directive",
-		"//lint:sanitizes must be in a function declaration's doc comment",
 		"//lint:hotpath must be in a function declaration's doc comment",
-		"unknown analyzer",
-		"//lint:sanitizes ctxflow has no effect",
 	}
 	if len(diags) != len(wantSubstrings) {
 		t.Fatalf("got %d directive diagnostics, want %d: %v", len(diags), len(wantSubstrings), diags)
@@ -188,7 +183,8 @@ func TestRegistry(t *testing.T) {
 // doc-comment (decl scope) and file-allow (file scope) cases: the
 // fixtures' wants already encode the expected outcomes, so a scope
 // regression shows up as a golden diff in TestGolden. Here we only assert
-// that suppressed findings are truly absent, not merely renamed.
+// that suppressed findings are truly absent, not merely renamed, and that
+// an allow covers the analyzer it names and no other.
 func TestSuppressionScopes(t *testing.T) {
 	prog, err := Load(fixture("f32purity"))
 	if err != nil {
@@ -199,6 +195,33 @@ func TestSuppressionScopes(t *testing.T) {
 		if strings.Contains(d.Pos.Filename, "oracle.go") {
 			t.Errorf("file-allow failed to cover %s", d)
 		}
+	}
+
+	prog, err = Load(fixture("rawgoroutine"))
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	var covered token.Position
+	for _, pass := range prog.Passes {
+		for _, f := range pass.Files {
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					if strings.HasPrefix(c.Text, "//lint:allow rawgoroutine") {
+						covered = prog.Fset.Position(c.Pos())
+						covered.Line++
+					}
+				}
+			}
+		}
+	}
+	if covered.Line == 0 {
+		t.Fatal("rawgoroutine fixture has no //lint:allow rawgoroutine case")
+	}
+	if !prog.Suppressed("rawgoroutine", covered) {
+		t.Errorf("line after the allow directive is not suppressed for rawgoroutine")
+	}
+	if prog.Suppressed("allocfree", covered) {
+		t.Errorf("allow rawgoroutine must not suppress other analyzers")
 	}
 }
 
@@ -224,45 +247,5 @@ func TestHotpaths(t *testing.T) {
 	want := []string{"kernel.Dot", "kernel.SumGrow", "kernel.Boxed", "kernel.Describe", "kernel.Rekey", "kernel.Traced", "kernel.tile", "kernel.Band"}
 	if fmt.Sprint(names) != fmt.Sprint(want) {
 		t.Errorf("Hotpaths = %v, want %v", names, want)
-	}
-}
-
-// TestTaintflowAllowInteraction pins the escape hatch: the ServeAllowed
-// handler in the taintflow fixture reaches the same sink as the flagged
-// handlers, but its //lint:allow taintflow line suppresses the report —
-// for taintflow only, not for every analyzer at that position.
-func TestTaintflowAllowInteraction(t *testing.T) {
-	prog, err := Load(fixture("taintflow"))
-	if err != nil {
-		t.Fatalf("load: %v", err)
-	}
-	allowLine := 0
-	var file string
-	for _, pass := range prog.Passes {
-		for _, f := range pass.Files {
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					if strings.Contains(c.Text, "lint:allow taintflow") {
-						pos := prog.Fset.Position(c.Pos())
-						file, allowLine = pos.Filename, pos.Line
-					}
-				}
-			}
-		}
-	}
-	if allowLine == 0 {
-		t.Fatal("taintflow fixture has no //lint:allow taintflow case")
-	}
-	covered := token.Position{Filename: file, Line: allowLine + 1}
-	if !prog.Suppressed("taintflow", covered) {
-		t.Errorf("line after the allow directive is not suppressed for taintflow")
-	}
-	if prog.Suppressed("allocfree", covered) {
-		t.Errorf("allow taintflow must not suppress other analyzers")
-	}
-	for _, d := range prog.Run([]*Analyzer{Taintflow}) {
-		if d.Pos.Filename == file && d.Pos.Line == allowLine+1 {
-			t.Errorf("allowed sink was still reported: %s", d)
-		}
 	}
 }

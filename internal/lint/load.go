@@ -37,11 +37,6 @@ type Program struct {
 	Passes []*Pass
 
 	supp *suppression
-
-	// df caches the module-wide dataflow analysis (built lazily, once):
-	// every taintflow pass shares one interprocedural fixpoint.
-	dfOnce sync.Once
-	df     *dataflow
 }
 
 // The process-wide file set and standard-library importer are shared by

@@ -15,7 +15,6 @@ func All() []*Analyzer {
 		FsyncRename,
 		HTTPTimeouts,
 		ObsNames,
-		Taintflow,
 		Allocfree,
 	}
 }

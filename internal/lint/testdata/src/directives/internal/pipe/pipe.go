@@ -16,33 +16,14 @@ func Work() int {
 	return x
 }
 
-// Checkish carries a sanitizes directive with no <what> clause.
-//
-//lint:sanitizes taintflow
+// Checkish carries a hotpath directive in its body, not its doc comment.
 func Checkish(s string) bool {
-	//lint:sanitizes taintflow a body comment is not a doc comment
 	if s == "" {
 		return false
 	}
-	//lint:hotpath a body comment is not a doc comment either
+	//lint:hotpath a body comment is not a doc comment
 	return true
 }
-
-// Mystery names an analyzer the registry has never heard of.
-//
-//lint:sanitizes nosuchanalyzer checks nothing anyone looks for
-func Mystery(s string) bool { return s != "" }
-
-// Valid is a well-formed sanitizer annotation: not reported.
-//
-//lint:sanitizes taintflow rejects every input, which is certainly safe
-func Valid(s string) bool { return false }
-
-// Misdirected names a registered analyzer that never reads sanitizer
-// annotations, so the directive would do nothing.
-//
-//lint:sanitizes ctxflow checks a context nobody asked about
-func Misdirected(s string) bool { return false }
 
 // Hot is a well-formed hotpath annotation: not reported.
 //

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"io"
 	"net"
 	"runtime"
@@ -187,14 +188,43 @@ func TestFrameRejectsUnknownTag(t *testing.T) {
 	}
 }
 
+// endlessBody serves hdr and then zero bytes for as long as it is read,
+// counting every byte it hands out. It gives up one MiB past the header,
+// so a reader that ignores the header's claim fails fast instead of
+// pulling the whole claim through.
+type endlessBody struct {
+	hdr  []byte
+	read int
+}
+
+func (e *endlessBody) Read(p []byte) (int, error) {
+	if e.read >= len(e.hdr)+1<<20 {
+		return 0, errors.New("endlessBody: read a MiB past the header")
+	}
+	var n int
+	if e.read < len(e.hdr) {
+		n = copy(p, e.hdr[e.read:])
+	} else {
+		n = min(len(p), len(e.hdr)+1<<20-e.read)
+		clear(p[:n])
+	}
+	e.read += n
+	return n, nil
+}
+
+// A header claiming one byte past maxBody is refused on its claim alone:
+// the reader fails having taken the twelve header bytes and no body, even
+// from a sender that would supply the whole claim.
 func TestFrameBodyCapWellBelowGiB(t *testing.T) {
-	var buf bytes.Buffer
 	var hdr [12]byte
 	binary.LittleEndian.PutUint32(hdr[4:], uint32(TagResult))
 	binary.LittleEndian.PutUint32(hdr[8:], maxBody+1)
-	buf.Write(hdr[:])
-	if _, err := readFrame(&buf); err == nil {
+	src := &endlessBody{hdr: hdr[:]}
+	if _, err := readFrame(src); err == nil {
 		t.Fatal("oversized frame accepted")
+	}
+	if src.read != len(hdr) {
+		t.Fatalf("refusing a %d-byte claim read %d bytes, want the %d header bytes alone", maxBody+1, src.read, len(hdr))
 	}
 	if maxBody >= 1<<29 {
 		t.Fatalf("maxBody %d leaves the master open to allocation abuse", maxBody)

@@ -77,8 +77,6 @@ func (v *Volume) At(x, y, z, t int) float32 {
 }
 
 // Read parses a NIfTI-1 single file (.nii).
-//
-//lint:sanitizes taintflow every header field is range-checked (ndim, MaxDim, bitpix cross-check, MaxVoxels budget) before sizing anything; voxel values are numeric data only
 func Read(r io.Reader) (*Volume, error) {
 	br := bufio.NewReader(r)
 	hdr := make([]byte, headerSize)

@@ -99,10 +99,8 @@ type JobSpec struct {
 // replay alike, and so the one way to build a Job: it range-checks every
 // field, parses Dataset into the datasetID the store takes, and takes the
 // job's working-set estimate from store once. The caller sets the ID.
-//
-//lint:sanitizes taintflow every spec field is range- or format-checked
 func (s JobSpec) validate(store *datasetStore) (*Job, error) {
-	id, ok := parseDatasetID(s.Dataset) // before any == guard on s (DESIGN.md §12)
+	id, ok := parseDatasetID(s.Dataset)
 	if (s.Synthetic == "") == (s.Dataset == "") {
 		return nil, fmt.Errorf("spec must set exactly one of synthetic or dataset")
 	}
