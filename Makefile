@@ -113,8 +113,8 @@ size:
 # pass these ceilings, the values the last reduction PR left. A PR that needs more raises them
 # in its own diff, where a reviewer sees the growth; one that shrinks the
 # module lowers them.
-MAX_MODULE_LINES = 21258
-MAX_EXPORTED = 356
+MAX_MODULE_LINES = 21128
+MAX_EXPORTED = 345
 MAX_ASM_LINES = 2408
 size-check:
 	@lines=$$($(MODULE_LINES)); exported=$$($(EXPORTED)); asm=$$($(ASM_LINES)); status=0; \
@@ -152,8 +152,9 @@ serve-smoke:
 	SERVE_SMOKE_OUT=$(SERVEDIR) ./scripts/serve-smoke.sh
 
 # Short native-fuzz pass over the untrusted-input parsers (NIfTI headers,
-# epoch files, MPI wire frames, a write-ahead log's bytes on reopen, the
-# service's JSON job specs and dataset upload blobs), over
+# epoch files, MPI wire frames, the report body the cluster master decodes
+# from a worker, a write-ahead log's bytes on reopen, the service's JSON
+# job specs and dataset upload blobs), over
 # the vector kernels' bit-for-bit pin to the Go kernels: the blas FMA tiles
 # and strips (on every width the host runs), the Go twins' fma32 against
 # VFMADD231PS, the norm sweep, the svm sweep, the svm assembly loop over
@@ -162,10 +163,10 @@ serve-smoke:
 # over the fused stage's pin to the buffer + batched syrk it replaced, and
 # over the bytes a restarted master or server replays: the journals' shared
 # score-block codec and each journal's record fold. FUZZTIME bounds each
-# target's run. The kernel, stage, log-replay and upload targets turn input
-# minimization off: shrinking every coverage-increasing input (up to 60 s
-# each by default) would eat the whole budget, and a smaller input is no
-# better a witness of equal bits (or, for the log, of equal records).
+# target's run. The kernel, stage, log-replay, report and upload targets
+# turn input minimization off: shrinking every coverage-increasing input (up
+# to 60 s each by default) would eat the whole budget, and a smaller input is
+# no better a witness of equal bits (or, for the log, of equal records).
 FUZZTIME ?= 10s
 
 fuzz:
@@ -185,6 +186,7 @@ fuzz:
 	$(GO) test ./internal/cluster/ -run '^$$' -fuzz FuzzJournalApply -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzJournalApply -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mpi/ -run '^$$' -fuzz FuzzReadFrame -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/cluster/ -run '^$$' -fuzz FuzzMasterReport -fuzztime $(FUZZTIME) -fuzzminimizetime 0
 	$(GO) test ./internal/wal/ -run '^$$' -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) -fuzzminimizetime 0
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzJobSpecDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzDatasetBlob -fuzztime $(FUZZTIME) -fuzzminimizetime 0

@@ -468,8 +468,8 @@ func SelectVoxelsDistributed(d *Data, cfg Config, workers, taskSize int) ([]Voxe
 // SelectVoxelsDistributedContext is SelectVoxelsDistributed with
 // cooperative cancellation and panic containment: a cancelled ctx makes
 // the master broadcast TagStop and return ctx.Err() with every
-// in-process worker joined, and a panic in any worker is contained to a
-// TagError report (a *PipelineError) handled by the master's
+// in-process worker joined, and a panic in any worker is contained to an
+// error report (a *PipelineError) handled by the master's
 // retry/quarantine machinery instead of crashing the process.
 func SelectVoxelsDistributedContext(ctx context.Context, d *Data, cfg Config, workers, taskSize int) ([]VoxelScore, error) {
 	if workers <= 0 {
@@ -483,15 +483,9 @@ func SelectVoxelsDistributedContext(ctx context.Context, d *Data, cfg Config, wo
 		return nil, err
 	}
 	// With tracing on, the master records into cfg.Trace and each
-	// in-process worker rank gets its own tracer; shipped worker buffers
-	// are absorbed back into cfg.Trace so one Drain covers the whole run.
-	var shipped cluster.ClusterTrace
-	var mopts cluster.MasterOptions
-	if cfg.Trace != nil {
-		mopts.Trace = cfg.Trace
-		mopts.Spans = &shipped
-	}
-	scores, err := cluster.RunLocal(ctx, workers, stack.N, taskSize, mopts,
+	// in-process worker rank gets its own tracer; the master absorbs the
+	// spans each report carries, so one Drain covers the whole run.
+	scores, err := cluster.RunLocal(ctx, workers, stack.N, taskSize, cluster.MasterOptions{Trace: cfg.Trace},
 		func(r int) (cluster.TaskProcessor, cluster.WorkerOptions, error) {
 			var wopts cluster.WorkerOptions
 			if cfg.Trace != nil {
@@ -500,7 +494,6 @@ func SelectVoxelsDistributedContext(ctx context.Context, d *Data, cfg Config, wo
 			w, err := core.NewWorker(cfg.coreConfig(), stack, nil)
 			return w, wopts, err
 		})
-	cfg.Trace.Absorb(shipped.Spans())
 	if err != nil {
 		return nil, err
 	}

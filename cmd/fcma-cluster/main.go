@@ -103,12 +103,8 @@ func main() {
 			TaskRetries:      *taskRetries,
 			Metrics:          cm,
 		}
-		var tracer *trace.Tracer
-		var shipped cluster.ClusterTrace
 		if *traceOut != "" {
-			tracer = trace.New(0)
-			opts.Trace = tracer
-			opts.Spans = &shipped
+			opts.Trace = trace.New(0)
 		}
 		if *metricsListen != "" {
 			// The master's /metrics merges its own registry with the latest
@@ -138,10 +134,10 @@ func main() {
 		}
 		opts.Chaos = plan
 		scores, err := cluster.RunMasterCtx(ctx, master, d.Voxels(), *taskSize, opts)
-		if tracer != nil {
-			// Worker span buffers ship before each result, so by the time the
-			// run returns (even cancelled) the merged timeline is complete.
-			writeTrace(logger, *traceOut, append(tracer.Drain(), shipped.Spans()...))
+		if opts.Trace != nil {
+			// Workers' spans ride in their reports, so the master's tracer
+			// holds the merged timeline of every report it read.
+			writeTrace(logger, *traceOut, opts.Trace.Drain())
 		}
 		if errors.Is(err, chaos.ErrKilled) {
 			// Simulated crash: leave the journal exactly as a real crash

@@ -40,7 +40,7 @@ import (
 	"fcma/internal/safe"
 )
 
-// taskMsg and resultMsg are the gob payloads of the protocol.
+// taskMsg and report are the gob payloads of the protocol.
 type taskMsg struct {
 	V0, V int
 	// Trace and Span carry the master's task-span context so the worker
@@ -54,14 +54,15 @@ func (t taskMsg) spanContext() trace.SpanContext {
 	return trace.SpanContext{Trace: trace.TraceID(t.Trace), Span: trace.SpanID(t.Span)}
 }
 
-type resultMsg struct {
-	Task   taskMsg
-	Scores []core.VoxelScore
-}
-
-type errorMsg struct {
-	Task taskMsg
-	Err  string
+// report is a worker's one answer to a task: its scores, or the failure
+// in Err, with the worker's registry snapshot and the spans it completed
+// since its last report.
+type report struct {
+	Task    taskMsg
+	Scores  []core.VoxelScore
+	Err     string
+	Metrics obs.Snapshot
+	Spans   []trace.Span
 }
 
 func encode(v any) ([]byte, error) {
@@ -123,19 +124,17 @@ type MasterOptions struct {
 	// workers quarantined and presumed dead). Nil records to the
 	// process-wide obs.Default() registry.
 	Obs *obs.Registry
-	// Metrics, when non-nil, collects the per-rank registry snapshots
-	// workers ship on mpi.TagMetrics, so the caller can report per-worker
-	// and merged cluster-wide metrics after the run.
+	// Metrics, when non-nil, collects the registry snapshots workers ship
+	// in their reports, so the caller can report per-worker and merged
+	// cluster-wide metrics after the run.
 	Metrics *ClusterMetrics
 	// Trace, when non-nil, records the master's side of the distributed
 	// timeline: one span per task assignment (ended when the result, error,
 	// or death of the assignee retires it), all under one run-level span
-	// whose context is shipped inside every task message.
-	Trace *trace.Tracer
-	// Spans, when non-nil, collects the completed span buffers workers ship
-	// on mpi.TagSpans; together with Trace's own drain it yields the merged
+	// whose context is shipped inside every task message. The spans workers
+	// ship in their reports are absorbed into it, so its Drain is the
 	// cluster-wide trace.
-	Spans *ClusterTrace
+	Trace *trace.Tracer
 }
 
 // task is everything the master knows about one voxel range. The table of
@@ -212,6 +211,15 @@ type master struct {
 // next task) and returns ctx.Err(); whatever the journal already holds
 // stays resumable.
 func RunMasterCtx(ctx context.Context, tr mpi.Transport, totalVoxels, taskSize int, opts MasterOptions) ([]core.VoxelScore, error) {
+	m, err := newMaster(tr, totalVoxels, taskSize, opts)
+	if err != nil {
+		return nil, err
+	}
+	return m.run(ctx)
+}
+
+// newMaster builds the task table, with whatever the journal holds booked.
+func newMaster(tr mpi.Transport, totalVoxels, taskSize int, opts MasterOptions) (*master, error) {
 	if totalVoxels <= 0 || taskSize <= 0 {
 		return nil, fmt.Errorf("cluster: invalid partition %d voxels / %d per task", totalVoxels, taskSize)
 	}
@@ -253,7 +261,7 @@ func RunMasterCtx(ctx context.Context, tr mpi.Transport, totalVoxels, taskSize i
 			}
 		}
 	}
-	return m.run(ctx)
+	return m, nil
 }
 
 func (m *master) run(ctx context.Context) ([]core.VoxelScore, error) {
@@ -440,33 +448,33 @@ func (m *master) handle(msg mpi.Message) error {
 		if w.state == wsQuarantined {
 			_ = m.tr.Send(msg.From, mpi.TagStop, nil) // stay stopped
 		}
-	case mpi.TagMetrics:
-		var snap obs.Snapshot
-		if err := decode(msg.Body, &snap); err == nil {
-			m.opts.Metrics.record(msg.From, snap)
-		}
-	case mpi.TagSpans:
-		var spans []trace.Span
-		if err := decode(msg.Body, &spans); err == nil {
-			m.opts.Spans.record(spans)
-		}
 	case mpi.TagResult:
-		var res resultMsg
-		if err := decode(msg.Body, &res); err != nil {
-			// A corrupt result is contained like any worker failure.
-			return m.taskFailed(msg.From, m.heldBy(msg.From), fmt.Sprintf("undecodable result: %v", err))
+		var rep report
+		if err := decode(msg.Body, &rep); err != nil {
+			// A corrupt report is contained like any worker failure.
+			return m.taskFailed(msg.From, m.heldBy(msg.From), fmt.Sprintf("undecodable report: %v", err))
 		}
-		t := m.taskAt(res.Task)
+		// What the worker observed is kept whatever the outcome.
+		m.opts.Metrics.record(msg.From, rep.Metrics)
+		m.opts.Trace.Absorb(rep.Spans)
+		t := m.taskAt(rep.Task)
+		if rep.Err != "" {
+			if t == nil {
+				// The worker could not even read its assignment.
+				t = m.heldBy(msg.From)
+			}
+			return m.taskFailed(msg.From, t, rep.Err)
+		}
 		if t == nil {
 			return m.taskFailed(msg.From, m.heldBy(msg.From),
-				fmt.Sprintf("result for voxels [%d,%d), which is not a task of this run", res.Task.V0, res.Task.V0+res.Task.V))
+				fmt.Sprintf("result for voxels [%d,%d), which is not a task of this run", rep.Task.V0, rep.Task.V0+rep.Task.V))
 		}
 		m.reg.Counter("cluster_tasks_completed_total").Inc()
 		m.opts.Chaos.Point("master/result")
 		// Durability before action: the completion must be on disk before
 		// the master acknowledges it by giving this worker new work — a
 		// crash after this line never recomputes the range.
-		fresh := m.addScores(res.Scores, t.v0, t.v0+t.v)
+		fresh := m.addScores(rep.Scores, t.v0, t.v0+t.v)
 		if jn := m.opts.Journal; jn != nil && len(fresh) > 0 {
 			if err := jn.RecordComplete(t.v0, t.v, fresh); err != nil {
 				return fmt.Errorf("cluster: journaling completion: %w", err)
@@ -482,17 +490,6 @@ func (m *master) handle(msg mpi.Message) error {
 		// never whatever else the rank has been given since (a duplicated
 		// or late result must not unbook a newer assignment).
 		t.release(msg.From, "ok")
-	case mpi.TagError:
-		var em errorMsg
-		if err := decode(msg.Body, &em); err != nil {
-			return m.taskFailed(msg.From, m.heldBy(msg.From), fmt.Sprintf("undecodable error report: %v", err))
-		}
-		t := m.taskAt(em.Task)
-		if t == nil {
-			// The worker could not even read its assignment.
-			t = m.heldBy(msg.From)
-		}
-		return m.taskFailed(msg.From, t, em.Err)
 	default:
 		return fmt.Errorf("cluster: master got unexpected %v from rank %d", msg.Tag, msg.From)
 	}
@@ -728,31 +725,32 @@ type WorkerOptions struct {
 	// HeartbeatInterval between liveness beacons to the master. Zero
 	// selects 1s; negative disables heartbeats.
 	HeartbeatInterval time.Duration
-	// Obs is the registry whose snapshot is shipped to the master on
-	// mpi.TagMetrics after every result or error; the worker's own task
-	// counters (worker_tasks_total, worker_task_failures_total,
-	// worker_task_seconds) record there too. Nil uses obs.Default(), which
-	// is right when the worker owns the process (cmd/fcma-cluster); give
-	// in-process workers distinct registries so their metrics stay apart.
+	// Obs is the registry whose snapshot rides in every report to the
+	// master; the worker's own task counters (worker_tasks_total,
+	// worker_task_failures_total, worker_task_seconds) record there too.
+	// Nil uses obs.Default(), which is right when the worker owns the
+	// process (cmd/fcma-cluster); give in-process workers distinct
+	// registries so their metrics stay apart (the master counts a registry
+	// several ranks share once).
 	Obs *obs.Registry
 	// Trace, when non-nil, records this worker's side of the distributed
 	// timeline: a "worker/task" span per assignment, parented under the
 	// master's task span shipped inside the message, with every pipeline
-	// stage span nested inside. Completed buffers are drained and shipped
-	// to the master on mpi.TagSpans after each task, best-effort.
+	// stage span nested inside. The completed spans are drained into each
+	// report.
 	Trace *trace.Tracer
 }
 
-// RunWorkerCtx serves tasks until TagStop: announce readiness, process
-// each assignment, return results, and heartbeat in the background. A
-// task-processing error is reported to the master and the worker stays in
-// service — the master decides whether to retry elsewhere or quarantine
-// this worker (which arrives as TagStop). A cancelled ctx aborts the
-// in-flight task and returns ctx.Err() instead of waiting for TagStop; a
-// panicking processor is reported to the master as a TagError (a
-// *safe.PipelineError message) and the worker stays in service, so one
-// poisoned task cannot crash the rank — the master's retry/quarantine
-// machinery decides its fate.
+// RunWorkerCtx serves tasks until TagStop: announce readiness, answer each
+// assignment with one report on TagResult, and heartbeat in the
+// background. A task-processing error is reported to the master and the
+// worker stays in service — the master decides whether to retry elsewhere
+// or quarantine this worker (which arrives as TagStop). A cancelled ctx
+// aborts the in-flight task and returns ctx.Err() instead of waiting for
+// TagStop; a panicking processor is reported to the master as an error
+// report (a *safe.PipelineError message) and the worker stays in service,
+// so one poisoned task cannot crash the rank — the master's
+// retry/quarantine machinery decides its fate.
 //
 // The receive loop runs through a pump goroutine; after RunWorkerCtx
 // returns that goroutine may stay blocked in one last Recv until the caller
@@ -771,24 +769,15 @@ func RunWorkerCtx(ctx context.Context, tr mpi.Transport, proc TaskProcessor, opt
 	// Spans record under this rank's pid lane; the rank is only known from
 	// the transport (and changes across a TCP rejoin).
 	opts.Trace.SetPID(tr.Rank())
-	// shipSpans drains the completed span buffer to the master,
-	// best-effort: tracing must never take a healthy worker down.
-	shipSpans := func() {
-		spans := opts.Trace.Drain()
-		if len(spans) == 0 {
-			return
+	// answer sends the one report on a task, carrying the registry's
+	// snapshot and the spans completed since the last report.
+	answer := func(tm taskMsg, scores []core.VoxelScore, failure string) error {
+		body, err := encode(report{Task: tm, Scores: scores, Err: failure,
+			Metrics: reg.Snapshot(), Spans: opts.Trace.Drain()})
+		if err != nil {
+			return err
 		}
-		if body, err := encode(spans); err == nil {
-			_ = tr.Send(0, mpi.TagSpans, body)
-		}
-	}
-	// shipMetrics sends the registry's current snapshot to the master,
-	// best-effort: metrics must never take a healthy worker down.
-	shipMetrics := func() {
-		snap := reg.Snapshot()
-		if body, err := encode(snap); err == nil {
-			_ = tr.Send(0, mpi.TagMetrics, body)
-		}
+		return tr.Send(0, mpi.TagResult, body)
 	}
 	if err := tr.Send(0, mpi.TagReady, nil); err != nil {
 		return fmt.Errorf("cluster: worker ready: %w", err)
@@ -854,11 +843,7 @@ func RunWorkerCtx(ctx context.Context, tr mpi.Transport, proc TaskProcessor, opt
 		case mpi.TagTask:
 			var tm taskMsg
 			if err := decode(msg.Body, &tm); err != nil {
-				body, eerr := encode(errorMsg{Task: tm, Err: fmt.Sprintf("undecodable task: %v", err)})
-				if eerr != nil {
-					return eerr
-				}
-				if err := tr.Send(0, mpi.TagError, body); err != nil {
+				if err := answer(tm, nil, fmt.Sprintf("undecodable task: %v", err)); err != nil {
 					return err
 				}
 				continue
@@ -887,23 +872,12 @@ func RunWorkerCtx(ctx context.Context, tr mpi.Transport, proc TaskProcessor, opt
 			}
 			// A failure is reported and the worker stays in service: the
 			// master owns retry policy.
-			tag, report := mpi.TagResult, any(resultMsg{Task: tm, Scores: scores})
+			var failure string
 			if perr != nil {
 				taskFails.Inc()
-				tag, report = mpi.TagError, errorMsg{Task: tm, Err: perr.Error()}
+				failure = perr.Error()
 			}
-			body, err := encode(report)
-			if err != nil {
-				return err
-			}
-			// Snapshot (and span buffer) before the report, so the master's
-			// view already covers this task when it books the outcome — and,
-			// when the final result completes the run, every rank's last
-			// snapshot has been handled (both transports deliver per-sender
-			// in order).
-			shipSpans()
-			shipMetrics()
-			if err := tr.Send(0, tag, body); err != nil {
+			if err := answer(tm, scores, failure); err != nil {
 				return err
 			}
 		default:

@@ -4,11 +4,14 @@ import (
 	"context"
 	"sync"
 	"testing"
+	"time"
 
 	"fcma/internal/core"
 	"fcma/internal/corr"
 	"fcma/internal/fmri"
 	"fcma/internal/mpi"
+	"fcma/internal/obs"
+	"fcma/internal/obs/trace"
 )
 
 func testStack(t testing.TB) *corr.EpochStack {
@@ -267,5 +270,85 @@ func TestTCPClusterSurvivesWorkerCrash(t *testing.T) {
 		if err := <-results; err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// sendCount counts the messages sent through its transport, by tag.
+type sendCount struct {
+	mpi.Transport
+	mu sync.Mutex
+	n  map[mpi.Tag]int
+}
+
+func (s *sendCount) Send(to int, tag mpi.Tag, body []byte) error {
+	s.mu.Lock()
+	s.n[tag]++
+	s.mu.Unlock()
+	return s.Transport.Send(to, tag, body)
+}
+
+// TestWorkerSendsOneReportPerTask: with tracing and metrics on, a worker
+// answers each task with exactly one TagResult, which carries its snapshot
+// and spans; besides that it only announces itself and heartbeats.
+func TestWorkerSendsOneReportPerTask(t *testing.T) {
+	st := testStack(t)
+	const nWorkers, taskSize = 2, 5
+	tasks := (st.N + taskSize - 1) / taskSize
+	comm, err := mpi.NewLocalComm(nWorkers+1, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := make([]*sendCount, nWorkers)
+	var wg sync.WaitGroup
+	for r := 1; r <= nWorkers; r++ {
+		counts[r-1] = &sendCount{Transport: comm.Rank(r), n: make(map[mpi.Tag]int)}
+		w, err := core.NewWorker(core.Optimized(), st, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func(tr mpi.Transport, r int) {
+			defer wg.Done()
+			opts := WorkerOptions{Obs: obs.NewRegistry(), Trace: trace.New(r), HeartbeatInterval: time.Millisecond}
+			if err := RunWorkerCtx(context.Background(), tr, w, opts); err != nil {
+				t.Error(err)
+			}
+		}(counts[r-1], r)
+	}
+	cm := &ClusterMetrics{}
+	tracer := trace.New(0)
+	if _, err := RunMasterCtx(context.Background(), comm.Rank(0), st.N, taskSize,
+		MasterOptions{Obs: obs.NewRegistry(), Metrics: cm, Trace: tracer}); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	results := 0
+	for r, c := range counts {
+		c.mu.Lock() // a heartbeat may still be on its way out
+		defer c.mu.Unlock()
+		for tag, n := range c.n {
+			switch tag {
+			case mpi.TagResult:
+				results += n
+			case mpi.TagReady, mpi.TagHeartbeat:
+			default:
+				t.Errorf("rank %d sent %d %v messages", r+1, n, tag)
+			}
+		}
+	}
+	if results != tasks {
+		t.Errorf("workers sent %d results for %d tasks", results, tasks)
+	}
+	if got := cm.Merged().Counters["worker_tasks_total"]; got != uint64(tasks) {
+		t.Errorf("the reports' snapshots count %d tasks, want %d", got, tasks)
+	}
+	workerTasks := 0
+	for _, sp := range tracer.Drain() {
+		if sp.Name == "worker/task" {
+			workerTasks++
+		}
+	}
+	if workerTasks != tasks {
+		t.Errorf("the reports carried %d worker/task spans, want %d", workerTasks, tasks)
 	}
 }

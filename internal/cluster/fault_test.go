@@ -11,6 +11,7 @@ import (
 	"fcma/internal/core"
 	"fcma/internal/mpi"
 	"fcma/internal/obs"
+	"fcma/internal/obs/trace"
 )
 
 // funcProcessor adapts a function to TaskProcessor for fault scripting.
@@ -257,7 +258,7 @@ func TestDuplicateAndStaleResultsDeduplicated(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			body, err := encode(resultMsg{Task: tm, Scores: scores})
+			body, err := encode(report{Task: tm, Scores: scores})
 			if err != nil {
 				t.Error(err)
 				return
@@ -301,10 +302,10 @@ type wireMsg struct {
 	body []byte
 }
 
-// resultOf and errorOf build the worker's two answers to a task by hand.
+// resultOf and errorOf build the worker's two reports on a task by hand.
 func resultOf(t *testing.T, tm taskMsg, scores []core.VoxelScore) wireMsg {
 	t.Helper()
-	body, err := encode(resultMsg{Task: tm, Scores: scores})
+	body, err := encode(report{Task: tm, Scores: scores})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,11 +314,11 @@ func resultOf(t *testing.T, tm taskMsg, scores []core.VoxelScore) wireMsg {
 
 func errorOf(t *testing.T, tm taskMsg, detail string) wireMsg {
 	t.Helper()
-	body, err := encode(errorMsg{Task: tm, Err: detail})
+	body, err := encode(report{Task: tm, Err: detail})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return wireMsg{mpi.TagError, body}
+	return wireMsg{mpi.TagResult, body}
 }
 
 // scriptedRank speaks the worker protocol on tr by hand: it announces
@@ -406,10 +407,10 @@ func TestDuplicateResultDoesNotUnbookNextTask(t *testing.T) {
 	})
 }
 
-// TestStaleErrorDoesNotUnbookNextTask is the same hang through TagError:
-// the rank fails its first task, completes the retry, and then — holding
-// the second task, whose first copy it never answers — its error report
-// for the first task arrives again.
+// TestStaleErrorDoesNotUnbookNextTask is the same hang through an error
+// report: the rank fails its first task, completes the retry, and then —
+// holding the second task, whose first copy it never answers — its error
+// report for the first task arrives again.
 func TestStaleErrorDoesNotUnbookNextTask(t *testing.T) {
 	var first taskMsg
 	runLostTaskScript(t, func(n int, tm taskMsg) ([]wireMsg, bool) {
@@ -517,4 +518,80 @@ func TestMisnamedWireInputContained(t *testing.T) {
 	if n := reg.Counter("cluster_dedup_dropped_voxels_total").Value(); n != uint64(3*tasks) {
 		t.Errorf("cluster_dedup_dropped_voxels_total = %d, want %d: three strays per task", n, 3*tasks)
 	}
+}
+
+// nullTransport is rank 0 of a two-rank world whose sends go nowhere.
+type nullTransport struct{}
+
+func (nullTransport) Rank() int                       { return 0 }
+func (nullTransport) Size() int                       { return 2 }
+func (nullTransport) Send(int, mpi.Tag, []byte) error { return nil }
+func (nullTransport) Recv() (mpi.Message, error)      { return mpi.Message{}, mpi.ErrClosed }
+func (nullTransport) Close() error                    { return nil }
+
+// FuzzMasterReport feeds arbitrary bytes to the master as the TagResult body
+// of a rank that holds a task. The master must not panic, and it may book
+// only scores of the voxels of the task the body names, and only when the
+// body decodes to a successful report on a task of the partition. The seeds
+// are a valid report and the misnamed reports of
+// TestMisnamedWireInputContained.
+func FuzzMasterReport(f *testing.F) {
+	const n, taskSize = 32, 8
+	held := taskMsg{V0: taskSize, V: taskSize}
+	add := func(rep report) {
+		body, err := encode(rep)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	scores := okScores(held)
+	add(report{Task: held, Scores: scores, Metrics: obs.NewRegistry().Snapshot(),
+		Spans: []trace.Span{{Name: "worker/task", PID: 1}}})
+	for _, v0 := range []int{-taskSize, held.V0 + 1, n} {
+		bad := held
+		bad.V0 = v0
+		add(report{Task: bad, Scores: scores})
+		add(report{Task: bad, Err: "misnamed task"})
+	}
+	strays := []core.VoxelScore{{Voxel: -1, Accuracy: -1}, {Voxel: n, Accuracy: -1}, {Voxel: held.V0 + held.V, Accuracy: -1}}
+	add(report{Task: held, Scores: append(strays, scores...)})
+	f.Add([]byte("not a report"))
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		m, err := newMaster(nullTransport{}, n, taskSize,
+			MasterOptions{Obs: obs.NewRegistry(), Metrics: &ClusterMetrics{}, Trace: trace.New(0)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.touch(1, time.Now())
+		if !m.sendTask(1, &m.tasks[held.V0/taskSize], time.Now()) {
+			t.Fatal("could not hand rank 1 its task")
+		}
+		_ = m.handle(mpi.Message{From: 1, Tag: mpi.TagResult, Body: body})
+
+		var rep report
+		ok := decode(body, &rep) == nil && rep.Err == ""
+		tm := rep.Task
+		if ok {
+			ok = tm.V0 >= 0 && tm.V0%taskSize == 0 && tm.V0 < n && tm.V == min(taskSize, n-tm.V0)
+		}
+		booked := 0
+		for v, have := range m.have {
+			if !have {
+				continue
+			}
+			booked++
+			if !ok || v < tm.V0 || v >= tm.V0+tm.V {
+				t.Fatalf("booked voxel %d from a report naming voxels [%d,%d) (a successful report on a task: %v)",
+					v, tm.V0, tm.V0+tm.V, ok)
+			}
+			if m.scores[v].Voxel != v {
+				t.Fatalf("voxel %d holds the score of voxel %d", v, m.scores[v].Voxel)
+			}
+		}
+		if m.unscored != n-booked {
+			t.Fatalf("%d voxels unscored with %d of %d booked", m.unscored, booked, n)
+		}
+	})
 }

@@ -113,12 +113,10 @@ func TestChaosSoakMasterKills(t *testing.T) {
 		}
 		reg := obs.NewRegistry()
 		tracer := trace.New(0)
-		spanSink := &ClusterTrace{}
 		scores, err = RunMasterCtx(context.Background(), master, st.N, taskSize, MasterOptions{
 			Journal:          jn,
 			Chaos:            plan,
 			Trace:            tracer,
-			Spans:            spanSink,
 			HeartbeatTimeout: time.Second,
 			TaskDeadline:     500 * time.Millisecond,
 			TaskRetries:      10000,
@@ -126,7 +124,6 @@ func TestChaosSoakMasterKills(t *testing.T) {
 			Obs:              reg,
 		})
 		allSpans = append(allSpans, tracer.Drain()...)
-		allSpans = append(allSpans, spanSink.Spans()...)
 		if got := reg.Counter("cluster_tasks_skipped_journaled_total").Value(); got != uint64(len(frozen)) {
 			t.Fatalf("incarnation %d: skipped %d journaled tasks, want %d", incarnation, got, len(frozen))
 		}

@@ -6,27 +6,37 @@ import (
 	"fcma/internal/obs"
 )
 
-// ClusterMetrics collects per-rank worker metric snapshots shipped to the
-// master on mpi.TagMetrics. Allocate one and hand it to the master via
+// ClusterMetrics collects the registry snapshots workers ship inside their
+// reports. Allocate one and hand it to the master via
 // MasterOptions.Metrics; after (or during) a run, Workers gives the latest
 // snapshot per rank and Merged the cluster-wide aggregate. All methods are
 // safe for concurrent use with a running master.
 type ClusterMetrics struct {
-	mu    sync.Mutex
-	ranks map[int]obs.Snapshot
+	mu      sync.Mutex
+	origins map[uint64]shipped
 }
 
-// record stores the latest snapshot for rank, replacing any previous one
-// (workers ship cumulative registries, so last-wins is the correct merge).
+// shipped is the latest snapshot of one registry and the rank that sent it.
+type shipped struct {
+	rank int
+	snap obs.Snapshot
+}
+
+// record stores s as the latest snapshot of its registry, under rank.
+// Workers ship cumulative registries, so last-wins is the correct merge;
+// keying by origin counts a registry once however many ranks shipped it
+// (a worker process keeps its registry across a rejoin under a fresh rank,
+// and in-process ranks may share one). A snapshot of no registry (origin
+// 0) records nothing.
 func (c *ClusterMetrics) record(rank int, s obs.Snapshot) {
-	if c == nil {
+	if c == nil || s.Origin == 0 {
 		return
 	}
 	c.mu.Lock()
-	if c.ranks == nil {
-		c.ranks = make(map[int]obs.Snapshot)
+	if c.origins == nil {
+		c.origins = make(map[uint64]shipped)
 	}
-	c.ranks[rank] = s
+	c.origins[s.Origin] = shipped{rank, s}
 	c.mu.Unlock()
 }
 
@@ -37,15 +47,15 @@ func (c *ClusterMetrics) Workers() map[int]obs.Snapshot {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make(map[int]obs.Snapshot, len(c.ranks))
-	for r, s := range c.ranks {
-		out[r] = s
+	out := make(map[int]obs.Snapshot, len(c.origins))
+	for _, e := range c.origins {
+		out[e.rank] = e.snap
 	}
 	return out
 }
 
-// Merged aggregates every rank's latest snapshot: counters and histogram
-// totals sum across ranks, gauges keep an arbitrary reporter's value.
+// Merged aggregates the latest snapshot of every registry: counters and
+// histogram totals sum, gauges keep an arbitrary reporter's value.
 func (c *ClusterMetrics) Merged() obs.Snapshot {
 	var merged obs.Snapshot
 	if c == nil {
@@ -53,8 +63,8 @@ func (c *ClusterMetrics) Merged() obs.Snapshot {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, s := range c.ranks {
-		merged.Merge(s)
+	for _, e := range c.origins {
+		merged.Merge(e.snap)
 	}
 	return merged
 }

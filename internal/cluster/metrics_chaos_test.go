@@ -13,10 +13,10 @@ import (
 )
 
 // sendChaosTransport injects faults only into the worker→master direction
-// (Send); Recv is clean. That isolates the snapshot/result wire path under
-// test: task delivery stays exact, so a worker's registry never advances
-// after the master stops listening (a duplicated late task would), and the
-// ordering contract below becomes exactly checkable.
+// (Send); Recv is clean. That isolates the report wire path under test:
+// task delivery stays exact, so a worker's registry never advances after
+// the master stops listening (a duplicated late task would), and the final
+// snapshot below becomes exactly checkable.
 type sendChaosTransport struct {
 	mpi.Transport               // clean inner: Recv, Rank, Size, Close
 	chaotic       mpi.Transport // chaos-wrapped view of the same inner
@@ -26,14 +26,13 @@ func (s *sendChaosTransport) Send(to int, tag mpi.Tag, body []byte) error {
 	return s.chaotic.Send(to, tag, body)
 }
 
-// TestMetricsWireSurvivesDupAndDelay chaos-tests the metrics/spans wire
-// path's ordering contract: workers ship a registry snapshot *before* each
-// result, and both transports deliver per-sender in order, so when the run
+// TestMetricsWireSurvivesDupAndDelay chaos-tests the metrics wire path:
+// every report carries its worker's registry snapshot, so when the run
 // completes the master's last-wins snapshot for every rank must equal that
 // worker's own final registry — duplicated and delayed messages included.
 // Duplication is idempotent because ClusterMetrics keeps only the latest
-// snapshot per rank; delay preserves order because ChaosTransport sleeps
-// inline in Send.
+// snapshot per registry; delay preserves order because ChaosTransport
+// sleeps inline in Send.
 func TestMetricsWireSurvivesDupAndDelay(t *testing.T) {
 	st := testStack(t)
 	const nWorkers = 3
@@ -94,8 +93,8 @@ func TestMetricsWireSurvivesDupAndDelay(t *testing.T) {
 	// own final registry, proving no run-completion snapshot was lost or
 	// left stale by duplication or delay. A rank may be absent only if it
 	// did no work at all (its delayed TagReady lost the race for the last
-	// task) — snapshots ship before results, so any booked result implies
-	// its sender's snapshot arrived first.
+	// task) — a snapshot rides in every report, so any booked result
+	// brought its sender's snapshot with it.
 	for r := 1; r <= nWorkers; r++ {
 		want := regs[r].Snapshot()
 		got, ok := perRank[r]
@@ -120,7 +119,7 @@ func TestMetricsWireSurvivesDupAndDelay(t *testing.T) {
 }
 
 // TestMetricsWireSurvivesDrops chaos-tests the lossy side: with messages
-// (tasks, results, snapshots, heartbeats) silently dropped, the run must
+// (tasks, reports, heartbeats) silently dropped, the run must
 // still complete with a full, dedup-exact score set, worker metrics must
 // never overcount the cluster totals, and the spans that do arrive must be
 // well-formed. Lost snapshots may leave a rank's view stale — cumulative
@@ -167,12 +166,12 @@ func TestMetricsWireSurvivesDrops(t *testing.T) {
 		}(ct)
 	}
 	cm := &ClusterMetrics{}
-	spans := &ClusterTrace{}
+	tracer := trace.New(0)
 	masterReg := obs.NewRegistry()
 	scores, err := RunMasterCtx(context.Background(), comm.Rank(0), st.N, 5, MasterOptions{
 		Obs:     masterReg,
 		Metrics: cm,
-		Spans:   spans,
+		Trace:   tracer,
 		// Dropped tasks and results are recovered by the deadline/retry
 		// machinery, not by luck.
 		TaskDeadline:     200 * time.Millisecond,
@@ -207,9 +206,9 @@ func TestMetricsWireSurvivesDrops(t *testing.T) {
 		t.Errorf("merged snapshots overcount: %d voxels from %d tasks of <= 5 voxels",
 			merged.Counters["core_voxels_scored_total"], merged.Counters["worker_tasks_total"])
 	}
-	for _, sp := range spans.Spans() {
+	for _, sp := range tracer.Drain() {
 		if sp.Name == "" {
-			t.Error("a shipped span arrived without a name")
+			t.Error("a span arrived without a name")
 		}
 	}
 }

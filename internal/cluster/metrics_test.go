@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"sync"
 	"testing"
 
 	"fcma/internal/core"
@@ -9,7 +10,7 @@ import (
 )
 
 // TestClusterMetricsAggregation runs an in-process cluster where every
-// worker records to its own registry and ships snapshots on TagMetrics,
+// worker records to its own registry and ships snapshots in its reports,
 // and checks the master's ClusterMetrics sees each rank plus a merged
 // view whose task and voxel totals match the run.
 func TestClusterMetricsAggregation(t *testing.T) {
@@ -69,5 +70,34 @@ func TestClusterMetricsAggregation(t *testing.T) {
 	}
 	if got := ms.Counters["cluster_voxels_scored_total"]; got != uint64(st.N) {
 		t.Errorf("cluster_voxels_scored_total = %d, want %d", got, st.N)
+	}
+}
+
+// TestSharedRegistryCountedOnce runs two in-process ranks that record to
+// one registry, as a worker process does across a rejoin under a fresh
+// rank. Both ship snapshots of that registry; the merged view must count
+// it once. The rendezvous gives each rank one of the two tasks and lets
+// neither finish before both have started, so both snapshots hold both.
+func TestSharedRegistryCountedOnce(t *testing.T) {
+	st := testStack(t)
+	const nWorkers = 2
+	taskSize := (st.N + nWorkers - 1) / nWorkers
+	cm := &ClusterMetrics{}
+	shared := obs.NewRegistry()
+	var arrived sync.WaitGroup
+	arrived.Add(nWorkers)
+	_, err := RunLocal(context.Background(), nWorkers, st.N, taskSize, MasterOptions{Obs: obs.NewRegistry(), Metrics: cm},
+		func(int) (TaskProcessor, WorkerOptions, error) {
+			w, err := core.NewWorker(core.Optimized(), st, nil)
+			return &rendezvous{inner: w, arrived: &arrived}, WorkerOptions{Obs: shared}, err
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := cm.Merged().Counters["worker_tasks_total"]; got != nWorkers {
+		t.Errorf("merged worker_tasks_total = %d, want %d: one registry counted once", got, nWorkers)
+	}
+	if got := len(cm.Workers()); got != 1 {
+		t.Errorf("Workers() holds %d entries, want 1 for the one registry", got)
 	}
 }

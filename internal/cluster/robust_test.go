@@ -47,7 +47,7 @@ func (p gatedProcessor) ProcessContext(ctx context.Context, t core.Task) ([]core
 }
 
 // TestWorkerPanicIsContained: a panicking processor must not crash the
-// worker rank — the panic becomes a TagError report and the master
+// worker rank — the panic becomes an error report and the master
 // finishes the run on the healthy worker.
 func TestWorkerPanicIsContained(t *testing.T) {
 	comm, err := mpi.NewLocalComm(3, 16)

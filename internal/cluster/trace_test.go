@@ -5,6 +5,7 @@ import (
 	"context"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"fcma/internal/core"
@@ -46,7 +47,6 @@ func TestClusterTraceMergesAcrossRanks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var spans ClusterTrace
 	masterTr := trace.New(0)
 	var wg, arrived sync.WaitGroup
 	arrived.Add(2)
@@ -66,7 +66,7 @@ func TestClusterTraceMergesAcrossRanks(t *testing.T) {
 		}(r)
 	}
 	scores, err := RunMasterCtx(context.Background(), comm.Rank(0), st.N, 8,
-		MasterOptions{Trace: masterTr, Spans: &spans})
+		MasterOptions{Trace: masterTr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestClusterTraceMergesAcrossRanks(t *testing.T) {
 		t.Fatalf("scores = %d, want %d", len(scores), st.N)
 	}
 
-	merged := append(masterTr.Drain(), spans.Spans()...)
+	merged := masterTr.Drain()
 	runID := masterTr.TraceID()
 	byID := make(map[trace.SpanID]trace.Span, len(merged))
 	byName := make(map[string][]trace.Span)
@@ -154,15 +154,47 @@ func names(byName map[string][]trace.Span) []string {
 	return out
 }
 
+// recvTap hands every message its transport receives to seen.
+type recvTap struct {
+	mpi.Transport
+	seen func(mpi.Message)
+}
+
+func (r *recvTap) Recv() (mpi.Message, error) {
+	msg, err := r.Transport.Recv()
+	if err == nil {
+		r.seen(msg)
+	}
+	return msg, err
+}
+
 // Tracing off must leave the protocol bit-identical: task messages carry
-// zero span ids and no TagSpans traffic appears.
+// zero span ids and no report carries a span.
 func TestClusterTraceDisabledShipsNothing(t *testing.T) {
-	var spans ClusterTrace
 	st := testStack(t)
 	comm, err := mpi.NewLocalComm(2, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var tasks, reports atomic.Int64
+	worker := &recvTap{Transport: comm.Rank(1), seen: func(msg mpi.Message) {
+		var tm taskMsg
+		if msg.Tag == mpi.TagTask && decode(msg.Body, &tm) == nil {
+			tasks.Add(1)
+			if tm.Trace != 0 || tm.Span != 0 {
+				t.Errorf("untraced master sent span context %x/%x", tm.Trace, tm.Span)
+			}
+		}
+	}}
+	master := &recvTap{Transport: comm.Rank(0), seen: func(msg mpi.Message) {
+		var rep report
+		if msg.Tag == mpi.TagResult && decode(msg.Body, &rep) == nil {
+			reports.Add(1)
+			if len(rep.Spans) != 0 {
+				t.Errorf("tracing disabled but a report carries %d spans", len(rep.Spans))
+			}
+		}
+	}}
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -172,23 +204,15 @@ func TestClusterTraceDisabledShipsNothing(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if err := RunWorkerCtx(context.Background(), comm.Rank(1), w, WorkerOptions{}); err != nil {
+		if err := RunWorkerCtx(context.Background(), worker, w, WorkerOptions{}); err != nil {
 			t.Error(err)
 		}
 	}()
-	if _, err := RunMasterCtx(context.Background(), comm.Rank(0), st.N, 8, MasterOptions{Spans: &spans}); err != nil {
+	if _, err := RunMasterCtx(context.Background(), master, st.N, 8, MasterOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
-	if spans.Len() != 0 {
-		t.Fatalf("tracing disabled but %d spans collected", spans.Len())
-	}
-}
-
-func TestClusterTraceNilSafe(t *testing.T) {
-	var c *ClusterTrace
-	c.record([]trace.Span{{Name: "x"}})
-	if c.Spans() != nil || c.Len() != 0 {
-		t.Fatal("nil ClusterTrace leaked state")
+	if tasks.Load() == 0 || reports.Load() == 0 {
+		t.Fatalf("saw %d tasks and %d reports, want some of each", tasks.Load(), reports.Load())
 	}
 }

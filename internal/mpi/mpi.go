@@ -9,72 +9,46 @@ import (
 	"fmt"
 )
 
-// Tag classifies a message within the FCMA protocol.
+// Tag classifies a message within the FCMA protocol. The values are the
+// wire's: 5 and 6 (dataset broadcast, error report) and 9 and 10 (metrics,
+// spans) belonged to tags that are gone, and a frame carrying one is
+// refused rather than misread.
 type Tag uint32
 
 const (
 	// TagReady announces a worker is idle and wants a task.
-	TagReady Tag = iota + 1
+	TagReady Tag = 1
 	// TagTask carries a voxel-range assignment from master to worker.
-	TagTask
-	// TagResult carries voxel scores from worker to master.
-	TagResult
+	TagTask Tag = 2
+	// TagResult carries a worker's one report on a task: its scores or its
+	// error, with the worker's metrics snapshot and completed spans.
+	TagResult Tag = 3
 	// TagStop tells a worker to shut down.
-	TagStop
-	// TagData carries a serialized dataset broadcast.
-	//lint:allow mpitags reserved protocol slot for dataset broadcast; no handler ships yet and renumbering would break the wire
-	TagData
-	// TagError carries a worker-side failure description.
-	TagError
+	TagStop Tag = 4
 	// TagDisconnect is injected by transports when a worker's connection
 	// drops, letting the master reassign its outstanding work.
-	TagDisconnect
+	TagDisconnect Tag = 7
 	// TagHeartbeat is a periodic liveness beacon from worker to master; a
 	// worker that stops heartbeating is presumed dead and its outstanding
 	// task is requeued.
-	TagHeartbeat
-	// TagMetrics carries a gob-encoded obs.Snapshot of a worker's metrics
-	// registry so the master can report a merged cluster-wide view.
-	TagMetrics
-	// TagSpans carries a gob-encoded buffer of completed trace spans from
-	// worker to master, so the master can merge every rank's spans into one
-	// cluster-wide timeline.
-	TagSpans
+	TagHeartbeat Tag = 8
 )
 
-// maxTag is the highest tag the protocol defines; frames carrying anything
-// else are rejected at the wire layer.
-const maxTag = TagSpans
+// tagNames names every tag this protocol version defines.
+var tagNames = [...]string{
+	TagReady: "ready", TagTask: "task", TagResult: "result", TagStop: "stop",
+	TagDisconnect: "disconnect", TagHeartbeat: "heartbeat",
+}
 
 // ValidTag reports whether t is a tag this protocol version defines.
-func ValidTag(t Tag) bool { return t >= TagReady && t <= maxTag }
+func ValidTag(t Tag) bool { return t < Tag(len(tagNames)) && tagNames[t] != "" }
 
 // String implements fmt.Stringer.
 func (t Tag) String() string {
-	switch t {
-	case TagReady:
-		return "ready"
-	case TagTask:
-		return "task"
-	case TagResult:
-		return "result"
-	case TagStop:
-		return "stop"
-	case TagData:
-		return "data"
-	case TagError:
-		return "error"
-	case TagDisconnect:
-		return "disconnect"
-	case TagHeartbeat:
-		return "heartbeat"
-	case TagMetrics:
-		return "metrics"
-	case TagSpans:
-		return "spans"
-	default:
-		return fmt.Sprintf("Tag(%d)", uint32(t))
+	if ValidTag(t) {
+		return tagNames[t]
 	}
+	return fmt.Sprintf("Tag(%d)", uint32(t))
 }
 
 // Message is one tagged payload between ranks.

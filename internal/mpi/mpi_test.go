@@ -122,8 +122,9 @@ func TestLocalCommConcurrentSenders(t *testing.T) {
 func TestTagString(t *testing.T) {
 	for tag, want := range map[Tag]string{
 		TagReady: "ready", TagTask: "task", TagResult: "result",
-		TagStop: "stop", TagData: "data", TagError: "error",
-		TagDisconnect: "disconnect", TagHeartbeat: "heartbeat", Tag(99): "Tag(99)",
+		TagStop: "stop", TagDisconnect: "disconnect", TagHeartbeat: "heartbeat",
+		Tag(0): "Tag(0)", Tag(5): "Tag(5)", Tag(6): "Tag(6)", Tag(9): "Tag(9)",
+		Tag(10): "Tag(10)", Tag(99): "Tag(99)",
 	} {
 		if tag.String() != want {
 			t.Errorf("Tag %d String = %q, want %q", tag, tag.String(), want)

@@ -178,13 +178,17 @@ func TestLateJoinAndRejoinGetFreshRanks(t *testing.T) {
 	}
 }
 
+// An unknown tag is refused, and so is each retired one (data 5, error 6,
+// metrics 9, spans 10): a rank of an older build is dropped, not misread.
 func TestFrameRejectsUnknownTag(t *testing.T) {
-	var buf bytes.Buffer
-	if err := writeFrame(&buf, 1, Tag(99), nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := readFrame(&buf); err == nil {
-		t.Fatal("unknown tag accepted")
+	for _, tag := range []Tag{0, 5, 6, 9, 10, 99} {
+		var buf bytes.Buffer
+		if err := writeFrame(&buf, 1, tag, nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := readFrame(&buf); err == nil {
+			t.Fatalf("unknown tag %d accepted", uint32(tag))
+		}
 	}
 }
 
@@ -255,7 +259,7 @@ func TestFrameBodyLargerThanFirstAllocRoundTrips(t *testing.T) {
 		body[i] = byte(i * 7)
 	}
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, 2, TagSpans, body); err != nil {
+	if err := writeFrame(&buf, 2, TagResult, body); err != nil {
 		t.Fatal(err)
 	}
 	// One byte at a time: every growth step sees a short read.
@@ -263,7 +267,7 @@ func TestFrameBodyLargerThanFirstAllocRoundTrips(t *testing.T) {
 	if err != nil || !bytes.Equal(msg.Body, body) {
 		t.Fatalf("read %d of %d bytes, err %v", len(msg.Body), len(body), err)
 	}
-	if err := writeFrame(&buf, 2, TagSpans, body); err != nil {
+	if err := writeFrame(&buf, 2, TagResult, body); err != nil {
 		t.Fatal(err)
 	}
 	buf.Truncate(buf.Len() - 1)

@@ -5,6 +5,7 @@ import (
 	"log/slog"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 
 	"fcma/internal/obs/trace"
@@ -14,9 +15,11 @@ import (
 // -log-format and -flight-out, on fs, and returns the function the command
 // calls once fs is parsed. That call wires the shared glue:
 //
-//   - a flight-teed structured logger (see NewLogger) writing to stderr
-//     in the chosen format, installed as the process default so library
-//     layers logging via slog.Default() follow the same -log-format;
+//   - a structured logger writing to stderr in the chosen format ("json",
+//     or anything else for text), with every record also teed into the
+//     process flight recorder (log.go), installed as the process default
+//     so library layers logging via slog.Default() follow the same
+//     -log-format;
 //   - crash dumps armed at stderr — or at the -flight-out file, which is
 //     only created if a dump actually fires — so a contained panic or a
 //     fatal cluster abort leaves a black-box readout;
@@ -29,8 +32,14 @@ func BootstrapCLI(fs *flag.FlagSet) func(component string, attrs ...slog.Attr) *
 	format := fs.String("log-format", "text", `status log format: "text" or "json"`)
 	flightOut := fs.String("flight-out", "", "write flight-recorder crash dumps to this file instead of stderr (created only if a dump fires)")
 	return func(component string, attrs ...slog.Attr) *slog.Logger {
+		opts := &slog.HandlerOptions{Level: slog.LevelInfo}
+		var inner slog.Handler = slog.NewTextHandler(os.Stderr, opts)
+		if strings.EqualFold(*format, "json") {
+			inner = slog.NewJSONHandler(os.Stderr, opts)
+		}
 		attrs = append([]slog.Attr{slog.String("component", component)}, attrs...)
-		logger := SetDefaultLogger(os.Stderr, *format, attrs...)
+		logger := slog.New(flightHandler{inner: inner.WithAttrs(attrs)})
+		slog.SetDefault(logger)
 		if *flightOut != "" {
 			trace.ArmCrashDumpFile(*flightOut)
 		} else {

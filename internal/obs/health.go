@@ -37,22 +37,14 @@ var buildInfo = sync.OnceValue(func() map[string]string {
 	return info
 })
 
-// BuildInfo returns the binary's build identity: version, go_version, and
-// (when built from a git checkout) revision and modified.
-func BuildInfo() map[string]string {
-	out := make(map[string]string, 4)
-	for k, v := range buildInfo() {
-		out[k] = v
-	}
-	return out
-}
-
 // handleHealthz answers liveness probes with a small JSON document that
 // doubles as a build identity readout.
 func handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	doc := BuildInfo()
-	doc["status"] = "ok"
+	doc := map[string]string{"status": "ok"}
+	for k, v := range buildInfo() {
+		doc[k] = v
+	}
 	_ = json.NewEncoder(w).Encode(doc)
 }
 

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -16,7 +17,7 @@ func TestHTTPMiddlewareRED(t *testing.T) {
 	reg := NewRegistry()
 	tr := trace.New(0)
 	var logBuf strings.Builder
-	m := HTTPMiddleware{Reg: reg, Log: NewLogger(&logBuf, "text"), Tracer: tr}
+	m := HTTPMiddleware{Reg: reg, Log: slog.New(slog.NewTextHandler(&logBuf, nil)), Tracer: tr}
 
 	h := m.Wrap("/api/v1/jobs", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		_, sp := trace.StartSpan(r.Context(), "handler/work")

@@ -3,7 +3,6 @@ package obs
 import (
 	"context"
 	"fmt"
-	"io"
 	"log/slog"
 	"strings"
 
@@ -53,32 +52,4 @@ func (h flightHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
 
 func (h flightHandler) WithGroup(name string) slog.Handler {
 	return flightHandler{inner: h.inner.WithGroup(name)}
-}
-
-// NewLogger builds a structured logger writing to w in the given format
-// ("json", or anything else for the human-readable text form), with every
-// record also teed into the process flight recorder. attrs (rank, role,
-// ...) are attached to every record.
-func NewLogger(w io.Writer, format string, attrs ...slog.Attr) *slog.Logger {
-	var inner slog.Handler
-	opts := &slog.HandlerOptions{Level: slog.LevelInfo}
-	if strings.EqualFold(format, "json") {
-		inner = slog.NewJSONHandler(w, opts)
-	} else {
-		inner = slog.NewTextHandler(w, opts)
-	}
-	if len(attrs) > 0 {
-		inner = inner.WithAttrs(attrs)
-	}
-	return slog.New(flightHandler{inner: inner})
-}
-
-// SetDefaultLogger installs a flight-teed logger as the process default,
-// so library layers logging via slog.Default() (the journals' torn-tail
-// recovery, connection lifecycle) follow the command's -log-format choice.
-// It returns the logger for the caller's own use.
-func SetDefaultLogger(w io.Writer, format string, attrs ...slog.Attr) *slog.Logger {
-	l := NewLogger(w, format, attrs...)
-	slog.SetDefault(l)
-	return l
 }

@@ -17,6 +17,7 @@ package obs
 
 import (
 	"math"
+	"math/rand/v2"
 	"sort"
 	"strings"
 	"sync"
@@ -167,6 +168,7 @@ func (t StageTimer) Stop() time.Duration {
 // hands out nil instruments whose methods are no-ops.
 type Registry struct {
 	mu       sync.RWMutex
+	origin   uint64 // random, non-zero; stamped on every Snapshot
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
@@ -175,6 +177,7 @@ type Registry struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
+		origin:   rand.Uint64() | 1,
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),

@@ -144,7 +144,7 @@ func NewMux(snap func() Snapshot, ready *Readiness) *http.ServeMux {
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = writeBuildInfoProm(w)
-		_ = WriteRuntimeProm(w)
+		_ = writeRuntimeProm(w)
 		_ = snap().WritePrometheus(w)
 	})
 	mux.HandleFunc("/healthz", handleHealthz)

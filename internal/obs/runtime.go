@@ -27,11 +27,11 @@ var runtimeSamples = []metrics.Sample{
 	{Name: "/sched/pauses/total/gc:seconds"},
 }
 
-// WriteRuntimeProm renders Go runtime health series — goroutines, heap
+// writeRuntimeProm renders Go runtime health series — goroutines, heap
 // bytes, cumulative allocated bytes, GC cycles, a GC pause histogram, and
 // open file descriptors — in Prometheus text format. Called per scrape by
 // the NewMux /metrics handler so every binary carries process vitals.
-func WriteRuntimeProm(w io.Writer) error {
+func writeRuntimeProm(w io.Writer) error {
 	samples := make([]metrics.Sample, len(runtimeSamples))
 	copy(samples, runtimeSamples)
 	metrics.Read(samples)

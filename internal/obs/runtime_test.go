@@ -11,7 +11,7 @@ import (
 func TestWriteRuntimeProm(t *testing.T) {
 	runtime.GC() // guarantee at least one GC cycle and pause sample
 	var sb strings.Builder
-	if err := WriteRuntimeProm(&sb); err != nil {
+	if err := writeRuntimeProm(&sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()

@@ -11,8 +11,12 @@ type HistogramSnapshot struct {
 }
 
 // Snapshot is a point-in-time copy of a registry, plain enough to gob
-// across the cluster wire (mpi.TagMetrics) and merge master-side.
+// across the cluster wire and merge master-side.
 type Snapshot struct {
+	// Origin identifies the registry the snapshot was taken of: a random
+	// non-zero id each registry draws once, so a collector can tell two
+	// snapshots of one registry from snapshots of two. Merge ignores it.
+	Origin   uint64
 	Counters map[string]uint64
 	Gauges   map[string]float64
 	Hists    map[string]HistogramSnapshot
@@ -34,6 +38,7 @@ func (r *Registry) Snapshot() Snapshot {
 		return emptySnapshot()
 	}
 	s := emptySnapshot()
+	s.Origin = r.origin
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	for name, c := range r.counters {

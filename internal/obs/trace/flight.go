@@ -32,19 +32,13 @@ type Flight struct {
 	full bool
 }
 
-// DefaultFlightEvents is the capacity of the process-wide recorder.
-const DefaultFlightEvents = 512
+// defaultFlightEvents is the capacity of the process-wide recorder.
+const defaultFlightEvents = 512
 
-// NewFlight returns a recorder keeping the last n events (n <= 0 selects
-// DefaultFlightEvents).
-func NewFlight(n int) *Flight {
-	if n <= 0 {
-		n = DefaultFlightEvents
-	}
-	return &Flight{buf: make([]Event, n)}
-}
+// newFlight returns a recorder keeping the last n events.
+func newFlight(n int) *Flight { return &Flight{buf: make([]Event, n)} }
 
-var defFlight = NewFlight(DefaultFlightEvents)
+var defFlight = newFlight(defaultFlightEvents)
 
 // DefaultFlight returns the process-wide flight recorder: span ends and
 // obs.Logger records land here automatically.

@@ -156,9 +156,9 @@ func (t *Tracer) SetPID(pid int) {
 	t.pid.Store(int64(pid))
 }
 
-// NextTID allocates a fresh worker-goroutine lane; 0 on a nil tracer
+// nextTID allocates a fresh worker-goroutine lane; 0 on a nil tracer
 // (lane 0 is the caller's own goroutine).
-func (t *Tracer) NextTID() int {
+func (t *Tracer) nextTID() int {
 	if t == nil {
 		return 0
 	}
@@ -373,7 +373,7 @@ func StartWorkerSpan(ctx context.Context, name string) (context.Context, *Active
 	if !ok || st.t == nil {
 		return ctx, nil
 	}
-	tid := st.t.NextTID()
+	tid := st.t.nextTID()
 	a := st.t.start(name, st.parent, tid)
 	return context.WithValue(ctx, ctxKey{}, ctxState{t: st.t, parent: a.Context(), tid: tid}), a
 }

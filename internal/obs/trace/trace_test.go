@@ -60,7 +60,7 @@ func TestNilTracerIsNoop(t *testing.T) {
 	}
 	tr.SetPID(7)
 	tr.Absorb([]Span{{Name: "y"}})
-	if tr.TraceID() != 0 || tr.NextTID() != 0 || tr.Len() != 0 {
+	if tr.TraceID() != 0 || tr.nextTID() != 0 || tr.Len() != 0 {
 		t.Fatal("nil tracer leaked state")
 	}
 }
@@ -267,7 +267,7 @@ func TestChromeRoundTrip(t *testing.T) {
 }
 
 func TestFlightRingEviction(t *testing.T) {
-	f := NewFlight(4)
+	f := newFlight(4)
 	for i := 0; i < 10; i++ {
 		f.Note("log", strings.Repeat("x", i+1))
 	}
