@@ -6,21 +6,22 @@
 
 GO ?= go
 
-.PHONY: check lint fcmavet allocgate vet build test test-race test-short bench bench-smoke size size-check fuzz chaos-soak serve-smoke
+.PHONY: check lint fcmavet vet build test test-race test-short bench bench-smoke size size-check fuzz chaos-soak serve-smoke
 
 check: lint build test
 
-# lint is a hard gate: unformatted files, vet findings (asmdecl included:
-# every assembly TEXT symbol's frame and argument offsets against its Go
-# declaration; copylocks: no value copy of a lock-bearing type), fcmavet
-# contract violations, hot-path heap escapes (allocgate), or an entry point
-# that serves, runs or distributes an analysis importing one of the
+# lint is a hard gate of four steps: unformatted files, vet findings
+# (asmdecl included: every assembly TEXT symbol's frame and argument
+# offsets against its Go declaration; copylocks: no value copy of a
+# lock-bearing type), fcmavet contract violations, or an entry point that
+# serves, runs or distributes an analysis importing one of the
 # experiment-only leaves — the machine model (internal/mic/...,
 # internal/report: only cmd/fcma-bench reaches them) or the paper's
 # comparators (internal/baseline: only fcma-bench, examples and tests do) —
 # all fail the build. Every gate runs even after an earlier one failed, so
-# one run names everything wrong and always leaves the fcmavet findings and
-# the allocgate escape report in LINTDIR, which CI uploads.
+# one run names everything wrong and always leaves the fcmavet findings in
+# LINTDIR, which CI uploads. Zero allocation on the hot paths is held by
+# the tier-1 AllocsPerRun pins (DESIGN.md §12), not here.
 MODEL_FREE = . ./cmd/fcma-run ./cmd/fcma-cluster ./cmd/fcma-serve ./cmd/fcma-gen
 LINTDIR ?= lint-out
 lint:
@@ -34,7 +35,6 @@ lint:
 	$(GO) vet ./... || status=1; \
 	$(GO) run ./cmd/fcmavet ./... > $(LINTDIR)/fcmavet.txt || status=1; \
 	cat $(LINTDIR)/fcmavet.txt; \
-	$(GO) run ./scripts/allocgate -out $(LINTDIR)/allocgate.txt || status=1; \
 	for root in $(MODEL_FREE); do \
 		leaf=$$($(GO) list -deps $$root | grep -E '^fcma/internal/(mic(/.*)?|report|baseline)$$' | tr '\n' ' '); \
 		if [ -n "$$leaf" ]; then \
@@ -47,11 +47,6 @@ lint:
 # fcmavet alone, for iterating on contract fixes.
 fcmavet:
 	$(GO) run ./cmd/fcmavet ./...
-
-# allocgate alone: hold //lint:hotpath functions to the compiler's
-# escape analysis.
-allocgate:
-	$(GO) run ./scripts/allocgate
 
 vet:
 	$(GO) vet ./...
@@ -113,8 +108,8 @@ size:
 # pass these ceilings, the values the last reduction PR left. A PR that needs more raises them
 # in its own diff, where a reviewer sees the growth; one that shrinks the
 # module lowers them.
-MAX_MODULE_LINES = 21128
-MAX_EXPORTED = 345
+MAX_MODULE_LINES = 20127
+MAX_EXPORTED = 336
 MAX_ASM_LINES = 2408
 size-check:
 	@lines=$$($(MODULE_LINES)); exported=$$($(EXPORTED)); asm=$$($(ASM_LINES)); status=0; \
@@ -153,7 +148,8 @@ serve-smoke:
 
 # Short native-fuzz pass over the untrusted-input parsers (NIfTI headers,
 # epoch files, MPI wire frames, the report body the cluster master decodes
-# from a worker, a write-ahead log's bytes on reopen, the service's JSON
+# from a worker and the task body a worker decodes from the master, a
+# write-ahead log's bytes on reopen, the service's JSON
 # job specs and dataset upload blobs), over
 # the vector kernels' bit-for-bit pin to the Go kernels: the blas FMA tiles
 # and strips (on every width the host runs), the Go twins' fma32 against
@@ -163,8 +159,8 @@ serve-smoke:
 # over the fused stage's pin to the buffer + batched syrk it replaced, and
 # over the bytes a restarted master or server replays: the journals' shared
 # score-block codec and each journal's record fold. FUZZTIME bounds each
-# target's run. The kernel, stage, log-replay, report and upload targets
-# turn input minimization off: shrinking every coverage-increasing input (up
+# target's run. The kernel, stage, log-replay, report, task and upload
+# targets turn input minimization off: shrinking every coverage-increasing input (up
 # to 60 s each by default) would eat the whole budget, and a smaller input is
 # no better a witness of equal bits (or, for the log, of equal records).
 FUZZTIME ?= 10s
@@ -187,6 +183,7 @@ fuzz:
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzJournalApply -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mpi/ -run '^$$' -fuzz FuzzReadFrame -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster/ -run '^$$' -fuzz FuzzMasterReport -fuzztime $(FUZZTIME) -fuzzminimizetime 0
+	$(GO) test ./internal/cluster/ -run '^$$' -fuzz FuzzWorkerTask -fuzztime $(FUZZTIME) -fuzzminimizetime 0
 	$(GO) test ./internal/wal/ -run '^$$' -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) -fuzzminimizetime 0
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzJobSpecDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzDatasetBlob -fuzztime $(FUZZTIME) -fuzzminimizetime 0

@@ -9,6 +9,7 @@ import (
 
 	"fcma/internal/cluster"
 	"fcma/internal/core"
+	"fcma/internal/corr"
 	"fcma/internal/fmri"
 	"fcma/internal/mvpa"
 	"fcma/internal/norm"
@@ -506,39 +507,55 @@ func SelectVoxelsDistributedContext(ctx context.Context, d *Data, cfg Config, wo
 // closed loop (selection quality grows with the session instead of
 // waiting for the full run).
 type StreamingSelector struct {
-	sel *rt.OnlineSelector
+	cfg   core.Config
+	stack *corr.EpochStack
 }
 
 // NewStreamingSelector builds a selector for a brain of the given size
 // and fixed epoch length.
 func NewStreamingSelector(cfg Config, brainVoxels, epochLen int) (*StreamingSelector, error) {
-	sel, err := rt.NewOnlineSelector(cfg.coreConfig(), brainVoxels, epochLen)
+	stack, err := corr.NewOnlineStack(brainVoxels, epochLen)
 	if err != nil {
 		return nil, err
 	}
-	return &StreamingSelector{sel: sel}, nil
+	return &StreamingSelector{cfg: cfg.coreConfig(), stack: stack}, nil
 }
 
 // FeedEpoch adds a completed epoch window (voxels×epochLen activity, all
 // brain voxels in dataset order) with its training label.
 func (s *StreamingSelector) FeedEpoch(window *tensor.Matrix, label int) error {
-	return s.sel.Feed(window, label)
+	return s.stack.AppendEpoch(window, label)
 }
 
-// Ready reports whether enough balanced data has arrived to select.
-func (s *StreamingSelector) Ready() bool { return s.sel.Ready() }
+// Ready reports whether enough balanced data has arrived to select: two
+// epochs of each condition, so every cross-validation training fold holds
+// both classes.
+func (s *StreamingSelector) Ready() bool { return s.stack.Balanced(2) }
 
 // Epochs returns how many epochs have been accumulated.
-func (s *StreamingSelector) Epochs() int { return s.sel.Epochs() }
+func (s *StreamingSelector) Epochs() int { return s.stack.M() }
 
 // Select ranks every voxel over the data received so far, best first.
 func (s *StreamingSelector) Select() ([]VoxelScore, error) {
-	return s.sel.SelectContext(context.Background())
+	return s.SelectContext(context.Background())
 }
 
 // SelectContext is Select with cooperative cancellation — a selection
 // run that outlives its real-time budget can be abandoned before the
-// next volume arrives.
+// next volume arrives. It runs whole-brain FCMA voxel selection over the
+// epochs received so far, with k-fold cross-validation over epochs (the
+// online regime).
 func (s *StreamingSelector) SelectContext(ctx context.Context) ([]VoxelScore, error) {
-	return s.sel.SelectContext(ctx)
+	if !s.Ready() {
+		return nil, fmt.Errorf("fcma: streaming selection needs at least 2 epochs per condition, have %d total", s.stack.M())
+	}
+	worker, err := core.NewWorker(s.cfg, s.stack, nil)
+	if err != nil {
+		return nil, err
+	}
+	scores, err := worker.ProcessContext(ctx, core.Task{V0: 0, V: s.stack.N})
+	if err != nil {
+		return nil, err
+	}
+	return core.TopVoxels(scores, 0), nil
 }

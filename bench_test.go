@@ -476,17 +476,6 @@ func BenchmarkClosedLoop(b *testing.B) {
 	}
 }
 
-// The library's namesake: one full N×N correlation matrix.
-func BenchmarkFullCorrelationMatrix(b *testing.B) {
-	st := benchStack(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := corr.FullMatrix(st, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // Distributed vs local selection through the public API.
 func BenchmarkDistributedSelection(b *testing.B) {
 	d := benchDataset(b, "bench-dist")

@@ -2,10 +2,8 @@
 // AST+type-based analyzers (internal/lint) that mechanically enforce the
 // contracts nothing else in `make check` fails on — panic containment via
 // internal/safe, context threading, float32 kernel determinism,
-// nil-is-off observability, MPI wire-protocol completeness, simulator
-// clock discipline, fsync-before-rename publication, bounded HTTP
-// servers, metric naming, and hot-path allocation discipline (DESIGN.md
-// §12 has the table).
+// fsync-before-rename publication, bounded HTTP servers and metric naming
+// (DESIGN.md §12 has the table).
 //
 // Usage:
 //

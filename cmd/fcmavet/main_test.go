@@ -53,7 +53,7 @@ func TestListIsTheRegistryInOrder(t *testing.T) {
 	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
 		names = append(names, strings.Fields(line)[0])
 	}
-	want := "rawgoroutine ctxflow f32purity nilsafeobs mpitags noclock fsyncrename httptimeouts obsnames allocfree"
+	want := "rawgoroutine ctxflow f32purity fsyncrename httptimeouts obsnames"
 	if got := strings.Join(names, " "); got != want {
 		t.Errorf("-list names:\n got %s\nwant %s", got, want)
 	}
@@ -67,6 +67,7 @@ func TestFlagErrorsExitTwo(t *testing.T) {
 	}{
 		{"unknown analyzer", []string{"-analyzers", "nosuch"}, `fcmavet: unknown analyzer "nosuch" (see fcmavet -list)`},
 		{"removed analyzer", []string{"-analyzers", "lockcopy"}, `fcmavet: unknown analyzer "lockcopy"`},
+		{"retired analyzer", []string{"-analyzers", "obsnames,allocfree"}, `fcmavet: unknown analyzer "allocfree"`},
 		{"retired json flag", []string{"-json", "./..."}, "flag provided but not defined: -json"},
 	} {
 		code, out := run(t, tc.args...)

@@ -94,8 +94,6 @@ func (t TallSkinny) Gemm(C, A, B *tensor.Matrix) {
 // rows two at a time through the strip kernels; the odd last row goes
 // through them paired with itself, so both halves compute and store the
 // same bits.
-//
-//lint:hotpath stage-1 gemm inner driver, called once per column block per worker
 func gemmBlocks(C, A, B *tensor.Matrix, b0, b1, nb int) {
 	m, k, n := A.Rows, A.Cols, B.Cols
 	for b := b0; b < b1; b++ {
@@ -114,8 +112,6 @@ func gemmBlocks(C, A, B *tensor.Matrix, b0, b1, nb int) {
 // path all of them in one assembly call, whose last column group runs
 // masked; otherwise (and for k = 0) a row at a time in gemmRowStrip. The
 // reslices bounds-check everything the assembly touches.
-//
-//lint:hotpath gemm two-row strip dispatch, once per row pair per column block
 func gemmStrip2(c0, c1, a0, a1 []float32, B *tensor.Matrix, j0, w, k int) {
 	if lanes == 0 || k == 0 {
 		gemmRowStrip(c0, a0, B, j0, w, k)
@@ -219,14 +215,11 @@ func (s *SyrkAcc) Add(C, A *tensor.Matrix, j0, n, block int) {
 // add is Add without the checks and the slice counter (Syrk has its own
 // of both). One buffer holds the staged panel and, behind it, the four-row
 // scratch band of syrkBlockKernel.
-//
-//lint:hotpath syrk slice driver, once per column range per matrix
 func (s *SyrkAcc) add(C, A *tensor.Matrix, j0, n, block int) {
 	mp := padRows(A.Rows)
 	for end := j0 + n; j0 < end; j0 += block {
 		w := min(block, end-j0)
 		if cap(s.tbuf) < mp*(w+4) {
-			//lint:allow allocfree grows only for a panel larger than any before it
 			s.tbuf = make([]float32, mp*(w+4))
 		}
 		panel := s.tbuf[:mp*w]
@@ -247,8 +240,6 @@ func padRows(m int) int { return (m + 3) &^ 3 }
 // groups and packTransposed the last m%4 rows and w%8 columns; otherwise
 // packTransposed moves all of it. It is a copy, so the split cannot show
 // in any bit.
-//
-//lint:hotpath syrk panel pack, once per slice
 func stagePanel(dst []float32, A *tensor.Matrix, j0, w int) {
 	m, i := A.Rows, 0
 	mp := padRows(m)
@@ -270,8 +261,6 @@ func stagePanel(dst []float32, A *tensor.Matrix, j0, w int) {
 
 // packTransposed copies the r×c block of src at (i0, j0) into dst
 // transposed, with leading dimension ld: dst[j*ld+i] = src[i0+i, j0+j].
-//
-//lint:hotpath syrk panel pack, the Go path and the AVX2 path's edges
 func packTransposed(dst []float32, ld int, src *tensor.Matrix, i0, j0, r, c int) {
 	for i := 0; i < r; i++ {
 		row := src.Data[(i0+i)*src.Stride+j0 : (i0+i)*src.Stride+j0+c]
@@ -322,8 +311,6 @@ func (t TallSkinny) Syrk(C, A *tensor.Matrix) {
 // twin's. A tile that reaches past the diagonal also adds (correct,
 // symmetric) sums into lanes above it. Nothing reads those:
 // SyrkAcc.Finish overwrites the upper triangle last.
-//
-//lint:hotpath syrk register-block driver, called once per panel per worker
 func syrkBlockKernel(C *tensor.Matrix, tbuf, band []float32, m, w int) {
 	mp := padRows(m)
 	if lanes == 0 {
@@ -354,8 +341,6 @@ func syrkBlockKernel(C *tensor.Matrix, tbuf, band []float32, m, w int) {
 // at or left of the diagonal block and ends within limit columns: 4×16 ZMM
 // tiles, then 4×8 YMM tiles, then 4×4 XMM tiles up to and including the
 // diagonal block.
-//
-//lint:hotpath syrk band dispatch, once per four rows per panel
 func syrkBand(c []float32, ldc int, tbuf []float32, i0, limit, mp, w int) {
 	// Bounds-check once what the tiles address through raw pointers.
 	c = c[:3*ldc+limit]

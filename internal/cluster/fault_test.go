@@ -3,6 +3,8 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -592,6 +594,101 @@ func FuzzMasterReport(f *testing.F) {
 		}
 		if m.unscored != n-booked {
 			t.Fatalf("%d voxels unscored with %d of %d booked", m.unscored, booked, n)
+		}
+	})
+}
+
+// workerScript is rank 1 of a two-rank world: Recv hands out the scripted
+// messages from the master and then reports the transport closed; Send
+// records what the worker sends.
+type workerScript struct {
+	mu   sync.Mutex
+	in   []mpi.Message
+	sent []mpi.Message
+}
+
+func (s *workerScript) Rank() int    { return 1 }
+func (s *workerScript) Size() int    { return 2 }
+func (s *workerScript) Close() error { return nil }
+
+func (s *workerScript) Send(_ int, tag mpi.Tag, body []byte) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.sent = append(s.sent, mpi.Message{From: 1, Tag: tag, Body: body})
+	return nil
+}
+
+func (s *workerScript) Recv() (mpi.Message, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.in) == 0 {
+		return mpi.Message{}, mpi.ErrClosed
+	}
+	msg := s.in[0]
+	s.in = s.in[1:]
+	return msg, nil
+}
+
+// FuzzWorkerTask feeds arbitrary bytes to a worker as the body of a task
+// message, followed by a stop. The worker must not panic, must stop
+// cleanly, and must answer the task with exactly one report. A body that
+// does not decode, or names voxels outside [0, N), gets a report with Err
+// set and no scores — a refusal, not a panic the worker contained; any
+// other task gets the scores of exactly its voxels.
+func FuzzWorkerTask(f *testing.F) {
+	st := testStack(f)
+	n := st.N
+	w, err := core.NewWorker(core.Optimized(), st, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	add := func(tm taskMsg) []byte {
+		body, err := encode(tm)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+		return body
+	}
+	valid := add(taskMsg{V0: 4, V: 8, Trace: 1, Span: 2})
+	f.Add(valid[:len(valid)/2])
+	add(taskMsg{V0: -1, V: 8})
+	add(taskMsg{V0: 4, V: 0})
+	add(taskMsg{V0: n - 4, V: 8})
+	add(taskMsg{V0: math.MaxInt - 1, V: 8}) // V0+V wraps negative
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		tr := &workerScript{in: []mpi.Message{{Tag: mpi.TagTask, Body: body}, {Tag: mpi.TagStop}}}
+		if err := RunWorkerCtx(context.Background(), tr, w, WorkerOptions{HeartbeatInterval: -1, Obs: obs.NewRegistry()}); err != nil {
+			t.Fatalf("worker: %v", err)
+		}
+		var reports []mpi.Message
+		for _, m := range tr.sent {
+			if m.Tag == mpi.TagResult {
+				reports = append(reports, m)
+			}
+		}
+		if len(reports) != 1 {
+			t.Fatalf("worker sent %d reports on one task, want 1 (all sends: %v)", len(reports), tr.sent)
+		}
+		var rep report
+		if err := decode(reports[0].Body, &rep); err != nil {
+			t.Fatalf("worker's report does not decode: %v", err)
+		}
+		var tm taskMsg
+		if decode(body, &tm) != nil || tm.V <= 0 || tm.V0 < 0 || tm.V > n-tm.V0 {
+			if rep.Err == "" || len(rep.Scores) != 0 || strings.Contains(rep.Err, "panic") {
+				t.Fatalf("task %+v: report has Err %q and %d scores, want a refusal (not a contained panic) and none", tm, rep.Err, len(rep.Scores))
+			}
+			return
+		}
+		if rep.Err != "" || len(rep.Scores) != tm.V {
+			t.Fatalf("task %+v: report has Err %q and %d scores, want %d scores", tm, rep.Err, len(rep.Scores), tm.V)
+		}
+		for _, s := range rep.Scores {
+			if s.Voxel < tm.V0 || s.Voxel >= tm.V0+tm.V {
+				t.Fatalf("task %+v: scored voxel %d", tm, s.Voxel)
+			}
 		}
 	})
 }

@@ -135,7 +135,7 @@ func NewWorker(cfg Config, stack *corr.EpochStack, folds []svm.Fold) (*Worker, e
 // in any stage surfaces as a *safe.PipelineError naming the stage and
 // voxel range instead of killing the process.
 func (w *Worker) ProcessContext(ctx context.Context, t Task) ([]VoxelScore, error) {
-	if t.V <= 0 || t.V0 < 0 || t.V0+t.V > w.stack.N {
+	if t.V <= 0 || t.V0 < 0 || t.V > w.stack.N-t.V0 { // not V0+V: it can wrap
 		return nil, fmt.Errorf("core: task voxels [%d,%d) outside brain of %d", t.V0, t.V0+t.V, w.stack.N)
 	}
 	reg := w.cfg.obsReg()

@@ -125,3 +125,14 @@ func TestRunIntoRejectsWrongShape(t *testing.T) {
 	}()
 	_ = p.RunInto(context.Background(), st, 0, 4, tensor.NewMatrix(3, st.N))
 }
+
+// Eq. 2's per-row normalization runs once per voxel row of every epoch
+// when a stack is built or an epoch is appended; the row itself allocates
+// nothing.
+func TestNormalizeVectorAllocsZero(t *testing.T) {
+	src := []float32{1, 4, 2, 8, 5, 7, 3, 6, 9, 0, 2, 4}
+	dst := make([]float32, len(src))
+	if n := testing.AllocsPerRun(100, func() { normalizeVector(dst, src) }); n != 0 {
+		t.Fatalf("normalizeVector allocates %v per run, want 0", n)
+	}
+}

@@ -63,7 +63,6 @@ func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 // headroom.
 //
 //lint:allow f32purity float64 rss accumulation for numerical stability; outputs stay float32
-//lint:hotpath called once per voxel row of every epoch
 func normalizeVector(dst, src []float32) {
 	mean := float32(tensor.Mean(src))
 	var rss float64

@@ -355,48 +355,27 @@ func testPipelineGemmImplsAgree(t *testing.T) {
 	}
 }
 
-func TestFullMatrixMatchesPearson(t *testing.T) {
-	d := testDataset(t)
-	st, err := BuildEpochStackContext(context.Background(), d, 0)
+func TestAppendEpochValidation(t *testing.T) {
+	st, err := NewOnlineStack(8, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	C, err := FullMatrix(st, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if C.Rows != d.Voxels() || C.Cols != d.Voxels() {
-		t.Fatalf("matrix %dx%d", C.Rows, C.Cols)
-	}
-	ep := d.Epochs[2]
-	// Spot check a grid of entries against the Pearson oracle, symmetry,
-	// and a unit diagonal.
-	for i := 0; i < d.Voxels(); i += 7 {
-		if diff := math.Abs(float64(C.At(i, i)) - 1); diff > 1e-4 {
-			t.Fatalf("diagonal (%d,%d) = %v", i, i, C.At(i, i))
-		}
-		for j := 0; j < d.Voxels(); j += 11 {
-			want := Pearson(
-				d.Data.Row(i)[ep.Start:ep.Start+ep.Len],
-				d.Data.Row(j)[ep.Start:ep.Start+ep.Len])
-			if diff := math.Abs(float64(C.At(i, j)) - want); diff > 1e-4 {
-				t.Fatalf("(%d,%d): %v vs %v", i, j, C.At(i, j), want)
-			}
-			if C.At(i, j) != C.At(j, i) {
-				t.Fatalf("asymmetry at (%d,%d)", i, j)
-			}
-		}
-	}
-}
-
-func TestFullMatrixEpochRange(t *testing.T) {
 	d := testDataset(t)
-	st, _ := BuildEpochStackContext(context.Background(), d, 0)
-	if _, err := FullMatrix(st, -1); err == nil {
-		t.Fatal("negative epoch accepted")
+	win := d.EpochData(d.Epochs[0]) // 48 voxels, wrong width for an 8-voxel stack
+	if err := st.AppendEpoch(win.Clone(), 0); err == nil {
+		t.Fatal("wrong-shape window accepted")
 	}
-	if _, err := FullMatrix(st, st.M()); err == nil {
-		t.Fatal("out-of-range epoch accepted")
+	if err := st.AppendEpoch(tensor.NewMatrix(8, 12), 2); err == nil {
+		t.Fatal("non-binary label accepted")
+	}
+	if st.M() != 0 {
+		t.Fatalf("rejected windows left %d epochs on the stack", st.M())
+	}
+	if _, err := NewOnlineStack(0, 12); err == nil {
+		t.Fatal("zero voxels accepted")
+	}
+	if _, err := NewOnlineStack(8, 1); err == nil {
+		t.Fatal("epoch length 1 accepted")
 	}
 }
 

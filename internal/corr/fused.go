@@ -65,7 +65,7 @@ func (p *Pipeline) fusedBlocks(st *EpochStack, V int) (vb, cb int) {
 // No work item allocates: a warm run costs the kernels and a constant number
 // of objects more, whatever V and N are.
 func (p *Pipeline) RunKernels(ctx context.Context, st *EpochStack, v0, V int) ([]tensor.Matrix, error) {
-	if V <= 0 || v0 < 0 || v0+V > st.N {
+	if V <= 0 || v0 < 0 || V > st.N-v0 { // not v0+V: it can wrap
 		return nil, fmt.Errorf("corr: voxels [%d,%d) outside brain of %d", v0, v0+V, st.N)
 	}
 	M := st.M()
@@ -109,8 +109,6 @@ func (p *Pipeline) RunKernels(ctx context.Context, st *EpochStack, v0, V int) ([
 // fusedItem computes the kernel matrices (zeroed on entry) of the voxel
 // block [v0, v0+len(kernels)), one cb-wide column block at a time in
 // ascending order.
-//
-//lint:hotpath fused stage-1+2+kernel work item, once per voxel block
 func (p *Pipeline) fusedItem(st *EpochStack, kernels []tensor.Matrix, g blas.Sgemm, inst *pipelineInst, v0, cb int) {
 	M, N, E, T := st.M(), st.N, st.E, st.T
 	vh := len(kernels)

@@ -155,7 +155,7 @@ func (p *Pipeline) RunContext(ctx context.Context, st *EpochStack, v0, V int) (*
 
 // RunInto is RunContext writing into a caller-provided buffer. No work
 // item allocates: every scratch block comes from a pool and the item
-// bodies are //lint:hotpath, so a warm run costs one heap object per stage
+// bodies allocate nothing, so a warm run costs one heap object per stage
 // pass (the item closure handed to the driver) whatever V is; pinned by
 // alloc_test.go.
 //
@@ -192,8 +192,6 @@ func (p *Pipeline) computeCorrelations(ctx context.Context, st *EpochStack, v0, 
 }
 
 // correlateEpoch computes epoch e's V×N correlation strip into buf.
-//
-//lint:hotpath stage-1 work item, once per epoch
 func (p *Pipeline) correlateEpoch(st *EpochStack, buf *tensor.Matrix, g blas.Sgemm, inst *pipelineInst, v0, V, e int) {
 	sc := corrPool.Get().(*corrScratch)
 	sc.A.Reuse(V, st.T)
@@ -223,8 +221,6 @@ func (p *Pipeline) normalizeSeparated(ctx context.Context, st *EpochStack, buf *
 
 // normalizeVoxel applies Fisher + within-subject z-scoring to voxel v's
 // M rows of the separated buffer.
-//
-//lint:hotpath separated stage-2 work item, once per voxel
 func (p *Pipeline) normalizeVoxel(st *EpochStack, buf *tensor.Matrix, inst *pipelineInst, v int) {
 	M, N, E := st.M(), st.N, st.E
 	sc := corrPool.Get().(*corrScratch)
@@ -276,8 +272,6 @@ func (p *Pipeline) runMerged(ctx context.Context, st *EpochStack, v0, V int, buf
 
 // mergedItem computes one (voxel block × column block) unit of the merged
 // pipeline into buf.
-//
-//lint:hotpath merged stage-1+2 work item, once per (voxel block, column block)
 func (p *Pipeline) mergedItem(st *EpochStack, buf *tensor.Matrix, g blas.Sgemm, inst *pipelineInst, v0, V, vb, cb, nBlocks, item int) {
 	M, N, E, T := st.M(), st.N, st.E, st.T
 	sc := corrPool.Get().(*corrScratch)

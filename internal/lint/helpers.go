@@ -74,15 +74,6 @@ func typeIs(t types.Type, pkgPath, name string) bool {
 	return obj.Pkg() != nil && obj.Pkg().Path() == pkgPath && obj.Name() == name
 }
 
-// isStringType reports whether t's underlying type is a string type.
-func isStringType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsString != 0
-}
-
 // isContextType reports whether t is context.Context.
 func isContextType(t types.Type) bool { return typeIs(t, "context", "Context") }
 

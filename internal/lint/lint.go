@@ -1,13 +1,11 @@
 // Package lint is fcmavet's analysis framework: a dependency-free
 // miniature of the go/analysis model (stdlib go/ast + go/types only) that
-// mechanically enforces the repo's load-bearing contracts — panic
-// containment, context flow, float32 kernel determinism, nil-is-off
-// observability, the MPI wire protocol, simulator clock discipline,
-// crash-safe publication, bounded HTTP servers, metric naming, and
-// hot-path allocation. Each invariant is one Analyzer; the
-// cmd/fcmavet driver loads every package in the module and runs the whole
-// suite, so a contract introduced in one PR cannot silently rot in the
-// next.
+// mechanically enforces the repo's load-bearing contracts that no test
+// holds — panic containment, context flow, float32 kernel determinism,
+// crash-safe publication, bounded HTTP servers and metric naming. Each
+// invariant is one Analyzer; the cmd/fcmavet driver loads every package
+// in the module and runs the whole suite, so a contract introduced in one
+// PR cannot silently rot in the next.
 //
 // Findings can be suppressed where a contract is deliberately bent, but
 // only with a stated reason (see the directive syntax on Directive):
@@ -17,16 +15,9 @@
 //	                                       the whole declaration
 //	//lint:file-allow <analyzer> <reason>  the whole file
 //
-// One further directive feeds analyzers instead of suppressing them; it
-// lives in a function declaration's doc comment:
-//
-//	//lint:hotpath <why>  the function is a zero-allocation hot path:
-//	                      allocfree checks its body and scripts/allocgate
-//	                      holds it to the compiler's escape analysis
-//
-// A directive that does not parse or that names an unknown analyzer is
-// itself a diagnostic (CheckDirectives), so the escape hatch cannot decay
-// into noise.
+// A directive that does not parse, that uses another verb, or that names
+// an unknown analyzer is itself a diagnostic (CheckDirectives), so the
+// escape hatch cannot decay into noise.
 package lint
 
 import (
@@ -39,9 +30,8 @@ import (
 )
 
 // An Analyzer is one invariant checker. Run inspects a single package
-// (through its Pass) and reports findings; analyzers that need a
-// program-wide view (e.g. mpitags) reach sibling packages via
-// Pass.Prog.Passes.
+// (through its Pass) and reports findings; an analyzer that needs a
+// program-wide view reaches sibling packages via Pass.Prog.Passes.
 type Analyzer struct {
 	// Name is the registry key, used in diagnostics and allow directives.
 	Name string
@@ -149,7 +139,6 @@ type Directive struct {
 const (
 	allowPrefix     = "//lint:allow"
 	fileAllowPrefix = "//lint:file-allow"
-	hotpathPrefix   = "//lint:hotpath"
 	directivePrefix = "//lint:"
 )
 
@@ -173,14 +162,6 @@ type suppression struct {
 	fileAllows map[string]map[string]bool
 	// spans are line- and declaration-scoped allows.
 	spans []Directive
-}
-
-// Suppressed reports whether an allow directive covers a diagnostic of
-// the named analyzer at pos. Exported for out-of-process gates
-// (scripts/allocgate) that honor the same escape hatch as in-process
-// analyzers.
-func (prog *Program) Suppressed(analyzer string, pos token.Position) bool {
-	return prog.suppressed(analyzer, pos)
 }
 
 // suppressed reports whether an allow directive covers the diagnostic.
@@ -249,24 +230,11 @@ func buildSuppression(fset *token.FileSet, passes []*Pass) *suppression {
 	return s
 }
 
-// funcDocs indexes a file's comment groups that serve as a function
-// declaration's doc comment — the only place //lint:hotpath may appear.
-func funcDocs(f *ast.File) map[*ast.CommentGroup]*ast.FuncDecl {
-	docs := make(map[*ast.CommentGroup]*ast.FuncDecl)
-	for _, decl := range f.Decls {
-		if fd, ok := decl.(*ast.FuncDecl); ok && fd.Doc != nil {
-			docs[fd.Doc] = fd
-		}
-	}
-	return docs
-}
-
-// CheckDirectives validates every //lint: comment in the program:
-// malformed directives (missing analyzer or reason) and directives naming
-// an analyzer not in the registry are reported, attributed to the
-// "fcmavet" pseudo-analyzer; //lint:hotpath must additionally sit in a
-// function declaration's doc comment, since it describes that function.
-// The escape hatch stays load-bearing only if it cannot silently misfire.
+// CheckDirectives validates every //lint: comment in the program: other
+// verbs (a retired directive's included), malformed directives (missing
+// analyzer or reason) and directives naming an analyzer not in the
+// registry are reported, attributed to the "fcmavet" pseudo-analyzer. The
+// escape hatch stays load-bearing only if it cannot silently misfire.
 func CheckDirectives(prog *Program, analyzers []*Analyzer) []Diagnostic {
 	known := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
@@ -278,9 +246,7 @@ func CheckDirectives(prog *Program, analyzers []*Analyzer) []Diagnostic {
 	}
 	for _, pass := range prog.Passes {
 		for _, f := range pass.Files {
-			docs := funcDocs(f)
 			for _, cg := range f.Comments {
-				_, isFuncDoc := docs[cg]
 				for _, c := range cg.List {
 					if !strings.HasPrefix(c.Text, directivePrefix) {
 						continue
@@ -293,13 +259,8 @@ func CheckDirectives(prog *Program, analyzers []*Analyzer) []Diagnostic {
 						analyzer, _, ok = parseDirective(c.Text, fileAllowPrefix)
 					case strings.HasPrefix(c.Text, allowPrefix):
 						analyzer, _, ok = parseDirective(c.Text, allowPrefix)
-					case hotpathDirective(c.Text):
-						if !isFuncDoc {
-							report(pos, "//lint:hotpath must be in a function declaration's doc comment")
-						}
-						continue
 					default:
-						report(pos, "unknown lint directive %q (want //lint:allow, //lint:file-allow, or //lint:hotpath)", firstWord(c.Text))
+						report(pos, "unknown lint directive %q (want //lint:allow or //lint:file-allow)", firstWord(c.Text))
 						continue
 					}
 					if !ok {
@@ -315,13 +276,6 @@ func CheckDirectives(prog *Program, analyzers []*Analyzer) []Diagnostic {
 	}
 	SortDiagnostics(diags)
 	return diags
-}
-
-// hotpathDirective reports whether the comment is a //lint:hotpath
-// directive (the trailing rationale is optional).
-func hotpathDirective(text string) bool {
-	rest := strings.TrimPrefix(text, hotpathPrefix)
-	return rest != text && (rest == "" || rest[0] == ' ' || rest[0] == '\t')
 }
 
 func firstWord(s string) string {

@@ -9,12 +9,8 @@ func All() []*Analyzer {
 		RawGoroutine,
 		CtxFlow,
 		F32Purity,
-		NilSafeObs,
-		MPITags,
-		NoClock,
 		FsyncRename,
 		HTTPTimeouts,
 		ObsNames,
-		Allocfree,
 	}
 }

@@ -213,3 +213,64 @@ func TestXeonContrastWeaker(t *testing.T) {
 		t.Fatalf("speedup on Xeon (%v) should be smaller than on Phi (%v)", xeon, phi)
 	}
 }
+
+// The model is deterministic: two fresh machines driven through the same
+// access driver report identical counters, cache statistics and
+// EstimateTime. Tables 1 and 5–8 are regenerated from these numbers, so a
+// wall-clock read or a globally seeded random draw anywhere in the cache
+// or a driver would make them differ run to run.
+func TestDriversAreDeterministic(t *testing.T) {
+	s := smallShape()
+	s.V, s.N = 4, 1024 // B is still 48 KB, past the 32 KB L1
+	sv := s
+	sv.M, sv.E, sv.TrainSamples, sv.Folds = 216, 12, 204, 1 // K is 182 KB
+	svm := SVMOptions{Voxels: 1}
+	for _, d := range []struct {
+		name   string
+		driver func(*mic.Machine)
+	}{
+		{"GemmBaseline", func(m *mic.Machine) { GemmBaseline(m, s) }},
+		{"GemmTallSkinny", func(m *mic.Machine) { GemmTallSkinny(m, s, 1024) }},
+		{"SyrkBaseline", func(m *mic.Machine) { SyrkBaseline(m, 48, s.N) }},
+		{"SyrkTallSkinny", func(m *mic.Machine) { SyrkTallSkinny(m, 48, s.N, 96) }},
+		{"NormalizeBaseline", func(m *mic.Machine) { NormalizeBaseline(m, s) }},
+		{"StagesSeparated", func(m *mic.Machine) { StagesSeparated(m, s, 1024) }},
+		{"StagesMerged", func(m *mic.Machine) { StagesMerged(m, s, 1024) }},
+		{"SVMLibSVM", func(m *mic.Machine) { SVMLibSVM(m, sv, svm) }},
+		{"SVMOptimized", func(m *mic.Machine) { SVMOptimized(m, sv, svm) }},
+		{"SVMPhi", func(m *mic.Machine) { SVMPhi(m, sv, svm) }},
+	} {
+		for _, cfg := range []mic.Config{mic.XeonPhi5110P(), mic.XeonE5_2670()} {
+			a, b := Run(cfg, d.driver), Run(cfg, d.driver)
+			if a.Counters != b.Counters || a.ActiveThreads != b.ActiveThreads {
+				t.Errorf("%s on %s: counters differ between runs:\n%+v\n%+v", d.name, cfg.Name, a.Counters, b.Counters)
+			}
+			for _, c := range [][2]*mic.Cache{{a.L1, b.L1}, {a.L2, b.L2}} {
+				if c[0].Hits != c[1].Hits || c[0].Misses != c[1].Misses {
+					t.Errorf("%s on %s: cache hits/misses differ between runs: %d/%d vs %d/%d",
+						d.name, cfg.Name, c[0].Hits, c[0].Misses, c[1].Hits, c[1].Misses)
+				}
+			}
+			if ta, tb := a.EstimateTime(), b.EstimateTime(); ta != tb {
+				t.Errorf("%s on %s: EstimateTime %v vs %v", d.name, cfg.Name, ta, tb)
+			}
+		}
+	}
+}
+
+// The vector load and store of every traced kernel allocate nothing once
+// the lines they touch have been seen.
+func TestVectorTraceAllocsZero(t *testing.T) {
+	m := mic.NewMachine(mic.XeonPhi5110P())
+	base := m.Alloc(1 << 12)
+	trace := func() {
+		for off := uint64(0); off < 1<<12; off += 60 { // aligned and unaligned
+			loadVec(m, base+off, 16)
+			storeVec(m, base+off, 16)
+		}
+	}
+	trace() // every line enters the machine's seen set
+	if n := testing.AllocsPerRun(20, trace); n != 0 {
+		t.Fatalf("warm vector loads and stores allocate %v per run, want 0", n)
+	}
+}

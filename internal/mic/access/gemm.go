@@ -6,8 +6,6 @@ import "fcma/internal/mic"
 // an unaligned vector load is an unpack-low/unpack-high instruction pair,
 // so misaligned addresses cost a second reference — one reason real
 // kernels keep staging buffers aligned.
-//
-//lint:hotpath one call per traced vector load
 func loadVec(m *mic.Machine, addr uint64, lanes int) {
 	m.Load(addr, lanes*4)
 	m.VectorOp(lanes, 0)
@@ -19,8 +17,6 @@ func loadVec(m *mic.Machine, addr uint64, lanes int) {
 
 // storeVec records one vector store instruction (packstore pair when
 // unaligned on KNC).
-//
-//lint:hotpath one call per traced vector store
 func storeVec(m *mic.Machine, addr uint64, lanes int) {
 	m.Store(addr, lanes*4)
 	m.VectorOp(lanes, 0)

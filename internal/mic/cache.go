@@ -41,8 +41,6 @@ func NewCache(size, assoc, lineSize int) *Cache {
 
 // Access touches the line containing addr and reports whether it hit.
 // On a miss the line is installed, evicting the LRU way.
-//
-//lint:hotpath one call per simulated memory reference
 func (c *Cache) Access(addr uint64) bool {
 	line := addr / uint64(c.lineSize)
 	set := int(line % uint64(c.nSets))

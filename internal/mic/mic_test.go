@@ -286,3 +286,18 @@ func TestRemoteL2CheaperThanDRAM(t *testing.T) {
 		t.Fatal("remote-L2 misses must be cheaper than DRAM misses")
 	}
 }
+
+// The cache simulator runs once per simulated memory reference; an access
+// allocates nothing, hit or miss.
+func TestCacheAccessAllocsZero(t *testing.T) {
+	c := NewCache(1024, 2, 64)
+	var addr uint64
+	if n := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 64; i++ {
+			c.Access(addr)
+			addr += 40
+		}
+	}); n != 0 {
+		t.Fatalf("Access allocates %v per run, want 0", n)
+	}
+}

@@ -72,8 +72,6 @@ const (
 // float32(ClampR) (±Inf included) maps to ±float32(atanh(ClampR)), NaN maps
 // to NaN, and everything else is within 1 ulp of the float64 atanh rounded
 // to float32 (the tests allow 4), exactly odd, and non-decreasing.
-//
-//lint:hotpath the Fisher kernel, run once per correlation coefficient
 func FisherZ(r float32) float32 {
 	s := r * r
 	if s >= fisherSplit2 {

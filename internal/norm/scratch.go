@@ -56,8 +56,6 @@ func (s *Scratch) grow(cols, goCols int) {
 // place, a rows×cols block whose rows are stride elements apart in data
 // (stride >= cols) — the layout of the pipeline's interleaved blocks. It
 // is allocation-free once the scratch is warm.
-//
-//lint:hotpath stage-2 entry, called once per correlation block
 func (s *Scratch) FisherThenZScoreStrided(data []float32, rows, cols, stride int) {
 	s.sweep(data, stride, data, rows, cols, stride, true)
 }
@@ -67,8 +65,6 @@ func (s *Scratch) FisherThenZScoreStrided(data []float32, rows, cols, stride int
 // instead of back over data: the merged pipeline normalizes out of its
 // cache-resident block straight into the output buffer. data is left
 // holding the Fisher-transformed coefficients; dst must not overlap it.
-//
-//lint:hotpath stage-2 entry of the merged pipeline, called once per correlation block
 func (s *Scratch) FisherThenZScoreInto(dst []float32, dstStride int, data []float32, rows, cols, stride int) {
 	s.sweep(dst, dstStride, data, rows, cols, stride, true)
 }
@@ -90,24 +86,20 @@ func (s *Scratch) FisherThenZScoreInto(dst []float32, dstStride int, data []floa
 // walking row-major so the accesses stay unit-stride.
 //
 //lint:allow f32purity float64 moment accumulation per the paper's §4.3; scale/shift re-enter float32
-//lint:hotpath the one Fisher+moments+scale sweep, run over every correlation block
 func (s *Scratch) sweep(dst []float32, dstStride int, data []float32, rows, cols, stride int, fisher bool) {
 	if rows == 0 || cols == 0 {
 		return
 	}
 	if stride < cols || dstStride < cols {
-		//lint:allow allocfree cold caller-bug panic; the message string boxes once
 		panic("norm: stride shorter than cols")
 	}
 	if len(data) < (rows-1)*stride+cols || len(dst) < (rows-1)*dstStride+cols {
-		//lint:allow allocfree cold caller-bug panic; the message string boxes once
 		panic("norm: block shorter than rows*stride")
 	}
 	vec, lanes := 0, blas.Lanes()
 	if lanes > 0 {
 		vec = cols &^ 7
 	}
-	//lint:allow allocfree grow allocates only on a width increase (allocgate sees its makes whenever it inlines here)
 	s.grow(cols, cols-vec)
 	if vec > 0 {
 		if fisher && lanes == 16 {

@@ -1,6 +1,7 @@
 package norm
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -66,6 +67,20 @@ func TestScratchAllocsPerRunZero(t *testing.T) {
 			t.Fatalf("warm scratch allocates %v per run, want 0", n)
 		}
 	})
+}
+
+// FisherZ is the scalar kernel a per-coefficient caller runs (the sweep
+// has its own row loops); it allocates nothing on any regime.
+func TestFisherZAllocsZero(t *testing.T) {
+	var sink float32
+	if n := testing.AllocsPerRun(20, func() {
+		for _, r := range []float32{0, 0.3, -0.7, 0.99, 1, float32(math.NaN())} {
+			sink += FisherZ(r)
+		}
+	}); n != 0 {
+		t.Fatalf("FisherZ allocates %v per run, want 0", n)
+	}
+	_ = sink
 }
 
 func TestScratchStrideValidation(t *testing.T) {

@@ -215,6 +215,7 @@ func TestDisabledStartSpanZeroAllocs(t *testing.T) {
 	allocs = testing.AllocsPerRun(100, func() {
 		sp := tr.StartRoot("x")
 		sp.SetAttr("k", "v")
+		sp.SetInt("n", 12345)
 		sp.End()
 	})
 	if allocs != 0 {

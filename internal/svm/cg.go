@@ -14,8 +14,6 @@ import "math"
 // O(n) loops a step runs are the passes of a cgPath, in Go or assembly,
 // bit for bit; the two that run once per phase or per restart, startGo
 // and releaseGo, are Go on every path.
-//
-//lint:hotpath once per fold that SMO has not closed in 2n iterations
 func (s *smo32) conjugate() (steps int) {
 	n := s.n
 	cg := &cgGo

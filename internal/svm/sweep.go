@@ -20,8 +20,6 @@ import "math"
 // This loop is the reference and the only path off amd64. On a vector
 // kernel path (smo32.lanes) the same pass runs in sweep_amd64.s, in two eight-lane scans, inside the
 // assembly loop that also holds step.
-//
-//lint:hotpath once per SMO iteration, the stage-3 inner loop
 func (s *smo32) sweep(i, j int, cyi, cyj float32) (int, int, bool) {
 	v := s.v
 	n := len(v)
