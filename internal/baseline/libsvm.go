@@ -3,8 +3,6 @@ package baseline
 // This file is the float64 reference solver — the paper's LibSVM
 // comparison point, which the float32 production solvers are validated
 // against — so it is float64 by definition.
-//
-//lint:file-allow f32purity float64 reference solver by definition; the float32 path is checked against it
 
 import (
 	"fmt"

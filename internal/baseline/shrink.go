@@ -82,8 +82,6 @@ func (s *smo64) beShrunk(t int, gmax1, gmax2 float64) bool {
 // doShrink removes confidently bounded variables from the active set.
 // As in LibSVM, shrinking only begins once the violation has fallen within
 // 10× the stopping tolerance (earlier shrinking risks wrong guesses).
-//
-//lint:allow f32purity shrinking bookkeeping on the float64 reference solver's gradient state
 func (s *smo64) doShrink() {
 	gmax1, gmax2 := s.maxViolation()
 	if gmax1+gmax2 > s.eps*10 {
@@ -104,8 +102,6 @@ func (s *smo64) doShrink() {
 // G_t = −1 + Σ_s α_s·Q_ts over the support vectors. It runs when the
 // active problem has converged, before the final full-set optimality
 // check.
-//
-//lint:allow f32purity gradient reconstruction on the float64 reference solver's state
 func (s *smo64) reconstructGradient() {
 	n := len(s.y)
 	inactive := make([]int, 0, n-len(s.shrink.activeList))

@@ -54,8 +54,8 @@ func NewWorker(stack *corr.EpochStack, reg *obs.Registry) (*Worker, error) {
 // pass over the full buffer, then per voxel a packed-GEMM kernel matrix and
 // LibSVM cross-validation.
 func (w *Worker) ProcessContext(ctx context.Context, t core.Task) ([]core.VoxelScore, error) {
-	if t.V <= 0 || t.V0 < 0 || t.V0+t.V > w.stack.N {
-		return nil, fmt.Errorf("baseline: task voxels [%d,%d) outside brain of %d", t.V0, t.V0+t.V, w.stack.N)
+	if err := corr.CheckRange(t.V0, t.V, w.stack.N); err != nil {
+		return nil, fmt.Errorf("baseline: task %w", err)
 	}
 	buf, err := w.pipe.RunContext(ctx, w.stack, t.V0, t.V)
 	if err != nil {

@@ -157,8 +157,6 @@ func gemmRowStrip(ci, a []float32, B *tensor.Matrix, j0, w, k int) {
 // forbid the compiler to fuse any of it. float32(math.FMA(…)) is not this
 // function: it rounds to float64 first, and a tie it creates rounds to even
 // (a = b = 1+2⁻¹², c = 2⁻⁸⁰ gives 0x3f801000, not 0x3f801001).
-//
-//lint:allow f32purity the exact product and its TwoSum need float64; the result is rounded to float32 once
 func fma32(a, b, c float32) float32 {
 	p := float64(float64(a) * float64(b))
 	q := float64(c)

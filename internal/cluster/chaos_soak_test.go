@@ -79,10 +79,17 @@ func TestChaosSoakCompletesJournaledAnalysis(t *testing.T) {
 		procCall atomic.Int64
 		chaosSeq atomic.Int64
 	)
+	// track registers a connection for the cleanup to close; one made after
+	// the cleanup ran (a worker rejoining as the run ends) is closed at once,
+	// so no incarnation outlives the test.
 	track := func(c io.Closer) {
 		mu.Lock()
+		defer mu.Unlock()
+		if done.Load() {
+			c.Close()
+			return
+		}
 		closers = append(closers, c)
-		mu.Unlock()
 	}
 
 	// The stable worker guarantees forward progress no matter what the
@@ -158,10 +165,15 @@ func TestChaosSoakCompletesJournaledAnalysis(t *testing.T) {
 		}
 	}()
 
-	if err := master.AcceptCtx(context.Background()); err != nil {
+	// The deadline turns a broken protocol into a failure of this test
+	// within seconds, not a hang that hides every later test in the package
+	// until go test's timeout. A clean run takes well under a second.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := master.AcceptCtx(ctx); err != nil {
 		t.Fatal(err)
 	}
-	scores, err := RunMasterCtx(context.Background(), master, st.N, 3, MasterOptions{
+	scores, err := RunMasterCtx(ctx, master, st.N, 3, MasterOptions{
 		Journal:          jn,
 		TaskDeadline:     150 * time.Millisecond,
 		HeartbeatTimeout: 300 * time.Millisecond,

@@ -549,7 +549,11 @@ func (m *master) dispatch(now time.Time) error {
 			// disconnect notice retires the rank, and the task goes out on
 			// the next dispatch.
 			speculative := len(t.holders) > 0
-			if m.sendTask(idle[at], t, now) && speculative {
+			sent, err := m.sendTask(idle[at], t, now)
+			if err != nil {
+				return err
+			}
+			if sent && speculative {
 				m.reg.Counter("cluster_tasks_speculated_total").Inc()
 			}
 			idle = append(idle[:at], idle[at+1:]...)
@@ -562,7 +566,14 @@ func (m *master) dispatch(now time.Time) error {
 		// slow worker that is a harmless duplicate whose result dedups, for
 		// a wedged one it is the renewal that unsticks the run.
 		for _, h := range append([]holder(nil), t.holders...) {
-			if !t.avoid[h.rank] && m.sendTask(h.rank, t, now) {
+			if t.avoid[h.rank] {
+				continue
+			}
+			sent, err := m.sendTask(h.rank, t, now)
+			if err != nil {
+				return err
+			}
+			if sent {
 				m.reg.Counter("cluster_tasks_renewed_total").Inc()
 			}
 		}
@@ -670,7 +681,10 @@ func (m *master) taskFailed(rank int, t *task, detail string) error {
 // sendTask ships t to rank and books the copy in t's holders. Each
 // assignment (first issue, retry, speculative copy, renewal) gets its own
 // span, so the merged timeline shows exactly which rank held the task when.
-func (m *master) sendTask(rank int, t *task, now time.Time) bool {
+// A failed send reports false: the rank vanished and its disconnect retires
+// it. A task that cannot be encoded is an error, because it cannot be sent
+// to any rank and reissuing it would loop for ever.
+func (m *master) sendTask(rank int, t *task, now time.Time) (bool, error) {
 	span := m.opts.Trace.StartChild("cluster/task", m.runSpan.Context())
 	span.SetInt("rank", rank)
 	span.SetInt("v0", t.v0)
@@ -681,15 +695,15 @@ func (m *master) sendTask(rank int, t *task, now time.Time) bool {
 	}
 	body, err := encode(tm)
 	if err != nil {
-		// Encoding a trivial struct cannot fail at runtime; treat it as a
-		// dead send for uniformity.
-		return false
+		span.SetAttr("outcome", "encode-failed")
+		span.End()
+		return false, fmt.Errorf("cluster: encoding task voxels [%d,%d): %w", t.v0, t.v0+t.v, err)
 	}
 	m.opts.Chaos.Point("master/assign")
 	if err := m.tr.Send(rank, mpi.TagTask, body); err != nil {
 		span.SetAttr("outcome", "send-failed")
 		span.End()
-		return false
+		return false, nil
 	}
 	if jn := m.opts.Journal; jn != nil {
 		// Assignments are advisory (a lost one is just re-issued on
@@ -701,7 +715,7 @@ func (m *master) sendTask(rank int, t *task, now time.Time) bool {
 	m.reg.Counter("cluster_tasks_issued_total").Inc()
 	t.release(rank, "renewed")
 	t.holders = append(t.holders, holder{rank: rank, since: now, span: span})
-	return true
+	return true, nil
 }
 
 // broadcastStop tells every rank the master knows about to shut down,
@@ -752,10 +766,17 @@ type WorkerOptions struct {
 // so one poisoned task cannot crash the rank — the master's
 // retry/quarantine machinery decides its fate.
 //
-// The receive loop runs through a pump goroutine; after RunWorkerCtx
-// returns that goroutine may stay blocked in one last Recv until the caller
-// closes the transport, which cmd/fcma-cluster and RunLocal both do.
-func RunWorkerCtx(ctx context.Context, tr mpi.Transport, proc TaskProcessor, opts WorkerOptions) error {
+// A worker that returns an error closes tr on the way out, so the master
+// books the rank dead at once instead of waiting for it to speak (for
+// ever, with no heartbeat timeout). After a clean TagStop the receive pump
+// may stay blocked in one last Recv until the caller closes the transport,
+// which cmd/fcma-cluster and RunLocal both do.
+func RunWorkerCtx(ctx context.Context, tr mpi.Transport, proc TaskProcessor, opts WorkerOptions) (err error) {
+	defer func() {
+		if err != nil {
+			tr.Close()
+		}
+	}()
 	if err := ctx.Err(); err != nil {
 		return err
 	}

@@ -44,20 +44,29 @@ func TestSingleErrorDoesNotAbortRun(t *testing.T) {
 	})
 	var wg sync.WaitGroup
 	wg.Add(2)
+	masterDone, brokenFailed := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer wg.Done()
 		// The broken worker must end via the master's quarantine TagStop,
 		// i.e. RunWorkerCtx returns nil, not with an error of its own.
 		if err := RunWorkerCtx(context.Background(), comm.Rank(1), broken, WorkerOptions{}); err != nil {
 			t.Errorf("broken worker exit: %v", err)
+			close(brokenFailed)
 		}
 	}()
 	go func() {
 		defer wg.Done()
 		// Joining only after the broken worker has burned through its
 		// error limit makes the quarantine path deterministic: until then
-		// it is the sole live worker and keeps receiving retries.
-		<-quarantined
+		// it is the sole live worker and keeps receiving retries. A master
+		// that stops first leaves nothing to join; a broken worker that
+		// fails on its own leaves the master waiting for this one.
+		select {
+		case <-quarantined:
+		case <-brokenFailed:
+		case <-masterDone:
+			return
+		}
 		w, err := core.NewWorker(core.Optimized(), st, nil)
 		if err != nil {
 			t.Error(err)
@@ -68,6 +77,7 @@ func TestSingleErrorDoesNotAbortRun(t *testing.T) {
 		}
 	}()
 	scores, err := RunMasterCtx(context.Background(), comm.Rank(0), st.N, 8, MasterOptions{WorkerErrorLimit: 3, TaskRetries: 5})
+	close(masterDone)
 	wg.Wait()
 	if err != nil {
 		t.Fatalf("a single worker's errors aborted the run: %v", err)
@@ -159,6 +169,7 @@ func TestHungWorkerTaskReissuedAfterDeadline(t *testing.T) {
 		}
 		if err := RunWorkerCtx(context.Background(), comm.Rank(2), w, WorkerOptions{HeartbeatInterval: 10 * time.Millisecond}); err != nil {
 			t.Error(err)
+			comm.Rank(1).Close() // the hung rank alone would hold the run for ever
 		}
 	}()
 	scores, err := RunMasterCtx(context.Background(), comm.Rank(0), st.N, 8, MasterOptions{TaskDeadline: 60 * time.Millisecond})
@@ -567,8 +578,8 @@ func FuzzMasterReport(f *testing.F) {
 			t.Fatal(err)
 		}
 		m.touch(1, time.Now())
-		if !m.sendTask(1, &m.tasks[held.V0/taskSize], time.Now()) {
-			t.Fatal("could not hand rank 1 its task")
+		if sent, err := m.sendTask(1, &m.tasks[held.V0/taskSize], time.Now()); !sent || err != nil {
+			t.Fatalf("could not hand rank 1 its task: %v", err)
 		}
 		_ = m.handle(mpi.Message{From: 1, Tag: mpi.TagResult, Body: body})
 

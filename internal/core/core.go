@@ -135,8 +135,8 @@ func NewWorker(cfg Config, stack *corr.EpochStack, folds []svm.Fold) (*Worker, e
 // in any stage surfaces as a *safe.PipelineError naming the stage and
 // voxel range instead of killing the process.
 func (w *Worker) ProcessContext(ctx context.Context, t Task) ([]VoxelScore, error) {
-	if t.V <= 0 || t.V0 < 0 || t.V > w.stack.N-t.V0 { // not V0+V: it can wrap
-		return nil, fmt.Errorf("core: task voxels [%d,%d) outside brain of %d", t.V0, t.V0+t.V, w.stack.N)
+	if err := corr.CheckRange(t.V0, t.V, w.stack.N); err != nil {
+		return nil, fmt.Errorf("core: task %w", err)
 	}
 	reg := w.cfg.obsReg()
 	reg.Counter("core_tasks_total").Inc()

@@ -27,8 +27,6 @@ import (
 // a zero-variance (constant or empty) vector has correlation 0 by
 // convention, and any non-finite sample (NaN/Inf from masked or corrupt
 // voxels) also yields 0 instead of propagating NaN into the ranking.
-//
-//lint:allow f32purity reference correctness oracle; float64 by design and never on the hot path
 func Pearson(x, y []float32) float64 {
 	if len(x) != len(y) {
 		panic("corr: Pearson over unequal-length vectors")
@@ -60,9 +58,7 @@ func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 // centered vector, so that the inner product of two normalized rows is
 // their Pearson correlation. A zero-variance row normalizes to all zeros
 // (correlation 0 by convention). The rss accumulation runs in float64 for
-// headroom.
-//
-//lint:allow f32purity float64 rss accumulation for numerical stability; outputs stay float32
+// headroom; the output stays float32.
 func normalizeVector(dst, src []float32) {
 	mean := float32(tensor.Mean(src))
 	var rss float64
@@ -146,14 +142,24 @@ func BuildEpochStackContext(ctx context.Context, d *fmri.Dataset, workers int) (
 	return st, nil
 }
 
+// CheckRange reports an error unless the voxels [v0, v0+V) are a
+// non-empty range within a brain of n voxels. It is the one check of a
+// task's range: it never forms v0+V, which wraps for a v0 near MaxInt.
+func CheckRange(v0, V, n int) error {
+	if V <= 0 || v0 < 0 || V > n-v0 {
+		return fmt.Errorf("voxels [%d,+%d) outside brain of %d", v0, V, n)
+	}
+	return nil
+}
+
 // GatherAssigned fills dst (V×T) with the normalized values of voxels
 // [v0, v0+V) for epoch e — the small A operand of the correlation gemm.
 func (st *EpochStack) GatherAssigned(e, v0, V int, dst *tensor.Matrix) {
 	if dst.Rows != V || dst.Cols != st.T {
 		panic(fmt.Sprintf("corr: gather into %dx%d, want %dx%d", dst.Rows, dst.Cols, V, st.T))
 	}
-	if v0 < 0 || v0+V > st.N {
-		panic(fmt.Sprintf("corr: gather voxels [%d,%d) of %d", v0, v0+V, st.N))
+	if err := CheckRange(v0, V, st.N); err != nil {
+		panic("corr: gather " + err.Error())
 	}
 	nm := st.Norm[e]
 	for t := 0; t < st.T; t++ {

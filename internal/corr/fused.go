@@ -65,8 +65,8 @@ func (p *Pipeline) fusedBlocks(st *EpochStack, V int) (vb, cb int) {
 // No work item allocates: a warm run costs the kernels and a constant number
 // of objects more, whatever V and N are.
 func (p *Pipeline) RunKernels(ctx context.Context, st *EpochStack, v0, V int) ([]tensor.Matrix, error) {
-	if V <= 0 || v0 < 0 || V > st.N-v0 { // not v0+V: it can wrap
-		return nil, fmt.Errorf("corr: voxels [%d,%d) outside brain of %d", v0, v0+V, st.N)
+	if err := CheckRange(v0, V, st.N); err != nil {
+		return nil, fmt.Errorf("corr: %w", err)
 	}
 	M := st.M()
 	kernels := make([]tensor.Matrix, V)

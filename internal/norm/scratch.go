@@ -14,9 +14,8 @@ import (
 // The arithmetic itself is sweep's, below, and on a vector kernel path its
 // twins' in sweep_amd64.s. The entry points are declared hot paths: once
 // the scratch is warm, only grow may allocate, and only on a width
-// increase.
-//
-//lint:allow f32purity float64 moment accumulation (E[X²]−E[X]²) needs the headroom; scale/shift re-enter float32
+// increase. The moments are float64, because E[X²]−E[X]² cancels and
+// needs the headroom; scale and shift re-enter float32.
 type Scratch struct {
 	sum, sumSq   []float64
 	scale, shift []float32
@@ -29,8 +28,6 @@ type Scratch struct {
 // grow sizes the tail lists for cols columns and the moment and scaling
 // buffers for the goCols of them the Go loops take, reusing capacity when
 // possible.
-//
-//lint:allow f32purity float64 moment accumulators per the paper's §4.3
 func (s *Scratch) grow(cols, goCols int) {
 	if len(s.tailR) < cols {
 		s.tailR = make([]float32, cols)
@@ -84,8 +81,6 @@ func (s *Scratch) FisherThenZScoreInto(dst []float32, dstStride int, data []floa
 // same ascending order, so where the split falls changes no bit. The loops
 // read the block once for transform+moments and once for the scaling,
 // walking row-major so the accesses stay unit-stride.
-//
-//lint:allow f32purity float64 moment accumulation per the paper's §4.3; scale/shift re-enter float32
 func (s *Scratch) sweep(dst []float32, dstStride int, data []float32, rows, cols, stride int, fisher bool) {
 	if rows == 0 || cols == 0 {
 		return

@@ -13,7 +13,6 @@ import (
 // sanctioned raw spawn point; everything else in the package goes
 // through it.
 func spawn(stage string, fn func()) {
-	//lint:allow rawgoroutine obs cannot import internal/safe (import cycle); this helper is the package's contained spawn point
 	go func() {
 		defer func() {
 			if r := recover(); r != nil {

@@ -1,6 +1,7 @@
 package svm
 
-//lint:file-allow f32purity the phase's α, gradient, direction and sums are float64, as α and step are; only its mat-vec is float32
+// The phase's α, gradient, direction and sums are float64, as α and
+// step's are; only its mat-vec is float32.
 
 import "math"
 

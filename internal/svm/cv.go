@@ -124,7 +124,8 @@ func (t *cvTally) add(f FoldStats) {
 	}
 }
 
-//lint:allow f32purity accuracy scoring is final reporting, not kernel math
+// accuracy is the tally's pooled score, in float64: it is final
+// reporting, not kernel math.
 func (t cvTally) accuracy() float64 {
 	if t.total == 0 {
 		return 0

@@ -2,10 +2,7 @@ package svm
 
 // The solver splits its precision as the paper's PhiSVM does: v and the
 // masks, the n-long state the sweep streams, are 32-bit like the kernel;
-// α, step's two-variable update, the seed's sums and ρ are float64. The
-// whole file is annotated rather than each float64 site.
-//
-//lint:file-allow f32purity α, step's update, the seed's class sums and ρ are float64; the sweep's state v and the kernel stay float32, as in the paper's PhiSVM
+// α, step's two-variable update, the seed's sums and ρ are float64.
 
 import (
 	"errors"

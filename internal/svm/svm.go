@@ -106,8 +106,7 @@ func (m *Model) Decide(K *tensor.Matrix, t int) float64 {
 
 // decision is Σ coef[i]·row[idx[i]] over coef ≠ 0 in order, minus rho,
 // each product rounded by its conversion so that no build fuses the add.
-//
-//lint:allow f32purity float64 decision-value accumulation for stability; only the sign classifies
+// The sum is float64 for stability; only its sign classifies.
 func decision(coef []float64, idx []int, row []float32, rho float64) float64 {
 	var sum float64
 	for i, k := range idx {

@@ -3,9 +3,8 @@ package svm
 // The fused first-order iteration: gradient maintenance and the next
 // working-set selection in one unit-stride pass over two dense kernel
 // rows, all in float32 as in the paper's PhiSVM; only the convergence test
-// widens the two extremes to compare their gap with eps.
-//
-//lint:file-allow f32purity the convergence test takes the float32 extremes' gap in float64, as selectFirstOrder does
+// widens the two extremes to compare their gap with eps, as
+// selectFirstOrder does.
 
 import "math"
 
