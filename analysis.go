@@ -213,11 +213,12 @@ func pairFeatures(dst []float32, ds *fmri.Dataset, voxels []int, e fmri.Epoch) [
 }
 
 // pairFeaturesFromRows is pairFeatures over rows of one length. Feature
-// (i, j) is norm.FisherZ(float32(corr.Pearson(rows[i], rows[j]))) to the
-// bit, without Pearson's per-call moments: each row's tensor.MeanStd and
-// centred float64 copy are taken once, and each pair then runs Pearson's
-// remaining terms in its order — the same degenerate-row test, Σ cᵢcⱼ,
-// ÷ n, ÷ (sᵢ·sⱼ), the finite check.
+// (i, j) is norm.FisherZ of the Pearson correlation of rows i and j, 0
+// when either row is constant, empty or holds a non-finite sample. Each
+// row's tensor.MeanStd and centred float64 copy are taken once, and each
+// pair then runs the remaining terms of corr's reference pearson in its
+// order: the same degenerate-row test, Σ cᵢcⱼ, ÷ n, ÷ (sᵢ·sⱼ), the
+// finite check.
 func pairFeaturesFromRows(dst []float32, rows [][]float32) []float32 {
 	k := len(rows)
 	out := dst[:0]
@@ -229,7 +230,7 @@ func pairFeaturesFromRows(dst []float32, rows [][]float32) []float32 {
 		n = len(rows[0])
 	}
 	centred := make([]float64, k*n)
-	// std is 0 for every row Pearson answers 0 for: constant, empty, or
+	// std is 0 for every row the correlation is 0 for: constant, empty, or
 	// holding a non-finite sample.
 	std := make([]float64, k)
 	for i, r := range rows {

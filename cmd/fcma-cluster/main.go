@@ -182,7 +182,7 @@ func main() {
 			fail(fmt.Errorf("worker needs -addr"))
 		}
 		if *metricsListen != "" {
-			srv, err := obs.Serve(*metricsListen, obs.Default())
+			srv, err := obs.ServeFunc(*metricsListen, obs.Default().Snapshot)
 			fail(err)
 			defer srv.Close()
 			logger.Info("serving metrics", "url", "http://"+srv.Addr())

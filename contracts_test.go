@@ -11,7 +11,7 @@ import (
 	"testing"
 )
 
-// TestSourceContracts holds five rules over every non-test Go file of the
+// TestSourceContracts holds six rules over every non-test Go file of the
 // module (testdata/ and hidden directories skipped); DESIGN.md §12 gives
 // the failure each prevents and the probe that fails this test without it.
 //   - rawgoroutine: no go statement outside internal/safe, whose spawners
@@ -25,9 +25,15 @@ import (
 //   - obsnames: outside internal/obs, every instrument is named where it
 //     is registered, by a string literal or a + chain of literals and
 //     per-state parts, that follows the convention (checkMetricName).
+//   - leafboundary: no package an entry point that serves, runs or
+//     distributes an analysis imports, directly or not, is an
+//     experiment-only leaf: the machine model (internal/mic/...,
+//     internal/report) or the paper's comparators (internal/baseline).
+//     Only cmd/fcma-bench, examples and tests reach them.
 func TestSourceContracts(t *testing.T) {
 	fset := token.NewFileSet()
 	parsed := 0
+	deps := map[string][]string{} // package directory -> module packages its files import
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -47,6 +53,12 @@ func TestSourceContracts(t *testing.T) {
 		}
 		parsed++
 		path = filepath.ToSlash(path)
+		dir := filepath.ToSlash(filepath.Dir(path))
+		for _, imp := range f.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); strings.HasPrefix(p, "fcma/") {
+				deps[dir] = append(deps[dir], strings.TrimPrefix(p, "fcma/"))
+			}
+		}
 		report := func(n ast.Node, format string, args ...any) {
 			t.Errorf("%s: "+format, append([]any{fset.Position(n.Pos())}, args...)...)
 		}
@@ -116,6 +128,29 @@ func TestSourceContracts(t *testing.T) {
 	if parsed < 100 {
 		t.Fatalf("parsed %d files; the walk did not reach the module", parsed)
 	}
+	for _, root := range []string{".", "cmd/fcma-run", "cmd/fcma-cluster", "cmd/fcma-serve", "cmd/fcma-gen"} {
+		if len(deps[root]) == 0 {
+			t.Errorf("leafboundary: the walk found no module imports in %s", root)
+		}
+		via := map[string]string{root: ""} // package -> the package that first imported it
+		for queue := []string{root}; len(queue) > 0; queue = queue[1:] {
+			pkg := queue[0]
+			if pkg == "internal/report" || pkg == "internal/baseline" || pkg == "internal/mic" || strings.HasPrefix(pkg, "internal/mic/") {
+				chain := pkg
+				for p := via[pkg]; p != ""; p = via[p] {
+					chain = p + " -> " + chain
+				}
+				t.Errorf("leafboundary: %s imports an experiment-only leaf (the machine model or the paper's comparators): %s", root, chain)
+				continue
+			}
+			for _, dep := range deps[pkg] {
+				if _, seen := via[dep]; !seen {
+					via[dep] = pkg
+					queue = append(queue, dep)
+				}
+			}
+		}
+	}
 }
 
 // importName returns the name a file refers to the import path by: its
@@ -184,13 +219,10 @@ const (
 )
 
 var obsNameMethods = map[string]obsNameKind{
-	"Counter":       obsKindCounter,
-	"CounterWith":   obsKindCounter,
-	"Gauge":         obsKindGauge,
-	"GaugeWith":     obsKindGauge,
-	"Histogram":     obsKindHistogram,
-	"HistogramWith": obsKindHistogram,
-	"Stage":         obsKindStage,
+	"Counter":   obsKindCounter,
+	"Gauge":     obsKindGauge,
+	"Histogram": obsKindHistogram,
+	"Stage":     obsKindStage,
 }
 
 // checkMetricName returns "" when name follows the conventions for its

@@ -16,7 +16,7 @@ import (
 // float64 on purpose; the comment at the site says why.
 var f32Allowed = map[string]bool{
 	"internal/blas/tallskinny.go:fma32":     true, // exact product and TwoSum, rounded to float32 once
-	"internal/corr/corr.go:Pearson":         true, // the reference oracle
+	"internal/corr/corr.go:pearson":         true, // the reference oracle
 	"internal/corr/corr.go:normalizeVector": true, // the rss accumulation
 	"internal/norm/scratch.go:grow":         true, // the moment buffers
 	"internal/norm/scratch.go:sweep":        true, // the moments, E[X²]−E[X]²

@@ -6,9 +6,10 @@ import (
 	"math/rand"
 	"testing"
 
-	"fcma/internal/corr"
 	"fcma/internal/fmri"
 	"fcma/internal/norm"
+	"fcma/internal/ref"
+	"fcma/internal/tensor"
 )
 
 func testSpec() Spec {
@@ -227,10 +228,12 @@ func TestOnlineClassifierGeneralizes(t *testing.T) {
 	}
 }
 
-// The classifier's features are pinned to their oracle bit for bit:
-// feature (i, j) of a window is norm.FisherZ of corr.Pearson over rows i
-// and j, including the rows Pearson answers 0 for. The classifier's two
-// entry points, an epoch of a dataset and a raw window, agree exactly.
+// The classifier's features are pinned bit for bit to the independent
+// float64 reference (internal/ref): feature (i, j) of a window is
+// norm.FisherZ of the float32-rounded Pearson correlation of rows i and j,
+// and 0 for a row that is constant, empty or holds a non-finite sample.
+// The classifier's two entry points, an epoch of a dataset and a raw
+// window, agree exactly.
 func TestPairFeaturesMatchPearson(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	inf := float32(math.Inf(1))
@@ -261,10 +264,18 @@ func TestPairFeaturesMatchPearson(t *testing.T) {
 			}
 			got := pairFeaturesFromRows(nil, rows)
 			reused := pairFeaturesFromRows(make([]float32, 3, len(got)), rows)
+			window := &fmri.Dataset{Data: tensor.NewMatrix(k, n), Epochs: []fmri.Epoch{{Len: n}}}
+			for i, r := range rows {
+				copy(window.Data.Row(i), r)
+			}
 			f := 0
 			for i := 0; i < k; i++ {
+				R := ref.Voxel(window, i).R[0]
 				for j := i + 1; j < k; j++ {
-					want := norm.FisherZ(float32(corr.Pearson(rows[i], rows[j])))
+					var want float32 // ref's r is NaN for a non-finite row
+					if !math.IsNaN(R[j]) {
+						want = norm.FisherZ(float32(R[j]))
+					}
 					if math.Float32bits(got[f]) != math.Float32bits(want) || math.Float32bits(reused[f]) != math.Float32bits(want) {
 						t.Fatalf("n=%d rows %d,%d: feature %g / %g, want %g", n, i, j, got[f], reused[f], want)
 					}

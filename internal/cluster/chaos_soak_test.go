@@ -114,9 +114,9 @@ func TestChaosSoakCompletesJournaledAnalysis(t *testing.T) {
 
 	// Chaotic workers: every transport operation may drop, delay,
 	// duplicate, error, disconnect, or hang, and every fifth task fails at
-	// the processor on top. Incarnations that die are replaced by the
-	// spawner below; incarnations that hang stay hung until cleanup,
-	// standing in for a straggler node.
+	// the processor on top. An incarnation that dies while the run lasts
+	// is replaced, up to twelve incarnations in all; incarnations that
+	// hang stay hung until cleanup, standing in for a straggler node.
 	flaky := funcProcessor(func(task core.Task) ([]core.VoxelScore, error) {
 		time.Sleep(10 * time.Millisecond) // stretch the run so faults land mid-flight
 		if procCall.Add(1)%5 == 0 {
@@ -124,7 +124,8 @@ func TestChaosSoakCompletesJournaledAnalysis(t *testing.T) {
 		}
 		return mustWorker(t, st).ProcessContext(context.Background(), task)
 	})
-	spawnChaotic := func() {
+	var spawnChaotic func()
+	spawnChaotic = func() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -148,22 +149,15 @@ func TestChaosSoakCompletesJournaledAnalysis(t *testing.T) {
 				return
 			}
 			track(ct)
-			_ = RunWorkerCtx(context.Background(), ct, flaky, WorkerOptions{HeartbeatInterval: 20 * time.Millisecond})
+			err = RunWorkerCtx(context.Background(), ct, flaky, WorkerOptions{HeartbeatInterval: 20 * time.Millisecond})
 			ct.Close()
+			if err != nil && !done.Load() && chaosSeq.Load() < 12 {
+				spawnChaotic()
+			}
 		}()
 	}
 	spawnChaotic()
 	spawnChaotic()
-	wg.Add(1)
-	go func() { // keep the chaotic pool churning while the run lasts
-		defer wg.Done()
-		for i := 0; i < 10 && !done.Load(); i++ {
-			time.Sleep(100 * time.Millisecond)
-			if !done.Load() {
-				spawnChaotic()
-			}
-		}
-	}()
 
 	// The deadline turns a broken protocol into a failure of this test
 	// within seconds, not a hang that hides every later test in the package

@@ -265,7 +265,7 @@ func newMaster(tr mpi.Transport, totalVoxels, taskSize int, opts MasterOptions) 
 }
 
 func (m *master) run(ctx context.Context) ([]core.VoxelScore, error) {
-	m.runSpan = m.opts.Trace.StartRoot("cluster/run")
+	m.runSpan = m.opts.Trace.Start("cluster/run", trace.SpanContext{})
 	m.runSpan.SetInt("voxels", len(m.scores))
 	m.runSpan.SetInt("tasks", m.open())
 	defer func() {
@@ -685,7 +685,7 @@ func (m *master) taskFailed(rank int, t *task, detail string) error {
 // it. A task that cannot be encoded is an error, because it cannot be sent
 // to any rank and reissuing it would loop for ever.
 func (m *master) sendTask(rank int, t *task, now time.Time) (bool, error) {
-	span := m.opts.Trace.StartChild("cluster/task", m.runSpan.Context())
+	span := m.opts.Trace.Start("cluster/task", m.runSpan.Context())
 	span.SetInt("rank", rank)
 	span.SetInt("v0", t.v0)
 	span.SetInt("voxels", t.v)

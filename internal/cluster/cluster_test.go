@@ -12,6 +12,7 @@ import (
 	"fcma/internal/mpi"
 	"fcma/internal/obs"
 	"fcma/internal/obs/trace"
+	"fcma/internal/retry"
 )
 
 func testStack(t testing.TB) *corr.EpochStack {
@@ -218,7 +219,7 @@ func TestTCPClusterSurvivesWorkerCrash(t *testing.T) {
 	results := make(chan error, 2)
 	gotTask := make(chan struct{})
 	go func() {
-		w, err := mpi.DialWorkerCtx(context.Background(), master.Addr())
+		w, err := mpi.DialWorkerRetryCtx(context.Background(), master.Addr(), retry.Policy{Attempts: 1})
 		if err != nil {
 			close(gotTask)
 			results <- err
@@ -242,7 +243,7 @@ func TestTCPClusterSurvivesWorkerCrash(t *testing.T) {
 	go func() {
 		// Dial immediately (Accept needs both connections) but hold the
 		// Ready message until the flaky worker owns a task.
-		w, err := mpi.DialWorkerCtx(context.Background(), master.Addr())
+		w, err := mpi.DialWorkerRetryCtx(context.Background(), master.Addr(), retry.Policy{Attempts: 1})
 		if err != nil {
 			results <- err
 			return

@@ -94,7 +94,7 @@ func TestChaosSoakMasterKills(t *testing.T) {
 		}
 		master := first
 		if master == nil {
-			master, err = listenRetry(addr, 4)
+			master, err = mpi.ListenMaster(addr, 4)
 			if err != nil {
 				t.Fatal(err)
 			}

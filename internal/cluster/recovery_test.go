@@ -202,7 +202,7 @@ func TestMasterKillResumeBitExact(t *testing.T) {
 		}
 		master := first
 		if master == nil {
-			master, err = listenRetry(addr, 3)
+			master, err = mpi.ListenMaster(addr, 3)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -386,21 +386,6 @@ func TestJournaledResume(t *testing.T) {
 			}
 		}
 	}
-}
-
-// listenRetry rebinds the master's fixed address, tolerating the brief
-// window where the previous incarnation's socket is still closing.
-func listenRetry(addr string, size int) (*mpi.TCPMaster, error) {
-	var lastErr error
-	for i := 0; i < 100; i++ {
-		m, err := mpi.ListenMaster(addr, size)
-		if err == nil {
-			return m, nil
-		}
-		lastErr = err
-		time.Sleep(10 * time.Millisecond)
-	}
-	return nil, lastErr
 }
 
 // taskJournaled reports whether every voxel of the task is recorded

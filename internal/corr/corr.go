@@ -20,14 +20,14 @@ import (
 	"fcma/internal/tensor"
 )
 
-// Pearson computes the reference Pearson correlation between x and y. It is
+// pearson computes the reference Pearson correlation between x and y. It is
 // the correctness oracle for the matmul reduction; hot paths never call it.
 //
 // Degenerate inputs follow the pipeline's default sanitization policy:
 // a zero-variance (constant or empty) vector has correlation 0 by
 // convention, and any non-finite sample (NaN/Inf from masked or corrupt
 // voxels) also yields 0 instead of propagating NaN into the ranking.
-func Pearson(x, y []float32) float64 {
+func pearson(x, y []float32) float64 {
 	if len(x) != len(y) {
 		panic("corr: Pearson over unequal-length vectors")
 	}

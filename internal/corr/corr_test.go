@@ -54,15 +54,15 @@ func rawCorrelations(t testing.TB, p *Pipeline, st *EpochStack, v0, V int) *tens
 
 func TestPearsonReference(t *testing.T) {
 	x := []float32{1, 2, 3, 4}
-	if r := Pearson(x, x); math.Abs(r-1) > 1e-6 {
+	if r := pearson(x, x); math.Abs(r-1) > 1e-6 {
 		t.Fatalf("self correlation = %v", r)
 	}
 	y := []float32{4, 3, 2, 1}
-	if r := Pearson(x, y); math.Abs(r+1) > 1e-6 {
+	if r := pearson(x, y); math.Abs(r+1) > 1e-6 {
 		t.Fatalf("anti correlation = %v", r)
 	}
 	c := []float32{5, 5, 5, 5}
-	if r := Pearson(x, c); r != 0 {
+	if r := pearson(x, c); r != 0 {
 		t.Fatalf("constant vector correlation = %v", r)
 	}
 }
@@ -89,7 +89,7 @@ func TestPearsonDegenerateInputsAreZero(t *testing.T) {
 		{"empty", nil, nil},
 	}
 	for _, tc := range cases {
-		if r := Pearson(tc.a, tc.b); r != 0 {
+		if r := pearson(tc.a, tc.b); r != 0 {
 			t.Errorf("%s: Pearson = %v, want 0", tc.name, r)
 		}
 	}
@@ -116,7 +116,7 @@ func TestNormalizedDotEqualsPearson(t *testing.T) {
 		dst := tensor.NewMatrix(2, n)
 		normalizeRows(dst, src)
 		dot := tensor.Dot(dst.Row(0), dst.Row(1))
-		ref := Pearson(src.Row(0), src.Row(1))
+		ref := pearson(src.Row(0), src.Row(1))
 		return math.Abs(dot-ref) < 1e-4
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {

@@ -25,9 +25,18 @@ func smallSpec() Spec {
 	}
 }
 
+func mustGenerate(t *testing.T, s Spec) *Dataset {
+	t.Helper()
+	d, err := Generate(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 func TestGenerateShape(t *testing.T) {
 	s := smallSpec()
-	d := MustGenerate(s)
+	d := mustGenerate(t, s)
 	if d.Voxels() != s.Voxels {
 		t.Fatalf("voxels = %d", d.Voxels())
 	}
@@ -47,8 +56,8 @@ func TestGenerateShape(t *testing.T) {
 }
 
 func TestGenerateDeterministic(t *testing.T) {
-	a := MustGenerate(smallSpec())
-	b := MustGenerate(smallSpec())
+	a := mustGenerate(t, smallSpec())
+	b := mustGenerate(t, smallSpec())
 	if !a.Data.Equal(b.Data) {
 		t.Fatal("same seed must give identical data")
 	}
@@ -56,16 +65,16 @@ func TestGenerateDeterministic(t *testing.T) {
 
 func TestGenerateSeedChangesData(t *testing.T) {
 	s := smallSpec()
-	a := MustGenerate(s)
+	a := mustGenerate(t, s)
 	s.Seed = 43
-	b := MustGenerate(s)
+	b := mustGenerate(t, s)
 	if a.Data.Equal(b.Data) {
 		t.Fatal("different seeds must give different data")
 	}
 }
 
 func TestGenerateBalancedLabels(t *testing.T) {
-	d := MustGenerate(smallSpec())
+	d := mustGenerate(t, smallSpec())
 	for subj := 0; subj < d.Subjects; subj++ {
 		counts := [2]int{}
 		for _, e := range d.EpochsOf(subj) {
@@ -96,7 +105,7 @@ func TestGeneratePlantsConditionDependentCoupling(t *testing.T) {
 	s := smallSpec()
 	s.Subjects = 6
 	s.EpochsPerSubject = 20
-	d := MustGenerate(s)
+	d := mustGenerate(t, s)
 	v1, v2 := d.SignalVoxels[0], d.SignalVoxels[1]
 	var sum [2]float64
 	var n [2]int
@@ -117,7 +126,7 @@ func TestGeneratePlantsConditionDependentCoupling(t *testing.T) {
 }
 
 func TestGenerateNoiseVoxelsUncoupled(t *testing.T) {
-	d := MustGenerate(smallSpec())
+	d := mustGenerate(t, smallSpec())
 	signal := make(map[int]bool)
 	for _, v := range d.SignalVoxels {
 		signal[v] = true
@@ -189,7 +198,7 @@ func TestScaledSpecsStayValid(t *testing.T) {
 }
 
 func TestEpochsPerSubjectUniform(t *testing.T) {
-	d := MustGenerate(smallSpec())
+	d := mustGenerate(t, smallSpec())
 	n, err := d.EpochsPerSubject()
 	if err != nil || n != 6 {
 		t.Fatalf("EpochsPerSubject = %d, %v", n, err)
@@ -202,7 +211,7 @@ func TestEpochsPerSubjectUniform(t *testing.T) {
 }
 
 func TestSelectSubjects(t *testing.T) {
-	d := MustGenerate(smallSpec())
+	d := mustGenerate(t, smallSpec())
 	sub := d.SelectSubjects([]int{2, 0})
 	if sub.Subjects != 2 {
 		t.Fatalf("subjects = %d", sub.Subjects)
@@ -227,7 +236,7 @@ func TestSelectSubjects(t *testing.T) {
 }
 
 func TestEpochDataView(t *testing.T) {
-	d := MustGenerate(smallSpec())
+	d := mustGenerate(t, smallSpec())
 	e := d.Epochs[3]
 	view := d.EpochData(e)
 	if view.Rows != d.Voxels() || view.Cols != e.Len {
@@ -239,17 +248,17 @@ func TestEpochDataView(t *testing.T) {
 }
 
 func TestDataRoundTrip(t *testing.T) {
-	// One row past ReadData's first allocation: in through the growth path.
+	// One row past readData's first allocation: in through the growth path.
 	wide := &Dataset{Name: "wide", Data: tensor.NewMatrix(firstAlloc/1024+1, 1024), Subjects: 1}
 	for i := range wide.Data.Data {
 		wide.Data.Data[i] = float32(i % 8191)
 	}
-	for _, d := range []*Dataset{MustGenerate(smallSpec()), wide} {
+	for _, d := range []*Dataset{mustGenerate(t, smallSpec()), wide} {
 		var buf bytes.Buffer
 		if err := WriteData(&buf, d); err != nil {
 			t.Fatal(err)
 		}
-		got, err := ReadData(&buf)
+		got, err := readData(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -270,12 +279,12 @@ func TestDataRoundTripProperty(t *testing.T) {
 		s.Subjects = 2
 		s.EpochsPerSubject = 2
 		s.Seed = seed
-		d := MustGenerate(s)
+		d := mustGenerate(t, s)
 		var buf bytes.Buffer
 		if err := WriteData(&buf, d); err != nil {
 			return false
 		}
-		got, err := ReadData(&buf)
+		got, err := readData(&buf)
 		return err == nil && got.Data.Equal(d.Data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
@@ -290,7 +299,7 @@ func TestReadDataRejectsGarbage(t *testing.T) {
 		[]byte("FCMA\x02\x00\x00\x00"), // truncated header
 	}
 	for i, c := range cases {
-		if _, err := ReadData(bytes.NewReader(c)); err == nil {
+		if _, err := readData(bytes.NewReader(c)); err == nil {
 			t.Errorf("case %d: expected error", i)
 		}
 	}
@@ -302,7 +311,7 @@ func TestReadDataRejectsGarbage(t *testing.T) {
 		b[0] = byte(v)
 		buf.Write(b[:])
 	}
-	if _, err := ReadData(&buf); err == nil || !strings.Contains(err.Error(), "version") {
+	if _, err := readData(&buf); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Errorf("expected version error, got %v", err)
 	}
 }
@@ -335,7 +344,7 @@ func TestReadDataRefusesLongNameUnread(t *testing.T) {
 		binary.Write(&hdr, binary.LittleEndian, v)
 	}
 	src := &headerThenZeros{hdr: hdr.Bytes()}
-	if _, err := ReadData(src); err == nil {
+	if _, err := readData(src); err == nil {
 		t.Fatal("a 65537-byte name was accepted")
 	}
 	if src.read != hdr.Len() {
@@ -344,7 +353,7 @@ func TestReadDataRefusesLongNameUnread(t *testing.T) {
 }
 
 func TestEpochsRoundTrip(t *testing.T) {
-	d := MustGenerate(smallSpec())
+	d := mustGenerate(t, smallSpec())
 	var buf bytes.Buffer
 	if err := WriteEpochs(&buf, d.Epochs); err != nil {
 		t.Fatal(err)
@@ -391,7 +400,7 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		func(d *Dataset) { d.SignalVoxels = []int{-3} },
 	}
 	for i, mutate := range mutations {
-		d := MustGenerate(smallSpec())
+		d := mustGenerate(t, smallSpec())
 		mutate(d)
 		if err := d.Validate(); err == nil {
 			t.Errorf("mutation %d: Validate accepted corrupt dataset", i)
@@ -418,7 +427,7 @@ func TestSpreadIndices(t *testing.T) {
 }
 
 func TestLabelsAndSubjectOfEpoch(t *testing.T) {
-	d := MustGenerate(smallSpec())
+	d := mustGenerate(t, smallSpec())
 	labels := d.Labels()
 	subjects := d.SubjectOfEpoch()
 	if len(labels) != len(d.Epochs) || len(subjects) != len(d.Epochs) {
@@ -436,7 +445,7 @@ func TestBlobPlanting(t *testing.T) {
 	s.Voxels = 343 // 7^3
 	s.SignalVoxels = 24
 	s.SignalBlobs = 3
-	d := MustGenerate(s)
+	d := mustGenerate(t, s)
 	if len(d.SignalVoxels) != 24 {
 		t.Fatalf("planted %d", len(d.SignalVoxels))
 	}
@@ -510,7 +519,7 @@ func TestGridForShapes(t *testing.T) {
 }
 
 func TestValidateGridIndex(t *testing.T) {
-	d := MustGenerate(smallSpec())
+	d := mustGenerate(t, smallSpec())
 	d.GridIndex = []int{0} // wrong length
 	if err := d.Validate(); err == nil {
 		t.Fatal("short grid index accepted")
@@ -534,15 +543,6 @@ func TestSpecRejectsNegativeBlobs(t *testing.T) {
 	if _, err := Generate(s); err == nil {
 		t.Fatal("negative blobs accepted")
 	}
-}
-
-func TestMustGeneratePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	MustGenerate(Spec{})
 }
 
 func TestScaleSpecClamping(t *testing.T) {

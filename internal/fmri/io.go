@@ -40,8 +40,8 @@ const formatVersion = 2
 const (
 	maxElements = 1 << 28 // activity matrix allocation budget (1 GiB of float32)
 	maxEpochs   = 1 << 20 // epoch file line budget
-	readChunk   = 1 << 14 // float32s ReadData takes per read (64 KiB)
-	firstAlloc  = 1 << 22 // most a header alone can make ReadData allocate (16 MiB of float32)
+	readChunk   = 1 << 14 // float32s readData takes per read (64 KiB)
+	firstAlloc  = 1 << 22 // most a header alone can make readData allocate (16 MiB of float32)
 )
 
 // WriteData serializes the activity matrix portion of d to w.
@@ -76,7 +76,7 @@ func WriteData(w io.Writer, d *Dataset) error {
 // WriteData format), the epoch labels from epochs (the WriteEpochs text),
 // and the whole validated before anything is built on it.
 func Read(data, epochs io.Reader) (*Dataset, error) {
-	d, err := ReadData(data)
+	d, err := readData(data)
 	if err != nil {
 		return nil, err
 	}
@@ -98,9 +98,9 @@ func WithEpochs(d *Dataset, epochs io.Reader) (*Dataset, error) {
 	return d, nil
 }
 
-// ReadData deserializes an activity matrix written by WriteData. The
+// readData deserializes an activity matrix written by WriteData. The
 // returned dataset has no epochs; Read attaches them.
-func ReadData(r io.Reader) (*Dataset, error) {
+func readData(r io.Reader) (*Dataset, error) {
 	br := bufio.NewReader(r)
 	var m [4]byte
 	if _, err := io.ReadFull(br, m[:]); err != nil {

@@ -86,10 +86,10 @@ func firstFew(xs []int, n int) []int {
 	return xs[:n]
 }
 
-// ScanDefects examines every sample of the dataset and classifies each
+// scanDefects examines every sample of the dataset and classifies each
 // voxel as non-finite (contains NaN/Inf), zero-variance (finite but
 // constant across the session), or clean.
-func ScanDefects(d *Dataset) *SanitizeReport {
+func scanDefects(d *Dataset) *SanitizeReport {
 	r := &SanitizeReport{}
 	for v := 0; v < d.Voxels(); v++ {
 		row := d.Data.Row(v)
@@ -123,7 +123,7 @@ func SanitizeDataset(d *Dataset, policy SanitizePolicy) (*Dataset, *SanitizeRepo
 	if policy == SanitizeOff {
 		return d, &SanitizeReport{Policy: policy}, nil
 	}
-	r := ScanDefects(d)
+	r := scanDefects(d)
 	r.Policy = policy
 	if r.Clean() {
 		return d, r, nil

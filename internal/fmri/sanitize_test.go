@@ -30,7 +30,7 @@ func corrupt(t *testing.T) *Dataset {
 }
 
 func TestScanDefectsClassifiesVoxels(t *testing.T) {
-	r := ScanDefects(corrupt(t))
+	r := scanDefects(corrupt(t))
 	if len(r.NonFinite) != 2 || r.NonFinite[0] != 2 || r.NonFinite[1] != 5 {
 		t.Fatalf("NonFinite = %v, want [2 5]", r.NonFinite)
 	}
@@ -40,7 +40,7 @@ func TestScanDefectsClassifiesVoxels(t *testing.T) {
 	if r.Clean() {
 		t.Fatal("defective dataset reported clean")
 	}
-	if clean := ScanDefects(sanitizeTestDataset(t)); !clean.Clean() {
+	if clean := scanDefects(sanitizeTestDataset(t)); !clean.Clean() {
 		t.Fatalf("pristine dataset reported defects: %+v", clean)
 	}
 }

@@ -165,15 +165,6 @@ func Generate(s Spec) (*Dataset, error) {
 	return d, nil
 }
 
-// MustGenerate is Generate for tests and examples with known-good specs.
-func MustGenerate(s Spec) *Dataset {
-	d, err := Generate(s)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
 func checkSpec(s Spec) error {
 	switch {
 	case s.Voxels <= 0:

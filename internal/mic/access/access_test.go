@@ -11,6 +11,14 @@ func smallShape() Shape {
 	return Shape{V: 8, T: 12, M: 24, E: 12, N: 2048, TrainSamples: 12, Folds: 2}
 }
 
+// run executes a driver on a fresh machine of the given configuration and
+// returns the machine with its counters populated.
+func run(cfg mic.Config, driver func(*mic.Machine)) *mic.Machine {
+	m := mic.NewMachine(cfg)
+	driver(m)
+	return m
+}
+
 func TestShapeValidate(t *testing.T) {
 	if err := FaceSceneTask().Validate(); err != nil {
 		t.Fatal(err)
@@ -64,8 +72,8 @@ func TestScaledShape(t *testing.T) {
 func TestGemmVectorIntensityContrast(t *testing.T) {
 	cfg := mic.XeonPhi5110P()
 	s := smallShape()
-	opt := Run(cfg, func(m *mic.Machine) { GemmTallSkinny(m, s, 1024) })
-	base := Run(cfg, func(m *mic.Machine) { GemmBaseline(m, s) })
+	opt := run(cfg, func(m *mic.Machine) { GemmTallSkinny(m, s, 1024) })
+	base := run(cfg, func(m *mic.Machine) { GemmBaseline(m, s) })
 	if vi := opt.VectorIntensity(); vi < 12 {
 		t.Fatalf("tall-skinny VI = %v, want near 16", vi)
 	}
@@ -81,8 +89,8 @@ func TestGemmMemoryReferenceContrast(t *testing.T) {
 	// Table 6: MKL makes ~3.5x more references and ~5.8x more L2 misses.
 	cfg := mic.XeonPhi5110P()
 	s := smallShape()
-	opt := Run(cfg, func(m *mic.Machine) { GemmTallSkinny(m, s, 1024) })
-	base := Run(cfg, func(m *mic.Machine) { GemmBaseline(m, s) })
+	opt := run(cfg, func(m *mic.Machine) { GemmTallSkinny(m, s, 1024) })
+	base := run(cfg, func(m *mic.Machine) { GemmBaseline(m, s) })
 	if base.MemRefs < 2*opt.MemRefs {
 		t.Fatalf("refs: baseline %d vs optimized %d — contrast too weak", base.MemRefs, opt.MemRefs)
 	}
@@ -94,7 +102,7 @@ func TestGemmMemoryReferenceContrast(t *testing.T) {
 func TestGemmFlopsMatchShape(t *testing.T) {
 	cfg := mic.XeonPhi5110P()
 	s := smallShape()
-	opt := Run(cfg, func(m *mic.Machine) { GemmTallSkinny(m, s, 1024) })
+	opt := run(cfg, func(m *mic.Machine) { GemmTallSkinny(m, s, 1024) })
 	want := s.GemmWork()
 	got := float64(opt.Flops)
 	if got < 0.99*want || got > 1.05*want {
@@ -104,8 +112,8 @@ func TestGemmFlopsMatchShape(t *testing.T) {
 
 func TestSyrkContrast(t *testing.T) {
 	cfg := mic.XeonPhi5110P()
-	opt := Run(cfg, func(m *mic.Machine) { SyrkTallSkinny(m, 48, 4096, 96) })
-	base := Run(cfg, func(m *mic.Machine) { SyrkBaseline(m, 48, 4096) })
+	opt := run(cfg, func(m *mic.Machine) { SyrkTallSkinny(m, 48, 4096, 96) })
+	base := run(cfg, func(m *mic.Machine) { SyrkBaseline(m, 48, 4096) })
 	if opt.VectorIntensity() < 12 {
 		t.Fatalf("syrk tall-skinny VI = %v", opt.VectorIntensity())
 	}
@@ -123,8 +131,8 @@ func TestMergedVsSeparated(t *testing.T) {
 	// (~2.8x), cutting elapsed time.
 	cfg := mic.XeonPhi5110P()
 	s := smallShape()
-	sep := Run(cfg, func(m *mic.Machine) { StagesSeparated(m, s, 1024) })
-	mer := Run(cfg, func(m *mic.Machine) { StagesMerged(m, s, 1024) })
+	sep := run(cfg, func(m *mic.Machine) { StagesSeparated(m, s, 1024) })
+	mer := run(cfg, func(m *mic.Machine) { StagesMerged(m, s, 1024) })
 	if mer.MemRefs >= sep.MemRefs {
 		t.Fatalf("refs: merged %d vs separated %d", mer.MemRefs, sep.MemRefs)
 	}
@@ -144,9 +152,9 @@ func TestSVMTraceOrdering(t *testing.T) {
 	s := smallShape()
 	s.M, s.E, s.TrainSamples, s.Folds = 216, 12, 204, 4
 	opt := SVMOptions{Voxels: 2}
-	lib := Run(cfg, func(m *mic.Machine) { SVMLibSVM(m, s, opt) })
-	olib := Run(cfg, func(m *mic.Machine) { SVMOptimized(m, s, opt) })
-	phi := Run(cfg, func(m *mic.Machine) { SVMPhi(m, s, opt) })
+	lib := run(cfg, func(m *mic.Machine) { SVMLibSVM(m, s, opt) })
+	olib := run(cfg, func(m *mic.Machine) { SVMOptimized(m, s, opt) })
+	phi := run(cfg, func(m *mic.Machine) { SVMPhi(m, s, opt) })
 	tl, to, tp := lib.EstimateTime(), olib.EstimateTime(), phi.EstimateTime()
 	if !(tl > to && to > tp) {
 		t.Fatalf("time ordering broken: libsvm %v, optimized %v, phi %v", tl, to, tp)
@@ -169,13 +177,13 @@ func TestSVMTraceOrdering(t *testing.T) {
 func TestSVMThreadStarvation(t *testing.T) {
 	cfg := mic.XeonPhi5110P()
 	s := smallShape()
-	lib := Run(cfg, func(m *mic.Machine) { SVMLibSVM(m, s, SVMOptions{}) })
+	lib := run(cfg, func(m *mic.Machine) { SVMLibSVM(m, s, SVMOptions{}) })
 	if lib.ActiveThreads != s.V {
 		t.Fatalf("libsvm trace active threads = %d, want %d (one thread per voxel)", lib.ActiveThreads, s.V)
 	}
 	// The optimized pipeline accumulates ≥240 voxels' kernels before the
 	// CV stage (§4.4); ActiveVoxels models that.
-	phi := Run(cfg, func(m *mic.Machine) { SVMPhi(m, s, SVMOptions{ActiveVoxels: 240}) })
+	phi := run(cfg, func(m *mic.Machine) { SVMPhi(m, s, SVMOptions{ActiveVoxels: 240}) })
 	if phi.ActiveThreads != cfg.Threads() {
 		t.Fatalf("phi trace active threads = %d, want %d", phi.ActiveThreads, cfg.Threads())
 	}
@@ -200,8 +208,8 @@ func TestXeonContrastWeaker(t *testing.T) {
 	// (bigger cache per thread, narrower vectors).
 	s := smallShape()
 	speedup := func(cfg mic.Config) float64 {
-		opt := Run(cfg, func(m *mic.Machine) { GemmTallSkinny(m, s, 1024) })
-		base := Run(cfg, func(m *mic.Machine) { GemmBaseline(m, s) })
+		opt := run(cfg, func(m *mic.Machine) { GemmTallSkinny(m, s, 1024) })
+		base := run(cfg, func(m *mic.Machine) { GemmBaseline(m, s) })
 		return float64(base.EstimateTime()) / float64(opt.EstimateTime())
 	}
 	phi := speedup(mic.XeonPhi5110P())
@@ -241,7 +249,7 @@ func TestDriversAreDeterministic(t *testing.T) {
 		{"SVMPhi", func(m *mic.Machine) { SVMPhi(m, sv, svm) }},
 	} {
 		for _, cfg := range []mic.Config{mic.XeonPhi5110P(), mic.XeonE5_2670()} {
-			a, b := Run(cfg, d.driver), Run(cfg, d.driver)
+			a, b := run(cfg, d.driver), run(cfg, d.driver)
 			if a.Counters != b.Counters || a.ActiveThreads != b.ActiveThreads {
 				t.Errorf("%s on %s: counters differ between runs:\n%+v\n%+v", d.name, cfg.Name, a.Counters, b.Counters)
 			}

@@ -2,14 +2,6 @@ package access
 
 import "fcma/internal/mic"
 
-// Run executes a driver on a fresh machine of the given configuration and
-// returns the machine with its counters populated.
-func Run(cfg mic.Config, driver func(*mic.Machine)) *mic.Machine {
-	m := mic.NewMachine(cfg)
-	driver(m)
-	return m
-}
-
 // RunScaled traces `driver` at a scaled-down shape and extrapolates the
 // counters to the full shape by the work ratio: total instruction counts
 // scale with the arithmetic, while miss *rates* are preserved because the

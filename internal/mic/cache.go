@@ -19,9 +19,9 @@ type Cache struct {
 	Hits, Misses uint64
 }
 
-// NewCache builds a cache of the given total size, associativity and line
+// newCache builds a cache of the given total size, associativity and line
 // size. Size must be a multiple of assoc*lineSize.
-func NewCache(size, assoc, lineSize int) *Cache {
+func newCache(size, assoc, lineSize int) *Cache {
 	if size <= 0 || assoc <= 0 || lineSize <= 0 {
 		panic(fmt.Sprintf("mic: invalid cache geometry size=%d assoc=%d line=%d", size, assoc, lineSize))
 	}

@@ -88,8 +88,8 @@ type Machine struct {
 func NewMachine(cfg Config) *Machine {
 	return &Machine{
 		Cfg:           cfg,
-		L1:            NewCache(cfg.L1Size, cfg.L1Assoc, cfg.LineSize),
-		L2:            NewCache(cfg.L2Size, cfg.L2Assoc, cfg.LineSize),
+		L1:            newCache(cfg.L1Size, cfg.L1Assoc, cfg.LineSize),
+		L2:            newCache(cfg.L2Size, cfg.L2Assoc, cfg.LineSize),
 		ActiveThreads: cfg.Threads(),
 		heap:          1 << 12, // leave page zero unused
 		everCached:    make(map[uint64]struct{}),

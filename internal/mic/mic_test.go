@@ -14,13 +14,13 @@ func TestCacheGeometryPanics(t *testing.T) {
 					t.Errorf("geometry %v accepted", bad)
 				}
 			}()
-			NewCache(bad[0], bad[1], bad[2])
+			newCache(bad[0], bad[1], bad[2])
 		}()
 	}
 }
 
 func TestCacheHitAfterMiss(t *testing.T) {
-	c := NewCache(1024, 2, 64)
+	c := newCache(1024, 2, 64)
 	if c.Access(0) {
 		t.Fatal("cold access must miss")
 	}
@@ -41,7 +41,7 @@ func TestCacheHitAfterMiss(t *testing.T) {
 func TestCacheLRUEviction(t *testing.T) {
 	// 2-way cache, 8 sets of 64B lines: lines mapping to set 0 are
 	// multiples of 8 lines (512B).
-	c := NewCache(1024, 2, 64)
+	c := newCache(1024, 2, 64)
 	c.Access(0)    // set 0, way 0
 	c.Access(512)  // set 0, way 1
 	c.Access(0)    // refresh line 0
@@ -56,7 +56,7 @@ func TestCacheLRUEviction(t *testing.T) {
 
 func TestCacheCapacityBehaviour(t *testing.T) {
 	// Working set fits: second sweep all hits. Working set 2x: thrashing.
-	c := NewCache(32<<10, 8, 64)
+	c := newCache(32<<10, 8, 64)
 	for addr := uint64(0); addr < 32<<10; addr += 64 {
 		c.Access(addr)
 	}
@@ -82,7 +82,7 @@ func TestCacheCapacityBehaviour(t *testing.T) {
 }
 
 func TestCacheResetClears(t *testing.T) {
-	c := NewCache(1024, 2, 64)
+	c := newCache(1024, 2, 64)
 	c.Access(0)
 	c.Reset()
 	if c.Hits != 0 || c.Misses != 0 || c.Accesses() != 0 {
@@ -290,7 +290,7 @@ func TestRemoteL2CheaperThanDRAM(t *testing.T) {
 // The cache simulator runs once per simulated memory reference; an access
 // allocates nothing, hit or miss.
 func TestCacheAccessAllocsZero(t *testing.T) {
-	c := NewCache(1024, 2, 64)
+	c := newCache(1024, 2, 64)
 	var addr uint64
 	if n := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 64; i++ {

@@ -40,12 +40,12 @@ var tagNames = [...]string{
 	TagDisconnect: "disconnect", TagHeartbeat: "heartbeat",
 }
 
-// ValidTag reports whether t is a tag this protocol version defines.
-func ValidTag(t Tag) bool { return t < Tag(len(tagNames)) && tagNames[t] != "" }
+// validTag reports whether t is a tag this protocol version defines.
+func validTag(t Tag) bool { return t < Tag(len(tagNames)) && tagNames[t] != "" }
 
 // String implements fmt.Stringer.
 func (t Tag) String() string {
-	if ValidTag(t) {
+	if validTag(t) {
 		return tagNames[t]
 	}
 	return fmt.Sprintf("Tag(%d)", uint32(t))

@@ -147,7 +147,7 @@ func TestTCPRoundTrip(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			w, err := DialWorkerCtx(context.Background(), master.Addr())
+			w, err := dialWorker(context.Background(), master.Addr())
 			if err != nil {
 				t.Error(err)
 				return
@@ -222,7 +222,7 @@ func TestTCPWorkerCannotSendToWorker(t *testing.T) {
 	defer master.Close()
 	done := make(chan *TCPWorker, 1)
 	go func() {
-		w, _ := DialWorkerCtx(context.Background(), master.Addr())
+		w, _ := dialWorker(context.Background(), master.Addr())
 		done <- w
 	}()
 	if err := master.AcceptCtx(context.Background()); err != nil {
@@ -262,7 +262,7 @@ func TestTCPRecvAfterClose(t *testing.T) {
 	}
 	done := make(chan *TCPWorker, 1)
 	go func() {
-		w, _ := DialWorkerCtx(context.Background(), master.Addr())
+		w, _ := dialWorker(context.Background(), master.Addr())
 		done <- w
 	}()
 	if err := master.AcceptCtx(context.Background()); err != nil {
@@ -280,7 +280,7 @@ func TestTCPRecvAfterClose(t *testing.T) {
 }
 
 func TestDialWorkerNoServer(t *testing.T) {
-	if _, err := DialWorkerCtx(context.Background(), "127.0.0.1:1"); err == nil {
+	if _, err := dialWorker(context.Background(), "127.0.0.1:1"); err == nil {
 		t.Fatal("dial to closed port succeeded")
 	}
 }
@@ -295,7 +295,7 @@ func TestTCPWorkerSeesDisconnectAsTag(t *testing.T) {
 	defer master.Close()
 	done := make(chan *TCPWorker, 1)
 	go func() {
-		w, _ := DialWorkerCtx(context.Background(), master.Addr())
+		w, _ := dialWorker(context.Background(), master.Addr())
 		done <- w
 	}()
 	if err := master.AcceptCtx(context.Background()); err != nil {

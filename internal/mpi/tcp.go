@@ -48,7 +48,7 @@ func readFrame(r io.Reader) (Message, error) {
 		return Message{}, err
 	}
 	tag := Tag(binary.LittleEndian.Uint32(hdr[4:]))
-	if !ValidTag(tag) {
+	if !validTag(tag) {
 		return Message{}, fmt.Errorf("mpi: frame carries unknown tag %d", uint32(tag))
 	}
 	n := binary.LittleEndian.Uint32(hdr[8:])
@@ -346,10 +346,10 @@ type TCPWorker struct {
 	once   sync.Once
 }
 
-// DialWorkerCtx connects to the master at addr and completes the rank
+// dialWorker connects to the master at addr and completes the rank
 // handshake, honoring ctx for both (a master that accepts but never
 // handshakes must not strand a cancelled worker).
-func DialWorkerCtx(ctx context.Context, addr string) (*TCPWorker, error) {
+func dialWorker(ctx context.Context, addr string) (*TCPWorker, error) {
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
@@ -380,7 +380,7 @@ func DialWorkerCtx(ctx context.Context, addr string) (*TCPWorker, error) {
 	}, nil
 }
 
-// DialWorkerRetryCtx is DialWorkerCtx under the shared retry policy's
+// DialWorkerRetryCtx is dialWorker under the shared retry policy's
 // exponential backoff and jitter: it keeps redialing through transient
 // refusals (master not yet up, network blip, master restarting) until the
 // attempt budget is spent. Cancelling ctx interrupts both the dial in
@@ -391,7 +391,7 @@ func DialWorkerRetryCtx(ctx context.Context, addr string, p retry.Policy) (*TCPW
 	var w *TCPWorker
 	err := retry.Do(ctx, p, func(ctx context.Context, _ int) error {
 		var derr error
-		w, derr = DialWorkerCtx(ctx, addr)
+		w, derr = dialWorker(ctx, addr)
 		return derr
 	})
 	if err != nil {

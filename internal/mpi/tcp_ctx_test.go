@@ -83,7 +83,7 @@ func TestAcceptCtxCancelUnblocksQuorumWait(t *testing.T) {
 	go func() { done <- m.AcceptCtx(ctx) }()
 	// One of the two expected workers joins: once its handshake is through,
 	// the master is waiting in Accept for a second that never dials.
-	w, err := DialWorkerCtx(context.Background(), m.Addr())
+	w, err := dialWorker(context.Background(), m.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestAcceptCtxStillAcceptsQuorum(t *testing.T) {
 	defer m.Close()
 	done := make(chan error, 1)
 	go func() { done <- m.AcceptCtx(context.Background()) }()
-	w, err := DialWorkerCtx(context.Background(), m.Addr())
+	w, err := dialWorker(context.Background(), m.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestAcceptCtxStillAcceptsQuorum(t *testing.T) {
 		t.Fatalf("AcceptCtx with live ctx: %v", err)
 	}
 	// The background loop must still admit late joiners.
-	late, err := DialWorkerCtx(context.Background(), m.Addr())
+	late, err := dialWorker(context.Background(), m.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestDialWorkerCtxCancelInterruptsDial(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		w, err := DialWorkerCtx(ctx, ln.Addr().String())
+		w, err := dialWorker(ctx, ln.Addr().String())
 		if w != nil {
 			w.Close()
 		}
@@ -178,6 +178,6 @@ func TestDialWorkerCtxCancelInterruptsDial(t *testing.T) {
 			t.Fatal("dial to a never-handshaking master succeeded")
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("cancelled DialWorkerCtx still blocked after 2s")
+		t.Fatal("cancelled dialWorker still blocked after 2s")
 	}
 }

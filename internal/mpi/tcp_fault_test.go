@@ -27,7 +27,7 @@ func TestAcceptTimeoutReportsJoinCount(t *testing.T) {
 	// until the accept has given up.
 	gaveUp := make(chan struct{})
 	go func() {
-		w, err := DialWorkerCtx(context.Background(), master.Addr())
+		w, err := dialWorker(context.Background(), master.Addr())
 		if err == nil {
 			defer w.Close()
 			<-gaveUp
@@ -122,7 +122,7 @@ func TestLateJoinAndRejoinGetFreshRanks(t *testing.T) {
 	defer master.Close()
 	first := make(chan *TCPWorker, 1)
 	go func() {
-		w, _ := DialWorkerCtx(context.Background(), master.Addr())
+		w, _ := dialWorker(context.Background(), master.Addr())
 		first <- w
 	}()
 	if err := master.AcceptCtx(context.Background()); err != nil {
@@ -135,7 +135,7 @@ func TestLateJoinAndRejoinGetFreshRanks(t *testing.T) {
 
 	// A late joiner after the initial quorum gets the next rank and the
 	// communicator grows.
-	w2, err := DialWorkerCtx(context.Background(), master.Addr())
+	w2, err := dialWorker(context.Background(), master.Addr())
 	if err != nil {
 		t.Fatalf("late join rejected: %v", err)
 	}
@@ -161,7 +161,7 @@ func TestLateJoinAndRejoinGetFreshRanks(t *testing.T) {
 	if err != nil || msg.Tag != TagDisconnect || msg.From != 1 {
 		t.Fatalf("crash notice %+v err %v", msg, err)
 	}
-	w3, err := DialWorkerCtx(context.Background(), master.Addr())
+	w3, err := dialWorker(context.Background(), master.Addr())
 	if err != nil {
 		t.Fatalf("rejoin rejected: %v", err)
 	}
@@ -294,7 +294,7 @@ func FuzzReadFrame(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if !ValidTag(msg.Tag) {
+		if !validTag(msg.Tag) {
 			t.Fatalf("accepted tag %d", uint32(msg.Tag))
 		}
 		if want := binary.LittleEndian.Uint32(p[8:]); uint32(len(msg.Body)) != want {

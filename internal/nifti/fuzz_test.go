@@ -48,12 +48,12 @@ func FuzzNIfTIRead(f *testing.F) {
 			t.Fatalf("accepted volume with %d values for dims %v (want %d)", len(v.Data), v.Dim, n)
 		}
 		for i, d := range v.Dim {
-			if d < 1 || d > MaxDim {
-				t.Fatalf("accepted dim[%d] = %d outside [1, %d]", i, d, MaxDim)
+			if d < 1 || d > maxDim {
+				t.Fatalf("accepted dim[%d] = %d outside [1, %d]", i, d, maxDim)
 			}
 		}
-		if n > MaxVoxels {
-			t.Fatalf("accepted %d voxels over budget %d", n, MaxVoxels)
+		if n > maxVoxels {
+			t.Fatalf("accepted %d voxels over budget %d", n, maxVoxels)
 		}
 	})
 }

@@ -23,7 +23,7 @@ func validHeaderBytes(t *testing.T) []byte {
 
 func TestReadRejectsOversizedDim(t *testing.T) {
 	b := validHeaderBytes(t)
-	binary.LittleEndian.PutUint16(b[42:], MaxDim+1)
+	binary.LittleEndian.PutUint16(b[42:], maxDim+1)
 	_, err := Read(bytes.NewReader(b))
 	if err == nil || !strings.Contains(err.Error(), "dim[1]") {
 		t.Fatalf("err = %v, want dim bound violation", err)
@@ -33,10 +33,10 @@ func TestReadRejectsOversizedDim(t *testing.T) {
 func TestReadRejectsAllocationOverBudget(t *testing.T) {
 	b := validHeaderBytes(t)
 	// Each axis within bounds, but the product blows the budget:
-	// 32767^3 * 2 >> MaxVoxels.
-	binary.LittleEndian.PutUint16(b[42:], MaxDim)
-	binary.LittleEndian.PutUint16(b[44:], MaxDim)
-	binary.LittleEndian.PutUint16(b[46:], MaxDim)
+	// 32767^3 * 2 >> maxVoxels.
+	binary.LittleEndian.PutUint16(b[42:], maxDim)
+	binary.LittleEndian.PutUint16(b[44:], maxDim)
+	binary.LittleEndian.PutUint16(b[46:], maxDim)
 	_, err := Read(bytes.NewReader(b))
 	if err == nil || !strings.Contains(err.Error(), "budget") {
 		t.Fatalf("err = %v, want allocation budget violation", err)
@@ -54,7 +54,7 @@ func TestReadRejectsBitpixDatatypeMismatch(t *testing.T) {
 
 func TestReadRejectsHugeVoxOffset(t *testing.T) {
 	b := validHeaderBytes(t)
-	binary.LittleEndian.PutUint32(b[108:], math.Float32bits(float32(MaxOffsetSkip)+headerSize+4096))
+	binary.LittleEndian.PutUint32(b[108:], math.Float32bits(float32(maxOffsetSkip)+headerSize+4096))
 	_, err := Read(bytes.NewReader(b))
 	if err == nil || !strings.Contains(err.Error(), "vox_offset") {
 		t.Fatalf("err = %v, want vox_offset cap violation", err)

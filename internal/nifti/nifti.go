@@ -28,25 +28,25 @@ const (
 // header must not be able to drive allocation: every size is bounded
 // before any buffer is sized from it.
 const (
-	// MaxDim bounds each axis extent (the format's int16 dim fields top
+	// maxDim bounds each axis extent (the format's int16 dim fields top
 	// out here anyway). Real acquisitions are a few hundred voxels per
 	// axis; this leaves two orders of magnitude of headroom.
-	MaxDim = 1<<15 - 1
-	// MaxVoxels bounds the total element count (the float32 allocation
+	maxDim = 1<<15 - 1
+	// maxVoxels bounds the total element count (the float32 allocation
 	// budget: 2^28 elements = 1 GiB of converted data).
-	MaxVoxels = 1 << 28
-	// MaxOffsetSkip bounds the header-to-data gap implied by vox_offset
+	maxVoxels = 1 << 28
+	// maxOffsetSkip bounds the header-to-data gap implied by vox_offset
 	// (extensions live there; 16 MiB is far beyond any real extension).
-	MaxOffsetSkip = 16 << 20
+	maxOffsetSkip = 16 << 20
 )
 
 // Datatype codes from the specification.
 const (
-	DTUint8   = 2
-	DTInt16   = 4
-	DTInt32   = 8
-	DTFloat32 = 16
-	DTFloat64 = 64
+	dtUint8   = 2
+	dtInt16   = 4
+	dtInt32   = 8
+	dtFloat32 = 16
+	dtFloat64 = 64
 )
 
 // Volume is a NIfTI volume with up to 4 dimensions, data converted to
@@ -106,8 +106,8 @@ func Read(r io.Reader) (*Volume, error) {
 		vol.Dim[i] = 1
 		if i < ndim {
 			vol.Dim[i] = i16(40 + 2*(i+1))
-			if vol.Dim[i] < 1 || vol.Dim[i] > MaxDim {
-				return nil, fmt.Errorf("nifti: dim[%d] = %d outside [1, %d]", i+1, vol.Dim[i], MaxDim)
+			if vol.Dim[i] < 1 || vol.Dim[i] > maxDim {
+				return nil, fmt.Errorf("nifti: dim[%d] = %d outside [1, %d]", i+1, vol.Dim[i], maxDim)
 			}
 		}
 		vol.Pixdim[i] = f32(76 + 4*(i+1))
@@ -136,9 +136,9 @@ func Read(r io.Reader) (*Volume, error) {
 	}
 	offset := defaultOffset
 	if rawOff := f32(108); !math.IsNaN(float64(rawOff)) && rawOff >= headerSize {
-		if rawOff-headerSize > MaxOffsetSkip {
+		if rawOff-headerSize > maxOffsetSkip {
 			return nil, fmt.Errorf("nifti: vox_offset %g implies a %g-byte header gap (cap %d)",
-				rawOff, rawOff-headerSize, MaxOffsetSkip)
+				rawOff, rawOff-headerSize, maxOffsetSkip)
 		}
 		offset = int(rawOff)
 	}
@@ -147,12 +147,12 @@ func Read(r io.Reader) (*Volume, error) {
 		return nil, fmt.Errorf("nifti: skipping to vox_offset: %w", err)
 	}
 
-	// Dim entries are bounded by MaxDim (2^15) so the product fits int64
+	// Dim entries are bounded by maxDim (2^15) so the product fits int64
 	// without overflow; bound it before allocating.
 	n64 := int64(vol.Dim[0]) * int64(vol.Dim[1]) * int64(vol.Dim[2]) * int64(vol.Dim[3])
-	if n64 > MaxVoxels {
+	if n64 > maxVoxels {
 		return nil, fmt.Errorf("nifti: volume %v declares %d voxels, allocation budget is %d",
-			vol.Dim, n64, int64(MaxVoxels))
+			vol.Dim, n64, int64(maxVoxels))
 	}
 	n := int(n64)
 	vol.Data = make([]float32, n)
@@ -164,13 +164,13 @@ func Read(r io.Reader) (*Volume, error) {
 
 func datatypeWidth(datatype int) (int, error) {
 	switch datatype {
-	case DTUint8:
+	case dtUint8:
 		return 1, nil
-	case DTInt16:
+	case dtInt16:
 		return 2, nil
-	case DTInt32, DTFloat32:
+	case dtInt32, dtFloat32:
 		return 4, nil
-	case DTFloat64:
+	case dtFloat64:
 		return 8, nil
 	}
 	return 0, fmt.Errorf("nifti: unsupported datatype %d", datatype)
@@ -194,15 +194,15 @@ func readValues(r io.Reader, order binary.ByteOrder, datatype int, slope, inter 
 		for off := 0; off < want; off += width {
 			var v float32
 			switch datatype {
-			case DTUint8:
+			case dtUint8:
 				v = float32(buf[off])
-			case DTInt16:
+			case dtInt16:
 				v = float32(int16(order.Uint16(buf[off:])))
-			case DTInt32:
+			case dtInt32:
 				v = float32(int32(order.Uint32(buf[off:])))
-			case DTFloat32:
+			case dtFloat32:
 				v = math.Float32frombits(order.Uint32(buf[off:]))
-			case DTFloat64:
+			case dtFloat64:
 				v = float32(math.Float64frombits(order.Uint64(buf[off:])))
 			}
 			dst[i] = v*slope + inter
@@ -229,7 +229,7 @@ func Write(w io.Writer, vol *Volume) error {
 		le.PutUint16(hdr[40+2*(i+1):], uint16(vol.Dim[i]))
 		le.PutUint32(hdr[76+4*(i+1):], math.Float32bits(vol.Pixdim[i]))
 	}
-	le.PutUint16(hdr[70:], DTFloat32) // datatype
+	le.PutUint16(hdr[70:], dtFloat32) // datatype
 	le.PutUint16(hdr[72:], 32)        // bitpix
 	le.PutUint32(hdr[108:], math.Float32bits(defaultOffset))
 	le.PutUint32(hdr[112:], math.Float32bits(1)) // scl_slope

@@ -93,7 +93,7 @@ func TestReadBigEndian(t *testing.T) {
 	raw := make([]byte, 2*4)
 	be.PutUint32(raw[0:], math.Float32bits(1.25))
 	be.PutUint32(raw[4:], math.Float32bits(-2.5))
-	blob := buildNIfTI(be, DTFloat32, [4]int{2, 1, 1, 1}, 1, 0, raw)
+	blob := buildNIfTI(be, dtFloat32, [4]int{2, 1, 1, 1}, 1, 0, raw)
 	vol, err := Read(bytes.NewReader(blob))
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +110,7 @@ func TestReadInt16WithScaling(t *testing.T) {
 	le.PutUint16(raw[0:], uint16(v0))
 	le.PutUint16(raw[2:], uint16(v1))
 	le.PutUint16(raw[4:], uint16(v2))
-	blob := buildNIfTI(le, DTInt16, [4]int{3, 1, 1, 1}, 0.5, 10, raw)
+	blob := buildNIfTI(le, dtInt16, [4]int{3, 1, 1, 1}, 0.5, 10, raw)
 	vol, err := Read(bytes.NewReader(blob))
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +125,7 @@ func TestReadInt16WithScaling(t *testing.T) {
 
 func TestReadUint8AndFloat64(t *testing.T) {
 	le := binary.LittleEndian
-	blob := buildNIfTI(le, DTUint8, [4]int{2, 1, 1, 1}, 1, 0, []byte{7, 255})
+	blob := buildNIfTI(le, dtUint8, [4]int{2, 1, 1, 1}, 1, 0, []byte{7, 255})
 	vol, err := Read(bytes.NewReader(blob))
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +135,7 @@ func TestReadUint8AndFloat64(t *testing.T) {
 	}
 	raw := make([]byte, 8)
 	le.PutUint64(raw, math.Float64bits(3.5))
-	blob = buildNIfTI(le, DTFloat64, [4]int{1, 1, 1, 1}, 1, 0, raw)
+	blob = buildNIfTI(le, dtFloat64, [4]int{1, 1, 1, 1}, 1, 0, raw)
 	vol, err = Read(bytes.NewReader(blob))
 	if err != nil {
 		t.Fatal(err)
@@ -150,12 +150,12 @@ func TestReadRejectsGarbage(t *testing.T) {
 		nil,
 		make([]byte, 100),
 		func() []byte { // wrong magic
-			b := buildNIfTI(binary.LittleEndian, DTFloat32, [4]int{1, 1, 1, 1}, 1, 0, make([]byte, 4))
+			b := buildNIfTI(binary.LittleEndian, dtFloat32, [4]int{1, 1, 1, 1}, 1, 0, make([]byte, 4))
 			copy(b[344:], "XXXX")
 			return b
 		}(),
 		func() []byte { // bad sizeof_hdr
-			b := buildNIfTI(binary.LittleEndian, DTFloat32, [4]int{1, 1, 1, 1}, 1, 0, make([]byte, 4))
+			b := buildNIfTI(binary.LittleEndian, dtFloat32, [4]int{1, 1, 1, 1}, 1, 0, make([]byte, 4))
 			b[0] = 99
 			return b
 		}(),
@@ -163,7 +163,7 @@ func TestReadRejectsGarbage(t *testing.T) {
 			return buildNIfTI(binary.LittleEndian, 32, [4]int{1, 1, 1, 1}, 1, 0, make([]byte, 8))
 		}(),
 		// truncated data
-		buildNIfTI(binary.LittleEndian, DTFloat32, [4]int{4, 4, 4, 2}, 1, 0, make([]byte, 16)),
+		buildNIfTI(binary.LittleEndian, dtFloat32, [4]int{4, 4, 4, 2}, 1, 0, make([]byte, 16)),
 	}
 	for i, blob := range cases {
 		if _, err := Read(bytes.NewReader(blob)); err == nil {

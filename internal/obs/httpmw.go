@@ -113,9 +113,9 @@ func (m HTTPMiddleware) Wrap(route string, next http.Handler) http.Handler {
 			span.SetInt("status", rec.status)
 			span.End()
 		}
-		m.Reg.CounterWith("http_requests_total",
+		m.Reg.Counter("http_requests_total",
 			L("route", route), L("method", r.Method), L("code", statusClass(rec.status))).Inc()
-		m.Reg.HistogramWith("http_request_seconds", nil,
+		m.Reg.Histogram("http_request_seconds", nil,
 			L("route", route), L("method", r.Method)).Observe(elapsed.Seconds())
 		if m.Log != nil {
 			m.Log.Info("http request",

@@ -101,27 +101,3 @@ func sortSeriesKeys(keys []string) {
 		return li < lj
 	})
 }
-
-// CounterWith returns the counter series of the named family with the
-// given labels, creating it on first use. Resolve once and cache — the
-// canonicalization sorts and escapes on every call. A nil registry
-// returns a nil (no-op) counter.
-func (r *Registry) CounterWith(name string, labels ...Label) *Counter {
-	return r.Counter(SeriesName(name, labels...))
-}
-
-// GaugeWith returns the gauge series of the named family with the given
-// labels, creating it on first use. A nil registry returns a nil (no-op)
-// gauge.
-func (r *Registry) GaugeWith(name string, labels ...Label) *Gauge {
-	return r.Gauge(SeriesName(name, labels...))
-}
-
-// HistogramWith returns the histogram series of the named family with the
-// given labels, creating it with bounds on first use (nil bounds select
-// DefaultLatencyBuckets). All series of one family should share bounds so
-// a merged family stays coherent. A nil registry returns a nil (no-op)
-// histogram.
-func (r *Registry) HistogramWith(name string, bounds []float64, labels ...Label) *Histogram {
-	return r.Histogram(SeriesName(name, labels...), bounds)
-}

@@ -34,11 +34,11 @@ func TestSeriesNameEscaping(t *testing.T) {
 // sorts below "{") would split them under a plain string sort.
 func TestWritePrometheusLabeledFamilies(t *testing.T) {
 	r := NewRegistry()
-	r.CounterWith("jobs_total", L("tenant", "b")).Add(2)
-	r.CounterWith("jobs_total", L("tenant", "a")).Add(1)
+	r.Counter("jobs_total", L("tenant", "b")).Add(2)
+	r.Counter("jobs_total", L("tenant", "a")).Add(1)
 	r.Counter("jobs_total").Add(5)       // bare series of the same family
 	r.Counter("jobs_queue_total").Add(3) // sorts between "jobs_total" and "jobs_total{"
-	r.GaugeWith("live", L("zone", "x")).Set(1.5)
+	r.Gauge("live", L("zone", "x")).Set(1.5)
 
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
@@ -65,7 +65,7 @@ func TestWritePrometheusLabeledFamilies(t *testing.T) {
 // last on buckets.
 func TestWritePrometheusLabeledHistogram(t *testing.T) {
 	r := NewRegistry()
-	h := r.HistogramWith("wait_seconds", []float64{1, 5}, L("tenant", "acme"))
+	h := r.Histogram("wait_seconds", []float64{1, 5}, L("tenant", "acme"))
 	h.Observe(0.5)
 	h.Observe(3)
 	h.Observe(30)
@@ -95,8 +95,8 @@ func TestWritePrometheusLabeledHistogram(t *testing.T) {
 func TestSnapshotMergeLabeledSeries(t *testing.T) {
 	mk := func(tenant string, n uint64, obs float64) Snapshot {
 		r := NewRegistry()
-		r.CounterWith("jobs_total", L("tenant", tenant)).Add(n)
-		r.HistogramWith("wait_seconds", []float64{1}, L("tenant", tenant)).Observe(obs)
+		r.Counter("jobs_total", L("tenant", tenant)).Add(n)
+		r.Histogram("wait_seconds", []float64{1}, L("tenant", tenant)).Observe(obs)
 		return r.Snapshot()
 	}
 	s := mk("a", 2, 0.5)

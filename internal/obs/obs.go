@@ -191,72 +191,58 @@ var def = NewRegistry()
 // given no explicit registry record here.
 func Default() *Registry { return def }
 
-// Counter returns the named counter, creating it on first use. A nil
-// registry returns a nil (no-op) counter.
-func (r *Registry) Counter(name string) *Counter {
+// Counter returns the counter series of the named family with the given
+// labels (SeriesName; none is the bare family), creating it on first use.
+// Resolve a labeled series once and cache it: the canonicalization sorts
+// and escapes on every call. A nil registry returns a nil (no-op) counter.
+func (r *Registry) Counter(name string, labels ...Label) *Counter {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	c := r.counters[name]
-	r.mu.RUnlock()
-	if c != nil {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c = r.counters[name]; c == nil {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
+	return getOrCreate(r, r.counters, SeriesName(name, labels...), func() *Counter { return &Counter{} })
 }
 
-// Gauge returns the named gauge, creating it on first use. A nil registry
-// returns a nil (no-op) gauge.
-func (r *Registry) Gauge(name string) *Gauge {
+// Gauge returns the gauge series of the named family with the given
+// labels, creating it on first use. A nil registry returns a nil (no-op)
+// gauge.
+func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	g := r.gauges[name]
-	r.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g = r.gauges[name]; g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+	return getOrCreate(r, r.gauges, SeriesName(name, labels...), func() *Gauge { return &Gauge{} })
 }
 
-// Histogram returns the named histogram, creating it with the given
-// bucket upper bounds on first use (nil bounds select
-// DefaultLatencyBuckets). Later calls ignore bounds. A nil registry
-// returns a nil (no-op) histogram.
-func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
+// Histogram returns the histogram series of the named family with the
+// given labels, creating it with the given bucket upper bounds on first
+// use (nil bounds select DefaultLatencyBuckets). Later calls ignore
+// bounds; all series of one family should share them so a merged family
+// stays coherent. A nil registry returns a nil (no-op) histogram.
+func (r *Registry) Histogram(name string, bounds []float64, labels ...Label) *Histogram {
 	if r == nil {
 		return nil
 	}
+	if bounds == nil {
+		bounds = DefaultLatencyBuckets
+	}
+	return getOrCreate(r, r.hists, SeriesName(name, labels...), func() *Histogram { return newHistogram(bounds) })
+}
+
+// getOrCreate returns m[key], calling create and storing its result under
+// r's lock when the key is new.
+func getOrCreate[T any](r *Registry, m map[string]*T, key string, create func() *T) *T {
 	r.mu.RLock()
-	h := r.hists[name]
+	v := m[key]
 	r.mu.RUnlock()
-	if h != nil {
-		return h
+	if v != nil {
+		return v
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if h = r.hists[name]; h == nil {
-		if bounds == nil {
-			bounds = DefaultLatencyBuckets
-		}
-		h = newHistogram(bounds)
-		r.hists[name] = h
+	if v = m[key]; v == nil {
+		v = create()
+		m[key] = v
 	}
-	return h
+	return v
 }
 
 // Stage returns the latency histogram "stage_<name>_seconds", the

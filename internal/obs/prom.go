@@ -157,19 +157,14 @@ func NewMux(snap func() Snapshot, ready *Readiness) *http.ServeMux {
 	return mux
 }
 
-// Serve starts an HTTP server on addr exposing the registry at /metrics
-// (Prometheus text) and the standard net/http/pprof handlers under
-// /debug/pprof/ — the -listen endpoint of fcma-run and fcma-cluster.
-// A nil registry serves an empty /metrics page (pprof still works).
-func Serve(addr string, r *Registry) (*Server, error) {
-	return ServeFunc(addr, r.Snapshot)
-}
-
-// ServeFunc is Serve with a caller-supplied snapshot source, evaluated per
-// /metrics request — the cluster master uses it to expose its own registry
-// merged with the workers' shipped snapshots. The built-in /readyz is
-// always ready; daemons with a drain protocol use NewMux with their own
-// Readiness instead.
+// ServeFunc starts an HTTP server on addr exposing snap's registry view at
+// /metrics (Prometheus text, evaluated per request) and the standard
+// net/http/pprof handlers under /debug/pprof/ — the -listen endpoint of
+// fcma-run and fcma-cluster. Pass a registry's Snapshot method (a nil
+// registry's serves an empty page), or, as the cluster master does, a
+// function merging its own registry with the workers' shipped snapshots.
+// The built-in /readyz is always ready; daemons with a drain protocol use
+// NewMux with their own Readiness instead.
 func ServeFunc(addr string, snap func() Snapshot) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

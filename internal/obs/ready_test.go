@@ -79,7 +79,7 @@ func TestReadyzEndpoint(t *testing.T) {
 // arrived before the shutdown finish, where Close would sever it.
 func TestServerShutdownWaitsForInflight(t *testing.T) {
 	reg := NewRegistry()
-	srv, err := Serve("127.0.0.1:0", reg)
+	srv, err := ServeFunc("127.0.0.1:0", reg.Snapshot)
 	if err != nil {
 		t.Fatal(err)
 	}

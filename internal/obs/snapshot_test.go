@@ -81,7 +81,7 @@ func TestSnapshotMergeEmpty(t *testing.T) {
 }
 
 func TestHealthzAndBuildInfo(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", NewRegistry())
+	srv, err := ServeFunc("127.0.0.1:0", NewRegistry().Snapshot)
 	if err != nil {
 		t.Fatal(err)
 	}

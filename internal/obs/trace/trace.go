@@ -194,16 +194,10 @@ func (t *Tracer) start(name string, parent SpanContext, tid int) *Active {
 	}}
 }
 
-// StartRoot begins a root span on lane 0 — the run- or task-level span
-// everything else nests under. Safe on a nil tracer (returns nil).
-func (t *Tracer) StartRoot(name string) *Active {
-	return t.start(name, SpanContext{}, 0)
-}
-
-// StartChild begins a span under an explicit parent context on lane 0 —
-// how a cluster worker parents its task span under the master's span
-// shipped inside the task message. Safe on a nil tracer.
-func (t *Tracer) StartChild(name string, parent SpanContext) *Active {
+// Start begins a span on lane 0 under parent. A zero parent starts a root
+// under the tracer's own trace id: the cluster master's run span, which
+// its task spans start under. Safe on a nil tracer (returns nil).
+func (t *Tracer) Start(name string, parent SpanContext) *Active {
 	return t.start(name, parent, 0)
 }
 

@@ -11,9 +11,9 @@ import (
 
 func TestSpanLifecycleAndDrain(t *testing.T) {
 	tr := New(3)
-	root := tr.StartRoot("cluster/run")
+	root := tr.Start("cluster/run", SpanContext{})
 	root.SetInt("voxels", 1200)
-	child := tr.StartChild("cluster/task", root.Context())
+	child := tr.Start("cluster/task", root.Context())
 	child.End()
 	root.End()
 
@@ -48,7 +48,7 @@ func TestSpanLifecycleAndDrain(t *testing.T) {
 
 func TestNilTracerIsNoop(t *testing.T) {
 	var tr *Tracer
-	sp := tr.StartRoot("x")
+	sp := tr.Start("x", SpanContext{})
 	sp.SetAttr("k", "v")
 	sp.SetInt("n", 1)
 	sp.End()
@@ -139,7 +139,7 @@ func TestWorkerSpansGetFreshLanes(t *testing.T) {
 
 func TestRemoteParent(t *testing.T) {
 	master := New(0)
-	task := master.StartRoot("cluster/task")
+	task := master.Start("cluster/task", SpanContext{})
 	worker := New(2)
 	ctx := WithRemoteParent(context.Background(), worker, task.Context())
 	_, sp := StartSpan(ctx, "worker/task")
@@ -213,7 +213,7 @@ func TestDisabledStartSpanZeroAllocs(t *testing.T) {
 	}
 	var tr *Tracer
 	allocs = testing.AllocsPerRun(100, func() {
-		sp := tr.StartRoot("x")
+		sp := tr.Start("x", SpanContext{})
 		sp.SetAttr("k", "v")
 		sp.SetInt("n", 12345)
 		sp.End()
@@ -225,9 +225,9 @@ func TestDisabledStartSpanZeroAllocs(t *testing.T) {
 
 func TestChromeRoundTrip(t *testing.T) {
 	tr := New(1)
-	root := tr.StartRoot("cluster/task")
+	root := tr.Start("cluster/task", SpanContext{})
 	root.SetInt("v0", 120)
-	child := tr.StartChild("corr/merged", root.Context())
+	child := tr.Start("corr/merged", root.Context())
 	child.End()
 	root.End()
 

@@ -32,7 +32,7 @@ func (o *Runner) TableAblation() *Table {
 			note = "block exceeds L2"
 		}
 		t.AddRow("merged column block", fmt.Sprintf("%d", cb),
-			Ms(m.EstimateTime()), Millions(m.L2Misses), note)
+			ms(m.EstimateTime()), millions(m.L2Misses), note)
 	}
 
 	for _, bn := range []int{16, 48, 96, 384, 1536} {
@@ -47,7 +47,7 @@ func (o *Runner) TableAblation() *Table {
 			note = "<- paper design point (6x the 16-lane VPU)"
 		}
 		t.AddRow("syrk staging block", fmt.Sprintf("%d", bn),
-			Ms(m.EstimateTime()), Millions(m.L2Misses), note)
+			ms(m.EstimateTime()), millions(m.L2Misses), note)
 	}
 	return t
 }

@@ -62,8 +62,8 @@ func (o *Runner) Fig9() *Table {
 		t.AddRow(d.name,
 			fmt.Sprintf("%.1f ms/voxel", base*1e3),
 			fmt.Sprintf("%.1f ms/voxel", opt*1e3),
-			Speedup(base/opt),
-			Speedup(d.paperSpeedup))
+			speedup(base/opt),
+			speedup(d.paperSpeedup))
 	}
 	return t
 }
@@ -81,8 +81,8 @@ func (o *Runner) Fig10() *Table {
 		t.AddRow(d.name,
 			fmt.Sprintf("%.1f ms/voxel", base*1e3),
 			fmt.Sprintf("%.1f ms/voxel", opt*1e3),
-			Speedup(base/opt),
-			Speedup(d.paperXeonSpeed))
+			speedup(base/opt),
+			speedup(d.paperXeonSpeed))
 	}
 	return t
 }
@@ -99,7 +99,7 @@ func (o *Runner) Fig11() *Table {
 	for _, d := range fig9Shapes() {
 		xb, xo := o.speedupOn(xeon, d.baseShape, d.optShape)
 		pb, po := o.speedupOn(phi, d.baseShape, d.optShape)
-		norm := func(v float64) string { return Speedup(xb / v) }
+		norm := func(v float64) string { return speedup(xb / v) }
 		t.AddRow(d.name, norm(xb), norm(xo), norm(pb), norm(po))
 	}
 	return t

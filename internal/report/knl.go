@@ -23,7 +23,7 @@ func (o *Runner) TableKNL() *Table {
 			t.AddRow(d.name, cfg.Name,
 				fmt.Sprintf("%.1f ms/voxel", base*1e3),
 				fmt.Sprintf("%.1f ms/voxel", opt*1e3),
-				Speedup(base/opt))
+				speedup(base/opt))
 		}
 	}
 	return t

@@ -101,7 +101,7 @@ func NativeLedger(opt NativeOptions) (*Table, error) {
 				predicted = predicted.Round(time.Microsecond)
 				measured := time.Duration(hists[row.hist].Sum * float64(time.Second)).Round(time.Microsecond)
 				t.AddRow(spec.Name, eng.name, row.stage, predicted.String(), measured.String(),
-					Speedup(float64(measured)/float64(predicted)))
+					speedup(float64(measured)/float64(predicted)))
 			}
 		}
 	}

@@ -41,9 +41,9 @@ func (o *Runner) TableMemory() *Table {
 		brainBytes := int64(r.shape.N) * int64(r.shape.M) * int64(r.shape.T) / int64(r.shape.M) * 4 // N×T per epoch set, negligible
 		optimizedVoxels := (coprocessorAppBytes - brainBytes) / (kernelBytes + corrBytes/int64(r.shape.M))
 		t.AddRow(r.name,
-			Bytes(corrBytes),
+			fmtBytes(corrBytes),
 			fmt.Sprintf("%d", baselineVoxels),
-			Bytes(kernelBytes),
+			fmtBytes(kernelBytes),
 			fmt.Sprintf("%d+", min(int(optimizedVoxels), 100000)),
 			r.paper)
 	}

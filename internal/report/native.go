@@ -99,9 +99,9 @@ func NativeSpeedup(opt NativeOptions) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(spec.Name, Ms(tb), Ms(to),
-			Speedup(float64(tb)/float64(to)),
-			Speedup(paper[spec.Name]))
+		t.AddRow(spec.Name, ms(tb), ms(to),
+			speedup(float64(tb)/float64(to)),
+			speedup(paper[spec.Name]))
 	}
 	return t, nil
 }
@@ -126,7 +126,7 @@ func NativeScaling(opt NativeOptions) (*Table, error) {
 		if t1 == 0 {
 			t1 = elapsed
 		}
-		t.AddRow(fmt.Sprintf("%d", n), Ms(elapsed), Speedup(float64(t1)/float64(elapsed)))
+		t.AddRow(fmt.Sprintf("%d", n), ms(elapsed), speedup(float64(t1)/float64(elapsed)))
 	}
 	return t, nil
 }

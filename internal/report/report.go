@@ -162,10 +162,10 @@ func (o *Runner) taskCost(s access.Shape) time.Duration {
 
 // scheduleFor builds the discrete-event model for an offline analysis over
 // the dataset shape: tasks per fold × folds, with the paper's setup costs.
-func (o *Runner) scheduleFor(s access.Shape, folds int) ScheduleModel {
+func (o *Runner) scheduleFor(s access.Shape, folds int) scheduleModel {
 	tasksPerFold := (s.N + s.V - 1) / s.V
 	cost := o.taskCost(s)
-	return ScheduleModel{
+	return scheduleModel{
 		TaskCosts: uniformTasks(tasksPerFold*folds, cost),
 		Dispatch:  2 * time.Millisecond,
 		Startup:   10 * time.Second,
@@ -175,8 +175,8 @@ func (o *Runner) scheduleFor(s access.Shape, folds int) ScheduleModel {
 
 // scheduleModelFor builds the light-startup model for online analyses
 // (only one subject's data is distributed).
-func scheduleModelFor(tasks int, cost time.Duration) ScheduleModel {
-	return ScheduleModel{
+func scheduleModelFor(tasks int, cost time.Duration) scheduleModel {
+	return scheduleModel{
 		TaskCosts: uniformTasks(tasks, cost),
 		Dispatch:  time.Millisecond,
 		Startup:   40 * time.Millisecond,

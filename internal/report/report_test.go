@@ -339,7 +339,7 @@ func TestNativeLedger(t *testing.T) {
 		if err != nil || measured <= 0 {
 			t.Errorf("%v: measured %q (%v), want a positive duration", row[:3], row[4], err)
 		}
-		if drift := Speedup(float64(measured) / float64(predicted)); row[5] != drift {
+		if drift := speedup(float64(measured) / float64(predicted)); row[5] != drift {
 			t.Errorf("%v: drift %s, want measured/predicted = %s", row[:3], row[5], drift)
 		}
 	}

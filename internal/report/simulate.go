@@ -6,12 +6,12 @@ import (
 	"time"
 )
 
-// ScheduleModel parameterizes the discrete-event extrapolation of the
+// scheduleModel parameterizes the discrete-event extrapolation of the
 // master–worker run to arbitrary node counts. It captures the three
 // sublinearity sources the paper's Fig. 8 exhibits: fixed serial startup
 // (data distribution), per-task dispatch latency through the single
 // master, and end-of-queue load imbalance.
-type ScheduleModel struct {
+type scheduleModel struct {
 	// TaskCosts holds the compute time of every task on one worker node.
 	TaskCosts []time.Duration
 	// Dispatch is the master-side serialized cost to hand out one task
@@ -39,7 +39,7 @@ func (h *workerHeap) Pop() any          { old := *h; n := len(old); x := old[n-1
 // Makespan simulates the dynamic task queue on n workers and returns the
 // elapsed wall time. Tasks are issued in order; each dispatch serializes
 // through the master.
-func (m ScheduleModel) Makespan(n int) (time.Duration, error) {
+func (m scheduleModel) Makespan(n int) (time.Duration, error) {
 	if n <= 0 {
 		return 0, fmt.Errorf("report: simulate with %d workers", n)
 	}
@@ -71,7 +71,7 @@ func (m ScheduleModel) Makespan(n int) (time.Duration, error) {
 
 // Speedups evaluates Makespan over the node counts and normalizes to the
 // first entry, producing the series of Fig. 8.
-func (m ScheduleModel) Speedups(nodes []int) ([]float64, error) {
+func (m scheduleModel) Speedups(nodes []int) ([]float64, error) {
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("report: no node counts")
 	}

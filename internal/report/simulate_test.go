@@ -6,7 +6,7 @@ import (
 )
 
 func TestMakespanSingleWorkerIsSum(t *testing.T) {
-	m := ScheduleModel{TaskCosts: uniformTasks(10, time.Second)}
+	m := scheduleModel{TaskCosts: uniformTasks(10, time.Second)}
 	got, err := m.Makespan(1)
 	if err != nil {
 		t.Fatal(err)
@@ -17,7 +17,7 @@ func TestMakespanSingleWorkerIsSum(t *testing.T) {
 }
 
 func TestMakespanPerfectScaling(t *testing.T) {
-	m := ScheduleModel{TaskCosts: uniformTasks(96, time.Second)}
+	m := scheduleModel{TaskCosts: uniformTasks(96, time.Second)}
 	t96, _ := m.Makespan(96)
 	if t96 != time.Second {
 		t.Fatalf("96 workers on 96 tasks = %v, want 1s", t96)
@@ -25,7 +25,7 @@ func TestMakespanPerfectScaling(t *testing.T) {
 }
 
 func TestMakespanDispatchLimitsScaling(t *testing.T) {
-	m := ScheduleModel{
+	m := scheduleModel{
 		TaskCosts: uniformTasks(1000, 10*time.Millisecond),
 		Dispatch:  time.Millisecond,
 	}
@@ -50,7 +50,7 @@ func TestMakespanDispatchLimitsScaling(t *testing.T) {
 
 func TestMakespanLoadImbalanceTail(t *testing.T) {
 	// 9 tasks on 8 workers: someone runs two tasks.
-	m := ScheduleModel{TaskCosts: uniformTasks(9, time.Second)}
+	m := scheduleModel{TaskCosts: uniformTasks(9, time.Second)}
 	got, _ := m.Makespan(8)
 	if got != 2*time.Second {
 		t.Fatalf("makespan = %v, want 2s", got)
@@ -58,7 +58,7 @@ func TestMakespanLoadImbalanceTail(t *testing.T) {
 }
 
 func TestMakespanStartupSerial(t *testing.T) {
-	m := ScheduleModel{
+	m := scheduleModel{
 		TaskCosts: uniformTasks(4, time.Second),
 		Startup:   3 * time.Second,
 	}
@@ -69,11 +69,11 @@ func TestMakespanStartupSerial(t *testing.T) {
 }
 
 func TestMakespanErrors(t *testing.T) {
-	m := ScheduleModel{TaskCosts: uniformTasks(4, time.Second)}
+	m := scheduleModel{TaskCosts: uniformTasks(4, time.Second)}
 	if _, err := m.Makespan(0); err == nil {
 		t.Fatal("0 workers accepted")
 	}
-	if _, err := (ScheduleModel{}).Makespan(2); err == nil {
+	if _, err := (scheduleModel{}).Makespan(2); err == nil {
 		t.Fatal("no tasks accepted")
 	}
 	if _, err := m.Speedups(nil); err == nil {
@@ -84,7 +84,7 @@ func TestMakespanErrors(t *testing.T) {
 func TestSpeedupsNearLinearWithoutOverheads(t *testing.T) {
 	// Fig. 8's shape: plentiful equal tasks and no dispatch cost scale
 	// nearly linearly.
-	m := ScheduleModel{TaskCosts: uniformTasks(96*12, 100*time.Millisecond)}
+	m := scheduleModel{TaskCosts: uniformTasks(96*12, 100*time.Millisecond)}
 	nodes := []int{1, 8, 16, 32, 64, 96}
 	sp, err := m.Speedups(nodes)
 	if err != nil {

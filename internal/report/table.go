@@ -69,28 +69,28 @@ func (t *Table) Render() string {
 	return b.String()
 }
 
-// Billions formats a count as a "N.NN billion"-style figure.
-func Billions(v uint64) string {
+// billions formats a count as a "N.NN billion"-style figure.
+func billions(v uint64) string {
 	return fmt.Sprintf("%.2f billion", float64(v)/1e9)
 }
 
-// Millions formats a count in millions.
-func Millions(v uint64) string {
+// millions formats a count in millions.
+func millions(v uint64) string {
 	return fmt.Sprintf("%.1f million", float64(v)/1e6)
 }
 
-// Ms formats a duration in integer milliseconds.
-func Ms(d time.Duration) string {
+// ms formats a duration in integer milliseconds.
+func ms(d time.Duration) string {
 	return fmt.Sprintf("%d ms", d.Milliseconds())
 }
 
-// Speedup formats a ratio as "N.NNx".
-func Speedup(v float64) string {
+// speedup formats a ratio as "N.NNx".
+func speedup(v float64) string {
 	return fmt.Sprintf("%.2fx", v)
 }
 
-// Bytes formats a byte count with a binary-unit suffix.
-func Bytes(b int64) string {
+// fmtBytes formats a byte count with a binary-unit suffix.
+func fmtBytes(b int64) string {
 	switch {
 	case b >= 1<<30:
 		return fmt.Sprintf("%.1f GiB", float64(b)/float64(1<<30))

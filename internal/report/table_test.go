@@ -79,10 +79,10 @@ func TestTableRenderRaggedRow(t *testing.T) {
 
 func TestFormatters(t *testing.T) {
 	cases := map[string]string{
-		Billions(34900000000):       "34.90 billion",
-		Millions(708900000):         "708.9 million",
-		Ms(1830 * time.Millisecond): "1830 ms",
-		Speedup(5.24):               "5.24x",
+		billions(34900000000):       "34.90 billion",
+		millions(708900000):         "708.9 million",
+		ms(1830 * time.Millisecond): "1830 ms",
+		speedup(5.24):               "5.24x",
 	}
 	for got, want := range cases {
 		if got != want {
@@ -93,10 +93,10 @@ func TestFormatters(t *testing.T) {
 
 func TestBytes(t *testing.T) {
 	cases := map[string]string{
-		Bytes(512):      "512 B",
-		Bytes(2048):     "2.0 KiB",
-		Bytes(29785000): "28.4 MiB",
-		Bytes(6 << 30):  "6.0 GiB",
+		fmtBytes(512):      "512 B",
+		fmtBytes(2048):     "2.0 KiB",
+		fmtBytes(29785000): "28.4 MiB",
+		fmtBytes(6 << 30):  "6.0 GiB",
 	}
 	for got, want := range cases {
 		if got != want {

@@ -26,14 +26,14 @@ func (o *Runner) Table1() *Table {
 		Title:   "Table 1: instrumentation of the baseline implementation (face-scene, 120-voxel task)",
 		Headers: []string{"stage", "time", "#mem refs", "L2 miss", "vec intensity", "paper (time/refs/L2/VI)"},
 	}
-	t.AddRow("matrix multiplication", Ms(matmulTime), Billions(matmul.MemRefs),
-		Millions(matmul.L2Misses), fmt.Sprintf("%.1f", matmulVI),
+	t.AddRow("matrix multiplication", ms(matmulTime), billions(matmul.MemRefs),
+		millions(matmul.L2Misses), fmt.Sprintf("%.1f", matmulVI),
 		"1830 ms / 34.9e9 / 709e6 / 3.6")
-	t.AddRow("normalization", Ms(p.norm.EstimateTime()), Billions(p.norm.MemRefs),
-		Millions(p.norm.L2Misses), fmt.Sprintf("%.1f", p.norm.VectorIntensity()),
+	t.AddRow("normalization", ms(p.norm.EstimateTime()), billions(p.norm.MemRefs),
+		millions(p.norm.L2Misses), fmt.Sprintf("%.1f", p.norm.VectorIntensity()),
 		"766 ms / 6.2e9 / 179e6 / 8.5")
-	t.AddRow("LibSVM", Ms(p.svm.EstimateTime()), Billions(p.svm.MemRefs),
-		Millions(p.svm.L2Misses), fmt.Sprintf("%.1f", p.svm.VectorIntensity()),
+	t.AddRow("LibSVM", ms(p.svm.EstimateTime()), billions(p.svm.MemRefs),
+		millions(p.svm.L2Misses), fmt.Sprintf("%.1f", p.svm.VectorIntensity()),
 		"3600 ms / 23.0e9 / 7e6 / 1.9")
 	return t
 }
@@ -77,13 +77,13 @@ func (o *Runner) Table5() *Table {
 		Title:   "Table 5: matrix multiplication performance (face-scene task)",
 		Headers: []string{"impl", "function", "time", "GFLOPS", "paper (time/GFLOPS)"},
 	}
-	t.AddRow("our blocking", "correlation computation", Ms(corrOpt.EstimateTime()),
+	t.AddRow("our blocking", "correlation computation", ms(corrOpt.EstimateTime()),
 		fmt.Sprintf("%.0f", corrOpt.GFLOPS()), "170 ms / 126")
-	t.AddRow("our blocking", "SVM kernel computation", Ms(syrkOpt.EstimateTime()),
+	t.AddRow("our blocking", "SVM kernel computation", ms(syrkOpt.EstimateTime()),
 		fmt.Sprintf("%.0f", syrkOpt.GFLOPS()), "400 ms / 430")
-	t.AddRow("MKL baseline", "correlation computation", Ms(corrMKL.EstimateTime()),
+	t.AddRow("MKL baseline", "correlation computation", ms(corrMKL.EstimateTime()),
 		fmt.Sprintf("%.0f", corrMKL.GFLOPS()), "230 ms / 93")
-	t.AddRow("MKL baseline", "SVM kernel computation", Ms(syrkMKL.EstimateTime()),
+	t.AddRow("MKL baseline", "SVM kernel computation", ms(syrkMKL.EstimateTime()),
 		fmt.Sprintf("%.0f", syrkMKL.GFLOPS()), "1600 ms / 108")
 	return t
 }
@@ -118,9 +118,9 @@ func (o *Runner) Table6() *Table {
 		Title:   "Table 6: memory references, L2 misses, vector intensity of the matmul routines",
 		Headers: []string{"impl", "#mem refs", "L2 miss", "vec intensity", "paper (refs/L2/VI)"},
 	}
-	t.AddRow("our blocking", Billions(opt.MemRefs), Millions(opt.L2Misses),
+	t.AddRow("our blocking", billions(opt.MemRefs), millions(opt.L2Misses),
 		fmt.Sprintf("%.1f", opt.VectorIntensity()), "9.97e9 / 121.8e6 / 16")
-	t.AddRow("MKL baseline", Billions(mkl.MemRefs), Millions(mkl.L2Misses),
+	t.AddRow("MKL baseline", billions(mkl.MemRefs), millions(mkl.L2Misses),
 		fmt.Sprintf("%.1f", mkl.VectorIntensity()), "34.86e9 / 708.9e6 / 3.6")
 	return t
 }
@@ -137,10 +137,10 @@ func (o *Runner) Table7() *Table {
 		Title:   "Table 7: retaining L2 cache contents across stages 1+2 (merged vs separated)",
 		Headers: []string{"method", "time", "#mem refs", "L2 miss", "paper (time/refs/L2)"},
 	}
-	t.AddRow("merged", Ms(mer.EstimateTime()), Billions(mer.MemRefs),
-		Millions(mer.L2Misses), "320 ms / 1.93e9 / 67.5e6")
-	t.AddRow("separated", Ms(sep.EstimateTime()), Billions(sep.MemRefs),
-		Millions(sep.L2Misses), "420 ms / 4.35e9 / 188.1e6")
+	t.AddRow("merged", ms(mer.EstimateTime()), billions(mer.MemRefs),
+		millions(mer.L2Misses), "320 ms / 1.93e9 / 67.5e6")
+	t.AddRow("separated", ms(sep.EstimateTime()), billions(sep.MemRefs),
+		millions(sep.L2Misses), "420 ms / 4.35e9 / 188.1e6")
 	return t
 }
 
@@ -156,8 +156,8 @@ func (o *Runner) Table8() *Table {
 		Title:   "Table 8: SVM cross-validation performance (face-scene task)",
 		Headers: []string{"solver", "time", "vec intensity", "paper (time/VI)"},
 	}
-	t.AddRow("LibSVM", Ms(lib.EstimateTime()), fmt.Sprintf("%.1f", lib.VectorIntensity()), "3600 ms / 1.9")
-	t.AddRow("Optimized LibSVM", Ms(olib.EstimateTime()), fmt.Sprintf("%.1f", olib.VectorIntensity()), "1150 ms / 12.4")
-	t.AddRow("PhiSVM", Ms(phi.EstimateTime()), fmt.Sprintf("%.1f", phi.VectorIntensity()), "390 ms / 9.8")
+	t.AddRow("LibSVM", ms(lib.EstimateTime()), fmt.Sprintf("%.1f", lib.VectorIntensity()), "3600 ms / 1.9")
+	t.AddRow("Optimized LibSVM", ms(olib.EstimateTime()), fmt.Sprintf("%.1f", olib.VectorIntensity()), "1150 ms / 12.4")
+	t.AddRow("PhiSVM", ms(phi.EstimateTime()), fmt.Sprintf("%.1f", phi.VectorIntensity()), "390 ms / 9.8")
 	return t
 }

@@ -57,9 +57,9 @@ func (p Policy) withDefaults() Policy {
 	return p
 }
 
-// Canceled reports a retry loop ended by its context rather than by
+// canceled reports a retry loop ended by its context rather than by
 // exhausting the attempt budget; errors.Is(err, ctx.Err()) also holds.
-type Canceled struct {
+type canceled struct {
 	// Attempts is how many tries ran before cancellation.
 	Attempts int
 	// Err is ctx.Err() at the time the loop stopped.
@@ -67,15 +67,15 @@ type Canceled struct {
 }
 
 // Error implements error.
-func (c *Canceled) Error() string {
+func (c *canceled) Error() string {
 	return fmt.Sprintf("canceled after %d attempts: %v", c.Attempts, c.Err)
 }
 
 // Unwrap exposes the context error to errors.Is.
-func (c *Canceled) Unwrap() error { return c.Err }
+func (c *canceled) Unwrap() error { return c.Err }
 
-// Exhausted reports a retry loop that spent its whole attempt budget.
-type Exhausted struct {
+// exhausted reports a retry loop that spent its whole attempt budget.
+type exhausted struct {
 	// Attempts is the budget that was spent.
 	Attempts int
 	// Err is the operation's final error.
@@ -83,15 +83,15 @@ type Exhausted struct {
 }
 
 // Error implements error.
-func (e *Exhausted) Error() string {
+func (e *exhausted) Error() string {
 	return fmt.Sprintf("failed after %d attempts: %v", e.Attempts, e.Err)
 }
 
 // Unwrap exposes the last operation error to errors.Is / errors.As.
-func (e *Exhausted) Unwrap() error { return e.Err }
+func (e *exhausted) Unwrap() error { return e.Err }
 
 // Do runs op until it returns nil, the policy's attempt budget is spent
-// (*Exhausted), or ctx is cancelled (*Canceled) — cancellation interrupts
+// (*exhausted), or ctx is cancelled (*canceled) — cancellation interrupts
 // both an op in flight (op receives ctx) and the backoff sleep between
 // attempts. The attempt number passed to op counts from 1.
 func Do(ctx context.Context, p Policy, op func(ctx context.Context, attempt int) error) error {
@@ -110,7 +110,7 @@ func Do(ctx context.Context, p Policy, op func(ctx context.Context, attempt int)
 			case <-t.C:
 			case <-ctx.Done():
 				t.Stop()
-				return &Canceled{Attempts: attempt - 1, Err: ctx.Err()}
+				return &canceled{Attempts: attempt - 1, Err: ctx.Err()}
 			}
 			if delay *= 2; delay > p.MaxDelay {
 				delay = p.MaxDelay
@@ -122,20 +122,20 @@ func Do(ctx context.Context, p Policy, op func(ctx context.Context, attempt int)
 		}
 		lastErr = err
 		if ctx.Err() != nil {
-			return &Canceled{Attempts: attempt, Err: ctx.Err()}
+			return &canceled{Attempts: attempt, Err: ctx.Err()}
 		}
 	}
-	return &Exhausted{Attempts: p.Attempts, Err: lastErr}
+	return &exhausted{Attempts: p.Attempts, Err: lastErr}
 }
 
 // Attempts extracts how many tries a Do error represents (0 for nil or a
 // foreign error) — callers use it to report "gave up after N".
 func Attempts(err error) int {
-	var c *Canceled
+	var c *canceled
 	if errors.As(err, &c) {
 		return c.Attempts
 	}
-	var e *Exhausted
+	var e *exhausted
 	if errors.As(err, &e) {
 		return e.Attempts
 	}

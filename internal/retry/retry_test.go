@@ -41,7 +41,7 @@ func TestDoExhaustsBudget(t *testing.T) {
 	if calls != 3 {
 		t.Fatalf("op ran %d times, want 3", calls)
 	}
-	var ex *Exhausted
+	var ex *exhausted
 	if !errors.As(err, &ex) || ex.Attempts != 3 {
 		t.Fatalf("Do = %v, want *Exhausted with 3 attempts", err)
 	}
@@ -76,7 +76,7 @@ func TestDoCancelDuringBackoff(t *testing.T) {
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("cancelled Do = %v, want context.Canceled", err)
 		}
-		var c *Canceled
+		var c *canceled
 		if !errors.As(err, &c) || c.Attempts != 1 {
 			t.Fatalf("cancelled Do = %v, want *Canceled after 1 attempt", err)
 		}
@@ -149,7 +149,7 @@ func TestDoZeroValuePolicyRunsOnce(t *testing.T) {
 	if calls != 1 {
 		t.Fatalf("zero policy ran op %d times, want 1", calls)
 	}
-	var ex *Exhausted
+	var ex *exhausted
 	if !errors.As(err, &ex) || ex.Attempts != 1 {
 		t.Fatalf("zero policy error = %v, want *Exhausted after 1 attempt", err)
 	}

@@ -25,16 +25,16 @@ type Region struct {
 // Size returns the number of member voxels.
 func (r Region) Size() int { return len(r.Voxels) }
 
-// Coord converts a voxel index to grid coordinates under dims (x fastest).
-func Coord(dims [3]int, v int) [3]int {
+// coord converts a voxel index to grid coordinates under dims (x fastest).
+func coord(dims [3]int, v int) [3]int {
 	x := v % dims[0]
 	y := (v / dims[0]) % dims[1]
 	z := v / (dims[0] * dims[1])
 	return [3]int{x, y, z}
 }
 
-// Index converts grid coordinates back to a voxel index.
-func Index(dims [3]int, c [3]int) int {
+// index converts grid coordinates back to a voxel index.
+func index(dims [3]int, c [3]int) int {
 	return c[0] + dims[0]*(c[1]+dims[1]*c[2])
 }
 
@@ -74,13 +74,13 @@ func Clusters(dims [3]int, selected []int, minSize int, scores map[int]float64) 
 			v := queue[0]
 			queue = queue[1:]
 			members = append(members, v)
-			c := Coord(dims, v)
+			c := coord(dims, v)
 			for _, d := range [6][3]int{{1, 0, 0}, {-1, 0, 0}, {0, 1, 0}, {0, -1, 0}, {0, 0, 1}, {0, 0, -1}} {
 				n := [3]int{c[0] + d[0], c[1] + d[1], c[2] + d[2]}
 				if n[0] < 0 || n[0] >= dims[0] || n[1] < 0 || n[1] >= dims[1] || n[2] < 0 || n[2] >= dims[2] {
 					continue
 				}
-				ni := Index(dims, n)
+				ni := index(dims, n)
 				if inSet[ni] && !visited[ni] {
 					visited[ni] = true
 					queue = append(queue, ni)
@@ -106,7 +106,7 @@ func buildRegion(dims [3]int, members []int, scores map[int]float64) Region {
 	r := Region{Voxels: members, PeakVoxel: -1}
 	var cx, cy, cz float64
 	for _, v := range members {
-		c := Coord(dims, v)
+		c := coord(dims, v)
 		cx += float64(c[0])
 		cy += float64(c[1])
 		cz += float64(c[2])

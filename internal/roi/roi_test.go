@@ -13,7 +13,7 @@ func TestCoordIndexRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		v := rng.Intn(dims[0] * dims[1] * dims[2])
-		return Index(dims, Coord(dims, v)) == v
+		return index(dims, coord(dims, v)) == v
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -24,8 +24,8 @@ func TestClustersSingleComponent(t *testing.T) {
 	dims := [3]int{4, 4, 4}
 	// A 2x2x1 plate at the origin.
 	sel := []int{
-		Index(dims, [3]int{0, 0, 0}), Index(dims, [3]int{1, 0, 0}),
-		Index(dims, [3]int{0, 1, 0}), Index(dims, [3]int{1, 1, 0}),
+		index(dims, [3]int{0, 0, 0}), index(dims, [3]int{1, 0, 0}),
+		index(dims, [3]int{0, 1, 0}), index(dims, [3]int{1, 1, 0}),
 	}
 	regions, err := Clusters(dims, sel, 1, nil)
 	if err != nil {
@@ -43,9 +43,9 @@ func TestClustersSingleComponent(t *testing.T) {
 func TestClustersSeparatesComponents(t *testing.T) {
 	dims := [3]int{10, 10, 1}
 	// Two L-shaped groups far apart plus one isolated voxel.
-	a := []int{Index(dims, [3]int{0, 0, 0}), Index(dims, [3]int{0, 1, 0}), Index(dims, [3]int{1, 1, 0})}
-	b := []int{Index(dims, [3]int{8, 8, 0}), Index(dims, [3]int{9, 8, 0})}
-	iso := []int{Index(dims, [3]int{5, 5, 0})}
+	a := []int{index(dims, [3]int{0, 0, 0}), index(dims, [3]int{0, 1, 0}), index(dims, [3]int{1, 1, 0})}
+	b := []int{index(dims, [3]int{8, 8, 0}), index(dims, [3]int{9, 8, 0})}
+	iso := []int{index(dims, [3]int{5, 5, 0})}
 	sel := append(append(append([]int{}, a...), b...), iso...)
 	regions, err := Clusters(dims, sel, 2, nil)
 	if err != nil {
@@ -61,7 +61,7 @@ func TestClustersSeparatesComponents(t *testing.T) {
 
 func TestClustersDiagonalNotConnected(t *testing.T) {
 	dims := [3]int{4, 4, 1}
-	sel := []int{Index(dims, [3]int{0, 0, 0}), Index(dims, [3]int{1, 1, 0})}
+	sel := []int{index(dims, [3]int{0, 0, 0}), index(dims, [3]int{1, 1, 0})}
 	regions, err := Clusters(dims, sel, 1, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -88,9 +88,9 @@ func (s *Scanner) StreamContext(ctx context.Context) <-chan Frame {
 	return out
 }
 
-// Window is a completed epoch: its metadata and the voxels×Len activity
+// window is a completed epoch: its metadata and the voxels×Len activity
 // block assembled from the stream.
-type Window struct {
+type window struct {
 	// EpochIndex is the position in the design's epoch list.
 	EpochIndex int
 	// Epoch is the design entry.
@@ -106,7 +106,7 @@ type Window struct {
 type Assembler struct {
 	epochs   []fmri.Epoch
 	voxels   int
-	pending  map[int]*Window // epoch index -> partially filled window
+	pending  map[int]*window // epoch index -> partially filled window
 	finished map[int]bool    // epochs already emitted (overlapping designs)
 	next     int             // expected frame index
 	done     int             // all epochs below this index are finished
@@ -129,7 +129,7 @@ func NewAssembler(epochs []fmri.Epoch, voxels int) (*Assembler, error) {
 	return &Assembler{
 		epochs:   epochs,
 		voxels:   voxels,
-		pending:  make(map[int]*Window),
+		pending:  make(map[int]*window),
 		finished: make(map[int]bool),
 	}, nil
 }
@@ -138,7 +138,7 @@ func NewAssembler(epochs []fmri.Epoch, voxels int) (*Assembler, error) {
 // zero or one; overlapping designs may complete several). Frames must
 // arrive in index order with no gaps — a scanner does not skip volumes,
 // and a gap means the acquisition pipeline lost data.
-func (a *Assembler) Feed(f Frame) ([]Window, error) {
+func (a *Assembler) Feed(f Frame) ([]window, error) {
 	if f.Index != a.next {
 		return nil, fmt.Errorf("rt: frame %d arrived, expected %d (lost volume?)", f.Index, a.next)
 	}
@@ -146,7 +146,7 @@ func (a *Assembler) Feed(f Frame) ([]Window, error) {
 		return nil, fmt.Errorf("rt: frame with %d voxels, want %d", len(f.Data), a.voxels)
 	}
 	a.next++
-	var completed []Window
+	var completed []window
 	for ei := a.done; ei < len(a.epochs); ei++ {
 		e := a.epochs[ei]
 		if e.Start > f.Index {
@@ -157,7 +157,7 @@ func (a *Assembler) Feed(f Frame) ([]Window, error) {
 		}
 		w, ok := a.pending[ei]
 		if !ok {
-			w = &Window{EpochIndex: ei, Epoch: e, Data: tensor.NewMatrix(a.voxels, e.Len)}
+			w = &window{EpochIndex: ei, Epoch: e, Data: tensor.NewMatrix(a.voxels, e.Len)}
 			a.pending[ei] = w
 		}
 		col := f.Index - e.Start
@@ -193,8 +193,8 @@ type Prediction struct {
 	Latency time.Duration
 }
 
-// Classifier labels an assembled epoch window.
-type Classifier interface {
+// classifier labels an assembled epoch window.
+type classifier interface {
 	// ClassifyWindow returns the predicted label and decision value for
 	// a voxels×Len activity window.
 	ClassifyWindow(w *tensor.Matrix) (int, float64)
@@ -208,7 +208,7 @@ type Classifier interface {
 // even when the consumer has stopped draining predictions, and a panicking
 // classifier surfaces as a *safe.PipelineError on the error channel
 // instead of killing the process.
-func RunFeedbackContext(ctx context.Context, frames <-chan Frame, epochs []fmri.Epoch, voxels int, clf Classifier) (<-chan Prediction, <-chan error) {
+func RunFeedbackContext(ctx context.Context, frames <-chan Frame, epochs []fmri.Epoch, voxels int, clf classifier) (<-chan Prediction, <-chan error) {
 	out := make(chan Prediction)
 	errc := make(chan error, 1)
 	asm, err := NewAssembler(epochs, voxels)

@@ -66,7 +66,7 @@ func TestAssemblerEmitsExactWindows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var windows []Window
+	var windows []window
 	for f := range NewScanner(d, 0).StreamContext(context.Background()) {
 		ws, err := asm.Feed(f)
 		if err != nil {

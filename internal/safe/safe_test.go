@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"fcma/internal/obs/trace"
 )
@@ -79,7 +78,6 @@ func TestParallelDriversCancellation(t *testing.T) {
 				if ran.Add(1) == 8 {
 					cancel()
 				}
-				time.Sleep(100 * time.Microsecond)
 				return nil
 			})
 			if !errors.Is(err, context.Canceled) {

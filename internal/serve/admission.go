@@ -28,7 +28,7 @@ func (e *admitError) Error() string { return e.Reason }
 //  3. memory budget: the sum of admitted jobs' estimated working sets
 //     must fit MemBudget, refusing work that would thrash the box
 //     rather than OOMing mid-run.
-func (s *Service) admit(job *Job) *admitError {
+func (s *Service) admit(job *jobRecord) *admitError {
 	tenant := job.Spec.tenant()
 	active, tenantActive := 0, 0
 	var estimated int64

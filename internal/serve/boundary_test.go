@@ -136,7 +136,7 @@ func TestResultIdenticalAcrossChunkVoxels(t *testing.T) {
 			t.Fatalf("chunk %d: submit = %d %v", chunk, code, doc)
 		}
 		id := doc["id"].(string)
-		waitState(t, ts.URL, id, StateDone, 30*time.Second)
+		waitState(t, s, ts.URL, id, stateDone, 30*time.Second)
 		resp, err := http.Get(ts.URL + "/api/v1/jobs/" + id + "/result")
 		if err != nil {
 			t.Fatal(err)

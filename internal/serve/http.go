@@ -61,12 +61,12 @@ func (s *Service) Handler() http.Handler {
 
 // jobStatus is the wire form of a job's state.
 type jobStatus struct {
-	ID       string `json:"id"`
-	State    State  `json:"state"`
-	Tenant   string `json:"tenant"`
-	Name     string `json:"name,omitempty"`
-	Error    string `json:"error,omitempty"`
-	Attempts int    `json:"attempts,omitempty"`
+	ID       string   `json:"id"`
+	State    jobState `json:"state"`
+	Tenant   string   `json:"tenant"`
+	Name     string   `json:"name,omitempty"`
+	Error    string   `json:"error,omitempty"`
+	Attempts int      `json:"attempts,omitempty"`
 	// DoneVoxels/TotalVoxels expose checkpoint progress; Total is 0 until
 	// the first attempt resolves the dataset.
 	DoneVoxels  int `json:"done_voxels"`
@@ -77,7 +77,7 @@ type jobStatus struct {
 }
 
 // statusLocked snapshots a job for the wire (service mutex held).
-func statusLocked(j *Job) jobStatus {
+func statusLocked(j *jobRecord) jobStatus {
 	return jobStatus{
 		ID: j.ID, State: j.State, Tenant: j.Spec.tenant(), Name: j.Spec.Name,
 		Error: j.Err, Attempts: j.Attempts,
@@ -192,7 +192,7 @@ func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown job")
 		return
 	}
-	if job.State != StateDone {
+	if job.State != stateDone {
 		st := job.State
 		s.mu.Unlock()
 		writeError(w, http.StatusConflict, "job is "+string(st)+", not done")

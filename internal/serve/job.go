@@ -9,7 +9,7 @@ import (
 	"fcma/internal/obs/trace"
 )
 
-// State is a job's position in the service's state machine:
+// jobState is a job's position in the service's state machine:
 //
 //	accepted ──▶ running ──▶ done
 //	    │           │  ▲        (terminal)
@@ -24,27 +24,27 @@ import (
 // journaled before the job advances past it). checkpointing: the server
 // is draining; the executor is stopping at the next chunk boundary with
 // all completed progress durable. done/failed/canceled: terminal.
-type State string
+type jobState string
 
 const (
-	StateAccepted      State = "accepted"
-	StateRunning       State = "running"
-	StateCheckpointing State = "checkpointing"
-	StateDone          State = "done"
-	StateFailed        State = "failed"
-	StateCanceled      State = "canceled"
+	stateAccepted      jobState = "accepted"
+	stateRunning       jobState = "running"
+	stateCheckpointing jobState = "checkpointing"
+	stateDone          jobState = "done"
+	stateFailed        jobState = "failed"
+	stateCanceled      jobState = "canceled"
 )
 
 // Terminal reports whether the state is final: the job holds no resources
 // and its journal records are settled.
-func (s State) Terminal() bool {
-	return s == StateDone || s == StateFailed || s == StateCanceled
+func (s jobState) Terminal() bool {
+	return s == stateDone || s == stateFailed || s == stateCanceled
 }
 
 // valid reports whether s is a state the journal may contain.
-func (s State) valid() bool {
+func (s jobState) valid() bool {
 	switch s {
-	case StateAccepted, StateRunning, StateCheckpointing, StateDone, StateFailed, StateCanceled:
+	case stateAccepted, stateRunning, stateCheckpointing, stateDone, stateFailed, stateCanceled:
 		return true
 	}
 	return false
@@ -54,14 +54,14 @@ func (s State) valid() bool {
 // refuses to record (and replay refuses to apply) anything else, so a
 // code path that would, say, re-complete a done job fails loudly instead
 // of corrupting the exactly-once guarantee.
-func canTransition(from, to State) bool {
+func canTransition(from, to jobState) bool {
 	switch from {
-	case StateAccepted:
-		return to == StateRunning || to == StateCanceled || to == StateFailed
-	case StateRunning:
-		return to == StateCheckpointing || to == StateDone || to == StateFailed || to == StateCanceled
-	case StateCheckpointing:
-		return to == StateRunning || to == StateDone || to == StateFailed || to == StateCanceled
+	case stateAccepted:
+		return to == stateRunning || to == stateCanceled || to == stateFailed
+	case stateRunning:
+		return to == stateCheckpointing || to == stateDone || to == stateFailed || to == stateCanceled
+	case stateCheckpointing:
+		return to == stateRunning || to == stateDone || to == stateFailed || to == stateCanceled
 	default: // terminal states have no outgoing edges
 		return false
 	}
@@ -96,10 +96,10 @@ type JobSpec struct {
 }
 
 // validate is the one check a spec passes, on submit and on journal
-// replay alike, and so the one way to build a Job: it range-checks every
+// replay alike, and so the one way to build a jobRecord: it range-checks every
 // field, parses Dataset into the datasetID the store takes, and takes the
 // job's working-set estimate from store once. The caller sets the ID.
-func (s JobSpec) validate(store *datasetStore) (*Job, error) {
+func (s JobSpec) validate(store *datasetStore) (*jobRecord, error) {
 	id, ok := parseDatasetID(s.Dataset)
 	if (s.Synthetic == "") == (s.Dataset == "") {
 		return nil, fmt.Errorf("spec must set exactly one of synthetic or dataset")
@@ -120,7 +120,7 @@ func (s JobSpec) validate(store *datasetStore) (*Job, error) {
 	if s.TimeoutMS < 0 {
 		return nil, fmt.Errorf("timeout_ms %d negative", s.TimeoutMS)
 	}
-	return &Job{Spec: s, State: StateAccepted, dataset: id, estBytes: store.estimateBytes(s, id)}, nil
+	return &jobRecord{Spec: s, State: stateAccepted, dataset: id, estBytes: store.estimateBytes(s, id)}, nil
 }
 
 // datasetID names an uploaded dataset blob: a lowercase sha256 hex digest,
@@ -159,12 +159,12 @@ func (s JobSpec) tenant() string {
 	return s.Tenant
 }
 
-// Job is the server-side record of one submitted analysis, built by
+// jobRecord is the server-side record of one submitted analysis, built by
 // JobSpec.validate. All fields are guarded by the Service mutex.
-type Job struct {
+type jobRecord struct {
 	ID    string
 	Spec  JobSpec
-	State State
+	State jobState
 	// Spec.Dataset parsed, and the working set admission charges.
 	dataset  datasetID
 	estBytes int64
@@ -205,7 +205,7 @@ type Job struct {
 
 // endSpans closes the job's open spans at its terminal transition,
 // stamping the outcome on the root. Idempotent: spans end once.
-func (j *Job) endSpans(state string) {
+func (j *jobRecord) endSpans(state string) {
 	if j.queueSpan != nil {
 		j.queueSpan.End()
 		j.queueSpan = nil
@@ -219,7 +219,7 @@ func (j *Job) endSpans(state string) {
 
 // traceID renders the job's trace id for status documents ("" when the
 // job was never traced).
-func (j *Job) traceID() string {
+func (j *jobRecord) traceID() string {
 	if !j.traceSC.Valid() {
 		return ""
 	}
@@ -227,11 +227,11 @@ func (j *Job) traceID() string {
 }
 
 // progress returns how many voxels have durable scores.
-func (j *Job) progress() int { return len(j.scores) }
+func (j *jobRecord) progress() int { return len(j.scores) }
 
 // mergeChunk folds one journaled chunk (task range [v0, v0+v)) into the
 // job's progress state.
-func (j *Job) mergeChunk(v0, v int, scores []core.VoxelScore) {
+func (j *jobRecord) mergeChunk(v0, v int, scores []core.VoxelScore) {
 	if j.scores == nil {
 		j.scores = make(map[int]float64)
 	}
@@ -250,7 +250,7 @@ func (j *Job) mergeChunk(v0, v int, scores []core.VoxelScore) {
 // finalize rebuilds the sorted result ranking from the accumulated
 // scores — the same path whether the job just finished or was replayed
 // from the journal, so a resumed server serves bit-identical results.
-func (j *Job) finalize() {
+func (j *jobRecord) finalize() {
 	scores := make([]core.VoxelScore, 0, len(j.scores))
 	for v, acc := range j.scores {
 		scores = append(scores, core.VoxelScore{Voxel: v, Accuracy: acc})

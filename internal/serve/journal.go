@@ -35,7 +35,7 @@ type journal struct {
 	log *wal.Log
 
 	// replay state; store sizes each replayed job as validate builds it
-	jobs   map[string]*Job
+	jobs   map[string]*jobRecord
 	maxSeq int
 	store  *datasetStore
 }
@@ -57,16 +57,16 @@ type acceptRecord struct {
 
 // stateRecord is the JSON payload of an srState record.
 type stateRecord struct {
-	ID    string `json:"id"`
-	State State  `json:"state"`
-	Err   string `json:"err,omitempty"`
+	ID    string   `json:"id"`
+	State jobState `json:"state"`
+	Err   string   `json:"err,omitempty"`
 }
 
 // openJournal opens (or creates) the job journal at path and replays it
 // into a fresh job map, each accepted spec through the same validate as
 // Submit: one that fails stops the replay and leaves the file as it was.
 func openJournal(fsys chaos.FS, path string, reg *obs.Registry, store *datasetStore) (*journal, error) {
-	j := &journal{jobs: make(map[string]*Job), store: store}
+	j := &journal{jobs: make(map[string]*jobRecord), store: store}
 	log, err := wal.OpenObserved(fsys, path, serveMagic, serveMaxRecord, j.apply, reg, "serve")
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
@@ -79,10 +79,10 @@ func openJournal(fsys chaos.FS, path string, reg *obs.Registry, store *datasetSt
 	// executor is gone, so hand them back to the queue as accepted (their
 	// journaled chunks make the re-run incremental).
 	for _, job := range j.jobs {
-		if job.State == StateRunning || job.State == StateCheckpointing {
-			job.State = StateAccepted
+		if job.State == stateRunning || job.State == stateCheckpointing {
+			job.State = stateAccepted
 		}
-		if job.State == StateDone {
+		if job.State == stateDone {
 			job.finalize()
 		}
 	}
@@ -173,7 +173,7 @@ func (j *journal) recordAccept(id string, spec JobSpec) error {
 // recordState journals a state transition. Terminal states are fsynced
 // (the transition must survive anything that happens after clients see
 // it); running/checkpointing are advisory.
-func (j *journal) recordState(id string, to State, errMsg string) error {
+func (j *journal) recordState(id string, to jobState, errMsg string) error {
 	body, err := json.Marshal(stateRecord{ID: id, State: to, Err: errMsg})
 	if err != nil {
 		return fmt.Errorf("serve: encoding state: %w", err)

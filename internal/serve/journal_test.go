@@ -61,13 +61,13 @@ func TestJournalReplayRoundTrip(t *testing.T) {
 	if err := j.recordAccept("job-00000042", spec); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.recordState("job-00000042", StateRunning, ""); err != nil {
+	if err := j.recordState("job-00000042", stateRunning, ""); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.recordProgress("job-00000042", 0, 3, awkwardScores); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.recordState("job-00000042", StateDone, ""); err != nil {
+	if err := j.recordState("job-00000042", stateDone, ""); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.close(); err != nil {
@@ -80,7 +80,7 @@ func TestJournalReplayRoundTrip(t *testing.T) {
 		t.Fatalf("maxSeq = %d, want 42", r.maxSeq)
 	}
 	job := r.jobs["job-00000042"]
-	if job == nil || job.State != StateDone {
+	if job == nil || job.State != stateDone {
 		t.Fatalf("replayed job = %+v", job)
 	}
 	if job.Spec != spec {
@@ -104,16 +104,16 @@ func TestJournalReplayRoundTrip(t *testing.T) {
 func TestJournalNormalizesInFlightStates(t *testing.T) {
 	path := jnlPath(t)
 	j := mustOpen(t, path, nil)
-	for i, st := range []State{StateRunning, StateCheckpointing} {
+	for i, st := range []jobState{stateRunning, stateCheckpointing} {
 		id := []string{"job-00000001", "job-00000002"}[i]
 		if err := j.recordAccept(id, JobSpec{Synthetic: "face-scene"}); err != nil {
 			t.Fatal(err)
 		}
-		if err := j.recordState(id, StateRunning, ""); err != nil {
+		if err := j.recordState(id, stateRunning, ""); err != nil {
 			t.Fatal(err)
 		}
-		if st == StateCheckpointing {
-			if err := j.recordState(id, StateCheckpointing, ""); err != nil {
+		if st == stateCheckpointing {
+			if err := j.recordState(id, stateCheckpointing, ""); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -126,7 +126,7 @@ func TestJournalNormalizesInFlightStates(t *testing.T) {
 	r := mustOpen(t, path, nil)
 	defer r.close()
 	for _, id := range []string{"job-00000001", "job-00000002"} {
-		if got := r.jobs[id].State; got != StateAccepted {
+		if got := r.jobs[id].State; got != stateAccepted {
 			t.Fatalf("%s replayed as %s, want accepted", id, got)
 		}
 	}
@@ -144,17 +144,17 @@ func TestJournalIdempotentRunningAcrossIncarnations(t *testing.T) {
 	if err := j.recordAccept("job-00000001", JobSpec{Synthetic: "face-scene"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.recordState("job-00000001", StateRunning, ""); err != nil {
+	if err := j.recordState("job-00000001", stateRunning, ""); err != nil {
 		t.Fatal(err)
 	}
 	j.abort()
 
 	// Second incarnation: replay (running → accepted), mark running again.
 	second := mustOpen(t, path, nil)
-	if err := second.recordState("job-00000001", StateRunning, ""); err != nil {
+	if err := second.recordState("job-00000001", stateRunning, ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := second.recordState("job-00000001", StateDone, ""); err != nil {
+	if err := second.recordState("job-00000001", stateDone, ""); err != nil {
 		t.Fatal(err)
 	}
 	if err := second.close(); err != nil {
@@ -165,7 +165,7 @@ func TestJournalIdempotentRunningAcrossIncarnations(t *testing.T) {
 	reg := obs.NewRegistry()
 	third := mustOpen(t, path, reg)
 	defer third.close()
-	if got := third.jobs["job-00000001"].State; got != StateDone {
+	if got := third.jobs["job-00000001"].State; got != stateDone {
 		t.Fatalf("job replayed as %s, want done", got)
 	}
 	if n := reg.Counter("serve_journal_torn_recoveries_total").Value(); n != 0 {
@@ -185,15 +185,15 @@ func TestJournalIllegalTransitionFailsOpen(t *testing.T) {
 	if err := j.recordAccept("job-00000001", JobSpec{Synthetic: "face-scene"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.recordState("job-00000001", StateRunning, ""); err != nil {
+	if err := j.recordState("job-00000001", stateRunning, ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.recordState("job-00000001", StateDone, ""); err != nil {
+	if err := j.recordState("job-00000001", stateDone, ""); err != nil {
 		t.Fatal(err)
 	}
 	// recordState does not re-check legality (the Service does); write a
 	// done → running edge straight through to simulate version/logic skew.
-	if err := j.recordState("job-00000001", StateRunning, ""); err != nil {
+	if err := j.recordState("job-00000001", stateRunning, ""); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.close(); err != nil {
@@ -281,7 +281,7 @@ func TestJournalReplaysParentEncoding(t *testing.T) {
 		t.Fatalf("replay: truncated=%v jobs=%d maxSeq=%d", r.log.Truncated(), len(r.jobs), r.maxSeq)
 	}
 	done := r.jobs["job-00000042"]
-	if done == nil || done.State != StateDone || done.Spec.Tenant != "alice" || len(done.scores) != 3 || !done.chunks[0] {
+	if done == nil || done.State != stateDone || done.Spec.Tenant != "alice" || len(done.scores) != 3 || !done.chunks[0] {
 		t.Fatalf("job-00000042 replayed as %+v", done)
 	}
 	for _, s := range awkwardScores {
@@ -291,7 +291,7 @@ func TestJournalReplaysParentEncoding(t *testing.T) {
 	}
 	// Caught running by the "crash", so handed back to the queue.
 	open := r.jobs["job-00000043"]
-	if open == nil || open.State != StateAccepted || !open.chunks[16] || open.totalVoxels != 18 || len(open.scores) != 0 {
+	if open == nil || open.State != stateAccepted || !open.chunks[16] || open.totalVoxels != 18 || len(open.scores) != 0 {
 		t.Fatalf("job-00000043 replayed as %+v", open)
 	}
 
@@ -339,7 +339,7 @@ func FuzzJournalApply(f *testing.F) {
 			t.Fatal(err)
 		}
 		known.ID = id
-		j := &journal{jobs: map[string]*Job{id: known}, store: st}
+		j := &journal{jobs: map[string]*jobRecord{id: known}, store: st}
 		if err := j.apply(payload); err != nil {
 			return
 		}

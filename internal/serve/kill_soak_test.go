@@ -37,6 +37,7 @@ func runReference(t *testing.T) map[int][]core.VoxelScore {
 	s, err := New(Options{
 		Dir: t.TempDir(), QueueCap: 32, TenantCap: 32,
 		ChunkVoxels: 8, Executors: 1, RetrySeed: 1,
+		FS: watchFS(nil),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +55,7 @@ func runReference(t *testing.T) map[int][]core.VoxelScore {
 	defer s.mu.Unlock()
 	for i, id := range ids {
 		job := s.jobs[id]
-		if job.State != StateDone {
+		if job.State != stateDone {
 			t.Fatalf("reference job %s ended %s (%s)", id, job.State, job.Err)
 		}
 		out[i] = append([]core.VoxelScore(nil), job.result...)
@@ -62,11 +63,12 @@ func runReference(t *testing.T) map[int][]core.VoxelScore {
 	return out
 }
 
-// waitSettled polls until every job is terminal or the service is killed.
+// waitSettled waits until every job is terminal or the service is killed,
+// checking again after each write, sync or close of its watched files.
 func waitSettled(t *testing.T, s *Service, timeout time.Duration) {
 	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
+	deadline := time.After(timeout)
+	for {
 		if s.Killed() {
 			return
 		}
@@ -83,9 +85,12 @@ func waitSettled(t *testing.T, s *Service, timeout time.Duration) {
 		if settled && n > 0 {
 			return
 		}
-		time.Sleep(2 * time.Millisecond)
+		select {
+		case <-s.opts.FS.(eventFS).events:
+		case <-deadline:
+			t.Fatal("service never settled")
+		}
 	}
-	t.Fatal("service never settled")
 }
 
 // TestChaosSoakServerKills is the service's crash-recovery soak: one
@@ -116,7 +121,7 @@ func TestChaosSoakServerKills(t *testing.T) {
 		Dir: dir, QueueCap: 32, TenantCap: 32,
 		ChunkVoxels: 8, Executors: 1, RetrySeed: 7,
 		JobRetries: 8,
-		Chaos:      plan, FS: plan.FS(chaos.OS()),
+		Chaos:      plan, FS: watchFS(plan.FS(chaos.OS())),
 	}
 
 	ids := make([]string, len(soakSpecs))
@@ -147,8 +152,8 @@ func TestChaosSoakServerKills(t *testing.T) {
 					if !errors.As(err, &aerr) || tries > 100 {
 						t.Fatalf("soak submit %d: %v", i, err)
 					}
-					// 503 from an injected journal fault: client retries.
-					time.Sleep(time.Millisecond)
+					// 503 from an injected journal fault, drawn per
+					// operation: the client retries at once.
 				}
 			}
 			submitted = true
@@ -172,7 +177,7 @@ func TestChaosSoakServerKills(t *testing.T) {
 	last.mu.Lock()
 	for i, id := range ids {
 		job := last.jobs[id]
-		if job == nil || job.State != StateDone {
+		if job == nil || job.State != stateDone {
 			last.mu.Unlock()
 			t.Fatalf("soak job %s (%s) not done: %+v", id, soakSpecs[i].Name, job)
 		}
@@ -217,7 +222,7 @@ func TestChaosSoakServerKills(t *testing.T) {
 	replayed.mu.Lock()
 	for i, id := range ids {
 		job := replayed.jobs[id]
-		if job == nil || job.State != StateDone {
+		if job == nil || job.State != stateDone {
 			replayed.mu.Unlock()
 			t.Fatalf("replayed job %s not done", id)
 		}
@@ -272,7 +277,7 @@ func countTerminalRecords(t *testing.T, path string) map[string]int {
 				t.Fatalf("journal %s: bad state record at %d: %v", path, off, err)
 			}
 			if rec.State.Terminal() {
-				if rec.State != StateDone {
+				if rec.State != stateDone {
 					t.Fatalf("job %s journaled terminal state %s, want done", rec.ID, rec.State)
 				}
 				counts[rec.ID]++

@@ -45,7 +45,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		t.Fatalf("submit response missing %s", obs.HeaderRequestID)
 	}
 
-	waitState(t, ts.URL, id, StateDone, 30*time.Second)
+	waitState(t, s, ts.URL, id, stateDone, 30*time.Second)
 
 	// The status document keeps pointing at the same job timeline.
 	code, hdr, doc = doJSON(t, "GET", ts.URL+"/api/v1/jobs/"+id, nil)
@@ -137,7 +137,7 @@ func TestPipelineRecordsOnServiceRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitState(t, ts.URL, id, StateDone, 30*time.Second)
+	waitState(t, s, ts.URL, id, stateDone, 30*time.Second)
 
 	live := s.Metrics().Snapshot()
 	if got, want := live.Counters["core_tasks_total"], uint64(24/8); got != want {

@@ -36,7 +36,7 @@ func (s *Service) executorLoop() {
 func (s *Service) runJob(id string) {
 	s.mu.Lock()
 	job, ok := s.jobs[id]
-	if !ok || job.State != StateAccepted {
+	if !ok || job.State != stateAccepted {
 		// Canceled while queued, or a stale queue entry after resume.
 		s.mu.Unlock()
 		return
@@ -59,9 +59,9 @@ func (s *Service) runJob(id string) {
 	if !job.created.IsZero() {
 		wait := time.Since(job.created).Seconds()
 		s.tenantLocked(tenant).QueueWaitSeconds += wait
-		s.reg.HistogramWith("serve_tenant_queue_wait_seconds", nil, obs.L("tenant", tenant)).Observe(wait)
+		s.reg.Histogram("serve_tenant_queue_wait_seconds", nil, obs.L("tenant", tenant)).Observe(wait)
 	}
-	if err := s.transitionLocked(job, StateRunning, ""); err != nil {
+	if err := s.transitionLocked(job, stateRunning, ""); err != nil {
 		s.mu.Unlock()
 		s.opts.Log.Error("serve: cannot mark job running", "job", id, "err", err)
 		return
@@ -113,7 +113,7 @@ func (s *Service) runJob(id string) {
 	s.mu.Lock()
 	s.tenantLocked(tenant).ComputeSeconds += elapsed
 	s.mu.Unlock()
-	s.reg.HistogramWith("serve_tenant_job_seconds", nil, obs.L("tenant", tenant)).Observe(elapsed)
+	s.reg.Histogram("serve_tenant_job_seconds", nil, obs.L("tenant", tenant)).Observe(elapsed)
 	s.finish(job, err)
 }
 
@@ -131,7 +131,7 @@ func (s *Service) retrySeed(id string) int64 {
 // attempt runs one execution pass over the job's voxel chunks, skipping
 // every chunk the journal already holds — the incremental core of both
 // crash resume and retry.
-func (s *Service) attempt(ctx context.Context, job *Job, spec JobSpec) error {
+func (s *Service) attempt(ctx context.Context, job *jobRecord, spec JobSpec) error {
 	ds, err := s.store.Get(spec, job.dataset)
 	if err != nil {
 		return err
@@ -174,7 +174,7 @@ func (s *Service) attempt(ctx context.Context, job *Job, spec JobSpec) error {
 		err = s.jnl.recordProgress(job.ID, v0, n, scores)
 		walSpan.End()
 		if err != nil {
-			if s.isKilled() {
+			if s.Killed() {
 				return chaos.ErrKilled
 			}
 			return fmt.Errorf("journaling chunk %d: %w", v0, err)
@@ -195,7 +195,7 @@ func (s *Service) attempt(ctx context.Context, job *Job, spec JobSpec) error {
 // finish records the job's one terminal transition (or deliberately none:
 // drain leaves it checkpointing for the next incarnation; a chaos kill
 // leaves the journal exactly as the crash would).
-func (s *Service) finish(job *Job, err error) {
+func (s *Service) finish(job *jobRecord, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	job.cancel = nil
@@ -205,11 +205,11 @@ func (s *Service) finish(job *Job, err error) {
 	switch {
 	case err == nil:
 		job.finalize()
-		if terr := s.transitionLocked(job, StateDone, ""); terr != nil {
+		if terr := s.transitionLocked(job, stateDone, ""); terr != nil {
 			s.opts.Log.Error("serve: cannot record completion", "job", job.ID, "err", terr)
 		}
 	case job.canceling:
-		if terr := s.transitionLocked(job, StateCanceled, "canceled by client"); terr != nil {
+		if terr := s.transitionLocked(job, stateCanceled, "canceled by client"); terr != nil {
 			s.opts.Log.Error("serve: cannot record cancellation", "job", job.ID, "err", terr)
 		}
 	case errors.Is(err, context.Canceled):
@@ -224,8 +224,8 @@ func (s *Service) finish(job *Job, err error) {
 }
 
 // failLocked records a failure terminal state.
-func (s *Service) failLocked(job *Job, msg string) {
-	if terr := s.transitionLocked(job, StateFailed, msg); terr != nil {
+func (s *Service) failLocked(job *jobRecord, msg string) {
+	if terr := s.transitionLocked(job, stateFailed, msg); terr != nil {
 		s.opts.Log.Error("serve: cannot record failure", "job", job.ID, "err", terr)
 	}
 }

@@ -134,7 +134,7 @@ type Service struct {
 	ready  obs.Readiness
 
 	mu       sync.Mutex
-	jobs     map[string]*Job
+	jobs     map[string]*jobRecord
 	tenants  map[string]*tenantStats
 	seq      int
 	draining bool
@@ -233,7 +233,7 @@ func (s *Service) MetricsSnapshot() obs.Snapshot {
 	depth := 0
 	var oldest time.Time
 	for _, j := range s.jobs {
-		if j.State != StateAccepted {
+		if j.State != stateAccepted {
 			continue
 		}
 		depth++
@@ -280,7 +280,7 @@ func (s *Service) Submit(ctx context.Context, spec JobSpec) (string, error) {
 	reject := func(aerr *admitError) (string, error) {
 		s.tenantLocked(tenant).Rejected++
 		s.reg.Counter("serve_jobs_rejected_total").Inc()
-		s.reg.CounterWith("serve_tenant_jobs_rejected_total", obs.L("tenant", tenant)).Inc()
+		s.reg.Counter("serve_tenant_jobs_rejected_total", obs.L("tenant", tenant)).Inc()
 		span.SetAttr("rejected", aerr.Reason)
 		span.End()
 		return "", aerr
@@ -316,9 +316,9 @@ func (s *Service) Submit(ctx context.Context, spec JobSpec) (string, error) {
 	ts.Submitted++
 	ts.EstimatedBytes += job.estBytes
 	s.reg.Counter("serve_jobs_accepted_total").Inc()
-	s.reg.CounterWith("serve_tenant_jobs_submitted_total", obs.L("tenant", tenant)).Inc()
+	s.reg.Counter("serve_tenant_jobs_submitted_total", obs.L("tenant", tenant)).Inc()
 	if job.estBytes > 0 {
-		s.reg.CounterWith("serve_tenant_estimated_bytes_total", obs.L("tenant", tenant)).Add(uint64(job.estBytes))
+		s.reg.Counter("serve_tenant_estimated_bytes_total", obs.L("tenant", tenant)).Add(uint64(job.estBytes))
 	}
 	select {
 	case s.runq <- id:
@@ -357,8 +357,8 @@ func (s *Service) Cancel(id string) error {
 	switch {
 	case job.State.Terminal():
 		return fmt.Errorf("serve: job %s already %s", id, job.State)
-	case job.State == StateAccepted:
-		return s.transitionLocked(job, StateCanceled, "canceled before start")
+	case job.State == stateAccepted:
+		return s.transitionLocked(job, stateCanceled, "canceled before start")
 	default:
 		job.canceling = true
 		if job.cancel != nil {
@@ -375,7 +375,7 @@ var errUnknownJob = fmt.Errorf("serve: unknown job")
 // mutex: legality check, journal record (fsynced when terminal), then the
 // in-memory flip. The single writer of every terminal record — the
 // exactly-once guarantee lives here.
-func (s *Service) transitionLocked(job *Job, to State, errMsg string) error {
+func (s *Service) transitionLocked(job *jobRecord, to jobState, errMsg string) error {
 	if !canTransition(job.State, to) {
 		return fmt.Errorf("serve: illegal transition %s → %s for %s", job.State, to, job.ID)
 	}
@@ -387,15 +387,15 @@ func (s *Service) transitionLocked(job *Job, to State, errMsg string) error {
 	s.reg.Counter("serve_jobs_" + string(to) + "_total").Inc()
 	tenant := job.Spec.tenant()
 	switch to {
-	case StateDone:
+	case stateDone:
 		s.tenantLocked(tenant).Completed++
-		s.reg.CounterWith("serve_tenant_jobs_completed_total", obs.L("tenant", tenant)).Inc()
-	case StateFailed:
+		s.reg.Counter("serve_tenant_jobs_completed_total", obs.L("tenant", tenant)).Inc()
+	case stateFailed:
 		s.tenantLocked(tenant).Failed++
-		s.reg.CounterWith("serve_tenant_jobs_failed_total", obs.L("tenant", tenant)).Inc()
-	case StateCanceled:
+		s.reg.Counter("serve_tenant_jobs_failed_total", obs.L("tenant", tenant)).Inc()
+	case stateCanceled:
 		s.tenantLocked(tenant).Canceled++
-		s.reg.CounterWith("serve_tenant_jobs_canceled_total", obs.L("tenant", tenant)).Inc()
+		s.reg.Counter("serve_tenant_jobs_canceled_total", obs.L("tenant", tenant)).Inc()
 	}
 	if to.Terminal() {
 		job.endSpans(string(to))
@@ -413,10 +413,10 @@ func (s *Service) Drain(ctx context.Context) error {
 	s.draining = true
 	s.ready.Set(false, "draining")
 	for _, job := range s.jobs {
-		if job.State == StateRunning {
+		if job.State == stateRunning {
 			// Advisory: a crash during drain replays this as a resumable
 			// job either way.
-			_ = s.transitionLocked(job, StateCheckpointing, "")
+			_ = s.transitionLocked(job, stateCheckpointing, "")
 		}
 	}
 	s.mu.Unlock()
@@ -466,7 +466,7 @@ func (s *Service) Drain(ctx context.Context) error {
 func (s *Service) Close() error {
 	s.execCancel()
 	s.execWG.Wait()
-	if s.isKilled() {
+	if s.Killed() {
 		return nil // the kill already abandoned the journal
 	}
 	return s.jnl.close()
@@ -489,13 +489,10 @@ func (s *Service) kill() {
 	})
 }
 
-// isKilled reports whether a chaos kill has fired.
-func (s *Service) isKilled() bool {
+// Killed reports whether the service died to a chaos kill (soak
+// assertions and the daemon's exit code).
+func (s *Service) Killed() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.killed
 }
-
-// Killed reports whether the service died to a chaos kill (soak
-// assertions and the daemon's exit code).
-func (s *Service) Killed() bool { return s.isKilled() }

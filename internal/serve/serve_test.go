@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"fcma/internal/chaos"
 	"fcma/internal/fmri"
 	"fcma/internal/wal"
 )
@@ -37,12 +38,14 @@ func tinyBlob(t *testing.T) []byte {
 	return blob
 }
 
-// newTestService builds a Service on a temp dir.
+// newTestService builds a Service on a temp dir, its files watched
+// (watchFS).
 func newTestService(t *testing.T, opts Options) *Service {
 	t.Helper()
 	if opts.Dir == "" {
 		opts.Dir = t.TempDir()
 	}
+	opts.FS = watchFS(opts.FS)
 	s, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +96,7 @@ func TestSubmitRunFetchHTTP(t *testing.T) {
 		t.Fatalf("job id %q", id)
 	}
 
-	waitState(t, ts.URL, id, StateDone, 30*time.Second)
+	waitState(t, s, ts.URL, id, stateDone, 30*time.Second)
 
 	code, _, doc = doJSON(t, "GET", ts.URL+"/api/v1/jobs/"+id+"/result", nil)
 	if code != http.StatusOK {
@@ -112,23 +115,68 @@ func TestSubmitRunFetchHTTP(t *testing.T) {
 }
 
 // waitState polls a job until it reaches the wanted state or the deadline
-// passes (failing with the last status document).
-func waitState(t *testing.T, base, id string, want State, timeout time.Duration) {
+// passes (failing with the last status document). It polls again after
+// each write, sync or close of the service's watched files: a job reaches
+// a terminal state only by a journal record.
+func waitState(t *testing.T, s *Service, base, id string, want jobState, timeout time.Duration) {
 	t.Helper()
-	deadline := time.Now().Add(timeout)
-	var doc map[string]any
-	for time.Now().Before(deadline) {
-		var code int
-		code, _, doc = doJSON(t, "GET", base+"/api/v1/jobs/"+id, nil)
-		if code == http.StatusOK && State(doc["state"].(string)) == want {
+	deadline := time.After(timeout)
+	for {
+		code, _, doc := doJSON(t, "GET", base+"/api/v1/jobs/"+id, nil)
+		if code == http.StatusOK && jobState(doc["state"].(string)) == want {
 			return
 		}
-		if code == http.StatusOK && State(doc["state"].(string)).Terminal() {
+		if code == http.StatusOK && jobState(doc["state"].(string)).Terminal() {
 			t.Fatalf("job %s reached %v, want %v (err: %v)", id, doc["state"], want, doc["error"])
 		}
-		time.Sleep(20 * time.Millisecond)
+		select {
+		case <-s.opts.FS.(eventFS).events:
+		case <-deadline:
+			t.Fatalf("job %s never reached %v; last status %v", id, want, doc)
+		}
 	}
-	t.Fatalf("job %s never reached %v; last status %v", id, want, doc)
+}
+
+// eventFS is a filesystem whose files send on events, without blocking,
+// after every write, sync and close. Each journal record a state
+// transition makes is one, and so is a chaos kill's abandonment of the
+// journal, so a test re-checks the service's state after each instead of
+// sleeping between polls.
+type eventFS struct {
+	chaos.FS
+	events chan struct{}
+}
+
+// watchFS wraps fsys (the real filesystem when nil) in an eventFS.
+func watchFS(fsys chaos.FS) eventFS {
+	if fsys == nil {
+		fsys = chaos.OS()
+	}
+	return eventFS{fsys, make(chan struct{}, 1)}
+}
+
+func (f eventFS) OpenFile(name string, flag int, perm os.FileMode) (chaos.File, error) {
+	file, err := f.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return eventFile{file, f.events}, nil
+}
+
+type eventFile struct {
+	chaos.File
+	events chan struct{}
+}
+
+func (f eventFile) Write(p []byte) (int, error) { defer f.note(); return f.File.Write(p) }
+func (f eventFile) Sync() error                 { defer f.note(); return f.File.Sync() }
+func (f eventFile) Close() error                { defer f.note(); return f.File.Close() }
+
+func (f eventFile) note() {
+	select {
+	case f.events <- struct{}{}:
+	default:
+	}
 }
 
 // TestQueueFullBackpressure proves the bounded queue answers 429 with a
@@ -312,7 +360,7 @@ func TestRestartResumesJobs(t *testing.T) {
 	ts := httptest.NewServer(second.Handler())
 	defer ts.Close()
 	for _, id := range ids {
-		waitState(t, ts.URL, id, StateDone, 30*time.Second)
+		waitState(t, second, ts.URL, id, stateDone, 30*time.Second)
 		code, _, doc := doJSON(t, "GET", ts.URL+"/api/v1/jobs/"+id+"/result", nil)
 		if code != http.StatusOK || len(doc["scores"].([]any)) != 24 {
 			t.Fatalf("resumed result %s = %d %v", id, code, doc)
@@ -349,7 +397,7 @@ func TestRestartReplaysParentFormatSpec(t *testing.T) {
 	s := newTestService(t, Options{Dir: dir, ChunkVoxels: 8, Executors: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	waitState(t, ts.URL, "job-00000007", StateDone, 30*time.Second)
+	waitState(t, s, ts.URL, "job-00000007", stateDone, 30*time.Second)
 	code, _, doc := doJSON(t, "GET", ts.URL+"/api/v1/jobs/job-00000007/result", nil)
 	if code != http.StatusOK || len(doc["scores"].([]any)) != 3 {
 		t.Fatalf("replayed result = %d %v, want the top 3", code, doc)
@@ -361,7 +409,7 @@ func TestRestartReplaysParentFormatSpec(t *testing.T) {
 // is terminal.
 func TestDrainRemovesSettledJournal(t *testing.T) {
 	dir := t.TempDir()
-	s, err := New(Options{Dir: dir, ChunkVoxels: 8, Executors: 1, RetrySeed: 1})
+	s, err := New(Options{Dir: dir, ChunkVoxels: 8, Executors: 1, RetrySeed: 1, FS: watchFS(nil)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +423,7 @@ func TestDrainRemovesSettledJournal(t *testing.T) {
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	waitState(t, ts.URL, id, StateDone, 30*time.Second)
+	waitState(t, s, ts.URL, id, stateDone, 30*time.Second)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -606,7 +654,7 @@ func TestJobTimeoutBoundsOneAttempt(t *testing.T) {
 		t.Fatalf("submit = %d %v", code, doc)
 	}
 	id := doc["id"].(string)
-	waitState(t, ts.URL, id, StateFailed, 30*time.Second)
+	waitState(t, s, ts.URL, id, stateFailed, 30*time.Second)
 
 	_, _, doc = doJSON(t, "GET", ts.URL+"/api/v1/jobs/"+id, nil)
 	if doc["attempts"].(float64) != 3 {

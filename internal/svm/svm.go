@@ -42,21 +42,21 @@ import (
 
 // Params configures a C-SVC training run.
 type Params struct {
-	// C is the box constraint; 0 selects DefaultC.
+	// C is the box constraint; 0 selects defaultC.
 	C float64
 	// Eps is the KKT violation tolerance for convergence; 0 selects
-	// DefaultEps (LibSVM's 1e-3).
+	// defaultEps (LibSVM's 1e-3).
 	Eps float64
 	// MaxIter caps SMO iterations; 0 selects a LibSVM-style bound of
 	// max(10^7, 100·n).
 	MaxIter int
 }
 
-// DefaultC matches LibSVM's default box constraint.
-const DefaultC = 1.0
+// defaultC matches LibSVM's default box constraint.
+const defaultC = 1.0
 
-// DefaultEps matches LibSVM's default stopping tolerance.
-const DefaultEps = 1e-3
+// defaultEps matches LibSVM's default stopping tolerance.
+const defaultEps = 1e-3
 
 // tau is the curvature floor for non-positive-definite pairs, as in LibSVM.
 const tau = 1e-12
@@ -65,10 +65,10 @@ const tau = 1e-12
 // training set of n samples — what a solver actually runs with.
 func (p Params) Resolved(n int) Params {
 	if p.C <= 0 {
-		p.C = DefaultC
+		p.C = defaultC
 	}
 	if p.Eps <= 0 {
-		p.Eps = DefaultEps
+		p.Eps = defaultEps
 	}
 	if p.MaxIter <= 0 {
 		p.MaxIter = max(10000000, 100*n)

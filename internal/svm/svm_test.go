@@ -171,7 +171,7 @@ func TestDualFeasibility(t *testing.T) {
 		for i, kidx := range model.TrainIdx {
 			y := float64(2*labels[kidx] - 1)
 			alpha := model.Coef[i] * y
-			if alpha < -1e-9 || alpha > DefaultC+1e-9 {
+			if alpha < -1e-9 || alpha > defaultC+1e-9 {
 				return false
 			}
 			sum += model.Coef[i] // coef = α·y, so Σcoef = Σαy
@@ -555,7 +555,7 @@ func TestCrossValidateDetailedErrors(t *testing.T) {
 }
 
 func TestParamsDefaults(t *testing.T) {
-	if p := (Params{}).Resolved(10); p != (Params{C: DefaultC, Eps: DefaultEps, MaxIter: 10000000}) {
+	if p := (Params{}).Resolved(10); p != (Params{C: defaultC, Eps: defaultEps, MaxIter: 10000000}) {
 		t.Fatalf("small-n defaults: %+v", p)
 	}
 	if p := (Params{}).Resolved(200000); p.MaxIter != 20000000 {

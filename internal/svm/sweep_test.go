@@ -320,7 +320,7 @@ func requireSameMasks(t *testing.T, got, want *smo32) {
 // n = 1).
 func sweepState(v []float32, outUp, outLow []uint32, ki, kj []float32) (s *smo32, i, j int) {
 	n := len(v)
-	s = &smo32{n: n, eps: DefaultEps, kd: make([]float32, n*n), v: append([]float32(nil), v...), outUp: outUp, outLow: outLow, lanes: blas.Lanes()}
+	s = &smo32{n: n, eps: defaultEps, kd: make([]float32, n*n), v: append([]float32(nil), v...), outUp: outUp, outLow: outLow, lanes: blas.Lanes()}
 	j = min(1, n-1)
 	copy(s.row(j), kj)
 	copy(s.row(i), ki)

@@ -29,12 +29,12 @@ func newWALMetrics(reg *obs.Registry, name string) *walMetrics {
 	}
 	l := obs.L("log", name)
 	return &walMetrics{
-		appendSec:   reg.HistogramWith("wal_append_seconds", nil, l),
-		fsyncSec:    reg.HistogramWith("wal_fsync_seconds", nil, l),
-		appendBytes: reg.CounterWith("wal_appended_bytes_total", l),
-		records:     reg.CounterWith("wal_records_total", l),
-		replaySec:   reg.GaugeWith("wal_replay_seconds", l),
-		replayed:    reg.CounterWith("wal_replayed_records_total", l),
+		appendSec:   reg.Histogram("wal_append_seconds", nil, l),
+		fsyncSec:    reg.Histogram("wal_fsync_seconds", nil, l),
+		appendBytes: reg.Counter("wal_appended_bytes_total", l),
+		records:     reg.Counter("wal_records_total", l),
+		replaySec:   reg.Gauge("wal_replay_seconds", l),
+		replayed:    reg.Counter("wal_replayed_records_total", l),
 	}
 }
 

@@ -44,5 +44,5 @@ func ServeMetrics(addr string, m *Metrics) (*obs.Server, error) {
 	if m == nil {
 		m = obs.Default()
 	}
-	return obs.Serve(addr, m)
+	return obs.ServeFunc(addr, m.Snapshot)
 }
