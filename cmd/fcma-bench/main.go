@@ -24,9 +24,8 @@ import (
 )
 
 func main() {
-	scale := flag.Float64("scale", 0.02, "trace scale relative to paper-size problems (0 < scale <= 1)")
+	scale := flag.Float64("scale", 0.02, "scale relative to paper-size problems, of the model tables' traces and of the native cross-checks' datasets (0 < scale <= 1)")
 	svmCalib := flag.Float64("svm-calib", 0, "SVM iteration-hardness calibration (0 = default, see EXPERIMENTS.md)")
-	nativeScale := flag.Float64("native-scale", 0.02, "dataset scale for the native cross-checks (0 < scale <= 1)")
 	bootstrap := obs.BootstrapCLI(flag.CommandLine)
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: fcma-bench [flags] [experiment ...]\n\nexperiments: %s\n\nflags:\n",
@@ -38,8 +37,10 @@ func main() {
 	// Out-of-range scales used to be silently replaced by the default deep
 	// inside report.Options; reject them at the boundary instead so a typo
 	// can't masquerade as a paper-scale run.
-	checkScaleFlag("scale", *scale)
-	checkScaleFlag("native-scale", *nativeScale)
+	if *scale <= 0 || *scale > 1 {
+		fmt.Fprintf(os.Stderr, "fcma-bench: -scale %g out of range (0, 1]\n", *scale)
+		os.Exit(2)
+	}
 
 	bootstrap("fcma-bench")
 
@@ -52,7 +53,7 @@ func main() {
 	}
 	for _, name := range names {
 		if native, ok := nativeExperiments[name]; ok {
-			tb, err := native(report.NativeOptions{Scale: *nativeScale})
+			tb, err := native(report.NativeOptions{Scale: *scale})
 			fail(err)
 			fmt.Println(tb.Render())
 			continue
@@ -105,14 +106,6 @@ func defaultExperiments() []string {
 		}
 	}
 	return names
-}
-
-// checkScaleFlag rejects scales outside (0, 1] with a usage error.
-func checkScaleFlag(name string, v float64) {
-	if v <= 0 || v > 1 {
-		fmt.Fprintf(os.Stderr, "fcma-bench: -%s %g out of range (0, 1]\n", name, v)
-		os.Exit(2)
-	}
 }
 
 func fail(err error) {

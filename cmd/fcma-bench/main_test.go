@@ -33,6 +33,7 @@ func TestFlagsAndExitCodes(t *testing.T) {
 		want string // substring of the output
 	}{
 		{"retired json flag", []string{"-json", ".", "table2"}, 2, "flag provided but not defined: -json"},
+		{"retired native-scale flag", []string{"-native-scale", "0.02", "native-ledger"}, 2, "flag provided but not defined: -native-scale\n"},
 		{"scale out of range", []string{"-scale", "7", "table2"}, 2, "-scale 7 out of range (0, 1]"},
 		{"unknown experiment", []string{"table99"}, 2, `unknown experiment "table99"`},
 		{"one model table", []string{"-scale", "0.01", "table2"}, 0, "Table 2"},

@@ -8,7 +8,9 @@
 // after a crash; workers heartbeat and dial with exponential backoff; hung
 // workers have their tasks speculatively re-issued (-deadline); and a
 // worker-side task failure is retried on another worker instead of
-// aborting the run.
+// aborting the run. A master run with -journal survives its own crash:
+// restarted with the same -journal, it resumes from the journal's
+// completions.
 //
 // Every node needs the same dataset files (the paper's master distributes
 // brain data up front; here the shared filesystem plays that role):
@@ -32,7 +34,6 @@ import (
 	"time"
 
 	"fcma"
-	"fcma/internal/chaos"
 	"fcma/internal/cluster"
 	"fcma/internal/core"
 	"fcma/internal/corr"
@@ -53,20 +54,14 @@ func main() {
 	taskSize := flag.Int("task-size", 120, "voxels per task (the paper assigns 120)")
 	outScores := flag.String("out-scores", "", "master: write the full voxel ranking as CSV")
 	journal := flag.String("journal", "", "master: write-ahead journal for crash recovery; a restarted master replays it and never recomputes completed ranges")
-	resume := flag.Bool("resume", false, "master: expect the journal to hold a prior run's state (use with -journal after a master crash)")
-	armChaos := chaos.BindFlags(flag.CommandLine, "chaos-kill-tasks",
-		`master: comma-separated cumulative completed-task counts at which the master simulates a crash (e.g. "3,7,11")`,
-		"probability a cluster scheduling point is delayed")
 	topK := flag.Int("topk", 20, "master: voxels to report")
 	retries := flag.Int("retry", 5, "worker: dial attempts with exponential backoff; also rejoin attempts after a lost connection")
 	deadline := flag.Duration("deadline", 0, "master: per-task deadline before a slow worker's task is speculatively re-issued (0 disables)")
 	acceptTimeout := flag.Duration("accept-timeout", 0, "master: how long to wait for the initial worker quorum (0 waits forever)")
-	heartbeat := flag.Duration("heartbeat", 2*time.Second, "worker: heartbeat interval (negative disables)")
 	heartbeatTimeout := flag.Duration("heartbeat-timeout", 10*time.Second, "master: silence before a worker is presumed dead (0 disables)")
 	taskRetries := flag.Int("task-retries", 3, "master: failures one task tolerates before the run aborts")
 	metricsListen := flag.String("metrics-listen", "", `serve /metrics and /debug/pprof/ on this address, e.g. ":9090" (the master's /metrics merges all workers' shipped snapshots)`)
 	traceOut := flag.String("trace-out", "", "master: write the merged cluster timeline (master task spans + every worker's shipped stage spans) as Chrome trace-event JSON to this file")
-	traceWorker := flag.Bool("trace", true, "worker: record spans and ship them to the master (only reaches a file when the master runs with -trace-out)")
 	bootstrap := obs.BootstrapCLI(flag.CommandLine)
 	flag.Parse()
 
@@ -80,16 +75,8 @@ func main() {
 
 	d := loadDataset(*dataPath, *epochPath)
 
-	// The chaos plan is shared by the journal's filesystem seam and the
-	// master's scheduling points; seed 0 leaves every probe inert.
-	plan, err := armChaos(logger)
-	fail(err)
-
 	switch *role {
 	case "master":
-		if *resume && *journal == "" {
-			fail(fmt.Errorf("-resume needs -journal"))
-		}
 		master, err := mpi.ListenMaster(*listen, *workers+1)
 		fail(err)
 		defer master.Close()
@@ -121,30 +108,18 @@ func main() {
 		startTime := time.Now()
 		var jn *cluster.Journal
 		if *journal != "" {
-			jn, err = cluster.OpenJournal(plan.FS(chaos.OS()), *journal, obs.Default())
+			jn, err = cluster.OpenJournal(nil, *journal, obs.Default())
 			fail(err)
-			switch {
-			case jn.Done() > 0:
-				fmt.Printf("fcma-cluster: resuming from journal %s (%d voxels complete, %d assignments in flight)\n",
-					*journal, jn.Done(), jn.ReplayedAssigns())
-			case *resume:
-				logger.Warn("journal holds no prior state; starting fresh", "path", *journal)
+			if jn.Done() > 0 {
+				fmt.Printf("fcma-cluster: resuming from journal %s (%d voxels complete)\n", *journal, jn.Done())
 			}
 			opts.Journal = jn
 		}
-		opts.Chaos = plan
 		scores, err := cluster.RunMasterCtx(ctx, master, d.Voxels(), *taskSize, opts)
 		if opts.Trace != nil {
 			// Workers' spans ride in their reports, so the master's tracer
 			// holds the merged timeline of every report it read.
 			writeTrace(logger, *traceOut, opts.Trace.Drain())
-		}
-		if errors.Is(err, chaos.ErrKilled) {
-			// Simulated crash: leave the journal exactly as a real crash
-			// would (no clean close, no TagStop broadcast) and exit hard.
-			// Restart with -journal/-resume to pick the run back up.
-			logger.Error("master killed by chaos plan", "kills", plan.Kills(), "journal", *journal)
-			os.Exit(137)
 		}
 		if errors.Is(err, context.Canceled) && jn != nil {
 			// os.Exit skips defers, so flush the durable state here — the
@@ -197,13 +172,10 @@ func main() {
 			tr, err := mpi.DialWorkerRetryCtx(ctx, *addr, retry.Policy{Attempts: *retries})
 			fail(err)
 			logger.Info("worker connected", "rank", tr.Rank(), "size", tr.Size(), "addr", *addr)
-			wopts := cluster.WorkerOptions{HeartbeatInterval: *heartbeat}
-			if *traceWorker {
-				// Rank is assigned at connect time; RunWorkerCtx re-pins the
-				// tracer's pid to the transport's rank before recording.
-				wopts.Trace = trace.New(0)
-			}
-			err = cluster.RunWorkerCtx(ctx, tr, w, wopts)
+			// The worker records a task's spans only when the master traces
+			// (its task message carries a span context). Rank is assigned
+			// at connect time; RunWorkerCtx re-pins the tracer's pid to it.
+			err = cluster.RunWorkerCtx(ctx, tr, w, cluster.WorkerOptions{Trace: trace.New(0)})
 			tr.Close()
 			if err == nil {
 				break

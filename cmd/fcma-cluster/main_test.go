@@ -105,11 +105,19 @@ func TestFlagsAndExitCodes(t *testing.T) {
 		{"retired engine flag", []string{"-role", "worker", "-engine", "baseline"}, 2, "flag provided but not defined: -engine"},
 		{"retired checkpoint flag", []string{"-role", "master", "-checkpoint", "x"}, 2, "flag provided but not defined: -checkpoint\nUsage of fcma-cluster:"},
 		{"retired bench-out flag", []string{"-role", "master", "-bench-out", "."}, 2, "flag provided but not defined: -bench-out"},
-		{"resume without journal", []string{"-role", "master", "-resume", "-data", data, "-epochs", epochs}, 1, "-resume needs -journal"},
+		{"retired resume flag", []string{"-role", "master", "-resume", "1"}, 2, "flag provided but not defined: -resume\n"},
+		{"retired trace flag", []string{"-role", "master", "-trace", "1"}, 2, "flag provided but not defined: -trace\n"},
+		{"retired heartbeat flag", []string{"-role", "master", "-heartbeat", "1"}, 2, "flag provided but not defined: -heartbeat\n"},
+		{"retired chaos-seed flag", []string{"-role", "master", "-chaos-seed", "1"}, 2, "flag provided but not defined: -chaos-seed\n"},
+		{"retired chaos-kill-tasks flag", []string{"-role", "master", "-chaos-kill-tasks", "1"}, 2, "flag provided but not defined: -chaos-kill-tasks\n"},
+		{"retired chaos-fs-torn flag", []string{"-role", "master", "-chaos-fs-torn", "1"}, 2, "flag provided but not defined: -chaos-fs-torn\n"},
+		{"retired chaos-fs-enospc flag", []string{"-role", "master", "-chaos-fs-enospc", "1"}, 2, "flag provided but not defined: -chaos-fs-enospc\n"},
+		{"retired chaos-fs-slow-sync flag", []string{"-role", "master", "-chaos-fs-slow-sync", "1"}, 2, "flag provided but not defined: -chaos-fs-slow-sync\n"},
+		{"retired chaos-fs-rename-fail flag", []string{"-role", "master", "-chaos-fs-rename-fail", "1"}, 2, "flag provided but not defined: -chaos-fs-rename-fail\n"},
+		{"retired chaos-sched-delay flag", []string{"-role", "master", "-chaos-sched-delay", "1"}, 2, "flag provided but not defined: -chaos-sched-delay\n"},
 		{"no dataset", []string{"-role", "worker"}, 1, "need -data and -epochs"},
 		{"worker without -addr", []string{"-role", "worker", "-data", data, "-epochs", epochs}, 1, "worker needs -addr"},
 		{"no role", []string{"-data", data, "-epochs", epochs}, 1, "need -role master or -role worker"},
-		{"bad chaos list", []string{"-role", "master", "-data", data, "-epochs", epochs, "-chaos-seed", "1", "-chaos-kill-tasks", "x"}, 1, "bad -chaos-kill-tasks entry"},
 	} {
 		code, out := run(t, tc.args...)
 		if code != tc.code || !strings.Contains(out, tc.want) {

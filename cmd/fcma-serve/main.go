@@ -28,7 +28,6 @@ import (
 	"syscall"
 	"time"
 
-	"fcma/internal/chaos"
 	"fcma/internal/obs"
 	"fcma/internal/obs/trace"
 	"fcma/internal/safe"
@@ -49,17 +48,11 @@ func main() {
 	jobTimeout := flag.Duration("job-timeout", 10*time.Minute, "per-attempt job execution timeout")
 	jobRetries := flag.Int("job-retries", 2, "default extra attempts for a transiently failing job")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long SIGTERM waits for executors to checkpoint")
-	armChaos := chaos.BindFlags(flag.CommandLine, "chaos-kill-chunks",
-		`comma-separated cumulative completed-chunk counts at which the server simulates a crash (e.g. "3,7")`,
-		"probability a chunk boundary is delayed")
 	bootstrap := obs.BootstrapCLI(flag.CommandLine)
 	traceOut := flag.String("trace-out", "", "write a Chrome-trace JSON timeline of every request and job (HTTP, WAL, kernel spans) here on drain")
 	flag.Parse()
 
 	logger := bootstrap("fcma-serve")
-
-	plan, err := armChaos(logger)
-	fail(err)
 
 	var tracer *trace.Tracer
 	if *traceOut != "" {
@@ -80,8 +73,6 @@ func main() {
 		JobRetries:  *jobRetries,
 		Obs:         obs.Default(),
 		Trace:       tracer,
-		Chaos:       plan,
-		FS:          plan.FS(nil),
 		Log:         logger,
 	})
 	fail(err)
@@ -121,14 +112,10 @@ func main() {
 
 	// Drain protocol: flip readiness, stop admitting, checkpoint running
 	// jobs at their next chunk boundary, then let in-flight HTTP
-	// responses finish. Exit 0 on a clean drain; 137 if a chaos kill
-	// already crashed the service (the soak's "process died" marker).
+	// responses finish. Exit 0 on a clean drain.
 	logger.Info("signal received; draining")
 	dctx, dcancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer dcancel()
-	if svc.Killed() {
-		os.Exit(137)
-	}
 	if err := svc.Drain(dctx); err != nil {
 		logger.Error("drain failed", "err", err)
 		os.Exit(1)

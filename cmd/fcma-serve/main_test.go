@@ -52,7 +52,13 @@ func TestFlagsAndExitCodes(t *testing.T) {
 	}{
 		{"retired engine flag", []string{"-engine", "baseline"}, 2, "flag provided but not defined: -engine"},
 		{"unparsable duration", []string{"-job-timeout", "soon"}, 2, "invalid value \"soon\" for flag -job-timeout"},
-		{"bad chaos list", []string{"-dir", dir, "-chaos-seed", "1", "-chaos-kill-chunks", "x"}, 1, "bad -chaos-kill-chunks entry"},
+		{"retired chaos-seed flag", []string{"-chaos-seed", "1"}, 2, "flag provided but not defined: -chaos-seed\n"},
+		{"retired chaos-kill-chunks flag", []string{"-chaos-kill-chunks", "1"}, 2, "flag provided but not defined: -chaos-kill-chunks\n"},
+		{"retired chaos-fs-torn flag", []string{"-chaos-fs-torn", "1"}, 2, "flag provided but not defined: -chaos-fs-torn\n"},
+		{"retired chaos-fs-enospc flag", []string{"-chaos-fs-enospc", "1"}, 2, "flag provided but not defined: -chaos-fs-enospc\n"},
+		{"retired chaos-fs-slow-sync flag", []string{"-chaos-fs-slow-sync", "1"}, 2, "flag provided but not defined: -chaos-fs-slow-sync\n"},
+		{"retired chaos-fs-rename-fail flag", []string{"-chaos-fs-rename-fail", "1"}, 2, "flag provided but not defined: -chaos-fs-rename-fail\n"},
+		{"retired chaos-sched-delay flag", []string{"-chaos-sched-delay", "1"}, 2, "flag provided but not defined: -chaos-sched-delay\n"},
 		{"unusable listen address", []string{"-dir", dir, "-listen", "a:b:c"}, 1, "listen"},
 	} {
 		code, out := run(t, tc.args...)

@@ -1,11 +1,7 @@
 package chaos
 
 import (
-	"bytes"
 	"errors"
-	"flag"
-	"fmt"
-	"log/slog"
 	"os"
 	"path/filepath"
 	"strings"
@@ -184,39 +180,5 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := NewPlan(Config{KillTasks: []int{5, 5}}); err == nil {
 		t.Fatal("non-increasing kill schedule accepted")
-	}
-}
-
-// TestBindFlags drives the shared -chaos-* registration the way a command
-// does: parse, then arm.
-func TestBindFlags(t *testing.T) {
-	arm := func(args ...string) (*Plan, string, error) {
-		fs := flag.NewFlagSet("cmd", flag.ContinueOnError)
-		armChaos := BindFlags(fs, "chaos-kill-chunks", "kill list", "delay")
-		if err := fs.Parse(args); err != nil {
-			t.Fatal(err)
-		}
-		var log bytes.Buffer
-		plan, err := armChaos(slog.New(slog.NewTextHandler(&log, nil)))
-		return plan, log.String(), err
-	}
-	if plan, log, err := arm("-chaos-kill-chunks", "1", "-chaos-fs-torn", "0.5"); plan != nil || log != "" || err != nil {
-		t.Fatalf("seed 0 armed a plan: %v, %q, %v", plan, log, err)
-	}
-	plan, log, err := arm("-chaos-seed", "9", "-chaos-kill-chunks", "2, 3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(log, `msg="fault injection armed" seed=9 kill_chunks="2, 3"`) {
-		t.Errorf("armed log line = %q", log)
-	}
-	if fired := []bool{plan.TaskDone(), plan.TaskDone(), plan.TaskDone(), plan.TaskDone()}; fmt.Sprint(fired) != "[false true true false]" {
-		t.Errorf("kills fired at %v, want at the 2nd and 3rd completion", fired)
-	}
-	if _, _, err := arm("-chaos-seed", "9", "-chaos-kill-chunks", "2,x"); err == nil || !strings.Contains(err.Error(), `bad -chaos-kill-chunks entry "x"`) {
-		t.Errorf("bad list entry: err = %v", err)
-	}
-	if _, _, err := arm("-chaos-seed", "9", "-chaos-fs-enospc", "2"); err == nil {
-		t.Error("a fault rate of 2 armed a plan")
 	}
 }

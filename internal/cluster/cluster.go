@@ -89,12 +89,10 @@ type TaskProcessor interface {
 // and uses default retry budgets.
 type MasterOptions struct {
 	// Journal, when non-nil, is the master's write-ahead log and its only
-	// durable progress: assignments and completions (with their merged
-	// result blocks) are recorded as they happen, completions durably
-	// before the master acts on them. A master restarted on a journal
-	// re-issues only in-flight tasks and never recomputes a
-	// journaled-complete voxel range; the resumed scores are bit-exact with
-	// an uninterrupted run.
+	// durable progress: completions (with their merged result blocks) are
+	// recorded durably before the master acts on them. A master restarted
+	// on a journal never recomputes a journaled-complete voxel range; the
+	// resumed scores are bit-exact with an uninterrupted run.
 	Journal *Journal
 	// Chaos, when non-nil, injects the plan's scheduling-point delays into
 	// the master loop and kills the master (RunMasterCtx returns
@@ -705,13 +703,6 @@ func (m *master) sendTask(rank int, t *task, now time.Time) (bool, error) {
 		span.End()
 		return false, nil
 	}
-	if jn := m.opts.Journal; jn != nil {
-		// Assignments are advisory (a lost one is just re-issued on
-		// resume), so an append failure is survivable and unsynced.
-		if err := jn.RecordAssign(t.v0, t.v, rank); err != nil {
-			m.reg.Counter("cluster_journal_errors_total").Inc()
-		}
-	}
 	m.reg.Counter("cluster_tasks_issued_total").Inc()
 	t.release(rank, "renewed")
 	t.holders = append(t.holders, holder{rank: rank, since: now, span: span})
@@ -859,8 +850,6 @@ func RunWorkerCtx(ctx context.Context, tr mpi.Transport, proc TaskProcessor, opt
 		switch msg.Tag {
 		case mpi.TagStop:
 			return nil
-		case mpi.TagHeartbeat:
-			continue // masters don't heartbeat today; tolerate it anyway
 		case mpi.TagTask:
 			var tm taskMsg
 			if err := decode(msg.Body, &tm); err != nil {
@@ -873,8 +862,12 @@ func RunWorkerCtx(ctx context.Context, tr mpi.Transport, proc TaskProcessor, opt
 			tasksTotal.Inc()
 			tt := taskSeconds.Start()
 			// Parent this task's spans under the master's task span carried
-			// in the message; all no-ops when tracing is off.
-			tctx := trace.WithRemoteParent(ctx, opts.Trace, tm.spanContext())
+			// in the message. A master that does not trace sends none, and
+			// the task records no span.
+			tctx := ctx
+			if sc := tm.spanContext(); sc.Valid() {
+				tctx = trace.WithRemoteParent(ctx, opts.Trace, sc)
+			}
 			tctx, tspan := trace.StartSpan(tctx, "worker/task")
 			tspan.SetInt("v0", tm.V0)
 			tspan.SetInt("voxels", tm.V)

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -12,26 +11,25 @@ import (
 )
 
 // Journal is the master's write-ahead log: a binary, CRC-framed record of
-// task assignments, completions, and their merged result blocks. It is
-// what makes the *master* expendable the way PR 1 made workers
-// expendable — a restarted master (`fcma-cluster -resume`) replays the
-// journal, skips every voxel range already recorded complete, and
-// re-issues only in-flight work, so the resumed run's scores are
-// bit-exact with an uninterrupted one (completion records carry the raw
-// float64 bits). It is the master's only progress store; the inspectable
-// CSV is an output (`fcma-cluster -out-scores`), not a recovery format.
+// task completions and their merged result blocks. It makes the *master*
+// expendable the way the liveness protocol makes workers expendable — a
+// restarted master (`fcma-cluster` with the same `-journal`) replays the
+// journal, skips every voxel range already recorded complete, and issues
+// only the rest, so the resumed run's scores are bit-exact with an
+// uninterrupted one (completion records carry the raw float64 bits). It is
+// the master's only progress store; the inspectable CSV is an output
+// (`fcma-cluster -out-scores`), not a recovery format.
 //
 // The framing, atomic creation, and truncate-at-first-bad-frame recovery
 // live in internal/wal (extracted from this file so the job service's
 // journal shares them); this type owns only the record payloads and the
 // master's replay state. Completions are fsynced before the master acts
-// on them; assignments are advisory and unsynced.
+// on them.
 type Journal struct {
 	log *wal.Log
 	reg *obs.Registry // attached by the master; nil-safe
 
 	completed map[int]float64 // voxel -> accuracy from completion records
-	assigns   int             // assignment records replayed
 	replayed  int             // completion records replayed
 }
 
@@ -41,6 +39,10 @@ const (
 	// result; a corrupt length header must not OOM the master.
 	journalMaxRecord = 16 << 20
 
+	// jrAssign records (an assigned task's v0, v and rank) are no longer
+	// written, because a resumed master issues every task without a
+	// completion anyway; replay still accepts them, so an older master's
+	// journal resumes.
 	jrAssign   = 1
 	jrComplete = 2
 )
@@ -72,7 +74,6 @@ func (j *Journal) apply(payload []byte) error {
 		if len(payload) != 13 {
 			return fmt.Errorf("assign record of %d bytes", len(payload))
 		}
-		j.assigns++
 	case jrComplete:
 		_, _, scores, err := wal.DecodeScoreBlock(payload[1:])
 		if err != nil {
@@ -88,29 +89,6 @@ func (j *Journal) apply(payload []byte) error {
 	return nil
 }
 
-// append frames payload through the WAL, which books its own latency,
-// record and byte series under log="cluster". sync controls whether the
-// record is fsynced before returning.
-func (j *Journal) append(payload []byte, sync bool) error {
-	if _, err := j.log.Append(payload, sync); err != nil {
-		return fmt.Errorf("cluster: journal append: %w", err)
-	}
-	return nil
-}
-
-// RecordAssign journals a task assignment. Assignments are advisory —
-// losing one to a crash only means the resumed master re-issues the task,
-// which is always safe — so they are written without an fsync and the
-// master treats append failures as survivable.
-func (j *Journal) RecordAssign(v0, v, rank int) error {
-	var p [13]byte
-	p[0] = jrAssign
-	binary.LittleEndian.PutUint32(p[1:], uint32(v0))
-	binary.LittleEndian.PutUint32(p[5:], uint32(v))
-	binary.LittleEndian.PutUint32(p[9:], uint32(rank))
-	return j.append(p[:], false)
-}
-
 // RecordComplete journals a completed task with its merged result block
 // (the raw float64 score bits) and fsyncs before returning: once the
 // master acts on a completion — acknowledging it, assigning the worker
@@ -118,8 +96,8 @@ func (j *Journal) RecordAssign(v0, v, rank int) error {
 // recompute.
 func (j *Journal) RecordComplete(v0, v int, scores []core.VoxelScore) error {
 	payload := wal.AppendScoreBlock([]byte{jrComplete}, v0, v, scores)
-	if err := j.append(payload, true); err != nil {
-		return err
+	if _, err := j.log.Append(payload, true); err != nil {
+		return fmt.Errorf("cluster: journal append: %w", err)
 	}
 	for _, s := range scores {
 		j.completed[s.Voxel] = s.Accuracy
@@ -141,11 +119,6 @@ func (j *Journal) Done() int { return len(j.completed) }
 // corrupt tail.
 func (j *Journal) Truncated() bool { return j.log.Truncated() }
 
-// ReplayedAssigns returns how many assignment records the open replayed —
-// the in-flight tasks of the crashed incarnation, which the resumed
-// master re-issues.
-func (j *Journal) ReplayedAssigns() int { return j.assigns }
-
 // ReplayedCompletions returns how many completion records the open
 // replayed.
 func (j *Journal) ReplayedCompletions() int { return j.replayed }
@@ -165,7 +138,6 @@ func (j *Journal) Scores() []core.VoxelScore {
 func (j *Journal) attach(reg *obs.Registry) {
 	j.reg = reg
 	reg.Gauge("cluster_journal_replayed_voxels").Set(float64(len(j.completed)))
-	reg.Gauge("cluster_journal_replayed_assigns").Set(float64(j.assigns))
 	if j.log.Truncated() {
 		reg.Counter("cluster_journal_torn_recoveries_total").Inc()
 	}

@@ -30,13 +30,7 @@ func TestJournalRoundTripBitExact(t *testing.T) {
 		{Voxel: 1, Accuracy: 0.1 + 0.2}, // not representable at 6 decimals
 		{Voxel: 2, Accuracy: 0.7499999999999991},
 	}
-	if err := j.RecordAssign(0, 3, 1); err != nil {
-		t.Fatal(err)
-	}
 	if err := j.RecordComplete(0, 3, scores); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.RecordAssign(3, 3, 2); err != nil { // in-flight at crash
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
@@ -51,8 +45,8 @@ func TestJournalRoundTripBitExact(t *testing.T) {
 	if r.Truncated() {
 		t.Fatal("clean journal reported a truncated tail")
 	}
-	if r.Done() != 3 || r.ReplayedCompletions() != 1 || r.ReplayedAssigns() != 2 {
-		t.Fatalf("replay: done=%d completions=%d assigns=%d", r.Done(), r.ReplayedCompletions(), r.ReplayedAssigns())
+	if r.Done() != 3 || r.ReplayedCompletions() != 1 {
+		t.Fatalf("replay: done=%d completions=%d", r.Done(), r.ReplayedCompletions())
 	}
 	got := map[int]float64{}
 	for _, s := range r.Scores() {
@@ -257,7 +251,8 @@ func copyTestdata(t testing.TB, name string) string {
 // of the score-block codec into internal/wal: testdata/pr22.jnl was written
 // by the PR 22 encoder (three assignments, two completions of three voxels)
 // and must replay to the same state, and re-encoding that state must
-// reproduce the file's completion records byte for byte.
+// reproduce the file's completion frames byte for byte. Assignment records
+// are no longer written, but replay still accepts them.
 func TestJournalReplaysParentEncoding(t *testing.T) {
 	path := copyTestdata(t, "pr22.jnl")
 	want := []core.VoxelScore{
@@ -268,9 +263,8 @@ func TestJournalReplaysParentEncoding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j.Truncated() || j.Done() != 6 || j.ReplayedAssigns() != 3 || j.ReplayedCompletions() != 2 {
-		t.Fatalf("replay: truncated=%v done=%d assigns=%d completions=%d",
-			j.Truncated(), j.Done(), j.ReplayedAssigns(), j.ReplayedCompletions())
+	if j.Truncated() || j.Done() != 6 || j.ReplayedCompletions() != 2 {
+		t.Fatalf("replay: truncated=%v done=%d completions=%d", j.Truncated(), j.Done(), j.ReplayedCompletions())
 	}
 	got := map[int]float64{}
 	for _, s := range j.Scores() {
@@ -289,18 +283,20 @@ func TestJournalReplaysParentEncoding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, step := range []error{
-		f.RecordAssign(0, 3, 1), f.RecordAssign(3, 3, 2), f.RecordComplete(0, 3, want[:3]),
-		f.RecordAssign(6, 2, 1), f.RecordComplete(3, 3, want[3:]), f.Close(),
-	} {
+	for _, step := range []error{f.RecordComplete(0, 3, want[:3]), f.RecordComplete(3, 3, want[3:]), f.Close()} {
 		if step != nil {
 			t.Fatal(step)
 		}
 	}
-	old, _ := os.ReadFile(path)
-	now, _ := os.ReadFile(fresh)
-	if !bytes.Equal(old, now) {
-		t.Fatalf("re-encoded journal differs from the PR 22 file:\n old %x\n new %x", old, now)
+	var old [][]byte
+	for _, frame := range journalFrames(t, path) {
+		if frame[8] == jrComplete {
+			old = append(old, frame)
+		}
+	}
+	now := journalFrames(t, fresh)
+	if !bytes.Equal(bytes.Join(old, nil), bytes.Join(now, nil)) {
+		t.Fatalf("re-encoded completions differ from the PR 22 file's:\n old %x\n new %x", old, now)
 	}
 }
 
@@ -321,13 +317,17 @@ func FuzzJournalApply(f *testing.F) {
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		j := &Journal{completed: make(map[int]float64)}
 		if err := j.apply(payload); err != nil {
-			if len(j.completed) != 0 || j.assigns != 0 || j.replayed != 0 {
+			if len(j.completed) != 0 || j.replayed != 0 {
 				t.Fatalf("rejected payload %x still changed the replay state", payload)
 			}
 			return
 		}
-		if j.assigns+j.replayed != 1 {
-			t.Fatalf("accepted payload %x booked %d assigns and %d completions", payload, j.assigns, j.replayed)
+		want := 0 // an assignment record books nothing
+		if payload[0] == jrComplete {
+			want = 1
+		}
+		if j.replayed != want {
+			t.Fatalf("accepted payload %x booked %d completions, want %d", payload, j.replayed, want)
 		}
 		if len(j.completed) == 0 {
 			return
@@ -348,14 +348,25 @@ func FuzzJournalApply(f *testing.F) {
 // fuzzer's corpus of records a real run wrote.
 func testdataRecords(t testing.TB) [][]byte {
 	t.Helper()
-	data, err := os.ReadFile(filepath.Join("testdata", "pr22.jnl"))
+	var out [][]byte
+	for _, frame := range journalFrames(t, filepath.Join("testdata", "pr22.jnl")) {
+		out = append(out, frame[8:])
+	}
+	return out
+}
+
+// journalFrames returns the frames of the journal at path, each with its
+// 8-byte header (payload length, CRC) and its payload.
+func journalFrames(t testing.TB, path string) [][]byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var out [][]byte
 	for off := len(journalMagic); off+8 <= len(data); {
 		n := int(binary.LittleEndian.Uint32(data[off:]))
-		out = append(out, data[off+8:off+8+n])
+		out = append(out, data[off:off+8+n])
 		off += 8 + n
 	}
 	return out

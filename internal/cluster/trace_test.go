@@ -168,8 +168,10 @@ func (r *recvTap) Recv() (mpi.Message, error) {
 	return msg, err
 }
 
-// Tracing off must leave the protocol bit-identical: task messages carry
-// zero span ids and no report carries a span.
+// Tracing off at the master must leave the protocol bit-identical: task
+// messages carry zero span ids and no report carries a span. The worker
+// has a tracer, as fcma-cluster's worker always does, and records nothing
+// into it: a task without the master's span context records no span.
 func TestClusterTraceDisabledShipsNothing(t *testing.T) {
 	st := testStack(t)
 	comm, err := mpi.NewLocalComm(2, 32)
@@ -195,6 +197,7 @@ func TestClusterTraceDisabledShipsNothing(t *testing.T) {
 			}
 		}
 	}}
+	wtr := trace.New(0)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -204,7 +207,7 @@ func TestClusterTraceDisabledShipsNothing(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if err := RunWorkerCtx(context.Background(), worker, w, WorkerOptions{}); err != nil {
+		if err := RunWorkerCtx(context.Background(), worker, w, WorkerOptions{Trace: wtr}); err != nil {
 			t.Error(err)
 		}
 	}()
@@ -214,5 +217,8 @@ func TestClusterTraceDisabledShipsNothing(t *testing.T) {
 	wg.Wait()
 	if tasks.Load() == 0 || reports.Load() == 0 {
 		t.Fatalf("saw %d tasks and %d reports, want some of each", tasks.Load(), reports.Load())
+	}
+	if spans := wtr.Drain(); len(spans) != 0 {
+		t.Errorf("the worker's tracer holds %d spans under an untraced master", len(spans))
 	}
 }

@@ -490,7 +490,7 @@ func (s *Service) kill() {
 }
 
 // Killed reports whether the service died to a chaos kill (soak
-// assertions and the daemon's exit code).
+// assertions).
 func (s *Service) Killed() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
