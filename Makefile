@@ -93,7 +93,7 @@ size:
 # pass these ceilings, the values the last reduction PR left. A PR that needs more raises them
 # in its own diff, where a reviewer sees the growth; one that shrinks the
 # module lowers them.
-MAX_MODULE_LINES = 18599
+MAX_MODULE_LINES = 18697
 MAX_EXPORTED = 279
 MAX_FLAGS = 65
 MAX_ASM_LINES = 2408
@@ -130,8 +130,8 @@ chaos-soak:
 		-timeout 5m -v ./internal/serve/
 
 # End-to-end smoke of the fcma-serve daemon: real binary, real HTTP
-# socket, real SIGTERM. Asserts submit/poll/result over the wire, a clean
-# exit-0 drain, and journal removal.
+# socket, real SIGTERM. Asserts a submit and one waiting result GET over
+# the wire, a clean exit-0 drain, and journal removal.
 serve-smoke:
 	SERVE_SMOKE_OUT=$(SERVEDIR) ./scripts/serve-smoke.sh
 

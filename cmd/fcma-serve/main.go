@@ -41,7 +41,7 @@ func main() {
 	queueCap := flag.Int("queue-cap", 16, "max non-terminal jobs; beyond this submissions get 429 + Retry-After")
 	tenantCap := flag.Int("tenant-cap", 4, "max non-terminal jobs per tenant")
 	memBudget := flag.Int64("mem-budget-mb", 0, "memory-budget admission gate in MiB (0 disables)")
-	cacheBudget := flag.Int64("cache-budget-mb", 256, "decoded-dataset cache budget in MiB")
+	cacheBudget := flag.Int64("cache-budget-mb", 256, "cache budget in MiB for prepared epoch stacks (each dataset's normalized epochs, what jobs run on)")
 	executors := flag.Int("executors", 2, "concurrent job executors")
 	chunk := flag.Int("chunk", 64, "voxels per journaled checkpoint chunk")
 	workers := flag.Int("workers", 0, "per-job pipeline goroutines (0 = GOMAXPROCS)")

@@ -55,8 +55,8 @@ func (t taskMsg) spanContext() trace.SpanContext {
 }
 
 // report is a worker's one answer to a task: its scores, or the failure
-// in Err, with the worker's registry snapshot and the spans it completed
-// since its last report.
+// in Err, with what the worker's registry counted since its session began
+// and the spans it completed since its last report.
 type report struct {
 	Task    taskMsg
 	Scores  []core.VoxelScore
@@ -730,8 +730,10 @@ type WorkerOptions struct {
 	// HeartbeatInterval between liveness beacons to the master. Zero
 	// selects 1s; negative disables heartbeats.
 	HeartbeatInterval time.Duration
-	// Obs is the registry whose snapshot rides in every report to the
-	// master; the worker's own task counters (worker_tasks_total,
+	// Obs is the registry whose counts since RunWorkerCtx began (since the
+	// first of several overlapping calls sharing it began; see
+	// obs.Registry.Session) ride in every report to the master; the
+	// worker's own task counters (worker_tasks_total,
 	// worker_task_failures_total, worker_task_seconds) record there too.
 	// Nil uses obs.Default(), which is right when the worker owns the
 	// process (cmd/fcma-cluster); give in-process workers distinct
@@ -781,11 +783,17 @@ func RunWorkerCtx(ctx context.Context, tr mpi.Transport, proc TaskProcessor, opt
 	// Spans record under this rank's pid lane; the rank is only known from
 	// the transport (and changes across a TCP rejoin).
 	opts.Trace.SetPID(tr.Rank())
-	// answer sends the one report on a task, carrying the registry's
-	// snapshot and the spans completed since the last report.
+	// answer sends the one report on a task, carrying what the registry
+	// counted since this session began (a rejoined process does not report
+	// the last master's work again) and the spans completed since the
+	// last report.
+	base, endSession := reg.Session()
+	defer endSession()
 	answer := func(tm taskMsg, scores []core.VoxelScore, failure string) error {
+		snap := reg.Snapshot()
+		snap.Sub(base)
 		body, err := encode(report{Task: tm, Scores: scores, Err: failure,
-			Metrics: reg.Snapshot(), Spans: opts.Trace.Drain()})
+			Metrics: snap, Spans: opts.Trace.Drain()})
 		if err != nil {
 			return err
 		}

@@ -23,11 +23,12 @@ type shipped struct {
 }
 
 // record stores s as the latest snapshot of its registry, under rank.
-// Workers ship cumulative registries, so last-wins is the correct merge;
-// keying by origin counts a registry once however many ranks shipped it
-// (a worker process keeps its registry across a rejoin under a fresh rank,
-// and in-process ranks may share one). A snapshot of no registry (origin
-// 0) records nothing.
+// A worker ships what its registry counted since its session began, which
+// only grows, so last-wins is the correct merge; keying by origin counts a
+// registry once however many ranks shipped it (in-process ranks may share
+// one, and a worker process keeps its registry across a rejoin under a
+// fresh rank, when the latest session's counts replace the last one's). A
+// snapshot of no registry (origin 0) records nothing.
 func (c *ClusterMetrics) record(rank int, s obs.Snapshot) {
 	if c == nil || s.Origin == 0 {
 		return

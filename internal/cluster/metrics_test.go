@@ -101,3 +101,43 @@ func TestSharedRegistryCountedOnce(t *testing.T) {
 		t.Errorf("Workers() holds %d entries, want 1 for the one registry", got)
 	}
 }
+
+// TestRejoinReportsOnlyThisMastersWork runs one worker registry through
+// two masters in turn, as a worker process does when it rejoins a
+// restarted master: the second master's metrics must count only the tasks
+// and voxels done for it, not the first master's as well.
+func TestRejoinReportsOnlyThisMastersWork(t *testing.T) {
+	st := testStack(t)
+	reg := obs.NewRegistry()
+	worker := func(int) (TaskProcessor, WorkerOptions, error) {
+		cfg := core.Optimized()
+		cfg.Obs = reg
+		w, err := core.NewWorker(cfg, st, nil)
+		return w, WorkerOptions{Obs: reg}, err
+	}
+	for i, taskSize := range []int{5, 8} {
+		cm := &ClusterMetrics{}
+		if _, err := RunLocal(context.Background(), 1, st.N, taskSize, MasterOptions{Obs: obs.NewRegistry(), Metrics: cm}, worker); err != nil {
+			t.Fatal(err)
+		}
+		wantTasks := uint64((st.N + taskSize - 1) / taskSize)
+		perRank := cm.Workers()
+		if len(perRank) != 1 {
+			t.Fatalf("master %d: %d ranks reported, want 1", i+1, len(perRank))
+		}
+		for rank, snap := range perRank {
+			if got := snap.Counters["worker_tasks_total"]; got != wantTasks {
+				t.Errorf("master %d: rank %d reported %d tasks, want the %d it was given", i+1, rank, got, wantTasks)
+			}
+			if got := snap.Counters["core_voxels_scored_total"]; got != uint64(st.N) {
+				t.Errorf("master %d: rank %d reported %d voxels, want %d", i+1, rank, got, st.N)
+			}
+			if h := snap.Hists["worker_task_seconds"]; h.Count != wantTasks {
+				t.Errorf("master %d: rank %d reported %d task timings, want %d", i+1, rank, h.Count, wantTasks)
+			}
+		}
+	}
+	if got := reg.Counter("worker_tasks_total").Value(); got != 7+4 {
+		t.Errorf("the worker's registry counts %d tasks in all, want 11", got)
+	}
+}

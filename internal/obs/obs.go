@@ -172,6 +172,12 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
+
+	// Reporting sessions (Session): how many are open, and the snapshot
+	// the open ones count from.
+	sessMu   sync.Mutex
+	sessions int
+	sessBase Snapshot
 }
 
 // NewRegistry returns an empty registry.

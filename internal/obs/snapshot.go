@@ -104,6 +104,47 @@ func (s *Snapshot) Merge(o Snapshot) {
 	}
 }
 
+// Session opens a reporting session on the registry: it returns the
+// snapshot the session counts from (Snapshot then Sub(base)) and the
+// func that closes it. Sessions that overlap share the base the first of
+// them took, so concurrent reporters sharing a registry report the same
+// counts; a session opened after every earlier one closed counts from the
+// registry as it is then. A nil registry's base is empty.
+func (r *Registry) Session() (base Snapshot, end func()) {
+	if r == nil {
+		return emptySnapshot(), func() {}
+	}
+	r.sessMu.Lock()
+	defer r.sessMu.Unlock()
+	if r.sessions == 0 {
+		r.sessBase = r.Snapshot()
+	}
+	r.sessions++
+	return r.sessBase, func() {
+		r.sessMu.Lock()
+		r.sessions--
+		r.sessMu.Unlock()
+	}
+}
+
+// Sub takes base, an earlier snapshot of the same registry (so a
+// histogram keeps its buckets), out of s: counters and histograms less
+// base's, a series base lacks whole. Gauges and Origin stay s's.
+func (s *Snapshot) Sub(base Snapshot) {
+	for name, v := range s.Counters {
+		s.Counters[name] = v - base.Counters[name]
+	}
+	for name, h := range s.Hists {
+		b := base.Hists[name]
+		h.Sum -= b.Sum
+		h.Count -= b.Count
+		for i := 0; i < len(b.Counts) && i < len(h.Counts); i++ {
+			h.Counts[i] -= b.Counts[i]
+		}
+		s.Hists[name] = h
+	}
+}
+
 func equalBounds(a, b []float64) bool {
 	if len(a) != len(b) {
 		return false

@@ -39,6 +39,53 @@ func TestSnapshotMergeDisjointNames(t *testing.T) {
 	}
 }
 
+// Sub leaves what a registry counted after the base snapshot: counters
+// and histograms less the base's, series new since the base whole, gauges
+// and origin as the later snapshot has them; the base is not touched.
+func TestSnapshotSubCountsSinceBase(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("tasks_total").Add(3)
+	r.Histogram("task_seconds", []float64{1}).Observe(0.5)
+	r.Gauge("live").Set(1)
+	base := r.Snapshot()
+	r.Counter("tasks_total").Add(2)
+	r.Counter("fresh_total").Inc()
+	r.Histogram("task_seconds", []float64{1}).Observe(4)
+	r.Gauge("live").Set(5)
+	d := r.Snapshot()
+	d.Sub(base)
+	if d.Origin != base.Origin || d.Counters["tasks_total"] != 2 || d.Counters["fresh_total"] != 1 || d.Gauges["live"] != 5 {
+		t.Fatalf("difference = %+v", d)
+	}
+	if h := d.Hists["task_seconds"]; h.Count != 1 || h.Sum != 4 || h.Counts[0] != 0 || h.Counts[1] != 1 {
+		t.Fatalf("histogram difference = %+v, want the one 4 s observation", h)
+	}
+	if base.Counters["tasks_total"] != 3 || base.Hists["task_seconds"].Counts[0] != 1 {
+		t.Fatalf("Sub changed its base: %+v", base)
+	}
+}
+
+// Overlapping sessions count from the base the first took; a session
+// opened after all earlier ones closed counts from the registry as it is.
+func TestSessionsShareBaseWhileOpen(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("tasks_total").Add(4)
+	a, endA := r.Session()
+	r.Counter("tasks_total").Inc()
+	b, endB := r.Session()
+	if a.Counters["tasks_total"] != 4 || b.Counters["tasks_total"] != 4 {
+		t.Fatalf("overlapping sessions' bases count %d and %d, want both 4",
+			a.Counters["tasks_total"], b.Counters["tasks_total"])
+	}
+	endA()
+	endB()
+	c, endC := r.Session()
+	defer endC()
+	if c.Counters["tasks_total"] != 5 {
+		t.Fatalf("a fresh session's base counts %d, want 5", c.Counters["tasks_total"])
+	}
+}
+
 // Histograms whose bucket layouts disagree still merge Sum/Count (so the
 // cluster-wide totals stay meaningful) but leave s's buckets untouched.
 func TestSnapshotMergeMismatchedBuckets(t *testing.T) {

@@ -106,17 +106,25 @@ func FuzzDatasetBlob(f *testing.F) {
 	})
 }
 
+// loadBlob reads an upload blob the way a library user reads the files it
+// frames.
+func loadBlob(t *testing.T, blob []byte) *fcma.Data {
+	t.Helper()
+	dataLen := binary.LittleEndian.Uint64(blob)
+	d, err := fcma.Load(bytes.NewReader(blob[8:8+dataLen]), bytes.NewReader(blob[8+dataLen:]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 // TestResultIdenticalAcrossChunkVoxels pins the checkpoint granularity out
 // of the result: one dataset submitted to services chunking at 1, 8, N and
 // more than N voxels returns byte-identical result bodies, equal voxel for
 // voxel to fcma.SelectVoxels on the same data.
 func TestResultIdenticalAcrossChunkVoxels(t *testing.T) {
 	blob := tinyBlob(t)
-	dataLen := binary.LittleEndian.Uint64(blob)
-	d, err := fcma.Load(bytes.NewReader(blob[8:8+dataLen]), bytes.NewReader(blob[8+dataLen:]))
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := loadBlob(t, blob)
 	want, err := fcma.SelectVoxels(d, fcma.Config{})
 	if err != nil {
 		t.Fatal(err)

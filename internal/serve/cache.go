@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"container/list"
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -13,20 +14,24 @@ import (
 	"sync"
 
 	"fcma/internal/chaos"
+	"fcma/internal/corr"
 	"fcma/internal/fmri"
 	"fcma/internal/obs"
 )
 
 // datasetStore is the service's content-addressed dataset layer: uploaded
 // datasets live on disk under <dir>/datasets/<sha256> (written atomically
-// so a crash mid-upload leaves no partial blob), and decoded datasets —
-// uploaded or synthetic — are held in a byte-budgeted LRU so repeated
-// jobs over the same data skip the decode, evicting under pressure
-// rather than growing without bound.
+// so a crash mid-upload leaves no partial blob), and the epoch stacks
+// jobs run on, built from uploaded or synthetic data, are held in a
+// byte-budgeted LRU so repeated jobs over the same data skip the decode
+// and the normalization, evicting under pressure rather than growing
+// without bound. Only corr.EpochStack.AppendEpoch, which the service
+// never calls, writes a built stack, so concurrent jobs share one.
 type datasetStore struct {
-	dir  string
-	fsys chaos.FS
-	reg  *obs.Registry
+	dir     string
+	fsys    chaos.FS
+	reg     *obs.Registry
+	workers int // stack-build parallelism; 0 means GOMAXPROCS
 
 	mu     sync.Mutex
 	budget int64
@@ -35,11 +40,11 @@ type datasetStore struct {
 	byKey  map[string]*list.Element // cache key -> lru element
 }
 
-// cacheEntry is one decoded dataset resident in memory.
+// cacheEntry is one epoch stack resident in memory.
 type cacheEntry struct {
-	key  string
-	ds   *fmri.Dataset
-	size int64
+	key   string
+	stack *corr.EpochStack
+	size  int64
 }
 
 // datasetMeta is the sidecar the store writes next to each blob so
@@ -50,13 +55,14 @@ type datasetMeta struct {
 	Subjects   int `json:"subjects"`
 }
 
-// newDatasetStore roots the store at dir (created if missing).
-func newDatasetStore(dir string, fsys chaos.FS, budget int64, reg *obs.Registry) (*datasetStore, error) {
+// newDatasetStore roots the store at dir (created if missing); stacks are
+// built with workers goroutines.
+func newDatasetStore(dir string, fsys chaos.FS, budget int64, workers int, reg *obs.Registry) (*datasetStore, error) {
 	if err := os.MkdirAll(filepath.Join(dir, "datasets"), 0o755); err != nil {
 		return nil, fmt.Errorf("serve: creating dataset dir: %w", err)
 	}
 	return &datasetStore{
-		dir: dir, fsys: fsys, reg: reg,
+		dir: dir, fsys: fsys, reg: reg, workers: workers,
 		budget: budget,
 		lru:    list.New(),
 		byKey:  make(map[string]*list.Element),
@@ -119,18 +125,19 @@ func (s *datasetStore) Meta(id datasetID) (datasetMeta, error) {
 	return m, nil
 }
 
-// Get returns a job's dataset (the synthetic shape its spec names, else
-// blob id), from cache when resident, decoding/generating otherwise.
-func (s *datasetStore) Get(spec JobSpec, id datasetID) (*fmri.Dataset, error) {
+// Get returns the epoch stack of a job's dataset (the synthetic shape its
+// spec names, else blob id), from cache when resident, otherwise
+// decoding or generating the dataset and building the stack under ctx.
+func (s *datasetStore) Get(ctx context.Context, spec JobSpec, id datasetID) (*corr.EpochStack, error) {
 	// Synthetic generation is seeded, so equal name and scale mean
 	// bit-identical data; uploads are keyed by content hash.
 	key := "blob/" + string(id)
 	if spec.Synthetic != "" {
 		key = fmt.Sprintf("synthetic/%s@%g", spec.Synthetic, spec.scale())
 	}
-	if ds := s.lookup(key); ds != nil {
+	if st := s.lookup(key); st != nil {
 		s.reg.Counter("serve_dataset_cache_hits_total").Inc()
-		return ds, nil
+		return st, nil
 	}
 	s.reg.Counter("serve_dataset_cache_misses_total").Inc()
 	var ds *fmri.Dataset
@@ -149,8 +156,12 @@ func (s *datasetStore) Get(spec JobSpec, id datasetID) (*fmri.Dataset, error) {
 			return nil, fmt.Errorf("serve: dataset %s: %w", id, err)
 		}
 	}
-	s.insert(key, ds)
-	return ds, nil
+	st, err := corr.BuildEpochStackContext(ctx, ds, s.workers)
+	if err != nil {
+		return nil, err
+	}
+	s.insert(key, st)
+	return st, nil
 }
 
 // syntheticSpec maps a job spec to the deterministic generator spec.
@@ -161,8 +172,8 @@ func syntheticSpec(spec JobSpec) fmri.Spec {
 	return fmri.FaceSceneSpec(spec.scale())
 }
 
-// lookup returns a resident dataset and refreshes its recency.
-func (s *datasetStore) lookup(key string) *fmri.Dataset {
+// lookup returns a resident stack and refreshes its recency.
+func (s *datasetStore) lookup(key string) *corr.EpochStack {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	el, ok := s.byKey[key]
@@ -170,14 +181,14 @@ func (s *datasetStore) lookup(key string) *fmri.Dataset {
 		return nil
 	}
 	s.lru.MoveToFront(el)
-	return el.Value.(*cacheEntry).ds
+	return el.Value.(*cacheEntry).stack
 }
 
-// insert caches a decoded dataset, evicting least-recently-used entries
-// until the byte budget holds. A dataset larger than the whole budget is
-// served uncached.
-func (s *datasetStore) insert(key string, ds *fmri.Dataset) {
-	size := datasetBytes(ds.Voxels(), ds.TimePoints())
+// insert caches a built stack, evicting least-recently-used entries until
+// the byte budget holds. A stack larger than the whole budget is served
+// uncached.
+func (s *datasetStore) insert(key string, st *corr.EpochStack) {
+	size := stackBytes(st)
 	if s.budget <= 0 || size > s.budget {
 		return
 	}
@@ -197,15 +208,15 @@ func (s *datasetStore) insert(key string, ds *fmri.Dataset) {
 		s.used -= ev.size
 		s.reg.Counter("serve_dataset_cache_evictions_total").Inc()
 	}
-	s.byKey[key] = s.lru.PushFront(&cacheEntry{key: key, ds: ds, size: size})
+	s.byKey[key] = s.lru.PushFront(&cacheEntry{key: key, stack: st, size: size})
 	s.used += size
 	s.reg.Gauge("serve_dataset_cache_bytes").Set(float64(s.used))
 }
 
-// datasetBytes estimates the resident size of a decoded V×T dataset
-// (float32 activity plus bookkeeping).
-func datasetBytes(voxels, timePoints int) int64 {
-	return int64(voxels)*int64(timePoints)*4 + 1<<16
+// stackBytes estimates the resident size of an epoch stack: M·T·N
+// float32 normalized values plus bookkeeping.
+func stackBytes(st *corr.EpochStack) int64 {
+	return int64(st.M())*int64(st.T)*int64(st.N)*4 + 1<<16
 }
 
 // encodeDataset builds an upload blob: an 8-byte little-endian length of

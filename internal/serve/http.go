@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"time"
 
 	"fcma/internal/core"
 	"fcma/internal/obs"
@@ -24,12 +25,19 @@ const maxUploadBytes = 256 << 20
 // large bodies exhaust memory.
 const maxConcurrentUploads = 4
 
+// resultHold bounds how long a result request waits for its job to
+// settle before answering 409, so a client's first GET returns the
+// moment a short job finishes instead of one poll interval later.
+const resultHold = time.Second
+
 // Handler returns the service's API mux:
 //
 //	POST   /api/v1/jobs          submit (202, 400, 429+Retry-After, 503)
 //	GET    /api/v1/jobs          list
 //	GET    /api/v1/jobs/{id}     status + progress
-//	GET    /api/v1/jobs/{id}/result  scores (200; 409 until done; 404)
+//	GET    /api/v1/jobs/{id}/result  scores (200 once done; waits up to
+//	                                 resultHold for the job to settle,
+//	                                 then 409 naming its state; 404)
 //	DELETE /api/v1/jobs/{id}     cancel (202; 409 when terminal)
 //	POST   /api/v1/datasets      upload content-addressed dataset (201)
 //	GET    /api/v1/stats         per-tenant accounting
@@ -184,6 +192,10 @@ type resultScore struct {
 	Accuracy float64 `json:"accuracy"`
 }
 
+// handleResult answers 200 with the scores of a done job. On a job not
+// yet terminal it first waits, without the service mutex, until the job
+// settles, the client goes away, the executors stop (drain, close or a
+// chaos kill) or resultHold passes; any job not done by then is a 409.
 func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	job, ok := s.jobs[r.PathValue("id")]
@@ -191,6 +203,22 @@ func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
 		s.mu.Unlock()
 		writeError(w, http.StatusNotFound, "unknown job")
 		return
+	}
+	if !job.State.Terminal() {
+		if job.settled == nil {
+			job.settled = make(chan struct{})
+		}
+		settled := job.settled
+		s.mu.Unlock()
+		hold := time.NewTimer(resultHold)
+		select {
+		case <-settled:
+		case <-r.Context().Done():
+		case <-s.execCtx.Done():
+		case <-hold.C:
+		}
+		hold.Stop()
+		s.mu.Lock()
 	}
 	if job.State != stateDone {
 		st := job.State

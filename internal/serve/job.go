@@ -191,6 +191,9 @@ type jobRecord struct {
 	// canceling marks a user cancellation request observed while the job
 	// was running, so the executor records canceled rather than failed.
 	canceling bool
+	// settled is closed at the job's terminal transition, releasing every
+	// result request waiting on it; made by the first such request.
+	settled chan struct{}
 
 	created time.Time
 

@@ -24,7 +24,7 @@ func jnlPath(t *testing.T) string {
 // testStore returns an empty dataset store in a fresh temp dir.
 func testStore(t testing.TB) *datasetStore {
 	t.Helper()
-	st, err := newDatasetStore(t.TempDir(), chaos.OS(), 0, obs.NewRegistry())
+	st, err := newDatasetStore(t.TempDir(), chaos.OS(), 0, 0, obs.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 
 	"fcma/internal/chaos"
 	"fcma/internal/core"
-	"fcma/internal/corr"
 	"fcma/internal/obs"
 	"fcma/internal/obs/trace"
 	"fcma/internal/retry"
@@ -132,11 +131,7 @@ func (s *Service) retrySeed(id string) int64 {
 // every chunk the journal already holds — the incremental core of both
 // crash resume and retry.
 func (s *Service) attempt(ctx context.Context, job *jobRecord, spec JobSpec) error {
-	ds, err := s.store.Get(spec, job.dataset)
-	if err != nil {
-		return err
-	}
-	stack, err := corr.BuildEpochStackContext(ctx, ds, s.opts.Workers)
+	stack, err := s.store.Get(ctx, spec, job.dataset)
 	if err != nil {
 		return err
 	}

@@ -55,8 +55,9 @@ type Options struct {
 	// MemBudget bounds the summed estimated working set of admitted jobs
 	// in bytes; 0 disables the gate.
 	MemBudget int64
-	// CacheBudget bounds the decoded-dataset cache in bytes. Defaults to
-	// 256 MiB.
+	// CacheBudget bounds the cache of prepared epoch stacks (each
+	// dataset's normalized epochs, what a job runs on) in bytes. Defaults
+	// to 256 MiB.
 	CacheBudget int64
 	// Executors is the number of concurrent job runners. Defaults to 2;
 	// negative runs none (tests drive admission without execution).
@@ -162,7 +163,7 @@ func New(opts Options) (*Service, error) {
 		return nil, fmt.Errorf("serve: creating state dir: %w", err)
 	}
 	reg := opts.Obs
-	store, err := newDatasetStore(opts.Dir, opts.FS, opts.CacheBudget, reg)
+	store, err := newDatasetStore(opts.Dir, opts.FS, opts.CacheBudget, opts.Workers, reg)
 	if err != nil {
 		return nil, err
 	}
@@ -399,6 +400,9 @@ func (s *Service) transitionLocked(job *jobRecord, to jobState, errMsg string) e
 	}
 	if to.Terminal() {
 		job.endSpans(string(to))
+		if job.settled != nil {
+			close(job.settled)
+		}
 	}
 	return nil
 }

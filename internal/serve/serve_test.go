@@ -298,8 +298,10 @@ func TestUnknownSpecFieldRejected(t *testing.T) {
 	}
 }
 
-// TestCancelAndResultConflicts covers cancel of a queued job, double
-// cancel, unknown IDs, and fetching a result before completion.
+// TestCancelAndResultConflicts covers a result request waiting on a
+// queued job that a cancel settles (409 naming the state, well inside the
+// hold), double cancel, and unknown IDs. With no executors the job would
+// otherwise stay queued, so only the cancel can release the wait.
 func TestCancelAndResultConflicts(t *testing.T) {
 	s := newTestService(t, Options{Executors: -1})
 	ts := httptest.NewServer(s.Handler())
@@ -309,11 +311,13 @@ func TestCancelAndResultConflicts(t *testing.T) {
 	_, _, doc := doJSON(t, "POST", ts.URL+"/api/v1/jobs", spec)
 	id := doc["id"].(string)
 
-	if code, _, d := doJSON(t, "GET", ts.URL+"/api/v1/jobs/"+id+"/result", nil); code != http.StatusConflict {
-		t.Fatalf("result before done = %d %v, want 409", code, d)
-	}
+	got := asyncGet(ts.URL + "/api/v1/jobs/" + id + "/result")
+	waitForWaiter(t, s, id)
 	if code, _, d := doJSON(t, "DELETE", ts.URL+"/api/v1/jobs/"+id, nil); code != http.StatusAccepted {
 		t.Fatalf("cancel = %d %v", code, d)
+	}
+	if r := awaitReleased(t, got, "cancel"); r.code != http.StatusConflict || !strings.Contains(r.doc["error"].(string), "canceled") {
+		t.Fatalf("waiting result after cancel = %d %v, want 409 canceled", r.code, r.doc)
 	}
 	if code, _, d := doJSON(t, "GET", ts.URL+"/api/v1/jobs/"+id, nil); code != http.StatusOK || d["state"] != "canceled" {
 		t.Fatalf("status after cancel = %d %v", code, d)
@@ -323,6 +327,9 @@ func TestCancelAndResultConflicts(t *testing.T) {
 	}
 	if code, _, d := doJSON(t, "GET", ts.URL+"/api/v1/jobs/nope", nil); code != http.StatusNotFound {
 		t.Fatalf("unknown status = %d %v, want 404", code, d)
+	}
+	if code, _, d := doJSON(t, "GET", ts.URL+"/api/v1/jobs/nope/result", nil); code != http.StatusNotFound {
+		t.Fatalf("unknown result = %d %v, want 404", code, d)
 	}
 	if code, _, d := doJSON(t, "DELETE", ts.URL+"/api/v1/jobs/nope", nil); code != http.StatusNotFound {
 		t.Fatalf("unknown cancel = %d %v, want 404", code, d)
@@ -471,44 +478,48 @@ func TestDrainKeepsUnsettledJournal(t *testing.T) {
 	}
 }
 
-// TestDatasetCacheHitsAndEviction proves repeated jobs share the decoded
-// dataset and a tight budget evicts.
+// TestDatasetCacheHitsAndEviction proves repeated jobs share the built
+// epoch stack and a budget, in stack bytes, that holds either of two
+// stacks but not both evicts.
 func TestDatasetCacheHitsAndEviction(t *testing.T) {
+	ctx := context.Background()
 	s := newTestService(t, Options{Executors: -1, CacheBudget: 1 << 30})
 	hash, err := s.store.Put(tinyBlob(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.store.Get(JobSpec{}, hash); err != nil {
+	first, err := s.store.Get(ctx, JobSpec{}, hash)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.store.Get(JobSpec{}, hash); err != nil {
+	again, err := s.store.Get(ctx, JobSpec{}, hash)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if hits := s.Metrics().Counter("serve_dataset_cache_hits_total").Value(); hits != 1 {
-		t.Fatalf("cache hits = %d, want 1", hits)
+	if hits := s.Metrics().Counter("serve_dataset_cache_hits_total").Value(); hits != 1 || again != first {
+		t.Fatalf("cache hits = %d (same stack %v), want 1 hit on the cached stack", hits, again == first)
 	}
 
-	// A budget that holds either dataset but not both evicts on the
-	// second key.
-	tiny, err := decodeDataset(tinyBlob(t))
+	fs, err := s.store.Get(ctx, JobSpec{Synthetic: "face-scene", Scale: 0.001}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs, err := fmri.Generate(fmri.FaceSceneSpec(0.001))
-	if err != nil {
-		t.Fatal(err)
+	sizeTiny := stackBytes(first)
+	sizeFS := stackBytes(fs)
+	if want := int64(first.M()*first.T*first.N*4 + 1<<16); sizeTiny != want {
+		t.Fatalf("tiny stack sized %d bytes, want M·T·N·4 + 64 KiB = %d", sizeTiny, want)
 	}
-	sizeTiny := datasetBytes(tiny.Voxels(), tiny.TimePoints())
-	sizeFS := datasetBytes(fs.Voxels(), fs.TimePoints())
 	small := newTestService(t, Options{Executors: -1, CacheBudget: sizeTiny + sizeFS - 1})
 	if _, err := small.store.Put(tinyBlob(t)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := small.store.Get(JobSpec{}, hash); err != nil {
+	if _, err := small.store.Get(ctx, JobSpec{}, hash); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := small.store.Get(JobSpec{Synthetic: "face-scene", Scale: 0.001}, ""); err != nil {
+	if ev := small.Metrics().Counter("serve_dataset_cache_evictions_total").Value(); ev != 0 {
+		t.Fatalf("%d evictions with one stack resident", ev)
+	}
+	if _, err := small.store.Get(ctx, JobSpec{Synthetic: "face-scene", Scale: 0.001}, ""); err != nil {
 		t.Fatal(err)
 	}
 	if ev := small.Metrics().Counter("serve_dataset_cache_evictions_total").Value(); ev == 0 {
