@@ -125,60 +125,22 @@ func TestRenameFault(t *testing.T) {
 	}
 }
 
-// TestKillEventsFireAtConfiguredCounts proves TaskDone fires exactly at
-// the configured cumulative counts, across what would be master restarts.
-func TestKillEventsFireAtConfiguredCounts(t *testing.T) {
-	plan, err := NewPlan(Config{Seed: 1, KillTasks: []int{3, 5, 9}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var fired []int
-	for i := 1; i <= 12; i++ {
-		if plan.TaskDone() {
-			fired = append(fired, i)
-		}
-	}
-	want := []int{3, 5, 9}
-	if len(fired) != len(want) {
-		t.Fatalf("kills fired at %v, want %v", fired, want)
-	}
-	for i := range want {
-		if fired[i] != want[i] {
-			t.Fatalf("kills fired at %v, want %v", fired, want)
-		}
-	}
-	if plan.Kills() != 3 || plan.TasksDone() != 12 {
-		t.Fatalf("Kills=%d TasksDone=%d, want 3 and 12", plan.Kills(), plan.TasksDone())
-	}
-}
-
-// TestNilPlanIsInert proves production call sites can hold a nil plan:
-// nothing fires, nothing wraps.
+// TestNilPlanIsInert proves a caller can wrap unconditionally: a nil plan
+// returns the filesystem it was given.
 func TestNilPlanIsInert(t *testing.T) {
 	var p *Plan
-	p.Point("anywhere")
-	if p.TaskDone() {
-		t.Fatal("nil plan fired a kill")
-	}
-	if p.Kills() != 0 || p.TasksDone() != 0 {
-		t.Fatal("nil plan has state")
-	}
 	inner := OS()
 	if got := p.FS(inner); got != inner {
 		t.Fatal("nil plan wrapped the filesystem")
 	}
 }
 
-// TestConfigValidation rejects out-of-range rates and unordered kill
-// schedules.
+// TestConfigValidation rejects out-of-range rates.
 func TestConfigValidation(t *testing.T) {
 	if _, err := NewPlan(Config{FS: FSConfig{TornWrite: 1.5}}); err == nil {
 		t.Fatal("rate > 1 accepted")
 	}
 	if _, err := NewPlan(Config{FS: FSConfig{TornWrite: 0.7, ENOSPC: 0.7}}); err == nil {
 		t.Fatal("write rates summing past 1 accepted")
-	}
-	if _, err := NewPlan(Config{KillTasks: []int{5, 5}}); err == nil {
-		t.Fatal("non-increasing kill schedule accepted")
 	}
 }

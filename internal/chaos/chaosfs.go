@@ -42,8 +42,7 @@ func (c *chaosFS) OpenFile(name string, flag int, perm os.FileMode) (File, error
 }
 
 func (c *chaosFS) Rename(oldpath, newpath string) error {
-	r, _, _ := c.plan.roll()
-	if r < c.plan.cfg.FS.RenameFail {
+	if r, _ := c.plan.roll(); r < c.plan.cfg.FS.RenameFail {
 		return fmt.Errorf("chaos: injected rename failure %s -> %s: %w", oldpath, newpath, syscall.EIO)
 	}
 	return c.inner.Rename(oldpath, newpath)
@@ -52,14 +51,13 @@ func (c *chaosFS) Rename(oldpath, newpath string) error {
 func (c *chaosFS) Remove(name string) error { return c.inner.Remove(name) }
 
 func (c *chaosFS) SyncDir(dir string) error {
-	c.maybeSlowSync()
+	c.plan.maybeSlowSync()
 	return c.inner.SyncDir(dir)
 }
 
 // maybeSlowSync injects the plan's slow-fsync fault.
-func (c *chaosFS) maybeSlowSync() {
-	r, d, _ := c.plan.roll()
-	if r < c.plan.cfg.FS.SlowSync {
+func (p *Plan) maybeSlowSync() {
+	if r, d := p.roll(); r < p.cfg.FS.SlowSync {
 		time.Sleep(d)
 	}
 }
@@ -79,7 +77,7 @@ func (f *chaosFile) Name() string                              { return f.inner.
 // Write rolls for a torn write (a strict prefix lands on disk, then the
 // write fails) or ENOSPC (nothing lands) before passing through.
 func (f *chaosFile) Write(p []byte) (int, error) {
-	r, _, _ := f.plan.roll()
+	r, _ := f.plan.roll()
 	cfg := f.plan.cfg.FS
 	switch {
 	case r < cfg.TornWrite:
@@ -103,10 +101,7 @@ func (f *chaosFile) Write(p []byte) (int, error) {
 }
 
 func (f *chaosFile) Sync() error {
-	r, d, _ := f.plan.roll()
-	if r < f.plan.cfg.FS.SlowSync {
-		time.Sleep(d)
-	}
+	f.plan.maybeSlowSync()
 	return f.inner.Sync()
 }
 

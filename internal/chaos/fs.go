@@ -1,10 +1,11 @@
-// Package chaos is the repo's general-purpose fault-injection layer. It
-// generalizes mpi.ChaosTransport beyond the wire: a seeded, deterministic
-// Plan can inject filesystem faults (torn writes, ENOSPC, slow fsync,
-// rename failure) into any code that writes through the FS seam, stall
-// named scheduling points inside the cluster loops, and kill the master
-// at chosen completed-task counts. Everything is driven by one explicit
-// seed, so a failure found in a soak replays exactly.
+// Package chaos is the repo's filesystem fault-injection layer, the disk's
+// counterpart of mpi.ChaosTransport on the wire: a seeded, deterministic
+// Plan injects filesystem faults (torn writes, ENOSPC, slow fsync, rename
+// failure) into any code that writes through the FS seam. Everything is
+// driven by one explicit seed, so a failure found in a soak replays
+// exactly. A crash, too, comes through the seams: a test that kills a
+// process makes its disk refuse writes or cuts its transport, so the
+// program carries no code for being crashed.
 //
 // The package also owns the durable-write vocabulary the rest of the repo
 // uses: the FS/File seam that durable code (the master and service

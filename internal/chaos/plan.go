@@ -1,18 +1,11 @@
 package chaos
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
 	"time"
 )
-
-// ErrKilled is the sentinel a chaos-killed master returns: the Plan fired
-// a kill event and the run must stop as abruptly as a real crash would —
-// no stop broadcast, no graceful teardown, only what the journal already
-// made durable survives.
-var ErrKilled = errors.New("chaos: master killed by fault plan")
 
 // FSConfig sets per-operation fault probabilities for a chaos-wrapped FS.
 // Each Write/Sync/Rename rolls once against the cumulative rates; the
@@ -32,36 +25,18 @@ type FSConfig struct {
 	MaxDelay time.Duration
 }
 
-// SchedConfig sets fault probabilities for named scheduling points inside
-// the cluster loops.
-type SchedConfig struct {
-	// Delay holds a scheduling point for a random duration up to MaxDelay,
-	// perturbing the interleaving of master-loop events.
-	Delay float64
-	// MaxDelay bounds injected delays (default 2ms).
-	MaxDelay time.Duration
-}
-
-// Config is one deterministic fault plan: a seed, filesystem and
-// scheduling fault rates, and the completed-task counts at which the
-// master is killed.
+// Config is one deterministic fault plan: a seed and the filesystem fault
+// rates.
 type Config struct {
 	// Seed makes every fault decision reproducible. The same seed and the
 	// same operation sequence replay the same faults.
 	Seed int64
 	// FS faults are injected into filesystems wrapped with Plan.FS.
 	FS FSConfig
-	// Sched faults are injected at Plan.Point call sites.
-	Sched SchedConfig
-	// KillTasks lists cumulative completed-task counts (across master
-	// incarnations sharing the plan) at which TaskDone fires a master
-	// kill. Must be strictly increasing.
-	KillTasks []int
 }
 
 func (c Config) validate() error {
-	rates := []float64{c.FS.TornWrite, c.FS.ENOSPC, c.FS.RenameFail, c.FS.SlowSync, c.Sched.Delay}
-	for _, r := range rates {
+	for _, r := range []float64{c.FS.TornWrite, c.FS.ENOSPC, c.FS.RenameFail, c.FS.SlowSync} {
 		if r < 0 || r > 1 {
 			return fmt.Errorf("chaos: fault rate %v out of [0,1]", r)
 		}
@@ -69,30 +44,18 @@ func (c Config) validate() error {
 	if sum := c.FS.TornWrite + c.FS.ENOSPC; sum > 1 {
 		return fmt.Errorf("chaos: write fault rates sum to %v > 1", sum)
 	}
-	for i := 1; i < len(c.KillTasks); i++ {
-		if c.KillTasks[i] <= c.KillTasks[i-1] {
-			return fmt.Errorf("chaos: KillTasks must be strictly increasing, got %v", c.KillTasks)
-		}
-	}
 	return nil
 }
 
 // Plan is a live fault plan. All methods are safe for concurrent use and
-// safe on a nil receiver (a nil plan injects nothing), so production code
-// can carry a *Plan unconditionally and pay one branch when chaos is off.
-//
-// A plan deliberately outlives any single master incarnation: the
-// completed-task counter that drives kill events keeps counting across
-// restarts, which is how a soak expresses "kill the master after 3, then
-// 7, then 12 total completions".
+// safe on a nil receiver (a nil plan injects nothing). A plan may outlive
+// the process incarnations that share it, so one seeded sequence of
+// faults spans a whole crash-and-resume soak.
 type Plan struct {
 	cfg Config
 
-	mu        sync.Mutex
-	rng       *rand.Rand
-	tasksDone int
-	killIdx   int
-	kills     int
+	mu  sync.Mutex
+	rng *rand.Rand
 }
 
 // NewPlan validates cfg and arms a plan.
@@ -103,71 +66,13 @@ func NewPlan(cfg Config) (*Plan, error) {
 	if cfg.FS.MaxDelay <= 0 {
 		cfg.FS.MaxDelay = 2 * time.Millisecond
 	}
-	if cfg.Sched.MaxDelay <= 0 {
-		cfg.Sched.MaxDelay = 2 * time.Millisecond
-	}
 	return &Plan{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}, nil
 }
 
-// roll samples one uniform variate under the plan's lock.
-func (p *Plan) roll() (r float64, delay time.Duration, max time.Duration) {
+// roll samples one uniform variate and one fsync delay under the plan's
+// lock.
+func (p *Plan) roll() (r float64, delay time.Duration) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.rng.Float64(), time.Duration(p.rng.Int63n(int64(p.cfg.FS.MaxDelay))), p.cfg.FS.MaxDelay
-}
-
-// Point is a named scheduling point: chaos may hold the calling goroutine
-// here, perturbing the interleaving of the surrounding loop. A no-op on a
-// nil plan or when scheduling faults are off.
-func (p *Plan) Point(name string) {
-	if p == nil || p.cfg.Sched.Delay <= 0 {
-		return
-	}
-	p.mu.Lock()
-	r := p.rng.Float64()
-	d := time.Duration(p.rng.Int63n(int64(p.cfg.Sched.MaxDelay)))
-	p.mu.Unlock()
-	if r < p.cfg.Sched.Delay {
-		time.Sleep(d)
-	}
-}
-
-// TaskDone advances the plan's cumulative completed-task counter and
-// reports whether a kill event fires at this count. The caller (the
-// cluster master) must then abandon the run with ErrKilled. Safe on a nil
-// plan (never fires).
-func (p *Plan) TaskDone() bool {
-	if p == nil {
-		return false
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.tasksDone++
-	if p.killIdx < len(p.cfg.KillTasks) && p.tasksDone >= p.cfg.KillTasks[p.killIdx] {
-		p.killIdx++
-		p.kills++
-		return true
-	}
-	return false
-}
-
-// Kills reports how many kill events have fired so far.
-func (p *Plan) Kills() int {
-	if p == nil {
-		return 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.kills
-}
-
-// TasksDone reports the cumulative completed-task count the plan has
-// observed across every master incarnation sharing it.
-func (p *Plan) TasksDone() int {
-	if p == nil {
-		return 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.tasksDone
+	return p.rng.Float64(), time.Duration(p.rng.Int63n(int64(p.cfg.FS.MaxDelay)))
 }

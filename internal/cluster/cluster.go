@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"time"
 
-	"fcma/internal/chaos"
 	"fcma/internal/core"
 	"fcma/internal/mpi"
 	"fcma/internal/obs"
@@ -94,12 +93,6 @@ type MasterOptions struct {
 	// on a journal never recomputes a journaled-complete voxel range; the
 	// resumed scores are bit-exact with an uninterrupted run.
 	Journal *Journal
-	// Chaos, when non-nil, injects the plan's scheduling-point delays into
-	// the master loop and kills the master (RunMasterCtx returns
-	// chaos.ErrKilled without any shutdown protocol) when a kill event
-	// fires. Production runs leave it nil; soaks use it to prove the
-	// journal recovery path.
-	Chaos *chaos.Plan
 	// TaskDeadline is how long a task may stay outstanding before a
 	// speculative copy is issued to an idle worker (or, with none idle,
 	// re-sent to the rank that holds it). Zero disables speculation.
@@ -323,19 +316,12 @@ func (m *master) run(ctx context.Context) ([]core.VoxelScore, error) {
 		case rerr := <-recvErr:
 			return nil, fmt.Errorf("cluster: master recv: %w", rerr)
 		case now := <-tick:
-			m.opts.Chaos.Point("master/tick")
 			m.reapSilent(now)
 		case msg := <-msgs:
 			err = m.handle(msg)
 		}
 		if err == nil {
 			err = m.dispatch(time.Now())
-		}
-		if errors.Is(err, chaos.ErrKilled) {
-			// A chaos kill is a simulated crash: no stop broadcast, no
-			// graceful teardown — workers must discover the death through
-			// the transport, exactly as with a real master crash.
-			return nil, err
 		}
 		if err != nil {
 			m.broadcastStop()
@@ -468,7 +454,6 @@ func (m *master) handle(msg mpi.Message) error {
 				fmt.Sprintf("result for voxels [%d,%d), which is not a task of this run", rep.Task.V0, rep.Task.V0+rep.Task.V))
 		}
 		m.reg.Counter("cluster_tasks_completed_total").Inc()
-		m.opts.Chaos.Point("master/result")
 		// Durability before action: the completion must be on disk before
 		// the master acknowledges it by giving this worker new work — a
 		// crash after this line never recomputes the range.
@@ -477,9 +462,6 @@ func (m *master) handle(msg mpi.Message) error {
 			if err := jn.RecordComplete(t.v0, t.v, fresh); err != nil {
 				return fmt.Errorf("cluster: journaling completion: %w", err)
 			}
-		}
-		if m.opts.Chaos.TaskDone() {
-			return chaos.ErrKilled
 		}
 		if t.missing > 0 {
 			return m.taskFailed(msg.From, t, fmt.Sprintf("result left %d of %d voxels unscored", t.missing, t.v))
@@ -697,7 +679,6 @@ func (m *master) sendTask(rank int, t *task, now time.Time) (bool, error) {
 		span.End()
 		return false, fmt.Errorf("cluster: encoding task voxels [%d,%d): %w", t.v0, t.v0+t.v, err)
 	}
-	m.opts.Chaos.Point("master/assign")
 	if err := m.tr.Send(rank, mpi.TagTask, body); err != nil {
 		span.SetAttr("outcome", "send-failed")
 		span.End()

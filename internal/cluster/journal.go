@@ -30,7 +30,6 @@ type Journal struct {
 	reg *obs.Registry // attached by the master; nil-safe
 
 	completed map[int]float64 // voxel -> accuracy from completion records
-	replayed  int             // completion records replayed
 }
 
 const (
@@ -82,7 +81,6 @@ func (j *Journal) apply(payload []byte) error {
 		for _, s := range scores {
 			j.completed[s.Voxel] = s.Accuracy
 		}
-		j.replayed++
 	default:
 		return fmt.Errorf("unknown record kind %d", payload[0])
 	}
@@ -106,22 +104,12 @@ func (j *Journal) RecordComplete(v0, v int, scores []core.VoxelScore) error {
 	return nil
 }
 
-// Has reports whether voxel v is recorded complete.
-func (j *Journal) Has(v int) bool {
-	_, ok := j.completed[v]
-	return ok
-}
-
 // Done returns how many voxels the journal records complete.
 func (j *Journal) Done() int { return len(j.completed) }
 
 // Truncated reports whether opening the journal had to discard a torn or
 // corrupt tail.
 func (j *Journal) Truncated() bool { return j.log.Truncated() }
-
-// ReplayedCompletions returns how many completion records the open
-// replayed.
-func (j *Journal) ReplayedCompletions() int { return j.replayed }
 
 // Scores returns every journaled score, the rehydrated state a resumed
 // master seeds its merge with.

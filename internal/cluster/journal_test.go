@@ -45,8 +45,8 @@ func TestJournalRoundTripBitExact(t *testing.T) {
 	if r.Truncated() {
 		t.Fatal("clean journal reported a truncated tail")
 	}
-	if r.Done() != 3 || r.ReplayedCompletions() != 1 {
-		t.Fatalf("replay: done=%d completions=%d", r.Done(), r.ReplayedCompletions())
+	if r.Done() != 3 {
+		t.Fatalf("replay: done=%d, want 3", r.Done())
 	}
 	got := map[int]float64{}
 	for _, s := range r.Scores() {
@@ -148,9 +148,8 @@ func TestJournalCorruptCRCRecovery(t *testing.T) {
 	if !r.Truncated() {
 		t.Fatal("recovery did not report the corrupt record")
 	}
-	if r.Done() != 1 || !r.Has(0) || r.Has(1) {
-		t.Fatalf("recovered done=%d has0=%v has1=%v; the corrupt record must not be trusted",
-			r.Done(), r.Has(0), r.Has(1))
+	if got := journaledVoxels(r); len(got) != 1 || !got[0] {
+		t.Fatalf("recovered voxels %v; the corrupt record must not be trusted", got)
 	}
 }
 
@@ -205,8 +204,8 @@ func TestJournalTornWriteThroughChaosFS(t *testing.T) {
 		t.Fatalf("journal with a chaos-torn tail must recover, got %v", err)
 	}
 	defer r.Close()
-	if r.Done() != 1 || !r.Has(0) || r.Has(1) {
-		t.Fatalf("recovered done=%d; only the pre-tear record may survive", r.Done())
+	if got := journaledVoxels(r); len(got) != 1 || !got[0] {
+		t.Fatalf("recovered voxels %v; only the pre-tear record may survive", got)
 	}
 }
 
@@ -263,8 +262,8 @@ func TestJournalReplaysParentEncoding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j.Truncated() || j.Done() != 6 || j.ReplayedCompletions() != 2 {
-		t.Fatalf("replay: truncated=%v done=%d completions=%d", j.Truncated(), j.Done(), j.ReplayedCompletions())
+	if j.Truncated() || j.Done() != 6 {
+		t.Fatalf("replay: truncated=%v done=%d", j.Truncated(), j.Done())
 	}
 	got := map[int]float64{}
 	for _, s := range j.Scores() {
@@ -317,19 +316,15 @@ func FuzzJournalApply(f *testing.F) {
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		j := &Journal{completed: make(map[int]float64)}
 		if err := j.apply(payload); err != nil {
-			if len(j.completed) != 0 || j.replayed != 0 {
+			if len(j.completed) != 0 {
 				t.Fatalf("rejected payload %x still changed the replay state", payload)
 			}
 			return
 		}
-		want := 0 // an assignment record books nothing
-		if payload[0] == jrComplete {
-			want = 1
-		}
-		if j.replayed != want {
-			t.Fatalf("accepted payload %x booked %d completions, want %d", payload, j.replayed, want)
-		}
-		if len(j.completed) == 0 {
+		if payload[0] != jrComplete {
+			if len(j.completed) != 0 {
+				t.Fatalf("accepted assignment %x booked %d voxels; it books nothing", payload, len(j.completed))
+			}
 			return
 		}
 		v0, v, _, err := wal.DecodeScoreBlock(payload[1:])

@@ -22,12 +22,13 @@ import (
 )
 
 // TestChaosSoakMasterKills is the long-form kill soak behind the chaossoak
-// build tag (`make chaos-soak`): a TCP cluster whose master is killed ten
-// times across a run — under transport faults, filesystem faults on every
-// journal write, and delayed scheduling points — and resumed from its
-// journal each time, with the full bit-exactness and zero-recompute
-// contract asserted at the end. Bounded to well under two minutes: the
-// dataset is small and each incarnation kills within a few tasks.
+// build tag (`make chaos-soak`): a TCP cluster whose master is crashed ten
+// times across a run — its transport cut at chosen cumulative result
+// counts, under transport faults and delays and filesystem faults on
+// every journal write — and resumed from its journal each time, with the
+// full bit-exactness and zero-recompute contract asserted at the end.
+// Bounded to well under two minutes: the dataset is small and each
+// incarnation is cut within a few tasks.
 //
 // When FCMA_CHAOS_ARTIFACTS names a directory, the test deposits the final
 // journal and the merged master-side Chrome trace there so CI can upload
@@ -58,14 +59,13 @@ func TestChaosSoakMasterKills(t *testing.T) {
 	const taskSize = 2 // 32 tasks: room for ten kills with work between them
 
 	plan, err := chaos.NewPlan(chaos.Config{
-		Seed:      83,
-		KillTasks: []int{2, 5, 8, 11, 14, 17, 20, 23, 26, 29},
-		FS:        chaos.FSConfig{TornWrite: 0.03, ENOSPC: 0.01, SlowSync: 0.3, RenameFail: 0.05, MaxDelay: time.Millisecond},
-		Sched:     chaos.SchedConfig{Delay: 0.10, MaxDelay: time.Millisecond},
+		Seed: 83,
+		FS:   chaos.FSConfig{TornWrite: 0.03, ENOSPC: 0.01, SlowSync: 0.3, RenameFail: 0.05, MaxDelay: time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	cuts := &masterCuts{at: []int{2, 5, 8, 11, 14, 17, 20, 23, 26, 29}}
 
 	dir := t.TempDir()
 	jpath := filepath.Join(dir, "soak.jnl")
@@ -111,11 +111,16 @@ func TestChaosSoakMasterKills(t *testing.T) {
 		if err := master.AcceptCtx(context.Background()); err != nil {
 			t.Fatal(err)
 		}
+		delayed, err := mpi.NewChaosTransport(master, mpi.ChaosConfig{
+			Seed: 83 + int64(incarnation), Delay: 0.10, MaxDelay: time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		reg := obs.NewRegistry()
 		tracer := trace.New(0)
-		scores, err = RunMasterCtx(context.Background(), master, st.N, taskSize, MasterOptions{
+		scores, err = RunMasterCtx(context.Background(), cuts.wrap(delayed), st.N, taskSize, MasterOptions{
 			Journal:          jn,
-			Chaos:            plan,
 			Trace:            tracer,
 			HeartbeatTimeout: time.Second,
 			TaskDeadline:     500 * time.Millisecond,
@@ -135,15 +140,15 @@ func TestChaosSoakMasterKills(t *testing.T) {
 		}
 		crashes++
 		lastErr = err
-		if !errors.Is(err, chaos.ErrKilled) && !errors.Is(err, syscall.EIO) && !errors.Is(err, syscall.ENOSPC) {
+		if !errors.Is(err, errMasterCut) && !errors.Is(err, syscall.EIO) && !errors.Is(err, syscall.ENOSPC) {
 			t.Fatalf("incarnation %d died with unexpected error: %v", incarnation, err)
 		}
 	}
 	h.done.Store(true)
 	h.wg.Wait()
 
-	if plan.Kills() != 10 {
-		t.Fatalf("plan fired %d kills, want all 10", plan.Kills())
+	if cuts.cuts() != 10 {
+		t.Fatalf("%d transport cuts fired, want all 10", cuts.cuts())
 	}
 	if crashes < 10 {
 		t.Fatalf("master crashed %d times, want >= 10", crashes)
@@ -162,8 +167,8 @@ func TestChaosSoakMasterKills(t *testing.T) {
 			t.Fatalf("voxel %d: %+v, want bit-exact %+v", i, s, ref[i])
 		}
 	}
-	t.Logf("soak: %d crashes (%d chaos kills), %d cumulative journal-skipped tasks, %d spans collected",
-		crashes, plan.Kills(), totalSkips, len(allSpans))
+	t.Logf("soak: %d crashes (%d transport cuts), %d cumulative journal-skipped tasks, %d spans collected",
+		crashes, cuts.cuts(), totalSkips, len(allSpans))
 }
 
 // depositArtifacts copies the journal and writes the merged Chrome trace

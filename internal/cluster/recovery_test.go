@@ -49,12 +49,13 @@ func newRecoveryHarness(t *testing.T, st *corr.EpochStack) *recoveryHarness {
 // freeze snapshots the journal's completed ranges at incarnation start.
 func (h *recoveryHarness) freeze(jn *Journal, totalVoxels, taskSize int) map[int]bool {
 	f := make(map[int]bool)
+	done := journaledVoxels(jn)
 	for v0 := 0; v0 < totalVoxels; v0 += taskSize {
-		v := taskSize
-		if v0+v > totalVoxels {
-			v = totalVoxels - v0
+		all := true
+		for i := v0; i < min(v0+taskSize, totalVoxels); i++ {
+			all = all && done[i]
 		}
-		if taskJournaled(jn, v0, v) {
+		if all {
 			f[v0] = true
 		}
 	}
@@ -124,11 +125,69 @@ func (h *recoveryHarness) startWorker(addr string, chaosSeed int64) {
 	}()
 }
 
-// TestMasterKillResumeBitExact is the tentpole's end-to-end proof: an
-// in-process cluster whose master is killed mid-run at least three times
-// (chaos kill events at chosen completed-task counts, under
-// ChaosTransport message faults and chaosfs journal faults) and resumed
-// from its journal must
+// masterCuts crashes a master from outside: the transport it wraps is
+// closed as it delivers the result at each of the chosen cumulative
+// counts, counted across every incarnation that shares the schedule. The
+// master then sees its receive fail and returns without a stop
+// broadcast, and its workers lose their connections, as after kill -9.
+type masterCuts struct {
+	mu      sync.Mutex
+	at      []int // cumulative TagResult counts, strictly increasing
+	results int
+	fired   int
+}
+
+// errMasterCut is what a cut master's receive reports.
+var errMasterCut = errors.New("master transport cut")
+
+// wrap puts one incarnation's transport under the schedule.
+func (c *masterCuts) wrap(inner mpi.Transport) mpi.Transport {
+	return &cutTransport{Transport: inner, cuts: c}
+}
+
+// result counts one delivered result and reports whether a cut falls on
+// it.
+func (c *masterCuts) result() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.results++
+	if c.fired < len(c.at) && c.results >= c.at[c.fired] {
+		c.fired++
+		return true
+	}
+	return false
+}
+
+// cuts reports how many cuts have fired.
+func (c *masterCuts) cuts() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.fired
+}
+
+type cutTransport struct {
+	mpi.Transport
+	cuts *masterCuts
+	cut  atomic.Bool
+}
+
+func (t *cutTransport) Recv() (mpi.Message, error) {
+	if t.cut.Load() {
+		return mpi.Message{}, errMasterCut
+	}
+	msg, err := t.Transport.Recv()
+	if err == nil && msg.Tag == mpi.TagResult && t.cuts.result() {
+		t.cut.Store(true)
+		t.Transport.Close()
+	}
+	return msg, err
+}
+
+// TestMasterKillResumeBitExact is the end-to-end proof of master crash
+// recovery: an in-process cluster whose master is crashed mid-run at
+// least three times (its transport cut at chosen cumulative result
+// counts, under ChaosTransport message faults and delays and chaosfs
+// journal faults) and resumed from its journal must
 //
 //   - complete with scores bit-exact to an uninterrupted run,
 //   - never recompute a journaled-complete voxel range (asserted both at
@@ -166,16 +225,15 @@ func TestMasterKillResumeBitExact(t *testing.T) {
 
 	plan, err := chaos.NewPlan(chaos.Config{
 		Seed: 41,
-		// Kill the master after 3, 7, and 11 cumulative completions.
-		KillTasks: []int{3, 7, 11},
 		// Journal writes run through chaosfs: occasional torn appends
 		// (surfacing as extra master crashes) and slow fsyncs.
-		FS:    chaos.FSConfig{TornWrite: 0.02, SlowSync: 0.2, MaxDelay: time.Millisecond},
-		Sched: chaos.SchedConfig{Delay: 0.05, MaxDelay: time.Millisecond},
+		FS: chaos.FSConfig{TornWrite: 0.02, SlowSync: 0.2, MaxDelay: time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Crash the master after 3, 7 and 11 cumulative results.
+	cuts := &masterCuts{at: []int{3, 7, 11}}
 
 	jpath := t.TempDir() + "/run.jnl"
 	h := newRecoveryHarness(t, st)
@@ -220,10 +278,16 @@ func TestMasterKillResumeBitExact(t *testing.T) {
 		if err := master.AcceptCtx(context.Background()); err != nil {
 			t.Fatal(err)
 		}
+		// The master's own sends and receives are held up now and then.
+		delayed, err := mpi.NewChaosTransport(master, mpi.ChaosConfig{
+			Seed: 41 + int64(incarnation), Delay: 0.05, MaxDelay: time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		reg := obs.NewRegistry()
-		scores, err = RunMasterCtx(context.Background(), master, st.N, taskSize, MasterOptions{
+		scores, err = RunMasterCtx(context.Background(), cuts.wrap(delayed), st.N, taskSize, MasterOptions{
 			Journal:          jn,
-			Chaos:            plan,
 			HeartbeatTimeout: 500 * time.Millisecond,
 			TaskDeadline:     300 * time.Millisecond,
 			TaskRetries:      1000,
@@ -244,17 +308,17 @@ func TestMasterKillResumeBitExact(t *testing.T) {
 		}
 		crashes++
 		lastErr = err
-		// Only chaos kills and chaos-faulted journal writes may take an
+		// Only transport cuts and chaos-faulted journal writes may take an
 		// incarnation down; anything else is a real protocol failure.
-		if !errors.Is(err, chaos.ErrKilled) && !errors.Is(err, syscall.EIO) && !errors.Is(err, syscall.ENOSPC) {
+		if !errors.Is(err, errMasterCut) && !errors.Is(err, syscall.EIO) && !errors.Is(err, syscall.ENOSPC) {
 			t.Fatalf("incarnation %d died with unexpected error: %v", incarnation, err)
 		}
 	}
 	h.done.Store(true)
 	h.wg.Wait()
 
-	if plan.Kills() < 3 {
-		t.Fatalf("plan fired %d kills, want >= 3", plan.Kills())
+	if cuts.cuts() < 3 {
+		t.Fatalf("%d transport cuts fired, want >= 3", cuts.cuts())
 	}
 	if crashes < 3 {
 		t.Fatalf("master crashed %d times, want >= 3", crashes)
@@ -265,6 +329,7 @@ func TestMasterKillResumeBitExact(t *testing.T) {
 	if v := h.violations.Load(); v != 0 {
 		t.Fatalf("%d journaled-complete voxel ranges were recomputed; the journal must prevent every one", v)
 	}
+	t.Logf("%d crashes (%d transport cuts), %d cumulative journal-skipped tasks", crashes, cuts.cuts(), totalSkips)
 	if len(scores) != st.N {
 		t.Fatalf("final run scored %d of %d voxels", len(scores), st.N)
 	}
@@ -388,13 +453,12 @@ func TestJournaledResume(t *testing.T) {
 	}
 }
 
-// taskJournaled reports whether every voxel of the task is recorded
-// complete in the journal.
-func taskJournaled(jn *Journal, v0, v int) bool {
-	for i := v0; i < v0+v; i++ {
-		if !jn.Has(i) {
-			return false
-		}
+// journaledVoxels is the set of voxels the journal's replayed scores
+// cover — what a resumed master seeds its merge with.
+func journaledVoxels(jn *Journal) map[int]bool {
+	done := make(map[int]bool)
+	for _, s := range jn.Scores() {
+		done[s.Voxel] = true
 	}
-	return true
+	return done
 }

@@ -248,7 +248,7 @@ func requireClusterScores(t *testing.T, st *corr.EpochStack, accuracy []float64)
 func requireServeScores(t *testing.T, d *fmri.Dataset, want []float64) {
 	t.Helper()
 	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
-	svc, err := serve.New(serve.Options{Dir: t.TempDir(), Executors: 1, Workers: 2, RetrySeed: 1, Log: quiet})
+	svc, err := serve.New(serve.Options{Dir: t.TempDir(), Executors: 1, Workers: 2, Log: quiet})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,17 +70,6 @@ func (d *Dataset) Voxels() int { return d.Data.Rows }
 // TimePoints returns the total number of time points (columns of Data).
 func (d *Dataset) TimePoints() int { return d.Data.Cols }
 
-// EpochsOf returns the epochs belonging to subject s, in onset order.
-func (d *Dataset) EpochsOf(s int) []Epoch {
-	var out []Epoch
-	for _, e := range d.Epochs {
-		if e.Subject == s {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // EpochsPerSubject returns the (uniform) number of epochs per subject, or
 // an error if subjects have differing epoch counts — FCMA's within-subject
 // normalization and leave-one-subject-out folds assume a uniform design.

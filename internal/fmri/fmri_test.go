@@ -75,13 +75,13 @@ func TestGenerateSeedChangesData(t *testing.T) {
 
 func TestGenerateBalancedLabels(t *testing.T) {
 	d := mustGenerate(t, smallSpec())
-	for subj := 0; subj < d.Subjects; subj++ {
-		counts := [2]int{}
-		for _, e := range d.EpochsOf(subj) {
-			counts[e.Label]++
-		}
-		if counts[0] != counts[1] {
-			t.Fatalf("subject %d labels unbalanced: %v", subj, counts)
+	counts := make([][2]int, d.Subjects)
+	for _, e := range d.Epochs {
+		counts[e.Subject][e.Label]++
+	}
+	for subj, c := range counts {
+		if c[0] != c[1] {
+			t.Fatalf("subject %d labels unbalanced: %v", subj, c)
 		}
 	}
 }

@@ -80,6 +80,3 @@ func (c *Cache) Reset() {
 	c.Hits = 0
 	c.Misses = 0
 }
-
-// Accesses returns the total number of line accesses.
-func (c *Cache) Accesses() uint64 { return c.Hits + c.Misses }

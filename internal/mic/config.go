@@ -56,18 +56,6 @@ type Config struct {
 // Threads returns the total hardware thread count.
 func (c Config) Threads() int { return c.Cores * c.ThreadsPerCore }
 
-// PeakFlops returns peak single-precision flops/second.
-func (c Config) PeakFlops() float64 {
-	perLane := 1.0
-	if c.FMA {
-		perLane = 2.0
-	}
-	if c.DualVPU {
-		perLane *= 2
-	}
-	return float64(c.Cores) * float64(c.VectorLanes) * perLane * c.ClockHz
-}
-
 // XeonPhi5110P returns the coprocessor model of the paper's §2: 60 cores ×
 // 4 threads at 1053MHz, 32KB L1 / 512KB L2 per core, 512-bit VPU, ~2.02
 // single-precision TFLOPS peak.

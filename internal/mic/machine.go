@@ -159,12 +159,6 @@ func (m *Machine) VectorOp(lanes, flops int) {
 	m.Flops += uint64(flops)
 }
 
-// ScalarOp records one scalar float instruction (a one-lane VPU op on the
-// coprocessor) performing flops operations.
-func (m *Machine) ScalarOp(flops int) {
-	m.VectorOp(1, flops)
-}
-
 // EMUOp records one transcendental vector instruction over lanes elements.
 func (m *Machine) EMUOp(lanes int) {
 	m.EMUInstructions++

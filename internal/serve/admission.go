@@ -6,8 +6,9 @@ import (
 
 // admitError is an admission rejection: the HTTP layer maps Status and
 // RetryAfter straight onto the response (429 + Retry-After for pressure,
-// 400 for malformed specs), so callers can tell "slow down" apart from
-// "fix your request".
+// 503 + Retry-After when the server is draining or cannot journal). A
+// malformed spec is not one: it fails validation with a plain error,
+// which the HTTP layer answers 400.
 type admitError struct {
 	Status     int
 	RetryAfter int // seconds; 0 means no Retry-After header
@@ -65,9 +66,10 @@ func (s *Service) admit(job *jobRecord) *admitError {
 }
 
 // estimateBytes approximates a job's peak working set from the dataset
-// dimensions: the float32 activity, the normalized epoch stack (float64,
-// the dominant term), and correlation scratch. A deliberate overestimate;
-// admission errs toward refusing, never toward OOM.
+// dimensions: the float32 activity, the normalized epoch stack (sized by
+// stackBytes, its M·T bounded by all the dataset's time points), and
+// correlation scratch. A deliberate overestimate; admission errs toward
+// refusing, never toward OOM.
 func (s *datasetStore) estimateBytes(spec JobSpec, id datasetID) int64 {
 	var voxels, timePoints int64
 	if spec.Synthetic != "" {
@@ -82,7 +84,7 @@ func (s *datasetStore) estimateBytes(spec JobSpec, id datasetID) int64 {
 		// fails the job with a real error message.
 		return 0
 	}
-	return voxels*timePoints*4 + voxels*timePoints*8 + voxels*2048 + 8<<20
+	return voxels*timePoints*4 + stackBytes(timePoints, voxels) + voxels*2048 + 8<<20
 }
 
 // retryAfter estimates when pressure might clear: a rough per-active-job

@@ -131,7 +131,7 @@ func TestResultIdenticalAcrossChunkVoxels(t *testing.T) {
 	}
 	var first []byte
 	for _, chunk := range []int{1, 8, d.Voxels(), 64} {
-		s := newTestService(t, Options{ChunkVoxels: chunk, Executors: 1, RetrySeed: 1})
+		s := newTestService(t, Options{ChunkVoxels: chunk, Executors: 1})
 		ts := httptest.NewServer(s.Handler())
 		defer ts.Close()
 		code, _, doc := doJSON(t, "POST", ts.URL+"/api/v1/datasets", blob)

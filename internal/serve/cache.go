@@ -188,7 +188,7 @@ func (s *datasetStore) lookup(key string) *corr.EpochStack {
 // the byte budget holds. A stack larger than the whole budget is served
 // uncached.
 func (s *datasetStore) insert(key string, st *corr.EpochStack) {
-	size := stackBytes(st)
+	size := stackBytes(int64(st.M())*int64(st.T), int64(st.N))
 	if s.budget <= 0 || size > s.budget {
 		return
 	}
@@ -213,10 +213,12 @@ func (s *datasetStore) insert(key string, st *corr.EpochStack) {
 	s.reg.Gauge("serve_dataset_cache_bytes").Set(float64(s.used))
 }
 
-// stackBytes estimates the resident size of an epoch stack: M·T·N
-// float32 normalized values plus bookkeeping.
-func stackBytes(st *corr.EpochStack) int64 {
-	return int64(st.M())*int64(st.T)*int64(st.N)*4 + 1<<16
+// stackBytes is the resident size of an epoch stack: epochPoints (M·T)
+// × voxels (N) float32 normalized values plus bookkeeping. The cache
+// charges it for a built stack and admission for the stack a job will
+// build.
+func stackBytes(epochPoints, voxels int64) int64 {
+	return epochPoints*voxels*4 + 1<<16
 }
 
 // encodeDataset builds an upload blob: an 8-byte little-endian length of

@@ -194,8 +194,8 @@ type resultScore struct {
 
 // handleResult answers 200 with the scores of a done job. On a job not
 // yet terminal it first waits, without the service mutex, until the job
-// settles, the client goes away, the executors stop (drain, close or a
-// chaos kill) or resultHold passes; any job not done by then is a 409.
+// settles, the client goes away, the executors stop (drain or close) or
+// resultHold passes; any job not done by then is a 409.
 func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	job, ok := s.jobs[r.PathValue("id")]

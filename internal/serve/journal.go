@@ -212,14 +212,6 @@ func (j *journal) close() error {
 	return j.log.Close()
 }
 
-// abort is the crash-shaped close: no final sync, used by chaos kills so
-// the file holds exactly what the per-record policy made durable.
-func (j *journal) abort() {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.log.Abort()
-}
-
 // remove deletes the journal file (only safe once every job is terminal).
 func (j *journal) remove() error {
 	j.mu.Lock()

@@ -121,7 +121,7 @@ func TestJournalNormalizesInFlightStates(t *testing.T) {
 	if err := j.recordProgress("job-00000001", 0, 1, awkwardScores[:1]); err != nil {
 		t.Fatal(err)
 	}
-	j.abort() // crash-shaped close
+	j.log.Abort() // crash-shaped close
 
 	r := mustOpen(t, path, nil)
 	defer r.close()
@@ -147,7 +147,7 @@ func TestJournalIdempotentRunningAcrossIncarnations(t *testing.T) {
 	if err := j.recordState("job-00000001", stateRunning, ""); err != nil {
 		t.Fatal(err)
 	}
-	j.abort()
+	j.log.Abort()
 
 	// Second incarnation: replay (running → accepted), mark running again.
 	second := mustOpen(t, path, nil)
@@ -235,7 +235,7 @@ func TestJournalTornTailRecovers(t *testing.T) {
 	if err := j.recordProgress("job-00000001", 3, 3, awkwardScores); err != nil {
 		t.Fatal(err)
 	}
-	j.abort()
+	j.log.Abort()
 
 	fi, err := os.Stat(path)
 	if err != nil {
@@ -300,7 +300,7 @@ func TestJournalReplaysParentEncoding(t *testing.T) {
 	if err := j.recordProgress("job-00000042", 0, 3, awkwardScores); err != nil {
 		t.Fatal(err)
 	}
-	j.abort()
+	j.log.Abort()
 	now, err := os.ReadFile(fresh)
 	if err != nil {
 		t.Fatal(err)

@@ -18,7 +18,7 @@ import (
 // and the /metrics snapshot.
 func TestObservabilityEndToEnd(t *testing.T) {
 	tr := trace.New(0)
-	s := newTestService(t, Options{ChunkVoxels: 8, Executors: 1, RetrySeed: 1, Trace: tr})
+	s := newTestService(t, Options{ChunkVoxels: 8, Executors: 1, Trace: tr})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -126,7 +126,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 // worker records straight into the service registry — no per-attempt
 // registry merged in afterwards — and no machine-model series is emitted.
 func TestPipelineRecordsOnServiceRegistry(t *testing.T) {
-	s := newTestService(t, Options{ChunkVoxels: 8, Executors: 1, RetrySeed: 1})
+	s := newTestService(t, Options{ChunkVoxels: 8, Executors: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	hash, err := s.store.Put(tinyBlob(t))

@@ -82,7 +82,7 @@ func awaitReleased(t *testing.T, got <-chan getResult, what string) getResult {
 // 202 answers 200 with the job's scores once the job settles: the client
 // needs one request, not a poll loop.
 func TestResultWaitsForJob(t *testing.T) {
-	s := newTestService(t, Options{ChunkVoxels: 8, Executors: 1, RetrySeed: 1})
+	s := newTestService(t, Options{ChunkVoxels: 8, Executors: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -202,7 +202,7 @@ func TestSharedStackMatchesSelectVoxels(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s := newTestService(t, Options{ChunkVoxels: 4, Executors: 2, Workers: 1, RetrySeed: 1})
+	s := newTestService(t, Options{ChunkVoxels: 4, Executors: 2, Workers: 1})
 	hash, err := s.store.Put(blob)
 	if err != nil {
 		t.Fatal(err)

@@ -7,7 +7,6 @@ import (
 	"hash/fnv"
 	"time"
 
-	"fcma/internal/chaos"
 	"fcma/internal/core"
 	"fcma/internal/obs"
 	"fcma/internal/obs/trace"
@@ -29,9 +28,7 @@ func (s *Service) executorLoop() {
 
 // runJob executes one job end to end: transition to running, bounded
 // retries around the chunked attempt, then exactly one terminal
-// transition — unless a drain checkpointed it (stays resumable) or a
-// chaos kill fired (nothing more is recorded; the journal speaks for the
-// crash).
+// transition — unless a drain checkpointed it (stays resumable).
 func (s *Service) runJob(id string) {
 	s.mu.Lock()
 	job, ok := s.jobs[id]
@@ -88,7 +85,7 @@ func (s *Service) runJob(id string) {
 	policy := retry.Policy{
 		Attempts:  attempts,
 		BaseDelay: 200 * time.Millisecond,
-		Seed:      s.retrySeed(id),
+		Seed:      retrySeed(id),
 	}
 	st := s.reg.Stage("serve_job").Start()
 	execStart := time.Now()
@@ -116,15 +113,13 @@ func (s *Service) runJob(id string) {
 	s.finish(job, err)
 }
 
-// retrySeed derives a deterministic per-job backoff seed from the
-// configured base, so a replayed soak reproduces the exact retry timing.
-func (s *Service) retrySeed(id string) int64 {
-	if s.opts.RetrySeed == 0 {
-		return 0 // wall-clock seeding
-	}
+// retrySeed seeds a job's backoff jitter from the FNV hash of its ID:
+// the same job retries on the same timing in every incarnation, and jobs
+// failing together spread their retries apart.
+func retrySeed(id string) int64 {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(id))
-	return s.opts.RetrySeed ^ int64(h.Sum64())
+	return int64(h.Sum64())
 }
 
 // attempt runs one execution pass over the job's voxel chunks, skipping
@@ -169,34 +164,22 @@ func (s *Service) attempt(ctx context.Context, job *jobRecord, spec JobSpec) err
 		err = s.jnl.recordProgress(job.ID, v0, n, scores)
 		walSpan.End()
 		if err != nil {
-			if s.Killed() {
-				return chaos.ErrKilled
-			}
 			return fmt.Errorf("journaling chunk %d: %w", v0, err)
 		}
 		s.mu.Lock()
 		job.mergeChunk(v0, n, scores)
 		s.mu.Unlock()
 		s.reg.Counter("serve_chunks_done_total").Inc()
-		s.opts.Chaos.Point("serve/chunk")
-		if s.opts.Chaos.TaskDone() {
-			s.kill()
-			return chaos.ErrKilled
-		}
 	}
 	return nil
 }
 
 // finish records the job's one terminal transition (or deliberately none:
-// drain leaves it checkpointing for the next incarnation; a chaos kill
-// leaves the journal exactly as the crash would).
+// drain leaves it checkpointing for the next incarnation).
 func (s *Service) finish(job *jobRecord, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	job.cancel = nil
-	if s.killed {
-		return
-	}
 	switch {
 	case err == nil:
 		job.finalize()

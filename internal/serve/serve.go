@@ -15,7 +15,7 @@
 // Admission model. The front door refuses work it cannot carry: a bounded
 // queue (429 + Retry-After), per-tenant concurrency quotas, and a
 // memory-budget gate that estimates each job's working set from its
-// dataset dimensions. Refusals are cheap and journald-free; acceptance is
+// dataset dimensions. Refusals are cheap and journal-free; acceptance is
 // the expensive promise.
 //
 // Drain model. On SIGTERM the server stops admitting (readiness flips),
@@ -72,19 +72,14 @@ type Options struct {
 	// JobRetries is the default extra attempts for a failing job (specs
 	// may override). Defaults to 2.
 	JobRetries int
-	// RetrySeed seeds the per-job retry backoff jitter for replayable
-	// runs; 0 uses wall-clock seeding.
-	RetrySeed int64
 	// Obs receives the service's metrics; nil uses a fresh registry.
 	Obs *obs.Registry
 	// Trace receives request and job spans; nil disables tracing (the
 	// nil-tracer hot path costs one branch per span site).
 	Trace *trace.Tracer
-	// Chaos, when non-nil, injects scheduling faults and chunk-boundary
-	// kills (soaks); nil runs clean.
-	Chaos *chaos.Plan
 	// FS is the filesystem seam for the journal and dataset store; nil
-	// uses the real one. Soaks pass Chaos.FS(chaos.OS()).
+	// uses the real one. Crash tests pass one that injects faults or
+	// stops taking writes.
 	FS chaos.FS
 	// Log receives structured service logs; nil uses slog.Default().
 	Log *slog.Logger
@@ -139,13 +134,11 @@ type Service struct {
 	tenants  map[string]*tenantStats
 	seq      int
 	draining bool
-	killed   bool
 
 	runq       chan string
 	execWG     sync.WaitGroup
 	execCtx    context.Context
 	execCancel context.CancelFunc
-	killOnce   sync.Once
 	// uploadSem gates how many dataset uploads may be buffered in memory
 	// at once (see maxConcurrentUploads).
 	uploadSem chan struct{}
@@ -288,7 +281,7 @@ func (s *Service) Submit(ctx context.Context, spec JobSpec) (string, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.draining || s.killed {
+	if s.draining {
 		return reject(&admitError{Status: 503, RetryAfter: 10, Reason: "server is draining"})
 	}
 	_, admitSpan := trace.StartSpan(jctx, "serve/admit")
@@ -470,33 +463,5 @@ func (s *Service) Drain(ctx context.Context) error {
 func (s *Service) Close() error {
 	s.execCancel()
 	s.execWG.Wait()
-	if s.Killed() {
-		return nil // the kill already abandoned the journal
-	}
 	return s.jnl.close()
-}
-
-// kill simulates a process crash for chaos soaks: executors stop where
-// they are, the journal is abandoned without a final sync, and no further
-// state is recorded. The Service object is dead; soaks construct a new
-// one on the same directory.
-func (s *Service) kill() {
-	s.killOnce.Do(func() {
-		s.mu.Lock()
-		s.killed = true
-		s.ready.Set(false, "killed")
-		s.mu.Unlock()
-		s.execCancel()
-		s.jnl.abort()
-		s.reg.Counter("serve_chaos_kills_total").Inc()
-		s.opts.Log.Warn("serve: chaos kill fired; journal abandoned mid-write")
-	})
-}
-
-// Killed reports whether the service died to a chaos kill (soak
-// assertions).
-func (s *Service) Killed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.killed
 }

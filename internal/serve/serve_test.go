@@ -3,20 +3,28 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"io"
+	"log/slog"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"syscall"
 	"testing"
 	"time"
 
 	"fcma/internal/chaos"
+	"fcma/internal/core"
 	"fcma/internal/fmri"
+	"fcma/internal/obs"
 	"fcma/internal/wal"
 )
 
@@ -76,7 +84,7 @@ func doJSON(t *testing.T, method, url string, body []byte) (int, http.Header, ma
 // TestSubmitRunFetchHTTP walks the whole happy path over HTTP: upload a
 // dataset, submit a job on it, poll to completion, fetch the result.
 func TestSubmitRunFetchHTTP(t *testing.T) {
-	s := newTestService(t, Options{ChunkVoxels: 8, Executors: 1, RetrySeed: 1})
+	s := newTestService(t, Options{ChunkVoxels: 8, Executors: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -139,9 +147,9 @@ func waitState(t *testing.T, s *Service, base, id string, want jobState, timeout
 
 // eventFS is a filesystem whose files send on events, without blocking,
 // after every write, sync and close. Each journal record a state
-// transition makes is one, and so is a chaos kill's abandonment of the
-// journal, so a test re-checks the service's state after each instead of
-// sleeping between polls.
+// transition makes is one, and so is the sync that cuts a diskCuts, so a
+// test re-checks the service's state after each instead of sleeping
+// between polls.
 type eventFS struct {
 	chaos.FS
 	events chan struct{}
@@ -176,6 +184,292 @@ func (f eventFile) note() {
 	select {
 	case f.events <- struct{}{}:
 	default:
+	}
+}
+
+// diskCuts crashes a service from outside: the filesystem it wraps stops
+// taking writes right after the journal fsyncs the progress record that
+// reaches each of the chosen cumulative counts, counted across the
+// incarnations that share it. A cut disk fails every Write, Sync,
+// Truncate, Rename, Remove and OpenFile for writing, as a machine that
+// lost its power writes nothing more, until revive readies it for the
+// next incarnation.
+type diskCuts struct {
+	chaos.FS
+	at []int // cumulative progress fsyncs, strictly increasing
+
+	mu       sync.Mutex
+	progress int // progress records fsynced so far
+	fired    int
+	dead     bool
+}
+
+// errDiskCut is what every mutating call on a cut disk reports.
+var errDiskCut = fmt.Errorf("disk cut: %w", syscall.EIO)
+
+// cutDisk wraps fsys under the schedule.
+func cutDisk(fsys chaos.FS, at ...int) *diskCuts {
+	return &diskCuts{FS: fsys, at: at}
+}
+
+// isDead reports whether the disk is cut now.
+func (d *diskCuts) isDead() bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.dead
+}
+
+// cuts reports how many cuts have fired.
+func (d *diskCuts) cuts() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.fired
+}
+
+// revive makes the disk take writes again.
+func (d *diskCuts) revive() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.dead = false
+}
+
+// synced counts one fsynced progress record and cuts the disk when the
+// schedule falls on it.
+func (d *diskCuts) synced() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.progress++
+	if d.fired < len(d.at) && d.progress >= d.at[d.fired] {
+		d.fired++
+		d.dead = true
+	}
+}
+
+// refuse returns errDiskCut on a cut disk.
+func (d *diskCuts) refuse() error {
+	if d.isDead() {
+		return errDiskCut
+	}
+	return nil
+}
+
+func (d *diskCuts) OpenFile(name string, flag int, perm os.FileMode) (chaos.File, error) {
+	if flag&(os.O_WRONLY|os.O_RDWR|os.O_CREATE|os.O_TRUNC|os.O_APPEND) != 0 {
+		if err := d.refuse(); err != nil {
+			return nil, err
+		}
+	}
+	f, err := d.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return &cutFile{File: f, disk: d, journal: filepath.Base(name) == "jobs.jnl"}, nil
+}
+
+func (d *diskCuts) Rename(oldpath, newpath string) error {
+	if err := d.refuse(); err != nil {
+		return err
+	}
+	return d.FS.Rename(oldpath, newpath)
+}
+
+func (d *diskCuts) Remove(name string) error {
+	if err := d.refuse(); err != nil {
+		return err
+	}
+	return d.FS.Remove(name)
+}
+
+// cutFile is one open file of a diskCuts. On the journal it tells a
+// progress record apart by the kind byte behind the wal frame header:
+// the journal hands each frame to one Write.
+type cutFile struct {
+	chaos.File
+	disk     *diskCuts
+	journal  bool
+	progress bool // the last write was a whole progress frame
+}
+
+func (f *cutFile) Write(p []byte) (int, error) {
+	if err := f.disk.refuse(); err != nil {
+		return 0, err
+	}
+	n, err := f.File.Write(p)
+	f.progress = f.journal && err == nil && len(p) > 8 && p[8] == srProgress
+	return n, err
+}
+
+func (f *cutFile) Sync() error {
+	if err := f.disk.refuse(); err != nil {
+		return err
+	}
+	if err := f.File.Sync(); err != nil {
+		return err
+	}
+	if f.progress {
+		f.progress = false
+		f.disk.synced()
+	}
+	return nil
+}
+
+func (f *cutFile) Truncate(size int64) error {
+	if err := f.disk.refuse(); err != nil {
+		return err
+	}
+	return f.File.Truncate(size)
+}
+
+// waitSettled waits until every job of s is terminal or, when cuts is
+// not nil, its disk is cut, checking again after each write, sync or
+// close of its watched files.
+func waitSettled(t *testing.T, s *Service, cuts *diskCuts, timeout time.Duration) {
+	t.Helper()
+	deadline := time.After(timeout)
+	for {
+		if cuts != nil && cuts.isDead() {
+			return
+		}
+		s.mu.Lock()
+		settled := true
+		for _, job := range s.jobs {
+			if !job.State.Terminal() {
+				settled = false
+				break
+			}
+		}
+		n := len(s.jobs)
+		s.mu.Unlock()
+		if settled && n > 0 {
+			return
+		}
+		select {
+		case <-s.opts.FS.(eventFS).events:
+		case <-deadline:
+			t.Fatal("service never settled")
+		}
+	}
+}
+
+// jobResult returns a copy of a settled job's scores, failing the test
+// unless the job is done.
+func jobResult(t *testing.T, s *Service, id string) []core.VoxelScore {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	job := s.jobs[id]
+	if job == nil || job.State != stateDone {
+		t.Fatalf("job %s not done: %+v", id, job)
+	}
+	return append([]core.VoxelScore(nil), job.result...)
+}
+
+// sameScores fails the test unless got equals want voxel for voxel and
+// bit for bit.
+func sameScores(t *testing.T, what string, got, want []core.VoxelScore) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d scores, reference has %d", what, len(got), len(want))
+	}
+	for k := range want {
+		if got[k].Voxel != want[k].Voxel ||
+			math.Float64bits(got[k].Accuracy) != math.Float64bits(want[k].Accuracy) {
+			t.Fatalf("%s: score %d = %+v, reference %+v (not bit-identical)", what, k, got[k], want[k])
+		}
+	}
+}
+
+// countTerminalRecords walks the raw journal frames and counts terminal
+// srState records per job — independently of the journal code under test.
+func countTerminalRecords(t *testing.T, path string) map[string]int {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) < 8 || string(data[:8]) != serveMagic {
+		t.Fatalf("journal %s has bad magic", path)
+	}
+	counts := make(map[string]int)
+	off := 8
+	for off < len(data) {
+		if off+8 > len(data) {
+			t.Fatalf("journal %s: torn frame header at %d after clean close", path, off)
+		}
+		n := int(binary.LittleEndian.Uint32(data[off:]))
+		crc := binary.LittleEndian.Uint32(data[off+4:])
+		if off+8+n > len(data) {
+			t.Fatalf("journal %s: torn frame body at %d after clean close", path, off)
+		}
+		payload := data[off+8 : off+8+n]
+		if crc32.ChecksumIEEE(payload) != crc {
+			t.Fatalf("journal %s: CRC mismatch at %d after clean close", path, off)
+		}
+		if len(payload) > 0 && payload[0] == srState {
+			var rec stateRecord
+			if err := json.Unmarshal(payload[1:], &rec); err != nil {
+				t.Fatalf("journal %s: bad state record at %d: %v", path, off, err)
+			}
+			if rec.State.Terminal() {
+				if rec.State != stateDone {
+					t.Fatalf("job %s journaled terminal state %s, want done", rec.ID, rec.State)
+				}
+				counts[rec.ID]++
+			}
+		}
+		off += 8 + n
+	}
+	return counts
+}
+
+// TestCrashResumesFromJournaledChunks crashes a running job's service by
+// cutting its disk after the third progress fsync, then reopens the
+// directory. The restarted service must skip exactly the three journaled
+// chunks, finish with scores bit-identical to an uninterrupted run of the
+// same spec, and leave exactly one terminal record for the job.
+func TestCrashResumesFromJournaledChunks(t *testing.T) {
+	const journaled = 3
+	spec := JobSpec{Synthetic: "face-scene", Scale: 0.001, Name: "crash"}
+	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
+
+	clean := newTestService(t, Options{ChunkVoxels: 4, Executors: 1})
+	refID, err := clean.Submit(t.Context(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitSettled(t, clean, nil, time.Minute)
+	want := jobResult(t, clean, refID)
+	if chunks := (len(want) + 3) / 4; chunks <= journaled+1 {
+		t.Fatalf("the job has %d chunks; the cut must fall with work left after it", chunks)
+	}
+
+	dir := t.TempDir()
+	disk := cutDisk(chaos.OS(), journaled)
+	crashed := newTestService(t, Options{Dir: dir, ChunkVoxels: 4, Executors: 1, FS: disk, Log: quiet})
+	id, err := crashed.Submit(t.Context(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitSettled(t, crashed, disk, time.Minute)
+	if !disk.isDead() {
+		t.Fatal("the job settled before its disk was cut")
+	}
+	_ = crashed.Close() // a dead disk fails the final sync
+	disk.revive()
+
+	reg := obs.NewRegistry()
+	resumed := newTestService(t, Options{Dir: dir, ChunkVoxels: 4, Executors: 1, FS: disk, Obs: reg, Log: quiet})
+	waitSettled(t, resumed, nil, time.Minute)
+	if got := reg.Counter("serve_chunks_skipped_journaled_total").Value(); got != journaled {
+		t.Fatalf("resumed job skipped %d journaled chunks, want %d", got, journaled)
+	}
+	sameScores(t, "resumed job", jobResult(t, resumed, id), want)
+	if err := resumed.Close(); err != nil {
+		t.Fatal(err)
+	}
+	terminal := countTerminalRecords(t, filepath.Join(dir, "jobs.jnl"))
+	if terminal[id] != 1 || len(terminal) != 1 {
+		t.Fatalf("journal terminal records = %v, want exactly one for %s", terminal, id)
 	}
 }
 
@@ -363,7 +657,7 @@ func TestRestartResumesJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	second := newTestService(t, Options{Dir: dir, ChunkVoxels: 8, Executors: 2, RetrySeed: 1})
+	second := newTestService(t, Options{Dir: dir, ChunkVoxels: 8, Executors: 2})
 	ts := httptest.NewServer(second.Handler())
 	defer ts.Close()
 	for _, id := range ids {
@@ -416,7 +710,7 @@ func TestRestartReplaysParentFormatSpec(t *testing.T) {
 // is terminal.
 func TestDrainRemovesSettledJournal(t *testing.T) {
 	dir := t.TempDir()
-	s, err := New(Options{Dir: dir, ChunkVoxels: 8, Executors: 1, RetrySeed: 1, FS: watchFS(nil)})
+	s, err := New(Options{Dir: dir, ChunkVoxels: 8, Executors: 1, FS: watchFS(nil)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,10 +798,14 @@ func TestDatasetCacheHitsAndEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sizeTiny := stackBytes(first)
-	sizeFS := stackBytes(fs)
+	sizeTiny := stackBytes(int64(first.M()*first.T), int64(first.N))
+	sizeFS := stackBytes(int64(fs.M()*fs.T), int64(fs.N))
 	if want := int64(first.M()*first.T*first.N*4 + 1<<16); sizeTiny != want {
 		t.Fatalf("tiny stack sized %d bytes, want M·T·N·4 + 64 KiB = %d", sizeTiny, want)
+	}
+	// Admission charges at least the stack the cache will hold.
+	if est := s.store.estimateBytes(JobSpec{Synthetic: "face-scene", Scale: 0.001}, ""); est < sizeFS {
+		t.Fatalf("admission estimates %d bytes, below the built stack's %d", est, sizeFS)
 	}
 	small := newTestService(t, Options{Executors: -1, CacheBudget: sizeTiny + sizeFS - 1})
 	if _, err := small.store.Put(tinyBlob(t)); err != nil {
@@ -653,7 +951,7 @@ func TestPutRepairsMissingSidecar(t *testing.T) {
 // retry allowance before failing, rather than the first deadline
 // cancelling the whole retry loop.
 func TestJobTimeoutBoundsOneAttempt(t *testing.T) {
-	s := newTestService(t, Options{ChunkVoxels: 8, Executors: 1, RetrySeed: 1})
+	s := newTestService(t, Options{ChunkVoxels: 8, Executors: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

@@ -52,20 +52,12 @@ func (s CVStats) Confusion() [2][2]int {
 }
 
 // TotalIters returns the summed SMO iteration count (svm.iters_per_voxel
-// in the repo benchmark's traced run), a part of the cost: see TotalCGSteps.
+// in the repo benchmark's traced run), a part of the cost: the folds'
+// CGSteps, each ≈ n/4 iterations, are the rest.
 func (s CVStats) TotalIters() int {
 	n := 0
 	for _, f := range s.Folds {
 		n += f.Iters
-	}
-	return n
-}
-
-// TotalCGSteps returns the summed mat-vec count, each ≈ n/4 iterations.
-func (s CVStats) TotalCGSteps() int {
-	n := 0
-	for _, f := range s.Folds {
-		n += f.CGSteps
 	}
 	return n
 }

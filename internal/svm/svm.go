@@ -125,17 +125,6 @@ func (m *Model) Predict(K *tensor.Matrix, t int) int {
 	return 0
 }
 
-// NumSV returns the number of support vectors.
-func (m *Model) NumSV() int {
-	n := 0
-	for _, c := range m.Coef {
-		if c != 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // PrecomputeKernel computes the linear kernel matrix K = X·Xᵀ of the M×N
 // sample matrix X with the paper's tall-skinny blocked syrk.
 func PrecomputeKernel(X *tensor.Matrix) *tensor.Matrix {
