@@ -6,9 +6,12 @@
 //
 // The front door applies admission control (bounded queue, per-tenant
 // quotas, a memory-budget gate) and answers pressure with 429 +
-// Retry-After instead of accepting work it cannot journal. SIGTERM drains
-// gracefully: stop admitting, checkpoint running jobs at their next chunk
-// boundary, flip /readyz, exit 0.
+// Retry-After. SIGTERM drains gracefully: stop admitting, checkpoint
+// running jobs at their next chunk boundary, flip /readyz, exit 0.
+//
+// A failed journal write is a crash: the error is logged and the process
+// exits 1. Run it under a supervisor that restarts it on a non-zero exit;
+// the restart replays the journal and resumes every job.
 //
 //	fcma-serve -listen :7800 -dir /var/lib/fcma &
 //	curl -XPOST localhost:7800/api/v1/jobs -d '{"synthetic":"face-scene","scale":0.02}'
@@ -106,6 +109,8 @@ func main() {
 	select {
 	case <-ctx.Done():
 	case err := <-serveErr:
+		fail(err)
+	case err := <-svc.Stopped():
 		fail(err)
 	}
 	stopSignals() // a second signal kills the process the usual way

@@ -141,7 +141,7 @@ type masterCuts struct {
 var errMasterCut = errors.New("master transport cut")
 
 // wrap puts one incarnation's transport under the schedule.
-func (c *masterCuts) wrap(inner mpi.Transport) mpi.Transport {
+func (c *masterCuts) wrap(inner mpi.Transport) *cutTransport {
 	return &cutTransport{Transport: inner, cuts: c}
 }
 
@@ -185,9 +185,10 @@ func (t *cutTransport) Recv() (mpi.Message, error) {
 
 // TestMasterKillResumeBitExact is the end-to-end proof of master crash
 // recovery: an in-process cluster whose master is crashed mid-run at
-// least three times (its transport cut at chosen cumulative result
-// counts, under ChaosTransport message faults and delays and chaosfs
-// journal faults) and resumed from its journal must
+// every cumulative result count from 1 to its task count (its transport
+// cut as it hands the master that result, under ChaosTransport message
+// faults and delays and chaosfs journal faults) and resumed from its
+// journal must
 //
 //   - complete with scores bit-exact to an uninterrupted run,
 //   - never recompute a journaled-complete voxel range (asserted both at
@@ -232,8 +233,13 @@ func TestMasterKillResumeBitExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Crash the master after 3, 7 and 11 cumulative results.
-	cuts := &masterCuts{at: []int{3, 7, 11}}
+	// Crash the master at every cumulative result count from 1 to the
+	// task count: each incarnation dies on the result it is handed.
+	tasks := (st.N + taskSize - 1) / taskSize
+	cuts := &masterCuts{}
+	for n := 1; n <= tasks; n++ {
+		cuts.at = append(cuts.at, n)
+	}
 
 	jpath := t.TempDir() + "/run.jnl"
 	h := newRecoveryHarness(t, st)
@@ -286,7 +292,8 @@ func TestMasterKillResumeBitExact(t *testing.T) {
 			t.Fatal(err)
 		}
 		reg := obs.NewRegistry()
-		scores, err = RunMasterCtx(context.Background(), cuts.wrap(delayed), st.N, taskSize, MasterOptions{
+		tr := cuts.wrap(delayed)
+		scores, err = RunMasterCtx(context.Background(), tr, st.N, taskSize, MasterOptions{
 			Journal:          jn,
 			HeartbeatTimeout: 500 * time.Millisecond,
 			TaskDeadline:     300 * time.Millisecond,
@@ -303,6 +310,13 @@ func TestMasterKillResumeBitExact(t *testing.T) {
 		totalSkips += uint64(len(frozen))
 		master.Close()
 		jn.Close()
+		if err == nil && tr.cut.Load() {
+			// The cut fell on the result that completed the run: the master
+			// dies after journaling it and before it returns, so its scores
+			// are lost, and the next incarnation rebuilds them from the
+			// journal alone.
+			err = errMasterCut
+		}
 		if err == nil {
 			break
 		}
@@ -317,11 +331,11 @@ func TestMasterKillResumeBitExact(t *testing.T) {
 	h.done.Store(true)
 	h.wg.Wait()
 
-	if cuts.cuts() < 3 {
-		t.Fatalf("%d transport cuts fired, want >= 3", cuts.cuts())
+	if cuts.cuts() < len(cuts.at) {
+		t.Fatalf("%d transport cuts fired, want >= %d", cuts.cuts(), len(cuts.at))
 	}
-	if crashes < 3 {
-		t.Fatalf("master crashed %d times, want >= 3", crashes)
+	if crashes < len(cuts.at) {
+		t.Fatalf("master crashed %d times, want >= %d", crashes, len(cuts.at))
 	}
 	if totalSkips == 0 {
 		t.Fatal("no incarnation resumed journaled state; the recovery path never ran")

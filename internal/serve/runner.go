@@ -58,8 +58,7 @@ func (s *Service) runJob(id string) {
 		s.reg.Histogram("serve_tenant_queue_wait_seconds", nil, obs.L("tenant", tenant)).Observe(wait)
 	}
 	if err := s.transitionLocked(job, stateRunning, ""); err != nil {
-		s.mu.Unlock()
-		s.opts.Log.Error("serve: cannot mark job running", "job", id, "err", err)
+		s.mu.Unlock() // the journal failed and the service stopped
 		return
 	}
 	timeout := s.opts.JobTimeout
@@ -87,7 +86,6 @@ func (s *Service) runJob(id string) {
 		BaseDelay: 200 * time.Millisecond,
 		Seed:      retrySeed(id),
 	}
-	st := s.reg.Stage("serve_job").Start()
 	execStart := time.Now()
 	err := retry.Do(jobCtx, policy, func(ctx context.Context, attempt int) error {
 		s.mu.Lock()
@@ -104,7 +102,6 @@ func (s *Service) runJob(id string) {
 		attemptSpan.End()
 		return aerr
 	})
-	st.Stop()
 	elapsed := time.Since(execStart).Seconds()
 	s.mu.Lock()
 	s.tenantLocked(tenant).ComputeSeconds += elapsed
@@ -175,7 +172,7 @@ func (s *Service) attempt(ctx context.Context, job *jobRecord, spec JobSpec) err
 }
 
 // finish records the job's one terminal transition (or deliberately none:
-// drain leaves it checkpointing for the next incarnation).
+// drain, and a failed journal write, leave it for the next incarnation).
 func (s *Service) finish(job *jobRecord, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -183,27 +180,16 @@ func (s *Service) finish(job *jobRecord, err error) {
 	switch {
 	case err == nil:
 		job.finalize()
-		if terr := s.transitionLocked(job, stateDone, ""); terr != nil {
-			s.opts.Log.Error("serve: cannot record completion", "job", job.ID, "err", terr)
-		}
+		_ = s.transitionLocked(job, stateDone, "")
 	case job.canceling:
-		if terr := s.transitionLocked(job, stateCanceled, "canceled by client"); terr != nil {
-			s.opts.Log.Error("serve: cannot record cancellation", "job", job.ID, "err", terr)
-		}
+		_ = s.transitionLocked(job, stateCanceled, "canceled by client")
 	case errors.Is(err, context.Canceled):
-		// Server shutdown (drain or Close), not a client cancel: the job
-		// stays non-terminal — checkpointed — and resumes on restart from
-		// its journaled chunks.
+		// Server shutdown (drain, Close or a journal failure), not a
+		// client cancel: the job stays non-terminal — checkpointed — and
+		// resumes on restart from its journaled chunks.
 	case errors.Is(err, context.DeadlineExceeded):
-		s.failLocked(job, fmt.Sprintf("timed out after %d attempts", retry.Attempts(err)))
+		_ = s.transitionLocked(job, stateFailed, fmt.Sprintf("timed out after %d attempts", retry.Attempts(err)))
 	default:
-		s.failLocked(job, err.Error())
-	}
-}
-
-// failLocked records a failure terminal state.
-func (s *Service) failLocked(job *jobRecord, msg string) {
-	if terr := s.transitionLocked(job, stateFailed, msg); terr != nil {
-		s.opts.Log.Error("serve: cannot record failure", "job", job.ID, "err", terr)
+		_ = s.transitionLocked(job, stateFailed, err.Error())
 	}
 }

@@ -47,12 +47,9 @@ type Log struct {
 	magic     string
 	maxRecord uint32
 	truncated bool
-	// off is the end of the last intact frame: the write position, and the
-	// rewind point when an append fails partway.
-	off int64
-	// damaged is set when a failed append could not be rewound; every
-	// further append refuses with it rather than writing after garbage.
-	damaged error
+	// failed is the first Write or Sync error. Once it is set, Append and
+	// Sync return it and touch the file no more.
+	failed error
 	// m carries the log's instruments when opened via OpenObserved; nil
 	// (plain Open) records nothing.
 	m *walMetrics
@@ -177,7 +174,6 @@ func (l *Log) replay(apply func(payload []byte) error) error {
 	if _, err := l.f.Seek(int64(end), io.SeekStart); err != nil {
 		return fmt.Errorf("wal: seeking end of %s: %w", l.path, err)
 	}
-	l.off = int64(end)
 	return nil
 }
 
@@ -187,15 +183,13 @@ func (l *Log) replay(apply func(payload []byte) error) error {
 // on (completions, terminal states), false for advisory records whose
 // loss is always safe to replay around (assignments).
 //
-// Append is atomic at the framing layer: a failed write (torn, ENOSPC) or
-// failed sync rewinds the file to the last intact frame, so the log stays
-// appendable and a later record never lands after partial bytes — which
-// replay would read as a torn tail and discard along with everything that
-// followed. If the rewind itself fails the log is damaged and every
-// further append refuses.
+// After a failed write or sync the file's state is unknown, so the first
+// failure is kept: every later Append and Sync returns it without
+// touching the file, and the owner stops. Replay cuts the tail it left at
+// the next open, as after kill -9.
 func (l *Log) Append(payload []byte, sync bool) (int, error) {
-	if l.damaged != nil {
-		return 0, l.damaged
+	if l.failed != nil {
+		return 0, l.failed
 	}
 	start := time.Now()
 	frame := make([]byte, 8+len(payload))
@@ -203,39 +197,31 @@ func (l *Log) Append(payload []byte, sync bool) (int, error) {
 	binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(payload))
 	copy(frame[8:], payload)
 	if _, err := l.f.Write(frame); err != nil {
-		return 0, l.rewind(fmt.Errorf("wal: append to %s: %w", l.path, err))
+		l.failed = fmt.Errorf("wal: append to %s: %w", l.path, err)
+		return 0, l.failed
 	}
 	var fsync time.Duration
 	if sync {
 		syncStart := time.Now()
 		if err := l.f.Sync(); err != nil {
-			return 0, l.rewind(fmt.Errorf("wal: sync %s: %w", l.path, err))
+			l.failed = fmt.Errorf("wal: sync %s: %w", l.path, err)
+			return 0, l.failed
 		}
 		fsync = time.Since(syncStart)
 	}
-	l.off += int64(len(frame))
 	l.m.observeAppend(len(frame), time.Since(start), fsync, sync)
 	return len(frame), nil
 }
 
-// rewind restores the log to its last intact frame after a failed append;
-// if that is impossible the log is marked damaged. Returns the error the
-// caller should report.
-func (l *Log) rewind(cause error) error {
-	if terr := l.f.Truncate(l.off); terr == nil {
-		if _, serr := l.f.Seek(l.off, io.SeekStart); serr == nil {
-			return cause
-		}
-	}
-	l.damaged = fmt.Errorf("wal: %s unappendable (failed append could not be rewound): %w", l.path, cause)
-	return l.damaged
-}
-
-// Sync flushes the log's data to stable storage.
+// Sync flushes the log's data to stable storage; a failure is kept.
 func (l *Log) Sync() error {
+	if l.failed != nil {
+		return l.failed
+	}
 	start := time.Now()
 	if err := l.f.Sync(); err != nil {
-		return err
+		l.failed = fmt.Errorf("wal: sync %s: %w", l.path, err)
+		return l.failed
 	}
 	l.m.observeSync(time.Since(start))
 	return nil

@@ -299,12 +299,13 @@ func TestCreateSurvivesRenameFault(t *testing.T) {
 	}
 }
 
-// flakyFS tears exactly one write on command: when armed, the next
-// File.Write persists half its bytes and fails — the shape of a real torn
-// append — then the fault disarms.
+// flakyFS fails one call on command: armed with "write", the next
+// File.Write persists half its bytes and fails, the shape of a real torn
+// append; armed with "sync", the next File.Sync fails. Then the fault
+// disarms, so a log that kept writing would succeed.
 type flakyFS struct {
 	chaos.FS
-	armed bool
+	armed string
 }
 
 func (f *flakyFS) OpenFile(name string, flag int, perm os.FileMode) (chaos.File, error) {
@@ -321,43 +322,91 @@ type flakyFile struct {
 }
 
 func (f *flakyFile) Write(p []byte) (int, error) {
-	if f.fs.armed {
-		f.fs.armed = false
+	if f.fs.armed == "write" {
+		f.fs.armed = ""
 		n, _ := f.File.Write(p[:len(p)/2])
 		return n, errors.New("injected torn write")
 	}
 	return f.File.Write(p)
 }
 
-// TestAppendRewindsAfterTornWrite proves a failed append leaves the log
-// appendable: the partial frame is rewound, so a later record does not
-// land after garbage and get discarded as a torn tail at replay.
-func TestAppendRewindsAfterTornWrite(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "t.wal")
-	fsys := &flakyFS{FS: chaos.OS()}
-	l, _ := openCollect(t, fsys, path)
-	if _, err := l.Append([]byte("before"), true); err != nil {
-		t.Fatal(err)
+func (f *flakyFile) Sync() error {
+	if f.fs.armed == "sync" {
+		f.fs.armed = ""
+		return errors.New("injected sync failure")
 	}
-	fsys.armed = true
-	if _, err := l.Append([]byte("torn-away"), true); err == nil {
-		t.Fatal("torn append reported success")
-	}
-	if _, err := l.Append([]byte("after"), true); err != nil {
-		t.Fatalf("append after rewound tear: %v", err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
+	return f.File.Sync()
+}
 
-	r, got := openCollect(t, nil, path)
-	defer r.Close()
-	if r.Truncated() {
-		t.Fatal("rewound log still had a torn tail at replay")
+// TestFirstFailureIsKept proves a failed append stops the log: every later
+// Append, Sync and Close returns the first error and the file does not
+// grow. A reopen replays the frames written whole before the failure and
+// cuts the torn half-frame a failed write left (a failed sync's frame was
+// written whole, so it replays).
+func TestFirstFailureIsKept(t *testing.T) {
+	for _, tc := range []struct {
+		fault string
+		want  []string
+		torn  bool
+	}{
+		{"write", []string{"one", "two"}, true},
+		{"sync", []string{"one", "two", "failing"}, false},
+	} {
+		t.Run(tc.fault, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "t.wal")
+			fsys := &flakyFS{FS: chaos.OS()}
+			l, _ := openCollect(t, fsys, path)
+			for _, r := range []string{"one", "two"} {
+				if _, err := l.Append([]byte(r), true); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fsys.armed = tc.fault
+			_, first := l.Append([]byte("failing"), true)
+			if first == nil {
+				t.Fatalf("append under a failing %s reported success", tc.fault)
+			}
+			size := fileSize(t, path)
+			for range 3 {
+				if _, err := l.Append([]byte("later"), true); err != first {
+					t.Fatalf("append after the failure = %v, want the first error %v", err, first)
+				}
+				if err := l.Sync(); err != first {
+					t.Fatalf("sync after the failure = %v, want the first error %v", err, first)
+				}
+			}
+			if err := l.Close(); err != first {
+				t.Fatalf("close after the failure = %v, want the first error %v", err, first)
+			}
+			if got := fileSize(t, path); got != size {
+				t.Fatalf("log grew from %d to %d bytes after its first failure", size, got)
+			}
+
+			r, got := openCollect(t, nil, path)
+			defer r.Close()
+			if r.Truncated() != tc.torn {
+				t.Fatalf("Truncated() = %v, want %v", r.Truncated(), tc.torn)
+			}
+			if len(got) != len(tc.want) {
+				t.Fatalf("replayed %q, want %q", got, tc.want)
+			}
+			for i := range tc.want {
+				if string(got[i]) != tc.want[i] {
+					t.Fatalf("replayed %q, want %q", got, tc.want)
+				}
+			}
+		})
 	}
-	if len(got) != 2 || string(got[0]) != "before" || string(got[1]) != "after" {
-		t.Fatalf("replayed %q, want [before after]", got)
+}
+
+// fileSize is the size of the file at path.
+func fileSize(t *testing.T, path string) int64 {
+	t.Helper()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return fi.Size()
 }
 
 // intactPrefix walks frames the slow way, sharing no code with replay: the
