@@ -37,7 +37,7 @@ func mustOpen(t *testing.T, path string, reg *obs.Registry) *journal {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	j, err := openJournal(chaos.OS(), path, reg, testStore(t))
+	j, err := openJournal(chaos.OS(), path, reg, testStore(t), func(error) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestJournalIllegalTransitionFailsOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := openJournal(chaos.OS(), path, obs.NewRegistry(), testStore(t)); err == nil {
+	if _, err := openJournal(chaos.OS(), path, obs.NewRegistry(), testStore(t), func(error) {}); err == nil {
 		t.Fatal("openJournal accepted a journal with an illegal transition")
 	} else {
 		var aerr *wal.ApplyError
