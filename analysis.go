@@ -16,6 +16,7 @@ import (
 	"fcma/internal/obs/trace"
 	"fcma/internal/roi"
 	"fcma/internal/rt"
+	"fcma/internal/safe"
 	"fcma/internal/svm"
 	"fcma/internal/tensor"
 )
@@ -95,7 +96,7 @@ func OfflineAnalysisContext(ctx context.Context, d *Data, cfg Config) (*OfflineR
 			voxels[i] = sc.Voxel
 			counts[sc.Voxel]++
 		}
-		acc, err := verifyFold(d, voxels, s, cfg)
+		acc, err := verifyFold(ctx, d, voxels, s, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("fcma: fold %d verification: %w", s, err)
 		}
@@ -118,7 +119,7 @@ func OfflineAnalysisContext(ctx context.Context, d *Data, cfg Config) (*OfflineR
 
 // verifyFold trains the final classifier on all subjects but s and tests
 // on s.
-func verifyFold(d *Data, voxels []int, leftOut int, cfg Config) (float64, error) {
+func verifyFold(ctx context.Context, d *Data, voxels []int, leftOut int, cfg Config) (float64, error) {
 	var trainIdx, testIdx []int
 	for i, e := range d.ds.Epochs {
 		if e.Subject == leftOut {
@@ -127,7 +128,7 @@ func verifyFold(d *Data, voxels []int, leftOut int, cfg Config) (float64, error)
 			trainIdx = append(trainIdx, i)
 		}
 	}
-	clf, err := trainClassifier(d, voxels, trainIdx, cfg)
+	clf, err := trainClassifier(ctx, d, voxels, trainIdx, cfg)
 	if err != nil {
 		return 0, err
 	}
@@ -181,7 +182,7 @@ func OnlineAnalysisContext(ctx context.Context, d *Data, cfg Config) (*OnlineRes
 	for i := range all {
 		all[i] = i
 	}
-	clf, err := trainClassifier(d, voxels, all, cfg)
+	clf, err := trainClassifier(ctx, d, voxels, all, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -270,17 +271,20 @@ func pairFeaturesFromRows(dst []float32, rows [][]float32) []float32 {
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // trainClassifier fits a linear SVM on the pair features of the given
-// training epochs.
-func trainClassifier(d *Data, voxels []int, trainIdx []int, cfg Config) (*Classifier, error) {
+// training epochs, each feature row built whole by one of cfg.Workers.
+func trainClassifier(ctx context.Context, d *Data, voxels []int, trainIdx []int, cfg Config) (*Classifier, error) {
 	if len(voxels) < 2 {
 		return nil, fmt.Errorf("fcma: classifier needs at least 2 voxels, got %d", len(voxels))
 	}
 	p := len(voxels) * (len(voxels) - 1) / 2
 	feats := tensor.NewMatrix(len(trainIdx), p)
 	labels := make([]int, len(trainIdx))
-	for i, idx := range trainIdx {
-		pairFeatures(feats.Row(i), d.ds, voxels, d.ds.Epochs[idx])
-		labels[i] = d.ds.Epochs[idx].Label
+	if err := safe.ParallelDynamic(ctx, safe.Span{Stage: "fcma/pair_features"}, len(trainIdx), cfg.Workers, func(_ context.Context, i int) error {
+		pairFeatures(feats.Row(i), d.ds, voxels, d.ds.Epochs[trainIdx[i]])
+		labels[i] = d.ds.Epochs[trainIdx[i]].Label
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	K := svm.PrecomputeKernel(feats)
 	all := make([]int, len(trainIdx))

@@ -305,6 +305,42 @@ func TestPairFeaturesMatchPearson(t *testing.T) {
 	}
 }
 
+// The classifier's feature rows are built in parallel, each by one
+// goroutine, so the trained classifier — feature rows, coefficients, rho —
+// is the same at Workers 1 and 2 to the bit, over one voxel set with
+// enough epochs for both workers to take rows.
+func TestClassifierIdenticalAcrossWorkers(t *testing.T) {
+	s := testSpec()
+	s.Subjects = 1
+	s.EpochsPerSubject = 16
+	d := mustGenerate(t, s)
+	voxels := []int{0, 3, 5, 9, 12, 17, 20}
+	all := make([]int, d.Epochs())
+	for i := range all {
+		all[i] = i
+	}
+	var want *Classifier
+	for _, workers := range []int{1, 2} {
+		clf, err := trainClassifier(t.Context(), d, voxels, all, Config{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = clf
+			continue
+		}
+		if !clf.feats.Equal(want.feats) || len(clf.coef) != len(want.coef) || math.Float64bits(clf.rho) != math.Float64bits(want.rho) {
+			t.Fatalf("Workers=%d: classifier differs from Workers=1's (%d / %d support vectors, rho %g / %g)",
+				workers, len(clf.coef), len(want.coef), clf.rho, want.rho)
+		}
+		for i, c := range clf.coef {
+			if math.Float64bits(c) != math.Float64bits(want.coef[i]) {
+				t.Fatalf("Workers=%d: coefficient %d is %g, Workers=1 gives %g", workers, i, c, want.coef[i])
+			}
+		}
+	}
+}
+
 func TestSubjectExtraction(t *testing.T) {
 	d := mustGenerate(t, testSpec())
 	s0, err := d.Subject(0)

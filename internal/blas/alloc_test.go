@@ -40,6 +40,24 @@ func TestSyrkSerialAllocsPerRunZero(t *testing.T) {
 	})
 }
 
+// The mirrored walk's mirror terms: a warm accumulator stages and adds a
+// tile's columns without touching the heap.
+func TestAddColumnsAllocsPerRunZero(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	A := randomMatrix(rng, 96*12, 288)
+	Cs := make([]tensor.Matrix, 20)
+	for i := range Cs {
+		Cs[i] = *tensor.NewMatrix(12, 12)
+	}
+	var acc SyrkAcc
+	eachKernelPath(t, func(t *testing.T) {
+		acc.AddColumns(Cs, A, 96) // warm up the staging buffer
+		if n := testing.AllocsPerRun(20, func() { acc.AddColumns(Cs, A, 96) }); n != 0 {
+			t.Fatalf("AddColumns allocates %v per run, want 0", n)
+		}
+	})
+}
+
 func BenchmarkGemmSerial(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	A := randomMatrix(rng, 64, 12)

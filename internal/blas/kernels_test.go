@@ -393,3 +393,49 @@ func FuzzFMA32MatchesHardware(f *testing.F) {
 		})
 	})
 }
+
+// AddColumns reads each column of a stack of padded row groups as a staged
+// panel: its slice term must be the one Add gives the panel's matrix, to
+// the bit, on every path — padded groups (m % 4 != 0), a last staging pass
+// narrower than eight columns, and a non-zero starting column included.
+func TestAddColumnsMatchesAdd(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	eachKernelPath(t, func(t *testing.T) {
+		for _, m := range []int{1, 4, 10, 12, 18, 36} {
+			for _, h := range []int{1, 7, 96} {
+				mp := padRows(m)
+				const cols, j0 = 21, 3
+				A := randomMatrix(rng, h*mp, cols)
+				for p := 0; p < h; p++ {
+					for i := m; i < mp; i++ {
+						clear(A.Row(p*mp + i))
+					}
+				}
+				seed := randomMatrix(rng, m, m)
+				got := make([]tensor.Matrix, cols-j0)
+				for q := range got {
+					got[q] = *seed.Clone()
+				}
+				var acc SyrkAcc
+				acc.AddColumns(got, A, j0)
+				for q := range got {
+					B := tensor.NewMatrix(m, h)
+					for p := 0; p < h; p++ {
+						for i := 0; i < m; i++ {
+							B.Set(i, p, A.At(p*mp+i, j0+q))
+						}
+					}
+					want := seed.Clone()
+					acc.Add(want, B, 0, h, h)
+					for i := 0; i < m; i++ {
+						for j := 0; j <= i; j++ {
+							if g, w := got[q].At(i, j), want.At(i, j); math.Float32bits(g) != math.Float32bits(w) {
+								t.Fatalf("m=%d h=%d column %d: C[%d][%d] = %x, Add gives %x", m, h, j0+q, i, j, math.Float32bits(g), math.Float32bits(w))
+							}
+						}
+					}
+				}
+			}
+		}
+	})
+}

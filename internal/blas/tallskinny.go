@@ -181,10 +181,10 @@ func fma32(a, b, c float32) float32 {
 // triangle is accumulated in this tree: Syrk and BatchSyrkContext hand it a
 // whole matrix, the fused correlation stage (corr.Pipeline.RunKernels) one
 // cache-resident column block after another. Start from a zeroed C, Add the
-// column ranges of A in ascending order, Finish once. It owns the
-// transposed staging panel of one block (Fig. 7's A_localᵀ), so a goroutine
-// keeps one and reuses it; the zero value is ready and a warm Add allocates
-// nothing.
+// column ranges of A in ascending order, Finish once (AddColumns adds a
+// slice to many matrices, from a stack of their panels). It owns the staged
+// panel of one block (Fig. 7's A_localᵀ), so a goroutine keeps one and
+// reuses it; the zero value is ready and a warm Add allocates nothing.
 type SyrkAcc struct {
 	tbuf []float32
 }
@@ -223,6 +223,36 @@ func (s *SyrkAcc) add(C, A *tensor.Matrix, j0, n, block int) {
 		panel := s.tbuf[:mp*w]
 		stagePanel(panel, A, j0, w)
 		syrkBlockKernel(C, panel, s.tbuf[mp*w:mp*(w+4)], A.Rows, w)
+	}
+}
+
+// PanelRows is AddColumns' group height for m×m matrices (see padRows).
+func (*SyrkAcc) PanelRows(m int) int { return padRows(m) }
+
+// AddColumns adds one slice to each m×m matrix Cs[q] from column j0+q of
+// A, a stack of h groups of mp = PanelRows(m) rows whose rows past m are
+// zero. Read as a staged panel (entry p·mp+i is B[i, p]), the column is
+// the transpose of an m×h matrix B, and Cs[q] gets B·Bᵀ: the slice term Add
+// gives B, to the bit. Columns are staged eight at a time.
+func (s *SyrkAcc) AddColumns(Cs []tensor.Matrix, A *tensor.Matrix, j0 int) {
+	if len(Cs) == 0 {
+		return
+	}
+	m, mp := Cs[0].Rows, padRows(Cs[0].Rows)
+	if A.Rows == 0 || A.Rows%mp != 0 || j0 < 0 || j0+len(Cs) > A.Cols {
+		panic(fmt.Sprintf("blas: syrk columns [%d, %d) of a %dx%d stack of %d-row groups", j0, j0+len(Cs), A.Rows, A.Cols, mp))
+	}
+	obsBatchSyrkItems.Add(uint64(len(Cs)))
+	panels := 8 * A.Rows
+	if cap(s.tbuf) < panels+4*mp {
+		s.tbuf = make([]float32, panels+4*mp)
+	}
+	for q := 0; q < len(Cs); q += 8 {
+		w := min(8, len(Cs)-q)
+		stagePanel(s.tbuf[:w*A.Rows], A, j0+q, w)
+		for p := 0; p < w; p++ {
+			syrkBlockKernel(&Cs[q+p], s.tbuf[p*A.Rows:(p+1)*A.Rows], s.tbuf[panels:panels+4*mp], m, A.Rows/mp)
+		}
 	}
 }
 

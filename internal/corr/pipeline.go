@@ -36,15 +36,16 @@ type Pipeline struct {
 	// a second pass over the full buffer. RunKernels does not read it.
 	Merged bool
 	// ColBlock is the column-block width of the merged variant (0 means
-	// blas.DefaultColBlock) and of RunKernels, where 0 means the width
-	// derived from the task's shape and any other value must be a multiple
-	// of blas.DefaultSyrkBlock. Only tests and block-size benchmarks set it.
+	// blas.DefaultColBlock) and of RunKernels' row walk, where 0 means the
+	// width derived from the task's shape and any other value must be a
+	// multiple of blas.DefaultSyrkBlock. Only tests and block-size
+	// benchmarks set it.
 	ColBlock int
 	// VoxBlock is the number of assigned voxels processed together per
-	// block (the B voxels of Fig. 5); 0 means DefaultVoxBlock, which
-	// RunKernels lowers for a task too small to give every worker a block.
-	// Larger blocks amortize the stream over the wide operand; smaller
-	// blocks keep the working set cache resident.
+	// block (the B voxels of Fig. 5) by RunInto and RunKernels' row walk;
+	// 0 means DefaultVoxBlock, which RunKernels lowers for a task too small
+	// to give every worker a block. Larger blocks amortize the stream over
+	// the wide operand; smaller blocks keep the working set cache resident.
 	VoxBlock int
 	// Obs receives stage timings and block counters (see DESIGN.md §10):
 	// stage_corr/*_seconds histograms plus corr_gemm_calls_total and

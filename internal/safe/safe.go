@@ -179,8 +179,9 @@ func startLane(ctx context.Context, stage string) (context.Context, *trace.Activ
 }
 
 // ParallelDynamic runs fn(ctx, i) for i in [0, n) across at most
-// `workers` goroutines (0 means GOMAXPROCS), each taking the next
-// unstarted item when it finishes one. It is the only parallel driver:
+// `workers` goroutines (0 means GOMAXPROCS), each taking the lowest
+// unstarted item when it finishes one (corr's mirrored walk, whose items
+// wait on earlier ones, relies on that order). It is the only parallel driver:
 // every stage of the pipeline is "for each independent item, run it on
 // some thread", and per-item cost is either data dependent (per-voxel SMO
 // cross-validation) or uniform, where taking items in turn costs nothing

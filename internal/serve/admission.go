@@ -7,12 +7,14 @@ import (
 // admitError is an admission rejection: the HTTP layer maps Status and
 // RetryAfter straight onto the response (429 + Retry-After for pressure,
 // 503 + Retry-After when draining or stopped, where only a
-// reasonAcceptUnknown 503 may hide an accepted job). A malformed spec is
-// not one: it fails validation with a plain error, answered 400.
+// reasonAcceptUnknown 503 may hide an accepted job, named in ID). A
+// malformed spec is not one: it fails validation with a plain error,
+// answered 400.
 type admitError struct {
 	Status     int
 	RetryAfter int // seconds; 0 means no Retry-After header
 	Reason     string
+	ID         string // the job whose accept is in doubt, or ""
 }
 
 // Error implements error.

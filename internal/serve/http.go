@@ -133,7 +133,10 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			if aerr.RetryAfter > 0 {
 				w.Header().Set("Retry-After", strconv.Itoa(aerr.RetryAfter))
 			}
-			writeError(w, aerr.Status, aerr.Reason)
+			writeJSON(w, aerr.Status, struct {
+				Error string `json:"error"`
+				ID    string `json:"id,omitempty"`
+			}{aerr.Reason, aerr.ID})
 			return
 		}
 		writeError(w, http.StatusBadRequest, err.Error())

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -37,7 +38,7 @@ type journal struct {
 
 	// replay state; store sizes each replayed job as validate builds it
 	jobs   map[string]*jobRecord
-	maxSeq int
+	maxSeq int // the highest id number accepted or reserved
 	store  *datasetStore
 }
 
@@ -48,6 +49,7 @@ const (
 	srAccept   = 1
 	srState    = 2
 	srProgress = 3
+	srFloor    = 4 // an id number no job takes
 )
 
 // acceptRecord is the JSON payload of an srAccept record.
@@ -66,13 +68,27 @@ type stateRecord struct {
 // openJournal opens (or creates) the job journal at path and replays it
 // into a fresh job map, each accepted spec through the same validate as
 // Submit: one that fails stops the replay and leaves the file as it was.
+// A journal left by an earlier incarnation may have lost its last accept,
+// whose id a 503 named: the open journals that id as a floor, fsynced.
 func openJournal(fsys chaos.FS, path string, reg *obs.Registry, store *datasetStore, halt func(error)) (*journal, error) {
 	j := &journal{jobs: make(map[string]*jobRecord), store: store, halt: halt}
+	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
+	prior := err == nil
+	if prior {
+		f.Close()
+	}
 	log, err := wal.OpenObserved(fsys, path, serveMagic, serveMaxRecord, j.apply, reg, "serve")
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
 	j.log = log
+	if prior {
+		j.maxSeq++
+		if _, err := log.Append(binary.LittleEndian.AppendUint64([]byte{srFloor}, uint64(j.maxSeq)), true); err != nil {
+			log.Close()
+			return nil, fmt.Errorf("serve: journaling the id floor: %w", err)
+		}
+	}
 	if log.Truncated() {
 		reg.Counter("serve_journal_torn_recoveries_total").Inc()
 	}
@@ -134,6 +150,11 @@ func (j *journal) apply(payload []byte) error {
 		}
 		job.State = rec.State
 		job.Err = rec.Err
+	case srFloor:
+		if len(payload) != 9 {
+			return errors.New("short floor record")
+		}
+		j.maxSeq = max(j.maxSeq, int(binary.LittleEndian.Uint64(payload[1:])))
 	case srProgress:
 		id, v0, v, scores, err := decodeProgress(payload)
 		if err != nil {

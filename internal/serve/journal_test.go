@@ -76,8 +76,8 @@ func TestJournalReplayRoundTrip(t *testing.T) {
 
 	r := mustOpen(t, path, nil)
 	defer r.close()
-	if r.maxSeq != 42 {
-		t.Fatalf("maxSeq = %d, want 42", r.maxSeq)
+	if r.maxSeq != 43 {
+		t.Fatalf("maxSeq = %d, want 43: the accepted 42 and the id floor the reopen journals", r.maxSeq)
 	}
 	job := r.jobs["job-00000042"]
 	if job == nil || job.State != stateDone {
@@ -277,7 +277,7 @@ func TestJournalReplaysParentEncoding(t *testing.T) {
 	}
 	r := mustOpen(t, path, nil)
 	defer r.close()
-	if r.log.Truncated() || len(r.jobs) != 2 || r.maxSeq != 43 {
+	if r.log.Truncated() || len(r.jobs) != 2 || r.maxSeq != 44 { // 43 accepted, 44 the id floor the open journals
 		t.Fatalf("replay: truncated=%v jobs=%d maxSeq=%d", r.log.Truncated(), len(r.jobs), r.maxSeq)
 	}
 	done := r.jobs["job-00000042"]

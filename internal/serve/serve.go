@@ -320,7 +320,7 @@ func (s *Service) Submit(ctx context.Context, spec JobSpec) (string, error) {
 	err = s.jnl.recordAccept(id, spec)
 	walSpan.End()
 	if err != nil {
-		return reject(&admitError{Status: 503, RetryAfter: 10, Reason: reasonAcceptUnknown})
+		return reject(&admitError{Status: 503, RetryAfter: 10, Reason: reasonAcceptUnknown, ID: id})
 	}
 	job.ID, job.created, job.span, job.traceSC = id, time.Now(), span, span.Context()
 	_, job.queueSpan = trace.StartSpan(jctx, "serve/queue_wait")
@@ -347,7 +347,7 @@ func (s *Service) Submit(ctx context.Context, spec JobSpec) (string, error) {
 }
 
 // reasonAcceptUnknown warns that a blind resubmit could run the job twice.
-const reasonAcceptUnknown = "journal failed: whether the job was accepted is unknown until the server restarts; look for it by name then before submitting it again"
+const reasonAcceptUnknown = "journal failed: whether the job was accepted is unknown until the server restarts; look it up by id then before submitting it again"
 
 // tenantLocked returns (creating if needed) the tenant's accounting row.
 // Callers hold s.mu.

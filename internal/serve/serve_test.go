@@ -257,6 +257,13 @@ func (d *diskCuts) counts() cutCounts {
 	return cutCounts{d.syncs, d.writes, d.durable, d.done, d.late}
 }
 
+// cutAt schedules one more cut, at cumulative count n.
+func (d *diskCuts) cutAt(n int) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.at = append(d.at, n)
+}
+
 // revive makes the disk take writes again.
 func (d *diskCuts) revive() {
 	d.mu.Lock()
@@ -540,8 +547,9 @@ func countTerminalRecords(t *testing.T, path string) map[string]int {
 // records the journal kept, finish with scores bit-identical to an
 // uninterrupted run, and hold one job, with exactly one terminal record,
 // for the client's one submission: a client whose submit the cut refused
-// looks the job up by name first when the 503 says the outcome is
-// unknown, and submits it again only when it is not there.
+// looks the job up by the id the 503 names when it says the outcome is
+// unknown (404 where the accept's bytes were lost, the job where they were
+// kept), and submits it again only when it is not there, getting a new id.
 func TestCrashResumesFromJournaledChunks(t *testing.T) {
 	spec := JobSpec{Synthetic: "face-scene", Scale: 0.001, Name: "crash"}
 	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -579,24 +587,45 @@ func TestCrashResumesFromJournaledChunks(t *testing.T) {
 			dir := t.TempDir()
 			disk := cutDisk(chaos.OS(), p.mode, p.at)
 			crashed := newTestService(t, Options{Dir: dir, ChunkVoxels: 4, Executors: 1, FS: disk, Log: quiet})
-			id, err := crashed.Submit(t.Context(), spec)
-			var aerr *admitError
-			if err != nil && !unavailable(err) {
-				t.Fatalf("submit on the cut disk: %v, want success or a 503", err)
+			code, body := postJob(t, crashed, spec)
+			if code != http.StatusAccepted && code != http.StatusServiceUnavailable {
+				t.Fatalf("submit on the cut disk answered %d %v, want 202 or 503", code, body)
 			}
-			inDoubt := errors.As(err, &aerr) && aerr.Reason == reasonAcceptUnknown
+			var id, doubtID string
+			if code == http.StatusAccepted {
+				id = body["id"]
+			}
+			inDoubt := code == http.StatusServiceUnavailable && body["error"] == reasonAcceptUnknown
+			if doubtID = body["id"]; inDoubt && doubtID == "" {
+				t.Fatal("the 503 of a submit whose accept is in doubt names no job id")
+			}
 			requireStopped(t, crashed, disk)
 			kept := disk.counts()
 
 			reg := obs.NewRegistry()
 			resumed := newTestService(t, Options{Dir: dir, ChunkVoxels: 4, Executors: 1, FS: disk, Obs: reg, Log: quiet})
-			if id == "" && inDoubt {
-				id = jobNamed(resumed, spec.Name)
+			if inDoubt {
+				// The client looks the job up by the id the 503 named: the
+				// accept replays only where the failed fsync kept its bytes.
+				code := statusCode(resumed, doubtID)
+				if accepted := p.mode == fsyncKept; accepted && code != http.StatusOK || !accepted && code != http.StatusNotFound {
+					t.Fatalf("GET of the in-doubt job %s after the reopen answers %d", doubtID, code)
+				}
+				if code == http.StatusOK {
+					id = doubtID
+				}
 			}
 			if id == "" {
+				var err error
 				if id, err = resumed.Submit(t.Context(), spec); err != nil {
 					t.Fatal(err)
 				}
+			}
+			if inDoubt && (id != doubtID) == (p.mode == fsyncKept) {
+				t.Fatalf("the reopened service runs the job as %s; the in-doubt id was %s", id, doubtID)
+			}
+			if next := fmt.Sprintf("job-%08d", resumed.seq+1); inDoubt && next == doubtID {
+				t.Fatalf("the reopened service's next submit would get the in-doubt id %s", next)
 			}
 			waitSettled(t, resumed, time.Minute)
 			wantSkipped := kept.durable
@@ -620,25 +649,74 @@ func TestCrashResumesFromJournaledChunks(t *testing.T) {
 		})
 	}
 
-	// The first append of a reopened service, its resumed job's running
-	// record, fails too: readiness must stay stopped, not be set ready
-	// by the rest of the start.
-	t.Run("reopen_tear_1", func(t *testing.T) {
+	// Two incarnations in a row lose their accept's fsync. Each 503 names
+	// a new id, and the third incarnation gives its submit a third: the
+	// id floor the second journaled outlasts it.
+	t.Run("fsync_lost_twice", func(t *testing.T) {
 		dir := t.TempDir()
-		queued := newTestService(t, Options{Dir: dir, ChunkVoxels: 4, Executors: -1, Log: quiet})
-		id, err := queued.Submit(t.Context(), spec)
+		disk := cutDisk(chaos.OS(), fsyncLost)
+		var doubt []string
+		for range 2 {
+			crashed := newTestService(t, Options{Dir: dir, ChunkVoxels: 4, Executors: 1, FS: disk, Log: quiet})
+			disk.cutAt(disk.counts().syncs + 1) // the accept's
+			code, body := postJob(t, crashed, spec)
+			if code != http.StatusServiceUnavailable || body["error"] != reasonAcceptUnknown || body["id"] == "" {
+				t.Fatalf("submit on the cut disk answered %d %v, want a 503 naming the in-doubt id", code, body)
+			}
+			doubt = append(doubt, body["id"])
+			requireStopped(t, crashed, disk)
+		}
+		resumed := newTestService(t, Options{Dir: dir, ChunkVoxels: 4, Executors: 1, FS: disk, Log: quiet})
+		for _, id := range doubt {
+			if code := statusCode(resumed, id); code != http.StatusNotFound {
+				t.Fatalf("GET of the lost job %s answers %d, want 404", id, code)
+			}
+		}
+		id, err := resumed.Submit(t.Context(), spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := queued.Close(); err != nil {
-			t.Fatal(err)
+		if id == doubt[0] || id == doubt[1] || doubt[0] == doubt[1] {
+			t.Fatalf("the in-doubt ids %v, then the next submit's %s: an id names two submissions", doubt, id)
 		}
-		disk := cutDisk(chaos.OS(), tear, 1)
-		requireStopped(t, newTestService(t, Options{Dir: dir, ChunkVoxels: 4, Executors: 1, FS: disk, Log: quiet}), disk)
-		resumed := newTestService(t, Options{Dir: dir, ChunkVoxels: 4, Executors: 1, FS: disk, Log: quiet})
 		waitSettled(t, resumed, time.Minute)
-		sameScores(t, "resumed job", jobResult(t, resumed, id), want)
+		sameScores(t, "resubmitted job", jobResult(t, resumed, id), want)
 	})
+
+	// The first two writes of a reopened service fail too. The first, the
+	// id floor, fails the open, and the next open resumes the job; the
+	// second, its resumed job's running record, stops the service, whose
+	// readiness must stay stopped, not be set ready by the rest of the
+	// start.
+	for _, cut := range []int{1, 2} {
+		t.Run(fmt.Sprintf("reopen_tear_%d", cut), func(t *testing.T) {
+			dir := t.TempDir()
+			queued := newTestService(t, Options{Dir: dir, ChunkVoxels: 4, Executors: -1, Log: quiet})
+			id, err := queued.Submit(t.Context(), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := queued.Close(); err != nil {
+				t.Fatal(err)
+			}
+			disk := cutDisk(chaos.OS(), tear, cut)
+			opts := Options{Dir: dir, ChunkVoxels: 4, Executors: 1, FS: disk, Log: quiet}
+			if cut == 1 {
+				if s, err := New(opts); err == nil || !errors.Is(err, errDiskCut) {
+					if s != nil {
+						_ = s.Close()
+					}
+					t.Fatalf("open whose id floor tears = %v, want the cut's error", err)
+				}
+				disk.revive()
+			} else {
+				requireStopped(t, newTestService(t, opts), disk)
+			}
+			resumed := newTestService(t, opts)
+			waitSettled(t, resumed, time.Minute)
+			sameScores(t, "resumed job", jobResult(t, resumed, id), want)
+		})
+	}
 }
 
 // requireStopped waits until s has stopped on its cut disk and checks the
@@ -666,6 +744,30 @@ func requireStopped(t *testing.T, s *Service, disk *diskCuts) {
 		t.Fatalf("%d mutating calls reached the disk after its first failed one", late)
 	}
 	disk.revive()
+}
+
+// postJob submits spec to s over HTTP and returns the status and the
+// JSON body.
+func postJob(t *testing.T, s *Service, spec JobSpec) (int, map[string]string) {
+	t.Helper()
+	b, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/jobs", bytes.NewReader(b)))
+	var body map[string]string
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatalf("submit answered %d with %q: %v", rec.Code, rec.Body, err)
+	}
+	return rec.Code, body
+}
+
+// statusCode is the HTTP status of a GET of job id's status from s.
+func statusCode(s *Service, id string) int {
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/v1/jobs/"+id, nil))
+	return rec.Code
 }
 
 // jobNamed returns the id of s's job named name, or "" when it has none.
