@@ -218,7 +218,7 @@ func reportClusterMetrics(cm *cluster.ClusterMetrics, elapsed time.Duration) {
 			s := perRank[r]
 			line := fmt.Sprintf("  rank %2d: %d tasks, %d failures", r,
 				s.Counters["worker_tasks_total"], s.Counters["worker_task_failures_total"])
-			if h, ok := s.Hists["worker_task_seconds"]; ok && h.Count > 0 && elapsed > 0 {
+			if h, ok := s.Hists["stage_worker_task_seconds"]; ok && h.Count > 0 && elapsed > 0 {
 				line += fmt.Sprintf(", %.1f voxels/sec",
 					float64(s.Counters["core_voxels_scored_total"])/elapsed.Seconds())
 			}

@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -25,6 +26,10 @@ import (
 //   - obsnames: outside internal/obs, every instrument is named where it
 //     is registered, by a string literal or a + chain of literals and
 //     per-state parts, that follows the convention (checkMetricName).
+//     An interval (obs.Registry.Begin, a span and its stage_*_seconds
+//     histogram) is named by a string literal alone, and no span is
+//     opened under an interval's name by hand: the names are collected
+//     into one list, which the test logs.
 //   - leafboundary: no package an entry point that serves, runs or
 //     distributes an analysis imports, directly or not, is an
 //     experiment-only leaf: the machine model (internal/mic/...,
@@ -33,7 +38,9 @@ import (
 func TestSourceContracts(t *testing.T) {
 	fset := token.NewFileSet()
 	parsed := 0
-	deps := map[string][]string{} // package directory -> module packages its files import
+	deps := map[string][]string{}  // package directory -> module packages its files import
+	intervals := map[string]bool{} // the names every Begin call opens
+	var spans []*ast.BasicLit      // names spans are opened under by hand
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -108,8 +115,27 @@ func TestSourceContracts(t *testing.T) {
 				if sel.Sel.Name == "Rename" && !strings.HasPrefix(path, "internal/chaos/") {
 					report(n, "Rename outside internal/chaos; publish a file through chaos.WriteFileAtomic, which syncs it first")
 				}
+				if (sel.Sel.Name == "StartSpan" || sel.Sel.Name == "StartWorkerSpan") && len(n.Args) == 2 {
+					if lit, ok := n.Args[1].(*ast.BasicLit); ok {
+						spans = append(spans, lit)
+					}
+				}
 				kind, ok := obsNameMethods[sel.Sel.Name]
 				if !ok || len(n.Args) == 0 || strings.HasPrefix(path, "internal/obs/") {
+					return true
+				}
+				if kind == obsKindInterval {
+					name, ok := "", false
+					if lit, isLit := n.Args[len(n.Args)-1].(*ast.BasicLit); isLit {
+						name, ok = metricName(lit)
+					}
+					if !ok {
+						report(n, "Begin name is not a string literal; name the interval where it is opened so the interval list is complete")
+					} else if msg := checkMetricName(name, kind); msg != "" {
+						report(n, "interval name %q %s", name, msg)
+					} else {
+						intervals[name] = true
+					}
 					return true
 				}
 				if name, ok := metricName(n.Args[0]); !ok {
@@ -127,6 +153,17 @@ func TestSourceContracts(t *testing.T) {
 	}
 	if parsed < 100 {
 		t.Fatalf("parsed %d files; the walk did not reach the module", parsed)
+	}
+	names := make([]string, 0, len(intervals))
+	for name := range intervals {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	t.Logf("intervals (obs.Registry.Begin): %s", strings.Join(names, " "))
+	for _, lit := range spans {
+		if name, _ := strconv.Unquote(lit.Value); intervals[name] {
+			t.Errorf("%s: span %q opened by hand; it is an interval, which obs.Registry.Begin opens with its histogram", fset.Position(lit.Pos()), name)
+		}
 	}
 	for _, root := range []string{".", "cmd/fcma-run", "cmd/fcma-cluster", "cmd/fcma-serve", "cmd/fcma-gen"} {
 		if len(deps[root]) == 0 {
@@ -215,14 +252,14 @@ const (
 	obsKindCounter obsNameKind = iota
 	obsKindGauge
 	obsKindHistogram
-	obsKindStage
+	obsKindInterval
 )
 
 var obsNameMethods = map[string]obsNameKind{
 	"Counter":   obsKindCounter,
 	"Gauge":     obsKindGauge,
 	"Histogram": obsKindHistogram,
-	"Stage":     obsKindStage,
+	"Begin":     obsKindInterval,
 }
 
 // checkMetricName returns "" when name follows the conventions for its
@@ -233,7 +270,7 @@ func checkMetricName(name string, kind obsNameKind) string {
 	}
 	for i := 0; i < len(name); i++ {
 		c := name[i]
-		if c >= 'a' && c <= 'z' || c >= '0' && c <= '9' || c == '_' || (c == '/' && kind == obsKindStage) {
+		if c >= 'a' && c <= 'z' || c >= '0' && c <= '9' || c == '_' || (c == '/' && kind == obsKindInterval) {
 			continue
 		}
 		return "is not lowercase snake_case (allowed: [a-z0-9_])"
@@ -257,9 +294,9 @@ func checkMetricName(name string, kind obsNameKind) string {
 		if !strings.Contains(name, "_") {
 			return "lacks a subsystem prefix (want subsystem_name)"
 		}
-	case obsKindStage:
-		// Stage prepends stage_ and appends _seconds itself; any snake_case
-		// (or /-separated) stage name is fine.
+	case obsKindInterval:
+		// Begin names the histogram stage_<name>_seconds itself; any
+		// snake_case (or /-separated) interval name is fine.
 	}
 	return ""
 }

@@ -715,7 +715,7 @@ type WorkerOptions struct {
 	// first of several overlapping calls sharing it began; see
 	// obs.Registry.Session) ride in every report to the master; the
 	// worker's own task counters (worker_tasks_total,
-	// worker_task_failures_total, worker_task_seconds) record there too.
+	// worker_task_failures_total, stage_worker_task_seconds) record there too.
 	// Nil uses obs.Default(), which is right when the worker owns the
 	// process (cmd/fcma-cluster); give in-process workers distinct
 	// registries so their metrics stay apart (the master counts a registry
@@ -760,7 +760,6 @@ func RunWorkerCtx(ctx context.Context, tr mpi.Transport, proc TaskProcessor, opt
 	}
 	tasksTotal := reg.Counter("worker_tasks_total")
 	taskFails := reg.Counter("worker_task_failures_total")
-	taskSeconds := reg.Histogram("worker_task_seconds", obs.DefaultLatencyBuckets)
 	// Spans record under this rank's pid lane; the rank is only known from
 	// the transport (and changes across a TCP rejoin).
 	opts.Trace.SetPID(tr.Rank())
@@ -849,7 +848,6 @@ func RunWorkerCtx(ctx context.Context, tr mpi.Transport, proc TaskProcessor, opt
 			}
 			var scores []core.VoxelScore
 			tasksTotal.Inc()
-			tt := taskSeconds.Start()
 			// Parent this task's spans under the master's task span carried
 			// in the message. A master that does not trace sends none, and
 			// the task records no span.
@@ -857,19 +855,18 @@ func RunWorkerCtx(ctx context.Context, tr mpi.Transport, proc TaskProcessor, opt
 			if sc := tm.spanContext(); sc.Valid() {
 				tctx = trace.WithRemoteParent(ctx, opts.Trace, sc)
 			}
-			tctx, tspan := trace.StartSpan(tctx, "worker/task")
-			tspan.SetInt("v0", tm.V0)
-			tspan.SetInt("voxels", tm.V)
+			tctx, task := reg.Begin(tctx, "worker/task")
+			task.Span.SetInt("v0", tm.V0)
+			task.Span.SetInt("voxels", tm.V)
 			perr := safe.Do("cluster/worker", tm.V0, tm.V, func() error {
 				var err error
 				scores, err = proc.ProcessContext(tctx, core.Task{V0: tm.V0, V: tm.V})
 				return err
 			})
 			if perr != nil {
-				tspan.SetAttr("outcome", "error")
+				task.Span.SetAttr("outcome", "error")
 			}
-			tspan.End()
-			tt.Stop()
+			task.End()
 			if perr != nil && ctx.Err() != nil && errors.Is(perr, ctx.Err()) {
 				return ctx.Err() // cancelled mid-task: shut down, don't report
 			}

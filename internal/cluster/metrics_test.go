@@ -56,8 +56,8 @@ func TestClusterMetricsAggregation(t *testing.T) {
 	if tasksAcrossRanks != wantTasks {
 		t.Errorf("per-rank task sum = %d, want %d", tasksAcrossRanks, wantTasks)
 	}
-	if h, ok := merged.Hists["worker_task_seconds"]; !ok || h.Count != wantTasks {
-		t.Errorf("merged worker_task_seconds count = %+v, want %d observations", h, wantTasks)
+	if h, ok := merged.Hists["stage_worker_task_seconds"]; !ok || h.Count != wantTasks {
+		t.Errorf("merged stage_worker_task_seconds count = %+v, want %d observations", h, wantTasks)
 	}
 
 	// The master's own lifecycle counters in its private registry.
@@ -132,7 +132,7 @@ func TestRejoinReportsOnlyThisMastersWork(t *testing.T) {
 			if got := snap.Counters["core_voxels_scored_total"]; got != uint64(st.N) {
 				t.Errorf("master %d: rank %d reported %d voxels, want %d", i+1, rank, got, st.N)
 			}
-			if h := snap.Hists["worker_task_seconds"]; h.Count != wantTasks {
+			if h := snap.Hists["stage_worker_task_seconds"]; h.Count != wantTasks {
 				t.Errorf("master %d: rank %d reported %d task timings, want %d", i+1, rank, h.Count, wantTasks)
 			}
 		}

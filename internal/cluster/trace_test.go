@@ -10,6 +10,7 @@ import (
 
 	"fcma/internal/core"
 	"fcma/internal/mpi"
+	"fcma/internal/obs"
 	"fcma/internal/obs/trace"
 )
 
@@ -40,7 +41,9 @@ func (r *rendezvous) ProcessContext(ctx context.Context, t core.Task) ([]core.Vo
 // distributed timeline: a 2-worker in-process run with tracing on must
 // yield one merged span set where every worker task span carries the
 // master's trace id and parents under the master's matching cluster/task
-// span, with pipeline stage spans nested below.
+// span, with pipeline stage spans nested below. Each rank records to its
+// own registry, whose snapshots ride the same reports as its spans, and
+// every interval's span count equals its histogram's observation count.
 func TestClusterTraceMergesAcrossRanks(t *testing.T) {
 	st := testStack(t)
 	comm, err := mpi.NewLocalComm(3, 32)
@@ -48,10 +51,13 @@ func TestClusterTraceMergesAcrossRanks(t *testing.T) {
 		t.Fatal(err)
 	}
 	masterTr := trace.New(0)
+	cm := &ClusterMetrics{}
 	var wg, arrived sync.WaitGroup
 	arrived.Add(2)
 	for r := 1; r <= 2; r++ {
-		w, err := core.NewWorker(core.Optimized(), st, nil)
+		cfg := core.Optimized()
+		cfg.Obs = obs.NewRegistry()
+		w, err := core.NewWorker(cfg, st, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,14 +65,14 @@ func TestClusterTraceMergesAcrossRanks(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			err := RunWorkerCtx(context.Background(), comm.Rank(r), &rendezvous{inner: w, arrived: &arrived},
-				WorkerOptions{Trace: trace.New(r)})
+				WorkerOptions{Trace: trace.New(r), Obs: cfg.Obs})
 			if err != nil {
 				t.Error(err)
 			}
 		}(r)
 	}
 	scores, err := RunMasterCtx(context.Background(), comm.Rank(0), st.N, 8,
-		MasterOptions{Trace: masterTr})
+		MasterOptions{Trace: masterTr, Metrics: cm})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,6 +138,18 @@ func TestClusterTraceMergesAcrossRanks(t *testing.T) {
 		if !ok || parent.Name != "worker/task" {
 			t.Fatalf("core/task parents under %q (found=%v), want worker/task", parent.Name, ok)
 		}
+	}
+	// One clock per interval: the spans and the histograms the reports
+	// carried count the same intervals, and stage 3 has one per voxel.
+	hists := cm.Merged().Hists
+	for _, name := range []string{"worker/task", "core/task", "corr/fused", "core/svm", "svm/cv"} {
+		series := "stage_" + strings.ReplaceAll(name, "/", "_") + "_seconds"
+		if got := hists[series].Count; got != uint64(len(byName[name])) {
+			t.Errorf("%s: %d spans but %s counts %d", name, len(byName[name]), series, got)
+		}
+	}
+	if n := len(byName["svm/cv"]); n < st.N {
+		t.Errorf("%d svm/cv spans, want at least one per voxel (%d)", n, st.N)
 	}
 
 	// The merged set renders to Chrome JSON with one pid lane per rank.

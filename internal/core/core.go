@@ -17,7 +17,6 @@ import (
 	"fcma/internal/blas"
 	"fcma/internal/corr"
 	"fcma/internal/obs"
-	"fcma/internal/obs/trace"
 	"fcma/internal/safe"
 	"fcma/internal/svm"
 )
@@ -91,9 +90,7 @@ type Worker struct {
 	cfg   Config
 	stack *corr.EpochStack
 	folds []svm.Fold
-	// pipe runs the fused stage; one per worker so its instrument cache is
-	// warm after the first task.
-	pipe *corr.Pipeline
+	pipe  *corr.Pipeline // runs the fused stage
 }
 
 // NewWorker prepares a worker over a prebuilt epoch stack. folds defines
@@ -140,12 +137,10 @@ func (w *Worker) ProcessContext(ctx context.Context, t Task) ([]VoxelScore, erro
 	}
 	reg := w.cfg.obsReg()
 	reg.Counter("core_tasks_total").Inc()
-	taskTimer := reg.Stage("core/task").Start()
-	defer taskTimer.Stop()
-	ctx, taskSpan := trace.StartSpan(ctx, "core/task")
-	taskSpan.SetInt("v0", t.V0)
-	taskSpan.SetInt("voxels", t.V)
-	defer taskSpan.End()
+	ctx, task := reg.Begin(ctx, "core/task")
+	task.Span.SetInt("v0", t.V0)
+	task.Span.SetInt("voxels", t.V)
+	defer task.End()
 	// Stages 1+2 and every voxel's kernel matrix, before any
 	// cross-validation starts (§4.4's redesign keeps every thread busy
 	// during the solver stage; fused, the correlation data the paper frees
@@ -164,14 +159,9 @@ func (w *Worker) ProcessContext(ctx context.Context, t Task) ([]VoxelScore, erro
 	}
 	scores := make([]VoxelScore, t.V)
 	voxelsScored := reg.Counter("core_voxels_scored_total")
-	cvSeconds := reg.Histogram("svm_cv_seconds", obs.DefaultLatencyBuckets)
-	svmTimer := reg.Stage("core/svm").Start()
-	svmCtx, svmSpan := trace.StartSpan(ctx, "core/svm")
-	defer svmSpan.End()
+	svmCtx, stage3 := reg.Begin(ctx, "core/svm")
 	err = safe.ParallelDynamic(svmCtx, safe.Span{Stage: "svm/cv", Base: t.V0}, t.V, w.cfg.Workers, func(ictx context.Context, v int) error {
-		vt := cvSeconds.Start()
-		acc, err := svm.CrossValidateContext(ictx, w.cfg.Trainer, &kernels[v], labels, w.folds)
-		vt.Stop()
+		acc, err := svm.CrossValidateObserved(ictx, reg, w.cfg.Trainer, &kernels[v], labels, w.folds)
 		if err != nil {
 			return fmt.Errorf("core: voxel %d: %w", t.V0+v, err)
 		}
@@ -179,7 +169,7 @@ func (w *Worker) ProcessContext(ctx context.Context, t Task) ([]VoxelScore, erro
 		voxelsScored.Inc()
 		return nil
 	})
-	svmTimer.Stop()
+	stage3.End()
 	if err != nil {
 		return nil, err
 	}

@@ -280,7 +280,7 @@ func TestTaskAllocsIndependentOfBrainAndTaskSize(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		run() // warm the pools and the instrument caches
+		run() // warm the pools and the stage histograms
 		objects = testing.AllocsPerRun(10, run)
 		// Bytes are the least of several runs: a collection, or the
 		// goroutine moving to another P, costs one run a sync.Pool refill,

@@ -8,9 +8,10 @@ import (
 )
 
 // The allocation contract is per work item: none allocates. Every scratch
-// block is pooled and the instruments are cached, so a warm RunInto costs
-// one heap object per stage pass — the item closure handed to the driver —
-// and costs the same at 4× the items. Any new per-item allocation makes
+// block is pooled, the counters are label-free lookups and a stage's
+// histogram is resolved once per registry (obs.Registry.Begin), so a warm
+// RunInto costs one heap object per stage pass — the item closure handed
+// to the driver — and costs the same at 4× the items. Any new per-item allocation makes
 // the V = 32 count exceed the V = 8 count and fails this.
 func TestRunIntoAllocsPerStagePass(t *testing.T) {
 	if raceEnabled {
@@ -34,7 +35,7 @@ func TestRunIntoAllocsPerStagePass(t *testing.T) {
 			eachKernelPath(t, func(t *testing.T) {
 				allocs := func(V int) float64 {
 					buf := tensor.NewMatrix(V*st.M(), st.N)
-					if err := tc.p.RunInto(ctx, st, 0, V, buf); err != nil { // warm pools + instruments
+					if err := tc.p.RunInto(ctx, st, 0, V, buf); err != nil { // warm the pools and the stage histograms
 						t.Fatal(err)
 					}
 					return testing.AllocsPerRun(10, func() {

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"fcma/internal/blas"
+	"fcma/internal/obs"
 	"fcma/internal/obs/trace"
 	"fcma/internal/safe"
 	"fcma/internal/tensor"
@@ -16,8 +17,9 @@ import (
 // epochs × column block), which must stay cache resident between the gemm
 // that fills it and the syrk that consumes it. It binds only at large M: at
 // the paper's 216 face-scene epochs it gives 384 columns (2.6 MB), the
-// fastest of 96…4032 on a 4 MiB L2; the repo benchmark's shapes fit a whole
-// brain row (re-measure: `go test -run '^$' -bench FusedBlockSizes .`).
+// fastest of 96…4032 on a 2 MiB-per-core L2 (past it: the block lives in
+// L3); the repo benchmark's shapes fit a whole brain row (re-measure:
+// `go test -run '^$' -bench FusedBlockSizes .`).
 const fusedLocalBytes = 3 << 20
 
 // fusedBlocks derives the row walk's item shape from the task's. The
@@ -88,13 +90,11 @@ func (p *Pipeline) runKernels(ctx context.Context, st *EpochStack, v0, V, k int)
 		vb, items, t = b, S*chunks, &turns{next: make([]atomic.Int32, V)}
 	}
 	g := p.gemm()
-	inst := p.instruments(true)
-	timer := inst.fused.Start()
-	defer timer.Stop()
-	sctx, span := trace.StartSpan(ctx, "corr/fused")
-	span.SetInt("v0", v0)
-	span.SetInt("voxels", V)
-	defer span.End()
+	gemms, norms := p.counters()
+	sctx, iv := p.obsReg().Begin(ctx, "corr/fused")
+	iv.Span.SetInt("v0", v0)
+	iv.Span.SetInt("voxels", V)
+	defer iv.End()
 	if t != nil {
 		defer context.AfterFunc(sctx, t.stop)()
 	}
@@ -117,9 +117,9 @@ func (p *Pipeline) runKernels(ctx context.Context, st *EpochStack, v0, V, k int)
 			bsp.End()
 		}()
 		if t == nil {
-			p.fusedItem(st, kernels[vs:vs+vh], g, inst, v0+vs, cb)
+			p.fusedItem(st, kernels[vs:vs+vh], g, gemms, norms, v0+vs, cb)
 		} else {
-			p.mirroredItem(st, kernels, g, inst, t, vs/b, J0, min(J0+k, S))
+			p.mirroredItem(st, kernels, g, gemms, norms, t, vs/b, J0, min(J0+k, S))
 		}
 		return nil
 	})
@@ -140,7 +140,7 @@ func (p *Pipeline) workers() int {
 // fusedItem computes the kernel matrices (zeroed on entry) of the voxel
 // block [v0, v0+len(kernels)), one cb-wide column block at a time in
 // ascending order.
-func (p *Pipeline) fusedItem(st *EpochStack, kernels []tensor.Matrix, g blas.Sgemm, inst *pipelineInst, v0, cb int) {
+func (p *Pipeline) fusedItem(st *EpochStack, kernels []tensor.Matrix, g blas.Sgemm, gemms, norms *obs.Counter, v0, cb int) {
 	M, N, E, T := st.M(), st.N, st.E, st.T
 	vh := len(kernels)
 	sc := corrPool.Get().(*corrScratch)
@@ -156,14 +156,14 @@ func (p *Pipeline) fusedItem(st *EpochStack, kernels []tensor.Matrix, g blas.Sge
 			// Interleave this epoch's vh×w product into every M-th row.
 			sc.cview = tensor.Matrix{Rows: vh, Cols: w, Stride: M * w, Data: sc.local.Data[e*w:]}
 			g.Gemm(&sc.cview, &sc.A, &sc.bview)
-			inst.gemmCalls.Inc()
+			gemms.Inc()
 		}
 		for v := range kernels {
 			rows := sc.local.Data[v*M*w : (v+1)*M*w]
 			// One normalization population is one subject's E epochs.
 			for s := 0; s < st.Subjects; s++ {
 				sc.norm.FisherThenZScoreStrided(rows[s*E*w:], E, w, w)
-				inst.normBlocks.Inc()
+				norms.Inc()
 			}
 			sc.cview = tensor.Matrix{Rows: M, Cols: w, Stride: w, Data: rows}
 			sc.syrk.Add(&kernels[v], &sc.cview, 0, w, blas.DefaultSyrkBlock)
@@ -203,7 +203,7 @@ func tileSlices(M int) int {
 // on an item listed earlier, and safe.ParallelDynamic claims items in index
 // order, so the earliest unfinished item never waits. Once the turns stop,
 // the item returns with its terms unfinished.
-func (p *Pipeline) mirroredItem(st *EpochStack, kernels []tensor.Matrix, g blas.Sgemm, inst *pipelineInst, t *turns, I, J0, J1 int) {
+func (p *Pipeline) mirroredItem(st *EpochStack, kernels []tensor.Matrix, g blas.Sgemm, gemms, norms *obs.Counter, t *turns, I, J0, J1 int) {
 	const b = blas.DefaultSyrkBlock
 	M, N, E, T := st.M(), st.N, st.E, st.T
 	vs, vh := I*b, min(b, N-I*b)
@@ -219,14 +219,14 @@ func (p *Pipeline) mirroredItem(st *EpochStack, kernels []tensor.Matrix, g blas.
 		sc.bview = tensor.Matrix{Rows: T, Cols: w, Stride: st.Norm[e].Stride, Data: st.Norm[e].Data[c0:]}
 		sc.cview = tensor.Matrix{Rows: vh, Cols: w, Stride: mp * w, Data: tile[e*w:]}
 		g.Gemm(&sc.cview, &sc.A, &sc.bview)
-		inst.gemmCalls.Inc()
+		gemms.Inc()
 	}
 	for v := 0; v < vh; v++ {
 		rows := tile[v*mp*w : (v+1)*mp*w]
 		clear(rows[M*w:])
 		for s := 0; s < st.Subjects; s++ {
 			sc.norm.FisherThenZScoreStrided(rows[s*E*w:], E, w, w)
-			inst.normBlocks.Inc()
+			norms.Inc()
 		}
 	}
 	for x := vs; x < vs+vh; x++ {

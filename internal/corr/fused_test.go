@@ -396,7 +396,7 @@ func TestFusedAllocsIndependentOfTaskAndBrain(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			run() // warm pools + instruments
+			run() // warm the pools and the stage histogram
 			return testing.AllocsPerRun(10, run)
 		}
 		base := allocs(100, 8)

@@ -7,7 +7,6 @@ import (
 	"fcma/internal/blas"
 	"fcma/internal/norm"
 	"fcma/internal/obs"
-	"fcma/internal/obs/trace"
 	"fcma/internal/safe"
 	"fcma/internal/tensor"
 )
@@ -21,9 +20,6 @@ import (
 // vectors are rows [v·M, (v+1)·M) of the output), merged or separated —
 // the paper's Table 7 pair, and what the repo benchmark's mirror task and
 // internal/baseline call.
-//
-// Pipelines are used by pointer and must not be copied after first use
-// (they cache their observability instruments behind a sync.Once).
 type Pipeline struct {
 	// Gemm is the matrix kernel for the correlation products; nil selects
 	// the paper's tall-skinny kernel.
@@ -48,34 +44,13 @@ type Pipeline struct {
 	// the wide operand; smaller blocks keep the working set cache resident.
 	VoxBlock int
 	// Obs receives stage timings and block counters (see DESIGN.md §10):
-	// stage_corr/*_seconds histograms plus corr_gemm_calls_total and
+	// stage_corr_*_seconds histograms plus corr_gemm_calls_total and
 	// corr_norm_blocks_total. Nil records to obs.Default().
 	Obs *obs.Registry
-
-	// inst caches the resolved instruments of RunInto ([0]) and of
-	// RunKernels ([1]): registry lookups build "stage_<name>_seconds"
-	// strings, which would otherwise put an allocation in every run.
-	inst [2]struct {
-		once sync.Once
-		pipelineInst
-	}
 }
 
 // DefaultVoxBlock is the default voxel-block height.
 const DefaultVoxBlock = 8
-
-// pipelineInst is one entry point's resolved instrument set. Only the
-// stage timers that entry observes are resolved (fused for RunKernels;
-// for RunInto correlate and normalize when separated, merged when
-// merged), so a run exports no series it never observes.
-type pipelineInst struct {
-	gemmCalls  *obs.Counter
-	normBlocks *obs.Counter
-	correlate  *obs.Histogram
-	normalize  *obs.Histogram
-	merged     *obs.Histogram
-	fused      *obs.Histogram
-}
 
 // obsReg resolves the metrics registry (nil field → process default).
 func (p *Pipeline) obsReg() *obs.Registry {
@@ -85,30 +60,11 @@ func (p *Pipeline) obsReg() *obs.Registry {
 	return p.Obs
 }
 
-// instruments resolves and caches the instruments of RunKernels (fused)
-// or of RunInto.
-func (p *Pipeline) instruments(fused bool) *pipelineInst {
-	c := &p.inst[0]
-	if fused {
-		c = &p.inst[1]
-	}
-	c.once.Do(func() {
-		reg := p.obsReg()
-		c.pipelineInst = pipelineInst{
-			gemmCalls:  reg.Counter("corr_gemm_calls_total"),
-			normBlocks: reg.Counter("corr_norm_blocks_total"),
-		}
-		switch {
-		case fused:
-			c.fused = reg.Stage("corr/fused")
-		case p.Merged:
-			c.merged = reg.Stage("corr/merged")
-		default:
-			c.correlate = reg.Stage("corr/correlate")
-			c.normalize = reg.Stage("corr/normalize")
-		}
-	})
-	return &c.pipelineInst
+// counters resolves the block counters: gemm calls and normalization
+// blocks.
+func (p *Pipeline) counters() (gemms, norms *obs.Counter) {
+	reg := p.obsReg()
+	return reg.Counter("corr_gemm_calls_total"), reg.Counter("corr_norm_blocks_total")
 }
 
 // defaultGemm is the boxed default kernel, built once so resolving it per
@@ -178,22 +134,20 @@ func (p *Pipeline) RunInto(ctx context.Context, st *EpochStack, v0, V int, buf *
 // interleaved layout, one work item per epoch.
 func (p *Pipeline) computeCorrelations(ctx context.Context, st *EpochStack, v0, V int, buf *tensor.Matrix) error {
 	g := p.gemm()
-	inst := p.instruments(false)
-	timer := inst.correlate.Start()
-	defer timer.Stop()
-	sctx, span := trace.StartSpan(ctx, "corr/correlate")
-	span.SetInt("v0", v0)
-	span.SetInt("voxels", V)
-	span.SetInt("epochs", st.M())
-	defer span.End()
+	gemms, _ := p.counters()
+	sctx, iv := p.obsReg().Begin(ctx, "corr/correlate")
+	iv.Span.SetInt("v0", v0)
+	iv.Span.SetInt("voxels", V)
+	iv.Span.SetInt("epochs", st.M())
+	defer iv.End()
 	return safe.ParallelDynamic(sctx, safe.Span{Stage: "corr/correlate"}, st.M(), p.Workers, func(_ context.Context, e int) error {
-		p.correlateEpoch(st, buf, g, inst, v0, V, e)
+		p.correlateEpoch(st, buf, g, gemms, v0, V, e)
 		return nil
 	})
 }
 
 // correlateEpoch computes epoch e's V×N correlation strip into buf.
-func (p *Pipeline) correlateEpoch(st *EpochStack, buf *tensor.Matrix, g blas.Sgemm, inst *pipelineInst, v0, V, e int) {
+func (p *Pipeline) correlateEpoch(st *EpochStack, buf *tensor.Matrix, g blas.Sgemm, gemms *obs.Counter, v0, V, e int) {
 	sc := corrPool.Get().(*corrScratch)
 	sc.A.Reuse(V, st.T)
 	st.GatherAssigned(e, v0, V, &sc.A)
@@ -201,34 +155,32 @@ func (p *Pipeline) correlateEpoch(st *EpochStack, buf *tensor.Matrix, g blas.Sge
 	// row e — the cblas ldc trick from §3.2.
 	sc.cview = tensor.Matrix{Rows: V, Cols: st.N, Stride: st.M() * buf.Stride, Data: buf.Data[e*buf.Stride:]}
 	g.Gemm(&sc.cview, &sc.A, st.Norm[e])
-	inst.gemmCalls.Inc()
+	gemms.Inc()
 	corrPool.Put(sc)
 }
 
 // normalizeSeparated is the unfused stage 2: a second full pass over the
 // correlation buffer applying Fisher + within-subject z-scoring.
 func (p *Pipeline) normalizeSeparated(ctx context.Context, st *EpochStack, buf *tensor.Matrix, V int) error {
-	inst := p.instruments(false)
-	timer := inst.normalize.Start()
-	defer timer.Stop()
-	sctx, span := trace.StartSpan(ctx, "corr/normalize")
-	span.SetInt("voxels", V)
-	defer span.End()
+	_, norms := p.counters()
+	sctx, iv := p.obsReg().Begin(ctx, "corr/normalize")
+	iv.Span.SetInt("voxels", V)
+	defer iv.End()
 	return safe.ParallelDynamic(sctx, safe.Span{Stage: "corr/normalize"}, V, p.Workers, func(_ context.Context, v int) error {
-		p.normalizeVoxel(st, buf, inst, v)
+		p.normalizeVoxel(st, buf, norms, v)
 		return nil
 	})
 }
 
 // normalizeVoxel applies Fisher + within-subject z-scoring to voxel v's
 // M rows of the separated buffer.
-func (p *Pipeline) normalizeVoxel(st *EpochStack, buf *tensor.Matrix, inst *pipelineInst, v int) {
+func (p *Pipeline) normalizeVoxel(st *EpochStack, buf *tensor.Matrix, norms *obs.Counter, v int) {
 	M, N, E := st.M(), st.N, st.E
 	sc := corrPool.Get().(*corrScratch)
 	for s := 0; s < st.Subjects; s++ {
 		block := buf.Data[(v*M+s*E)*buf.Stride : (v*M+s*E+E-1)*buf.Stride+N]
 		sc.norm.FisherThenZScoreStrided(block, E, N, buf.Stride)
-		inst.normBlocks.Inc()
+		norms.Inc()
 	}
 	corrPool.Put(sc)
 }
@@ -253,27 +205,25 @@ func (p *Pipeline) runMerged(ctx context.Context, st *EpochStack, v0, V int, buf
 		vb = V
 	}
 	g := p.gemm()
-	inst := p.instruments(false)
-	timer := inst.merged.Start()
-	defer timer.Stop()
-	sctx, span := trace.StartSpan(ctx, "corr/merged")
-	span.SetInt("v0", v0)
-	span.SetInt("voxels", V)
-	defer span.End()
+	gemms, norms := p.counters()
+	sctx, iv := p.obsReg().Begin(ctx, "corr/merged")
+	iv.Span.SetInt("v0", v0)
+	iv.Span.SetInt("voxels", V)
+	defer iv.End()
 	nBlocks := (N + cb - 1) / cb
 	vBlocks := (V + vb - 1) / vb
 	// Work items are (voxel block, column block) pairs; each normalization
 	// population (one subject's E epochs of one voxel) lives entirely
 	// inside one item, so items are independent.
 	return safe.ParallelDynamic(sctx, safe.Span{Stage: "corr/merged"}, vBlocks*nBlocks, p.Workers, func(_ context.Context, item int) error {
-		p.mergedItem(st, buf, g, inst, v0, V, vb, cb, nBlocks, item)
+		p.mergedItem(st, buf, g, gemms, norms, v0, V, vb, cb, nBlocks, item)
 		return nil
 	})
 }
 
 // mergedItem computes one (voxel block × column block) unit of the merged
 // pipeline into buf.
-func (p *Pipeline) mergedItem(st *EpochStack, buf *tensor.Matrix, g blas.Sgemm, inst *pipelineInst, v0, V, vb, cb, nBlocks, item int) {
+func (p *Pipeline) mergedItem(st *EpochStack, buf *tensor.Matrix, g blas.Sgemm, gemms, norms *obs.Counter, v0, V, vb, cb, nBlocks, item int) {
 	M, N, E, T := st.M(), st.N, st.E, st.T
 	sc := corrPool.Get().(*corrScratch)
 	vblk := item / nBlocks
@@ -295,14 +245,14 @@ func (p *Pipeline) mergedItem(st *EpochStack, buf *tensor.Matrix, g blas.Sgemm, 
 			// of the scratch block.
 			sc.cview = tensor.Matrix{Rows: vh, Cols: w, Stride: E * sc.local.Stride, Data: sc.local.Data[ei*sc.local.Stride:]}
 			g.Gemm(&sc.cview, &sc.A, &sc.bview)
-			inst.gemmCalls.Inc()
+			gemms.Inc()
 		}
 		// Normalize each voxel's E×w sub-block in cache, straight into
 		// its E rows of the output.
 		for v := 0; v < vh; v++ {
 			dst := buf.Data[((vs+v)*M+s*E)*buf.Stride+j0:]
 			sc.norm.FisherThenZScoreInto(dst, buf.Stride, sc.local.Data[v*E*sc.local.Stride:], E, w, sc.local.Stride)
-			inst.normBlocks.Inc()
+			norms.Inc()
 		}
 	}
 	corrPool.Put(sc)

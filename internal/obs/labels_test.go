@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -118,11 +119,12 @@ func TestSnapshotMergeLabeledSeries(t *testing.T) {
 	}
 }
 
-// Stage names with "/" hierarchy separators must surface as legal
+// Interval names with "/" hierarchy separators must surface as legal
 // Prometheus metric names.
 func TestStageNameSanitized(t *testing.T) {
 	r := NewRegistry()
-	r.Stage("corr/merged").Observe(0.1)
+	_, iv := r.Begin(context.Background(), "corr/merged")
+	iv.End()
 	snap := r.Snapshot()
 	if _, ok := snap.Hists["stage_corr_merged_seconds"]; !ok {
 		t.Fatalf("stage name not sanitized: %v", snap.Hists)

@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// callAllOnNil calls every exported method of the pointer type of ptr (a
-// typed nil) with zero-value arguments — io.Discard where a writer is
+// callAllOnNil calls every exported method of ptr (a typed nil, or a zero
+// value) with zero-value arguments — io.Discard where a writer is
 // wanted — and reports the methods that panic.
 func callAllOnNil(t *testing.T, ptr any) {
 	t.Helper()
@@ -38,12 +38,12 @@ func callAllOnNil(t *testing.T, ptr any) {
 	}
 }
 
-// A nil instrument, registry or readiness flag is "off": every exported
-// method is a no-op on it, so an uninstrumented run never panics. The
-// method sets are walked, so a method added later is covered; a new
-// nil-is-off type needs a row here.
+// A nil instrument, registry or readiness flag, and the zero Interval, is
+// "off": every exported method is a no-op on it, so an uninstrumented run
+// never panics. The method sets are walked, so a method added later is
+// covered; a new nil-is-off type needs a row here.
 func TestNilReceiversAreNoOps(t *testing.T) {
-	for _, ptr := range []any{(*Counter)(nil), (*Gauge)(nil), (*Histogram)(nil), (*Registry)(nil), (*Readiness)(nil)} {
+	for _, ptr := range []any{(*Counter)(nil), (*Gauge)(nil), (*Histogram)(nil), (*Registry)(nil), (*Readiness)(nil), Interval{}} {
 		callAllOnNil(t, ptr)
 	}
 }

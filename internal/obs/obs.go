@@ -16,6 +16,7 @@
 package obs
 
 import (
+	"context"
 	"math"
 	"math/rand/v2"
 	"sort"
@@ -23,6 +24,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"fcma/internal/obs/trace"
 )
 
 // Counter is a monotonically increasing uint64, safe for concurrent use.
@@ -94,9 +97,9 @@ type Histogram struct {
 	sumBits atomic.Uint64 // float64 bits of the running sum
 }
 
-// DefaultLatencyBuckets spans 100µs to ~100s exponentially, wide enough
+// defaultLatencyBuckets spans 100µs to ~100s exponentially, wide enough
 // for both a per-epoch kernel block and a full cluster task.
-var DefaultLatencyBuckets = []float64{
+var defaultLatencyBuckets = []float64{
 	1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2,
 	0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100,
 }
@@ -139,30 +142,6 @@ func (h *Histogram) Sum() float64 {
 	return math.Float64frombits(h.sumBits.Load())
 }
 
-// StageTimer measures one timed section against a latency histogram —
-// the per-stage breakdown the paper reads off vTune. Use:
-//
-//	t := reg.Stage("corr").Start()
-//	... stage work ...
-//	t.Stop()
-type StageTimer struct {
-	h     *Histogram
-	start time.Time
-}
-
-// Start begins timing against h. Safe on a nil receiver (the returned
-// timer's Stop is then a no-op that still reports the elapsed time).
-func (h *Histogram) Start() StageTimer {
-	return StageTimer{h: h, start: time.Now()}
-}
-
-// Stop records the elapsed seconds and returns the duration.
-func (t StageTimer) Stop() time.Duration {
-	d := time.Since(t.start)
-	t.h.Observe(d.Seconds())
-	return d
-}
-
 // Registry is a named collection of instruments. The zero value is not
 // usable; call NewRegistry. A nil *Registry is a valid "off switch": it
 // hands out nil instruments whose methods are no-ops.
@@ -172,6 +151,7 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
+	stages   map[string]*Histogram // Begin's histograms, by interval name
 
 	// Reporting sessions (Session): how many are open, and the snapshot
 	// the open ones count from.
@@ -187,6 +167,7 @@ func NewRegistry() *Registry {
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
+		stages:   make(map[string]*Histogram),
 	}
 }
 
@@ -220,7 +201,7 @@ func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 
 // Histogram returns the histogram series of the named family with the
 // given labels, creating it with the given bucket upper bounds on first
-// use (nil bounds select DefaultLatencyBuckets). Later calls ignore
+// use (nil bounds select defaultLatencyBuckets). Later calls ignore
 // bounds; all series of one family should share them so a merged family
 // stays coherent. A nil registry returns a nil (no-op) histogram.
 func (r *Registry) Histogram(name string, bounds []float64, labels ...Label) *Histogram {
@@ -228,7 +209,7 @@ func (r *Registry) Histogram(name string, bounds []float64, labels ...Label) *Hi
 		return nil
 	}
 	if bounds == nil {
-		bounds = DefaultLatencyBuckets
+		bounds = defaultLatencyBuckets
 	}
 	return getOrCreate(r, r.hists, SeriesName(name, labels...), func() *Histogram { return newHistogram(bounds) })
 }
@@ -251,10 +232,56 @@ func getOrCreate[T any](r *Registry, m map[string]*T, key string, create func() 
 	return v
 }
 
-// Stage returns the latency histogram "stage_<name>_seconds", the
-// conventional home of a pipeline stage's timing breakdown. Stage names
-// may use "/" as a hierarchy separator ("corr/merged"); it is rewritten
-// to "_" so the metric name stays legal Prometheus.
-func (r *Registry) Stage(name string) *Histogram {
-	return r.Histogram("stage_"+strings.ReplaceAll(name, "/", "_")+"_seconds", nil)
+// Interval is one timed section opened by Registry.Begin: the per-stage
+// breakdown the paper reads off vTune, as one span and one histogram
+// observation of the same two clock readings. The zero Interval is off.
+type Interval struct {
+	// Span is the interval's span, for attributes; nil when the context
+	// carries no tracer.
+	Span  *trace.Active
+	h     *Histogram
+	start time.Time
+}
+
+// Begin opens the interval name ("core/task"; "/" separates the layers):
+// a span under ctx's when ctx carries a tracer, returned in the derived
+// context, and an observation of the latency histogram
+// "stage_<name>_seconds", "/" written "_", when r is non-nil. Use:
+//
+//	ctx, iv := reg.Begin(ctx, "corr/fused")
+//	defer iv.End()
+//
+// The clock is read once at each end and the histogram is resolved once
+// per registry and name, so a warm call allocates nothing without a tracer.
+// Safe on a nil registry (the span alone).
+func (r *Registry) Begin(ctx context.Context, name string) (context.Context, Interval) {
+	ctx, sp := trace.StartSpan(ctx, name)
+	iv := Interval{Span: sp, h: r.stage(name)}
+	if sp == nil && iv.h != nil {
+		iv.start = time.Now()
+	}
+	return ctx, iv
+}
+
+// End closes the interval: it ends the span and observes the histogram.
+func (iv Interval) End() {
+	if iv.Span != nil {
+		iv.h.Observe(iv.Span.End().Seconds())
+	} else if iv.h != nil {
+		iv.h.Observe(time.Since(iv.start).Seconds())
+	}
+}
+
+// stage returns the histogram of interval name; nil on a nil registry.
+func (r *Registry) stage(name string) *Histogram {
+	if r == nil {
+		return nil
+	}
+	return getOrCreate(r, r.stages, name, func() *Histogram {
+		key := "stage_" + strings.ReplaceAll(name, "/", "_") + "_seconds"
+		if r.hists[key] == nil {
+			r.hists[key] = newHistogram(defaultLatencyBuckets)
+		}
+		return r.hists[key]
+	})
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"fmt"
 	"io"
@@ -10,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"fcma/internal/obs/trace"
 )
 
 func TestCounterConcurrent(t *testing.T) {
@@ -50,8 +53,6 @@ func TestNilSafety(t *testing.T) {
 	}
 	h := r.Histogram("z", nil)
 	h.Observe(1)
-	timer := h.Start()
-	timer.Stop()
 	if h.Count() != 0 || h.Sum() != 0 {
 		t.Fatal("nil histogram should stay empty")
 	}
@@ -89,17 +90,46 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
-func TestStageTimer(t *testing.T) {
-	r := NewRegistry()
-	before := time.Now()
-	timer := r.Stage("corr").Start()
-	d := timer.Stop()
-	if elapsed := time.Since(before); d < 0 || d > elapsed {
-		t.Fatalf("stop returned %v, want within the %v measured around it", d, elapsed)
+// Begin's span and histogram time one interval: the histogram observes
+// the span's own duration, with a tracer or without one.
+func TestBegin(t *testing.T) {
+	for _, traced := range []bool{false, true} {
+		r, tr := NewRegistry(), trace.New(0)
+		ctx := context.Background()
+		if traced {
+			ctx = trace.NewContext(ctx, tr)
+		}
+		before := time.Now()
+		ictx, iv := r.Begin(ctx, "corr/fused")
+		if (iv.Span != nil) != traced || (ictx != ctx) != traced {
+			t.Fatalf("traced=%v: Begin returned span %v", traced, iv.Span)
+		}
+		iv.End()
+		elapsed := time.Since(before)
+		h := r.Histogram("stage_corr_fused_seconds", nil)
+		if h.Count() != 1 || h.Sum() < 0 || h.Sum() > elapsed.Seconds() {
+			t.Fatalf("traced=%v: histogram count=%d sum=%g, want 1 observation within %v", traced, h.Count(), h.Sum(), elapsed)
+		}
+		if spans := tr.Drain(); traced && (len(spans) != 1 || spans[0].Name != "corr/fused" || time.Duration(spans[0].DurNS).Seconds() != h.Sum()) {
+			t.Fatalf("spans %+v, want one corr/fused span of the observed %gs", spans, h.Sum())
+		}
 	}
-	h := r.Stage("corr")
-	if h.Count() != 1 || h.Sum() != d.Seconds() {
-		t.Fatalf("stage histogram count=%d sum=%g, want 1 and %g", h.Count(), h.Sum(), d.Seconds())
+}
+
+// Begin allocates nothing when ctx carries no tracer, whether the registry
+// is nil or warm: every stage and voxel of an untraced run calls it.
+func TestBeginZeroAllocsUntraced(t *testing.T) {
+	ctx := context.Background()
+	warm := NewRegistry()
+	warm.Begin(ctx, "svm/cv")
+	for _, r := range []*Registry{nil, warm} {
+		if n := testing.AllocsPerRun(100, func() {
+			_, iv := r.Begin(ctx, "svm/cv")
+			iv.Span.SetInt("folds", 6)
+			iv.End()
+		}); n != 0 {
+			t.Fatalf("Begin on registry %p allocates %v per interval", r, n)
+		}
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // counters are, and sampling on demand means idle processes pay nothing.
 
 // gcPauseBuckets spans 10µs to ~1s — GC pauses live well below the
-// DefaultLatencyBuckets floor.
+// defaultLatencyBuckets floor.
 var gcPauseBuckets = []float64{
 	1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3,
 	1e-2, 2.5e-2, 5e-2, 0.1, 0.25, 0.5, 1,

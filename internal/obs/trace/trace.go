@@ -170,6 +170,7 @@ func (t *Tracer) nextTID() int {
 // context.
 type Active struct {
 	t    *Tracer
+	t0   time.Time // the start, with its monotonic reading
 	span Span
 }
 
@@ -183,14 +184,15 @@ func (t *Tracer) start(name string, parent SpanContext, tid int) *Active {
 	if tr == 0 {
 		tr = t.trace
 	}
-	return &Active{t: t, span: Span{
+	t0 := time.Now()
+	return &Active{t: t, t0: t0, span: Span{
 		Name:    name,
 		Trace:   tr,
 		ID:      SpanID(nonzero64()),
 		Parent:  parent.Span,
 		PID:     int(t.pid.Load()),
 		TID:     tid,
-		StartNS: time.Now().UnixNano(),
+		StartNS: t0.UnixNano(),
 	}}
 }
 
@@ -239,19 +241,21 @@ func (a *Active) SetInt(key string, v int) {
 }
 
 // End completes the span, appending it to the tracer's buffer and noting
-// it in the process flight recorder. Safe on a nil span; ending twice
-// records twice (don't).
-func (a *Active) End() {
+// it in the process flight recorder, and returns its duration. Safe on a
+// nil span (returns 0); ending twice records twice (don't).
+func (a *Active) End() time.Duration {
 	if a == nil {
-		return
+		return 0
 	}
-	a.span.DurNS = time.Now().UnixNano() - a.span.StartNS
+	d := time.Since(a.t0)
+	a.span.DurNS = int64(d)
 	sh := &a.t.shards[uint64(a.span.ID)%nShards]
 	sh.mu.Lock()
 	sh.spans = append(sh.spans, a.span)
 	sh.mu.Unlock()
 	DefaultFlight().Note("span", fmt.Sprintf("%s pid=%d tid=%d dur=%s",
-		a.span.Name, a.span.PID, a.span.TID, time.Duration(a.span.DurNS)))
+		a.span.Name, a.span.PID, a.span.TID, d))
+	return d
 }
 
 // Drain removes and returns every completed span buffered so far. The

@@ -29,7 +29,7 @@ var (
 	obsFrames      = obs.Default().Counter("rt_frames_total")
 	obsWindows     = obs.Default().Counter("rt_windows_total")
 	obsPredictions = obs.Default().Counter("rt_predictions_total")
-	obsEpochLat    = obs.Default().Histogram("rt_epoch_latency_seconds", obs.DefaultLatencyBuckets)
+	obsEpochLat    = obs.Default().Histogram("rt_epoch_latency_seconds", nil)
 	obsPending     = obs.Default().Gauge("rt_pending_windows")
 )
 

@@ -84,7 +84,7 @@ func openJournal(fsys chaos.FS, path string, reg *obs.Registry, store *datasetSt
 	j.log = log
 	if prior {
 		j.maxSeq++
-		if _, err := log.Append(binary.LittleEndian.AppendUint64([]byte{srFloor}, uint64(j.maxSeq)), true); err != nil {
+		if _, err := log.Append(floorRecord(j.maxSeq), true); err != nil {
 			log.Close()
 			return nil, fmt.Errorf("serve: journaling the id floor: %w", err)
 		}
@@ -235,9 +235,16 @@ func (j *journal) close() error {
 	return j.log.Close()
 }
 
-// remove deletes the journal file (only safe once every job is terminal).
-func (j *journal) remove() error {
+// floorRecord is an srFloor payload: id numbers up to seq are taken.
+func floorRecord(seq int) []byte {
+	return binary.LittleEndian.AppendUint64([]byte{srFloor}, uint64(seq))
+}
+
+// reduce replaces the closed journal by its id floor alone, seq (only safe
+// once every job is terminal): the next service in the directory lists no
+// job and hands out no id up to seq again.
+func (j *journal) reduce(seq int) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.log.Remove()
+	return j.log.Rewrite(floorRecord(seq))
 }

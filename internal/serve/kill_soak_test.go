@@ -6,7 +6,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -177,7 +176,8 @@ func TestChaosSoakServerKills(t *testing.T) {
 	}
 
 	// A fresh replay of the settled journal serves the same results, then
-	// drains clean: all jobs terminal, so the journal is removed.
+	// drains clean: all jobs terminal, so the journal keeps only its id
+	// floor and the next service lists no job.
 	replayed, err := New(Options{Dir: dir, Executors: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -190,7 +190,12 @@ func TestChaosSoakServerKills(t *testing.T) {
 	if err := replayed.Drain(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "jobs.jnl")); !os.IsNotExist(err) {
-		t.Fatalf("settled journal survived the final drain (stat err %v)", err)
+	after, err := New(Options{Dir: dir, Executors: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer after.Close()
+	if n := len(after.jobs); n != 0 {
+		t.Fatalf("settled jobs survived the final drain: the next service lists %d", n)
 	}
 }

@@ -27,7 +27,9 @@
 // marks running jobs checkpointing, cancels their contexts at the next
 // chunk boundary (all completed progress is already durable), waits for
 // executors, and exits; the journal is retained unless every job is
-// terminal, so a restart picks up exactly where the drain stopped.
+// terminal, so a restart picks up exactly where the drain stopped. A
+// settled journal is reduced to its id floor, so ids stay unique per
+// state directory.
 package serve
 
 import (
@@ -424,9 +426,11 @@ func (s *Service) transitionLocked(job *jobRecord, to jobState, errMsg string) e
 
 // Drain gracefully shuts the service down: stop admitting (readiness
 // flips), mark running jobs checkpointing, stop executors at their next
-// chunk boundary, and close the journal — removing it only when every job
-// is terminal, so an operator restarting after a drain mid-backlog loses
-// nothing. Returns once executors have stopped or ctx expires.
+// chunk boundary, and close the journal — reducing it to its id floor only
+// when every job is terminal, so an operator restarting after a drain
+// mid-backlog loses nothing and the next service lists no settled job but
+// reuses none of its ids. Returns once executors have stopped or ctx
+// expires.
 func (s *Service) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	s.ready.Set(false, "draining")
@@ -464,15 +468,16 @@ func (s *Service) Drain(ctx context.Context) error {
 			break
 		}
 	}
+	seq := s.seq
 	s.mu.Unlock()
 	if err := s.jnl.close(); err != nil {
 		return fmt.Errorf("serve: closing journal: %w", err)
 	}
 	if allTerminal {
-		if err := s.jnl.remove(); err != nil {
-			return fmt.Errorf("serve: removing settled journal: %w", err)
+		if err := s.jnl.reduce(seq); err != nil {
+			return fmt.Errorf("serve: reducing settled journal: %w", err)
 		}
-		s.opts.Log.Info("serve: drained clean, journal removed")
+		s.opts.Log.Info("serve: drained clean, journal reduced to its id floor")
 	} else {
 		s.opts.Log.Info("serve: drained with unfinished jobs, journal retained")
 	}

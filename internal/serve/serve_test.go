@@ -1020,10 +1020,11 @@ func TestRestartReplaysParentFormatSpec(t *testing.T) {
 	}
 }
 
-// TestDrainRemovesSettledJournal proves the drain protocol: submissions
-// refused, readiness flipped, and the journal removed only when every job
-// is terminal.
-func TestDrainRemovesSettledJournal(t *testing.T) {
+// TestDrainKeepsIDFloor proves the drain protocol: submissions refused,
+// readiness flipped, and, once every job is terminal, the journal reduced
+// to its id floor. The next service in the directory lists no job and
+// hands out no id the drained one did.
+func TestDrainKeepsIDFloor(t *testing.T) {
 	dir := t.TempDir()
 	s, err := New(Options{Dir: dir, ChunkVoxels: 8, Executors: 1, FS: watchFS(nil)})
 	if err != nil {
@@ -1033,13 +1034,17 @@ func TestDrainRemovesSettledJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := s.Submit(context.Background(), JobSpec{Dataset: string(hash)})
-	if err != nil {
-		t.Fatal(err)
-	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	waitState(t, s, ts.URL, id, stateDone, 30*time.Second)
+	drained := map[string]bool{}
+	for i := 0; i < 2; i++ {
+		id, err := s.Submit(context.Background(), JobSpec{Dataset: string(hash)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, s, ts.URL, id, stateDone, 30*time.Second)
+		drained[id] = true
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -1052,8 +1057,20 @@ func TestDrainRemovesSettledJournal(t *testing.T) {
 	if _, err := s.Submit(context.Background(), JobSpec{Dataset: string(hash)}); err == nil {
 		t.Fatal("drained server accepted a job")
 	}
-	if _, err := os.Stat(filepath.Join(dir, "jobs.jnl")); !os.IsNotExist(err) {
-		t.Fatalf("settled journal not removed (stat err %v)", err)
+
+	next := newTestService(t, Options{Dir: dir, Executors: -1})
+	next.mu.Lock()
+	listed := len(next.jobs)
+	next.mu.Unlock()
+	if listed != 0 {
+		t.Fatalf("the service after a clean drain lists %d jobs, want none", listed)
+	}
+	id, err := next.Submit(context.Background(), JobSpec{Dataset: string(hash)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if drained[id] {
+		t.Fatalf("the service after a clean drain handed out %s again (drained: %v)", id, drained)
 	}
 }
 

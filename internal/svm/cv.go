@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"fcma/internal/obs"
-	"fcma/internal/obs/trace"
 	"fcma/internal/tensor"
 )
 
@@ -95,15 +94,22 @@ func KFolds(n, k int) []Fold {
 // so a warm call allocates nothing; any other trainer goes through
 // TrainKernel and Model.Decide.
 func CrossValidateContext(ctx context.Context, tr KernelTrainer, K *tensor.Matrix, labels []int, folds []Fold) (float64, error) {
-	_, span := trace.StartSpan(ctx, "svm/cv")
-	defer span.End()
+	return CrossValidateObserved(ctx, nil, tr, K, labels, folds)
+}
+
+// CrossValidateObserved is CrossValidateContext whose "svm/cv" interval
+// also observes reg's stage_svm_cv_seconds (obs.Registry.Begin): the
+// histogram core keeps of its voxels. A nil reg records the span alone.
+func CrossValidateObserved(ctx context.Context, reg *obs.Registry, tr KernelTrainer, K *tensor.Matrix, labels []int, folds []Fold) (float64, error) {
+	_, iv := reg.Begin(ctx, "svm/cv")
+	defer iv.End()
 	t, err := runFolds(tr, K, labels, folds, nil)
 	if err != nil {
 		return 0, err
 	}
-	span.SetInt("folds", len(folds))
-	span.SetInt("degenerate", t.degenerate)
-	span.SetInt("cg_steps", t.cgSteps)
+	iv.Span.SetInt("folds", len(folds))
+	iv.Span.SetInt("degenerate", t.degenerate)
+	iv.Span.SetInt("cg_steps", t.cgSteps)
 	return t.accuracy(), nil
 }
 

@@ -192,10 +192,7 @@ func (l *Log) Append(payload []byte, sync bool) (int, error) {
 		return 0, l.failed
 	}
 	start := time.Now()
-	frame := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(payload))
-	copy(frame[8:], payload)
+	frame := appendFrame(make([]byte, 0, 8+len(payload)), payload)
 	if _, err := l.f.Write(frame); err != nil {
 		l.failed = fmt.Errorf("wal: append to %s: %w", l.path, err)
 		return 0, l.failed
@@ -211,6 +208,13 @@ func (l *Log) Append(payload []byte, sync bool) (int, error) {
 	}
 	l.m.observeAppend(len(frame), time.Since(start), fsync, sync)
 	return len(frame), nil
+}
+
+// appendFrame appends payload's frame (length, CRC, payload) to b.
+func appendFrame(b, payload []byte) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
+	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
+	return append(b, payload...)
 }
 
 // Sync flushes the log's data to stable storage; a failure is kept.
@@ -245,6 +249,13 @@ func (l *Log) Close() error {
 // the per-record sync policy already made durable, nothing more.
 func (l *Log) Abort() {
 	_ = l.f.Close()
+}
+
+// Rewrite replaces the closed log's file by a log of the one record
+// payload, through chaos.WriteFileAtomic: a crash leaves the old log or
+// the new one, never neither.
+func (l *Log) Rewrite(payload []byte) error {
+	return chaos.WriteFileAtomic(l.fsys, l.path, appendFrame([]byte(l.magic), payload), 0o644)
 }
 
 // Remove deletes the log file; call it after the owner's run completes so

@@ -2,10 +2,10 @@
 # serve-smoke.sh — end-to-end smoke of the fcma-serve daemon over real
 # HTTP and real signals: start the server on an ephemeral port, submit a
 # synthetic job, fetch its result with one request (which waits for the
-# job to finish), SIGTERM the process, and assert a clean drain (exit 0,
-# journal removed). This is
-# the path no Go test covers: the actual binary, the actual socket, the
-# actual signal handler.
+# job to finish), SIGTERM the process, and assert a clean drain (exit 0);
+# then restart on the same state directory and assert the settled job is
+# gone and its id is not handed out again. This is the path no Go test
+# covers: the actual binary, the actual socket, the actual signal handler.
 #
 # Requires: go, curl. Exits non-zero on any failure.
 #
@@ -45,23 +45,36 @@ fail() {
 echo "serve-smoke: building fcma-serve"
 go build -o "$workdir/fcma-serve" ./cmd/fcma-serve
 
+# start_server runs fcma-serve on the state directory and waits for the
+# bound address; it sets pid and base.
+start_server() {
+    rm -f "$addrfile"
+    "$workdir/fcma-serve" -listen 127.0.0.1:0 -dir "$state" -addr-file "$addrfile" \
+        -chunk 16 -executors 1 -trace-out "$traceout" >>"$log" 2>&1 &
+    pid=$!
+    i=0
+    while [ ! -s "$addrfile" ]; do
+        i=$((i + 1))
+        [ "$i" -gt 100 ] && fail "server never wrote its address"
+        kill -0 "$pid" 2>/dev/null || fail "server exited during startup"
+        sleep 0.1
+    done
+    base="http://$(cat "$addrfile")"
+    echo "serve-smoke: server at $base"
+}
+
+# drain_server sends SIGTERM and requires exit 0.
+drain_server() {
+    kill -TERM "$pid"
+    rc=0
+    wait "$pid" || rc=$?
+    pid=""
+    [ "$rc" -eq 0 ] || fail "server exited $rc on SIGTERM, want 0"
+}
+
 echo "serve-smoke: starting server"
 traceout="$workdir/serve-trace.json"
-"$workdir/fcma-serve" -listen 127.0.0.1:0 -dir "$state" -addr-file "$addrfile" \
-    -chunk 16 -executors 1 -trace-out "$traceout" >"$log" 2>&1 &
-pid=$!
-
-# Wait for the bound address to appear.
-i=0
-while [ ! -s "$addrfile" ]; do
-    i=$((i + 1))
-    [ "$i" -gt 100 ] && fail "server never wrote its address"
-    kill -0 "$pid" 2>/dev/null || fail "server exited during startup"
-    sleep 0.1
-done
-addr=$(cat "$addrfile")
-base="http://$addr"
-echo "serve-smoke: server at $base"
+start_server
 
 # Readiness and health answer.
 curl -fsS "$base/healthz" >/dev/null || fail "/healthz not OK"
@@ -118,13 +131,8 @@ curl -fsS "$base/api/v1/stats" >"$workdir/stats.json" || fail "stats fetch faile
 grep -q '"smoke":{"submitted":1,"completed":1' "$workdir/stats.json" \
     || fail "stats do not show the smoke tenant: $(cat "$workdir/stats.json")"
 
-# SIGTERM drains: exit 0, journal removed (every job terminal).
-kill -TERM "$pid"
-rc=0
-wait "$pid" || rc=$?
-pid=""
-[ "$rc" -eq 0 ] || fail "server exited $rc on SIGTERM, want 0"
-[ ! -e "$state/jobs.jnl" ] || fail "journal survived a settled drain"
+# SIGTERM drains: exit 0.
+drain_server
 
 # The drain wrote one merged Chrome-trace timeline, and the submitted
 # job's trace runs from the HTTP request root down to kernel spans.
@@ -134,5 +142,18 @@ for span in "http POST /api/v1/jobs" "serve/job" "serve/attempt" \
     grep -q "\"name\": \"$span\"" "$traceout" \
         || fail "trace file missing span \"$span\""
 done
+
+# Every job was terminal, so the drain kept only the journal's id floor:
+# the restarted server lists no job and gives the next submit a new id.
+start_server
+jobs=$(curl -fsS "$base/api/v1/jobs") || fail "job list failed after restart"
+case "$jobs" in *"\"$id\""*) fail "settled job $id survived the drain: $jobs" ;; esac
+resp=$(curl -fsS -XPOST "$base/api/v1/jobs" \
+    -d '{"synthetic":"face-scene","scale":0.002,"name":"smoke","tenant":"smoke"}') \
+    || fail "job submission refused after restart"
+next=$(echo "$resp" | sed -n 's/.*"id":"\([^"]*\)".*/\1/p')
+[ -n "$next" ] && [ "$next" != "$id" ] || fail "restarted server handed out $next, want an id other than $id"
+echo "serve-smoke: restarted, $id gone, next job $next"
+drain_server
 
 echo "serve-smoke: PASS"

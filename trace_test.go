@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"strconv"
+	"strings"
 	"testing"
 
 	"fcma/internal/corr"
@@ -12,11 +13,12 @@ import (
 
 // The single-node smoke test of the trace pipeline: a traced SelectVoxels
 // run must produce a Chrome-trace JSON that parses and contains at least
-// one span per pipeline stage.
+// one span per pipeline stage, and time each interval once: its span count
+// is its histogram's observation count.
 func TestSelectVoxelsTraceCoversStages(t *testing.T) {
 	d := mustGenerate(t, testSpec())
-	tr := NewTracer()
-	scores, err := SelectVoxels(d, Config{Trace: tr, Workers: 2})
+	tr, reg := NewTracer(), NewMetrics()
+	scores, err := SelectVoxels(d, Config{Trace: tr, Workers: 2, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,6 +57,13 @@ func TestSelectVoxelsTraceCoversStages(t *testing.T) {
 	// One svm/cv span per voxel: stage 3 traces at voxel granularity.
 	if count["svm/cv"] != d.Voxels() {
 		t.Fatalf("svm/cv spans = %d, want one per voxel (%d)", count["svm/cv"], d.Voxels())
+	}
+	hists := reg.Snapshot().Hists
+	for _, name := range []string{"core/task", "corr/fused", "core/svm", "svm/cv"} {
+		series := "stage_" + strings.ReplaceAll(name, "/", "_") + "_seconds"
+		if got := hists[series].Count; got != uint64(count[name]) {
+			t.Errorf("%s: %d spans but %s counts %d", name, count[name], series, got)
+		}
 	}
 }
 
