@@ -93,7 +93,7 @@ size:
 # pass these ceilings, the values the last reduction PR left. A PR that needs more raises them
 # in its own diff, where a reviewer sees the growth; one that shrinks the
 # module lowers them.
-MAX_MODULE_LINES = 18656
+MAX_MODULE_LINES = 18652
 MAX_EXPORTED = 277
 MAX_FLAGS = 65
 MAX_ASM_LINES = 2408

@@ -26,10 +26,11 @@ import (
 //   - obsnames: outside internal/obs, every instrument is named where it
 //     is registered, by a string literal or a + chain of literals and
 //     per-state parts, that follows the convention (checkMetricName).
-//     An interval (obs.Registry.Begin, a span and its stage_*_seconds
-//     histogram) is named by a string literal alone, and no span is
-//     opened under an interval's name by hand: the names are collected
-//     into one list, which the test logs.
+//     An interval (a span and one histogram observation, opened by Begin
+//     on a registry, which times it on stage_*_seconds, or on a histogram
+//     handle, such as a tenant's labeled series) is named by a string
+//     literal alone, and no span is opened under an interval's name by
+//     hand: the names are collected into one list, which the test logs.
 //   - leafboundary: no package an entry point that serves, runs or
 //     distributes an analysis imports, directly or not, is an
 //     experiment-only leaf: the machine model (internal/mic/...,
@@ -39,7 +40,7 @@ func TestSourceContracts(t *testing.T) {
 	fset := token.NewFileSet()
 	parsed := 0
 	deps := map[string][]string{}  // package directory -> module packages its files import
-	intervals := map[string]bool{} // the names every Begin call opens
+	intervals := map[string]bool{} // the names every Begin call opens, on a registry or a histogram
 	var spans []*ast.BasicLit      // names spans are opened under by hand
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -159,10 +160,10 @@ func TestSourceContracts(t *testing.T) {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	t.Logf("intervals (obs.Registry.Begin): %s", strings.Join(names, " "))
+	t.Logf("intervals (Begin on a registry or a histogram): %s", strings.Join(names, " "))
 	for _, lit := range spans {
 		if name, _ := strconv.Unquote(lit.Value); intervals[name] {
-			t.Errorf("%s: span %q opened by hand; it is an interval, which obs.Registry.Begin opens with its histogram", fset.Position(lit.Pos()), name)
+			t.Errorf("%s: span %q opened by hand; it is an interval, which Begin opens with its histogram (on the registry, or on the histogram handle that times it)", fset.Position(lit.Pos()), name)
 		}
 	}
 	for _, root := range []string{".", "cmd/fcma-run", "cmd/fcma-cluster", "cmd/fcma-serve", "cmd/fcma-gen"} {
@@ -295,8 +296,9 @@ func checkMetricName(name string, kind obsNameKind) string {
 			return "lacks a subsystem prefix (want subsystem_name)"
 		}
 	case obsKindInterval:
-		// Begin names the histogram stage_<name>_seconds itself; any
-		// snake_case (or /-separated) interval name is fine.
+		// A registry's Begin names the histogram stage_<name>_seconds
+		// itself, and a histogram handle was named where it was resolved;
+		// any snake_case (or /-separated) interval name is fine.
 	}
 	return ""
 }

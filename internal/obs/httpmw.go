@@ -82,7 +82,6 @@ func (r *statusRecorder) Flush() {
 func (m HTTPMiddleware) Wrap(route string, next http.Handler) http.Handler {
 	inflight := m.Reg.Gauge("http_inflight_requests")
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
 		rid := cleanRequestID(r.Header.Get(HeaderRequestID))
 		if rid == "" {
 			rid = fmt.Sprintf("%016x", rand.Uint64())
@@ -90,8 +89,12 @@ func (m HTTPMiddleware) Wrap(route string, next http.Handler) http.Handler {
 		w.Header().Set(HeaderRequestID, rid)
 		ctx := r.Context()
 
+		// Read the clock once at each end: the span's, when traced.
 		var span *trace.Active
-		if m.Tracer != nil {
+		var start time.Time
+		if m.Tracer == nil {
+			start = time.Now()
+		} else {
 			span = m.Tracer.StartTrace("http " + route)
 			span.SetAttr("request_id", rid)
 			span.SetAttr("method", r.Method)
@@ -107,11 +110,10 @@ func (m HTTPMiddleware) Wrap(route string, next http.Handler) http.Handler {
 		if rec.status == 0 { // handler never wrote: net/http sends 200
 			rec.status = http.StatusOK
 		}
-		elapsed := time.Since(start)
-
-		if span != nil {
-			span.SetInt("status", rec.status)
-			span.End()
+		span.SetInt("status", rec.status)
+		elapsed := span.End()
+		if span == nil {
+			elapsed = time.Since(start)
 		}
 		m.Reg.Counter("http_requests_total",
 			L("route", route), L("method", r.Method), L("code", statusClass(rec.status))).Inc()

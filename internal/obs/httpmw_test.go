@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"fcma/internal/obs/trace"
 )
@@ -62,9 +63,10 @@ func TestHTTPMiddlewareRED(t *testing.T) {
 		L("route", "/api/v1/jobs"), L("method", "POST"), L("code", "2xx"))]; got != 1 {
 		t.Fatalf("POST 2xx counter = %d, want 1:\n%v", got, snap.Counters)
 	}
-	if h := snap.Hists[SeriesName("http_request_seconds",
-		L("method", "POST"), L("route", "/api/v1/jobs"))]; h.Count != 1 {
-		t.Fatalf("latency histogram count = %d, want 1", h.Count)
+	post := snap.Hists[SeriesName("http_request_seconds",
+		L("method", "POST"), L("route", "/api/v1/jobs"))]
+	if post.Count != 1 {
+		t.Fatalf("latency histogram count = %d, want 1", post.Count)
 	}
 	if v := snap.Gauges["http_inflight_requests"]; v != 0 {
 		t.Fatalf("inflight gauge = %g after requests finished", v)
@@ -93,6 +95,10 @@ func TestHTTPMiddlewareRED(t *testing.T) {
 	}
 	if root.Trace.String() != traceID {
 		t.Fatalf("root trace %s != X-Trace-ID %s", root.Trace, traceID)
+	}
+	// A traced request is timed once: its latency is its root span's.
+	if got := time.Duration(root.DurNS).Seconds(); got != post.Sum {
+		t.Fatalf("POST latency observed %gs, its request span lasted %gs", post.Sum, got)
 	}
 
 	if !strings.Contains(logBuf.String(), "request_id=client-id-1") ||

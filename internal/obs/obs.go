@@ -232,9 +232,9 @@ func getOrCreate[T any](r *Registry, m map[string]*T, key string, create func() 
 	return v
 }
 
-// Interval is one timed section opened by Registry.Begin: the per-stage
-// breakdown the paper reads off vTune, as one span and one histogram
-// observation of the same two clock readings. The zero Interval is off.
+// Interval is one timed section opened by Begin: the per-stage breakdown
+// the paper reads off vTune, as one span and one histogram observation of
+// the same two clock readings. The zero Interval is off.
 type Interval struct {
 	// Span is the interval's span, for attributes; nil when the context
 	// carries no tracer.
@@ -243,21 +243,27 @@ type Interval struct {
 	start time.Time
 }
 
-// Begin opens the interval name ("core/task"; "/" separates the layers):
-// a span under ctx's when ctx carries a tracer, returned in the derived
-// context, and an observation of the latency histogram
-// "stage_<name>_seconds", "/" written "_", when r is non-nil. Use:
+// Begin opens the interval name ("core/task"; "/" separates the layers)
+// on the latency histogram "stage_<name>_seconds", "/" written "_", which
+// is resolved once per registry and name. Use:
 //
 //	ctx, iv := reg.Begin(ctx, "corr/fused")
 //	defer iv.End()
 //
-// The clock is read once at each end and the histogram is resolved once
-// per registry and name, so a warm call allocates nothing without a tracer.
 // Safe on a nil registry (the span alone).
 func (r *Registry) Begin(ctx context.Context, name string) (context.Context, Interval) {
+	return r.stage(name).Begin(ctx, name)
+}
+
+// Begin opens the interval name on h, a labeled series' handle (a
+// tenant's queue wait) or a stage's: a span under ctx's when ctx carries
+// a tracer, returned in the derived context, and one observation of h at
+// End. The clock is read once at each end, so a warm call allocates
+// nothing without a tracer. Safe on a nil histogram (the span alone).
+func (h *Histogram) Begin(ctx context.Context, name string) (context.Context, Interval) {
 	ctx, sp := trace.StartSpan(ctx, name)
-	iv := Interval{Span: sp, h: r.stage(name)}
-	if sp == nil && iv.h != nil {
+	iv := Interval{Span: sp, h: h}
+	if sp == nil && h != nil {
 		iv.start = time.Now()
 	}
 	return ctx, iv

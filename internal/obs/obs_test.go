@@ -117,19 +117,32 @@ func TestBegin(t *testing.T) {
 }
 
 // Begin allocates nothing when ctx carries no tracer, whether the registry
-// is nil or warm: every stage and voxel of an untraced run calls it.
+// is nil or warm, or the interval is timed on a labeled series resolved
+// once (a tenant's queue wait): every stage and voxel of an untraced run,
+// and every job of the service, calls it.
 func TestBeginZeroAllocsUntraced(t *testing.T) {
 	ctx := context.Background()
 	warm := NewRegistry()
 	warm.Begin(ctx, "svm/cv")
-	for _, r := range []*Registry{nil, warm} {
+	labeled := warm.Histogram("serve_tenant_queue_wait_seconds", nil, L("tenant", "alice"))
+	for _, row := range []struct {
+		name  string
+		begin func() (context.Context, Interval)
+	}{
+		{"nil registry", func() (context.Context, Interval) { return (*Registry)(nil).Begin(ctx, "svm/cv") }},
+		{"warm registry", func() (context.Context, Interval) { return warm.Begin(ctx, "svm/cv") }},
+		{"labeled histogram", func() (context.Context, Interval) { return labeled.Begin(ctx, "serve/queue_wait") }},
+	} {
 		if n := testing.AllocsPerRun(100, func() {
-			_, iv := r.Begin(ctx, "svm/cv")
+			_, iv := row.begin()
 			iv.Span.SetInt("folds", 6)
 			iv.End()
 		}); n != 0 {
-			t.Fatalf("Begin on registry %p allocates %v per interval", r, n)
+			t.Fatalf("Begin on the %s allocates %v per interval", row.name, n)
 		}
+	}
+	if labeled.Count() == 0 {
+		t.Fatal("the labeled interval observed nothing")
 	}
 }
 

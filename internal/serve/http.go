@@ -183,8 +183,8 @@ func (s *Service) handleStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, st)
 }
 
-// handleStats renders per-tenant accounting — the same numbers the
-// labeled /metrics series carry, as one JSON document.
+// handleStats renders per-tenant accounting — the labeled /metrics
+// series themselves, as one JSON document.
 func (s *Service) handleStats(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"tenants": s.tenantSnapshot()})
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"fcma/internal/core"
+	"fcma/internal/obs"
 	"fcma/internal/obs/trace"
 )
 
@@ -19,7 +20,7 @@ import (
 //	    ▼           ▼
 //	 canceled    failed/canceled   (terminal)
 //
-// accepted: journaled and queued, not yet picked up by an executor.
+// accepted: journaled and queued in the job table, not yet picked up.
 // running: an executor is computing chunks (each chunk's scores are
 // journaled before the job advances past it). checkpointing: the server
 // is draining; the executor is stopping at the next chunk boundary with
@@ -195,24 +196,24 @@ type jobRecord struct {
 	// result request waiting on it; made by the first such request.
 	settled chan struct{}
 
-	created time.Time
+	// created is the submit time, for the queue-age gauge; queueWait the
+	// open serve/queue_wait interval, ended at pickup or by a cancel. Both
+	// are zero for a job replayed from the journal.
+	created   time.Time
+	queueWait obs.Interval
 
 	// span is the job's open trace root (nil when tracing is off);
 	// traceSC its portable context, under which the executor parents
-	// attempt, WAL, and kernel spans. queueSpan covers submit → executor
-	// pickup.
-	span      *trace.Active
-	queueSpan *trace.Active
-	traceSC   trace.SpanContext
+	// attempt, WAL, and kernel spans.
+	span    *trace.Active
+	traceSC trace.SpanContext
 }
 
-// endSpans closes the job's open spans at its terminal transition,
-// stamping the outcome on the root. Idempotent: spans end once.
+// endSpans closes the job's open intervals at its terminal transition,
+// stamping the outcome on the root. Idempotent: each ends once.
 func (j *jobRecord) endSpans(state string) {
-	if j.queueSpan != nil {
-		j.queueSpan.End()
-		j.queueSpan = nil
-	}
+	j.queueWait.End()
+	j.queueWait = obs.Interval{}
 	if j.span != nil {
 		j.span.SetAttr("state", state)
 		j.span.End()

@@ -122,6 +122,76 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 }
 
+// TestQueueWaitIsOneInterval cancels one job while it is queued, on a
+// service that runs none, and runs one to done on the next service in the
+// directory, which shares the registry (a row lives as long as its
+// registry). It then holds the ledger to one instrument per fact: each
+// queue wait is one serve/queue_wait span and one observation of the
+// tenant's serve_tenant_queue_wait_seconds, timed by the same two clock
+// readings, and the stats row reads the same handles /metrics renders.
+func TestQueueWaitIsOneInterval(t *testing.T) {
+	tr, reg, dir := trace.New(0), obs.NewRegistry(), t.TempDir()
+	first := newTestService(t, Options{Dir: dir, Executors: -1, Trace: tr, Obs: reg})
+	hash, err := first.store.Put(tinyBlob(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := JobSpec{Dataset: string(hash), Tenant: "alice"}
+	canceled, err := first.Submit(t.Context(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := first.Cancel(canceled); err != nil {
+		t.Fatal(err)
+	}
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s := newTestService(t, Options{Dir: dir, ChunkVoxels: 8, Executors: 1, Trace: tr, Obs: reg})
+	if _, err := s.Submit(t.Context(), spec); err != nil {
+		t.Fatal(err)
+	}
+	waitSettled(t, s, 30*time.Second)
+
+	var spans int
+	var spanSeconds float64
+	for _, sp := range tr.Drain() {
+		if sp.Name == "serve/queue_wait" {
+			spans++
+			spanSeconds += time.Duration(sp.DurNS).Seconds()
+		}
+	}
+	snap := s.MetricsSnapshot()
+	var waits uint64
+	for name, h := range snap.Hists {
+		if strings.HasPrefix(name, "serve_tenant_queue_wait_seconds{") {
+			waits += h.Count
+		}
+	}
+	if spans != 2 || waits != uint64(spans) {
+		t.Fatalf("%d serve/queue_wait spans and %d queue-wait observations, want one each per job (2)", spans, waits)
+	}
+
+	alice := obs.L("tenant", "alice")
+	wait := snap.Hists[obs.SeriesName("serve_tenant_queue_wait_seconds", alice)]
+	compute := snap.Hists[obs.SeriesName("serve_tenant_job_seconds", alice)]
+	if wait.Sum != spanSeconds {
+		t.Errorf("queue waits observed %gs, their spans lasted %gs", wait.Sum, spanSeconds)
+	}
+	row := s.tenantSnapshot()["alice"]
+	want := tenantStats{
+		Submitted:        snap.Counters[obs.SeriesName("serve_tenant_jobs_submitted_total", alice)],
+		Completed:        snap.Counters[obs.SeriesName("serve_tenant_jobs_completed_total", alice)],
+		Canceled:         snap.Counters[obs.SeriesName("serve_tenant_jobs_canceled_total", alice)],
+		ComputeSeconds:   compute.Sum,
+		QueueWaitSeconds: wait.Sum,
+		EstimatedBytes:   int64(snap.Counters[obs.SeriesName("serve_tenant_estimated_bytes_total", alice)]),
+	}
+	if row != want || row.Submitted != 2 || row.Completed != 1 || row.Canceled != 1 || row.ComputeSeconds <= 0 {
+		t.Fatalf("alice stats row %+v, want %+v from /metrics: submitted 2, completed 1, canceled 1", row, want)
+	}
+}
+
 // TestPipelineRecordsOnServiceRegistry pins the one-registry design: a job's
 // worker records straight into the service registry — no per-attempt
 // registry merged in afterwards — and no machine-model series is emitted.

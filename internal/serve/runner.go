@@ -13,30 +13,43 @@ import (
 	"fcma/internal/retry"
 )
 
-// executorLoop pulls accepted jobs off the run queue until the service
-// stops.
-func (s *Service) executorLoop() {
-	for {
-		select {
-		case <-s.execCtx.Done():
-			return
-		case id := <-s.runq:
-			s.runJob(id)
+// queueLocked walks the run queue, the job table's accepted jobs: the one
+// with the lowest id, which runs next (resumed jobs first, then submit
+// order), how many wait, and the oldest submit time among them (a
+// replayed job has none). Callers hold s.mu.
+func (s *Service) queueLocked() (next *jobRecord, depth int, oldest time.Time) {
+	for _, j := range s.jobs {
+		if j.State != stateAccepted {
+			continue
+		}
+		depth++
+		if next == nil || j.ID < next.ID {
+			next = j
+		}
+		if !j.created.IsZero() && (oldest.IsZero() || j.created.Before(oldest)) {
+			oldest = j.created
 		}
 	}
+	return next, depth, oldest
 }
 
-// runJob executes one job end to end: transition to running, bounded
-// retries around the chunked attempt, then exactly one terminal
-// transition — unless a drain checkpointed it (stays resumable).
-func (s *Service) runJob(id string) {
+// runNext waits for an accepted job and executes it end to end:
+// transition to running, bounded retries around the chunked attempt, then
+// exactly one terminal transition — unless a drain checkpointed it (stays
+// resumable). It reports false, having run nothing, once the executors
+// are stopped.
+func (s *Service) runNext() bool {
 	s.mu.Lock()
-	job, ok := s.jobs[id]
-	if !ok || job.State != stateAccepted {
-		// Canceled while queued, or a stale queue entry after resume.
-		s.mu.Unlock()
-		return
+	job, _, _ := s.queueLocked()
+	for job == nil && s.execCtx.Err() == nil {
+		s.wake.Wait()
+		job, _, _ = s.queueLocked()
 	}
+	if s.execCtx.Err() != nil {
+		s.mu.Unlock()
+		return false
+	}
+	id := job.ID
 	// A job replayed from the journal has no trace yet (the submitting
 	// request's span died with the previous incarnation); give resumed
 	// work its own timeline.
@@ -47,19 +60,12 @@ func (s *Service) runJob(id string) {
 		job.span.SetAttr("resumed", "true")
 		job.traceSC = job.span.Context()
 	}
-	if job.queueSpan != nil {
-		job.queueSpan.End()
-		job.queueSpan = nil
-	}
-	tenant := job.Spec.tenant()
-	if !job.created.IsZero() {
-		wait := time.Since(job.created).Seconds()
-		s.tenantLocked(tenant).QueueWaitSeconds += wait
-		s.reg.Histogram("serve_tenant_queue_wait_seconds", nil, obs.L("tenant", tenant)).Observe(wait)
-	}
+	job.queueWait.End()
+	job.queueWait = obs.Interval{} // so the terminal endSpans does not end it again
+	row := s.tenantLocked(job.Spec.tenant())
 	if err := s.transitionLocked(job, stateRunning, ""); err != nil {
 		s.mu.Unlock() // the journal failed and the service stopped
-		return
+		return false
 	}
 	timeout := s.opts.JobTimeout
 	if job.Spec.TimeoutMS > 0 {
@@ -102,12 +108,9 @@ func (s *Service) runJob(id string) {
 		attemptSpan.End()
 		return aerr
 	})
-	elapsed := time.Since(execStart).Seconds()
-	s.mu.Lock()
-	s.tenantLocked(tenant).ComputeSeconds += elapsed
-	s.mu.Unlock()
-	s.reg.Histogram("serve_tenant_job_seconds", nil, obs.L("tenant", tenant)).Observe(elapsed)
+	row.compute.Observe(time.Since(execStart).Seconds())
 	s.finish(job, err)
+	return true
 }
 
 // retrySeed seeds a job's backoff jitter from the FNV hash of its ID:

@@ -38,7 +38,6 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
@@ -54,8 +53,9 @@ type Options struct {
 	// Dir is the service's state directory (journal + dataset store).
 	// Required.
 	Dir string
-	// QueueCap bounds non-terminal jobs; further submissions get 429.
-	// Defaults to 16.
+	// QueueCap bounds the non-terminal jobs admission lets in: a submit
+	// beyond it gets 429. It limits only new submits; a restart with a
+	// lower cap still resumes every journaled job. Defaults to 16.
 	QueueCap int
 	// TenantCap bounds one tenant's non-terminal jobs. Defaults to 4.
 	TenantCap int
@@ -137,11 +137,13 @@ type Service struct {
 	ready  obs.Readiness
 
 	mu      sync.Mutex
-	jobs    map[string]*jobRecord
-	tenants map[string]*tenantStats
+	jobs    map[string]*jobRecord // also the run queue: its accepted jobs
+	tenants map[string]*tenantRow
 	seq     int
+	// wake, on mu, rouses the idle executors: a submit signals it, and the
+	// cancellation of execCtx broadcasts it.
+	wake *sync.Cond
 
-	runq       chan string
 	execWG     sync.WaitGroup
 	execCtx    context.Context
 	execCancel context.CancelFunc
@@ -170,8 +172,7 @@ func New(opts Options) (*Service, error) {
 	}
 	s := &Service{
 		opts: opts, reg: reg, tracer: opts.Trace, store: store,
-		tenants:   make(map[string]*tenantStats),
-		runq:      make(chan string, 4*opts.QueueCap),
+		tenants:   make(map[string]*tenantRow),
 		uploadSem: make(chan struct{}, maxConcurrentUploads),
 		stopped:   make(chan error, 1),
 	}
@@ -180,22 +181,17 @@ func New(opts Options) (*Service, error) {
 		return nil, err
 	}
 	s.jnl, s.jobs, s.seq = jnl, jnl.jobs, jnl.maxSeq
+	s.wake = sync.NewCond(&s.mu)
 	s.execCtx, s.execCancel = context.WithCancel(context.Background())
+	context.AfterFunc(s.execCtx, func() {
+		s.mu.Lock()
+		s.wake.Broadcast()
+		s.mu.Unlock()
+	})
 
-	// Re-queue replayed non-terminal jobs in ID order (determinism for
-	// soaks) and restore the queue-depth gauges.
-	resumed := 0
-	ids := make([]string, 0, len(s.jobs))
-	for id := range s.jobs {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		if !s.jobs[id].State.Terminal() {
-			s.runq <- id
-			resumed++
-		}
-	}
+	// Replayed non-terminal jobs are accepted ones, which the executors
+	// take in id order before any new submit (none runs yet: no lock).
+	_, resumed, _ := s.queueLocked()
 	if resumed > 0 || len(s.jobs) > 0 {
 		opts.Log.Info("serve: journal replayed",
 			"jobs", len(s.jobs), "resumed", resumed, "dir", opts.Dir)
@@ -207,7 +203,8 @@ func New(opts Options) (*Service, error) {
 		s.execWG.Add(1)
 		safe.Go("serve/executor", func() error {
 			defer s.execWG.Done()
-			s.executorLoop()
+			for s.runNext() {
+			}
 			return nil
 		}, func(err error) {
 			if err != nil {
@@ -227,7 +224,8 @@ func (s *Service) Stopped() <-chan error { return s.stopped }
 
 // halt is Drain's stop without the courtesies, on a failed journal write:
 // readiness (which gates admission) goes false and the executors are
-// cancelled. It takes no lock; the journal calls it under its callers'.
+// cancelled. It takes no lock; the journal calls it under its callers'
+// (the wake-up that execCancel triggers waits for theirs).
 func (s *Service) halt(err error) {
 	s.haltOnce.Do(func() {
 		s.ready.Set(false, "journal")
@@ -246,19 +244,7 @@ func (s *Service) Metrics() *obs.Registry { return s.reg }
 // /metrics shows the queue as of the scrape.
 func (s *Service) MetricsSnapshot() obs.Snapshot {
 	s.mu.Lock()
-	depth := 0
-	var oldest time.Time
-	for _, j := range s.jobs {
-		if j.State != stateAccepted {
-			continue
-		}
-		depth++
-		// Jobs replayed from the journal have no submit time; they count
-		// toward depth but not age.
-		if !j.created.IsZero() && (oldest.IsZero() || j.created.Before(oldest)) {
-			oldest = j.created
-		}
-	}
+	_, depth, oldest := s.queueLocked()
 	s.mu.Unlock()
 	s.reg.Gauge("serve_queue_depth").Set(float64(depth))
 	age := 0.0
@@ -294,16 +280,16 @@ func (s *Service) Submit(ctx context.Context, spec JobSpec) (string, error) {
 		jctx = trace.WithRemoteParent(ctx, s.tracer, span.Context())
 	}
 	span.SetAttr("tenant", tenant)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	row := s.tenantLocked(tenant)
 	reject := func(aerr *admitError) (string, error) {
-		s.tenantLocked(tenant).Rejected++
+		row.rejected.Inc()
 		s.reg.Counter("serve_jobs_rejected_total").Inc()
-		s.reg.Counter("serve_tenant_jobs_rejected_total", obs.L("tenant", tenant)).Inc()
 		span.SetAttr("rejected", aerr.Reason)
 		span.End()
 		return "", aerr
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if ok, why := s.ready.Ready(); !ok {
 		return reject(&admitError{Status: 503, RetryAfter: 10, Reason: why})
 	}
@@ -325,42 +311,17 @@ func (s *Service) Submit(ctx context.Context, spec JobSpec) (string, error) {
 		return reject(&admitError{Status: 503, RetryAfter: 10, Reason: reasonAcceptUnknown, ID: id})
 	}
 	job.ID, job.created, job.span, job.traceSC = id, time.Now(), span, span.Context()
-	_, job.queueSpan = trace.StartSpan(jctx, "serve/queue_wait")
+	_, job.queueWait = row.queueWait.Begin(jctx, "serve/queue_wait")
 	s.jobs[id] = job
-	ts := s.tenantLocked(tenant)
-	ts.Submitted++
-	ts.EstimatedBytes += job.estBytes
+	row.submitted.Inc()
+	row.estimatedBytes.Add(uint64(job.estBytes))
 	s.reg.Counter("serve_jobs_accepted_total").Inc()
-	s.reg.Counter("serve_tenant_jobs_submitted_total", obs.L("tenant", tenant)).Inc()
-	if job.estBytes > 0 {
-		s.reg.Counter("serve_tenant_estimated_bytes_total", obs.L("tenant", tenant)).Add(uint64(job.estBytes))
-	}
-	select {
-	case s.runq <- id:
-	default:
-		// Unreachable while runq capacity exceeds QueueCap; guarded so a
-		// future capacity change fails a submit rather than deadlocking.
-		delete(s.jobs, id)
-		s.seq--
-		job.endSpans("unqueued")
-		return "", &admitError{Status: 503, RetryAfter: 5, Reason: "run queue full"}
-	}
+	s.wake.Signal()
 	return id, nil
 }
 
 // reasonAcceptUnknown warns that a blind resubmit could run the job twice.
 const reasonAcceptUnknown = "journal failed: whether the job was accepted is unknown until the server restarts; look it up by id then before submitting it again"
-
-// tenantLocked returns (creating if needed) the tenant's accounting row.
-// Callers hold s.mu.
-func (s *Service) tenantLocked(tenant string) *tenantStats {
-	ts, ok := s.tenants[tenant]
-	if !ok {
-		ts = &tenantStats{}
-		s.tenants[tenant] = ts
-	}
-	return ts
-}
 
 // Cancel requests a job stop. A queued job is canceled immediately; a
 // running one is interrupted at its next chunk boundary and records
@@ -403,18 +364,7 @@ func (s *Service) transitionLocked(job *jobRecord, to jobState, errMsg string) e
 	job.State = to
 	job.Err = errMsg
 	s.reg.Counter("serve_jobs_" + string(to) + "_total").Inc()
-	tenant := job.Spec.tenant()
-	switch to {
-	case stateDone:
-		s.tenantLocked(tenant).Completed++
-		s.reg.Counter("serve_tenant_jobs_completed_total", obs.L("tenant", tenant)).Inc()
-	case stateFailed:
-		s.tenantLocked(tenant).Failed++
-		s.reg.Counter("serve_tenant_jobs_failed_total", obs.L("tenant", tenant)).Inc()
-	case stateCanceled:
-		s.tenantLocked(tenant).Canceled++
-		s.reg.Counter("serve_tenant_jobs_canceled_total", obs.L("tenant", tenant)).Inc()
-	}
+	s.tenantLocked(job.Spec.tenant()).settled[to].Inc()
 	if to.Terminal() {
 		job.endSpans(string(to))
 		if job.settled != nil {

@@ -15,6 +15,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
@@ -494,9 +495,9 @@ func sameScores(t *testing.T, what string, got, want []core.VoxelScore) {
 	}
 }
 
-// countTerminalRecords walks the raw journal frames and counts terminal
-// srState records per job — independently of the journal code under test.
-func countTerminalRecords(t *testing.T, path string) map[string]int {
+// journalStates walks the raw journal frames and returns its srState
+// records in order — independently of the journal code under test.
+func journalStates(t *testing.T, path string) []stateRecord {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -505,7 +506,7 @@ func countTerminalRecords(t *testing.T, path string) map[string]int {
 	if len(data) < 8 || string(data[:8]) != serveMagic {
 		t.Fatalf("journal %s has bad magic", path)
 	}
-	counts := make(map[string]int)
+	var recs []stateRecord
 	off := 8
 	for off < len(data) {
 		if off+8 > len(data) {
@@ -525,14 +526,25 @@ func countTerminalRecords(t *testing.T, path string) map[string]int {
 			if err := json.Unmarshal(payload[1:], &rec); err != nil {
 				t.Fatalf("journal %s: bad state record at %d: %v", path, off, err)
 			}
-			if rec.State.Terminal() {
-				if rec.State != stateDone {
-					t.Fatalf("job %s journaled terminal state %s, want done", rec.ID, rec.State)
-				}
-				counts[rec.ID]++
-			}
+			recs = append(recs, rec)
 		}
 		off += 8 + n
+	}
+	return recs
+}
+
+// countTerminalRecords counts the journal's terminal srState records per
+// job, failing the test on any terminal state but done.
+func countTerminalRecords(t *testing.T, path string) map[string]int {
+	t.Helper()
+	counts := make(map[string]int)
+	for _, rec := range journalStates(t, path) {
+		if rec.State.Terminal() {
+			if rec.State != stateDone {
+				t.Fatalf("job %s journaled terminal state %s, want done", rec.ID, rec.State)
+			}
+			counts[rec.ID]++
+		}
 	}
 	return counts
 }
@@ -990,6 +1002,106 @@ func TestRestartResumesJobs(t *testing.T) {
 	for _, id := range ids {
 		if id3 == id {
 			t.Fatalf("resumed server reissued job id %s", id3)
+		}
+	}
+}
+
+// TestCancelChurnKeepsIDsUnique submits and cancels one queued job at a
+// time, seven times, at QueueCap 1 with no executor: a canceled job leaves
+// nothing queued behind it, so every submit is accepted under a new id,
+// and the directory reopens with the seven canceled jobs.
+func TestCancelChurnKeepsIDsUnique(t *testing.T) {
+	dir := t.TempDir()
+	s, err := New(Options{Dir: dir, QueueCap: 1, Executors: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := map[string]bool{}
+	for i := 0; i < 7; i++ {
+		code, body := postJob(t, s, JobSpec{Synthetic: "face-scene", Scale: 0.001})
+		if code != http.StatusAccepted || ids[body["id"]] {
+			t.Fatalf("submit %d answered %d %v; ids before it %v", i, code, body, ids)
+		}
+		ids[body["id"]] = true
+		if err := s.Cancel(body["id"]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	reopened := newTestService(t, Options{Dir: dir, Executors: -1})
+	reopened.mu.Lock()
+	defer reopened.mu.Unlock()
+	for id, job := range reopened.jobs {
+		if !ids[id] || job.State != stateCanceled {
+			t.Errorf("reopened job %s is %s, want one of the %d canceled", id, job.State, len(ids))
+		}
+	}
+	if len(reopened.jobs) != len(ids) {
+		t.Fatalf("reopened %d jobs, want the %d canceled", len(reopened.jobs), len(ids))
+	}
+}
+
+// TestReopenBelowJournaledBacklog reopens a directory holding 16 accepted
+// jobs at QueueCap 2. Admission limits only new submits: New returns at
+// once, and the service resumes all 16, in id order.
+func TestReopenBelowJournaledBacklog(t *testing.T) {
+	dir := t.TempDir()
+	first, err := New(Options{Dir: dir, QueueCap: 16, TenantCap: 16, Executors: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hash, err := first.store.Put(tinyBlob(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for i := 0; i < 16; i++ {
+		id, err := first.Submit(t.Context(), JobSpec{Dataset: string(hash)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	opened := make(chan *Service, 1)
+	go func() {
+		s, err := New(Options{Dir: dir, QueueCap: 2, ChunkVoxels: 8, Executors: 1, FS: watchFS(nil)})
+		if err != nil {
+			t.Error(err)
+		}
+		opened <- s
+	}()
+	var s *Service
+	select {
+	case s = <-opened:
+	case <-time.After(10 * time.Second):
+		t.Fatal("New did not return reopening 16 journaled jobs at QueueCap 2")
+	}
+	if s == nil {
+		return
+	}
+	waitSettled(t, s, 60*time.Second)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var ran []string
+	for _, rec := range journalStates(t, filepath.Join(dir, "jobs.jnl")) {
+		if rec.State == stateRunning {
+			ran = append(ran, rec.ID)
+		}
+	}
+	if !slices.Equal(ran, ids) {
+		t.Fatalf("resumed jobs ran in the order %v, want %v", ran, ids)
+	}
+	for _, id := range ids {
+		if n := countTerminalRecords(t, filepath.Join(dir, "jobs.jnl"))[id]; n != 1 {
+			t.Fatalf("job %s has %d done records, want 1", id, n)
 		}
 	}
 }

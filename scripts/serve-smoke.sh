@@ -118,6 +118,7 @@ assert_metric '^http_request_seconds_count{method="POST",route="POST /api/v1/job
 assert_metric '^serve_tenant_jobs_submitted_total{tenant="smoke"} 1'
 assert_metric '^serve_tenant_jobs_completed_total{tenant="smoke"} 1'
 assert_metric '^serve_tenant_job_seconds_count{tenant="smoke"} 1'
+assert_metric '^serve_tenant_queue_wait_seconds_count{tenant="smoke"} 1'
 assert_metric '^wal_fsync_seconds_count{log="serve"}'
 assert_metric '^wal_records_total{log="serve"}'
 assert_metric '^stage_corr_fused_seconds_count'
@@ -137,8 +138,8 @@ drain_server
 # The drain wrote one merged Chrome-trace timeline, and the submitted
 # job's trace runs from the HTTP request root down to kernel spans.
 [ -s "$traceout" ] || fail "no trace file at $traceout"
-for span in "http POST /api/v1/jobs" "serve/job" "serve/attempt" \
-    "serve/wal_append" "core/task"; do
+for span in "http POST /api/v1/jobs" "serve/job" "serve/queue_wait" \
+    "serve/attempt" "serve/wal_append" "core/task"; do
     grep -q "\"name\": \"$span\"" "$traceout" \
         || fail "trace file missing span \"$span\""
 done
